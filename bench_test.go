@@ -371,6 +371,30 @@ func BenchmarkEngineSharedMapRound(b *testing.B) {
 	}
 }
 
+// BenchmarkMapBlockWordcount measures the one map-task body (engine
+// and workers both run it) on a 256 KB text block: byte-level pattern
+// match, grouped combine, partition.
+func BenchmarkMapBlockWordcount(b *testing.B) {
+	benchMapBlock(b, workload.NewTextGen(1).Block(0, 256<<10), workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{})
+}
+
+// BenchmarkMapBlockSelection is the same task for the 10% selection
+// over a 256 KB lineitem block: no combiner, rows emitted straight
+// into the partitions.
+func BenchmarkMapBlockSelection(b *testing.B) {
+	benchMapBlock(b, workload.NewLineitemGen(1).Block(0, 256<<10), workload.SelectionMapper{MaxQuantity: 5}, nil)
+}
+
+func benchMapBlock(b *testing.B, data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) {
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkS3SchedulerThroughput measures raw JQM decision cost: one
 // Submit + k NextRound/RoundDone cycles over a 64-segment plan.
 func BenchmarkS3SchedulerThroughput(b *testing.B) {

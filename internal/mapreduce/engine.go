@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -272,6 +272,16 @@ func (e *Engine) MapRoundCtx(ctx context.Context, blocks []dfs.BlockID, jobs []*
 		cancel()
 	}
 
+	// failJob drops job j from the rest of the round with its first error.
+	failJob := func(j int, block dfs.BlockID, err error) {
+		mu.Lock()
+		if !jobFailed[j] {
+			jobFailed[j] = true
+			jobErrs[j] = fmt.Errorf("job %q block %v: %w", jobs[j].Spec.Name, block, err)
+		}
+		mu.Unlock()
+	}
+
 	// errLostRace marks an attempt that lost the commit race to a
 	// duplicate — not a failure.
 	errLostRace := errors.New("lost commit race")
@@ -309,9 +319,8 @@ func (e *Engine) MapRoundCtx(ctx context.Context, blocks []dfs.BlockID, jobs []*
 		mu.Unlock()
 
 		type jobOut struct {
-			parts  [][]KV
+			parts  [][]KV // nil: the job failed and is isolated from the batch
 			counts taskCounts
-			ok     bool
 		}
 		outs := make([]jobOut, len(jobs))
 		for j, job := range jobs {
@@ -321,17 +330,15 @@ func (e *Engine) MapRoundCtx(ctx context.Context, blocks []dfs.BlockID, jobs []*
 			if skip {
 				continue
 			}
-			parts, counts, err := e.computeMapTask(asg.block, data, job)
+			parts, counts, err := mapTask(asg.block, data, job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth())
 			if err != nil {
-				mu.Lock()
-				if !jobFailed[j] {
-					jobFailed[j] = true
-					jobErrs[j] = fmt.Errorf("job %q block %v: %w", job.Spec.Name, asg.block, err)
-				}
-				mu.Unlock()
+				failJob(j, asg.block, err)
 				continue
 			}
-			outs[j] = jobOut{parts: parts, counts: counts, ok: true}
+			if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
+				counts.inputRecords = rc.CountInputRecords(data)
+			}
+			outs[j] = jobOut{parts: parts, counts: counts}
 		}
 
 		elapsed := time.Since(begin)
@@ -353,16 +360,11 @@ func (e *Engine) MapRoundCtx(ctx context.Context, blocks []dfs.BlockID, jobs []*
 			Attempt: attempt, Local: asg.local, Jobs: len(jobs), Dur: elapsed})
 
 		for j, job := range jobs {
-			if !outs[j].ok {
-				continue // job already failed; isolated from the batch
+			if outs[j].parts == nil {
+				continue
 			}
 			if err := e.commitMapTask(job, outs[j].parts, outs[j].counts); err != nil {
-				mu.Lock()
-				if !jobFailed[j] {
-					jobFailed[j] = true
-					jobErrs[j] = fmt.Errorf("job %q block %v: %w", job.Spec.Name, asg.block, err)
-				}
-				mu.Unlock()
+				failJob(j, asg.block, err)
 			}
 		}
 		return nil
@@ -564,9 +566,8 @@ func (e *Engine) speculativeNode(b dfs.BlockID, cur *Node) *Node {
 
 // medianDuration returns the median of ds (ds must be non-empty).
 func medianDuration(ds []time.Duration) time.Duration {
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	return sorted[len(sorted)/2]
 }
 
@@ -580,36 +581,6 @@ type taskCounts struct {
 	outputBytes     int64
 	combineRecords  int64
 	combinerApplied bool
-}
-
-// computeMapTask executes one job's mapper over one block without
-// touching shared state.
-func (e *Engine) computeMapTask(block dfs.BlockID, data []byte, job *Running) ([][]KV, taskCounts, error) {
-	var raw []KV
-	err := job.Spec.Mapper.Map(block, data, func(kv KV) {
-		raw = append(raw, kv)
-	})
-	if err != nil {
-		return nil, taskCounts{}, err
-	}
-	counts := taskCounts{
-		inputBytes:    int64(len(data)),
-		outputRecords: int64(len(raw)),
-		outputBytes:   kvBytes(raw),
-	}
-	if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
-		counts.inputRecords = rc.CountInputRecords(data)
-	}
-	if job.Spec.Combiner != nil && len(raw) > 0 {
-		combined, err := combine(raw, job.Spec.Combiner)
-		if err != nil {
-			return nil, taskCounts{}, fmt.Errorf("combiner: %w", err)
-		}
-		counts.combineRecords = int64(len(combined))
-		counts.combinerApplied = true
-		raw = combined
-	}
-	return partition(raw, job.Spec.reduceWidth()), counts, nil
 }
 
 // commitMapTask charges the task's counters and merges its output into
@@ -652,15 +623,7 @@ func (e *Engine) ReduceDrained(job *Running, parts [][]KV) ([]KV, error) {
 // yet started when ctx is cancelled are skipped and the ctx error is
 // returned, so a failed or aborted round doesn't run out its reduces.
 func (e *Engine) ReduceDrainedCtx(ctx context.Context, job *Running, parts [][]KV) ([]KV, error) {
-	outputs, err := e.reduceParts(ctx, job, parts, "sub-job partition")
-	if err != nil {
-		return nil, err
-	}
-	job.Counters.Add(CounterReduceTasks, int64(len(parts)))
-	merged := MergeSorted(outputs)
-	job.Counters.Add(CounterReduceOutRecords, int64(len(merged)))
-	job.Counters.Add(CounterReduceOutBytes, kvBytes(merged))
-	return merged, nil
+	return e.reduceParts(ctx, job, parts, "sub-job partition")
 }
 
 // Finish runs the job's reduce phase over everything its map tasks
@@ -681,27 +644,18 @@ func (e *Engine) FinishDrained(job *Running, parts [][]KV) (*Result, error) {
 // FinishDrainedCtx is FinishDrained with cancellation (see
 // ReduceDrainedCtx).
 func (e *Engine) FinishDrainedCtx(ctx context.Context, job *Running, parts [][]KV) (*Result, error) {
-	c := job.Counters
-	outputs, err := e.reduceParts(ctx, job, parts, "partition")
+	all, err := e.reduceParts(ctx, job, parts, "partition")
 	if err != nil {
 		return nil, err
 	}
-	var all []KV
-	for _, out := range outputs {
-		all = append(all, out...)
-	}
-	sortKVs(all)
-	c.Add(CounterReduceTasks, int64(len(parts)))
-	c.Add(CounterReduceOutRecords, int64(len(all)))
-	c.Add(CounterReduceOutBytes, kvBytes(all))
-	return &Result{Name: job.Spec.Name, Output: all, Counters: c}, nil
+	return &Result{Name: job.Spec.Name, Output: all, Counters: job.Counters}, nil
 }
 
-// reduceParts runs one reduce task per partition concurrently,
-// committing the first error (the same worker-pool/firstErr pattern
-// every reduce phase shares). Partitions observe ctx: tasks not yet
-// started when it is cancelled do no work.
-func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, label string) ([][]KV, error) {
+// reduceParts is the reduce phase every caller shares: one reduce task
+// per partition, run concurrently, the first error winning; then the
+// outputs merged into one sorted slice and the reduce counters charged.
+// Tasks not yet started when ctx is cancelled do no work.
+func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, label string) ([]KV, error) {
 	outputs := make([][]KV, len(parts))
 	var (
 		wg       sync.WaitGroup
@@ -720,7 +674,8 @@ func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, la
 				mu.Unlock()
 				return
 			}
-			out, err := e.runReduceTask(records, job)
+			job.Counters.Add(CounterReduceInputRecords, int64(len(records)))
+			out, err := reduceTask(records, job.Spec.Reducer)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
@@ -734,26 +689,11 @@ func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, la
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return outputs, nil
-}
-
-// runReduceTask sorts, groups and reduces one partition.
-func (e *Engine) runReduceTask(records []KV, job *Running) ([]KV, error) {
-	job.Counters.Add(CounterReduceInputRecords, int64(len(records)))
-	sortKVs(records)
-	if job.Spec.Reducer == nil {
-		return records, nil
-	}
-	var out []KV
-	err := groupByKey(records, func(key string, values []string) error {
-		return job.Spec.Reducer.Reduce(key, values, func(kv KV) {
-			out = append(out, kv)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	merged := MergeSorted(outputs)
+	job.Counters.Add(CounterReduceTasks, int64(len(parts)))
+	job.Counters.Add(CounterReduceOutRecords, int64(len(merged)))
+	job.Counters.Add(CounterReduceOutBytes, kvBytes(merged))
+	return merged, nil
 }
 
 // RunJob executes a single job start to finish: one map round over all

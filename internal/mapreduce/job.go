@@ -69,12 +69,7 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-func (s *JobSpec) reduceWidth() int {
-	if s.NumReduce <= 0 {
-		return 1
-	}
-	return s.NumReduce
-}
+func (s *JobSpec) reduceWidth() int { return max(s.NumReduce, 1) }
 
 // Running is the engine-side state of a job in flight: the shuffle
 // space its map tasks fill and the counters they charge. One Running
@@ -139,7 +134,12 @@ func (r *Running) Compact(combiner Reducer) error {
 		if len(records) == 0 {
 			continue
 		}
-		compacted, err := combine(records, combiner)
+		g := make(grouped)
+		for _, kv := range records {
+			g.add(kv)
+		}
+		compacted := make([]KV, 0, len(g))
+		err := g.fold(combiner, func(kv KV) { compacted = append(compacted, kv) })
 		if err != nil {
 			return fmt.Errorf("mapreduce: compacting job %q partition %d: %w", r.Spec.Name, p, err)
 		}

@@ -11,7 +11,10 @@
 // dfs.ReadBlock per block regardless of how many jobs consume it.
 package mapreduce
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // KV is one key/value record.
 type KV struct {
@@ -25,11 +28,11 @@ type Emit func(kv KV)
 // sortKVs orders records by key, then value, for deterministic reduce
 // input and deterministic job output.
 func sortKVs(kvs []KV) {
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].Key != kvs[j].Key {
-			return kvs[i].Key < kvs[j].Key
+	slices.SortFunc(kvs, func(a, b KV) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return kvs[i].Value < kvs[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
 }
 

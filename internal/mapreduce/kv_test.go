@@ -3,12 +3,16 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"s3sched/internal/dfs"
 )
 
 func TestSortKVs(t *testing.T) {
@@ -107,8 +111,9 @@ func TestPartitionOf(t *testing.T) {
 	}
 }
 
-// Property: partition splits records without loss and each record lands
-// in the partition its key hashes to.
+// Property: a map task without a combiner splits records without loss,
+// in emit order, and each record lands in the partition its key hashes
+// to.
 func TestPartitionProperty(t *testing.T) {
 	prop := func(seed int64, width8 uint8) bool {
 		width := int(width8%8) + 1
@@ -118,35 +123,141 @@ func TestPartitionProperty(t *testing.T) {
 		for i := range kvs {
 			kvs[i] = KV{Key: fmt.Sprintf("k%d", rng.Intn(20)), Value: fmt.Sprint(i)}
 		}
-		parts := partition(kvs, width)
-		if len(parts) != width {
+		parts, err := MapBlockForJob(dfs.BlockID{}, nil, emitAll(kvs), nil, width)
+		if err != nil || len(parts) != width {
 			return false
 		}
-		total := 0
-		for p, part := range parts {
-			for _, kv := range part {
-				if partitionOf(kv.Key, width) != p {
-					return false
-				}
-			}
-			total += len(part)
-		}
-		return total == n
+		return reflect.DeepEqual(parts, refPartition(kvs, width))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// emitAll is a mapper that ignores its block and emits kvs in order.
+func emitAll(kvs []KV) Mapper {
+	return MapperFunc(func(_ dfs.BlockID, _ []byte, emit Emit) error {
+		for _, kv := range kvs {
+			emit(kv)
+		}
+		return nil
+	})
+}
+
+// refPartition and refCombine are the map task as it was first
+// written: hash/fnv partitioning, and a combine that sorts the raw
+// output by (key, value) and groups the sorted run. The grouped table
+// and the inline hash must stay indistinguishable from them.
+func refPartition(kvs []KV, width int) [][]KV {
+	out := make([][]KV, width)
+	for _, kv := range kvs {
+		h := fnv.New32a()
+		h.Write([]byte(kv.Key))
+		p := int(h.Sum32() % uint32(width))
+		out[p] = append(out[p], kv)
+	}
+	return out
+}
+
+func refCombine(raw []KV, combiner Reducer) ([]KV, error) {
+	sorted := append([]KV(nil), raw...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Key != sorted[j].Key {
+			return sorted[i].Key < sorted[j].Key
+		}
+		return sorted[i].Value < sorted[j].Value
+	})
+	var combined []KV
+	err := groupByKey(sorted, func(key string, values []string) error {
+		return combiner.Reduce(key, values, func(kv KV) { combined = append(combined, kv) })
+	})
+	return combined, err
+}
+
+// Property: partitionOf is hash/fnv's 32-bit FNV-1a modulo the width,
+// for any key bytes (empty, non-UTF-8, long) and any width.
+func TestPartitionOfMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		key := make([]byte, rng.Intn(40))
+		rng.Read(key)
+		width := rng.Intn(64) + 1
+		h := fnv.New32a()
+		h.Write(key)
+		if got, want := partitionOf(string(key), width), int(h.Sum32()%uint32(width)); got != want {
+			t.Fatalf("partitionOf(%q, %d) = %d, hash/fnv says %d", key, width, got, want)
+		}
+	}
+}
+
+// concatReducer is order-sensitive on purpose: it emits its values
+// joined in the order received, plus a record under a foreign key, so
+// any difference in group order or value order shows in the output.
+type concatReducer struct{}
+
+func (concatReducer) Reduce(key string, values []string, emit Emit) error {
+	emit(KV{Key: key, Value: strings.Join(values, ",")})
+	emit(KV{Key: "n" + fmt.Sprint(len(values)), Value: key})
+	return nil
+}
+
+// Property: the grouped fold is record for record the old
+// sort-then-group combine, through the whole map task (combine, then
+// partition) and through Running.Compact.
+func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
+	prop := func(seed int64, n8, width8 uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		width := int(width8%5) + 1
+		raw := make([]KV, int(n8))
+		for i := range raw {
+			// Few keys (the empty one among them) and few values, so
+			// groups are large and duplicate values common.
+			raw[i] = KV{Key: strings.Repeat("k", rng.Intn(4)), Value: fmt.Sprint(rng.Intn(5))}
+		}
+		for _, combiner := range []Reducer{sumReducer{}, concatReducer{}} {
+			want, err := refCombine(raw, combiner)
+			if err != nil {
+				return false
+			}
+			got, err := MapBlockForJob(dfs.BlockID{}, nil, emitAll(raw), combiner, width)
+			if err != nil || !reflect.DeepEqual(got, refPartition(want, width)) {
+				return false
+			}
+			job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(nil)})
+			if err != nil {
+				return false
+			}
+			if job.addIntermediate([][]KV{raw}) != nil || job.Compact(combiner) != nil {
+				return false
+			}
+			if compacted := job.DrainPartitions()[0]; len(compacted)+len(want) > 0 && !reflect.DeepEqual(compacted, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCombineHelper(t *testing.T) {
-	raw := []KV{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"a", "1"}}
-	out, err := combine(raw, sumReducer{})
-	if err != nil {
+	g := make(grouped)
+	for _, kv := range []KV{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"a", "1"}} {
+		g.add(kv)
+	}
+	var out []KV
+	if err := g.fold(sumReducer{}, func(kv KV) { out = append(out, kv) }); err != nil {
 		t.Fatal(err)
 	}
 	want := []KV{{"a", "3"}, {"b", "1"}}
 	if fmt.Sprint(out) != fmt.Sprint(want) {
 		t.Fatalf("combine = %v, want %v", out, want)
+	}
+	boom := errors.New("x")
+	err := g.fold(ReducerFunc(func(string, []string, Emit) error { return boom }), func(KV) {})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 

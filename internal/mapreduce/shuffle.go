@@ -1,41 +1,49 @@
 package mapreduce
 
-import "hash/fnv"
+import "slices"
 
 // partitionOf returns the reduce partition for a key, matching
-// Hadoop's default hash partitioner.
+// Hadoop's default hash partitioner. The hash is 32-bit FNV-1a, fixed
+// for good: journalled shuffle records depend on where a key lands.
 func partitionOf(key string, width int) int {
 	if width == 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(width))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(width))
 }
 
-// partition splits records into width per-partition slices.
-func partition(kvs []KV, width int) [][]KV {
-	out := make([][]KV, width)
-	for _, kv := range kvs {
-		p := partitionOf(kv.Key, width)
-		out[p] = append(out[p], kv)
+// grouped collects records by key as they are emitted, so a combiner
+// can run without the raw output ever being materialised or sorted.
+type grouped map[string]*[]string
+
+func (g grouped) add(kv KV) {
+	values := g[kv.Key]
+	if values == nil {
+		values = new([]string)
+		g[kv.Key] = values
 	}
-	return out
+	*values = append(*values, kv.Value)
 }
 
-// combine applies a combiner to one map task's raw output: sort, group
-// by key, re-emit. Returns the combined records and how many records
-// the combiner emitted.
-func combine(raw []KV, combiner Reducer) ([]KV, error) {
-	sortKVs(raw)
-	combined := make([]KV, 0, len(raw))
-	err := groupByKey(raw, func(key string, values []string) error {
-		return combiner.Reduce(key, values, func(kv KV) {
-			combined = append(combined, kv)
-		})
-	})
-	if err != nil {
-		return nil, err
+// fold hands every group to the combiner: distinct keys in sorted
+// order, each group's values sorted — call for call what sorting all
+// the records by (key, value) and grouping them yields, so even an
+// order-sensitive combiner emits the same records as it did then.
+func (g grouped) fold(combiner Reducer, emit Emit) error {
+	keys := make([]string, 0, len(g))
+	for key := range g {
+		keys = append(keys, key)
 	}
-	return combined, nil
+	slices.Sort(keys)
+	for _, key := range keys {
+		slices.Sort(*g[key])
+		if err := combiner.Reduce(key, *g[key], emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"s3sched/internal/dfs"
 )
@@ -20,32 +21,63 @@ func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Redu
 	if width <= 0 {
 		return nil, fmt.Errorf("mapreduce: partition width must be positive, got %d", width)
 	}
-	var raw []KV
-	if err := mapper.Map(block, data, func(kv KV) { raw = append(raw, kv) }); err != nil {
-		return nil, err
+	parts, _, err := mapTask(block, data, mapper, combiner, width)
+	return parts, err
+}
+
+// mapTask is the one map-task body: the engine's rounds and the remote
+// workers (through MapBlockForJob) both run it. Without a combiner the
+// mapper emits straight into the partition slices; with one it emits
+// into a grouped table whose fold is partitioned — record for record
+// what sorting, grouping and combining the raw output produces.
+func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, taskCounts, error) {
+	parts := make([][]KV, width)
+	shuffle := func(kv KV) {
+		p := partitionOf(kv.Key, width)
+		parts[p] = append(parts[p], kv)
 	}
-	if combiner != nil && len(raw) > 0 {
-		combined, err := combine(raw, combiner)
-		if err != nil {
-			return nil, fmt.Errorf("combiner: %w", err)
+	g := make(grouped)
+	counts := taskCounts{inputBytes: int64(len(data))}
+	err := mapper.Map(block, data, func(kv KV) {
+		counts.outputRecords++
+		counts.outputBytes += int64(len(kv.Key) + len(kv.Value))
+		if combiner == nil {
+			shuffle(kv)
+		} else {
+			g.add(kv)
 		}
-		raw = combined
+	})
+	if err != nil {
+		return nil, taskCounts{}, err
 	}
-	return partition(raw, width), nil
+	if len(g) > 0 { // a combiner, and something for it to fold
+		counts.combinerApplied = true
+		err := g.fold(combiner, func(kv KV) {
+			counts.combineRecords++
+			shuffle(kv)
+		})
+		if err != nil {
+			return nil, taskCounts{}, fmt.Errorf("combiner: %w", err)
+		}
+	}
+	return parts, counts, nil
 }
 
 // ReducePartition executes one reduce task: sort the partition's
 // records, group by key, and reduce. A nil reducer yields the sorted
 // records unchanged (map-only jobs).
 func ReducePartition(records []KV, reducer Reducer) ([]KV, error) {
-	sorted := make([]KV, len(records))
-	copy(sorted, records)
-	sortKVs(sorted)
+	return reduceTask(slices.Clone(records), reducer)
+}
+
+// reduceTask is ReducePartition sorting records in place.
+func reduceTask(records []KV, reducer Reducer) ([]KV, error) {
+	sortKVs(records)
 	if reducer == nil {
-		return sorted, nil
+		return records, nil
 	}
 	var out []KV
-	err := groupByKey(sorted, func(key string, values []string) error {
+	err := groupByKey(records, func(key string, values []string) error {
 		return reducer.Reduce(key, values, func(kv KV) { out = append(out, kv) })
 	})
 	if err != nil {

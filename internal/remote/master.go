@@ -362,11 +362,7 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	// leaves no partial shuffle state behind.
 	acc := make([][][]mapreduce.KV, len(ids))
 	for i, ref := range refs {
-		width := ref.NumReduce
-		if width <= 0 {
-			width = 1
-		}
-		acc[i] = make([][]mapreduce.KV, width)
+		acc[i] = make([][]mapreduce.KV, ref.width())
 	}
 	var (
 		wg        sync.WaitGroup
@@ -569,11 +565,7 @@ func (m *Master) ensureJob(id scheduler.JobID, ref JobRef) {
 	if _, ok := m.partitions[id]; ok {
 		return
 	}
-	width := ref.NumReduce
-	if width <= 0 {
-		width = 1
-	}
-	m.partitions[id] = make([][]mapreduce.KV, width)
+	m.partitions[id] = make([][]mapreduce.KV, ref.width())
 }
 
 // finishJob fans the job's partitions out to workers for reduction and

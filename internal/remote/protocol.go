@@ -15,6 +15,9 @@ type JobRef struct {
 	NumReduce int
 }
 
+// width is the job's partition count; an unset NumReduce means one.
+func (r JobRef) width() int { return max(r.NumReduce, 1) }
+
 // MapTaskArgs asks a worker to scan one of its local blocks once and
 // feed it to every job in Jobs — one merged (shared-scan) map task.
 type MapTaskArgs struct {

@@ -227,6 +227,36 @@ func TestWorkerErrors(t *testing.T) {
 	}
 }
 
+// A map task naming an unknown factory (or a bad parameter) is refused
+// before the worker touches its store: no physical block read, no
+// cache insertion, no BlockReads tick — and nothing counted as served.
+func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
+	store := dfs.MustStore(1, 1)
+	if _, err := workload.AddTextFile(store, "corpus", 2, 512, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.EnableCache(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(store, NewStandardRegistry())
+	good := JobRef{Name: "good", Factory: "wordcount", Param: "t", NumReduce: 1}
+	for _, bad := range []JobRef{{Name: "bad", Factory: "nope"}, {Name: "bad", Factory: "selection", Param: "many"}} {
+		var reply MapTaskReply
+		// The bad job comes last: the ones before it must not have run.
+		err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 1, Jobs: []JobRef{good, bad}}, &reply)
+		if err == nil {
+			t.Fatalf("map task with job %+v should fail", bad)
+		}
+		var st StatsReply
+		if err := w.Stats(&StatsArgs{}, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.BlockReads != 0 || st.BytesScanned != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 || st.MapTasks != 0 {
+			t.Errorf("rejected task %+v still cost the store: %+v", bad, st)
+		}
+	}
+}
+
 func TestMasterErrors(t *testing.T) {
 	if _, err := Dial(nil, nil); err == nil {
 		t.Error("no workers should fail")

@@ -61,23 +61,25 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	if len(args.Jobs) == 0 {
 		return fmt.Errorf("remote: map task with no jobs")
 	}
-	data, err := w.store.ReadBlock(dfs.BlockID{File: args.File, Index: args.BlockIndex})
+	// Resolve every job before touching the store: a task naming an
+	// unknown factory is rejected without paying for a block read.
+	mappers := make([]mapreduce.Mapper, len(args.Jobs))
+	combiners := make([]mapreduce.Reducer, len(args.Jobs))
+	for i, ref := range args.Jobs {
+		var err error
+		if mappers[i], _, combiners[i], err = w.registry.Build(ref.Factory, ref.Param); err != nil {
+			return err
+		}
+	}
+	block := dfs.BlockID{File: args.File, Index: args.BlockIndex}
+	data, err := w.store.ReadBlock(block)
 	if err != nil {
 		return err
 	}
 	reply.BytesScanned = int64(len(data))
 	reply.PerJob = make([][][]mapreduce.KV, len(args.Jobs))
 	for i, ref := range args.Jobs {
-		mapper, _, combiner, err := w.registry.Build(ref.Factory, ref.Param)
-		if err != nil {
-			return err
-		}
-		width := ref.NumReduce
-		if width <= 0 {
-			width = 1
-		}
-		parts, err := mapreduce.MapBlockForJob(dfs.BlockID{File: args.File, Index: args.BlockIndex},
-			data, mapper, combiner, width)
+		parts, err := mapreduce.MapBlockForJob(block, data, mappers[i], combiners[i], ref.width())
 		if err != nil {
 			return fmt.Errorf("remote: job %q block %d: %w", ref.Name, args.BlockIndex, err)
 		}

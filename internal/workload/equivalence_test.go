@@ -1,0 +1,278 @@
+package workload_test
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"s3sched/internal/dfs"
+	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
+	"s3sched/internal/workload"
+)
+
+// The byte-level mappers and the grouped map task are checked against
+// the plainest statement of what they compute: tokenize with the
+// standard library, build every string, sort the raw output, group the
+// sorted run, hash with hash/fnv. The references below are that
+// statement; nothing outside this file uses them.
+
+func refPatternCount(prefix string, factor int) mapreduce.MapperFunc {
+	return func(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+		words := strings.FieldsFunc(string(data), func(r rune) bool {
+			return r == ' ' || r == '\n' || r == '\t' || r == '\r'
+		})
+		for _, w := range words {
+			if strings.HasPrefix(w, prefix) {
+				for i := 0; i < max(factor, 1); i++ {
+					emit(mapreduce.KV{Key: w, Value: "1"})
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// refRows returns the block's non-blank lines.
+func refRows(data []byte) [][]byte {
+	var rows [][]byte
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		if len(bytes.TrimSpace(line)) > 0 {
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
+func refSelection(maxQuantity int) mapreduce.MapperFunc {
+	return func(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+		for _, row := range refRows(data) {
+			cols := bytes.Split(row, []byte{'|'})
+			if len(cols) < 6 {
+				return fmt.Errorf("malformed row %q", row)
+			}
+			qty, err := strconv.Atoi(string(cols[4]))
+			if err != nil {
+				return err
+			}
+			if qty <= maxQuantity {
+				emit(mapreduce.KV{Key: string(cols[0]) + "." + string(cols[3]), Value: string(row)})
+			}
+		}
+		return nil
+	}
+}
+
+func refAggregation(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+	for _, row := range refRows(data) {
+		cols := bytes.Split(row, []byte{'|'})
+		if len(cols) < 11 {
+			return fmt.Errorf("malformed row %q", row)
+		}
+		emit(mapreduce.KV{Key: string(cols[8]) + "|" + string(cols[9]), Value: string(cols[4])})
+	}
+	return nil
+}
+
+func refTopK(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+	for _, row := range refRows(data) {
+		word, count, ok := strings.Cut(strings.TrimSpace(string(row)), "\t")
+		count = strings.TrimSpace(count)
+		if _, err := strconv.ParseInt(count, 10, 64); !ok || err != nil {
+			return fmt.Errorf("malformed record %q", row)
+		}
+		emit(mapreduce.KV{Key: "top", Value: count + " " + word})
+	}
+	return nil
+}
+
+// refMapBlock is the map task as first written: collect the raw
+// output, sort it by (key, value), group the run, combine each group,
+// then partition with hash/fnv.
+func refMapBlock(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer, width int) ([][]mapreduce.KV, error) {
+	var raw []mapreduce.KV
+	if err := mapper.Map(dfs.BlockID{}, data, func(kv mapreduce.KV) { raw = append(raw, kv) }); err != nil {
+		return nil, err
+	}
+	if combiner != nil && len(raw) > 0 {
+		sort.SliceStable(raw, func(i, j int) bool {
+			if raw[i].Key != raw[j].Key {
+				return raw[i].Key < raw[j].Key
+			}
+			return raw[i].Value < raw[j].Value
+		})
+		var combined []mapreduce.KV
+		for i := 0; i < len(raw); {
+			var values []string
+			key := raw[i].Key
+			for ; i < len(raw) && raw[i].Key == key; i++ {
+				values = append(values, raw[i].Value)
+			}
+			if err := combiner.Reduce(key, values, func(kv mapreduce.KV) { combined = append(combined, kv) }); err != nil {
+				return nil, err
+			}
+		}
+		raw = combined
+	}
+	parts := make([][]mapreduce.KV, width)
+	for _, kv := range raw {
+		h := fnv.New32a()
+		h.Write([]byte(kv.Key))
+		p := int(h.Sum32() % uint32(width))
+		parts[p] = append(parts[p], kv)
+	}
+	return parts, nil
+}
+
+// Every factory a worker can be asked to run, over every kind of block
+// a store can hold: the task a worker executes returns exactly the
+// reference's partitions, or both fail (a selection over text, say).
+func TestStandardFactoriesMatchReference(t *testing.T) {
+	refs := map[string]struct {
+		params []string
+		mapper func(param string) mapreduce.Mapper
+	}{
+		"wordcount": {[]string{"t", "th", "whisper", ""}, func(p string) mapreduce.Mapper { return refPatternCount(p, 1) }},
+		"selection": {[]string{"5", "25", "0"}, func(p string) mapreduce.Mapper {
+			n, _ := strconv.Atoi(p)
+			return refSelection(n)
+		}},
+		"aggregation": {[]string{""}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refAggregation) }},
+		"topk":        {[]string{"3"}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refTopK) }},
+	}
+	blocks := map[string][]byte{
+		"text-0":     workload.NewTextGen(3).Block(0, 64<<10),
+		"text-1":     workload.NewTextGen(3).Block(1, 64<<10),
+		"lineitem-0": workload.NewLineitemGen(3).Block(0, 64<<10),
+		"lineitem-1": workload.NewLineitemGen(3).Block(1, 64<<10),
+		"derived":    []byte("the\t412\nof\t 97\nzephyr\t1\n      "),
+		"empty":      nil,
+	}
+	reg := remote.NewStandardRegistry()
+	for _, factory := range reg.Names() {
+		ref, ok := refs[factory]
+		if !ok {
+			t.Errorf("factory %q has no reference mapper in this test; add one", factory)
+			continue
+		}
+		for _, param := range ref.params {
+			mapper, _, combiner, err := reg.Build(factory, param)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range blocks {
+				for _, width := range []int{1, 3} {
+					got, gotErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, width)
+					want, wantErr := refMapBlock(data, ref.mapper(param), combiner, width)
+					if (gotErr != nil) != (wantErr != nil) {
+						t.Errorf("%s(%q) over %s: err = %v, reference err = %v", factory, param, name, gotErr, wantErr)
+					} else if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s(%q) over %s, width %d: partitions differ from the reference", factory, param, name, width)
+					}
+				}
+			}
+		}
+	}
+}
+
+// collect runs a mapper and returns what it emitted before it
+// returned, and whether it failed.
+func collect(m mapreduce.Mapper, data []byte) ([]mapreduce.KV, bool) {
+	var out []mapreduce.KV
+	err := m.Map(dfs.BlockID{}, data, func(kv mapreduce.KV) { out = append(out, kv) })
+	return out, err != nil
+}
+
+// FuzzMappers: on arbitrary bytes each byte-level mapper emits exactly
+// its reference's records and fails exactly when it does — and never
+// panics or slices out of range. The record counters agree with the
+// reference tokenizers too.
+func FuzzMappers(f *testing.F) {
+	f.Add([]byte("  the quick\r\nbrown\tthe fox  "), "th", uint8(1), 5)
+	f.Add([]byte("the"), "the other", uint8(0), 0)                             // prefix longer than any word
+	f.Add([]byte("a b"), "a b", uint8(2), 0)                                   // prefix spanning a separator
+	f.Add([]byte("\t\ttrailing\n"), "", uint8(3), 50)                          // empty prefix, EmitFactor 3
+	f.Add([]byte("\xff\xfet\x00t t\xc2\x85t"), "t", uint8(1), 1)               // not UTF-8; U+0085 is no separator
+	f.Add([]byte("1|2|3|4|5|x|x|x|R|O|d|d|d|i|m|c\n"), "1", uint8(1), 5)       // one good row
+	f.Add([]byte("1|2|3|4|5|x|x|x|R|O\n"), "", uint8(1), 5)                    // selection-good, aggregation-short
+	f.Add([]byte("1|2|3|4|5"), "", uint8(1), 5)                                // truncated before the fifth separator
+	f.Add([]byte("7|2|3|1|+4|p\n8|2|3|2|x|p\n9|2|3|3|1|p\n"), "", uint8(1), 9) // bad quantity in the middle
+	f.Add([]byte("\n \n|||||\n||||||||||\n"), "|", uint8(1), -1)               // blank lines, empty columns
+	f.Add(workload.NewLineitemGen(1).Block(0, 700)[:650], "1", uint8(1), 25)
+	f.Fuzz(func(t *testing.T, data []byte, prefix string, factor uint8, maxQuantity int) {
+		pattern := workload.PatternCountMapper{Prefix: prefix, EmitFactor: int(factor % 4)}
+		selection := workload.SelectionMapper{MaxQuantity: maxQuantity}
+		for _, pair := range []struct {
+			name     string
+			got, ref mapreduce.Mapper
+		}{
+			{"pattern", pattern, refPatternCount(prefix, int(factor%4))},
+			{"selection", selection, refSelection(maxQuantity)},
+			{"aggregation", workload.AggregationMapper{}, mapreduce.MapperFunc(refAggregation)},
+		} {
+			got, gotFailed := collect(pair.got, data)
+			want, wantFailed := collect(pair.ref, data)
+			if gotFailed != wantFailed {
+				t.Fatalf("%s: failed = %v, reference failed = %v", pair.name, gotFailed, wantFailed)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: emitted %q, reference %q", pair.name, got, want)
+			}
+		}
+		words, _ := collect(refPatternCount("", 1), data)
+		if got := pattern.CountInputRecords(data); got != int64(len(words)) {
+			t.Fatalf("pattern counted %d input records, reference %d", got, len(words))
+		}
+		if got := selection.CountInputRecords(data); got != int64(len(refRows(data))) {
+			t.Fatalf("selection counted %d input records, reference %d", got, len(refRows(data)))
+		}
+	})
+}
+
+// raceEnabled is set by race_test.go: the race detector's
+// instrumentation allocates, which would fail the guards below.
+var raceEnabled bool
+
+// The map task's allocations follow what it emits, not what it scans.
+func TestMapTaskAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	// 256 KB of text is ~48k words, ~6k of them matching: the string
+	// per word and the sorted raw output used to cost 62.7k allocations.
+	text := workload.NewTextGen(1).Block(0, 256<<10)
+	if n := allocs(text, workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{}); n > 300 {
+		t.Errorf("wordcount over a 256 KB block: %.0f allocations, want <= 300", n)
+	}
+
+	// Selection pays for the rows it selects — a key and a value each,
+	// plus the growth of the partition slices — and nothing per row.
+	lineitem := workload.NewLineitemGen(1).Block(0, 256<<10)
+	rows := len(refRows(lineitem))
+	selected, _ := collect(workload.SelectionMapper{MaxQuantity: 5}, lineitem)
+	if len(selected) == 0 || len(selected)*5 > rows {
+		t.Fatalf("selected %d of %d rows, want about a tenth", len(selected), rows)
+	}
+	if n, limit := allocs(lineitem, workload.SelectionMapper{MaxQuantity: 5}, nil), float64(2*len(selected)+40); n > limit {
+		t.Errorf("selection of %d rows out of %d: %.0f allocations, want <= %.0f", len(selected), rows, n, limit)
+	}
+	if n := allocs(lineitem, workload.SelectionMapper{MaxQuantity: 0}, nil); n > 8 {
+		t.Errorf("selection rejecting all %d rows: %.0f allocations, want <= 8", rows, n)
+	}
+	if n := allocs(lineitem, workload.AggregationMapper{}, workload.SumReducer{}); n > 300 {
+		t.Errorf("aggregation over %d rows: %.0f allocations, want <= 300", rows, n)
+	}
+}

@@ -112,62 +112,61 @@ type SelectionMapper struct {
 var _ mapreduce.Mapper = SelectionMapper{}
 var _ mapreduce.InputRecordCounter = SelectionMapper{}
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.Mapper. A rejected row costs a walk over
+// its first five columns and no allocation.
 func (m SelectionMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-	var err error
-	forEachLine(data, func(line []byte) {
-		if err != nil || len(bytes.TrimSpace(line)) == 0 {
-			return
+	for line, rest := nextRow(data); line != nil; line, rest = nextRow(rest) {
+		var sep [5]int
+		if !fieldSeparators(line, sep[:]) {
+			return fmt.Errorf("workload: malformed lineitem row %q", line)
 		}
-		qty, orderKey, lineNo, perr := parseQuantity(line)
-		if perr != nil {
-			err = perr
-			return
+		// Column 0 is l_orderkey, 3 l_linenumber, 4 l_quantity.
+		qty, err := strconv.Atoi(string(line[sep[3]+1 : sep[4]]))
+		if err != nil {
+			return fmt.Errorf("workload: bad l_quantity in row %q: %w", line, err)
 		}
 		if qty <= m.MaxQuantity {
-			emit(mapreduce.KV{Key: orderKey + "." + lineNo, Value: string(line)})
+			emit(mapreduce.KV{Key: string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]]), Value: string(line)})
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // CountInputRecords implements mapreduce.InputRecordCounter.
 func (m SelectionMapper) CountInputRecords(data []byte) int64 {
 	var n int64
-	forEachLine(data, func(line []byte) {
-		if len(bytes.TrimSpace(line)) > 0 {
-			n++
-		}
-	})
+	for line, rest := nextRow(data); line != nil; line, rest = nextRow(rest) {
+		n++
+	}
 	return n
 }
 
-// parseQuantity extracts (l_quantity, l_orderkey, l_linenumber) from a
-// row without splitting all 16 columns.
-func parseQuantity(line []byte) (qty int, orderKey, lineNo string, err error) {
-	fields := bytes.SplitN(line, []byte{'|'}, 6)
-	if len(fields) < 6 {
-		return 0, "", "", fmt.Errorf("workload: malformed lineitem row %q", line)
+// fieldSeparators records the offsets of the row's first len(sep) '|'
+// separators, so column i spans line[sep[i-1]+1 : sep[i]]. It reports
+// false when the row has fewer.
+func fieldSeparators(line []byte, sep []int) bool {
+	at := 0
+	for i := range sep {
+		j := bytes.IndexByte(line[at:], '|')
+		if j < 0 {
+			return false
+		}
+		sep[i] = at + j
+		at += j + 1
 	}
-	q, err := strconv.Atoi(string(fields[4]))
-	if err != nil {
-		return 0, "", "", fmt.Errorf("workload: bad l_quantity in row %q: %w", line, err)
-	}
-	return q, string(fields[0]), string(fields[3]), nil
+	return true
 }
 
-// forEachLine walks newline-separated lines.
-func forEachLine(data []byte, fn func(line []byte)) {
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			fn(data[start:i])
-			start = i + 1
+// nextRow cuts the next non-blank line off data; the row is nil once
+// only blank lines (the block's padding) are left.
+func nextRow(data []byte) (row, rest []byte) {
+	for len(data) > 0 {
+		row, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(bytes.TrimSpace(row)) > 0 {
+			return row, data
 		}
 	}
-	if start < len(data) {
-		fn(data[start:])
-	}
+	return nil, nil
 }
 
 // AggregationMapper implements a TPC-H Q1-style aggregation over
@@ -181,23 +180,20 @@ type AggregationMapper struct{}
 var _ mapreduce.Mapper = AggregationMapper{}
 var _ mapreduce.InputRecordCounter = AggregationMapper{}
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.Mapper. l_returnflag and l_linestatus are
+// adjacent columns, so the group key "R|O" is one slice of the row;
+// interning it and the quantity leaves one string per distinct value.
 func (AggregationMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-	var err error
-	forEachLine(data, func(line []byte) {
-		if err != nil || len(bytes.TrimSpace(line)) == 0 {
-			return
+	strs := make(interner)
+	for line, rest := nextRow(data); line != nil; line, rest = nextRow(rest) {
+		var sep [10]int
+		if !fieldSeparators(line, sep[:]) {
+			return fmt.Errorf("workload: malformed lineitem row %q", line)
 		}
-		fields := bytes.SplitN(line, []byte{'|'}, 11)
-		if len(fields) < 11 {
-			err = fmt.Errorf("workload: malformed lineitem row %q", line)
-			return
-		}
-		// fields[4]=l_quantity, [8]=l_returnflag, [9]=l_linestatus.
-		key := string(fields[8]) + "|" + string(fields[9])
-		emit(mapreduce.KV{Key: key, Value: string(fields[4])})
-	})
-	return err
+		// Column 4 is l_quantity, 8 l_returnflag, 9 l_linestatus.
+		emit(mapreduce.KV{Key: strs.of(line[sep[7]+1 : sep[9]]), Value: strs.of(line[sep[3]+1 : sep[4]])})
+	}
+	return nil
 }
 
 // CountInputRecords implements mapreduce.InputRecordCounter.

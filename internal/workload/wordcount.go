@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -25,19 +26,38 @@ type PatternCountMapper struct {
 var _ mapreduce.Mapper = PatternCountMapper{}
 var _ mapreduce.InputRecordCounter = PatternCountMapper{}
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.Mapper on the block's bytes: only a word
+// start carrying the prefix is looked at, and a distinct matching word
+// becomes one string per task, so the cost follows matches, not tokens.
 func (m PatternCountMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-	factor := m.EmitFactor
-	if factor <= 0 {
-		factor = 1
+	if strings.ContainsAny(m.Prefix, " \n\t\r") {
+		return nil // a word holds no separator, so none can match
 	}
-	forEachWord(data, func(w string) {
-		if strings.HasPrefix(w, m.Prefix) {
-			for i := 0; i < factor; i++ {
-				emit(mapreduce.KV{Key: w, Value: "1"})
+	factor := max(m.EmitFactor, 1)
+	prefix := []byte(m.Prefix)
+	words := make(interner)
+	for i := 0; i < len(data); {
+		if len(prefix) > 0 { // jump to the next byte that could start a match
+			j := bytes.IndexByte(data[i:], prefix[0])
+			if j < 0 {
+				break
 			}
+			i += j
 		}
-	})
+		if isSpace(data[i]) || (i > 0 && !isSpace(data[i-1])) || !bytes.HasPrefix(data[i:], prefix) {
+			i++
+			continue
+		}
+		end := i
+		for end < len(data) && !isSpace(data[end]) {
+			end++
+		}
+		w := words.of(data[i:end])
+		for k := 0; k < factor; k++ {
+			emit(mapreduce.KV{Key: w, Value: "1"})
+		}
+		i = end
+	}
 	return nil
 }
 
@@ -45,28 +65,30 @@ func (m PatternCountMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit)
 // wordcount counts input words as records.
 func (m PatternCountMapper) CountInputRecords(data []byte) int64 {
 	var n int64
-	forEachWord(data, func(string) { n++ })
+	before := uint8(1) // the block's start counts as a separator
+	for _, b := range data {
+		n += int64(before &^ separator[b]) // a word starts after a separator
+		before = separator[b]
+	}
 	return n
 }
 
-// forEachWord walks whitespace-separated words without allocating a
-// new string slice per block.
-func forEachWord(data []byte, fn func(word string)) {
-	start := -1
-	for i, b := range data {
-		isSpace := b == ' ' || b == '\n' || b == '\t' || b == '\r'
-		if isSpace {
-			if start >= 0 {
-				fn(string(data[start:i]))
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
+// separator is 1 for the bytes that separate words in the text corpus.
+var separator = [256]uint8{' ': 1, '\n': 1, '\t': 1, '\r': 1}
+
+func isSpace(b byte) bool { return separator[b] != 0 }
+
+// interner hands out one string per distinct byte sequence, so a map
+// task allocates per distinct key instead of per record.
+type interner map[string]string
+
+func (in interner) of(b []byte) string {
+	if s, ok := in[string(b)]; ok { // the lookup does not allocate
+		return s
 	}
-	if start >= 0 {
-		fn(string(data[start:]))
-	}
+	s := string(b)
+	in[s] = s
+	return s
 }
 
 // SumReducer sums integer-valued counts per key — wordcount's reducer

@@ -83,19 +83,37 @@ func TestAddTextFile(t *testing.T) {
 	}
 }
 
-func TestForEachWord(t *testing.T) {
-	var words []string
-	forEachWord([]byte("  the quick\nbrown\tfox "), func(w string) { words = append(words, w) })
-	want := []string{"the", "quick", "brown", "fox"}
-	if strings.Join(words, ",") != strings.Join(want, ",") {
-		t.Errorf("words = %v, want %v", words, want)
+func TestWordBoundaries(t *testing.T) {
+	all := func(data string) []string {
+		var got []string
+		if err := (PatternCountMapper{}).Map(dfs.BlockID{}, []byte(data), func(kv mapreduce.KV) { got = append(got, kv.Key) }); err != nil {
+			t.Fatal(err)
+		}
+		if n := (PatternCountMapper{}).CountInputRecords([]byte(data)); n != int64(len(got)) {
+			t.Errorf("%q: %d input records, %d words", data, n, len(got))
+		}
+		return got
 	}
-	forEachWord(nil, func(string) { t.Error("empty input should yield no words") })
+	if got, want := all("  the quick\nbrown\tfox\r\n"), "the,quick,brown,fox"; strings.Join(got, ",") != want {
+		t.Errorf("words = %v, want %v", got, want)
+	}
+	if got := all(""); len(got) != 0 {
+		t.Errorf("empty input yielded %v", got)
+	}
 	// No trailing separator: final word still reported.
-	words = nil
-	forEachWord([]byte("abc"), func(w string) { words = append(words, w) })
-	if len(words) != 1 || words[0] != "abc" {
-		t.Errorf("words = %v", words)
+	if got := all("abc"); len(got) != 1 || got[0] != "abc" {
+		t.Errorf("words = %v", got)
+	}
+	// A prefix matches at a word start only, and never across a separator.
+	var got []string
+	emit := func(kv mapreduce.KV) { got = append(got, kv.Key) }
+	for _, prefix := range []string{"th", "the other", "there-and-more"} {
+		if err := (PatternCountMapper{Prefix: prefix}).Map(dfs.BlockID{}, []byte("the other bathe th\tthere"), emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := "the,th,there"; strings.Join(got, ",") != want {
+		t.Errorf("prefix matches = %v, want %v", got, want)
 	}
 }
 
@@ -127,11 +145,11 @@ func TestPatternCountJobEndToEnd(t *testing.T) {
 	want := int64(0)
 	g := NewTextGen(5)
 	for i := 0; i < 4; i++ {
-		forEachWord(g.Block(i, 2048), func(w string) {
+		for _, w := range strings.Fields(string(g.Block(i, 2048))) {
 			if strings.HasPrefix(w, "t") {
 				want++
 			}
-		})
+		}
 	}
 	if total != want {
 		t.Errorf("counted %d words, direct scan says %d", total, want)
@@ -195,26 +213,33 @@ func TestLineitemDeterministicAndShaped(t *testing.T) {
 		t.Fatalf("block len = %d, want 4096 (padded)", len(b1))
 	}
 	rows := 0
-	forEachLine(b1, func(line []byte) {
+	for _, line := range bytes.Split(b1, []byte{'\n'}) {
 		if len(bytes.TrimSpace(line)) == 0 {
-			return
+			continue
 		}
 		rows++
 		cols := bytes.Split(line, []byte{'|'})
 		if len(cols) != 16 {
 			t.Fatalf("row has %d columns, want 16: %q", len(cols), line)
 		}
-		qty, _, _, err := parseQuantity(line)
-		if err != nil {
-			t.Fatal(err)
-		}
+		qty := quantity(t, line)
 		if qty < 1 || qty > QuantityMax {
 			t.Fatalf("quantity %d out of range", qty)
 		}
-	})
+	}
 	if rows < 10 {
 		t.Fatalf("only %d rows in 4 KiB block", rows)
 	}
+}
+
+// quantity reads l_quantity, the fifth column of a lineitem row.
+func quantity(t *testing.T, row []byte) int {
+	t.Helper()
+	qty, err := strconv.Atoi(string(bytes.Split(row, []byte{'|'})[4]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qty
 }
 
 func TestSelectionJobSelectivity(t *testing.T) {
@@ -239,11 +264,7 @@ func TestSelectionJobSelectivity(t *testing.T) {
 	}
 	// Every selected row satisfies the predicate.
 	for _, kv := range res.Output {
-		qty, _, _, err := parseQuantity([]byte(kv.Value))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qty > 5 {
+		if qty := quantity(t, []byte(kv.Value)); qty > 5 {
 			t.Fatalf("selected row has quantity %d > 5", qty)
 		}
 	}
@@ -366,16 +387,12 @@ func TestAggregationJobQ1Style(t *testing.T) {
 	var want int64
 	g := NewLineitemGen(23)
 	for i := 0; i < 6; i++ {
-		forEachLine(g.Block(i, 16<<10), func(line []byte) {
+		for _, line := range bytes.Split(g.Block(i, 16<<10), []byte{'\n'}) {
 			if len(bytes.TrimSpace(line)) == 0 {
-				return
+				continue
 			}
-			qty, _, _, err := parseQuantity(line)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want += int64(qty)
-		})
+			want += int64(quantity(t, line))
+		}
 	}
 	var got int64
 	for _, kv := range res.Output {
@@ -466,7 +483,9 @@ func TestTextGenVocabDistinctWords(t *testing.T) {
 	g := NewTextGenVocab(5, 20000)
 	words := map[string]bool{}
 	for i := 0; i < 16; i++ {
-		forEachWord(g.Block(i, 32<<10), func(w string) { words[w] = true })
+		for _, w := range strings.Fields(string(g.Block(i, 32<<10))) {
+			words[w] = true
+		}
 	}
 	// Zipf over a 20k vocabulary in ~100k tokens: thousands of
 	// distinct words, like natural text — not the ~110 of the demo
