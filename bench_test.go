@@ -7,6 +7,8 @@ package s3sched_test
 // EXPERIMENTS.md for paper-vs-measured commentary.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -391,6 +394,42 @@ func benchMapBlock(b *testing.B, data []byte, mapper mapreduce.Mapper, combiner 
 	for i := 0; i < b.N; i++ {
 		if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShuffleWire moves one 512 KB lineitem block's 10% selection
+// — the map reply sel-shuffle ships per task, two partitions — through
+// a long-lived gob encoder / decoder pair, as a net/rpc connection
+// does. Bytes are the key + value bytes carried.
+func BenchmarkShuffleWire(b *testing.B) {
+	block := workload.NewLineitemGen(1).Block(0, 512<<10)
+	parts, err := mapreduce.MapBlockForJob(dfs.BlockID{}, block, workload.SelectionMapper{MaxQuantity: 5}, nil, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := remote.MapTaskReply{PerJob: [][][]mapreduce.KV{parts}, BytesScanned: int64(len(block))}
+	var payload int64
+	for _, kvs := range parts {
+		for _, kv := range kvs {
+			payload += int64(len(kv.Key) + len(kv.Value))
+		}
+	}
+	var pipe bytes.Buffer
+	enc, dec := gob.NewEncoder(&pipe), gob.NewDecoder(&pipe)
+	b.SetBytes(payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got remote.MapTaskReply
+		if err := enc.Encode(&reply); err != nil {
+			b.Fatal(err)
+		}
+		if err := dec.Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+		if len(got.PerJob[0][0]) != len(parts[0]) || len(got.PerJob[0][1]) != len(parts[1]) {
+			b.Fatalf("decoded %d + %d records, sent %d + %d", len(got.PerJob[0][0]), len(got.PerJob[0][1]), len(parts[0]), len(parts[1]))
 		}
 	}
 }

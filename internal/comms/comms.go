@@ -94,7 +94,10 @@ type MemberEvent struct {
 
 // WireStats is a worker's self-reported task/scan ledger, shipped in
 // every heartbeat so the master sees per-worker progress without an
-// extra stats poll.
+// extra stats poll. FailedReads counts read attempts failed by the fault
+// hook or the block source; CacheEvictions blocks discarded to fit the
+// budget; CachePrefetches / CachePrefetchFailed readahead loads issued and
+// failed; CacheBytes the cached footprint, CachePinnedBytes its pinned part.
 type WireStats struct {
 	BlockReads          int64
 	BytesScanned        int64

@@ -616,14 +616,7 @@ func (e *Engine) ReduceRound(job *Running) ([]KV, error) {
 // maps; the job's live shuffle space keeps accumulating new map output
 // in the meantime.
 func (e *Engine) ReduceDrained(job *Running, parts [][]KV) ([]KV, error) {
-	return e.ReduceDrainedCtx(context.Background(), job, parts)
-}
-
-// ReduceDrainedCtx is ReduceDrained with cancellation: partitions not
-// yet started when ctx is cancelled are skipped and the ctx error is
-// returned, so a failed or aborted round doesn't run out its reduces.
-func (e *Engine) ReduceDrainedCtx(ctx context.Context, job *Running, parts [][]KV) ([]KV, error) {
-	return e.reduceParts(ctx, job, parts, "sub-job partition")
+	return e.reduceParts(job, parts, "sub-job partition")
 }
 
 // Finish runs the job's reduce phase over everything its map tasks
@@ -638,13 +631,7 @@ func (e *Engine) Finish(job *Running) (*Result, error) {
 // final result. The staged runtime seals at the end of the job's last
 // scan stage and runs this concurrently with later rounds' maps.
 func (e *Engine) FinishDrained(job *Running, parts [][]KV) (*Result, error) {
-	return e.FinishDrainedCtx(context.Background(), job, parts)
-}
-
-// FinishDrainedCtx is FinishDrained with cancellation (see
-// ReduceDrainedCtx).
-func (e *Engine) FinishDrainedCtx(ctx context.Context, job *Running, parts [][]KV) (*Result, error) {
-	all, err := e.reduceParts(ctx, job, parts, "partition")
+	all, err := e.reduceParts(job, parts, "partition")
 	if err != nil {
 		return nil, err
 	}
@@ -652,10 +639,10 @@ func (e *Engine) FinishDrainedCtx(ctx context.Context, job *Running, parts [][]K
 }
 
 // reduceParts is the reduce phase every caller shares: one reduce task
-// per partition, run concurrently, the first error winning; then the
-// outputs merged into one sorted slice and the reduce counters charged.
-// Tasks not yet started when ctx is cancelled do no work.
-func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, label string) ([]KV, error) {
+// per partition, each sorting its drained records in place, run
+// concurrently, the first error winning; then the sorted outputs merged
+// into one slice and the reduce counters charged.
+func (e *Engine) reduceParts(job *Running, parts [][]KV, label string) ([]KV, error) {
 	outputs := make([][]KV, len(parts))
 	var (
 		wg       sync.WaitGroup
@@ -666,16 +653,8 @@ func (e *Engine) reduceParts(ctx context.Context, job *Running, parts [][]KV, la
 		wg.Add(1)
 		go func(p int, records []KV) {
 			defer wg.Done()
-			if ctx.Err() != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
-				return
-			}
 			job.Counters.Add(CounterReduceInputRecords, int64(len(records)))
-			out, err := reduceTask(records, job.Spec.Reducer)
+			out, err := ReduceInPlace(records, job.Spec.Reducer)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {

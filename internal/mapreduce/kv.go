@@ -25,16 +25,17 @@ type KV struct {
 // Emit receives records produced by mappers, combiners and reducers.
 type Emit func(kv KV)
 
-// sortKVs orders records by key, then value, for deterministic reduce
-// input and deterministic job output.
-func sortKVs(kvs []KV) {
-	slices.SortFunc(kvs, func(a, b KV) int {
-		if c := strings.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Value, b.Value)
-	})
+// compareKV orders records by key, then value.
+func compareKV(a, b KV) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
 }
+
+// sortKVs orders records for deterministic reduce input and
+// deterministic job output.
+func sortKVs(kvs []KV) { slices.SortFunc(kvs, compareKV) }
 
 // groupByKey walks sorted records and invokes fn once per distinct key
 // with all its values. The values slice is reused across calls; fn must

@@ -310,3 +310,48 @@ func TestKVBytes(t *testing.T) {
 		t.Fatal("kvBytes(nil) != 0")
 	}
 }
+
+// MergeSorted is concat-then-sort by another route: for sorted runs, an
+// unsorted run, (key, value) pairs repeated within and across runs,
+// empty runs among the others, one run, and no records at all — and it
+// neither reorders nor returns its inputs.
+func TestMergeSortedMatchesConcatSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	check := func(name string, runs [][]KV) {
+		t.Helper()
+		var want []KV
+		snapshot := make([][]KV, len(runs))
+		for i, run := range runs {
+			want = append(want, run...)
+			snapshot[i] = append([]KV(nil), run...)
+		}
+		sortKVs(want)
+		got := MergeSorted(runs)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s: merged %d records differ from the %d of concat + sort", name, len(got), len(want))
+		}
+		if fmt.Sprint(runs) != fmt.Sprint(snapshot) {
+			t.Fatalf("%s: MergeSorted changed its input", name)
+		}
+		for _, run := range runs {
+			if len(run) > 0 && len(got) > 0 && &run[0] == &got[0] {
+				t.Fatalf("%s: MergeSorted returned one of its inputs", name)
+			}
+		}
+	}
+	check("no runs", nil)
+	check("all empty", [][]KV{nil, {}, nil})
+	check("one unsorted run", [][]KV{{{"b", "1"}, {"a", "2"}, {"a", "1"}}})
+	for i := 0; i < 200; i++ {
+		runs := make([][]KV, rng.Intn(7))
+		for r := range runs {
+			for n := rng.Intn(30); n > 0; n-- { // few keys and values: duplicates everywhere
+				runs[r] = append(runs[r], KV{Key: fmt.Sprint(rng.Intn(6)), Value: fmt.Sprint(rng.Intn(3))})
+			}
+			if rng.Intn(4) > 0 {
+				sortKVs(runs[r])
+			}
+		}
+		check(fmt.Sprintf("random %d", i), runs)
+	}
+}

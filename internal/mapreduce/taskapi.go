@@ -67,11 +67,12 @@ func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, wi
 // records, group by key, and reduce. A nil reducer yields the sorted
 // records unchanged (map-only jobs).
 func ReducePartition(records []KV, reducer Reducer) ([]KV, error) {
-	return reduceTask(slices.Clone(records), reducer)
+	return ReduceInPlace(slices.Clone(records), reducer)
 }
 
-// reduceTask is ReducePartition sorting records in place.
-func reduceTask(records []KV, reducer Reducer) ([]KV, error) {
+// ReduceInPlace is ReducePartition for a caller that owns records: it
+// sorts them where they are.
+func ReduceInPlace(records []KV, reducer Reducer) ([]KV, error) {
 	sortKVs(records)
 	if reducer == nil {
 		return records, nil
@@ -86,13 +87,40 @@ func reduceTask(records []KV, reducer Reducer) ([]KV, error) {
 	return out, nil
 }
 
-// MergeSorted merges per-partition reduce outputs into one sorted
-// result slice.
+// MergeSorted merges per-partition reduce outputs into one new slice
+// sorted by (key, value). Runs already in that order — what a reduce
+// task emits — merge pairwise, linear in records; others are sorted first.
 func MergeSorted(partitions [][]KV) []KV {
-	var all []KV
-	for _, p := range partitions {
-		all = append(all, p...)
+	runs := make([][]KV, 0, len(partitions))
+	for _, run := range partitions {
+		if !slices.IsSortedFunc(run, compareKV) {
+			run = slices.Clone(run)
+			sortKVs(run)
+		}
+		if len(run) > 0 {
+			runs = append(runs, run)
+		}
 	}
-	sortKVs(all)
-	return all
+	switch len(runs) {
+	case 0:
+		return nil
+	case 1:
+		return slices.Clone(runs[0])
+	}
+	for len(runs) > 1 { // first in, first merged: log k passes over the records
+		runs = append(runs[2:], mergeTwo(runs[0], runs[1]))
+	}
+	return runs[0]
+}
+
+func mergeTwo(a, b []KV) []KV {
+	out := make([]KV, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareKV(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }

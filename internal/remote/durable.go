@@ -86,13 +86,13 @@ func (m *Master) appendShuffle(id scheduler.JobID, segment int, parts [][]mapred
 	})
 }
 
-// appendResult journals a completed job's reduce output. Called with
-// m.mu held.
-func (m *Master) appendResult(id scheduler.JobID, output []mapreduce.KV) error {
+// appendResult journals a completed job's reduce output, as records:
+// the journal's format does not know frames. Called with m.mu held.
+func (m *Master) appendResult(id scheduler.JobID, frames [][]byte) error {
 	if m.journal == nil {
 		return nil
 	}
-	return m.journal.AppendRecord(journal.KindJobResult, journal.JobResultRecord{Job: id, Output: output})
+	return m.journal.AppendRecord(journal.KindJobResult, journal.JobResultRecord{Job: id, Output: mergeFrames(frames)})
 }
 
 // RestoreShuffle re-installs one journaled segment's map output for a
@@ -131,7 +131,7 @@ func (m *Master) RestoreShuffle(id scheduler.JobID, segment int, parts [][]mapre
 func (m *Master) RestoreResult(id scheduler.JobID, output []mapreduce.KV) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.results[id] = output
+	m.results[id] = [][]byte{mapreduce.AppendFrame(nil, output)}
 	delete(m.partitions, id)
 	delete(m.mergedSegs, id)
 }
@@ -140,7 +140,7 @@ func (m *Master) RestoreResult(id scheduler.JobID, output []mapreduce.KV) {
 // Implements status.ResultSource.
 func (m *Master) JobOutput(id scheduler.JobID) ([]mapreduce.KV, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	kvs, ok := m.results[id]
-	return kvs, ok
+	frames, ok := m.results[id]
+	m.mu.Unlock()
+	return mergeFrames(frames), ok
 }

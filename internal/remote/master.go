@@ -72,8 +72,10 @@ type Master struct {
 	// round's re-executed map stage cannot double-count.
 	partitions map[scheduler.JobID][][]mapreduce.KV
 	mergedSegs map[scheduler.JobID]map[int]bool
-	results    map[scheduler.JobID][]mapreduce.KV
-	failovers  int
+	// results[job][p] is partition p's sorted reduce output, the frame
+	// the worker sent: finished output is bytes the collector never scans.
+	results   map[scheduler.JobID][][]byte
+	failovers int
 	// installed holds every derived file pushed cluster-wide (DAG stage
 	// outputs), in installation order; a (re)registering worker gets
 	// them replayed during its handshake, so membership churn cannot
@@ -97,7 +99,7 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 		clock:      vclock.NewWall(),
 		partitions: make(map[scheduler.JobID][][]mapreduce.KV),
 		mergedSegs: make(map[scheduler.JobID]map[int]bool),
-		results:    make(map[scheduler.JobID][]mapreduce.KV),
+		results:    make(map[scheduler.JobID][][]byte),
 		installed:  make(map[string]*InstallFileArgs),
 	}
 	for id, ref := range jobs {
@@ -240,21 +242,38 @@ func (m *Master) Results() map[scheduler.JobID][]mapreduce.KV {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[scheduler.JobID][]mapreduce.KV, len(m.results))
-	for id, kvs := range m.results {
-		out[id] = kvs
+	for id, frames := range m.results {
+		out[id] = mergeFrames(frames)
 	}
 	return out
 }
 
+// mergeFrames decodes a committed result's frames into one sorted slice.
+func mergeFrames(frames [][]byte) []mapreduce.KV {
+	runs := make([][]mapreduce.KV, len(frames))
+	for p, frame := range frames {
+		runs[p], _, _ = mapreduce.DecodeFrame(string(frame)) // checked at commit
+	}
+	return mapreduce.MergeSorted(runs)
+}
+
 // WorkerStats polls every live worker's counters.
-func (m *Master) WorkerStats() ([]StatsReply, error) {
+func (m *Master) WorkerStats() ([]StatsReply, error) { return m.pollStats(true) }
+
+// pollStats polls the live workers' counters under the task deadline: a
+// wedged-but-connected worker costs a scrape one deadline, not forever.
+// It fails a strict poll; a best-effort one skips it, ledger and all.
+func (m *Master) pollStats(strict bool) ([]StatsReply, error) {
+	var out []StatsReply
 	_, live := m.members.live()
-	out := make([]StatsReply, len(live))
-	for i, w := range live {
-		if err := w.client.Call("Worker.Stats", &StatsArgs{}, &out[i]); err != nil {
+	for _, w := range live {
+		st := &StatsReply{} // its own: an abandoned call may still write to it
+		if err := m.callWorker(w, "Worker.Stats", &StatsArgs{}, st); err == nil {
+			st.Worker = w.id
+			out = append(out, *st)
+		} else if strict {
 			return nil, fmt.Errorf("remote: polling stats of %s: %w", w.id, err)
 		}
-		out[i].Worker = w.id
 	}
 	return out, nil
 }
@@ -267,12 +286,8 @@ func (m *Master) FaultStats() metrics.FaultStats {
 	m.mu.Lock()
 	fs := metrics.FaultStats{Retries: m.failovers}
 	m.mu.Unlock()
-	_, live := m.members.live()
-	for _, w := range live {
-		var st StatsReply
-		if err := w.client.Call("Worker.Stats", &StatsArgs{}, &st); err != nil {
-			continue // best effort: a dead worker keeps its ledger
-		}
+	stats, _ := m.pollStats(false)
+	for _, st := range stats {
 		fs.FailedAttempts += int(st.FailedReads)
 	}
 	return fs
@@ -282,12 +297,8 @@ func (m *Master) FaultStats() metrics.FaultStats {
 // reachable worker's block-cache counters.
 func (m *Master) CacheStats() metrics.CacheStats {
 	var cs metrics.CacheStats
-	_, live := m.members.live()
-	for _, w := range live {
-		var st StatsReply
-		if err := w.client.Call("Worker.Stats", &StatsArgs{}, &st); err != nil {
-			continue
-		}
+	stats, _ := m.pollStats(false)
+	for _, st := range stats {
 		cs.Add(metrics.CacheStats{
 			Hits:           st.CacheHits,
 			Misses:         st.CacheMisses,
@@ -325,6 +336,22 @@ func (e *allWorkersError) Error() string {
 }
 
 func (e *allWorkersError) Unwrap() error { return e.err }
+
+// taskErrs keeps what one fan-out of tasks should report: a job-owned
+// error once there is one — it must propagate, never be masked as a
+// lost round and requeued — else an outage.
+type taskErrs struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (e *taskErrs) add(err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, outage := e.err.(*allWorkersError); e.err == nil || outage {
+		e.err = err
+	}
+}
 
 // ExecRound implements driver.Executor: map every block of the round
 // on its home worker (one merged task per block), then reduce the
@@ -365,10 +392,9 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 		acc[i] = make([][]mapreduce.KV, ref.width())
 	}
 	var (
-		wg        sync.WaitGroup
-		errMu     sync.Mutex
-		taskErr   error // job-owned failure: propagate, never requeue
-		outageErr error // all-workers transport failure: lost round
+		wg    sync.WaitGroup
+		accMu sync.Mutex
+		errs  taskErrs
 	)
 	seq := m.roundSeq
 	m.roundSeq++
@@ -382,32 +408,21 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 			}
 			reply, err := m.mapWithFailover(corr, file, idx, refs)
 			if err != nil {
-				errMu.Lock()
-				if awe, ok := err.(*allWorkersError); ok {
-					if outageErr == nil {
-						outageErr = awe
-					}
-				} else if taskErr == nil {
-					taskErr = err
-				}
-				errMu.Unlock()
+				errs.add(err)
 				return
 			}
-			errMu.Lock()
+			accMu.Lock()
 			for i, parts := range reply.PerJob {
 				for p, kvs := range parts {
 					acc[i][p] = append(acc[i][p], kvs...)
 				}
 			}
-			errMu.Unlock()
+			accMu.Unlock()
 		}(b.File, b.Index)
 	}
 	wg.Wait()
-	if taskErr != nil {
-		return 0, taskErr
-	}
-	if outageErr != nil {
-		return 0, m.roundLost(r, start, outageErr)
+	if errs.err != nil {
+		return 0, m.roundLost(r, start, errs.err)
 	}
 
 	// Commit the round's map output. Requeued rounds re-execute their
@@ -443,10 +458,7 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	// Reduce phase for jobs completing this round.
 	for _, id := range r.Completes {
 		if err := m.finishJob(id); err != nil {
-			if awe, ok := err.(*allWorkersError); ok {
-				return 0, m.roundLost(r, start, awe)
-			}
-			return 0, err
+			return 0, m.roundLost(r, start, err)
 		}
 	}
 	elapsed := m.clock.Now().Sub(start)
@@ -461,10 +473,11 @@ func (m *Master) rejoinGrace() time.Duration {
 }
 
 // roundLost converts an all-workers failure into the engine's requeue
-// contract when the cluster is dynamic (workers can rejoin), and into
-// a hard error when it is static (nothing will ever come back).
+// contract when the cluster is dynamic (workers can rejoin); it stays a
+// hard error when the cluster is static (nothing will ever come back),
+// as does any job-owned error.
 func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) error {
-	if !m.hasCtl.Load() {
+	if _, outage := err.(*allWorkersError); !outage || !m.hasCtl.Load() {
 		return err
 	}
 	elapsed := vclock.Duration(m.clock.Now().Sub(start).Seconds() * m.timeScale)
@@ -474,80 +487,73 @@ func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) erro
 	return &scheduler.RoundLostError{Round: r, Elapsed: elapsed, Err: err}
 }
 
-// mapWithFailover tries the block's home worker first, then every
-// other live worker. Task-level errors are returned immediately;
-// transport errors rotate to the next worker. If every worker in the
-// snapshot fails and the membership changed meanwhile (a rejoin landed
-// mid-rotation), one fresh snapshot is retried before giving up.
-// Retried tasks re-execute from the locally regenerated block, so
-// results are unaffected.
-func (m *Master) mapWithFailover(corr, file string, idx int, refs []JobRef) (*MapTaskReply, error) {
+// withFailover runs one task on its home worker — live[home mod W] —
+// then on every other live worker. Task-level errors are returned
+// immediately; transport errors rotate to the next worker. If every
+// worker in the snapshot fails and the membership changed meanwhile (a
+// rejoin landed mid-rotation), one fresh snapshot is retried before
+// giving up. Retried tasks re-execute from the locally regenerated
+// block, so results are unaffected. call fills a fresh reply each
+// attempt: an abandoned one may still write to its own.
+func (m *Master) withFailover(home int, what string, call func(w liveWorker, attempt int) error) error {
 	var lastErr error
 	for pass := 0; pass < 2; pass++ {
 		ver, live := m.members.live()
 		if len(live) == 0 {
 			lastErr = fmt.Errorf("no live workers")
-		} else {
-			home := idx % len(live)
-			for off := 0; off < len(live); off++ {
-				w := live[(home+off)%len(live)]
-				m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, off+1)
-				var reply MapTaskReply
-				err := m.callWorker(w, "Worker.ExecMap", &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Corr: corr}, &reply)
-				if err == nil {
-					if off > 0 || pass > 0 {
-						m.mu.Lock()
-						m.failovers++
-						m.mu.Unlock()
-					}
-					return &reply, nil
+		}
+		for off := range live {
+			err := call(live[(home+off)%len(live)], off+1)
+			if err == nil {
+				if off > 0 || pass > 0 {
+					m.mu.Lock()
+					m.failovers++
+					m.mu.Unlock()
 				}
-				if !isTransportError(err) {
-					return nil, err
-				}
-				lastErr = err
+				return nil
 			}
+			if !isTransportError(err) {
+				return err
+			}
+			lastErr = err
 		}
 		if ver2, _ := m.members.live(); ver2 == ver {
 			break
 		}
 	}
-	return nil, &allWorkersError{what: fmt.Sprintf("block %s#%d", file, idx), err: lastErr}
+	return &allWorkersError{what: what, err: lastErr}
 }
 
-// reduceWithFailover mirrors mapWithFailover for reduce tasks.
-func (m *Master) reduceWithFailover(corr string, ref JobRef, p int, records []mapreduce.KV) ([]mapreduce.KV, error) {
-	var lastErr error
-	for pass := 0; pass < 2; pass++ {
-		ver, live := m.members.live()
-		if len(live) == 0 {
-			lastErr = fmt.Errorf("no live workers")
-		} else {
-			home := p % len(live)
-			for off := 0; off < len(live); off++ {
-				w := live[(home+off)%len(live)]
-				m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d worker %s attempt %d", corr, ref.Name, p, w.id, off+1)
-				var reply ReduceTaskReply
-				err := m.callWorker(w, "Worker.ExecReduce", &ReduceTaskArgs{Job: ref, Partition: p, Records: records, Corr: corr}, &reply)
-				if err == nil {
-					if off > 0 || pass > 0 {
-						m.mu.Lock()
-						m.failovers++
-						m.mu.Unlock()
-					}
-					return reply.Output, nil
-				}
-				if !isTransportError(err) {
-					return nil, err
-				}
-				lastErr = err
-			}
+// mapWithFailover runs one merged map task.
+func (m *Master) mapWithFailover(corr, file string, idx int, refs []JobRef) (*MapTaskReply, error) {
+	var reply *MapTaskReply
+	err := m.withFailover(idx, fmt.Sprintf("block %s#%d", file, idx), func(w liveWorker, attempt int) error {
+		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, attempt)
+		reply = new(MapTaskReply)
+		return m.callWorker(w, "Worker.ExecMap", &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Corr: corr}, reply)
+	})
+	return reply, err
+}
+
+// reduceWithFailover runs one reduce task and returns its output frame,
+// checked: a malformed reply fails the job now, not at the first read.
+func (m *Master) reduceWithFailover(corr string, ref JobRef, p int, records []mapreduce.KV) ([]byte, error) {
+	var reply *ReduceTaskReply
+	err := m.withFailover(p, fmt.Sprintf("job %q partition %d", ref.Name, p), func(w liveWorker, attempt int) error {
+		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d worker %s attempt %d", corr, ref.Name, p, w.id, attempt)
+		reply = new(ReduceTaskReply)
+		if err := m.callWorker(w, "Worker.ExecReduce", &ReduceTaskArgs{Job: ref, Partition: p, Records: records, Corr: corr}, reply); err != nil {
+			return err
 		}
-		if ver2, _ := m.members.live(); ver2 == ver {
-			break
+		if err := mapreduce.CheckFrame(reply.Output); err != nil {
+			return fmt.Errorf("remote: job %q partition %d: output of worker %s: %w", ref.Name, p, w.id, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, &allWorkersError{what: fmt.Sprintf("job %q partition %d", ref.Name, p), err: lastErr}
+	return reply.Output, nil
 }
 
 // Failovers reports how many tasks succeeded only after moving off
@@ -580,11 +586,10 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}
 
-	outputs := make([][]mapreduce.KV, len(parts))
+	outputs := make([][]byte, len(parts))
 	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
+		wg   sync.WaitGroup
+		errs taskErrs
 	)
 	for p, records := range parts {
 		wg.Add(1)
@@ -595,43 +600,25 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 				corr = fmt.Sprintf("j%d.p%d", id, p)
 			}
 			out, err := m.reduceWithFailover(corr, ref, p, records)
-			errMu.Lock()
-			defer errMu.Unlock()
 			if err != nil {
-				if _, outage := err.(*allWorkersError); outage {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else if firstErr == nil || !isTaskLevel(firstErr) {
-					// Task-level errors take precedence: they must
-					// propagate rather than be masked as a lost round.
-					firstErr = err
-				}
+				errs.add(err)
 				return
 			}
 			outputs[p] = out
 		}(p, records)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	if errs.err != nil {
+		return errs.err
 	}
-	merged := mapreduce.MergeSorted(outputs)
 	m.mu.Lock()
-	if err := m.appendResult(id, merged); err != nil {
+	if err := m.appendResult(id, outputs); err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	m.results[id] = merged
+	m.results[id] = outputs
 	delete(m.partitions, id)
 	delete(m.mergedSegs, id)
 	m.mu.Unlock()
 	return nil
-}
-
-// isTaskLevel reports whether err is a job-owned failure rather than
-// an infrastructure outage.
-func isTaskLevel(err error) bool {
-	_, outage := err.(*allWorkersError)
-	return !outage
 }

@@ -275,17 +275,10 @@ func (t *membership) waitLive(n int, grace time.Duration) []liveWorker {
 		}
 		// sync.Cond has no timed wait; poll on a short timer while
 		// broadcasts short-circuit the common (registration) case.
-		waker := time.AfterFunc(minDuration(remain, 20*time.Millisecond), t.cond.Broadcast)
+		waker := time.AfterFunc(min(remain, 20*time.Millisecond), t.cond.Broadcast)
 		t.cond.Wait()
 		waker.Stop()
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // takeEvents drains the pending membership deltas in order.
@@ -435,16 +428,18 @@ func (m *Master) serveControl(conn *comms.Conn, cfg ControlConfig) {
 		}})
 		return
 	}
-	gen := m.members.register(reg, conn, client)
-	// Replay derived files after the member is visible (so a concurrent
-	// InstallFile broadcast cannot slip between snapshot and join — the
-	// worst case is a harmless idempotent double install) and before the
-	// ack (so an admitted worker always holds every pipeline input).
-	if err := m.pushInstalled(liveWorker{id: reg.ID, client: client}); err != nil {
-		m.members.markDead(reg.ID, gen, err)
+	// Ack before the member becomes visible: whoever sees the worker live
+	// may at once tear this session down (a master closed right after its
+	// workers joined), and the worker must by then have its answer.
+	if err := conn.Send(comms.Envelope{Kind: comms.FrameAck, Ack: &comms.AckFrame{OK: true}}); err != nil {
+		client.Close()
 		return
 	}
-	if err := conn.Send(comms.Envelope{Kind: comms.FrameAck, Ack: &comms.AckFrame{OK: true}}); err != nil {
+	gen := m.members.register(reg, conn, client)
+	// Replay derived files after the member is visible, so a concurrent
+	// InstallFile broadcast cannot slip between snapshot and join — the
+	// worst case is a harmless idempotent double install.
+	if err := m.pushInstalled(liveWorker{id: reg.ID, client: client}); err != nil {
 		m.members.markDead(reg.ID, gen, err)
 		return
 	}

@@ -1,8 +1,17 @@
 package remote
 
-import "s3sched/internal/mapreduce"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
 
-// Wire types for the master↔worker RPC protocol (net/rpc over gob).
+	"s3sched/internal/comms"
+	"s3sched/internal/mapreduce"
+)
+
+// Wire types for the master↔worker RPC protocol: net/rpc, whose gob
+// codec carries the control fields; every record payload crosses as
+// mapreduce frames (DESIGN.md, "Shuffle wire format").
 
 // JobRef names one job's executable parts for a worker's registry.
 type JobRef struct {
@@ -31,24 +40,90 @@ type MapTaskArgs struct {
 }
 
 // MapTaskReply carries the shuffled output: PerJob[i][p] is the slice
-// of records job i emitted into reduce partition p.
+// of records job i emitted into reduce partition p. It crosses gob as
+// one byte string — uvarint BytesScanned and job count, then per job
+// its partition count and a frame per partition — so gob walks no record.
 type MapTaskReply struct {
 	PerJob       [][][]mapreduce.KV
 	BytesScanned int64
+}
+
+// GobEncode implements gob.GobEncoder with a single allocation.
+func (r MapTaskReply) GobEncode() ([]byte, error) {
+	size := 2 * binary.MaxVarintLen64
+	for _, parts := range r.PerJob {
+		size += binary.MaxVarintLen64
+		for _, kvs := range parts {
+			size += mapreduce.FrameSize(kvs)
+		}
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(r.BytesScanned))
+	buf = binary.AppendUvarint(buf, uint64(len(r.PerJob)))
+	for _, parts := range r.PerJob {
+		buf = binary.AppendUvarint(buf, uint64(len(parts)))
+		for _, kvs := range parts {
+			buf = mapreduce.AppendFrame(buf, kvs)
+		}
+	}
+	return buf, nil
+}
+
+// GobDecode implements gob.GobDecoder. data is the decoder's to reuse,
+// so it is copied once, into the string every decoded key and value is
+// a substring of. An empty partition comes back nil.
+func (r *MapTaskReply) GobDecode(data []byte) (err error) {
+	s := string(data)
+	next := func(limit int) (n int) { // 0 once anything has failed
+		if err == nil {
+			n, s, err = mapreduce.FrameUvarint(s, limit)
+		}
+		return n
+	}
+	scanned := next(math.MaxInt)
+	perJob := make([][][]mapreduce.KV, next(len(s))) // a job is one byte at least, so is a partition
+	for i := range perJob {
+		perJob[i] = make([][]mapreduce.KV, next(len(s)))
+		for p := 0; p < len(perJob[i]) && err == nil; p++ {
+			perJob[i][p], s, err = mapreduce.DecodeFrame(s)
+		}
+	}
+	if err == nil && s != "" {
+		err = fmt.Errorf("%d trailing bytes", len(s))
+	}
+	if err != nil {
+		return fmt.Errorf("remote: malformed map reply: %w", err)
+	}
+	r.PerJob, r.BytesScanned = perJob, int64(scanned)
+	return nil
+}
+
+// Records is a record slice that crosses gob as one frame.
+type Records []mapreduce.KV
+
+// GobEncode implements gob.GobEncoder.
+func (r Records) GobEncode() ([]byte, error) { return mapreduce.AppendFrame(nil, r), nil }
+
+// GobDecode implements gob.GobDecoder; see MapTaskReply.GobDecode.
+func (r *Records) GobDecode(data []byte) (err error) {
+	if err = mapreduce.CheckFrame(data); err == nil {
+		*r, _, _ = mapreduce.DecodeFrame(string(data))
+	}
+	return err
 }
 
 // ReduceTaskArgs asks a worker to reduce one partition of one job.
 type ReduceTaskArgs struct {
 	Job       JobRef
 	Partition int
-	Records   []mapreduce.KV
+	Records   Records
 	// Corr is the master-assigned correlation id ("j<job>.p<part>").
 	Corr string
 }
 
-// ReduceTaskReply carries the partition's reduced output.
+// ReduceTaskReply carries the partition's reduced output, sorted, as one
+// frame: the master keeps the bytes and decodes them only on request.
 type ReduceTaskReply struct {
-	Output []mapreduce.KV
+	Output []byte
 }
 
 // InstallFileArgs ships a derived file — a finished DAG stage's
@@ -72,29 +147,12 @@ type InstallFileReply struct{}
 // StatsArgs is empty; StatsReply reports a worker's lifetime counters.
 type StatsArgs struct{}
 
-// StatsReply is one worker's physical-work ledger — the same
-// fault/cache accounting a local run's store reports, so remote and
-// local runs fold into identical metrics. The cache fields stay zero
-// on workers running without a block cache.
+// StatsReply is one worker's physical-work ledger — the heartbeat's
+// counters, polled — so remote and local runs fold into identical
+// metrics. The cache fields stay zero on workers running without a
+// block cache.
 type StatsReply struct {
 	// Worker is the reporting worker's identity, filled master-side.
-	Worker       string
-	BlockReads   int64
-	BytesScanned int64
-	// FailedReads counts read attempts failed by the fault hook or the
-	// block source.
-	FailedReads int64
-	MapTasks    int64
-	ReduceTasks int64
-	CacheHits   int64
-	CacheMisses int64
-	// CacheEvictions counts blocks discarded to fit the cache budget;
-	// CachePrefetches/CachePrefetchFailed count readahead loads issued
-	// and failed; CacheBytes is the cached footprint at poll time and
-	// CachePinnedBytes its pin-protected part.
-	CacheEvictions      int64
-	CachePrefetches     int64
-	CachePrefetchFailed int64
-	CacheBytes          int64
-	CachePinnedBytes    int64
+	Worker string
+	comms.WireStats
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -90,25 +91,13 @@ func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 }
 
 // TestWireStatsMirrorsStatsReply pins the heartbeat ledger to the Stats
-// RPC by reflection: every counter in StatsReply must have a same-named,
-// same-typed field in comms.WireStats, so a counter added to one wire
-// format cannot silently vanish from the other.
+// RPC: StatsReply is the reporting worker's name plus comms.WireStats
+// itself, embedded, so a counter added to the heartbeat is polled too
+// and the two wire formats cannot drift apart.
 func TestWireStatsMirrorsStatsReply(t *testing.T) {
 	reply := reflect.TypeOf(StatsReply{})
-	wire := reflect.TypeOf(comms.WireStats{})
-	for i := 0; i < reply.NumField(); i++ {
-		rf := reply.Field(i)
-		if rf.Name == "Worker" {
-			continue // identity, filled master-side; not a counter
-		}
-		wf, ok := wire.FieldByName(rf.Name)
-		if !ok {
-			t.Errorf("StatsReply.%s has no comms.WireStats counterpart", rf.Name)
-			continue
-		}
-		if wf.Type != rf.Type {
-			t.Errorf("StatsReply.%s is %v but WireStats.%s is %v", rf.Name, rf.Type, wf.Name, wf.Type)
-		}
+	if f, ok := reply.FieldByName("WireStats"); !ok || !f.Anonymous || f.Type != reflect.TypeOf(comms.WireStats{}) || reply.NumField() != 2 {
+		t.Errorf("StatsReply must be Worker plus an embedded comms.WireStats, is %v", reply)
 	}
 	// And every cache counter the store reports must cross the RPC at
 	// all: one StatsReply field per dfs-level cache stat.
@@ -118,5 +107,58 @@ func TestWireStatsMirrorsStatsReply(t *testing.T) {
 		if _, ok := reply.FieldByName(name); !ok {
 			t.Errorf("metrics.CacheStats.%s has no StatsReply.%s field", cache.Field(i).Name, name)
 		}
+	}
+}
+
+// statsWedgedWorker is a real worker whose Stats never returns until
+// released: connected, serving tasks, and wedged where a scrape lands.
+type statsWedgedWorker struct {
+	*Worker
+	release chan struct{}
+}
+
+func (w *statsWedgedWorker) Stats(*StatsArgs, *StatsReply) error {
+	<-w.release
+	return nil
+}
+
+// With a task deadline set, a worker that never answers Stats costs a
+// scrape one deadline: WorkerStats reports the *TaskDeadlineError, and
+// the best-effort folds skip that worker and still count the other.
+func TestStatsPollsHonourTaskDeadline(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	m := wireCluster(t, 2, nil, func(w *Worker) any {
+		return &statsWedgedWorker{w, release}
+	})
+	m.SetTaskDeadline(50 * time.Millisecond)
+
+	// Give the healthy worker (live[1]) something to report.
+	_, live := m.members.live()
+	var reply MapTaskReply
+	args := &MapTaskArgs{File: "text", BlockIndex: 1, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
+	if err := m.callWorker(live[1], "Worker.ExecMap", args, &reply); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := m.WorkerStats()
+		var deadline *TaskDeadlineError
+		if !errors.As(err, &deadline) || deadline.Method != "Worker.Stats" {
+			t.Errorf("WorkerStats error = %v, want a *TaskDeadlineError for Worker.Stats", err)
+		}
+		if fs := m.FaultStats(); fs.FailedAttempts != 0 || fs.Retries != 0 {
+			t.Errorf("FaultStats = %+v", fs)
+		}
+		if stats, _ := m.pollStats(false); len(stats) != 1 || stats[0].BlockReads != 1 || stats[0].Worker != live[1].id {
+			t.Errorf("best-effort poll = %+v, want the healthy worker's one block read", stats)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stats polls still blocked on the wedged worker after 10s with a 50ms task deadline")
 	}
 }

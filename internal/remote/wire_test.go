@@ -1,0 +1,346 @@
+package remote
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"s3sched/internal/dfs"
+	"s3sched/internal/mapreduce"
+	"s3sched/internal/scheduler"
+	"s3sched/internal/workload"
+)
+
+// wireFiles are the kinds of block a store can hold, three blocks each.
+func wireFiles() map[string][][]byte {
+	const size = 16 << 10
+	files := map[string][][]byte{"derived": {
+		[]byte("the\t412\nof\t97\nzephyr\t1\n"), []byte("and\t300\nwhisper\t2\n"), []byte("   \n"),
+	}}
+	for i := 0; i < 3; i++ {
+		files["text"] = append(files["text"], workload.NewTextGen(7).Block(i, size))
+		files["lineitem"] = append(files["lineitem"], workload.NewLineitemGen(7).Block(i, size))
+	}
+	return files
+}
+
+// wireCases gives every standard factory a parameter and the file kind
+// it can scan. A factory missing here fails the tests below.
+var wireCases = map[string]struct{ param, file string }{
+	"wordcount":   {"t", "text"},
+	"selection":   {"25", "lineitem"},
+	"aggregation": {"", "lineitem"},
+	"topk":        {"3", "derived"},
+}
+
+// gobRoundTrip sends v through a fresh encoder / decoder pair.
+func gobRoundTrip(t *testing.T, v, into any) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(into); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every factory's real map output — over text, lineitem, derived and
+// empty blocks, wherever the mapper accepts them — survives
+// MapTaskReply → gob → MapTaskReply record for record.
+func TestMapReplySurvivesGob(t *testing.T) {
+	blocks := wireFiles()
+	blocks["empty"] = [][]byte{nil}
+	reg := NewStandardRegistry()
+	for _, factory := range reg.Names() {
+		c, ok := wireCases[factory]
+		if !ok {
+			t.Errorf("factory %q has no case in wireCases; add one", factory)
+			continue
+		}
+		mapper, _, combiner, err := reg.Build(factory, c.param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survived := 0
+		for kind, bs := range blocks {
+			want := MapTaskReply{BytesScanned: 1 << 40}
+			for _, width := range []int{1, 3} {
+				parts, err := mapreduce.MapBlockForJob(dfs.BlockID{}, bs[0], mapper, combiner, width)
+				if err != nil {
+					break // this mapper does not read this kind of block
+				}
+				want.PerJob = append(want.PerJob, parts)
+			}
+			if len(want.PerJob) == 0 {
+				continue
+			}
+			var got MapTaskReply
+			gobRoundTrip(t, &want, &got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s over a %s block: reply changed crossing gob", factory, kind)
+			}
+			survived++
+		}
+		if survived < 2 { // its own kind and the empty block at least
+			t.Errorf("%s: only %d block kinds produced a reply", factory, survived)
+		}
+	}
+
+	// Pinned: an empty partition comes back nil — what gob made of an
+	// empty []KV before frames — whether it left as nil or as empty.
+	var got MapTaskReply
+	gobRoundTrip(t, &MapTaskReply{PerJob: [][][]mapreduce.KV{{{}, nil, {{Key: "k"}}}, {}}}, &got)
+	if p := got.PerJob; len(p) != 2 || len(p[0]) != 3 || p[0][0] != nil || p[0][1] != nil || len(p[0][2]) != 1 || len(p[1]) != 0 {
+		t.Errorf("empty partitions decoded as %#v", got.PerJob)
+	}
+	// And the reduce hop: nil records are not sent at all, empty ones are
+	// one byte, and both arrive nil.
+	for _, records := range []Records{nil, {}} {
+		var back ReduceTaskArgs
+		gobRoundTrip(t, &ReduceTaskArgs{Partition: 1, Records: records}, &back)
+		if back.Partition != 1 || back.Records != nil {
+			t.Errorf("records %#v arrived as %#v", records, back.Records)
+		}
+	}
+}
+
+// A malformed map reply is a decode error, not a panic and not a reply.
+func TestMapReplyRejectsMalformed(t *testing.T) {
+	good, _ := MapTaskReply{PerJob: [][][]mapreduce.KV{{{{Key: "k", Value: "v"}}, nil}}, BytesScanned: 300}.GobEncode()
+	cases := map[string][]byte{
+		"empty":              {},
+		"scan size only":     good[:2],
+		"job count too big":  {1, 200, 1},
+		"partitions missing": good[:4],
+		"frame cut":          good[:len(good)-2],
+		"trailing bytes":     append(append([]byte(nil), good...), 0),
+	}
+	for name, data := range cases {
+		var r MapTaskReply
+		if err := r.GobDecode(data); err == nil {
+			t.Errorf("%s: decoded %+v", name, r)
+		} else if r.PerJob != nil {
+			t.Errorf("%s: error %v but the reply was filled in", name, err)
+		}
+	}
+	var r MapTaskReply
+	if err := r.GobDecode(good); err != nil || r.BytesScanned != 300 || r.PerJob[0][0][0].Value != "v" {
+		t.Fatalf("good reply: %+v, %v", r, err)
+	}
+}
+
+// seqReference is the job run the plainest way: every block mapped in
+// order, each partition reduced, everything concatenated and sorted.
+func seqReference(t *testing.T, blocks [][]byte, ref JobRef) []mapreduce.KV {
+	t.Helper()
+	mapper, reducer, combiner, err := NewStandardRegistry().Build(ref.Factory, ref.Param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]mapreduce.KV, ref.width())
+	for i, data := range blocks {
+		ps, err := mapreduce.MapBlockForJob(dfs.BlockID{Index: i}, data, mapper, combiner, ref.width())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range ps {
+			parts[p] = append(parts[p], ps[p]...)
+		}
+	}
+	var all []mapreduce.KV
+	for _, records := range parts {
+		out, err := mapreduce.ReducePartition(records, reducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, out...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Key != all[j].Key {
+			return all[i].Key < all[j].Key
+		}
+		return all[i].Value < all[j].Value
+	})
+	return all
+}
+
+// wireCluster serves the wire files from n workers (wrap, when set,
+// puts a double in front of worker 0) and dials a master.
+func wireCluster(t *testing.T, n int, jobs map[scheduler.JobID]JobRef, wrap func(*Worker) any) *Master {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		store := dfs.MustStore(1, 1)
+		for name, blocks := range wireFiles() {
+			if _, err := store.AddFile(name, int64(len(blocks[0])), padBlocks(blocks)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := NewWorker(store, NewStandardRegistry())
+		if i == 0 && wrap != nil {
+			addrs = append(addrs, serveStub(t, wrap(w)))
+			continue
+		}
+		addr, err := w.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		addrs = append(addrs, addr)
+	}
+	m, err := Dial(addrs, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// padBlocks right-pads blocks with spaces to the first one's length:
+// a store's blocks are uniform.
+func padBlocks(blocks [][]byte) [][]byte {
+	out := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		out[i] = append(append([]byte(nil), b...), bytes.Repeat([]byte{' '}, len(blocks[0])-len(b))...)
+	}
+	return out
+}
+
+// wholeFileRound is one round over every block of a wire file that
+// completes all of jobs.
+func wholeFileRound(file string, ids ...scheduler.JobID) scheduler.Round {
+	r := scheduler.Round{Segment: 0, Completes: ids}
+	for i := range wireFiles()[file] {
+		r.Blocks = append(r.Blocks, dfs.BlockID{File: file, Index: i})
+	}
+	for _, id := range ids {
+		r.Jobs = append(r.Jobs, scheduler.JobMeta{ID: id, File: file})
+	}
+	return r
+}
+
+// Every factory, as a whole job through two loopback workers with one
+// and with three reduce partitions, outputs what the sequential
+// reference does, byte for byte.
+func TestFullJobMatchesSequentialReference(t *testing.T) {
+	for _, factory := range NewStandardRegistry().Names() {
+		c, ok := wireCases[factory]
+		if !ok {
+			t.Errorf("factory %q has no case in wireCases; add one", factory)
+			continue
+		}
+		jobs := map[scheduler.JobID]JobRef{}
+		for i, width := range []int{1, 3} {
+			jobs[scheduler.JobID(i+1)] = JobRef{Name: fmt.Sprintf("%s-r%d", factory, width), Factory: factory, Param: c.param, NumReduce: width}
+		}
+		m := wireCluster(t, 2, jobs, nil)
+		if _, err := m.ExecRound(wholeFileRound(c.file, 1, 2)); err != nil {
+			t.Fatalf("%s: %v", factory, err)
+		}
+		for id, ref := range jobs {
+			want := seqReference(t, padBlocks(wireFiles()[c.file]), ref)
+			got, ok := m.JobOutput(id)
+			if !ok || len(want) == 0 || fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+				t.Errorf("%s: %d records (committed %v), the reference has %d", ref.Name, len(got), ok, len(want))
+			}
+			if all := m.Results()[id]; !reflect.DeepEqual(all, got) {
+				t.Errorf("%s: Results and JobOutput disagree", ref.Name)
+			}
+		}
+	}
+}
+
+// manglingWorker is a real worker whose reduce output is rewritten on
+// its way out.
+type manglingWorker struct {
+	inner  *Worker
+	mangle func([]byte) []byte
+}
+
+func (w *manglingWorker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
+	return w.inner.ExecMap(args, reply)
+}
+
+func (w *manglingWorker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
+	err := w.inner.ExecReduce(args, reply)
+	reply.Output = w.mangle(reply.Output)
+	return err
+}
+
+func (w *manglingWorker) Stats(args *StatsArgs, reply *StatsReply) error {
+	return w.inner.Stats(args, reply)
+}
+
+// A reduce reply that is not one whole frame fails the round with a
+// task-level error naming the job: no panic, no rotation to the healthy
+// worker next door, nothing committed.
+func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
+	mangles := map[string]func([]byte) []byte{
+		"truncated frame":  func(b []byte) []byte { return b[:len(b)-3] },
+		"trailing garbage": func(b []byte) []byte { return append(b, "garbage"...) },
+		"no bytes at all":  func([]byte) []byte { return nil },
+	}
+	for name, mangle := range mangles {
+		jobs := map[scheduler.JobID]JobRef{1: {Name: "sel-bad-reply", Factory: "selection", Param: "25", NumReduce: 1}}
+		// Partition 0's home is worker 0, the mangling one.
+		m := wireCluster(t, 2, jobs, func(w *Worker) any { return &manglingWorker{inner: w, mangle: mangle} })
+		_, err := m.ExecRound(wholeFileRound("lineitem", 1))
+		if err == nil || !strings.Contains(err.Error(), `"sel-bad-reply"`) || !strings.Contains(err.Error(), "malformed frame") {
+			t.Errorf("%s: ExecRound error = %v, want a malformed-frame error naming the job", name, err)
+		}
+		var outage *allWorkersError
+		if isTransportError(err) || errors.As(err, &outage) {
+			t.Errorf("%s: %v is not task-level", name, err)
+		}
+		if _, ok := m.JobOutput(1); ok || len(m.Results()) != 0 || m.Failovers() != 0 {
+			t.Errorf("%s: committed %v, %d results, %d failovers; want nothing", name, ok, len(m.Results()), m.Failovers())
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector's
+// instrumentation allocates, which would fail the guard below.
+var raceEnabled bool
+
+// Decoding a map reply costs a handful of allocations however many
+// records it carries — the message as one string, the slices around
+// the records — where gob's reflection made two strings per record
+// (about 20,000 for this reply).
+func TestMapReplyDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	reply := MapTaskReply{PerJob: [][][]mapreduce.KV{make([][]mapreduce.KV, 2)}, BytesScanned: 512 << 10}
+	for i := 0; i < 10000; i++ {
+		kv := mapreduce.KV{Key: fmt.Sprintf("%d.%d", i, i%7), Value: strings.Repeat("lineitem|", 12)}
+		reply.PerJob[0][i%2] = append(reply.PerJob[0][i%2], kv)
+	}
+	const runs = 5
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+		if err := enc.Encode(&reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := gob.NewDecoder(bytes.NewReader(stream.Bytes()))
+	var got MapTaskReply
+	allocs := testing.AllocsPerRun(runs, func() {
+		got = MapTaskReply{}
+		if err := dec.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, reply) {
+		t.Fatal("decoded reply differs")
+	}
+	if allocs > 16 {
+		t.Errorf("decoding 2 partitions × 5,000 records: %.0f allocations, want <= 16", allocs)
+	}
+}

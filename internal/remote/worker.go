@@ -90,18 +90,18 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	return nil
 }
 
-// ExecReduce implements the ReduceTask RPC: sort, group and reduce one
-// partition's records.
+// ExecReduce implements the ReduceTask RPC: sort (in place: the decoded
+// args are the worker's own), group and reduce one partition's records.
 func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
 	_, reducer, _, err := w.registry.Build(args.Job.Factory, args.Job.Param)
 	if err != nil {
 		return err
 	}
-	out, err := mapreduce.ReducePartition(args.Records, reducer)
+	out, err := mapreduce.ReduceInPlace(args.Records, reducer)
 	if err != nil {
 		return fmt.Errorf("remote: job %q partition %d: %w", args.Job.Name, args.Partition, err)
 	}
-	reply.Output = out
+	reply.Output = mapreduce.AppendFrame(nil, out)
 	w.reduceTasks.Add(1)
 	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s reduce %q partition %d records %d", args.Corr, args.Job.Name, args.Partition, len(args.Records))
 	return nil
@@ -132,20 +132,7 @@ func (w *Worker) InstallFile(args *InstallFileArgs, reply *InstallFileReply) err
 
 // Stats implements the Stats RPC.
 func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
-	st := w.store.Stats()
-	reply.BlockReads = st.BlockReads
-	reply.BytesScanned = st.BytesScanned
-	reply.FailedReads = st.FailedReads
-	reply.MapTasks = w.mapTasks.Load()
-	reply.ReduceTasks = w.reduceTasks.Load()
-	cs := w.store.CacheStats()
-	reply.CacheHits = cs.Hits
-	reply.CacheMisses = cs.Misses
-	reply.CacheEvictions = cs.Evictions
-	reply.CachePrefetches = cs.Prefetches
-	reply.CachePrefetchFailed = cs.PrefetchFailed
-	reply.CacheBytes = cs.Bytes
-	reply.CachePinnedBytes = cs.PinnedBytes
+	reply.WireStats = w.wireStats()
 	return nil
 }
 

@@ -267,6 +267,14 @@ func (p *pipelinedPolicy) launch(r scheduler.Round, now vclock.Time) error {
 	}
 	p.seq++
 	p.inflight = append(p.inflight, h)
-	p.tasks <- h
+	// A simulator's reduce stage is a constant. Run inline, when the round
+	// retires follows from virtual time alone, not from when the Go
+	// scheduler lets a worker report: spans and hooks keep one order.
+	if _, timeless := p.exec.(interface{ TimelessStages() }); timeless {
+		d, err := stage()
+		h.got, h.out = true, stageOutcome{dur: d, err: err}
+	} else {
+		p.tasks <- h
+	}
 	return nil
 }

@@ -253,6 +253,10 @@ func (e *Executor) ExecMapStage(r scheduler.Round) (vclock.Duration, func() (vcl
 	return vclock.Duration(mapSec), stage, nil
 }
 
+// TimelessStages tells the pipelined runtime the stage above costs no
+// wall time.
+func (e *Executor) TimelessStages() {}
+
 // price computes the round's map-stage and reduce-stage costs in
 // seconds and charges the work counters.
 func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) {
