@@ -14,10 +14,10 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/remote"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -158,10 +158,10 @@ func BenchmarkExamplesAnalytic(b *testing.B) {
 			b.Fatal(err)
 		}
 		exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-		res, err := driver.Run(core.New(plan, nil), exec, []driver.Arrival{
+		res, err := runtime.RunTrace(core.New(plan, nil), exec, []runtime.Arrival{
 			{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 			{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: 20},
-		})
+		}, runtime.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -252,10 +252,10 @@ func runExamples() error {
 			sched = core.New(plan, nil)
 		}
 		exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-		res, err := driver.Run(sched, exec, []driver.Arrival{
+		res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
 			{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 			{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: c.offset},
-		})
+		}, runtime.Options{})
 		if err != nil {
 			return err
 		}
@@ -397,7 +397,7 @@ func runEstimator() error {
 
 func runPipeline(mode string) error {
 	fmt.Printf("== Stage pipelining: reduce of round N under scan of round N+1 (S3, %d reduce workers, -pipeline=%s) ==\n",
-		driver.DefaultReduceWorkers, mode)
+		runtime.DefaultReduceWorkers, mode)
 	res, err := experiments.PipelineStudyModes(experiments.DefaultParams(), mode != "on", mode != "off")
 	if err != nil {
 		return err

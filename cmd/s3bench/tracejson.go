@@ -5,7 +5,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/trace"
@@ -46,14 +46,14 @@ func writeTraceJSON(w io.Writer) error {
 		ReducePerRound: 0.6,
 		ReduceSetup:    0.2,
 	})
-	arrivals := make([]driver.Arrival, 5)
+	arrivals := make([]runtime.Arrival, 5)
 	for i := range arrivals {
-		arrivals[i] = driver.Arrival{
+		arrivals[i] = runtime.Arrival{
 			Job: scheduler.JobMeta{ID: scheduler.JobID(i + 1), File: "input"},
 			At:  vclock.Time(i) * 8,
 		}
 	}
-	if _, err := driver.RunOpts(sched, exec, arrivals, driver.Options{
+	if _, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{
 		Pipeline: true,
 		Spans:    log,
 	}); err != nil {

@@ -80,8 +80,35 @@ var (
 	taskDeadline = flag.Duration("taskdeadline", 0, "master/demo: per-call worker task deadline; an expired call counts as a transport failure and fails over (0 = no deadline)")
 )
 
+// checkFlags rejects numeric flag values no role can run with.
+func checkFlags() error {
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"jobs", int64(*jobs), 0},
+		{"nodes", int64(*demoN), 1},
+		{"blocks", int64(*blocks), 1},
+		{"blocksize", *blockSize, 1},
+		{"minworkers", int64(*minWorkers), 1},
+		{"hb", int64(*hb), 0},
+		{"taskdeadline", int64(*taskDeadline), 0},
+		{"cachemb", *cacheMB, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %v: must be at least %d", f.name, flag.Lookup(f.name).Value, f.min)
+		}
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
+	// Before any listener opens: a bad value is a usage error (exit 2).
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "s3cluster:", err)
+		os.Exit(2)
+	}
 	var err error
 	switch *role {
 	case "worker":

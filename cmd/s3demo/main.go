@@ -14,8 +14,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 	"s3sched/internal/workload"
@@ -62,7 +62,7 @@ func run() error {
 		2: workload.WordCountJob("count-a*", "corpus", "a", 2),
 		3: workload.WordCountJob("count-w*", "corpus", "w", 2),
 	}
-	exec := driver.NewEngineExecutor(engine, specs)
+	exec := mapreduce.NewExecutor(engine, specs)
 	// Stretch measured wall time so the staggered virtual arrivals
 	// below land mid-run.
 	exec.SetTimeScale(1e6)
@@ -70,11 +70,11 @@ func run() error {
 	log := trace.MustNew(512)
 	s3 := core.New(plan, log)
 	fmt.Println("submitting: job 1 at t=0, job 2 and job 3 while earlier rounds are in flight")
-	res, err := driver.Run(s3, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(s3, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, Name: "count-t*", File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, Name: "count-a*", File: "corpus"}, At: 1},
 		{Job: scheduler.JobMeta{ID: 3, Name: "count-w*", File: "corpus"}, At: 2},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		return err
 	}
@@ -98,7 +98,7 @@ func run() error {
 
 	fmt.Println("\n=== results (top words per job) ===")
 	for id := scheduler.JobID(1); id <= 3; id++ {
-		r := exec.Results()[id]
+		r, _ := exec.Result(id)
 		fmt.Printf("%s:", r.Name)
 		for i, kv := range r.Output {
 			if i == 5 {

@@ -23,9 +23,9 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/trace"
@@ -66,12 +66,12 @@ func run(tracePath, schedList string, inputGB, blockMB int, perJob bool, traceJS
 	// Every job must read the same file name; the simulator registers
 	// it at the configured scale.
 	fileName := entries[0].Job.File
-	arrivals := make([]driver.Arrival, len(entries))
+	arrivals := make([]runtime.Arrival, len(entries))
 	for i, e := range entries {
 		if e.Job.File != fileName {
 			return fmt.Errorf("trace mixes files %q and %q; replay one file at a time", fileName, e.Job.File)
 		}
-		arrivals[i] = driver.Arrival{Job: e.Job, At: e.At}
+		arrivals[i] = runtime.Arrival{Job: e.Job, At: e.At}
 	}
 	fmt.Printf("replaying %d jobs over %q (%d GB, %d MB blocks)\n\n", len(entries), fileName, inputGB, blockMB)
 
@@ -90,7 +90,7 @@ func run(tracePath, schedList string, inputGB, blockMB int, perJob bool, traceJS
 		if err != nil {
 			return err
 		}
-		var opts driver.Options
+		var opts runtime.Options
 		var spans *trace.Log
 		if traceJSON != "" && i == 0 {
 			spans, err = trace.New(1 << 16)
@@ -106,7 +106,7 @@ func run(tracePath, schedList string, inputGB, blockMB int, perJob bool, traceJS
 			return err
 		}
 		exec := sim.NewExecutor(sim.NewCluster(experiments.Nodes, experiments.SlotsPerNode), store, experiments.NormalModel())
-		res, err := driver.RunOpts(sched, exec, arrivals, opts)
+		res, err := runtime.RunTrace(sched, exec, arrivals, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

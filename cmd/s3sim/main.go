@@ -20,9 +20,9 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/trace"
@@ -77,11 +77,11 @@ func main() {
 				fatal(err)
 			}
 		}
-		arrivals := make([]driver.Arrival, len(metas))
+		arrivals := make([]runtime.Arrival, len(metas))
 		for j := range metas {
-			arrivals[j] = driver.Arrival{Job: metas[j], At: times[j]}
+			arrivals[j] = runtime.Arrival{Job: metas[j], At: times[j]}
 		}
-		res, err := driver.Run(sched, exec, arrivals)
+		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}

@@ -13,10 +13,11 @@
 //	                    segment sizing, ablation variants
 //	internal/dfs        block store, placement, segment plans
 //	internal/mapreduce  real execution engine (map/shuffle/reduce,
-//	                    merged shared-scan rounds)
+//	                    merged shared-scan rounds) and its round
+//	                    executor
 //	internal/scheduler  Scheduler interface + FIFO + MRShare
 //	internal/sim        discrete-event simulator + cost model
-//	internal/driver     arrival loop binding schedulers to executors
+//	internal/runtime    the round loop binding schedulers to executors
 //	internal/workload   text & TPC-H lineitem generators, job families
 //	internal/metrics    TET / ART, normalized Figure-4-style reports
 //	internal/experiments  every paper experiment + claim checks

@@ -12,8 +12,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -40,15 +40,15 @@ func main() {
 	// Stage 1: Q1-style aggregation via S^3 sub-jobs with partial
 	// aggregation between rounds.
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	exec := driver.NewEngineExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
+	exec := mapreduce.NewExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
 		1: workload.AggregationJob("q1", "lineitem", 2),
 	})
 	exec.EnablePartialAggregation(workload.SumReducer{})
 	exec.SetTimeScale(1e6)
 
-	res, err := driver.Run(core.New(plan, nil), exec, []driver.Arrival{
+	res, err := runtime.RunTrace(core.New(plan, nil), exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "lineitem"}, At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

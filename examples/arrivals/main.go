@@ -12,7 +12,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -45,10 +45,10 @@ func runOnce(scheme string, offset vclock.Time) (tet, art float64, err error) {
 		return 0, 0, fmt.Errorf("unknown scheme %q", scheme)
 	}
 	exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-	res, err := driver.Run(sched, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: offset},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		return 0, 0, err
 	}

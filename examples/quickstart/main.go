@@ -11,8 +11,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -39,7 +39,7 @@ func main() {
 	// 3. Two different jobs over the same input: count words starting
 	// with "t", and words starting with "a".
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	exec := driver.NewEngineExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
+	exec := mapreduce.NewExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
 		1: workload.WordCountJob("t-words", "books", "t", 2),
 		2: workload.WordCountJob("a-words", "books", "a", 2),
 	})
@@ -48,10 +48,10 @@ func main() {
 	// 4. Drive them through S^3: job 2 arrives while job 1's first
 	// sub-job is running, and still shares every later scan.
 	s3 := core.New(plan, nil)
-	res, err := driver.Run(s3, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(s3, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "books"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "books"}, At: 1},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

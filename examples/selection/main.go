@@ -11,8 +11,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -39,7 +39,7 @@ func main() {
 	// Three selection jobs with different predicates: ~10%, ~20% and
 	// ~50% selectivity over the uniform 1..50 quantity domain.
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	exec := driver.NewEngineExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
+	exec := mapreduce.NewExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
 		1: workload.SelectionJob("qty<=5", "lineitem", 5),
 		2: workload.SelectionJob("qty<=10", "lineitem", 10),
 		3: workload.SelectionJob("qty<=25", "lineitem", 25),
@@ -47,11 +47,11 @@ func main() {
 	exec.SetTimeScale(1e6)
 
 	s3 := core.New(plan, nil)
-	res, err := driver.Run(s3, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(s3, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "lineitem"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "lineitem"}, At: 1},
 		{Job: scheduler.JobMeta{ID: 3, File: "lineitem"}, At: 2},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 		res.Rounds, store.Stats().BlockReads, 3*blocks)
 
 	for id := scheduler.JobID(1); id <= 3; id++ {
-		r := exec.Results()[id]
+		r, _ := exec.Result(id)
 		in := r.Counters.Get(mapreduce.CounterMapInputRecords)
 		out := int64(len(r.Output))
 		fmt.Printf("%-9s selected %6d of %6d rows (%.1f%% selectivity)\n",

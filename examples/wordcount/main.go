@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"s3sched/internal/driver"
 	"s3sched/internal/experiments"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/sim"
 	"s3sched/internal/workload"
 )
@@ -35,11 +35,11 @@ func main() {
 			log.Fatal(err)
 		}
 		exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-		arrivals := make([]driver.Arrival, len(metas))
+		arrivals := make([]runtime.Arrival, len(metas))
 		for i := range metas {
-			arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+			arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 		}
-		res, err := driver.Run(sched, exec, arrivals)
+		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,8 +13,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/trace"
@@ -24,7 +24,7 @@ import (
 
 // realRig builds a corpus, engine executor and metas for n wordcount
 // jobs over `blocks` blocks with `perSegment` blocks per segment.
-func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *driver.EngineExecutor, []scheduler.JobMeta) {
+func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
 	t.Helper()
 	store := dfs.MustStore(perSegment, 1)
 	if _, err := workload.AddTextFile(store, "corpus", blocks, 2048, 99); err != nil {
@@ -47,7 +47,7 @@ func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentP
 		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
 		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
 	}
-	return store, plan, driver.NewEngineExecutor(engine, specs), metas
+	return store, plan, mapreduce.NewExecutor(engine, specs), metas
 }
 
 // TestAllSchedulersAgreeOnResults drives the same three wordcount jobs
@@ -102,11 +102,11 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, plan, exec, metas := realRig(t, 12, 4, 3)
 			exec.SetTimeScale(1e6)
-			arrivals := make([]driver.Arrival, len(metas))
+			arrivals := make([]runtime.Arrival, len(metas))
 			for i := range metas {
-				arrivals[i] = driver.Arrival{Job: metas[i], At: vclock.Time(i)}
+				arrivals[i] = runtime.Arrival{Job: metas[i], At: vclock.Time(i)}
 			}
-			if _, err := driver.Run(tc.mk(t, plan), exec, arrivals); err != nil {
+			if _, err := runtime.RunTrace(tc.mk(t, plan), exec, arrivals, runtime.Options{}); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			got := make(map[scheduler.JobID]string, 3)
@@ -132,7 +132,7 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 // observingExec wraps an executor and invokes a hook after every
 // round — the "periodical slot checking" feedback path (§IV-D1).
 type observingExec struct {
-	inner   driver.Executor
+	inner   runtime.Executor
 	round   int
 	onRound func(round int)
 }
@@ -185,10 +185,10 @@ func TestFailureInjectionSlotCheckerAdapts(t *testing.T) {
 		}
 	}}
 
-	res, err := driver.Run(dyn, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(dyn, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: 30},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestWindowBatcherFiresWithoutArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := driver.ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return 5, nil })
-	res, err := driver.Run(w, exec, []driver.Arrival{
+	exec := runtime.ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return 5, nil })
+	res, err := runtime.RunTrace(w, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: 10},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,15 +273,15 @@ func TestMultiFileRealEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	exec := driver.NewEngineExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
+	exec := mapreduce.NewExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
 		1: workload.WordCountJob("wc", "corpus", "t", 2),
 		2: workload.SelectionJob("sel", "lineitem", 5),
 	})
 	exec.SetTimeScale(1e6)
-	res, err := driver.Run(m, exec, []driver.Arrival{
+	res, err := runtime.RunTrace(m, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "lineitem"}, At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,16 +314,16 @@ func TestRandomPatternsS3DominatesFIFO(t *testing.T) {
 				return 0, 0, 0, false
 			}
 			exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-			var arrivals []driver.Arrival
+			var arrivals []runtime.Arrival
 			at := vclock.Time(0)
 			for j := 0; j < nJobs; j++ {
-				arrivals = append(arrivals, driver.Arrival{
+				arrivals = append(arrivals, runtime.Arrival{
 					Job: scheduler.JobMeta{ID: scheduler.JobID(j + 1), File: "input"},
 					At:  at,
 				})
 				at = at.Add(vclock.Duration(rng.Intn(30)))
 			}
-			res, err := driver.Run(mk(plan), exec, arrivals)
+			res, err := runtime.RunTrace(mk(plan), exec, arrivals, runtime.Options{})
 			if err != nil {
 				return 0, 0, 0, false
 			}
@@ -372,16 +372,16 @@ func TestStressManyJobs(t *testing.T) {
 	exec := sim.NewExecutor(sim.NewCluster(40, 1), store, sim.CostModel{ScanMBps: 40, TaskOverhead: 2.5})
 
 	rng := rand.New(rand.NewSource(99))
-	arrivals := make([]driver.Arrival, jobs)
+	arrivals := make([]runtime.Arrival, jobs)
 	at := vclock.Time(0)
 	for i := range arrivals {
-		arrivals[i] = driver.Arrival{
+		arrivals[i] = runtime.Arrival{
 			Job: scheduler.JobMeta{ID: scheduler.JobID(i + 1), File: "input"},
 			At:  at,
 		}
 		at = at.Add(vclock.Duration(rng.Intn(60)))
 	}
-	res, err := driver.Run(s3, exec, arrivals)
+	res, err := runtime.RunTrace(s3, exec, arrivals, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,6 @@ type MultiFile struct {
 	inFlight     bool
 	inFlightFile string
 
-	// cachedBytes, when set, reports how many bytes of a candidate
-	// segment's blocks are already cached (see SetCacheAdvisor).
-	cachedBytes func(blocks []dfs.BlockID) int64
 	// hinter is remembered so files registered mid-run (AddPlan) hint
 	// the same cache as the construction-time plans.
 	hinter ScanHinter
@@ -115,23 +112,6 @@ func (m *MultiFile) Submit(job scheduler.JobMeta, at vclock.Time) error {
 	return nil
 }
 
-// SetCacheAdvisor makes file arbitration cache-aware: when two files'
-// candidate segments tie on job priority under the circular-scan rule,
-// the one with the most cached bytes is served first, so a warm segment
-// is scanned before the cache evicts it. advisor reports the cached
-// byte count for a candidate segment's blocks. dfs.Store.CachedBytes
-// and sim.Executor.CachedBytes both fit; dfs.Store.AdvisedBytes is the
-// strictly stronger signal — it also counts bytes committed to
-// in-flight prefetches of pinned segments, so a file whose readahead
-// is mid-flight competes as if already warm instead of losing the tie
-// and letting the prefetched bytes go cold. Within each file the
-// cursor order and Algorithm 1 merge semantics are untouched — the
-// advisor only arbitrates *between* files. Pass nil to restore pure
-// round-robin tie-breaking.
-func (m *MultiFile) SetCacheAdvisor(advisor func(blocks []dfs.BlockID) int64) {
-	m.cachedBytes = advisor
-}
-
 // SetScanHinter forwards cache guidance from every file's queue to h:
 // each queue hints independently as its own cursor advances, and the
 // hints carry the file name, so one cache can track the pin windows of
@@ -157,30 +137,20 @@ func maxPriority(q *S3) int {
 	return best
 }
 
-// pick chooses the file to serve next: highest waiting priority, then
-// (with a cache advisor installed) most cached bytes in the candidate
-// segment, remaining ties broken round-robin from m.next.
+// pick chooses the file to serve next: highest waiting priority, ties
+// broken round-robin from m.next.
 func (m *MultiFile) pick() (string, bool) {
 	bestIdx := -1
 	bestPrio := 0
-	var bestCached int64
 	for off := 0; off < len(m.rotation); off++ {
 		i := (m.next + off) % len(m.rotation)
 		q := m.queues[m.rotation[i]]
 		if q.PendingJobs() == 0 {
 			continue
 		}
-		p := maxPriority(q)
-		var cached int64
-		if m.cachedBytes != nil {
-			// The candidate segment is the queue's cursor segment — the
-			// exact blocks its NextRound would schedule.
-			cached = m.cachedBytes(q.Plan().Blocks(q.Cursor()))
-		}
-		if bestIdx == -1 || p > bestPrio || (p == bestPrio && cached > bestCached) {
+		if p := maxPriority(q); bestIdx == -1 || p > bestPrio {
 			bestIdx = i
 			bestPrio = p
-			bestCached = cached
 		}
 	}
 	if bestIdx == -1 {

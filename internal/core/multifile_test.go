@@ -209,75 +209,6 @@ func TestMultiFileIdle(t *testing.T) {
 	}()
 }
 
-func TestMultiFileCacheAdvisorBreaksTies(t *testing.T) {
-	m, err := NewMultiFile(multiPlans(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equal priority: round-robin alone would serve alpha first. The
-	// advisor reports beta's candidate segment as warmer, so beta wins
-	// every tie until its jobs finish.
-	m.SetCacheAdvisor(func(blocks []dfs.BlockID) int64 {
-		if len(blocks) > 0 && blocks[0].File == "beta" {
-			return 128
-		}
-		return 0
-	})
-	if err := m.Submit(fileJob(1, "alpha", 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Submit(fileJob(2, "beta", 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	for {
-		r, ok := m.NextRound(0)
-		if !ok {
-			break
-		}
-		order = append(order, r.Blocks[0].File)
-		m.RoundDone(r, 0)
-	}
-	want := []string{"beta", "beta", "beta", "alpha", "alpha"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestMultiFileCacheAdvisorNeverOverridesPriority(t *testing.T) {
-	m, err := NewMultiFile(multiPlans(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// alpha's segments are reported as maximally warm, but beta holds
-	// the higher-priority job — priority must still win.
-	m.SetCacheAdvisor(func(blocks []dfs.BlockID) int64 {
-		if len(blocks) > 0 && blocks[0].File == "alpha" {
-			return 1 << 30
-		}
-		return 0
-	})
-	if err := m.Submit(fileJob(1, "alpha", 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Submit(fileJob(2, "beta", 5), 0); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := m.NextRound(0)
-	if !ok {
-		t.Fatal("no round")
-	}
-	if r.Blocks[0].File != "beta" {
-		t.Fatalf("first round served %s, want beta (priority beats warmth)", r.Blocks[0].File)
-	}
-	m.RoundDone(r, 0)
-}
-
 func TestMultiFileScanHinterCarriesFileNames(t *testing.T) {
 	m, err := NewMultiFile(multiPlans(t), nil)
 	if err != nil {

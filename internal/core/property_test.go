@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/faults"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
@@ -264,107 +264,6 @@ func TestMultiFileProperty(t *testing.T) {
 	}
 }
 
-// Property: MultiFile with an arbitrary cache advisor still preserves
-// every structural invariant — single-file rounds, exactly-once block
-// coverage per job — because the advisor only breaks priority ties, it
-// never changes what gets scanned.
-func TestMultiFileCacheAdvisorProperty(t *testing.T) {
-	prop := func(seed int64, ka8, kb8, n8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ka := int(ka8%6) + 1
-		kb := int(kb8%6) + 1
-		n := int(n8%6) + 2
-
-		store := dfs.MustStore(2, 1)
-		fa, err := store.AddMetaFile("alpha", ka, 64)
-		if err != nil {
-			return false
-		}
-		fb, err := store.AddMetaFile("beta", kb, 64)
-		if err != nil {
-			return false
-		}
-		pa, err := dfs.PlanSegments(fa, 1)
-		if err != nil {
-			return false
-		}
-		pb, err := dfs.PlanSegments(fb, 1)
-		if err != nil {
-			return false
-		}
-		m, err := NewMultiFile([]*dfs.SegmentPlan{pa, pb}, nil)
-		if err != nil {
-			return false
-		}
-		// An adversarial advisor: arbitrary warmth on every call.
-		advRng := rand.New(rand.NewSource(seed ^ 0x7ee1))
-		m.SetCacheAdvisor(func(blocks []dfs.BlockID) int64 {
-			return int64(advRng.Intn(1 << 16))
-		})
-
-		segsByJob := map[scheduler.JobID][]dfs.BlockID{}
-		fileOf := map[scheduler.JobID]string{}
-		submitted := 0
-		steps := 0
-		for submitted < n || m.PendingJobs() > 0 {
-			steps++
-			if steps > 10000 {
-				return false
-			}
-			if submitted < n && (rng.Intn(2) == 0 || m.PendingJobs() == 0) {
-				id := scheduler.JobID(submitted + 1)
-				file := "alpha"
-				if rng.Intn(2) == 0 {
-					file = "beta"
-				}
-				if err := m.Submit(scheduler.JobMeta{ID: id, File: file, Priority: rng.Intn(3)}, 0); err != nil {
-					return false
-				}
-				fileOf[id] = file
-				submitted++
-				continue
-			}
-			r, ok := m.NextRound(0)
-			if !ok {
-				return false
-			}
-			file := r.Blocks[0].File
-			for _, b := range r.Blocks {
-				if b.File != file {
-					return false
-				}
-			}
-			for _, j := range r.Jobs {
-				if fileOf[j.ID] != file {
-					return false
-				}
-				segsByJob[j.ID] = append(segsByJob[j.ID], r.Blocks...)
-			}
-			m.RoundDone(r, 0)
-		}
-		for id, blocks := range segsByJob {
-			want := ka
-			if fileOf[id] == "beta" {
-				want = kb
-			}
-			seen := map[int]bool{}
-			for _, b := range blocks {
-				if b.File != fileOf[id] || seen[b.Index] {
-					return false
-				}
-				seen[b.Index] = true
-			}
-			if len(seen) != want {
-				return false
-			}
-		}
-		return len(segsByJob) == n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: the block cache is invisible to computation. For seeded
 // wordcount workloads on the real engine, the cache-on run produces
 // byte-identical outputs to the cache-off run while never doing more
@@ -399,18 +298,18 @@ func TestCacheTransparencyProperty(t *testing.T) {
 			}
 			engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 			specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-			var arrivals []driver.Arrival
+			var arrivals []runtime.Arrival
 			prefixes := workload.DistinctPrefixes(numJobs)
 			for i := 0; i < numJobs; i++ {
 				id := scheduler.JobID(i + 1)
 				specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-				arrivals = append(arrivals, driver.Arrival{
+				arrivals = append(arrivals, runtime.Arrival{
 					Job: scheduler.JobMeta{ID: id, File: "corpus"},
 					At:  vclock.Time(i),
 				})
 			}
-			exec := driver.NewEngineExecutor(engine, specs)
-			if _, err := driver.Run(New(plan, nil), exec, arrivals); err != nil {
+			exec := mapreduce.NewExecutor(engine, specs)
+			if _, err := runtime.RunTrace(New(plan, nil), exec, arrivals, runtime.Options{}); err != nil {
 				return nil, dfs.Stats{}, false
 			}
 			return exec.Results(), store.Stats(), true
@@ -451,14 +350,14 @@ func TestCacheTransparencyProperty(t *testing.T) {
 	}
 }
 
-// fixedDurExec wraps the real EngineExecutor but reports constant
+// fixedDurExec wraps the real mapreduce.Executor but reports constant
 // stage durations, so the driver's virtual clock — and with it the
 // scheduler's admission decisions and round sequence — is identical
 // across runs whose physical work differs (cache on vs off, prefetch
 // vs demand loads). Wall time never reaches the scheduler, which makes
 // round counts directly comparable.
 type fixedDurExec struct {
-	inner *driver.EngineExecutor
+	inner *mapreduce.Executor
 }
 
 func (f *fixedDurExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
@@ -473,7 +372,7 @@ func (f *fixedDurExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return mapDur + redDur, nil
 }
 
-func (f *fixedDurExec) ExecMapStage(r scheduler.Round) (vclock.Duration, driver.ReduceStage, error) {
+func (f *fixedDurExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
 	_, stage, err := f.inner.ExecMapStage(r)
 	if err != nil {
 		return 0, nil, err
@@ -541,7 +440,7 @@ func TestCachePolicyMatrixTransparency(t *testing.T) {
 			}
 		}
 		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []driver.Arrival
+		var arrivals []runtime.Arrival
 		prefixes := workload.DistinctPrefixes(numJobs)
 		for i := 0; i < numJobs; i++ {
 			id := scheduler.JobID(i + 1)
@@ -549,17 +448,17 @@ func TestCachePolicyMatrixTransparency(t *testing.T) {
 			// Staggered arrivals: later jobs join mid-scan and wrap
 			// around the file, so the run re-reads blocks and the cache
 			// has repeats to absorb.
-			arrivals = append(arrivals, driver.Arrival{
+			arrivals = append(arrivals, runtime.Arrival{
 				Job: scheduler.JobMeta{ID: id, File: "corpus"},
 				At:  vclock.Time(2 * i),
 			})
 		}
-		exec := driver.NewEngineExecutor(engine, specs)
+		exec := mapreduce.NewExecutor(engine, specs)
 		sched := New(plan, nil)
 		if budget > 0 {
 			sched.SetScanHinter(store.HandleScanHint)
 		}
-		res, err := driver.Run(sched, &fixedDurExec{inner: exec}, arrivals)
+		res, err := runtime.RunTrace(sched, &fixedDurExec{inner: exec}, arrivals, runtime.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

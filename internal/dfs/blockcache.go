@@ -83,8 +83,7 @@ type inflightLoad struct {
 	done     chan struct{}
 	data     []byte
 	err      error
-	prefetch bool  // speculative load: errors are swallowed, waiters re-check
-	size     int64 // declared size (prefetch only; counted by AdvisedBytes)
+	prefetch bool // speculative load: errors are swallowed, waiters re-check
 }
 
 // nodeCache is one node's shard: the policy-managed residency metadata
@@ -271,7 +270,7 @@ func (c *BlockCache) PrefetchAsync(id BlockID, node NodeID, size int64, load fun
 		return false
 	}
 	c.prefetches++
-	fl := &inflightLoad{done: make(chan struct{}), prefetch: true, size: size}
+	fl := &inflightLoad{done: make(chan struct{}), prefetch: true}
 	nc.inflight[id] = fl
 	c.mu.Unlock()
 
@@ -343,56 +342,6 @@ func (c *BlockCache) Contains(id BlockID, node NodeID) bool {
 	}
 	_, ok = nc.data[id]
 	return ok
-}
-
-// CachedBytes returns how many bytes of the given blocks are cached
-// anywhere in the cluster. Each block counts at most once even when
-// replicated across shards — the JQM uses this to size the scan a
-// candidate segment would actually save.
-func (c *BlockCache) CachedBytes(blocks []BlockID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, b := range blocks {
-		for _, nc := range c.nodes {
-			if sz, ok := nc.meta.sizes[b]; ok {
-				total += sz
-				break
-			}
-		}
-	}
-	return total
-}
-
-// AdvisedBytes is the strictly-stronger arbitration signal: cached
-// bytes of the given blocks plus bytes already committed to in-flight
-// prefetches of them. A segment whose prefetch is mid-flight is as good
-// as warm by the time the round dispatches, so the JQM may prefer it
-// even though CachedBytes still reads low.
-func (c *BlockCache) AdvisedBytes(blocks []BlockID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, b := range blocks {
-		found := false
-		for _, nc := range c.nodes {
-			if sz, ok := nc.meta.sizes[b]; ok {
-				total += sz
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		for _, nc := range c.nodes {
-			if fl, ok := nc.inflight[b]; ok && fl.prefetch {
-				total += fl.size
-				break
-			}
-		}
-	}
-	return total
 }
 
 // Stats returns a snapshot of cumulative cache accounting.

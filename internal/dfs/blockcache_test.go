@@ -346,31 +346,6 @@ func TestResetStatsCoversAllCounters(t *testing.T) {
 	}
 }
 
-func TestCacheCachedBytes(t *testing.T) {
-	s, _ := cacheStore(t, 3, 6, 64)
-	if _, err := s.EnableCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	// Block 0 on two nodes (counts once), block 1 on one node.
-	for _, r := range []struct {
-		idx  int
-		node NodeID
-	}{{0, 0}, {0, 1}, {1, 2}} {
-		if _, err := s.ReadBlockAt(BlockID{File: "f", Index: r.idx}, r.node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blocks := []BlockID{{File: "f", Index: 0}, {File: "f", Index: 1}, {File: "f", Index: 5}}
-	if got := s.CachedBytes(blocks); got != 128 {
-		t.Fatalf("CachedBytes = %d, want 128 (two distinct cached blocks)", got)
-	}
-	// No cache installed: always zero.
-	bare := MustStore(1, 1)
-	if got := bare.CachedBytes(blocks); got != 0 {
-		t.Fatalf("CachedBytes without a cache = %d, want 0", got)
-	}
-}
-
 func TestEnableCacheRejectsBadBudget(t *testing.T) {
 	s := MustStore(1, 1)
 	for _, budget := range []int64{0, -5} {

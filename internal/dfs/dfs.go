@@ -117,7 +117,6 @@ type Store struct {
 	mu        sync.RWMutex
 	nodes     int
 	replicas  int
-	racks     int // 0 or 1 = no topology
 	files     map[string]*File
 	placement map[BlockID][]NodeID
 	readFault ReadFault
@@ -211,28 +210,6 @@ func (s *Store) CacheStats() CacheStats {
 	return CacheStats{}
 }
 
-// CachedBytes reports how many bytes of the given blocks are currently
-// cached anywhere (0 when caching is off). Schedulers use this to
-// prefer segments that are already warm.
-func (s *Store) CachedBytes(blocks []BlockID) int64 {
-	if c := s.Cache(); c != nil {
-		return c.CachedBytes(blocks)
-	}
-	return 0
-}
-
-// AdvisedBytes is the arbitration signal fed to cache-aware
-// schedulers: CachedBytes plus bytes committed to in-flight prefetches
-// of the given blocks — strictly stronger than CachedBytes alone,
-// because a segment whose readahead is mid-flight will be warm by
-// dispatch time. Returns 0 when caching is off.
-func (s *Store) AdvisedBytes(blocks []BlockID) int64 {
-	if c := s.Cache(); c != nil {
-		return c.AdvisedBytes(blocks)
-	}
-	return 0
-}
-
 // Nodes returns the number of nodes the store spans.
 func (s *Store) Nodes() int { return s.nodes }
 
@@ -299,8 +276,12 @@ func (s *Store) register(f *File) error {
 	}
 	s.files[f.Name] = f
 	for i := 0; i < f.NumBlocks; i++ {
-		id := BlockID{File: f.Name, Index: i}
-		s.placement[id] = s.placeLocked(i)
+		// Round-robin home node, replicas on the consecutive nodes.
+		locs := make([]NodeID, s.replicas)
+		for r := range locs {
+			locs[r] = NodeID((i + r) % s.nodes)
+		}
+		s.placement[BlockID{File: f.Name, Index: i}] = locs
 	}
 	return nil
 }

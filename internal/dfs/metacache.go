@@ -126,8 +126,7 @@ func (m *MetaCache) Contains(id BlockID, node NodeID) bool {
 }
 
 // CachedBytes returns how many bytes of the given blocks are resident
-// anywhere, each block counted at most once (BlockCache.CachedBytes
-// semantics).
+// anywhere, each block counted at most once.
 func (m *MetaCache) CachedBytes(blocks []BlockID) int64 {
 	var total int64
 	for _, b := range blocks {

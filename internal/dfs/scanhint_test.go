@@ -98,9 +98,6 @@ func TestHandleScanHintPrefetchesNextSegment(t *testing.T) {
 	if cs.PinnedBytes != 2*blockSize {
 		t.Fatalf("prefetched blocks not pinned: %+v", cs)
 	}
-	if got := s.AdvisedBytes(ids[2:4]); got != 2*blockSize {
-		t.Fatalf("AdvisedBytes = %d, want %d", got, 2*blockSize)
-	}
 	// The warmed blocks now hit without a physical scan, byte-identical
 	// to the source.
 	physical := s.Stats().BlockReads
@@ -133,9 +130,6 @@ func TestHandleScanHintGuards(t *testing.T) {
 		s.HandleScanHint(ScanHint{File: f.Name, Prefetch: f.Blocks()}) // must not panic
 		if cs := s.CacheStats(); cs != (CacheStats{}) {
 			t.Fatalf("uncached store reported cache stats %+v", cs)
-		}
-		if got := s.AdvisedBytes(f.Blocks()); got != 0 {
-			t.Fatalf("AdvisedBytes without a cache = %d", got)
 		}
 	})
 	t.Run("replicated store skips prefetch", func(t *testing.T) {

@@ -5,8 +5,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -64,12 +64,12 @@ func (a AblationResult) Row(name string) (AblationRow, bool) {
 
 // runVariant drives one scheduler over arrivals in env and summarizes.
 func runVariant(name string, env *Env, sched scheduler.Scheduler, metas []scheduler.JobMeta, times []vclock.Time) (AblationRow, error) {
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 	}
 	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-	res, err := driver.Run(sched, exec, arrivals)
+	res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: ablation variant %s: %w", name, err)
 	}
@@ -254,18 +254,18 @@ func AblationPartialAgg() (AblationResult, error) {
 		}
 		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []driver.Arrival
+		var arrivals []runtime.Arrival
 		prefixes := workload.DistinctPrefixes(jobs)
 		for i := 0; i < jobs; i++ {
 			id := scheduler.JobID(i + 1)
 			specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-			arrivals = append(arrivals, driver.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: 0})
+			arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: 0})
 		}
-		exec := driver.NewEngineExecutor(engine, specs)
+		exec := mapreduce.NewExecutor(engine, specs)
 		if enable {
 			exec.EnablePartialAggregation(workload.SumReducer{})
 		}
-		res, err := driver.Run(core.New(plan, nil), exec, arrivals)
+		res, err := runtime.RunTrace(core.New(plan, nil), exec, arrivals, runtime.Options{})
 		if err != nil {
 			return AblationRow{}, err
 		}

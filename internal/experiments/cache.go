@@ -6,9 +6,9 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -99,9 +99,9 @@ func CacheStudy(perNodeMBs []int, frac float64, policies []string) (CacheStudyRe
 	p := DefaultParams()
 	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
 	times := p.SparsePattern()
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 	}
 
 	runPoint := func(mb int, policy string) (CachePoint, error) {
@@ -117,7 +117,7 @@ func CacheStudy(perNodeMBs []int, frac float64, policies []string) (CacheStudyRe
 			}
 			sched.SetScanHinter(exec.HandleScanHint)
 		}
-		res, err := driver.Run(sched, exec, arrivals)
+		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 		if err != nil {
 			return CachePoint{}, fmt.Errorf("experiments: cache run %s/%d MB: %w", policy, mb, err)
 		}
@@ -205,22 +205,22 @@ func cacheEngineCheck(policy string) (CacheEngineCheck, error) {
 		}
 		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []driver.Arrival
+		var arrivals []runtime.Arrival
 		prefixes := workload.DistinctPrefixes(jobs)
 		for i := 0; i < jobs; i++ {
 			id := scheduler.JobID(i + 1)
 			specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-			arrivals = append(arrivals, driver.Arrival{
+			arrivals = append(arrivals, runtime.Arrival{
 				Job: scheduler.JobMeta{ID: id, File: "corpus"},
 				At:  vclock.Time(i),
 			})
 		}
-		exec := driver.NewEngineExecutor(engine, specs)
+		exec := mapreduce.NewExecutor(engine, specs)
 		sched := core.New(plan, nil)
 		if cacheBytes > 0 {
 			sched.SetScanHinter(store.HandleScanHint)
 		}
-		if _, err := driver.Run(sched, exec, arrivals); err != nil {
+		if _, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{}); err != nil {
 			return nil, dfs.Stats{}, dfs.CacheStats{}, err
 		}
 		return exec.Results(), store.Stats(), store.CacheStats(), nil

@@ -10,7 +10,6 @@ import (
 	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/faults"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
@@ -266,17 +265,17 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		return benchfmt.Cell{}, err
 	}
 	entries := wf.Entries()
-	arrivals := make([]driver.Arrival, len(entries))
+	arrivals := make([]runtime.Arrival, len(entries))
 	for i, e := range entries {
-		arrivals[i] = driver.Arrival{Job: e.Job, At: e.At}
+		arrivals[i] = runtime.Arrival{Job: e.Job, At: e.At}
 	}
 	model := NormalModel()
 	if h.Cost != nil {
 		model = *h.Cost
 	}
 
-	var exec driver.Executor
-	var engineExec *driver.EngineExecutor
+	var exec runtime.Executor
+	var engineExec *mapreduce.Executor
 	switch key.Engine {
 	case benchfmt.EngineSim:
 		simExec := sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model)
@@ -337,7 +336,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
-		engineExec = driver.NewEngineExecutor(engine, specs)
+		engineExec = mapreduce.NewExecutor(engine, specs)
 		// The timer sibling prices the same rounds the engine executes,
 		// over the same store, so engine cells get the sim's
 		// deterministic virtual timings (fault pricing excluded: the
@@ -350,7 +349,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
 
-	var res *driver.Result
+	var res *runtime.Result
 	if hasDAG {
 		// DAG cells run under a pipeline coordinator: roots arrive like
 		// a trace; a finished producer's output is materialized into the
@@ -383,7 +382,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 			return benchfmt.Cell{}, fmt.Errorf("DAG stages %v cascade-failed", failed)
 		}
 	} else {
-		res, err = driver.RunOpts(sched, exec, arrivals, driver.Options{Pipeline: key.Pipeline})
+		res, err = runtime.RunTrace(sched, exec, arrivals, runtime.Options{Pipeline: key.Pipeline})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -438,7 +437,7 @@ func cellMaterializer(
 	key benchfmt.CellKey,
 	store *dfs.Store,
 	sched scheduler.Scheduler,
-	engineExec *driver.EngineExecutor,
+	engineExec *mapreduce.Executor,
 	model sim.CostModel,
 	refBlocks map[scheduler.JobID]int,
 ) pipeline.Materializer {
@@ -455,7 +454,7 @@ func cellMaterializer(
 		}
 		var file *dfs.File
 		if engineExec != nil {
-			res, ok := engineExec.Results()[id]
+			res, ok := engineExec.Result(id)
 			if !ok {
 				return 0, fmt.Errorf("engine has no result for finished job %d", id)
 			}
@@ -626,7 +625,7 @@ func digestResults(results map[scheduler.JobID]*mapreduce.Result) string {
 	return hex.EncodeToString(hsh.Sum(nil))
 }
 
-// pricedExec is the engine-cell executor: the inner EngineExecutor
+// pricedExec is the engine-cell executor: the inner mapreduce.Executor
 // does the real work (scans, shuffles, reduces, caching, fault
 // recovery) while the timer — a sim executor over the same store —
 // supplies the round durations. The wall clock never reaches the
@@ -634,7 +633,7 @@ func digestResults(results map[scheduler.JobID]*mapreduce.Result) string {
 // sim cell with the same scheduler marches through the identical round
 // sequence.
 type pricedExec struct {
-	inner *driver.EngineExecutor
+	inner *mapreduce.Executor
 	timer *sim.Executor
 }
 

@@ -5,8 +5,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/remote"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -100,11 +100,11 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		var arrivals []driver.Arrival
+		var arrivals []runtime.Arrival
 		for id := range refs {
-			arrivals = append(arrivals, driver.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: 0})
+			arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: 0})
 		}
-		res, err := driver.Run(sched, master, arrivals)
+		res, err := runtime.RunTrace(sched, master, arrivals, runtime.Options{})
 		if err != nil {
 			return 0, 0, nil, err
 		}

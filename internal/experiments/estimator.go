@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"s3sched/internal/core"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -41,9 +41,9 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 	}
 	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
 	times := p.SparsePattern()
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 	}
 
 	s3 := core.New(env.Plan, nil)
@@ -56,7 +56,7 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 		predicted  map[scheduler.JobID]vclock.Time // absolute predicted completion
 		predErr    error
 	)
-	hooks := driver.Hooks{
+	hooks := runtime.Hooks{
 		OnRoundStart: func(r scheduler.Round, now vclock.Time) { roundStart = now },
 		OnRoundDone: func(r scheduler.Round, now vclock.Time, completed []scheduler.JobID) {
 			rounds++
@@ -74,7 +74,7 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 			}
 		},
 	}
-	res, err := driver.RunWithHooks(s3, exec, arrivals, hooks)
+	res, err := runtime.RunTrace(s3, exec, arrivals, runtime.Options{Hooks: hooks})
 	if err != nil {
 		return EstimatorResult{}, err
 	}
@@ -118,6 +118,6 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 }
 
 // newSimExec builds the calibrated executor for env.
-func newSimExec(env *Env) driver.Executor {
+func newSimExec(env *Env) runtime.Executor {
 	return sim.NewExecutor(env.Cluster, env.Store, env.Model)
 }

@@ -16,8 +16,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -157,9 +157,9 @@ func RunPanel(id string, env *Env, metas []scheduler.JobMeta, times []vclock.Tim
 	if len(metas) != len(times) {
 		return PanelResult{}, fmt.Errorf("experiments: %d jobs but %d arrival times", len(metas), len(times))
 	}
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 	}
 	out := PanelResult{ID: id, Schemes: make(map[string]SchemeResult)}
 	var summaries []metrics.Summary
@@ -169,7 +169,7 @@ func RunPanel(id string, env *Env, metas []scheduler.JobMeta, times []vclock.Tim
 			return PanelResult{}, fmt.Errorf("experiments: building %s: %w", spec.Name, err)
 		}
 		exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-		res, err := driver.Run(sched, exec, arrivals)
+		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 		if err != nil {
 			return PanelResult{}, fmt.Errorf("experiments: running %s: %w", spec.Name, err)
 		}

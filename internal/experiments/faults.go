@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/driver"
 	"s3sched/internal/faults"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/sim"
 	"s3sched/internal/workload"
 )
@@ -73,9 +73,9 @@ func FaultStudy(maxRate float64, seed int64) (FaultStudyResult, error) {
 	p := DefaultParams()
 	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
 	times := p.SparsePattern()
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
 	}
 
 	out := FaultStudyResult{
@@ -109,7 +109,7 @@ func FaultStudy(maxRate float64, seed int64) (FaultStudyResult, error) {
 					return FaultStudyResult{}, err
 				}
 			}
-			res, err := driver.Run(sched, exec, arrivals)
+			res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 			if err != nil {
 				return FaultStudyResult{}, fmt.Errorf("experiments: running %s at rate %v: %w", spec.Name, rate, err)
 			}

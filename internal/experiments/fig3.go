@@ -34,6 +34,8 @@ type CombinedCost struct {
 	ReducePhase time.Duration
 	// BlockReads is physical scans issued — constant in n.
 	BlockReads int64
+	// MapTasks is the map tasks the jobs' counters charged — n × blocks.
+	MapTasks int64
 }
 
 // Fig3Config scales the combined-cost experiment.
@@ -170,10 +172,13 @@ func fig3Point(cfg Fig3Config, n int) (CombinedCost, error) {
 		return CombinedCost{}, err
 	}
 	mapDone := time.Now()
+	var mapTasks int64
 	for _, job := range jobs {
-		if _, err := engine.Finish(job); err != nil {
+		res, err := engine.Finish(job)
+		if err != nil {
 			return CombinedCost{}, err
 		}
+		mapTasks += res.Counters.Get(mapreduce.CounterMapTasks)
 	}
 	end := time.Now()
 
@@ -183,5 +188,6 @@ func fig3Point(cfg Fig3Config, n int) (CombinedCost, error) {
 		MapPhase:    mapDone.Sub(start),
 		ReducePhase: end.Sub(mapDone),
 		BlockReads:  store.Stats().BlockReads,
+		MapTasks:    mapTasks,
 	}, nil
 }

@@ -19,22 +19,22 @@ func TestFig3Shape(t *testing.T) {
 		if p.Total <= 0 || p.MapPhase <= 0 {
 			t.Errorf("point %d has non-positive timings: %+v", i, p)
 		}
-		// The shared scan means block reads stay constant in n.
+		// What the figure's mechanism guarantees exactly: the shared
+		// scan keeps block reads constant in n while every job still
+		// maps every block.
 		if p.BlockReads != int64(cfg.Blocks) {
 			t.Errorf("point %d block reads = %d, want %d (one scan regardless of batch size)",
 				i, p.BlockReads, cfg.Blocks)
 		}
+		if want := int64(p.Jobs * cfg.Blocks); p.MapTasks != want {
+			t.Errorf("point %d map tasks = %d, want %d (jobs x blocks)", i, p.MapTasks, want)
+		}
 	}
-	// Combining n jobs costs more than one job but far less than n
-	// sequential jobs (paper: +25.5% at n=10 — wall-time ratios here
-	// are noisy, so only the gross shape is asserted).
+	// The magnitude (paper: +25.5% at n=10) is asserted in virtual time
+	// by TestFig3SimMatchesPaperRatio; two single wall-clock samples of
+	// a millisecond-scale run are only worth logging.
 	first, last := points[0].Total, points[len(points)-1].Total
-	if last < first {
-		t.Logf("warning: combined cost decreased (%v -> %v); timer noise", first, last)
-	}
-	if last > 6*first {
-		t.Errorf("combining 6 jobs cost %v vs %v for one — worse than sequential", last, first)
-	}
+	t.Logf("combined cost n=1 %v, n=%d %v (x%.2f)", first, len(points), last, float64(last)/float64(first))
 }
 
 func TestFig3Validation(t *testing.T) {

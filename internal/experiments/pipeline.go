@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"s3sched/internal/core"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
@@ -74,7 +74,7 @@ func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error
 		{"heavy-sparse", w, rw, p.SparsePattern()},
 		{"heavy-dense", w, rw, p.DensePattern()},
 	}
-	out := PipelineResult{Workers: driver.DefaultReduceWorkers}
+	out := PipelineResult{Workers: runtime.DefaultReduceWorkers}
 	for _, c := range cases {
 		row, err := runPipelineCase(c, p, serial, pipelined)
 		if err != nil {
@@ -87,18 +87,18 @@ func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error
 
 func runPipelineCase(c pipelineCase, p Params, serialOn, pipelinedOn bool) (PipelineRow, error) {
 	metas := workload.WordCountMetas(NumJobs, "input", c.weight, c.rweight)
-	arrivals := make([]driver.Arrival, len(metas))
+	arrivals := make([]runtime.Arrival, len(metas))
 	for i := range metas {
-		arrivals[i] = driver.Arrival{Job: metas[i], At: c.times[i]}
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: c.times[i]}
 	}
-	run := func(pipeline bool) (*driver.Result, error) {
+	run := func(pipeline bool) (*runtime.Result, error) {
 		env, err := NewEnv(WordcountGB, 64, p.Model)
 		if err != nil {
 			return nil, err
 		}
 		var sched scheduler.Scheduler = core.New(env.Plan, nil)
 		exec := newSimExec(env)
-		return driver.RunOpts(sched, exec, arrivals, driver.Options{Pipeline: pipeline})
+		return runtime.RunTrace(sched, exec, arrivals, runtime.Options{Pipeline: pipeline})
 	}
 	row := PipelineRow{Workload: c.name}
 	if serialOn {

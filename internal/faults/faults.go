@@ -1,9 +1,8 @@
 // Package faults implements deterministic, seeded fault injection for
-// the execution substrates: transient block-read failures, node
-// crash/recover windows, and slow-node degradation. The same seed
-// always produces the same fault schedule, independent of goroutine
-// interleaving, so experiments under failure are as reproducible as
-// the fault-free ones.
+// the execution substrates: transient block-read failures. The same
+// seed always produces the same fault schedule, independent of
+// goroutine interleaving, so experiments under failure are as
+// reproducible as the fault-free ones.
 //
 // Determinism comes from keying every decision on stable identities
 // rather than on wall time or call order: a read attempt fails iff a
@@ -14,7 +13,8 @@
 //
 // The injector plugs into both substrates: dfs.Store.SetReadFault
 // accepts Injector.FailRead for the real engine, and the simulator's
-// FaultModel uses the same Roll hash for its priced failures.
+// FaultModel uses the same Roll hash for its priced failures and the
+// Crash type for its node-down windows.
 package faults
 
 import (
@@ -27,8 +27,7 @@ import (
 )
 
 // Crash is one node-down window: the node is unavailable during
-// [From, To) of the governing clock (virtual time in the simulator,
-// wall-seconds-since-start under the real engine).
+// [From, To) of virtual time (see sim.FaultModel).
 type Crash struct {
 	Node dfs.NodeID
 	From vclock.Time
@@ -48,13 +47,6 @@ type Config struct {
 	// reads succeed regardless of the rate. 0 means unbounded. A bound
 	// guarantees any retry policy with more attempts converges.
 	MaxInjectedPerBlock int
-	// Crashes schedules node-down windows. Overlapping windows are
-	// allowed; a node is down when any window covers the current time.
-	Crashes []Crash
-	// Slowdowns maps nodes to a relative speed factor in (0,1]; the
-	// simulator multiplies the node's speed by it. The real engine
-	// does not slow goroutines down (matching how Node.Speed works).
-	Slowdowns map[dfs.NodeID]float64
 }
 
 // Validate reports whether the config is usable.
@@ -65,19 +57,6 @@ func (c Config) Validate() error {
 	if c.MaxInjectedPerBlock < 0 {
 		return fmt.Errorf("faults: MaxInjectedPerBlock %d negative", c.MaxInjectedPerBlock)
 	}
-	for i, cr := range c.Crashes {
-		if cr.To <= cr.From {
-			return fmt.Errorf("faults: crash %d window [%v,%v) is empty", i, cr.From, cr.To)
-		}
-		if cr.From < 0 {
-			return fmt.Errorf("faults: crash %d starts at negative time %v", i, cr.From)
-		}
-	}
-	for node, f := range c.Slowdowns {
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("faults: slowdown %v for node %d outside (0,1]", f, node)
-		}
-	}
 	return nil
 }
 
@@ -85,23 +64,18 @@ func (c Config) Validate() error {
 type Stats struct {
 	// InjectedReadFailures is how many read attempts were failed.
 	InjectedReadFailures int64
-	// CrashRejections is how many reads were refused because the
-	// serving node was inside a crash window.
-	CrashRejections int64
 }
 
 // Injector is a deterministic fault source. It is safe for concurrent
 // use. A nil *Injector injects nothing, so components can hold an
 // optional injector without nil checks.
 type Injector struct {
-	cfg   Config
-	clock vclock.Clock
+	cfg Config
 
 	mu       sync.Mutex
 	attempts map[attemptKey]int
 
-	injectedReads   atomic.Int64
-	crashRejections atomic.Int64
+	injectedReads atomic.Int64
 }
 
 type attemptKey struct {
@@ -117,31 +91,16 @@ func New(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, attempts: make(map[attemptKey]int)}, nil
 }
 
-// SetClock attaches the clock crash windows are evaluated against.
-// Without a clock, crash windows never trigger (transient read faults
-// still do). Call before execution starts.
-func (in *Injector) SetClock(c vclock.Clock) {
-	if in == nil {
-		return
-	}
-	in.clock = c
-}
-
 // ErrInjected is the sentinel every injected transient read failure
 // wraps, so callers can distinguish injected faults from real ones.
 var ErrInjected = fmt.Errorf("faults: injected failure")
 
 // FailRead implements the dfs.ReadFault hook: it decides whether this
 // read attempt of block id by node fails. The decision is a pure
-// function of (seed, block, node, attempt-count-so-far), plus the
-// crash schedule when a clock is attached.
+// function of (seed, block, node, attempt-count-so-far).
 func (in *Injector) FailRead(id dfs.BlockID, node dfs.NodeID) error {
 	if in == nil {
 		return nil
-	}
-	if in.clock != nil && in.NodeDown(node, in.clock.Now()) {
-		in.crashRejections.Add(1)
-		return fmt.Errorf("%w: node %d is down (crash window)", ErrInjected, node)
 	}
 	if in.cfg.ReadFailRate <= 0 {
 		return nil
@@ -161,71 +120,12 @@ func (in *Injector) FailRead(id dfs.BlockID, node dfs.NodeID) error {
 	return nil
 }
 
-// NodeDown reports whether node is inside a crash window at time now.
-func (in *Injector) NodeDown(node dfs.NodeID, now vclock.Time) bool {
-	if in == nil {
-		return false
-	}
-	for _, cr := range in.cfg.Crashes {
-		if cr.Node == node && now >= cr.From && now < cr.To {
-			return true
-		}
-	}
-	return false
-}
-
-// NextRecovery returns the earliest crash-window end at or after now
-// among the given nodes, and ok=false when none of them is down.
-func (in *Injector) NextRecovery(nodes []dfs.NodeID, now vclock.Time) (vclock.Time, bool) {
-	if in == nil {
-		return 0, false
-	}
-	var best vclock.Time
-	found := false
-	for _, n := range nodes {
-		for _, cr := range in.cfg.Crashes {
-			if cr.Node != n || now < cr.From || now >= cr.To {
-				continue
-			}
-			if !found || cr.To < best {
-				best = cr.To
-				found = true
-			}
-		}
-	}
-	return best, found
-}
-
-// Healthy adapts the injector to the cluster health hook: a node is
-// healthy unless a crash window covers the clock's current time.
-// Without a clock every node is healthy.
-func (in *Injector) Healthy(node dfs.NodeID) bool {
-	if in == nil || in.clock == nil {
-		return true
-	}
-	return !in.NodeDown(node, in.clock.Now())
-}
-
-// Slowdown returns the node's configured speed factor (1 = nominal).
-func (in *Injector) Slowdown(node dfs.NodeID) float64 {
-	if in == nil {
-		return 1
-	}
-	if f, ok := in.cfg.Slowdowns[node]; ok {
-		return f
-	}
-	return 1
-}
-
 // Stats returns a snapshot of what was injected so far.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	return Stats{
-		InjectedReadFailures: in.injectedReads.Load(),
-		CrashRejections:      in.crashRejections.Load(),
-	}
+	return Stats{InjectedReadFailures: in.injectedReads.Load()}
 }
 
 // Roll hashes the seed with the given parts into a uniform float64 in

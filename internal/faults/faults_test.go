@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/vclock"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -19,11 +18,6 @@ func TestConfigValidate(t *testing.T) {
 		{"rate-high", Config{ReadFailRate: 1}, false},
 		{"rate-neg", Config{ReadFailRate: -0.1}, false},
 		{"bound-neg", Config{MaxInjectedPerBlock: -1}, false},
-		{"crash", Config{Crashes: []Crash{{Node: 0, From: 10, To: 20}}}, true},
-		{"crash-empty", Config{Crashes: []Crash{{Node: 0, From: 20, To: 20}}}, false},
-		{"crash-neg", Config{Crashes: []Crash{{Node: 0, From: -1, To: 20}}}, false},
-		{"slow", Config{Slowdowns: map[dfs.NodeID]float64{1: 0.5}}, true},
-		{"slow-bad", Config{Slowdowns: map[dfs.NodeID]float64{1: 0}}, false},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -143,69 +137,14 @@ func TestMaxInjectedPerBlock(t *testing.T) {
 	}
 }
 
-func TestCrashWindows(t *testing.T) {
-	in, err := New(Config{Crashes: []Crash{
-		{Node: 2, From: 10, To: 20},
-		{Node: 2, From: 30, To: 40},
-		{Node: 5, From: 15, To: 25},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		node dfs.NodeID
-		at   vclock.Time
-		down bool
-	}{
-		{2, 9.99, false}, {2, 10, true}, {2, 19.99, true}, {2, 20, false},
-		{2, 35, true}, {5, 15, true}, {5, 25, false}, {0, 15, false},
-	}
-	for _, c := range cases {
-		if got := in.NodeDown(c.node, c.at); got != c.down {
-			t.Errorf("NodeDown(%d, %v) = %v, want %v", c.node, c.at, got, c.down)
-		}
-	}
-
-	if _, ok := in.NextRecovery([]dfs.NodeID{0, 1}, 15); ok {
-		t.Error("NextRecovery reported a recovery for healthy nodes")
-	}
-	at, ok := in.NextRecovery([]dfs.NodeID{2, 5}, 16)
-	if !ok || at != 20 {
-		t.Errorf("NextRecovery = %v, %v; want 20, true", at, ok)
-	}
-
-	// Without a clock, crash windows do not reject reads.
-	if e := in.FailRead(dfs.BlockID{File: "f"}, 2); e != nil {
-		t.Errorf("clockless injector rejected a read: %v", e)
-	}
-	clock := vclock.NewVirtual()
-	clock.AdvanceTo(15)
-	in.SetClock(clock)
-	if e := in.FailRead(dfs.BlockID{File: "f"}, 2); e == nil {
-		t.Error("read served by a crashed node succeeded")
-	} else if !errors.Is(e, ErrInjected) {
-		t.Errorf("crash rejection does not wrap ErrInjected: %v", e)
-	}
-	if !in.NodeDown(2, clock.Now()) || in.Healthy(2) {
-		t.Error("Healthy(2) inconsistent with the crash window")
-	}
-	if in.Stats().CrashRejections != 1 {
-		t.Errorf("crash rejections = %d, want 1", in.Stats().CrashRejections)
-	}
-}
-
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
 	if err := in.FailRead(dfs.BlockID{File: "f"}, 0); err != nil {
 		t.Errorf("nil injector failed a read: %v", err)
 	}
-	if in.NodeDown(0, 5) || !in.Healthy(0) || in.Slowdown(0) != 1 {
-		t.Error("nil injector reported non-default state")
-	}
 	if s := in.Stats(); s != (Stats{}) {
 		t.Errorf("nil injector stats = %+v", s)
 	}
-	in.SetClock(vclock.NewVirtual())
 }
 
 func TestRollUniformish(t *testing.T) {
@@ -225,18 +164,5 @@ func TestRollUniformish(t *testing.T) {
 	}
 	if lo > 0.1 || hi < 0.9 {
 		t.Errorf("Roll range [%v,%v] suspiciously narrow", lo, hi)
-	}
-}
-
-func TestSlowdown(t *testing.T) {
-	in, err := New(Config{Slowdowns: map[dfs.NodeID]float64{3: 0.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Slowdown(3); got != 0.25 {
-		t.Errorf("Slowdown(3) = %v, want 0.25", got)
-	}
-	if got := in.Slowdown(0); got != 1 {
-		t.Errorf("Slowdown(0) = %v, want 1", got)
 	}
 }

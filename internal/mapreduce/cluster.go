@@ -22,9 +22,6 @@ type Node struct {
 	sem chan struct{} // buffered to MapSlots; one token per running task
 }
 
-// acquire takes one map slot, blocking until available.
-func (n *Node) acquire() { n.sem <- struct{}{} }
-
 // acquireCtx takes one map slot unless ctx is cancelled first.
 func (n *Node) acquireCtx(ctx context.Context) error {
 	select {

@@ -20,7 +20,6 @@ const (
 	CounterReduceOutBytes     = "reduce.output.bytes"
 	CounterMapTasks           = "tasks.map"
 	CounterReduceTasks        = "tasks.reduce"
-	CounterLocalTasks         = "tasks.map.local"
 )
 
 // Counters is a concurrency-safe set of named int64 counters.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -25,9 +24,6 @@ type RoundStats struct {
 	BytesScanned int64 // bytes read from the store
 	MapTasks     int   // map task executions (blocks × jobs)
 	LocalTasks   int   // block-scan tasks that ran on a replica holder
-	// Speculative counts duplicate block attempts launched by
-	// speculative execution (0 when speculation is off).
-	Speculative int
 	// Retries counts re-executions of block attempts after a failure
 	// (0 when no faults occur or retries are disabled).
 	Retries int
@@ -77,46 +73,6 @@ func (p RetryPolicy) validate() error {
 	return nil
 }
 
-// Fault event kinds reported to the engine's fault observer.
-const (
-	FaultAttemptFailed = "attempt-failed"
-	FaultNodeDown      = "node-down"
-)
-
-// FaultEvent notifies the observer of one fault-handling action inside
-// a map round, so callers can surface recovery in traces.
-type FaultEvent struct {
-	Kind    string // FaultAttemptFailed or FaultNodeDown
-	Block   dfs.BlockID
-	Node    dfs.NodeID
-	Attempt int // 1-based attempt number (0 for node events)
-	Err     error
-}
-
-// Task event kinds reported to the engine's task observer.
-const (
-	// TaskCommitted: a map attempt finished and won the commit — its
-	// output is the one every job in the batch sees for the block.
-	TaskCommitted = "task-committed"
-	// TaskSpeculated: a straggler attempt was duplicated on another
-	// node (speculative execution).
-	TaskSpeculated = "task-speculated"
-)
-
-// TaskEvent notifies the observer of one map-task lifecycle action
-// inside a round, so callers can surface per-attempt execution in
-// traces. Dur is the committed attempt's measured wall duration (zero
-// for TaskSpeculated).
-type TaskEvent struct {
-	Kind    string // TaskCommitted or TaskSpeculated
-	Block   dfs.BlockID
-	Node    dfs.NodeID
-	Attempt int // 1-based attempt number that committed (1 for speculative duplicates)
-	Local   bool
-	Jobs    int // jobs sharing the committed scan
-	Dur     time.Duration
-}
-
 // BlockLostError reports that a block could not be read by any allowed
 // attempt: every retry and replica failover failed. The round carrying
 // the block is lost and must be re-driven by the scheduling layer.
@@ -141,34 +97,15 @@ func (e *BlockLostError) Unwrap() error { return e.Err }
 // once per round no matter how many jobs consume it.
 type Engine struct {
 	cluster *Cluster
-	// speculation, when positive, enables Hadoop-style speculative
-	// execution: once a round's tasks start finishing, a task running
-	// longer than speculation x the median completed-task duration is
-	// duplicated on another node and the first finisher wins. The
-	// paper's experiments disable speculation (§V-A), which is also
-	// this engine's default.
-	speculation  float64
-	retry        RetryPolicy
-	observer     func(FaultEvent)
-	taskObserver func(TaskEvent)
+	retry   RetryPolicy
 }
 
-// NewEngine returns an engine over the cluster. Speculative execution
-// is off and the retry policy is DefaultRetryPolicy (no retries),
-// matching the paper's configuration.
+// NewEngine returns an engine over the cluster. The retry policy is
+// DefaultRetryPolicy (no retries) and, like the paper's configuration
+// (§V-A), there is no speculative execution: a block has one attempt
+// chain, so exactly one attempt commits its output.
 func NewEngine(cluster *Cluster) *Engine {
 	return &Engine{cluster: cluster, retry: DefaultRetryPolicy()}
-}
-
-// EnableSpeculation turns on speculative re-execution of straggler
-// tasks: a task is duplicated when it has run longer than factor times
-// the median duration of the round's completed tasks. factor must be
-// at least 1.
-func (e *Engine) EnableSpeculation(factor float64) {
-	if factor < 1 {
-		panic(fmt.Sprintf("mapreduce: speculation factor %v < 1", factor))
-	}
-	e.speculation = factor
 }
 
 // SetRetryPolicy installs the per-block retry/failover policy used by
@@ -181,37 +118,13 @@ func (e *Engine) SetRetryPolicy(p RetryPolicy) error {
 	return nil
 }
 
-// SetFaultObserver installs a callback invoked on fault-handling
-// events (failed attempts, node blacklisting). The callback must be
-// safe for concurrent use; nil clears it.
-func (e *Engine) SetFaultObserver(fn func(FaultEvent)) { e.observer = fn }
-
-func (e *Engine) notify(ev FaultEvent) {
-	if e.observer != nil {
-		e.observer(ev)
-	}
-}
-
-// SetTaskObserver installs a callback invoked on task lifecycle events
-// (attempt commits, speculative launches). The callback must be safe
-// for concurrent use; nil clears it.
-func (e *Engine) SetTaskObserver(fn func(TaskEvent)) { e.taskObserver = fn }
-
-func (e *Engine) notifyTask(ev TaskEvent) {
-	if e.taskObserver != nil {
-		e.taskObserver(ev)
-	}
-}
-
 // Cluster returns the engine's cluster.
 func (e *Engine) Cluster() *Cluster { return e.cluster }
 
-// MapRound scans each block once (twice if a speculative duplicate is
-// launched) and feeds its contents to the mapper of every job in jobs,
-// shuffling each job's output into its own reduce partitions. Tasks
-// run concurrently, bounded by per-node map slots, preferring
-// data-local placement. Exactly one attempt per block commits its
-// output, so results are identical with or without speculation.
+// MapRound scans each block once and feeds its contents to the mapper
+// of every job in jobs, shuffling each job's output into its own reduce
+// partitions. Tasks run concurrently, bounded by per-node map slots,
+// preferring data-local placement.
 //
 // MapRound keeps the historical single-error contract: the first
 // per-job failure (or the round failure) is returned. Callers that
@@ -241,248 +154,173 @@ func (e *Engine) MapRoundCtx(ctx context.Context, blocks []dfs.BlockID, jobs []*
 	if len(jobs) == 0 {
 		return RoundStats{}, nil, fmt.Errorf("mapreduce: MapRound with no jobs")
 	}
-	assignments := e.cluster.assignBlocks(blocks)
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		roundErr error
-		stats    RoundStats
-	)
-	stats.Blocks = len(blocks)
-	jobErrs := make([]error, len(jobs))
-	jobFailed := make([]bool, len(jobs))
-
-	committed := make([]bool, len(assignments))  // block slot -> output committed
-	speculated := make([]bool, len(assignments)) // duplicate already launched
-	started := make([]time.Time, len(assignments))
-	var durations []time.Duration // completed attempt durations
-	remaining := len(assignments)
-	consecFails := make(map[dfs.NodeID]int)
-
-	failRound := func(err error) {
-		mu.Lock()
-		if roundErr == nil {
-			roundErr = err
-		}
-		mu.Unlock()
-		cancel()
+	r := &mapRound{
+		engine:      e,
+		ctx:         ctx,
+		cancel:      cancel,
+		jobs:        jobs,
+		stats:       RoundStats{Blocks: len(blocks)},
+		jobErrs:     make([]error, len(jobs)),
+		consecFails: make(map[dfs.NodeID]int),
 	}
-
-	// failJob drops job j from the rest of the round with its first error.
-	failJob := func(j int, block dfs.BlockID, err error) {
-		mu.Lock()
-		if !jobFailed[j] {
-			jobFailed[j] = true
-			jobErrs[j] = fmt.Errorf("job %q block %v: %w", jobs[j].Spec.Name, block, err)
-		}
-		mu.Unlock()
-	}
-
-	// errLostRace marks an attempt that lost the commit race to a
-	// duplicate — not a failure.
-	errLostRace := errors.New("lost commit race")
-
-	// tryOnce runs one execution of block slot i on node asg.node and
-	// commits if it finishes first. Job-level failures are recorded in
-	// jobErrs and absorbed; only read/infrastructure errors are
-	// returned.
-	tryOnce := func(i int, asg assignment, attempt int) error {
-		if err := asg.node.acquireCtx(ctx); err != nil {
-			return err
-		}
-		defer asg.node.release()
-		begin := time.Now()
-
-		data, err := e.cluster.store.ReadBlockAt(asg.block, asg.node.ID)
-		if err != nil {
-			mu.Lock()
-			stats.FailedAttempts++
-			consecFails[asg.node.ID]++
-			fails := consecFails[asg.node.ID]
-			mu.Unlock()
-			e.notify(FaultEvent{Kind: FaultAttemptFailed, Block: asg.block, Node: asg.node.ID, Attempt: attempt, Err: err})
-			if k := e.retry.BlacklistAfter; k > 0 && fails == k && e.cluster.Healthy(asg.node.ID) {
-				e.cluster.SetHealth(asg.node.ID, false)
-				mu.Lock()
-				stats.Blacklisted++
-				mu.Unlock()
-				e.notify(FaultEvent{Kind: FaultNodeDown, Node: asg.node.ID, Err: err})
-			}
-			return err
-		}
-		mu.Lock()
-		consecFails[asg.node.ID] = 0
-		mu.Unlock()
-
-		type jobOut struct {
-			parts  [][]KV // nil: the job failed and is isolated from the batch
-			counts taskCounts
-		}
-		outs := make([]jobOut, len(jobs))
-		for j, job := range jobs {
-			mu.Lock()
-			skip := jobFailed[j]
-			mu.Unlock()
-			if skip {
-				continue
-			}
-			parts, counts, err := mapTask(asg.block, data, job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth())
-			if err != nil {
-				failJob(j, asg.block, err)
-				continue
-			}
-			if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
-				counts.inputRecords = rc.CountInputRecords(data)
-			}
-			outs[j] = jobOut{parts: parts, counts: counts}
-		}
-
-		elapsed := time.Since(begin)
-		mu.Lock()
-		if committed[i] || roundErr != nil {
-			mu.Unlock()
-			return errLostRace // a duplicate won, or the round already failed
-		}
-		committed[i] = true
-		remaining--
-		durations = append(durations, elapsed)
-		stats.BytesScanned += int64(len(data))
-		stats.MapTasks += len(jobs)
-		if asg.local {
-			stats.LocalTasks++
-		}
-		mu.Unlock()
-		e.notifyTask(TaskEvent{Kind: TaskCommitted, Block: asg.block, Node: asg.node.ID,
-			Attempt: attempt, Local: asg.local, Jobs: len(jobs), Dur: elapsed})
-
-		for j, job := range jobs {
-			if outs[j].parts == nil {
-				continue
-			}
-			if err := e.commitMapTask(job, outs[j].parts, outs[j].counts); err != nil {
-				failJob(j, asg.block, err)
-			}
-		}
-		return nil
-	}
-
-	// runBlock drives block slot i's retry chain: attempts with
-	// exponential backoff, failing over to a surviving replica holder
-	// after each failure. The chain ends on commit, lost race, cancel,
-	// or attempt exhaustion (which loses the round).
-	runBlock := func(i int, asg assignment) {
-		defer wg.Done()
-		cur := asg
-		tried := map[dfs.NodeID]bool{}
-		for attempt := 1; ; attempt++ {
-			err := tryOnce(i, cur, attempt)
-			if err == nil || errors.Is(err, errLostRace) {
-				return
-			}
-			if ctx.Err() != nil {
-				return // round cancelled; its error is already set
-			}
-			tried[cur.node.ID] = true
-			if attempt >= e.retry.MaxAttempts {
-				failRound(&BlockLostError{Block: cur.block, Attempts: attempt, Err: err})
-				return
-			}
-			mu.Lock()
-			stats.Retries++
-			mu.Unlock()
-			if !e.sleepBackoff(ctx, cur.block, attempt) {
-				return
-			}
-			next := e.failoverNode(cur.block, cur.node, tried)
-			cur = assignment{block: cur.block, node: next, local: e.cluster.store.HasLocal(cur.block, next.ID)}
-		}
-	}
-
-	now := time.Now()
-	for i, asg := range assignments {
-		started[i] = now
+	var wg sync.WaitGroup
+	for _, asg := range e.cluster.assignBlocks(blocks) {
 		wg.Add(1)
-		go runBlock(i, asg)
-	}
-
-	// Speculation monitor: once half the blocks have finished, any
-	// block running longer than factor x the median completed duration
-	// gets a duplicate attempt on another node. The poll interval backs
-	// off to a fraction of the median task duration, so fast rounds get
-	// tight straggler detection while slow rounds don't busy-spin. The
-	// monitor exits promptly when the round completes, fails, or is
-	// cancelled.
-	if e.speculation > 0 && len(assignments) > 1 {
-		wg.Add(1)
-		go func() {
+		go func(asg assignment) {
 			defer wg.Done()
-			poll := 200 * time.Microsecond
-			timer := time.NewTimer(poll)
-			defer timer.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-timer.C:
-				}
-				mu.Lock()
-				if remaining == 0 || roundErr != nil {
-					mu.Unlock()
-					return
-				}
-				if len(durations)*2 < len(assignments) {
-					mu.Unlock()
-					timer.Reset(poll)
-					continue
-				}
-				med := medianDuration(durations)
-				threshold := time.Duration(e.speculation * float64(med))
-				poll = med / 8
-				if poll < 200*time.Microsecond {
-					poll = 200 * time.Microsecond
-				} else if poll > 10*time.Millisecond {
-					poll = 10 * time.Millisecond
-				}
-				var specEvents []TaskEvent
-				for i, asg := range assignments {
-					if committed[i] || speculated[i] {
-						continue
-					}
-					if time.Since(started[i]) > threshold {
-						speculated[i] = true
-						stats.Speculative++
-						other := e.speculativeNode(asg.block, asg.node)
-						dup := assignment{block: asg.block, node: other, local: e.cluster.store.HasLocal(asg.block, other.ID)}
-						specEvents = append(specEvents, TaskEvent{Kind: TaskSpeculated, Block: asg.block,
-							Node: other.ID, Attempt: 1, Local: dup.local, Jobs: len(jobs)})
-						wg.Add(1)
-						go func(i int, dup assignment) {
-							defer wg.Done()
-							// A failed duplicate is harmless: the
-							// original attempt's retry chain still owns
-							// the block.
-							_ = tryOnce(i, dup, 1)
-						}(i, dup)
-					}
-				}
-				mu.Unlock()
-				for _, ev := range specEvents {
-					e.notifyTask(ev)
-				}
-				timer.Reset(poll)
-			}
-		}()
+			r.runBlock(asg)
+		}(asg)
+	}
+	wg.Wait()
+	if r.roundErr == nil && ctx.Err() != nil {
+		r.roundErr = ctx.Err()
+	}
+	return r.stats, r.jobErrs, r.roundErr
+}
+
+// mapRound is the state one MapRoundCtx call shares between its block
+// goroutines.
+type mapRound struct {
+	engine *Engine
+	ctx    context.Context
+	cancel context.CancelFunc
+	jobs   []*Running
+
+	mu          sync.Mutex // guards the fields below
+	stats       RoundStats
+	roundErr    error
+	jobErrs     []error // a job's first error; non-nil drops it from the rest of the round
+	consecFails map[dfs.NodeID]int
+}
+
+// errRoundFailed marks an attempt whose output was discarded because
+// the round had already failed.
+var errRoundFailed = errors.New("round already failed")
+
+func (r *mapRound) failRound(err error) {
+	r.mu.Lock()
+	if r.roundErr == nil {
+		r.roundErr = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+func (r *mapRound) failJob(j int, block dfs.BlockID, err error) {
+	r.mu.Lock()
+	if r.jobErrs[j] == nil {
+		r.jobErrs[j] = fmt.Errorf("job %q block %v: %w", r.jobs[j].Spec.Name, block, err)
+	}
+	r.mu.Unlock()
+}
+
+// attempt runs one execution of asg.block on asg.node: read the block,
+// map it for every job still in the round, commit. Job-level failures
+// are recorded in jobErrs and absorbed; only read/infrastructure errors
+// are returned.
+func (r *mapRound) attempt(asg assignment) error {
+	e := r.engine
+	if err := asg.node.acquireCtx(r.ctx); err != nil {
+		return err
+	}
+	defer asg.node.release()
+
+	data, err := e.cluster.store.ReadBlockAt(asg.block, asg.node.ID)
+	if err != nil {
+		r.mu.Lock()
+		r.stats.FailedAttempts++
+		r.consecFails[asg.node.ID]++
+		fails := r.consecFails[asg.node.ID]
+		r.mu.Unlock()
+		if k := e.retry.BlacklistAfter; k > 0 && fails == k && e.cluster.Healthy(asg.node.ID) {
+			e.cluster.SetHealth(asg.node.ID, false)
+			r.mu.Lock()
+			r.stats.Blacklisted++
+			r.mu.Unlock()
+		}
+		return err
+	}
+	r.mu.Lock()
+	r.consecFails[asg.node.ID] = 0
+	r.mu.Unlock()
+
+	type jobOut struct {
+		parts  [][]KV // nil: the job failed and is isolated from the batch
+		counts taskCounts
+	}
+	outs := make([]jobOut, len(r.jobs))
+	for j, job := range r.jobs {
+		r.mu.Lock()
+		skip := r.jobErrs[j] != nil
+		r.mu.Unlock()
+		if skip {
+			continue
+		}
+		parts, counts, err := mapTask(asg.block, data, job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth())
+		if err != nil {
+			r.failJob(j, asg.block, err)
+			continue
+		}
+		if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
+			counts.inputRecords = rc.CountInputRecords(data)
+		}
+		outs[j] = jobOut{parts: parts, counts: counts}
 	}
 
-	wg.Wait()
-	if roundErr == nil && ctx.Err() != nil {
-		roundErr = ctx.Err()
+	r.mu.Lock()
+	if r.roundErr != nil {
+		r.mu.Unlock()
+		return errRoundFailed
 	}
-	return stats, jobErrs, roundErr
+	r.stats.BytesScanned += int64(len(data))
+	r.stats.MapTasks += len(r.jobs)
+	if asg.local {
+		r.stats.LocalTasks++
+	}
+	r.mu.Unlock()
+
+	for j, job := range r.jobs {
+		if outs[j].parts == nil {
+			continue
+		}
+		if err := e.commitMapTask(job, outs[j].parts, outs[j].counts); err != nil {
+			r.failJob(j, asg.block, err)
+		}
+	}
+	return nil
+}
+
+// runBlock drives one block's retry chain: attempts with exponential
+// backoff, failing over to a surviving replica holder after each
+// failure. The chain ends on commit, round failure, cancel, or attempt
+// exhaustion (which loses the round).
+func (r *mapRound) runBlock(asg assignment) {
+	e := r.engine
+	tried := map[dfs.NodeID]bool{}
+	for attempt := 1; ; attempt++ {
+		err := r.attempt(asg)
+		if err == nil || errors.Is(err, errRoundFailed) {
+			return
+		}
+		if r.ctx.Err() != nil {
+			return // round cancelled; its error is already set
+		}
+		tried[asg.node.ID] = true
+		if attempt >= e.retry.MaxAttempts {
+			r.failRound(&BlockLostError{Block: asg.block, Attempts: attempt, Err: err})
+			return
+		}
+		r.mu.Lock()
+		r.stats.Retries++
+		r.mu.Unlock()
+		if !e.sleepBackoff(r.ctx, asg.block, attempt) {
+			return
+		}
+		next := e.failoverNode(asg.block, asg.node, tried)
+		asg = assignment{block: asg.block, node: next, local: e.cluster.store.HasLocal(asg.block, next.ID)}
+	}
 }
 
 // sleepBackoff waits out the exponential backoff before the next
@@ -548,32 +386,9 @@ func (e *Engine) failoverNode(b dfs.BlockID, cur *Node, tried map[dfs.NodeID]boo
 	return cur
 }
 
-// speculativeNode picks where a duplicate attempt of block b runs when
-// its first attempt on cur looks like a straggler: another node holding
-// a replica of the block, so the duplicate scans locally. Ring order
-// from cur spreads duplicates when several replicas qualify; if no
-// other node holds a replica, fall back to cur's ring successor.
-func (e *Engine) speculativeNode(b dfs.BlockID, cur *Node) *Node {
-	n := len(e.cluster.nodes)
-	for off := 1; off < n; off++ {
-		cand := e.cluster.nodes[(int(cur.ID)+off)%n]
-		if e.cluster.store.HasLocal(b, cand.ID) {
-			return cand
-		}
-	}
-	return e.cluster.nodes[(int(cur.ID)+1)%n]
-}
-
-// medianDuration returns the median of ds (ds must be non-empty).
-func medianDuration(ds []time.Duration) time.Duration {
-	sorted := slices.Clone(ds)
-	slices.Sort(sorted)
-	return sorted[len(sorted)/2]
-}
-
 // taskCounts carries one map task's counter deltas; they are charged
-// only by the attempt that commits, so speculative duplicates never
-// distort the job's statistics.
+// only by the attempt that commits, so a failed attempt never distorts
+// the job's statistics.
 type taskCounts struct {
 	inputBytes      int64
 	inputRecords    int64
@@ -600,49 +415,21 @@ func (e *Engine) commitMapTask(job *Running, parts [][]KV, counts taskCounts) er
 	return job.addIntermediate(parts)
 }
 
-// ReduceRound drains the job's current shuffle space and runs its
-// reduce phase over it, returning the sub-job's partial output (sorted
-// by key). The job stays runnable for further map rounds — this is the
-// §IV-D3 execution where every merged sub-job is a complete MapReduce
-// job, and the caller collects the partial results (§V-G).
-func (e *Engine) ReduceRound(job *Running) ([]KV, error) {
-	return e.ReduceDrained(job, job.DrainPartitions())
-}
-
-// ReduceDrained runs a sub-job's reduce phase over an already-drained
-// shuffle snapshot (see Running.DrainPartitions). Draining and reducing
-// are separate so a staged runtime can commit the shuffle at the end of
-// the scan stage and run the reduce concurrently with the next round's
-// maps; the job's live shuffle space keeps accumulating new map output
-// in the meantime.
-func (e *Engine) ReduceDrained(job *Running, parts [][]KV) ([]KV, error) {
-	return e.reduceParts(job, parts, "sub-job partition")
-}
-
 // Finish runs the job's reduce phase over everything its map tasks
 // produced and returns the completed result. A job must be finished
 // exactly once, after its final map round.
 func (e *Engine) Finish(job *Running) (*Result, error) {
-	return e.FinishDrained(job, job.takePartitions())
+	return e.FinishDrained(job, job.Seal())
 }
 
 // FinishDrained completes a job whose shuffle space was already sealed
-// (see Running.Seal): it reduces the sealed snapshot and returns the
-// final result. The staged runtime seals at the end of the job's last
-// scan stage and runs this concurrently with later rounds' maps.
+// (see Running.Seal) and returns the final result. The staged runtime
+// seals at the end of the job's last scan stage and runs this
+// concurrently with later rounds' maps. One reduce task per partition,
+// each sorting its records in place, run concurrently, the first error
+// winning; then the sorted outputs are merged into one slice and the
+// reduce counters charged.
 func (e *Engine) FinishDrained(job *Running, parts [][]KV) (*Result, error) {
-	all, err := e.reduceParts(job, parts, "partition")
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Name: job.Spec.Name, Output: all, Counters: job.Counters}, nil
-}
-
-// reduceParts is the reduce phase every caller shares: one reduce task
-// per partition, each sorting its drained records in place, run
-// concurrently, the first error winning; then the sorted outputs merged
-// into one slice and the reduce counters charged.
-func (e *Engine) reduceParts(job *Running, parts [][]KV, label string) ([]KV, error) {
 	outputs := make([][]KV, len(parts))
 	var (
 		wg       sync.WaitGroup
@@ -658,7 +445,7 @@ func (e *Engine) reduceParts(job *Running, parts [][]KV, label string) ([]KV, er
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("job %q %s %d: %w", job.Spec.Name, label, p, err)
+				firstErr = fmt.Errorf("job %q partition %d: %w", job.Spec.Name, p, err)
 				return
 			}
 			outputs[p] = out
@@ -672,7 +459,7 @@ func (e *Engine) reduceParts(job *Running, parts [][]KV, label string) ([]KV, er
 	job.Counters.Add(CounterReduceTasks, int64(len(parts)))
 	job.Counters.Add(CounterReduceOutRecords, int64(len(merged)))
 	job.Counters.Add(CounterReduceOutBytes, kvBytes(merged))
-	return merged, nil
+	return &Result{Name: job.Spec.Name, Output: merged, Counters: job.Counters}, nil
 }
 
 // RunJob executes a single job start to finish: one map round over all

@@ -1,4 +1,4 @@
-package driver
+package mapreduce_test
 
 import (
 	"fmt"
@@ -7,13 +7,15 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
+	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
 
 // realSetup builds a small generated corpus, a cluster, and wordcount
 // specs for n jobs.
-func realSetup(t *testing.T, blocks, n int) (*dfs.Store, *dfs.SegmentPlan, *EngineExecutor, []scheduler.JobMeta) {
+func realSetup(t *testing.T, blocks, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
 	t.Helper()
 	store := dfs.MustStore(4, 1)
 	if _, err := workload.AddTextFile(store, "corpus", blocks, 2048, 7); err != nil {
@@ -36,7 +38,7 @@ func realSetup(t *testing.T, blocks, n int) (*dfs.Store, *dfs.SegmentPlan, *Engi
 		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
 		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
 	}
-	return store, plan, NewEngineExecutor(engine, specs), metas
+	return store, plan, mapreduce.NewExecutor(engine, specs), metas
 }
 
 func TestEngineExecutorS3ProducesCorrectResults(t *testing.T) {
@@ -60,10 +62,10 @@ func TestEngineExecutorS3ProducesCorrectResults(t *testing.T) {
 	// Drive through S3 with a staggered arrival: job 2 joins after
 	// round 1, so its scan order differs from block order.
 	s := core.New(plan, nil)
-	res, err := Run(s, exec, []Arrival{
+	res, err := runtime.RunTrace(s, exec, []runtime.Arrival{
 		{Job: metas[0], At: 0},
 		{Job: metas[1], At: 0.000001}, // arrives during round 1 (wall-timed)
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestEngineExecutorSharedScanSavesReads(t *testing.T) {
 	// Both jobs at t=0: S3 batches every round -> exactly one pass.
 	store, plan, exec, metas := realSetup(t, 8, 3)
 	s := core.New(plan, nil)
-	_, err := Run(s, exec, []Arrival{
+	_, err := runtime.RunTrace(s, exec, []runtime.Arrival{
 		{Job: metas[0], At: 0},
 		{Job: metas[1], At: 0},
 		{Job: metas[2], At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +106,11 @@ func TestEngineExecutorSharedScanSavesReads(t *testing.T) {
 	// FIFO scans once per job.
 	store2, plan2, exec2, metas2 := realSetup(t, 8, 3)
 	f := scheduler.NewFIFO(plan2, nil)
-	_, err = Run(f, exec2, []Arrival{
+	_, err = runtime.RunTrace(f, exec2, []runtime.Arrival{
 		{Job: metas2[0], At: 0},
 		{Job: metas2[1], At: 0},
 		{Job: metas2[2], At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +125,20 @@ func TestEngineExecutorMRShareMatchesS3Output(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(m, exec, []Arrival{
+	_, err = runtime.RunTrace(m, exec, []runtime.Arrival{
 		{Job: metas[0], At: 0},
 		{Job: metas[1], At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	_, plan2, exec2, metas2 := realSetup(t, 8, 2)
 	s := core.New(plan2, nil)
-	_, err = Run(s, exec2, []Arrival{
+	_, err = runtime.RunTrace(s, exec2, []runtime.Arrival{
 		{Job: metas2[0], At: 0},
 		{Job: metas2[1], At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestEngineExecutorPartialAggregation(t *testing.T) {
 	exec.EnablePartialAggregation(workload.SumReducer{})
 
 	s := core.New(plan, nil)
-	_, err := Run(s, exec, []Arrival{{Job: metas[0], At: 0}})
+	_, err := runtime.RunTrace(s, exec, []runtime.Arrival{{Job: metas[0], At: 0}}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestEngineExecutorPartialAggregation(t *testing.T) {
 
 	_, plan2, exec2, metas2 := realSetup(t, 8, 1)
 	s2 := core.New(plan2, nil)
-	if _, err := Run(s2, exec2, []Arrival{{Job: metas2[0], At: 0}}); err != nil {
+	if _, err := runtime.RunTrace(s2, exec2, []runtime.Arrival{{Job: metas2[0], At: 0}}, runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	without := fmt.Sprint(exec2.Results()[1].Output)
@@ -175,7 +177,7 @@ func TestEngineExecutorUnknownJob(t *testing.T) {
 	_, plan, exec, _ := realSetup(t, 4, 1)
 	s := core.New(plan, nil)
 	ghost := scheduler.JobMeta{ID: 99, File: "corpus"}
-	if _, err := Run(s, exec, []Arrival{{Job: ghost, At: 0}}); err == nil {
+	if _, err := runtime.RunTrace(s, exec, []runtime.Arrival{{Job: ghost, At: 0}}, runtime.Options{}); err == nil {
 		t.Error("job without a registered spec should fail")
 	}
 }
@@ -191,112 +193,34 @@ func TestEngineExecutorTimeScale(t *testing.T) {
 	exec.SetTimeScale(0)
 }
 
-func TestOutputModesAgree(t *testing.T) {
-	// Wordcount (re-reducible sums) staggered across rounds: the
-	// accumulate-shuffle and per-round-reduce schemes must produce
-	// identical final outputs.
-	var want map[scheduler.JobID]string
-	for _, mode := range []OutputMode{AccumulateShuffle, PerRoundReduce} {
-		_, plan, exec, metas := realSetup(t, 8, 2)
-		exec.SetOutputMode(mode)
-		exec.SetTimeScale(1e6)
-		s := core.New(plan, nil)
-		_, err := Run(s, exec, []Arrival{
-			{Job: metas[0], At: 0},
-			{Job: metas[1], At: 1},
-		})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		got := map[scheduler.JobID]string{}
-		for id, res := range exec.Results() {
-			got[id] = fmt.Sprint(res.Output)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for id, w := range want {
-			if got[id] != w {
-				t.Errorf("mode %v: job %d output differs", mode, id)
-			}
-		}
-	}
-}
-
-func TestPerRoundReduceShrinksCarriedState(t *testing.T) {
-	_, plan, exec, metas := realSetup(t, 8, 1)
+// TestResultsReadableMidRun: under pipelined execution reduce stages
+// commit results from pool goroutines while the round loop's hooks look
+// finished jobs up, so Result and Results must be safe against those
+// writers. Meaningful under -race.
+func TestResultsReadableMidRun(t *testing.T) {
+	_, plan, exec, metas := realSetup(t, 8, 6)
 	exec.SetTimeScale(1e6)
-	s := core.New(plan, nil)
-	if _, err := Run(s, exec, []Arrival{{Job: metas[0], At: 0}}); err != nil {
-		t.Fatal(err)
+	arrivals := make([]runtime.Arrival, len(metas))
+	for i, m := range metas {
+		arrivals[i] = runtime.Arrival{Job: m, At: vclock.Time(i)}
 	}
-	accumulated := exec.PeakCarriedRecords(1)
-
-	_, plan2, exec2, metas2 := realSetup(t, 8, 1)
-	exec2.SetOutputMode(PerRoundReduce)
-	exec2.SetTimeScale(1e6)
-	s2 := core.New(plan2, nil)
-	if _, err := Run(s2, exec2, []Arrival{{Job: metas2[0], At: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	perRound := exec2.PeakCarriedRecords(1)
-	if perRound >= accumulated {
-		t.Errorf("per-round carried %d records, accumulate carried %d; expected shrink", perRound, accumulated)
-	}
-	if perRound == 0 || accumulated == 0 {
-		t.Errorf("peaks not tracked: %d / %d", perRound, accumulated)
-	}
-}
-
-func TestSetOutputModeAfterStartPanics(t *testing.T) {
-	_, plan, exec, metas := realSetup(t, 4, 1)
-	s := core.New(plan, nil)
-	if _, err := Run(s, exec, []Arrival{{Job: metas[0], At: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetOutputMode after execution should panic")
+	seen := 0
+	opts := runtime.Options{Pipeline: true, ReduceWorkers: 4}
+	opts.Hooks.OnRoundDone = func(_ scheduler.Round, _ vclock.Time, completed []scheduler.JobID) {
+		for _, id := range completed {
+			if _, ok := exec.Result(id); !ok {
+				t.Errorf("job %d completed with no Result", id)
+			}
+			if _, ok := exec.Results()[id]; !ok {
+				t.Errorf("job %d completed but is missing from Results", id)
+			}
+			seen++
 		}
-	}()
-	exec.SetOutputMode(PerRoundReduce)
-}
-
-func TestPerRoundReduceMapOnlyJob(t *testing.T) {
-	// Selection (nil reducer): the fold is a sorted concatenation and
-	// must match the accumulate path.
-	store := dfs.MustStore(4, 1)
-	if _, err := workload.AddLineitemFile(store, "lineitem", 8, 8<<10, 3); err != nil {
+	}
+	if _, err := runtime.RunTrace(core.New(plan, nil), exec, arrivals, opts); err != nil {
 		t.Fatal(err)
 	}
-	f, err := store.File("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dfs.PlanSegments(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want string
-	for _, mode := range []OutputMode{AccumulateShuffle, PerRoundReduce} {
-		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-		exec := NewEngineExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
-			1: workload.SelectionJob("sel", "lineitem", 5),
-		})
-		exec.SetOutputMode(mode)
-		exec.SetTimeScale(1e6)
-		s := core.New(plan, nil)
-		if _, err := Run(s, exec, []Arrival{{Job: scheduler.JobMeta{ID: 1, File: "lineitem"}, At: 0}}); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		got := fmt.Sprint(exec.Results()[1].Output)
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("map-only outputs differ between modes")
-		}
+	if seen != len(metas) {
+		t.Errorf("saw %d completions, want %d", seen, len(metas))
 	}
 }

@@ -148,13 +148,6 @@ func TestBlacklistAfterConsecutiveFailures(t *testing.T) {
 	if err := e.SetRetryPolicy(fastRetries(6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	var events []FaultEvent
-	var evMu sync.Mutex
-	e.SetFaultObserver(func(ev FaultEvent) {
-		evMu.Lock()
-		events = append(events, ev)
-		evMu.Unlock()
-	})
 	job, err := NewRunning(wordCountSpec("wc"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,25 +162,8 @@ func TestBlacklistAfterConsecutiveFailures(t *testing.T) {
 	if stats.Blacklisted != 1 {
 		t.Errorf("stats.Blacklisted = %d, want 1", stats.Blacklisted)
 	}
-	evMu.Lock()
-	defer evMu.Unlock()
-	var down, failed int
-	for _, ev := range events {
-		switch ev.Kind {
-		case FaultNodeDown:
-			down++
-			if ev.Node != 0 {
-				t.Errorf("blacklisted node %d, want 0", ev.Node)
-			}
-		case FaultAttemptFailed:
-			failed++
-		}
-	}
-	if down != 1 {
-		t.Errorf("node-down events = %d, want 1", down)
-	}
-	if failed == 0 {
-		t.Error("no attempt-failed events observed")
+	if stats.FailedAttempts == 0 {
+		t.Error("stats.FailedAttempts = 0, want > 0")
 	}
 }
 

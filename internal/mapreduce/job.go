@@ -160,33 +160,13 @@ func (r *Running) IntermediateRecords() int {
 	return total
 }
 
-// DrainPartitions hands out the job's current shuffle records and
-// resets the partitions, leaving the job runnable. This is the
-// per-round reduce path (§IV-D3: each sub-job is a complete MapReduce
-// job): the caller reduces the drained records into a partial result
-// and later folds the partials into the job's final output.
-func (r *Running) DrainPartitions() [][]KV {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.finished {
-		panic(fmt.Sprintf("mapreduce: job %q drained after Finish", r.Spec.Name))
-	}
-	parts := r.partitions
-	r.partitions = make([][]KV, r.Spec.reduceWidth())
-	return parts
-}
-
 // Seal marks the job finished and hands back its remaining shuffle
 // records. This is the shuffle-commit of a job's *last* round under
 // staged execution: no further map output may arrive, and the caller
 // runs the final reduce over the sealed snapshot with
 // Engine.FinishDrained — possibly concurrently with later rounds'
 // maps for other jobs.
-func (r *Running) Seal() [][]KV { return r.takePartitions() }
-
-// takePartitions marks the job finished and hands the shuffle space to
-// the reduce phase.
-func (r *Running) takePartitions() [][]KV {
+func (r *Running) Seal() [][]KV {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.finished {

@@ -230,7 +230,7 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 			if job.addIntermediate([][]KV{raw}) != nil || job.Compact(combiner) != nil {
 				return false
 			}
-			if compacted := job.DrainPartitions()[0]; len(compacted)+len(want) > 0 && !reflect.DeepEqual(compacted, want) {
+			if compacted := job.Seal()[0]; len(compacted)+len(want) > 0 && !reflect.DeepEqual(compacted, want) {
 				return false
 			}
 		}

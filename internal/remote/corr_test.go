@@ -6,7 +6,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 	"s3sched/internal/workload"
@@ -67,10 +67,10 @@ func TestMasterWorkerCorrelation(t *testing.T) {
 
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	if _, err := driver.Run(s3, master, []driver.Arrival{
+	if _, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "corpus"}, At: 1},
-	}); err != nil {
+	}, runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 

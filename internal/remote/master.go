@@ -18,7 +18,7 @@ import (
 )
 
 // Master drives scheduler rounds on remote workers. It implements
-// driver.Executor, so the same driver loop that runs the in-process
+// runtime.Executor, so the same round loop that runs the in-process
 // engine and the simulator also runs the distributed cluster.
 //
 // Workers reach the master two ways:
@@ -353,7 +353,7 @@ func (e *taskErrs) add(err error) {
 	}
 }
 
-// ExecRound implements driver.Executor: map every block of the round
+// ExecRound implements runtime.Executor: map every block of the round
 // on its home worker (one merged task per block), then reduce the
 // completed jobs' partitions across the workers.
 func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {

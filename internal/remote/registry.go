@@ -2,7 +2,7 @@
 // drives map and reduce tasks on worker processes over TCP (net/rpc),
 // the way the paper's S^3 plugin drives Hadoop TaskTrackers. The
 // schedulers are byte-for-byte the same ones the in-process engine and
-// the simulator use — the master simply implements driver.Executor —
+// the simulator use — the master simply implements runtime.Executor —
 // which demonstrates the paper's claim that S^3 integrates
 // non-intrusively with the execution layer (§IV-A).
 //

@@ -7,8 +7,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -91,10 +91,10 @@ func TestDistributedS3MatchesLocalEngine(t *testing.T) {
 
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	res, err := driver.Run(s3, master, []driver.Arrival{
+	res, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "corpus"}, At: 1},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestDistributedLocalityPlacement(t *testing.T) {
 
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	if _, err := driver.Run(s3, master, []driver.Arrival{
+	if _, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
-	}); err != nil {
+	}, runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := master.WorkerStats()
@@ -161,11 +161,11 @@ func TestDistributedSharedScan(t *testing.T) {
 
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	if _, err := driver.Run(s3, master, []driver.Arrival{
+	if _, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 3, File: "corpus"}, At: 0},
-	}); err != nil {
+	}, runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := master.WorkerStats()
@@ -321,10 +321,10 @@ func TestWorkerFailover(t *testing.T) {
 
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	res, err := driver.Run(s3, master, []driver.Arrival{
+	res, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "corpus"}, At: 0},
-	})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatalf("run with dead worker: %v", err)
 	}
@@ -363,9 +363,9 @@ func TestTaskErrorIsNotRetried(t *testing.T) {
 	master.SetTimeScale(1e6)
 	plan := testPlan(t)
 	s3 := core.New(plan, nil)
-	_, err := driver.Run(s3, master, []driver.Arrival{
+	_, err := runtime.RunTrace(s3, master, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
-	})
+	}, runtime.Options{})
 	if err == nil {
 		t.Fatal("bad job parameter should fail the run")
 	}
@@ -418,9 +418,9 @@ func TestConcurrentMastersShareWorkers(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		if _, err := driver.Run(core.New(plan, nil), master, []driver.Arrival{
+		if _, err := runtime.RunTrace(core.New(plan, nil), master, []runtime.Arrival{
 			{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
-		}); err != nil {
+		}, runtime.Options{}); err != nil {
 			return "", err
 		}
 		return fmt.Sprint(master.Results()[1]), nil

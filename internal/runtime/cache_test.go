@@ -1,4 +1,4 @@
-package driver
+package runtime
 
 import (
 	"strings"
@@ -8,30 +8,23 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/sim"
-	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 )
 
 // End-to-end cache telemetry: an engine run with a store cache must
-// fold hit/miss counts into the run's Collector, export them through
-// the registry instruments, and emit cache-hit span events when trace
-// wiring is requested.
+// fold hit/miss counts into the run's Collector and export them through
+// the registry instruments.
 func TestEngineCacheTelemetry(t *testing.T) {
-	store, plan, exec, metas := realSetup(t, 8, 2)
+	store, plan, exec, metas := stagedSetup(t, 8, 4, 2)
 	if _, err := store.EnableCache(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	log := trace.MustNew(4096)
-	exec.WireCacheTrace(log)
 	reg := metrics.NewRegistry()
 	arrivals := []Arrival{
 		{Job: metas[0], At: 0},
 		{Job: metas[1], At: 1}, // staggered: job 2 wraps and re-reads
 	}
-	res, err := RunOpts(core.New(plan, nil), exec, arrivals, Options{
-		Spans:   log,
-		Metrics: metrics.NewRunMetrics(reg),
-	})
+	res, err := RunTrace(core.New(plan, nil), exec, arrivals, Options{Metrics: metrics.NewRunMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,34 +38,10 @@ func TestEngineCacheTelemetry(t *testing.T) {
 			t.Errorf("prometheus export missing %s", want)
 		}
 	}
-	var hitEvents int
-	for _, ev := range log.Events() {
-		if ev.Kind == trace.CacheHit {
-			hitEvents++
-		}
-	}
-	if int64(hitEvents) != cs.Hits {
-		t.Errorf("trace logged %d cache-hit events, collector counted %d", hitEvents, cs.Hits)
-	}
 }
 
-// WireCacheTrace on an executor whose store has no cache is a no-op.
-func TestWireCacheTraceWithoutCache(t *testing.T) {
-	_, plan, exec, metas := realSetup(t, 4, 1)
-	log := trace.MustNew(64)
-	exec.WireCacheTrace(log)
-	if _, err := Run(core.New(plan, nil), exec, []Arrival{{Job: metas[0], At: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range log.Events() {
-		if ev.Kind == trace.CacheHit || ev.Kind == trace.CacheEvict {
-			t.Fatalf("cache event logged with no cache installed: %+v", ev)
-		}
-	}
-}
-
-// The sim executor implements CacheStatsSource too: driver runs fold
-// its warm-set accounting the same way.
+// The sim executor implements CacheStatsSource too: runs fold its
+// warm-set accounting the same way.
 func TestSimCacheStatsFolded(t *testing.T) {
 	store := dfs.MustStore(4, 1)
 	f, err := store.AddMetaFile("input", 8, 64<<20)
@@ -91,7 +60,7 @@ func TestSimCacheStatsFolded(t *testing.T) {
 		{Job: job(1), At: 0},
 		{Job: job(2), At: vclock.Time(3)},
 	}
-	res, err := Run(core.New(plan, nil), exec, arrivals)
+	res, err := RunTrace(core.New(plan, nil), exec, arrivals, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package driver
+package runtime
 
 import (
 	"errors"
@@ -32,7 +32,7 @@ func TestRequeueRecoversLostRound(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
 	s := core.New(p, nil)
 	exec := &flakyExec{lose: 2}
-	res, err := Run(s, exec, []Arrival{{Job: job(1), At: 0}})
+	res, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRequeueBoundGivesUp(t *testing.T) {
 	p := makePlan(t, 4, 2)
 	s := core.New(p, nil)
 	exec := &flakyExec{lose: 1 << 30}
-	_, err := RunOpts(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{MaxRequeues: 3})
+	_, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{MaxRequeues: 3})
 	if err == nil {
 		t.Fatal("run with a permanently lost round succeeded")
 	}
@@ -83,14 +83,14 @@ func TestLostRoundNeedsRecoverable(t *testing.T) {
 	p := makePlan(t, 4, 2)
 	s := &noRecover{core.New(p, nil)}
 	exec := &flakyExec{lose: 1}
-	_, err := Run(s, exec, []Arrival{{Job: job(1), At: 0}})
+	_, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "cannot requeue") {
 		t.Fatalf("error = %v, want cannot-requeue", err)
 	}
 }
 
 // failingJobsExec runs rounds normally but reports the given jobs as
-// failed after their first round, like EngineExecutor does for mapper
+// failed after their first round, like mapreduce.Executor does for mapper
 // errors.
 type failingJobsExec struct {
 	bad      map[scheduler.JobID]bool
@@ -127,10 +127,10 @@ func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
 		bad:      map[scheduler.JobID]bool{2: true},
 		reported: make(map[scheduler.JobID]bool),
 	}
-	res, err := Run(s, exec, []Arrival{
+	res, err := RunTrace(s, exec, []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 0},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestJobFailurePipelined(t *testing.T) {
 		reported: make(map[scheduler.JobID]bool),
 	}
 	exec := &stagedFailExec{inner: inner}
-	res, err := RunOpts(s, exec, []Arrival{
+	res, err := RunTrace(s, exec, []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 0},
 	}, Options{Pipeline: true})

@@ -2,22 +2,18 @@ package runtime_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
-	"s3sched/internal/trace"
-	"s3sched/internal/vclock"
 )
 
 // parityModel prices every cost component so both stages are
-// non-trivial and cache/fault effects show up in the metrics.
+// non-trivial.
 var parityModel = sim.CostModel{
 	ScanMBps:       40,
 	TaskOverhead:   0.5,
@@ -46,90 +42,13 @@ func parityPlan(t *testing.T, segments int) *dfs.SegmentPlan {
 	return plan
 }
 
-func parityExec(t *testing.T, segments int, fault, cache bool) *sim.Executor {
+func parityExec(t *testing.T, segments int) *sim.Executor {
 	t.Helper()
 	store := dfs.MustStore(segments, 1)
 	if _, err := store.AddMetaFile("input", segments, 64<<20); err != nil {
 		t.Fatal(err)
 	}
-	exec := sim.NewExecutor(sim.NewCluster(segments, 1), store, parityModel)
-	if fault {
-		if err := exec.SetFaultModel(sim.FaultModel{
-			Seed: 11, BlockFailRate: 0.25, MaxAttempts: 2, RetrySec: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache {
-		if err := exec.EnableCache(3*64<<20, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return exec
-}
-
-// render runs one seeded workload through the given entry point and
-// returns its observable outputs: Prometheus text, Chrome trace JSON,
-// and the Result.
-func render(t *testing.T, legacy, pipeline, fault, cache bool) (string, string, *runtime.Result) {
-	t.Helper()
-	const segments, jobs = 6, 4
-	arrivals := make([]runtime.Arrival, jobs)
-	for i := range arrivals {
-		arrivals[i] = runtime.Arrival{Job: parityMeta(i + 1), At: vclock.Time(i) * 3}
-	}
-	log := trace.MustNew(8192)
-	reg := metrics.NewRegistry()
-	opts := runtime.Options{Pipeline: pipeline, Spans: log, Metrics: metrics.NewRunMetrics(reg)}
-	sched := core.New(parityPlan(t, segments), nil)
-	exec := parityExec(t, segments, fault, cache)
-	var res *runtime.Result
-	var err error
-	if legacy {
-		res, err = driver.RunOpts(sched, exec, arrivals, opts)
-	} else {
-		res, err = runtime.RunTrace(sched, exec, arrivals, opts)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prom, chrome bytes.Buffer
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	return prom.String(), chrome.String(), res
-}
-
-// TestLegacyEntryPointsMatchRuntime: the driver package's historical
-// Run/RunOpts API and runtime.RunTrace produce byte-identical metric
-// snapshots, span trees, and Result fields across the seed workload
-// matrix — serial and pipelined, with fault injection and block
-// caching on and off.
-func TestLegacyEntryPointsMatchRuntime(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		for _, fault := range []bool{false, true} {
-			for _, cache := range []bool{false, true} {
-				name := fmt.Sprintf("pipeline=%v/fault=%v/cache=%v", pipeline, fault, cache)
-				t.Run(name, func(t *testing.T) {
-					promL, chromeL, resL := render(t, true, pipeline, fault, cache)
-					promR, chromeR, resR := render(t, false, pipeline, fault, cache)
-					if promL != promR {
-						t.Errorf("metric snapshots diverge:\n%s\n----\n%s", promL, promR)
-					}
-					if chromeL != chromeR {
-						t.Error("chrome traces diverge")
-					}
-					if resL.Rounds != resR.Rounds || resL.End != resR.End {
-						t.Errorf("results diverge: legacy %d rounds end %v, runtime %d rounds end %v",
-							resL.Rounds, resL.End, resR.Rounds, resR.End)
-					}
-				})
-			}
-		}
-	}
+	return sim.NewExecutor(sim.NewCluster(segments, 1), store, parityModel)
 }
 
 // TestLiveSourceMatchesTraceAtTimeZero: a LiveSource pre-filled before
@@ -143,7 +62,7 @@ func TestLiveSourceMatchesTraceAtTimeZero(t *testing.T) {
 			reg := metrics.NewRegistry()
 			opts := runtime.Options{Pipeline: pipeline, Metrics: metrics.NewRunMetrics(reg)}
 			sched := core.New(parityPlan(t, segments), nil)
-			exec := parityExec(t, segments, false, false)
+			exec := parityExec(t, segments)
 			var res *runtime.Result
 			var err error
 			if live {

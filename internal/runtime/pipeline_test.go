@@ -1,4 +1,4 @@
-package driver
+package runtime
 
 import (
 	"fmt"
@@ -32,7 +32,7 @@ func TestRunOptsFallsBackWithoutStageSupport(t *testing.T) {
 	// serial loop and reproduce paper Example 3 exactly.
 	p := makePlan(t, 10, 1)
 	s := core.New(p, nil)
-	res, err := RunOpts(s, fixed(10), []Arrival{
+	res, err := RunTrace(s, fixed(10), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 20},
 	}, Options{Pipeline: true})
@@ -55,7 +55,7 @@ func TestPipelineOverlapsReduceWithNextScan(t *testing.T) {
 	// over [6k, 6k+6]) and each reduce drains under the next map, so the
 	// last round retires at 9*6+6+4 = 64s.
 	p := makePlan(t, 10, 1)
-	serial, err := Run(core.New(p, nil), stagedFixed{6, 4}, []Arrival{{Job: job(1), At: 0}})
+	serial, err := RunTrace(core.New(p, nil), stagedFixed{6, 4}, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPipelineOverlapsReduceWithNextScan(t *testing.T) {
 		t.Fatalf("serial TET = %v, want 100", tet)
 	}
 
-	piped, err := RunOpts(core.New(p, nil), stagedFixed{6, 4}, []Arrival{{Job: job(1), At: 0}},
+	piped, err := RunTrace(core.New(p, nil), stagedFixed{6, 4}, []Arrival{{Job: job(1), At: 0}},
 		Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPipelineIdleGapBetweenJobs(t *testing.T) {
 	// 2*6+4 = 16s (the first reduce hides under the second map), and the
 	// final reduce drains during otherwise idle time.
 	p := makePlan(t, 2, 1)
-	res, err := RunOpts(core.New(p, nil), stagedFixed{6, 4}, []Arrival{
+	res, err := RunTrace(core.New(p, nil), stagedFixed{6, 4}, []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 100},
 	}, Options{Pipeline: true})
@@ -123,7 +123,7 @@ func TestPipelineIdleGapBetweenJobs(t *testing.T) {
 func TestPipelineErrorInReduceStagePropagates(t *testing.T) {
 	p := makePlan(t, 4, 1)
 	exec := failingReduce{after: 2}
-	_, err := RunOpts(core.New(p, nil), &exec, []Arrival{{Job: job(1), At: 0}},
+	_, err := RunTrace(core.New(p, nil), &exec, []Arrival{{Job: job(1), At: 0}},
 		Options{Pipeline: true})
 	if err == nil {
 		t.Fatal("reduce-stage error should fail the run")
@@ -158,7 +158,7 @@ func completionOrder(t *testing.T, sch scheduler.Scheduler, exec Executor, arriv
 			order = append(order, completed...)
 		},
 	}
-	res, err := RunOpts(sch, exec, arrivals, opts)
+	res, err := RunTrace(sch, exec, arrivals, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPipelineMatchesSerialOrderProperty(t *testing.T) {
 				arrivals[i] = Arrival{Job: job(i + 1), At: at}
 			}
 			var order []scheduler.JobID
-			res, err := RunOpts(core.New(plan, nil), exec, arrivals, Options{
+			res, err := RunTrace(core.New(plan, nil), exec, arrivals, Options{
 				Pipeline: pipeline,
 				Hooks: Hooks{OnRoundDone: func(_ scheduler.Round, _ vclock.Time, completed []scheduler.JobID) {
 					order = append(order, completed...)
@@ -249,9 +249,19 @@ func TestPipelineMatchesSerialOrderProperty(t *testing.T) {
 	}
 }
 
-// stagedSetup is realSetup with a configurable segment granularity, so
-// pipelined runs have many rounds in flight.
-func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.SegmentPlan, *EngineExecutor, []scheduler.JobMeta) {
+// mapreduce cannot import this package, so the in-process executor's
+// conformance to the round loop's contracts is asserted here.
+var (
+	_ StageExecutor    = (*mapreduce.Executor)(nil)
+	_ FailureReporter  = (*mapreduce.Executor)(nil)
+	_ FaultStatsSource = (*mapreduce.Executor)(nil)
+	_ CacheStatsSource = (*mapreduce.Executor)(nil)
+)
+
+// stagedSetup builds a small generated corpus, a real engine and
+// wordcount specs for n jobs, with a configurable segment granularity
+// so pipelined runs have many rounds in flight.
+func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
 	t.Helper()
 	store := dfs.MustStore(4, 1)
 	if _, err := workload.AddTextFile(store, "corpus", blocks, 2048, 7); err != nil {
@@ -274,62 +284,57 @@ func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.SegmentPlan, *En
 		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
 		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
 	}
-	return plan, NewEngineExecutor(engine, specs), metas
+	return store, plan, mapreduce.NewExecutor(engine, specs), metas
 }
 
 // TestPipelineEngineMatchesSerial runs the same staggered workload on
 // the real engine serially and pipelined: final outputs must be
-// byte-identical and jobs must complete in the same order, in both
-// output-collection modes. Under -race this also exercises round N's
-// reduce committing concurrently with round N+1's map.
+// byte-identical and jobs must complete in the same order. Under -race
+// this also exercises round N's reduce committing concurrently with
+// round N+1's map.
 func TestPipelineEngineMatchesSerial(t *testing.T) {
-	for _, mode := range []OutputMode{AccumulateShuffle, PerRoundReduce} {
-		run := func(pipeline bool) (map[scheduler.JobID]string, []scheduler.JobID) {
-			plan, exec, metas := stagedSetup(t, 8, 1, 3)
-			exec.SetOutputMode(mode)
-			exec.SetTimeScale(1e6)
-			arrivals := []Arrival{
-				{Job: metas[0], At: 0},
-				{Job: metas[1], At: 1},
-				{Job: metas[2], At: 2},
-			}
-			order, _ := completionOrder(t, core.New(plan, nil), exec, arrivals,
-				Options{Pipeline: pipeline, ReduceWorkers: 2})
-			out := map[scheduler.JobID]string{}
-			for id, res := range exec.Results() {
-				out[id] = fmt.Sprint(res.Output)
-			}
-			return out, order
+	run := func(pipeline bool) (map[scheduler.JobID]string, []scheduler.JobID) {
+		_, plan, exec, metas := stagedSetup(t, 8, 1, 3)
+		exec.SetTimeScale(1e6)
+		arrivals := []Arrival{
+			{Job: metas[0], At: 0},
+			{Job: metas[1], At: 1},
+			{Job: metas[2], At: 2},
 		}
-		serialOut, serialOrder := run(false)
-		pipedOut, pipedOrder := run(true)
-		if len(serialOut) != 3 || len(pipedOut) != 3 {
-			t.Fatalf("mode %v: results missing (serial %d, piped %d)", mode, len(serialOut), len(pipedOut))
+		order, _ := completionOrder(t, core.New(plan, nil), exec, arrivals,
+			Options{Pipeline: pipeline, ReduceWorkers: 2})
+		out := map[scheduler.JobID]string{}
+		for id, res := range exec.Results() {
+			out[id] = fmt.Sprint(res.Output)
 		}
-		for id, want := range serialOut {
-			if pipedOut[id] != want {
-				t.Errorf("mode %v: job %d pipelined output differs from serial", mode, id)
-			}
+		return out, order
+	}
+	serialOut, serialOrder := run(false)
+	pipedOut, pipedOrder := run(true)
+	if len(serialOut) != 3 || len(pipedOut) != 3 {
+		t.Fatalf("results missing (serial %d, piped %d)", len(serialOut), len(pipedOut))
+	}
+	for id, want := range serialOut {
+		if pipedOut[id] != want {
+			t.Errorf("job %d pipelined output differs from serial", id)
 		}
-		if fmt.Sprint(serialOrder) != fmt.Sprint(pipedOrder) {
-			t.Errorf("mode %v: completion order %v (pipelined) != %v (serial)", mode, pipedOrder, serialOrder)
-		}
+	}
+	if fmt.Sprint(serialOrder) != fmt.Sprint(pipedOrder) {
+		t.Errorf("completion order %v (pipelined) != %v (serial)", pipedOrder, serialOrder)
 	}
 }
 
 // TestPipelineEngineConcurrentReduces drives many single-block rounds
 // with slow reduces through a wide worker pool, keeping several reduce
-// stages in flight while maps continue — the scenario the commit
-// turnstile orders. Primarily a -race target.
+// stages in flight while maps continue. Primarily a -race target.
 func TestPipelineEngineConcurrentReduces(t *testing.T) {
-	plan, exec, metas := stagedSetup(t, 12, 1, 4)
-	exec.SetOutputMode(PerRoundReduce)
+	_, plan, exec, metas := stagedSetup(t, 12, 1, 4)
 	exec.SetTimeScale(1e6)
 	arrivals := make([]Arrival, len(metas))
 	for i, m := range metas {
 		arrivals[i] = Arrival{Job: m, At: vclock.Time(i)}
 	}
-	res, err := RunOpts(core.New(plan, nil), exec, arrivals,
+	res, err := RunTrace(core.New(plan, nil), exec, arrivals,
 		Options{Pipeline: true, ReduceWorkers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package driver
+package runtime
 
 import (
 	"errors"
@@ -38,10 +38,10 @@ func fixed(d vclock.Duration) Executor {
 func TestRunFIFOSequential(t *testing.T) {
 	p := makePlan(t, 10, 1) // 10 segments, 10s each -> 100s per job
 	f := scheduler.NewFIFO(p, nil)
-	res, err := Run(f, fixed(10), []Arrival{
+	res, err := RunTrace(f, fixed(10), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 20},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestRunFIFOSequential(t *testing.T) {
 func TestRunS3SharedScan(t *testing.T) {
 	p := makePlan(t, 10, 1)
 	s := core.New(p, nil)
-	res, err := Run(s, fixed(10), []Arrival{
+	res, err := RunTrace(s, fixed(10), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 20},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,10 @@ func TestRunS3SharedScan(t *testing.T) {
 func TestRunIdleGapBetweenJobs(t *testing.T) {
 	p := makePlan(t, 2, 1) // 2 segments, job takes 2 rounds
 	s := core.New(p, nil)
-	res, err := Run(s, fixed(5), []Arrival{
+	res, err := RunTrace(s, fixed(5), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 100}, // long after job 1 finished
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,10 @@ func TestRunIdleGapBetweenJobs(t *testing.T) {
 func TestRunArrivalsUnsorted(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)
-	res, err := Run(s, fixed(1), []Arrival{
+	res, err := RunTrace(s, fixed(1), []Arrival{
 		{Job: job(2), At: 50},
 		{Job: job(1), At: 0},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunArrivalsUnsorted(t *testing.T) {
 func TestRunRejectsNegativeArrival(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)
-	if _, err := Run(s, fixed(1), []Arrival{{Job: job(1), At: -5}}); err == nil {
+	if _, err := RunTrace(s, fixed(1), []Arrival{{Job: job(1), At: -5}}, Options{}); err == nil {
 		t.Error("negative arrival should fail")
 	}
 }
@@ -128,7 +128,7 @@ func TestRunExecutorErrorPropagates(t *testing.T) {
 	s := core.New(p, nil)
 	boom := errors.New("exec-fail")
 	exec := ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return 0, boom })
-	if _, err := Run(s, exec, []Arrival{{Job: job(1), At: 0}}); !errors.Is(err, boom) {
+	if _, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{}); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want %v", err, boom)
 	}
 }
@@ -137,7 +137,7 @@ func TestRunNegativeDurationRejected(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)
 	exec := ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return -1, nil })
-	if _, err := Run(s, exec, []Arrival{{Job: job(1), At: 0}}); err == nil {
+	if _, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{}); err == nil {
 		t.Error("negative duration should fail")
 	}
 }
@@ -149,10 +149,10 @@ func TestRunMRShareStallSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only 2 of 3 batch members ever arrive.
-	_, err = Run(m, fixed(1), []Arrival{
+	_, err = RunTrace(m, fixed(1), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 1},
-	})
+	}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Errorf("err = %v, want stall report", err)
 	}
@@ -161,10 +161,10 @@ func TestRunMRShareStallSurfaces(t *testing.T) {
 func TestRunSubmitErrorPropagates(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)
-	_, err := Run(s, fixed(1), []Arrival{
+	_, err := RunTrace(s, fixed(1), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(1), At: 1}, // duplicate id
-	})
+	}, Options{})
 	if !errors.Is(err, scheduler.ErrDuplicateJob) {
 		t.Errorf("err = %v, want ErrDuplicateJob", err)
 	}
@@ -173,7 +173,7 @@ func TestRunSubmitErrorPropagates(t *testing.T) {
 func TestRunEmptyArrivals(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)
-	res, err := Run(s, fixed(1), nil)
+	res, err := RunTrace(s, fixed(1), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +192,10 @@ func TestRunMidRoundArrivalJoinsNextRound(t *testing.T) {
 	})
 	// Job 2 arrives at t=5, during job 1's first round (0..10). It
 	// must share every round from the second on.
-	_, err := Run(s, exec, []Arrival{
+	_, err := RunTrace(s, exec, []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 5},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,9 @@
 // alignment exploits — turning the same loop into a long-lived
 // admission daemon.
 //
-// The historical entry points live in internal/driver as thin
-// compatibility wrappers around this package.
+// The package holds the contracts only and imports no data plane: each
+// substrate's executor lives beside it (sim.Executor,
+// mapreduce.Executor, remote.Master).
 package runtime
 
 import (
@@ -266,8 +267,7 @@ type Options struct {
 // Run drives arrivals from src through the scheduler, executing rounds
 // until every admitted job completes and the source reports no more
 // will ever come. The stage policy is chosen from opts.Pipeline and
-// the capabilities of sched/exec, exactly like the legacy
-// driver.RunOpts.
+// the capabilities of sched/exec.
 func Run(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Options) (*Result, error) {
 	e := newEngine(sched, exec, src, opts)
 	return e.run()

@@ -1,4 +1,4 @@
-package driver
+package runtime
 
 import (
 	"bytes"
@@ -50,7 +50,7 @@ func telemetryRun(t *testing.T, pipeline bool, n, segments int, staggered bool) 
 	}
 	log := trace.MustNew(4096)
 	reg := metrics.NewRegistry()
-	res, err := RunOpts(core.New(plan, nil), exec, arrivals, Options{
+	res, err := RunTrace(core.New(plan, nil), exec, arrivals, Options{
 		Pipeline: pipeline,
 		Spans:    log,
 		Metrics:  metrics.NewRunMetrics(reg),
@@ -197,7 +197,7 @@ func TestSerialStageSplitIsSemanticallyInert(t *testing.T) {
 		if withTelemetry {
 			opts.Spans = trace.MustNew(1024)
 		}
-		res, err := RunOpts(core.New(plan, nil), exec, arrivals, opts)
+		res, err := RunTrace(core.New(plan, nil), exec, arrivals, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestEngineSimTelemetrySignalParity(t *testing.T) {
 	_, simLog, simReg := telemetryRun(t, false, 3, 4, true)
 
 	// Engine run with the same telemetry sinks.
-	plan, exec, metas := stagedSetup(t, 12, 3, 3)
+	_, plan, exec, metas := stagedSetup(t, 12, 3, 3)
 	engLog := trace.MustNew(4096)
 	engReg := metrics.NewRegistry()
 	// Scheduler log stays nil to mirror telemetryRun: the comparison is
@@ -301,7 +301,7 @@ func TestEngineSimTelemetrySignalParity(t *testing.T) {
 	for i, m := range metas {
 		arrivals[i] = Arrival{Job: m, At: vclock.Time(i)}
 	}
-	if _, err := RunOpts(sched, exec, arrivals, Options{
+	if _, err := RunTrace(sched, exec, arrivals, Options{
 		Spans:   engLog,
 		Metrics: metrics.NewRunMetrics(engReg),
 	}); err != nil {

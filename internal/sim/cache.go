@@ -14,9 +14,9 @@ import (
 // keeps a metadata-only LRU over block ids with a cluster-aggregate
 // byte budget (per-node budget × nodes), and prices a warm block's scan
 // at a configurable fraction of its disk cost. Warm blocks are memory
-// reads: they skip the remote and cross-rack penalties (nothing crosses
-// the network) and are not counted as physical scans, mirroring how the
-// engine's cache hits bypass dfs.Store's scan counters.
+// reads: they skip the remote penalty (nothing crosses the network)
+// and are not counted as physical scans, mirroring how the engine's
+// cache hits bypass dfs.Store's scan counters.
 
 // simCacheEntry is one warm block in the pricing LRU.
 type simCacheEntry struct {
@@ -138,7 +138,7 @@ func (e *Executor) HandleScanHint(h dfs.ScanHint) {
 	c.prefetchSec += slowest
 }
 
-// CacheStats implements driver.CacheStatsSource.
+// CacheStats implements runtime.CacheStatsSource.
 func (e *Executor) CacheStats() metrics.CacheStats {
 	if e.cache == nil {
 		return metrics.CacheStats{}
@@ -158,25 +158,6 @@ func (e *Executor) CacheStats() metrics.CacheStats {
 	s := e.cache.stats
 	s.Bytes = e.cache.bytes
 	return s
-}
-
-// CachedBytes reports how many bytes of the given blocks are currently
-// warm (0 with caching off). Wire it into core.MultiFile.SetCacheAdvisor
-// to make the JQM's file arbitration cache-aware.
-func (e *Executor) CachedBytes(blocks []dfs.BlockID) int64 {
-	if e.cache == nil {
-		return 0
-	}
-	if e.cache.meta != nil {
-		return e.cache.meta.CachedBytes(blocks)
-	}
-	var total int64
-	for _, b := range blocks {
-		if el, ok := e.cache.entries[b]; ok {
-			total += el.Value.(*simCacheEntry).bytes
-		}
-	}
-	return total
 }
 
 // cacheContains reports whether the block is warm without promoting it.

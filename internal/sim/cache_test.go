@@ -192,23 +192,3 @@ func TestCacheResetStats(t *testing.T) {
 		t.Fatalf("post-reset pass = %+v, want 4 hits / 0 misses", cs)
 	}
 }
-
-func TestCachedBytesAdvisor(t *testing.T) {
-	cluster, store, plan := setup(t, 4, 8, 64*mb)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	if got := ex.CachedBytes(plan.Blocks(0)); got != 0 {
-		t.Fatalf("CachedBytes with caching off = %d, want 0", got)
-	}
-	if err := ex.EnableCache(8*64*mb, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.ExecRound(round(plan, 0, meta(1, 1, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if got := ex.CachedBytes(plan.Blocks(0)); got != 4*64*mb {
-		t.Fatalf("CachedBytes(seg 0) = %d, want %d", got, 4*64*mb)
-	}
-	if got := ex.CachedBytes(plan.Blocks(1)); got != 0 {
-		t.Fatalf("CachedBytes(seg 1) = %d, want 0", got)
-	}
-}

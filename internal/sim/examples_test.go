@@ -5,7 +5,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -40,16 +40,16 @@ func exampleSetup(t *testing.T) exampleEnv {
 	return exampleEnv{store: store, plan: plan, exec: exec}
 }
 
-func twoJobs(offset vclock.Time) []driver.Arrival {
-	return []driver.Arrival{
+func twoJobs(offset vclock.Time) []runtime.Arrival {
+	return []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: offset},
 	}
 }
 
-func runScheme(t *testing.T, sched scheduler.Scheduler, exec driver.Executor, offset vclock.Time) (tet, art float64) {
+func runScheme(t *testing.T, sched scheduler.Scheduler, exec runtime.Executor, offset vclock.Time) (tet, art float64) {
 	t.Helper()
-	res, err := driver.Run(sched, exec, twoJobs(offset))
+	res, err := runtime.RunTrace(sched, exec, twoJobs(offset), runtime.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", sched.Name(), err)
 	}
@@ -119,13 +119,13 @@ func TestExample3S3Offset80(t *testing.T) {
 // prefix) where FIFO scans 20.
 func TestExampleScanVolume(t *testing.T) {
 	env := exampleSetup(t)
-	if _, err := driver.Run(core.New(env.plan, nil), env.exec, twoJobs(20)); err != nil {
+	if _, err := runtime.RunTrace(core.New(env.plan, nil), env.exec, twoJobs(20), runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s3Scans := env.exec.Stats().BlocksScanned
 
 	env2 := exampleSetup(t)
-	if _, err := driver.Run(scheduler.NewFIFO(env2.plan, nil), env2.exec, twoJobs(20)); err != nil {
+	if _, err := runtime.RunTrace(scheduler.NewFIFO(env2.plan, nil), env2.exec, twoJobs(20), runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fifoScans := env2.exec.Stats().BlocksScanned

@@ -69,10 +69,10 @@ func (e *Executor) SetFaultModel(m FaultModel) error {
 	return nil
 }
 
-// FaultStats implements driver.FaultStatsSource.
+// FaultStats implements runtime.FaultStatsSource.
 func (e *Executor) FaultStats() metrics.FaultStats { return e.fstats }
 
-// TimeDependent implements driver.TimeSensitive: pricing depends on
+// TimeDependent implements runtime.TimeSensitive: pricing depends on
 // the round's launch time only while a fault model is installed.
 func (e *Executor) TimeDependent() bool { return e.fm != nil }
 
@@ -90,7 +90,7 @@ func (e *Executor) downAt(t vclock.Time) map[int]bool {
 	return down
 }
 
-// ExecRoundAt implements driver.TimedExecutor: ExecRound evaluated
+// ExecRoundAt implements runtime.TimedExecutor: ExecRound evaluated
 // under the failure model at virtual time now.
 func (e *Executor) ExecRoundAt(r scheduler.Round, now vclock.Time) (vclock.Duration, error) {
 	if e.fm == nil {

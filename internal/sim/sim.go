@@ -1,6 +1,6 @@
 // Package sim is the discrete-event cluster simulator used to
 // reproduce the paper's 40-node timing experiments at full scale in
-// milliseconds. It supplies a driver.Executor whose round durations
+// milliseconds. It supplies a runtime.Executor whose round durations
 // come from a calibrated cost model instead of real computation.
 //
 // The model charges exactly the quantities the paper's discussion
@@ -112,11 +112,6 @@ type CostModel struct {
 	// §II-C raises for HOD). Slot checking therefore has a real
 	// trade-off: excluding a slow node strands its blocks.
 	RemotePenalty float64 `json:"remotePenalty,omitempty"`
-	// CrossRackPenalty is charged *in addition* to RemotePenalty when
-	// no replica holder even shares a rack with a participating node,
-	// so the fetch crosses the aggregation switch (the paper's cluster
-	// is three racks, §V-A). Ignored unless the store has a topology.
-	CrossRackPenalty float64 `json:"crossRackPenalty,omitempty"`
 	// ReduceSetup is the fixed cost of running one reduce phase
 	// (task setup, output commit) scaled by the job's reduce weight.
 	// S^3 pays it per job on *every* round — each sub-job is a
@@ -149,8 +144,7 @@ func (m CostModel) Validate() error {
 	}
 	if m.MapMBps < 0 || m.TaskOverhead < 0 || m.DispatchPerJob < 0 || m.RoundOverhead < 0 ||
 		m.JobSetup < 0 || m.SharePenalty < 0 || m.TagPenalty < 0 || m.RemotePenalty < 0 ||
-		m.CrossRackPenalty < 0 || m.ReducePerRound < 0 || m.ReduceSetup < 0 ||
-		m.MaterializeSecPerMB < 0 {
+		m.ReducePerRound < 0 || m.ReduceSetup < 0 || m.MaterializeSecPerMB < 0 {
 		return fmt.Errorf("sim: cost model has negative component: %+v", m)
 	}
 	return nil
@@ -167,17 +161,11 @@ type Stats struct {
 }
 
 // Executor prices rounds with the cost model. It implements
-// driver.Executor.
+// runtime.Executor.
 type Executor struct {
 	cluster *Cluster
 	store   *dfs.Store
 	model   CostModel
-
-	// slotCheck enables §IV-D1 periodic slot checking: nodes slower
-	// than speedFloor × the fastest node are excluded from rounds,
-	// trading extra waves for freedom from stragglers.
-	slotCheck  bool
-	speedFloor float64
 
 	stats Stats
 
@@ -203,16 +191,6 @@ func NewExecutor(cluster *Cluster, store *dfs.Store, model CostModel) *Executor 
 	return &Executor{cluster: cluster, store: store, model: model}
 }
 
-// EnableSlotChecking turns on slow-node exclusion: nodes slower than
-// floor × the fastest node's speed do not receive tasks.
-func (e *Executor) EnableSlotChecking(floor float64) {
-	if floor <= 0 || floor > 1 {
-		panic(fmt.Sprintf("sim: slot-check floor %v outside (0,1]", floor))
-	}
-	e.slotCheck = true
-	e.speedFloor = floor
-}
-
 // Stats returns the accumulated work counters.
 func (e *Executor) Stats() Stats { return e.stats }
 
@@ -228,7 +206,7 @@ func (e *Executor) ResetStats() {
 	}
 }
 
-// ExecRound implements driver.Executor.
+// ExecRound implements runtime.Executor.
 func (e *Executor) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	mapSec, redSec, err := e.price(r)
 	if err != nil {
@@ -237,8 +215,8 @@ func (e *Executor) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return vclock.Duration(mapSec + redSec), nil
 }
 
-// ExecMapStage implements driver.StageExecutor (without importing
-// driver: the stage is returned as the alias's underlying func type).
+// ExecMapStage implements runtime.StageExecutor (without importing
+// runtime: the stage is returned as the alias's underlying func type).
 // The cost model prices both stages at map end — the reduce cost is a
 // pure function of the round — so the returned stage only reports the
 // precomputed duration. Stats are charged here, on the driver's
@@ -263,7 +241,7 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 	if len(r.Jobs) == 0 || len(r.Blocks) == 0 {
 		return 0, 0, fmt.Errorf("sim: empty round (jobs=%d blocks=%d)", len(r.Jobs), len(r.Blocks))
 	}
-	used := e.usableNodes()
+	used := e.cluster.nodes
 	if len(r.Nodes) > 0 {
 		// The scheduler restricted the round to specific nodes
 		// (scheduler-side slot checking, §IV-D1).
@@ -318,9 +296,6 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 		} else if e.model.RemotePenalty > 0 && !e.blockLocal(b, usedSet) {
 			scanFactor += e.model.RemotePenalty
 			remote++
-			if e.model.CrossRackPenalty > 0 && !e.blockRackLocal(b, usedSet) {
-				scanFactor += e.model.CrossRackPenalty
-			}
 		}
 		t := scanMB/e.model.ScanMBps*scanFactor + e.model.TaskOverhead
 		for _, j := range r.Jobs {
@@ -401,44 +376,4 @@ func (e *Executor) blockLocal(b dfs.BlockID, usedSet map[int]bool) bool {
 		}
 	}
 	return false
-}
-
-// blockRackLocal reports whether any replica holder of b shares a rack
-// with any participating node.
-func (e *Executor) blockRackLocal(b dfs.BlockID, usedSet map[int]bool) bool {
-	usedRacks := make(map[int]bool, e.store.Racks())
-	for n := range usedSet {
-		usedRacks[e.store.Rack(dfs.NodeID(n))] = true
-	}
-	for _, holder := range e.store.Locations(b) {
-		if usedRacks[e.store.Rack(holder)] {
-			return true
-		}
-	}
-	return false
-}
-
-// usableNodes returns the nodes that receive tasks this round.
-func (e *Executor) usableNodes() []*Node {
-	if !e.slotCheck {
-		return e.cluster.nodes
-	}
-	fastest := 0.0
-	for _, nd := range e.cluster.nodes {
-		if nd.Speed > fastest {
-			fastest = nd.Speed
-		}
-	}
-	var out []*Node
-	for _, nd := range e.cluster.nodes {
-		if nd.Speed >= e.speedFloor*fastest {
-			out = append(out, nd)
-		}
-	}
-	// If everything is "slow" the check is meaningless; use all nodes
-	// rather than none.
-	if len(out) == 0 {
-		return e.cluster.nodes
-	}
-	return out
 }

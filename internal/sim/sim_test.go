@@ -157,32 +157,6 @@ func TestStragglerPacesRound(t *testing.T) {
 	almost(t, "straggler round", d.Seconds(), 4)
 }
 
-func TestSlotCheckingExcludesStraggler(t *testing.T) {
-	cluster, store, plan := setup(t, 4, 8, 64*mb)
-	cluster.SetSpeed(2, 0.25)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	ex.EnableSlotChecking(0.5)
-	// 3 usable nodes for 4 blocks -> 2 waves at nominal speed: 2 s,
-	// beating the 4 s the straggler would impose.
-	d, _ := ex.ExecRound(round(plan, 0, meta(1, 1, 1)))
-	almost(t, "slot-checked round", d.Seconds(), 2)
-}
-
-func TestSlotCheckingKeepsAllWhenAllSlow(t *testing.T) {
-	cluster, store, plan := setup(t, 4, 8, 64*mb)
-	for i := 0; i < 4; i++ {
-		cluster.SetSpeed(i, 0.5)
-	}
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	ex.EnableSlotChecking(0.9)
-	d, err := ex.ExecRound(round(plan, 0, meta(1, 1, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All nodes equally slow: uniform 0.5 speed, 1 wave -> 2 s.
-	almost(t, "uniform slow round", d.Seconds(), 2)
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 8, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
@@ -238,11 +212,6 @@ func TestClusterValidation(t *testing.T) {
 		func() { NewCluster(0, 1) },
 		func() { NewCluster(1, 0) },
 		func() { NewCluster(2, 1).SetSpeed(0, 0) },
-		func() {
-			c := NewCluster(2, 1)
-			ex := NewExecutor(c, dfs.MustStore(2, 1), CostModel{ScanMBps: 1})
-			ex.EnableSlotChecking(0)
-		},
 	} {
 		func() {
 			defer func() {
@@ -322,77 +291,5 @@ func TestRoundNodeRestriction(t *testing.T) {
 	r.Nodes = []dfs.NodeID{9}
 	if _, err := ex.ExecRound(r); err == nil {
 		t.Error("unknown node should fail")
-	}
-}
-
-func TestCrossRackPenalty(t *testing.T) {
-	// 8 nodes in 2 racks (0-3, 4-7), replication 1. Restricting a
-	// round to rack-1 nodes makes rack-0 blocks remote AND cross-rack.
-	store := dfs.MustStore(8, 1)
-	if err := store.SetRacks(2); err != nil {
-		t.Fatal(err)
-	}
-	f, err := store.AddMetaFile("input", 8, 64*mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dfs.PlanSegments(f, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := NewCluster(8, 1)
-	ex := NewExecutor(cluster, store, CostModel{
-		ScanMBps:         64,
-		RemotePenalty:    0.5,
-		CrossRackPenalty: 1.0,
-	})
-	r := round(plan, 0, meta(1, 1, 1))
-	r.Nodes = []dfs.NodeID{4, 5, 6, 7}
-	d, err := ex.ExecRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blocks 0-3 live on rack 0: remote+cross-rack -> factor 2.5.
-	// Blocks 4-7 local -> factor 1. perBlockAvg = (4*2.5+4*1)/8 =
-	// 1.75s; 8 blocks on 4 slots = 2 waves -> 3.5s.
-	almost(t, "cross-rack round", d.Seconds(), 3.5)
-	if got := ex.Stats().RemoteBlocks; got != 4 {
-		t.Errorf("remote blocks = %d, want 4", got)
-	}
-}
-
-func TestCrossRackAvoidedByReplicaOnRack(t *testing.T) {
-	// Replication 2 with rack-aware placement: every block has a
-	// replica on each rack, so restricting to one rack is remote but
-	// never cross-rack.
-	store := dfs.MustStore(8, 2)
-	if err := store.SetRacks(2); err != nil {
-		t.Fatal(err)
-	}
-	f, err := store.AddMetaFile("input", 8, 64*mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dfs.PlanSegments(f, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := NewCluster(8, 1)
-	ex := NewExecutor(cluster, store, CostModel{
-		ScanMBps:         64,
-		RemotePenalty:    0.5,
-		CrossRackPenalty: 1.0,
-	})
-	r := round(plan, 0, meta(1, 1, 1))
-	r.Nodes = []dfs.NodeID{4, 5, 6, 7}
-	d, err := ex.ExecRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With rack-aware replication every block has a holder on rack 1:
-	// some blocks are node-local, the rest at most rack-remote
-	// (factor <= 1.5). The round must beat the cross-rack case.
-	if d.Seconds() >= 3.5 {
-		t.Errorf("round = %v; rack-aware replicas should avoid cross-rack fetches", d)
 	}
 }

@@ -123,9 +123,7 @@ func (s *Server) Snapshot() State {
 }
 
 // Hooks returns run-loop hooks that publish round progress into the
-// server. The type is shared between internal/runtime and the
-// internal/driver compatibility wrappers, so the result plugs into
-// either entry point.
+// server.
 func (s *Server) Hooks(sched scheduler.Scheduler) runtime.Hooks {
 	return runtime.Hooks{
 		OnRoundDone: func(r scheduler.Round, now vclock.Time, completed []scheduler.JobID) {

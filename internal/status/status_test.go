@@ -10,8 +10,8 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/driver"
 	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -76,11 +76,11 @@ func TestHooksPublishProgress(t *testing.T) {
 	sched := core.New(plan, nil)
 	srv := NewServer(sched.Name())
 
-	exec := driver.ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return 10, nil })
-	res, err := driver.RunWithHooks(sched, exec, []driver.Arrival{
+	exec := runtime.ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) { return 10, nil })
+	res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: 5},
-	}, srv.Hooks(sched))
+	}, runtime.Options{Hooks: srv.Hooks(sched)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -694,7 +694,7 @@ func (wf *File) ContentOf(name string) (string, bool) {
 }
 
 // EngineSpecs builds the executable specs for every job, keyed by id —
-// the map driver.NewEngineExecutor takes.
+// the map mapreduce.NewExecutor takes.
 func (wf *File) EngineSpecs() (map[scheduler.JobID]mapreduce.JobSpec, error) {
 	out := make(map[scheduler.JobID]mapreduce.JobSpec, len(wf.Jobs))
 	for i := range wf.Jobs {
