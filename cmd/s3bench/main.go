@@ -37,7 +37,7 @@ func main() {
 	faultJSON := flag.String("faultjson", "", "faults experiment: also write the results as JSON to this file")
 	cacheMB := flag.Int("cachemb", 4096, "cache experiment: per-node block-cache budget in MB (4096 fits a node's share of the 160 GB input)")
 	cacheFrac := flag.Float64("cachefrac", 0.1, "cache experiment: cached scan cost as a fraction of disk cost, in [0,1]")
-	cachePolicy := flag.String("cachepolicy", "all", "cache experiment: eviction policy lru|2q|cursor, or all to sweep every policy")
+	cachePolicy := flag.String("cachepolicy", "all", "cache experiment: eviction policy lru|cursor, or all to sweep both")
 	cacheJSON := flag.String("cachejson", "", "cache experiment: also write the results as JSON to this file")
 	flag.Parse()
 
@@ -567,8 +567,8 @@ func runCache(perNodeMB int, frac float64, policy, jsonPath string) error {
 			eng.Policy, eng.Jobs, eng.OutputsIdentical, eng.CacheHits, eng.Prefetches, eng.ColdReads, eng.WarmReads)
 	}
 	fmt.Println("(LRU under a circular scan is a cliff: an undersized cache evicts each block")
-	fmt.Println(" just before the cursor returns. 2Q's protected queue keeps some of the cycle")
-	fmt.Println(" warm; the cursor policy pins and prefetches the scheduler's next segments)")
+	fmt.Println(" just before the cursor returns; the cursor policy pins and prefetches the")
+	fmt.Println(" scheduler's next segments)")
 	fmt.Println()
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(rec, "", "  ")

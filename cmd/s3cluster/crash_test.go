@@ -137,7 +137,7 @@ func (m *masterProc) wait(t *testing.T, timeout time.Duration) error {
 // startCrashWorker serves the crash-test corpus in-process and
 // registers with the master's control plane on an aggressive reconnect
 // schedule, so it rejoins a restarted master within tens of ms.
-func startCrashWorker(t *testing.T, ctrl, id string) *remote.Worker {
+func startCrashWorker(t *testing.T, ctrl, id string) *dfs.Store {
 	t.Helper()
 	store, err := dfs.NewStore(1, 1)
 	if err != nil {
@@ -148,6 +148,11 @@ func startCrashWorker(t *testing.T, ctrl, id string) *remote.Worker {
 	}
 	if _, err := workload.AddLineitemFile(store, "lineitem", crashBlocks, crashBlockSize, crashSeed); err != nil {
 		t.Fatalf("lineitem: %v", err)
+	}
+	// What -cachemb gives a worker process, at a budget of a third of its
+	// share of a file: the scan keeps evicting, so readahead never stops.
+	if _, err := store.EnableCachePolicy(crashBlocks/2/3*crashBlockSize, dfs.PolicyCursor); err != nil {
+		t.Fatalf("worker cache: %v", err)
 	}
 	w := remote.NewWorker(store, remote.NewStandardRegistry())
 	if _, err := w.Serve("127.0.0.1:0"); err != nil {
@@ -163,7 +168,23 @@ func startCrashWorker(t *testing.T, ctrl, id string) *remote.Worker {
 		t.Fatalf("worker register: %v", err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return w
+	return store
+}
+
+// clusterCacheLedger sums the workers' heartbeat ledgers in GET /cluster.
+func clusterCacheLedger(t *testing.T, base string) (prefetches, hits int64) {
+	t.Helper()
+	var view struct {
+		Workers []comms.WorkerInfo `json:"workers"`
+	}
+	if err := getJSON(base+"/cluster", &view); err != nil {
+		t.Fatalf("GET /cluster: %v", err)
+	}
+	for _, w := range view.Workers {
+		prefetches += w.Tasks.CachePrefetches
+		hits += w.Tasks.CacheHits
+	}
+	return prefetches, hits
 }
 
 // pickAddr reserves an ephemeral port and releases it for the
@@ -328,8 +349,7 @@ func TestMasterCrashRecovery(t *testing.T) {
 	base := "http://" + statusAddr
 
 	m1 := spawnMaster(t, "master1", ctrl, statusAddr, journalPath, "")
-	startCrashWorker(t, ctrl, "worker-a")
-	startCrashWorker(t, ctrl, "worker-b")
+	stores := []*dfs.Store{startCrashWorker(t, ctrl, "worker-a"), startCrashWorker(t, ctrl, "worker-b")}
 	waitStatus(t, base, 30*time.Second, "master1 up", func(statusSnapshot) bool { return true })
 
 	ids := submitCrashJobs(t, base, numJobs)
@@ -342,6 +362,16 @@ func TestMasterCrashRecovery(t *testing.T) {
 		t.Fatalf("SIGKILL master1: %v", err)
 	}
 	_ = m1.cmd.Wait() // reap; exit status is meaningless after SIGKILL
+	// With no master there are no tasks: the workers' cache counters stand
+	// at what the first incarnation's hints caused.
+	var prefetched, hit int64
+	for _, store := range stores {
+		cs := store.CacheStats()
+		prefetched, hit = prefetched+cs.Prefetches, hit+cs.Hits
+	}
+	if prefetched == 0 {
+		t.Error("master1's map tasks caused no readahead: its scheduler's hints are not wired")
+	}
 
 	// --- incarnation 2: same journal, same addresses ------------------
 	m2 := spawnMaster(t, "master2", ctrl, statusAddr, journalPath, tracePath)
@@ -349,6 +379,21 @@ func TestMasterCrashRecovery(t *testing.T) {
 		return st.Recovery != nil
 	})
 	waitJobsDone(t, base, ids, 60*time.Second)
+	// The recovered master hints again — its hinter is wired before the
+	// journal is replayed and kept by RestoreState — and a heartbeat later
+	// its own /cluster says so.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p, h := clusterCacheLedger(t, base)
+		if p > prefetched && h > hit {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("/cluster after recovery: %d prefetches, %d hits; master1 left %d and %d, want both higher", p, h, prefetched, hit)
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 
 	st := waitStatus(t, base, 5*time.Second, "recovery visible", func(st statusSnapshot) bool {
 		return st.Recovery != nil && st.Recovery.Recoveries >= 1

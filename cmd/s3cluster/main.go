@@ -73,7 +73,6 @@ var (
 	statAddr     = flag.String("status", "", "master/demo: serve a live status dashboard, Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
 	traceJSON    = flag.String("tracejson", "", "master/demo: write the run's span tree as Chrome trace-event JSON to this file")
 	cacheMB      = flag.Int64("cachemb", 0, "worker/demo: per-worker block-cache budget in MB (0 = caching off)")
-	cachePolicy  = flag.String("cachepolicy", dfs.PolicyLRU, "worker/demo: block-cache eviction policy: lru | 2q | cursor")
 	serve        = flag.Bool("serve", false, "master/demo: stay up as a daemon accepting live job submissions via POST /jobs on the status address; SIGINT drains and exits")
 	journalPath  = flag.String("journal", "", "master/demo: write-ahead journal path; admissions and round commits are logged so a restart on the same path recovers in-flight jobs (requires -serve)")
 	fsyncMode    = flag.String("fsync", "always", "master/demo: journal fsync policy: always (survives machine crashes) or never (survives process crashes only, faster)")
@@ -142,7 +141,8 @@ func workerStore() (*dfs.Store, error) {
 		return nil, err
 	}
 	if *cacheMB > 0 {
-		if _, err := store.EnableCachePolicy(*cacheMB<<20, *cachePolicy); err != nil {
+		// The cursor policy is plain LRU until the master's tasks bring hints.
+		if _, err := store.EnableCachePolicy(*cacheMB<<20, dfs.PolicyCursor); err != nil {
 			return nil, err
 		}
 	}
@@ -459,6 +459,9 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	if err != nil {
 		return err
 	}
+	// Each cursor advance's hint rides the file's next map tasks. Wired
+	// before any recovery; RestoreState and AddPlan keep it.
+	sched.SetScanHinter(master.HandleScanHint)
 	reg := metrics.NewRegistry()
 	rm := metrics.NewRunMetrics(reg)
 	opts.Metrics = rm
@@ -684,7 +687,7 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 		}
 		fmt.Println()
 		reads += st.BlockReads
-		cache.Add(metrics.CacheStats{Hits: st.CacheHits, Misses: st.CacheMisses})
+		cache.Add(st.Cache())
 	}
 	fmt.Printf("cluster block reads: %d (isolated jobs would need %d)\n", reads, int64(len(names))*int64(*blocks))
 	if cache.Hits+cache.Misses > 0 {

@@ -14,6 +14,8 @@
 // client.
 package comms
 
+import "s3sched/internal/metrics"
+
 // MemberState is a worker's position in the membership lifecycle.
 type MemberState int
 
@@ -111,6 +113,21 @@ type WireStats struct {
 	CachePrefetchFailed int64
 	CacheBytes          int64
 	CachePinnedBytes    int64
+}
+
+// Cache returns the ledger's block-cache counters in the form the
+// metrics fold: the master's end-of-run poll and the status server's
+// scrape-time view sum these over the workers.
+func (s WireStats) Cache() metrics.CacheStats {
+	return metrics.CacheStats{
+		Hits:           s.CacheHits,
+		Misses:         s.CacheMisses,
+		Evictions:      s.CacheEvictions,
+		Prefetches:     s.CachePrefetches,
+		PrefetchFailed: s.CachePrefetchFailed,
+		Bytes:          s.CacheBytes,
+		PinnedBytes:    s.CachePinnedBytes,
+	}
 }
 
 // ConnStats counts one peer connection's traffic in both directions.

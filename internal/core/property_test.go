@@ -389,7 +389,7 @@ func (f *fixedDurExec) TakeJobFailures() []scheduler.JobFailure { return f.inner
 
 // The tentpole acceptance property: every eviction policy is invisible
 // to computation on the real engine, with and without injected read
-// faults. For each cell of {lru, 2q, cursor} × {faults off, on}, the
+// faults. For each cell of {lru, cursor} × {faults off, on}, the
 // cache-on run (scan hints wired, cursor prefetching on the real read
 // path) must produce byte-identical job outputs to the cache-off run,
 // march through the *same number of rounds*, and never do more

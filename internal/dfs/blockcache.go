@@ -11,7 +11,7 @@
 //
 // Replacement is delegated to an EvictionPolicy (policy.go): plain LRU
 // collapses to zero hits when the circular scan's cycle exceeds the
-// budget, so scan-resistant policies (2q, cursor) can be selected per
+// budget, so the scan-resistant cursor policy can be selected per
 // cache. The cursor policy additionally accepts ScanHints from the JQM
 // and supports PrefetchAsync: reading the next segment ahead of the
 // cursor during the reduce stage, coalesced with demand reads through
@@ -121,19 +121,13 @@ type BlockCache struct {
 	obs            func(CacheEvent) // fired outside mu; set before use
 }
 
-// NewBlockCache creates a cache giving every node shard the same byte
-// budget, using the baseline LRU policy.
-func NewBlockCache(bytesPerNode int64) (*BlockCache, error) {
-	return NewBlockCachePolicy(bytesPerNode, PolicyLRU)
-}
-
 // NewBlockCachePolicy creates a cache giving every node shard the same
 // byte budget and the named eviction policy (see Policies).
 func NewBlockCachePolicy(bytesPerNode int64, policy string) (*BlockCache, error) {
 	if bytesPerNode <= 0 {
 		return nil, fmt.Errorf("dfs: cache budget must be positive, got %d bytes", bytesPerNode)
 	}
-	if _, err := NewPolicy(policy, bytesPerNode); err != nil {
+	if _, err := NewPolicy(policy); err != nil {
 		return nil, err
 	}
 	return &BlockCache{
@@ -162,7 +156,7 @@ func (c *BlockCache) SetObserver(obs func(CacheEvent)) {
 func (c *BlockCache) shard(node NodeID) *nodeCache {
 	nc, ok := c.nodes[node]
 	if !ok {
-		pol, err := NewPolicy(c.policy, c.budget)
+		pol, err := NewPolicy(c.policy)
 		if err != nil {
 			panic(err) // unreachable: name validated at construction
 		}

@@ -21,8 +21,8 @@ import (
 func FuzzBlockCache(f *testing.F) {
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte{0x01, 0x01, 0x42, 0x81, 0x01, 0xff, 0x42})
-	f.Add([]byte{0x02, 0x80, 0x80, 0x80, 0x80})                   // cursor policy, repeated fault
-	f.Add([]byte{0x02, 0x41, 0x01, 0x02, 0x45, 0x03, 0x04, 0x05}) // hints interleaved with reads
+	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80})                   // cursor policy, repeated fault
+	f.Add([]byte{0x01, 0x41, 0x01, 0x02, 0x45, 0x03, 0x04, 0x05}) // hints interleaved with reads
 	f.Add([]byte{0x01, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x00})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {

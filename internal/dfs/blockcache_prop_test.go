@@ -48,7 +48,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 					if rng.Intn(8) == 0 {
 						// Scheduler hint: pin a two-block window, demote the
 						// window behind it. Only the cursor policy acts on
-						// it; for lru/2q it must be a harmless no-op.
+						// it; for lru it must be a harmless no-op.
 						at := rng.Intn(numBlocks)
 						c.Hint(ScanHint{
 							File: "f",

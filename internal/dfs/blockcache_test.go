@@ -353,8 +353,8 @@ func TestEnableCacheRejectsBadBudget(t *testing.T) {
 			t.Fatalf("EnableCache(%d) succeeded, want error", budget)
 		}
 	}
-	if _, err := NewBlockCache(0); err == nil {
-		t.Fatal("NewBlockCache(0) succeeded, want error")
+	if _, err := NewBlockCachePolicy(0, PolicyLRU); err == nil {
+		t.Fatal("NewBlockCachePolicy(0, lru) succeeded, want error")
 	}
 	c, err := s.EnableCache(4096)
 	if err != nil {

@@ -38,7 +38,7 @@ func NewMetaCache(bytesPerNode int64, policy string) (*MetaCache, error) {
 	if bytesPerNode <= 0 {
 		return nil, fmt.Errorf("dfs: cache budget must be positive, got %d bytes", bytesPerNode)
 	}
-	if _, err := NewPolicy(policy, bytesPerNode); err != nil {
+	if _, err := NewPolicy(policy); err != nil {
 		return nil, err
 	}
 	return &MetaCache{
@@ -58,7 +58,7 @@ func (m *MetaCache) Policy() string { return m.policy }
 func (m *MetaCache) shard(node NodeID) *cacheShard {
 	s, ok := m.nodes[node]
 	if !ok {
-		pol, err := NewPolicy(m.policy, m.budget)
+		pol, err := NewPolicy(m.policy)
 		if err != nil {
 			panic(err) // unreachable: name validated at construction
 		}

@@ -7,17 +7,9 @@
 // the cursor comes back to it and the hit ratio collapses to zero
 // (bench/cache-sweep.json's 2GB cliff). The fix is not a bigger cache but a
 // scan-aware policy, so the replacement decision is factored out behind
-// EvictionPolicy and three implementations ship:
+// EvictionPolicy and two implementations ship:
 //
 //	lru    — the original behavior, kept as the baseline.
-//	2q     — the classic two-queue policy (Johnson & Shasha): new
-//	         blocks enter a probationary FIFO (A1in) and only blocks
-//	         re-referenced after leaving it — remembered by a ghost
-//	         list of ids (A1out) — are promoted to the protected LRU
-//	         (Am). A one-shot sequential flood churns through A1in
-//	         without displacing the warm set, so a cyclic scan
-//	         stabilizes a protected fraction of the cycle instead of
-//	         losing everything.
 //	cursor — segment-granular pinning driven by ScanHint from the JQM
 //	         cursor: the next-to-be-scanned segments are pinned
 //	         (Victim never selects them), just-scanned segments are
@@ -34,6 +26,7 @@ package dfs
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -41,22 +34,15 @@ import (
 // and the workload schema's cachePolicy field.
 const (
 	PolicyLRU    = "lru"
-	Policy2Q     = "2q"
 	PolicyCursor = "cursor"
 )
 
 // Policies returns the supported eviction policy names in canonical
 // order (baseline first).
-func Policies() []string { return []string{PolicyLRU, Policy2Q, PolicyCursor} }
+func Policies() []string { return []string{PolicyLRU, PolicyCursor} }
 
 // ValidPolicy reports whether name is a supported eviction policy.
-func ValidPolicy(name string) bool {
-	switch name {
-	case PolicyLRU, Policy2Q, PolicyCursor:
-		return true
-	}
-	return false
-}
+func ValidPolicy(name string) bool { return slices.Contains(Policies(), name) }
 
 // ScanHint is the scheduler's cache guidance, emitted by the JQM each
 // time its circular cursor advances (core.S3.SetScanHinter). One hint
@@ -91,7 +77,7 @@ type ScanHint struct {
 //     until Remove, and Touch/Victim only ever see resident blocks.
 //   - Victim returns a resident block, never one that Pinned reports
 //     true for; ok=false means every resident block is pinned.
-//   - Hint is advisory: a policy may ignore it entirely (lru, 2q).
+//   - Hint is advisory: a policy may ignore it entirely (lru).
 type EvictionPolicy interface {
 	// Name returns the policy's registry name.
 	Name() string
@@ -110,14 +96,11 @@ type EvictionPolicy interface {
 	Pinned(id BlockID) bool
 }
 
-// NewPolicy builds the named eviction policy for a shard with the
-// given byte budget (the 2Q queue thresholds derive from it).
-func NewPolicy(name string, budget int64) (EvictionPolicy, error) {
+// NewPolicy builds the named eviction policy.
+func NewPolicy(name string) (EvictionPolicy, error) {
 	switch name {
 	case PolicyLRU:
 		return newLRUPolicy(), nil
-	case Policy2Q:
-		return new2QPolicy(budget), nil
 	case PolicyCursor:
 		return newCursorPolicy(), nil
 	}
@@ -163,119 +146,6 @@ func (p *lruPolicy) Remove(id BlockID) {
 
 func (p *lruPolicy) Hint(ScanHint)       {}
 func (p *lruPolicy) Pinned(BlockID) bool { return false }
-
-// twoQEntry is one resident block's 2Q metadata.
-type twoQEntry struct {
-	el        *list.Element
-	size      int64
-	protected bool // true = Am, false = A1in
-}
-
-// ghostEntry is one remembered (non-resident) block id in A1out.
-type ghostEntry struct {
-	id   BlockID
-	size int64
-}
-
-// twoQPolicy implements the full 2Q algorithm. Queue sizing follows
-// the paper's recommendations translated to bytes: Kin (the
-// probationary share) is a quarter of the budget, and the ghost list
-// remembers up to twice the budget's worth of evicted ids — enough to
-// recognize a cyclic re-reference whose period is up to 2× the shard
-// budget after the probationary transit.
-type twoQPolicy struct {
-	kin      int64 // evict from A1in while it holds at least this much
-	ghostCap int64 // bytes of evicted blocks A1out remembers
-
-	resident  map[BlockID]*twoQEntry
-	a1in      *list.List // probationary FIFO, front = newest
-	am        *list.List // protected LRU, front = most recent
-	a1inBytes int64
-
-	ghost      map[BlockID]*list.Element
-	ghostList  *list.List // front = most recently evicted
-	ghostBytes int64
-}
-
-func new2QPolicy(budget int64) *twoQPolicy {
-	return &twoQPolicy{
-		kin:       budget / 4,
-		ghostCap:  2 * budget,
-		resident:  make(map[BlockID]*twoQEntry),
-		a1in:      list.New(),
-		am:        list.New(),
-		ghost:     make(map[BlockID]*list.Element),
-		ghostList: list.New(),
-	}
-}
-
-func (p *twoQPolicy) Name() string { return Policy2Q }
-
-// Touch promotes only protected blocks: a re-read while still in A1in
-// is correlated access and does not prove reuse (the 2Q insight).
-func (p *twoQPolicy) Touch(id BlockID) {
-	if ent, ok := p.resident[id]; ok && ent.protected {
-		p.am.MoveToFront(ent.el)
-	}
-}
-
-// Admit places ghost-remembered blocks straight into Am — a reference
-// after the probationary transit is the reuse proof — and everything
-// else into A1in.
-func (p *twoQPolicy) Admit(id BlockID, size int64) {
-	if el, ok := p.ghost[id]; ok {
-		p.ghostBytes -= el.Value.(ghostEntry).size
-		p.ghostList.Remove(el)
-		delete(p.ghost, id)
-		p.resident[id] = &twoQEntry{el: p.am.PushFront(id), size: size, protected: true}
-		return
-	}
-	p.resident[id] = &twoQEntry{el: p.a1in.PushFront(id), size: size}
-	p.a1inBytes += size
-}
-
-// Victim drains A1in while it holds at least Kin bytes, protecting Am
-// from one-shot floods; otherwise the protected LRU tail goes.
-func (p *twoQPolicy) Victim() (BlockID, bool) {
-	if p.a1in.Len() > 0 && (p.a1inBytes >= p.kin || p.am.Len() == 0) {
-		return p.a1in.Back().Value.(BlockID), true
-	}
-	if p.am.Len() > 0 {
-		return p.am.Back().Value.(BlockID), true
-	}
-	if p.a1in.Len() > 0 {
-		return p.a1in.Back().Value.(BlockID), true
-	}
-	return BlockID{}, false
-}
-
-// Remove ghosts probationary blocks (so a later re-reference proves
-// reuse) and forgets protected ones.
-func (p *twoQPolicy) Remove(id BlockID) {
-	ent, ok := p.resident[id]
-	if !ok {
-		return
-	}
-	delete(p.resident, id)
-	if ent.protected {
-		p.am.Remove(ent.el)
-		return
-	}
-	p.a1in.Remove(ent.el)
-	p.a1inBytes -= ent.size
-	p.ghost[id] = p.ghostList.PushFront(ghostEntry{id: id, size: ent.size})
-	p.ghostBytes += ent.size
-	for p.ghostBytes > p.ghostCap {
-		back := p.ghostList.Back()
-		ge := back.Value.(ghostEntry)
-		p.ghostList.Remove(back)
-		delete(p.ghost, ge.id)
-		p.ghostBytes -= ge.size
-	}
-}
-
-func (p *twoQPolicy) Hint(ScanHint)       {}
-func (p *twoQPolicy) Pinned(BlockID) bool { return false }
 
 // cursorPolicy keeps an LRU order modulated by scheduler hints: blocks
 // of the pinned (upcoming) segments are never selected as victims, and

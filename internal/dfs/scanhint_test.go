@@ -43,7 +43,7 @@ func TestPolicyRegistry(t *testing.T) {
 		if !ValidPolicy(name) {
 			t.Errorf("Policies() lists %q but ValidPolicy rejects it", name)
 		}
-		p, err := NewPolicy(name, 1<<20)
+		p, err := NewPolicy(name)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
@@ -51,7 +51,7 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Errorf("NewPolicy(%q).Name() = %q", name, p.Name())
 		}
 		// Exercise the shared contract once through every
-		// implementation, including the no-op Hint of lru and 2q.
+		// implementation, including the no-op Hint of lru.
 		id := BlockID{File: "f", Index: 0}
 		p.Admit(id, 64)
 		p.Touch(id)
@@ -65,15 +65,15 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Errorf("%s: no victim with one unpinned resident block", name)
 		}
 	}
-	for _, bad := range []string{"", "clock", "LRU"} {
+	for _, bad := range []string{"", "clock", "LRU", "2q"} {
 		if ValidPolicy(bad) {
 			t.Errorf("ValidPolicy(%q) = true", bad)
 		}
-		if _, err := NewPolicy(bad, 1<<20); err == nil {
+		if _, err := NewPolicy(bad); err == nil {
 			t.Errorf("NewPolicy(%q) did not fail", bad)
 		}
 	}
-	if c, err := NewBlockCachePolicy(1<<20, Policy2Q); err != nil || c.Policy() != Policy2Q {
+	if c, err := NewBlockCachePolicy(1<<20, PolicyCursor); err != nil || c.Policy() != PolicyCursor {
 		t.Fatalf("NewBlockCachePolicy: cache %v, err %v", c, err)
 	}
 }
@@ -144,12 +144,12 @@ func TestHandleScanHintGuards(t *testing.T) {
 	})
 	t.Run("non-cursor policy skips prefetch", func(t *testing.T) {
 		s, f := hintStore(t, 2, 1, 4, blockSize)
-		if _, err := s.EnableCachePolicy(4*blockSize, Policy2Q); err != nil {
+		if _, err := s.EnableCachePolicy(4*blockSize, PolicyLRU); err != nil {
 			t.Fatal(err)
 		}
 		s.HandleScanHint(ScanHint{File: f.Name, Prefetch: f.Blocks()})
 		if cs := s.CacheStats(); cs.Prefetches != 0 {
-			t.Fatalf("prefetch issued under 2q: %+v", cs)
+			t.Fatalf("prefetch issued under lru: %+v", cs)
 		}
 	})
 	t.Run("unknown file", func(t *testing.T) {

@@ -27,11 +27,10 @@ import (
 // smaller than its share of the scan cycle, every block is evicted just
 // before the cursor returns to it, so hits stay near zero until the
 // budget covers the whole cycle (the classic sequential-flooding
-// pathology). The scan-resistant policies attack the cliff from two
-// sides: 2Q keeps a protected queue that one-pass flooding cannot
-// flush, and the cursor policy pins exactly the segments the JQM's
-// circular cursor will scan next — and prefetches them — so its hit
-// ratio is set by the scheduler's lookahead, not the budget.
+// pathology). The cursor policy removes the cliff: it pins exactly the
+// segments the JQM's circular cursor will scan next — and prefetches
+// them — so its hit ratio is set by the scheduler's lookahead, not the
+// budget.
 
 // CachePoint is one (policy, cache size) cell of the sim sweep. The
 // budget-0 baseline runs once with Policy empty — with caching off

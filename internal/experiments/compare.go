@@ -501,7 +501,7 @@ func cellPolicy(h *workload.FileHeader) string {
 
 // wireScanHints connects the scheduler's circular-cursor hints to a
 // cache. Only the S^3 family emits hints; for the other schemes the
-// cache simply runs unhinted (lru/2q need none, and cursor degrades to
+// cache simply runs unhinted (lru needs none, and cursor degrades to
 // plain LRU order).
 func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 	if s, ok := sched.(interface{ SetScanHinter(core.ScanHinter) }); ok {

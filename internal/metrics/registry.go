@@ -109,6 +109,14 @@ func (c *Counter) Add(delta float64) {
 	c.mu.Unlock()
 }
 
+// RaiseTo lifts the counter to total when that is higher: it mirrors a
+// count kept elsewhere, and the same reading published twice adds nothing.
+func (c *Counter) RaiseTo(total float64) {
+	c.mu.Lock()
+	c.v = max(c.v, total)
+	c.mu.Unlock()
+}
+
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	c.mu.Lock()

@@ -48,9 +48,9 @@ type RunMetrics struct {
 	CachePrefetches     *Counter
 	CachePrefetchFailed *Counter
 
-	// CacheHitRatio is hits/(hits+misses) at the end of the run; CacheBytes
-	// is the cached footprint and CachePinnedBytes its pin-protected part.
-	// All stay zero when caching is off.
+	// CacheHitRatio is hits/(hits+misses) as of the newest reading
+	// (SetCacheStats); CacheBytes is the cached footprint and CachePinnedBytes
+	// its pin-protected part. All stay zero when caching is off.
 	CacheHitRatio    *Gauge
 	CacheBytes       *Gauge
 	CachePinnedBytes *Gauge
@@ -121,9 +121,9 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 
 		WorkersConnected: reg.Gauge("s3_workers_connected", "live workers in the cluster membership table"),
 
-		CacheHitRatio:    reg.Gauge("s3_cache_hit_ratio", "cache hits over total reads at end of run"),
-		CacheBytes:       reg.Gauge("s3_cache_bytes", "cached byte footprint at end of run"),
-		CachePinnedBytes: reg.Gauge("s3_cache_pinned_bytes", "pin-protected cached bytes at end of run"),
+		CacheHitRatio:    reg.Gauge("s3_cache_hit_ratio", "cache hits over total reads, cumulative"),
+		CacheBytes:       reg.Gauge("s3_cache_bytes", "cached byte footprint"),
+		CachePinnedBytes: reg.Gauge("s3_cache_pinned_bytes", "pin-protected cached bytes"),
 
 		JournalAppends: reg.Counter("s3_journal_appends_total", "records appended to the write-ahead journal"),
 		JournalBytes:   reg.Gauge("s3_journal_bytes", "write-ahead journal file size"),
@@ -134,4 +134,19 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		AdmissionQueue: reg.Gauge("s3_admission_queue_jobs", "live-submitted jobs awaiting admission into the scheduler"),
 		VirtualTime:    reg.Gauge("s3_virtual_time_seconds", "run clock at last update"),
 	}
+}
+
+// SetCacheStats publishes a reading of the cumulative block-cache
+// counters. Readings repeat and overlap — one per scrape from the workers'
+// heartbeat ledgers, one from the run loop's poll when it ends — so the
+// counters rise to a reading rather than grow by it; the gauges take it.
+func (m *RunMetrics) SetCacheStats(cs CacheStats) {
+	m.CacheHits.RaiseTo(float64(cs.Hits))
+	m.CacheMisses.RaiseTo(float64(cs.Misses))
+	m.CacheEvictions.RaiseTo(float64(cs.Evictions))
+	m.CachePrefetches.RaiseTo(float64(cs.Prefetches))
+	m.CachePrefetchFailed.RaiseTo(float64(cs.PrefetchFailed))
+	m.CacheHitRatio.Set(cs.HitRatio())
+	m.CacheBytes.Set(float64(cs.Bytes))
+	m.CachePinnedBytes.Set(float64(cs.PinnedBytes))
 }

@@ -2,8 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net"
-	"net/rpc"
 	"path/filepath"
 	"testing"
 	"time"
@@ -57,25 +55,8 @@ func (s *slowWorker) Stats(args *StatsArgs, reply *StatsReply) error { return ni
 // listener, returning its address.
 func serveStub(t *testing.T, rcvr any) string {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", rcvr); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return ln.Addr().String()
+	addr, _ := dropServer(t, rcvr)
+	return addr
 }
 
 func realWorker(t *testing.T) *Worker {
@@ -114,7 +95,7 @@ func TestTaskDeadlineFailsOver(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	reply, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]})
+	reply, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]}, nil)
 	if err != nil {
 		t.Fatalf("map did not fail over past the wedged worker: %v", err)
 	}
@@ -146,7 +127,7 @@ func TestTaskDeadlineSparesSlowWorkers(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	if _, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]}); err != nil {
+	if _, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]}, nil); err != nil {
 		t.Fatalf("slow worker failed: %v", err)
 	}
 	if got := m.Failovers(); got != 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"s3sched/internal/comms"
+	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
@@ -76,6 +77,9 @@ type Master struct {
 	// the worker sent: finished output is bytes the collector never scans.
 	results   map[scheduler.JobID][][]byte
 	failovers int
+	// hints holds the scheduler's newest scan hint per file; the file's
+	// next round carries each worker's share on its map tasks.
+	hints map[string]dfs.ScanHint
 	// installed holds every derived file pushed cluster-wide (DAG stage
 	// outputs), in installation order; a (re)registering worker gets
 	// them replayed during its handshake, so membership churn cannot
@@ -100,6 +104,7 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 		partitions: make(map[scheduler.JobID][][]mapreduce.KV),
 		mergedSegs: make(map[scheduler.JobID]map[int]bool),
 		results:    make(map[scheduler.JobID][][]byte),
+		hints:      make(map[string]dfs.ScanHint),
 		installed:  make(map[string]*InstallFileArgs),
 	}
 	for id, ref := range jobs {
@@ -140,6 +145,35 @@ func (m *Master) SetTimeScale(scale float64) {
 // its correlation id. nil clears it (and stops sending Corr to
 // workers). Call before the first round.
 func (m *Master) SetTrace(log *trace.Log) { m.log = log }
+
+// HandleScanHint keeps h as its file's newest hint. A hint is the full
+// picture, so every later round of the file — requeued, or served by a
+// restarted worker — re-sends it and nothing is ever replayed. The
+// signature matches core.ScanHinter.
+func (m *Master) HandleScanHint(h dfs.ScanHint) {
+	m.mu.Lock()
+	m.hints[h.File] = h
+	m.mu.Unlock()
+}
+
+// hintShares splits file's newest hint into one share per live worker,
+// keyed by worker id; nil when the scheduler has emitted none. A worker
+// that joins or dies while the round runs gets no share or a stale one,
+// which costs it at most a readahead nobody consumes.
+func (m *Master) hintShares(file string) map[string][]int {
+	m.mu.Lock()
+	h, ok := m.hints[file]
+	m.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	_, live := m.members.live()
+	shares := make(map[string][]int, len(live))
+	for pos, w := range live {
+		shares[w.id] = hintShare(h, pos, len(live))
+	}
+	return shares
+}
 
 // RegisterJob makes a live-submitted job runnable: subsequent rounds
 // including id ship ref to the workers with each task (workers need no
@@ -299,15 +333,7 @@ func (m *Master) CacheStats() metrics.CacheStats {
 	var cs metrics.CacheStats
 	stats, _ := m.pollStats(false)
 	for _, st := range stats {
-		cs.Add(metrics.CacheStats{
-			Hits:           st.CacheHits,
-			Misses:         st.CacheMisses,
-			Evictions:      st.CacheEvictions,
-			Prefetches:     st.CachePrefetches,
-			PrefetchFailed: st.CachePrefetchFailed,
-			Bytes:          st.CacheBytes,
-			PinnedBytes:    st.CachePinnedBytes,
-		})
+		cs.Add(st.Cache())
 	}
 	return cs
 }
@@ -398,6 +424,10 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	)
 	seq := m.roundSeq
 	m.roundSeq++
+	var hints map[string][]int
+	if len(r.Blocks) > 0 {
+		hints = m.hintShares(r.Blocks[0].File) // a round scans one file
+	}
 	for _, b := range r.Blocks {
 		wg.Add(1)
 		go func(file string, idx int) {
@@ -406,7 +436,7 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 			if m.log != nil {
 				corr = fmt.Sprintf("r%d.m%d", seq, idx)
 			}
-			reply, err := m.mapWithFailover(corr, file, idx, refs)
+			reply, err := m.mapWithFailover(corr, file, idx, refs, hints)
 			if err != nil {
 				errs.add(err)
 				return
@@ -524,13 +554,14 @@ func (m *Master) withFailover(home int, what string, call func(w liveWorker, att
 	return &allWorkersError{what: what, err: lastErr}
 }
 
-// mapWithFailover runs one merged map task.
-func (m *Master) mapWithFailover(corr, file string, idx int, refs []JobRef) (*MapTaskReply, error) {
+// mapWithFailover runs one merged map task; whichever worker receives it
+// gets its own share of hints.
+func (m *Master) mapWithFailover(corr, file string, idx int, refs []JobRef, hints map[string][]int) (*MapTaskReply, error) {
 	var reply *MapTaskReply
 	err := m.withFailover(idx, fmt.Sprintf("block %s#%d", file, idx), func(w liveWorker, attempt int) error {
 		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, attempt)
 		reply = new(MapTaskReply)
-		return m.callWorker(w, "Worker.ExecMap", &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Corr: corr}, reply)
+		return m.callWorker(w, "Worker.ExecMap", &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Corr: corr, Hint: hints[w.id]}, reply)
 	})
 	return reply, err
 }

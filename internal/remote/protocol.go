@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"s3sched/internal/comms"
+	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
 )
 
@@ -37,6 +39,51 @@ type MapTaskArgs struct {
 	// echoed into the worker's trace so both sides of the RPC can be
 	// stitched together. Empty when the master traces nothing.
 	Corr string
+	// Hint is the receiving worker's share of the scheduler's newest
+	// dfs.ScanHint for File: three counted lists of block indices — pin,
+	// demote, prefetch — end to end (hintShare writes it, scanHint reads
+	// it). Indices, because the file is already named and a []BlockID would
+	// cross gob as a struct per block on every task. Nil, and then absent
+	// from the wire, until the scheduler has emitted one.
+	Hint []int
+}
+
+// hintShare flattens into MapTaskArgs.Hint's layout the part of h that
+// concerns the worker at position pos of n live ones: the blocks whose
+// home it is. A pin or a demote means nothing to a worker that never
+// reads the block, and a prefetch there would be a wasted physical read.
+func hintShare(h dfs.ScanHint, pos, n int) []int {
+	out := make([]int, 0, 8)
+	for _, list := range [][]dfs.BlockID{slices.Concat(h.Pin...), h.Demote, h.Prefetch} {
+		count := len(out)
+		out = append(out, 0)
+		for _, id := range list {
+			if id.Index%n == pos {
+				out = append(out, id.Index)
+			}
+		}
+		out[count] = len(out) - count - 1
+	}
+	return out
+}
+
+// scanHint rebuilds the dfs.ScanHint that Hint flattens. The pins come
+// back as one group: the policy takes their union.
+func (a *MapTaskArgs) scanHint() (dfs.ScanHint, error) {
+	var lists [3][]dfs.BlockID                 // pin, demote, prefetch
+	ids := make([]dfs.BlockID, 0, len(a.Hint)) // one array under all three
+	rest := a.Hint
+	for i := range lists {
+		if len(rest) == 0 || rest[0] < 0 || rest[0] >= len(rest) {
+			return dfs.ScanHint{}, fmt.Errorf("remote: malformed scan hint %v", a.Hint)
+		}
+		from := len(ids)
+		for _, idx := range rest[1 : 1+rest[0]] {
+			ids = append(ids, dfs.BlockID{File: a.File, Index: idx})
+		}
+		lists[i], rest = ids[from:], rest[1+rest[0]:]
+	}
+	return dfs.ScanHint{File: a.File, Pin: [][]dfs.BlockID{lists[0]}, Demote: lists[1], Prefetch: lists[2]}, nil
 }
 
 // MapTaskReply carries the shuffled output: PerJob[i][p] is the slice

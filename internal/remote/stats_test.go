@@ -9,14 +9,16 @@ import (
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
 
 // TestMasterFoldsEveryCacheCounter warms a cursor-policy cache on one
-// worker — pins, hits, prefetches and all — and checks the master's
-// summed view over the Stats RPC reproduces the store's own counters
-// field for field. A counter added to dfs.CacheStats but dropped on the
-// wire or in the master's fold shows up here as a mismatch.
+// worker — pins, hits, prefetches and all, every one of them caused by a
+// map task the master sent — and checks the master's summed view over
+// the Stats RPC reproduces the store's own counters field for field. A
+// counter added to dfs.CacheStats but dropped on the wire or in the
+// master's fold shows up here as a mismatch.
 func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 	store := dfs.MustStore(1, 1)
 	f, err := workload.AddTextFile(store, "corpus", testBlocks, testBlockSize, testSeed)
@@ -26,39 +28,35 @@ func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 	if _, err := store.EnableCachePolicy(int64(testBlocks*testBlockSize*2), dfs.PolicyCursor); err != nil {
 		t.Fatal(err)
 	}
-
-	blocks := f.Blocks()
-	// Cold scan of the first half, then a hint that pins it and
-	// prefetches the second half, then a warm rescan: every counter —
-	// hits, misses, pins, prefetches, footprint — goes nonzero.
-	half := blocks[:len(blocks)/2]
-	for _, b := range half {
-		if _, err := store.ReadBlockAt(b, store.Locations(b)[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store.HandleScanHint(dfs.ScanHint{
-		File:     f.Name,
-		Pin:      [][]dfs.BlockID{half},
-		Prefetch: blocks[len(blocks)/2:],
-	})
-	for _, b := range half {
-		if _, err := store.ReadBlockAt(b, store.Locations(b)[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	w := NewWorker(store, NewStandardRegistry())
 	addr, err := w.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	m, err := Dial([]string{addr}, nil)
+	m, err := Dial([]string{addr}, wordcountRefs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+
+	// Cold scan of the first half, then a hint that pins it and
+	// prefetches the second half, riding the warm rescan: every counter —
+	// hits, misses, pins, prefetches, footprint — goes nonzero.
+	blocks := f.Blocks()
+	half := blocks[:len(blocks)/2]
+	scan := scheduler.Round{Blocks: half, Jobs: []scheduler.JobMeta{{ID: 1, File: f.Name}}}
+	if _, err := m.ExecRound(scan); err != nil {
+		t.Fatal(err)
+	}
+	m.HandleScanHint(dfs.ScanHint{
+		File:     f.Name,
+		Pin:      [][]dfs.BlockID{half},
+		Prefetch: blocks[len(blocks)/2:],
+	})
+	if _, err := m.ExecRound(scan); err != nil {
+		t.Fatal(err)
+	}
 
 	// Prefetch loads land from goroutines; poll until the master's
 	// folded view matches the store and shows the expected activity.

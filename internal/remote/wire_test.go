@@ -344,3 +344,68 @@ func TestMapReplyDecodeAllocations(t *testing.T) {
 		t.Errorf("decoding 2 partitions × 5,000 records: %.0f allocations, want <= 16", allocs)
 	}
 }
+
+// A scan hint rides every map task of a hinted file, ≈2,300 times a
+// second on the smallest workload: one gob encode and decode of a task
+// for seven jobs may cost only a handful of bytes and allocations more
+// with a worker's share of a hint than without one, and nothing at all
+// while the scheduler has emitted none. (Shipping the dfs.ScanHint
+// itself — a struct per block — cost 24 allocations and ×0.86 jobs/s.)
+func TestMapTaskHintWireCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	args := MapTaskArgs{File: "corpus", BlockIndex: 5, Corr: "r12.m5"}
+	for i := 0; i < 7; i++ {
+		args.Jobs = append(args.Jobs, JobRef{Name: fmt.Sprintf("wordcount-%d", i), Factory: "wordcount", Param: "th", NumReduce: 2})
+	}
+	// cost is one message's wire bytes and its allocations, encode plus
+	// decode, on a stream that has already carried the type.
+	cost := func(msg, into any) (int, float64) {
+		var stream bytes.Buffer
+		enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
+		var size int
+		allocs := testing.AllocsPerRun(10, func() {
+			before := stream.Len()
+			if err := enc.Encode(msg); err != nil {
+				t.Fatal(err)
+			}
+			size = stream.Len() - before
+			if err := dec.Decode(into); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return size, allocs
+	}
+	// One worker's share of a hint: two pins, a demote and a prefetch.
+	share := hintShare(dfs.ScanHint{
+		File:     "corpus",
+		Pin:      [][]dfs.BlockID{{{File: "corpus", Index: 5}}, {{File: "corpus", Index: 6}}},
+		Demote:   []dfs.BlockID{{File: "corpus", Index: 4}},
+		Prefetch: []dfs.BlockID{{File: "corpus", Index: 6}},
+	}, 0, 1)
+	var got MapTaskArgs
+	plainSize, plainAllocs := cost(&args, &got)
+	hinted := args
+	hinted.Hint = share
+	hintSize, hintAllocs := cost(&hinted, &got)
+	if !reflect.DeepEqual(got, hinted) {
+		t.Fatalf("task arrived as %+v, want %+v", got, hinted)
+	}
+	t.Logf("task of 7 jobs: %d bytes, %.0f allocations; with the hint %v: %d bytes, %.0f allocations", plainSize, plainAllocs, share, hintSize, hintAllocs)
+	// Today 9 bytes and 2 allocations; three []int fields cost 12 and 13.
+	if hintSize-plainSize > 16 || hintAllocs-plainAllocs > 4 {
+		t.Errorf("the hint costs %d bytes and %.0f allocations per task, want at most 16 and 4", hintSize-plainSize, hintAllocs-plainAllocs)
+	}
+	// The task as it was before it could carry a hint.
+	type unhinted struct {
+		File       string
+		BlockIndex int
+		Jobs       []JobRef
+		Corr       string
+	}
+	old := unhinted{args.File, args.BlockIndex, args.Jobs, args.Corr}
+	if oldSize, _ := cost(&old, new(unhinted)); plainSize != oldSize {
+		t.Errorf("a task without a hint is %d bytes, %d before the field existed: an absent hint must cost nothing", plainSize, oldSize)
+	}
+}

@@ -43,6 +43,11 @@ type Worker struct {
 	heartbeats    atomic.Int64
 }
 
+// localNode is the one node of a worker's own store. Map tasks read
+// there, not through ReadBlock's unattributed shard: it is where
+// Store.HandleScanHint lands its readahead.
+const localNode dfs.NodeID = 0
+
 // NewWorker builds a worker over its local store and job registry.
 func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
@@ -72,7 +77,16 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 		}
 	}
 	block := dfs.BlockID{File: args.File, Index: args.BlockIndex}
-	data, err := w.store.ReadBlock(block)
+	if args.Hint != nil {
+		// Before the read: the demotion frees room for this block, and the
+		// readahead of the segment after it overlaps this task's map work.
+		hint, err := args.scanHint()
+		if err != nil {
+			return err
+		}
+		w.store.HandleScanHint(hint)
+	}
+	data, err := w.store.ReadBlockAt(block, localNode)
 	if err != nil {
 		return err
 	}

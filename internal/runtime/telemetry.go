@@ -228,14 +228,6 @@ func (t *telemetry) endRun(coll *metrics.Collector, at vclock.Time, rounds int) 
 		t.rm.RetriesTotal.Add(float64(fs.Retries))
 		t.rm.FailedAttemptsTotal.Add(float64(fs.FailedAttempts))
 		t.rm.BlacklistedNodes.Add(float64(fs.BlacklistedNodes))
-		cs := coll.CacheStats()
-		t.rm.CacheHits.Add(float64(cs.Hits))
-		t.rm.CacheMisses.Add(float64(cs.Misses))
-		t.rm.CacheEvictions.Add(float64(cs.Evictions))
-		t.rm.CachePrefetches.Add(float64(cs.Prefetches))
-		t.rm.CachePrefetchFailed.Add(float64(cs.PrefetchFailed))
-		t.rm.CacheHitRatio.Set(cs.HitRatio())
-		t.rm.CacheBytes.Set(float64(cs.Bytes))
-		t.rm.CachePinnedBytes.Set(float64(cs.PinnedBytes))
+		t.rm.SetCacheStats(coll.CacheStats())
 	}
 }

@@ -148,7 +148,7 @@ func TestSimEngineCacheTwinDifferential(t *testing.T) {
 				t.Fatalf("cache stats diverged:\nengine %+v\nsim    %+v", got, want)
 			}
 			// The budget sits below each node's share of the file, so the
-			// scan floods lru and 2q to (near) zero hits; only the
+			// scan floods lru to (near) zero hits; only the
 			// cursor policy, which pins the live segments, stays warm.
 			if policy == dfs.PolicyCursor {
 				if got.Hits == 0 {

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"s3sched/internal/comms"
+	"s3sched/internal/metrics"
 )
 
 type fakeCluster struct {
@@ -65,4 +67,61 @@ func TestClusterEndpoint(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /cluster = %d, want 405", rec.Code)
 	}
+}
+
+// A daemon's run never ends, so /metrics takes its s3_cache_* from the
+// heartbeat ledgers at scrape time: live values while the daemon runs,
+// dead members' last ledgers included, and the same totals published
+// again by the run's end — or by a second scrape — are not added twice.
+func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
+	srv := NewServer("s3")
+	reg := metrics.NewRegistry()
+	rm := metrics.NewRunMetrics(reg)
+	srv.SetRegistry(reg)
+	src := &fakeCluster{workers: []comms.WorkerInfo{
+		{ID: "w0", State: comms.Joined.String(), Tasks: comms.WireStats{
+			CacheHits: 90, CacheMisses: 10, CacheEvictions: 7, CachePrefetches: 40, CacheBytes: 2048, CachePinnedBytes: 512,
+		}},
+		{ID: "w1", State: comms.Dead.String(), Tasks: comms.WireStats{
+			CacheHits: 60, CacheMisses: 40, CachePrefetches: 20, CachePrefetchFailed: 1, CacheBytes: 1024,
+		}},
+	}}
+	srv.SetCluster(src)
+	h := srv.Handler()
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics = %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	expect := func(body string, lines ...string) {
+		t.Helper()
+		for _, line := range lines {
+			if !strings.Contains(body, line+"\n") {
+				t.Errorf("/metrics lacks %q:\n%s", line, body)
+			}
+		}
+	}
+	first := []string{
+		"s3_cache_hits_total 150", "s3_cache_misses_total 50", "s3_cache_evictions_total 7",
+		"s3_cache_prefetches_total 60", "s3_cache_prefetch_failed_total 1",
+		"s3_cache_hit_ratio 0.75", "s3_cache_bytes 3072", "s3_cache_pinned_bytes 512",
+	}
+	expect(scrape(), first...)
+	expect(scrape(), first...)
+
+	// The next heartbeat: counters move on, gauges follow both ways.
+	src.workers[0].Tasks.CacheHits, src.workers[0].Tasks.CacheBytes = 140, 1024
+	expect(scrape(), "s3_cache_hits_total 200", "s3_cache_hit_ratio 0.8", "s3_cache_bytes 2048")
+
+	// The run ends and folds its own poll of the same workers.
+	rm.SetCacheStats(metrics.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})
+	expect(scrape(), "s3_cache_hits_total 200", "s3_cache_misses_total 50", "s3_cache_prefetches_total 60")
+
+	// Without a cluster the run's own fold is all there is, untouched.
+	srv.SetCluster(nil)
+	rm.SetCacheStats(metrics.CacheStats{Hits: 300, Misses: 50})
+	expect(scrape(), "s3_cache_hits_total 300", "s3_cache_prefetches_total 60")
 }

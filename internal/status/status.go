@@ -188,6 +188,15 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "no metrics registry configured", http.StatusNotFound)
 			return
 		}
+		if src := s.cluster.get(); src != nil {
+			// A daemon's run never ends to fold its s3_cache_*: read them
+			// off the heartbeat ledgers, one heartbeat old at most.
+			var cache metrics.CacheStats
+			for _, wi := range src.ClusterSnapshot() {
+				cache.Add(wi.Tasks.Cache())
+			}
+			metrics.NewRunMetrics(reg).SetCacheStats(cache)
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

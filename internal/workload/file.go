@@ -129,7 +129,7 @@ type FileHeader struct {
 	CacheMBPerNode int     `json:"cacheMBPerNode,omitempty"`
 	CacheFrac      float64 `json:"cacheFrac,omitempty"`
 	// CachePolicy picks the block-cache eviction policy for cache-on
-	// cells (dfs.Policies: lru, 2q, cursor; empty = lru). Requires
+	// cells (dfs.Policies: lru, cursor; empty = lru). Requires
 	// schema v2 — a v1 file carrying it is rejected rather than
 	// silently repriced.
 	CachePolicy string `json:"cachePolicy,omitempty"`

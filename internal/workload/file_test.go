@@ -282,9 +282,13 @@ func TestCachePolicyVersioning(t *testing.T) {
 	if _, err := ParseFile(strings.NewReader(v1policy + file + job)); err == nil || !strings.Contains(err.Error(), "schema v2") {
 		t.Fatalf("v1 header with cachePolicy accepted (err=%v)", err)
 	}
-	badPolicy := strings.Replace(v2header, `"cachePolicy":"cursor"`, `"cachePolicy":"clock"`, 1)
-	if _, err := ParseFile(strings.NewReader(badPolicy + file + job)); err == nil || !strings.Contains(err.Error(), "unknown cache policy") {
-		t.Fatalf("unknown cachePolicy accepted (err=%v)", err)
+	// "2q" was a policy once; a file still naming it is refused like any
+	// other unknown one, not silently run as lru.
+	for _, bad := range []string{"clock", "2q"} {
+		badPolicy := strings.Replace(v2header, `"cachePolicy":"cursor"`, `"cachePolicy":"`+bad+`"`, 1)
+		if _, err := ParseFile(strings.NewReader(badPolicy + file + job)); err == nil || !strings.Contains(err.Error(), "unknown cache policy") {
+			t.Fatalf("cachePolicy %q accepted (err=%v)", bad, err)
+		}
 	}
 	// A bare v2 header without the new field is fine.
 	v2plain := strings.Replace(v2header, `,"cachePolicy":"cursor"`, ``, 1)
