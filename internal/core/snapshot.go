@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 )
@@ -54,32 +52,6 @@ func (s *S3) Snapshot() (Snapshot, error) {
 		})
 	}
 	return snap, nil
-}
-
-// MarshalJSON-friendly helpers for persisting to disk.
-
-// EncodeSnapshot serializes a snapshot.
-func EncodeSnapshot(snap Snapshot) ([]byte, error) {
-	return json.MarshalIndent(snap, "", "  ")
-}
-
-// DecodeSnapshot parses a serialized snapshot.
-func DecodeSnapshot(data []byte) (Snapshot, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return Snapshot{}, fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	return snap, nil
-}
-
-// Restore rebuilds an S^3 scheduler from a snapshot over the given
-// plan, which must match the snapshot's file and segment count.
-func Restore(plan *dfs.SegmentPlan, snap Snapshot, log *trace.Log) (*S3, error) {
-	s := New(plan, log)
-	if err := s.restoreQueue(snap); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // restoreQueue loads a queue snapshot into a fresh scheduler.

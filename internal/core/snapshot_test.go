@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"s3sched/internal/scheduler"
@@ -41,20 +42,20 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		step(orig, 0, &gotTrace)
 	}
-	snap, err := orig.Snapshot()
+	snap, err := orig.StateSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeSnapshot(snap)
+	data, err := json.Marshal(snap) // as the journal persists it
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(data)
-	if err != nil {
+	var decoded scheduler.Snapshot
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(makePlan(t, 12, 3), decoded, nil)
-	if err != nil {
+	restored := New(makePlan(t, 12, 3), nil)
+	if err := restored.RestoreState(decoded); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Submit(job(2), 20); err != nil {
@@ -99,7 +100,11 @@ func TestRestoreValidation(t *testing.T) {
 	good := Snapshot{File: "input", Segments: 4, Cursor: 1, Jobs: []JobSnapshot{
 		{Meta: job(1), StartSegment: 0, Remaining: 2},
 	}}
-	if _, err := Restore(plan, good, nil); err != nil {
+	restore := func(q Snapshot) error {
+		s := New(plan, nil)
+		return s.RestoreState(scheduler.Snapshot{Scheme: s.Name(), Queues: []Snapshot{q}})
+	}
+	if err := restore(good); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 	cases := []Snapshot{
@@ -114,11 +119,8 @@ func TestRestoreValidation(t *testing.T) {
 		}},
 	}
 	for i, snap := range cases {
-		if _, err := Restore(plan, snap, nil); err == nil {
+		if err := restore(snap); err == nil {
 			t.Errorf("case %d: invalid snapshot accepted: %+v", i, snap)
 		}
-	}
-	if _, err := DecodeSnapshot([]byte("{nope")); err == nil {
-		t.Error("bad JSON should fail")
 	}
 }

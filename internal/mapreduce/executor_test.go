@@ -173,6 +173,40 @@ func TestEngineExecutorPartialAggregation(t *testing.T) {
 	}
 }
 
+// A combiner that folds meets a value it cannot absorb in the middle of
+// the merged task, not after it: fault isolation must hold there too.
+// The job dies, the job sharing its scan does not notice.
+func TestRejectedFoldKillsOnlyItsJob(t *testing.T) {
+	store, plan, alone, metas := realSetup(t, 8, 2)
+	if _, err := runtime.RunTrace(core.New(plan, nil), alone, []runtime.Arrival{{Job: metas[0], At: 0}}, runtime.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	bad := workload.WordCountJob("bad", "corpus", "", 2)
+	bad.Mapper = mapreduce.MapperFunc(func(_ dfs.BlockID, _ []byte, emit mapreduce.Emit) error {
+		emit(mapreduce.KV{Key: "w", Value: "1"})
+		emit(mapreduce.KV{Key: "w", Value: "many"})
+		return nil
+	})
+	exec := mapreduce.NewExecutor(mapreduce.NewEngine(mapreduce.MustCluster(store, 1)), map[scheduler.JobID]mapreduce.JobSpec{
+		1: workload.WordCountJob("wc0", "corpus", workload.DistinctPrefixes(1)[0], 2),
+		2: bad,
+	})
+	res, err := runtime.RunTrace(core.New(plan, nil), exec, []runtime.Arrival{{Job: metas[0], At: 0}, {Job: metas[1], At: 0}}, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := res.Metrics.Failed(); len(failed) != 1 || failed[0] != 2 {
+		t.Fatalf("failed = %v, want [2]", failed)
+	}
+	if _, ok := exec.Result(2); ok {
+		t.Error("the failed job has a result")
+	}
+	got, ok := exec.Result(1)
+	if want, _ := alone.Result(1); !ok || len(got.Output) == 0 || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
+		t.Error("the job sharing the failed job's scan lost or changed its output")
+	}
+}
+
 func TestEngineExecutorUnknownJob(t *testing.T) {
 	_, plan, exec, _ := realSetup(t, 4, 1)
 	s := core.New(plan, nil)

@@ -21,6 +21,24 @@ type Reducer interface {
 	Reduce(key string, values []string, emit Emit) error
 }
 
+// Folder is the optional second contract of a combiner: it absorbs a
+// key's values one at a time into a running int64 — a sum, a count, a
+// minimum — where Reduce needs them all at once. Only a combiner whose
+// result does not depend on the order of a key's values may implement
+// it, the class Running.Compact already demands. The map task then
+// combines while it maps, keeping one number per distinct key; a
+// combiner that is no Folder has its values buffered and is handed
+// them sorted, as ever. The two must agree: for any values, Unfold of
+// their fold emits the records Reduce emits for them.
+type Folder interface {
+	Reducer
+	// Fold returns acc with value absorbed; acc is 0 at a key's first
+	// value. An error fails the task.
+	Fold(key string, acc int64, value string) (int64, error)
+	// Unfold emits the combined records of a key whose values folded to acc.
+	Unfold(key string, acc int64, emit Emit)
+}
+
 // MapperFunc adapts a function to the Mapper interface.
 type MapperFunc func(block dfs.BlockID, data []byte, emit Emit) error
 
@@ -134,12 +152,12 @@ func (r *Running) Compact(combiner Reducer) error {
 		if len(records) == 0 {
 			continue
 		}
-		g := make(grouped)
+		table := newCombineTable(combiner)
 		for _, kv := range records {
-			g.add(kv)
+			table.add(kv)
 		}
-		compacted := make([]KV, 0, len(g))
-		err := g.fold(combiner, func(kv KV) { compacted = append(compacted, kv) })
+		compacted := make([]KV, 0, len(table.groups))
+		err := table.fold(func(kv KV) { compacted = append(compacted, kv) })
 		if err != nil {
 			return fmt.Errorf("mapreduce: compacting job %q partition %d: %w", r.Spec.Name, p, err)
 		}

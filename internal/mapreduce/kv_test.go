@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -146,7 +147,7 @@ func emitAll(kvs []KV) Mapper {
 
 // refPartition and refCombine are the map task as it was first
 // written: hash/fnv partitioning, and a combine that sorts the raw
-// output by (key, value) and groups the sorted run. The grouped table
+// output by (key, value) and groups the sorted run. The combine table
 // and the inline hash must stay indistinguishable from them.
 func refPartition(kvs []KV, width int) [][]KV {
 	out := make([][]KV, width)
@@ -201,9 +202,27 @@ func (concatReducer) Reduce(key string, values []string, emit Emit) error {
 	return nil
 }
 
-// Property: the grouped fold is record for record the old
+// foldingSum is sumReducer under the Folder contract: the map task
+// keeps one running total per key where sumReducer is handed the values.
+type foldingSum struct{ sumReducer }
+
+func (foldingSum) Fold(key string, acc int64, value string) (int64, error) {
+	n, err := strconv.Atoi(value)
+	if err != nil {
+		return 0, fmt.Errorf("value %q of key %q: %w", value, key, err)
+	}
+	return acc + int64(n), nil
+}
+
+func (foldingSum) Unfold(key string, acc int64, emit Emit) {
+	emit(KV{Key: key, Value: strconv.FormatInt(acc, 10)})
+}
+
+// Property: combining while mapping is record for record the old
 // sort-then-group combine, through the whole map task (combine, then
-// partition) and through Running.Compact.
+// partition) and through Running.Compact — for a combiner that folds,
+// for the same sum without the contract, and for an order-sensitive one
+// that could not fold. Folding moves no counter either.
 func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 	prop := func(seed int64, n8, width8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,7 +233,7 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 			// groups are large and duplicate values common.
 			raw[i] = KV{Key: strings.Repeat("k", rng.Intn(4)), Value: fmt.Sprint(rng.Intn(5))}
 		}
-		for _, combiner := range []Reducer{sumReducer{}, concatReducer{}} {
+		for _, combiner := range []Reducer{sumReducer{}, foldingSum{}, concatReducer{}} {
 			want, err := refCombine(raw, combiner)
 			if err != nil {
 				return false
@@ -234,7 +253,9 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		_, buffered, _ := mapTask(dfs.BlockID{}, nil, emitAll(raw), sumReducer{}, width)
+		_, folded, _ := mapTask(dfs.BlockID{}, nil, emitAll(raw), foldingSum{}, width)
+		return folded == buffered && folded.outputRecords == int64(len(raw)) && folded.combinerApplied == (len(raw) > 0)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -242,22 +263,56 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 }
 
 func TestCombineHelper(t *testing.T) {
-	g := make(grouped)
-	for _, kv := range []KV{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"a", "1"}} {
-		g.add(kv)
+	records := []KV{{"b", "1"}, {"a", "1"}, {"a", "2"}, {"a", "1"}}
+	fold := func(combiner Reducer) ([]KV, error) {
+		table := newCombineTable(combiner)
+		for _, kv := range records {
+			table.add(kv)
+		}
+		var out []KV
+		err := table.fold(func(kv KV) { out = append(out, kv) })
+		return out, err
 	}
-	var out []KV
-	if err := g.fold(sumReducer{}, func(kv KV) { out = append(out, kv) }); err != nil {
-		t.Fatal(err)
-	}
-	want := []KV{{"a", "3"}, {"b", "1"}}
-	if fmt.Sprint(out) != fmt.Sprint(want) {
-		t.Fatalf("combine = %v, want %v", out, want)
+	for _, combiner := range []Reducer{sumReducer{}, foldingSum{}} {
+		out, err := fold(combiner)
+		if want := []KV{{"a", "4"}, {"b", "1"}}; err != nil || fmt.Sprint(out) != fmt.Sprint(want) {
+			t.Fatalf("%T: combine = %v, %v, want %v", combiner, out, err, want)
+		}
 	}
 	boom := errors.New("x")
-	err := g.fold(ReducerFunc(func(string, []string, Emit) error { return boom }), func(KV) {})
-	if !errors.Is(err, boom) {
+	if _, err := fold(ReducerFunc(func(string, []string, Emit) error { return boom })); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
+	}
+}
+
+// A value the Folder rejects fails the task as a combiner error naming
+// it, and nothing is emitted: not the keys folded before it, not the
+// ones after.
+func TestRejectedFoldFailsTheTask(t *testing.T) {
+	raw := []KV{{"a", "1"}, {"b", "seven"}, {"a", "2"}, {"c", "3"}}
+	parts, err := MapBlockForJob(dfs.BlockID{}, nil, emitAll(raw), foldingSum{}, 2)
+	var numErr *strconv.NumError
+	if parts != nil || err == nil || !strings.HasPrefix(err.Error(), "combiner: ") ||
+		!strings.Contains(err.Error(), `"seven"`) || !errors.As(err, &numErr) {
+		t.Fatalf("partitions %v, err %v; want none and a combiner error naming \"seven\"", parts, err)
+	}
+	_, wantErr := MapBlockForJob(dfs.BlockID{}, nil, emitAll(raw), sumReducer{}, 2)
+	if wantErr == nil || !strings.HasPrefix(wantErr.Error(), "combiner: ") || !errors.As(wantErr, &numErr) {
+		t.Fatalf("buffered combine failed with %v, want the same kind of error", wantErr)
+	}
+
+	job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.addIntermediate([][]KV{raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Compact(foldingSum{}); err == nil || !strings.Contains(err.Error(), `"seven"`) {
+		t.Fatalf("Compact err = %v, want one naming \"seven\"", err)
+	}
+	if got := job.Seal()[0]; !reflect.DeepEqual(got, raw) {
+		t.Fatalf("a failed Compact left %v, want the records untouched", got)
 	}
 }
 

@@ -28,7 +28,8 @@ func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Redu
 // mapTask is the one map-task body: the engine's rounds and the remote
 // workers (through MapBlockForJob) both run it. Without a combiner the
 // mapper emits straight into the partition slices; with one it emits
-// into a grouped table whose fold is partitioned — record for record
+// into a combine table — folding as it goes when the combiner is a
+// Folder — whose groups are partitioned at the end: record for record
 // what sorting, grouping and combining the raw output produces.
 func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, taskCounts, error) {
 	parts := make([][]KV, width)
@@ -36,7 +37,7 @@ func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, wi
 		p := partitionOf(kv.Key, width)
 		parts[p] = append(parts[p], kv)
 	}
-	g := make(grouped)
+	table := newCombineTable(combiner) // stays empty without a combiner
 	counts := taskCounts{inputBytes: int64(len(data))}
 	err := mapper.Map(block, data, func(kv KV) {
 		counts.outputRecords++
@@ -44,15 +45,15 @@ func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, wi
 		if combiner == nil {
 			shuffle(kv)
 		} else {
-			g.add(kv)
+			table.add(kv)
 		}
 	})
 	if err != nil {
 		return nil, taskCounts{}, err
 	}
-	if len(g) > 0 { // a combiner, and something for it to fold
+	if len(table.groups) > 0 { // a combiner, and something for it to combine
 		counts.combinerApplied = true
-		err := g.fold(combiner, func(kv KV) {
+		err := table.fold(func(kv KV) {
 			counts.combineRecords++
 			shuffle(kv)
 		})

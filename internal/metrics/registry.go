@@ -200,75 +200,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the bucket holding the target rank, the way
-// Prometheus histogram_quantile does. Values in the +Inf bucket clamp
-// to the largest finite bound. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(s.Bounds) { // +Inf bucket
-			if len(s.Bounds) == 0 {
-				return 0
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + (hi-lo)*frac
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// LinearBuckets returns count upper bounds starting at start, spaced
-// by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
-// ExponentialBuckets returns count upper bounds starting at start,
-// each factor times the last. Start and factor must make the sequence
-// strictly increasing.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // fmtFloat renders a float the way Prometheus clients do: minimal
 // round-trip representation, stable across runs.
 func fmtFloat(v float64) string {

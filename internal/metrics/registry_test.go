@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -84,38 +83,6 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 		}
 	}()
 	NewRegistry().Histogram("h", "", []float64{1, 1})
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("q", "", []float64{10, 20, 30})
-	// 10 observations uniformly in (0,10]: quantiles interpolate.
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Quantile(0.5); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("p100 = %v, want 10", got)
-	}
-	// +Inf observations clamp to the largest finite bound.
-	h.Observe(1e9)
-	if got := h.Quantile(1); got != 30 {
-		t.Fatalf("p100 with overflow = %v, want 30", got)
-	}
-	if got := new(Histogram).Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	if got := LinearBuckets(1, 2, 3); got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("LinearBuckets = %v", got)
-	}
-	if got := ExponentialBuckets(1, 2, 4); got[3] != 8 {
-		t.Fatalf("ExponentialBuckets = %v", got)
-	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
@@ -210,7 +177,6 @@ func TestConcurrentRegistryExactCounts(t *testing.T) {
 					return
 				}
 				_ = h.Snapshot()
-				_ = h.Quantile(0.95)
 			}
 		}()
 	}

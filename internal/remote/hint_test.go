@@ -234,6 +234,24 @@ func dropServer(t *testing.T, rcvr any) (string, func()) {
 	}
 }
 
+// joinBehind (re)serves w and registers it as the cluster's one worker,
+// the master dialling taskAddr — a dropServer in front of w — not the
+// worker's own port. It returns once the master lists this incarnation,
+// w's registrations-th, as joined, not still the one before.
+func joinBehind(t *testing.T, m *Master, ctl string, w *Worker, taskAddr string, registrations int64) {
+	t.Helper()
+	if _, err := w.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Register(ctl, RegisterOptions{ID: "w0", TaskAddr: taskAddr, Heartbeat: testHeartbeat}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the worker to join", func() bool {
+		snap := m.ClusterSnapshot()
+		return len(snap) == 1 && snap[0].State == comms.Joined.String() && snap[0].Reconnects == registrations-1
+	})
+}
+
 // hintRecorder is a real worker that remembers the hint of every map
 // task it runs and, once armed, cuts the master off after running one:
 // the task took effect here and is lost there.
@@ -273,20 +291,7 @@ func TestRequeuedRoundResendsItsHint(t *testing.T) {
 	defer rec.Close()
 	taskAddr, drop := dropServer(t, rec)
 	rec.drop = drop
-	join := func(registrations int64) {
-		// The master dials the recorder, not the worker's own port.
-		if _, err := rec.Serve("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Register(ctl, RegisterOptions{ID: "w0", TaskAddr: taskAddr, Heartbeat: testHeartbeat}); err != nil {
-			t.Fatal(err)
-		}
-		// Joined as this incarnation, not still listed as the one before.
-		waitFor(t, 5*time.Second, "the worker to join", func() bool {
-			snap := m.ClusterSnapshot()
-			return len(snap) == 1 && snap[0].State == comms.Joined.String() && snap[0].Reconnects == registrations-1
-		})
-	}
+	join := func(registrations int64) { joinBehind(t, m, ctl, rec.Worker, taskAddr, registrations) }
 	join(1)
 
 	attempts := 0

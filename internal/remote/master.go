@@ -458,9 +458,12 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	// Commit the round's map output. Requeued rounds re-execute their
 	// map stage; the per-(job, segment) ledger keeps the deterministic
 	// re-run from double-counting records a lost attempt already
-	// merged.
+	// merged, and a job the lost attempt finished stays finished.
 	m.mu.Lock()
 	for i, id := range ids {
+		if _, done := m.results[id]; done {
+			continue
+		}
 		segs := m.mergedSegs[id]
 		if segs == nil {
 			segs = make(map[int]bool)
@@ -485,11 +488,19 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	}
 	m.mu.Unlock()
 
-	// Reduce phase for jobs completing this round.
+	// Reduce phase: the jobs completing this round reduce side by side.
 	for _, id := range r.Completes {
-		if err := m.finishJob(id); err != nil {
-			return 0, m.roundLost(r, start, err)
-		}
+		wg.Add(1)
+		go func(id scheduler.JobID) {
+			defer wg.Done()
+			if err := m.finishJob(id); err != nil {
+				errs.add(err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	if errs.err != nil {
+		return 0, m.roundLost(r, start, errs.err)
 	}
 	elapsed := m.clock.Now().Sub(start)
 	return vclock.Duration(elapsed.Seconds() * m.timeScale), nil
@@ -595,11 +606,14 @@ func (m *Master) Failovers() int {
 	return m.failovers
 }
 
-// ensureJob lazily allocates a job's shuffle space.
+// ensureJob lazily allocates a job's shuffle space, unless its result
+// is committed already: it needs none, and a requeued round must not
+// reduce it again from whatever a fresh one would collect.
 func (m *Master) ensureJob(id scheduler.JobID, ref JobRef) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.partitions[id]; ok {
+	_, done := m.results[id]
+	if _, ok := m.partitions[id]; ok || done {
 		return
 	}
 	m.partitions[id] = make([][]mapreduce.KV, ref.width())
@@ -607,12 +621,17 @@ func (m *Master) ensureJob(id scheduler.JobID, ref JobRef) {
 
 // finishJob fans the job's partitions out to workers for reduction and
 // merges the outputs. Shuffle state is only released on success, so a
-// lost reduce leaves the job requeueable.
+// lost reduce leaves the job requeueable; a job whose result a lost
+// attempt of the round committed is finished, and stays as it is.
 func (m *Master) finishJob(id scheduler.JobID) error {
 	ref, _ := m.jobRef(id)
 	m.mu.Lock()
 	parts, ok := m.partitions[id]
+	_, done := m.results[id]
 	m.mu.Unlock()
+	if done {
+		return nil
+	}
 	if !ok {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,6 +92,21 @@ func refTopK(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
 	return nil
 }
 
+// refSum is the sum as first written: parse every value, add them up.
+// SumReducer reduces by folding, so the fold is checked against this.
+var refSum = mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) error {
+	var total int64
+	for _, v := range values {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return err
+		}
+		total += n
+	}
+	emit(mapreduce.KV{Key: key, Value: strconv.FormatInt(total, 10)})
+	return nil
+})
+
 // refMapBlock is the map task as first written: collect the raw
 // output, sort it by (key, value), group the run, combine each group,
 // then partition with hash/fnv.
@@ -152,6 +168,11 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 		"lineitem-1": workload.NewLineitemGen(3).Block(1, 64<<10),
 		"derived":    []byte("the\t412\nof\t 97\nzephyr\t1\n      "),
 		"empty":      nil,
+		// Quantities the sum must fold exactly as it reduces them: other
+		// spellings of one, a total past int64 (both wrap), and one it rejects.
+		"spelled":  quantityRows("+1", "01", "1", "-0", "35"),
+		"overflow": quantityRows("9223372036854775807", "9223372036854775807", "2"),
+		"rejected": quantityRows("4", "1e3", "5"),
 	}
 	reg := remote.NewStandardRegistry()
 	for _, factory := range reg.Names() {
@@ -165,10 +186,17 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var refCombiner mapreduce.Reducer
+			if combiner != nil {
+				if _, sums := combiner.(workload.SumReducer); !sums {
+					t.Fatalf("%s combines with %T; give it a reference in this test", factory, combiner)
+				}
+				refCombiner = refSum
+			}
 			for name, data := range blocks {
 				for _, width := range []int{1, 3} {
 					got, gotErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, width)
-					want, wantErr := refMapBlock(data, ref.mapper(param), combiner, width)
+					want, wantErr := refMapBlock(data, ref.mapper(param), refCombiner, width)
 					if (gotErr != nil) != (wantErr != nil) {
 						t.Errorf("%s(%q) over %s: err = %v, reference err = %v", factory, param, name, gotErr, wantErr)
 					} else if !reflect.DeepEqual(got, want) {
@@ -178,6 +206,15 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// quantityRows is one lineitem row per quantity, all in one group.
+func quantityRows(quantities ...string) []byte {
+	var b bytes.Buffer
+	for i, q := range quantities {
+		fmt.Fprintf(&b, "%d|2|3|%d|%s|x|x|x|R|O|d|d|d|i|m|c\n", i+1, i+1, q)
+	}
+	return b.Bytes()
 }
 
 // collect runs a mapper and returns what it emitted before it
@@ -204,6 +241,9 @@ func FuzzMappers(f *testing.F) {
 	f.Add([]byte("7|2|3|1|+4|p\n8|2|3|2|x|p\n9|2|3|3|1|p\n"), "", uint8(1), 9) // bad quantity in the middle
 	f.Add([]byte("\n \n|||||\n||||||||||\n"), "|", uint8(1), -1)               // blank lines, empty columns
 	f.Add(workload.NewLineitemGen(1).Block(0, 700)[:650], "1", uint8(1), 25)
+	f.Add(quantityRows("7", "35", "+1", "01"), "1", uint8(2), 9)                             // sums of values other than "1", respelled
+	f.Add(quantityRows("9223372036854775807", "1", "-9223372036854775808"), "", uint8(1), 0) // the running sum wraps
+	f.Add(quantityRows("4", "0x10", "5"), "", uint8(1), 5)                                   // a quantity the sum rejects
 	f.Fuzz(func(t *testing.T, data []byte, prefix string, factor uint8, maxQuantity int) {
 		pattern := workload.PatternCountMapper{Prefix: prefix, EmitFactor: int(factor % 4)}
 		selection := workload.SelectionMapper{MaxQuantity: maxQuantity}
@@ -223,6 +263,16 @@ func FuzzMappers(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: emitted %q, reference %q", pair.name, got, want)
 			}
+			if pair.name == "selection" {
+				continue
+			}
+			// The other two sum: the whole task, folding as it maps,
+			// against sort, group, Reduce.
+			task, taskErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, pair.got, workload.SumReducer{}, 3)
+			ref, refErr := refMapBlock(data, pair.ref, refSum, 3)
+			if (taskErr != nil) != (refErr != nil) || !reflect.DeepEqual(task, ref) {
+				t.Fatalf("%s: task %q, %v; reference %q, %v", pair.name, task, taskErr, ref, refErr)
+			}
 		}
 		words, _ := collect(refPatternCount("", 1), data)
 		if got := pattern.CountInputRecords(data); got != int64(len(words)) {
@@ -238,24 +288,33 @@ func FuzzMappers(f *testing.F) {
 // instrumentation allocates, which would fail the guards below.
 var raceEnabled bool
 
-// The map task's allocations follow what it emits, not what it scans.
+// The map task's allocations follow what it emits, not what it scans —
+// and with a combiner that folds, the distinct keys it emits, not the
+// records.
 func TestMapTaskAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	allocs := func(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) float64 {
-		return testing.AllocsPerRun(5, func() {
+	// task is the allocations and the bytes allocated by one map task.
+	task := func(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) (allocs, bytes float64) {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
 			if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
 				t.Fatal(err)
 			}
 		})
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	}
 
 	// 256 KB of text is ~48k words, ~6k of them matching: the string
-	// per word and the sorted raw output used to cost 62.7k allocations.
+	// per word and the sorted raw output used to cost 62.7k allocations,
+	// and a buffered "1" per occurrence 1.29 MB after that.
 	text := workload.NewTextGen(1).Block(0, 256<<10)
-	if n := allocs(text, workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{}); n > 300 {
-		t.Errorf("wordcount over a 256 KB block: %.0f allocations, want <= 300", n)
+	if n, b := task(text, workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{}); n > 120 || b > 64<<10 {
+		t.Errorf("wordcount over a 256 KB block: %.0f allocations of %.0f bytes, want <= 120 of <= 64 KB", n, b)
 	}
 
 	// Selection pays for the rows it selects — a key and a value each,
@@ -266,13 +325,13 @@ func TestMapTaskAllocations(t *testing.T) {
 	if len(selected) == 0 || len(selected)*5 > rows {
 		t.Fatalf("selected %d of %d rows, want about a tenth", len(selected), rows)
 	}
-	if n, limit := allocs(lineitem, workload.SelectionMapper{MaxQuantity: 5}, nil), float64(2*len(selected)+40); n > limit {
-		t.Errorf("selection of %d rows out of %d: %.0f allocations, want <= %.0f", len(selected), rows, n, limit)
+	if n, _ := task(lineitem, workload.SelectionMapper{MaxQuantity: 5}, nil); n > float64(2*len(selected)+40) {
+		t.Errorf("selection of %d rows out of %d: %.0f allocations, want <= %d", len(selected), rows, n, 2*len(selected)+40)
 	}
-	if n := allocs(lineitem, workload.SelectionMapper{MaxQuantity: 0}, nil); n > 8 {
+	if n, _ := task(lineitem, workload.SelectionMapper{MaxQuantity: 0}, nil); n > 8 {
 		t.Errorf("selection rejecting all %d rows: %.0f allocations, want <= 8", rows, n)
 	}
-	if n := allocs(lineitem, workload.AggregationMapper{}, workload.SumReducer{}); n > 300 {
-		t.Errorf("aggregation over %d rows: %.0f allocations, want <= 300", rows, n)
+	if n, b := task(lineitem, workload.AggregationMapper{}, workload.SumReducer{}); n > 120 || b > 64<<10 {
+		t.Errorf("aggregation over %d rows: %.0f allocations of %.0f bytes, want <= 120 of <= 64 KB", rows, n, b)
 	}
 }

@@ -92,21 +92,40 @@ func (in interner) of(b []byte) string {
 }
 
 // SumReducer sums integer-valued counts per key — wordcount's reducer
-// and combiner.
+// and combiner. A sum does not care in what order it meets its terms,
+// so as a combiner it folds (mapreduce.Folder).
 type SumReducer struct{}
 
+var _ mapreduce.Folder = SumReducer{}
+
 // Reduce implements mapreduce.Reducer.
-func (SumReducer) Reduce(key string, values []string, emit mapreduce.Emit) error {
+func (s SumReducer) Reduce(key string, values []string, emit mapreduce.Emit) error {
 	total := int64(0)
 	for _, v := range values {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("workload: non-numeric count %q for word %q: %w", v, key, err)
+		var err error
+		if total, err = s.Fold(key, total, v); err != nil {
+			return err
 		}
-		total += n
 	}
-	emit(mapreduce.KV{Key: key, Value: strconv.FormatInt(total, 10)})
+	s.Unfold(key, total, emit)
 	return nil
+}
+
+// Fold implements mapreduce.Folder: acc + value.
+func (SumReducer) Fold(key string, acc int64, value string) (int64, error) {
+	if value == "1" { // every word occurrence
+		return acc + 1, nil
+	}
+	n, err := strconv.ParseInt(value, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("workload: non-numeric count %q for word %q: %w", value, key, err)
+	}
+	return acc + n, nil
+}
+
+// Unfold implements mapreduce.Folder: the sum, in decimal.
+func (SumReducer) Unfold(key string, acc int64, emit mapreduce.Emit) {
+	emit(mapreduce.KV{Key: key, Value: strconv.FormatInt(acc, 10)})
 }
 
 // WordCountJob builds the spec for one pattern-counting wordcount job

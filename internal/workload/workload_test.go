@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,6 +186,15 @@ func TestSumReducerRejectsGarbage(t *testing.T) {
 	err := SumReducer{}.Reduce("w", []string{"1", "x"}, func(mapreduce.KV) {})
 	if err == nil {
 		t.Error("non-numeric value should fail")
+	}
+	// As a combiner it meets the value while the mapper is still running:
+	// the task fails all the same, naming it, and returns no partition.
+	rows := []byte("1|2|3|1|4|x|x|x|R|O|d\n2|2|3|1|4.5|x|x|x|A|F|d\n3|2|3|1|6|x|x|x|R|O|d\n")
+	parts, err := mapreduce.MapBlockForJob(dfs.BlockID{}, rows, AggregationMapper{}, SumReducer{}, 2)
+	var numErr *strconv.NumError
+	if parts != nil || err == nil || !strings.HasPrefix(err.Error(), "combiner: ") ||
+		!strings.Contains(err.Error(), `"4.5"`) || !errors.As(err, &numErr) {
+		t.Errorf("partitions %v, err %v; want none and a combiner error naming \"4.5\"", parts, err)
 	}
 }
 
