@@ -398,22 +398,26 @@ func benchMapBlock(b *testing.B, data []byte, mapper mapreduce.Mapper, combiner 
 	}
 }
 
-// BenchmarkShuffleWire moves one 512 KB lineitem block's 10% selection
-// — the map reply sel-shuffle ships per task, two partitions — through
-// a long-lived gob encoder / decoder pair, as a net/rpc connection
-// does. Bytes are the key + value bytes carried.
+// BenchmarkShuffleWire moves one 512 KB lineitem block's 10% selection,
+// two partitions, the way a reduce on another worker gets it: out of the
+// stash of the worker that mapped it (Worker.FetchShuffle) and through a
+// long-lived gob encoder / decoder pair, as a net/rpc connection does,
+// back into records. Bytes are the key + value bytes carried.
 func BenchmarkShuffleWire(b *testing.B) {
-	block := workload.NewLineitemGen(1).Block(0, 512<<10)
-	parts, err := mapreduce.MapBlockForJob(dfs.BlockID{}, block, workload.SelectionMapper{MaxQuantity: 5}, nil, 2)
-	if err != nil {
+	store := dfs.MustStore(1, 1)
+	if _, err := workload.AddLineitemFile(store, "lineitem", 1, 512<<10, 1); err != nil {
 		b.Fatal(err)
 	}
-	reply := remote.MapTaskReply{PerJob: [][][]mapreduce.KV{parts}, BytesScanned: int64(len(block))}
+	w := remote.NewWorker(store, remote.NewStandardRegistry())
+	task := &remote.MapTaskArgs{File: "lineitem", Epoch: 1, IDs: []scheduler.JobID{1},
+		Jobs: []remote.JobRef{{Name: "sel", Factory: "selection", Param: "5", NumReduce: 2}}}
+	var receipt remote.MapTaskReply
+	if err := w.ExecMap(task, &receipt); err != nil {
+		b.Fatal(err)
+	}
 	var payload int64
-	for _, kvs := range parts {
-		for _, kv := range kvs {
-			payload += int64(len(kv.Key) + len(kv.Value))
-		}
+	for _, rc := range receipt.Receipts[0] {
+		payload += rc.Bytes
 	}
 	var pipe bytes.Buffer
 	enc, dec := gob.NewEncoder(&pipe), gob.NewDecoder(&pipe)
@@ -421,15 +425,20 @@ func BenchmarkShuffleWire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var got remote.MapTaskReply
-		if err := enc.Encode(&reply); err != nil {
-			b.Fatal(err)
-		}
-		if err := dec.Decode(&got); err != nil {
-			b.Fatal(err)
-		}
-		if len(got.PerJob[0][0]) != len(parts[0]) || len(got.PerJob[0][1]) != len(parts[1]) {
-			b.Fatalf("decoded %d + %d records, sent %d + %d", len(got.PerJob[0][0]), len(got.PerJob[0][1]), len(parts[0]), len(parts[1]))
+		for p, rc := range receipt.Receipts[0] {
+			var held, got remote.FetchReply
+			if err := w.FetchShuffle(&remote.FetchArgs{Epoch: 1, ID: 1, Partition: p}, &held); err != nil {
+				b.Fatal(err)
+			}
+			if err := enc.Encode(&held); err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.Decode(&got); err != nil {
+				b.Fatal(err)
+			}
+			if len(got.Runs) != 1 || int64(len(got.Runs[0])) != rc.Records {
+				b.Fatalf("partition %d: decoded %d runs, want one of %d records", p, len(got.Runs), rc.Records)
+			}
 		}
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -185,6 +187,28 @@ func clusterCacheLedger(t *testing.T, base string) (prefetches, hits int64) {
 		hits += w.Tasks.CacheHits
 	}
 	return prefetches, hits
+}
+
+// scrapeMetric reads one sample off the master's GET /metrics.
+func scrapeMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, body)
+	return 0
 }
 
 // pickAddr reserves an ephemeral port and releases it for the
@@ -402,6 +426,11 @@ func TestMasterCrashRecovery(t *testing.T) {
 		t.Errorf("recovery carried no jobs: %+v", st.Recovery)
 	}
 	got := jobOutputs(t, base, ids)
+	// No worker died, and the journal kept the first incarnation's stash
+	// epoch: every resumed job found its map output where it was left.
+	if repairs := scrapeMetric(t, base, "s3_shuffle_repair_maps_total"); repairs != 0 {
+		t.Errorf("%v repair maps after a master crash with both workers alive, want 0", repairs)
+	}
 
 	// --- reference: uninterrupted run on a fresh journal --------------
 	refCtrl, refStatus := pickAddr(t), pickAddr(t)
@@ -440,6 +469,79 @@ func TestMasterCrashRecovery(t *testing.T) {
 	}
 	if !bytes.Contains(traceOut, []byte("journal-recovered")) {
 		t.Error("exported trace lacks the journal-recovered event")
+	}
+}
+
+// TestRecoversJournalOfParentBinary is the cross-version case. The
+// fixture is the journal of a master built from the commit before the
+// shuffle left the master, SIGKILLed five rounds into three wordcount
+// jobs (prefixes t, a, w; this file's corpus flags): it holds twelve
+// shuffle-committed records with their parts and no master-epoch record.
+// This binary reads past the former, resumes the jobs from the snapshot
+// with their map output gone — the workers here never saw those tasks —
+// and finishes them through repair, byte-identical.
+func TestRecoversJournalOfParentBinary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process recovery test")
+	}
+	dir := t.TempDir()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-midpass.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(fixture, []byte(`"kind":"shuffle-committed"`)); n != 12 || bytes.Contains(fixture, []byte(`"master-epoch"`)) {
+		t.Fatalf("fixture has %d shuffle-committed records: not the parent's journal", n)
+	}
+	journalPath := filepath.Join(dir, "journal.wal")
+	if err := os.WriteFile(journalPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{1, 2, 3}
+
+	ctrl, statusAddr := pickAddr(t), pickAddr(t)
+	base := "http://" + statusAddr
+	m := spawnMaster(t, "master", ctrl, statusAddr, journalPath, "")
+	startCrashWorker(t, ctrl, "worker-a")
+	startCrashWorker(t, ctrl, "worker-b")
+	st := waitStatus(t, base, 30*time.Second, "recovery", func(st statusSnapshot) bool { return st.Recovery != nil })
+	if st.Recovery.JobsResumed != len(ids) {
+		t.Errorf("recovery %+v, want all %d jobs resumed mid-pass", st.Recovery, len(ids))
+	}
+	waitJobsDone(t, base, ids, 60*time.Second)
+	got := jobOutputs(t, base, ids)
+	if repairs := scrapeMetric(t, base, "s3_shuffle_repair_maps_total"); repairs == 0 {
+		t.Error("no repair maps: the resumed jobs' earlier segments were mapped by nobody these workers know")
+	}
+
+	refCtrl, refStatus := pickAddr(t), pickAddr(t)
+	refBase := "http://" + refStatus
+	ref := spawnMaster(t, "reference", refCtrl, refStatus, filepath.Join(dir, "ref.wal"), "")
+	startCrashWorker(t, refCtrl, "ref-worker-a")
+	startCrashWorker(t, refCtrl, "ref-worker-b")
+	waitStatus(t, refBase, 30*time.Second, "reference up", func(statusSnapshot) bool { return true })
+	refIDs := submitCrashJobs(t, refBase, len(ids))
+	waitJobsDone(t, refBase, refIDs, 60*time.Second)
+	want := jobOutputs(t, refBase, refIDs)
+	for i, id := range ids {
+		if !bytes.Equal(got[id], want[refIDs[i]]) {
+			t.Errorf("job %d: output diverges from an uninterrupted run of this binary (%d vs %d bytes)", id, len(got[id]), len(want[refIDs[i]]))
+		}
+	}
+	for _, p := range []*masterProc{ref, m} {
+		if err := p.cmd.Process.Signal(syscall.SIGINT); err != nil {
+			t.Fatalf("SIGINT: %v", err)
+		}
+		if err := p.wait(t, 30*time.Second); err != nil {
+			t.Fatalf("master exited uncleanly: %v", err)
+		}
+	}
+	// The first open by a binary that knows the record wrote it.
+	after, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(after, []byte(`"kind":"master-epoch"`)); n != 1 {
+		t.Errorf("%d master-epoch records after recovery, want 1", n)
 	}
 }
 

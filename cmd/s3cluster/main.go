@@ -543,12 +543,14 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	var names map[scheduler.JobID]string
 	if *serve {
 		recovered := false
+		var journalEpoch int64
 		if jnl != nil && len(replayed.Entries) > 0 {
 			rep, err := recoverFromJournal(jnl, replayed.Entries, sched, master, src, dag, adm, remat, &opts)
 			if err != nil {
 				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 			}
 			recovered = true
+			journalEpoch = rep.state.Epoch
 			nth := rep.state.Recoveries + 1
 			fmt.Printf("journal recovery #%d from %s: %d job(s) resumed mid-pass, %d resubmitted, %d already settled\n",
 				nth, *journalPath, rep.resumed, rep.restarted, rep.settled)
@@ -563,6 +565,13 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 					JobsRestarted: rep.restarted,
 					JournalPath:   *journalPath,
 				})
+			}
+		}
+		if jnl != nil && journalEpoch == 0 {
+			// A new journal, or one older than the record: whoever recovers
+			// from it next resumes on this master's stash epoch.
+			if err := jnl.AppendRecord(journal.KindMasterEpoch, journal.MasterEpochRecord{Epoch: master.Epoch()}); err != nil {
+				return fmt.Errorf("journaling the master epoch: %w", err)
 			}
 		}
 		if !recovered {
@@ -678,7 +687,7 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	if err != nil {
 		return err
 	}
-	var reads int64
+	var reads, fetched, stashed int64
 	var cache metrics.CacheStats
 	for _, st := range stats {
 		fmt.Printf("worker %s: %d block reads, %d map tasks, %d reduce tasks", st.Worker, st.BlockReads, st.MapTasks, st.ReduceTasks)
@@ -686,13 +695,15 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 			fmt.Printf(", %d cache hits / %d misses", st.CacheHits, st.CacheMisses)
 		}
 		fmt.Println()
-		reads += st.BlockReads
+		reads, fetched, stashed = reads+st.BlockReads, fetched+st.ShuffleFetchedBytes, stashed+st.StashBytes
 		cache.Add(st.Cache())
 	}
 	fmt.Printf("cluster block reads: %d (isolated jobs would need %d)\n", reads, int64(len(names))*int64(*blocks))
 	if cache.Hits+cache.Misses > 0 {
 		fmt.Printf("cluster block cache: %d hits / %d misses (%.1f%% hit ratio)\n", cache.Hits, cache.Misses, 100*cache.HitRatio())
 	}
+	repairs, retries := master.ShuffleRepairs()
+	fmt.Printf("cluster shuffle: %d bytes fetched worker to worker, %d still stashed, %d repair maps, %d reduce retries\n", fetched, stashed, repairs, retries)
 	if srv != nil && cache.Hits+cache.Misses > 0 {
 		srv.SetCache(cache)
 	}

@@ -1,7 +1,7 @@
 // Journal recovery glue: turns a replayed write-ahead journal back
 // into live daemon state. The split of responsibilities mirrors the
 // write path — the admission layer journals admissions, the master
-// journals shuffle/result state, the engine journals round commits —
+// journals results, the engine journals round commits —
 // so recovery walks the folded MasterState and hands each piece back
 // to the layer that wrote it.
 package main
@@ -62,8 +62,9 @@ type recoveryReport struct {
 }
 
 // recoverFromJournal folds the replayed entries and rebuilds daemon
-// state: settled jobs get their status (and restored results) back,
-// snapshotted jobs resume mid-pass with their committed shuffle state,
+// state: the master goes back on the journal's stash epoch, settled jobs
+// get their status (and restored results) back, snapshotted jobs resume
+// mid-pass over the map output the workers still hold,
 // and admitted-but-unsnapshotted jobs are resubmitted under their
 // original ids — with their recorded dependencies, so a half-finished
 // DAG re-forms: done producers seed the DAG's done set, waiting
@@ -88,6 +89,9 @@ func recoverFromJournal(
 		return nil, err
 	}
 	rep := &recoveryReport{state: st}
+	if st.Epoch != 0 {
+		master.RestoreEpoch(st.Epoch)
+	}
 
 	// resume collects the ids restored into the scheduler; the snapshot
 	// is pruned to exactly this set before RestoreState, because the
@@ -175,14 +179,11 @@ func recoverFromJournal(
 		}
 		if st.InSnapshot(id) {
 			// Mid-pass resume: the scheduler snapshot knows the job's
-			// cursor, the shuffle records know its committed map output.
+			// cursor, and the workers hold the map output of the segments
+			// behind it — or do not any more, and then the job's reduce
+			// has those blocks mapped again.
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
-			}
-			for seg, parts := range st.Shuffle[id] {
-				if err := master.RestoreShuffle(id, seg, parts); err != nil {
-					return nil, err
-				}
 			}
 			if err := src.Adopt(meta, runtime.JobRunning, 0, 0); err != nil {
 				return nil, err

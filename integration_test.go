@@ -394,7 +394,7 @@ func TestStressManyJobs(t *testing.T) {
 	}
 	// Sanity: responses stay bounded (every job completes within k
 	// rounds of joining; shared rounds keep the queue from diverging).
-	maxRT, _ := res.Metrics.MaxResponse()
+	maxRT, _ := res.Metrics.PercentileResponse(100)
 	if maxRT.Seconds() > 5*art.Seconds() {
 		t.Errorf("max response %v vs ART %v: unexpected spread", maxRT, art)
 	}

@@ -100,6 +100,9 @@ type MemberEvent struct {
 // hook or the block source; CacheEvictions blocks discarded to fit the
 // budget; CachePrefetches / CachePrefetchFailed readahead loads issued and
 // failed; CacheBytes the cached footprint, CachePinnedBytes its pinned part.
+// StashBytes / StashEntries are the map output it holds for unfinished
+// jobs (key and value bytes; an entry per job and block), ShuffleServedBytes
+// / ShuffleFetchedBytes what it gave to and took from peers reducing.
 type WireStats struct {
 	BlockReads          int64
 	BytesScanned        int64
@@ -113,6 +116,10 @@ type WireStats struct {
 	CachePrefetchFailed int64
 	CacheBytes          int64
 	CachePinnedBytes    int64
+	StashBytes          int64
+	StashEntries        int64
+	ShuffleServedBytes  int64
+	ShuffleFetchedBytes int64
 }
 
 // Cache returns the ledger's block-cache counters in the form the

@@ -100,9 +100,6 @@ func (c *Conn) Recv() (Envelope, error) {
 // SetReadDeadline bounds the next Recv.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
 
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
-
 // Close tears the connection down; blocked Sends/Recvs fail.
 func (c *Conn) Close() error { return c.c.Close() }
 

@@ -73,14 +73,6 @@ func (sc *SlotChecker) Observe(node dfs.NodeID, speed float64, at vclock.Time) {
 	_ = at
 }
 
-// Estimate returns the current speed estimate for a node (0 when the
-// node has never been observed).
-func (sc *SlotChecker) Estimate(node dfs.NodeID) float64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.est[node]
-}
-
 // Available returns the nodes currently considered usable, sorted by
 // id, given the full node list. Unobserved nodes are assumed nominal.
 // If exclusion would empty the list, every node stays available — a
@@ -122,16 +114,4 @@ func (sc *SlotChecker) Available(all []dfs.NodeID, at vclock.Time) []dfs.NodeID 
 	}
 	sort.Slice(avail, func(i, j int) bool { return avail[i] < avail[j] })
 	return avail
-}
-
-// Excluded returns the ids currently excluded, sorted.
-func (sc *SlotChecker) Excluded() []dfs.NodeID {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	out := make([]dfs.NodeID, 0, len(sc.excluded))
-	for n := range sc.excluded {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

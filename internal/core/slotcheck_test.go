@@ -32,7 +32,7 @@ func TestSlotCheckerExcludesSlowNode(t *testing.T) {
 			t.Fatal("straggler node 2 should be excluded")
 		}
 	}
-	if exc := sc.Excluded(); len(exc) != 1 || exc[0] != 2 {
+	if exc := sc.excluded; len(exc) != 1 || !exc[2] {
 		t.Fatalf("Excluded = %v", exc)
 	}
 	if evs := log.OfKind(trace.NodeExcluded); len(evs) != 1 {
@@ -54,8 +54,8 @@ func TestSlotCheckerRestoresRecoveredNode(t *testing.T) {
 	if avail := sc.Available(all, 3); len(avail) != 2 {
 		t.Fatalf("after recovery available = %v, want both", avail)
 	}
-	if len(sc.Excluded()) != 0 {
-		t.Fatalf("Excluded = %v, want empty", sc.Excluded())
+	if len(sc.excluded) != 0 {
+		t.Fatalf("excluded = %v, want empty", sc.excluded)
 	}
 	if evs := log.OfKind(trace.NodeRestored); len(evs) != 1 {
 		t.Fatalf("restore events = %d, want 1", len(evs))
@@ -88,10 +88,10 @@ func TestSlotCheckerEWMA(t *testing.T) {
 	sc := NewSlotChecker(0.5, 0.5, nil)
 	sc.Observe(0, 1.0, 0)
 	sc.Observe(0, 0.5, 1)
-	if got := sc.Estimate(0); got != 0.75 {
+	if got := sc.est[0]; got != 0.75 {
 		t.Fatalf("Estimate = %v, want 0.75 (EWMA alpha=0.5)", got)
 	}
-	if got := sc.Estimate(9); got != 0 {
+	if got := sc.est[9]; got != 0 {
 		t.Fatalf("unobserved Estimate = %v, want 0", got)
 	}
 }

@@ -359,20 +359,10 @@ func (c *BlockCache) Stats() CacheStats {
 
 // ResetStats zeroes every cumulative counter (between experiment runs):
 // hits, misses, evictions, prefetches and prefetch failures. Cached
-// contents — and thus the Bytes/PinnedBytes gauges — are kept; use
-// Purge to drop them.
+// contents — and thus the Bytes/PinnedBytes gauges — are kept.
 func (c *BlockCache) ResetStats() {
 	c.mu.Lock()
 	c.hits, c.misses, c.evictions = 0, 0, 0
 	c.prefetches, c.prefetchFailed = 0, 0
-	c.mu.Unlock()
-}
-
-// Purge drops every cached block without counting evictions. Remembered
-// scan hints survive, so rebuilt shards keep the current pin window.
-func (c *BlockCache) Purge() {
-	c.mu.Lock()
-	c.nodes = make(map[NodeID]*nodeCache)
-	c.bytes = 0
 	c.mu.Unlock()
 }

@@ -435,7 +435,7 @@ func (s *Store) Stats() Stats {
 // ResetStats zeroes all counters — scans, failed reads, and (when a
 // cache is installed) the cache's hit/miss/eviction counters — so
 // back-to-back experiment runs start from a clean slate. Cached block
-// contents are kept; call Cache().Purge() to drop them too.
+// contents are kept.
 func (s *Store) ResetStats() {
 	s.blockReads.Store(0)
 	s.bytesScanned.Store(0)

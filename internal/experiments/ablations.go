@@ -52,16 +52,6 @@ func (a AblationResult) String() string {
 	return out
 }
 
-// Row returns the named row.
-func (a AblationResult) Row(name string) (AblationRow, bool) {
-	for _, r := range a.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return AblationRow{}, false
-}
-
 // runVariant drives one scheduler over arrivals in env and summarizes.
 func runVariant(name string, env *Env, sched scheduler.Scheduler, metas []scheduler.JobMeta, times []vclock.Time) (AblationRow, error) {
 	arrivals := make([]runtime.Arrival, len(metas))

@@ -14,8 +14,8 @@ func TestAblationSlotChecking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nocheck, ok1 := res.Row("s3-nocheck")
-	checked, ok2 := res.Row("s3-slotcheck")
+	nocheck, ok1 := rowOf(res, "s3-nocheck")
+	checked, ok2 := rowOf(res, "s3-slotcheck")
 	if !ok1 || !ok2 {
 		t.Fatalf("rows missing: %+v", res)
 	}
@@ -38,8 +38,8 @@ func TestAblationDynAdjust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, _ := res.Row("s3-dynamic")
-	static, _ := res.Row("s3-static")
+	dyn, _ := rowOf(res, "s3-dynamic")
+	static, _ := rowOf(res, "s3-static")
 	// Parking arrivals serializes everything: worse on both metrics,
 	// with strictly more scans.
 	if static.TET <= dyn.TET || static.ART <= dyn.ART {
@@ -58,8 +58,8 @@ func TestAblationSegmentSize(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
-	ideal, _ := res.Row("seg-40")
-	small, _ := res.Row("seg-20")
+	ideal, _ := rowOf(res, "seg-40")
+	small, _ := rowOf(res, "seg-20")
 	// Half-width segments leave half the cluster idle every round
 	// while doubling per-round overheads: strictly worse TET.
 	if small.TET <= ideal.TET {
@@ -68,7 +68,7 @@ func TestAblationSegmentSize(t *testing.T) {
 	// Double-width segments trade admission granularity against
 	// per-round overhead amortization; the two nearly cancel, so both
 	// metrics stay within 25% of the ideal either way.
-	large, _ := res.Row("seg-80")
+	large, _ := rowOf(res, "seg-80")
 	if r := large.TET.Seconds() / ideal.TET.Seconds(); r > 1.25 || r < 0.8 {
 		t.Errorf("seg-80 TET %v too far from ideal %v", large.TET, ideal.TET)
 	}
@@ -82,8 +82,8 @@ func TestAblationCircularScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	circ, _ := res.Row("s3-circular")
-	restart, _ := res.Row("s3-restart")
+	circ, _ := rowOf(res, "s3-circular")
+	restart, _ := rowOf(res, "s3-restart")
 	if restart.ART <= circ.ART {
 		t.Errorf("restart-at-beginning ART %v should exceed circular %v", restart.ART, circ.ART)
 	}
@@ -97,8 +97,8 @@ func TestAblationPartialAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := res.Row("no-partial-agg")
-	agg, _ := res.Row("partial-agg")
+	plain, _ := rowOf(res, "no-partial-agg")
+	agg, _ := rowOf(res, "partial-agg")
 	// Identical outputs…
 	if plain.Extra["outputRecords"] != agg.Extra["outputRecords"] {
 		t.Errorf("output records differ: %v vs %v", plain.Extra["outputRecords"], agg.Extra["outputRecords"])
@@ -129,9 +129,6 @@ func TestAllAblations(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("missing ablation %s", id)
 		}
-	}
-	if _, ok := res[0].Row("nope"); ok {
-		t.Error("Row on missing name should be false")
 	}
 }
 
@@ -333,4 +330,14 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	if fixed.Rounds != adaptive.Rounds {
 		t.Errorf("rounds differ: %d vs %d", fixed.Rounds, adaptive.Rounds)
 	}
+}
+
+// rowOf returns a's named row.
+func rowOf(a AblationResult, name string) (AblationRow, bool) {
+	for _, r := range a.Rows {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return AblationRow{}, false
 }

@@ -275,22 +275,3 @@ func Fig4Panel(panel string, p Params) (PanelResult, error) {
 	}
 	return RunPanel("fig4"+panel, env, metas, c.times, PaperSchemes())
 }
-
-// Fig4a: sparse pattern, normal workload, 64 MB blocks.
-func Fig4a() (PanelResult, error) { return Fig4Panel("a", DefaultParams()) }
-
-// Fig4b: dense pattern, normal workload, 64 MB blocks.
-func Fig4b() (PanelResult, error) { return Fig4Panel("b", DefaultParams()) }
-
-// Fig4c: sparse pattern, heavy workload, 64 MB blocks.
-func Fig4c() (PanelResult, error) { return Fig4Panel("c", DefaultParams()) }
-
-// Fig4d: sparse pattern, normal workload, 128 MB blocks.
-func Fig4d() (PanelResult, error) { return Fig4Panel("d", DefaultParams()) }
-
-// Fig4e: sparse pattern, normal workload, 32 MB blocks.
-func Fig4e() (PanelResult, error) { return Fig4Panel("e", DefaultParams()) }
-
-// Fig4f: selection workload over the 400 GB lineitem table, sparse
-// pattern, 64 MB blocks (§V-G).
-func Fig4f() (PanelResult, error) { return Fig4Panel("f", DefaultParams()) }

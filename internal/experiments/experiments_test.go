@@ -115,25 +115,14 @@ func TestSingleJobAnchor(t *testing.T) {
 }
 
 func TestNamedPanelWrappers(t *testing.T) {
-	// The convenience wrappers delegate to Fig4Panel with defaults.
-	for _, tc := range []struct {
-		name string
-		fn   func() (PanelResult, error)
-		id   string
-	}{
-		{"Fig4a", Fig4a, "fig4a"},
-		{"Fig4b", Fig4b, "fig4b"},
-		{"Fig4c", Fig4c, "fig4c"},
-		{"Fig4d", Fig4d, "fig4d"},
-		{"Fig4e", Fig4e, "fig4e"},
-		{"Fig4f", Fig4f, "fig4f"},
-	} {
-		res, err := tc.fn()
+	// Every panel of Figure 4 runs under the default parameters.
+	for _, panel := range []string{"a", "b", "c", "d", "e", "f"} {
+		res, err := Fig4Panel(panel, DefaultParams())
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("panel %s: %v", panel, err)
 		}
-		if res.ID != tc.id || len(res.Schemes) != 5 {
-			t.Errorf("%s: ID=%q schemes=%d", tc.name, res.ID, len(res.Schemes))
+		if res.ID != "fig4"+panel || len(res.Schemes) != 5 {
+			t.Errorf("panel %s: ID=%q schemes=%d", panel, res.ID, len(res.Schemes))
 		}
 	}
 }

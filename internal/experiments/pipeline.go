@@ -50,19 +50,15 @@ type pipelineCase struct {
 	times   []vclock.Time
 }
 
-// PipelineStudy A/B-tests the stage-pipelined runtime against the
+// PipelineStudyModes A/B-tests the stage-pipelined runtime against the
 // serial round loop: the same S^3 scheduler and cost model, with and
 // without reduce-of-round-N overlapping scan-of-round-N+1. The gain
 // grows with the reduce share of a round — normal wordcount reduces
 // are small (§V Table I: ~1.5 MB of reduce output), the heavy workload
-// (200x reduce output, §V-E) gives reduces real weight.
-func PipelineStudy(p Params) (PipelineResult, error) {
-	return PipelineStudyModes(p, true, true)
-}
-
-// PipelineStudyModes runs the study's workloads in the selected
-// mode(s); disabling one leaves its columns (and the derived gain and
-// overlap) zero. This backs s3bench's -pipeline=on|off|both flag.
+// (200x reduce output, §V-E) gives reduces real weight. It runs the
+// study's workloads in the selected mode(s); disabling one leaves its
+// columns (and the derived gain and overlap) zero. This backs s3bench's
+// -pipeline=on|off|both flag.
 func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error) {
 	if !serial && !pipelined {
 		return PipelineResult{}, fmt.Errorf("experiments: pipeline study with both modes disabled")

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestPipelineStudy(t *testing.T) {
-	res, err := PipelineStudy(DefaultParams())
+	res, err := PipelineStudyModes(DefaultParams(), true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

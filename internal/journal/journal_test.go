@@ -216,9 +216,14 @@ func TestReduceEntriesFold(t *testing.T) {
 	must(j.AppendRecord(KindJobAdmitted, JobAdmittedRecord{ID: 1, Factory: "wordcount", NumReduce: 2, Meta: scheduler.JobMeta{ID: 1, File: "corpus"}}))
 	must(j.AppendRecord(KindJobAdmitted, JobAdmittedRecord{ID: 2, Factory: "wordcount", NumReduce: 2, Meta: scheduler.JobMeta{ID: 2, File: "corpus"}}))
 	must(j.AppendRecord(KindJobAdmitted, JobAdmittedRecord{ID: 3, Factory: "selection", NumReduce: 2, Meta: scheduler.JobMeta{ID: 3, File: "lineitem"}}))
+	must(j.AppendRecord(KindMasterEpoch, MasterEpochRecord{Epoch: 41}))
+	// What a journal written before the shuffle left the master holds: the
+	// fold reads these and keeps nothing of them — not even an error for a
+	// payload that is no shuffle record at all.
 	must(j.AppendRecord(KindShuffleCommitted, ShuffleCommittedRecord{
 		Job: 1, Segment: 0, Parts: [][]mapreduce.KV{{{Key: "a", Value: "1"}}, nil},
 	}))
+	must(j.Append(Entry{Kind: KindShuffleCommitted, Data: json.RawMessage(`"not a record"`)}))
 	must(j.AppendRecord(KindShuffleCommitted, ShuffleCommittedRecord{
 		Job: 2, Segment: 0, Parts: [][]mapreduce.KV{nil, {{Key: "b", Value: "2"}}},
 	}))
@@ -234,6 +239,7 @@ func TestReduceEntriesFold(t *testing.T) {
 	must(j.AppendRecord(KindJobDone, JobEndRecord{Job: 1, At: 3}))
 	must(j.Append(Entry{Kind: "future-kind", Data: json.RawMessage(`{"x":1}`)}))
 	must(j.AppendRecord(KindRecovered, RecoveredRecord{Resumed: 1}))
+	must(j.AppendRecord(KindMasterEpoch, MasterEpochRecord{Epoch: 99})) // the first one stands
 	j.Close()
 
 	_, rep := openT(t, path, Options{})
@@ -241,23 +247,14 @@ func TestReduceEntriesFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxID != 3 || st.Rounds != 1 || st.Recoveries != 1 {
-		t.Fatalf("maxID %d rounds %d recoveries %d", st.MaxID, st.Rounds, st.Recoveries)
+	if st.MaxID != 3 || st.Recoveries != 1 || st.Epoch != 41 {
+		t.Fatalf("maxID %d recoveries %d epoch %d", st.MaxID, st.Recoveries, st.Epoch)
 	}
 	if len(st.Done) != 1 || len(st.Results[1]) != 1 {
 		t.Fatalf("done %v results %v", st.Done, st.Results)
 	}
-	// Job 1 finished: its shuffle state must be gone. Job 2's segment-0
-	// shuffle survives.
-	if _, has := st.Shuffle[1]; has {
-		t.Fatal("finished job kept shuffle state")
-	}
-	if got := st.Shuffle[2][0][1]; len(got) != 1 || got[0].Key != "b" {
-		t.Fatalf("job 2 shuffle = %v", st.Shuffle[2])
-	}
-	pend := st.Pending()
-	if len(pend) != 2 || pend[0].ID != 2 || pend[1].ID != 3 {
-		t.Fatalf("pending = %+v", pend)
+	if len(st.Order) != 3 || len(st.Failed) != 0 {
+		t.Fatalf("order %v failed %v: jobs 2 and 3 are still pending", st.Order, st.Failed)
 	}
 	if !st.InSnapshot(2) || st.InSnapshot(3) || st.InSnapshot(1) {
 		t.Fatalf("InSnapshot: 2=%v 3=%v 1=%v", st.InSnapshot(2), st.InSnapshot(3), st.InSnapshot(1))
@@ -309,7 +306,6 @@ func TestReduceEntriesDAGRecords(t *testing.T) {
 		e(KindJobDone, JobEndRecord{Job: 1, At: 9}),
 		e(KindStageMaterialized, StageMaterializedRecord{Job: 1, File: "job-1.out", BlockSize: 64, Blocks: 1}),
 		e(KindJobFailed, JobEndRecord{Job: 2, At: 11}),
-		e(KindShuffleCommitted, ShuffleCommittedRecord{Job: 2, Segment: 0, Parts: [][]mapreduce.KV{{{Key: "x", Value: "1"}}}}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,12 +326,8 @@ func TestReduceEntriesDAGRecords(t *testing.T) {
 	if _, failed := st.Failed[2]; !failed {
 		t.Fatalf("Failed = %v", st.Failed)
 	}
-	// Failed jobs drop their shuffle state just like done ones.
-	if _, has := st.Shuffle[2]; has {
-		t.Fatal("failed job kept shuffle state")
-	}
-	if pend := st.Pending(); len(pend) != 0 {
-		t.Fatalf("Pending = %+v, want none (both settled)", pend)
+	if _, done := st.Done[1]; !done {
+		t.Fatalf("Done = %v, want job 1 settled too", st.Done)
 	}
 	if st.InSnapshot(1) {
 		t.Fatal("InSnapshot with no snapshot")
@@ -348,7 +340,7 @@ func TestReduceEntriesRejectsCorruptKnownKind(t *testing.T) {
 		t.Fatal("undecodable known-kind payload accepted")
 	}
 	for _, kind := range []string{
-		KindJobAdmitted, KindShuffleCommitted, KindJobResult,
+		KindJobAdmitted, KindMasterEpoch, KindJobResult,
 		KindRoundCommitted, KindCheckpoint, KindJobDone, KindJobFailed,
 	} {
 		if _, err := ReduceEntries([]Entry{{Kind: kind, Data: json.RawMessage(`[`)}}); err == nil {

@@ -16,10 +16,15 @@ const (
 	// record is appended under the admission lock *before* POST /jobs
 	// is acked, so an acked job is never lost.
 	KindJobAdmitted = "job-admitted"
-	// KindShuffleCommitted: the master merged one segment's map output
-	// into a job's shuffle partitions. Appended at the per-(job,
-	// segment) dedup commit point, so replay reconstructs exactly the
-	// partitions the in-memory table held.
+	// KindMasterEpoch: the stash epoch of the master that first opened
+	// this journal. Every master recovering from it takes the epoch over,
+	// so the jobs it resumes find their map output on the workers.
+	KindMasterEpoch = "master-epoch"
+	// KindShuffleCommitted: one segment's map output for one job, from
+	// when the master merged the shuffle. Nothing writes the kind any
+	// more and replay reads past it (an old journal's jobs resume with
+	// their map output gone and have it mapped again); kind and record
+	// stay for bench/perf's journal.encode_ms_per_mb probe, which builds one.
 	KindShuffleCommitted = "shuffle-committed"
 	// KindJobResult: a job's reduce phase completed and its merged
 	// output is final.
@@ -59,7 +64,12 @@ type JobAdmittedRecord struct {
 	DependsOn []scheduler.JobID `json:"dependsOn,omitempty"`
 }
 
-// ShuffleCommittedRecord persists one segment's merged map output for
+// MasterEpochRecord is the payload of master-epoch.
+type MasterEpochRecord struct {
+	Epoch int64 `json:"epoch"`
+}
+
+// ShuffleCommittedRecord persisted one segment's merged map output for
 // one job: Parts[p] is the slice appended to reduce partition p.
 type ShuffleCommittedRecord struct {
 	Job     scheduler.JobID  `json:"job"`

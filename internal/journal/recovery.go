@@ -24,37 +24,19 @@ type MasterState struct {
 	// the crashed run installed this output cluster-wide, so recovery
 	// must re-install it before resuming anything that scans it.
 	Materialized map[scheduler.JobID]StageMaterializedRecord
-	// Shuffle[job][segment] is the committed map output awaiting that
-	// job's reduce — the partitions to restore before resuming.
-	Shuffle map[scheduler.JobID]map[int][][]mapreduce.KV
+	// Epoch is the stash epoch the journal's first master recorded, zero
+	// in a journal older than the record.
+	Epoch int64
 	// Snapshot is the most recent scheduler snapshot (round commit or
 	// checkpoint), nil when none was recorded.
 	Snapshot *scheduler.Snapshot
 	// Requeues is the consecutive-requeue count at the snapshot.
 	Requeues int
-	// Rounds counts committed rounds; Recoveries counts completed
-	// recoveries recorded in the log.
-	Rounds     int
+	// Recoveries counts completed recoveries recorded in the log.
 	Recoveries int
 	// MaxID is the highest job id ever admitted (id allocation resumes
 	// past it).
 	MaxID scheduler.JobID
-}
-
-// Pending returns the admitted-but-unsettled jobs in admission order —
-// the set recovery must bring back.
-func (s *MasterState) Pending() []JobAdmittedRecord {
-	var out []JobAdmittedRecord
-	for _, id := range s.Order {
-		if _, done := s.Done[id]; done {
-			continue
-		}
-		if _, failed := s.Failed[id]; failed {
-			continue
-		}
-		out = append(out, s.Admitted[id])
-	}
-	return out
 }
 
 // InSnapshot reports whether the latest snapshot carries the job —
@@ -81,7 +63,6 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 		Done:         make(map[scheduler.JobID]JobEndRecord),
 		Failed:       make(map[scheduler.JobID]JobEndRecord),
 		Results:      make(map[scheduler.JobID][]mapreduce.KV),
-		Shuffle:      make(map[scheduler.JobID]map[int][][]mapreduce.KV),
 		Materialized: make(map[scheduler.JobID]StageMaterializedRecord),
 	}
 	for _, e := range entries {
@@ -98,25 +79,20 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 			if rec.ID > st.MaxID {
 				st.MaxID = rec.ID
 			}
-		case KindShuffleCommitted:
-			var rec ShuffleCommittedRecord
+		case KindMasterEpoch:
+			var rec MasterEpochRecord
 			if err := decode(e, &rec); err != nil {
 				return nil, err
 			}
-			segs := st.Shuffle[rec.Job]
-			if segs == nil {
-				segs = make(map[int][][]mapreduce.KV)
-				st.Shuffle[rec.Job] = segs
+			if st.Epoch == 0 {
+				st.Epoch = rec.Epoch
 			}
-			segs[rec.Segment] = rec.Parts
 		case KindJobResult:
 			var rec JobResultRecord
 			if err := decode(e, &rec); err != nil {
 				return nil, err
 			}
 			st.Results[rec.Job] = rec.Output
-			// The shuffle state was released when the result committed.
-			delete(st.Shuffle, rec.Job)
 		case KindStageMaterialized:
 			var rec StageMaterializedRecord
 			if err := decode(e, &rec); err != nil {
@@ -128,7 +104,6 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 			if err := decode(e, &rec); err != nil {
 				return nil, err
 			}
-			st.Rounds++
 			if rec.Snapshot != nil {
 				st.Snapshot = rec.Snapshot
 				st.Requeues = rec.Requeues
@@ -156,18 +131,6 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 			st.Failed[rec.Job] = rec
 		case KindRecovered:
 			st.Recoveries++
-		}
-	}
-	// A settled job must not linger in the latest snapshot's queues:
-	// the snapshot was taken at the same round boundary that settled
-	// it, so the scheduler had already retired it. Nothing to fix here
-	// — but shuffle state for settled jobs is dead weight; drop it.
-	for id := range st.Shuffle {
-		if _, done := st.Done[id]; done {
-			delete(st.Shuffle, id)
-		}
-		if _, failed := st.Failed[id]; failed {
-			delete(st.Shuffle, id)
 		}
 	}
 	return st, nil

@@ -118,16 +118,6 @@ func (c *Cluster) HealthyCount() int {
 	return len(c.nodes) - len(c.down)
 }
 
-// TotalMapSlots returns the cluster-wide concurrent map task capacity —
-// the paper's ideal blocks-per-segment (§IV-B).
-func (c *Cluster) TotalMapSlots() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.MapSlots
-	}
-	return total
-}
-
 // assignment maps each block of a round to the node that will run its
 // map task, plus whether the choice was data-local.
 type assignment struct {

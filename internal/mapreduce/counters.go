@@ -56,13 +56,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return out
 }
 
-// Merge adds every counter from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.Snapshot() {
-		c.Add(k, v)
-	}
-}
-
 // String renders the counters sorted by name, one per line.
 func (c *Counters) String() string {
 	snap := c.Snapshot()

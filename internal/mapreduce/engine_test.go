@@ -92,7 +92,7 @@ func TestRunJobWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
-	got := res.OutputMap()
+	got := outputMap(res)
 	want := map[string]string{"a": "3", "b": "3", "c": "3"}
 	for k, v := range want {
 		if got[k] != v {
@@ -401,8 +401,10 @@ func TestMapAfterFinishFails(t *testing.T) {
 func TestClusterSlotsAndNodes(t *testing.T) {
 	store := dfs.MustStore(5, 1)
 	c := MustCluster(store, 2)
-	if got := c.TotalMapSlots(); got != 10 {
-		t.Errorf("TotalMapSlots = %d, want 10", got)
+	for _, n := range c.Nodes() {
+		if n.MapSlots != 2 {
+			t.Errorf("node %d has %d map slots, want 2", n.ID, n.MapSlots)
+		}
 	}
 	if len(c.Nodes()) != 5 {
 		t.Errorf("Nodes = %d, want 5", len(c.Nodes()))
@@ -431,14 +433,13 @@ func TestNewClusterValidation(t *testing.T) {
 	MustCluster(store, 0)
 }
 
-func TestOutputMapDuplicatePanics(t *testing.T) {
-	res := &Result{Name: "x", Output: []KV{{Key: "a", Value: "1"}, {Key: "a", Value: "2"}}}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate key should panic")
-		}
-	}()
-	res.OutputMap()
+// outputMap indexes a result's output by key.
+func outputMap(res *Result) map[string]string {
+	out := make(map[string]string, len(res.Output))
+	for _, kv := range res.Output {
+		out[kv.Key] = kv.Value
+	}
+	return out
 }
 
 func TestAssignBlocksBalances(t *testing.T) {

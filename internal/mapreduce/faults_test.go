@@ -196,7 +196,7 @@ func TestMapRoundIsolatesJobFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish(good): %v", err)
 	}
-	if got := res.OutputMap()["b"]; got != "3" {
+	if got := outputMap(res)["b"]; got != "3" {
 		t.Errorf("good job count[b] = %q, want 3", got)
 	}
 }

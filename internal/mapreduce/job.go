@@ -166,18 +166,6 @@ func (r *Running) Compact(combiner Reducer) error {
 	return nil
 }
 
-// IntermediateRecords reports how many shuffle records the job is
-// currently holding across all partitions.
-func (r *Running) IntermediateRecords() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := 0
-	for _, p := range r.partitions {
-		total += len(p)
-	}
-	return total
-}
-
 // Seal marks the job finished and hands back its remaining shuffle
 // records. This is the shuffle-commit of a job's *last* round under
 // staged execution: no further map output may arrive, and the caller
@@ -201,17 +189,4 @@ type Result struct {
 	Name     string
 	Output   []KV // sorted by key then value
 	Counters *Counters
-}
-
-// OutputMap returns the output as a map. It panics if a key repeats,
-// which cannot happen for single-emit-per-key reducers.
-func (res *Result) OutputMap() map[string]string {
-	out := make(map[string]string, len(res.Output))
-	for _, kv := range res.Output {
-		if _, dup := out[kv.Key]; dup {
-			panic(fmt.Sprintf("mapreduce: duplicate output key %q in job %q", kv.Key, res.Name))
-		}
-		out[kv.Key] = kv.Value
-	}
-	return out
 }

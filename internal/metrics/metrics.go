@@ -326,25 +326,6 @@ func (c *Collector) ProcessingTime(id scheduler.JobID) (vclock.Duration, error) 
 	return done.Sub(start), nil
 }
 
-// AverageWaiting returns the mean waiting time across surviving jobs
-// with recorded starts. It fails if any surviving job lacks a start or
-// completion.
-func (c *Collector) AverageWaiting() (vclock.Duration, error) {
-	jobs := c.survivors()
-	if len(jobs) == 0 {
-		return 0, fmt.Errorf("metrics: no surviving jobs recorded")
-	}
-	var total vclock.Duration
-	for _, id := range jobs {
-		w, err := c.WaitingTime(id)
-		if err != nil {
-			return 0, err
-		}
-		total += w
-	}
-	return total / vclock.Duration(len(jobs)), nil
-}
-
 // TET returns the total execution time: the interval between the first
 // job's submission and the last surviving job's completion. It fails
 // if any surviving job is incomplete or every job failed.
@@ -435,11 +416,6 @@ func (c *Collector) PercentileResponse(p float64) (vclock.Duration, error) {
 	return rts[rank-1], nil
 }
 
-// MaxResponse returns the worst per-job response time.
-func (c *Collector) MaxResponse() (vclock.Duration, error) {
-	return c.PercentileResponse(100)
-}
-
 // Summary is the measured outcome of one scheduler run. P50/P95/P99
 // are per-job response-time percentiles (nearest-rank), the tail view
 // a mean like ART hides.
@@ -525,16 +501,6 @@ func Normalize(baseline string, summaries []Summary) (Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// Row returns the report row for a scheme.
-func (r Report) Row(scheme string) (ReportRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scheme == scheme {
-			return row, true
-		}
-	}
-	return ReportRow{}, false
 }
 
 // String renders the report as an aligned table sorted by scheme name,

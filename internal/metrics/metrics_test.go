@@ -116,14 +116,18 @@ func TestSummarizeAndNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok := rep.Row("fifo")
+	rows := make(map[string]ReportRow)
+	for _, r := range rep.Rows {
+		rows[r.Scheme] = r
+	}
+	row, ok := rows["fifo"]
 	if !ok {
 		t.Fatal("fifo row missing")
 	}
 	if row.NormTET != 2.2 || row.NormART != 2.5 {
 		t.Errorf("fifo normalized = %v/%v, want 2.2/2.5", row.NormTET, row.NormART)
 	}
-	base, _ := rep.Row("s3")
+	base := rows["s3"]
 	if base.NormTET != 1 || base.NormART != 1 {
 		t.Errorf("baseline normalized = %v/%v, want 1/1", base.NormTET, base.NormART)
 	}
@@ -145,9 +149,6 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 	if _, err := Normalize("s3", []Summary{{Scheme: "s3", TET: 0, ART: 1}}); err == nil {
 		t.Error("zero baseline TET should error")
-	}
-	if _, ok := (Report{}).Row("x"); ok {
-		t.Error("Row on empty report should be false")
 	}
 }
 
@@ -209,13 +210,6 @@ func TestWaitingProcessingDecomposition(t *testing.T) {
 	if w+p != rt {
 		t.Fatalf("decomposition %v+%v != response %v", w, p, rt)
 	}
-	avg, err := c.AverageWaiting()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg != 30 {
-		t.Fatalf("AverageWaiting = %v, want 30", avg)
-	}
 }
 
 func TestDecompositionErrors(t *testing.T) {
@@ -229,9 +223,6 @@ func TestDecompositionErrors(t *testing.T) {
 	}
 	if _, err := c.WaitingTime(9); err == nil {
 		t.Error("unknown job should error")
-	}
-	if _, err := NewCollector().AverageWaiting(); err == nil {
-		t.Error("empty collector should error")
 	}
 	for _, fn := range []func(){
 		func() { c.Start(9, 0) }, // never submitted
@@ -266,7 +257,7 @@ func TestPercentilesAndMax(t *testing.T) {
 	if p90 != 50 {
 		t.Errorf("p90 = %v, want 50", p90)
 	}
-	mx, _ := c.MaxResponse()
+	mx, _ := c.PercentileResponse(100)
 	if mx != 50 {
 		t.Errorf("max = %v, want 50", mx)
 	}

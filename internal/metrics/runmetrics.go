@@ -55,6 +55,13 @@ type RunMetrics struct {
 	CacheBytes       *Gauge
 	CachePinnedBytes *Gauge
 
+	// The distributed shuffle as of the newest reading (SetShuffleStats):
+	// map output held on the workers, bytes reducers fetched from peers,
+	// and map tasks re-run to replace output a lost worker held.
+	ShuffleStashBytes   *Gauge
+	ShuffleFetchedBytes *Counter
+	ShuffleRepairMaps   *Counter
+
 	// HeartbeatMisses counts control-plane heartbeat deadlines missed by
 	// registered workers; WorkerReconnects counts restarted workers
 	// re-registering under their old identity. Both stay zero outside
@@ -125,6 +132,10 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		CacheBytes:       reg.Gauge("s3_cache_bytes", "cached byte footprint"),
 		CachePinnedBytes: reg.Gauge("s3_cache_pinned_bytes", "pin-protected cached bytes"),
 
+		ShuffleStashBytes:   reg.Gauge("s3_shuffle_stash_bytes", "map output held on the workers for unfinished jobs"),
+		ShuffleFetchedBytes: reg.Counter("s3_shuffle_fetched_bytes_total", "map output bytes reducers fetched from peer workers"),
+		ShuffleRepairMaps:   reg.Counter("s3_shuffle_repair_maps_total", "map tasks re-run because no live worker held their output"),
+
 		JournalAppends: reg.Counter("s3_journal_appends_total", "records appended to the write-ahead journal"),
 		JournalBytes:   reg.Gauge("s3_journal_bytes", "write-ahead journal file size"),
 		Recoveries:     reg.Counter("s3_recoveries_total", "journal recoveries performed over the journal's lifetime"),
@@ -149,4 +160,12 @@ func (m *RunMetrics) SetCacheStats(cs CacheStats) {
 	m.CacheHitRatio.Set(cs.HitRatio())
 	m.CacheBytes.Set(float64(cs.Bytes))
 	m.CachePinnedBytes.Set(float64(cs.PinnedBytes))
+}
+
+// SetShuffleStats publishes a reading of the cluster's shuffle counters,
+// under the same rule as SetCacheStats.
+func (m *RunMetrics) SetShuffleStats(stashBytes, fetchedBytes, repairMaps int64) {
+	m.ShuffleStashBytes.Set(float64(stashBytes))
+	m.ShuffleFetchedBytes.RaiseTo(float64(fetchedBytes))
+	m.ShuffleRepairMaps.RaiseTo(float64(repairMaps))
 }

@@ -59,9 +59,6 @@ func NewLiveDAG(src *runtime.LiveSource, mat Materializer) *LiveDAG {
 	}
 }
 
-// Source exposes the wrapped admission queue (status API, Close).
-func (d *LiveDAG) Source() *runtime.LiveSource { return d.src }
-
 // SubmitStage accepts a job with dependencies. Dependencies must name
 // already-accepted jobs. A stage whose dependencies are all already
 // done is queued immediately; one with a failed dependency is refused
@@ -154,42 +151,6 @@ func (d *LiveDAG) unmaterializedLocked(deps []scheduler.JobID) []scheduler.JobID
 		}
 	}
 	return missing
-}
-
-// AdoptHeld re-installs a journal-recovered waiting stage: its
-// dependency counts are recomputed against the recovered done set, so
-// a stage whose producers all settled between the admission record and
-// the crash is released immediately, and one with a failed producer is
-// failed. at stamps the failure time in that case.
-func (d *LiveDAG) AdoptHeld(meta scheduler.JobMeta, deps []scheduler.JobID, at vclock.Time) error {
-	if err := d.src.AdoptHeld(meta, deps); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	pending := 0
-	depFailed := false
-	for _, dep := range deps {
-		if d.failed[dep] {
-			depFailed = true
-		} else if !d.done[dep] {
-			pending++
-		}
-	}
-	if depFailed {
-		return d.src.FailHeld(meta.ID, at)
-	}
-	if pending == 0 {
-		d.needMat = append(d.needMat, d.unmaterializedLocked(deps)...)
-		return d.src.Release(meta.ID)
-	}
-	d.remaining[meta.ID] = pending
-	for _, dep := range deps {
-		if !d.done[dep] {
-			d.consumers[dep] = append(d.consumers[dep], meta.ID)
-		}
-	}
-	return nil
 }
 
 // Pop implements runtime.ArrivalSource. Before delegating it drains

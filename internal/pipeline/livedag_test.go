@@ -221,15 +221,16 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 		t.Fatal("re-materialized a producer recovery already rebuilt")
 	}
 
-	// Recovered done but unmaterialized producer: AdoptHeld releases the
-	// consumer and the next Pop materializes.
+	// Recovered done but unmaterialized producer: resubmitting the
+	// consumer under its old id, as recovery does, queues it and the next
+	// Pop materializes.
 	done2 := scheduler.JobMeta{ID: 200, Name: "done2", File: "corpus"}
 	if err := src.Adopt(done2, runtime.JobDone, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	d.AdoptDone(200, false)
 	heldMeta := scheduler.JobMeta{ID: 210, Name: "held", File: "job-200.out"}
-	if err := d.AdoptHeld(heldMeta, []scheduler.JobID{200}, 0); err != nil {
+	if _, err := d.SubmitStage(heldMeta, []scheduler.JobID{200}, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustState(t, src, 210, runtime.JobQueued)
@@ -238,26 +239,25 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 		t.Fatalf("Pop materialized recovered producer %d times, want 1", m.calls[200])
 	}
 
-	// Recovered failed producer: AdoptHeld fails the consumer outright.
+	// Recovered failed producer: its consumer is refused.
 	failedMeta := scheduler.JobMeta{ID: 300, Name: "bad", File: "corpus"}
 	if err := src.Adopt(failedMeta, runtime.JobFailed, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	d.AdoptDone(300, true)
 	orphan := scheduler.JobMeta{ID: 310, Name: "orphan", File: "job-300.out"}
-	if err := d.AdoptHeld(orphan, []scheduler.JobID{300}, vclock.Time(7)); err != nil {
-		t.Fatal(err)
+	if _, err := d.SubmitStage(orphan, []scheduler.JobID{300}, nil); err == nil {
+		t.Fatal("consumer of a failed producer accepted")
 	}
-	mustState(t, src, 310, runtime.JobFailed)
 
-	// Recovered pending producer: AdoptHeld keeps the consumer waiting,
-	// then a live finish releases it.
+	// Recovered pending producer: the resubmitted consumer waits, then a
+	// live finish releases it.
 	pendMeta := scheduler.JobMeta{ID: 400, Name: "pend", File: "corpus"}
 	if err := src.Adopt(pendMeta, runtime.JobRunning, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	waiter := scheduler.JobMeta{ID: 410, Name: "waiter", File: "job-400.out"}
-	if err := d.AdoptHeld(waiter, []scheduler.JobID{400}, 0); err != nil {
+	if _, err := d.SubmitStage(waiter, []scheduler.JobID{400}, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustState(t, src, 410, runtime.JobWaiting)

@@ -79,13 +79,6 @@ func (w *Worker) Register(master string, opts RegisterOptions) error {
 	return nil
 }
 
-// Registrations reports how many times the worker completed a
-// registration handshake (>1 means it reconnected).
-func (w *Worker) Registrations() int64 { return w.registrations.Load() }
-
-// Heartbeats reports how many acknowledged heartbeats the worker sent.
-func (w *Worker) Heartbeats() int64 { return w.heartbeats.Load() }
-
 // stopControl terminates the control loop, if one is running.
 func (w *Worker) stopControl() {
 	w.ctlMu.Lock()
@@ -209,6 +202,9 @@ func (w *Worker) awaitAck(conn *comms.Conn, heartbeat time.Duration) (*comms.Ack
 func (w *Worker) wireStats() comms.WireStats {
 	st := w.store.Stats()
 	cs := w.store.CacheStats()
+	w.stash.mu.Lock()
+	stashBytes, stashEntries := w.stash.bytes, w.stash.entries
+	w.stash.mu.Unlock()
 	return comms.WireStats{
 		BlockReads:          st.BlockReads,
 		BytesScanned:        st.BytesScanned,
@@ -222,6 +218,10 @@ func (w *Worker) wireStats() comms.WireStats {
 		CachePrefetchFailed: cs.PrefetchFailed,
 		CacheBytes:          cs.Bytes,
 		CachePinnedBytes:    cs.PinnedBytes,
+		StashBytes:          stashBytes,
+		StashEntries:        stashEntries,
+		ShuffleServedBytes:  w.servedBytes.Load(),
+		ShuffleFetchedBytes: w.fetchedBytes.Load(),
 	}
 }
 

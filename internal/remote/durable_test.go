@@ -2,11 +2,9 @@ package remote
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
 	"s3sched/internal/mapreduce"
@@ -30,6 +28,11 @@ func (w *wedgedWorker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) 
 	return fmt.Errorf("wedged worker released without work")
 }
 
+func (w *wedgedWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
+	<-w.release
+	return fmt.Errorf("wedged worker released without work")
+}
+
 func (w *wedgedWorker) Stats(args *StatsArgs, reply *StatsReply) error { return nil }
 
 // slowWorker delegates to a real worker after a fixed delay — slow but
@@ -47,6 +50,10 @@ func (s *slowWorker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 func (s *slowWorker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
 	time.Sleep(s.delay)
 	return s.inner.ExecReduce(args, reply)
+}
+
+func (s *slowWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
+	return s.inner.FetchShuffle(args, reply)
 }
 
 func (s *slowWorker) Stats(args *StatsArgs, reply *StatsReply) error { return nil }
@@ -95,14 +102,13 @@ func TestTaskDeadlineFailsOver(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	reply, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]}, nil)
-	if err != nil {
+	if err := m.mapWithFailover("", "corpus", 0, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}, nil); err != nil {
 		t.Fatalf("map did not fail over past the wedged worker: %v", err)
 	}
-	if len(reply.PerJob) != 1 {
-		t.Fatalf("reply.PerJob has %d jobs, want 1", len(reply.PerJob))
+	if st := w.wireStats(); st.StashEntries != 1 || st.MapTasks != 1 {
+		t.Fatalf("the healthy worker's ledger is %+v, want the one task's output stashed there", st)
 	}
-	if got := m.Failovers(); got < 1 {
+	if got := failovers(m); got < 1 {
 		t.Errorf("failovers = %d, want >= 1", got)
 	}
 	if evs := log.OfKind(trace.TaskDeadlineExceeded); len(evs) == 0 {
@@ -127,10 +133,10 @@ func TestTaskDeadlineSparesSlowWorkers(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	if _, err := m.mapWithFailover("", "corpus", 0, []JobRef{jobs[1]}, nil); err != nil {
+	if err := m.mapWithFailover("", "corpus", 0, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}, nil); err != nil {
 		t.Fatalf("slow worker failed: %v", err)
 	}
-	if got := m.Failovers(); got != 0 {
+	if got := failovers(m); got != 0 {
 		t.Errorf("failovers = %d, want 0", got)
 	}
 	if evs := log.OfKind(trace.TaskDeadlineExceeded); len(evs) != 0 {
@@ -159,108 +165,6 @@ func driveRounds(t *testing.T, s scheduler.Scheduler, m *Master, n int) []schedu
 	return done
 }
 
-// TestMasterJournalShuffleRestore is the crash-consistency core of the
-// recovery path, without processes: master A journals two rounds of a
-// four-round job and "crashes"; master B restores A's journaled shuffle
-// state, resumes from a mid-pass scheduler snapshot, and finishes. Its
-// output must be byte-identical to an uninterrupted run.
-func TestMasterJournalShuffleRestore(t *testing.T) {
-	jobs := wordcountRefs(1)
-	meta := scheduler.JobMeta{ID: 1, File: "corpus"}
-
-	// Reference: uninterrupted run.
-	refMaster, _ := startCluster(t, 2, jobs)
-	refSched := core.New(testPlan(t), nil) // 4 segments
-	if err := refSched.Submit(meta, 0); err != nil {
-		t.Fatal(err)
-	}
-	driveRounds(t, refSched, refMaster, -1)
-	want, ok := refMaster.JobOutput(1)
-	if !ok || len(want) == 0 {
-		t.Fatalf("reference run produced no output (ok=%v)", ok)
-	}
-
-	// Master A: journal two of the four rounds, then crash.
-	path := filepath.Join(t.TempDir(), "journal.wal")
-	jnl, _, err := journal.Open(path, journal.Options{Sync: journal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	masterA, _ := startCluster(t, 2, jobs)
-	masterA.SetJournal(jnl)
-	schedA := core.New(testPlan(t), nil)
-	if err := schedA.Submit(meta, 0); err != nil {
-		t.Fatal(err)
-	}
-	driveRounds(t, schedA, masterA, 2)
-	snap, err := schedA.StateSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Close(); err != nil { // crash: nothing else is flushed
-		t.Fatal(err)
-	}
-
-	// Master B: replay the journal and resume.
-	jnl2, rep, err := journal.Open(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
-	if rep.Corruption != nil {
-		t.Fatalf("clean journal reports corruption: %v", rep.Corruption)
-	}
-	state, err := journal.ReduceEntries(rep.Entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, ok := state.Shuffle[1]
-	if !ok || len(segs) != 2 {
-		t.Fatalf("journal holds shuffle for %d segments, want 2", len(segs))
-	}
-
-	masterB, _ := startCluster(t, 2, jobs)
-	masterB.SetJournal(jnl2)
-	schedB := core.New(testPlan(t), nil)
-	if err := schedB.RestoreState(snap); err != nil {
-		t.Fatal(err)
-	}
-	for seg, parts := range segs {
-		if err := masterB.RestoreShuffle(1, seg, parts); err != nil {
-			t.Fatal(err)
-		}
-		// Restoring the same segment twice must be rejected, not
-		// silently double-merged.
-		if err := masterB.RestoreShuffle(1, seg, parts); err == nil {
-			t.Fatal("duplicate shuffle restore accepted")
-		}
-	}
-	done := driveRounds(t, schedB, masterB, -1)
-	if len(done) != 1 || done[0] != 1 {
-		t.Fatalf("resumed run completed %v, want [1]", done)
-	}
-	got, ok := masterB.JobOutput(1)
-	if !ok {
-		t.Fatal("resumed run has no output for job 1")
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Error("resumed output differs from uninterrupted run")
-	}
-
-	// The done job's result is itself journaled by master B.
-	entries, err := mustReplayFile(t, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state2, err := journal.ReduceEntries(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(state2.Results[1]) == 0 {
-		t.Error("job-result record missing after resumed completion")
-	}
-}
-
 // mustReplayFile re-opens and replays a journal file.
 func mustReplayFile(t *testing.T, path string) ([]journal.Entry, error) {
 	t.Helper()
@@ -287,8 +191,5 @@ func TestRestoreResultServesOutput(t *testing.T) {
 	}
 	if _, ok := m.JobOutput(10); ok {
 		t.Fatal("unknown job has output")
-	}
-	if err := m.RestoreShuffle(10, 0, nil); err == nil {
-		t.Fatal("shuffle restore for unregistered job accepted")
 	}
 }

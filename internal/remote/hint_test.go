@@ -422,7 +422,7 @@ func TestWorkerReadsWhereReadaheadLands(t *testing.T) {
 	waitFor(t, 5*time.Second, "the prefetch to land", func() bool { return store.CacheStats().Bytes > 0 })
 
 	var reply MapTaskReply
-	args := &MapTaskArgs{File: "corpus", BlockIndex: block.Index, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
+	args := &MapTaskArgs{File: "corpus", BlockIndex: block.Index, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
 	if err := w.ExecMap(args, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestHintShareRoundTrip(t *testing.T) {
 		}
 	}
 	w := NewWorker(hintStore(t, dfs.PolicyCursor), NewStandardRegistry())
-	args := &MapTaskArgs{File: "corpus", Hint: []int{7}, Jobs: []JobRef{{Factory: "wordcount"}}}
+	args := &MapTaskArgs{File: "corpus", Hint: []int{7}, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Factory: "wordcount"}}}
 	if err := w.ExecMap(args, new(MapTaskReply)); err == nil {
 		t.Error("a map task with a malformed hint ran")
 	}

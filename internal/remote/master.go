@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,15 +69,22 @@ type Master struct {
 	ctl    net.Listener
 	ctlCfg ControlConfig
 	jobs   map[scheduler.JobID]JobRef
-	// partitions[job][p] accumulates job's shuffle records; mergedSegs
-	// remembers which segments already contributed, so a requeued
-	// round's re-executed map stage cannot double-count.
-	partitions map[scheduler.JobID][][]mapreduce.KV
-	mergedSegs map[scheduler.JobID]map[int]bool
+	// epoch is this master's boot time and the first part of every stash
+	// key its tasks write on the workers (stash.go); RestoreEpoch keeps a
+	// recovered master on the one its resumed jobs were mapped under.
+	epoch int64
+	// shuffle[job]: what the master knows of a mapped, unreduced job's output.
+	shuffle map[scheduler.JobID]*jobShuffle
+	// finished lists, in order, the jobs whose stash entries the workers may
+	// drop; released[w] is how much of it w got with a call it answered.
+	finished []scheduler.JobID
+	released map[string]int
 	// results[job][p] is partition p's sorted reduce output, the frame
 	// the worker sent: finished output is bytes the collector never scans.
 	results   map[scheduler.JobID][][]byte
 	failovers int
+	// repairMaps and reduceRetries count the recoveries of finishJob.
+	repairMaps, reduceRetries int64
 	// hints holds the scheduler's newest scan hint per file; the file's
 	// next round carries each worker's share on its map tasks.
 	hints map[string]dfs.ScanHint
@@ -86,9 +94,31 @@ type Master struct {
 	// strand a pipeline stage on a worker missing its input.
 	installed    map[string]*InstallFileArgs
 	installOrder []string
-	// journal, when non-nil, receives shuffle-committed / job-result
-	// records at the corresponding commit points (see durable.go).
+	// journal, when non-nil, receives a job-result record when a job's
+	// output commits (see durable.go).
 	journal *journal.Journal
+}
+
+// jobShuffle is the master's side of one job's map output: the file it
+// is scanned from, every block of which must reach the reduce, and per
+// partition what the map replies said they stashed — an observation (a
+// re-run task counts again) for the trace and, one day, reduce placement.
+type jobShuffle struct {
+	file     string
+	receipts []PartReceipt
+}
+
+// lastEpoch keeps the epochs of one process's masters distinct and
+// ascending even when two boot inside one clock tick.
+var lastEpoch atomic.Int64
+
+func newEpoch() int64 {
+	for {
+		last := lastEpoch.Load()
+		if now := max(time.Now().UnixNano(), last+1); lastEpoch.CompareAndSwap(last, now) {
+			return now
+		}
+	}
 }
 
 // NewMaster builds a master with no workers yet: call ListenControl
@@ -97,15 +127,16 @@ type Master struct {
 // with RegisterJob — the live-admission path.
 func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 	m := &Master{
-		members:    newMembership(),
-		jobs:       make(map[scheduler.JobID]JobRef, len(jobs)),
-		timeScale:  1,
-		clock:      vclock.NewWall(),
-		partitions: make(map[scheduler.JobID][][]mapreduce.KV),
-		mergedSegs: make(map[scheduler.JobID]map[int]bool),
-		results:    make(map[scheduler.JobID][][]byte),
-		hints:      make(map[string]dfs.ScanHint),
-		installed:  make(map[string]*InstallFileArgs),
+		members:   newMembership(),
+		jobs:      make(map[scheduler.JobID]JobRef, len(jobs)),
+		timeScale: 1,
+		clock:     vclock.NewWall(),
+		epoch:     newEpoch(),
+		shuffle:   make(map[scheduler.JobID]*jobShuffle),
+		released:  make(map[string]int),
+		results:   make(map[scheduler.JobID][][]byte),
+		hints:     make(map[string]dfs.ScanHint),
+		installed: make(map[string]*InstallFileArgs),
 	}
 	for id, ref := range jobs {
 		m.jobs[id] = ref
@@ -249,14 +280,6 @@ func (m *Master) pushInstalled(w liveWorker) error {
 	return nil
 }
 
-// jobRef looks up a registered job under the master's lock.
-func (m *Master) jobRef(id scheduler.JobID) (JobRef, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ref, ok := m.jobs[id]
-	return ref, ok
-}
-
 // Close stops the control plane and drops all worker connections.
 func (m *Master) Close() error {
 	m.mu.Lock()
@@ -302,7 +325,9 @@ func (m *Master) pollStats(strict bool) ([]StatsReply, error) {
 	_, live := m.members.live()
 	for _, w := range live {
 		st := &StatsReply{} // its own: an abandoned call may still write to it
-		if err := m.callWorker(w, "Worker.Stats", &StatsArgs{}, st); err == nil {
+		done, ack := m.releasesFor(w)
+		if err := m.callWorker(w, "Worker.Stats", &StatsArgs{Epoch: m.epoch, Done: done}, st); err == nil {
+			ack()
 			st.Worker = w.id
 			out = append(out, *st)
 		} else if strict {
@@ -349,6 +374,14 @@ func (m *Master) LiveWorkers() int { return m.members.liveCount() }
 // table, including dead members awaiting rejoin.
 func (m *Master) ClusterSnapshot() []comms.WorkerInfo { return m.members.snapshot() }
 
+// ShuffleRepairs implements status.ClusterSource: map tasks run again
+// because no worker held their output at reduce time, and reduces retried.
+func (m *Master) ShuffleRepairs() (maps, retries int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.repairMaps, m.reduceRetries
+}
+
 // allWorkersError marks a task that failed with transport errors on
 // every live worker — the signature of a (possibly transient) cluster
 // outage rather than a job bug.
@@ -379,22 +412,58 @@ func (e *taskErrs) add(err error) {
 	}
 }
 
+// fanOut runs task(0) … task(n-1) side by side and reports what taskErrs
+// keeps of their errors.
+func fanOut(n int, task func(i int) error) error {
+	var wg sync.WaitGroup
+	var errs taskErrs
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := task(i); err != nil {
+				errs.add(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	return errs.err
+}
+
+// corr formats a task's correlation id, empty when nothing is traced.
+func (m *Master) corr(format string, args ...any) string {
+	if m.log == nil {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
+}
+
 // ExecRound implements runtime.Executor: map every block of the round
-// on its home worker (one merged task per block), then reduce the
-// completed jobs' partitions across the workers.
+// on its home worker (one merged task per block), which keeps the output,
+// then have the completed jobs' partitions reduced across the workers,
+// each pulling its input from where the maps left it.
 func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	start := m.clock.Now()
-	refs := make([]JobRef, len(r.Jobs))
-	ids := make([]scheduler.JobID, len(r.Jobs))
-	for i, j := range r.Jobs {
-		ref, ok := m.jobRef(j.ID)
+	// A job whose result a lost attempt of this round committed is
+	// finished: it is neither mapped nor reduced again.
+	var refs []JobRef
+	var ids []scheduler.JobID
+	m.mu.Lock()
+	for _, j := range r.Jobs {
+		ref, ok := m.jobs[j.ID]
 		if !ok {
+			m.mu.Unlock()
 			return 0, fmt.Errorf("remote: no JobRef registered for job %d", j.ID)
 		}
-		refs[i] = ref
-		ids[i] = j.ID
-		m.ensureJob(j.ID, ref)
+		if _, done := m.results[j.ID]; done {
+			continue
+		}
+		refs, ids = append(refs, ref), append(ids, j.ID)
+		if m.shuffle[j.ID] == nil && len(r.Blocks) > 0 {
+			m.shuffle[j.ID] = &jobShuffle{file: r.Blocks[0].File, receipts: make([]PartReceipt, ref.width())} // a round scans one file
+		}
 	}
+	m.mu.Unlock()
 
 	// With a dynamic control plane a workerless moment is recoverable:
 	// wait out the rejoin grace, then report the round lost so the
@@ -410,97 +479,25 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 
 	// Map phase: one merged task per block, locality-first on the
 	// block's home worker, failing over across the live membership
-	// when a worker is unreachable. Output accumulates locally and
-	// merges only after the whole phase succeeds, so a lost round
-	// leaves no partial shuffle state behind.
-	acc := make([][][]mapreduce.KV, len(ids))
-	for i, ref := range refs {
-		acc[i] = make([][]mapreduce.KV, ref.width())
-	}
-	var (
-		wg    sync.WaitGroup
-		accMu sync.Mutex
-		errs  taskErrs
-	)
+	// when a worker is unreachable. A task that ran twice wrote one stash
+	// entry twice, or the same bytes on two workers of which the reduce
+	// keeps one: there is nothing here to commit and nothing to undo.
 	seq := m.roundSeq
 	m.roundSeq++
-	var hints map[string][]int
-	if len(r.Blocks) > 0 {
-		hints = m.hintShares(r.Blocks[0].File) // a round scans one file
-	}
-	for _, b := range r.Blocks {
-		wg.Add(1)
-		go func(file string, idx int) {
-			defer wg.Done()
-			var corr string
-			if m.log != nil {
-				corr = fmt.Sprintf("r%d.m%d", seq, idx)
-			}
-			reply, err := m.mapWithFailover(corr, file, idx, refs, hints)
-			if err != nil {
-				errs.add(err)
-				return
-			}
-			accMu.Lock()
-			for i, parts := range reply.PerJob {
-				for p, kvs := range parts {
-					acc[i][p] = append(acc[i][p], kvs...)
-				}
-			}
-			accMu.Unlock()
-		}(b.File, b.Index)
-	}
-	wg.Wait()
-	if errs.err != nil {
-		return 0, m.roundLost(r, start, errs.err)
-	}
-
-	// Commit the round's map output. Requeued rounds re-execute their
-	// map stage; the per-(job, segment) ledger keeps the deterministic
-	// re-run from double-counting records a lost attempt already
-	// merged, and a job the lost attempt finished stays finished.
-	m.mu.Lock()
-	for i, id := range ids {
-		if _, done := m.results[id]; done {
-			continue
-		}
-		segs := m.mergedSegs[id]
-		if segs == nil {
-			segs = make(map[int]bool)
-			m.mergedSegs[id] = segs
-		}
-		if segs[r.Segment] {
-			continue
-		}
-		// Write-ahead: the shuffle record must be durable before the
-		// merge is visible — and, transitively, before the engine's
-		// round-committed record for this round. A failed append aborts
-		// the run rather than silently running undurable.
-		if err := m.appendShuffle(id, r.Segment, acc[i]); err != nil {
-			m.mu.Unlock()
-			return 0, err
-		}
-		segs[r.Segment] = true
-		dst := m.partitions[id]
-		for p, kvs := range acc[i] {
-			dst[p] = append(dst[p], kvs...)
+	if len(ids) > 0 && len(r.Blocks) > 0 {
+		hints := m.hintShares(r.Blocks[0].File)
+		err := fanOut(len(r.Blocks), func(i int) error {
+			b := r.Blocks[i]
+			return m.mapWithFailover(m.corr("r%d.m%d", seq, b.Index), b.File, b.Index, b.Index, ids, refs, hints)
+		})
+		if err != nil {
+			return 0, m.roundLost(r, start, err)
 		}
 	}
-	m.mu.Unlock()
 
 	// Reduce phase: the jobs completing this round reduce side by side.
-	for _, id := range r.Completes {
-		wg.Add(1)
-		go func(id scheduler.JobID) {
-			defer wg.Done()
-			if err := m.finishJob(id); err != nil {
-				errs.add(err)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if errs.err != nil {
-		return 0, m.roundLost(r, start, errs.err)
+	if err := fanOut(len(r.Completes), func(i int) error { return m.finishJob(r.Completes[i]) }); err != nil {
+		return 0, m.roundLost(r, start, err)
 	}
 	elapsed := m.clock.Now().Sub(start)
 	return vclock.Duration(elapsed.Seconds() * m.timeScale), nil
@@ -565,26 +562,68 @@ func (m *Master) withFailover(home int, what string, call func(w liveWorker, att
 	return &allWorkersError{what: what, err: lastErr}
 }
 
-// mapWithFailover runs one merged map task; whichever worker receives it
-// gets its own share of hints.
-func (m *Master) mapWithFailover(corr, file string, idx int, refs []JobRef, hints map[string][]int) (*MapTaskReply, error) {
-	var reply *MapTaskReply
-	err := m.withFailover(idx, fmt.Sprintf("block %s#%d", file, idx), func(w liveWorker, attempt int) error {
-		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, attempt)
-		reply = new(MapTaskReply)
-		return m.callWorker(w, "Worker.ExecMap", &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Corr: corr, Hint: hints[w.id]}, reply)
-	})
-	return reply, err
+// releasesFor returns the finished jobs w has not been told of, and what
+// to call once w has answered the call that carried them.
+func (m *Master) releasesFor(w liveWorker) (done []scheduler.JobID, ack func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	upTo := len(m.finished)
+	return m.finished[m.released[w.id]:upTo:upTo], func() {
+		m.mu.Lock()
+		m.released[w.id] = max(m.released[w.id], upTo)
+		m.mu.Unlock()
+	}
 }
 
-// reduceWithFailover runs one reduce task and returns its output frame,
-// checked: a malformed reply fails the job now, not at the first read.
-func (m *Master) reduceWithFailover(corr string, ref JobRef, p int, records []mapreduce.KV) ([]byte, error) {
+// mapWithFailover runs one merged map task for the jobs ids (refs are
+// their programs), first on the live worker at position home, with that
+// worker's share of hints and the releases it has not had.
+func (m *Master) mapWithFailover(corr, file string, idx, home int, ids []scheduler.JobID, refs []JobRef, hints map[string][]int) error {
+	var reply *MapTaskReply
+	err := m.withFailover(home, fmt.Sprintf("block %s#%d", file, idx), func(w liveWorker, attempt int) error {
+		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, attempt)
+		reply = new(MapTaskReply)
+		done, ack := m.releasesFor(w)
+		args := &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Epoch: m.epoch, IDs: ids, Done: done, Corr: corr, Hint: hints[w.id]}
+		err := m.callWorker(w, "Worker.ExecMap", args, reply)
+		if err == nil {
+			ack()
+		}
+		return err
+	})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := 0; err == nil && i < len(ids) && i < len(reply.Receipts); i++ {
+		if sh := m.shuffle[ids[i]]; sh != nil {
+			for p, rc := range reply.Receipts[i][:min(len(reply.Receipts[i]), len(sh.receipts))] {
+				sh.receipts[p].Records += rc.Records
+				sh.receipts[p].Bytes += rc.Bytes
+			}
+		}
+	}
+	return err
+}
+
+// reduceWithFailover runs one reduce task. It returns the output frame,
+// checked — a malformed reply fails the job now, not at the first read —
+// or the blocks whose map output the reducer could not find.
+func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (output []byte, missing []int, err error) {
 	var reply *ReduceTaskReply
-	err := m.withFailover(p, fmt.Sprintf("job %q partition %d", ref.Name, p), func(w liveWorker, attempt int) error {
-		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d worker %s attempt %d", corr, ref.Name, p, w.id, attempt)
+	corr := m.corr("j%d.p%d", id, p)
+	m.mu.Lock()
+	want := sh.receipts[p]
+	m.mu.Unlock()
+	err = m.withFailover(p, fmt.Sprintf("job %q partition %d", ref.Name, p), func(w liveWorker, attempt int) error {
+		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d (%d records, %d bytes stashed) worker %s attempt %d", corr, ref.Name, p, want.Records, want.Bytes, w.id, attempt)
 		reply = new(ReduceTaskReply)
-		if err := m.callWorker(w, "Worker.ExecReduce", &ReduceTaskArgs{Job: ref, Partition: p, Records: records, Corr: corr}, reply); err != nil {
+		args := &ReduceTaskArgs{Job: ref, Epoch: m.epoch, ID: id, File: sh.file, Partition: p, FetchDeadline: m.taskDeadline / 2, Corr: corr}
+		_, live := m.members.live()
+		for _, peer := range live {
+			if peer.id != w.id {
+				args.Peers = append(args.Peers, peer.addr)
+			}
+		}
+		if err := m.callWorker(w, "Worker.ExecReduce", args, reply); err != nil || len(reply.Missing) > 0 {
 			return err
 		}
 		if err := mapreduce.CheckFrame(reply.Output); err != nil {
@@ -593,40 +632,26 @@ func (m *Master) reduceWithFailover(corr string, ref JobRef, p int, records []ma
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return reply.Output, nil
+	return reply.Output, reply.Missing, nil
 }
 
-// Failovers reports how many tasks succeeded only after moving off
-// their first-choice worker.
-func (m *Master) Failovers() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failovers
-}
+// reduceRepairs bounds finishJob's repairs before the round is lost: one
+// for the worker whose death was the reason, one for a death meanwhile.
+const reduceRepairs = 2
 
-// ensureJob lazily allocates a job's shuffle space, unless its result
-// is committed already: it needs none, and a requeued round must not
-// reduce it again from whatever a fresh one would collect.
-func (m *Master) ensureJob(id scheduler.JobID, ref JobRef) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, done := m.results[id]
-	if _, ok := m.partitions[id]; ok || done {
-		return
-	}
-	m.partitions[id] = make([][]mapreduce.KV, ref.width())
-}
-
-// finishJob fans the job's partitions out to workers for reduction and
-// merges the outputs. Shuffle state is only released on success, so a
-// lost reduce leaves the job requeueable; a job whose result a lost
-// attempt of the round committed is finished, and stays as it is.
+// finishJob has every partition of the job reduced on its home worker
+// and commits the outputs. A reducer that cannot cover some block of the
+// job's file — its holder died, restarted empty, or would not answer —
+// says which: those blocks are mapped again, for this one job, next to
+// the first partition still open, and the open partitions retried; past
+// reduceRepairs the round is lost, to be requeued like any other. Nothing
+// is released before the result is in, and a job whose result a lost
+// attempt of the round committed stays as it is.
 func (m *Master) finishJob(id scheduler.JobID) error {
-	ref, _ := m.jobRef(id)
 	m.mu.Lock()
-	parts, ok := m.partitions[id]
+	ref, sh, ok := m.jobs[id], m.shuffle[id], m.shuffle[id] != nil
 	_, done := m.results[id]
 	m.mu.Unlock()
 	if done {
@@ -636,39 +661,63 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}
 
-	outputs := make([][]byte, len(parts))
-	var (
-		wg   sync.WaitGroup
-		errs taskErrs
-	)
-	for p, records := range parts {
-		wg.Add(1)
-		go func(p int, records []mapreduce.KV) {
-			defer wg.Done()
-			var corr string
-			if m.log != nil {
-				corr = fmt.Sprintf("j%d.p%d", id, p)
+	outputs := make([][]byte, ref.width()) // a reduced partition's frame is never nil
+	for repairs := 0; ; repairs++ {
+		var mu sync.Mutex
+		var open []int // partitions still without output
+		missing := make(map[int]bool)
+		err := fanOut(len(outputs), func(p int) error {
+			if outputs[p] != nil {
+				return nil
 			}
-			out, err := m.reduceWithFailover(corr, ref, p, records)
-			if err != nil {
-				errs.add(err)
-				return
+			out, lacks, err := m.reduceWithFailover(id, ref, sh, p)
+			mu.Lock()
+			defer mu.Unlock()
+			if outputs[p] = out; len(lacks) > 0 {
+				open = append(open, p)
 			}
-			outputs[p] = out
-		}(p, records)
-	}
-	wg.Wait()
-	if errs.err != nil {
-		return errs.err
+			for _, block := range lacks {
+				missing[block] = true
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		if len(open) == 0 {
+			break
+		}
+		if repairs == reduceRepairs {
+			return &allWorkersError{what: fmt.Sprintf("job %q", ref.Name), err: fmt.Errorf("map output of %d blocks still missing after %d repairs", len(missing), repairs)}
+		}
+		m.mu.Lock()
+		m.repairMaps += int64(len(missing))
+		m.reduceRetries += int64(len(open))
+		m.mu.Unlock()
+		blocks := make([]int, 0, len(missing))
+		for block := range missing {
+			blocks = append(blocks, block)
+		}
+		err = fanOut(len(blocks), func(i int) error {
+			return m.mapWithFailover(m.corr("j%d.m%d", id, blocks[i]), sh.file, blocks[i], slices.Min(open), []scheduler.JobID{id}, []JobRef{ref}, nil)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.appendResult(id, outputs); err != nil {
-		m.mu.Unlock()
 		return err
 	}
-	m.results[id] = outputs
-	delete(m.partitions, id)
-	delete(m.mergedSegs, id)
-	m.mu.Unlock()
+	m.commitResult(id, outputs)
 	return nil
+}
+
+// commitResult publishes a job's output and releases its stash entries
+// (m.mu held).
+func (m *Master) commitResult(id scheduler.JobID, outputs [][]byte) {
+	m.results[id] = outputs
+	delete(m.shuffle, id)
+	m.finished = append(m.finished, id)
 }

@@ -78,9 +78,11 @@ type member struct {
 	caps       comms.Capabilities
 }
 
-// liveWorker is the placement view of a usable member.
+// liveWorker is the placement view of a usable member: addr is its task
+// address, which is where its peers fetch map output from.
 type liveWorker struct {
 	id     string
+	addr   string
 	client *rpc.Client
 }
 
@@ -253,7 +255,7 @@ func (t *membership) liveLocked() []liveWorker {
 	for _, id := range t.order {
 		m := t.members[id]
 		if m.state != comms.Dead && m.client != nil {
-			out = append(out, liveWorker{id: m.id, client: m.client})
+			out = append(out, liveWorker{id: m.id, addr: m.taskAddr, client: m.client})
 		}
 	}
 	return out

@@ -134,7 +134,7 @@ func TestRegistrationHeartbeatLifecycle(t *testing.T) {
 
 	// Heartbeats flow and are acknowledged.
 	waitFor(t, 2*time.Second, "acknowledged heartbeats", func() bool {
-		return workers[0].Heartbeats() > 2 && workers[1].Heartbeats() > 2
+		return workers[0].heartbeats.Load() > 2 && workers[1].heartbeats.Load() > 2
 	})
 
 	// The snapshot carries identity, state, and connection ledgers.
@@ -209,7 +209,7 @@ func TestWorkerReconnectsAfterMasterRestart(t *testing.T) {
 	// The master admits the worker before the worker processes the ack
 	// that bumps its own counter, so poll rather than assert instantly.
 	waitFor(t, 2*time.Second, "second registration ack", func() bool {
-		return w.Registrations() >= 2
+		return w.registrations.Load() >= 2
 	})
 }
 

@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/scheduler"
 )
 
-// Wire types for the master↔worker RPC protocol: net/rpc, whose gob
-// codec carries the control fields; every record payload crosses as
-// mapreduce frames (DESIGN.md, "Shuffle wire format").
+// Wire types for the master↔worker and worker↔worker RPC protocol:
+// net/rpc, whose gob codec carries the control fields; every record
+// payload crosses as mapreduce frames (DESIGN.md, "Shuffle wire format").
 
 // JobRef names one job's executable parts for a worker's registry.
 type JobRef struct {
@@ -35,6 +37,12 @@ type MapTaskArgs struct {
 	File       string
 	BlockIndex int
 	Jobs       []JobRef
+	// Epoch and IDs (one per job) key what the task stashes: see stash.go.
+	Epoch int64
+	IDs   []scheduler.JobID
+	// Done lists jobs of this epoch that finished since the worker last
+	// answered a task: it drops what it stashed for them.
+	Done []scheduler.JobID
 	// Corr is the master-assigned correlation id ("r<round>.m<block>"),
 	// echoed into the worker's trace so both sides of the RPC can be
 	// stitched together. Empty when the master traces nothing.
@@ -86,39 +94,87 @@ func (a *MapTaskArgs) scanHint() (dfs.ScanHint, error) {
 	return dfs.ScanHint{File: a.File, Pin: [][]dfs.BlockID{lists[0]}, Demote: lists[1], Prefetch: lists[2]}, nil
 }
 
-// MapTaskReply carries the shuffled output: PerJob[i][p] is the slice
-// of records job i emitted into reduce partition p. It crosses gob as
-// one byte string — uvarint BytesScanned and job count, then per job
-// its partition count and a frame per partition — so gob walks no record.
+// PartReceipt is what one map task stashed for one reduce partition of
+// one job: its records, and their key and value bytes.
+type PartReceipt struct {
+	Records, Bytes int64
+}
+
+// MapTaskReply answers a map task with what it scanned and, per job and
+// partition, a receipt for what it stashed; the records stay on the worker.
+// Nothing fills PerJob: it remains for bench/perf's remote.gob_* probes.
 type MapTaskReply struct {
 	PerJob       [][][]mapreduce.KV
 	BytesScanned int64
+	Receipts     [][]PartReceipt
+}
+
+// ReduceTaskArgs asks a worker to reduce one partition of one job from
+// the map output the workers hold: its own stash, and what Peers answer
+// to Worker.FetchShuffle.
+type ReduceTaskArgs struct {
+	Job JobRef
+	// Epoch and ID are the job's half of the stash key (stash.go).
+	Epoch int64
+	ID    scheduler.JobID
+	// File is what the job scans. The reduce needs exactly one run for
+	// every block of it, and reports the blocks it cannot cover.
+	File      string
+	Partition int
+	// Peers are the task addresses of the other live workers.
+	Peers []string
+	// FetchDeadline bounds each peer's answer, zero for no bound: half the
+	// master's task deadline, so a reduce that waited out a wedged peer
+	// still answers inside its own.
+	FetchDeadline time.Duration
+	// Corr is the master-assigned correlation id ("j<job>.p<part>").
+	Corr string
+}
+
+// ReduceTaskReply carries the partition's reduced output, sorted, as one
+// frame: the master keeps the bytes and decodes them only on request. Or,
+// when no reachable worker holds some block's run, those blocks and no
+// output: the master maps them again and retries.
+type ReduceTaskReply struct {
+	Output  []byte
+	Missing []int
+}
+
+// FetchArgs asks a worker what it holds of one reduce partition.
+type FetchArgs struct {
+	Epoch     int64
+	ID        scheduler.JobID
+	Partition int
+}
+
+// FetchReply is a holder's share of a partition: Runs[i] is what block
+// Blocks[i] of the job's file gave it, blocks ascending. It crosses gob
+// as one byte string — uvarint run count, then per run its block index
+// and a frame — so gob walks neither a record nor a run.
+type FetchReply struct {
+	Blocks []int
+	Runs   [][]mapreduce.KV
 }
 
 // GobEncode implements gob.GobEncoder with a single allocation.
-func (r MapTaskReply) GobEncode() ([]byte, error) {
-	size := 2 * binary.MaxVarintLen64
-	for _, parts := range r.PerJob {
-		size += binary.MaxVarintLen64
-		for _, kvs := range parts {
-			size += mapreduce.FrameSize(kvs)
-		}
+func (r FetchReply) GobEncode() ([]byte, error) {
+	size := binary.MaxVarintLen64 * (1 + len(r.Runs))
+	for _, kvs := range r.Runs {
+		size += mapreduce.FrameSize(kvs)
 	}
-	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(r.BytesScanned))
-	buf = binary.AppendUvarint(buf, uint64(len(r.PerJob)))
-	for _, parts := range r.PerJob {
-		buf = binary.AppendUvarint(buf, uint64(len(parts)))
-		for _, kvs := range parts {
-			buf = mapreduce.AppendFrame(buf, kvs)
-		}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(r.Runs)))
+	for i, kvs := range r.Runs {
+		buf = mapreduce.AppendFrame(binary.AppendUvarint(buf, uint64(r.Blocks[i])), kvs)
 	}
 	return buf, nil
 }
 
 // GobDecode implements gob.GobDecoder. data is the decoder's to reuse,
 // so it is copied once, into the string every decoded key and value is
-// a substring of. An empty partition comes back nil.
-func (r *MapTaskReply) GobDecode(data []byte) (err error) {
+// a substring of. A run count the bytes cannot hold is an error before
+// anything is allocated for it, and so is a block index that does not
+// ascend; an empty run comes back nil.
+func (r *FetchReply) GobDecode(data []byte) (err error) {
 	s := string(data)
 	next := func(limit int) (n int) { // 0 once anything has failed
 		if err == nil {
@@ -126,51 +182,24 @@ func (r *MapTaskReply) GobDecode(data []byte) (err error) {
 		}
 		return n
 	}
-	scanned := next(math.MaxInt)
-	perJob := make([][][]mapreduce.KV, next(len(s))) // a job is one byte at least, so is a partition
-	for i := range perJob {
-		perJob[i] = make([][]mapreduce.KV, next(len(s)))
-		for p := 0; p < len(perJob[i]) && err == nil; p++ {
-			perJob[i][p], s, err = mapreduce.DecodeFrame(s)
+	n := next(len(s) / 2) // a run is two bytes at least
+	blocks, runs := make([]int, n), make([][]mapreduce.KV, n)
+	for i := 0; i < n && err == nil; i++ {
+		if blocks[i] = next(math.MaxInt32); err == nil {
+			runs[i], s, err = mapreduce.DecodeFrame(s)
+		}
+		if err == nil && i > 0 && blocks[i] <= blocks[i-1] {
+			err = fmt.Errorf("block %d after block %d", blocks[i], blocks[i-1])
 		}
 	}
 	if err == nil && s != "" {
 		err = fmt.Errorf("%d trailing bytes", len(s))
 	}
 	if err != nil {
-		return fmt.Errorf("remote: malformed map reply: %w", err)
+		return fmt.Errorf("remote: malformed fetch reply: %w", err)
 	}
-	r.PerJob, r.BytesScanned = perJob, int64(scanned)
+	r.Blocks, r.Runs = blocks, runs
 	return nil
-}
-
-// Records is a record slice that crosses gob as one frame.
-type Records []mapreduce.KV
-
-// GobEncode implements gob.GobEncoder.
-func (r Records) GobEncode() ([]byte, error) { return mapreduce.AppendFrame(nil, r), nil }
-
-// GobDecode implements gob.GobDecoder; see MapTaskReply.GobDecode.
-func (r *Records) GobDecode(data []byte) (err error) {
-	if err = mapreduce.CheckFrame(data); err == nil {
-		*r, _, _ = mapreduce.DecodeFrame(string(data))
-	}
-	return err
-}
-
-// ReduceTaskArgs asks a worker to reduce one partition of one job.
-type ReduceTaskArgs struct {
-	Job       JobRef
-	Partition int
-	Records   Records
-	// Corr is the master-assigned correlation id ("j<job>.p<part>").
-	Corr string
-}
-
-// ReduceTaskReply carries the partition's reduced output, sorted, as one
-// frame: the master keeps the bytes and decodes them only on request.
-type ReduceTaskReply struct {
-	Output []byte
 }
 
 // InstallFileArgs ships a derived file — a finished DAG stage's
@@ -191,8 +220,12 @@ type InstallFileArgs struct {
 // already holding Name with the same geometry acks without change.
 type InstallFileReply struct{}
 
-// StatsArgs is empty; StatsReply reports a worker's lifetime counters.
-type StatsArgs struct{}
+// StatsArgs asks for a worker's lifetime counters, and carries the
+// releases (Done, as in MapTaskArgs) a worker with no task coming awaits.
+type StatsArgs struct {
+	Epoch int64
+	Done  []scheduler.JobID
+}
 
 // StatsReply is one worker's physical-work ledger — the heartbeat's
 // counters, polled — so remote and local runs fold into identical

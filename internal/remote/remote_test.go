@@ -69,6 +69,14 @@ func testPlan(t *testing.T) *dfs.SegmentPlan {
 	return p
 }
 
+// failovers is how many tasks succeeded only after moving off their
+// first-choice worker.
+func failovers(m *Master) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.failovers
+}
+
 func wordcountRefs(n int) map[scheduler.JobID]JobRef {
 	out := make(map[scheduler.JobID]JobRef, n)
 	prefixes := workload.DistinctPrefixes(n)
@@ -214,13 +222,20 @@ func TestWorkerErrors(t *testing.T) {
 	if err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 0}, &mr); err == nil {
 		t.Error("map task with no jobs should fail")
 	}
-	args := &MapTaskArgs{File: "ghost", BlockIndex: 0, Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}}}
+	args := &MapTaskArgs{File: "corpus", BlockIndex: 0, Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}}}
+	if err := w.ExecMap(args, &mr); err == nil {
+		t.Error("map task with jobs and no ids should fail")
+	}
+	args.File, args.IDs = "ghost", []scheduler.JobID{1}
 	if err := w.ExecMap(args, &mr); err == nil {
 		t.Error("unknown file should fail")
 	}
 	var rr ReduceTaskReply
 	if err := w.ExecReduce(&ReduceTaskArgs{Job: JobRef{Factory: "nope"}}, &rr); err == nil {
 		t.Error("unknown factory should fail")
+	}
+	if err := w.ExecReduce(&ReduceTaskArgs{Job: JobRef{Factory: "wordcount"}, File: "ghost"}, &rr); err == nil {
+		t.Error("reduce over an unknown file should fail")
 	}
 	if w.Close() != nil {
 		t.Error("closing an unstarted worker should be a no-op")
@@ -243,7 +258,7 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 	for _, bad := range []JobRef{{Name: "bad", Factory: "nope"}, {Name: "bad", Factory: "selection", Param: "many"}} {
 		var reply MapTaskReply
 		// The bad job comes last: the ones before it must not have run.
-		err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 1, Jobs: []JobRef{good, bad}}, &reply)
+		err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 1, IDs: []scheduler.JobID{1, 2}, Jobs: []JobRef{good, bad}}, &reply)
 		if err == nil {
 			t.Fatalf("map task with job %+v should fail", bad)
 		}
@@ -251,7 +266,7 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 		if err := w.Stats(&StatsArgs{}, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.BlockReads != 0 || st.BytesScanned != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 || st.MapTasks != 0 {
+		if st.BlockReads != 0 || st.BytesScanned != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 || st.MapTasks != 0 || st.StashEntries != 0 {
 			t.Errorf("rejected task %+v still cost the store: %+v", bad, st)
 		}
 	}
@@ -331,7 +346,7 @@ func TestWorkerFailover(t *testing.T) {
 	if len(res.Metrics.Incomplete()) != 0 {
 		t.Fatalf("incomplete: %v", res.Metrics.Incomplete())
 	}
-	if master.Failovers() == 0 {
+	if failovers(master) == 0 {
 		t.Error("expected failovers with a dead worker")
 	}
 	// Results still correct: compare against the local engine.
@@ -369,8 +384,8 @@ func TestTaskErrorIsNotRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad job parameter should fail the run")
 	}
-	if master.Failovers() != 0 {
-		t.Errorf("task-level error caused %d failovers; want 0", master.Failovers())
+	if failovers(master) != 0 {
+		t.Errorf("task-level error caused %d failovers; want 0", failovers(master))
 	}
 }
 

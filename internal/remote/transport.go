@@ -19,14 +19,16 @@ import (
 // the same or one stuck RPC wedges the whole round forever.
 //
 // The abandoned call is NOT cancelled on the worker (net/rpc has no
-// cancellation); if it eventually finishes, its reply is discarded.
-// Map and reduce tasks are deterministic and their commits idempotent
-// (per-(job,segment) merge dedup), so a late duplicate execution
-// cannot corrupt results.
+// cancellation); if it eventually finishes, its reply is discarded. A
+// map task that finishes late has by then run elsewhere too: two workers
+// hold the block's run under one stash key, the same bytes, and a reducer
+// that meets both keeps one (gathered.add); a late reduce produced output
+// nobody reads. Peer fetches inside a reduce are abandoned the same way.
 type TaskDeadlineError struct {
 	// Worker is the id of the worker that failed to respond.
 	Worker string
-	// Method is the stalled RPC method (Worker.ExecMap / ExecReduce).
+	// Method is the stalled RPC method (Worker.ExecMap / ExecReduce /
+	// FetchShuffle; for a fetch, Worker is the peer's task address).
 	Method string
 	// Deadline is the bound the call exceeded.
 	Deadline time.Duration

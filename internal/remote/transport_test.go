@@ -9,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"s3sched/internal/scheduler"
 )
 
 // timeoutErr implements net.Error with Timeout() = true.
@@ -67,7 +69,7 @@ func TestRealRPCErrorsClassify(t *testing.T) {
 	// rpc.ServerError.
 	var mr MapTaskReply
 	err = client.Call("Worker.ExecMap", &MapTaskArgs{
-		File: "corpus", BlockIndex: 0,
+		File: "corpus", BlockIndex: 0, IDs: []scheduler.JobID{1},
 		Jobs: []JobRef{{Factory: "nope", NumReduce: 1}},
 	}, &mr)
 	if err == nil {
@@ -84,7 +86,7 @@ func TestRealRPCErrorsClassify(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		err = client.Call("Worker.ExecMap", &MapTaskArgs{
-			File: "corpus", BlockIndex: 0,
+			File: "corpus", BlockIndex: 0, IDs: []scheduler.JobID{1},
 			Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}},
 		}, &mr)
 		if err != nil {

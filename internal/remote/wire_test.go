@@ -50,9 +50,19 @@ func gobRoundTrip(t *testing.T, v, into any) {
 	}
 }
 
+// fetchOf is the reply a holder of runs, one per block from 0 up, sends.
+func fetchOf(runs ...[]mapreduce.KV) *FetchReply {
+	reply := &FetchReply{Runs: runs}
+	for block := range runs {
+		reply.Blocks = append(reply.Blocks, block)
+	}
+	return reply
+}
+
 // Every factory's real map output — over text, lineitem, derived and
-// empty blocks, wherever the mapper accepts them — survives
-// MapTaskReply → gob → MapTaskReply record for record.
+// empty blocks, wherever the mapper accepts them — survives the hop that
+// carries records, FetchReply → gob → FetchReply, record for record, and
+// its receipts survive the map reply's.
 func TestMapReplySurvivesGob(t *testing.T) {
 	blocks := wireFiles()
 	blocks["empty"] = [][]byte{nil}
@@ -69,21 +79,31 @@ func TestMapReplySurvivesGob(t *testing.T) {
 		}
 		survived := 0
 		for kind, bs := range blocks {
-			want := MapTaskReply{BytesScanned: 1 << 40}
+			sent := MapTaskReply{BytesScanned: 1 << 40}
+			var runs [][]mapreduce.KV
 			for _, width := range []int{1, 3} {
 				parts, err := mapreduce.MapBlockForJob(dfs.BlockID{}, bs[0], mapper, combiner, width)
 				if err != nil {
 					break // this mapper does not read this kind of block
 				}
-				want.PerJob = append(want.PerJob, parts)
+				receipts := make([]PartReceipt, width)
+				for p, kvs := range parts {
+					receipts[p] = receiptOf(kvs)
+				}
+				sent.Receipts, runs = append(sent.Receipts, receipts), append(runs, parts...)
 			}
-			if len(want.PerJob) == 0 {
+			if len(runs) == 0 {
 				continue
 			}
 			var got MapTaskReply
-			gobRoundTrip(t, &want, &got)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s over a %s block: reply changed crossing gob", factory, kind)
+			gobRoundTrip(t, &sent, &got)
+			if !reflect.DeepEqual(got, sent) {
+				t.Errorf("%s over a %s block: receipts changed crossing gob", factory, kind)
+			}
+			var fetched FetchReply
+			gobRoundTrip(t, fetchOf(runs...), &fetched)
+			if !reflect.DeepEqual(&fetched, fetchOf(runs...)) {
+				t.Errorf("%s over a %s block: fetch reply changed crossing gob", factory, kind)
 			}
 			survived++
 		}
@@ -92,45 +112,41 @@ func TestMapReplySurvivesGob(t *testing.T) {
 		}
 	}
 
-	// Pinned: an empty partition comes back nil — what gob made of an
-	// empty []KV before frames — whether it left as nil or as empty.
-	var got MapTaskReply
-	gobRoundTrip(t, &MapTaskReply{PerJob: [][][]mapreduce.KV{{{}, nil, {{Key: "k"}}}, {}}}, &got)
-	if p := got.PerJob; len(p) != 2 || len(p[0]) != 3 || p[0][0] != nil || p[0][1] != nil || len(p[0][2]) != 1 || len(p[1]) != 0 {
-		t.Errorf("empty partitions decoded as %#v", got.PerJob)
+	// Pinned: an empty run comes back nil — what gob made of an empty
+	// []KV before frames — whether it left as nil or as empty, and a
+	// holder with nothing answers in one byte.
+	var got FetchReply
+	gobRoundTrip(t, fetchOf([]mapreduce.KV{}, nil, []mapreduce.KV{{Key: "k"}}), &got)
+	if len(got.Runs) != 3 || got.Runs[0] != nil || got.Runs[1] != nil || len(got.Runs[2]) != 1 {
+		t.Errorf("empty runs decoded as %#v", got.Runs)
 	}
-	// And the reduce hop: nil records are not sent at all, empty ones are
-	// one byte, and both arrive nil.
-	for _, records := range []Records{nil, {}} {
-		var back ReduceTaskArgs
-		gobRoundTrip(t, &ReduceTaskArgs{Partition: 1, Records: records}, &back)
-		if back.Partition != 1 || back.Records != nil {
-			t.Errorf("records %#v arrived as %#v", records, back.Records)
-		}
+	if b, _ := (FetchReply{}).GobEncode(); len(b) != 1 {
+		t.Errorf("an empty fetch reply is %d bytes", len(b))
 	}
 }
 
-// A malformed map reply is a decode error, not a panic and not a reply.
-func TestMapReplyRejectsMalformed(t *testing.T) {
-	good, _ := MapTaskReply{PerJob: [][][]mapreduce.KV{{{{Key: "k", Value: "v"}}, nil}}, BytesScanned: 300}.GobEncode()
+// A malformed fetch reply is a decode error, not a panic and not a reply.
+func TestFetchReplyRejectsMalformed(t *testing.T) {
+	good, _ := FetchReply{Blocks: []int{2, 5}, Runs: [][]mapreduce.KV{{{Key: "k", Value: "v"}}, nil}}.GobEncode()
 	cases := map[string][]byte{
-		"empty":              {},
-		"scan size only":     good[:2],
-		"job count too big":  {1, 200, 1},
-		"partitions missing": good[:4],
-		"frame cut":          good[:len(good)-2],
-		"trailing bytes":     append(append([]byte(nil), good...), 0),
+		"empty":             {},
+		"run count too big": {200, 1, 0},
+		"runs missing":      good[:1],
+		"frame cut":         good[:4],
+		"trailing bytes":    append(append([]byte(nil), good...), 0),
+		"block repeated":    {2, 5, 0, 5, 0},
+		"blocks descending": {2, 5, 0, 4, 0},
 	}
 	for name, data := range cases {
-		var r MapTaskReply
+		var r FetchReply
 		if err := r.GobDecode(data); err == nil {
 			t.Errorf("%s: decoded %+v", name, r)
-		} else if r.PerJob != nil {
+		} else if r.Blocks != nil || r.Runs != nil {
 			t.Errorf("%s: error %v but the reply was filled in", name, err)
 		}
 	}
-	var r MapTaskReply
-	if err := r.GobDecode(good); err != nil || r.BytesScanned != 300 || r.PerJob[0][0][0].Value != "v" {
+	var r FetchReply
+	if err := r.GobDecode(good); err != nil || !reflect.DeepEqual(r.Blocks, []int{2, 5}) || r.Runs[0][0].Value != "v" || r.Runs[1] != nil {
 		t.Fatalf("good reply: %+v, %v", r, err)
 	}
 }
@@ -273,6 +289,10 @@ func (w *manglingWorker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply
 	return err
 }
 
+func (w *manglingWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
+	return w.inner.FetchShuffle(args, reply)
+}
+
 func (w *manglingWorker) Stats(args *StatsArgs, reply *StatsReply) error {
 	return w.inner.Stats(args, reply)
 }
@@ -298,8 +318,8 @@ func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
 		if isTransportError(err) || errors.As(err, &outage) {
 			t.Errorf("%s: %v is not task-level", name, err)
 		}
-		if _, ok := m.JobOutput(1); ok || len(m.Results()) != 0 || m.Failovers() != 0 {
-			t.Errorf("%s: committed %v, %d results, %d failovers; want nothing", name, ok, len(m.Results()), m.Failovers())
+		if _, ok := m.JobOutput(1); ok || len(m.Results()) != 0 || failovers(m) != 0 {
+			t.Errorf("%s: committed %v, %d results, %d failovers; want nothing", name, ok, len(m.Results()), failovers(m))
 		}
 	}
 }
@@ -308,18 +328,18 @@ func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
 // instrumentation allocates, which would fail the guard below.
 var raceEnabled bool
 
-// Decoding a map reply costs a handful of allocations however many
+// Decoding a fetch reply costs a handful of allocations however many
 // records it carries — the message as one string, the slices around
 // the records — where gob's reflection made two strings per record
 // (about 20,000 for this reply).
-func TestMapReplyDecodeAllocations(t *testing.T) {
+func TestFetchReplyDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	reply := MapTaskReply{PerJob: [][][]mapreduce.KV{make([][]mapreduce.KV, 2)}, BytesScanned: 512 << 10}
+	reply := FetchReply{Blocks: []int{3, 11}, Runs: make([][]mapreduce.KV, 2)}
 	for i := 0; i < 10000; i++ {
 		kv := mapreduce.KV{Key: fmt.Sprintf("%d.%d", i, i%7), Value: strings.Repeat("lineitem|", 12)}
-		reply.PerJob[0][i%2] = append(reply.PerJob[0][i%2], kv)
+		reply.Runs[i%2] = append(reply.Runs[i%2], kv)
 	}
 	const runs = 5
 	var stream bytes.Buffer
@@ -330,9 +350,9 @@ func TestMapReplyDecodeAllocations(t *testing.T) {
 		}
 	}
 	dec := gob.NewDecoder(bytes.NewReader(stream.Bytes()))
-	var got MapTaskReply
+	var got FetchReply
 	allocs := testing.AllocsPerRun(runs, func() {
-		got = MapTaskReply{}
+		got = FetchReply{}
 		if err := dec.Decode(&got); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +361,7 @@ func TestMapReplyDecodeAllocations(t *testing.T) {
 		t.Fatal("decoded reply differs")
 	}
 	if allocs > 16 {
-		t.Errorf("decoding 2 partitions × 5,000 records: %.0f allocations, want <= 16", allocs)
+		t.Errorf("decoding 2 runs × 5,000 records: %.0f allocations, want <= 16", allocs)
 	}
 }
 

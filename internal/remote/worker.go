@@ -30,10 +30,20 @@ type Worker struct {
 	mapTasks    atomic.Int64
 	reduceTasks atomic.Int64
 
+	// stash holds this worker's map output until its jobs are reduced;
+	// servedBytes / fetchedBytes: key + value bytes to and from peers.
+	stash        stash
+	servedBytes  atomic.Int64
+	fetchedBytes atomic.Int64
+
 	mu    sync.Mutex
 	ln    net.Listener
 	addr  string // bound task-serve address, set by Serve
 	conns map[net.Conn]struct{}
+	// peers are connections to other workers' task servers, by address;
+	// closed refuses new ones.
+	peers  map[string]*rpc.Client
+	closed bool
 
 	// Control-plane state (registration mode; see control.go).
 	ctlMu         sync.Mutex
@@ -53,7 +63,9 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
 		panic("remote: worker needs a store and a registry")
 	}
-	return &Worker{store: store, registry: registry, clock: vclock.NewWall()}
+	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*rpc.Client)}
+	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
+	return w
 }
 
 // SetTrace installs a trace log recording every served task. nil
@@ -61,10 +73,11 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 
 // ExecMap implements the MapTask RPC: scan the block once, run every
-// job's mapper over it, combine and partition each job's output.
+// job's mapper over it, combine and partition each job's output, and
+// stash it: the reply is a receipt, the records leave only by a fetch.
 func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
-	if len(args.Jobs) == 0 {
-		return fmt.Errorf("remote: map task with no jobs")
+	if len(args.Jobs) == 0 || len(args.IDs) != len(args.Jobs) {
+		return fmt.Errorf("remote: map task with %d jobs and %d job ids", len(args.Jobs), len(args.IDs))
 	}
 	// Resolve every job before touching the store: a task naming an
 	// unknown factory is rejected without paying for a block read.
@@ -90,34 +103,57 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	if err != nil {
 		return err
 	}
+	w.stash.admit(args.Epoch, args.Done)
 	reply.BytesScanned = int64(len(data))
-	reply.PerJob = make([][][]mapreduce.KV, len(args.Jobs))
+	reply.Receipts = make([][]PartReceipt, len(args.Jobs))
 	for i, ref := range args.Jobs {
 		parts, err := mapreduce.MapBlockForJob(block, data, mappers[i], combiners[i], ref.width())
 		if err != nil {
 			return fmt.Errorf("remote: job %q block %d: %w", ref.Name, args.BlockIndex, err)
 		}
-		reply.PerJob[i] = parts
+		reply.Receipts[i] = w.stash.put(stashJob{args.Epoch, args.IDs[i]}, args.BlockIndex, parts)
 		w.mapTasks.Add(1)
 	}
 	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%d jobs %d bytes %d", args.Corr, args.File, args.BlockIndex, len(args.Jobs), reply.BytesScanned)
 	return nil
 }
 
-// ExecReduce implements the ReduceTask RPC: sort (in place: the decoded
-// args are the worker's own), group and reduce one partition's records.
+// ExecReduce implements the ReduceTask RPC: gather the partition from
+// the stashes and — only if exactly one run covers every block of the
+// job's file — sort, group and reduce it; else reply the blocks missing.
 func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
 	_, reducer, _, err := w.registry.Build(args.Job.Factory, args.Job.Param)
 	if err != nil {
 		return err
 	}
-	out, err := mapreduce.ReduceInPlace(args.Records, reducer)
+	f, err := w.store.File(args.File)
+	if err != nil {
+		return fmt.Errorf("remote: job %q partition %d: %w", args.Job.Name, args.Partition, err)
+	}
+	w.stash.admit(args.Epoch, nil)
+	g, err := w.gather(args, f.NumBlocks)
+	if err != nil {
+		return err
+	}
+	if g.left > 0 {
+		for block, ok := range g.have {
+			if !ok {
+				reply.Missing = append(reply.Missing, block)
+			}
+		}
+		return nil
+	}
+	records := make([]mapreduce.KV, 0, g.records) // its own to sort: the headers are copied, the bytes are not
+	for _, run := range g.runs {
+		records = append(records, run...)
+	}
+	out, err := mapreduce.ReduceInPlace(records, reducer)
 	if err != nil {
 		return fmt.Errorf("remote: job %q partition %d: %w", args.Job.Name, args.Partition, err)
 	}
 	reply.Output = mapreduce.AppendFrame(nil, out)
 	w.reduceTasks.Add(1)
-	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s reduce %q partition %d records %d", args.Corr, args.Job.Name, args.Partition, len(args.Records))
+	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s reduce %q partition %d records %d", args.Corr, args.Job.Name, args.Partition, len(records))
 	return nil
 }
 
@@ -145,7 +181,8 @@ func (w *Worker) InstallFile(args *InstallFileArgs, reply *InstallFileReply) err
 }
 
 // Stats implements the Stats RPC.
-func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
+func (w *Worker) Stats(args *StatsArgs, reply *StatsReply) error {
+	w.stash.admit(args.Epoch, args.Done)
 	reply.WireStats = w.wireStats()
 	return nil
 }
@@ -165,6 +202,7 @@ func (w *Worker) Serve(addr string) (string, error) {
 	w.ln = ln
 	w.addr = ln.Addr().String()
 	w.conns = make(map[net.Conn]struct{})
+	w.closed = false // a closed worker may serve again
 	w.mu.Unlock()
 	go func() {
 		for {
@@ -192,13 +230,18 @@ func (w *Worker) Serve(addr string) (string, error) {
 }
 
 // Close kills the worker: the control loop (if registered with a
-// master) stops, and the listener and every live connection are torn
-// down, so in-flight and future calls from masters fail with transport
-// errors — the observable signature of a dead slave node.
+// master) stops, and the listener and every live connection, to masters
+// and to peers, are torn down, so in-flight and future calls fail with
+// transport errors — the observable signature of a dead slave node.
 func (w *Worker) Close() error {
 	w.stopControl()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closed = true
+	for _, client := range w.peers {
+		client.Close()
+	}
+	clear(w.peers)
 	if w.ln == nil {
 		return nil
 	}

@@ -263,13 +263,6 @@ func (s *LiveSource) FailHeld(id scheduler.JobID, at vclock.Time) error {
 	return nil
 }
 
-// Held reports how many accepted jobs are waiting on dependencies.
-func (s *LiveSource) Held() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.held)
-}
-
 // Close marks the source finished: queued jobs still drain, new
 // Submits fail, and the engine exits once everything admitted has
 // completed. Safe to call more than once.
@@ -374,33 +367,6 @@ func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, d
 		AdmittedAt: admittedAt,
 		DoneAt:     doneAt,
 	}
-	s.order = append(s.order, meta.ID)
-	return nil
-}
-
-// AdoptHeld installs a journal-recovered job in waiting state: its
-// dependencies had not settled when the previous master died, so it
-// re-enters the held set and the recovered DAG coordinator releases or
-// fails it as the resumed run settles the dependencies.
-func (s *LiveSource) AdoptHeld(meta scheduler.JobMeta, deps []scheduler.JobID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("runtime: admission queue is closed")
-	}
-	if meta.ID == 0 {
-		return fmt.Errorf("runtime: cannot adopt a job without an id")
-	}
-	if _, dup := s.status[meta.ID]; dup {
-		return fmt.Errorf("runtime: job id %d already submitted", meta.ID)
-	}
-	if meta.ID >= s.nextID {
-		s.nextID = meta.ID + 1
-	}
-	s.held[meta.ID] = meta
-	st := &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting}
-	st.DependsOn = append(st.DependsOn, deps...)
-	s.status[meta.ID] = st
 	s.order = append(s.order, meta.ID)
 	return nil
 }

@@ -101,8 +101,8 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := src.Held(); got != pairs {
-		t.Fatalf("Held() = %d, want %d", got, pairs)
+	if got := heldJobs(src); got != pairs {
+		t.Fatalf("%d jobs held, want %d", got, pairs)
 	}
 	for _, id := range heldIDs {
 		st, ok := src.Status(id)
@@ -147,8 +147,8 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Held() != 1 {
-		t.Fatalf("Held() = %d, want 1", src.Held())
+	if got := heldJobs(src); got != 1 {
+		t.Fatalf("%d jobs held, want 1", got)
 	}
 	if err := src.Release(cid + 99); err == nil {
 		t.Fatal("Release of unknown id succeeded")
@@ -187,9 +187,6 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if _, err := src.SubmitHeldWith(scheduler.JobMeta{Name: "late"}, nil, nil); err == nil {
 		t.Fatal("SubmitHeldWith after Close succeeded")
 	}
-	if err := src.AdoptHeld(scheduler.JobMeta{ID: 500, Name: "late"}, nil); err == nil {
-		t.Fatal("AdoptHeld after Close succeeded")
-	}
 }
 
 func TestLiveSourceAdoptValidation(t *testing.T) {
@@ -197,17 +194,11 @@ func TestLiveSourceAdoptValidation(t *testing.T) {
 	if err := src.Adopt(scheduler.JobMeta{Name: "anon"}, JobDone, 0, 0); err == nil {
 		t.Fatal("Adopt without id succeeded")
 	}
-	if err := src.AdoptHeld(scheduler.JobMeta{Name: "anon"}, nil); err == nil {
-		t.Fatal("AdoptHeld without id succeeded")
-	}
 	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "done"}, JobDone, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "dup"}, JobDone, 0, 0); err == nil {
 		t.Fatal("duplicate Adopt succeeded")
-	}
-	if err := src.AdoptHeld(scheduler.JobMeta{ID: 3, Name: "dup"}, nil); err == nil {
-		t.Fatal("AdoptHeld over settled id succeeded")
 	}
 	// Adopted ids reserve the id space: the next auto-assigned id must
 	// not collide.
@@ -226,4 +217,11 @@ func TestLiveSourceAdoptValidation(t *testing.T) {
 	if st, _ := src.Status(3); st.AdmittedAt != 1 || st.DoneAt != 2 {
 		t.Fatalf("adopted timestamps lost: %+v", st)
 	}
+}
+
+// heldJobs is how many accepted jobs wait on dependencies.
+func heldJobs(s *LiveSource) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.held)
 }

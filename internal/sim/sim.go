@@ -63,9 +63,6 @@ func (c *Cluster) SetSpeed(id int, speed float64) {
 	c.nodes[id].Speed = speed
 }
 
-// TotalSlots returns the cluster-wide concurrent map capacity.
-func (c *Cluster) TotalSlots() int { return len(c.nodes) * c.slotsPerNode }
-
 // CostModel holds the calibration knobs, all in seconds and megabytes.
 // The JSON tags are the cost-model vocabulary of the versioned workload
 // file format (internal/workload): a workload file can pin the exact

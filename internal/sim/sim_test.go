@@ -222,9 +222,6 @@ func TestClusterValidation(t *testing.T) {
 			fn()
 		}()
 	}
-	if NewCluster(3, 2).TotalSlots() != 6 {
-		t.Error("TotalSlots wrong")
-	}
 }
 
 func TestRemotePenaltyChargedWhenHoldersExcluded(t *testing.T) {

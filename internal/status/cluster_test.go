@@ -13,9 +13,11 @@ import (
 
 type fakeCluster struct {
 	workers []comms.WorkerInfo
+	repairs int64
 }
 
 func (f *fakeCluster) ClusterSnapshot() []comms.WorkerInfo { return f.workers }
+func (f *fakeCluster) ShuffleRepairs() (int64, int64)      { return f.repairs, 0 }
 
 func TestClusterEndpoint(t *testing.T) {
 	srv := NewServer("s3")
@@ -115,6 +117,14 @@ func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	// The next heartbeat: counters move on, gauges follow both ways.
 	src.workers[0].Tasks.CacheHits, src.workers[0].Tasks.CacheBytes = 140, 1024
 	expect(scrape(), "s3_cache_hits_total 200", "s3_cache_hit_ratio 0.8", "s3_cache_bytes 2048")
+
+	// The shuffle's counters come from the same source, under the same
+	// rule: the gauge follows, the counters only rise.
+	expect(scrape(), "s3_shuffle_stash_bytes 0", "s3_shuffle_fetched_bytes_total 0", "s3_shuffle_repair_maps_total 0")
+	src.workers[0].Tasks.StashBytes, src.workers[0].Tasks.ShuffleFetchedBytes, src.repairs = 4096, 900, 3
+	expect(scrape(), "s3_shuffle_stash_bytes 4096", "s3_shuffle_fetched_bytes_total 900", "s3_shuffle_repair_maps_total 3")
+	src.workers[0].Tasks.StashBytes, src.workers[0].Tasks.ShuffleFetchedBytes = 0, 100 // a worker restarted: its ledger begins again
+	expect(scrape(), "s3_shuffle_stash_bytes 0", "s3_shuffle_fetched_bytes_total 900", "s3_shuffle_repair_maps_total 3")
 
 	// The run ends and folds its own poll of the same workers.
 	rm.SetCacheStats(metrics.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})

@@ -42,19 +42,18 @@ type CacheInfo struct {
 
 // State is the published run snapshot.
 type State struct {
-	Scheme       string             `json:"scheme"`
-	VirtualTime  float64            `json:"virtualTime"`
-	Rounds       int                `json:"rounds"`
-	PendingJobs  int                `json:"pendingJobs"`
-	DoneJobs     int                `json:"doneJobs"`
-	LastRound    *RoundInfo         `json:"lastRound,omitempty"`
-	RunComplete  bool               `json:"runComplete"`
-	FailureNote  string             `json:"failureNote,omitempty"`
-	TETSeconds   float64            `json:"tetSeconds,omitempty"`
-	ARTSeconds   float64            `json:"artSeconds,omitempty"`
-	Cache        *CacheInfo         `json:"cache,omitempty"`
-	Recovery     *RecoveryInfo      `json:"recovery,omitempty"`
-	ExtraNumbers map[string]float64 `json:"extra,omitempty"`
+	Scheme      string        `json:"scheme"`
+	VirtualTime float64       `json:"virtualTime"`
+	Rounds      int           `json:"rounds"`
+	PendingJobs int           `json:"pendingJobs"`
+	DoneJobs    int           `json:"doneJobs"`
+	LastRound   *RoundInfo    `json:"lastRound,omitempty"`
+	RunComplete bool          `json:"runComplete"`
+	FailureNote string        `json:"failureNote,omitempty"`
+	TETSeconds  float64       `json:"tetSeconds,omitempty"`
+	ARTSeconds  float64       `json:"artSeconds,omitempty"`
+	Cache       *CacheInfo    `json:"cache,omitempty"`
+	Recovery    *RecoveryInfo `json:"recovery,omitempty"`
 }
 
 // SetCache publishes block-cache counters (shown as a dashboard row).
@@ -192,10 +191,15 @@ func (s *Server) Handler() http.Handler {
 			// A daemon's run never ends to fold its s3_cache_*: read them
 			// off the heartbeat ledgers, one heartbeat old at most.
 			var cache metrics.CacheStats
+			var stashed, fetched int64
 			for _, wi := range src.ClusterSnapshot() {
 				cache.Add(wi.Tasks.Cache())
+				stashed, fetched = stashed+wi.Tasks.StashBytes, fetched+wi.Tasks.ShuffleFetchedBytes
 			}
-			metrics.NewRunMetrics(reg).SetCacheStats(cache)
+			rm := metrics.NewRunMetrics(reg)
+			rm.SetCacheStats(cache)
+			repairs, _ := src.ShuffleRepairs()
+			rm.SetShuffleStats(stashed, fetched, repairs)
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {

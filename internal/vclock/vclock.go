@@ -38,13 +38,7 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fs", float64(d)) }
 // Seconds returns the duration as a plain float64 of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
-// Clock is the minimal clock interface used across the repository.
-type Clock interface {
-	// Now returns the current time.
-	Now() Time
-}
-
-// Wall is a Clock backed by the machine's monotonic wall clock.
+// Wall is a clock backed by the machine's monotonic wall clock.
 // The epoch is the moment NewWall was called.
 type Wall struct {
 	start time.Time
@@ -56,7 +50,7 @@ func NewWall() *Wall { return &Wall{start: time.Now()} }
 // Now returns the seconds elapsed since the clock was created.
 func (w *Wall) Now() Time { return Time(time.Since(w.start).Seconds()) }
 
-// Virtual is a manually advanced Clock for deterministic simulation.
+// Virtual is a manually advanced clock for deterministic simulation.
 // It is safe for concurrent use.
 type Virtual struct {
 	mu  sync.Mutex

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
@@ -725,40 +724,5 @@ func (f *FileSpec) AddTo(store *dfs.Store) (*dfs.File, error) {
 		return store.AddMetaFile(f.Name, f.Blocks, f.BlockBytes)
 	default:
 		return nil, fmt.Errorf("workload: file %q has unknown content %q", f.Name, f.Content)
-	}
-}
-
-// Summary renders a one-line human description ("canonical: 12 jobs
-// over corpus (32×16KiB text blocks) on 4×2 nodes").
-func (wf *File) Summary() string {
-	var b strings.Builder
-	if len(wf.Files) == 1 {
-		f := &wf.Files[0]
-		fmt.Fprintf(&b, "%s: %d jobs over %s (%d×%s %s blocks) on %d×%d slots",
-			wf.Header.Name, len(wf.Jobs), f.Name, f.Blocks, byteSize(f.BlockBytes), f.Content,
-			wf.Header.Nodes, wf.Header.SlotsPerNode)
-	} else {
-		names := make([]string, len(wf.Files))
-		for i := range wf.Files {
-			names[i] = wf.Files[i].Name
-		}
-		fmt.Fprintf(&b, "%s: %d jobs over %d files (%s) on %d×%d slots",
-			wf.Header.Name, len(wf.Jobs), len(wf.Files), strings.Join(names, ", "),
-			wf.Header.Nodes, wf.Header.SlotsPerNode)
-	}
-	if wf.HasDAG() {
-		b.WriteString(", DAG")
-	}
-	return b.String()
-}
-
-func byteSize(n int64) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMiB", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dKiB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
 	}
 }

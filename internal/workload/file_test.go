@@ -371,13 +371,3 @@ func TestFileSpecAddTo(t *testing.T) {
 		}
 	}
 }
-
-func TestFileSummary(t *testing.T) {
-	wf := parseGood(t)
-	s := wf.Summary()
-	for _, want := range []string{"tiny", "2 jobs", "corpus", "8×4KiB", "text", "2×2"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Summary %q missing %q", s, want)
-		}
-	}
-}

@@ -144,14 +144,6 @@ func (g *TextGen) Block(blockIdx int, size int64) []byte {
 	return buf.Bytes()[:size]
 }
 
-// Vocabulary returns the generator's word list (for choosing count
-// patterns that are guaranteed to match).
-func Vocabulary() []string {
-	out := make([]string, len(wordList))
-	copy(out, wordList)
-	return out
-}
-
 // AddTextFile registers a generated text corpus with the store: name,
 // numBlocks blocks of blockSize bytes each.
 func AddTextFile(store *dfs.Store, name string, numBlocks int, blockSize int64, seed int64) (*dfs.File, error) {

@@ -142,20 +142,6 @@ func WordCountJob(name, file, prefix string, numReduce int) mapreduce.JobSpec {
 	}
 }
 
-// HeavyWordCountJob builds a heavy-workload job: emitFactor-times the
-// map output and no combiner, so both shuffle and reduce output grow
-// the way the paper's heavy workload does (10x map output, 200x reduce
-// output).
-func HeavyWordCountJob(name, file, prefix string, numReduce, emitFactor int) mapreduce.JobSpec {
-	return mapreduce.JobSpec{
-		Name:      name,
-		File:      file,
-		Mapper:    PatternCountMapper{Prefix: prefix, EmitFactor: emitFactor},
-		Reducer:   SumReducer{},
-		NumReduce: numReduce,
-	}
-}
-
 // DistinctPrefixes returns n single-letter prefixes that all occur in
 // the generated corpus, cycling through the most frequent initials, so
 // n wordcount jobs have similar (non-empty) outputs — the paper

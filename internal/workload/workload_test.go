@@ -39,7 +39,7 @@ func TestTextGenExactSize(t *testing.T) {
 func TestTextGenWordsFromVocabulary(t *testing.T) {
 	g := NewTextGen(7)
 	vocab := map[string]bool{}
-	for _, w := range Vocabulary() {
+	for _, w := range wordList {
 		vocab[w] = true
 	}
 	words := strings.Fields(string(g.Block(0, 2048)))
@@ -167,7 +167,9 @@ func TestHeavyJobMultipliesMapOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := e.RunJob(HeavyWordCountJob("h", "corpus", "t", 1, 10))
+	heavySpec := WordCountJob("h", "corpus", "t", 1) // the heavy workload: 10x the map output, no combiner
+	heavySpec.Mapper, heavySpec.Combiner = PatternCountMapper{Prefix: "t", EmitFactor: 10}, nil
+	heavy, err := e.RunJob(heavySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestMetaBuilders(t *testing.T) {
 // (except a possibly truncated final token), at any size and seed.
 func TestTextBlockProperty(t *testing.T) {
 	vocab := map[string]bool{}
-	for _, w := range Vocabulary() {
+	for _, w := range wordList {
 		vocab[w] = true
 	}
 	prop := func(seed int64, idx8 uint8, size16 uint16) bool {
