@@ -16,6 +16,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -115,34 +116,24 @@ func BenchmarkFig4eSparseNormal32(b *testing.B) { benchPanel(b, "e") }
 // 400 GB TPC-H lineitem table.
 func BenchmarkFig4fSelection(b *testing.B) { benchPanel(b, "f") }
 
-// benchPipeline runs the stage-pipelining study in one mode and
-// reports the measured TETs (serial or pipelined depending on mode).
-func benchPipeline(b *testing.B, pipelined bool) {
-	b.Helper()
+// BenchmarkDriverPipeline — the stage-pipelining A/B: the serial round
+// loop (reduce blocks the next scan) against the stage-pipelined runtime
+// (reduce of round N under scan of round N+1), all PipelineStudy
+// workloads, reporting both TETs.
+func BenchmarkDriverPipeline(b *testing.B) {
 	var res experiments.PipelineResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.PipelineStudyModes(experiments.DefaultParams(), !pipelined, pipelined)
+		res, err = experiments.PipelineStudy(experiments.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	for _, row := range res.Rows {
-		tet := row.SerialTET
-		if pipelined {
-			tet = row.PipelinedTET
-		}
-		b.ReportMetric(tet.Seconds(), row.Workload+"-TET")
+		b.ReportMetric(row.SerialTET.Seconds(), row.Workload+"-serial-TET")
+		b.ReportMetric(row.PipelinedTET.Seconds(), row.Workload+"-piped-TET")
 	}
 }
-
-// BenchmarkDriverPipelineOff — the serial round loop (reduce blocks
-// the next scan), all PipelineStudy workloads.
-func BenchmarkDriverPipelineOff(b *testing.B) { benchPipeline(b, false) }
-
-// BenchmarkDriverPipelineOn — the stage-pipelined runtime (reduce of
-// round N under scan of round N+1), all PipelineStudy workloads.
-func BenchmarkDriverPipelineOn(b *testing.B) { benchPipeline(b, true) }
 
 // BenchmarkExamplesAnalytic regenerates the §III Examples 1-3 analytic
 // scenarios (the sim package asserts the exact values in tests).
@@ -271,7 +262,7 @@ func BenchmarkDistributedSharedScan(b *testing.B) {
 // BenchmarkWindowStudy — time-window MRShare vs S^3 under unknown
 // arrival patterns.
 func BenchmarkWindowStudy(b *testing.B) {
-	var rows []experiments.WindowStudyRow
+	var rows []metrics.Summary
 	var err error
 	for i := 0; i < b.N; i++ {
 		rows, err = experiments.WindowStudy(experiments.DefaultParams(), []vclock.Duration{30, 120, 480})
@@ -280,7 +271,7 @@ func BenchmarkWindowStudy(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		b.ReportMetric(r.ART.Seconds(), r.Name+"-ART")
+		b.ReportMetric(r.ART.Seconds(), r.Scheme+"-ART")
 	}
 }
 
@@ -317,7 +308,7 @@ func BenchmarkPoissonSweep(b *testing.B) {
 
 // BenchmarkTaxonomyStudy — §II-B's scheduler categories, measured.
 func BenchmarkTaxonomyStudy(b *testing.B) {
-	var rows []experiments.TaxonomyRow
+	var rows []metrics.Summary
 	var err error
 	for i := 0; i < b.N; i++ {
 		rows, err = experiments.TaxonomyStudy(experiments.DefaultParams())

@@ -1,33 +1,31 @@
-// Command s3calibrate grid-searches the simulator's cost-model and
-// arrival parameters against the paper's qualitative Figure 4 claims
-// (internal/experiments/claims.go) and prints the best candidates.
-// It is how DefaultParams was chosen; rerun it after changing the cost
-// model.
-//
-// Usage:
-//
-//	s3calibrate [-top 5] [-full]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"sort"
 
 	"s3sched/internal/experiments"
 	"s3sched/internal/vclock"
 )
 
-type candidate struct {
-	params     experiments.Params
-	violations []string
-}
+// runCalibrate is `s3bench calibrate [-top 5] [-full]`: it
+// grid-searches the simulator's cost-model and arrival parameters
+// against the paper's qualitative Figure 4 claims
+// (internal/experiments/claims.go) and prints the best candidates. It
+// is how DefaultParams was chosen; rerun it after changing the cost
+// model.
+func runCalibrate(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("s3bench calibrate", flag.ExitOnError)
+	top := fs.Int("top", 5, "how many best candidates to print")
+	full := fs.Bool("full", false, "print violations of the best candidate")
+	fs.Parse(args)
 
-func main() {
-	top := flag.Int("top", 5, "how many best candidates to print")
-	full := flag.Bool("full", false, "print violations of the best candidate")
-	flag.Parse()
-
+	type candidate struct {
+		params     experiments.Params
+		violations []string
+	}
 	var cands []candidate
 	base := experiments.DefaultParams()
 	for _, jobSetup := range []float64{0.2, 0.35} {
@@ -47,7 +45,7 @@ func main() {
 								p.HeavyMapW, p.HeavyReduceW = hw[0], hw[1]
 								panels, err := experiments.RunAllPanels(p)
 								if err != nil {
-									fmt.Println("error:", err)
+									fmt.Fprintln(stdout, "error:", err)
 									continue
 								}
 								cands = append(cands, candidate{p, experiments.CheckPaperClaims(panels)})
@@ -64,14 +62,15 @@ func main() {
 	total := experiments.NumPaperClaims()
 	for i := 0; i < *top && i < len(cands); i++ {
 		c := cands[i]
-		fmt.Printf("#%d  %d/%d claims ok  setup=%.2f redSetup=%.2f tag=%.2f inter=%v intra=%v heavy=(%g,%g)\n",
+		fmt.Fprintf(stdout, "#%d  %d/%d claims ok  setup=%.2f redSetup=%.2f tag=%.2f inter=%v intra=%v heavy=(%g,%g)\n",
 			i+1, total-len(c.violations), total,
 			c.params.Model.JobSetup, c.params.Model.ReduceSetup, c.params.Model.TagPenalty,
 			c.params.InterGap, c.params.IntraGap, c.params.HeavyMapW, c.params.HeavyReduceW)
 		if *full && i == 0 {
 			for _, v := range c.violations {
-				fmt.Println("   still violated:", v)
+				fmt.Fprintln(stdout, "   still violated:", v)
 			}
 		}
 	}
+	return nil
 }

@@ -1,16 +1,9 @@
-// Command s3demo walks Algorithm 1 on a tiny cluster: three wordcount
-// jobs arrive at different times over a 6-segment file, and the demo
-// prints every Job Queue Manager decision — sub-job alignment, merged
-// sub-job launches, circular cursor movement, completions — alongside
-// the physical scan ledger that proves the sharing.
-//
-// This runs the real MapReduce engine: the jobs compute actual word
-// counts over generated text and the results are printed at the end.
 package main
 
 import (
+	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
@@ -21,14 +14,17 @@ import (
 	"s3sched/internal/workload"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "s3demo:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// runDemo is `s3bench demo`: it walks Algorithm 1 on a tiny cluster.
+// Three wordcount jobs arrive at different times over a 6-segment file,
+// and the demo prints every Job Queue Manager decision — sub-job
+// alignment, merged sub-job launches, circular cursor movement,
+// completions — alongside the physical scan ledger that proves the
+// sharing.
+//
+// This runs the real MapReduce engine: the jobs compute actual word
+// counts over generated text and the results are printed at the end.
+func runDemo(args []string, stdout io.Writer) error {
+	flag.NewFlagSet("s3bench demo", flag.ExitOnError).Parse(args)
 	const (
 		nodes     = 3
 		blocks    = 18 // 6 segments of 3 blocks
@@ -49,7 +45,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("file %q: %d blocks of %d KiB in %d segments of %d blocks (one per map slot)\n\n",
+	fmt.Fprintf(stdout, "file %q: %d blocks of %d KiB in %d segments of %d blocks (one per map slot)\n\n",
 		f.Name, f.NumBlocks, blockSize>>10, plan.NumSegments(), plan.BlocksPerSegment())
 
 	cluster, err := mapreduce.NewCluster(store, 1)
@@ -69,7 +65,7 @@ func run() error {
 
 	log := trace.MustNew(512)
 	s3 := core.New(plan, log)
-	fmt.Println("submitting: job 1 at t=0, job 2 and job 3 while earlier rounds are in flight")
+	fmt.Fprintln(stdout, "submitting: job 1 at t=0, job 2 and job 3 while earlier rounds are in flight")
 	res, err := runtime.RunTrace(s3, exec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, Name: "count-t*", File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, Name: "count-a*", File: "corpus"}, At: 1},
@@ -79,13 +75,13 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("\n=== Job Queue Manager decision trace (Algorithm 1) ===")
-	fmt.Print(log.String())
+	fmt.Fprintln(stdout, "\n=== Job Queue Manager decision trace (Algorithm 1) ===")
+	fmt.Fprint(stdout, log.String())
 
-	fmt.Println("=== physical scan ledger ===")
+	fmt.Fprintln(stdout, "=== physical scan ledger ===")
 	st := store.Stats()
-	fmt.Printf("block scans: %d (3 isolated jobs would need %d)\n", st.BlockReads, 3*blocks)
-	fmt.Printf("rounds launched: %d\n", res.Rounds)
+	fmt.Fprintf(stdout, "block scans: %d (3 isolated jobs would need %d)\n", st.BlockReads, 3*blocks)
+	fmt.Fprintf(stdout, "rounds launched: %d\n", res.Rounds)
 	tet, err := res.Metrics.TET()
 	if err != nil {
 		return err
@@ -94,20 +90,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("TET %v, ART %v (virtual time)\n", tet, art)
+	fmt.Fprintf(stdout, "TET %v, ART %v (virtual time)\n", tet, art)
 
-	fmt.Println("\n=== results (top words per job) ===")
+	fmt.Fprintln(stdout, "\n=== results (top words per job) ===")
 	for id := scheduler.JobID(1); id <= 3; id++ {
 		r, _ := exec.Result(id)
-		fmt.Printf("%s:", r.Name)
+		fmt.Fprintf(stdout, "%s:", r.Name)
 		for i, kv := range r.Output {
 			if i == 5 {
-				fmt.Printf(" …(%d more)", len(r.Output)-5)
+				fmt.Fprintf(stdout, " …(%d more)", len(r.Output)-5)
 				break
 			}
-			fmt.Printf(" %s=%s", kv.Key, kv.Value)
+			fmt.Fprintf(stdout, " %s=%s", kv.Key, kv.Value)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }

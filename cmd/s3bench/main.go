@@ -10,28 +10,79 @@
 //	s3bench -exp fig4a      # one experiment
 //	s3bench -exp fig4       # all six panels + claim check
 //	s3bench -exp ablations  # X1..X5
+//
+// Four subcommands carry the rest of the virtual-time tooling, each
+// with its own flags (s3bench <subcommand> -h):
+//
+//	s3bench demo            # Algorithm 1 narrated on a tiny real cluster
+//	s3bench sim             # a custom scenario: schemes × arrival pattern
+//	s3bench replay          # a recorded CSV arrival trace through schemes
+//	s3bench calibrate       # grid-search the cost model against the paper's claims
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
 	"s3sched/internal/runtime"
-	"s3sched/internal/scheduler"
-	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
 )
 
+// subcommands each parse their own flags and print to stdout.
+var subcommands = map[string]func(args []string, stdout io.Writer) error{
+	"demo":      runDemo,
+	"sim":       runSim,
+	"replay":    runReplay,
+	"calibrate": runCalibrate,
+}
+
+// usageError marks a bad flag value: one line on stderr, exit 2.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// runSubcommand runs the named subcommand and reports its exit code:
+// 2 for a usage error, 1 for any other failure.
+func runSubcommand(name string, args []string, stdout, stderr io.Writer) int {
+	err := subcommands[name](args, stdout)
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(stderr, "s3bench %s: %v\n", name, err)
+	if errors.As(err, &usageError{}) {
+		return 2
+	}
+	return 1
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func main() {
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
+	}
 	exp := flag.String("exp", "all", "experiment: table1|fig3|fig4|fig4a..fig4f|examples|ablations|window|distributed|jitter|poisson|taxonomy|estimator|pipeline|faults|cache|all")
 	jsonPath := flag.String("json", "", "also write the Figure 4 panels + claim check as JSON to this file")
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
-	pipeMode := flag.String("pipeline", "both", "pipeline experiment mode: on|off|both (A/B)")
 	faultRate := flag.Float64("faultrate", 0.02, "faults experiment: max transient block-failure rate in [0,1)")
 	faultSeed := flag.Int64("faultseed", 42, "faults experiment: fault schedule seed (same seed, same schedule)")
 	faultJSON := flag.String("faultjson", "", "faults experiment: also write the results as JSON to this file")
@@ -40,21 +91,13 @@ func main() {
 	cachePolicy := flag.String("cachepolicy", "all", "cache experiment: eviction policy lru|cursor, or all to sweep both")
 	cacheJSON := flag.String("cachejson", "", "cache experiment: also write the results as JSON to this file")
 	flag.Parse()
-
-	if *pipeMode != "on" && *pipeMode != "off" && *pipeMode != "both" {
-		fmt.Fprintf(os.Stderr, "unknown -pipeline mode %q (want on|off|both)\n", *pipeMode)
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want demo | sim | replay | calibrate, or flags only)\n", flag.Arg(0))
 		os.Exit(2)
 	}
 
 	if *traceJSON != "" {
-		f, err := os.Create(*traceJSON)
-		if err == nil {
-			err = writeTraceJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := writeFile(*traceJSON, writeTraceJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -73,8 +116,7 @@ func main() {
 	var err error
 	switch *exp {
 	case "all":
-		err = firstErr(runTable1, runFig3, runExamples, runFig4All, runAblations, runWindowStudy, runDistributed, runJitter, runPoisson, runTaxonomy, runEstimator,
-			func() error { return runPipeline(*pipeMode) },
+		err = firstErr(runTable1, runFig3, runExamples, runFig4All, runAblations, runWindowStudy, runDistributed, runJitter, runPoisson, runTaxonomy, runEstimator, runPipeline,
 			func() error { return runFaults(*faultRate, *faultSeed, *faultJSON) },
 			func() error { return runCache(*cacheMB, *cacheFrac, *cachePolicy, *cacheJSON) })
 	case "table1":
@@ -102,7 +144,7 @@ func main() {
 	case "estimator":
 		err = runEstimator()
 	case "pipeline":
-		err = runPipeline(*pipeMode)
+		err = runPipeline()
 	case "faults":
 		err = runFaults(*faultRate, *faultSeed, *faultJSON)
 	case "cache":
@@ -157,6 +199,23 @@ func writeJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
+}
+
+// writeRecord writes a study's machine-readable record as indented
+// JSON and says so; an empty path means none was asked for.
+func writeRecord(path string, rec any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 func firstErr(fns ...func() error) error {
@@ -227,40 +286,10 @@ func runExamples() error {
 		{"fifo", 80, 200, 110}, {"mrshare", 80, 180, 140}, {"s3", 80, 180, 100},
 	}
 	for _, c := range cases {
-		store, err := dfs.NewStore(1, 1)
+		tet, art, err := experiments.TwoJobExample(c.scheme, c.offset)
 		if err != nil {
 			return err
 		}
-		f, err := store.AddMetaFile("input", 10, 64<<20)
-		if err != nil {
-			return err
-		}
-		plan, err := dfs.PlanSegments(f, 1)
-		if err != nil {
-			return err
-		}
-		var sched scheduler.Scheduler
-		switch c.scheme {
-		case "fifo":
-			sched = scheduler.NewFIFO(plan, nil)
-		case "mrshare":
-			sched, err = scheduler.NewMRShare(plan, []int{2}, nil)
-			if err != nil {
-				return err
-			}
-		case "s3":
-			sched = core.New(plan, nil)
-		}
-		exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-		res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
-			{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
-			{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: c.offset},
-		}, runtime.Options{})
-		if err != nil {
-			return err
-		}
-		tet, _ := res.Metrics.TET()
-		art, _ := res.Metrics.ART()
 		fmt.Printf("%-9s %8v %8.0f %8.0f   %8.0f %8.0f\n",
 			c.scheme, c.offset, tet.Seconds(), art.Seconds(), c.tet, c.art)
 	}
@@ -315,7 +344,7 @@ func runWindowStudy() error {
 	}
 	fmt.Printf("%-14s %12s %12s\n", "variant", "TET", "ART")
 	for _, r := range rows {
-		fmt.Printf("%-14s %12s %12s\n", r.Name, r.TET, r.ART)
+		fmt.Printf("%-14s %12s %12s\n", r.Scheme, r.TET, r.ART)
 	}
 	fmt.Println("(short windows forfeit sharing; long windows re-create MRShare's waiting)")
 	fmt.Println()
@@ -395,20 +424,18 @@ func runEstimator() error {
 	return nil
 }
 
-func runPipeline(mode string) error {
-	fmt.Printf("== Stage pipelining: reduce of round N under scan of round N+1 (S3, %d reduce workers, -pipeline=%s) ==\n",
-		runtime.DefaultReduceWorkers, mode)
-	res, err := experiments.PipelineStudyModes(experiments.DefaultParams(), mode != "on", mode != "off")
+func runPipeline() error {
+	// The title keeps the name of the flag that once picked single-mode
+	// runs, so the study's output stays byte-identical to every recorded
+	// copy of it.
+	fmt.Printf("== Stage pipelining: reduce of round N under scan of round N+1 (S3, %d reduce workers, -pipeline=both) ==\n",
+		runtime.DefaultReduceWorkers)
+	res, err := experiments.PipelineStudy(experiments.DefaultParams())
 	if err != nil {
 		return err
 	}
 	fmt.Print(res.String())
-	switch mode {
-	case "both":
-		fmt.Println("(gain tracks the reduce share of a round: heavy reduce output hides under the next scan)")
-	default:
-		fmt.Println("(single-mode run; use -pipeline=both for the A/B gain column)")
-	}
+	fmt.Println("(gain tracks the reduce share of a round: heavy reduce output hides under the next scan)")
 	fmt.Println()
 	return nil
 }
@@ -471,17 +498,7 @@ func runFaults(rate float64, seed int64, jsonPath string) error {
 	}
 	fmt.Println("(2-way replication: one crashed node leaves every block readable, so all jobs finish)")
 	fmt.Println()
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeRecord(jsonPath, rec)
 }
 
 // cacheJSONRec is the machine-readable cache-study record
@@ -570,17 +587,7 @@ func runCache(perNodeMB int, frac float64, policy, jsonPath string) error {
 	fmt.Println(" just before the cursor returns; the cursor policy pins and prefetches the")
 	fmt.Println(" scheduler's next segments)")
 	fmt.Println()
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeRecord(jsonPath, rec)
 }
 
 func runAblations() error {

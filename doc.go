@@ -21,10 +21,13 @@
 //	internal/workload   text & TPC-H lineitem generators, job families
 //	internal/metrics    TET / ART, normalized Figure-4-style reports
 //	internal/experiments  every paper experiment + claim checks
-//	cmd/s3bench         regenerate all tables & figures
-//	cmd/s3sim           free-form simulator runs
-//	cmd/s3demo          Algorithm 1 walkthrough with live trace
-//	cmd/s3calibrate     cost-model calibration search
+//	cmd/s3bench         regenerate all tables & figures; subcommands
+//	                    sim (free-form simulator runs), replay (CSV
+//	                    arrival traces), demo (Algorithm 1 walkthrough
+//	                    with live trace), calibrate (cost-model search)
+//	cmd/s3compare       workload file × scheduler/engine matrix report
+//	cmd/s3report        diff two reports, gate on drift
+//	cmd/s3cluster       distributed mode: workers + S^3 master
 //	examples/           runnable quickstart + workload scenarios
 //
 // The top-level bench_test.go maps each paper table/figure to one

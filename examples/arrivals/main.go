@@ -10,58 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"s3sched/internal/core"
-	"s3sched/internal/dfs"
-	"s3sched/internal/runtime"
-	"s3sched/internal/scheduler"
-	"s3sched/internal/sim"
+	"s3sched/internal/experiments"
 	"s3sched/internal/vclock"
 )
-
-// runOnce builds a fresh 10-segment, 100-second-per-job environment
-// and drives two jobs through the named scheme.
-func runOnce(scheme string, offset vclock.Time) (tet, art float64, err error) {
-	store := dfs.MustStore(1, 1)
-	f, err := store.AddMetaFile("input", 10, 64<<20)
-	if err != nil {
-		return 0, 0, err
-	}
-	plan, err := dfs.PlanSegments(f, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	var sched scheduler.Scheduler
-	switch scheme {
-	case "fifo":
-		sched = scheduler.NewFIFO(plan, nil)
-	case "mrshare":
-		sched, err = scheduler.NewMRShare(plan, []int{2}, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-	case "s3":
-		sched = core.New(plan, nil)
-	default:
-		return 0, 0, fmt.Errorf("unknown scheme %q", scheme)
-	}
-	exec := sim.NewExecutor(sim.NewCluster(1, 1), store, sim.CostModel{ScanMBps: 6.4})
-	res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
-		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
-		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: offset},
-	}, runtime.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	tetD, err := res.Metrics.TET()
-	if err != nil {
-		return 0, 0, err
-	}
-	artD, err := res.Metrics.ART()
-	if err != nil {
-		return 0, 0, err
-	}
-	return tetD.Seconds(), artD.Seconds(), nil
-}
 
 func main() {
 	fmt.Println("two 100s jobs; J2 arrives at offset t (10s segment granularity)")
@@ -70,11 +21,12 @@ func main() {
 	for off := 0; off <= 100; off += 10 {
 		row := fmt.Sprintf("%7ds |", off)
 		for _, scheme := range []string{"fifo", "mrshare", "s3"} {
-			tet, art, err := runOnce(scheme, vclock.Time(off))
+			// A fresh 10-segment, 100-second-per-job environment per run.
+			tet, art, err := experiments.TwoJobExample(scheme, vclock.Time(off))
 			if err != nil {
 				log.Fatal(err)
 			}
-			row += fmt.Sprintf(" %8.0f %8.0f", tet, art)
+			row += fmt.Sprintf(" %8.0f %8.0f", tet.Seconds(), art.Seconds())
 			if scheme != "s3" {
 				row += " |"
 			}

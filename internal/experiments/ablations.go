@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
@@ -9,6 +10,7 @@ import (
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
+	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -44,130 +46,100 @@ func (a AblationResult) String() string {
 	out += fmt.Sprintf("%-16s %12s %12s %8s\n", "variant", "TET", "ART", "rounds")
 	for _, r := range a.Rows {
 		out += fmt.Sprintf("%-16s %12s %12s %8d", r.Name, r.TET, r.ART, r.Rounds)
-		for k, v := range r.Extra {
-			out += fmt.Sprintf("  %s=%.0f", k, v)
+		keys := make([]string, 0, len(r.Extra))
+		for k := range r.Extra {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys) // map order would make the table differ run to run
+		for _, k := range keys {
+			out += fmt.Sprintf("  %s=%.0f", k, r.Extra[k])
 		}
 		out += "\n"
 	}
 	return out
 }
 
-// runVariant drives one scheduler over arrivals in env and summarizes.
-func runVariant(name string, env *Env, sched scheduler.Scheduler, metas []scheduler.JobMeta, times []vclock.Time) (AblationRow, error) {
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
-	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-	res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("experiments: ablation variant %s: %w", name, err)
-	}
-	sum, err := res.Metrics.Summarize(name)
-	if err != nil {
-		return AblationRow{}, err
-	}
+// ablationRow reports one variant's run as a table row.
+func ablationRow(run SimRun) AblationRow {
 	return AblationRow{
-		Name:   name,
-		TET:    sum.TET,
-		ART:    sum.ART,
-		Rounds: res.Rounds,
-		Extra:  map[string]float64{"blockScans": float64(exec.Stats().BlocksScanned)},
-	}, nil
+		Name:   run.Summary.Scheme,
+		TET:    run.Summary.TET,
+		ART:    run.Summary.ART,
+		Rounds: run.Result.Rounds,
+		Extra:  map[string]float64{"blockScans": float64(run.Stats.BlocksScanned)},
+	}
+}
+
+// schemeAblation is an ablation whose variants are plain schemes over
+// the sparse normal workload.
+func schemeAblation(p Params, id, note string, variants []SchemeSpec) (AblationResult, error) {
+	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), variants)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	out := AblationResult{ID: id, Note: note}
+	for _, run := range runs {
+		out.Rows = append(out.Rows, ablationRow(run))
+	}
+	return out, nil
 }
 
 // AblationSlotChecking (X1): a straggler node at 25% speed paces every
 // round of plain S^3; DynamicS3 with a slot checker excludes it and
 // re-sizes segments to the healthy nodes.
 func AblationSlotChecking(p Params) (AblationResult, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 	straggler := 5 // arbitrary node id
-	newEnv := func() (*Env, error) {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return nil, err
-		}
-		env.Cluster.SetSpeed(straggler, 0.25)
-		return env, nil
-	}
-
 	out := AblationResult{
 		ID:   "X1",
 		Note: "periodic slot checking under a 0.25x straggler node (§IV-D1)",
 	}
-
-	// Variant 1: plain S3, straggler paces all rounds.
-	env, err := newEnv()
-	if err != nil {
-		return AblationResult{}, err
+	for _, variant := range []func(*sim.Cluster) SchemeSpec{
+		// Plain S3: the straggler paces all rounds.
+		func(*sim.Cluster) SchemeSpec { return schemes("s3-nocheck=s3")[0] },
+		slotCheckScheme,
+	} {
+		env, err := NewEnv(WordcountGB, 64, p.Model)
+		if err != nil {
+			return AblationResult{}, err
+		}
+		env.Cluster.SetSpeed(straggler, 0.25)
+		run, err := Simulate(env, variant(env.Cluster), nil, arrivals, runtime.Options{}, nil)
+		if err != nil {
+			return AblationResult{}, err
+		}
+		out.Rows = append(out.Rows, ablationRow(run))
 	}
-	row, err := runVariant("s3-nocheck", env, core.New(env.Plan, nil), metas, times)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	out.Rows = append(out.Rows, row)
-
-	// Variant 2: DynamicS3 + slot checker fed the observed speeds.
-	env, err = newEnv()
-	if err != nil {
-		return AblationResult{}, err
-	}
-	checker := core.NewSlotChecker(0.5, 1.0, nil)
-	for _, n := range env.Cluster.Nodes() {
-		checker.Observe(dfs.NodeID(n.ID), n.Speed, 0)
-	}
-	all := make([]dfs.NodeID, len(env.Cluster.Nodes()))
-	for i := range all {
-		all[i] = dfs.NodeID(i)
-	}
-	dyn, err := core.NewDynamic(env.Plan.File(), all, SlotsPerNode, checker, nil)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	row, err = runVariant("s3-slotcheck", env, dyn, metas, times)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	out.Rows = append(out.Rows, row)
 	return out, nil
+}
+
+// slotCheckScheme is DynamicS3 with a slot checker fed the cluster's
+// observed node speeds — the one variant outside ParseScheme's grammar,
+// because it is built from the cluster it will run on.
+func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
+	return SchemeSpec{Name: "s3-slotcheck", Make: func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
+		checker := core.NewSlotChecker(0.5, 1.0, nil)
+		all := make([]dfs.NodeID, len(cluster.Nodes()))
+		for i, n := range cluster.Nodes() {
+			checker.Observe(dfs.NodeID(n.ID), n.Speed, 0)
+			all[i] = dfs.NodeID(i)
+		}
+		return core.NewDynamic(plan.File(), all, SlotsPerNode, checker, log)
+	}}
 }
 
 // AblationDynAdjust (X2): S^3 with and without dynamic sub-job
 // adjustment — the static variant parks arrivals until the queue
 // manager drains (§IV-D2).
 func AblationDynAdjust(p Params) (AblationResult, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	out := AblationResult{
-		ID:   "X2",
-		Note: "dynamic sub-job adjustment on/off (§IV-D2)",
-	}
-	for _, v := range []struct {
-		name string
-		mk   func(plan *dfs.SegmentPlan) scheduler.Scheduler
-	}{
-		{"s3-dynamic", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return core.New(plan, nil) }},
-		{"s3-static", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(plan, nil) }},
-	} {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		row, err := runVariant(v.name, env, v.mk(env.Plan), metas, times)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return schemeAblation(p, "X2", "dynamic sub-job adjustment on/off (§IV-D2)",
+		schemes("s3-dynamic=s3", "s3-static"))
 }
 
 // AblationSegmentSize (X4): blocks per segment below, at, and above
 // the cluster's concurrent map slots (§IV-B says equal is ideal).
 func AblationSegmentSize(p Params) (AblationResult, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 	out := AblationResult{
 		ID:   "X4",
 		Note: "segment size vs the ideal one-block-per-slot (§IV-B)",
@@ -177,15 +149,14 @@ func AblationSegmentSize(p Params) (AblationResult, error) {
 		if err != nil {
 			return AblationResult{}, err
 		}
-		plan, err := dfs.PlanSegments(env.Plan.File(), per)
+		if env.Plan, err = dfs.PlanSegments(env.Plan.File(), per); err != nil {
+			return AblationResult{}, err
+		}
+		run, err := Simulate(env, schemes(fmt.Sprintf("seg-%d=s3", per))[0], nil, arrivals, runtime.Options{}, nil)
 		if err != nil {
 			return AblationResult{}, err
 		}
-		row, err := runVariant(fmt.Sprintf("seg-%d", per), env, core.New(plan, nil), metas, times)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, ablationRow(run))
 	}
 	return out, nil
 }
@@ -193,30 +164,8 @@ func AblationSegmentSize(p Params) (AblationResult, error) {
 // AblationCircularScan (X5): S^3 versus the restart-at-beginning
 // variant that cannot admit a job mid-pass (§IV-B).
 func AblationCircularScan(p Params) (AblationResult, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	out := AblationResult{
-		ID:   "X5",
-		Note: "circular scan vs scan-from-beginning (§IV-B)",
-	}
-	for _, v := range []struct {
-		name string
-		mk   func(plan *dfs.SegmentPlan) scheduler.Scheduler
-	}{
-		{"s3-circular", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return core.New(plan, nil) }},
-		{"s3-restart", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(plan, nil) }},
-	} {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		row, err := runVariant(v.name, env, v.mk(env.Plan), metas, times)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return schemeAblation(p, "X5", "circular scan vs scan-from-beginning (§IV-B)",
+		schemes("s3-circular=s3", "s3-restart=s3-nocircular"))
 }
 
 // AblationPartialAgg (X3): real-engine wordcount through S^3 with and
@@ -224,65 +173,33 @@ func AblationCircularScan(p Params) (AblationResult, error) {
 // carried intermediate state and reduce input volume; outputs must be
 // identical.
 func AblationPartialAgg() (AblationResult, error) {
-	const (
-		blocks    = 32
-		blockSize = 4 << 10
-		jobs      = 3
-	)
-	run := func(name string, enable bool) (AblationRow, error) {
-		store := dfs.MustStore(8, 1)
-		if _, err := workload.AddTextFile(store, "corpus", blocks, blockSize, 3); err != nil {
-			return AblationRow{}, err
-		}
-		f, err := store.File("corpus")
+	out := AblationResult{ID: "X3", Note: "per-round partial aggregation of sub-job output (§V-G), real engine"}
+	for _, v := range []struct {
+		name   string
+		enable bool
+	}{{"no-partial-agg", false}, {"partial-agg", true}} {
+		_, exec, res, err := engineWordcount(3, 0, func(_ *dfs.Store, _ *core.S3, exec *mapreduce.Executor) error {
+			if v.enable {
+				exec.EnablePartialAggregation(workload.SumReducer{})
+			}
+			return nil
+		})
 		if err != nil {
-			return AblationRow{}, err
-		}
-		plan, err := dfs.PlanSegments(f, 8)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []runtime.Arrival
-		prefixes := workload.DistinctPrefixes(jobs)
-		for i := 0; i < jobs; i++ {
-			id := scheduler.JobID(i + 1)
-			specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-			arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: 0})
-		}
-		exec := mapreduce.NewExecutor(engine, specs)
-		if enable {
-			exec.EnablePartialAggregation(workload.SumReducer{})
-		}
-		res, err := runtime.RunTrace(core.New(plan, nil), exec, arrivals, runtime.Options{})
-		if err != nil {
-			return AblationRow{}, err
+			return AblationResult{}, err
 		}
 		var reduceIn, outRecords int64
 		for _, r := range exec.Results() {
 			reduceIn += r.Counters.Get(mapreduce.CounterReduceInputRecords)
 			outRecords += r.Counters.Get(mapreduce.CounterReduceOutRecords)
 		}
-		return AblationRow{
-			Name:   name,
+		out.Rows = append(out.Rows, AblationRow{
+			Name:   v.name,
 			Rounds: res.Rounds,
 			Extra: map[string]float64{
 				"reduceInputRecords": float64(reduceIn),
 				"outputRecords":      float64(outRecords),
 			},
-		}, nil
-	}
-	out := AblationResult{ID: "X3", Note: "per-round partial aggregation of sub-job output (§V-G), real engine"}
-	for _, v := range []struct {
-		name   string
-		enable bool
-	}{{"no-partial-agg", false}, {"partial-agg", true}} {
-		row, err := run(v.name, v.enable)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Rows = append(out.Rows, row)
+		})
 	}
 	return out, nil
 }

@@ -5,8 +5,11 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
+	"s3sched/internal/runtime"
+	"s3sched/internal/scheduler"
+	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 func TestAblationSlotChecking(t *testing.T) {
@@ -137,14 +140,14 @@ func TestWindowStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || rows[0].Name != "s3" {
+	if len(rows) != 4 || rows[0].Scheme != "s3" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	s3 := rows[0]
 	for _, r := range rows[1:] {
 		// No window setting recovers S^3's ART.
 		if r.ART <= s3.ART {
-			t.Errorf("%s ART %v should exceed S3 %v", r.Name, r.ART, s3.ART)
+			t.Errorf("%s ART %v should exceed S3 %v", r.Scheme, r.ART, s3.ART)
 		}
 	}
 	if _, err := WindowStudy(DefaultParams(), nil); err == nil {
@@ -266,7 +269,7 @@ func TestTaxonomyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]TaxonomyRow{}
+	byName := map[string]metrics.Summary{}
 	for _, r := range rows {
 		byName[r.Scheme] = r
 	}
@@ -296,14 +299,13 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	// exactly the fixed plan's segments, so both schedulers must
 	// produce identical metrics at paper scale.
 	p := DefaultParams()
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 
 	env1, err := NewEnv(WordcountGB, 64, p.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := runVariant("s3", env1, core.New(env1.Plan, nil), metas, times)
+	fixed, err := Simulate(env1, schemes("s3")[0], nil, arrivals, runtime.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,19 +318,18 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = dfs.NodeID(i)
 	}
-	dyn, err := core.NewDynamic(env2.Plan.File(), nodes, SlotsPerNode, nil, nil)
+	dynamic := SchemeSpec{Name: "s3-dynamic", Make: func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
+		return core.NewDynamic(plan.File(), nodes, SlotsPerNode, nil, log)
+	}}
+	adaptive, err := Simulate(env2, dynamic, nil, arrivals, runtime.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := runVariant("s3-dynamic", env2, dyn, metas, times)
-	if err != nil {
-		t.Fatal(err)
+	if f, a := fixed.Summary, adaptive.Summary; f.TET != a.TET || f.ART != a.ART {
+		t.Errorf("fixed (%v/%v) != dynamic (%v/%v)", f.TET, f.ART, a.TET, a.ART)
 	}
-	if fixed.TET != adaptive.TET || fixed.ART != adaptive.ART {
-		t.Errorf("fixed (%v/%v) != dynamic (%v/%v)", fixed.TET, fixed.ART, adaptive.TET, adaptive.ART)
-	}
-	if fixed.Rounds != adaptive.Rounds {
-		t.Errorf("rounds differ: %d vs %d", fixed.Rounds, adaptive.Rounds)
+	if fixed.Result.Rounds != adaptive.Result.Rounds {
+		t.Errorf("rounds differ: %d vs %d", fixed.Result.Rounds, adaptive.Result.Rounds)
 	}
 }
 

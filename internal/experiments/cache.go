@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
@@ -96,41 +95,31 @@ func CacheStudy(perNodeMBs []int, frac float64, policies []string) (CacheStudyRe
 	}
 
 	p := DefaultParams()
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 
 	runPoint := func(mb int, policy string) (CachePoint, error) {
 		env, err := NewEnv(WordcountGB, 64, p.Model)
 		if err != nil {
 			return CachePoint{}, err
 		}
-		exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-		sched := core.New(env.Plan, nil)
-		if mb > 0 {
-			if err := exec.EnableCachePolicy(int64(mb)<<20, frac, policy); err != nil {
-				return CachePoint{}, err
+		scheme := schemes(fmt.Sprintf("cache-%s-%dmb=s3", policy, mb))[0]
+		run, err := Simulate(env, scheme, nil, arrivals, runtime.Options{}, func(sched scheduler.Scheduler, exec *sim.Executor) error {
+			if mb == 0 {
+				return nil
 			}
-			sched.SetScanHinter(exec.HandleScanHint)
-		}
-		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
-		if err != nil {
-			return CachePoint{}, fmt.Errorf("experiments: cache run %s/%d MB: %w", policy, mb, err)
-		}
-		sum, err := res.Metrics.Summarize(fmt.Sprintf("cache-%s-%dmb", policy, mb))
+			wireScanHints(sched, exec.HandleScanHint)
+			return exec.EnableCachePolicy(int64(mb)<<20, frac, policy)
+		})
 		if err != nil {
 			return CachePoint{}, err
 		}
-		cs := exec.CacheStats()
+		cs := run.Result.Metrics.CacheStats()
 		return CachePoint{
 			Policy:       policy,
 			CacheMB:      mb,
-			Summary:      sum,
-			Rounds:       res.Rounds,
-			CachedBlocks: exec.Stats().CachedBlocks,
+			Summary:      run.Summary,
+			Rounds:       run.Result.Rounds,
+			CachedBlocks: run.Stats.CachedBlocks,
 			HitRatio:     cs.HitRatio(),
 			Evictions:    cs.Evictions,
 			Prefetches:   cs.Prefetches,
@@ -177,93 +166,66 @@ func CacheStudy(perNodeMBs []int, frac float64, policies []string) (CacheStudyRe
 // and the scheduler's hints are wired in, so under the cursor policy
 // the check also exercises pinning and readahead on the real read path.
 func cacheEngineCheck(policy string) (CacheEngineCheck, error) {
-	const (
-		nodes     = 8
-		blocks    = 32
-		blockSize = 4 << 10
-		jobs      = 3
-		seed      = 11
-	)
-	run := func(cacheBytes int64) (map[scheduler.JobID]*mapreduce.Result, dfs.Stats, dfs.CacheStats, error) {
-		store := dfs.MustStore(nodes, 1)
-		if _, err := workload.AddTextFile(store, "corpus", blocks, blockSize, seed); err != nil {
-			return nil, dfs.Stats{}, dfs.CacheStats{}, err
-		}
-		if cacheBytes > 0 {
-			if _, err := store.EnableCachePolicy(cacheBytes, policy); err != nil {
-				return nil, dfs.Stats{}, dfs.CacheStats{}, err
-			}
-		}
-		f, err := store.File("corpus")
-		if err != nil {
-			return nil, dfs.Stats{}, dfs.CacheStats{}, err
-		}
-		plan, err := dfs.PlanSegments(f, nodes)
-		if err != nil {
-			return nil, dfs.Stats{}, dfs.CacheStats{}, err
-		}
-		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []runtime.Arrival
-		prefixes := workload.DistinctPrefixes(jobs)
-		for i := 0; i < jobs; i++ {
-			id := scheduler.JobID(i + 1)
-			specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-			arrivals = append(arrivals, runtime.Arrival{
-				Job: scheduler.JobMeta{ID: id, File: "corpus"},
-				At:  vclock.Time(i),
-			})
-		}
-		exec := mapreduce.NewExecutor(engine, specs)
-		sched := core.New(plan, nil)
-		if cacheBytes > 0 {
-			sched.SetScanHinter(store.HandleScanHint)
-		}
-		if _, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{}); err != nil {
-			return nil, dfs.Stats{}, dfs.CacheStats{}, err
-		}
-		return exec.Results(), store.Stats(), store.CacheStats(), nil
-	}
-
-	cold, coldStats, _, err := run(0)
+	coldStore, cold, _, err := engineWordcount(11, 1, nil)
 	if err != nil {
 		return CacheEngineCheck{}, err
 	}
-	warm, warmStats, warmCache, err := run(int64(blocks) * blockSize * 2)
+	warmStore, warm, _, err := engineWordcount(11, 1, func(store *dfs.Store, sched *core.S3, _ *mapreduce.Executor) error {
+		sched.SetScanHinter(store.HandleScanHint)
+		_, err := store.EnableCachePolicy(2*engineBlocks*engineBlockSize, policy)
+		return err
+	})
 	if err != nil {
 		return CacheEngineCheck{}, err
 	}
 	return CacheEngineCheck{
 		Policy:           policy,
-		Jobs:             jobs,
-		OutputsIdentical: resultsIdentical(cold, warm),
-		CacheHits:        warmCache.Hits,
-		Prefetches:       warmCache.Prefetches,
-		ColdReads:        coldStats.BlockReads,
-		WarmReads:        warmStats.BlockReads,
+		Jobs:             engineJobs,
+		OutputsIdentical: digestResults(cold.Results()) == digestResults(warm.Results()),
+		CacheHits:        warmStore.CacheStats().Hits,
+		Prefetches:       warmStore.CacheStats().Prefetches,
+		ColdReads:        coldStore.Stats().BlockReads,
+		WarmReads:        warmStore.Stats().BlockReads,
 	}, nil
 }
 
-// resultsIdentical compares two runs' job outputs byte for byte.
-func resultsIdentical(a, b map[scheduler.JobID]*mapreduce.Result) bool {
-	if len(a) != len(b) {
-		return false
+// The real-engine fixture of the cache check and the partial-
+// aggregation ablation: three prefix-filtered wordcount jobs over a
+// generated 32-block corpus on 8 nodes.
+const (
+	engineNodes     = 8
+	engineBlocks    = 32
+	engineBlockSize = 4 << 10
+	engineJobs      = 3
+)
+
+// engineWordcount runs the fixture through S^3 on the real engine, job
+// i arriving at i×stagger. tune, when set, adjusts the store, the
+// scheduler and the executor before the first arrival.
+func engineWordcount(seed int64, stagger vclock.Time, tune func(*dfs.Store, *core.S3, *mapreduce.Executor) error) (*dfs.Store, *mapreduce.Executor, *runtime.Result, error) {
+	store := dfs.MustStore(engineNodes, 1)
+	f, err := workload.AddTextFile(store, "corpus", engineBlocks, engineBlockSize, seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	ids := make([]scheduler.JobID, 0, len(a))
-	for id := range a {
-		ids = append(ids, id)
+	plan, err := dfs.PlanSegments(f, engineNodes)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ra, rb := a[id], b[id]
-		if rb == nil || ra.Name != rb.Name || len(ra.Output) != len(rb.Output) {
-			return false
+	specs := make(map[scheduler.JobID]mapreduce.JobSpec)
+	var arrivals []runtime.Arrival
+	for i, prefix := range workload.DistinctPrefixes(engineJobs) {
+		id := scheduler.JobID(i + 1)
+		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefix, 2)
+		arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: stagger * vclock.Time(i)})
+	}
+	exec := mapreduce.NewExecutor(mapreduce.NewEngine(mapreduce.MustCluster(store, 1)), specs)
+	sched := core.New(plan, nil)
+	if tune != nil {
+		if err := tune(store, sched, exec); err != nil {
+			return nil, nil, nil, err
 		}
-		for i := range ra.Output {
-			if ra.Output[i] != rb.Output[i] {
-				return false
-			}
-		}
 	}
-	return true
+	res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
+	return store, exec, res, err
 }

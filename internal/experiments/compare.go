@@ -63,7 +63,7 @@ type CompareOptions struct {
 func CompareSchedulers() []string { return []string{"s3", "fifo", "mrs1"} }
 
 // makeScheduler builds a fresh scheduler for the scheme. A single-file
-// workload with no DAG gets the exact legacy single-plan constructors
+// workload with no DAG gets the single-plan schedulers of ParseScheme
 // (existing baselines stay byte-identical); multi-file and DAG
 // workloads get the multi-plan constructors, which also accept derived
 // files registered mid-run. jobsPerFile counts the declared readers of
@@ -71,16 +71,12 @@ func CompareSchedulers() []string { return []string{"s3", "fifo", "mrs1"} }
 // configuration for a known pattern.
 func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int, totalJobs int, multi bool) (scheduler.Scheduler, error) {
 	if !multi {
-		switch name {
-		case "s3":
-			return core.New(plans[0], nil), nil
-		case "fifo":
-			return scheduler.NewFIFO(plans[0], nil), nil
-		case "mrs1":
-			return scheduler.NewMRShare(plans[0], []int{totalJobs}, nil)
-		default:
+		spec := map[string]string{"s3": "s3", "fifo": "fifo", "mrs1": fmt.Sprintf("mrshare:%d", totalJobs)}[name]
+		scheme, err := ParseScheme(spec)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
 		}
+		return scheme.Make(plans[0], nil)
 	}
 	switch name {
 	case "s3":
@@ -280,18 +276,12 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 	case benchfmt.EngineSim:
 		simExec := sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model)
 		if key.Cache {
-			// A v1 workload (no cachePolicy) prices under the original
-			// cluster-aggregate LRU model, keeping existing baselines
-			// byte-identical; a v2 policy selects the sharded policy twin
-			// driven by the scheduler's scan hints.
-			if h.CachePolicy == "" {
-				if err := simExec.EnableCache(int64(h.CacheMBPerNode)<<20*int64(h.Nodes), h.CacheFrac); err != nil {
-					return benchfmt.Cell{}, err
-				}
-			} else {
-				if err := simExec.EnableCachePolicy(int64(h.CacheMBPerNode)<<20, h.CacheFrac, h.CachePolicy); err != nil {
-					return benchfmt.Cell{}, err
-				}
+			// A v1 workload (no cachePolicy) prices under plain LRU; a v2
+			// policy is driven by the scheduler's scan hints.
+			if err := simExec.EnableCachePolicy(int64(h.CacheMBPerNode)<<20, h.CacheFrac, cellPolicy(h)); err != nil {
+				return benchfmt.Cell{}, err
+			}
+			if h.CachePolicy != "" {
 				wireScanHints(sched, simExec.HandleScanHint)
 			}
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
@@ -58,7 +57,7 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 		}
 	}
 
-	run := func(mk func(p *dfs.SegmentPlan) (scheduler.Scheduler, error)) (int64, int, map[scheduler.JobID]string, error) {
+	run := func(scheme SchemeSpec) (int64, int, map[scheduler.JobID]string, error) {
 		reg := remote.NewStandardRegistry()
 		var addrs []string
 		var workers []*remote.Worker
@@ -96,7 +95,7 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		sched, err := mk(plan)
+		sched, err := scheme.Make(plan, nil)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -123,15 +122,12 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 		return reads, res.Rounds, outs, nil
 	}
 
-	s3Reads, s3Rounds, s3Out, err := run(func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-		return core.New(p, nil), nil
-	})
+	both := schemes("s3", "fifo")
+	s3Reads, s3Rounds, s3Out, err := run(both[0])
 	if err != nil {
 		return DistributedResult{}, fmt.Errorf("experiments: distributed S3: %w", err)
 	}
-	fifoReads, fifoRounds, fifoOut, err := run(func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-		return scheduler.NewFIFO(p, nil), nil
-	})
+	fifoReads, fifoRounds, fifoOut, err := run(both[1])
 	if err != nil {
 		return DistributedResult{}, fmt.Errorf("experiments: distributed FIFO: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 // EstimatorStudy validates §IV-D1's completion-time estimation: an
@@ -39,16 +38,11 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 	if err != nil {
 		return EstimatorResult{}, err
 	}
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 
 	s3 := core.New(env.Plan, nil)
 	est := core.NewEstimator()
-	exec := newSimExec(env)
+	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
 
 	var (
 		roundStart vclock.Time
@@ -115,9 +109,4 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 	}
 	out.MAPE = sum / float64(len(predicted))
 	return out, nil
-}
-
-// newSimExec builds the calibrated executor for env.
-func newSimExec(env *Env) runtime.Executor {
-	return sim.NewExecutor(env.Cluster, env.Store, env.Model)
 }

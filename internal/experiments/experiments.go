@@ -14,12 +14,12 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
+	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -75,110 +75,157 @@ type Env struct {
 }
 
 // NewEnv builds a paper-scale simulation environment: a cluster of
-// Nodes nodes over a metadata-only file of inputGB gigabytes in
-// blockMB-megabyte blocks, segmented at one block per map slot.
+// Nodes nodes over a metadata-only file "input" of inputGB gigabytes
+// in blockMB-megabyte blocks, segmented at one block per map slot.
 func NewEnv(inputGB, blockMB int, model sim.CostModel) (*Env, error) {
-	return NewEnvReplicated(inputGB, blockMB, 1, model)
+	return NewEnvFile("input", inputGB, blockMB, 1, model)
 }
 
-// NewEnvReplicated is NewEnv with an explicit replication factor. The
-// fault study uses replicas >= 2 so a single crashed node leaves every
-// block readable from a surviving holder.
-func NewEnvReplicated(inputGB, blockMB, replicas int, model sim.CostModel) (*Env, error) {
+// NewEnvFile is NewEnv with an explicit file name and replication
+// factor. The fault study uses replicas >= 2 so a single crashed node
+// leaves every block readable from a surviving holder; a replayed
+// trace names its own file.
+func NewEnvFile(file string, inputGB, blockMB, replicas int, model sim.CostModel) (*Env, error) {
 	if inputGB <= 0 || blockMB <= 0 {
 		return nil, fmt.Errorf("experiments: invalid sizes inputGB=%d blockMB=%d", inputGB, blockMB)
 	}
-	numBlocks := inputGB * 1024 / blockMB
-	store, err := dfs.NewStore(Nodes, replicas)
-	if err != nil {
-		return nil, err
-	}
-	f, err := store.AddMetaFile("input", numBlocks, int64(blockMB)<<20)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := dfs.PlanSegments(f, Nodes*SlotsPerNode)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{
-		Store:   store,
-		Plan:    plan,
-		Cluster: sim.NewCluster(Nodes, SlotsPerNode),
-		Model:   model,
-	}, nil
+	return buildEnv(file, Nodes, SlotsPerNode, replicas, inputGB*1024/blockMB, int64(blockMB)<<20, model)
 }
 
-// SchemeResult is one scheduling scheme's outcome in a panel.
-type SchemeResult struct {
-	Summary metrics.Summary
-	Rounds  int
+// buildEnv registers a metadata-only file of numBlocks blocks on a
+// fresh store and segments it at one block per map slot.
+func buildEnv(file string, nodes, slots, replicas, numBlocks int, blockBytes int64, model sim.CostModel) (*Env, error) {
+	store, err := dfs.NewStore(nodes, replicas)
+	if err != nil {
+		return nil, err
+	}
+	f, err := store.AddMetaFile(file, numBlocks, blockBytes)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := dfs.PlanSegments(f, nodes*slots)
+	if err != nil {
+		return nil, err
+	}
+	return &Env{Store: store, Plan: plan, Cluster: sim.NewCluster(nodes, slots), Model: model}, nil
+}
+
+// Arrivals pairs each job with its arrival time.
+func Arrivals(metas []scheduler.JobMeta, times []vclock.Time) ([]runtime.Arrival, error) {
+	if len(metas) != len(times) {
+		return nil, fmt.Errorf("experiments: %d jobs but %d arrival times", len(metas), len(times))
+	}
+	arrivals := make([]runtime.Arrival, len(metas))
+	for i := range metas {
+		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
+	}
+	return arrivals, nil
+}
+
+// wordcountArrivals is one wordcount job over "input" per arrival time.
+func wordcountArrivals(times []vclock.Time, weight, reduceWeight float64) []runtime.Arrival {
+	arrivals, _ := Arrivals(workload.WordCountMetas(len(times), "input", weight, reduceWeight), times) // same length by construction
+	return arrivals
+}
+
+// SimRun is the outcome of one Simulate call.
+type SimRun struct {
+	Result  *runtime.Result
+	Summary metrics.Summary // labelled with the scheme's Name
 	Stats   sim.Stats
+}
+
+// Tune adjusts a run's freshly built scheduler and executor before the
+// first arrival: cache, scan hints, fault model.
+type Tune func(sched scheduler.Scheduler, exec *sim.Executor) error
+
+// Simulate is the one virtual-time run every study and CLI repeats:
+// build scheme's scheduler over env's plan (log receives its decision
+// trace; nil for none), replay arrivals through a fresh simulator
+// executor over env, and summarize under the scheme's name. env must be
+// fresh when the run mutates it (cache, faults); tune may be nil.
+func Simulate(env *Env, scheme SchemeSpec, log *trace.Log, arrivals []runtime.Arrival, opts runtime.Options, tune Tune) (SimRun, error) {
+	sched, err := scheme.Make(env.Plan, log)
+	if err != nil {
+		return SimRun{}, fmt.Errorf("experiments: building %s: %w", scheme.Name, err)
+	}
+	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
+	if tune != nil {
+		if err := tune(sched, exec); err != nil {
+			return SimRun{}, fmt.Errorf("experiments: tuning %s: %w", scheme.Name, err)
+		}
+	}
+	res, err := runtime.RunTrace(sched, exec, arrivals, opts)
+	if err != nil {
+		return SimRun{}, fmt.Errorf("experiments: running %s: %w", scheme.Name, err)
+	}
+	sum, err := res.Metrics.Summarize(scheme.Name)
+	if err != nil {
+		return SimRun{}, fmt.Errorf("experiments: summarizing %s: %w", scheme.Name, err)
+	}
+	return SimRun{Result: res, Summary: sum, Stats: exec.Stats()}, nil
+}
+
+// simulateAll replays arrivals through each scheme in turn, every one
+// on its own fresh paper-scale wordcount environment (160 GB, 64 MB
+// blocks) — a study is a list of schemes over an arrival pattern.
+func simulateAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]SimRun, error) {
+	runs := make([]SimRun, len(schemes))
+	for i, scheme := range schemes {
+		env, err := NewEnv(WordcountGB, 64, p.Model)
+		if err != nil {
+			return nil, err
+		}
+		if runs[i], err = Simulate(env, scheme, nil, arrivals, runtime.Options{}, nil); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// summarizeAll is simulateAll for the studies that report nothing but
+// each scheme's summary.
+func summarizeAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]metrics.Summary, error) {
+	runs, err := simulateAll(p, arrivals, schemes)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]metrics.Summary, len(runs))
+	for i, run := range runs {
+		out[i] = run.Summary
+	}
+	return out, nil
 }
 
 // PanelResult is one Figure 4 panel: all schemes, normalized to S^3.
 type PanelResult struct {
 	ID      string
 	Report  metrics.Report
-	Schemes map[string]SchemeResult
-}
-
-// SchemeSpec names a scheme and builds a fresh scheduler for a plan.
-type SchemeSpec struct {
-	Name string
-	Make func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error)
+	Schemes map[string]SimRun
 }
 
 // PaperSchemes returns the five schemes of Figure 4: S^3, FIFO, and
 // the three MRShare batching variants (§V-D).
 func PaperSchemes() []SchemeSpec {
-	return []SchemeSpec{
-		{Name: "s3", Make: func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return core.New(p, nil), nil
-		}},
-		{Name: "fifo", Make: func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewFIFO(p, nil), nil
-		}},
-		{Name: "mrs1", Make: func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewMRShare(p, []int{10}, nil)
-		}},
-		{Name: "mrs2", Make: func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewMRShare(p, []int{6, 4}, nil)
-		}},
-		{Name: "mrs3", Make: func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewMRShare(p, []int{3, 3, 4}, nil)
-		}},
-	}
+	return schemes("s3", "fifo", "mrs1=mrshare:10", "mrs2=mrshare:6:4", "mrs3=mrshare:3:3:4")
 }
 
 // RunPanel runs every scheme over the same arrival sequence in env and
 // normalizes the results against S^3, like Figure 4's presentation.
 func RunPanel(id string, env *Env, metas []scheduler.JobMeta, times []vclock.Time, schemes []SchemeSpec) (PanelResult, error) {
-	if len(metas) != len(times) {
-		return PanelResult{}, fmt.Errorf("experiments: %d jobs but %d arrival times", len(metas), len(times))
+	arrivals, err := Arrivals(metas, times)
+	if err != nil {
+		return PanelResult{}, err
 	}
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
-	out := PanelResult{ID: id, Schemes: make(map[string]SchemeResult)}
+	out := PanelResult{ID: id, Schemes: make(map[string]SimRun)}
 	var summaries []metrics.Summary
 	for _, spec := range schemes {
-		sched, err := spec.Make(env.Plan)
+		run, err := Simulate(env, spec, nil, arrivals, runtime.Options{}, nil)
 		if err != nil {
-			return PanelResult{}, fmt.Errorf("experiments: building %s: %w", spec.Name, err)
+			return PanelResult{}, err
 		}
-		exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-		res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
-		if err != nil {
-			return PanelResult{}, fmt.Errorf("experiments: running %s: %w", spec.Name, err)
-		}
-		sum, err := res.Metrics.Summarize(spec.Name)
-		if err != nil {
-			return PanelResult{}, fmt.Errorf("experiments: summarizing %s: %w", spec.Name, err)
-		}
-		summaries = append(summaries, sum)
-		out.Schemes[spec.Name] = SchemeResult{Summary: sum, Rounds: res.Rounds, Stats: exec.Stats()}
+		summaries = append(summaries, run.Summary)
+		out.Schemes[spec.Name] = run
 	}
 	rep, err := metrics.Normalize("s3", summaries)
 	if err != nil {
@@ -189,7 +236,7 @@ func RunPanel(id string, env *Env, metas []scheduler.JobMeta, times []vclock.Tim
 }
 
 // Params collects everything the Figure 4 panels depend on, so the
-// calibration harness (cmd/s3calibrate) can search over them and tests
+// calibration harness (s3bench calibrate) can search over them and tests
 // can pin them.
 type Params struct {
 	Model sim.CostModel

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"s3sched/internal/core"
-	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -12,7 +10,7 @@ import (
 // TestPaperClaimsAllHold pins the shipped calibration: every encoded
 // qualitative claim from the paper's Figure 4 discussion must hold.
 // The simulator is deterministic, so this is a stable regression gate;
-// if a cost-model change breaks it, rerun cmd/s3calibrate.
+// if a cost-model change breaks it, rerun `s3bench calibrate`.
 func TestPaperClaimsAllHold(t *testing.T) {
 	panels, err := RunAllPanels(DefaultParams())
 	if err != nil {
@@ -42,7 +40,7 @@ func TestPanelBasics(t *testing.T) {
 		if sr.Summary.TET <= 0 || sr.Summary.ART <= 0 {
 			t.Errorf("%s: non-positive metrics %+v", name, sr.Summary)
 		}
-		if sr.Rounds <= 0 || sr.Stats.BlocksScanned <= 0 {
+		if sr.Result.Rounds <= 0 || sr.Stats.BlocksScanned <= 0 {
 			t.Errorf("%s: no work recorded: %+v", name, sr)
 		}
 	}
@@ -102,9 +100,7 @@ func TestSingleJobAnchor(t *testing.T) {
 	res, err := RunPanel("anchor", env,
 		[]scheduler.JobMeta{{ID: 1, File: "input", Weight: 1, ReduceWeight: 1}},
 		[]vclock.Time{0},
-		[]SchemeSpec{{Name: "s3", Make: func(pl *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return core.New(pl, nil), nil
-		}}})
+		schemes("s3"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"s3sched/internal/faults"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
-	"s3sched/internal/workload"
 )
 
 // FaultSchemeResult is one scheme's outcome at one fault rate.
@@ -35,19 +35,6 @@ type FaultStudyResult struct {
 	Points   []FaultPoint
 }
 
-// faultSchemes is the comparison set of the fault study: the full
-// MRShare spread adds nothing here, one batching variant does.
-func faultSchemes() []SchemeSpec {
-	all := PaperSchemes()
-	out := make([]SchemeSpec, 0, 3)
-	for _, s := range all {
-		if s.Name == "s3" || s.Name == "fifo" || s.Name == "mrs1" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // faultCrashes is the fixed crash schedule overlaid on every non-zero
 // fault rate: one node fails mid-run and another later, each
 // recovering after a while. With replicas >= 2 every block keeps a
@@ -71,12 +58,7 @@ func FaultStudy(maxRate float64, seed int64) (FaultStudyResult, error) {
 	}
 	const replicas = 2
 	p := DefaultParams()
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
+	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
 
 	out := FaultStudyResult{
 		Seed:     seed,
@@ -85,44 +67,37 @@ func FaultStudy(maxRate float64, seed int64) (FaultStudyResult, error) {
 	}
 	for _, rate := range out.Rates {
 		point := FaultPoint{Rate: rate, Schemes: make(map[string]FaultSchemeResult)}
-		for _, spec := range faultSchemes() {
+		// The full MRShare spread adds nothing here, one batching
+		// variant does.
+		for _, spec := range schemes("s3", "fifo", "mrs1=mrshare:10") {
 			// Fresh environment per run: the store's replica placement
 			// is part of the deterministic schedule.
-			env, err := NewEnvReplicated(WordcountGB, 64, replicas, p.Model)
+			env, err := NewEnvFile("input", WordcountGB, 64, replicas, p.Model)
 			if err != nil {
 				return FaultStudyResult{}, err
 			}
-			sched, err := spec.Make(env.Plan)
-			if err != nil {
-				return FaultStudyResult{}, fmt.Errorf("experiments: building %s: %w", spec.Name, err)
-			}
-			exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-			if rate > 0 {
-				fm := sim.FaultModel{
+			run, err := Simulate(env, spec, nil, arrivals, runtime.Options{}, func(_ scheduler.Scheduler, exec *sim.Executor) error {
+				if rate == 0 {
+					return nil
+				}
+				return exec.SetFaultModel(sim.FaultModel{
 					Seed:          seed,
 					BlockFailRate: rate,
 					MaxAttempts:   4,
 					RetrySec:      5,
 					Crashes:       faultCrashes(),
-				}
-				if err := exec.SetFaultModel(fm); err != nil {
-					return FaultStudyResult{}, err
-				}
-			}
-			res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
+				})
+			})
 			if err != nil {
-				return FaultStudyResult{}, fmt.Errorf("experiments: running %s at rate %v: %w", spec.Name, rate, err)
+				return FaultStudyResult{}, fmt.Errorf("rate %v: %w", rate, err)
 			}
-			sum, err := res.Metrics.Summarize(spec.Name)
-			if err != nil {
-				return FaultStudyResult{}, fmt.Errorf("experiments: summarizing %s at rate %v: %w", spec.Name, rate, err)
-			}
+			m := run.Result.Metrics
 			point.Schemes[spec.Name] = FaultSchemeResult{
-				Summary:   sum,
-				Rounds:    res.Rounds,
-				Completed: res.Metrics.Jobs() - len(res.Metrics.Failed()) - len(res.Metrics.Incomplete()),
-				Failed:    len(res.Metrics.Failed()),
-				Faults:    res.Metrics.FaultStats(),
+				Summary:   run.Summary,
+				Rounds:    run.Result.Rounds,
+				Completed: m.Jobs() - len(m.Failed()) - len(m.Incomplete()),
+				Failed:    len(m.Failed()),
+				Faults:    m.FaultStats(),
 			}
 		}
 		out.Points = append(out.Points, point)

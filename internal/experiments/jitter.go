@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 
-	"s3sched/internal/core"
-	"s3sched/internal/dfs"
-	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 // Robustness study: the pinned Figure 4 results come from one exact
@@ -42,28 +38,15 @@ func JitterStudy(p Params, trials int, spread float64, seed int64) ([]JitterSumm
 		return nil, fmt.Errorf("experiments: invalid jitter study (trials=%d spread=%v)", trials, spread)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
 	base := p.SparsePattern()
 
 	type agg struct {
 		tets, arts       []float64
 		winsTET, winsART int
 	}
-	schemes := []struct {
-		name string
-		mk   func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error)
-	}{
-		{"fifo", func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewFIFO(plan, nil), nil
-		}},
-		{"mrs3", func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewMRShare(plan, []int{3, 3, 4}, nil)
-		}},
-	}
-	aggs := map[string]*agg{}
-	for _, s := range schemes {
-		aggs[s.name] = &agg{}
-	}
+	// Every trial runs S^3 first, then the schemes measured against it.
+	list := schemes("s3", "fifo", "mrs3=mrshare:3:3:4")
+	aggs := make([]agg, len(list))
 
 	for trial := 0; trial < trials; trial++ {
 		times := make([]vclock.Time, len(base))
@@ -71,48 +54,32 @@ func JitterStudy(p Params, trials int, spread float64, seed int64) ([]JitterSumm
 			factor := 1 + spread*(2*rng.Float64()-1)
 			times[i] = vclock.Time(float64(t) * factor)
 		}
-		// S^3 baseline for this perturbed pattern.
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return nil, err
-		}
-		s3Row, err := runVariant("s3", env, core.New(env.Plan, nil), metas, times)
+		runs, err := simulateAll(p, wordcountArrivals(times, 1, 1), list)
 		if err != nil {
 			return nil, fmt.Errorf("jitter trial %d: %w", trial, err)
 		}
-		for _, s := range schemes {
-			env, err := NewEnv(WordcountGB, 64, p.Model)
-			if err != nil {
-				return nil, err
-			}
-			sched, err := s.mk(env.Plan)
-			if err != nil {
-				return nil, err
-			}
-			row, err := runVariant(s.name, env, sched, metas, times)
-			if err != nil {
-				return nil, fmt.Errorf("jitter trial %d (%s): %w", trial, s.name, err)
-			}
-			a := aggs[s.name]
-			a.tets = append(a.tets, row.TET.Seconds()/s3Row.TET.Seconds())
-			a.arts = append(a.arts, row.ART.Seconds()/s3Row.ART.Seconds())
-			if row.TET > s3Row.TET {
+		s3 := runs[0].Summary
+		for i := 1; i < len(runs); i++ {
+			row, a := runs[i].Summary, &aggs[i]
+			a.tets = append(a.tets, row.TET.Seconds()/s3.TET.Seconds())
+			a.arts = append(a.arts, row.ART.Seconds()/s3.ART.Seconds())
+			if row.TET > s3.TET {
 				a.winsTET++
 			}
-			if row.ART > s3Row.ART {
+			if row.ART > s3.ART {
 				a.winsART++
 			}
 		}
 	}
 
 	var out []JitterSummary
-	for _, s := range schemes {
-		a := aggs[s.name]
+	for i := 1; i < len(list); i++ {
+		a := aggs[i]
 		out = append(out, JitterSummary{
-			Scheme:  s.name,
+			Scheme:  list[i].Name,
 			Trials:  trials,
-			MeanTET: mean(a.tets), MinTET: minOf(a.tets), MaxTET: maxOf(a.tets),
-			MeanART: mean(a.arts), MinART: minOf(a.arts), MaxART: maxOf(a.arts),
+			MeanTET: mean(a.tets), MinTET: slices.Min(a.tets), MaxTET: slices.Max(a.tets),
+			MeanART: mean(a.arts), MinART: slices.Min(a.arts), MaxART: slices.Max(a.arts),
 			S3WinsTET: a.winsTET, S3WinsART: a.winsART,
 		})
 	}
@@ -125,24 +92,4 @@ func mean(xs []float64) float64 {
 		total += x
 	}
 	return total / float64(len(xs))
-}
-
-func minOf(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/core"
 	"s3sched/internal/runtime"
-	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 // PipelineRow is one workload's serial-vs-pipelined A/B comparison.
@@ -50,19 +47,13 @@ type pipelineCase struct {
 	times   []vclock.Time
 }
 
-// PipelineStudyModes A/B-tests the stage-pipelined runtime against the
+// PipelineStudy A/B-tests the stage-pipelined runtime against the
 // serial round loop: the same S^3 scheduler and cost model, with and
 // without reduce-of-round-N overlapping scan-of-round-N+1. The gain
 // grows with the reduce share of a round — normal wordcount reduces
 // are small (§V Table I: ~1.5 MB of reduce output), the heavy workload
-// (200x reduce output, §V-E) gives reduces real weight. It runs the
-// study's workloads in the selected mode(s); disabling one leaves its
-// columns (and the derived gain and overlap) zero. This backs s3bench's
-// -pipeline=on|off|both flag.
-func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error) {
-	if !serial && !pipelined {
-		return PipelineResult{}, fmt.Errorf("experiments: pipeline study with both modes disabled")
-	}
+// (200x reduce output, §V-E) gives reduces real weight.
+func PipelineStudy(p Params) (PipelineResult, error) {
 	w, rw := p.HeavyMapW, p.HeavyReduceW
 	cases := []pipelineCase{
 		{"sparse", 1, 1, p.SparsePattern()},
@@ -72,7 +63,7 @@ func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error
 	}
 	out := PipelineResult{Workers: runtime.DefaultReduceWorkers}
 	for _, c := range cases {
-		row, err := runPipelineCase(c, p, serial, pipelined)
+		row, err := runPipelineCase(c, p)
 		if err != nil {
 			return PipelineResult{}, err
 		}
@@ -81,51 +72,31 @@ func PipelineStudyModes(p Params, serial, pipelined bool) (PipelineResult, error
 	return out, nil
 }
 
-func runPipelineCase(c pipelineCase, p Params, serialOn, pipelinedOn bool) (PipelineRow, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", c.weight, c.rweight)
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: c.times[i]}
-	}
-	run := func(pipeline bool) (*runtime.Result, error) {
+func runPipelineCase(c pipelineCase, p Params) (PipelineRow, error) {
+	arrivals := wordcountArrivals(c.times, c.weight, c.rweight)
+	run := func(pipeline bool) (SimRun, error) {
 		env, err := NewEnv(WordcountGB, 64, p.Model)
 		if err != nil {
-			return nil, err
+			return SimRun{}, err
 		}
-		var sched scheduler.Scheduler = core.New(env.Plan, nil)
-		exec := newSimExec(env)
-		return runtime.RunTrace(sched, exec, arrivals, runtime.Options{Pipeline: pipeline})
+		return Simulate(env, schemes("s3")[0], nil, arrivals, runtime.Options{Pipeline: pipeline}, nil)
 	}
-	row := PipelineRow{Workload: c.name}
-	if serialOn {
-		serial, err := run(false)
-		if err != nil {
-			return PipelineRow{}, fmt.Errorf("experiments: pipeline %s serial: %w", c.name, err)
-		}
-		if row.SerialTET, err = serial.Metrics.TET(); err != nil {
-			return PipelineRow{}, err
-		}
-		if row.SerialART, err = serial.Metrics.ART(); err != nil {
-			return PipelineRow{}, err
-		}
-		row.Rounds = serial.Rounds
+	serial, err := run(false)
+	if err != nil {
+		return PipelineRow{}, fmt.Errorf("experiments: pipeline %s serial: %w", c.name, err)
 	}
-	if pipelinedOn {
-		piped, err := run(true)
-		if err != nil {
-			return PipelineRow{}, fmt.Errorf("experiments: pipeline %s pipelined: %w", c.name, err)
-		}
-		if row.PipelinedTET, err = piped.Metrics.TET(); err != nil {
-			return PipelineRow{}, err
-		}
-		if row.PipelinedART, err = piped.Metrics.ART(); err != nil {
-			return PipelineRow{}, err
-		}
-		row.Overlap = piped.Metrics.PipelineOverlap()
-		row.Rounds = piped.Rounds
+	piped, err := run(true)
+	if err != nil {
+		return PipelineRow{}, fmt.Errorf("experiments: pipeline %s pipelined: %w", c.name, err)
 	}
-	if serialOn && pipelinedOn {
-		row.TETGainPct = 100 * (1 - row.PipelinedTET.Seconds()/row.SerialTET.Seconds())
-	}
-	return row, nil
+	return PipelineRow{
+		Workload:     c.name,
+		SerialTET:    serial.Summary.TET,
+		SerialART:    serial.Summary.ART,
+		PipelinedTET: piped.Summary.TET,
+		PipelinedART: piped.Summary.ART,
+		Overlap:      piped.Result.Metrics.PipelineOverlap(),
+		TETGainPct:   100 * (1 - piped.Summary.TET.Seconds()/serial.Summary.TET.Seconds()),
+		Rounds:       piped.Result.Rounds,
+	}, nil
 }

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestPipelineStudy(t *testing.T) {
-	res, err := PipelineStudyModes(DefaultParams(), true, true)
+	res, err := PipelineStudy(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,30 +38,5 @@ func TestPipelineStudy(t *testing.T) {
 		if !found {
 			t.Errorf("workload %s missing", name)
 		}
-	}
-}
-
-func TestPipelineStudyModes(t *testing.T) {
-	// Single-mode runs leave the other side's columns zero.
-	on, err := PipelineStudyModes(DefaultParams(), false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range on.Rows {
-		if row.SerialTET != 0 || row.PipelinedTET <= 0 || row.TETGainPct != 0 {
-			t.Errorf("pipelined-only row malformed: %+v", row)
-		}
-	}
-	off, err := PipelineStudyModes(DefaultParams(), true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range off.Rows {
-		if row.PipelinedTET != 0 || row.SerialTET <= 0 {
-			t.Errorf("serial-only row malformed: %+v", row)
-		}
-	}
-	if _, err := PipelineStudyModes(DefaultParams(), false, false); err == nil {
-		t.Error("both modes disabled should fail")
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/core"
-	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -39,7 +37,6 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 	if err != nil {
 		return nil, err
 	}
-	metas := workload.WordCountMetas(jobs, "input", 1, 1)
 
 	var out []PoissonPoint
 	for _, rho := range rhos {
@@ -48,28 +45,15 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 		}
 		meanGap := vclock.Duration(jobTime.Seconds() / rho)
 		times := workload.PoissonPattern(jobs, meanGap, seed)
-
-		point := PoissonPoint{Rho: rho, MeanGap: meanGap}
-		for _, scheme := range []string{"s3", "fifo"} {
-			env, err := NewEnv(WordcountGB, 64, p.Model)
-			if err != nil {
-				return nil, err
-			}
-			var sched scheduler.Scheduler
-			if scheme == "s3" {
-				sched = core.New(env.Plan, nil)
-			} else {
-				sched = scheduler.NewFIFO(env.Plan, nil)
-			}
-			row, err := runVariant(scheme, env, sched, metas, times)
-			if err != nil {
-				return nil, fmt.Errorf("rho=%v %s: %w", rho, scheme, err)
-			}
-			if scheme == "s3" {
-				point.S3ART, point.S3TET = row.ART, row.TET
-			} else {
-				point.FIFOART, point.FIFOTET = row.ART, row.TET
-			}
+		runs, err := simulateAll(p, wordcountArrivals(times, 1, 1), schemes("s3", "fifo"))
+		if err != nil {
+			return nil, fmt.Errorf("rho=%v: %w", rho, err)
+		}
+		s3, fifo := runs[0].Summary, runs[1].Summary
+		point := PoissonPoint{
+			Rho: rho, MeanGap: meanGap,
+			S3ART: s3.ART, S3TET: s3.TET,
+			FIFOART: fifo.ART, FIFOTET: fifo.TET,
 		}
 		point.ARTRatio = point.FIFOART.Seconds() / point.S3ART.Seconds()
 		out = append(out, point)
@@ -79,14 +63,9 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 
 // singleJobTime measures one normal job running alone.
 func singleJobTime(p Params) (vclock.Duration, error) {
-	env, err := NewEnv(WordcountGB, 64, p.Model)
+	runs, err := simulateAll(p, wordcountArrivals([]vclock.Time{0}, 1, 1), schemes("s3"))
 	if err != nil {
 		return 0, err
 	}
-	metas := workload.WordCountMetas(1, "input", 1, 1)
-	row, err := runVariant("probe", env, core.New(env.Plan, nil), metas, []vclock.Time{0})
-	if err != nil {
-		return 0, err
-	}
-	return row.TET, nil
+	return runs[0].Summary.TET, nil
 }

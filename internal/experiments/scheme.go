@@ -1,0 +1,100 @@
+package experiments
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"s3sched/internal/core"
+	"s3sched/internal/dfs"
+	"s3sched/internal/scheduler"
+	"s3sched/internal/trace"
+	"s3sched/internal/vclock"
+)
+
+// SchemeSpec names a scheme and builds a fresh scheduler for a plan;
+// log receives the scheduler's decision trace (nil for none).
+type SchemeSpec struct {
+	Name string
+	Make func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error)
+}
+
+// plainSchemes are the schemes that take no argument, keyed by the
+// name their scheduler reports.
+var plainSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Scheduler{
+	"s3":            func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.New(p, l) },
+	"s3-static":     func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewStatic(p, l) },
+	"s3-nocircular": func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewNoCircular(p, l) },
+	"fifo":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFIFO(p, l) },
+	"fair":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFair(p, l) },
+}
+
+// ParseScheme is the one scheme grammar of the virtual-time side:
+//
+//	s3 | s3-static | s3-nocircular | fifo | fair
+//	mrshare:n[:n…]            predetermined batches of n jobs (any head
+//	                          spelled mrs… reads the same: mrs:4)
+//	window:seconds:maxbatch   time-window MRShare
+//
+// The spec's Name is the one the built scheduler reports.
+func ParseScheme(spec string) (SchemeSpec, error) {
+	head, rest, hasArgs := strings.Cut(spec, ":")
+	switch {
+	case !hasArgs:
+		mk, ok := plainSchemes[spec]
+		if !ok {
+			break
+		}
+		return SchemeSpec{Name: spec, Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return mk(p, l), nil
+		}}, nil
+	case head == "window":
+		secs, maxBatch, ok := strings.Cut(rest, ":")
+		window, err := strconv.ParseFloat(secs, 64)
+		n, nerr := strconv.Atoi(maxBatch)
+		if !ok || err != nil || nerr != nil || window <= 0 || n < 1 {
+			return SchemeSpec{}, fmt.Errorf("bad scheme %q: want window:seconds:maxbatch, both positive", spec)
+		}
+		return SchemeSpec{Name: "mrshare-window", Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return scheduler.NewWindowMRShare(p, vclock.Duration(window), n, l)
+		}}, nil
+	case strings.HasPrefix(head, "mrs"):
+		var sizes []int
+		for _, arg := range strings.Split(rest, ":") {
+			n, err := strconv.Atoi(arg)
+			if err != nil || n < 1 {
+				return SchemeSpec{}, fmt.Errorf("bad scheme %q: batch size %q is not a positive integer (want e.g. mrshare:6:4)", spec, arg)
+			}
+			sizes = append(sizes, n)
+		}
+		return SchemeSpec{Name: "mrshare", Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return scheduler.NewMRShare(p, sizes, l)
+		}}, nil
+	}
+	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare:n[:n…] | window:seconds:maxbatch)", spec)
+}
+
+// parseLabelled is ParseScheme for the studies' tables, whose rows
+// carry their own names: "label=spec" renames the parsed scheme.
+func parseLabelled(s string) (SchemeSpec, error) {
+	label, spec, ok := strings.Cut(s, "=")
+	if !ok {
+		return ParseScheme(s)
+	}
+	scheme, err := ParseScheme(spec)
+	scheme.Name = label
+	return scheme, err
+}
+
+// schemes parses a study's fixed scheme list; a bad entry is a
+// programming error.
+func schemes(specs ...string) []SchemeSpec {
+	out := make([]SchemeSpec, len(specs))
+	for i, s := range specs {
+		var err error
+		if out[i], err = parseLabelled(s); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}

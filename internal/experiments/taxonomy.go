@@ -1,51 +1,13 @@
 package experiments
 
-import (
-	"fmt"
+import "s3sched/internal/metrics"
 
-	"s3sched/internal/core"
-	"s3sched/internal/dfs"
-	"s3sched/internal/scheduler"
-	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
-)
-
-// TaxonomyStudy reproduces §II-B's scheduler taxonomy as a measurement:
-// full-utilization FIFO (jobs block each other), partial-utilization
-// fair scheduling (jobs progress concurrently but never share work),
-// and S^3 (concurrent progress *with* shared scans). The paper's
-// critique of the first two categories becomes three numbers per
-// metric.
-type TaxonomyRow struct {
-	Scheme string
-	TET    vclock.Duration
-	ART    vclock.Duration
-}
-
-// TaxonomyStudy runs all three categories on the sparse normal
-// workload.
-func TaxonomyStudy(p Params) ([]TaxonomyRow, error) {
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-	schemes := []struct {
-		name string
-		mk   func(plan *dfs.SegmentPlan) scheduler.Scheduler
-	}{
-		{"fifo", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFIFO(plan, nil) }},
-		{"fair", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFair(plan, nil) }},
-		{"s3", func(plan *dfs.SegmentPlan) scheduler.Scheduler { return core.New(plan, nil) }},
-	}
-	var out []TaxonomyRow
-	for _, s := range schemes {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return nil, err
-		}
-		row, err := runVariant(s.name, env, s.mk(env.Plan), metas, times)
-		if err != nil {
-			return nil, fmt.Errorf("taxonomy %s: %w", s.name, err)
-		}
-		out = append(out, TaxonomyRow{Scheme: s.name, TET: row.TET, ART: row.ART})
-	}
-	return out, nil
+// TaxonomyStudy reproduces §II-B's scheduler taxonomy as a measurement
+// on the sparse normal workload: full-utilization FIFO (jobs block each
+// other), partial-utilization fair scheduling (jobs progress
+// concurrently but never share work), and S^3 (concurrent progress
+// *with* shared scans). The paper's critique of the first two
+// categories becomes three numbers per metric.
+func TaxonomyStudy(p Params) ([]metrics.Summary, error) {
+	return summarizeAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), schemes("fifo", "fair", "s3"))
 }

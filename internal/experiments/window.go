@@ -3,67 +3,29 @@ package experiments
 import (
 	"fmt"
 
-	"s3sched/internal/core"
-	"s3sched/internal/dfs"
-	"s3sched/internal/scheduler"
+	"s3sched/internal/metrics"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 // WindowStudy goes one step beyond the paper: MRShare's predetermined
 // batches assume query patterns known in advance (§II-C criticizes
 // exactly this). The natural fix for MRShare when patterns are unknown
-// is time-window batching. This study compares S^3 against window
-// batchers of several window lengths on the sparse pattern, showing
-// that no window choice recovers S^3's response times: short windows
-// forfeit sharing, long windows re-create MRShare's waiting.
-type WindowStudyRow struct {
-	Name   string
-	Window vclock.Duration // 0 for the S^3 row
-	TET    vclock.Duration
-	ART    vclock.Duration
-}
-
-// WindowStudy runs S^3 and WindowMRShare at the given window lengths
-// over the sparse normal workload.
-func WindowStudy(p Params, windows []vclock.Duration) ([]WindowStudyRow, error) {
+// is time-window batching. This study compares S^3 (the first row)
+// against window batchers of the given window lengths on the sparse
+// normal workload, showing that no window choice recovers S^3's
+// response times: short windows forfeit sharing, long windows re-create
+// MRShare's waiting.
+func WindowStudy(p Params, windows []vclock.Duration) ([]metrics.Summary, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("experiments: WindowStudy needs window lengths")
 	}
-	metas := workload.WordCountMetas(NumJobs, "input", 1, 1)
-	times := p.SparsePattern()
-
-	var out []WindowStudyRow
-	run := func(name string, window vclock.Duration, mk func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error)) error {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return err
-		}
-		sched, err := mk(env.Plan)
-		if err != nil {
-			return err
-		}
-		row, err := runVariant(name, env, sched, metas, times)
-		if err != nil {
-			return err
-		}
-		out = append(out, WindowStudyRow{Name: name, Window: window, TET: row.TET, ART: row.ART})
-		return nil
-	}
-
-	if err := run("s3", 0, func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-		return core.New(plan, nil), nil
-	}); err != nil {
-		return nil, err
-	}
+	list := schemes("s3")
 	for _, w := range windows {
-		name := fmt.Sprintf("window-%s", w)
-		window := w
-		if err := run(name, window, func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewWindowMRShare(plan, window, NumJobs, nil)
-		}); err != nil {
+		scheme, err := parseLabelled(fmt.Sprintf("window-%s=window:%g:%d", w, w.Seconds(), NumJobs))
+		if err != nil {
 			return nil, err
 		}
+		list = append(list, scheme)
 	}
-	return out, nil
+	return summarizeAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), list)
 }

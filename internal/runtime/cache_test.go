@@ -53,7 +53,7 @@ func TestSimCacheStatsFolded(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := sim.NewExecutor(sim.NewCluster(4, 1), store, telemetryModel)
-	if err := exec.EnableCache(8*64<<20, 0.1); err != nil {
+	if err := exec.EnableCachePolicy(2*64<<20, 0.1, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	arrivals := []Arrival{

@@ -11,30 +11,32 @@ func TestEnableCacheValidation(t *testing.T) {
 	cluster, store, _ := setup(t, 2, 4, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
 	for _, tc := range []struct {
-		bytes int64
-		frac  float64
+		bytes  int64
+		frac   float64
+		policy string
 	}{
-		{0, 0.1},
-		{-1, 0.1},
-		{1 << 20, -0.5},
-		{1 << 20, 1.5},
+		{0, 0.1, dfs.PolicyLRU},
+		{-1, 0.1, dfs.PolicyLRU},
+		{1 << 20, -0.5, dfs.PolicyLRU},
+		{1 << 20, 1.5, dfs.PolicyLRU},
+		{1 << 20, 0.1, "nope"},
 	} {
-		if err := ex.EnableCache(tc.bytes, tc.frac); err == nil {
-			t.Errorf("EnableCache(%d, %v) succeeded, want error", tc.bytes, tc.frac)
+		if err := ex.EnableCachePolicy(tc.bytes, tc.frac, tc.policy); err == nil {
+			t.Errorf("EnableCachePolicy(%d, %v, %q) succeeded, want error", tc.bytes, tc.frac, tc.policy)
 		}
 	}
-	if err := ex.EnableCache(1<<20, 0); err != nil {
-		t.Errorf("EnableCache with frac 0: %v", err)
+	if err := ex.EnableCachePolicy(1<<20, 0, dfs.PolicyLRU); err != nil {
+		t.Errorf("EnableCachePolicy with frac 0: %v", err)
 	}
-	if err := ex.EnableCache(1<<20, 1); err != nil {
-		t.Errorf("EnableCache with frac 1: %v", err)
+	if err := ex.EnableCachePolicy(1<<20, 1, dfs.PolicyCursor); err != nil {
+		t.Errorf("EnableCachePolicy with frac 1: %v", err)
 	}
 }
 
 func TestCachedScanPricedAtFraction(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 8, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 6.4})
-	if err := ex.EnableCache(8*64*mb, 0.1); err != nil {
+	if err := ex.EnableCachePolicy(2*64*mb, 0.1, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	// Cold pass: full disk price (64 MB at 6.4 MB/s -> 10 s).
@@ -66,10 +68,11 @@ func TestCachedScanPricedAtFraction(t *testing.T) {
 func TestCacheEvictionUnderBudget(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 8, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 6.4})
-	// Budget covers one segment (4 blocks) out of two: scanning segment
-	// 1 evicts segment 0, so re-scanning segment 0 is cold again — the
-	// sequential-flooding pathology the cache study documents.
-	if err := ex.EnableCache(4*64*mb, 0.1); err != nil {
+	// Each node's budget covers one of its two blocks, one segment out
+	// of two cluster-wide: scanning segment 1 evicts segment 0, so
+	// re-scanning segment 0 is cold again — the sequential-flooding
+	// pathology the cache study documents.
+	if err := ex.EnableCachePolicy(64*mb, 0.1, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range []int{0, 1, 0} {
@@ -113,7 +116,7 @@ func TestCachedBlocksSkipRemotePenalty(t *testing.T) {
 	}
 
 	ex := NewExecutor(cluster, store, model)
-	if err := ex.EnableCache(8*64*mb, 0.5); err != nil {
+	if err := ex.EnableCachePolicy(2*64*mb, 0.5, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := restricted(ex)
@@ -137,7 +140,7 @@ func TestCachedBlocksSkipRemotePenalty(t *testing.T) {
 func TestCachedBlocksSkipTransientFaults(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 8, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	if err := ex.EnableCache(8*64*mb, 0.1); err != nil {
+	if err := ex.EnableCachePolicy(2*64*mb, 0.1, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	// Near-certain transient block faults, one attempt: a cold round is
@@ -168,7 +171,7 @@ func TestCachedBlocksSkipTransientFaults(t *testing.T) {
 func TestCacheResetStats(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 8, 64*mb)
 	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	if err := ex.EnableCache(8*64*mb, 0.1); err != nil {
+	if err := ex.EnableCachePolicy(2*64*mb, 0.1, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range []int{0, 0} {

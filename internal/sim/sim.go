@@ -196,10 +196,7 @@ func (e *Executor) Stats() Stats { return e.stats }
 func (e *Executor) ResetStats() {
 	e.stats = Stats{}
 	if e.cache != nil {
-		e.cache.stats = metrics.CacheStats{}
-		if e.cache.meta != nil {
-			e.cache.meta.ResetStats()
-		}
+		e.cache.meta.ResetStats()
 	}
 }
 
@@ -320,10 +317,10 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 	}
 	mapSec = e.model.RoundOverhead + e.model.JobSetup*float64(r.FreshJobs) + float64(waves)*perBlockAvg/slowest
 
-	// Readahead bill (policy-twin mode): prefetch issued since the last
-	// round runs under that round's reduce stage; only the part the
-	// overlap window could not hide delays this round's start.
-	if c := e.cache; c != nil && c.meta != nil {
+	// Readahead bill: prefetch issued since the last round runs under
+	// that round's reduce stage; only the part the overlap window could
+	// not hide delays this round's start.
+	if c := e.cache; c != nil {
 		if spill := c.prefetchSec - c.prevRedSec; spill > 0 {
 			mapSec += spill
 		}
@@ -351,8 +348,8 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 		}
 	}
 
-	if c := e.cache; c != nil && c.meta != nil {
-		c.prevRedSec = redSec
+	if e.cache != nil {
+		e.cache.prevRedSec = redSec
 	}
 
 	e.stats.Rounds++

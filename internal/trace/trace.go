@@ -1,6 +1,6 @@
 // Package trace records structured scheduler events into a bounded
 // ring buffer. Tests assert on the decision sequence a scheduler made;
-// cmd/s3demo prints it for humans. Tracing is always cheap enough to
+// `s3bench demo` prints it for humans. Tracing is always cheap enough to
 // leave on: appending an event is a mutex-protected slice write.
 package trace
 

@@ -122,9 +122,9 @@ type FileHeader struct {
 	// injection.
 	FaultRate float64 `json:"faultRate,omitempty"`
 	FaultSeed int64   `json:"faultSeed,omitempty"`
-	// Cache budget for cache-on cells, per node. CacheFrac is the
-	// fraction of scanned blocks the sim's warm-set model expects to
-	// retain (sim.Executor.EnableCache's second knob).
+	// Cache budget for cache-on cells, per node. CacheFrac is what a
+	// warm read costs in the sim, as a fraction of the disk scan
+	// (sim.Executor.EnableCachePolicy's second knob).
 	CacheMBPerNode int     `json:"cacheMBPerNode,omitempty"`
 	CacheFrac      float64 `json:"cacheFrac,omitempty"`
 	// CachePolicy picks the block-cache eviction policy for cache-on
