@@ -44,18 +44,16 @@ func BenchmarkTable1WordcountDetails(b *testing.B) {
 // engine: n jobs merged into one shared-scan batch, n = 1..10.
 func BenchmarkFig3CombinedJobCost(b *testing.B) {
 	cfg := experiments.DefaultFig3Config()
-	for n := 1; n <= cfg.MaxJobs; n++ {
-		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				point, err := experiments.Fig3Single(cfg, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if point.BlockReads != int64(cfg.Blocks) {
-					b.Fatalf("block reads = %d, want %d (shared scan)", point.BlockReads, cfg.Blocks)
-				}
+	for i := 0; i < b.N; i++ {
+		points, err := experiments.Fig3(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, point := range points {
+			if point.BlockReads != int64(cfg.Blocks) {
+				b.Fatalf("%d jobs: block reads = %d, want %d (shared scan)", point.Jobs, point.BlockReads, cfg.Blocks)
 			}
-		})
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
+	"s3sched/internal/journal"
 	"s3sched/internal/remote"
 	"s3sched/internal/workload"
 )
@@ -141,6 +142,13 @@ func (m *masterProc) wait(t *testing.T, timeout time.Duration) error {
 // schedule, so it rejoins a restarted master within tens of ms.
 func startCrashWorker(t *testing.T, ctrl, id string) *dfs.Store {
 	t.Helper()
+	_, store := crashWorker(t, ctrl, id)
+	return store
+}
+
+// crashWorker is startCrashWorker for a test that kills the worker too.
+func crashWorker(t *testing.T, ctrl, id string) (*remote.Worker, *dfs.Store) {
+	t.Helper()
 	store, err := dfs.NewStore(1, 1)
 	if err != nil {
 		t.Fatalf("worker store: %v", err)
@@ -170,7 +178,7 @@ func startCrashWorker(t *testing.T, ctrl, id string) *dfs.Store {
 		t.Fatalf("worker register: %v", err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return store
+	return w, store
 }
 
 // clusterCacheLedger sums the workers' heartbeat ledgers in GET /cluster.
@@ -591,3 +599,81 @@ func TestSigtermCheckpointResume(t *testing.T) {
 	}
 	_ = m2.wait(t, 30*time.Second)
 }
+
+// recoveredOutputs is the durability contract of a done job's output: two
+// selections finish under a journaling master, which is SIGKILLed; a
+// second incarnation on the same journal — receipts restored, the stash
+// epoch kept — answers GET /jobs/<id>/output with the same bytes. With
+// both workers still up they come from where the receipts say, and
+// nothing is computed again; with one of them replaced by an empty
+// process meanwhile, half of each output is gone and is recomputed. The
+// journal holds no output, only receipts: no record is larger than 4 KB.
+func recoveredOutputs(t *testing.T, loseHolder bool) {
+	if testing.Short() {
+		t.Skip("multi-process crash test")
+	}
+	dir := t.TempDir()
+	ctrl, statusAddr := pickAddr(t), pickAddr(t)
+	journalPath := filepath.Join(dir, "journal.wal")
+	base := "http://" + statusAddr
+
+	m1 := spawnMaster(t, "master1", ctrl, statusAddr, journalPath, "")
+	startCrashWorker(t, ctrl, "worker-a")
+	victim, _ := crashWorker(t, ctrl, "worker-b")
+	waitStatus(t, base, 30*time.Second, "master1 up", func(statusSnapshot) bool { return true })
+	ids := []int{postJob(t, base, "selection", "25"), postJob(t, base, "selection", "40")}
+	waitJobsDone(t, base, ids, 60*time.Second)
+	want := jobOutputs(t, base, ids)
+	if err := m1.cmd.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL master1: %v", err)
+	}
+	_ = m1.cmd.Wait()
+	if loseHolder {
+		victim.Close()
+		startCrashWorker(t, ctrl, "worker-b")
+	}
+
+	m2 := spawnMaster(t, "master2", ctrl, statusAddr, journalPath, "")
+	waitStatus(t, base, 30*time.Second, "master2 recovery", func(st statusSnapshot) bool { return st.Recovery != nil })
+	got := jobOutputs(t, base, ids)
+	for _, id := range ids {
+		if len(want[id]) < 1<<10 || !bytes.Equal(got[id], want[id]) {
+			t.Errorf("job %d: %d bytes after the restart, %d before", id, len(got[id]), len(want[id]))
+		}
+	}
+	recomputes := scrapeMetric(t, base, "s3_result_recomputes_total")
+	if mismatches := scrapeMetric(t, base, "s3_result_recompute_mismatches_total"); mismatches != 0 || (recomputes != 0) != loseHolder {
+		t.Errorf("%v recomputes and %v mismatches with holder lost = %v", recomputes, mismatches, loseHolder)
+	}
+	if err := m2.cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatalf("SIGINT master2: %v", err)
+	}
+	if err := m2.wait(t, 30*time.Second); err != nil {
+		t.Fatalf("master2 exited uncleanly: %v", err)
+	}
+
+	f, err := os.Open(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := journal.Replay(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := 0
+	for _, e := range entries {
+		if e.Kind == journal.KindJobResult {
+			results++
+		}
+		if len(e.Data) > 4<<10 {
+			t.Errorf("a %s record of %d bytes: the journal of non-DAG jobs holds receipts, not output", e.Kind, len(e.Data))
+		}
+	}
+	if results != len(ids) {
+		t.Errorf("%d job-result records for %d jobs", results, len(ids))
+	}
+}
+
+func TestRecoveredMasterServesHeldResults(t *testing.T)    { recoveredOutputs(t, false) }
+func TestRecoveredMasterRecomputesLostResult(t *testing.T) { recoveredOutputs(t, true) }

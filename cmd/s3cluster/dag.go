@@ -20,8 +20,9 @@ import (
 // materializeStage turns job id's committed reduce output into the
 // derived file its consumers scan. Steps, in crash-safe order:
 //
-//  1. serialize the output into the planning store (idempotent: a file
-//     already present — a recovery replay — is reused);
+//  1. fetch the output from the workers that keep it, journal it as a
+//     job-result that carries the records, and serialize it into the
+//     planning store (idempotent: a file already present is reused);
 //  2. push the blocks to every live worker (InstallFile is idempotent
 //     worker-side; a worker registering later gets the file replayed
 //     during its handshake);
@@ -37,9 +38,14 @@ func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *d
 	name := workload.DerivedFileName(id)
 	file, err := planStore.File(name)
 	if err != nil {
-		out, ok := master.JobOutput(id)
-		if !ok {
-			return fmt.Errorf("job %d has no committed result to materialize", id)
+		out, err := master.JobOutput(id)
+		if err != nil {
+			return fmt.Errorf("output of job %d to materialize: %w", id, err)
+		}
+		if jnl != nil { // recovery redoes this before any worker has registered: it needs the records
+			if err := jnl.AppendRecord(journal.KindJobResult, journal.JobResultRecord{Job: id, Output: out}); err != nil {
+				return fmt.Errorf("journaling the output of job %d: %w", id, err)
+			}
 		}
 		file, err = mapreduce.StoreResult(planStore, name, *blockSize, &mapreduce.Result{Output: out})
 		if err != nil {

@@ -20,6 +20,12 @@ import (
 	"testing"
 	"time"
 
+	"s3sched/internal/core"
+	"s3sched/internal/dfs"
+	"s3sched/internal/journal"
+	"s3sched/internal/remote"
+	"s3sched/internal/runtime"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
 
@@ -180,5 +186,113 @@ func TestMasterCrashRecoveryDAG(t *testing.T) {
 	}
 	if !bytes.Contains(traceOut, []byte("journal-recovered")) {
 		t.Error("exported trace lacks the journal-recovered event")
+	}
+}
+
+// A DAG producer is the one job whose output the journal keeps: when it
+// becomes a derived file, a job-result that carries the records is written
+// before stage-materialized, and a master recovering from that journal —
+// with no worker registered, nobody to fetch from or to recompute on —
+// rebuilds the same file from it.
+func TestDAGProducerOutputSurvivesWithoutWorkers(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		store, err := workerStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := remote.NewWorker(store, remote.NewStandardRegistry())
+		addr, err := w.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		addrs = append(addrs, addr)
+	}
+	master, err := remote.Dial(addrs, map[scheduler.JobID]remote.JobRef{1: {Name: "wc", Factory: "wordcount", Param: "t", NumReduce: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	jnl, _, err := journal.Open(path, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.SetJournal(jnl)
+	// planning is drive()'s: a metadata-only corpus and its segment plan.
+	planning := func() (*dfs.Store, *core.MultiFile) {
+		store := dfs.MustStore(2, 1)
+		f, err := store.AddMetaFile("corpus", *blocks, *blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := dfs.PlanSegments(f, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := core.NewMultiFile([]*dfs.SegmentPlan{plan}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, sched
+	}
+	derived := func(store *dfs.Store) (out []byte) {
+		f, err := store.File(workload.DerivedFileName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < f.NumBlocks; i++ {
+			b, err := store.ReadBlock(dfs.BlockID{File: f.Name, Index: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
+		}
+		return out
+	}
+
+	planStore, sched := planning()
+	arrival := []runtime.Arrival{{Job: scheduler.JobMeta{ID: 1, File: "corpus"}}}
+	if _, err := runtime.RunTrace(sched, master, arrival, runtime.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := materializeStage(master, sched, planStore, jnl, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := derived(planStore)
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := journal.Replay(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range entries {
+		kinds = append(kinds, e.Kind)
+	}
+	if fmt.Sprint(kinds) != "[job-result job-result stage-materialized]" || bytes.Contains(entries[0].Data, []byte(`"output"`)) || !bytes.Contains(entries[1].Data, []byte(`"output"`)) {
+		t.Fatalf("the journal holds %v: want the receipts, then the records, then the materialisation", kinds)
+	}
+	st, err := journal.ReduceEntries(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := remote.NewMaster(nil) // and no worker, ever
+	defer recovered.Close()
+	recovered.RestoreResult(st.Results[1])
+	planStore, sched = planning()
+	if err := materializeStage(recovered, sched, planStore, nil, 2, 1); err != nil {
+		t.Fatalf("re-materialising without workers: %v", err)
+	}
+	if got := derived(planStore); len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("the rebuilt file is %d bytes, the first master's %d", len(got), len(want))
 	}
 }

@@ -545,7 +545,9 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 		recovered := false
 		var journalEpoch int64
 		if jnl != nil && len(replayed.Entries) > 0 {
-			rep, err := recoverFromJournal(jnl, replayed.Entries, sched, master, src, dag, adm, remat, &opts)
+			// Without the journal: what re-materialising would write is what is being replayed.
+			quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, numWorkers, id) }
+			rep, err := recoverFromJournal(jnl, replayed.Entries, sched, master, src, dag, adm, quiet, &opts)
 			if err != nil {
 				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 			}
@@ -687,7 +689,7 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	if err != nil {
 		return err
 	}
-	var reads, fetched, stashed int64
+	var reads, fetched, stashed, held, evicted int64
 	var cache metrics.CacheStats
 	for _, st := range stats {
 		fmt.Printf("worker %s: %d block reads, %d map tasks, %d reduce tasks", st.Worker, st.BlockReads, st.MapTasks, st.ReduceTasks)
@@ -696,6 +698,7 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 		}
 		fmt.Println()
 		reads, fetched, stashed = reads+st.BlockReads, fetched+st.ShuffleFetchedBytes, stashed+st.StashBytes
+		held, evicted = held+st.ResultBytes, evicted+st.ResultEvictions
 		cache.Add(st.Cache())
 	}
 	fmt.Printf("cluster block reads: %d (isolated jobs would need %d)\n", reads, int64(len(names))*int64(*blocks))
@@ -707,8 +710,14 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	if srv != nil && cache.Hits+cache.Misses > 0 {
 		srv.SetCache(cache)
 	}
-	for id, out := range master.Results() {
-		fmt.Printf("job %d (%s): %d output keys\n", id, names[id], len(out))
+	recomputes, _ := master.ResultRecomputes()
+	fmt.Printf("cluster results: %d bytes held on the workers, %d evictions, %d recomputes\n", held, evicted, recomputes)
+	if !*serve { // a daemon's clients read outputs over HTTP, and an evicted one costs a pass
+		for id, name := range names {
+			if out, err := master.JobOutput(id); err == nil {
+				fmt.Printf("job %d (%s): %d output keys\n", id, name, len(out))
+			}
+		}
 	}
 	return nil
 }

@@ -106,14 +106,18 @@ func recoverFromJournal(
 		meta.ID = id
 		ref := remote.JobRef{Name: rec.Name, Factory: rec.Factory, Param: rec.Param, NumReduce: rec.NumReduce}
 
-		if end, done := st.Done[id]; done {
-			// Settled and succeeded: republish the result so
-			// GET /jobs/<id>/output keeps serving across restarts.
+		end, done := st.Done[id]
+		if result, hasResult := st.Results[id]; done || hasResult {
+			// Settled and succeeded — or the result committed and the crash
+			// beat the job-done record (end.At is then zero), which is
+			// finished in every way that matters. Republish the result so
+			// GET /jobs/<id>/output keeps serving across restarts: from the
+			// workers its receipts name, or by recomputing.
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
 			}
-			if out, ok := st.Results[id]; ok {
-				master.RestoreResult(id, out)
+			if hasResult {
+				master.RestoreResult(result)
 			}
 			if err := src.Adopt(meta, runtime.JobDone, 0, end.At); err != nil {
 				return nil, err
@@ -124,28 +128,6 @@ func recoverFromJournal(
 			// result), before any consumer is resubmitted and before
 			// RestoreState needs its queue registered. Walking st.Order
 			// keeps the registration order deterministic.
-			if _, wasMat := st.Materialized[id]; wasMat {
-				if err := remat(id); err != nil {
-					return nil, fmt.Errorf("re-materializing job %d output: %w", id, err)
-				}
-				dag.AdoptMaterialized(id)
-			}
-			adm.adopt(id, ref)
-			rep.settled++
-			continue
-		}
-		if _, hasResult := st.Results[id]; hasResult {
-			// The result committed but the crash beat the job-done
-			// record. The job is finished in every way that matters:
-			// adopt it as done rather than re-running a completed job.
-			if err := master.RegisterJob(id, ref); err != nil {
-				return nil, err
-			}
-			master.RestoreResult(id, st.Results[id])
-			if err := src.Adopt(meta, runtime.JobDone, 0, 0); err != nil {
-				return nil, err
-			}
-			dag.AdoptDone(id, false)
 			if _, wasMat := st.Materialized[id]; wasMat {
 				if err := remat(id); err != nil {
 					return nil, fmt.Errorf("re-materializing job %d output: %w", id, err)

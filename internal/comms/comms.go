@@ -103,6 +103,8 @@ type MemberEvent struct {
 // StashBytes / StashEntries are the map output it holds for unfinished
 // jobs (key and value bytes; an entry per job and block), ShuffleServedBytes
 // / ShuffleFetchedBytes what it gave to and took from peers reducing.
+// ResultBytes / ResultEntries are the reduce output frames it keeps,
+// ResultEvictions those it dropped, ResultServedBytes what the master read.
 type WireStats struct {
 	BlockReads          int64
 	BytesScanned        int64
@@ -120,6 +122,10 @@ type WireStats struct {
 	StashEntries        int64
 	ShuffleServedBytes  int64
 	ShuffleFetchedBytes int64
+	ResultBytes         int64
+	ResultEntries       int64
+	ResultEvictions     int64
+	ResultServedBytes   int64
 }
 
 // Cache returns the ledger's block-cache counters in the form the

@@ -284,7 +284,7 @@ func TestCacheTransparencyProperty(t *testing.T) {
 				return nil, dfs.Stats{}, false
 			}
 			if cacheBytes > 0 {
-				if _, err := store.EnableCache(cacheBytes); err != nil {
+				if _, err := store.EnableCachePolicy(cacheBytes, dfs.PolicyLRU); err != nil {
 					return nil, dfs.Stats{}, false
 				}
 			}

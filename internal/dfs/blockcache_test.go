@@ -32,7 +32,7 @@ func cacheStore(t *testing.T, nodes, blocks int, blockSize int64) (*Store, *atom
 
 func TestCacheHitSkipsSource(t *testing.T) {
 	s, gens := cacheStore(t, 2, 4, 64)
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	id := BlockID{File: "f", Index: 1}
@@ -62,7 +62,7 @@ func TestCacheHitSkipsSource(t *testing.T) {
 
 func TestCachePerNodeShards(t *testing.T) {
 	s, gens := cacheStore(t, 4, 4, 64)
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	id := BlockID{File: "f", Index: 0}
@@ -89,7 +89,7 @@ func TestCachePerNodeShards(t *testing.T) {
 // must see identical bytes.
 func TestCacheSingleFlight(t *testing.T) {
 	s, gens := cacheStore(t, 2, 4, 256)
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	const readers = 32
@@ -134,7 +134,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	s, _ := cacheStore(t, 1, 4, 100)
-	c, err := s.EnableCache(250) // room for two 100-byte blocks
+	c, err := s.EnableCachePolicy(250, PolicyLRU) // room for two 100-byte blocks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheOversizedBlockNotCached(t *testing.T) {
 	s, gens := cacheStore(t, 1, 2, 512)
-	if _, err := s.EnableCache(100); err != nil {
+	if _, err := s.EnableCachePolicy(100, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	id := BlockID{File: "f", Index: 0}
@@ -192,7 +192,7 @@ func TestCacheOversizedBlockNotCached(t *testing.T) {
 
 func TestCacheFaultedReadNeverCached(t *testing.T) {
 	s, gens := cacheStore(t, 1, 2, 64)
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected")
@@ -237,7 +237,7 @@ func TestCacheMetadataOnlyFileStaysUnreadable(t *testing.T) {
 	if _, err := s.AddMetaFile("meta", 2, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.ReadBlock(BlockID{File: "meta", Index: 0}); err == nil {
@@ -345,14 +345,14 @@ func TestResetStatsCoversAllCounters(t *testing.T) {
 func TestEnableCacheRejectsBadBudget(t *testing.T) {
 	s := MustStore(1, 1)
 	for _, budget := range []int64{0, -5} {
-		if _, err := s.EnableCache(budget); err == nil {
-			t.Fatalf("EnableCache(%d) succeeded, want error", budget)
+		if _, err := s.EnableCachePolicy(budget, PolicyLRU); err == nil {
+			t.Fatalf("EnableCachePolicy(%d) succeeded, want error", budget)
 		}
 	}
 	if _, err := NewBlockCachePolicy(0, PolicyLRU); err == nil {
 		t.Fatal("NewBlockCachePolicy(0, lru) succeeded, want error")
 	}
-	c, err := s.EnableCache(4096)
+	c, err := s.EnableCachePolicy(4096, PolicyLRU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestCacheSingleFlightErrorPropagates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.EnableCache(1 << 20); err != nil {
+	if _, err := s.EnableCachePolicy(1<<20, PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	const readers = 8
@@ -415,13 +415,13 @@ func TestCacheStatsHitRatio(t *testing.T) {
 	}
 }
 
-func ExampleStore_EnableCache() {
+func ExampleStore_EnableCachePolicy() {
 	s := MustStore(2, 1)
 	blocks := [][]byte{[]byte("aaaa"), []byte("bbbb")}
 	if _, err := s.AddFile("f", 4, blocks); err != nil {
 		panic(err)
 	}
-	if _, err := s.EnableCache(1 << 10); err != nil {
+	if _, err := s.EnableCachePolicy(1<<10, PolicyLRU); err != nil {
 		panic(err)
 	}
 	id := BlockID{File: "f", Index: 0}

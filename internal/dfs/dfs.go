@@ -170,19 +170,14 @@ func (s *Store) SetReadFault(f ReadFault) {
 	s.mu.Unlock()
 }
 
-// EnableCache installs a node-local block cache giving every node
-// shard bytesPerNode of budget, and returns it. Subsequent ReadBlock/
-// ReadBlockAt calls are served through the cache: hits skip the source
-// (and the fault hook) entirely and are not charged to the scan
-// counters. Install before execution starts. The cache uses the
-// baseline LRU policy; use EnableCachePolicy to pick another.
-func (s *Store) EnableCache(bytesPerNode int64) (*BlockCache, error) {
-	return s.EnableCachePolicy(bytesPerNode, PolicyLRU)
-}
-
-// EnableCachePolicy is EnableCache with an explicit eviction policy
-// (see Policies). Wire the scheduler's hint stream to HandleScanHint to
-// activate the cursor policy's pinning and prefetch.
+// EnableCachePolicy installs a node-local block cache giving every node
+// shard bytesPerNode of budget under the named eviction policy (see
+// Policies; PolicyLRU is the baseline), and returns it. Subsequent
+// ReadBlock/ReadBlockAt calls are served through the cache: hits skip
+// the source (and the fault hook) entirely and are not charged to the
+// scan counters. Install before execution starts. Wire the scheduler's
+// hint stream to HandleScanHint to activate the cursor policy's pinning
+// and prefetch.
 func (s *Store) EnableCachePolicy(bytesPerNode int64, policy string) (*BlockCache, error) {
 	c, err := NewBlockCachePolicy(bytesPerNode, policy)
 	if err != nil {

@@ -116,7 +116,11 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 			reads += st.BlockReads
 		}
 		outs := make(map[scheduler.JobID]string, cfg.Jobs)
-		for id, kvs := range master.Results() {
+		for id := range refs {
+			kvs, err := master.JobOutput(id)
+			if err != nil {
+				return 0, 0, nil, err
+			}
 			outs[id] = fmt.Sprint(kvs)
 		}
 		return reads, res.Rounds, outs, nil

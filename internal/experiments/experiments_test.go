@@ -122,17 +122,3 @@ func TestNamedPanelWrappers(t *testing.T) {
 		}
 	}
 }
-
-func TestFig3SingleMatchesSweepPoint(t *testing.T) {
-	cfg := DefaultFig3Config()
-	point, err := Fig3Single(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if point.Jobs != 3 || point.BlockReads != int64(cfg.Blocks) {
-		t.Errorf("point = %+v", point)
-	}
-	if _, err := Fig3Single(cfg, 0); err == nil {
-		t.Error("zero jobs should fail")
-	}
-}

@@ -70,15 +70,6 @@ func Fig3(cfg Fig3Config) ([]CombinedCost, error) {
 	return out, nil
 }
 
-// Fig3Single runs one combined batch of exactly n jobs (one Figure 3
-// data point).
-func Fig3Single(cfg Fig3Config, n int) (CombinedCost, error) {
-	if n <= 0 || cfg.Blocks <= 0 || cfg.BlockSize <= 0 {
-		return CombinedCost{}, fmt.Errorf("experiments: invalid Fig3 point (n=%d, %+v)", n, cfg)
-	}
-	return fig3Point(cfg, n)
-}
-
 // SimCombinedCost is one Figure 3 data point priced by the calibrated
 // cost model at full paper scale (2560 blocks, 40 slots). The real
 // engine (Fig3) demonstrates the mechanism — constant physical scans,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"s3sched/internal/mapreduce"
 )
 
 // FuzzJournalReplay feeds arbitrary bytes — seeded with valid logs,
@@ -14,7 +16,7 @@ import (
 // error on arbitrary input is a typed *CorruptError; and Open always
 // repairs the file to a cleanly appendable state.
 func FuzzJournalReplay(f *testing.F) {
-	// Seed: a valid two-record journal and mutations of it.
+	// Seed: a valid four-record journal and mutations of it.
 	valid := func() []byte {
 		dir, err := os.MkdirTemp("", "seed")
 		if err != nil {
@@ -27,6 +29,13 @@ func FuzzJournalReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 		if err := j.AppendRecord(KindJobAdmitted, JobAdmittedRecord{ID: 1, Factory: "wordcount", NumReduce: 2}); err != nil {
+			f.Fatal(err)
+		}
+		// Both shapes of job-result: receipts, and the output itself.
+		if err := j.AppendRecord(KindJobResult, JobResultRecord{Job: 1, File: "corpus", Parts: []ResultPart{{Records: 3, Bytes: 17, Sum: 0x1badb002, Holder: "w0"}}}); err != nil {
+			f.Fatal(err)
+		}
+		if err := j.AppendRecord(KindJobResult, JobResultRecord{Job: 1, Output: []mapreduce.KV{{Key: "k", Value: "v"}}}); err != nil {
 			f.Fatal(err)
 		}
 		if err := j.AppendRecord(KindJobDone, JobEndRecord{Job: 1, At: 2}); err != nil {

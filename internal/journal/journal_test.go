@@ -250,7 +250,7 @@ func TestReduceEntriesFold(t *testing.T) {
 	if st.MaxID != 3 || st.Recoveries != 1 || st.Epoch != 41 {
 		t.Fatalf("maxID %d recoveries %d epoch %d", st.MaxID, st.Recoveries, st.Epoch)
 	}
-	if len(st.Done) != 1 || len(st.Results[1]) != 1 {
+	if len(st.Done) != 1 || len(st.Results[1].Output) != 1 {
 		t.Fatalf("done %v results %v", st.Done, st.Results)
 	}
 	if len(st.Order) != 3 || len(st.Failed) != 0 {
@@ -331,6 +331,46 @@ func TestReduceEntriesDAGRecords(t *testing.T) {
 	}
 	if st.InSnapshot(1) {
 		t.Fatal("InSnapshot with no snapshot")
+	}
+}
+
+// A job-result record has two shapes, and both come back from the file as
+// they went in: receipts and holders (what a finished job costs the
+// journal now), or the output itself (an older journal, a DAG producer) —
+// and of two records for one job the fold keeps the later.
+func TestJobResultShapesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j, _ := openT(t, path, Options{Sync: SyncNever})
+	receipts := JobResultRecord{Job: 1, File: "lineitem", Parts: []ResultPart{
+		{Records: 16800, Bytes: 851234, Sum: 0xdeadbeef, Holder: "worker@127.0.0.1:7001"},
+		{Records: 0, Bytes: 1, Sum: 0x527d5351, Holder: "worker@127.0.0.1:7002"},
+	}}
+	inline := JobResultRecord{Job: 2, Output: []mapreduce.KV{{Key: "the", Value: "4"}, {Key: "zebra", Value: ""}}}
+	kept := JobResultRecord{Job: 1, File: "lineitem", Output: []mapreduce.KV{{Key: "k", Value: "v"}}}
+	for _, rec := range []JobResultRecord{receipts, inline, kept} {
+		if err := j.AppendRecord(KindJobResult, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	_, rep := openT(t, path, Options{})
+	var got []JobResultRecord
+	for _, e := range rep.Entries {
+		var rec JobResultRecord
+		if err := json.Unmarshal(e.Data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec)
+	}
+	if !reflect.DeepEqual(got, []JobResultRecord{receipts, inline, kept}) {
+		t.Fatalf("replayed %+v", got)
+	}
+	if n := len(rep.Entries[0].Data); n > 256 {
+		t.Errorf("a two-partition receipt record is %d bytes, want at most 256", n)
+	}
+	st, err := ReduceEntries(rep.Entries)
+	if err != nil || !reflect.DeepEqual(st.Results[1], kept) || !reflect.DeepEqual(st.Results[2], inline) {
+		t.Fatalf("fold kept %+v, %v", st.Results, err)
 	}
 }
 

@@ -26,8 +26,7 @@ const (
 	// their map output gone and have it mapped again); kind and record
 	// stay for bench/perf's journal.encode_ms_per_mb probe, which builds one.
 	KindShuffleCommitted = "shuffle-committed"
-	// KindJobResult: a job's reduce phase completed and its merged
-	// output is final.
+	// KindJobResult: a job's reduce phase completed and its output is final.
 	KindJobResult = "job-result"
 	// KindRoundCommitted: the engine retired a round; carries the
 	// scheduler snapshot taken at the round boundary.
@@ -78,10 +77,26 @@ type ShuffleCommittedRecord struct {
 	Parts   [][]mapreduce.KV `json:"parts"`
 }
 
-// JobResultRecord persists a completed job's final merged output.
+// JobResultRecord persists a completed job's result, in one of two shapes.
+// Parts: per reduce partition, the receipt of the output frame and the
+// worker keeping it; the output is recomputable from File, which the job
+// scanned. Output: the merged records themselves — what was written before
+// receipts existed, and what a DAG producer gets when its output becomes a
+// derived file, which recovery rebuilds with no worker to ask.
 type JobResultRecord struct {
 	Job    scheduler.JobID `json:"job"`
-	Output []mapreduce.KV  `json:"output"`
+	File   string          `json:"file,omitempty"`
+	Parts  []ResultPart    `json:"parts,omitempty"`
+	Output []mapreduce.KV  `json:"output,omitempty"`
+}
+
+// ResultPart is one reduced partition's receipt: the frame's record count,
+// length and CRC-32C, and the id of the worker that kept it.
+type ResultPart struct {
+	Records int64  `json:"records"`
+	Bytes   int64  `json:"bytes"`
+	Sum     uint32 `json:"sum"`
+	Holder  string `json:"holder"`
 }
 
 // StageMaterializedRecord marks a producer stage's output as installed

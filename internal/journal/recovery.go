@@ -1,9 +1,6 @@
 package journal
 
-import (
-	"s3sched/internal/mapreduce"
-	"s3sched/internal/scheduler"
-)
+import "s3sched/internal/scheduler"
 
 // MasterState is the fold of a journal's records: everything a booting
 // master needs to resume. ReduceEntries builds it; the recovery glue
@@ -18,8 +15,8 @@ type MasterState struct {
 	// Done and Failed are the settled jobs.
 	Done   map[scheduler.JobID]JobEndRecord
 	Failed map[scheduler.JobID]JobEndRecord
-	// Results holds completed jobs' final outputs.
-	Results map[scheduler.JobID][]mapreduce.KV
+	// Results holds completed jobs' newest job-result records.
+	Results map[scheduler.JobID]JobResultRecord
 	// Materialized maps a producer stage to its derived-file record:
 	// the crashed run installed this output cluster-wide, so recovery
 	// must re-install it before resuming anything that scans it.
@@ -62,7 +59,7 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 		Admitted:     make(map[scheduler.JobID]JobAdmittedRecord),
 		Done:         make(map[scheduler.JobID]JobEndRecord),
 		Failed:       make(map[scheduler.JobID]JobEndRecord),
-		Results:      make(map[scheduler.JobID][]mapreduce.KV),
+		Results:      make(map[scheduler.JobID]JobResultRecord),
 		Materialized: make(map[scheduler.JobID]StageMaterializedRecord),
 	}
 	for _, e := range entries {
@@ -92,7 +89,7 @@ func ReduceEntries(entries []Entry) (*MasterState, error) {
 			if err := decode(e, &rec); err != nil {
 				return nil, err
 			}
-			st.Results[rec.Job] = rec.Output
+			st.Results[rec.Job] = rec
 		case KindStageMaterialized:
 			var rec StageMaterializedRecord
 			if err := decode(e, &rec); err != nil {

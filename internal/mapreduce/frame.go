@@ -36,7 +36,7 @@ func AppendFrame(dst []byte, kvs []KV) []byte {
 
 // FrameUvarint reads a uvarint of at most limit — what the bytes behind
 // it could hold — off the front of s; a padded encoding is an error.
-func FrameUvarint[B ~string | ~[]byte](s B, limit int) (int, B, error) {
+func FrameUvarint(s string, limit int) (int, string, error) {
 	var x uint64
 	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
 		b := s[i]
@@ -53,7 +53,7 @@ func FrameUvarint[B ~string | ~[]byte](s B, limit int) (int, B, error) {
 
 // frameRecord reads one record's lengths: the key starts at rest[0] and
 // key and value both fit in rest.
-func frameRecord[B ~string | ~[]byte](s B) (klen, vlen int, rest B, err error) {
+func frameRecord(s string) (klen, vlen int, rest string, err error) {
 	if klen, s, err = FrameUvarint(s, len(s)); err == nil {
 		vlen, s, err = FrameUvarint(s, len(s))
 	}
@@ -80,19 +80,4 @@ func DecodeFrame(s string) (kvs []KV, rest string, err error) {
 		kvs[i], s = KV{Key: s[:klen], Value: s[klen : klen+vlen]}, s[klen+vlen:]
 	}
 	return kvs, s, nil
-}
-
-// CheckFrame reports whether b is exactly one frame DecodeFrame
-// accepts. It allocates nothing.
-func CheckFrame(b []byte) error {
-	n, b, err := FrameUvarint(b, len(b)/2)
-	for klen, vlen := 0, 0; n > 0 && err == nil; n-- {
-		if klen, vlen, b, err = frameRecord(b); err == nil {
-			b = b[klen+vlen:]
-		}
-	}
-	if err == nil && len(b) > 0 {
-		err = fmt.Errorf("mapreduce: malformed frame: %d trailing bytes", len(b))
-	}
-	return err
 }

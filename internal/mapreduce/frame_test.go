@@ -52,9 +52,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(frame) != FrameSize(want) {
 			t.Fatalf("FrameSize = %d, AppendFrame wrote %d bytes", FrameSize(want), len(frame))
 		}
-		if err := CheckFrame(frame); err != nil {
-			t.Fatalf("CheckFrame rejects AppendFrame's output: %v", err)
-		}
 		got, rest, err := DecodeFrame(string(frame))
 		if err != nil || rest != "" {
 			t.Fatalf("decode: err %v, %d bytes left", err, len(rest))
@@ -71,9 +68,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if got, rest, err = DecodeFrame(rest); err != nil || rest != "" || !reflect.DeepEqual(got, tail) {
 			t.Fatalf("second frame: err %v, %d bytes left, equal %v", err, len(rest), reflect.DeepEqual(got, tail))
-		}
-		if CheckFrame(both) == nil {
-			t.Fatal("CheckFrame accepts two frames as one")
 		}
 	}
 }
@@ -99,17 +93,13 @@ func TestDecodeFrameRejects(t *testing.T) {
 		if kvs, _, err := DecodeFrame(string(frame)); err == nil || !strings.Contains(err.Error(), "malformed frame") {
 			t.Errorf("%s: DecodeFrame = %d records, err %v; want a malformed-frame error", name, len(kvs), err)
 		}
-		if CheckFrame(frame) == nil {
-			t.Errorf("%s: CheckFrame accepts it", name)
-		}
 	}
 }
 
 // FuzzFrameDecode: arbitrary bytes never panic the decoder and never
 // make it allocate more than a constant factor of the input; whatever
 // decodes re-encodes to the very bytes consumed (the format has one
-// encoding per run), and CheckFrame agrees with DecodeFrame about what
-// one whole frame is.
+// encoding per run).
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add(AppendFrame(nil, []KV{{"", ""}, {"key", "value"}, {"\xff\xfe", strings.Repeat("x", 300)}}))
@@ -125,10 +115,6 @@ func FuzzFrameDecode(f *testing.F) {
 		// input bytes: 17 × the input, plus slack for what else the process does.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(17*len(data)+64<<10) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
-		whole := err == nil && rest == ""
-		if (CheckFrame(data) == nil) != whole {
-			t.Fatalf("CheckFrame = %v, DecodeFrame err %v with %d bytes left", CheckFrame(data), err, len(rest))
 		}
 		if err != nil {
 			return

@@ -62,6 +62,13 @@ type RunMetrics struct {
 	ShuffleFetchedBytes *Counter
 	ShuffleRepairMaps   *Counter
 
+	// Finished output kept on the workers, newest reading (SetResultStats).
+	ResultStoreBytes   *Gauge
+	ResultEvictions    *Counter
+	ResultFetchedBytes *Counter
+	ResultRecomputes   *Counter
+	ResultMismatches   *Counter
+
 	// HeartbeatMisses counts control-plane heartbeat deadlines missed by
 	// registered workers; WorkerReconnects counts restarted workers
 	// re-registering under their old identity. Both stay zero outside
@@ -135,6 +142,11 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		ShuffleStashBytes:   reg.Gauge("s3_shuffle_stash_bytes", "map output held on the workers for unfinished jobs"),
 		ShuffleFetchedBytes: reg.Counter("s3_shuffle_fetched_bytes_total", "map output bytes reducers fetched from peer workers"),
 		ShuffleRepairMaps:   reg.Counter("s3_shuffle_repair_maps_total", "map tasks re-run because no live worker held their output"),
+		ResultStoreBytes:    reg.Gauge("s3_result_store_bytes", "finished jobs' output frames held on the workers"),
+		ResultEvictions:     reg.Counter("s3_result_evictions_total", "output frames workers dropped to fit their result budget"),
+		ResultFetchedBytes:  reg.Counter("s3_result_fetched_bytes_total", "output frame bytes the master fetched from workers"),
+		ResultRecomputes:    reg.Counter("s3_result_recomputes_total", "finished jobs reduced again because their output was lost or evicted"),
+		ResultMismatches:    reg.Counter("s3_result_recompute_mismatches_total", "recomputes whose receipts differed from the committed ones"),
 
 		JournalAppends: reg.Counter("s3_journal_appends_total", "records appended to the write-ahead journal"),
 		JournalBytes:   reg.Gauge("s3_journal_bytes", "write-ahead journal file size"),
@@ -160,6 +172,16 @@ func (m *RunMetrics) SetCacheStats(cs CacheStats) {
 	m.CacheHitRatio.Set(cs.HitRatio())
 	m.CacheBytes.Set(float64(cs.Bytes))
 	m.CachePinnedBytes.Set(float64(cs.PinnedBytes))
+}
+
+// SetResultStats publishes a reading of the cluster's result-store
+// counters, under the same rule as SetCacheStats.
+func (m *RunMetrics) SetResultStats(storeBytes, evictions, fetchedBytes, recomputes, mismatches int64) {
+	m.ResultStoreBytes.Set(float64(storeBytes))
+	m.ResultEvictions.RaiseTo(float64(evictions))
+	m.ResultFetchedBytes.RaiseTo(float64(fetchedBytes))
+	m.ResultRecomputes.RaiseTo(float64(recomputes))
+	m.ResultMismatches.RaiseTo(float64(mismatches))
 }
 
 // SetShuffleStats publishes a reading of the cluster's shuffle counters,

@@ -204,6 +204,7 @@ func (w *Worker) wireStats() comms.WireStats {
 	cs := w.store.CacheStats()
 	w.stash.mu.Lock()
 	stashBytes, stashEntries := w.stash.bytes, w.stash.entries
+	resultBytes, resultEntries, evictions, served := w.stash.resultBytes, int64(len(w.stash.results)), w.stash.evictions, w.stash.served
 	w.stash.mu.Unlock()
 	return comms.WireStats{
 		BlockReads:          st.BlockReads,
@@ -222,6 +223,10 @@ func (w *Worker) wireStats() comms.WireStats {
 		StashEntries:        stashEntries,
 		ShuffleServedBytes:  w.servedBytes.Load(),
 		ShuffleFetchedBytes: w.fetchedBytes.Load(),
+		ResultBytes:         resultBytes,
+		ResultEntries:       resultEntries,
+		ResultEvictions:     evictions,
+		ResultServedBytes:   served,
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"s3sched/internal/journal"
-	"s3sched/internal/mapreduce"
-	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 )
 
@@ -15,7 +13,7 @@ import (
 //
 // The master owns one of the journal's record kinds, because only it
 // sees the commit point: job-result, appended in finishJob before the
-// reduce output is published, so a completed job's output survives a
+// receipts are published, so a completed job stays completed through a
 // crash that lands after the reduce but before the engine's job-done
 // record. Map output is not journaled: it stays on the workers, where a
 // recovered master on the same epoch finds it again, and what is gone by
@@ -74,15 +72,6 @@ func (m *Master) callWorker(w liveWorker, method string, args, reply any) error 
 	return err
 }
 
-// appendResult journals a completed job's reduce output, as records:
-// the journal's format does not know frames. Called with m.mu held.
-func (m *Master) appendResult(id scheduler.JobID, frames [][]byte) error {
-	if m.journal == nil {
-		return nil
-	}
-	return m.journal.AppendRecord(journal.KindJobResult, journal.JobResultRecord{Job: id, Output: mergeFrames(frames)})
-}
-
 // Epoch is this master's stash epoch, for a journal to keep.
 func (m *Master) Epoch() int64 { return m.epoch }
 
@@ -91,19 +80,10 @@ func (m *Master) Epoch() int64 { return m.epoch }
 // crashed master's tasks left it. Call before the first round.
 func (m *Master) RestoreEpoch(epoch int64) { m.epoch = epoch }
 
-// RestoreResult re-installs a completed job's journaled output so the
-// admission API can serve it after a restart.
-func (m *Master) RestoreResult(id scheduler.JobID, output []mapreduce.KV) {
+// RestoreResult re-installs a completed job's journaled result so the
+// admission API can serve its output after a restart.
+func (m *Master) RestoreResult(rec journal.JobResultRecord) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.commitResult(id, [][]byte{mapreduce.AppendFrame(nil, output)})
-}
-
-// JobOutput returns one completed job's merged output, if present.
-// Implements status.ResultSource.
-func (m *Master) JobOutput(id scheduler.JobID) ([]mapreduce.KV, bool) {
-	m.mu.Lock()
-	frames, ok := m.results[id]
-	m.mu.Unlock()
-	return mergeFrames(frames), ok
+	m.commitResult(rec)
 }

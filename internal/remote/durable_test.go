@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"s3sched/internal/journal"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
+	"s3sched/internal/status"
 	"s3sched/internal/trace"
 	"s3sched/internal/workload"
 )
@@ -179,17 +181,24 @@ func mustReplayFile(t *testing.T, path string) ([]journal.Entry, error) {
 	return rep.Entries, nil
 }
 
-// TestRestoreResultServesOutput: a restored terminal job serves its
-// output through JobOutput without any execution.
+// TestRestoreResultServesOutput: a terminal job restored from a record
+// that carries its output — an older journal's, a DAG producer's — serves
+// it through JobOutput without any execution and without a worker.
 func TestRestoreResultServesOutput(t *testing.T) {
 	m := NewMaster(nil)
 	out := []mapreduce.KV{{Key: "k", Value: "3"}}
-	m.RestoreResult(9, out)
-	got, ok := m.JobOutput(9)
-	if !ok || fmt.Sprint(got) != fmt.Sprint(out) {
-		t.Fatalf("JobOutput = %v ok=%v", got, ok)
+	m.RestoreResult(journal.JobResultRecord{Job: 9, Output: out})
+	got, err := m.JobOutput(9)
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(out) {
+		t.Fatalf("JobOutput = %v, %v", got, err)
 	}
-	if _, ok := m.JobOutput(10); ok {
-		t.Fatal("unknown job has output")
+	if _, err := m.JobOutput(10); !errors.Is(err, status.ErrNoOutput) {
+		t.Fatalf("unknown job: %v, want ErrNoOutput", err)
+	}
+	// Receipts, and nobody alive to ask or to recompute: an outage, to be
+	// retried, not a job without output.
+	m.RestoreResult(journal.JobResultRecord{Job: 11, File: "corpus", Parts: []journal.ResultPart{{Records: 1, Bytes: 5, Holder: "w0"}}})
+	if _, err := m.JobOutput(11); !errors.Is(err, status.ErrOutputUnavailable) {
+		t.Fatalf("receipts without workers: %v, want ErrOutputUnavailable", err)
 	}
 }

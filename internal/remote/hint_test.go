@@ -95,10 +95,30 @@ func staggeredArrivals(n int) []runtime.Arrival {
 	return out
 }
 
+// committed is how many jobs m has a result for.
+func committed(m *Master) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.results)
+}
+
+// outputsOf reads every committed job's output through JobOutput — from
+// the workers that keep it, or by recomputing — as one string a job; a
+// read that fails is a string no reference equals.
 func outputsOf(m *Master) map[scheduler.JobID]string {
 	out := make(map[scheduler.JobID]string)
-	for id, kvs := range m.Results() {
-		out[id] = fmt.Sprint(kvs)
+	m.mu.Lock()
+	ids := make([]scheduler.JobID, 0, len(m.results))
+	for id := range m.results {
+		ids = append(ids, id)
+	}
+	m.mu.Unlock()
+	for _, id := range ids {
+		if kvs, err := m.JobOutput(id); err != nil {
+			out[id] = "unreadable: " + err.Error()
+		} else {
+			out[id] = fmt.Sprint(kvs)
+		}
 	}
 	return out
 }

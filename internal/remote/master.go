@@ -12,7 +12,6 @@ import (
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
-	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
@@ -64,6 +63,9 @@ type Master struct {
 	// is classified as a transport failure (see SetTaskDeadline).
 	taskDeadline time.Duration
 
+	// recomputeMu serialises recomputes (results.go); it is taken before mu.
+	recomputeMu sync.Mutex
+
 	mu sync.Mutex
 	// ctl is the control-plane listener (nil in static mode).
 	ctl    net.Listener
@@ -76,13 +78,18 @@ type Master struct {
 	// shuffle[job]: what the master knows of a mapped, unreduced job's output.
 	shuffle map[scheduler.JobID]*jobShuffle
 	// finished lists, in order, the jobs whose stash entries the workers may
-	// drop; released[w] is how much of it w got with a call it answered.
-	finished []scheduler.JobID
-	released map[string]int
-	// results[job][p] is partition p's sorted reduce output, the frame
-	// the worker sent: finished output is bytes the collector never scans.
-	results   map[scheduler.JobID][][]byte
-	failovers int
+	// drop, from the finishedBase-th on (commitResult trims it); released[w]
+	// is how many w got with calls it answered.
+	finished     []scheduler.JobID
+	finishedBase int
+	released     map[string]int
+	// results[job] is what the master keeps of a finished job's output:
+	// receipts and holders, not bytes (results.go). recomputing is the job
+	// whose lost output is being reduced again, if any: one at a time.
+	results                map[scheduler.JobID]*jobResult
+	recomputing            scheduler.JobID
+	recomputes, mismatches int64
+	failovers              int
 	// repairMaps and reduceRetries count the recoveries of finishJob.
 	repairMaps, reduceRetries int64
 	// hints holds the scheduler's newest scan hint per file; the file's
@@ -134,7 +141,7 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 		epoch:     newEpoch(),
 		shuffle:   make(map[scheduler.JobID]*jobShuffle),
 		released:  make(map[string]int),
-		results:   make(map[scheduler.JobID][][]byte),
+		results:   make(map[scheduler.JobID]*jobResult),
 		hints:     make(map[string]dfs.ScanHint),
 		installed: make(map[string]*InstallFileArgs),
 	}
@@ -292,26 +299,6 @@ func (m *Master) Close() error {
 	err := m.members.closeAll()
 	m.ctlWG.Wait()
 	return err
-}
-
-// Results returns completed jobs' outputs, sorted by key.
-func (m *Master) Results() map[scheduler.JobID][]mapreduce.KV {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[scheduler.JobID][]mapreduce.KV, len(m.results))
-	for id, frames := range m.results {
-		out[id] = mergeFrames(frames)
-	}
-	return out
-}
-
-// mergeFrames decodes a committed result's frames into one sorted slice.
-func mergeFrames(frames [][]byte) []mapreduce.KV {
-	runs := make([][]mapreduce.KV, len(frames))
-	for p, frame := range frames {
-		runs[p], _, _ = mapreduce.DecodeFrame(string(frame)) // checked at commit
-	}
-	return mapreduce.MergeSorted(runs)
 }
 
 // WorkerStats polls every live worker's counters.
@@ -567,8 +554,12 @@ func (m *Master) withFailover(home int, what string, call func(w liveWorker, att
 func (m *Master) releasesFor(w liveWorker) (done []scheduler.JobID, ack func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	upTo := len(m.finished)
-	return m.finished[m.released[w.id]:upTo:upTo], func() {
+	upTo := m.finishedBase + len(m.finished)
+	done = m.finished[max(m.released[w.id], m.finishedBase)-m.finishedBase : len(m.finished) : len(m.finished)]
+	if slices.Contains(done, m.recomputing) { // what a recompute stashes goes when it is through: it lists its job again
+		done = slices.DeleteFunc(slices.Clone(done), func(id scheduler.JobID) bool { return id == m.recomputing })
+	}
+	return done, func() {
 		m.mu.Lock()
 		m.released[w.id] = max(m.released[w.id], upTo)
 		m.mu.Unlock()
@@ -604,10 +595,10 @@ func (m *Master) mapWithFailover(corr, file string, idx, home int, ids []schedul
 	return err
 }
 
-// reduceWithFailover runs one reduce task. It returns the output frame,
-// checked — a malformed reply fails the job now, not at the first read —
-// or the blocks whose map output the reducer could not find.
-func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (output []byte, missing []int, err error) {
+// reduceWithFailover runs one reduce task. It returns the receipt of the
+// output and the worker that keeps it, or the blocks whose map output the
+// reducer could not find.
+func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (part journal.ResultPart, missing []int, err error) {
 	var reply *ReduceTaskReply
 	corr := m.corr("j%d.p%d", id, p)
 	m.mu.Lock()
@@ -623,58 +614,74 @@ func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuff
 				args.Peers = append(args.Peers, peer.addr)
 			}
 		}
-		if err := m.callWorker(w, "Worker.ExecReduce", args, reply); err != nil || len(reply.Missing) > 0 {
-			return err
-		}
-		if err := mapreduce.CheckFrame(reply.Output); err != nil {
-			return fmt.Errorf("remote: job %q partition %d: output of worker %s: %w", ref.Name, p, w.id, err)
-		}
-		return nil
+		err := m.callWorker(w, "Worker.ExecReduce", args, reply)
+		reply.Receipt.Holder = w.id
+		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return part, nil, err
 	}
-	return reply.Output, reply.Missing, nil
+	return reply.Receipt, reply.Missing, nil
 }
 
 // reduceRepairs bounds finishJob's repairs before the round is lost: one
 // for the worker whose death was the reason, one for a death meanwhile.
 const reduceRepairs = 2
 
-// finishJob has every partition of the job reduced on its home worker
-// and commits the outputs. A reducer that cannot cover some block of the
-// job's file — its holder died, restarted empty, or would not answer —
-// says which: those blocks are mapped again, for this one job, next to
-// the first partition still open, and the open partitions retried; past
-// reduceRepairs the round is lost, to be requeued like any other. Nothing
-// is released before the result is in, and a job whose result a lost
-// attempt of the round committed stays as it is.
+// finishJob has every partition of the job reduced and commits the
+// receipts. Nothing is released before the result is in, and a job whose
+// result a lost attempt of the round committed stays as it is.
 func (m *Master) finishJob(id scheduler.JobID) error {
 	m.mu.Lock()
-	ref, sh, ok := m.jobs[id], m.shuffle[id], m.shuffle[id] != nil
+	ref, sh := m.jobs[id], m.shuffle[id]
 	_, done := m.results[id]
 	m.mu.Unlock()
 	if done {
 		return nil
 	}
-	if !ok {
+	if sh == nil {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}
+	parts, err := m.reduceJob(id, ref, sh, false)
+	if err != nil {
+		return err
+	}
+	rec := journal.JobResultRecord{Job: id, File: sh.file, Parts: parts}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.journal != nil {
+		if err := m.journal.AppendRecord(journal.KindJobResult, rec); err != nil {
+			return err
+		}
+	}
+	m.commitResult(rec)
+	return nil
+}
 
-	outputs := make([][]byte, ref.width()) // a reduced partition's frame is never nil
+// reduceJob has every partition of the job reduced on its home worker. A
+// reducer that cannot cover some block of the job's file — its holder
+// died, restarted empty, or would not answer — says which: those blocks
+// are mapped again, for this one job, next to the first partition still
+// open, and the open partitions retried; past reduceRepairs the round is
+// lost, to be requeued like any other. A recompute (results.go) runs the
+// same loop, and its repairs are not counted as a lost worker's.
+func (m *Master) reduceJob(id scheduler.JobID, ref JobRef, sh *jobShuffle, recompute bool) ([]journal.ResultPart, error) {
+	parts := make([]journal.ResultPart, ref.width()) // a reduced partition has a holder
 	for repairs := 0; ; repairs++ {
 		var mu sync.Mutex
 		var open []int // partitions still without output
 		missing := make(map[int]bool)
-		err := fanOut(len(outputs), func(p int) error {
-			if outputs[p] != nil {
+		err := fanOut(len(parts), func(p int) error {
+			if parts[p].Holder != "" {
 				return nil
 			}
-			out, lacks, err := m.reduceWithFailover(id, ref, sh, p)
+			part, lacks, err := m.reduceWithFailover(id, ref, sh, p)
 			mu.Lock()
 			defer mu.Unlock()
-			if outputs[p] = out; len(lacks) > 0 {
+			if len(lacks) > 0 {
 				open = append(open, p)
+			} else if err == nil {
+				parts[p] = part
 			}
 			for _, block := range lacks {
 				missing[block] = true
@@ -682,18 +689,20 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 			return err
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if len(open) == 0 {
-			break
+			return parts, nil
 		}
 		if repairs == reduceRepairs {
-			return &allWorkersError{what: fmt.Sprintf("job %q", ref.Name), err: fmt.Errorf("map output of %d blocks still missing after %d repairs", len(missing), repairs)}
+			return nil, &allWorkersError{what: fmt.Sprintf("job %q", ref.Name), err: fmt.Errorf("map output of %d blocks still missing after %d repairs", len(missing), repairs)}
 		}
-		m.mu.Lock()
-		m.repairMaps += int64(len(missing))
-		m.reduceRetries += int64(len(open))
-		m.mu.Unlock()
+		if !recompute {
+			m.mu.Lock()
+			m.repairMaps += int64(len(missing))
+			m.reduceRetries += int64(len(open))
+			m.mu.Unlock()
+		}
 		blocks := make([]int, 0, len(missing))
 		for block := range missing {
 			blocks = append(blocks, block)
@@ -702,22 +711,23 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 			return m.mapWithFailover(m.corr("j%d.m%d", id, blocks[i]), sh.file, blocks[i], slices.Min(open), []scheduler.JobID{id}, []JobRef{ref}, nil)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.appendResult(id, outputs); err != nil {
-		return err
-	}
-	m.commitResult(id, outputs)
-	return nil
 }
 
-// commitResult publishes a job's output and releases its stash entries
-// (m.mu held).
-func (m *Master) commitResult(id scheduler.JobID, outputs [][]byte) {
-	m.results[id] = outputs
-	delete(m.shuffle, id)
-	m.finished = append(m.finished, id)
+// commitResult publishes a job's result and releases its stash entries,
+// first trimming from the release list what every live worker has been
+// told of. A worker that is away meanwhile is not told of that: what it
+// stashed for those jobs stays until the next epoch, W jobs' worth at
+// most (m.mu held).
+func (m *Master) commitResult(rec journal.JobResultRecord) {
+	m.results[rec.Job] = &jobResult{JobResultRecord: rec}
+	delete(m.shuffle, rec.Job)
+	low := m.finishedBase + len(m.finished)
+	_, live := m.members.live()
+	for _, w := range live {
+		low = min(low, max(m.released[w.id], m.finishedBase))
+	}
+	m.finished, m.finishedBase = append(m.finished[low-m.finishedBase:], rec.Job), low
 }

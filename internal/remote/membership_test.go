@@ -283,7 +283,7 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 	// Byte-identical outputs despite the restart.
 	want := referenceResults(t, 2)
 	for id, ref := range want {
-		if got := fmt.Sprint(master.Results()[id]); got != ref {
+		if got := outputsOf(master)[id]; got != ref {
 			t.Errorf("job %d: rolling restart changed results", id)
 		}
 	}
@@ -360,7 +360,7 @@ func TestFullOutageRequeuesUntilRejoin(t *testing.T) {
 		t.Error("outage produced no requeued rounds")
 	}
 	want := referenceResults(t, 1)
-	if got := fmt.Sprint(master.Results()[1]); got != want[1] {
+	if got := outputsOf(master)[1]; got != want[1] {
 		t.Error("outage + requeue changed results")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
+	"s3sched/internal/journal"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
 )
@@ -131,16 +132,17 @@ type ReduceTaskArgs struct {
 	Corr string
 }
 
-// ReduceTaskReply carries the partition's reduced output, sorted, as one
-// frame: the master keeps the bytes and decodes them only on request. Or,
-// when no reachable worker holds some block's run, those blocks and no
-// output: the master maps them again and retries.
+// ReduceTaskReply answers a reduce task with a receipt for the output
+// frame, which stays in the worker's result store; the master adds the
+// holder and journals it. Or, when no reachable worker holds some block's
+// run, with those blocks: the master maps them again and retries.
 type ReduceTaskReply struct {
-	Output  []byte
+	Receipt journal.ResultPart
 	Missing []int
 }
 
-// FetchArgs asks a worker what it holds of one reduce partition.
+// FetchArgs asks a worker what it holds of one reduce partition: of its
+// map output (FetchShuffle), or its output frame (FetchResult).
 type FetchArgs struct {
 	Epoch     int64
 	ID        scheduler.JobID

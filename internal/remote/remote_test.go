@@ -123,9 +123,9 @@ func TestDistributedS3MatchesLocalEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := master.Results()[id]
-		if fmt.Sprint(got) != fmt.Sprint(ref.Output) {
-			t.Errorf("job %d: distributed output differs from local engine", id)
+		got, err := master.JobOutput(id)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(ref.Output) {
+			t.Errorf("job %d: distributed output differs from local engine (%v)", id, err)
 		}
 		if len(got) == 0 {
 			t.Errorf("job %d: empty output", id)
@@ -250,7 +250,7 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 	if _, err := workload.AddTextFile(store, "corpus", 2, 512, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.EnableCache(1 << 20); err != nil {
+	if _, err := store.EnableCachePolicy(1<<20, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	w := NewWorker(store, NewStandardRegistry())
@@ -361,8 +361,7 @@ func TestWorkerFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := master.Results()[scheduler.JobID(i+1)]
-		if fmt.Sprint(got) != fmt.Sprint(ref.Output) {
+		if got := outputsOf(master)[scheduler.JobID(i+1)]; got != fmt.Sprint(ref.Output) {
 			t.Errorf("job %d: failover changed results", i+1)
 		}
 	}
@@ -438,7 +437,7 @@ func TestConcurrentMastersShareWorkers(t *testing.T) {
 		}, runtime.Options{}); err != nil {
 			return "", err
 		}
-		return fmt.Sprint(master.Results()[1]), nil
+		return outputsOf(master)[1], nil
 	}
 
 	type out struct {

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"container/list"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -45,10 +46,11 @@ type stash struct {
 	// newest is the latest epoch seen. Entries of an older one are kept
 	// while their master still sends tasks (two masters may share workers)
 	// and dropped the moment a newer one appears.
-	newest  int64
-	jobs    map[stashJob]map[int]stashEntry // by block index
-	bytes   int64
-	entries int64
+	newest      int64
+	jobs        map[stashJob]map[int]stashEntry // by block index
+	bytes       int64
+	entries     int64
+	resultStore // results.go: under the same lock and the same epoch rule
 }
 
 // admit notes a call's epoch, dropping everything older when it is new,
@@ -58,6 +60,8 @@ func (s *stash) admit(epoch int64, done []scheduler.JobID) {
 	defer s.mu.Unlock()
 	if epoch > s.newest {
 		s.newest, s.jobs, s.bytes, s.entries = epoch, make(map[stashJob]map[int]stashEntry), 0, 0
+		s.results, s.resultBytes = make(map[resultKey]*list.Element), 0
+		s.order.Init()
 	}
 	for _, id := range done {
 		for _, e := range s.jobs[stashJob{epoch, id}] {

@@ -454,8 +454,8 @@ func TestMalformedFetchReplyFailsTheJob(t *testing.T) {
 		if isTransportError(err) || errors.As(err, &outage) {
 			t.Errorf("%s: %v is not task-level", name, err)
 		}
-		if ss := repairsOf(m); len(m.Results()) != 0 || ss.RepairMaps != 0 {
-			t.Errorf("%s: %d results and %+v, want nothing committed and nothing repaired", name, len(m.Results()), ss)
+		if ss := repairsOf(m); committed(m) != 0 || ss.RepairMaps != 0 {
+			t.Errorf("%s: %d results and %+v, want nothing committed and nothing repaired", name, committed(m), ss)
 		}
 	}
 }
@@ -495,8 +495,8 @@ func TestStashHoldsInflightJobsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != jobs || len(m.Results()) != jobs {
-		t.Fatalf("%d jobs finished, %d results", res.Metrics.Jobs(), len(m.Results()))
+	if res.Metrics.Jobs() != jobs || committed(m) != jobs {
+		t.Fatalf("%d jobs finished, %d results", res.Metrics.Jobs(), committed(m))
 	}
 	// A job rides four rounds and one arrives every two: three in flight
 	// at most, six of twelve blocks each on a worker.
@@ -517,7 +517,7 @@ func TestStashHoldsInflightJobsOnly(t *testing.T) {
 	}
 	want := referenceResults(t, 3)
 	for id, out := range want {
-		if got := fmt.Sprint(m.Results()[id]); got != out {
+		if got := outputsOf(m)[id]; got != out {
 			t.Errorf("job %d differs from the reference", id)
 		}
 	}
@@ -646,7 +646,7 @@ func TestMapReplyCarriesNoRecords(t *testing.T) {
 // One worker, one partition: everything the reduce needs is in its own
 // stash, so the job's map output is never encoded, sent or decoded. The
 // reduce allocates the records' headers once, to sort them, and the
-// output frame; a codec pass would at least double that.
+// output frame, which it keeps; a codec pass would at least double that.
 func TestLocalPartitionIsNeverEncoded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are meaningless under -race")
@@ -668,13 +668,17 @@ func TestLocalPartitionIsNeverEncoded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	err := w.ExecReduce(args, &reply)
 	runtime.ReadMemStats(&after)
-	if err != nil || len(reply.Missing) != 0 || mapreduce.CheckFrame(reply.Output) != nil {
-		t.Fatalf("reduce: %v, missing %v, %d bytes of output", err, reply.Missing, len(reply.Output))
+	var held []byte
+	if ferr := w.FetchResult(&FetchArgs{Epoch: 1, ID: 1}, &held); err != nil || ferr != nil || len(reply.Missing) != 0 {
+		t.Fatalf("reduce: %v, missing %v; fetch: %v", err, reply.Missing, ferr)
+	}
+	if _, err := decodeResult(held, reply.Receipt); err != nil || reply.Receipt.Records != records {
+		t.Fatalf("the held frame against its receipt %+v for %d records: %v", reply.Receipt, records, err)
 	}
 	kvSize := int64(reflect.TypeOf(mapreduce.KV{}).Size())
-	budget := records*kvSize + int64(len(reply.Output)) + 64<<10
-	if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > budget || int64(len(reply.Output)) < payload {
-		t.Errorf("reducing %d records (%d bytes) allocated %d bytes for a %d-byte output, want at most %d: one copy of the record headers and the frame", records, payload, grew, len(reply.Output), budget)
+	budget := records*kvSize + reply.Receipt.Bytes + 64<<10
+	if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > budget || reply.Receipt.Bytes < payload {
+		t.Errorf("reducing %d records (%d bytes) allocated %d bytes for a %d-byte output, want at most %d: one copy of the record headers and the frame", records, payload, grew, reply.Receipt.Bytes, budget)
 	}
 	if st := w.wireStats(); st.ShuffleFetchedBytes != 0 || st.ShuffleServedBytes != 0 || len(w.peers) != 0 {
 		t.Errorf("a local partition touched the network: %+v, %d peer connections", st, len(w.peers))

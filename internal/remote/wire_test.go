@@ -13,6 +13,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
+	"s3sched/internal/status"
 	"s3sched/internal/workload"
 )
 
@@ -261,65 +262,59 @@ func TestFullJobMatchesSequentialReference(t *testing.T) {
 		}
 		for id, ref := range jobs {
 			want := seqReference(t, padBlocks(wireFiles()[c.file]), ref)
-			got, ok := m.JobOutput(id)
-			if !ok || len(want) == 0 || fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
-				t.Errorf("%s: %d records (committed %v), the reference has %d", ref.Name, len(got), ok, len(want))
-			}
-			if all := m.Results()[id]; !reflect.DeepEqual(all, got) {
-				t.Errorf("%s: Results and JobOutput disagree", ref.Name)
+			got, err := m.JobOutput(id)
+			if err != nil || len(want) == 0 || fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+				t.Errorf("%s: %d records (%v), the reference has %d", ref.Name, len(got), err, len(want))
 			}
 		}
 	}
 }
 
 // manglingWorker is a real worker whose reduce output is rewritten on
-// its way out.
+// its way to the master.
 type manglingWorker struct {
-	inner  *Worker
+	*Worker
 	mangle func([]byte) []byte
 }
 
-func (w *manglingWorker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
-	return w.inner.ExecMap(args, reply)
-}
-
-func (w *manglingWorker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
-	err := w.inner.ExecReduce(args, reply)
-	reply.Output = w.mangle(reply.Output)
+func (w *manglingWorker) FetchResult(args *FetchArgs, frame *[]byte) error {
+	err := w.Worker.FetchResult(args, frame)
+	*frame = w.mangle(*frame)
 	return err
 }
 
-func (w *manglingWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
-	return w.inner.FetchShuffle(args, reply)
-}
-
-func (w *manglingWorker) Stats(args *StatsArgs, reply *StatsReply) error {
-	return w.inner.Stats(args, reply)
-}
-
-// A reduce reply that is not one whole frame fails the round with a
-// task-level error naming the job: no panic, no rotation to the healthy
-// worker next door, nothing committed.
+// Nothing reads a reduce output on the round's path any more, so the
+// round commits on the receipt; a frame that then arrives as anything but
+// the bytes the receipt stands for fails the read with an error naming
+// the job, the partition and the worker: no panic, no rotation to the
+// healthy worker next door, no recompute — the holder answered — and
+// never the wrong bytes.
 func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
-	mangles := map[string]func([]byte) []byte{
-		"truncated frame":  func(b []byte) []byte { return b[:len(b)-3] },
-		"trailing garbage": func(b []byte) []byte { return append(b, "garbage"...) },
-		"no bytes at all":  func([]byte) []byte { return nil },
+	mangles := map[string]struct {
+		mangle func([]byte) []byte
+		want   string
+	}{
+		"truncated frame":  {func(b []byte) []byte { return b[:len(b)-3] }, "the receipt says"},
+		"trailing garbage": {func(b []byte) []byte { return append(b, "garbage"...) }, "the receipt says"},
+		"one byte flipped": {func(b []byte) []byte { b = bytes.Clone(b); b[len(b)/2] ^= 1; return b }, "CRC-32C"},
 	}
-	for name, mangle := range mangles {
+	for name, c := range mangles {
 		jobs := map[scheduler.JobID]JobRef{1: {Name: "sel-bad-reply", Factory: "selection", Param: "25", NumReduce: 1}}
 		// Partition 0's home is worker 0, the mangling one.
-		m := wireCluster(t, 2, jobs, func(w *Worker) any { return &manglingWorker{inner: w, mangle: mangle} })
-		_, err := m.ExecRound(wholeFileRound("lineitem", 1))
-		if err == nil || !strings.Contains(err.Error(), `"sel-bad-reply"`) || !strings.Contains(err.Error(), "malformed frame") {
-			t.Errorf("%s: ExecRound error = %v, want a malformed-frame error naming the job", name, err)
+		m := wireCluster(t, 2, jobs, func(w *Worker) any { return &manglingWorker{w, c.mangle} })
+		if _, err := m.ExecRound(wholeFileRound("lineitem", 1)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, err := m.JobOutput(1)
+		if err == nil || out != nil || !strings.Contains(err.Error(), "job 1 partition 0") || !strings.Contains(err.Error(), "worker static-0") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: JobOutput = %d records, %v; want an error naming the job, the worker and %q", name, len(out), err, c.want)
 		}
 		var outage *allWorkersError
-		if isTransportError(err) || errors.As(err, &outage) {
-			t.Errorf("%s: %v is not task-level", name, err)
+		if isTransportError(err) || errors.As(err, &outage) || errors.Is(err, status.ErrOutputUnavailable) || errors.Is(err, status.ErrNoOutput) {
+			t.Errorf("%s: %v is not the holder's own error", name, err)
 		}
-		if _, ok := m.JobOutput(1); ok || len(m.Results()) != 0 || failovers(m) != 0 {
-			t.Errorf("%s: committed %v, %d results, %d failovers; want nothing", name, ok, len(m.Results()), failovers(m))
+		if recomputes, _ := m.ResultRecomputes(); recomputes != 0 || failovers(m) != 0 {
+			t.Errorf("%s: %d recomputes, %d failovers; want neither", name, recomputes, failovers(m))
 		}
 	}
 }

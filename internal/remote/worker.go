@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"container/list"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -30,8 +31,9 @@ type Worker struct {
 	mapTasks    atomic.Int64
 	reduceTasks atomic.Int64
 
-	// stash holds this worker's map output until its jobs are reduced;
-	// servedBytes / fetchedBytes: key + value bytes to and from peers.
+	// stash holds this worker's map output until its jobs are reduced (and
+	// their output, until evicted); servedBytes / fetchedBytes: key + value
+	// bytes to and from peers.
 	stash        stash
 	servedBytes  atomic.Int64
 	fetchedBytes atomic.Int64
@@ -65,6 +67,7 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	}
 	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*rpc.Client)}
 	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
+	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
 }
 
@@ -120,7 +123,7 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 
 // ExecReduce implements the ReduceTask RPC: gather the partition from
 // the stashes and — only if exactly one run covers every block of the
-// job's file — sort, group and reduce it; else reply the blocks missing.
+// job's file — sort, group, reduce, keep the frame; else reply the gaps.
 func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
 	_, reducer, _, err := w.registry.Build(args.Job.Factory, args.Job.Param)
 	if err != nil {
@@ -151,7 +154,7 @@ func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error 
 	if err != nil {
 		return fmt.Errorf("remote: job %q partition %d: %w", args.Job.Name, args.Partition, err)
 	}
-	reply.Output = mapreduce.AppendFrame(nil, out)
+	reply.Receipt = w.stash.putResult(resultKey{stashJob{args.Epoch, args.ID}, args.Partition}, mapreduce.AppendFrame(nil, out), int64(len(out)))
 	w.reduceTasks.Add(1)
 	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s reduce %q partition %d records %d", args.Corr, args.Job.Name, args.Partition, len(records))
 	return nil

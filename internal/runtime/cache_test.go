@@ -16,7 +16,7 @@ import (
 // the registry instruments.
 func TestEngineCacheTelemetry(t *testing.T) {
 	store, plan, exec, metas := stagedSetup(t, 8, 4, 2)
-	if _, err := store.EnableCache(1 << 20); err != nil {
+	if _, err := store.EnableCachePolicy(1<<20, dfs.PolicyLRU); err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()

@@ -2,6 +2,7 @@ package status
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -138,9 +139,16 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no result source configured", http.StatusNotFound)
 			return
 		}
-		out, ok := src.JobOutput(scheduler.JobID(id))
-		if !ok {
-			http.Error(w, "job has no output (not complete?)", http.StatusNotFound)
+		out, err := src.JobOutput(scheduler.JobID(id))
+		if err != nil {
+			code := http.StatusInternalServerError
+			if errors.Is(err, ErrNoOutput) {
+				code = http.StatusNotFound
+			} else if errors.Is(err, ErrOutputUnavailable) {
+				code = http.StatusServiceUnavailable
+				w.Header().Set("Retry-After", "1")
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -2,12 +2,15 @@ package status
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"s3sched/internal/mapreduce"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 )
@@ -148,6 +151,62 @@ func TestSubmitErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// fakeResults answers JobOutput from a script.
+type fakeResults map[scheduler.JobID]error
+
+func (f fakeResults) JobOutput(id scheduler.JobID) ([]mapreduce.KV, error) {
+	if err, ok := f[id]; ok {
+		return nil, err
+	}
+	return []mapreduce.KV{{Key: "k", Value: "1"}}, nil
+}
+
+// GET /jobs/<id>/output says why it has nothing: 404 only for a job that
+// is unknown or not finished, 503 with Retry-After when the output exists
+// but nobody can serve or recompute it right now, 500 for everything that
+// a retry will not cure — each with the source's own words.
+func TestJobOutputStatusCodes(t *testing.T) {
+	adm := &fakeAdmission{}
+	for i := 0; i < 5; i++ {
+		if _, err := adm.SubmitJob(JobRequest{Factory: "wordcount"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer("s3")
+	srv.SetAdmission(adm)
+	srv.SetResults(fakeResults{
+		2: fmt.Errorf("%w: job 2", ErrNoOutput),
+		3: fmt.Errorf("%w: %w", ErrOutputUnavailable, errors.New("job \"sel\" failed on every worker: no live workers")),
+		4: errors.New("job 4 partition 0: recomputed as 3 records; committed as 4"),
+		5: errors.New(`unknown job factory "gone"`),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		id         int
+		code       int
+		retryAfter string
+		body       string
+	}{
+		{1, http.StatusOK, "", `[{"Key":"k","Value":"1"}]`},
+		{2, http.StatusNotFound, "", "job has no output (not complete?): job 2"},
+		{3, http.StatusServiceUnavailable, "1", "no live workers"},
+		{4, http.StatusInternalServerError, "", "committed as 4"},
+		{5, http.StatusInternalServerError, "", "unknown job factory"},
+		{6, http.StatusNotFound, "", "unknown job"},
+	} {
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/output", ts.URL, c.id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || resp.Header.Get("Retry-After") != c.retryAfter || !strings.Contains(string(body), c.body) {
+			t.Errorf("job %d: %d, Retry-After %q, %q; want %d, %q and %q in the body", c.id, resp.StatusCode, resp.Header.Get("Retry-After"), body, c.code, c.retryAfter, c.body)
 		}
 	}
 }

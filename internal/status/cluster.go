@@ -11,12 +11,14 @@ import (
 // ClusterSource provides a point-in-time view of cluster membership.
 // The remote master implements it; the status server polls it on each
 // GET /cluster, so the endpoint always reflects the live table rather
-// than a hook-time snapshot; GET /metrics reads its s3_cache_* and
-// s3_shuffle_* off the same table, and ShuffleRepairs for what only the
-// master counts: map tasks re-run at reduce time, reduce tasks retried.
+// than a hook-time snapshot; GET /metrics reads its s3_cache_*,
+// s3_shuffle_* and s3_result_* off the same table, and what only the
+// master counts: map tasks re-run at reduce time, reduce tasks retried;
+// lost outputs reduced again, and with other receipts than committed.
 type ClusterSource interface {
 	ClusterSnapshot() []comms.WorkerInfo
 	ShuffleRepairs() (maps, retries int64)
+	ResultRecomputes() (recomputes, mismatches int64)
 }
 
 // clusterView is the GET /cluster response body.

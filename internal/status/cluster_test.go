@@ -12,12 +12,14 @@ import (
 )
 
 type fakeCluster struct {
-	workers []comms.WorkerInfo
-	repairs int64
+	workers                []comms.WorkerInfo
+	repairs                int64
+	recomputes, mismatches int64
 }
 
 func (f *fakeCluster) ClusterSnapshot() []comms.WorkerInfo { return f.workers }
 func (f *fakeCluster) ShuffleRepairs() (int64, int64)      { return f.repairs, 0 }
+func (f *fakeCluster) ResultRecomputes() (int64, int64)    { return f.recomputes, f.mismatches }
 
 func TestClusterEndpoint(t *testing.T) {
 	srv := NewServer("s3")
@@ -125,6 +127,18 @@ func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	expect(scrape(), "s3_shuffle_stash_bytes 4096", "s3_shuffle_fetched_bytes_total 900", "s3_shuffle_repair_maps_total 3")
 	src.workers[0].Tasks.StashBytes, src.workers[0].Tasks.ShuffleFetchedBytes = 0, 100 // a worker restarted: its ledger begins again
 	expect(scrape(), "s3_shuffle_stash_bytes 0", "s3_shuffle_fetched_bytes_total 900", "s3_shuffle_repair_maps_total 3")
+
+	// So do the result store's: both workers' ledgers summed, a dead
+	// member's last one included, the master's own counts beside them.
+	expect(scrape(), "s3_result_store_bytes 0", "s3_result_evictions_total 0", "s3_result_fetched_bytes_total 0", "s3_result_recomputes_total 0", "s3_result_recompute_mismatches_total 0")
+	src.workers[0].Tasks.ResultBytes, src.workers[0].Tasks.ResultEvictions, src.workers[0].Tasks.ResultServedBytes = 5000, 4, 700
+	src.workers[1].Tasks.ResultBytes, src.workers[1].Tasks.ResultEvictions, src.workers[1].Tasks.ResultServedBytes = 3000, 1, 300
+	src.recomputes, src.mismatches = 2, 1
+	want := []string{"s3_result_store_bytes 8000", "s3_result_evictions_total 5", "s3_result_fetched_bytes_total 1000", "s3_result_recomputes_total 2", "s3_result_recompute_mismatches_total 1"}
+	expect(scrape(), want...)
+	expect(scrape(), want...)
+	src.workers[0].Tasks.ResultBytes, src.workers[0].Tasks.ResultEvictions, src.workers[0].Tasks.ResultServedBytes = 100, 0, 0 // restarted
+	expect(scrape(), "s3_result_store_bytes 3100", "s3_result_evictions_total 5", "s3_result_fetched_bytes_total 1000")
 
 	// The run ends and folds its own poll of the same workers.
 	rm.SetCacheStats(metrics.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})

@@ -1,6 +1,7 @@
 package status
 
 import (
+	"errors"
 	"sync"
 
 	"s3sched/internal/mapreduce"
@@ -31,10 +32,19 @@ func (s *Server) SetRecovery(info RecoveryInfo) {
 
 // ResultSource serves completed jobs' merged outputs. The remote
 // master implements it; the endpoint polls it live so restored results
-// are visible immediately after recovery.
+// are visible immediately after recovery. Reading one may mean fetching
+// or recomputing it: the error says how GET /jobs/<id>/output answers, 404
+// for ErrNoOutput, 503 for ErrOutputUnavailable, 500 for anything else.
 type ResultSource interface {
-	JobOutput(id scheduler.JobID) ([]mapreduce.KV, bool)
+	JobOutput(id scheduler.JobID) ([]mapreduce.KV, error)
 }
+
+var (
+	// ErrNoOutput: the job is unknown or has not finished.
+	ErrNoOutput = errors.New("job has no output (not complete?)")
+	// ErrOutputUnavailable: no live worker can serve or recompute it now.
+	ErrOutputUnavailable = errors.New("job output unavailable")
+)
 
 // resultState holds the server's result source behind its own lock.
 type resultState struct {

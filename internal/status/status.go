@@ -191,15 +191,18 @@ func (s *Server) Handler() http.Handler {
 			// A daemon's run never ends to fold its s3_cache_*: read them
 			// off the heartbeat ledgers, one heartbeat old at most.
 			var cache metrics.CacheStats
-			var stashed, fetched int64
+			var stashed, fetched, held, evicted, served int64
 			for _, wi := range src.ClusterSnapshot() {
 				cache.Add(wi.Tasks.Cache())
 				stashed, fetched = stashed+wi.Tasks.StashBytes, fetched+wi.Tasks.ShuffleFetchedBytes
+				held, evicted, served = held+wi.Tasks.ResultBytes, evicted+wi.Tasks.ResultEvictions, served+wi.Tasks.ResultServedBytes
 			}
 			rm := metrics.NewRunMetrics(reg)
 			rm.SetCacheStats(cache)
 			repairs, _ := src.ShuffleRepairs()
 			rm.SetShuffleStats(stashed, fetched, repairs)
+			recomputes, mismatches := src.ResultRecomputes()
+			rm.SetResultStats(held, evicted, served, recomputes, mismatches)
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
