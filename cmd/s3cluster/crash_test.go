@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -33,6 +34,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
 	"s3sched/internal/remote"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
 
@@ -550,6 +552,112 @@ func TestRecoversJournalOfParentBinary(t *testing.T) {
 	}
 	if n := bytes.Count(after, []byte(`"kind":"master-epoch"`)); n != 1 {
 		t.Errorf("%d master-epoch records after recovery, want 1", n)
+	}
+}
+
+// The width of a segment is durable state: a journal written by a master
+// whose two workers had one map slot each — 24 segments of two blocks — is
+// recovered by one whose workers bring four between them, and whose fresh
+// plan would be 12 segments of four. It keeps the 24, says so, resumes the
+// jobs mid-pass and finishes them with the outputs of an uninterrupted run
+// at width four. One worker is replaced meanwhile — that is what changes
+// the slots — so what it had mapped is mapped again.
+func TestRecoversJournalAtAnotherWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process recovery test")
+	}
+	dir := t.TempDir()
+	ctrl, statusAddr := pickAddr(t), pickAddr(t)
+	journalPath := filepath.Join(dir, "journal.wal")
+	base := "http://" + statusAddr
+	bootLine := func(m *masterProc, want string) {
+		t.Helper()
+		if out, err := os.ReadFile(m.log); err != nil || !bytes.Contains(out, []byte(want+"\n")) {
+			t.Errorf("the master's log lacks %q (%v):\n%s", want, err, out)
+		}
+	}
+
+	// A worker advertises the processors it is built on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m1 := spawnMaster(t, "master1", ctrl, statusAddr, journalPath, "")
+	startCrashWorker(t, ctrl, "worker-a")
+	narrow, _ := crashWorker(t, ctrl, "worker-b")
+	waitStatus(t, base, 30*time.Second, "master1 up", func(statusSnapshot) bool { return true })
+	bootLine(m1, "plan width 2 = 2 map slots on 2 workers")
+	ids := submitCrashJobs(t, base, 4)
+	waitStatus(t, base, 30*time.Second, "rounds to accumulate", func(st statusSnapshot) bool { return st.Rounds >= 3 })
+	if err := m1.cmd.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL master1: %v", err)
+	}
+	_ = m1.cmd.Wait()
+	narrow.Close()
+	runtime.GOMAXPROCS(3)
+	startCrashWorker(t, ctrl, "worker-b")
+
+	m2 := spawnMaster(t, "master2", ctrl, statusAddr, journalPath, "")
+	st := waitStatus(t, base, 30*time.Second, "master2 recovery", func(st statusSnapshot) bool { return st.Recovery != nil })
+	bootLine(m2, "plan width 2 = journal, not the 4 map slots on 2 workers")
+	if st.Recovery.JobsResumed == 0 {
+		t.Errorf("recovery %+v, want jobs resumed mid-pass", st.Recovery)
+	}
+	waitJobsDone(t, base, ids, 60*time.Second)
+	got := jobOutputs(t, base, ids)
+
+	refCtrl, refStatus := pickAddr(t), pickAddr(t)
+	refBase := "http://" + refStatus
+	ref := spawnMaster(t, "reference", refCtrl, refStatus, filepath.Join(dir, "ref.wal"), "")
+	startCrashWorker(t, refCtrl, "ref-worker-a")
+	runtime.GOMAXPROCS(1)
+	startCrashWorker(t, refCtrl, "ref-worker-b")
+	waitStatus(t, refBase, 30*time.Second, "reference up", func(statusSnapshot) bool { return true })
+	bootLine(ref, "plan width 4 = 4 map slots on 2 workers")
+	refIDs := submitCrashJobs(t, refBase, len(ids))
+	waitJobsDone(t, refBase, refIDs, 60*time.Second)
+	want := jobOutputs(t, refBase, refIDs)
+	for i, id := range ids {
+		if len(got[id]) == 0 || !bytes.Equal(got[id], want[refIDs[i]]) {
+			t.Errorf("job %d: %d bytes of output, %d from an uninterrupted run at width 4", id, len(got[id]), len(want[refIDs[i]]))
+		}
+	}
+	if rounds := scrapeMetric(t, refBase, "s3_job_rounds_sum"); rounds != float64(len(ids)*crashBlocks/4) {
+		t.Errorf("the reference's jobs rode %v rounds between them, want %d each", rounds, crashBlocks/4)
+	}
+	for _, p := range []*masterProc{ref, m2} {
+		if err := p.cmd.Process.Signal(syscall.SIGINT); err != nil {
+			t.Fatalf("SIGINT: %v", err)
+		}
+		if err := p.wait(t, 30*time.Second); err != nil {
+			t.Fatalf("master exited uncleanly: %v", err)
+		}
+	}
+}
+
+// A segment count no width gives the file's blocks — the journal of a
+// cluster started with another -blocks — is an error that names both; a
+// file the snapshot does not know is cut at the cluster's slots.
+func TestPlanWidth(t *testing.T) {
+	recorded := &journal.MasterState{Snapshot: &scheduler.Snapshot{Queues: []scheduler.QueueSnapshot{{File: "corpus", Segments: 24}}}}
+	for _, c := range []struct {
+		file          string
+		blocks, slots int
+		recorded      *journal.MasterState
+		width         int
+	}{
+		{"corpus", 48, 4, nil, 4},
+		{"corpus", 48, 4, &journal.MasterState{}, 4},
+		{"lineitem", 48, 4, recorded, 4},
+		{"corpus", 48, 4, recorded, 2},
+		{"corpus", 48, 2, recorded, 2},
+		{"corpus", 24, 4, recorded, 1},
+		{"corpus", 70, 4, recorded, 3}, // 3 and nothing else: 24 segments of 70 blocks
+		{"corpus", 94, 4, recorded, 4}, // 4 still cuts 94 blocks into 24
+	} {
+		if width, err := planWidth(c.file, c.blocks, c.slots, c.recorded); err != nil || width != c.width {
+			t.Errorf("planWidth(%s, %d blocks, %d slots) = %d, %v; want %d", c.file, c.blocks, c.slots, width, err, c.width)
+		}
+	}
+	if _, err := planWidth("corpus", 50, 4, recorded); err == nil || !strings.Contains(err.Error(), "24 segments") || !strings.Contains(err.Error(), "50 blocks") {
+		t.Errorf("24 journalled segments over 50 blocks: err = %v, want one naming both numbers", err)
 	}
 }
 

@@ -28,13 +28,14 @@ import (
 //     during its handshake);
 //  3. journal a stage-materialized record so a restart re-installs the
 //     file before resuming consumers;
-//  4. register the segment plan with the scheduler so consumers can be
-//     submitted against the new file.
+//  4. register the segment plan with the scheduler — width says how many
+//     blocks a segment of the file holds — so consumers can be submitted
+//     against the new file.
 //
 // It runs on the engine goroutine between rounds (LiveDAG calls it from
 // JobFinished or Pop), which is the only time MultiFile.AddPlan is
 // legal.
-func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *dfs.Store, jnl *journal.Journal, segBlocks int, id scheduler.JobID) error {
+func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *dfs.Store, jnl *journal.Journal, width func(file string, blocks int) (int, error), id scheduler.JobID) error {
 	name := workload.DerivedFileName(id)
 	file, err := planStore.File(name)
 	if err != nil {
@@ -75,6 +76,10 @@ func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *d
 			// the producer re-materialized); nothing left to do.
 			return nil
 		}
+	}
+	segBlocks, err := width(name, file.NumBlocks)
+	if err != nil {
+		return err
 	}
 	plan, err := dfs.PlanSegments(file, segBlocks)
 	if err != nil {

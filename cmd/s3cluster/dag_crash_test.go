@@ -252,12 +252,13 @@ func TestDAGProducerOutputSurvivesWithoutWorkers(t *testing.T) {
 		return out
 	}
 
+	twoWide := func(string, int) (int, error) { return 2, nil }
 	planStore, sched := planning()
 	arrival := []runtime.Arrival{{Job: scheduler.JobMeta{ID: 1, File: "corpus"}}}
 	if _, err := runtime.RunTrace(sched, master, arrival, runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := materializeStage(master, sched, planStore, jnl, 2, 1); err != nil {
+	if err := materializeStage(master, sched, planStore, jnl, twoWide, 1); err != nil {
 		t.Fatal(err)
 	}
 	want := derived(planStore)
@@ -289,10 +290,168 @@ func TestDAGProducerOutputSurvivesWithoutWorkers(t *testing.T) {
 	defer recovered.Close()
 	recovered.RestoreResult(st.Results[1])
 	planStore, sched = planning()
-	if err := materializeStage(recovered, sched, planStore, nil, 2, 1); err != nil {
+	if err := materializeStage(recovered, sched, planStore, nil, twoWide, 1); err != nil {
 		t.Fatalf("re-materialising without workers: %v", err)
 	}
 	if got := derived(planStore); len(want) == 0 || !bytes.Equal(got, want) {
 		t.Errorf("the rebuilt file is %d bytes, the first master's %d", len(got), len(want))
+	}
+}
+
+// A derived file is planned like any other. The master that materialises
+// it cuts it at its cluster's slots; one recovering a journal whose
+// snapshot has a queue for it keeps the segment count recorded there,
+// whatever its own cluster's slots, so a consumer half way through the file
+// resumes where it was; and a stage that materialises after the restart is
+// cut at the new cluster's slots.
+func TestDerivedFileKeepsItsJournalledSegments(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		store, err := workerStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := remote.NewWorker(store, remote.NewStandardRegistry())
+		addr, err := w.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		addrs = append(addrs, addr)
+	}
+	consumer := remote.JobRef{Name: "wc-derived", Factory: "wordcount", Param: "1", NumReduce: 2}
+	master, err := remote.Dial(addrs, map[scheduler.JobID]remote.JobRef{
+		1: {Name: "producer", Factory: "selection", Param: "40", NumReduce: 2},
+		2: consumer, // over job 1's output, interrupted
+		3: {Name: "late-producer", Factory: "selection", Param: "30", NumReduce: 2},
+		4: consumer, // over job 1's output, undisturbed
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	// planning is drive()'s: the two files every worker serves, cut by width.
+	planning := func(width func(string, int) (int, error)) (*dfs.Store, *core.MultiFile) {
+		store := dfs.MustStore(2, 1)
+		var plans []*dfs.SegmentPlan
+		for _, name := range []string{"corpus", "lineitem"} {
+			f, err := store.AddMetaFile(name, *blocks, *blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := width(name, *blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := dfs.PlanSegments(f, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, plan)
+		}
+		sched, err := core.NewMultiFile(plans, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, sched
+	}
+	widthAt := func(slots int, recorded *journal.MasterState) func(string, int) (int, error) {
+		return func(file string, blocks int) (int, error) { return planWidth(file, blocks, slots, recorded) }
+	}
+	segmentsOf := func(sched *core.MultiFile, file string) int {
+		snap, err := sched.StateSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range snap.Queues {
+			if q.File == file {
+				return q.Segments
+			}
+		}
+		t.Fatalf("no queue for %s", file)
+		return 0
+	}
+	rounds := func(sched *core.MultiFile, n int) {
+		for i := 0; n < 0 || i < n; i++ {
+			r, ok := sched.NextRound(0)
+			if !ok {
+				return
+			}
+			if _, err := master.ExecRound(r); err != nil {
+				t.Fatal(err)
+			}
+			sched.RoundDone(r, 0)
+		}
+	}
+
+	// First incarnation, two slots: both producers run, the first one's
+	// output becomes a file, and the consumer rides one round over it.
+	planStore, sched := planning(widthAt(2, nil))
+	for _, id := range []scheduler.JobID{1, 3} {
+		if err := sched.Submit(scheduler.JobMeta{ID: id, File: "lineitem"}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds(sched, -1)
+	if err := materializeStage(master, sched, planStore, nil, widthAt(2, nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	file := workload.DerivedFileName(1)
+	f, err := planStore.File(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was := segmentsOf(sched, file)
+	if was != (f.NumBlocks+1)/2 || was == (f.NumBlocks+2)/3 || was < 3 {
+		t.Fatalf("%s: %d blocks in %d segments: want two a segment, several, and a count three a segment would not give", file, f.NumBlocks, was)
+	}
+	if err := sched.Submit(scheduler.JobMeta{ID: 2, File: file}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rounds(sched, 1)
+	snap, err := sched.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Second incarnation, three slots, recovering that snapshot.
+	recorded := &journal.MasterState{Snapshot: &snap}
+	planStore, sched = planning(widthAt(3, recorded))
+	if err := materializeStage(master, sched, planStore, nil, widthAt(3, recorded), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentsOf(sched, file); got != was {
+		t.Fatalf("%s recovered in %d segments, journalled in %d", file, got, was)
+	}
+	if err := sched.RestoreState(snap); err != nil {
+		t.Fatalf("restoring the snapshot at another width: %v", err)
+	}
+	rounds(sched, -1)
+	if err := sched.Submit(scheduler.JobMeta{ID: 4, File: file}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rounds(sched, -1)
+	resumed, err := master.JobOutput(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undisturbed, err := master.JobOutput(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) == 0 || fmt.Sprint(resumed) != fmt.Sprint(undisturbed) {
+		t.Errorf("the resumed consumer's output has %d keys, the undisturbed one's %d, or they differ", len(resumed), len(undisturbed))
+	}
+
+	// A stage that materialises now is no queue of the snapshot's.
+	if err := materializeStage(master, sched, planStore, nil, widthAt(3, recorded), 3); err != nil {
+		t.Fatal(err)
+	}
+	late, err := planStore.File(workload.DerivedFileName(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentsOf(sched, late.Name); got != (late.NumBlocks+2)/3 {
+		t.Errorf("%s: %d blocks in %d segments, want three a segment", late.Name, late.NumBlocks, got)
 	}
 }

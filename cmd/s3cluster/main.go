@@ -214,7 +214,7 @@ func runMaster() error {
 		if err := master.WaitForWorkers(*minWorkers, 5*time.Minute); err != nil {
 			return err
 		}
-		return drive(master, *minWorkers, refs)
+		return drive(master, refs)
 	}
 	addrs := strings.Split(*workerStr, ",")
 	if len(addrs) == 0 || addrs[0] == "" {
@@ -225,7 +225,7 @@ func runMaster() error {
 		return err
 	}
 	defer master.Close()
-	return drive(master, len(addrs), refs)
+	return drive(master, refs)
 }
 
 func runDemo() error {
@@ -260,7 +260,7 @@ func runDemo() error {
 		return err
 	}
 	defer master.Close()
-	return drive(master, *demoN, refs)
+	return drive(master, refs)
 }
 
 // clusterAdmission adapts the runtime's live admission queue to the
@@ -418,17 +418,60 @@ func (a *clusterAdmission) jobNames() map[scheduler.JobID]string {
 	return out
 }
 
-func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remote.JobRef) error {
+func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error {
 	master.SetTimeScale(1e6)
 	if *taskDeadline > 0 {
 		master.SetTaskDeadline(*taskDeadline)
 	}
+	reg := metrics.NewRegistry()
+	rm := metrics.NewRunMetrics(reg)
+	master.SetRegistry(reg)
+	opts := runtime.Options{Metrics: rm}
+
+	// The journal comes first: a segment plan must match what it recorded.
+	var jnl *journal.Journal
+	var recorded *journal.MasterState
+	if *journalPath != "" {
+		if !*serve {
+			return fmt.Errorf("-journal requires -serve: batch runs pre-register their whole workload, so there is nothing to recover")
+		}
+		pol, err := journal.ParseSyncPolicy(*fsyncMode)
+		if err != nil {
+			return err
+		}
+		var replayed *journal.Replayed
+		jnl, replayed, err = journal.Open(*journalPath, journal.Options{
+			Sync: pol,
+			OnAppend: func(st journal.Stats) {
+				rm.JournalAppends.Inc()
+				rm.JournalBytes.Set(float64(st.Bytes))
+			},
+		})
+		if err != nil {
+			return err
+		}
+		defer jnl.Close()
+		if replayed.Corruption != nil {
+			fmt.Printf("journal: repaired torn tail (%v); %d intact record(s) kept\n",
+				replayed.Corruption, len(replayed.Entries))
+		}
+		if len(replayed.Entries) > 0 {
+			if recorded, err = journal.ReduceEntries(replayed.Entries); err != nil {
+				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
+			}
+		}
+		master.SetJournal(jnl)
+		opts.Commits = &journalCommits{j: jnl}
+	}
 
 	// The scheduler's segment plans: metadata only, matching the two
-	// files every worker serves (text corpus + lineitem table).
-	planStore, err := dfs.NewStore(numWorkers, 1)
+	// files every worker serves (text corpus + lineitem table), a segment
+	// as wide as the map slots of the workers waited for.
+	workers, slots := master.MapSlots()
+	width := func(file string, blocks int) (int, error) { return planWidth(file, blocks, slots, recorded) }
+	planStore, err := dfs.NewStore(workers, 1)
 	if err != nil {
-		return fmt.Errorf("planning store for %d workers: %w", numWorkers, err)
+		return fmt.Errorf("planning store for %d workers: %w", workers, err)
 	}
 	var plans []*dfs.SegmentPlan
 	for _, name := range []string{"corpus", "lineitem"} {
@@ -436,14 +479,24 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 		if err != nil {
 			return err
 		}
-		plan, err := dfs.PlanSegments(f, numWorkers)
+		w, err := width(name, *blocks)
+		if err != nil {
+			return err
+		}
+		plan, err := dfs.PlanSegments(f, w)
 		if err != nil {
 			return err
 		}
 		plans = append(plans, plan)
 	}
+	if w := plans[0].BlocksPerSegment(); *ctrlAddr != "" { // static members have one slot each: nothing to say
+		origin := ""
+		if w != slots {
+			origin = "journal, not the "
+		}
+		fmt.Printf("plan width %d = %s%d map slots on %d workers\n", w, origin, slots, workers)
+	}
 
-	var opts runtime.Options
 	var spans *trace.Log
 	if *traceJSON != "" {
 		spans, err = trace.New(1 << 16)
@@ -462,38 +515,6 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	// Each cursor advance's hint rides the file's next map tasks. Wired
 	// before any recovery; RestoreState and AddPlan keep it.
 	sched.SetScanHinter(master.HandleScanHint)
-	reg := metrics.NewRegistry()
-	rm := metrics.NewRunMetrics(reg)
-	opts.Metrics = rm
-
-	var jnl *journal.Journal
-	var replayed *journal.Replayed
-	if *journalPath != "" {
-		if !*serve {
-			return fmt.Errorf("-journal requires -serve: batch runs pre-register their whole workload, so there is nothing to recover")
-		}
-		pol, err := journal.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		jnl, replayed, err = journal.Open(*journalPath, journal.Options{
-			Sync: pol,
-			OnAppend: func(st journal.Stats) {
-				rm.JournalAppends.Inc()
-				rm.JournalBytes.Set(float64(st.Bytes))
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer jnl.Close()
-		if replayed.Corruption != nil {
-			fmt.Printf("journal: repaired torn tail (%v); %d intact record(s) kept\n",
-				replayed.Corruption, len(replayed.Entries))
-		}
-		master.SetJournal(jnl)
-		opts.Commits = &journalCommits{j: jnl}
-	}
 
 	var src *runtime.LiveSource
 	var dag *pipeline.LiveDAG
@@ -503,7 +524,7 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	// rounds, and recovery invokes it directly to restore materialized
 	// stages before the engine starts.
 	remat := func(id scheduler.JobID) error {
-		return materializeStage(master, sched, planStore, jnl, numWorkers, id)
+		return materializeStage(master, sched, planStore, jnl, width, id)
 	}
 	statusAddr := *statAddr
 	if *serve {
@@ -544,10 +565,10 @@ func drive(master *remote.Master, numWorkers int, refs map[scheduler.JobID]remot
 	if *serve {
 		recovered := false
 		var journalEpoch int64
-		if jnl != nil && len(replayed.Entries) > 0 {
+		if recorded != nil {
 			// Without the journal: what re-materialising would write is what is being replayed.
-			quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, numWorkers, id) }
-			rep, err := recoverFromJournal(jnl, replayed.Entries, sched, master, src, dag, adm, quiet, &opts)
+			quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, width, id) }
+			rep, err := recoverFromJournal(jnl, recorded, sched, master, src, dag, adm, quiet, &opts)
 			if err != nil {
 				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 			}

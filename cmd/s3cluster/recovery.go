@@ -61,8 +61,8 @@ type recoveryReport struct {
 	state                       *journal.MasterState
 }
 
-// recoverFromJournal folds the replayed entries and rebuilds daemon
-// state: the master goes back on the journal's stash epoch, settled jobs
+// recoverFromJournal rebuilds daemon state from the folded journal st:
+// the master goes back on the journal's stash epoch, settled jobs
 // get their status (and restored results) back, snapshotted jobs resume
 // mid-pass over the map output the workers still hold,
 // and admitted-but-unsnapshotted jobs are resubmitted under their
@@ -75,7 +75,7 @@ type recoveryReport struct {
 // recovered record marking the journal as once-more-recovered.
 func recoverFromJournal(
 	jnl *journal.Journal,
-	entries []journal.Entry,
+	st *journal.MasterState,
 	sched scheduler.Scheduler,
 	master *remote.Master,
 	src *runtime.LiveSource,
@@ -84,10 +84,6 @@ func recoverFromJournal(
 	remat func(scheduler.JobID) error,
 	opts *runtime.Options,
 ) (*recoveryReport, error) {
-	st, err := journal.ReduceEntries(entries)
-	if err != nil {
-		return nil, err
-	}
 	rep := &recoveryReport{state: st}
 	if st.Epoch != 0 {
 		master.RestoreEpoch(st.Epoch)
@@ -226,6 +222,31 @@ func recoverFromJournal(
 		return nil, err
 	}
 	return rep, nil
+}
+
+// planWidth is how many blocks a segment of file holds: the cluster's map
+// slots, unless the journal's newest snapshot has a queue for the file. A
+// queue restores only into a plan of as many segments as it was saved
+// with, so the file then keeps that count — at slots if they still yield
+// it, else at the narrowest width that does; a count no width yields for
+// the file's blocks is an error. Which blocks lie behind a resumed job's
+// cursor may shift with the width: its reduce has the ones it lacks redone.
+func planWidth(file string, blocks, slots int, recorded *journal.MasterState) (int, error) {
+	if recorded == nil || recorded.Snapshot == nil {
+		return slots, nil
+	}
+	segments := func(width int) int { return (blocks + width - 1) / width }
+	for _, q := range recorded.Snapshot.Queues {
+		if q.File != file || segments(slots) == q.Segments {
+			continue
+		}
+		width := segments(max(q.Segments, 1))
+		if segments(width) != q.Segments {
+			return 0, fmt.Errorf("the journal recorded %d segments for %q: no segment width cuts its %d blocks into that many", q.Segments, file, blocks)
+		}
+		return width, nil
+	}
+	return slots, nil
 }
 
 // pruneSnapshot filters a scheduler snapshot down to the jobs actually

@@ -160,6 +160,9 @@ type WorkerInfo struct {
 	State    string `json:"state"`
 	// Static marks boot-time -workers members that never heartbeat.
 	Static bool `json:"static,omitempty"`
+	// MapSlots is the worker's share of a segment's width: what it
+	// advertised when it registered, one for a static member.
+	MapSlots int `json:"mapSlots"`
 	// SinceHeartbeat is seconds since the last heartbeat (or since
 	// registration when none arrived yet); absent for static members.
 	SinceHeartbeat float64 `json:"sinceHeartbeat,omitempty"`

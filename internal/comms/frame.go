@@ -34,6 +34,10 @@ type Capabilities struct {
 	CacheBytes int64
 	// Factories lists the job factories the worker's registry can build.
 	Factories []string
+	// MapSlots is how many (block × job) map units the worker runs side by
+	// side: its GOMAXPROCS. The master sizes a segment by the sum over its
+	// workers; zero — an older worker — counts as one.
+	MapSlots int
 }
 
 // RegisterFrame is a worker's join request: identity, where the master

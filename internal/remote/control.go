@@ -143,6 +143,7 @@ func (w *Worker) controlSession(conn *comms.Conn, opts RegisterOptions, stop <-c
 		Blocks:   w.store.Inventory(),
 		Capabilities: comms.Capabilities{
 			Factories: w.registry.Names(),
+			MapSlots:  w.slots,
 		},
 	}
 	if c := w.store.Cache(); c != nil {

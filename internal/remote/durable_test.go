@@ -104,7 +104,7 @@ func TestTaskDeadlineFailsOver(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	if err := m.mapWithFailover("", "corpus", 0, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}, nil); err != nil {
+	if err := mapOn(m, "corpus", []int{0}, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}); err != nil {
 		t.Fatalf("map did not fail over past the wedged worker: %v", err)
 	}
 	if st := w.wireStats(); st.StashEntries != 1 || st.MapTasks != 1 {
@@ -135,7 +135,7 @@ func TestTaskDeadlineSparesSlowWorkers(t *testing.T) {
 	log := trace.MustNew(256)
 	m.SetTrace(log)
 
-	if err := m.mapWithFailover("", "corpus", 0, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}, nil); err != nil {
+	if err := mapOn(m, "corpus", []int{0}, 0, []scheduler.JobID{1}, []JobRef{jobs[1]}); err != nil {
 		t.Fatalf("slow worker failed: %v", err)
 	}
 	if got := failovers(m); got != 0 {
@@ -144,6 +144,14 @@ func TestTaskDeadlineSparesSlowWorkers(t *testing.T) {
 	if evs := log.OfKind(trace.TaskDeadlineExceeded); len(evs) != 0 {
 		t.Errorf("%d task-deadline-exceeded events for a healthy worker", len(evs))
 	}
+}
+
+// mapOn sends one map task the way ExecRound does, on a membership
+// snapshot of its own.
+func mapOn(m *Master, file string, blocks []int, home int, ids []scheduler.JobID, refs []JobRef) error {
+	ver, live := m.members.live()
+	_, err := m.mapWithFailover(ver, live, "", file, blocks, home, ids, refs, nil)
+	return err
 }
 
 // driveRounds advances the scheduler/master pair n rounds (-1 = until

@@ -278,7 +278,7 @@ func joinBehind(t *testing.T, m *Master, ctl string, w *Worker, taskAddr string,
 type hintRecorder struct {
 	*Worker
 	mu    sync.Mutex
-	seen  map[int][][]int // block index → the hint of each task over it
+	seen  map[int][][]int // a task's first block → the hint of each task over it
 	armed bool
 	drop  func()
 }
@@ -287,7 +287,7 @@ func (h *hintRecorder) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	err := h.Worker.ExecMap(args, reply)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.seen[args.BlockIndex] = append(h.seen[args.BlockIndex], args.Hint)
+	h.seen[args.Blocks[0]] = append(h.seen[args.Blocks[0]], args.Hint)
 	if h.armed {
 		h.armed = false
 		h.drop()
@@ -339,22 +339,23 @@ func TestRequeuedRoundResendsItsHint(t *testing.T) {
 		t.Fatalf("%d requeued rounds over %d attempts at segment %d, want 1 over 2", fs.RequeuedRounds, attempts, lostSegment)
 	}
 
-	// Both jobs share the segment's one round, so undisturbed each of its
-	// two blocks is mapped once. The lost attempt ran at least one of them
-	// before the cut, and every task over either, lost or not, carried one
-	// and the same hint.
-	var resent bool
-	for _, idx := range []int{2 * lostSegment, 2*lostSegment + 1} {
-		hints := rec.seen[idx]
-		resent = resent || len(hints) == 2
-		for _, h := range hints {
-			if len(h) == 0 || !reflect.DeepEqual(h, hints[0]) {
-				t.Errorf("block %d was sent hints %v, want one hint repeated", idx, hints)
-			}
+	// Both jobs share the segment's one round, and its two blocks are at
+	// home on the one worker: a round is one task, opened by the segment's
+	// first block, and one hint. The lost attempt's task ran before the
+	// cut, so the segment's was sent twice, with one and the same hint.
+	for first := range rec.seen {
+		if first%2 != 0 {
+			t.Errorf("a task opened at block %d: the worker's two blocks of a round did not share one message", first)
 		}
 	}
-	if !resent {
-		t.Errorf("no block of segment %d was mapped twice: %v", lostSegment, rec.seen)
+	hints := rec.seen[2*lostSegment]
+	if len(hints) != 2 {
+		t.Errorf("segment %d was sent %d tasks, want the lost one and the requeued one: %v", lostSegment, len(hints), rec.seen)
+	}
+	for _, h := range hints {
+		if len(h) == 0 || !reflect.DeepEqual(h, hints[0]) {
+			t.Errorf("segment %d was sent hints %v, want one hint repeated", lostSegment, hints)
+		}
 	}
 
 	// Same jobs, undisturbed and uncached.
@@ -442,7 +443,7 @@ func TestWorkerReadsWhereReadaheadLands(t *testing.T) {
 	waitFor(t, 5*time.Second, "the prefetch to land", func() bool { return store.CacheStats().Bytes > 0 })
 
 	var reply MapTaskReply
-	args := &MapTaskArgs{File: "corpus", BlockIndex: block.Index, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
+	args := &MapTaskArgs{File: "corpus", Blocks: []int{block.Index}, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
 	if err := w.ExecMap(args, &reply); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestWorkerCloseRacesInflightRPCs(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					var mr MapTaskReply
 					err := cl.Call("Worker.ExecMap", &MapTaskArgs{
-						File: "corpus", BlockIndex: i % testBlocks, IDs: []scheduler.JobID{scheduler.JobID(c)},
+						File: "corpus", Blocks: []int{i % testBlocks}, IDs: []scheduler.JobID{scheduler.JobID(c)},
 						Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}},
 					}, &mr)
 					if err != nil {

@@ -52,6 +52,10 @@ type Master struct {
 	// trace. roundSeq numbers rounds for those ids.
 	log      *trace.Log
 	roundSeq int
+	// wall, when non-nil (SetRegistry), takes every round's wall-clock
+	// split; returned is when ExecRound last did.
+	wall     *wallMetrics
+	returned vclock.Time
 
 	// hasCtl flips once when ListenControl starts; it gates the
 	// lost-round (requeue) error contract, which only a dynamic
@@ -179,6 +183,27 @@ func (m *Master) SetTimeScale(scale float64) {
 	m.timeScale = scale
 }
 
+// wallMetrics are where a round's wall time goes, in seconds: the map
+// phase as the master waits for it, the slowest handler inside it, what is
+// left (encode, a process wake-up each way, decode), the reduce phase of a
+// round that has one, and the run loop's time between two rounds.
+type wallMetrics struct{ mapPhase, mapHandler, mapHop, reducePhase, roundGap *metrics.Histogram }
+
+// SetRegistry publishes the wall-clock split of every round on reg, as
+// s3_wall_*_seconds. Call before the first round.
+func (m *Master) SetRegistry(reg *metrics.Registry) {
+	hist := func(name, help string) *metrics.Histogram {
+		return reg.Histogram("s3_wall_"+name+"_seconds", help, metrics.WallBuckets)
+	}
+	m.wall = &wallMetrics{
+		hist("map_phase", "wall time of a round's map phase at the master"),
+		hist("map_handler", "wall time of a round's slowest map handler"),
+		hist("map_hop", "map phase less its slowest handler: encode, wake-ups, decode"),
+		hist("reduce_phase", "wall time of a round's reduce phase, rounds completing a job only"),
+		hist("round_gap", "wall time between ExecRound returning and being called again"),
+	}
+}
+
 // SetTrace installs a trace log recording every dispatched task with
 // its correlation id. nil clears it (and stops sending Corr to
 // workers). Call before the first round.
@@ -192,25 +217,6 @@ func (m *Master) HandleScanHint(h dfs.ScanHint) {
 	m.mu.Lock()
 	m.hints[h.File] = h
 	m.mu.Unlock()
-}
-
-// hintShares splits file's newest hint into one share per live worker,
-// keyed by worker id; nil when the scheduler has emitted none. A worker
-// that joins or dies while the round runs gets no share or a stale one,
-// which costs it at most a readahead nobody consumes.
-func (m *Master) hintShares(file string) map[string][]int {
-	m.mu.Lock()
-	h, ok := m.hints[file]
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	_, live := m.members.live()
-	shares := make(map[string][]int, len(live))
-	for pos, w := range live {
-		shares[w.id] = hintShare(h, pos, len(live))
-	}
-	return shares
 }
 
 // RegisterJob makes a live-submitted job runnable: subsequent rounds
@@ -355,7 +361,7 @@ func (m *Master) CacheStats() metrics.CacheStats {
 func (m *Master) TakeMemberEvents() []comms.MemberEvent { return m.members.takeEvents() }
 
 // LiveWorkers implements runtime.MembershipSource.
-func (m *Master) LiveWorkers() int { return m.members.liveCount() }
+func (m *Master) LiveWorkers() int { n, _ := m.MapSlots(); return n }
 
 // ClusterSnapshot implements status.ClusterSource: the full membership
 // table, including dead members awaiting rejoin.
@@ -425,17 +431,31 @@ func (m *Master) corr(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// ExecRound implements runtime.Executor: map every block of the round
-// on its home worker (one merged task per block), which keeps the output,
-// then have the completed jobs' partitions reduced across the workers,
-// each pulling its input from where the maps left it.
+// ExecRound implements runtime.Executor: have every worker map its blocks
+// of the round — block i is at home on worker i mod W — in one merged task
+// and keep the output, then have the completed jobs' partitions reduced
+// across the workers, each pulling its input from where the maps left it.
+// Homes, hint shares and reduce peers come from one membership snapshot.
 func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	start := m.clock.Now()
+	if m.wall != nil && m.returned > 0 {
+		m.wall.roundGap.Observe(float64(start - m.returned))
+	}
+	defer func() { m.returned = m.clock.Now() }()
 	// A job whose result a lost attempt of this round committed is
 	// finished: it is neither mapped nor reduced again.
 	var refs []JobRef
 	var ids []scheduler.JobID
+	var file string        // a round scans one file
+	var hint *dfs.ScanHint // the scheduler's newest for it, if any
+	if len(r.Blocks) > 0 {
+		file = r.Blocks[0].File
+	}
 	m.mu.Lock()
+	grace := m.ctlCfg.RejoinGrace
+	if h, ok := m.hints[file]; ok {
+		hint = &h
+	}
 	for _, j := range r.Jobs {
 		ref, ok := m.jobs[j.ID]
 		if !ok {
@@ -446,8 +466,8 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 			continue
 		}
 		refs, ids = append(refs, ref), append(ids, j.ID)
-		if m.shuffle[j.ID] == nil && len(r.Blocks) > 0 {
-			m.shuffle[j.ID] = &jobShuffle{file: r.Blocks[0].File, receipts: make([]PartReceipt, ref.width())} // a round scans one file
+		if m.shuffle[j.ID] == nil && file != "" {
+			m.shuffle[j.ID] = &jobShuffle{file: file, receipts: make([]PartReceipt, ref.width())}
 		}
 	}
 	m.mu.Unlock()
@@ -455,46 +475,57 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	// With a dynamic control plane a workerless moment is recoverable:
 	// wait out the rejoin grace, then report the round lost so the
 	// engine requeues it (and re-enters this wait).
-	if m.hasCtl.Load() {
-		if live := m.members.waitLive(1, m.rejoinGrace()); len(live) == 0 {
-			return 0, m.roundLost(r, start, &allWorkersError{
-				what: fmt.Sprintf("round over segment %d", r.Segment),
-				err:  fmt.Errorf("no live workers"),
-			})
-		}
+	ver, live := m.members.live()
+	if len(live) == 0 && m.hasCtl.Load() {
+		ver, live = m.members.waitLive(1, grace)
+	}
+	if len(live) == 0 {
+		return 0, m.roundLost(r, start, &allWorkersError{
+			what: fmt.Sprintf("round over segment %d", r.Segment),
+			err:  fmt.Errorf("no live workers"),
+		})
 	}
 
-	// Map phase: one merged task per block, locality-first on the
-	// block's home worker, failing over across the live membership
-	// when a worker is unreachable. A task that ran twice wrote one stash
-	// entry twice, or the same bytes on two workers of which the reduce
-	// keeps one: there is nothing here to commit and nothing to undo.
+	// Map phase: one merged task per worker with a block of the round,
+	// failing over as a whole when the worker is unreachable. A task that
+	// ran twice wrote its stash entries twice, or the same bytes on two
+	// workers of which the reduce keeps one: nothing to commit or undo.
 	seq := m.roundSeq
 	m.roundSeq++
-	if len(ids) > 0 && len(r.Blocks) > 0 {
-		hints := m.hintShares(r.Blocks[0].File)
-		err := fanOut(len(r.Blocks), func(i int) error {
-			b := r.Blocks[i]
-			return m.mapWithFailover(m.corr("r%d.m%d", seq, b.Index), b.File, b.Index, b.Index, ids, refs, hints)
+	began := m.clock.Now()
+	if len(ids) > 0 && file != "" {
+		groups := make([][]int, len(live)) // by home; a round's blocks ascend
+		for _, b := range r.Blocks {
+			groups[b.Index%len(live)] = append(groups[b.Index%len(live)], b.Index)
+		}
+		handlers := make([]int64, len(live))
+		err := fanOut(len(groups), func(home int) (err error) {
+			if blocks := groups[home]; len(blocks) > 0 {
+				handlers[home], err = m.mapWithFailover(ver, live, m.corr("r%d.m%d", seq, blocks[0]), file, blocks, home, ids, refs, hint)
+			}
+			return err
 		})
 		if err != nil {
 			return 0, m.roundLost(r, start, err)
 		}
+		if m.wall != nil {
+			phase, handler := float64(m.clock.Now()-began), float64(slices.Max(handlers))/1e9
+			m.wall.mapPhase.Observe(phase)
+			m.wall.mapHandler.Observe(handler)
+			m.wall.mapHop.Observe(max(phase-handler, 0))
+		}
 	}
 
 	// Reduce phase: the jobs completing this round reduce side by side.
-	if err := fanOut(len(r.Completes), func(i int) error { return m.finishJob(r.Completes[i]) }); err != nil {
+	mapped := m.clock.Now()
+	if err := fanOut(len(r.Completes), func(i int) error { return m.finishJob(ver, live, r.Completes[i]) }); err != nil {
 		return 0, m.roundLost(r, start, err)
 	}
-	elapsed := m.clock.Now().Sub(start)
-	return vclock.Duration(elapsed.Seconds() * m.timeScale), nil
-}
-
-// rejoinGrace returns the configured zero-live-workers wait.
-func (m *Master) rejoinGrace() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ctlCfg.RejoinGrace
+	end := m.clock.Now()
+	if m.wall != nil && len(r.Completes) > 0 {
+		m.wall.reducePhase.Observe(float64(end - mapped))
+	}
+	return vclock.Duration(end.Sub(start).Seconds() * m.timeScale), nil
 }
 
 // roundLost converts an all-workers failure into the engine's requeue
@@ -513,22 +544,22 @@ func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) erro
 }
 
 // withFailover runs one task on its home worker — live[home mod W] —
-// then on every other live worker. Task-level errors are returned
-// immediately; transport errors rotate to the next worker. If every
-// worker in the snapshot fails and the membership changed meanwhile (a
-// rejoin landed mid-rotation), one fresh snapshot is retried before
-// giving up. Retried tasks re-execute from the locally regenerated
-// block, so results are unaffected. call fills a fresh reply each
-// attempt: an abandoned one may still write to its own.
-func (m *Master) withFailover(home int, what string, call func(w liveWorker, attempt int) error) error {
+// then on every other worker of the snapshot (ver, live). Task-level
+// errors are returned immediately; transport errors rotate to the next
+// worker. If every worker fails and the membership changed meanwhile (a
+// rejoin landed mid-rotation), one fresh snapshot is tried before giving
+// up — with an *allWorkersError whose what the caller, who knows the task,
+// fills in. Retried tasks re-execute from the locally regenerated blocks.
+// call runs the task on live[pos] and fills a fresh reply each attempt: an
+// abandoned one may still write to its own.
+func (m *Master) withFailover(ver int, live []liveWorker, home int, call func(live []liveWorker, pos, attempt int) error) error {
 	var lastErr error
 	for pass := 0; pass < 2; pass++ {
-		ver, live := m.members.live()
 		if len(live) == 0 {
 			lastErr = fmt.Errorf("no live workers")
 		}
 		for off := range live {
-			err := call(live[(home+off)%len(live)], off+1)
+			err := call(live, (home+off)%len(live), off+1)
 			if err == nil {
 				if off > 0 || pass > 0 {
 					m.mu.Lock()
@@ -542,11 +573,13 @@ func (m *Master) withFailover(home int, what string, call func(w liveWorker, att
 			}
 			lastErr = err
 		}
-		if ver2, _ := m.members.live(); ver2 == ver {
+		now, fresh := m.members.live()
+		if now == ver {
 			break
 		}
+		ver, live = now, fresh
 	}
-	return &allWorkersError{what: what, err: lastErr}
+	return &allWorkersError{err: lastErr}
 }
 
 // releasesFor returns the finished jobs w has not been told of, and what
@@ -566,25 +599,38 @@ func (m *Master) releasesFor(w liveWorker) (done []scheduler.JobID, ack func()) 
 	}
 }
 
-// mapWithFailover runs one merged map task for the jobs ids (refs are
-// their programs), first on the live worker at position home, with that
-// worker's share of hints and the releases it has not had.
-func (m *Master) mapWithFailover(corr, file string, idx, home int, ids []scheduler.JobID, refs []JobRef, hints map[string][]int) error {
+// mapWithFailover runs one merged map task over blocks of file for the
+// jobs ids (refs are their programs), first on the worker at position
+// home, with the receiving worker's share of hint and the releases it has
+// not had. It returns how long the answering worker's handler ran.
+func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, blocks []int, home int, ids []scheduler.JobID, refs []JobRef, hint *dfs.ScanHint) (handlerNs int64, err error) {
 	var reply *MapTaskReply
-	err := m.withFailover(home, fmt.Sprintf("block %s#%d", file, idx), func(w liveWorker, attempt int) error {
-		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%d worker %s attempt %d", corr, file, idx, w.id, attempt)
+	err = m.withFailover(ver, live, home, func(live []liveWorker, pos, attempt int) error {
+		w := live[pos]
+		if m.log != nil {
+			m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s map %s#%v worker %s attempt %d", corr, file, blocks, w.id, attempt)
+		}
 		reply = new(MapTaskReply)
 		done, ack := m.releasesFor(w)
-		args := &MapTaskArgs{File: file, BlockIndex: idx, Jobs: refs, Epoch: m.epoch, IDs: ids, Done: done, Corr: corr, Hint: hints[w.id]}
+		args := &MapTaskArgs{File: file, Blocks: blocks, Jobs: refs, Epoch: m.epoch, IDs: ids, Done: done, Corr: corr}
+		if hint != nil {
+			args.Hint = hintShare(*hint, pos, len(live))
+		}
 		err := m.callWorker(w, "Worker.ExecMap", args, reply)
 		if err == nil {
 			ack()
 		}
 		return err
 	})
+	if err != nil {
+		if out, ok := err.(*allWorkersError); ok {
+			out.what = fmt.Sprintf("blocks %s#%v", file, blocks)
+		}
+		return 0, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := 0; err == nil && i < len(ids) && i < len(reply.Receipts); i++ {
+	for i := 0; i < len(ids) && i < len(reply.Receipts); i++ {
 		if sh := m.shuffle[ids[i]]; sh != nil {
 			for p, rc := range reply.Receipts[i][:min(len(reply.Receipts[i]), len(sh.receipts))] {
 				sh.receipts[p].Records += rc.Records
@@ -592,25 +638,27 @@ func (m *Master) mapWithFailover(corr, file string, idx, home int, ids []schedul
 			}
 		}
 	}
-	return err
+	return reply.WallNs, nil
 }
 
 // reduceWithFailover runs one reduce task. It returns the receipt of the
 // output and the worker that keeps it, or the blocks whose map output the
 // reducer could not find.
-func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (part journal.ResultPart, missing []int, err error) {
+func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (part journal.ResultPart, missing []int, err error) {
 	var reply *ReduceTaskReply
 	corr := m.corr("j%d.p%d", id, p)
 	m.mu.Lock()
 	want := sh.receipts[p]
 	m.mu.Unlock()
-	err = m.withFailover(p, fmt.Sprintf("job %q partition %d", ref.Name, p), func(w liveWorker, attempt int) error {
-		m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d (%d records, %d bytes stashed) worker %s attempt %d", corr, ref.Name, p, want.Records, want.Bytes, w.id, attempt)
+	err = m.withFailover(ver, live, p, func(live []liveWorker, pos, attempt int) error {
+		w := live[pos]
+		if m.log != nil {
+			m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d (%d records, %d bytes stashed) worker %s attempt %d", corr, ref.Name, p, want.Records, want.Bytes, w.id, attempt)
+		}
 		reply = new(ReduceTaskReply)
 		args := &ReduceTaskArgs{Job: ref, Epoch: m.epoch, ID: id, File: sh.file, Partition: p, FetchDeadline: m.taskDeadline / 2, Corr: corr}
-		_, live := m.members.live()
-		for _, peer := range live {
-			if peer.id != w.id {
+		for i, peer := range live {
+			if i != pos {
 				args.Peers = append(args.Peers, peer.addr)
 			}
 		}
@@ -619,6 +667,9 @@ func (m *Master) reduceWithFailover(id scheduler.JobID, ref JobRef, sh *jobShuff
 		return err
 	})
 	if err != nil {
+		if out, ok := err.(*allWorkersError); ok {
+			out.what = fmt.Sprintf("job %q partition %d", ref.Name, p)
+		}
 		return part, nil, err
 	}
 	return reply.Receipt, reply.Missing, nil
@@ -631,7 +682,7 @@ const reduceRepairs = 2
 // finishJob has every partition of the job reduced and commits the
 // receipts. Nothing is released before the result is in, and a job whose
 // result a lost attempt of the round committed stays as it is.
-func (m *Master) finishJob(id scheduler.JobID) error {
+func (m *Master) finishJob(ver int, live []liveWorker, id scheduler.JobID) error {
 	m.mu.Lock()
 	ref, sh := m.jobs[id], m.shuffle[id]
 	_, done := m.results[id]
@@ -642,7 +693,7 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 	if sh == nil {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}
-	parts, err := m.reduceJob(id, ref, sh, false)
+	parts, err := m.reduceJob(ver, live, id, ref, sh, false)
 	if err != nil {
 		return err
 	}
@@ -664,8 +715,9 @@ func (m *Master) finishJob(id scheduler.JobID) error {
 // are mapped again, for this one job, next to the first partition still
 // open, and the open partitions retried; past reduceRepairs the round is
 // lost, to be requeued like any other. A recompute (results.go) runs the
-// same loop, and its repairs are not counted as a lost worker's.
-func (m *Master) reduceJob(id scheduler.JobID, ref JobRef, sh *jobShuffle, recompute bool) ([]journal.ResultPart, error) {
+// same loop, and its repairs are not counted as a lost worker's. (ver,
+// live) is the caller's membership snapshot; a repair takes a fresh one.
+func (m *Master) reduceJob(ver int, live []liveWorker, id scheduler.JobID, ref JobRef, sh *jobShuffle, recompute bool) ([]journal.ResultPart, error) {
 	parts := make([]journal.ResultPart, ref.width()) // a reduced partition has a holder
 	for repairs := 0; ; repairs++ {
 		var mu sync.Mutex
@@ -675,7 +727,7 @@ func (m *Master) reduceJob(id scheduler.JobID, ref JobRef, sh *jobShuffle, recom
 			if parts[p].Holder != "" {
 				return nil
 			}
-			part, lacks, err := m.reduceWithFailover(id, ref, sh, p)
+			part, lacks, err := m.reduceWithFailover(ver, live, id, ref, sh, p)
 			mu.Lock()
 			defer mu.Unlock()
 			if len(lacks) > 0 {
@@ -707,8 +759,10 @@ func (m *Master) reduceJob(id scheduler.JobID, ref JobRef, sh *jobShuffle, recom
 		for block := range missing {
 			blocks = append(blocks, block)
 		}
+		ver, live = m.members.live()
 		err = fanOut(len(blocks), func(i int) error {
-			return m.mapWithFailover(m.corr("j%d.m%d", id, blocks[i]), sh.file, blocks[i], slices.Min(open), []scheduler.JobID{id}, []JobRef{ref}, nil)
+			_, err := m.mapWithFailover(ver, live, m.corr("j%d.m%d", id, blocks[i]), sh.file, blocks[i:i+1], slices.Min(open), []scheduler.JobID{id}, []JobRef{ref}, nil)
+			return err
 		})
 		if err != nil {
 			return nil, err

@@ -79,11 +79,13 @@ type member struct {
 }
 
 // liveWorker is the placement view of a usable member: addr is its task
-// address, which is where its peers fetch map output from.
+// address, which is where its peers fetch map output from; slots is what
+// it counts for in a segment's width.
 type liveWorker struct {
 	id     string
 	addr   string
 	client *rpc.Client
+	slots  int
 }
 
 // membership is the master's lock-guarded cluster table. Joined and
@@ -255,7 +257,7 @@ func (t *membership) liveLocked() []liveWorker {
 	for _, id := range t.order {
 		m := t.members[id]
 		if m.state != comms.Dead && m.client != nil {
-			out = append(out, liveWorker{id: m.id, addr: m.taskAddr, client: m.client})
+			out = append(out, liveWorker{id: m.id, addr: m.taskAddr, client: m.client, slots: m.mapSlots()})
 		}
 	}
 	return out
@@ -263,17 +265,14 @@ func (t *membership) liveLocked() []liveWorker {
 
 // waitLive blocks until at least n workers are live or the grace
 // period lapses, returning the live snapshot either way.
-func (t *membership) waitLive(n int, grace time.Duration) []liveWorker {
+func (t *membership) waitLive(n int, grace time.Duration) (int, []liveWorker) {
 	deadline := time.Now().Add(grace)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if lw := t.liveLocked(); len(lw) >= n {
-			return lw
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return t.liveLocked()
+		lw, remain := t.liveLocked(), time.Until(deadline)
+		if len(lw) >= n || remain <= 0 {
+			return t.version, lw
 		}
 		// sync.Cond has no timed wait; poll on a short timer while
 		// broadcasts short-circuit the common (registration) case.
@@ -292,12 +291,9 @@ func (t *membership) takeEvents() []comms.MemberEvent {
 	return ev
 }
 
-// liveCount reports the current number of non-dead workers.
-func (t *membership) liveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.liveLocked())
-}
+// mapSlots is what m counts for in a segment's width: what it advertised,
+// one if that is nothing (an older worker, a static member).
+func (m *member) mapSlots() int { return max(m.caps.MapSlots, 1) }
 
 // snapshot renders the whole table (including dead members) for the
 // status server's GET /cluster.
@@ -312,6 +308,7 @@ func (t *membership) snapshot() []comms.WorkerInfo {
 			TaskAddr:        m.taskAddr,
 			State:           m.state.String(),
 			Static:          m.static,
+			MapSlots:        m.mapSlots(),
 			HeartbeatMisses: m.hbMisses,
 			Reconnects:      m.reconnects,
 			Tasks:           m.tasks,
@@ -396,10 +393,21 @@ func (m *Master) ListenControl(addr string, cfg ControlConfig) (string, error) {
 // after timeout. Masters call it between ListenControl and the first
 // round so the segment plan sees a populated cluster.
 func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
-	if got := len(m.members.waitLive(n, timeout)); got < n {
-		return fmt.Errorf("remote: %d of %d workers registered within %v", got, n, timeout)
+	if _, live := m.members.waitLive(n, timeout); len(live) < n {
+		return fmt.Errorf("remote: %d of %d workers registered within %v", len(live), n, timeout)
 	}
 	return nil
+}
+
+// MapSlots reports the live workers and the map slots they advertise
+// between them: how many blocks a segment should hold for one round to
+// keep every processor of the cluster mapping.
+func (m *Master) MapSlots() (workers, slots int) {
+	_, live := m.members.live()
+	for _, w := range live {
+		slots += w.slots
+	}
+	return len(live), slots
 }
 
 // serveControl owns one worker's control connection: registration

@@ -149,12 +149,19 @@ func TestRegistrationHeartbeatLifecycle(t *testing.T) {
 		if wi.Static {
 			t.Errorf("worker %s reported static", wi.ID)
 		}
+		if wi.MapSlots != workers[0].slots {
+			t.Errorf("worker %s shows %d map slots, want the %d it advertised", wi.ID, wi.MapSlots, workers[0].slots)
+		}
 		if wi.TaskAddr == "" {
 			t.Errorf("worker %s has no task address", wi.ID)
 		}
 		if wi.Control.FramesRecv == 0 || wi.Control.FramesSent == 0 {
 			t.Errorf("worker %s control ledger empty: %+v", wi.ID, wi.Control)
 		}
+	}
+
+	if n, slots := master.MapSlots(); n != 2 || slots != 2*workers[0].slots {
+		t.Errorf("MapSlots = %d slots on %d workers, want the %d of each of the two", slots, n, workers[0].slots)
 	}
 
 	// Kill one worker: its broken control connection (or heartbeat

@@ -32,20 +32,23 @@ type JobRef struct {
 // width is the job's partition count; an unset NumReduce means one.
 func (r JobRef) width() int { return max(r.NumReduce, 1) }
 
-// MapTaskArgs asks a worker to scan one of its local blocks once and
-// feed it to every job in Jobs — one merged (shared-scan) map task.
+// MapTaskArgs asks a worker to scan some of its local blocks once each
+// and feed every one to every job in Jobs — one merged (shared-scan) map
+// task per round and worker: its share of the segment, or, for a repair,
+// one block for one job.
 type MapTaskArgs struct {
-	File       string
-	BlockIndex int
-	Jobs       []JobRef
+	File string
+	// Blocks are the indices to scan, ascending.
+	Blocks []int
+	Jobs   []JobRef
 	// Epoch and IDs (one per job) key what the task stashes: see stash.go.
 	Epoch int64
 	IDs   []scheduler.JobID
 	// Done lists jobs of this epoch that finished since the worker last
 	// answered a task: it drops what it stashed for them.
 	Done []scheduler.JobID
-	// Corr is the master-assigned correlation id ("r<round>.m<block>"),
-	// echoed into the worker's trace so both sides of the RPC can be
+	// Corr is the master-assigned correlation id ("r<round>.m<first
+	// block>"), echoed into the worker's trace so both sides of the RPC can be
 	// stitched together. Empty when the master traces nothing.
 	Corr string
 	// Hint is the receiving worker's share of the scheduler's newest
@@ -102,12 +105,15 @@ type PartReceipt struct {
 }
 
 // MapTaskReply answers a map task with what it scanned and, per job and
-// partition, a receipt for what it stashed; the records stay on the worker.
-// Nothing fills PerJob: it remains for bench/perf's remote.gob_* probes.
+// partition, a receipt for what it stashed over all its blocks; the records
+// stay on the worker. WallNs is how long the handler ran: what is left of
+// the master's wait is the hop. Nothing fills PerJob: it remains for
+// bench/perf's remote.gob_* probes.
 type MapTaskReply struct {
 	PerJob       [][][]mapreduce.KV
 	BytesScanned int64
 	Receipts     [][]PartReceipt
+	WallNs       int64
 }
 
 // ReduceTaskArgs asks a worker to reduce one partition of one job from

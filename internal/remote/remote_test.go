@@ -135,7 +135,7 @@ func TestDistributedS3MatchesLocalEngine(t *testing.T) {
 
 func TestDistributedLocalityPlacement(t *testing.T) {
 	jobs := wordcountRefs(1)
-	master, workers := startCluster(t, 3, jobs)
+	master, _ := startCluster(t, 3, jobs)
 	master.SetTimeScale(1e6)
 
 	plan := testPlan(t)
@@ -159,7 +159,11 @@ func TestDistributedLocalityPlacement(t *testing.T) {
 			t.Errorf("worker %d ran %d map tasks, want 4", i, st.MapTasks)
 		}
 	}
-	_ = workers
+	// A dialed worker advertises nothing: it counts for one slot, whatever
+	// its pool runs on.
+	if n, slots := master.MapSlots(); n != 3 || slots != 3 || master.ClusterSnapshot()[0].MapSlots != 1 {
+		t.Errorf("MapSlots = %d slots on %d static workers (%+v), want one each", slots, n, master.ClusterSnapshot()[0])
+	}
 }
 
 func TestDistributedSharedScan(t *testing.T) {
@@ -219,10 +223,10 @@ func TestWorkerErrors(t *testing.T) {
 	}
 	w := NewWorker(store, NewStandardRegistry())
 	var mr MapTaskReply
-	if err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 0}, &mr); err == nil {
+	if err := w.ExecMap(&MapTaskArgs{File: "corpus", Blocks: []int{0}}, &mr); err == nil {
 		t.Error("map task with no jobs should fail")
 	}
-	args := &MapTaskArgs{File: "corpus", BlockIndex: 0, Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}}}
+	args := &MapTaskArgs{File: "corpus", Blocks: []int{0}, Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}}}
 	if err := w.ExecMap(args, &mr); err == nil {
 		t.Error("map task with jobs and no ids should fail")
 	}
@@ -258,7 +262,7 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 	for _, bad := range []JobRef{{Name: "bad", Factory: "nope"}, {Name: "bad", Factory: "selection", Param: "many"}} {
 		var reply MapTaskReply
 		// The bad job comes last: the ones before it must not have run.
-		err := w.ExecMap(&MapTaskArgs{File: "corpus", BlockIndex: 1, IDs: []scheduler.JobID{1, 2}, Jobs: []JobRef{good, bad}}, &reply)
+		err := w.ExecMap(&MapTaskArgs{File: "corpus", Blocks: []int{0, 1}, IDs: []scheduler.JobID{1, 2}, Jobs: []JobRef{good, bad}}, &reply)
 		if err == nil {
 			t.Fatalf("map task with job %+v should fail", bad)
 		}

@@ -189,7 +189,8 @@ func (m *Master) recompute(id scheduler.JobID, seen int) error {
 	m.mu.Unlock()
 
 	m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s recompute %q over %s: its output is not where its receipts say", m.corr("j%d.recompute", id), ref.Name, res.File)
-	parts, err := m.reduceJob(id, ref, &jobShuffle{file: res.File, receipts: make([]PartReceipt, ref.width())}, true)
+	ver, live := m.members.live()
+	parts, err := m.reduceJob(ver, live, id, ref, &jobShuffle{file: res.File, receipts: make([]PartReceipt, ref.width())}, true)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

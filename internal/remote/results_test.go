@@ -71,7 +71,7 @@ func TestReduceReplyCarriesNoRecords(t *testing.T) {
 	w := lineitemWorker(t, blocks)
 	ref := JobRef{Name: "sel", Factory: "selection", Param: "5", NumReduce: 1}
 	for b := 0; b < blocks; b++ {
-		if err := w.ExecMap(&MapTaskArgs{File: "lineitem", BlockIndex: b, Epoch: 1, IDs: []scheduler.JobID{1}, Jobs: []JobRef{ref}}, new(MapTaskReply)); err != nil {
+		if err := w.ExecMap(&MapTaskArgs{File: "lineitem", Blocks: []int{b}, Epoch: 1, IDs: []scheduler.JobID{1}, Jobs: []JobRef{ref}}, new(MapTaskReply)); err != nil {
 			t.Fatal(err)
 		}
 	}

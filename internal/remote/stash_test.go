@@ -8,6 +8,7 @@ import (
 	"net/rpc"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -208,7 +209,7 @@ func TestRecoveredMasterFindsItsStash(t *testing.T) {
 	}
 }
 
-// gatedWorker is a real worker whose first map task over one block waits
+// gatedWorker is a real worker whose first map task naming one block waits
 // for the gate — long enough for the master to give up on it — and then
 // runs all the same.
 type gatedWorker struct {
@@ -219,15 +220,17 @@ type gatedWorker struct {
 }
 
 func (g *gatedWorker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
-	if args.BlockIndex == g.block {
+	if slices.Contains(args.Blocks, g.block) {
 		g.once.Do(func() { <-g.gate })
 	}
 	return g.Worker.ExecMap(args, reply)
 }
 
-// (c) Late duplicate. A map task abandoned at the deadline runs on the
-// next worker, and then finishes on the first one too: two workers hold
-// block 0 under one key. Each reducer meets both copies and keeps one.
+// (c) Late duplicate. A map task abandoned at the deadline — worker 0's
+// share of the first segment, blocks 0 and 2 in one message — moves as a
+// whole to the next worker, and then finishes on the first one too: two
+// workers hold both blocks under one key each. Each reducer meets both
+// copies and keeps one.
 func TestLateDuplicateMapIsKeptOnce(t *testing.T) {
 	gate := make(chan struct{})
 	workers, addrs := serveWorkers(t, 2, func(i int, w *Worker) any {
@@ -240,16 +243,16 @@ func TestLateDuplicateMapIsKeptOnce(t *testing.T) {
 	m.SetTaskDeadline(100 * time.Millisecond)
 	sched := submitAll(t, 1)
 	driveRounds(t, sched, m, 1)
-	if failovers(m) == 0 {
-		t.Fatal("block 0 did not fail over")
+	if failovers(m) != 1 {
+		t.Fatalf("%d failovers, want the group of block 0 moved once, as one task", failovers(m))
 	}
 	close(gate)
 	job := stashJob{m.epoch, 1}
 	waitFor(t, 5*time.Second, "the abandoned map task to finish late", func() bool {
 		return stashedJobs(workers[0])[job] == 2 // blocks 0 and 2
 	})
-	if held := stashedJobs(workers[1])[job]; held != 2 { // blocks 1, and 0 by failover
-		t.Fatalf("the failover target holds %d blocks, want 2", held)
+	if held := stashedJobs(workers[1])[job]; held != 3 { // block 1, and 0 and 2 by failover, once each
+		t.Fatalf("the failover target holds %d blocks, want 3", held)
 	}
 	driveRounds(t, sched, m, -1)
 	checkOutputs(t, m, 1)
@@ -601,7 +604,7 @@ func lineitemWorker(t testing.TB, blocks int) *Worker {
 // master decodes holds no record slice: no []KV exists there any more.
 func TestMapReplyCarriesNoRecords(t *testing.T) {
 	w := lineitemWorker(t, 1)
-	args := &MapTaskArgs{File: "lineitem", Epoch: 1}
+	args := &MapTaskArgs{File: "lineitem", Blocks: []int{0}, Epoch: 1}
 	for i := 0; i < 4; i++ {
 		args.IDs = append(args.IDs, scheduler.JobID(i+1))
 		args.Jobs = append(args.Jobs, JobRef{Name: fmt.Sprintf("sel-%d", i), Factory: "selection", Param: fmt.Sprint(5 + 10*i), NumReduce: 2})
@@ -657,7 +660,7 @@ func TestLocalPartitionIsNeverEncoded(t *testing.T) {
 	var records, payload int64
 	for b := 0; b < blocks; b++ {
 		var reply MapTaskReply
-		if err := w.ExecMap(&MapTaskArgs{File: "lineitem", BlockIndex: b, Epoch: 1, IDs: []scheduler.JobID{1}, Jobs: []JobRef{ref}}, &reply); err != nil {
+		if err := w.ExecMap(&MapTaskArgs{File: "lineitem", Blocks: []int{b}, Epoch: 1, IDs: []scheduler.JobID{1}, Jobs: []JobRef{ref}}, &reply); err != nil {
 			t.Fatal(err)
 		}
 		records, payload = records+reply.Receipts[0][0].Records, payload+reply.Receipts[0][0].Bytes

@@ -69,7 +69,7 @@ func TestRealRPCErrorsClassify(t *testing.T) {
 	// rpc.ServerError.
 	var mr MapTaskReply
 	err = client.Call("Worker.ExecMap", &MapTaskArgs{
-		File: "corpus", BlockIndex: 0, IDs: []scheduler.JobID{1},
+		File: "corpus", Blocks: []int{0}, IDs: []scheduler.JobID{1},
 		Jobs: []JobRef{{Factory: "nope", NumReduce: 1}},
 	}, &mr)
 	if err == nil {
@@ -86,7 +86,7 @@ func TestRealRPCErrorsClassify(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		err = client.Call("Worker.ExecMap", &MapTaskArgs{
-			File: "corpus", BlockIndex: 0, IDs: []scheduler.JobID{1},
+			File: "corpus", Blocks: []int{0}, IDs: []scheduler.JobID{1},
 			Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}},
 		}, &mr)
 		if err != nil {

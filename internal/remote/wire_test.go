@@ -370,7 +370,7 @@ func TestMapTaskHintWireCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	args := MapTaskArgs{File: "corpus", BlockIndex: 5, Corr: "r12.m5"}
+	args := MapTaskArgs{File: "corpus", Blocks: []int{5, 7}, Corr: "r12.m5"}
 	for i := 0; i < 7; i++ {
 		args.Jobs = append(args.Jobs, JobRef{Name: fmt.Sprintf("wordcount-%d", i), Factory: "wordcount", Param: "th", NumReduce: 2})
 	}
@@ -414,12 +414,12 @@ func TestMapTaskHintWireCost(t *testing.T) {
 	}
 	// The task as it was before it could carry a hint.
 	type unhinted struct {
-		File       string
-		BlockIndex int
-		Jobs       []JobRef
-		Corr       string
+		File   string
+		Blocks []int
+		Jobs   []JobRef
+		Corr   string
 	}
-	old := unhinted{args.File, args.BlockIndex, args.Jobs, args.Corr}
+	old := unhinted{args.File, args.Blocks, args.Jobs, args.Corr}
 	if oldSize, _ := cost(&old, new(unhinted)); plainSize != oldSize {
 		t.Errorf("a task without a hint is %d bytes, %d before the field existed: an absent hint must cost nothing", plainSize, oldSize)
 	}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
@@ -30,6 +32,9 @@ type Worker struct {
 
 	mapTasks    atomic.Int64
 	reduceTasks atomic.Int64
+	// slots bounds the goroutines of one map task, and is what the worker
+	// advertises when it registers: the processors it had when it was built.
+	slots int
 
 	// stash holds this worker's map output until its jobs are reduced (and
 	// their output, until evicted); servedBytes / fetchedBytes: key + value
@@ -65,7 +70,7 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
 		panic("remote: worker needs a store and a registry")
 	}
-	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*rpc.Client)}
+	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*rpc.Client), slots: runtime.GOMAXPROCS(0)}
 	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
 	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
@@ -75,49 +80,117 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 // clears it. Call before Serve.
 func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 
-// ExecMap implements the MapTask RPC: scan the block once, run every
+// mapUnit is one job's map over one block of a task, with a mapper and
+// combiner of its own: a factory may hand out instances that keep state.
+type mapUnit struct {
+	block, job int // positions in the task's Blocks and Jobs
+	mapper     mapreduce.Mapper
+	combiner   mapreduce.Reducer
+	parts      [][]mapreduce.KV
+	err        error
+}
+
+// ExecMap implements the MapTask RPC: scan each block once, run every
 // job's mapper over it, combine and partition each job's output, and
-// stash it: the reply is a receipt, the records leave only by a fetch.
+// stash it: the reply is a receipt, the records leave only by a fetch. The
+// (block × job) units run on the worker's slots; a task that fails — with
+// the error of its lowest (block, job) unit — has stashed nothing.
 func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
+	began := time.Now()
 	if len(args.Jobs) == 0 || len(args.IDs) != len(args.Jobs) {
 		return fmt.Errorf("remote: map task with %d jobs and %d job ids", len(args.Jobs), len(args.IDs))
 	}
-	// Resolve every job before touching the store: a task naming an
+	f, err := w.store.File(args.File)
+	if err != nil {
+		return err
+	}
+	ok := len(args.Blocks) > 0
+	for i, b := range args.Blocks {
+		ok = ok && b >= 0 && b < f.NumBlocks && (i == 0 || b > args.Blocks[i-1])
+	}
+	if !ok {
+		return fmt.Errorf("remote: map task over blocks %v of %d-block %q: want indices of the file, ascending", args.Blocks, f.NumBlocks, args.File)
+	}
+	// Resolve every unit before touching the store: a task naming an
 	// unknown factory is rejected without paying for a block read.
-	mappers := make([]mapreduce.Mapper, len(args.Jobs))
-	combiners := make([]mapreduce.Reducer, len(args.Jobs))
-	for i, ref := range args.Jobs {
-		var err error
-		if mappers[i], _, combiners[i], err = w.registry.Build(ref.Factory, ref.Param); err != nil {
+	nb, nj := len(args.Blocks), len(args.Jobs)
+	units := make([]mapUnit, nb*nj) // block-major: the first error is the lowest unit's
+	for i := range units {
+		u := &units[i]
+		u.block, u.job = i/nj, i%nj
+		ref := args.Jobs[u.job]
+		if u.mapper, _, u.combiner, err = w.registry.Build(ref.Factory, ref.Param); err != nil {
 			return err
 		}
 	}
-	block := dfs.BlockID{File: args.File, Index: args.BlockIndex}
 	if args.Hint != nil {
-		// Before the read: the demotion frees room for this block, and the
-		// readahead of the segment after it overlaps this task's map work.
+		// Before the reads: the demotion frees room for these blocks, and the
+		// readahead of the segment after them overlaps this task's map work.
 		hint, err := args.scanHint()
 		if err != nil {
 			return err
 		}
 		w.store.HandleScanHint(hint)
 	}
-	data, err := w.store.ReadBlockAt(block, localNode)
-	if err != nil {
-		return err
-	}
 	w.stash.admit(args.Epoch, args.Done)
-	reply.BytesScanned = int64(len(data))
-	reply.Receipts = make([][]PartReceipt, len(args.Jobs))
-	for i, ref := range args.Jobs {
-		parts, err := mapreduce.MapBlockForJob(block, data, mappers[i], combiners[i], ref.width())
-		if err != nil {
-			return fmt.Errorf("remote: job %q block %d: %w", ref.Name, args.BlockIndex, err)
+
+	// A block is read by the first unit to reach it, the others wait there;
+	// units are taken job-major, so one block's miss overlaps another's maps.
+	reads := make([]struct {
+		once sync.Once
+		data []byte
+		err  error
+	}, nb)
+	var next atomic.Int64
+	run := func() {
+		for k := int(next.Add(1)) - 1; k < len(units); k = int(next.Add(1)) - 1 {
+			u := &units[k%nb*nj+k/nb]
+			rd, id := &reads[u.block], dfs.BlockID{File: args.File, Index: args.Blocks[u.block]}
+			rd.once.Do(func() { rd.data, rd.err = w.store.ReadBlockAt(id, localNode) })
+			if u.err = rd.err; u.err != nil {
+				continue
+			}
+			ref := args.Jobs[u.job]
+			if u.parts, u.err = mapreduce.MapBlockForJob(id, rd.data, u.mapper, u.combiner, ref.width()); u.err != nil {
+				u.err = fmt.Errorf("remote: job %q block %d: %w", ref.Name, id.Index, u.err)
+			}
 		}
-		reply.Receipts[i] = w.stash.put(stashJob{args.Epoch, args.IDs[i]}, args.BlockIndex, parts)
-		w.mapTasks.Add(1)
 	}
-	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%d jobs %d bytes %d", args.Corr, args.File, args.BlockIndex, len(args.Jobs), reply.BytesScanned)
+	var wg sync.WaitGroup
+	for g := min(w.slots, len(units)); g > 1; g-- { // this goroutine is one of them
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+
+	for i := range units {
+		if units[i].err != nil {
+			return units[i].err
+		}
+	}
+	reply.Receipts = make([][]PartReceipt, nj)
+	for j, ref := range args.Jobs {
+		reply.Receipts[j] = make([]PartReceipt, ref.width())
+	}
+	for i := range units {
+		u := &units[i]
+		for p, rc := range w.stash.put(stashJob{args.Epoch, args.IDs[u.job]}, args.Blocks[u.block], u.parts) {
+			reply.Receipts[u.job][p].Records += rc.Records
+			reply.Receipts[u.job][p].Bytes += rc.Bytes
+		}
+	}
+	for b := range reads {
+		reply.BytesScanned += int64(len(reads[b].data))
+	}
+	w.mapTasks.Add(int64(len(units)))
+	if w.log != nil {
+		w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%v jobs %d bytes %d", args.Corr, args.File, args.Blocks, len(args.Jobs), reply.BytesScanned)
+	}
+	reply.WallNs = int64(time.Since(began))
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/remote"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
 
@@ -145,22 +146,37 @@ func refMapBlock(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reduce
 	return parts, nil
 }
 
+// factoryRefs names, for every factory a worker can be asked to run, the
+// parameters the tests run it with and its reference mapper.
+var factoryRefs = map[string]struct {
+	params []string
+	mapper func(param string) mapreduce.Mapper
+}{
+	"wordcount": {[]string{"t", "th", "whisper", ""}, func(p string) mapreduce.Mapper { return refPatternCount(p, 1) }},
+	"selection": {[]string{"5", "25", "0"}, func(p string) mapreduce.Mapper {
+		n, _ := strconv.Atoi(p)
+		return refSelection(n)
+	}},
+	"aggregation": {[]string{""}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refAggregation) }},
+	"topk":        {[]string{"3"}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refTopK) }},
+}
+
+// refCombinerOf is the reference for a factory's combiner: the sum, or none.
+func refCombinerOf(t *testing.T, factory string, combiner mapreduce.Reducer) mapreduce.Reducer {
+	t.Helper()
+	if combiner == nil {
+		return nil
+	}
+	if _, sums := combiner.(workload.SumReducer); !sums {
+		t.Fatalf("%s combines with %T; give it a reference in this test", factory, combiner)
+	}
+	return refSum
+}
+
 // Every factory a worker can be asked to run, over every kind of block
 // a store can hold: the task a worker executes returns exactly the
 // reference's partitions, or both fail (a selection over text, say).
 func TestStandardFactoriesMatchReference(t *testing.T) {
-	refs := map[string]struct {
-		params []string
-		mapper func(param string) mapreduce.Mapper
-	}{
-		"wordcount": {[]string{"t", "th", "whisper", ""}, func(p string) mapreduce.Mapper { return refPatternCount(p, 1) }},
-		"selection": {[]string{"5", "25", "0"}, func(p string) mapreduce.Mapper {
-			n, _ := strconv.Atoi(p)
-			return refSelection(n)
-		}},
-		"aggregation": {[]string{""}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refAggregation) }},
-		"topk":        {[]string{"3"}, func(string) mapreduce.Mapper { return mapreduce.MapperFunc(refTopK) }},
-	}
 	blocks := map[string][]byte{
 		"text-0":     workload.NewTextGen(3).Block(0, 64<<10),
 		"text-1":     workload.NewTextGen(3).Block(1, 64<<10),
@@ -176,7 +192,7 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 	}
 	reg := remote.NewStandardRegistry()
 	for _, factory := range reg.Names() {
-		ref, ok := refs[factory]
+		ref, ok := factoryRefs[factory]
 		if !ok {
 			t.Errorf("factory %q has no reference mapper in this test; add one", factory)
 			continue
@@ -186,13 +202,7 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refCombiner mapreduce.Reducer
-			if combiner != nil {
-				if _, sums := combiner.(workload.SumReducer); !sums {
-					t.Fatalf("%s combines with %T; give it a reference in this test", factory, combiner)
-				}
-				refCombiner = refSum
-			}
+			refCombiner := refCombinerOf(t, factory, combiner)
 			for name, data := range blocks {
 				for _, width := range []int{1, 3} {
 					got, gotErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, width)
@@ -201,6 +211,110 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 						t.Errorf("%s(%q) over %s: err = %v, reference err = %v", factory, param, name, gotErr, wantErr)
 					} else if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s(%q) over %s, width %d: partitions differ from the reference", factory, param, name, width)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A grouped map task — four blocks and every job of a factory in one
+// message, its (block × job) units on a pool of four — stashes for every
+// job, block and partition the run the reference computes, and answers
+// and counts what four one-block tasks do between them.
+func TestGroupedMapTaskMatchesReference(t *testing.T) {
+	const slots, size, width = 4, 16 << 10, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(slots)) // a worker's pool is as wide as the processors it is built on
+	files := map[string][][]byte{}
+	for b := 0; b < slots; b++ {
+		var derived bytes.Buffer
+		for i := 0; i < 50; i++ {
+			fmt.Fprintf(&derived, "w%d-%d\t%d\n", b, i, 7*i+b)
+		}
+		derived.WriteString(strings.Repeat(" ", size-derived.Len()))
+		files["text"] = append(files["text"], workload.NewTextGen(3).Block(b, size))
+		files["lineitem"] = append(files["lineitem"], workload.NewLineitemGen(3).Block(b, size))
+		files["derived"] = append(files["derived"], derived.Bytes())
+	}
+	scans := map[string]string{"wordcount": "text", "selection": "lineitem", "aggregation": "lineitem", "topk": "derived"}
+	reg := remote.NewStandardRegistry()
+	newWorker := func() *remote.Worker {
+		store := dfs.MustStore(1, 1)
+		for name, blocks := range files {
+			if _, err := store.AddFile(name, size, blocks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return remote.NewWorker(store, reg)
+	}
+	for _, factory := range reg.Names() {
+		ref, file := factoryRefs[factory], scans[factory]
+		if file == "" {
+			t.Errorf("factory %q has no file in this test; add one", factory)
+			continue
+		}
+		args := remote.MapTaskArgs{File: file, Blocks: []int{0, 1, 2, 3}, Epoch: 1}
+		for i, param := range ref.params {
+			args.IDs = append(args.IDs, scheduler.JobID(i+1))
+			args.Jobs = append(args.Jobs, remote.JobRef{Name: factory + "-" + param, Factory: factory, Param: param, NumReduce: width})
+		}
+		grouped, single := newWorker(), newWorker()
+		var got, want remote.MapTaskReply
+		if err := grouped.ExecMap(&args, &got); err != nil {
+			t.Fatalf("%s: grouped task: %v", factory, err)
+		}
+		want.Receipts = make([][]remote.PartReceipt, len(args.Jobs))
+		for b := range args.Blocks {
+			one, reply := args, remote.MapTaskReply{}
+			one.Blocks = args.Blocks[b : b+1]
+			if err := single.ExecMap(&one, &reply); err != nil {
+				t.Fatalf("%s: task over block %d: %v", factory, b, err)
+			}
+			want.BytesScanned += reply.BytesScanned
+			for j, parts := range reply.Receipts {
+				if want.Receipts[j] == nil {
+					want.Receipts[j] = make([]remote.PartReceipt, len(parts))
+				}
+				for p, rc := range parts {
+					want.Receipts[j][p].Records += rc.Records
+					want.Receipts[j][p].Bytes += rc.Bytes
+				}
+			}
+		}
+		if got.WallNs <= 0 || got.BytesScanned != want.BytesScanned || !reflect.DeepEqual(got.Receipts, want.Receipts) {
+			t.Errorf("%s: the grouped task answers %+v, the one-block tasks add up to %+v", factory, got, want)
+		}
+		var gs, ss remote.StatsReply
+		if err := grouped.Stats(&remote.StatsArgs{Epoch: 1}, &gs); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Stats(&remote.StatsArgs{Epoch: 1}, &ss); err != nil {
+			t.Fatal(err)
+		}
+		if gs != ss || gs.MapTasks != int64(slots*len(args.Jobs)) || gs.BlockReads != slots {
+			t.Errorf("%s: the grouped task leaves the ledger %+v, the one-block tasks %+v", factory, gs, ss)
+		}
+		for j, param := range ref.params {
+			_, _, combiner, err := reg.Build(factory, param)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < width; p++ {
+				fetch := &remote.FetchArgs{Epoch: 1, ID: args.IDs[j], Partition: p}
+				var gr, sr remote.FetchReply
+				if err := grouped.FetchShuffle(fetch, &gr); err != nil {
+					t.Fatal(err)
+				}
+				if err := single.FetchShuffle(fetch, &sr); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gr, sr) || !reflect.DeepEqual(gr.Blocks, args.Blocks) {
+					t.Fatalf("%s(%q) partition %d: the grouped task stashed blocks %v, the one-block tasks %v, and the runs differ", factory, param, p, gr.Blocks, sr.Blocks)
+				}
+				for b, run := range gr.Runs {
+					parts, err := refMapBlock(files[file][b], ref.mapper(param), refCombinerOf(t, factory, combiner), width)
+					if err != nil || !reflect.DeepEqual(run, parts[p]) {
+						t.Errorf("%s(%q) block %d partition %d: the stashed run differs from the reference (%v)", factory, param, b, p, err)
 					}
 				}
 			}
