@@ -47,9 +47,10 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv("S3CLUSTER_HELPER") == "master" {
-		if err := helperMaster(); err != nil {
-			fmt.Fprintln(os.Stderr, "helper master:", err)
+	helper := map[string]func() error{"master": helperMaster, "worker": helperWorker}[os.Getenv("S3CLUSTER_HELPER")]
+	if helper != nil {
+		if err := helper(); err != nil {
+			fmt.Fprintln(os.Stderr, "helper "+os.Getenv("S3CLUSTER_HELPER")+":", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -77,13 +78,25 @@ func helperMaster() error {
 	return runMaster()
 }
 
-// masterProc is one spawned master incarnation.
+// masterProc is one spawned master incarnation (or worker process).
 type masterProc struct {
 	cmd *exec.Cmd
 	log string
 }
 
 func spawnMaster(t *testing.T, name, ctrl, status, journal, traceFile string) *masterProc {
+	t.Helper()
+	return spawnHelper(t, name,
+		"S3CLUSTER_HELPER=master",
+		"S3CLUSTER_CTRL="+ctrl,
+		"S3CLUSTER_STATUS="+status,
+		"S3CLUSTER_JOURNAL="+journal,
+		"S3CLUSTER_TRACE="+traceFile,
+	)
+}
+
+// spawnHelper re-executes the test binary as the helper env selects.
+func spawnHelper(t *testing.T, name string, env ...string) *masterProc {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -97,13 +110,7 @@ func spawnMaster(t *testing.T, name, ctrl, status, journal, traceFile string) *m
 	cmd := exec.Command(exe)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
-	cmd.Env = append(os.Environ(),
-		"S3CLUSTER_HELPER=master",
-		"S3CLUSTER_CTRL="+ctrl,
-		"S3CLUSTER_STATUS="+status,
-		"S3CLUSTER_JOURNAL="+journal,
-		"S3CLUSTER_TRACE="+traceFile,
-	)
+	cmd.Env = append(os.Environ(), env...)
 	if err := cmd.Start(); err != nil {
 		logf.Close()
 		t.Fatalf("starting %s: %v", name, err)

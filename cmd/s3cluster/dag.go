@@ -33,8 +33,7 @@ import (
 //     against the new file.
 //
 // It runs on the engine goroutine between rounds (LiveDAG calls it from
-// JobFinished or Pop), which is the only time MultiFile.AddPlan is
-// legal.
+// JobFinished or Pop): AddPlan is refused while a map is in flight.
 func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *dfs.Store, jnl *journal.Journal, width func(file string, blocks int) (int, error), id scheduler.JobID) error {
 	name := workload.DerivedFileName(id)
 	file, err := planStore.File(name)
@@ -70,12 +69,10 @@ func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *d
 			return fmt.Errorf("journaling materialization of %s: %w", name, err)
 		}
 	}
-	for _, registered := range sched.Files() {
-		if registered == name {
-			// The plan survived in-process (a consumer re-submission after
-			// the producer re-materialized); nothing left to do.
-			return nil
-		}
+	if _, registered := sched.Queue(name); registered {
+		// The plan survived in-process (a consumer re-submission after
+		// the producer re-materialized); nothing left to do.
+		return nil
 	}
 	segBlocks, err := width(name, file.NumBlocks)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Command s3compare runs one workload file through the scheduler
 // comparison matrix — {s3, fifo, mrs1} × {sim, engine} × {pipeline
-// on/off} × {cache on/off} — and emits a single benchfmt JSON report
-// with one comparable cell per combination (TET, ART, P95, rounds,
-// cache hit ratio, fault retries, per-job completion times, output
-// digest).
+// on/off} × {cache on/off}, less the pipeline-on cells of mrs1, which
+// never pipelines — and emits a single benchfmt JSON report with one
+// comparable cell per combination (TET, ART, P95, rounds, cache hit
+// ratio, fault retries, per-job completion times, output digest).
 //
 // Every cell that produces real output carries a digest of it; the
 // report refuses to encode if any two cells disagree, so a green run

@@ -45,8 +45,8 @@ func TestCompareGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report is not decodable: %v", err)
 	}
-	if len(rep.Cells) != 24 {
-		t.Fatalf("got %d cells, want 24", len(rep.Cells))
+	if len(rep.Cells) != 20 { // mrs1 never pipelines: no pipeline=on copies of its four serial cells
+		t.Fatalf("got %d cells, want 20", len(rep.Cells))
 	}
 	if _, err := rep.DigestConsensus(); err != nil {
 		t.Fatalf("digest consensus: %v", err)
@@ -70,6 +70,9 @@ func TestCompareFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-pipelines", "sideways"}, &out); err == nil {
 		t.Fatal("bad -pipelines value not rejected")
+	}
+	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-schedulers", "mrs1", "-pipelines", "on"}, &out); err == nil || out.Len() > 0 {
+		t.Fatalf("a sub-matrix of serial copies only gave a report: %v", err)
 	}
 	if err := run([]string{"-workload", "testdata/nope.jsonl"}, &out); err == nil {
 		t.Fatal("missing workload file not rejected")

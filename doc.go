@@ -15,7 +15,7 @@
 //	internal/mapreduce  real execution engine (map/shuffle/reduce,
 //	                    merged shared-scan rounds) and its round
 //	                    executor
-//	internal/scheduler  Scheduler interface + FIFO + MRShare
+//	internal/scheduler  Scheduler interface, multi-file Arbiter, FIFO, MRShare
 //	internal/sim        discrete-event simulator + cost model
 //	internal/runtime    the round loop binding schedulers to executors
 //	internal/workload   text & TPC-H lineitem generators, job families

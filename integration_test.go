@@ -62,7 +62,13 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 		{"s3", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.New(p, nil) }},
 		{"s3-static", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) }},
 		{"s3-nocircular", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) }},
-		{"fifo", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFIFO(p, nil) }},
+		{"fifo", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
+			f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
 		{"mrshare", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
 			m, err := scheduler.NewMRShare(p, []int{3}, nil)
 			if err != nil {
@@ -336,7 +342,10 @@ func TestRandomPatternsS3DominatesFIFO(t *testing.T) {
 		}
 
 		s3ART, s3Scans, s3Tasks, ok1 := runScheme(func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.New(p, nil) })
-		fifoART, fifoScans, fifoTasks, ok2 := runScheme(func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFIFO(p, nil) })
+		fifoART, fifoScans, fifoTasks, ok2 := runScheme(func(p *dfs.SegmentPlan) scheduler.Scheduler {
+			f, _ := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil) // one plan never fails
+			return f
+		})
 		if !ok1 || !ok2 {
 			return false
 		}

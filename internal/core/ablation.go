@@ -52,7 +52,7 @@ func (n *NoCircular) Submit(job scheduler.JobMeta, at vclock.Time) error {
 	}
 	n.seen[job.ID] = true
 	n.pending++
-	n.waiting = append(n.waiting, normalize(job))
+	n.waiting = append(n.waiting, job.Normalized())
 	n.log.Addf(at, trace.JobSubmitted, int(job.ID), 0, "nocircular waiting for next pass (%d waiting)", len(n.waiting))
 	return nil
 }

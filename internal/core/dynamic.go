@@ -87,7 +87,7 @@ func (d *DynamicS3) Submit(job scheduler.JobMeta, at vclock.Time) error {
 		start = (d.cursor + d.inFlightLen) % d.file.NumBlocks
 	}
 	d.active = append(d.active, &dynJob{
-		meta:       normalize(job),
+		meta:       job.Normalized(),
 		startBlock: start,
 		remaining:  d.file.NumBlocks,
 	})

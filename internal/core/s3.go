@@ -9,13 +9,13 @@
 // The package provides:
 //
 //   - S3: the Job Queue Manager (Algorithm 1) as a scheduler.Scheduler,
-//     with Snapshot/Restore persistence for master recovery.
+//     one file's queue; its Snapshot is what master recovery persists.
 //   - SlotChecker + DynamicS3: §IV-D1 periodic slot checking and the
 //     dynamically sized segments of §IV-B/§IV-D2.
 //   - Estimator: §IV-D1's completion-time estimation as an online
 //     least-squares fit over observed rounds.
-//   - MultiFile: per-file S^3 queues with priority arbitration (the
-//     §VI scheduling-policy extensions).
+//   - MultiFile: what a cluster deploys — scheduler.Arbiter over S3
+//     queues with priority arbitration (§VI), snapshots, scan hints.
 //   - StaticS3 and NoCircular: ablation variants that disable dynamic
 //     sub-job adjustment and the circular scan, respectively.
 package core
@@ -135,7 +135,7 @@ func (s *S3) Submit(job scheduler.JobMeta, at vclock.Time) error {
 		return fmt.Errorf("%w: job %d reads %q, plan is for %q", scheduler.ErrWrongFile, job.ID, job.File, s.plan.File().Name)
 	}
 	s.seen[job.ID] = true
-	job = normalize(job)
+	job = job.Normalized()
 	start := s.cursor
 	if s.inFlight {
 		// The cursor segment is being scanned right now without this
@@ -352,13 +352,3 @@ func (s *S3) AbortJobs(ids []scheduler.JobID, now vclock.Time) {
 
 // PendingJobs implements Scheduler.
 func (s *S3) PendingJobs() int { return len(s.active) }
-
-func normalize(m scheduler.JobMeta) scheduler.JobMeta {
-	if m.Weight == 0 {
-		m.Weight = 1
-	}
-	if m.ReduceWeight == 0 {
-		m.ReduceWeight = 1
-	}
-	return m
-}

@@ -34,7 +34,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	}
 
 	// Interrupted run: same 2 rounds, snapshot, "crash", restore.
-	orig := New(makePlan(t, 12, 3), nil)
+	orig := oneFile(t, makePlan(t, 12, 3))
 	if err := orig.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored := New(makePlan(t, 12, 3), nil)
+	restored := oneFile(t, makePlan(t, 12, 3))
 	if err := restored.RestoreState(decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -97,24 +97,24 @@ func TestSnapshotRejectsInFlight(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	plan := makePlan(t, 12, 3) // file "input", 4 segments
-	good := Snapshot{File: "input", Segments: 4, Cursor: 1, Jobs: []JobSnapshot{
+	good := scheduler.QueueSnapshot{File: "input", Segments: 4, Cursor: 1, Jobs: []scheduler.JobSnapshot{
 		{Meta: job(1), StartSegment: 0, Remaining: 2},
 	}}
-	restore := func(q Snapshot) error {
-		s := New(plan, nil)
-		return s.RestoreState(scheduler.Snapshot{Scheme: s.Name(), Queues: []Snapshot{q}})
+	restore := func(q scheduler.QueueSnapshot) error {
+		s := oneFile(t, plan)
+		return s.RestoreState(scheduler.Snapshot{Scheme: s.Name(), Queues: []scheduler.QueueSnapshot{q}})
 	}
 	if err := restore(good); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-	cases := []Snapshot{
+	cases := []scheduler.QueueSnapshot{
 		{File: "other", Segments: 4, Cursor: 0},
 		{File: "input", Segments: 5, Cursor: 0},
 		{File: "input", Segments: 4, Cursor: 9},
-		{File: "input", Segments: 4, Cursor: 0, Jobs: []JobSnapshot{{Meta: job(1), Remaining: 0}}},
-		{File: "input", Segments: 4, Cursor: 0, Jobs: []JobSnapshot{{Meta: job(1), Remaining: 9}}},
-		{File: "input", Segments: 4, Cursor: 0, Jobs: []JobSnapshot{{Meta: job(1), StartSegment: -1, Remaining: 1}}},
-		{File: "input", Segments: 4, Cursor: 0, Jobs: []JobSnapshot{
+		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), Remaining: 0}}},
+		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), Remaining: 9}}},
+		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), StartSegment: -1, Remaining: 1}}},
+		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{
 			{Meta: job(1), Remaining: 1}, {Meta: job(1), Remaining: 1},
 		}},
 	}

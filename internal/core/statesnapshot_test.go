@@ -32,8 +32,19 @@ func step(t *testing.T, s scheduler.Scheduler) []scheduler.JobID {
 	return s.RoundDone(r, 0)
 }
 
+// oneFile is the one-file case of the scheduler that snapshots: what a
+// single-input workload runs.
+func oneFile(t *testing.T, plan *dfs.SegmentPlan) *MultiFile {
+	t.Helper()
+	m, err := NewMultiFile([]*dfs.SegmentPlan{plan}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestS3StateSnapshotRoundtrip(t *testing.T) {
-	s := New(makePlan(t, 12, 3), nil) // 4 segments
+	s := oneFile(t, makePlan(t, 12, 3)) // 4 segments
 	if err := s.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +58,12 @@ func TestS3StateSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Scheme != "s3" || len(snap.Queues) != 1 {
+	if snap.Scheme != "s3-multifile" || len(snap.Queues) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 
 	// A restored scheduler finishes the remaining rounds identically.
-	r2 := New(makePlan(t, 12, 3), nil)
+	r2 := oneFile(t, makePlan(t, 12, 3))
 	if err := r2.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +89,7 @@ func TestS3StateSnapshotRoundtrip(t *testing.T) {
 }
 
 func TestS3StateSnapshotInFlightFails(t *testing.T) {
-	s := New(makePlan(t, 12, 3), nil)
+	s := oneFile(t, makePlan(t, 12, 3))
 	if err := s.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}

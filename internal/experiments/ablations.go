@@ -117,7 +117,7 @@ func AblationSlotChecking(p Params) (AblationResult, error) {
 // observed node speeds — the one variant outside ParseScheme's grammar,
 // because it is built from the cluster it will run on.
 func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
-	return SchemeSpec{Name: "s3-slotcheck", Make: func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
+	return bare("s3-slotcheck", func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
 		checker := core.NewSlotChecker(0.5, 1.0, nil)
 		all := make([]dfs.NodeID, len(cluster.Nodes()))
 		for i, n := range cluster.Nodes() {
@@ -125,7 +125,7 @@ func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
 			all[i] = dfs.NodeID(i)
 		}
 		return core.NewDynamic(plan.File(), all, SlotsPerNode, checker, log)
-	}}
+	})
 }
 
 // AblationDynAdjust (X2): S^3 with and without dynamic sub-job

@@ -318,9 +318,9 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = dfs.NodeID(i)
 	}
-	dynamic := SchemeSpec{Name: "s3-dynamic", Make: func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
+	dynamic := bare("s3-dynamic", func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
 		return core.NewDynamic(plan.File(), nodes, SlotsPerNode, nil, log)
-	}}
+	})
 	adaptive, err := Simulate(env2, dynamic, nil, arrivals, runtime.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,9 @@ type CompareOptions struct {
 	// meta-content workloads (no bytes to execute).
 	Engines []string
 	// Pipelines/Caches are the toggle subsets; nil = {off, on}, with
-	// cache-on dropped when the workload has no cache budget.
+	// cache-on dropped when the workload has no cache budget. A
+	// pipeline-on cell exists only where runtime.WillPipeline holds
+	// (never for mrs1): elsewhere it would be its serial twin again.
 	Pipelines []bool
 	Caches    []bool
 }
@@ -62,47 +64,21 @@ type CompareOptions struct {
 // strongest configuration for a known job set.
 func CompareSchedulers() []string { return []string{"s3", "fifo", "mrs1"} }
 
-// makeScheduler builds a fresh scheduler for the scheme. A single-file
-// workload with no DAG gets the single-plan schedulers of ParseScheme
-// (existing baselines stay byte-identical); multi-file and DAG
-// workloads get the multi-plan constructors, which also accept derived
-// files registered mid-run. jobsPerFile counts the declared readers of
-// each file — mrs1 batches each file's whole job set, its strongest
-// configuration for a known pattern.
-func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int, totalJobs int, multi bool) (scheduler.Scheduler, error) {
-	if !multi {
-		spec := map[string]string{"s3": "s3", "fifo": "fifo", "mrs1": fmt.Sprintf("mrshare:%d", totalJobs)}[name]
-		scheme, err := ParseScheme(spec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
-		}
-		return scheme.Make(plans[0], nil)
-	}
+// makeScheduler builds a fresh plan-set scheduler for the scheme; each
+// also accepts the derived files DAG stages register mid-run.
+// jobsPerFile counts the declared readers of each file: mrs1 batches a
+// file's whole job set, its strongest configuration for a known pattern.
+func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int) (scheduler.Scheduler, error) {
 	switch name {
 	case "s3":
 		return core.NewMultiFile(plans, nil)
 	case "fifo":
-		return scheduler.NewMultiFIFO(plans, nil)
-	case "mrs1":
-		sizes := make(map[string][]int, len(plans))
-		for _, p := range plans {
-			n := jobsPerFile[p.File().Name]
-			if n < 1 {
-				n = 1 // a file nobody reads yet still needs a valid batch plan
-			}
-			sizes[p.File().Name] = []int{n}
-		}
-		return scheduler.NewMultiMRShare(plans, sizes, nil)
+		return scheduler.NewFIFO(plans, nil)
+	case "mrs1": // a file nobody reads still needs a valid batch plan
+		return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(jobsPerFile[file], 1)} }, nil)
 	default:
 		return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
 	}
-}
-
-// planRegistrar is the mid-run file-registration surface every
-// multi-plan scheduler exposes (scheduler.PlanRegistrar; core.MultiFile
-// matches it structurally).
-type planRegistrar interface {
-	AddPlan(plan *dfs.SegmentPlan, expectJobs int) error
 }
 
 // derivedGeometry resolves the block size and segment granularity of
@@ -215,6 +191,9 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 				for _, cache := range caches {
 					key := benchfmt.CellKey{Scheduler: schedName, Engine: engine, Pipeline: pipe, Cache: cache}
 					cell, err := runCell(wf, key, refDigest, refBlocks)
+					if errors.Is(err, errSerialCopy) {
+						continue
+					}
 					if err != nil {
 						return nil, fmt.Errorf("experiments: cell %s: %w", key, err)
 					}
@@ -223,12 +202,19 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 			}
 		}
 	}
+	if len(report.Cells) == 0 {
+		return nil, fmt.Errorf("experiments: no cell of the sub-matrix can run: scheduler(s) %v never pipeline", schedulers)
+	}
 	report.Sort()
 	if _, err := report.DigestConsensus(); err != nil {
 		return nil, err
 	}
 	return report, nil
 }
+
+// errSerialCopy is runCell's verdict on a pipeline=on cell that is not
+// stage-capable: it would be its serial twin again, so the matrix has none.
+var errSerialCopy = errors.New("pipeline requested but the run would be serial")
 
 // runCell runs one matrix configuration from a completely fresh
 // environment (store, scheduler, executor), so cells cannot contaminate
@@ -254,9 +240,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 	for i := range wf.Jobs {
 		jobsPerFile[wf.Jobs[i].File]++
 	}
-	hasDAG := wf.HasDAG()
-	multi := len(wf.Files) > 1 || hasDAG
-	sched, err := makeScheduler(key.Scheduler, plans, jobsPerFile, len(wf.Jobs), multi)
+	sched, err := makeScheduler(key.Scheduler, plans, jobsPerFile)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
@@ -339,8 +323,12 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
 
+	opts := runtime.Options{Pipeline: key.Pipeline}
+	if key.Pipeline && !runtime.WillPipeline(sched, exec, opts) {
+		return benchfmt.Cell{}, errSerialCopy
+	}
 	var res *runtime.Result
-	if hasDAG {
+	if wf.HasDAG() {
 		// DAG cells run under a pipeline coordinator: roots arrive like
 		// a trace; a finished producer's output is materialized into the
 		// cell's store, its segment plan registered with the scheduler,
@@ -358,7 +346,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
 		}
-		res, err = runtime.Run(sched, exec, coord, runtime.Options{Pipeline: key.Pipeline})
+		res, err = runtime.Run(sched, exec, coord, opts)
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -372,7 +360,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 			return benchfmt.Cell{}, fmt.Errorf("DAG stages %v cascade-failed", failed)
 		}
 	} else {
-		res, err = runtime.RunTrace(sched, exec, arrivals, runtime.Options{Pipeline: key.Pipeline})
+		res, err = runtime.RunTrace(sched, exec, arrivals, opts)
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -469,7 +457,7 @@ func cellMaterializer(
 		if err != nil {
 			return 0, err
 		}
-		reg, ok := sched.(planRegistrar)
+		reg, ok := sched.(scheduler.PlanRegistrar)
 		if !ok {
 			return 0, fmt.Errorf("scheduler %q cannot register files mid-run", key.Scheduler)
 		}
@@ -490,11 +478,10 @@ func cellPolicy(h *workload.FileHeader) string {
 }
 
 // wireScanHints connects the scheduler's circular-cursor hints to a
-// cache. Only the S^3 family emits hints; for the other schemes the
-// cache simply runs unhinted (lru needs none, and cursor degrades to
-// plain LRU order).
+// cache. Only S^3 emits hints; under the other schemes the cache runs
+// unhinted (lru needs none, and cursor degrades to plain LRU order).
 func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
-	if s, ok := sched.(interface{ SetScanHinter(core.ScanHinter) }); ok {
+	if s, ok := sched.(*core.MultiFile); ok {
 		s.SetScanHinter(h)
 	}
 }

@@ -37,9 +37,16 @@ func TestRunCompareFullMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	// 3 schedulers × 2 engines × 2 pipelines × 2 caches.
-	if len(rep.Cells) != 24 {
-		t.Fatalf("got %d cells, want 24", len(rep.Cells))
+	// {s3, fifo} × 2 engines × 2 pipelines × 2 caches, plus mrs1's serial
+	// half: MRShare is never stage-aware, so its pipeline=on cells would
+	// be copies and the matrix has none.
+	if len(rep.Cells) != 20 {
+		t.Fatalf("got %d cells, want 20", len(rep.Cells))
+	}
+	for i := range rep.Cells {
+		if k := rep.Cells[i].Key; k.Scheduler == "mrs1" && k.Pipeline {
+			t.Fatalf("matrix has the serial copy %s", k)
+		}
 	}
 	digest, err := rep.DigestConsensus()
 	if err != nil {
@@ -105,6 +112,12 @@ func TestRunCompareSimEngineTwins(t *testing.T) {
 		for _, pipe := range []bool{false, true} {
 			simCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineSim, Pipeline: pipe})
 			engCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineReal, Pipeline: pipe})
+			if sched == "mrs1" && pipe {
+				if simCell != nil || engCell != nil {
+					t.Fatal("mrs1 never pipelines, yet has a pipeline=on cell")
+				}
+				continue
+			}
 			if simCell == nil || engCell == nil {
 				t.Fatalf("missing twin for %s/pipe=%v", sched, pipe)
 			}
@@ -146,8 +159,8 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare(meta): %v", err)
 	}
-	if len(mrep.Cells) != 12 {
-		t.Fatalf("meta matrix gave %d cells, want 12 (sim only)", len(mrep.Cells))
+	if len(mrep.Cells) != 10 {
+		t.Fatalf("meta matrix gave %d cells, want 10 (sim only)", len(mrep.Cells))
 	}
 	for i := range mrep.Cells {
 		if mrep.Cells[i].Key.Engine != benchfmt.EngineSim {
@@ -156,6 +169,11 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 		if mrep.Cells[i].OutputDigest != "" {
 			t.Fatalf("meta cell %s carries a digest", mrep.Cells[i].Key)
 		}
+	}
+	// A sub-matrix of nothing but serial copies is an error, not an
+	// empty report.
+	if _, err := RunCompare(wf, CompareOptions{Schedulers: []string{"mrs1"}, Pipelines: []bool{true}}); err == nil {
+		t.Fatal("mrs1 × pipeline=on produced a report")
 	}
 	// Engine-only on meta content is an explicit error.
 	if _, err := RunCompare(meta, CompareOptions{Engines: []string{benchfmt.EngineReal}}); err == nil {

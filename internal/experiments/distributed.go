@@ -95,7 +95,7 @@ func DistributedScanSavings(cfg DistributedConfig) (DistributedResult, error) {
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		sched, err := scheme.Make(plan, nil)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{plan}, nil)
 		if err != nil {
 			return 0, 0, nil, err
 		}

@@ -145,7 +145,7 @@ type Tune func(sched scheduler.Scheduler, exec *sim.Executor) error
 // executor over env, and summarize under the scheme's name. env must be
 // fresh when the run mutates it (cache, faults); tune may be nil.
 func Simulate(env *Env, scheme SchemeSpec, log *trace.Log, arrivals []runtime.Arrival, opts runtime.Options, tune Tune) (SimRun, error) {
-	sched, err := scheme.Make(env.Plan, log)
+	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, log)
 	if err != nil {
 		return SimRun{}, fmt.Errorf("experiments: building %s: %w", scheme.Name, err)
 	}

@@ -12,20 +12,30 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// SchemeSpec names a scheme and builds a fresh scheduler for a plan;
-// log receives the scheduler's decision trace (nil for none).
+// SchemeSpec names a scheme and builds a fresh scheduler over a plan
+// set (one plan per input file; one plan is the paper's case); log
+// receives the scheduler's decision trace (nil for none).
 type SchemeSpec struct {
 	Name string
-	Make func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error)
+	Make func(plans []*dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error)
 }
 
-// plainSchemes are the schemes that take no argument, keyed by the
-// name their scheduler reports.
-var plainSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Scheduler{
-	"s3":            func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.New(p, l) },
+// bare adapts a scheme with no multi-file form: it schedules exactly
+// one plan and rejects more.
+func bare(name string, mk func(*dfs.SegmentPlan, *trace.Log) (scheduler.Scheduler, error)) SchemeSpec {
+	return SchemeSpec{Name: name, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+		if len(plans) != 1 {
+			return nil, fmt.Errorf("scheme %s schedules one input file, got %d", name, len(plans))
+		}
+		return mk(plans[0], l)
+	}}
+}
+
+// bareSchemes are the argument-less schemes that stay single-file
+// studies, keyed by the name their scheduler reports.
+var bareSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Scheduler{
 	"s3-static":     func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewStatic(p, l) },
 	"s3-nocircular": func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewNoCircular(p, l) },
-	"fifo":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFIFO(p, l) },
 	"fair":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFair(p, l) },
 }
 
@@ -36,18 +46,23 @@ var plainSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Sched
 //	                          spelled mrs… reads the same: mrs:4)
 //	window:seconds:maxbatch   time-window MRShare
 //
-// The spec's Name is the one the built scheduler reports.
+// The spec's Name labels the scheme's rows; the built scheduler reports
+// its own (s3 builds "s3-multifile", the name its journals carry).
 func ParseScheme(spec string) (SchemeSpec, error) {
 	head, rest, hasArgs := strings.Cut(spec, ":")
 	switch {
-	case !hasArgs:
-		mk, ok := plainSchemes[spec]
-		if !ok {
-			break
-		}
-		return SchemeSpec{Name: spec, Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
-			return mk(p, l), nil
+	case spec == "s3": // with fifo and mrshare, a plan-set scheduler: what the cluster and the matrix run
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return core.NewMultiFile(plans, l)
 		}}, nil
+	case spec == "fifo":
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return scheduler.NewFIFO(plans, l)
+		}}, nil
+	case !hasArgs:
+		if mk, ok := bareSchemes[spec]; ok {
+			return bare(spec, func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) { return mk(p, l), nil }), nil
+		}
 	case head == "window":
 		secs, maxBatch, ok := strings.Cut(rest, ":")
 		window, err := strconv.ParseFloat(secs, 64)
@@ -55,9 +70,9 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 		if !ok || err != nil || nerr != nil || window <= 0 || n < 1 {
 			return SchemeSpec{}, fmt.Errorf("bad scheme %q: want window:seconds:maxbatch, both positive", spec)
 		}
-		return SchemeSpec{Name: "mrshare-window", Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+		return bare("mrshare-window", func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
 			return scheduler.NewWindowMRShare(p, vclock.Duration(window), n, l)
-		}}, nil
+		}), nil
 	case strings.HasPrefix(head, "mrs"):
 		var sizes []int
 		for _, arg := range strings.Split(rest, ":") {
@@ -67,8 +82,8 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 			}
 			sizes = append(sizes, n)
 		}
-		return SchemeSpec{Name: "mrshare", Make: func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
-			return scheduler.NewMRShare(p, sizes, l)
+		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+			return scheduler.NewMultiMRShare(plans, func(string) []int { return sizes }, l) // every file batches alike
 		}}, nil
 	}
 	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare:n[:n…] | window:seconds:maxbatch)", spec)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"s3sched/internal/dfs"
 	"s3sched/internal/trace"
 	"s3sched/internal/workload"
 )
@@ -14,40 +15,46 @@ func TestParseScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := buildEnv("other", 4, 1, 1, 8, 64<<20, NormalModel())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		spec string
-		name string // the built scheduler's name; "" = rejected
+		spec  string
+		name  string // the spec's name; "" = rejected
+		sched string // the built scheduler's name
+		multi bool   // schedules a plan set of two files
 	}{
-		{"s3", "s3"},
-		{"s3-static", "s3-static"},
-		{"s3-nocircular", "s3-nocircular"},
-		{"fifo", "fifo"},
-		{"fair", "fair"},
-		{"mrshare:2:2", "mrshare"},
-		{"mrshare:10", "mrshare"},
-		{"mrs:4", "mrshare"},
-		{"mrs2:6:4", "mrshare"},
-		{"window:30:5", "mrshare-window"},
-		{"window:0.5:1", "mrshare-window"},
+		{"s3", "s3", "s3-multifile", true},
+		{"s3-static", "s3-static", "s3-static", false},
+		{"s3-nocircular", "s3-nocircular", "s3-nocircular", false},
+		{"fifo", "fifo", "fifo", true},
+		{"fair", "fair", "fair", false},
+		{"mrshare:2:2", "mrshare", "mrshare-multifile", true},
+		{"mrshare:10", "mrshare", "mrshare-multifile", true},
+		{"mrs:4", "mrshare", "mrshare-multifile", true},
+		{"mrs2:6:4", "mrshare", "mrshare-multifile", true},
+		{"window:30:5", "mrshare-window", "mrshare-window", false},
+		{"window:0.5:1", "mrshare-window", "mrshare-window", false},
 
-		{"", ""},
-		{"nope", ""},
-		{"s3:1", ""},
-		{" s3", ""},
-		{"mrshare", ""},
-		{"mrs", ""},
-		{"mrshare:", ""},
-		{"mrshare:x", ""},
-		{"mrshare:0", ""},
-		{"mrshare:2:", ""},
-		{"mrshare:-1", ""},
-		{"window", ""},
-		{"window:30", ""},
-		{"window:x:5", ""},
-		{"window:30:x", ""},
-		{"window:30:0", ""},
-		{"window:0:5", ""},
-		{"window:30:5:1", ""},
+		{spec: ""},
+		{spec: "nope"},
+		{spec: "s3:1"},
+		{spec: " s3"},
+		{spec: "mrshare"},
+		{spec: "mrs"},
+		{spec: "mrshare:"},
+		{spec: "mrshare:x"},
+		{spec: "mrshare:0"},
+		{spec: "mrshare:2:"},
+		{spec: "mrshare:-1"},
+		{spec: "window"},
+		{spec: "window:30"},
+		{spec: "window:x:5"},
+		{spec: "window:30:x"},
+		{spec: "window:30:0"},
+		{spec: "window:0:5"},
+		{spec: "window:30:5:1"},
 	} {
 		scheme, err := ParseScheme(tc.spec)
 		if tc.name == "" {
@@ -61,13 +68,20 @@ func TestParseScheme(t *testing.T) {
 			continue
 		}
 		log := trace.MustNew(8)
-		sched, err := scheme.Make(env.Plan, log)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, log)
 		if err != nil {
 			t.Errorf("%q: Make: %v", tc.spec, err)
 			continue
 		}
-		if scheme.Name != tc.name || sched.Name() != tc.name {
-			t.Errorf("%q: spec name %q, scheduler name %q, want %q", tc.spec, scheme.Name, sched.Name(), tc.name)
+		if scheme.Name != tc.name || sched.Name() != tc.sched {
+			t.Errorf("%q: spec name %q, scheduler name %q, want %q and %q", tc.spec, scheme.Name, sched.Name(), tc.name, tc.sched)
+		}
+		// A scheme with no multi-file form stays bare and says so.
+		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil); (err == nil) != tc.multi {
+			t.Errorf("%q over two files: err = %v, want multi-file form = %v", tc.spec, err, tc.multi)
+		}
+		if _, err := scheme.Make(nil, nil); err == nil {
+			t.Errorf("%q over no plan: want an error", tc.spec)
 		}
 	}
 }
@@ -83,7 +97,7 @@ func TestSchemesLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := list[1].Make(env.Plan, nil)
+	sched, err := list[1].Make([]*dfs.SegmentPlan{env.Plan}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,10 @@ func TestEngineExecutorSharedScanSavesReads(t *testing.T) {
 
 	// FIFO scans once per job.
 	store2, plan2, exec2, metas2 := realSetup(t, 8, 3)
-	f := scheduler.NewFIFO(plan2, nil)
+	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{plan2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, err = runtime.RunTrace(f, exec2, []runtime.Arrival{
 		{Job: metas2[0], At: 0},
 		{Job: metas2[1], At: 0},

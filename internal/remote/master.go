@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -546,8 +547,13 @@ func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) erro
 // withFailover runs one task on its home worker — live[home mod W] —
 // then on every other worker of the snapshot (ver, live). Task-level
 // errors are returned immediately; transport errors rotate to the next
-// worker. If every worker fails and the membership changed meanwhile (a
-// rejoin landed mid-rotation), one fresh snapshot is tried before giving
+// worker. One that was not the master's own deadline has shut the task
+// client down for good, so a registered worker (it can come back; a static
+// member cannot) is declared dead there and then: until the control plane
+// found out, every round would be lost on the same dead clients and the
+// requeue bound spent in a moment. If every worker fails and the
+// membership changed meanwhile (a rejoin landed mid-rotation, or those
+// deaths), one fresh snapshot is tried before giving
 // up — with an *allWorkersError whose what the caller, who knows the task,
 // fills in. Retried tasks re-execute from the locally regenerated blocks.
 // call runs the task on live[pos] and fills a fresh reply each attempt: an
@@ -572,6 +578,11 @@ func (m *Master) withFailover(ver int, live []liveWorker, home int, call func(li
 				return err
 			}
 			lastErr = err
+			var late *TaskDeadlineError
+			if !errors.As(err, &late) && m.hasCtl.Load() {
+				w := live[(home+off)%len(live)]
+				m.members.markDead(w.id, w.gen, err)
+			}
 		}
 		now, fresh := m.members.live()
 		if now == ver {

@@ -80,9 +80,11 @@ type member struct {
 
 // liveWorker is the placement view of a usable member: addr is its task
 // address, which is where its peers fetch map output from; slots is what
-// it counts for in a segment's width.
+// it counts for in a segment's width; gen is the registration the client
+// belongs to.
 type liveWorker struct {
 	id     string
+	gen    int
 	addr   string
 	client *rpc.Client
 	slots  int
@@ -257,7 +259,7 @@ func (t *membership) liveLocked() []liveWorker {
 	for _, id := range t.order {
 		m := t.members[id]
 		if m.state != comms.Dead && m.client != nil {
-			out = append(out, liveWorker{id: m.id, addr: m.taskAddr, client: m.client, slots: m.mapSlots()})
+			out = append(out, liveWorker{id: m.id, gen: m.gen, addr: m.taskAddr, client: m.client, slots: m.mapSlots()})
 		}
 	}
 	return out

@@ -221,12 +221,24 @@ func TestWorkerReconnectsAfterMasterRestart(t *testing.T) {
 }
 
 // dynamicRun drives jobs through the runtime engine against a dynamic
-// master.
+// master, on the scheduler cmd/s3cluster deploys: core.NewMultiFile over
+// corpus and lineitem plans, as drive() builds it.
 func dynamicRun(t *testing.T, master *Master, njobs int, spans *trace.Log, hooks runtime.Hooks) *runtime.Result {
 	t.Helper()
 	master.SetTimeScale(1e6)
-	plan := testPlan(t)
-	sched := core.New(plan, nil)
+	corpus := testPlan(t)
+	lineitem, err := dfs.MustStore(3, 1).AddMetaFile("lineitem", testBlocks, testBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := dfs.PlanSegments(lineitem, corpus.BlocksPerSegment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewMultiFile([]*dfs.SegmentPlan{corpus, idle}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var arrivals []runtime.Arrival
 	for i := 1; i <= njobs; i++ {
 		arrivals = append(arrivals, runtime.Arrival{

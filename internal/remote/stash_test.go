@@ -70,9 +70,20 @@ func dialT(t *testing.T, addrs []string, jobs map[scheduler.JobID]JobRef) *Maste
 }
 
 // submitAll queues jobs 1..n on a fresh scheduler over the test plan.
-func submitAll(t *testing.T, n int) *core.S3 {
+// deployedSched is the scheduler cmd/s3cluster journals and recovers,
+// over the test corpus.
+func deployedSched(t *testing.T) *core.MultiFile {
 	t.Helper()
-	s := core.New(testPlan(t), nil)
+	m, err := core.NewMultiFile([]*dfs.SegmentPlan{testPlan(t)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func submitAll(t *testing.T, n int) *core.MultiFile {
+	t.Helper()
+	s := deployedSched(t)
 	for id := 1; id <= n; id++ {
 		if err := s.Submit(scheduler.JobMeta{ID: scheduler.JobID(id), File: "corpus"}, 0); err != nil {
 			t.Fatal(err)
@@ -185,7 +196,7 @@ func TestRecoveredMasterFindsItsStash(t *testing.T) {
 		if sameEpoch {
 			recovered.RestoreEpoch(crashed.Epoch())
 		}
-		resumed := core.New(testPlan(t), nil)
+		resumed := deployedSched(t)
 		if err := resumed.RestoreState(snap); err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3sched/internal/core"
+	"s3sched/internal/dfs"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -31,12 +32,23 @@ func (c *captureLog) RoundCommitted(r scheduler.Round, _ vclock.Time, snap *sche
 func (c *captureLog) JobDone(id scheduler.JobID, _ vclock.Time)   { c.done = append(c.done, id) }
 func (c *captureLog) JobFailed(id scheduler.JobID, _ vclock.Time) { c.failed = append(c.failed, id) }
 
+// deployedOver is the scheduler cmd/s3cluster journals and recovers —
+// core.NewMultiFile, the one scheme that snapshots — over one file.
+func deployedOver(t *testing.T, plan *dfs.SegmentPlan) *core.MultiFile {
+	t.Helper()
+	m, err := core.NewMultiFile([]*dfs.SegmentPlan{plan}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestEngineCommitLog: the engine fires RoundCommitted once per
 // retired round (with a usable scheduler snapshot in serial mode),
 // JobDone once per completion, and JobFailed for jobs whose own code
 // failed — the exact stream the write-ahead journal persists.
 func TestEngineCommitLog(t *testing.T) {
-	sched := core.New(parityPlan(t, 3), nil)
+	sched := deployedOver(t, parityPlan(t, 3))
 	log := &captureLog{}
 	exec := &failDrainExec{} // fails job 2's code on its first round
 	res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
@@ -74,7 +86,7 @@ func TestEngineCommitLog(t *testing.T) {
 // at the next round boundary with Stopped=true and no error, leaving
 // undone jobs pending in the scheduler for a checkpoint to persist.
 func TestEngineGracefulStop(t *testing.T) {
-	sched := core.New(parityPlan(t, 4), nil)
+	sched := deployedOver(t, parityPlan(t, 4))
 	src := runtime.NewLiveSource()
 	for i := 0; i < 2; i++ {
 		if _, err := src.Submit(parityMeta(i + 1)); err != nil {
@@ -116,7 +128,7 @@ func TestEngineGracefulStop(t *testing.T) {
 // are counted in the run's metrics even though no arrival source ever
 // delivered them.
 func TestEngineRestoredJobs(t *testing.T) {
-	sched := core.New(parityPlan(t, 3), nil)
+	sched := deployedOver(t, parityPlan(t, 3))
 	if err := sched.Submit(parityMeta(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,7 @@ func TestEngineRestoredJobs(t *testing.T) {
 // TestEngineInitialRequeues: a checkpoint-carried requeue count eats
 // into the budget, so a crash loop cannot reset it by restarting.
 func TestEngineInitialRequeues(t *testing.T) {
-	sched := core.New(parityPlan(t, 2), nil)
+	sched := deployedOver(t, parityPlan(t, 2))
 	exec := &lostExec{}
 	_, err := runtime.RunTrace(sched, exec, []runtime.Arrival{{Job: parityMeta(1), At: 0}},
 		runtime.Options{MaxRequeues: 5, InitialRequeues: 3})

@@ -106,11 +106,10 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 
 // WillPipeline reports whether a run with this scheduler, executor and
 // options would use the stage-pipelined policy: pipelining must be
-// requested AND both sides must be stage-capable. newEngine is its one
-// caller: nothing labels results by what actually engaged, so an
-// s3compare cell records what was asked — MRShare, for example, is
-// never stage-aware, and its pipeline=on cell is really a serial run
-// (EXPERIMENTS.md counts those cells).
+// requested AND both sides must be stage-capable. Nothing labels a
+// result by what actually engaged, so s3compare asks here before it
+// emits a pipeline=on cell: MRShare, for example, is never stage-aware,
+// and its cell would be a copy of the serial one.
 func WillPipeline(sched scheduler.Scheduler, exec Executor, opts Options) bool {
 	if !opts.Pipeline {
 		return false
@@ -179,7 +178,7 @@ func (e *engine) run() (*Result, error) {
 				break
 			}
 			if e.sched.PendingJobs() > 0 {
-				if st, isSt := e.sched.(Stalled); isSt && st.Stalled() {
+				if st, isSt := e.sched.(scheduler.Stalled); isSt && st.Stalled() {
 					return nil, fmt.Errorf("runtime: scheduler %q stalled with %d pending job(s): %v",
 						e.sched.Name(), e.sched.PendingJobs(), e.coll.Incomplete())
 				}

@@ -6,10 +6,32 @@ import (
 	"testing"
 
 	"s3sched/internal/core"
+	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
+
+// deployed builds the scheduler cmd/s3cluster deploys, the way drive()
+// does: core.NewMultiFile over two files — p, the one the test's jobs
+// read, and a second nobody reads. Requeue and abort must reach p's
+// queue through it.
+func deployed(t *testing.T, p *dfs.SegmentPlan) *core.MultiFile {
+	t.Helper()
+	idle, err := dfs.MustStore(1, 1).AddMetaFile("idle", 2, 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idlePlan, err := dfs.PlanSegments(idle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMultiFile([]*dfs.SegmentPlan{p, idlePlan}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // flakyExec loses the first `lose` rounds, then runs every round in 10s.
 type flakyExec struct {
@@ -30,7 +52,7 @@ func (f *flakyExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 // accounted.
 func TestRequeueRecoversLostRound(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	s := core.New(p, nil)
+	s := deployed(t, p)
 	exec := &flakyExec{lose: 2}
 	res, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err != nil {
@@ -60,7 +82,7 @@ func TestRequeueRecoversLostRound(t *testing.T) {
 // a row aborts the run instead of looping forever.
 func TestRequeueBoundGivesUp(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	s := core.New(p, nil)
+	s := deployed(t, p)
 	exec := &flakyExec{lose: 1 << 30}
 	_, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{MaxRequeues: 3})
 	if err == nil {
@@ -81,7 +103,7 @@ type noRecover struct{ scheduler.Scheduler }
 // clear error instead of a silent requeue.
 func TestLostRoundNeedsRecoverable(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	s := &noRecover{core.New(p, nil)}
+	s := &noRecover{deployed(t, p)}
 	exec := &flakyExec{lose: 1}
 	_, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "cannot requeue") {
@@ -122,7 +144,7 @@ func (f *failingJobsExec) FaultStats() metrics.FaultStats { return f.stats }
 // aborted out of future rounds, and the surviving job completes.
 func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
 	p := makePlan(t, 8, 2) // 4 segments
-	s := core.New(p, nil)
+	s := deployed(t, p)
 	exec := &failingJobsExec{
 		bad:      map[scheduler.JobID]bool{2: true},
 		reported: make(map[scheduler.JobID]bool),
@@ -162,7 +184,7 @@ func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
 // stage-pipelined driver, where failures settle at reduce retirement.
 func TestJobFailurePipelined(t *testing.T) {
 	p := makePlan(t, 8, 2)
-	s := core.New(p, nil)
+	s := deployed(t, p)
 	inner := &failingJobsExec{
 		bad:      map[scheduler.JobID]bool{2: true},
 		reported: make(map[scheduler.JobID]bool),

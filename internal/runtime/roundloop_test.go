@@ -37,7 +37,10 @@ func fixed(d vclock.Duration) Executor {
 
 func TestRunFIFOSequential(t *testing.T) {
 	p := makePlan(t, 10, 1) // 10 segments, 10s each -> 100s per job
-	f := scheduler.NewFIFO(p, nil)
+	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunTrace(f, fixed(10), []Arrival{
 		{Job: job(1), At: 0},
 		{Job: job(2), At: 20},

@@ -127,13 +127,6 @@ type StageExecutor interface {
 	ExecMapStage(r scheduler.Round) (vclock.Duration, ReduceStage, error)
 }
 
-// Stalled is implemented by schedulers that can report a permanent
-// stall (MRShare with an unfillable batch). The engine surfaces it as
-// an error instead of spinning forever.
-type Stalled interface {
-	Stalled() bool
-}
-
 // Waker is implemented by time-driven schedulers (e.g. window-based
 // batchers) that may have work at a future instant even with no
 // arrivals left. The engine advances the clock to the wake time when

@@ -29,7 +29,7 @@ func jobOn(id int, file string) JobMeta {
 }
 
 func TestMultiFIFORoutesJobsByFile(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{
+	f, err := NewFIFO([]*dfs.SegmentPlan{
 		namedPlan(t, "a", 4, 2), // 2 segments
 		namedPlan(t, "b", 6, 2), // 3 segments
 	}, trace.MustNew(64))
@@ -39,7 +39,7 @@ func TestMultiFIFORoutesJobsByFile(t *testing.T) {
 	if got := f.Files(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Files() = %v, want [a b]", got)
 	}
-	if f.Name() != "fifo-multifile" {
+	if f.Name() != "fifo" {
 		t.Fatalf("Name() = %q", f.Name())
 	}
 	if err := f.Submit(jobOn(1, "b"), 0); err != nil {
@@ -75,7 +75,7 @@ func TestMultiFIFORoutesJobsByFile(t *testing.T) {
 }
 
 func TestMultiFIFOAddPlanMidRun(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
+	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestMultiFIFOAddPlanMidRun(t *testing.T) {
 }
 
 func TestMultiFIFOEmptyConstructor(t *testing.T) {
-	if _, err := NewMultiFIFO(nil, nil); err == nil {
-		t.Fatal("NewMultiFIFO accepted zero plans")
+	if _, err := NewFIFO(nil, nil); err == nil {
+		t.Fatal("NewFIFO accepted zero plans")
 	}
 }
 
 func TestMultiFIFORequeueReformsRound(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
+	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMultiFIFORequeueReformsRound(t *testing.T) {
 }
 
 func TestMultiFIFOAbortJobs(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
+	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMultiFIFOAbortJobs(t *testing.T) {
 }
 
 func TestMultiFIFOProtocolViolationsPanic(t *testing.T) {
-	f, err := NewMultiFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
+	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,16 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
+// batchPlans adapts a per-file table to NewMultiMRShare's sizes.
+func batchPlans(m map[string][]int) func(string) []int {
+	return func(file string) []int { return m[file] }
+}
+
 func TestMultiMRShareBatchesPerFile(t *testing.T) {
 	m, err := NewMultiMRShare([]*dfs.SegmentPlan{
 		namedPlan(t, "a", 4, 2), // 2 segments
 		namedPlan(t, "b", 4, 2),
-	}, map[string][]int{"a": {2}, "b": {1}}, trace.MustNew(64))
+	}, batchPlans(map[string][]int{"a": {2}, "b": {1}}), trace.MustNew(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestMultiMRShareBatchesPerFile(t *testing.T) {
 
 func TestMultiMRShareAddPlanMidRun(t *testing.T) {
 	m, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
-		map[string][]int{"a": {1}}, nil)
+		batchPlans(map[string][]int{"a": {1}}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,18 +275,18 @@ func TestMultiMRShareAddPlanMidRun(t *testing.T) {
 }
 
 func TestMultiMRShareConstructorErrors(t *testing.T) {
-	if _, err := NewMultiMRShare(nil, nil, nil); err == nil {
+	if _, err := NewMultiMRShare(nil, batchPlans(nil), nil); err == nil {
 		t.Fatal("accepted zero plans")
 	}
 	if _, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
-		map[string][]int{}, nil); err == nil {
+		batchPlans(nil), nil); err == nil {
 		t.Fatal("accepted a file without a batch plan")
 	}
 }
 
 func TestMultiMRShareRequeueAndAbort(t *testing.T) {
 	m, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)},
-		map[string][]int{"a": {1, 1}}, nil)
+		batchPlans(map[string][]int{"a": {1, 1}}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,4 +319,171 @@ func TestMultiMRShareRequeueAndAbort(t *testing.T) {
 	r3, _ := m.NextRound(8)
 	mustPanic(t, "NextRound in flight", func() { m.NextRound(8) })
 	m.RoundDone(r3, 9)
+}
+
+// fifoPerFile is an arbiter over one stage-aware FIFO queue per file —
+// no scheme ships it, but it exercises Staged inside this package.
+func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) Staged[*FIFO] {
+	t.Helper()
+	a, err := NewArbiter("fifo-per-file", plans,
+		func(p *dfs.SegmentPlan, _ int) (*FIFO, error) { return NewFIFO([]*dfs.SegmentPlan{p}, nil) },
+		func(f *FIFO) (int, bool) { return 0, f.cur != nil || len(f.queue) > 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Staged[*FIFO]{a}
+}
+
+func TestArbiterRoutesDrainingRoundsInOrder(t *testing.T) {
+	s := fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) // one segment each
+	var _ StageAware = s
+	for i, file := range []string{"a", "b"} {
+		if err := s.Submit(jobOn(i+1, file), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ra, _ := s.NextRound(0)
+	s.MapDone(ra, 1)
+	// a's reduce drains: b's map may start, and a file may be registered.
+	if err := s.AddPlan(namedPlan(t, "c", 2, 2), 1); err != nil {
+		t.Fatalf("AddPlan with a reduce draining but no map in flight: %v", err)
+	}
+	rb, ok := s.NextRound(1)
+	if !ok || rb.Blocks[0].File != "b" {
+		t.Fatalf("second round = %+v, want b's", rb)
+	}
+	if err := s.AddPlan(namedPlan(t, "d", 2, 2), 1); err == nil {
+		t.Fatal("AddPlan accepted with a map in flight")
+	}
+	s.MapDone(rb, 2)
+	if _, ok := s.NextRound(2); ok {
+		t.Fatal("both jobs are scanned out, yet a round formed")
+	}
+	// RoundDone arrives in launch order and reaches the launching queue.
+	if done := s.RoundDone(ra, 3); len(done) != 1 || done[0] != 1 {
+		t.Fatalf("a's round retired %v, want [1]", done)
+	}
+	if done := s.RoundDone(rb, 4); len(done) != 1 || done[0] != 2 {
+		t.Fatalf("b's round retired %v, want [2]", done)
+	}
+	mustPanic(t, "RoundDone with nothing launched or draining", func() { s.RoundDone(rb, 5) })
+	mustPanic(t, "MapDone idle", func() { s.MapDone(rb, 5) })
+}
+
+func TestArbiterRequeueKeepsTheFilesTurn(t *testing.T) {
+	s := fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2))
+	for i, file := range []string{"a", "b"} {
+		if err := s.Submit(jobOn(i+1, file), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1, _ := s.NextRound(0)
+	s.RequeueRound(r1, 1)
+	r2, ok := s.NextRound(2)
+	if !ok || r2.Blocks[0].File != "a" {
+		t.Fatalf("after a's round was lost the next is %+v, want a's again", r2)
+	}
+	s.RoundDone(r2, 3)
+	if r3, _ := s.NextRound(3); r3.Blocks[0].File != "b" {
+		t.Fatalf("then %+v, want b's", r3)
+	}
+}
+
+// Every plan-set policy answers the same bad request the same way: a
+// reused id is a duplicate even on an unknown file, and a plan is
+// refused while a map is in flight.
+func TestPlanSetPoliciesAgree(t *testing.T) {
+	type planSet interface {
+		Scheduler
+		PlanRegistrar
+	}
+	mrs, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, batchPlans(map[string][]int{"a": {1}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]planSet{"mrshare": mrs, "fifo": newFIFO(t, nil, namedPlan(t, "a", 2, 2))} {
+		if err := s.Submit(jobOn(1, "a"), 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Submit(jobOn(1, "nowhere"), 0); !errors.Is(err, ErrDuplicateJob) {
+			t.Errorf("%s: reused id on an unknown file: %v, want ErrDuplicateJob", name, err)
+		}
+		r, ok := s.NextRound(0)
+		if !ok {
+			t.Fatalf("%s: no round", name)
+		}
+		if err := s.AddPlan(namedPlan(t, "b", 2, 2), 1); err == nil {
+			t.Errorf("%s: AddPlan accepted with a map in flight", name)
+		}
+		s.RoundDone(r, 1)
+		if err := s.AddPlan(namedPlan(t, "b", 2, 2), 1); err != nil {
+			t.Errorf("%s: AddPlan between rounds: %v", name, err)
+		}
+	}
+}
+
+func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
+	fresh := func() Staged[*FIFO] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
+	// FIFO queues have no snapshot of their own: these stand-ins save
+	// the file name and load nothing.
+	save := func(f *FIFO) (QueueSnapshot, error) { return QueueSnapshot{File: f.Files()[0]}, nil }
+	load := func(*FIFO, QueueSnapshot) error { return nil }
+
+	src := fresh()
+	if err := src.Submit(jobOn(1, "a"), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := src.NextRound(0)
+	src.RoundDone(r, 1) // the pointer now rests on b
+	snap, err := src.SnapshotQueues(save)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Scheme != "fifo-per-file" || snap.Rotation != 1 || len(snap.Queues) != 2 || snap.Queues[1].File != "b" {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if _, err := src.SnapshotQueues(func(*FIFO) (QueueSnapshot, error) { return QueueSnapshot{}, errors.New("busy") }); err == nil {
+		t.Error("a queue that cannot snapshot was ignored")
+	}
+
+	snap.Queues[0].Jobs = []JobSnapshot{{Meta: jobOn(4, "a")}}
+	dst := fresh()
+	if err := dst.RestoreQueues(snap, load); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Submit(jobOn(4, "a"), 0); !errors.Is(err, ErrDuplicateJob) {
+		t.Errorf("restored id resubmitted: %v, want ErrDuplicateJob", err)
+	}
+	if err := dst.RestoreQueues(snap, load); err == nil {
+		t.Error("restore into a used arbiter accepted")
+	}
+	for what, bad := range map[string]func(*Snapshot){
+		"another scheme":             func(s *Snapshot) { s.Scheme = "fifo" },
+		"rotation past the files":    func(s *Snapshot) { s.Rotation = 2 },
+		"an unregistered file":       func(s *Snapshot) { s.Queues[1].File = "nowhere" },
+		"one file twice":             func(s *Snapshot) { s.Queues[1].File = "a" },
+		"one job on two files":       func(s *Snapshot) { s.Queues[1].Jobs = s.Queues[0].Jobs },
+		"a queue that fails to load": nil,
+	} {
+		broken := snap
+		broken.Queues = append([]QueueSnapshot(nil), snap.Queues...)
+		loader := load
+		if bad == nil {
+			loader = func(*FIFO, QueueSnapshot) error { return errors.New("bad queue") }
+		} else {
+			bad(&broken)
+		}
+		if err := fresh().RestoreQueues(broken, loader); err == nil {
+			t.Errorf("restored a snapshot with %s", what)
+		}
+	}
+	if q, ok := dst.Queue("b"); !ok || q == nil {
+		t.Error("Queue(b) missing")
+	}
+	if _, ok := dst.Queue("nowhere"); ok {
+		t.Error("Queue of an unregistered file")
+	}
+	if dst.Stalled() {
+		t.Error("queues that cannot stall reported a stall")
+	}
 }

@@ -60,7 +60,7 @@ func (f *Fair) Submit(job JobMeta, at vclock.Time) error {
 	}
 	f.seen[job.ID] = true
 	f.pending++
-	f.active = append(f.active, &fairJob{meta: job.normalized()})
+	f.active = append(f.active, &fairJob{meta: job.Normalized()})
 	f.log.Addf(at, trace.JobSubmitted, int(job.ID), 0, "fair pool of %d", len(f.active))
 	return nil
 }

@@ -9,17 +9,20 @@ import (
 )
 
 // FIFO reproduces Hadoop's default scheduler (paper §II-B): jobs run
-// one after another in submission order, each scanning the whole file
-// from the beginning for itself. There is no sharing: a job arriving
-// while another runs waits for every job ahead of it.
+// one after another in submission order, each scanning its whole input
+// file from the beginning for itself. There is no sharing: a job
+// arriving while another runs waits for every job ahead of it. Over
+// several files (one plan is the paper's case) the queue stays global:
+// FIFO holds a plan set, not per-file queues.
 //
 // Execution is still expressed in per-segment rounds so that all
 // schemes pay identical per-round overheads in the cost model — FIFO
 // is penalized only by its lack of sharing, not by bookkeeping
 // differences.
 type FIFO struct {
-	plan  *dfs.SegmentPlan
 	log   *trace.Log
+	plans map[string]*dfs.SegmentPlan
+	order []string  // file names in registration order
 	queue []JobMeta // waiting jobs, head first
 	cur   *fifoRun  // job currently executing, nil when idle
 	seen  map[JobID]bool
@@ -32,36 +35,63 @@ type FIFO struct {
 }
 
 var (
-	_ Scheduler   = (*FIFO)(nil)
-	_ StageAware  = (*FIFO)(nil)
-	_ Recoverable = (*FIFO)(nil)
+	_ StageAware    = (*FIFO)(nil)
+	_ Recoverable   = (*FIFO)(nil)
+	_ PlanRegistrar = (*FIFO)(nil)
 )
 
 type fifoRun struct {
 	job  JobMeta
+	plan *dfs.SegmentPlan
 	next int // next segment index to scan (linear 0..k-1)
 }
 
-// NewFIFO returns a FIFO scheduler over the segment plan. log may be
-// nil.
-func NewFIFO(plan *dfs.SegmentPlan, log *trace.Log) *FIFO {
-	return &FIFO{plan: plan, log: log, seen: make(map[JobID]bool)}
+// NewFIFO returns a FIFO scheduler over the given segment plans (one
+// per file). log may be nil.
+func NewFIFO(plans []*dfs.SegmentPlan, log *trace.Log) (*FIFO, error) {
+	if len(plans) == 0 {
+		return nil, fmt.Errorf("scheduler: fifo needs at least one segment plan")
+	}
+	f := &FIFO{log: log, plans: make(map[string]*dfs.SegmentPlan), seen: make(map[JobID]bool)}
+	for _, p := range plans {
+		if err := f.AddPlan(p, 0); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
 // Name implements Scheduler.
 func (f *FIFO) Name() string { return "fifo" }
+
+// AddPlan implements PlanRegistrar.
+func (f *FIFO) AddPlan(p *dfs.SegmentPlan, _ int) error {
+	file := p.File().Name
+	if f.inFlight {
+		return fmt.Errorf("scheduler: fifo.AddPlan(%q) with a round in flight", file)
+	}
+	if _, dup := f.plans[file]; dup {
+		return fmt.Errorf("scheduler: fifo already has a plan for file %q", file)
+	}
+	f.plans[file] = p
+	f.order = append(f.order, file)
+	return nil
+}
+
+// Files returns the registered file names in registration order.
+func (f *FIFO) Files() []string { return append([]string(nil), f.order...) }
 
 // Submit implements Scheduler.
 func (f *FIFO) Submit(job JobMeta, at vclock.Time) error {
 	if f.seen[job.ID] {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, job.ID)
 	}
-	if job.File != f.plan.File().Name {
-		return fmt.Errorf("%w: job %d reads %q, plan is for %q", ErrWrongFile, job.ID, job.File, f.plan.File().Name)
+	if _, ok := f.plans[job.File]; !ok {
+		return fmt.Errorf("%w: job %d reads %q, no such file registered", ErrWrongFile, job.ID, job.File)
 	}
 	f.seen[job.ID] = true
 	f.pending++
-	f.queue = append(f.queue, job.normalized())
+	f.queue = append(f.queue, job.Normalized())
 	f.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "fifo queue depth %d", len(f.queue))
 	return nil
 }
@@ -75,19 +105,20 @@ func (f *FIFO) NextRound(now vclock.Time) (Round, bool) {
 		if len(f.queue) == 0 {
 			return Round{}, false
 		}
-		f.cur = &fifoRun{job: f.queue[0]}
+		job := f.queue[0]
 		f.queue = f.queue[1:]
+		f.cur = &fifoRun{job: job, plan: f.plans[job.File]}
 	}
 	seg := f.cur.next
 	r := Round{
 		Segment: seg,
-		Blocks:  f.plan.Blocks(seg),
+		Blocks:  f.cur.plan.Blocks(seg),
 		Jobs:    []JobMeta{f.cur.job},
 	}
 	if seg == 0 {
 		r.FreshJobs = 1 // the job is submitted once, at its first wave
 	}
-	if seg == f.plan.NumSegments()-1 {
+	if seg == f.cur.plan.NumSegments()-1 {
 		r.Completes = []JobID{f.cur.job.ID}
 	}
 	f.inFlight = true
@@ -128,7 +159,7 @@ func (f *FIFO) RoundDone(r Round, now vclock.Time) []JobID {
 // retiring it when that was the last one.
 func (f *FIFO) retireScan(now vclock.Time) []JobID {
 	f.cur.next++
-	if f.cur.next == f.plan.NumSegments() {
+	if f.cur.next == f.cur.plan.NumSegments() {
 		done := f.cur.job.ID
 		f.cur = nil
 		f.pending--

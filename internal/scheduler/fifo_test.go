@@ -24,6 +24,16 @@ func makePlan(t *testing.T, numBlocks, perSegment int) *dfs.SegmentPlan {
 	return p
 }
 
+// newFIFO builds a FIFO over the plans; log may be nil.
+func newFIFO(t *testing.T, log *trace.Log, plans ...*dfs.SegmentPlan) *FIFO {
+	t.Helper()
+	f, err := NewFIFO(plans, log)
+	if err != nil {
+		t.Fatalf("NewFIFO: %v", err)
+	}
+	return f
+}
+
 func job(id int) JobMeta {
 	return JobMeta{ID: JobID(id), Name: "j", File: "input", Weight: 1, ReduceWeight: 1}
 }
@@ -47,7 +57,7 @@ func drain(t *testing.T, s Scheduler) (rounds []Round, completed []JobID) {
 
 func TestFIFOSingleJob(t *testing.T) {
 	p := makePlan(t, 12, 3) // 4 segments
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestFIFOSingleJob(t *testing.T) {
 
 func TestFIFORunsJobsSequentially(t *testing.T) {
 	p := makePlan(t, 6, 3) // 2 segments
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	for i := 1; i <= 3; i++ {
 		if err := f.Submit(job(i), 0); err != nil {
 			t.Fatal(err)
@@ -100,7 +110,7 @@ func TestFIFORunsJobsSequentially(t *testing.T) {
 
 func TestFIFOLateArrivalQueues(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestFIFOLateArrivalQueues(t *testing.T) {
 
 func TestFIFODuplicateAndWrongFile(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	f := NewFIFO(p, trace.MustNew(16))
+	f := newFIFO(t, trace.MustNew(16), p)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +153,7 @@ func TestFIFODuplicateAndWrongFile(t *testing.T) {
 
 func TestFIFOProtocolViolationsPanic(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestFIFOProtocolViolationsPanic(t *testing.T) {
 
 func TestFIFOIdleWhenEmpty(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	if _, ok := f.NextRound(0); ok {
 		t.Error("NextRound on empty scheduler should report no work")
 	}
@@ -180,7 +190,7 @@ func TestFIFOIdleWhenEmpty(t *testing.T) {
 
 func TestFIFOWeightNormalization(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	j := JobMeta{ID: 1, File: "input"} // zero weights
 	if err := f.Submit(j, 0); err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func (m *MRShare) Submit(job JobMeta, at vclock.Time) error {
 	m.seen[job.ID] = true
 	m.submitted++
 	m.pending++
-	m.filling = append(m.filling, job.normalized())
+	m.filling = append(m.filling, job.Normalized())
 	m.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "mrshare batch %d (%d/%d)", m.fillIdx, len(m.filling)+m.fillAborted, m.sizes[m.fillIdx])
 	if len(m.filling)+m.fillAborted == m.sizes[m.fillIdx] {
 		m.ready = append(m.ready, m.filling)
@@ -206,6 +206,26 @@ func (m *MRShare) PendingJobs() int { return m.pending }
 // runnable work, yet unfinished jobs are waiting in a batch that can
 // only become ready through future submissions. The driver uses this
 // to distinguish "idle until the next arrival" from a dead batch plan.
-func (m *MRShare) Stalled() bool {
-	return m.cur == nil && len(m.ready) == 0 && len(m.filling) > 0
+func (m *MRShare) Stalled() bool { return !m.runnable() && len(m.filling) > 0 }
+
+// runnable reports whether NextRound would form a round.
+func (m *MRShare) runnable() bool { return m.cur != nil || len(m.ready) > 0 }
+
+// NewMultiMRShare is MRShare batching per file: an Arbiter that serves
+// files with a runnable batch round-robin. A file batches by
+// sizes(file); one registered mid-run for which that is empty (a DAG
+// stage's output) merges all its expected readers into one scan —
+// MRShare assumes the query pattern is known, and the dependency edges
+// name every consumer. log may be nil.
+func NewMultiMRShare(plans []*dfs.SegmentPlan, sizes func(file string) []int, log *trace.Log) (*Arbiter[*MRShare], error) {
+	build := func(p *dfs.SegmentPlan, expectJobs int) (*MRShare, error) {
+		batches := sizes(p.File().Name)
+		if len(batches) == 0 && expectJobs > 0 {
+			batches = []int{expectJobs}
+		}
+		return NewMRShare(p, batches, log)
+	}
+	return NewArbiter("mrshare-multifile", plans, build, func(q *MRShare) (int, bool) { return 0, q.runnable() })
 }
+
+var _ Stalled = (*Arbiter[*MRShare])(nil)

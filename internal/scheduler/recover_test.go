@@ -8,7 +8,7 @@ import (
 // the same segment with the same job; progress is unchanged.
 func TestFIFORequeueRepeatsSegment(t *testing.T) {
 	p := makePlan(t, 8, 2) // 4 segments
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFIFORequeueRepeatsSegment(t *testing.T) {
 // the next queued job, which starts from segment 0.
 func TestFIFOAbortRunningJob(t *testing.T) {
 	p := makePlan(t, 8, 2)
-	f := NewFIFO(p, nil)
+	f := newFIFO(t, nil, p)
 	for i := 1; i <= 2; i++ {
 		if err := f.Submit(job(i), 0); err != nil {
 			t.Fatal(err)

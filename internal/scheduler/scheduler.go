@@ -1,7 +1,7 @@
 // Package scheduler defines the job-scheduling abstraction shared by
 // every scheme in the paper's evaluation — FIFO (Hadoop default),
 // MRShare-style whole-file batching, and S^3 (internal/core) — plus
-// the FIFO and MRShare baseline implementations.
+// the FIFO and MRShare baselines and the multi-file Arbiter.
 //
 // A Scheduler turns submitted jobs into a serial stream of Rounds. A
 // Round is one unit of cluster work: scan the listed blocks once and
@@ -42,8 +42,8 @@ type JobMeta struct {
 	Priority int
 }
 
-// normalized returns meta with zero weights defaulted to 1.
-func (m JobMeta) normalized() JobMeta {
+// Normalized returns meta with zero weights defaulted to 1.
+func (m JobMeta) Normalized() JobMeta {
 	if m.Weight == 0 {
 		m.Weight = 1
 	}
@@ -153,5 +153,5 @@ var ErrDuplicateJob = fmt.Errorf("scheduler: duplicate job id")
 // ErrWrongFile is wrapped by Submit when a job's input file does not
 // match the segment plan the scheduler was built for. The paper's
 // context is jobs sharing one input file (§III-A); multi-file support
-// is layered on top via per-file scheduler instances.
+// is layered on top by Arbiter, a queue per file.
 var ErrWrongFile = fmt.Errorf("scheduler: job input file does not match plan")

@@ -81,7 +81,7 @@ func (w *WindowMRShare) Submit(job JobMeta, at vclock.Time) error {
 	if len(w.filling) == 0 {
 		w.firstAt = at
 	}
-	w.filling = append(w.filling, job.normalized())
+	w.filling = append(w.filling, job.Normalized())
 	w.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "window batch (%d/%d, seals by %v)",
 		len(w.filling), w.maxBatch, w.firstAt.Add(w.window))
 	w.sealIfDue(at) // size cap may have been hit

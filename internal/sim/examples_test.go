@@ -64,9 +64,18 @@ func runScheme(t *testing.T, sched scheduler.Scheduler, exec runtime.Executor, o
 	return tetD.Seconds(), artD.Seconds()
 }
 
+func fifo(t *testing.T, plan *dfs.SegmentPlan) *scheduler.FIFO {
+	t.Helper()
+	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{plan}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestExample1FIFO(t *testing.T) {
 	env := exampleSetup(t)
-	tet, art := runScheme(t, scheduler.NewFIFO(env.plan, nil), env.exec, 20)
+	tet, art := runScheme(t, fifo(t, env.plan), env.exec, 20)
 	almost(t, "TET(FIFO)", tet, 200)
 	almost(t, "ART(FIFO)", art, 140)
 }
@@ -84,7 +93,7 @@ func TestExample1MRShare(t *testing.T) {
 
 func TestExample2FIFO(t *testing.T) {
 	env := exampleSetup(t)
-	tet, art := runScheme(t, scheduler.NewFIFO(env.plan, nil), env.exec, 80)
+	tet, art := runScheme(t, fifo(t, env.plan), env.exec, 80)
 	almost(t, "TET(FIFO)", tet, 200)
 	almost(t, "ART(FIFO)", art, 110)
 }
@@ -125,7 +134,7 @@ func TestExampleScanVolume(t *testing.T) {
 	s3Scans := env.exec.Stats().BlocksScanned
 
 	env2 := exampleSetup(t)
-	if _, err := runtime.RunTrace(scheduler.NewFIFO(env2.plan, nil), env2.exec, twoJobs(20), runtime.Options{}); err != nil {
+	if _, err := runtime.RunTrace(fifo(t, env2.plan), env2.exec, twoJobs(20), runtime.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fifoScans := env2.exec.Stats().BlocksScanned
