@@ -356,11 +356,6 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 	return a.submitStage(meta, ref, deps)
 }
 
-// submit runs the admission protocol for a dependency-free job.
-func (a *clusterAdmission) submit(meta scheduler.JobMeta, ref remote.JobRef) (scheduler.JobID, error) {
-	return a.submitStage(meta, ref, nil)
-}
-
 // submitStage runs the admission protocol for one job: journal the
 // admission (write-ahead — a crash after the ack must still know the
 // job and its dependencies), register its program with the master, and
@@ -530,7 +525,11 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	if *serve {
 		src = runtime.NewLiveSource()
 		dag = pipeline.NewLiveDAG(src, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
-			return 0, remat(id)
+			err := remat(id)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "s3cluster: job %d's output cannot become a file, so the jobs that read it fail: %v\n", id, err)
+			}
+			return 0, err
 		})
 		adm = newClusterAdmission(src, dag, master)
 		adm.journal = jnl
@@ -568,7 +567,7 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 		if recorded != nil {
 			// Without the journal: what re-materialising would write is what is being replayed.
 			quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, width, id) }
-			rep, err := recoverFromJournal(jnl, recorded, sched, master, src, dag, adm, quiet, &opts)
+			rep, err := recoverFromJournal(jnl, recorded, sched, master, dag, adm, quiet, &opts)
 			if err != nil {
 				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 			}

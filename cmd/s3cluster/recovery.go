@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -78,7 +79,6 @@ func recoverFromJournal(
 	st *journal.MasterState,
 	sched scheduler.Scheduler,
 	master *remote.Master,
-	src *runtime.LiveSource,
 	dag *pipeline.LiveDAG,
 	adm *clusterAdmission,
 	remat func(scheduler.JobID) error,
@@ -115,30 +115,28 @@ func recoverFromJournal(
 			if hasResult {
 				master.RestoreResult(result)
 			}
-			if err := src.Adopt(meta, runtime.JobDone, 0, end.At); err != nil {
-				return nil, err
-			}
-			dag.AdoptDone(id, false)
 			// A stage-materialized record means dependents scan this job's
 			// output: rebuild the derived file now (from the restored
 			// result), before any consumer is resubmitted and before
 			// RestoreState needs its queue registered. Walking st.Order
 			// keeps the registration order deterministic.
-			if _, wasMat := st.Materialized[id]; wasMat {
+			_, wasMat := st.Materialized[id]
+			if wasMat {
 				if err := remat(id); err != nil {
 					return nil, fmt.Errorf("re-materializing job %d output: %w", id, err)
 				}
-				dag.AdoptMaterialized(id)
+			}
+			if err := dag.Adopt(meta, runtime.JobDone, end.At, wasMat); err != nil {
+				return nil, err
 			}
 			adm.adopt(id, ref)
 			rep.settled++
 			continue
 		}
 		if end, failed := st.Failed[id]; failed {
-			if err := src.Adopt(meta, runtime.JobFailed, 0, end.At); err != nil {
+			if err := dag.Adopt(meta, runtime.JobFailed, end.At, false); err != nil {
 				return nil, err
 			}
-			dag.AdoptDone(id, true)
 			adm.adopt(id, ref)
 			rep.settled++
 			continue
@@ -148,10 +146,9 @@ func recoverFromJournal(
 			// one does not. Rerunning is impossible, so surface the job
 			// as failed instead of wedging the pass.
 			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d uses unknown factory %q; marking failed\n", id, rec.Factory)
-			if err := src.Adopt(meta, runtime.JobFailed, 0, 0); err != nil {
+			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
 				return nil, err
 			}
-			dag.AdoptDone(id, true)
 			adm.adopt(id, ref)
 			continue
 		}
@@ -163,7 +160,7 @@ func recoverFromJournal(
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
 			}
-			if err := src.Adopt(meta, runtime.JobRunning, 0, 0); err != nil {
+			if err := dag.Adopt(meta, runtime.JobRunning, 0, false); err != nil {
 				return nil, err
 			}
 			adm.adopt(id, ref)
@@ -172,33 +169,26 @@ func recoverFromJournal(
 			rep.resumed++
 			continue
 		}
-		// A cascade-failed consumer leaves no job-failed record (FailHeld
-		// is a status transition, not a round commit), so re-derive the
-		// verdict: any failed dependency fails this stage again.
-		depFailed := false
-		for _, dep := range rec.DependsOn {
-			if ds, ok := src.Status(dep); ok && ds.State == runtime.JobFailed {
-				depFailed = true
-				break
-			}
-		}
-		if depFailed {
-			if err := src.Adopt(meta, runtime.JobFailed, 0, 0); err != nil {
-				return nil, err
-			}
-			dag.AdoptDone(id, true)
-			adm.adopt(id, ref)
-			rep.settled++
-			continue
-		}
 		// Admitted but never snapshotted (or the snapshot predates it):
 		// resubmit through the normal admission path under the original
 		// id, with its recorded dependencies — a consumer whose producer
 		// is still pending holds again, one whose producer settled is
 		// released exactly as a live submission would be. That
 		// re-journals the admission, which is harmless — the fold is
-		// last-writer-wins per id.
-		if _, err := adm.submitStage(meta, ref, rec.DependsOn); err != nil {
+		// last-writer-wins per id. A cascade-failed consumer left no
+		// job-failed record (failing a held job is a status transition,
+		// not a round commit): the graph dooms it again, and it comes
+		// back failed.
+		_, err := adm.submitStage(meta, ref, rec.DependsOn)
+		if errors.Is(err, pipeline.ErrDoomed) {
+			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
+				return nil, err
+			}
+			adm.adopt(id, ref)
+			rep.settled++
+			continue
+		}
+		if err != nil {
 			return nil, err
 		}
 		rep.restarted++

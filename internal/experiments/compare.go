@@ -334,15 +334,7 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		// cell's store, its segment plan registered with the scheduler,
 		// and its dependents released into the same circular pass.
 		mat := cellMaterializer(wf, key, store, sched, engineExec, model, refBlocks)
-		stages := make([]pipeline.Stage, len(wf.Jobs))
-		for i := range wf.Jobs {
-			stages[i] = pipeline.Stage{
-				Job:       wf.Jobs[i].Meta(),
-				At:        vclock.Time(wf.Jobs[i].At),
-				DependsOn: wf.Jobs[i].DependsOn,
-			}
-		}
-		coord, cerr := pipeline.NewCoordinator(stages, mat)
+		coord, cerr := pipeline.NewCoordinator(wf.Stages(), mat)
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
 		}
@@ -352,12 +344,6 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		}
 		if cerr := coord.Err(); cerr != nil {
 			return benchfmt.Cell{}, cerr
-		}
-		if left := coord.Unfinished(); len(left) > 0 {
-			return benchfmt.Cell{}, fmt.Errorf("DAG stages %v never became ready", left)
-		}
-		if failed := coord.Failed(); len(failed) > 0 {
-			return benchfmt.Cell{}, fmt.Errorf("DAG stages %v cascade-failed", failed)
 		}
 	} else {
 		res, err = runtime.RunTrace(sched, exec, arrivals, opts)
@@ -495,13 +481,14 @@ func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 // price materialized stage outputs under.
 func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 	h := &wf.Header
-	order, err := topoOrder(wf)
+	order, err := pipeline.Order(wf.Stages())
 	if err != nil {
 		return "", nil, err
 	}
 	results := make(map[scheduler.JobID]*mapreduce.Result, len(wf.Jobs))
 	refBlocks := make(map[scheduler.JobID]int)
-	for _, j := range order {
+	for _, i := range order {
+		j := &wf.Jobs[i]
 		store, err := dfs.NewStore(h.Nodes, h.Replicas)
 		if err != nil {
 			return "", nil, err
@@ -541,47 +528,6 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 		results[j.ID] = res
 	}
 	return digestResults(results), refBlocks, nil
-}
-
-// topoOrder returns the jobs in dependency (Kahn) order, stable by id
-// among ready jobs. Validate guarantees acyclicity for parsed files;
-// the error path covers hand-built ones.
-func topoOrder(wf *workload.File) ([]*workload.FileJob, error) {
-	indeg := make(map[scheduler.JobID]int, len(wf.Jobs))
-	byID := make(map[scheduler.JobID]*workload.FileJob, len(wf.Jobs))
-	dependents := make(map[scheduler.JobID][]scheduler.JobID)
-	for i := range wf.Jobs {
-		j := &wf.Jobs[i]
-		byID[j.ID] = j
-		indeg[j.ID] = len(j.DependsOn)
-		for _, dep := range j.DependsOn {
-			dependents[dep] = append(dependents[dep], j.ID)
-		}
-	}
-	ready := make([]scheduler.JobID, 0, len(wf.Jobs))
-	for id, n := range indeg {
-		if n == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	out := make([]*workload.FileJob, 0, len(wf.Jobs))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, byID[id])
-		for _, cid := range dependents[id] {
-			indeg[cid]--
-			if indeg[cid] == 0 {
-				ready = append(ready, cid)
-			}
-		}
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	}
-	if len(out) != len(wf.Jobs) {
-		return nil, fmt.Errorf("dependency cycle among jobs")
-	}
-	return out, nil
 }
 
 // digestResults fingerprints job outputs: sha256 over jobs in id order,

@@ -49,7 +49,7 @@ func TestCoordinatorValidation(t *testing.T) {
 		{"duplicate id", []Stage{{Job: meta(1, "f")}, {Job: meta(1, "f")}}, nil, "duplicate stage id"},
 		{"unknown dep", []Stage{{Job: meta(1, "f"), DependsOn: []scheduler.JobID{9}}},
 			func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil },
-			"unknown stage 9"},
+			"stage 1 depends on unknown job 9"},
 		{"missing materializer", []Stage{{Job: meta(1, "f")}, {Job: meta(2, "g"), DependsOn: []scheduler.JobID{1}}}, nil, "no materializer"},
 	}
 	for _, tc := range cases {
@@ -83,8 +83,8 @@ func TestCoordinatorReleasesAfterMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	if got := c.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2 (held stages count)", got)
+	if got := c.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d, want 1 (the root: a held stage is not queued)", got)
 	}
 	roots := c.Pop(0)
 	if len(roots) != 1 || roots[0].Job.ID != 1 {
@@ -116,8 +116,8 @@ func TestCoordinatorReleasesAfterMaterialization(t *testing.T) {
 	if m.calls[1] != 1 {
 		t.Fatalf("duplicate JobFinished re-ran the materializer (%d calls)", m.calls[1])
 	}
-	if len(c.Unfinished()) != 0 || len(c.Failed()) != 0 || c.Err() != nil {
-		t.Fatalf("clean DAG left residue: unfinished %v failed %v err %v", c.Unfinished(), c.Failed(), c.Err())
+	if len(c.Failed()) != 0 || c.Err() != nil {
+		t.Fatalf("clean DAG left residue: failed %v err %v", c.Failed(), c.Err())
 	}
 }
 
@@ -164,8 +164,8 @@ func TestCoordinatorCascadeFail(t *testing.T) {
 	if m.calls[1] != 0 {
 		t.Fatal("failed producer was materialized")
 	}
-	if len(c.Unfinished()) != 0 {
-		t.Fatalf("Unfinished() = %v after cascade", c.Unfinished())
+	if err := c.Err(); err == nil || !contains(err.Error(), "[2 3] cascade-failed") {
+		t.Fatalf("Err() = %v after cascade, want the cone and nothing still held", err)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestCoordinatorUnfinished(t *testing.T) {
 	c.Pop(0)
 	// The producer never finishes (abnormal run): the consumer stays
 	// held and is reported.
-	if got := c.Unfinished(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Unfinished() = %v, want [2]", got)
+	if err := c.Err(); err == nil || !contains(err.Error(), "1 DAG stages never became ready") {
+		t.Fatalf("Err() = %v, want the held stage reported", err)
 	}
 }

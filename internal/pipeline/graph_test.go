@@ -1,0 +1,312 @@
+package pipeline_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"s3sched/internal/pipeline"
+	"s3sched/internal/runtime"
+	"s3sched/internal/scheduler"
+	"s3sched/internal/vclock"
+	"s3sched/internal/workload"
+)
+
+// dagCase is one random DAG over ids 1..n, edges from lower to higher
+// ids, with the stages whose own job fails and the producers whose
+// output cannot become a file.
+type dagCase struct {
+	stages   []pipeline.Stage
+	jobFails map[scheduler.JobID]bool
+	matFails map[scheduler.JobID]bool
+}
+
+func randomDAG(rng *rand.Rand) dagCase {
+	n := 1 + rng.Intn(12)
+	c := dagCase{jobFails: map[scheduler.JobID]bool{}, matFails: map[scheduler.JobID]bool{}}
+	for i := 1; i <= n; i++ {
+		st := pipeline.Stage{Job: scheduler.JobMeta{ID: scheduler.JobID(i), Name: fmt.Sprint("s", i)}, At: vclock.Time(rng.Intn(4))}
+		for d := 1; d < i; d++ {
+			if rng.Intn(4) == 0 {
+				st.DependsOn = append(st.DependsOn, scheduler.JobID(d))
+			}
+		}
+		rng.Shuffle(len(st.DependsOn), func(a, b int) { st.DependsOn[a], st.DependsOn[b] = st.DependsOn[b], st.DependsOn[a] })
+		c.stages = append(c.stages, st)
+		c.jobFails[st.Job.ID] = rng.Intn(7) == 0
+		c.matFails[st.Job.ID] = rng.Intn(7) == 0
+	}
+	return c
+}
+
+// want is the oracle: a stage is released exactly when every producer
+// was released, finished well and had its output made a file.
+func (c dagCase) want() (released, failed []scheduler.JobID) {
+	ok := map[scheduler.JobID]bool{}
+	for _, st := range c.stages { // ids ascend, so producers come first
+		ok[st.Job.ID] = true
+		for _, dep := range st.DependsOn {
+			if !ok[dep] || c.jobFails[dep] || c.matFails[dep] {
+				ok[st.Job.ID] = false
+			}
+		}
+		if ok[st.Job.ID] {
+			released = append(released, st.Job.ID)
+		} else {
+			failed = append(failed, st.Job.ID)
+		}
+	}
+	return released, failed
+}
+
+// run is the bookkeeping both adapters are driven under: what the
+// engine would see, and the invariants checked as it sees it.
+type run struct {
+	t        *testing.T
+	c        dagCase
+	deps     map[scheduler.JobID][]scheduler.JobID
+	running  []scheduler.JobID
+	released map[scheduler.JobID]bool
+	finished map[scheduler.JobID]bool // finished well
+	matCalls map[scheduler.JobID]int
+}
+
+func newRun(t *testing.T, c dagCase) *run {
+	r := &run{t: t, c: c, deps: map[scheduler.JobID][]scheduler.JobID{}, released: map[scheduler.JobID]bool{}, finished: map[scheduler.JobID]bool{}, matCalls: map[scheduler.JobID]int{}}
+	for _, st := range c.stages {
+		r.deps[st.Job.ID] = st.DependsOn
+	}
+	return r
+}
+
+func (r *run) mat(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
+	if r.matCalls[id]++; r.matCalls[id] > 1 {
+		r.t.Errorf("stage %d materialized %d times", id, r.matCalls[id])
+	}
+	if !r.finished[id] {
+		r.t.Errorf("stage %d materialized before it finished well", id)
+	}
+	if r.c.matFails[id] {
+		return 0, errors.New("injected")
+	}
+	return vclock.Duration(1), nil
+}
+
+// deliver records what a Pop handed the engine.
+func (r *run) deliver(arrivals []runtime.Arrival) {
+	for _, a := range arrivals {
+		id := a.Job.ID
+		if r.released[id] {
+			r.t.Errorf("stage %d released twice", id)
+		}
+		for _, dep := range r.deps[id] {
+			if !r.finished[dep] || r.matCalls[dep] != 1 || r.c.matFails[dep] {
+				r.t.Errorf("stage %d released before producer %d finished well and became a file", id, dep)
+			}
+		}
+		r.released[id] = true
+		r.running = append(r.running, id)
+	}
+}
+
+// finishOne has the engine finish a random running stage.
+func (r *run) finishOne(rng *rand.Rand, trk runtime.JobTracker, now vclock.Time) {
+	k := rng.Intn(len(r.running))
+	id := r.running[k]
+	r.running = slices.Delete(r.running, k, k+1)
+	r.finished[id] = !r.c.jobFails[id]
+	trk.JobFinished(id, now, r.c.jobFails[id])
+}
+
+func (r *run) releasedSet() []scheduler.JobID {
+	var out []scheduler.JobID
+	for id := range r.released {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestGraphProperty drives random DAGs, settle orders and producer and
+// materializer failures through both adapters of the one graph: every
+// stage ends released or failed, exactly one of the two and exactly as
+// the oracle says, in both; none is released before its producers
+// finished well and were materialized; no producer is materialized
+// twice. And the graph's order agrees with ParseFile about which
+// listings have a cycle, and where.
+func TestGraphProperty(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomDAG(rng)
+		wantReleased, wantFailed := c.want()
+
+		// Batch: every stage known up front.
+		b := newRun(t, c)
+		coord, err := pipeline.NewCoordinator(c.stages, b.mat)
+		if err != nil {
+			t.Fatalf("seed %d: NewCoordinator: %v", seed, err)
+		}
+		now := vclock.Time(10)
+		for b.deliver(coord.Pop(now)); len(b.running) > 0; b.deliver(coord.Pop(now)) {
+			b.finishOne(rng, coord, now)
+			now += 2 // past the materialization delay
+		}
+		if err := coord.Err(); coord.Wait() || err != nil && strings.Contains(err.Error(), "never became ready") {
+			t.Errorf("seed %d: batch run ended with stages queued or held: %v", seed, err)
+		}
+		if got := b.releasedSet(); !slices.Equal(got, wantReleased) {
+			t.Errorf("seed %d: batch released %v, want %v", seed, got, wantReleased)
+		}
+		if got := coord.Failed(); !slices.Equal(got, wantFailed) {
+			t.Errorf("seed %d: batch failed %v, want %v", seed, got, wantFailed)
+		}
+
+		// Live: stages are submitted in id order at random moments of the run.
+		l := newRun(t, c)
+		src := runtime.NewLiveSource()
+		dag := pipeline.NewLiveDAG(src, l.mat)
+		refused := map[scheduler.JobID]bool{}
+		next := 0
+		for now = 10; next < len(c.stages) || len(l.running) > 0; now++ {
+			if next < len(c.stages) && (len(l.running) == 0 || rng.Intn(2) == 0) {
+				st := c.stages[next]
+				next++
+				_, err := dag.SubmitStage(st.Job, st.DependsOn, nil)
+				switch orphan := slices.ContainsFunc(st.DependsOn, func(d scheduler.JobID) bool { return refused[d] }); {
+				case errors.Is(err, pipeline.ErrDoomed), orphan && err != nil:
+					refused[st.Job.ID] = true // a client never gets an id to build on
+				case err != nil:
+					t.Fatalf("seed %d: SubmitStage %d: %v", seed, st.Job.ID, err)
+				}
+			} else {
+				l.finishOne(rng, dag, now)
+			}
+			l.deliver(dag.Pop(now))
+		}
+		var liveFailed []scheduler.JobID
+		for _, st := range c.stages {
+			status, accepted := src.Status(st.Job.ID)
+			switch {
+			case accepted == refused[st.Job.ID]:
+				t.Errorf("seed %d: stage %d accepted=%v refused=%v", seed, st.Job.ID, accepted, refused[st.Job.ID])
+			case !accepted, status.State == runtime.JobFailed && !l.released[st.Job.ID]:
+				liveFailed = append(liveFailed, st.Job.ID)
+			case status.State != runtime.JobDone && status.State != runtime.JobFailed:
+				t.Errorf("seed %d: live stage %d ended %q", seed, st.Job.ID, status.State)
+			}
+		}
+		if got := l.releasedSet(); !slices.Equal(got, wantReleased) {
+			t.Errorf("seed %d: live released %v, want %v", seed, got, wantReleased)
+		}
+		if !slices.Equal(liveFailed, wantFailed) {
+			t.Errorf("seed %d: live failed %v, want %v", seed, liveFailed, wantFailed)
+		}
+
+		checkOrder(t, seed, rng)
+		if t.Failed() {
+			t.Fatalf("seed %d: stages %+v jobFails %v matFails %v", seed, c.stages, c.jobFails, c.matFails)
+		}
+	}
+}
+
+// checkOrder lists a random directed graph — cycles allowed — in a
+// random order, as a workload file and as stages: Order errs exactly
+// when ParseFile reports a cycle, with ParseFile's words, and otherwise
+// puts every stage after its producers.
+func checkOrder(t *testing.T, seed int64, rng *rand.Rand) {
+	n := 1 + rng.Intn(8)
+	var stages []pipeline.Stage
+	for _, i := range rng.Perm(n) {
+		st := pipeline.Stage{Job: scheduler.JobMeta{ID: scheduler.JobID(i + 1)}}
+		for _, d := range rng.Perm(n) {
+			if d != i && rng.Intn(6) == 0 {
+				st.DependsOn = append(st.DependsOn, scheduler.JobID(d+1))
+			}
+		}
+		stages = append(stages, st)
+	}
+	var file strings.Builder
+	file.WriteString(`{"kind":"workload","version":3,"name":"w","nodes":2,"slotsPerNode":1,"replicas":1}` + "\n")
+	file.WriteString(`{"kind":"file","name":"f","content":"text","blocks":4,"blockBytes":64,"segmentBlocks":2}` + "\n")
+	for _, st := range stages {
+		deps := strings.Join(strings.Fields(fmt.Sprint(st.DependsOn)), ",")
+		fmt.Fprintf(&file, `{"kind":"job","id":%d,"at":0,"file":"f","factory":"wordcount","param":"t","dependsOn":%s}`+"\n", st.Job.ID, deps)
+	}
+	_, parseErr := workload.ParseFile(strings.NewReader(file.String()))
+	order, err := pipeline.Order(stages)
+	var cycle *pipeline.CycleError
+	switch {
+	case parseErr == nil && err != nil:
+		t.Errorf("seed %d: Order: %v; ParseFile accepts\n%s", seed, err, file.String())
+	case parseErr != nil && (!errors.As(err, &cycle) || !strings.HasSuffix(parseErr.Error(), cycle.Error())):
+		t.Errorf("seed %d: ParseFile: %v; Order: %v\n%s", seed, parseErr, err, file.String())
+	case err == nil:
+		place := make([]int, n+1)
+		for pos, i := range order {
+			place[stages[i].Job.ID] = pos
+		}
+		for _, st := range stages {
+			for _, dep := range st.DependsOn {
+				if place[dep] > place[st.Job.ID] {
+					t.Errorf("seed %d: order %v puts stage %d before its producer %d", seed, order, st.Job.ID, dep)
+				}
+			}
+		}
+		if len(order) != n {
+			t.Errorf("seed %d: order %v of %d stages", seed, order, n)
+		}
+	}
+}
+
+// TestGraphRules pins the core by hand: the edge rule's three refusals,
+// held and doomed, release on the last producer, and the cone in the
+// order recovery and the status API see it fail.
+func TestGraphRules(t *testing.T) {
+	var g pipeline.Graph
+	ids := func(v ...scheduler.JobID) []scheduler.JobID { return v }
+	for _, id := range ids(1, 2) {
+		if held, err := g.Add(id, nil); held || err != nil {
+			t.Fatalf("Add(%d) = %v, %v", id, held, err)
+		}
+	}
+	for _, tc := range []struct {
+		id   scheduler.JobID
+		deps []scheduler.JobID
+		want string
+	}{
+		{3, ids(1, 3), "stage depends on itself"},
+		{3, ids(9), "depends on unknown job 9"},
+		{3, ids(2, 1, 2), "lists dependency 2 twice"},
+		{0, ids(8), "new stage depends on unknown job 8"}, // not numbered by the source yet
+		{2, nil, "duplicate stage id 2"},
+	} {
+		if _, err := g.Check(tc.id, tc.deps); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Check(%d, %v) = %v, want %q", tc.id, tc.deps, err, tc.want)
+		}
+	}
+	// 3 waits for 1 and 2; 4 and 5 stack on 3, 6 on 4 and 2.
+	for _, st := range []pipeline.Stage{{Job: scheduler.JobMeta{ID: 3}, DependsOn: ids(1, 2)}, {Job: scheduler.JobMeta{ID: 4}, DependsOn: ids(3)},
+		{Job: scheduler.JobMeta{ID: 5}, DependsOn: ids(3)}, {Job: scheduler.JobMeta{ID: 6}, DependsOn: ids(4, 2)}} {
+		if held, err := g.Add(st.Job.ID, st.DependsOn); !held || err != nil {
+			t.Fatalf("Add(%d, %v) = %v, %v, want held", st.Job.ID, st.DependsOn, held, err)
+		}
+	}
+	if got := g.Done(1); got != nil || !g.Waited(2) || g.Settled(3) {
+		t.Fatalf("Done(1) released %v with producer 2 open", got)
+	}
+	if got := g.Done(2); !slices.Equal(got, ids(3)) || g.Done(2) != nil {
+		t.Fatalf("Done(2) released %v, want [3] once", got)
+	}
+	if cone := g.Fail(3); !slices.Equal(cone, ids(4, 6, 5)) || g.Fail(3) != nil {
+		t.Fatalf("Fail(3) = %v, want [4 6 5], depth first, once", cone)
+	}
+	if _, err := g.Add(7, ids(1, 6)); !errors.Is(err, pipeline.ErrDoomed) || g.Settled(7) {
+		t.Fatalf("Add on a failed producer = %v, want ErrDoomed and no trace", err)
+	}
+	if held, err := g.Add(7, ids(1, 2)); held || err != nil {
+		t.Fatalf("Add on done producers = %v, %v, want ready", held, err)
+	}
+}

@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 
 	"s3sched/internal/runtime"
@@ -9,35 +9,20 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// LiveDAG is the daemon-mode DAG coordinator: a thread-safe layer over
-// runtime.LiveSource that holds dependent jobs in "waiting" state and
-// releases (or cascade-fails) them as their dependencies settle. It is
-// what an s3cluster daemon hands the engine as its arrival source, so
-// chained POST /jobs submissions pipeline through the live circular
-// pass.
+// LiveDAG is the daemon-mode arrival source: the graph over a
+// runtime.LiveSource, under a lock. It is what an s3cluster daemon
+// hands the engine, so chained POST /jobs submissions pipeline through
+// the live circular pass.
 //
 // Unlike the batch Coordinator, the DAG here is not known up front:
-// stages arrive one POST at a time, each depending only on
-// already-submitted jobs (the admission layer validates that), so the
-// dependency graph is acyclic by construction.
+// stages arrive one POST at a time, each depending only on stages
+// already accepted, so the graph is acyclic by construction — and a
+// producer may have finished, unread, before its first reader arrives.
 type LiveDAG struct {
 	src *runtime.LiveSource
-	mat Materializer
-
-	mu sync.Mutex
-	// remaining counts a held stage's unsettled dependencies.
-	remaining map[scheduler.JobID]int
-	// consumers maps a producer to held stages waiting on it.
-	consumers map[scheduler.JobID][]scheduler.JobID
-	done      map[scheduler.JobID]bool
-	failed    map[scheduler.JobID]bool
-	// materialized marks producers whose output file exists. A producer
-	// that finishes with no waiting consumers is not materialized eagerly
-	// — if a consumer arrives later, the producer lands on needMat and
-	// Pop (engine goroutine, scheduler idle) materializes it before the
-	// consumer's arrival reaches the scheduler.
-	materialized map[scheduler.JobID]bool
-	needMat      []scheduler.JobID
+	mu  sync.Mutex
+	tracker
+	due []scheduler.JobID // unread producers a reader has since arrived for
 }
 
 var (
@@ -48,131 +33,75 @@ var (
 // NewLiveDAG wraps src. mat materializes a finished producer's output
 // before its dependents are released; it runs on the engine goroutine.
 func NewLiveDAG(src *runtime.LiveSource, mat Materializer) *LiveDAG {
-	return &LiveDAG{
-		src:          src,
-		mat:          mat,
-		remaining:    make(map[scheduler.JobID]int),
-		consumers:    make(map[scheduler.JobID][]scheduler.JobID),
-		done:         make(map[scheduler.JobID]bool),
-		failed:       make(map[scheduler.JobID]bool),
-		materialized: make(map[scheduler.JobID]bool),
-	}
+	return &LiveDAG{src: src, tracker: tracker{mat: mat, unread: make(map[scheduler.JobID]bool)}}
 }
 
-// SubmitStage accepts a job with dependencies. Dependencies must name
-// already-accepted jobs. A stage whose dependencies are all already
-// done is queued immediately; one with a failed dependency is refused
-// (its input will never exist); otherwise it is held and the status
-// API reports it "waiting". pre behaves as in LiveSource.SubmitWith.
+// SubmitStage accepts a job with dependencies, which must name
+// already-accepted jobs, once each. One with a failed dependency is
+// refused with ErrDoomed, before pre runs; one with an unfinished
+// dependency is held and the status API reports it "waiting"; any other
+// is queued at once — and if a dependency finished unread, the engine
+// it wakes materializes that in Pop before the stage is delivered. pre
+// behaves as in LiveSource.SubmitWith.
 func (d *LiveDAG) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
-	if len(deps) == 0 {
-		return d.src.SubmitWith(meta, pre)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pending := 0
-	for _, dep := range deps {
-		if _, ok := d.src.Status(dep); !ok {
-			return 0, fmt.Errorf("pipeline: dependency %d was never submitted", dep)
-		}
-		if d.failed[dep] {
-			return 0, fmt.Errorf("pipeline: dependency %d failed; its output will never exist", dep)
-		}
-		if !d.done[dep] {
-			pending++
-		}
+	if _, err := d.g.Check(meta.ID, deps); err != nil {
+		return 0, err
 	}
-	if pending == 0 {
-		// All dependencies are done, but a producer that finished before
-		// any consumer existed never materialized its output. Queue the
-		// stage immediately (Release wakes a parked engine) and defer the
-		// materialization to Pop, which the engine runs — with the
-		// scheduler idle — before this arrival can reach Submit.
-		missing := d.unmaterializedLocked(deps)
-		if len(missing) == 0 {
-			id, err := d.src.SubmitWith(meta, pre)
-			if err == nil {
-				d.src.SetDependsOn(id, deps)
-			}
-			return id, err
-		}
-		id, err := d.src.SubmitHeldWith(meta, deps, pre)
-		if err != nil {
-			return 0, err
-		}
-		d.needMat = append(d.needMat, missing...)
-		if err := d.src.Release(id); err != nil {
-			return 0, err
-		}
-		return id, nil
-	}
-	id, err := d.src.SubmitHeldWith(meta, deps, pre)
+	unfinished := func(dep scheduler.JobID) bool { return !d.g.Settled(dep) && !d.unread[dep] }
+	id, err := d.src.SubmitStage(meta, deps, slices.ContainsFunc(deps, unfinished), pre)
 	if err != nil {
 		return 0, err
 	}
-	d.remaining[id] = pending
+	if _, err := d.g.Add(id, deps); err != nil {
+		return 0, err // the source handed out an id the graph has: a bug
+	}
 	for _, dep := range deps {
-		if !d.done[dep] {
-			d.consumers[dep] = append(d.consumers[dep], id)
+		if d.unread[dep] {
+			d.due = append(d.due, dep)
 		}
 	}
 	return id, nil
 }
 
-// AdoptDone seeds a journal-recovered terminal stage so later
-// dependency checks (and releases) see it settled.
-func (d *LiveDAG) AdoptDone(id scheduler.JobID, failed bool) {
+// Adopt seeds a journal-recovered stage, so that later stages may
+// depend on it: one the restored scheduler is running again, or a
+// settled one that only needs its terminal state back. made says a done
+// stage's output is a file already — recovery replays stage-materialized
+// records itself — so its readers need no second materialization.
+func (d *LiveDAG) Adopt(meta scheduler.JobMeta, state runtime.JobState, doneAt vclock.Time, made bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if failed {
-		d.failed[id] = true
-	} else {
-		d.done[id] = true
+	if err := d.src.Adopt(meta, state, 0, doneAt); err != nil {
+		return err
 	}
-}
-
-// AdoptMaterialized marks a recovered producer's output as already on
-// disk (the recovery path replays stage-materialized journal records
-// and re-registers the derived file itself), so later consumers do not
-// re-materialize it.
-func (d *LiveDAG) AdoptMaterialized(id scheduler.JobID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.materialized[id] = true
-}
-
-// unmaterializedLocked returns the done dependencies whose output has
-// not been materialized yet. Call with d.mu held.
-func (d *LiveDAG) unmaterializedLocked(deps []scheduler.JobID) []scheduler.JobID {
-	var missing []scheduler.JobID
-	for _, dep := range deps {
-		if d.done[dep] && !d.materialized[dep] {
-			missing = append(missing, dep)
-		}
+	if _, err := d.g.Add(meta.ID, nil); err != nil {
+		return err
 	}
-	return missing
+	switch {
+	case state == runtime.JobFailed:
+		d.g.Fail(meta.ID)
+	case state == runtime.JobDone && made:
+		d.g.Done(meta.ID)
+	case state == runtime.JobDone:
+		d.unread[meta.ID] = true
+	}
+	return nil
 }
 
-// Pop implements runtime.ArrivalSource. Before delegating it drains
-// deferred materializations: it runs on the engine goroutine with the
-// scheduler idle (no round in flight), and before any queued arrival is
-// submitted, so a late consumer's derived input file is registered by
-// the time its Submit runs. A materialization failure here leaves the
-// file unregistered and the consumer's Submit fails with a wrong-file
-// error — an infrastructure fault that aborts the run, like a journal
-// write failure would.
+// Pop implements runtime.ArrivalSource. Before delegating it settles
+// the unread producers a reader has arrived for: it runs on the engine
+// goroutine with the scheduler idle (no round in flight), and before
+// any queued arrival is submitted, so a late consumer's derived input
+// file is registered by the time its Submit runs — or, when it cannot
+// be, the consumer has failed with its cone and is not delivered.
 func (d *LiveDAG) Pop(now vclock.Time) []runtime.Arrival {
 	d.mu.Lock()
-	for len(d.needMat) > 0 {
-		pid := d.needMat[0]
-		d.needMat = d.needMat[1:]
-		if d.materialized[pid] {
-			continue
-		}
-		if _, err := d.mat(pid, now); err == nil {
-			d.materialized[pid] = true
-		}
+	for _, pid := range d.due {
+		d.settle(pid, now, false)
 	}
+	d.due = nil
 	d.mu.Unlock()
 	return d.src.Pop(now)
 }
@@ -199,52 +128,18 @@ func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time, failed bool) {
 	d.src.JobFinished(id, at, failed)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.done[id] || d.failed[id] {
-		return
-	}
-	if failed {
-		d.failed[id] = true
-		d.cascadeFailLocked(id, at)
-		return
-	}
-	d.done[id] = true
-	deps := d.consumers[id]
-	if len(deps) == 0 {
-		return
-	}
-	if _, err := d.mat(id, at); err != nil {
-		// The producer succeeded but its output cannot become a file;
-		// everything downstream is undeliverable.
-		d.cascadeFailLocked(id, at)
-		return
-	}
-	d.materialized[id] = true
-	for _, cid := range deps {
-		rem, held := d.remaining[cid]
-		if !held {
-			continue
-		}
-		rem--
-		if rem > 0 {
-			d.remaining[cid] = rem
-			continue
-		}
-		delete(d.remaining, cid)
-		_ = d.src.Release(cid)
-	}
-	delete(d.consumers, id)
+	d.settle(id, at, failed)
 }
 
-// cascadeFailLocked fails every transitive held dependent of id.
-func (d *LiveDAG) cascadeFailLocked(id scheduler.JobID, at vclock.Time) {
-	for _, cid := range d.consumers[id] {
-		if _, held := d.remaining[cid]; !held {
-			continue
-		}
-		delete(d.remaining, cid)
-		d.failed[cid] = true
-		_ = d.src.FailHeld(cid, at)
-		d.cascadeFailLocked(cid, at)
+// settle passes what a finished stage releases and fails on to the
+// source. Its errors are dropped: a stage queued because its producers
+// had only to be materialized is not held, so releasing it is refused.
+func (d *LiveDAG) settle(id scheduler.JobID, at vclock.Time, failed bool) {
+	released, _, cone := d.finished(id, at, failed)
+	for _, cid := range cone {
+		_ = d.src.Fail(cid, at)
 	}
-	delete(d.consumers, id)
+	for _, cid := range released {
+		_ = d.src.Release(cid)
+	}
 }

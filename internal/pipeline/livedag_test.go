@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -206,11 +207,9 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 	// queued immediately and Pop must not re-materialize. Adopted ids sit
 	// high so auto-assigned consumer ids cannot collide.
 	doneMeta := scheduler.JobMeta{ID: 100, Name: "done", File: "corpus"}
-	if err := src.Adopt(doneMeta, runtime.JobDone, 0, 2); err != nil {
+	if err := d.Adopt(doneMeta, runtime.JobDone, 2, true); err != nil {
 		t.Fatal(err)
 	}
-	d.AdoptDone(100, false)
-	d.AdoptMaterialized(100)
 	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "c"}, []scheduler.JobID{100}, nil)
 	if err != nil {
 		t.Fatalf("consumer of recovered producer refused: %v", err)
@@ -225,10 +224,9 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 	// consumer under its old id, as recovery does, queues it and the next
 	// Pop materializes.
 	done2 := scheduler.JobMeta{ID: 200, Name: "done2", File: "corpus"}
-	if err := src.Adopt(done2, runtime.JobDone, 0, 3); err != nil {
+	if err := d.Adopt(done2, runtime.JobDone, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	d.AdoptDone(200, false)
 	heldMeta := scheduler.JobMeta{ID: 210, Name: "held", File: "job-200.out"}
 	if _, err := d.SubmitStage(heldMeta, []scheduler.JobID{200}, nil); err != nil {
 		t.Fatal(err)
@@ -241,19 +239,18 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 
 	// Recovered failed producer: its consumer is refused.
 	failedMeta := scheduler.JobMeta{ID: 300, Name: "bad", File: "corpus"}
-	if err := src.Adopt(failedMeta, runtime.JobFailed, 0, 4); err != nil {
+	if err := d.Adopt(failedMeta, runtime.JobFailed, 4, false); err != nil {
 		t.Fatal(err)
 	}
-	d.AdoptDone(300, true)
 	orphan := scheduler.JobMeta{ID: 310, Name: "orphan", File: "job-300.out"}
-	if _, err := d.SubmitStage(orphan, []scheduler.JobID{300}, nil); err == nil {
-		t.Fatal("consumer of a failed producer accepted")
+	if _, err := d.SubmitStage(orphan, []scheduler.JobID{300}, nil); !errors.Is(err, ErrDoomed) {
+		t.Fatalf("consumer of a failed producer: %v, want ErrDoomed", err)
 	}
 
 	// Recovered pending producer: the resubmitted consumer waits, then a
 	// live finish releases it.
 	pendMeta := scheduler.JobMeta{ID: 400, Name: "pend", File: "corpus"}
-	if err := src.Adopt(pendMeta, runtime.JobRunning, 0, 0); err != nil {
+	if err := d.Adopt(pendMeta, runtime.JobRunning, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	waiter := scheduler.JobMeta{ID: 410, Name: "waiter", File: "job-400.out"}
@@ -314,5 +311,82 @@ func TestLiveDAGConcurrentSubmitAndFinish(t *testing.T) {
 	}
 	if m.calls[pid] != 1 {
 		t.Fatalf("materializer called %d times under contention, want 1", m.calls[pid])
+	}
+}
+
+// A late consumer must never reach the scheduler before its producer's
+// file exists: when the deferred materialization fails, the consumer
+// and its cone fail as on the eager path, nothing of theirs is
+// delivered, and an unrelated queued job still pops.
+func TestLiveDAGDeferredMaterializeErrorFailsConsumer(t *testing.T) {
+	m := newCountingMat(0)
+	d, src := newTestDAG(m)
+
+	pid, err := d.SubmitStage(scheduler.JobMeta{Name: "wc", File: "corpus"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Pop(0)
+	d.JobFinished(pid, vclock.Time(5), false)
+
+	m.fail[pid] = true
+	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "topk", File: "job-1.out"}, []scheduler.JobID{pid}, nil)
+	if err != nil {
+		t.Fatalf("late consumer refused: %v", err)
+	}
+	downstream, err := d.SubmitStage(scheduler.JobMeta{Name: "top-of-topk"}, []scheduler.JobID{cid}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander, err := d.SubmitStage(scheduler.JobMeta{Name: "wc2", File: "corpus"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := d.Pop(vclock.Time(8))
+	if len(got) != 1 || got[0].Job.ID != bystander {
+		t.Fatalf("Pop = %+v, want the bystander %d alone", got, bystander)
+	}
+	mustState(t, src, pid, runtime.JobDone)
+	mustState(t, src, cid, runtime.JobFailed)
+	mustState(t, src, downstream, runtime.JobFailed)
+	if st, _ := src.Status(cid); st.DoneAt != vclock.Time(8) {
+		t.Fatalf("failed consumer stamped %v, want the Pop's 8", st.DoneAt)
+	}
+
+	// The answer is remembered: a later reader is refused at the door and
+	// the materializer is not asked again.
+	if _, err := d.SubmitStage(scheduler.JobMeta{Name: "topk2"}, []scheduler.JobID{pid}, nil); !errors.Is(err, ErrDoomed) {
+		t.Fatalf("second reader of an output that cannot become a file: %v, want ErrDoomed", err)
+	}
+	d.Pop(vclock.Time(9))
+	if m.calls[pid] != 1 {
+		t.Fatalf("materializer asked %d times, want 1", m.calls[pid])
+	}
+}
+
+// A stage held on one producer while another of its producers already
+// finished, unread: the finished one's output is materialized too before
+// the stage is delivered — by the Pop that follows its release.
+func TestLiveDAGHeldStageWithFinishedUnreadProducer(t *testing.T) {
+	m := newCountingMat(0)
+	d, src := newTestDAG(m)
+
+	p1, _ := d.SubmitStage(scheduler.JobMeta{Name: "p1", File: "corpus"}, nil, nil)
+	p2, _ := d.SubmitStage(scheduler.JobMeta{Name: "p2", File: "corpus"}, nil, nil)
+	d.Pop(0)
+	d.JobFinished(p1, vclock.Time(2), false)
+	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "join", File: "job-1.out"}, []scheduler.JobID{p1, p2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustState(t, src, cid, runtime.JobWaiting)
+	d.JobFinished(p2, vclock.Time(4), false)
+	mustState(t, src, cid, runtime.JobWaiting) // p1's output is no file yet
+	if got := d.Pop(vclock.Time(5)); len(got) != 1 || got[0].Job.ID != cid {
+		t.Fatalf("Pop = %+v, want the join %d", got, cid)
+	}
+	if m.calls[p1] != 1 || m.calls[p2] != 1 {
+		t.Fatalf("materializer calls = %v, want one per producer before the join is delivered", m.calls)
 	}
 }

@@ -6,25 +6,29 @@
 // inputs (the ROADMAP's S^3 twist on Fotakis et al.'s multi-round
 // precedence model).
 //
-// Two coordinators cover the two execution modes:
+// One Graph decides when a stage is ready and what fails with it; two
+// arrival sources put it in front of the engine: Coordinator for
+// trace-driven runs (s3compare cells), a runtime.TraceSource that a
+// released stage is inserted into, and LiveDAG for daemon mode
+// (s3cluster), a runtime.LiveSource where a held stage shows as
+// "waiting" on the admission API. Through the same code both see to it
+// that no stage reaches the scheduler before every producer's output is
+// a file; that a stage whose producer failed, or whose producer's output
+// could not be made a file, fails with it, and so does everything
+// downstream; that an output is materialized at most once, and only if
+// something reads it; and that every accepted stage ends released or
+// failed, never both.
 //
-//   - Coordinator is the batch-mode runtime.ArrivalSource +
-//     runtime.JobTracker for trace-driven runs (s3compare cells). It is
-//     engine-owned and single-goroutine, like TraceSource.
-//   - LiveDAG wraps a runtime.LiveSource for daemon mode (s3cluster):
-//     held jobs are visible to the admission API as "waiting" and are
-//     released or cascade-failed as their dependencies settle.
-//
-// Materialization is delegated: the coordinator decides *when* a
-// stage's output becomes a file, the installed Materializer decides
-// *how* (sim cells register priced metadata, engine cells write real
-// blocks, the cluster master replicates to workers) and reports how
-// long it took, which delays the dependents' release.
+// Materialization is delegated: the source decides *when* a stage's
+// output becomes a file, the installed Materializer decides *how* (sim
+// cells register priced metadata, engine cells write real blocks, the
+// cluster master replicates to workers) and reports how long it took,
+// which delays the dependents' release.
 package pipeline
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -50,33 +54,57 @@ type Stage struct {
 // never read (pure ordering edges) returns (0, nil) without ingesting.
 type Materializer func(id scheduler.JobID, at vclock.Time) (vclock.Duration, error)
 
-// waiting is a stage whose dependencies have not all settled.
-type waiting struct {
-	stage     Stage
-	remaining int
+// tracker is what both sources are made of: the graph, the materializer
+// and the one place a finished stage meets them.
+type tracker struct {
+	g   Graph
+	mat Materializer
+	// unread are the stages that finished well before any reader was
+	// added. Their output is no file yet, so they stay unsettled in the
+	// graph and a late reader is held on them like an early one.
+	unread map[scheduler.JobID]bool
+	err    error // the first materialization failure
 }
 
-// Coordinator schedules a DAG of stages over the engine's arrival
-// machinery. Roots are delivered by At like a trace; dependents are
-// held until every dependency materializes, then released into the
-// same run. The engine owns it (single goroutine), so there is no
-// locking — daemon mode uses LiveDAG instead.
-type Coordinator struct {
-	mat Materializer
+// finished settles a stage the engine reports finished at at, once, and
+// returns the stages to release, no earlier than ready, and the cone to
+// fail. A stage that finished well is materialized if it has readers —
+// when that fails, they fail as if the stage had — and left unread if
+// it has none.
+func (t *tracker) finished(id scheduler.JobID, at vclock.Time, failed bool) (released []scheduler.JobID, ready vclock.Time, cone []scheduler.JobID) {
+	switch {
+	case t.g.Settled(id):
+		return nil, at, nil
+	case failed:
+		return nil, at, t.g.Fail(id)
+	case !t.g.Waited(id):
+		t.unread[id] = true
+		return nil, at, nil
+	}
+	delete(t.unread, id)
+	delay, err := t.mat(id, at)
+	if err != nil {
+		if t.err == nil {
+			t.err = fmt.Errorf("pipeline: materializing stage %d output: %w", id, err)
+		}
+		return nil, at, t.g.Fail(id)
+	}
+	return t.g.Done(id), at.Add(delay), nil
+}
 
-	// roots is the At-sorted arrival trace of dependency-free stages.
-	roots []runtime.Arrival
-	next  int
-	// released holds dependency-satisfied stages not yet delivered,
-	// sorted by (at, id).
-	released []runtime.Arrival
-	// waiting tracks held stages by id.
-	waiting map[scheduler.JobID]*waiting
-	// consumers maps a producer to the held stages depending on it.
-	consumers map[scheduler.JobID][]scheduler.JobID
-	done      map[scheduler.JobID]bool
-	failed    []scheduler.JobID
-	err       error
+// Coordinator schedules a DAG of stages known up front over the
+// engine's arrival machinery. Roots are delivered by At like a trace;
+// dependents are held until every dependency materializes, then
+// inserted into the same trace. The engine owns it (single goroutine),
+// so there is no locking — daemon mode uses LiveDAG instead. A
+// coordinator never blocks in Wait: releases happen inside the engine's
+// own JobFinished callback, so when nothing is queued now, nothing ever
+// will be.
+type Coordinator struct {
+	*runtime.TraceSource
+	tracker
+	held   map[scheduler.JobID]Stage // not released yet
+	failed []scheduler.JobID
 }
 
 var (
@@ -90,189 +118,75 @@ var (
 // DAGs; the checks here catch hand-built ones). mat may be nil only
 // when no stage has dependents.
 func NewCoordinator(stages []Stage, mat Materializer) (*Coordinator, error) {
-	c := &Coordinator{
-		mat:       mat,
-		waiting:   make(map[scheduler.JobID]*waiting),
-		consumers: make(map[scheduler.JobID][]scheduler.JobID),
-		done:      make(map[scheduler.JobID]bool),
+	order, err := Order(stages)
+	if err != nil {
+		return nil, err
 	}
-	ids := make(map[scheduler.JobID]bool, len(stages))
-	for _, st := range stages {
+	c := &Coordinator{
+		tracker: tracker{mat: mat, unread: make(map[scheduler.JobID]bool)},
+		held:    make(map[scheduler.JobID]Stage),
+	}
+	var roots []runtime.Arrival
+	for _, i := range order {
+		st := stages[i]
 		if st.Job.ID <= 0 {
 			return nil, fmt.Errorf("pipeline: stage %q has non-positive id %d", st.Job.Name, st.Job.ID)
 		}
-		if ids[st.Job.ID] {
-			return nil, fmt.Errorf("pipeline: duplicate stage id %d", st.Job.ID)
+		held, err := c.g.Add(st.Job.ID, st.DependsOn)
+		if err != nil {
+			return nil, err
 		}
-		ids[st.Job.ID] = true
+		if held {
+			c.held[st.Job.ID] = st
+		} else {
+			roots = append(roots, runtime.Arrival{Job: st.Job, At: st.At})
+		}
 	}
-	hasDeps := false
-	for _, st := range stages {
-		if len(st.DependsOn) == 0 {
-			c.roots = append(c.roots, runtime.Arrival{Job: st.Job, At: st.At})
-			continue
-		}
-		hasDeps = true
-		w := &waiting{stage: st, remaining: len(st.DependsOn)}
-		for _, dep := range st.DependsOn {
-			if !ids[dep] {
-				return nil, fmt.Errorf("pipeline: stage %d depends on unknown stage %d", st.Job.ID, dep)
-			}
-			c.consumers[dep] = append(c.consumers[dep], st.Job.ID)
-		}
-		c.waiting[st.Job.ID] = w
-	}
-	if hasDeps && mat == nil {
+	if len(c.held) > 0 && mat == nil {
 		return nil, fmt.Errorf("pipeline: DAG has dependent stages but no materializer")
 	}
-	sortArrivals(c.roots)
-	return c, nil
-}
-
-func sortArrivals(evs []runtime.Arrival) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].Job.ID < evs[j].Job.ID
-	})
-}
-
-// Pop implements runtime.ArrivalSource: every root and released stage
-// due at or before now, merged in (at, id) order.
-func (c *Coordinator) Pop(now vclock.Time) []runtime.Arrival {
-	var out []runtime.Arrival
-	for c.next < len(c.roots) && c.roots[c.next].At <= now {
-		out = append(out, c.roots[c.next])
-		c.next++
-	}
-	due := 0
-	for due < len(c.released) && c.released[due].At <= now {
-		due++
-	}
-	if due > 0 {
-		out = append(out, c.released[:due]...)
-		c.released = c.released[due:]
-		sortArrivals(out)
-	}
-	return out
-}
-
-// Peek implements runtime.ArrivalSource.
-func (c *Coordinator) Peek() (vclock.Time, bool) {
-	var at vclock.Time
-	have := false
-	if c.next < len(c.roots) {
-		at = c.roots[c.next].At
-		have = true
-	}
-	if len(c.released) > 0 && (!have || c.released[0].At < at) {
-		at = c.released[0].At
-		have = true
-	}
-	return at, have
-}
-
-// Pending implements runtime.ArrivalSource. Held stages count: they
-// are accepted work the engine has not yet seen.
-func (c *Coordinator) Pending() int {
-	return (len(c.roots) - c.next) + len(c.released) + len(c.waiting)
-}
-
-// Wait implements runtime.ArrivalSource. A coordinator never blocks:
-// releases happen synchronously inside the engine's own JobFinished
-// callback, so when nothing is queued *now*, nothing ever will be —
-// a held stage whose producers all settled is either released or
-// failed by the time the engine goes idle.
-func (c *Coordinator) Wait() bool {
-	return c.next < len(c.roots) || len(c.released) > 0
+	c.TraceSource, err = runtime.NewTraceSource(roots)
+	return c, err
 }
 
 // JobAdmitted implements runtime.JobTracker.
 func (c *Coordinator) JobAdmitted(scheduler.JobID, vclock.Time) {}
 
-// JobFinished implements runtime.JobTracker: a finished producer
-// materializes its output (once) and decrements its consumers'
-// dependency counts, releasing the satisfied ones at
-// max(stage.At, finish + materialization delay). A failed producer —
-// or a failed materialization — cascade-fails every transitive
-// dependent: a stage whose input can never exist must not wait
-// forever.
+// JobFinished implements runtime.JobTracker: the stages a finished
+// producer releases arrive at max(stage.At, finish + materialization
+// delay); the cone a failed one takes with it is never admitted.
 func (c *Coordinator) JobFinished(id scheduler.JobID, at vclock.Time, failed bool) {
-	if c.done[id] {
-		return
+	released, ready, cone := c.finished(id, at, failed)
+	for _, cid := range released {
+		c.Insert(runtime.Arrival{Job: c.held[cid].Job, At: max(c.held[cid].At, ready)})
+		delete(c.held, cid)
 	}
-	c.done[id] = true
-	if failed {
-		c.cascadeFail(id)
-		return
+	for _, cid := range cone {
+		delete(c.held, cid)
 	}
-	deps := c.consumers[id]
-	if len(deps) == 0 {
-		return
-	}
-	delay, err := c.mat(id, at)
-	if err != nil {
-		if c.err == nil {
-			c.err = fmt.Errorf("pipeline: materializing stage %d output: %w", id, err)
-		}
-		c.cascadeFail(id)
-		return
-	}
-	ready := at.Add(delay)
-	for _, cid := range deps {
-		w, ok := c.waiting[cid]
-		if !ok {
-			continue // already cascade-failed
-		}
-		w.remaining--
-		if w.remaining > 0 {
-			continue
-		}
-		delete(c.waiting, cid)
-		relAt := w.stage.At
-		if ready > relAt {
-			relAt = ready
-		}
-		c.released = append(c.released, runtime.Arrival{Job: w.stage.Job, At: relAt})
-	}
-	sortArrivals(c.released)
+	c.failed = append(c.failed, cone...)
 }
 
-// cascadeFail removes every transitive dependent of id from the
-// waiting set and records it as failed.
-func (c *Coordinator) cascadeFail(id scheduler.JobID) {
-	for _, cid := range c.consumers[id] {
-		if _, ok := c.waiting[cid]; !ok {
-			continue
-		}
-		delete(c.waiting, cid)
-		c.failed = append(c.failed, cid)
-		c.cascadeFail(cid)
+// Err reports why the DAG did not run to its end, after a run: the first
+// materialization failure, else the stages that cascade-failed with a
+// producer — they were never admitted, so run metrics do not include
+// them — else those still held, which takes a producer that never
+// finished. nil after a clean run.
+func (c *Coordinator) Err() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case len(c.failed) > 0:
+		return fmt.Errorf("pipeline: DAG stages %v cascade-failed", c.Failed())
+	case len(c.held) > 0:
+		return fmt.Errorf("pipeline: %d DAG stages never became ready", len(c.held))
 	}
+	return nil
 }
 
-// Err reports the first materialization failure, if any.
-func (c *Coordinator) Err() error { return c.err }
-
-// Failed returns the stages cascade-failed because a dependency failed
-// or could not materialize, in ascending id order. They were never
-// admitted to the scheduler, so run metrics do not include them.
+// Failed returns the cascade-failed stages in ascending id order.
 func (c *Coordinator) Failed() []scheduler.JobID {
-	out := make([]scheduler.JobID, len(c.failed))
-	copy(out, c.failed)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Unfinished returns stages still held after a run — non-empty only
-// when the run ended abnormally (a producer never completed). A clean
-// run always drains the waiting set.
-func (c *Coordinator) Unfinished() []scheduler.JobID {
-	out := make([]scheduler.JobID, 0, len(c.waiting))
-	for id := range c.waiting {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(c.failed)
+	slices.Sort(out)
 	return out
 }

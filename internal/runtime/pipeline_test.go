@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +13,6 @@ import (
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
-	"s3sched/internal/workload"
 )
 
 // stagedFixed is a StageExecutor whose stages take fixed durations.
@@ -259,15 +260,21 @@ var (
 )
 
 // stagedSetup builds a small generated corpus, a real engine and
-// wordcount specs for n jobs, with a configurable segment granularity
-// so pipelined runs have many rounds in flight.
+// prefix-counting specs for n jobs, with a configurable segment
+// granularity so pipelined runs have many rounds in flight. The corpus
+// and the jobs are made here: internal/workload validates its files
+// with internal/pipeline, which imports this package.
 func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
 	t.Helper()
 	store := dfs.MustStore(4, 1)
-	if _, err := workload.AddTextFile(store, "corpus", blocks, 2048, 7); err != nil {
-		t.Fatal(err)
-	}
-	f, err := store.File("corpus")
+	words := strings.Fields("the art was here more so but of for now let do can put up yes")
+	f, err := store.AddGeneratedFile("corpus", blocks, 2048, func(i int) ([]byte, error) {
+		var b []byte
+		for k := i; len(b) < 2048; k += 7 {
+			b = append(append(b, words[k%len(words)]...), ' ')
+		}
+		return b[:2048], nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +282,39 @@ func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.Segm
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) error {
+		total := 0
+		for _, v := range values {
+			c, err := strconv.Atoi(v)
+			if err != nil {
+				return err
+			}
+			total += c
+		}
+		emit(mapreduce.KV{Key: key, Value: strconv.Itoa(total)})
+		return nil
+	})
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 	specs := make(map[scheduler.JobID]mapreduce.JobSpec, n)
 	metas := make([]scheduler.JobMeta, n)
-	prefixes := workload.DistinctPrefixes(n)
 	for i := 0; i < n; i++ {
 		id := scheduler.JobID(i + 1)
-		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
+		prefix := string("tawhmsbo"[i%8])
+		specs[id] = mapreduce.JobSpec{
+			Name: fmt.Sprintf("wc%d", i),
+			File: "corpus",
+			Mapper: mapreduce.MapperFunc(func(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+				for _, w := range strings.Fields(string(data)) {
+					if strings.HasPrefix(w, prefix) {
+						emit(mapreduce.KV{Key: w, Value: "1"})
+					}
+				}
+				return nil
+			}),
+			Reducer:   sum,
+			Combiner:  sum,
+			NumReduce: 2,
+		}
 		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
 	}
 	return store, plan, mapreduce.NewExecutor(engine, specs), metas

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -66,6 +67,16 @@ func NewTraceSource(arrivals []Arrival) (*TraceSource, error) {
 		}
 	}
 	return &TraceSource{evs: evs}, nil
+}
+
+// Insert adds an arrival to the undelivered part of the trace, in its
+// (time, id) place — how a DAG coordinator releases a stage mid-run.
+func (s *TraceSource) Insert(a Arrival) {
+	rest := s.evs[s.next:]
+	i := sort.Search(len(rest), func(k int) bool {
+		return rest[k].At > a.At || rest[k].At == a.At && rest[k].Job.ID > a.Job.ID
+	})
+	s.evs = slices.Insert(s.evs, s.next+i, a)
 }
 
 // Pop returns the arrivals due at or before now.
@@ -142,7 +153,7 @@ type LiveSource struct {
 	nextID scheduler.JobID
 	closed bool
 	// held are accepted-but-waiting jobs (DAG stages with unsettled
-	// dependencies); Release moves one into queue.
+	// dependencies); Release moves one into queue, Fail retires it.
 	held map[scheduler.JobID]scheduler.JobMeta
 }
 
@@ -170,38 +181,16 @@ func (s *LiveSource) Submit(meta scheduler.JobMeta) (scheduler.JobID, error) {
 // state (e.g. a remote JobRef) without racing the scheduler: if pre
 // fails, the job is not enqueued and its id is not consumed.
 func (s *LiveSource) SubmitWith(meta scheduler.JobMeta, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("runtime: admission queue is closed")
-	}
-	if meta.ID == 0 {
-		meta.ID = s.nextID
-	} else if _, dup := s.status[meta.ID]; dup {
-		return 0, fmt.Errorf("runtime: job id %d already submitted", meta.ID)
-	}
-	if pre != nil {
-		if err := pre(meta.ID); err != nil {
-			return 0, err
-		}
-	}
-	if meta.ID >= s.nextID {
-		s.nextID = meta.ID + 1
-	}
-	s.queue = append(s.queue, meta)
-	s.status[meta.ID] = &JobStatus{ID: meta.ID, Name: meta.Name, State: JobQueued}
-	s.order = append(s.order, meta.ID)
-	s.cond.Broadcast()
-	return meta.ID, nil
+	return s.SubmitStage(meta, nil, false, pre)
 }
 
-// SubmitHeldWith accepts a job without queueing it: the job is parked
-// in "waiting" state until Release hands it to the engine (or FailHeld
-// retires it). deps is recorded on the status for the admission API;
-// the caller (a DAG coordinator) owns the release decision — the
-// source does not interpret the dependency list. pre behaves as in
-// SubmitWith.
-func (s *LiveSource) SubmitHeldWith(meta scheduler.JobMeta, deps []scheduler.JobID, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
+// SubmitStage is the one submit path. deps is recorded on the status
+// for the admission API; the source does not interpret it. With hold
+// the job is accepted without being queued: it is parked in "waiting"
+// state until Release hands it to the engine or Fail retires it —
+// which of the two, and when, the dependency graph of
+// pipeline.LiveDAG decides.
+func (s *LiveSource) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID, hold bool, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -220,9 +209,14 @@ func (s *LiveSource) SubmitHeldWith(meta scheduler.JobMeta, deps []scheduler.Job
 	if meta.ID >= s.nextID {
 		s.nextID = meta.ID + 1
 	}
-	s.held[meta.ID] = meta
-	st := &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting}
-	st.DependsOn = append(st.DependsOn, deps...)
+	st := &JobStatus{ID: meta.ID, Name: meta.Name, State: JobQueued, DependsOn: slices.Clone(deps)}
+	if hold {
+		st.State = JobWaiting
+		s.held[meta.ID] = meta
+	} else {
+		s.queue = append(s.queue, meta)
+		s.cond.Broadcast()
+	}
 	s.status[meta.ID] = st
 	s.order = append(s.order, meta.ID)
 	return meta.ID, nil
@@ -240,26 +234,26 @@ func (s *LiveSource) Release(id scheduler.JobID) error {
 	}
 	delete(s.held, id)
 	s.queue = append(s.queue, meta)
-	if st, ok := s.status[id]; ok {
-		st.State = JobQueued
-	}
+	s.status[id].State = JobQueued
 	s.cond.Broadcast()
 	return nil
 }
 
-// FailHeld retires a held job without admitting it — a dependency
-// failed, so the job's input will never exist.
-func (s *LiveSource) FailHeld(id scheduler.JobID, at vclock.Time) error {
+// Fail retires a job the engine has not seen yet, held or queued,
+// without admitting it — a dependency failed or its output could not
+// be made a file, so the job's input will never exist.
+func (s *LiveSource) Fail(id scheduler.JobID, at vclock.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.held[id]; !ok {
-		return fmt.Errorf("runtime: job %d is not held", id)
+	if _, held := s.held[id]; held {
+		delete(s.held, id)
+	} else if i := slices.IndexFunc(s.queue, func(m scheduler.JobMeta) bool { return m.ID == id }); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
+	} else {
+		return fmt.Errorf("runtime: job %d is neither held nor queued", id)
 	}
-	delete(s.held, id)
-	if st, ok := s.status[id]; ok {
-		st.State = JobFailed
-		st.DoneAt = at
-	}
+	s.status[id].State = JobFailed
+	s.status[id].DoneAt = at
 	return nil
 }
 
@@ -369,19 +363,6 @@ func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, d
 	}
 	s.order = append(s.order, meta.ID)
 	return nil
-}
-
-// SetDependsOn records a job's dependency list on its status entry
-// (admission-API surface only; scheduling is unaffected). Used when
-// adopting settled DAG stages whose edges should stay visible.
-func (s *LiveSource) SetDependsOn(id scheduler.JobID, deps []scheduler.JobID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.status[id]; ok {
-		// A fresh slice, not in-place reuse: status copies returned by
-		// Jobs/Status may still alias the old backing array.
-		st.DependsOn = append([]scheduler.JobID(nil), deps...)
-	}
 }
 
 // Status reports one job's lifecycle state.

@@ -91,9 +91,9 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 			defer wg.Done()
 			// Explicit ids in a disjoint range: auto-assignment could land
 			// on a producer id whose Adopt has not run yet.
-			id, err := src.SubmitHeldWith(scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}, []scheduler.JobID{p}, nil)
+			id, err := src.SubmitStage(scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}, []scheduler.JobID{p}, true, nil)
 			if err != nil {
-				t.Errorf("SubmitHeldWith: %v", err)
+				t.Errorf("SubmitStage: %v", err)
 				return
 			}
 			heldIDs[i] = id
@@ -143,7 +143,7 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, err := src.SubmitHeldWith(scheduler.JobMeta{Name: "consumer"}, []scheduler.JobID{pid}, nil)
+	cid, err := src.SubmitStage(scheduler.JobMeta{Name: "consumer"}, []scheduler.JobID{pid}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,26 +153,45 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if err := src.Release(cid + 99); err == nil {
 		t.Fatal("Release of unknown id succeeded")
 	}
-	if err := src.FailHeld(cid+99, 0); err == nil {
-		t.Fatal("FailHeld of unknown id succeeded")
+	if err := src.Fail(cid+99, 0); err == nil {
+		t.Fatal("Fail of unknown id succeeded")
 	}
 
 	// A held job's pre-hook failure must not consume the id.
-	if _, err := src.SubmitHeldWith(scheduler.JobMeta{Name: "bad"}, nil, func(scheduler.JobID) error {
+	if _, err := src.SubmitStage(scheduler.JobMeta{Name: "bad"}, nil, true, func(scheduler.JobID) error {
 		return fmt.Errorf("refused")
 	}); err == nil {
 		t.Fatal("pre-hook failure not propagated")
 	}
 
-	victim, err := src.SubmitHeldWith(scheduler.JobMeta{Name: "victim"}, []scheduler.JobID{pid}, nil)
+	victim, err := src.SubmitStage(scheduler.JobMeta{Name: "victim"}, []scheduler.JobID{pid}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.FailHeld(victim, vclock.Time(7)); err != nil {
+	if err := src.Fail(victim, vclock.Time(7)); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := src.Status(victim); st.State != JobFailed || st.DoneAt != 7 {
 		t.Fatalf("failed-held status = %+v", st)
+	}
+
+	// A queued job the engine has not popped fails the same way, and is
+	// not delivered; one the engine has popped is out of the source's hands.
+	doomed, err := src.SubmitStage(scheduler.JobMeta{Name: "doomed"}, []scheduler.JobID{pid}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Fail(doomed, vclock.Time(8)); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := src.Status(doomed); st.State != JobFailed || st.DoneAt != 8 || len(st.DependsOn) != 1 {
+		t.Fatalf("failed-queued status = %+v", st)
+	}
+	if got := src.Pop(9); len(got) != 1 || got[0].Job.ID != pid {
+		t.Fatalf("Pop = %+v, want the producer alone", got)
+	}
+	if err := src.Fail(pid, 9); err == nil {
+		t.Fatal("Fail of a delivered job succeeded")
 	}
 
 	// Release works after Close: held jobs whose dependencies settle
@@ -184,8 +203,8 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if st, _ := src.Status(cid); st.State != JobQueued {
 		t.Fatalf("released status = %+v", st)
 	}
-	if _, err := src.SubmitHeldWith(scheduler.JobMeta{Name: "late"}, nil, nil); err == nil {
-		t.Fatal("SubmitHeldWith after Close succeeded")
+	if _, err := src.SubmitStage(scheduler.JobMeta{Name: "late"}, nil, true, nil); err == nil {
+		t.Fatal("SubmitStage after Close succeeded")
 	}
 }
 
@@ -209,11 +228,6 @@ func TestLiveSourceAdoptValidation(t *testing.T) {
 	if id <= 3 {
 		t.Fatalf("auto-assigned id %d collides with adopted id space", id)
 	}
-	src.SetDependsOn(id, []scheduler.JobID{3})
-	if st, _ := src.Status(id); len(st.DependsOn) != 1 || st.DependsOn[0] != 3 {
-		t.Fatalf("SetDependsOn not visible: %+v", st)
-	}
-	src.SetDependsOn(9999, []scheduler.JobID{1}) // unknown id: no-op, no panic
 	if st, _ := src.Status(3); st.AdmittedAt != 1 || st.DoneAt != 2 {
 		t.Fatalf("adopted timestamps lost: %+v", st)
 	}

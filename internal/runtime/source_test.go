@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +40,38 @@ func TestTraceSourceOrdersAndDrains(t *testing.T) {
 	}
 	if src.Wait() {
 		t.Error("Wait() = true on exhausted trace")
+	}
+}
+
+// Insert places an arrival among the undelivered ones in (time, id)
+// order — also ahead of everything, also on an exhausted trace — and
+// leaves what an earlier Pop returned alone.
+func TestTraceSourceInsert(t *testing.T) {
+	src, err := NewTraceSource([]Arrival{{Job: meta(1), At: 0}, {Job: meta(4), At: 5}, {Job: meta(6), At: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	popped := src.Pop(0)
+	src.Insert(Arrival{Job: meta(5), At: 5})
+	src.Insert(Arrival{Job: meta(3), At: 5})
+	src.Insert(Arrival{Job: meta(2), At: 1})
+	src.Insert(Arrival{Job: meta(7), At: 12})
+	if len(popped) != 1 || popped[0].Job.ID != 1 {
+		t.Fatalf("an Insert rewrote a delivered arrival: %v", popped)
+	}
+	if at, ok := src.Peek(); !ok || at != 1 || src.Pending() != 6 {
+		t.Fatalf("Peek = %v,%v Pending = %d, want 1,true and 6", at, ok, src.Pending())
+	}
+	var got []scheduler.JobID
+	for _, a := range src.Pop(20) {
+		got = append(got, a.Job.ID)
+	}
+	if want := []scheduler.JobID{2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("Pop(20) = %v, want %v", got, want)
+	}
+	src.Insert(Arrival{Job: meta(8), At: 3})
+	if got := src.Pop(20); len(got) != 1 || got[0].Job.ID != 8 || src.Wait() {
+		t.Fatalf("Pop after an Insert into an exhausted trace = %v, want job 8", got)
 	}
 }
 

@@ -87,9 +87,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// The state the backend recorded, not a guess: a stage held on
+		// its dependencies is "waiting", as GET /jobs/<id> will say.
+		st, _ := adm.JobStatus(id)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(submitReply{ID: int(id), State: string(runtime.JobQueued)})
+		_ = json.NewEncoder(w).Encode(submitReply{ID: int(id), State: string(st.State)})
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -31,7 +31,11 @@ func (f *fakeAdmission) SubmitJob(req JobRequest) (scheduler.JobID, error) {
 	if name == "" {
 		name = req.Factory
 	}
-	f.jobs = append(f.jobs, runtime.JobStatus{ID: f.nextID, Name: name, State: runtime.JobQueued})
+	st := runtime.JobStatus{ID: f.nextID, Name: name, State: runtime.JobQueued, DependsOn: req.DependsOn}
+	if len(req.DependsOn) > 0 {
+		st.State = runtime.JobWaiting
+	}
+	f.jobs = append(f.jobs, st)
 	return f.nextID, nil
 }
 
@@ -92,6 +96,21 @@ func TestSubmitAndQueryJobs(t *testing.T) {
 		t.Fatalf("POST /jobs = %d %+v, want 202 id=1 queued", resp.StatusCode, sub)
 	}
 
+	// The reply carries the state the backend recorded: a stage held on
+	// its dependency is waiting, as GET /jobs/2 says, not queued.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"factory":"topk","param":"3","dependsOn":[1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if held, _ := adm.JobStatus(2); sub.ID != 2 || sub.State != "waiting" || held.State != runtime.JobWaiting {
+		t.Fatalf("POST /jobs with dependsOn = %+v, GET says %q: want id=2 waiting on both", sub, held.State)
+	}
+
 	resp, err = http.Get(ts.URL + "/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +120,8 @@ func TestSubmitAndQueryJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(list) != 1 || list[0].Name != "wordcount" {
-		t.Fatalf("GET /jobs = %+v, want one wordcount job", list)
+	if len(list) != 2 || list[0].Name != "wordcount" || list[1].State != runtime.JobWaiting {
+		t.Fatalf("GET /jobs = %+v, want the wordcount job and the waiting topk", list)
 	}
 
 	resp, err = http.Get(ts.URL + "/jobs/1")

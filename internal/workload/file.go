@@ -9,10 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/pipeline"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -400,6 +402,7 @@ func (wf *File) validate(lines *lineIndex) error {
 			hasDAG = true
 		}
 	}
+	known := func(dep scheduler.JobID) bool { _, ok := jobIdx[dep]; return ok }
 	for i := range wf.Jobs {
 		j := &wf.Jobs[i]
 		jl := lines.jobLine(i)
@@ -409,18 +412,8 @@ func (wf *File) validate(lines *lineIndex) error {
 		if len(j.DependsOn) > 0 && h.Version < 3 {
 			return at(jl, fmt.Errorf("workload %q: job %d: dependsOn needs schema v3, header says v%d", h.Name, j.ID, h.Version))
 		}
-		depSet := make(map[scheduler.JobID]bool, len(j.DependsOn))
-		for _, dep := range j.DependsOn {
-			if dep == j.ID {
-				return at(jl, fmt.Errorf("workload %q: job %d depends on itself", h.Name, j.ID))
-			}
-			if _, ok := jobIdx[dep]; !ok {
-				return at(jl, fmt.Errorf("workload %q: job %d depends on unknown job %d", h.Name, j.ID, dep))
-			}
-			if depSet[dep] {
-				return at(jl, fmt.Errorf("workload %q: job %d lists dependency %d twice", h.Name, j.ID, dep))
-			}
-			depSet[dep] = true
+		if err := pipeline.CheckEdges(j.ID, j.DependsOn, known); err != nil {
+			return at(jl, fmt.Errorf("workload %q: job %d %w", h.Name, j.ID, err))
 		}
 		// Resolve the input: a declared file, or the derived output of
 		// one of this job's dependencies.
@@ -428,11 +421,11 @@ func (wf *File) validate(lines *lineIndex) error {
 		if fi, ok := fileIdx[j.File]; ok {
 			content = wf.Files[fi].Content
 		} else {
-			producer, derived := wf.derivedProducer(j.File)
+			producer, derived := wf.DerivedProducer(j.File)
 			switch {
 			case !derived:
 				return at(jl, fmt.Errorf("workload %q: job %d reads unknown file %q", h.Name, j.ID, j.File))
-			case !depSet[producer]:
+			case !slices.Contains(j.DependsOn, producer):
 				return at(jl, fmt.Errorf("workload %q: job %d reads derived file %q without depending on job %d", h.Name, j.ID, j.File, producer))
 			}
 			content = ContentDerived
@@ -484,7 +477,12 @@ func (wf *File) validate(lines *lineIndex) error {
 				return at(lines.fileLine(i), fmt.Errorf("workload %q: file %q is %s content; DAG workloads need real bytes to materialize stage outputs", h.Name, wf.Files[i].Name, ContentMeta))
 			}
 		}
-		if err := wf.checkAcyclic(jobIdx, lines); err != nil {
+		if _, err := pipeline.Order(wf.Stages()); err != nil {
+			err = fmt.Errorf("workload %q: %w", h.Name, err)
+			var cycle *pipeline.CycleError
+			if errors.As(err, &cycle) {
+				return at(lines.jobLine(jobIdx[cycle.Job]), err)
+			}
 			return err
 		}
 	}
@@ -494,12 +492,6 @@ func (wf *File) validate(lines *lineIndex) error {
 // DerivedProducer reports whether name is some job's derived output
 // file and, if so, which job produces it.
 func (wf *File) DerivedProducer(name string) (scheduler.JobID, bool) {
-	return wf.derivedProducer(name)
-}
-
-// derivedProducer reports whether name is some job's derived output
-// file and, if so, which job produces it.
-func (wf *File) derivedProducer(name string) (scheduler.JobID, bool) {
 	for i := range wf.Jobs {
 		if DerivedFileName(wf.Jobs[i].ID) == name {
 			return wf.Jobs[i].ID, true
@@ -519,44 +511,14 @@ func (wf *File) HasDAG() bool {
 	return false
 }
 
-// checkAcyclic rejects dependency cycles with a three-color DFS. The
-// error is attributed to the job record the cycle was first entered
-// through.
-func (wf *File) checkAcyclic(jobIdx map[scheduler.JobID]int, lines *lineIndex) error {
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on the current DFS path
-		black = 2 // finished, known acyclic
-	)
-	color := make(map[scheduler.JobID]int, len(wf.Jobs))
-	var visit func(id scheduler.JobID) error
-	visit = func(id scheduler.JobID) error {
-		color[id] = gray
-		for _, dep := range wf.Jobs[jobIdx[id]].DependsOn {
-			switch color[dep] {
-			case gray:
-				err := fmt.Errorf("workload %q: job %d is on a dependency cycle (via job %d)", wf.Header.Name, id, dep)
-				if l := lines.jobLine(jobIdx[id]); l > 0 {
-					return &LineError{Line: l, Err: err}
-				}
-				return err
-			case white:
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		color[id] = black
-		return nil
-	}
+// Stages returns the jobs as DAG stages, in file order: what the
+// dependency graph orders and a pipeline.Coordinator schedules.
+func (wf *File) Stages() []pipeline.Stage {
+	stages := make([]pipeline.Stage, len(wf.Jobs))
 	for i := range wf.Jobs {
-		if color[wf.Jobs[i].ID] == white {
-			if err := visit(wf.Jobs[i].ID); err != nil {
-				return err
-			}
-		}
+		stages[i] = pipeline.Stage{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At), DependsOn: wf.Jobs[i].DependsOn}
 	}
-	return nil
+	return stages
 }
 
 // Serialize writes the canonical JSONL form: header, file records,
@@ -686,7 +648,7 @@ func (wf *File) ContentOf(name string) (string, bool) {
 			return wf.Files[i].Content, true
 		}
 	}
-	if _, ok := wf.derivedProducer(name); ok {
+	if _, ok := wf.DerivedProducer(name); ok {
 		return ContentDerived, true
 	}
 	return "", false

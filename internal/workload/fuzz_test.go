@@ -126,6 +126,18 @@ func FuzzWorkloadFile(f *testing.F) {
 	f.Add([]byte(`{"kind":"workload","version":1,"name":"old","nodes":1,"slotsPerNode":1,"replicas":1}
 {"kind":"file","name":"f","content":"text","blocks":2,"blockBytes":64,"segmentBlocks":1}
 {"kind":"job","id":1,"at":0,"file":"f","factory":"wordcount","param":"t","dependsOn":[1]}`))
+	// A diamond whose join feeds back into one side (the cycle is entered
+	// through an acyclic stage), and a dependency listed twice.
+	f.Add([]byte(`{"kind":"workload","version":3,"name":"diamond","nodes":1,"slotsPerNode":1,"replicas":1}
+{"kind":"file","name":"f","content":"text","blocks":2,"blockBytes":64,"segmentBlocks":1}
+{"kind":"job","id":1,"at":0,"file":"f","factory":"wordcount","param":"t"}
+{"kind":"job","id":2,"at":0,"file":"f","factory":"wordcount","param":"a","dependsOn":[1,4]}
+{"kind":"job","id":3,"at":0,"file":"f","factory":"wordcount","param":"w","dependsOn":[1]}
+{"kind":"job","id":4,"at":0,"file":"f","factory":"wordcount","param":"h","dependsOn":[2,3]}`))
+	f.Add([]byte(`{"kind":"workload","version":3,"name":"twice","nodes":1,"slotsPerNode":1,"replicas":1}
+{"kind":"file","name":"f","content":"text","blocks":2,"blockBytes":64,"segmentBlocks":1}
+{"kind":"job","id":1,"at":0,"file":"f","factory":"wordcount","param":"t"}
+{"kind":"job","id":2,"at":0,"file":"f","factory":"wordcount","param":"a","dependsOn":[1,1]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wf, err := ParseFile(bytes.NewReader(data))
 		if err != nil {
