@@ -9,6 +9,7 @@ package s3sched_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -375,6 +376,29 @@ func BenchmarkMapBlockWordcount(b *testing.B) {
 // into the partitions.
 func BenchmarkMapBlockSelection(b *testing.B) {
 	benchMapBlock(b, workload.NewLineitemGen(1).Block(0, 256<<10), workload.SelectionMapper{MaxQuantity: 5}, nil)
+}
+
+// BenchmarkMapBlockSelectionShared is a merged task's pass for four
+// selection jobs over a 512 KB lineitem block, as a sel-shuffle worker
+// runs it: the same quantity four times, and four distinct ones.
+func BenchmarkMapBlockSelectionShared(b *testing.B) {
+	data := workload.NewLineitemGen(1).Block(0, 512<<10)
+	for name, step := range map[string]int{"same": 0, "distinct": 5} {
+		jobs := make([]mapreduce.MapJob, 4)
+		for j := range jobs {
+			jobs[j] = mapreduce.MapJob{Mapper: workload.SelectionMapper{MaxQuantity: 5 + step*j}, Width: 2}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs)
+				if err := errors.Join(errs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func benchMapBlock(b *testing.B, data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) {

@@ -712,7 +712,7 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	var reads, fetched, stashed, held, evicted int64
 	var cache metrics.CacheStats
 	for _, st := range stats {
-		fmt.Printf("worker %s: %d block reads, %d map tasks, %d reduce tasks", st.Worker, st.BlockReads, st.MapTasks, st.ReduceTasks)
+		fmt.Printf("worker %s: %d block reads, %d map tasks in %d passes, %d reduce tasks", st.Worker, st.BlockReads, st.MapTasks, st.MapPasses, st.ReduceTasks)
 		if st.CacheHits+st.CacheMisses > 0 {
 			fmt.Printf(", %d cache hits / %d misses", st.CacheHits, st.CacheMisses)
 		}

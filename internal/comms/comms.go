@@ -105,11 +105,15 @@ type MemberEvent struct {
 // / ShuffleFetchedBytes what it gave to and took from peers reducing.
 // ResultBytes / ResultEntries are the reduce output frames it keeps,
 // ResultEvictions those it dropped, ResultServedBytes what the master read.
+// MapTasks counts (block, job) map units, MapPasses the (block, group)
+// passes over the records that served them: their ratio is how many jobs
+// one parse of a record fed.
 type WireStats struct {
 	BlockReads          int64
 	BytesScanned        int64
 	FailedReads         int64
 	MapTasks            int64
+	MapPasses           int64
 	ReduceTasks         int64
 	CacheHits           int64
 	CacheMisses         int64

@@ -217,7 +217,8 @@ func (r *mapRound) failJob(j int, block dfs.BlockID, err error) {
 }
 
 // attempt runs one execution of asg.block on asg.node: read the block,
-// map it for every job still in the round, commit. Job-level failures
+// map it for every job still in the round — one pass per group of
+// MapGroups, its input records counted once — commit. Job-level failures
 // are recorded in jobErrs and absorbed; only read/infrastructure errors
 // are returned.
 func (r *mapRound) attempt(asg assignment) error {
@@ -242,31 +243,31 @@ func (r *mapRound) attempt(asg assignment) error {
 		}
 		return err
 	}
+	outs := make([]jobTask, len(r.jobs)) // parts nil: the job failed and is isolated from the batch
+	var live []int                       // the jobs not isolated yet: only they form the passes
+	var jobs []MapJob
 	r.mu.Lock()
 	r.consecFails[asg.node.ID] = 0
-	r.mu.Unlock()
-
-	type jobOut struct {
-		parts  [][]KV // nil: the job failed and is isolated from the batch
-		counts taskCounts
-	}
-	outs := make([]jobOut, len(r.jobs))
 	for j, job := range r.jobs {
-		r.mu.Lock()
-		skip := r.jobErrs[j] != nil
-		r.mu.Unlock()
-		if skip {
-			continue
+		if r.jobErrs[j] == nil {
+			live, jobs = append(live, j), append(jobs, MapJob{job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth()})
 		}
-		parts, counts, err := mapTask(asg.block, data, job.Spec.Mapper, job.Spec.Combiner, job.Spec.reduceWidth())
-		if err != nil {
-			r.failJob(j, asg.block, err)
-			continue
+	}
+	r.mu.Unlock()
+	tasks := mapTask(asg.block, data, jobs)
+	for _, group := range MapGroups(jobs) {
+		var records int64 // one count a pass: its jobs' mappers are of one type
+		if rc, ok := jobs[group[0]].Mapper.(InputRecordCounter); ok {
+			records = rc.CountInputRecords(data)
 		}
-		if rc, ok := job.Spec.Mapper.(InputRecordCounter); ok {
-			counts.inputRecords = rc.CountInputRecords(data)
+		for _, k := range group {
+			if t := tasks[k]; t.err != nil {
+				r.failJob(live[k], asg.block, t.err)
+			} else {
+				t.counts.inputRecords = records
+				outs[live[k]] = t
+			}
 		}
-		outs[j] = jobOut{parts: parts, counts: counts}
 	}
 
 	r.mu.Lock()

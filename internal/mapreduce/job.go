@@ -39,6 +39,18 @@ type Folder interface {
 	Unfold(key string, acc int64, emit Emit)
 }
 
+// SharedMapper is the optional second contract of a Mapper: one pass over
+// a block's records serves several mappers of its own dynamic type — the
+// jobs of a merged map task — so each record is parsed once for all of
+// them. emit tags a record with the position in mappers of the job that
+// keeps it; a record several jobs keep may be emitted to each as the same
+// KV, strings being immutable. An error fails every job of the pass. For
+// one mapper it emits exactly what Map does.
+type SharedMapper interface {
+	Mapper
+	MapShared(block dfs.BlockID, data []byte, mappers []Mapper, emit func(job int, kv KV)) error
+}
+
 // MapperFunc adapts a function to the Mapper interface.
 type MapperFunc func(block dfs.BlockID, data []byte, emit Emit) error
 

@@ -253,8 +253,8 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 				return false
 			}
 		}
-		_, buffered, _ := mapTask(dfs.BlockID{}, nil, emitAll(raw), sumReducer{}, width)
-		_, folded, _ := mapTask(dfs.BlockID{}, nil, emitAll(raw), foldingSum{}, width)
+		buffered := mapTask(dfs.BlockID{}, nil, []MapJob{{emitAll(raw), sumReducer{}, width}})[0].counts
+		folded := mapTask(dfs.BlockID{}, nil, []MapJob{{emitAll(raw), foldingSum{}, width}})[0].counts
 		return folded == buffered && folded.outputRecords == int64(len(raw)) && folded.combinerApplied == (len(raw) > 0)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

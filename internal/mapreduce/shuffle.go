@@ -37,9 +37,9 @@ type group struct {
 	values []string // without a Folder
 }
 
-func newCombineTable(combiner Reducer) *combineTable {
+func newCombineTable(combiner Reducer) combineTable {
 	folder, _ := combiner.(Folder)
-	return &combineTable{combiner: combiner, folder: folder}
+	return combineTable{combiner: combiner, folder: folder}
 }
 
 func (t *combineTable) add(kv KV) {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"s3sched/internal/dfs"
@@ -11,57 +12,133 @@ import (
 // (internal/remote's distributed workers) run exactly the same task
 // logic as the in-process engine.
 
+// MapJob is one job's part of a map task: its mapper and combiner, and
+// the number of reduce partitions its output is split into.
+type MapJob struct {
+	Mapper   Mapper
+	Combiner Reducer
+	Width    int
+}
+
 // MapBlockForJob executes one map task: run mapper over the block's
 // data, apply the optional combiner, and split the output into width
 // reduce partitions.
 func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, error) {
-	if mapper == nil {
-		return nil, fmt.Errorf("mapreduce: MapBlockForJob needs a mapper")
-	}
-	if width <= 0 {
-		return nil, fmt.Errorf("mapreduce: partition width must be positive, got %d", width)
-	}
-	parts, _, err := mapTask(block, data, mapper, combiner, width)
-	return parts, err
+	t := mapTask(block, data, []MapJob{{mapper, combiner, width}})[0]
+	return t.parts, t.err
 }
 
-// mapTask is the one map-task body: the engine's rounds and the remote
-// workers (through MapBlockForJob) both run it. Without a combiner the
-// mapper emits straight into the partition slices; with one it emits
-// into a combine table — folding as it goes when the combiner is a
-// Folder — whose groups are partitioned at the end: record for record
-// what sorting, grouping and combining the raw output produces.
-func mapTask(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, taskCounts, error) {
-	parts := make([][]KV, width)
-	shuffle := func(kv KV) {
-		p := partitionOf(kv.Key, width)
-		parts[p] = append(parts[p], kv)
+// MapBlockForJobs executes a merged map task over one block: one pass
+// for each group of MapGroups, every job's output combined and
+// partitioned as MapBlockForJob does it. parts[j] and errs[j] are job
+// j's; a job that failed has no partitions.
+func MapBlockForJobs(block dfs.BlockID, data []byte, jobs []MapJob) (parts [][][]KV, errs []error) {
+	parts, errs = make([][][]KV, len(jobs)), make([]error, len(jobs))
+	for j, t := range mapTask(block, data, jobs) {
+		parts[j], errs[j] = t.parts, t.err
 	}
-	table := newCombineTable(combiner) // stays empty without a combiner
-	counts := taskCounts{inputBytes: int64(len(data))}
-	err := mapper.Map(block, data, func(kv KV) {
-		counts.outputRecords++
-		counts.outputBytes += int64(len(kv.Key) + len(kv.Value))
-		if combiner == nil {
-			shuffle(kv)
+	return parts, errs
+}
+
+// MapGroups splits positions 0..len(jobs)-1 into the groups one pass over
+// a block serves, ordered by their first position: the jobs whose mappers
+// are of one SharedMapper type form a group, any other job is one.
+func MapGroups(jobs []MapJob) [][]int {
+	groups := make([][]int, 0, len(jobs))
+next:
+	for j, job := range jobs {
+		if _, ok := job.Mapper.(SharedMapper); ok && job.Width > 0 {
+			for g, group := range groups {
+				if head := jobs[group[0]]; head.Width > 0 && reflect.TypeOf(head.Mapper) == reflect.TypeOf(job.Mapper) {
+					groups[g] = append(group, j)
+					continue next
+				}
+			}
+		}
+		groups = append(groups, []int{j})
+	}
+	return groups
+}
+
+// jobTask is one job's part of a map task as it runs: the partitions and
+// combine table its records fill, its counters, and its error.
+type jobTask struct {
+	MapJob
+	parts  [][]KV
+	table  combineTable // stays empty without a combiner
+	counts taskCounts
+	err    error
+}
+
+func (t *jobTask) shuffle(kv KV) {
+	p := partitionOf(kv.Key, t.Width)
+	t.parts[p] = append(t.parts[p], kv)
+}
+
+// emitter is what the mapper emits the job's records to: a closure, one
+// call per record (a method value is two: +3 % CPU on wc-shared).
+func (t *jobTask) emitter() Emit {
+	return func(kv KV) {
+		t.counts.outputRecords++
+		t.counts.outputBytes += int64(len(kv.Key) + len(kv.Value))
+		if t.Combiner == nil {
+			t.shuffle(kv)
 		} else {
-			table.add(kv)
-		}
-	})
-	if err != nil {
-		return nil, taskCounts{}, err
-	}
-	if len(table.groups) > 0 { // a combiner, and something for it to combine
-		counts.combinerApplied = true
-		err := table.fold(func(kv KV) {
-			counts.combineRecords++
-			shuffle(kv)
-		})
-		if err != nil {
-			return nil, taskCounts{}, fmt.Errorf("combiner: %w", err)
+			t.table.add(kv)
 		}
 	}
-	return parts, counts, nil
+}
+
+// mapTask is the one map-task body, run by the engine's rounds and (through
+// MapBlockForJobs) the remote workers: tasks[j] is job j's part.
+func mapTask(block dfs.BlockID, data []byte, jobs []MapJob) []jobTask {
+	tasks := make([]jobTask, len(jobs))
+	for _, group := range MapGroups(jobs) {
+		mapPass(block, data, jobs, group, tasks)
+	}
+	return tasks
+}
+
+// mapPass is one pass over the block for the jobs of one group of
+// MapGroups. A job's records go straight into its partition slices, or
+// with a combiner into its combine table — folding as they come when the
+// combiner is a Folder — whose groups are partitioned at the end, record
+// for record what sorting, grouping and combining the raw output produces.
+// A mapper error fails every job of the pass, a combiner's only its own.
+func mapPass(block dfs.BlockID, data []byte, jobs []MapJob, group []int, tasks []jobTask) {
+	head := jobs[group[0]]
+	if head.Mapper == nil || head.Width <= 0 { // MapGroups leaves such a job alone
+		tasks[group[0]].err = fmt.Errorf("mapreduce: a map task needs a mapper and a positive partition width, got %T and %d", head.Mapper, head.Width)
+		return
+	}
+	for _, j := range group {
+		tasks[j] = jobTask{MapJob: jobs[j], parts: make([][]KV, jobs[j].Width), table: newCombineTable(jobs[j].Combiner), counts: taskCounts{inputBytes: int64(len(data))}}
+	}
+	var err error
+	if shared, ok := head.Mapper.(SharedMapper); ok && len(group) > 1 {
+		mappers, emits := make([]Mapper, len(group)), make([]Emit, len(group))
+		for i, j := range group {
+			mappers[i], emits[i] = jobs[j].Mapper, tasks[j].emitter()
+		}
+		err = shared.MapShared(block, data, mappers, func(i int, kv KV) { emits[i](kv) })
+	} else {
+		err = head.Mapper.Map(block, data, tasks[group[0]].emitter())
+	}
+	for _, j := range group {
+		t := &tasks[j]
+		if t.err = err; err == nil && len(t.table.groups) > 0 { // a combiner, and something for it to combine
+			t.counts.combinerApplied = true
+			if err := t.table.fold(func(kv KV) {
+				t.counts.combineRecords++
+				t.shuffle(kv)
+			}); err != nil {
+				t.err = fmt.Errorf("combiner: %w", err)
+			}
+		}
+		if t.err != nil {
+			t.parts, t.counts = nil, taskCounts{}
+		}
+	}
 }
 
 // ReducePartition executes one reduce task: sort the partition's

@@ -65,6 +65,10 @@ type RunMetrics struct {
 	ShuffleFetchedBytes *Counter
 	ShuffleRepairMaps   *Counter
 
+	// The workers' (block, job) map units and the (block, group) passes
+	// over the records that served them, risen to the newest reading.
+	MapTasks, MapPasses *Counter
+
 	// Finished output kept on the workers, newest reading (SetResultStats).
 	ResultStoreBytes   *Gauge
 	ResultEvictions    *Counter
@@ -145,6 +149,8 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		ShuffleStashBytes:   reg.Gauge("s3_shuffle_stash_bytes", "map output held on the workers for unfinished jobs"),
 		ShuffleFetchedBytes: reg.Counter("s3_shuffle_fetched_bytes_total", "map output bytes reducers fetched from peer workers"),
 		ShuffleRepairMaps:   reg.Counter("s3_shuffle_repair_maps_total", "map tasks re-run because no live worker held their output"),
+		MapTasks:            reg.Counter("s3_map_tasks_total", "(block, job) map units the workers served"),
+		MapPasses:           reg.Counter("s3_map_passes_total", "(block, group) passes over the records that served the map units"),
 		ResultStoreBytes:    reg.Gauge("s3_result_store_bytes", "finished jobs' output frames held on the workers"),
 		ResultEvictions:     reg.Counter("s3_result_evictions_total", "output frames workers dropped to fit their result budget"),
 		ResultFetchedBytes:  reg.Counter("s3_result_fetched_bytes_total", "output frame bytes the master fetched from workers"),

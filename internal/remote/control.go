@@ -212,6 +212,7 @@ func (w *Worker) wireStats() comms.WireStats {
 		BytesScanned:        st.BytesScanned,
 		FailedReads:         st.FailedReads,
 		MapTasks:            w.mapTasks.Load(),
+		MapPasses:           w.mapPasses.Load(),
 		ReduceTasks:         w.reduceTasks.Load(),
 		CacheHits:           cs.Hits,
 		CacheMisses:         cs.Misses,

@@ -74,8 +74,9 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 		if got := mapsServed(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("worker %d served map tasks over %v, want one a round over %v", i, got, want)
 		}
-		if st := w.wireStats(); st.MapTasks != jobs*testBlocks/2 || st.BlockReads != testBlocks/2 {
-			t.Errorf("worker %d: %d map tasks and %d block reads, want %d and %d", i, st.MapTasks, st.BlockReads, jobs*testBlocks/2, testBlocks/2)
+		// Word count keeps a pass per job: its mapper shares none.
+		if st := w.wireStats(); st.MapTasks != jobs*testBlocks/2 || st.MapPasses != st.MapTasks || st.BlockReads != testBlocks/2 {
+			t.Errorf("worker %d: %d map tasks in %d passes and %d block reads, want %d in as many and %d", i, st.MapTasks, st.MapPasses, st.BlockReads, jobs*testBlocks/2, testBlocks/2)
 		}
 	}
 
@@ -83,7 +84,9 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 	if err := reg.WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]uint64{"map_phase": rounds, "map_handler": rounds, "map_hop": rounds, "reduce_phase": 1, "round_gap": rounds - 1} {
+	const reduces = jobs * 2 // wordcountRefs reduce to two partitions
+	for name, want := range map[string]uint64{"map_phase": rounds, "map_handler": rounds, "map_hop": rounds, "reduce_phase": 1, "round_gap": rounds - 1,
+		"reduce_handler": reduces, "reduce_fetch": reduces, "reduce_hop": reduces} {
 		if !strings.Contains(text.String(), fmt.Sprintf("s3_wall_%s_seconds_count %d\n", name, want)) {
 			t.Errorf("/metrics lacks s3_wall_%s_seconds with %d observations:\n%s", name, want, text.String())
 		}
@@ -91,6 +94,79 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 	phase, handler, hop := m.wall.mapPhase.Snapshot(), m.wall.mapHandler.Snapshot(), m.wall.mapHop.Snapshot()
 	if handler.Sum <= 0 || handler.Sum > phase.Sum || hop.Sum > phase.Sum {
 		t.Errorf("map phases sum to %v s, their slowest handlers to %v s, the hops to %v s: a handler runs inside its phase", phase.Sum, handler.Sum, hop.Sum)
+	}
+	// Each reducer fetches its other half from the peer: the fetch runs
+	// inside the handler, and the handlers inside the reduce phases.
+	phase, handler, fetch := m.wall.reducePhase.Snapshot(), m.wall.reduceHandler.Snapshot(), m.wall.reduceFetch.Snapshot()
+	if fetch.Sum <= 0 || fetch.Sum > handler.Sum || handler.Sum > reduces*phase.Sum {
+		t.Errorf("reduce phases sum to %v s, their handlers to %v s, the fetches in them to %v s", phase.Sum, handler.Sum, fetch.Sum)
+	}
+}
+
+// lineitemStore holds a "lineitem" file of the given rows, a block each,
+// padded to one size.
+func lineitemStore(t *testing.T, blocks ...string) *dfs.Store {
+	t.Helper()
+	data := make([][]byte, len(blocks))
+	for i, rows := range blocks {
+		data[i] = []byte(rows + strings.Repeat(" ", 256-len(rows)))
+	}
+	store := dfs.MustStore(1, 1)
+	if _, err := store.AddFile("lineitem", 256, data); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// lineitemRow is a row with the given l_quantity and 16 columns, or cols.
+func lineitemRow(qty string, cols int) string {
+	all := strings.Split("1|2|3|4|"+qty+"|x|x|x|R|O|d|d|d|i|m|c", "|")
+	return strings.Join(all[:cols], "|") + "\n"
+}
+
+// One pass serves a task's selection jobs and fails them all: a row it
+// cannot parse fails the task with the error of the lowest (block, job),
+// whichever group that job is in and however the pool interleaves — and
+// nothing is stashed, nothing counted.
+func TestSharedPassFailsWithTheLowestError(t *testing.T) {
+	store := lineitemStore(t,
+		lineitemRow("3", 16)+lineitemRow("7", 16),
+		lineitemRow("4", 16),
+		lineitemRow("q", 16), // no selection parses it, and the sum the aggregation folds rejects it
+		lineitemRow("9", 6),  // too short for the aggregation only
+	)
+	sel5, agg, sel25 := JobRef{Name: "sel5", Factory: "selection", Param: "5"}, JobRef{Name: "agg", Factory: "aggregation"}, JobRef{Name: "sel25", Factory: "selection", Param: "25"}
+	for _, c := range []struct {
+		jobs []JobRef
+		want string
+	}{
+		{[]JobRef{sel5, agg, sel25}, `job "sel5" block 2: workload: bad l_quantity`},
+		{[]JobRef{agg, sel5, sel25}, `job "agg" block 2: combiner: `},
+		{[]JobRef{sel25, sel5}, `job "sel25" block 2: workload: bad l_quantity`},
+	} {
+		w := NewWorker(store, NewStandardRegistry())
+		w.slots = 4
+		args := &MapTaskArgs{File: "lineitem", Blocks: []int{0, 1, 2, 3}, Epoch: 1, Jobs: c.jobs}
+		for i := range c.jobs {
+			args.IDs = append(args.IDs, scheduler.JobID(i+1))
+		}
+		for i := 0; i < 50; i++ {
+			if err := w.ExecMap(args, new(MapTaskReply)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("jobs %v, run %d: err = %v, want %q", c.jobs, i, err, c.want)
+			}
+		}
+		if st := w.wireStats(); st.StashEntries != 0 || st.StashBytes != 0 || st.MapTasks != 0 || st.MapPasses != 0 {
+			t.Errorf("jobs %v: the failed tasks left %+v, want nothing stashed and nothing counted", c.jobs, st)
+		}
+	}
+	// Without the bad rows the same three jobs run in two passes a block.
+	w := NewWorker(lineitemStore(t, lineitemRow("3", 16), lineitemRow("30", 16)), NewStandardRegistry())
+	args := &MapTaskArgs{File: "lineitem", Blocks: []int{0, 1}, Epoch: 1, IDs: []scheduler.JobID{1, 2, 3}, Jobs: []JobRef{sel5, agg, sel25}}
+	if err := w.ExecMap(args, new(MapTaskReply)); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.wireStats(); st.MapTasks != 6 || st.MapPasses != 4 || st.StashEntries != 6 {
+		t.Errorf("three jobs over two blocks: %d map tasks in %d passes, %d entries; want 6 in 4, 6", st.MapTasks, st.MapPasses, st.StashEntries)
 	}
 }
 

@@ -187,8 +187,11 @@ func (m *Master) SetTimeScale(scale float64) {
 // wallMetrics are where a round's wall time goes, in seconds: the map
 // phase as the master waits for it, the slowest handler inside it, what is
 // left (encode, a process wake-up each way, decode), the reduce phase of a
-// round that has one, and the run loop's time between two rounds.
-type wallMetrics struct{ mapPhase, mapHandler, mapHop, reducePhase, roundGap *metrics.Histogram }
+// round that has one, the run loop's time between two rounds; per reduce
+// task its handler, the peer fetches in it, and the rest of the call.
+type wallMetrics struct {
+	mapPhase, mapHandler, mapHop, reducePhase, roundGap, reduceHandler, reduceFetch, reduceHop *metrics.Histogram
+}
 
 // SetRegistry publishes the wall-clock split of every round on reg, as
 // s3_wall_*_seconds. Call before the first round.
@@ -202,6 +205,9 @@ func (m *Master) SetRegistry(reg *metrics.Registry) {
 		hist("map_hop", "map phase less its slowest handler: encode, wake-ups, decode"),
 		hist("reduce_phase", "wall time of a round's reduce phase, rounds completing a job only"),
 		hist("round_gap", "wall time between ExecRound returning and being called again"),
+		hist("reduce_handler", "wall time of a reduce task's handler"),
+		hist("reduce_fetch", "wall time a reduce handler waited on its peers' map output"),
+		hist("reduce_hop", "a reduce call less its handler: encode, wake-ups, decode"),
 	}
 }
 
@@ -657,6 +663,7 @@ func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, 
 // reducer could not find.
 func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.JobID, ref JobRef, sh *jobShuffle, p int) (part journal.ResultPart, missing []int, err error) {
 	var reply *ReduceTaskReply
+	var call float64 // seconds the answered call took
 	corr := m.corr("j%d.p%d", id, p)
 	m.mu.Lock()
 	want := sh.receipts[p]
@@ -673,7 +680,9 @@ func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.Job
 				args.Peers = append(args.Peers, peer.addr)
 			}
 		}
+		called := m.clock.Now()
 		err := m.callWorker(w, "Worker.ExecReduce", args, reply)
+		call = float64(m.clock.Now() - called)
 		reply.Receipt.Holder = w.id
 		return err
 	})
@@ -682,6 +691,12 @@ func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.Job
 			out.what = fmt.Sprintf("job %q partition %d", ref.Name, p)
 		}
 		return part, nil, err
+	}
+	if m.wall != nil {
+		handler := float64(reply.WallNs) / 1e9
+		m.wall.reduceHandler.Observe(handler)
+		m.wall.reduceFetch.Observe(float64(reply.FetchNs) / 1e9)
+		m.wall.reduceHop.Observe(max(call-handler, 0))
 	}
 	return reply.Receipt, reply.Missing, nil
 }

@@ -141,10 +141,13 @@ type ReduceTaskArgs struct {
 // ReduceTaskReply answers a reduce task with a receipt for the output
 // frame, which stays in the worker's result store; the master adds the
 // holder and journals it. Or, when no reachable worker holds some block's
-// run, with those blocks: the master maps them again and retries.
+// run, with those blocks: the master maps them again and retries. WallNs
+// is how long the handler ran, FetchNs how much of that it waited on its
+// peers' FetchShuffle answers.
 type ReduceTaskReply struct {
-	Receipt journal.ResultPart
-	Missing []int
+	Receipt         journal.ResultPart
+	Missing         []int
+	WallNs, FetchNs int64
 }
 
 // FetchArgs asks a worker what it holds of one reduce partition: of its

@@ -259,10 +259,11 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 	}
 	w := NewWorker(store, NewStandardRegistry())
 	good := JobRef{Name: "good", Factory: "wordcount", Param: "t", NumReduce: 1}
+	shared := JobRef{Name: "shared", Factory: "selection", Param: "5", NumReduce: 1} // twice: one pass would serve both
 	for _, bad := range []JobRef{{Name: "bad", Factory: "nope"}, {Name: "bad", Factory: "selection", Param: "many"}} {
 		var reply MapTaskReply
 		// The bad job comes last: the ones before it must not have run.
-		err := w.ExecMap(&MapTaskArgs{File: "corpus", Blocks: []int{0, 1}, IDs: []scheduler.JobID{1, 2}, Jobs: []JobRef{good, bad}}, &reply)
+		err := w.ExecMap(&MapTaskArgs{File: "corpus", Blocks: []int{0, 1}, IDs: []scheduler.JobID{1, 2, 3, 4}, Jobs: []JobRef{good, shared, shared, bad}}, &reply)
 		if err == nil {
 			t.Fatalf("map task with job %+v should fail", bad)
 		}
@@ -270,7 +271,7 @@ func TestRejectedMapTaskReadsNoBlock(t *testing.T) {
 		if err := w.Stats(&StatsArgs{}, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.BlockReads != 0 || st.BytesScanned != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 || st.MapTasks != 0 || st.StashEntries != 0 {
+		if st.BlockReads != 0 || st.BytesScanned != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 || st.MapTasks != 0 || st.MapPasses != 0 || st.StashEntries != 0 {
 			t.Errorf("rejected task %+v still cost the store: %+v", bad, st)
 		}
 	}

@@ -137,11 +137,12 @@ func (w *Worker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
 }
 
 // gathered is a reduce partition being assembled: at most one run per
-// block of the job's file.
+// block of the job's file, and how long the peers took to answer.
 type gathered struct {
 	runs          [][]mapreduce.KV
 	have          []bool
 	left, records int
+	fetchNs       int64
 }
 
 // add takes block's run unless the block is covered already (a second
@@ -181,6 +182,7 @@ func (w *Worker) gather(args *ReduceTaskArgs, blocks int) (*gathered, error) {
 		err   error
 	}
 	answers := make(chan answer, len(args.Peers))
+	began := time.Now()
 	for _, addr := range args.Peers {
 		go func(addr string) {
 			reply := new(FetchReply) // its own: an abandoned call may still write to it
@@ -202,6 +204,7 @@ func (w *Worker) gather(args *ReduceTaskArgs, blocks int) (*gathered, error) {
 			first = fail("worker at "+a.addr, a.err)
 		}
 	}
+	g.fetchNs = int64(time.Since(began))
 	return g, first
 }
 

@@ -30,7 +30,8 @@ type Worker struct {
 	log   *trace.Log
 	clock *vclock.Wall
 
-	mapTasks    atomic.Int64
+	mapTasks    atomic.Int64 // (block, job) units served
+	mapPasses   atomic.Int64 // (block, group) passes they took
 	reduceTasks atomic.Int64
 	// slots bounds the goroutines of one map task, and is what the worker
 	// advertises when it registers: the processors it had when it was built.
@@ -80,21 +81,12 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 // clears it. Call before Serve.
 func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 
-// mapUnit is one job's map over one block of a task, with a mapper and
-// combiner of its own: a factory may hand out instances that keep state.
-type mapUnit struct {
-	block, job int // positions in the task's Blocks and Jobs
-	mapper     mapreduce.Mapper
-	combiner   mapreduce.Reducer
-	parts      [][]mapreduce.KV
-	err        error
-}
-
-// ExecMap implements the MapTask RPC: scan each block once, run every
-// job's mapper over it, combine and partition each job's output, and
-// stash it: the reply is a receipt, the records leave only by a fetch. The
-// (block × job) units run on the worker's slots; a task that fails — with
-// the error of its lowest (block, job) unit — has stashed nothing.
+// ExecMap implements the MapTask RPC: scan each block once, map it in one
+// pass for each group of mapreduce.MapGroups — jobs whose mappers share
+// one are served by one parse — combine and partition each job's output,
+// and stash it: the reply is a receipt, the records leave only by a fetch.
+// The (block × group) passes run on the worker's slots; a task that fails
+// — with the error of its lowest (block, job) unit — has stashed nothing.
 func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	began := time.Now()
 	if len(args.Jobs) == 0 || len(args.IDs) != len(args.Jobs) {
@@ -112,17 +104,19 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 		return fmt.Errorf("remote: map task over blocks %v of %d-block %q: want indices of the file, ascending", args.Blocks, f.NumBlocks, args.File)
 	}
 	// Resolve every unit before touching the store: a task naming an
-	// unknown factory is rejected without paying for a block read.
+	// unknown factory is rejected without paying for a block read. A unit —
+	// one job over one block — has a mapper and combiner of its own: a
+	// factory may hand out instances that keep state.
 	nb, nj := len(args.Blocks), len(args.Jobs)
-	units := make([]mapUnit, nb*nj) // block-major: the first error is the lowest unit's
+	units := make([]mapreduce.MapJob, nb*nj) // block-major: the first error is the lowest unit's
 	for i := range units {
-		u := &units[i]
-		u.block, u.job = i/nj, i%nj
-		ref := args.Jobs[u.job]
-		if u.mapper, _, u.combiner, err = w.registry.Build(ref.Factory, ref.Param); err != nil {
+		u, ref := &units[i], args.Jobs[i%nj]
+		if u.Mapper, _, u.Combiner, err = w.registry.Build(ref.Factory, ref.Param); err != nil {
 			return err
 		}
+		u.Width = ref.width()
 	}
+	groups := mapreduce.MapGroups(units[:nj])
 	if args.Hint != nil {
 		// Before the reads: the demotion frees room for these blocks, and the
 		// readahead of the segment after them overlaps this task's map work.
@@ -134,30 +128,38 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	}
 	w.stash.admit(args.Epoch, args.Done)
 
-	// A block is read by the first unit to reach it, the others wait there;
-	// units are taken job-major, so one block's miss overlaps another's maps.
+	// A block is read by the first pass to reach it, the others wait there;
+	// passes are taken group-major, so one block's miss overlaps another's maps.
 	reads := make([]struct {
 		once sync.Once
 		data []byte
 		err  error
 	}, nb)
+	parts, errs := make([][][]mapreduce.KV, len(units)), make([]error, len(units))
+	passes := nb * len(groups)
 	var next atomic.Int64
 	run := func() {
-		for k := int(next.Add(1)) - 1; k < len(units); k = int(next.Add(1)) - 1 {
-			u := &units[k%nb*nj+k/nb]
-			rd, id := &reads[u.block], dfs.BlockID{File: args.File, Index: args.Blocks[u.block]}
+		for k := int(next.Add(1)) - 1; k < passes; k = int(next.Add(1)) - 1 {
+			b, group := k%nb, groups[k/nb]
+			rd, id := &reads[b], dfs.BlockID{File: args.File, Index: args.Blocks[b]}
 			rd.once.Do(func() { rd.data, rd.err = w.store.ReadBlockAt(id, localNode) })
-			if u.err = rd.err; u.err != nil {
+			pass := make([]mapreduce.MapJob, len(group))
+			for i, j := range group {
+				pass[i], errs[b*nj+j] = units[b*nj+j], rd.err
+			}
+			if rd.err != nil {
 				continue
 			}
-			ref := args.Jobs[u.job]
-			if u.parts, u.err = mapreduce.MapBlockForJob(id, rd.data, u.mapper, u.combiner, ref.width()); u.err != nil {
-				u.err = fmt.Errorf("remote: job %q block %d: %w", ref.Name, id.Index, u.err)
+			got, failed := mapreduce.MapBlockForJobs(id, rd.data, pass)
+			for i, j := range group {
+				if parts[b*nj+j], errs[b*nj+j] = got[i], failed[i]; failed[i] != nil {
+					errs[b*nj+j] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[j].Name, id.Index, failed[i])
+				}
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for g := min(w.slots, len(units)); g > 1; g-- { // this goroutine is one of them
+	for g := min(w.slots, passes); g > 1; g-- { // this goroutine is one of them
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -167,9 +169,9 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	run()
 	wg.Wait()
 
-	for i := range units {
-		if units[i].err != nil {
-			return units[i].err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	reply.Receipts = make([][]PartReceipt, nj)
@@ -177,16 +179,17 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 		reply.Receipts[j] = make([]PartReceipt, ref.width())
 	}
 	for i := range units {
-		u := &units[i]
-		for p, rc := range w.stash.put(stashJob{args.Epoch, args.IDs[u.job]}, args.Blocks[u.block], u.parts) {
-			reply.Receipts[u.job][p].Records += rc.Records
-			reply.Receipts[u.job][p].Bytes += rc.Bytes
+		j := i % nj
+		for p, rc := range w.stash.put(stashJob{args.Epoch, args.IDs[j]}, args.Blocks[i/nj], parts[i]) {
+			reply.Receipts[j][p].Records += rc.Records
+			reply.Receipts[j][p].Bytes += rc.Bytes
 		}
 	}
 	for b := range reads {
 		reply.BytesScanned += int64(len(reads[b].data))
 	}
 	w.mapTasks.Add(int64(len(units)))
+	w.mapPasses.Add(int64(passes))
 	if w.log != nil {
 		w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%v jobs %d bytes %d", args.Corr, args.File, args.Blocks, len(args.Jobs), reply.BytesScanned)
 	}
@@ -198,6 +201,8 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 // the stashes and — only if exactly one run covers every block of the
 // job's file — sort, group, reduce, keep the frame; else reply the gaps.
 func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
+	began := time.Now()
+	defer func() { reply.WallNs = int64(time.Since(began)) }()
 	_, reducer, _, err := w.registry.Build(args.Job.Factory, args.Job.Param)
 	if err != nil {
 		return err
@@ -211,6 +216,7 @@ func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error 
 	if err != nil {
 		return err
 	}
+	reply.FetchNs = g.fetchNs
 	if g.left > 0 {
 		for block, ok := range g.have {
 			if !ok {

@@ -128,6 +128,12 @@ func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	src.workers[0].Tasks.StashBytes, src.workers[0].Tasks.ShuffleFetchedBytes = 0, 100 // a worker restarted: its ledger begins again
 	expect(scrape(), "s3_shuffle_stash_bytes 0", "s3_shuffle_fetched_bytes_total 900", "s3_shuffle_repair_maps_total 3")
 
+	// So do the map units and the passes that served them.
+	expect(scrape(), "s3_map_tasks_total 0", "s3_map_passes_total 0")
+	src.workers[0].Tasks.MapTasks, src.workers[0].Tasks.MapPasses = 40, 10
+	src.workers[1].Tasks.MapTasks, src.workers[1].Tasks.MapPasses = 8, 8
+	expect(scrape(), "s3_map_tasks_total 48", "s3_map_passes_total 18")
+
 	// So do the result store's: both workers' ledgers summed, a dead
 	// member's last one included, the master's own counts beside them.
 	expect(scrape(), "s3_result_store_bytes 0", "s3_result_evictions_total 0", "s3_result_fetched_bytes_total 0", "s3_result_recomputes_total 0", "s3_result_recompute_mismatches_total 0")

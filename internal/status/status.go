@@ -191,14 +191,17 @@ func (s *Server) Handler() http.Handler {
 			// A daemon's run never ends to fold its s3_cache_*: read them
 			// off the heartbeat ledgers, one heartbeat old at most.
 			var cache metrics.CacheStats
-			var stashed, fetched, held, evicted, served int64
+			var stashed, fetched, held, evicted, served, tasks, passes int64
 			for _, wi := range src.ClusterSnapshot() {
 				cache.Add(wi.Tasks.Cache())
 				stashed, fetched = stashed+wi.Tasks.StashBytes, fetched+wi.Tasks.ShuffleFetchedBytes
 				held, evicted, served = held+wi.Tasks.ResultBytes, evicted+wi.Tasks.ResultEvictions, served+wi.Tasks.ResultServedBytes
+				tasks, passes = tasks+wi.Tasks.MapTasks, passes+wi.Tasks.MapPasses
 			}
 			rm := metrics.NewRunMetrics(reg)
 			rm.SetCacheStats(cache)
+			rm.MapTasks.RaiseTo(float64(tasks))
+			rm.MapPasses.RaiseTo(float64(passes))
 			repairs, _ := src.ShuffleRepairs()
 			rm.SetShuffleStats(stashed, fetched, repairs)
 			recomputes, mismatches := src.ResultRecomputes()

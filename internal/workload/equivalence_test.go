@@ -219,9 +219,13 @@ func TestStandardFactoriesMatchReference(t *testing.T) {
 }
 
 // A grouped map task — four blocks and every job of a factory in one
-// message, its (block × job) units on a pool of four — stashes for every
-// job, block and partition the run the reference computes, and answers
-// and counts what four one-block tasks do between them.
+// message, its (block × group) passes on a pool of four — stashes for
+// every job, block and partition the run the reference computes, and
+// answers and counts what one-job, one-block tasks do between them. So
+// does a task of one to five selection jobs — repeated and distinct
+// quantities, one pass over a block for all of them — beside an
+// aggregation job of the same file, a second group; and the engine
+// charges every job of such a batch what it charges the job alone.
 func TestGroupedMapTaskMatchesReference(t *testing.T) {
 	const slots, size, width = 4, 16 << 10, 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(slots)) // a worker's pool is as wide as the processors it is built on
@@ -236,53 +240,44 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 		files["lineitem"] = append(files["lineitem"], workload.NewLineitemGen(3).Block(b, size))
 		files["derived"] = append(files["derived"], derived.Bytes())
 	}
-	scans := map[string]string{"wordcount": "text", "selection": "lineitem", "aggregation": "lineitem", "topk": "derived"}
 	reg := remote.NewStandardRegistry()
-	newWorker := func() *remote.Worker {
-		store := dfs.MustStore(1, 1)
+	newStore := func(nodes int) *dfs.Store {
+		store := dfs.MustStore(nodes, 1)
 		for name, blocks := range files {
 			if _, err := store.AddFile(name, size, blocks); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return remote.NewWorker(store, reg)
+		return store
 	}
-	for _, factory := range reg.Names() {
-		ref, file := factoryRefs[factory], scans[factory]
-		if file == "" {
-			t.Errorf("factory %q has no file in this test; add one", factory)
-			continue
-		}
-		args := remote.MapTaskArgs{File: file, Blocks: []int{0, 1, 2, 3}, Epoch: 1}
-		for i, param := range ref.params {
-			args.IDs = append(args.IDs, scheduler.JobID(i+1))
-			args.Jobs = append(args.Jobs, remote.JobRef{Name: factory + "-" + param, Factory: factory, Param: param, NumReduce: width})
-		}
-		grouped, single := newWorker(), newWorker()
-		var got, want remote.MapTaskReply
+	// check runs args as one task on one worker and as one-job, one-block
+	// tasks on another, and holds them to each other and to the reference;
+	// the task's jobs form groups groups.
+	check := func(label string, args remote.MapTaskArgs, groups int) {
+		t.Helper()
+		grouped, single := remote.NewWorker(newStore(1), reg), remote.NewWorker(newStore(1), reg)
+		var got remote.MapTaskReply
 		if err := grouped.ExecMap(&args, &got); err != nil {
-			t.Fatalf("%s: grouped task: %v", factory, err)
+			t.Fatalf("%s: grouped task: %v", label, err)
 		}
-		want.Receipts = make([][]remote.PartReceipt, len(args.Jobs))
-		for b := range args.Blocks {
-			one, reply := args, remote.MapTaskReply{}
-			one.Blocks = args.Blocks[b : b+1]
-			if err := single.ExecMap(&one, &reply); err != nil {
-				t.Fatalf("%s: task over block %d: %v", factory, b, err)
-			}
-			want.BytesScanned += reply.BytesScanned
-			for j, parts := range reply.Receipts {
-				if want.Receipts[j] == nil {
-					want.Receipts[j] = make([]remote.PartReceipt, len(parts))
+		want := make([][]remote.PartReceipt, len(args.Jobs))
+		for j := range args.Jobs {
+			want[j] = make([]remote.PartReceipt, width)
+			for b := range args.Blocks {
+				one, reply := args, remote.MapTaskReply{}
+				one.Blocks, one.Jobs, one.IDs = args.Blocks[b:b+1], args.Jobs[j:j+1], args.IDs[j:j+1]
+				if err := single.ExecMap(&one, &reply); err != nil {
+					t.Fatalf("%s: job %d over block %d: %v", label, j, b, err)
 				}
-				for p, rc := range parts {
-					want.Receipts[j][p].Records += rc.Records
-					want.Receipts[j][p].Bytes += rc.Bytes
+				for p, rc := range reply.Receipts[0] {
+					want[j][p].Records += rc.Records
+					want[j][p].Bytes += rc.Bytes
 				}
 			}
 		}
-		if got.WallNs <= 0 || got.BytesScanned != want.BytesScanned || !reflect.DeepEqual(got.Receipts, want.Receipts) {
-			t.Errorf("%s: the grouped task answers %+v, the one-block tasks add up to %+v", factory, got, want)
+		nb, nj := int64(len(args.Blocks)), int64(len(args.Jobs))
+		if got.WallNs <= 0 || got.BytesScanned != nb*size || !reflect.DeepEqual(got.Receipts, want) {
+			t.Errorf("%s: the grouped task answers %+v, the one-job tasks add up to %+v", label, got, want)
 		}
 		var gs, ss remote.StatsReply
 		if err := grouped.Stats(&remote.StatsArgs{Epoch: 1}, &gs); err != nil {
@@ -291,11 +286,12 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 		if err := single.Stats(&remote.StatsArgs{Epoch: 1}, &ss); err != nil {
 			t.Fatal(err)
 		}
-		if gs != ss || gs.MapTasks != int64(slots*len(args.Jobs)) || gs.BlockReads != slots {
-			t.Errorf("%s: the grouped task leaves the ledger %+v, the one-block tasks %+v", factory, gs, ss)
+		if gs.MapTasks != nb*nj || ss.MapTasks != gs.MapTasks || gs.MapPasses != nb*int64(groups) || ss.MapPasses != ss.MapTasks ||
+			gs.BlockReads != nb || gs.StashEntries != ss.StashEntries || gs.StashBytes != ss.StashBytes {
+			t.Errorf("%s: the grouped task leaves the ledger %+v, the one-job tasks %+v; want %d passes", label, gs, ss, nb*int64(groups))
 		}
-		for j, param := range ref.params {
-			_, _, combiner, err := reg.Build(factory, param)
+		for j, ref := range args.Jobs {
+			_, _, combiner, err := reg.Build(ref.Factory, ref.Param)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,14 +305,69 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(gr, sr) || !reflect.DeepEqual(gr.Blocks, args.Blocks) {
-					t.Fatalf("%s(%q) partition %d: the grouped task stashed blocks %v, the one-block tasks %v, and the runs differ", factory, param, p, gr.Blocks, sr.Blocks)
+					t.Fatalf("%s: %s partition %d: the grouped task stashed blocks %v, the one-job tasks %v, and the runs differ", label, ref.Name, p, gr.Blocks, sr.Blocks)
 				}
 				for b, run := range gr.Runs {
-					parts, err := refMapBlock(files[file][b], ref.mapper(param), refCombinerOf(t, factory, combiner), width)
+					parts, err := refMapBlock(files[args.File][b], factoryRefs[ref.Factory].mapper(ref.Param), refCombinerOf(t, ref.Factory, combiner), width)
 					if err != nil || !reflect.DeepEqual(run, parts[p]) {
-						t.Errorf("%s(%q) block %d partition %d: the stashed run differs from the reference (%v)", factory, param, b, p, err)
+						t.Errorf("%s: %s block %d partition %d: the stashed run differs from the reference (%v)", label, ref.Name, b, p, err)
 					}
 				}
+			}
+		}
+	}
+
+	scans := map[string]string{"wordcount": "text", "selection": "lineitem", "aggregation": "lineitem", "topk": "derived"}
+	for _, factory := range reg.Names() {
+		ref, file := factoryRefs[factory], scans[factory]
+		if file == "" {
+			t.Errorf("factory %q has no file in this test; add one", factory)
+			continue
+		}
+		args := remote.MapTaskArgs{File: file, Blocks: []int{0, 1, 2, 3}, Epoch: 1}
+		for i, param := range ref.params {
+			args.IDs = append(args.IDs, scheduler.JobID(i+1))
+			args.Jobs = append(args.Jobs, remote.JobRef{Name: factory + "-" + param, Factory: factory, Param: param, NumReduce: width})
+		}
+		groups := len(args.Jobs) // selection is the one factory whose jobs share a pass
+		if factory == "selection" {
+			groups = 1
+		}
+		check(factory, args, groups)
+	}
+
+	engine := mapreduce.NewEngine(mapreduce.MustCluster(newStore(2), 2))
+	quantities := []int{5, 25, 5, 0, 50}
+	for n := 1; n <= len(quantities); n++ {
+		label := fmt.Sprintf("%d selections and an aggregation", n)
+		args := remote.MapTaskArgs{File: "lineitem", Blocks: []int{0, 1, 2, 3}, Epoch: 1}
+		var specs []mapreduce.JobSpec
+		add := func(ref remote.JobRef, spec mapreduce.JobSpec) {
+			args.IDs, args.Jobs, specs = append(args.IDs, scheduler.JobID(len(args.IDs)+1)), append(args.Jobs, ref), append(specs, spec)
+		}
+		for i, q := range quantities[:n] {
+			if i == n/2 { // between the selections: the groups interleave
+				add(remote.JobRef{Name: "agg", Factory: "aggregation", NumReduce: width}, workload.AggregationJob("agg", "lineitem", width))
+			}
+			name := fmt.Sprintf("sel%d-%d", i, q)
+			spec := workload.SelectionJob(name, "lineitem", q)
+			spec.NumReduce = width
+			add(remote.JobRef{Name: name, Factory: "selection", Param: strconv.Itoa(q), NumReduce: width}, spec)
+		}
+		check(label, args, 2)
+
+		merged, err := engine.RunMerged(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range specs {
+			alone, err := engine.RunJob(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(merged[i].Output, alone.Output) || !reflect.DeepEqual(merged[i].Counters.Snapshot(), alone.Counters.Snapshot()) {
+				t.Errorf("%s: the engine gives %s %d records and %v in the batch, %d and %v alone", label, spec.Name,
+					len(merged[i].Output), merged[i].Counters.Snapshot(), len(alone.Output), alone.Counters.Snapshot())
 			}
 		}
 	}
@@ -386,6 +437,22 @@ func FuzzMappers(f *testing.F) {
 			ref, refErr := refMapBlock(data, pair.ref, refSum, 3)
 			if (taskErr != nil) != (refErr != nil) || !reflect.DeepEqual(task, ref) {
 				t.Fatalf("%s: task %q, %v; reference %q, %v", pair.name, task, taskErr, ref, refErr)
+			}
+		}
+		// One pass shared by selections — the fuzzed quantity twice and two
+		// others — gives each the reference's records, or fails every one
+		// with the same error, exactly when the reference fails.
+		limits := []int{maxQuantity, maxQuantity, maxQuantity / 2, maxQuantity%50 + 10}
+		jobs := make([]mapreduce.MapJob, len(limits))
+		for j, q := range limits {
+			jobs[j] = mapreduce.MapJob{Mapper: workload.SelectionMapper{MaxQuantity: q}, Width: 1}
+		}
+		parts, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs)
+		for j, q := range limits {
+			want, wantFailed := collect(refSelection(q), data)
+			if (errs[j] != nil) != wantFailed || (errs[j] == nil && !reflect.DeepEqual(parts[j][0], want)) ||
+				(errs[j] != nil && errs[j].Error() != errs[0].Error()) {
+				t.Fatalf("shared selection %d (<= %d): %q, %v; reference %q, failed %v; job 0 %v", j, q, parts[j], errs[j], want, wantFailed, errs[0])
 			}
 		}
 		words, _ := collect(refPatternCount("", 1), data)

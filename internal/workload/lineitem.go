@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -109,12 +110,24 @@ type SelectionMapper struct {
 	MaxQuantity int
 }
 
-var _ mapreduce.Mapper = SelectionMapper{}
+var _ mapreduce.SharedMapper = SelectionMapper{}
 var _ mapreduce.InputRecordCounter = SelectionMapper{}
 
-// Map implements mapreduce.Mapper. A rejected row costs a walk over
-// its first five columns and no allocation.
-func (m SelectionMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+// Map implements mapreduce.Mapper: MapShared for one mapper.
+func (m SelectionMapper) Map(block dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+	return m.MapShared(block, data, []mapreduce.Mapper{m}, func(_ int, kv mapreduce.KV) { emit(kv) })
+}
+
+// MapShared implements mapreduce.SharedMapper over SelectionMappers: a
+// row is cut and its l_quantity parsed once for all of them, and a row
+// any of them keeps is one record, its strings built once. A row no job
+// keeps costs a walk over its first five columns and no allocation.
+func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV)) error {
+	limits, widest := make([]int, len(mappers)), math.MinInt
+	for i, m := range mappers {
+		limits[i] = m.(SelectionMapper).MaxQuantity
+		widest = max(widest, limits[i])
+	}
 	for line, rest := nextRow(data); line != nil; line, rest = nextRow(rest) {
 		var sep [5]int
 		if !fieldSeparators(line, sep[:]) {
@@ -125,8 +138,14 @@ func (m SelectionMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) er
 		if err != nil {
 			return fmt.Errorf("workload: bad l_quantity in row %q: %w", line, err)
 		}
-		if qty <= m.MaxQuantity {
-			emit(mapreduce.KV{Key: string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]]), Value: string(line)})
+		if qty > widest {
+			continue
+		}
+		kv := mapreduce.KV{Key: string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]]), Value: string(line)}
+		for j, limit := range limits {
+			if qty <= limit {
+				emit(j, kv)
+			}
 		}
 	}
 	return nil
