@@ -17,7 +17,6 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
-	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -114,25 +113,6 @@ func BenchmarkFig4eSparseNormal32(b *testing.B) { benchPanel(b, "e") }
 // BenchmarkFig4fSelection — Figure 4(f): selection workload over the
 // 400 GB TPC-H lineitem table.
 func BenchmarkFig4fSelection(b *testing.B) { benchPanel(b, "f") }
-
-// BenchmarkDriverPipeline — the stage-pipelining A/B: the serial round
-// loop (reduce blocks the next scan) against the stage-pipelined runtime
-// (reduce of round N under scan of round N+1), all PipelineStudy
-// workloads, reporting both TETs.
-func BenchmarkDriverPipeline(b *testing.B) {
-	var res experiments.PipelineResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.PipelineStudy(experiments.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.SerialTET.Seconds(), row.Workload+"-serial-TET")
-		b.ReportMetric(row.PipelinedTET.Seconds(), row.Workload+"-piped-TET")
-	}
-}
 
 // BenchmarkExamplesAnalytic regenerates the §III Examples 1-3 analytic
 // scenarios (the sim package asserts the exact values in tests).
@@ -241,38 +221,7 @@ func reportAblation(b *testing.B, res experiments.AblationResult) {
 	}
 }
 
-// BenchmarkDistributedSharedScan measures the shared-scan saving on
-// the real RPC substrate: cluster-wide block reads under S^3 vs FIFO.
-func BenchmarkDistributedSharedScan(b *testing.B) {
-	var res experiments.DistributedResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.DistributedScanSavings(experiments.DefaultDistributedConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.S3Reads), "s3-reads")
-	b.ReportMetric(float64(res.FIFOReads), "fifo-reads")
-}
-
 // --- Beyond-paper studies ---
-
-// BenchmarkWindowStudy — time-window MRShare vs S^3 under unknown
-// arrival patterns.
-func BenchmarkWindowStudy(b *testing.B) {
-	var rows []metrics.Summary
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.WindowStudy(experiments.DefaultParams(), []vclock.Duration{30, 120, 480})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ART.Seconds(), r.Scheme+"-ART")
-	}
-}
 
 // BenchmarkJitterStudy — S^3's advantage under ±15% arrival
 // perturbation.
@@ -302,21 +251,6 @@ func BenchmarkPoissonSweep(b *testing.B) {
 	}
 	for _, p := range points {
 		b.ReportMetric(p.ARTRatio, fmt.Sprintf("rho%.1f-ARTratio", p.Rho))
-	}
-}
-
-// BenchmarkTaxonomyStudy — §II-B's scheduler categories, measured.
-func BenchmarkTaxonomyStudy(b *testing.B) {
-	var rows []metrics.Summary
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.TaxonomyStudy(experiments.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ART.Seconds(), r.Scheme+"-ART")
 	}
 }
 

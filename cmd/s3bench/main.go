@@ -28,9 +28,7 @@ import (
 	"io"
 	"os"
 
-	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
-	"s3sched/internal/runtime"
 	"s3sched/internal/vclock"
 )
 
@@ -80,16 +78,9 @@ func main() {
 	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
 		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
 	}
-	exp := flag.String("exp", "all", "experiment: table1|fig3|fig4|fig4a..fig4f|examples|ablations|window|distributed|jitter|poisson|taxonomy|estimator|pipeline|faults|cache|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig3|fig4|fig4a..fig4f|examples|ablations|jitter|poisson|estimator|all")
 	jsonPath := flag.String("json", "", "also write the Figure 4 panels + claim check as JSON to this file")
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
-	faultRate := flag.Float64("faultrate", 0.02, "faults experiment: max transient block-failure rate in [0,1)")
-	faultSeed := flag.Int64("faultseed", 42, "faults experiment: fault schedule seed (same seed, same schedule)")
-	faultJSON := flag.String("faultjson", "", "faults experiment: also write the results as JSON to this file")
-	cacheMB := flag.Int("cachemb", 4096, "cache experiment: per-node block-cache budget in MB (4096 fits a node's share of the 160 GB input)")
-	cacheFrac := flag.Float64("cachefrac", 0.1, "cache experiment: cached scan cost as a fraction of disk cost, in [0,1]")
-	cachePolicy := flag.String("cachepolicy", "all", "cache experiment: eviction policy lru|cursor, or all to sweep both")
-	cacheJSON := flag.String("cachejson", "", "cache experiment: also write the results as JSON to this file")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want demo | sim | replay | calibrate, or flags only)\n", flag.Arg(0))
@@ -116,9 +107,7 @@ func main() {
 	var err error
 	switch *exp {
 	case "all":
-		err = firstErr(runTable1, runFig3, runExamples, runFig4All, runAblations, runWindowStudy, runDistributed, runJitter, runPoisson, runTaxonomy, runEstimator, runPipeline,
-			func() error { return runFaults(*faultRate, *faultSeed, *faultJSON) },
-			func() error { return runCache(*cacheMB, *cacheFrac, *cachePolicy, *cacheJSON) })
+		err = firstErr(runTable1, runFig3, runExamples, runFig4All, runAblations, runJitter, runPoisson, runEstimator)
 	case "table1":
 		err = runTable1()
 	case "fig3":
@@ -131,24 +120,12 @@ func main() {
 		err = runFig4Panel((*exp)[4:])
 	case "ablations":
 		err = runAblations()
-	case "window":
-		err = runWindowStudy()
-	case "distributed":
-		err = runDistributed()
 	case "jitter":
 		err = runJitter()
 	case "poisson":
 		err = runPoisson()
-	case "taxonomy":
-		err = runTaxonomy()
 	case "estimator":
 		err = runEstimator()
-	case "pipeline":
-		err = runPipeline()
-	case "faults":
-		err = runFaults(*faultRate, *faultSeed, *faultJSON)
-	case "cache":
-		err = runCache(*cacheMB, *cacheFrac, *cachePolicy, *cacheJSON)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -199,23 +176,6 @@ func writeJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
-}
-
-// writeRecord writes a study's machine-readable record as indented
-// JSON and says so; an empty path means none was asked for.
-func writeRecord(path string, rec any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func firstErr(fns ...func() error) error {
@@ -336,34 +296,6 @@ func runFig4All() error {
 	return nil
 }
 
-func runWindowStudy() error {
-	fmt.Println("== Beyond the paper: time-window MRShare vs S3 (unknown job patterns) ==")
-	rows, err := experiments.WindowStudy(experiments.DefaultParams(), []vclock.Duration{30, 120, 240, 480})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-14s %12s %12s\n", "variant", "TET", "ART")
-	for _, r := range rows {
-		fmt.Printf("%-14s %12s %12s\n", r.Scheme, r.TET, r.ART)
-	}
-	fmt.Println("(short windows forfeit sharing; long windows re-create MRShare's waiting)")
-	fmt.Println()
-	return nil
-}
-
-func runDistributed() error {
-	fmt.Println("== Distributed substrate: cluster-wide scans, S3 vs FIFO (TCP workers) ==")
-	res, err := experiments.DistributedScanSavings(experiments.DefaultDistributedConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d workers, %d jobs, %d blocks\n", res.Workers, res.Jobs, res.Blocks)
-	fmt.Printf("S3:   %d block reads in %d rounds\n", res.S3Reads, res.S3Rounds)
-	fmt.Printf("FIFO: %d block reads in %d rounds\n", res.FIFOReads, res.FIFORounds)
-	fmt.Printf("outputs identical: %v\n\n", res.OutputAgree)
-	return nil
-}
-
 func runJitter() error {
 	fmt.Println("== Robustness: fig4a under ±15% arrival jitter (40 seeded trials) ==")
 	res, err := experiments.JitterStudy(experiments.DefaultParams(), 40, 0.15, 42)
@@ -397,22 +329,6 @@ func runPoisson() error {
 	return nil
 }
 
-func runTaxonomy() error {
-	fmt.Println("== §II-B scheduler taxonomy, measured (sparse normal workload) ==")
-	rows, err := experiments.TaxonomyStudy(experiments.DefaultParams())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-6s %12s %12s\n", "scheme", "TET", "ART")
-	for _, r := range rows {
-		fmt.Printf("%-6s %12s %12s\n", r.Scheme, r.TET, r.ART)
-	}
-	fmt.Println("(fair = partial utilization: no blocking, but no sharing either —")
-	fmt.Println(" for identical-length jobs it is strictly dominated; S3 wins both)")
-	fmt.Println()
-	return nil
-}
-
 func runEstimator() error {
 	fmt.Println("== §IV-D1 completion-time estimation accuracy ==")
 	res, err := experiments.EstimatorStudy(experiments.DefaultParams(), 30)
@@ -422,172 +338,6 @@ func runEstimator() error {
 	fmt.Printf("observed %d rounds, predicted %d active jobs mid-run\n", res.ObservedRounds, res.PredictedJobs)
 	fmt.Printf("mean abs. error %.1f%% of job lifetime (worst %.1f%%)\n\n", 100*res.MAPE, 100*res.MaxErr)
 	return nil
-}
-
-func runPipeline() error {
-	// The title keeps the name of the flag that once picked single-mode
-	// runs, so the study's output stays byte-identical to every recorded
-	// copy of it.
-	fmt.Printf("== Stage pipelining: reduce of round N under scan of round N+1 (S3, %d reduce workers, -pipeline=both) ==\n",
-		runtime.DefaultReduceWorkers)
-	res, err := experiments.PipelineStudy(experiments.DefaultParams())
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.String())
-	fmt.Println("(gain tracks the reduce share of a round: heavy reduce output hides under the next scan)")
-	fmt.Println()
-	return nil
-}
-
-// faultsJSON is the machine-readable fault-study record
-// (bench/faults.json).
-type faultsJSON struct {
-	Seed     int64             `json:"seed"`
-	Replicas int               `json:"replicas"`
-	Rates    []float64         `json:"rates"`
-	Points   []faultsJSONPoint `json:"points"`
-}
-
-type faultsJSONPoint struct {
-	Rate    float64                       `json:"rate"`
-	Schemes map[string]faultsJSONSchemeRe `json:"schemes"`
-}
-
-type faultsJSONSchemeRe struct {
-	TET            float64 `json:"tetSeconds"`
-	ART            float64 `json:"artSeconds"`
-	Rounds         int     `json:"rounds"`
-	Completed      int     `json:"completed"`
-	Failed         int     `json:"failed"`
-	Retries        int     `json:"retries"`
-	FailedAttempts int     `json:"failedAttempts"`
-	RequeuedRounds int     `json:"requeuedRounds"`
-}
-
-func runFaults(rate float64, seed int64, jsonPath string) error {
-	fmt.Printf("== Fault tolerance: TET/ART degradation under deterministic fault injection (seed %d) ==\n", seed)
-	res, err := experiments.FaultStudy(rate, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %-6s %10s %10s %8s %6s %6s %8s\n", "rate", "scheme", "TET(s)", "ART(s)", "rounds", "done", "fail", "retries")
-	rec := faultsJSON{Seed: res.Seed, Replicas: res.Replicas, Rates: res.Rates}
-	for _, pt := range res.Points {
-		jp := faultsJSONPoint{Rate: pt.Rate, Schemes: make(map[string]faultsJSONSchemeRe)}
-		for _, name := range []string{"s3", "fifo", "mrs1"} {
-			sr, ok := pt.Schemes[name]
-			if !ok {
-				continue
-			}
-			fmt.Printf("%-8.3f %-6s %10.1f %10.1f %8d %6d %6d %8d\n",
-				pt.Rate, name, sr.Summary.TET.Seconds(), sr.Summary.ART.Seconds(),
-				sr.Rounds, sr.Completed, sr.Failed, sr.Faults.Retries)
-			jp.Schemes[name] = faultsJSONSchemeRe{
-				TET:            sr.Summary.TET.Seconds(),
-				ART:            sr.Summary.ART.Seconds(),
-				Rounds:         sr.Rounds,
-				Completed:      sr.Completed,
-				Failed:         sr.Failed,
-				Retries:        sr.Faults.Retries,
-				FailedAttempts: sr.Faults.FailedAttempts,
-				RequeuedRounds: sr.Faults.RequeuedRounds,
-			}
-		}
-		rec.Points = append(rec.Points, jp)
-	}
-	fmt.Println("(2-way replication: one crashed node leaves every block readable, so all jobs finish)")
-	fmt.Println()
-	return writeRecord(jsonPath, rec)
-}
-
-// cacheJSONRec is the machine-readable cache-study record
-// (bench/cache-sweep.json).
-type cacheJSONRec struct {
-	Frac     float64           `json:"frac"`
-	Policies []string          `json:"policies"`
-	Points   []cacheJSONPoint  `json:"points"`
-	Engine   []cacheJSONEngine `json:"engine"`
-}
-
-type cacheJSONPoint struct {
-	Policy       string  `json:"policy"` // "" on the cache-off baseline
-	CacheMB      int     `json:"cacheMB"`
-	TET          float64 `json:"tetSeconds"`
-	ART          float64 `json:"artSeconds"`
-	Rounds       int     `json:"rounds"`
-	CachedBlocks int64   `json:"cachedBlocks"`
-	HitRatio     float64 `json:"hitRatio"`
-	Evictions    int64   `json:"evictions"`
-	Prefetches   int64   `json:"prefetches"`
-}
-
-type cacheJSONEngine struct {
-	Policy           string `json:"policy"`
-	Jobs             int    `json:"jobs"`
-	OutputsIdentical bool   `json:"outputsIdentical"`
-	CacheHits        int64  `json:"cacheHits"`
-	Prefetches       int64  `json:"prefetches"`
-	ColdReads        int64  `json:"coldReads"`
-	WarmReads        int64  `json:"warmReads"`
-}
-
-func runCache(perNodeMB int, frac float64, policy, jsonPath string) error {
-	if perNodeMB <= 0 {
-		return fmt.Errorf("-cachemb must be positive, got %d", perNodeMB)
-	}
-	var policies []string
-	if policy != "all" {
-		if !dfs.ValidPolicy(policy) {
-			return fmt.Errorf("-cachepolicy %q: want one of %v, or all", policy, dfs.Policies())
-		}
-		policies = []string{policy}
-	}
-	fmt.Printf("== Block cache: repeated-arrival workload (sparse pattern, S3), warm reads at %.2fx disk cost ==\n", frac)
-	res, err := experiments.CacheStudy([]int{0, perNodeMB / 2, perNodeMB}, frac, policies)
-	if err != nil {
-		return err
-	}
-	rec := cacheJSONRec{Frac: res.Frac, Policies: res.Policies}
-	fmt.Printf("%-8s %-10s %10s %10s %8s %10s %9s %10s %10s\n", "policy", "cache/node", "TET(s)", "ART(s)", "rounds", "warmReads", "hitRatio", "evictions", "prefetches")
-	for _, pt := range res.Points {
-		name := pt.Policy
-		if name == "" {
-			name = "off"
-		}
-		fmt.Printf("%-8s %7d MB %10.1f %10.1f %8d %10d %8.1f%% %10d %10d\n",
-			name, pt.CacheMB, pt.Summary.TET.Seconds(), pt.Summary.ART.Seconds(),
-			pt.Rounds, pt.CachedBlocks, 100*pt.HitRatio, pt.Evictions, pt.Prefetches)
-		rec.Points = append(rec.Points, cacheJSONPoint{
-			Policy:       pt.Policy,
-			CacheMB:      pt.CacheMB,
-			TET:          pt.Summary.TET.Seconds(),
-			ART:          pt.Summary.ART.Seconds(),
-			Rounds:       pt.Rounds,
-			CachedBlocks: pt.CachedBlocks,
-			HitRatio:     pt.HitRatio,
-			Evictions:    pt.Evictions,
-			Prefetches:   pt.Prefetches,
-		})
-	}
-	for _, eng := range res.Engine {
-		rec.Engine = append(rec.Engine, cacheJSONEngine{
-			Policy:           eng.Policy,
-			Jobs:             eng.Jobs,
-			OutputsIdentical: eng.OutputsIdentical,
-			CacheHits:        eng.CacheHits,
-			Prefetches:       eng.Prefetches,
-			ColdReads:        eng.ColdReads,
-			WarmReads:        eng.WarmReads,
-		})
-		fmt.Printf("engine check [%s]: %d jobs, outputs identical: %v, %d cache hits, %d prefetches (%d cold reads -> %d warm)\n",
-			eng.Policy, eng.Jobs, eng.OutputsIdentical, eng.CacheHits, eng.Prefetches, eng.ColdReads, eng.WarmReads)
-	}
-	fmt.Println("(LRU under a circular scan is a cliff: an undersized cache evicts each block")
-	fmt.Println(" just before the cursor returns; the cursor policy pins and prefetches the")
-	fmt.Println(" scheduler's next segments)")
-	fmt.Println()
-	return writeRecord(jsonPath, rec)
 }
 
 func runAblations() error {

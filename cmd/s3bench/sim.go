@@ -215,7 +215,7 @@ func (c comparison) run(stdout io.Writer) error {
 		if schemes[i], err = experiments.ParseScheme(strings.TrimSpace(spec)); err != nil {
 			return usagef("-sched: %v", err)
 		}
-		if envs[i], err = experiments.NewEnvFile(c.file, c.inputGB, c.blockMB, 1, experiments.NormalModel()); err != nil {
+		if envs[i], err = experiments.NewEnvFile(c.file, c.inputGB, c.blockMB, experiments.NormalModel()); err != nil {
 			return usagef("-inputgb %d with -blockmb %d: %v", c.inputGB, c.blockMB, err)
 		}
 	}

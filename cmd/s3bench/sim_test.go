@@ -15,7 +15,10 @@ const replayFixture = "testdata/replay-fixture.csv"
 // replay` byte for byte. The golden files were captured from the s3sim
 // and s3replay binaries these subcommands replaced, so any drift is a
 // change to the schedulers, the cost model or the tables — refresh with
-// `go test -update` only when that is intended.
+// `go test -update` only when that is intended. sim-taxonomy (§II-B's
+// scheduler taxonomy) and sim-window (time-window MRShare against S3)
+// carry the numbers the retired `-exp taxonomy` and `-exp window`
+// studies printed.
 func TestSubcommandGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -26,6 +29,8 @@ func TestSubcommandGolden(t *testing.T) {
 		{"sim-mrshare", "sim", strings.Fields("-sched s3,mrshare:2:2 -jobs 4 -pattern sparse -blockmb 128")},
 		{"sim-trace", "sim", strings.Fields("-sched s3 -jobs 3 -trace -timeline")},
 		{"sim-cache", "sim", strings.Fields("-sched s3,fifo -cachemb 4096")},
+		{"sim-taxonomy", "sim", strings.Fields("-sched fifo,fair,s3")},
+		{"sim-window", "sim", strings.Fields("-sched s3,window:30:10,window:120:10,window:240:10,window:480:10")},
 		{"replay-perjob", "replay", strings.Fields("-trace " + replayFixture + " -sched s3,fifo,window:120:10 -perjob")},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {

@@ -5,7 +5,7 @@
 // exactly one cycle later — is the textbook adversary for LRU: when the
 // budget is smaller than the cycle, LRU evicts each block just before
 // the cursor comes back to it and the hit ratio collapses to zero
-// (bench/cache-sweep.json's 2GB cliff). The fix is not a bigger cache but a
+// (bench/cache-cliff.jsonl's 2GB/node budget). The fix is not a bigger cache but a
 // scan-aware policy, so the replacement decision is factored out behind
 // EvictionPolicy and two implementations ship:
 //

@@ -178,12 +178,7 @@ func AblationPartialAgg() (AblationResult, error) {
 		name   string
 		enable bool
 	}{{"no-partial-agg", false}, {"partial-agg", true}} {
-		_, exec, res, err := engineWordcount(3, 0, func(_ *dfs.Store, _ *core.S3, exec *mapreduce.Executor) error {
-			if v.enable {
-				exec.EnablePartialAggregation(workload.SumReducer{})
-			}
-			return nil
-		})
+		exec, res, err := engineWordcount(v.enable)
 		if err != nil {
 			return AblationResult{}, err
 		}
@@ -202,6 +197,36 @@ func AblationPartialAgg() (AblationResult, error) {
 		})
 	}
 	return out, nil
+}
+
+// engineWordcount runs X3's real-engine fixture through S^3: three
+// prefix-filtered wordcount jobs, all arriving at once, over a generated
+// 32-block corpus on 8 nodes — with per-round partial aggregation when
+// partialAgg is set.
+func engineWordcount(partialAgg bool) (*mapreduce.Executor, *runtime.Result, error) {
+	const nodes, blocks, blockSize, jobs = 8, 32, 4 << 10, 3
+	store := dfs.MustStore(nodes, 1)
+	f, err := workload.AddTextFile(store, "corpus", blocks, blockSize, 3)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := dfs.PlanSegments(f, nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	specs := make(map[scheduler.JobID]mapreduce.JobSpec)
+	var arrivals []runtime.Arrival
+	for i, prefix := range workload.DistinctPrefixes(jobs) {
+		id := scheduler.JobID(i + 1)
+		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefix, 2)
+		arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}})
+	}
+	exec := mapreduce.NewExecutor(mapreduce.NewEngine(mapreduce.MustCluster(store, 1)), specs)
+	if partialAgg {
+		exec.EnablePartialAggregation(workload.SumReducer{})
+	}
+	res, err := runtime.RunTrace(core.New(plan, nil), exec, arrivals, runtime.Options{})
+	return exec, res, err
 }
 
 // AllAblations runs every ablation under p.

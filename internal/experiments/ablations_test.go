@@ -5,11 +5,9 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
-	"s3sched/internal/vclock"
 )
 
 func TestAblationSlotChecking(t *testing.T) {
@@ -135,43 +133,21 @@ func TestAllAblations(t *testing.T) {
 	}
 }
 
+// TestWindowStudy: the beyond-paper window study (s3bench sim -sched
+// s3,window:30:10,…): no window length recovers S^3's response times —
+// short windows forfeit sharing, long ones re-create MRShare's waiting.
 func TestWindowStudy(t *testing.T) {
-	rows, err := WindowStudy(DefaultParams(), []vclock.Duration{30, 120, 480})
+	p := DefaultParams()
+	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1),
+		schemes("s3", "window-30=window:30:10", "window-120=window:120:10", "window-480=window:480:10"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || rows[0].Scheme != "s3" {
-		t.Fatalf("rows = %+v", rows)
-	}
-	s3 := rows[0]
-	for _, r := range rows[1:] {
-		// No window setting recovers S^3's ART.
-		if r.ART <= s3.ART {
-			t.Errorf("%s ART %v should exceed S3 %v", r.Scheme, r.ART, s3.ART)
+	s3 := runs[0].Summary
+	for _, run := range runs[1:] {
+		if run.Summary.ART <= s3.ART {
+			t.Errorf("%s ART %v should exceed S3 %v", run.Summary.Scheme, run.Summary.ART, s3.ART)
 		}
-	}
-	if _, err := WindowStudy(DefaultParams(), nil); err == nil {
-		t.Error("empty window list should fail")
-	}
-}
-
-func TestDistributedScanSavings(t *testing.T) {
-	res, err := DistributedScanSavings(DefaultDistributedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OutputAgree {
-		t.Error("S3 and FIFO outputs differ on the distributed substrate")
-	}
-	// All jobs arrive together: S3 shares one pass, FIFO scans per job.
-	if res.S3Reads != int64(res.Blocks) {
-		t.Errorf("S3 cluster reads = %d, want %d", res.S3Reads, res.Blocks)
-	}
-	if res.FIFOReads != int64(res.Blocks*res.Jobs) {
-		t.Errorf("FIFO cluster reads = %d, want %d", res.FIFOReads, res.Blocks*res.Jobs)
-	}
-	if _, err := DistributedScanSavings(DistributedConfig{}); err == nil {
-		t.Error("zero config should fail")
 	}
 }
 
@@ -264,16 +240,15 @@ func TestEstimatorStudyAccurate(t *testing.T) {
 	}
 }
 
+// TestTaxonomyStudy: §II-B's scheduler taxonomy measured on the sparse
+// normal workload (s3bench sim -sched fifo,fair,s3).
 func TestTaxonomyStudy(t *testing.T) {
-	rows, err := TaxonomyStudy(DefaultParams())
+	p := DefaultParams()
+	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), schemes("fifo", "fair", "s3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]metrics.Summary{}
-	for _, r := range rows {
-		byName[r.Scheme] = r
-	}
-	fifo, fair, s3 := byName["fifo"], byName["fair"], byName["s3"]
+	fifo, fair, s3 := runs[0].Summary, runs[1].Summary, runs[2].Summary
 	// Fair scheduling runs every scan separately, so its TET stays at
 	// FIFO's level — §II-B's "this misses sharing opportunities".
 	if r := fair.TET.Seconds() / fifo.TET.Seconds(); r < 0.95 || r > 1.05 {

@@ -220,22 +220,29 @@ func TestRunCompareRejects(t *testing.T) {
 	}
 }
 
+// committedWorkload parses bench/<name>.jsonl, one of the workload
+// files the CI perf gate runs.
+func committedWorkload(t *testing.T, name string) *workload.File {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "bench", name+".jsonl"))
+	if err != nil {
+		t.Fatalf("%s workload: %v", name, err)
+	}
+	defer f.Close()
+	wf, err := workload.ParseFile(f)
+	if err != nil {
+		t.Fatalf("ParseFile %s: %v", name, err)
+	}
+	return wf
+}
+
 // TestCanonicalWorkloadOrdering runs the committed canonical workload
 // (the one the CI perf gate diffs against bench/baseline.json) and
 // asserts the paper's headline result holds on it: on a sparse arrival
 // pattern, S3's shared circular scan beats MRShare's batch-everything,
 // which beats FIFO's scan-per-job, on both TET and ART.
 func TestCanonicalWorkloadOrdering(t *testing.T) {
-	f, err := os.Open(filepath.Join("..", "..", "bench", "canonical.jsonl"))
-	if err != nil {
-		t.Fatalf("canonical workload: %v", err)
-	}
-	defer f.Close()
-	wf, err := workload.ParseFile(f)
-	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
-	}
-	rep, err := RunCompare(wf, CompareOptions{
+	rep, err := RunCompare(committedWorkload(t, "canonical"), CompareOptions{
 		Engines:   []string{benchfmt.EngineSim},
 		Pipelines: []bool{false},
 		Caches:    []bool{false},
@@ -286,5 +293,114 @@ func TestRunCompareFaultWorkload(t *testing.T) {
 	simCell := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
 	if simCell == nil || simCell.FaultRetries == 0 {
 		t.Fatalf("sim cell priced no retries at 5%% fault rate: %+v", simCell)
+	}
+}
+
+// TestCacheCliffWorkload runs bench/cache-cliff.jsonl: at a per-node
+// budget half a node's share of the scan cycle — where LRU scores no
+// hits at all — the cursor policy, fed S3's scan hints, still serves
+// nearly every block warm, and the cached run is faster than the
+// uncached one, serial and pipelined.
+func TestCacheCliffWorkload(t *testing.T) {
+	rep, err := RunCompare(committedWorkload(t, "cache-cliff"), CompareOptions{Schedulers: []string{"s3"}})
+	if err != nil {
+		t.Fatalf("RunCompare: %v", err)
+	}
+	for _, pipe := range []bool{false, true} {
+		key := benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim, Pipeline: pipe}
+		off := rep.Cell(key)
+		key.Cache = true
+		on := rep.Cell(key)
+		if off == nil || on == nil {
+			t.Fatalf("pipeline=%v: missing cache cells", pipe)
+		}
+		if on.CacheHitRatio < 0.9 {
+			t.Errorf("%s: cursor hit ratio %.3f, want >= 0.9", on.Key, on.CacheHitRatio)
+		}
+		if on.TET >= off.TET {
+			t.Errorf("%s: TET %.3f not below the uncached %.3f", on.Key, on.TET, off.TET)
+		}
+	}
+}
+
+// TestFaultWorkload runs bench/faults.jsonl: with 2-way replication and
+// a 2 % transient block-failure rate every job of every cell finishes,
+// the serial cells price retries, and faults slow S3 down without
+// inverting its lead over FIFO.
+func TestFaultWorkload(t *testing.T) {
+	wf := committedWorkload(t, "faults")
+	rep, err := RunCompare(wf, CompareOptions{})
+	if err != nil {
+		t.Fatalf("RunCompare: %v", err)
+	}
+	for _, c := range rep.Cells {
+		if len(c.Jobs) != len(wf.Jobs) {
+			t.Errorf("%s: %d of %d jobs finished", c.Key, len(c.Jobs), len(wf.Jobs))
+		}
+		if !c.Key.Pipeline && c.FaultRetries == 0 {
+			t.Errorf("%s: no retries at a 2%% fault rate", c.Key)
+		}
+	}
+	s3 := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
+	fifo := rep.Cell(benchfmt.CellKey{Scheduler: "fifo", Engine: benchfmt.EngineSim})
+	if s3 == nil || fifo == nil || s3.TET >= fifo.TET {
+		t.Errorf("S3 does not beat FIFO under faults: s3 %+v, fifo %+v", s3, fifo)
+	}
+}
+
+// TestPipelinedCellsPriceFaults: a pipelined sim run pays for the fault
+// model like a serial one — its cells count retries and take longer
+// than the same cells with the fault rate at zero.
+func TestPipelinedCellsPriceFaults(t *testing.T) {
+	faulty, clean := committedWorkload(t, "faults"), committedWorkload(t, "faults")
+	clean.Header.FaultRate = 0
+	opts := CompareOptions{Pipelines: []bool{true}}
+	rep, err := RunCompare(faulty, opts)
+	if err != nil {
+		t.Fatalf("RunCompare: %v", err)
+	}
+	twins, err := RunCompare(clean, opts)
+	if err != nil {
+		t.Fatalf("RunCompare fault-free: %v", err)
+	}
+	if len(rep.Cells) == 0 {
+		t.Fatal("no pipelined cells")
+	}
+	for _, c := range rep.Cells {
+		twin := twins.Cell(c.Key)
+		if twin == nil {
+			t.Fatalf("%s: no fault-free twin", c.Key)
+		}
+		if c.FaultRetries == 0 || c.TET <= twin.TET {
+			t.Errorf("%s: %d retries, TET %.3f against %.3f fault-free; faults went unpriced",
+				c.Key, c.FaultRetries, c.TET, twin.TET)
+		}
+	}
+}
+
+// TestWorkloadPipelining: on the four gated workloads no pipeline=on
+// cell is slower than its serial twin, and where reduce dominates
+// (bench/heavy-reduce.jsonl) overlapping round N's reduce with round
+// N+1's scan cuts S3's TET by a fifth or more.
+func TestWorkloadPipelining(t *testing.T) {
+	for _, name := range []string{"canonical", "dense", "heavy-reduce", "dag"} {
+		rep, err := RunCompare(committedWorkload(t, name), CompareOptions{Engines: []string{benchfmt.EngineSim}})
+		if err != nil {
+			t.Fatalf("%s: RunCompare: %v", name, err)
+		}
+		for _, c := range rep.Cells {
+			if !c.Key.Pipeline {
+				continue
+			}
+			serialKey := c.Key
+			serialKey.Pipeline = false
+			serial := rep.Cell(serialKey)
+			if c.TET > serial.TET {
+				t.Errorf("%s %s: pipelined TET %.3f exceeds serial %.3f", name, c.Key, c.TET, serial.TET)
+			}
+			if name == "heavy-reduce" && c.Key.Scheduler == "s3" && c.TET > 0.8*serial.TET {
+				t.Errorf("%s %s: pipelined TET %.3f, want <= 80%% of serial %.3f", name, c.Key, c.TET, serial.TET)
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ func TwoJobExample(scheme string, offset vclock.Time) (tet, art vclock.Duration,
 	if err != nil {
 		return 0, 0, err
 	}
-	env, err := buildEnv("input", 1, 1, 1, 10, 64<<20, sim.CostModel{ScanMBps: 6.4})
+	env, err := buildEnv("input", 1, 1, 10, 64<<20, sim.CostModel{ScanMBps: 6.4})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -78,24 +78,22 @@ type Env struct {
 // Nodes nodes over a metadata-only file "input" of inputGB gigabytes
 // in blockMB-megabyte blocks, segmented at one block per map slot.
 func NewEnv(inputGB, blockMB int, model sim.CostModel) (*Env, error) {
-	return NewEnvFile("input", inputGB, blockMB, 1, model)
+	return NewEnvFile("input", inputGB, blockMB, model)
 }
 
-// NewEnvFile is NewEnv with an explicit file name and replication
-// factor. The fault study uses replicas >= 2 so a single crashed node
-// leaves every block readable from a surviving holder; a replayed
-// trace names its own file.
-func NewEnvFile(file string, inputGB, blockMB, replicas int, model sim.CostModel) (*Env, error) {
+// NewEnvFile is NewEnv with an explicit file name: a replayed trace
+// names its own file.
+func NewEnvFile(file string, inputGB, blockMB int, model sim.CostModel) (*Env, error) {
 	if inputGB <= 0 || blockMB <= 0 {
 		return nil, fmt.Errorf("experiments: invalid sizes inputGB=%d blockMB=%d", inputGB, blockMB)
 	}
-	return buildEnv(file, Nodes, SlotsPerNode, replicas, inputGB*1024/blockMB, int64(blockMB)<<20, model)
+	return buildEnv(file, Nodes, SlotsPerNode, inputGB*1024/blockMB, int64(blockMB)<<20, model)
 }
 
-// buildEnv registers a metadata-only file of numBlocks blocks on a
-// fresh store and segments it at one block per map slot.
-func buildEnv(file string, nodes, slots, replicas, numBlocks int, blockBytes int64, model sim.CostModel) (*Env, error) {
-	store, err := dfs.NewStore(nodes, replicas)
+// buildEnv registers an unreplicated metadata-only file of numBlocks
+// blocks on a fresh store and segments it at one block per map slot.
+func buildEnv(file string, nodes, slots, numBlocks int, blockBytes int64, model sim.CostModel) (*Env, error) {
+	store, err := dfs.NewStore(nodes, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,14 +134,14 @@ type SimRun struct {
 }
 
 // Tune adjusts a run's freshly built scheduler and executor before the
-// first arrival: cache, scan hints, fault model.
+// first arrival (s3bench sim's block cache).
 type Tune func(sched scheduler.Scheduler, exec *sim.Executor) error
 
 // Simulate is the one virtual-time run every study and CLI repeats:
 // build scheme's scheduler over env's plan (log receives its decision
 // trace; nil for none), replay arrivals through a fresh simulator
 // executor over env, and summarize under the scheme's name. env must be
-// fresh when the run mutates it (cache, faults); tune may be nil.
+// fresh when the run mutates it (cache); tune may be nil.
 func Simulate(env *Env, scheme SchemeSpec, log *trace.Log, arrivals []runtime.Arrival, opts runtime.Options, tune Tune) (SimRun, error) {
 	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, log)
 	if err != nil {
@@ -181,20 +179,6 @@ func simulateAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]
 		}
 	}
 	return runs, nil
-}
-
-// summarizeAll is simulateAll for the studies that report nothing but
-// each scheme's summary.
-func summarizeAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]metrics.Summary, error) {
-	runs, err := simulateAll(p, arrivals, schemes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]metrics.Summary, len(runs))
-	for i, run := range runs {
-		out[i] = run.Summary
-	}
-	return out, nil
 }
 
 // PanelResult is one Figure 4 panel: all schemes, normalized to S^3.

@@ -11,11 +11,11 @@ import (
 // TestParseScheme holds every spelling either former CLI parser
 // (s3sim's, s3replay's) accepted, and every rejection of both.
 func TestParseScheme(t *testing.T) {
-	env, err := buildEnv("input", 4, 1, 1, 8, 64<<20, NormalModel())
+	env, err := buildEnv("input", 4, 1, 8, 64<<20, NormalModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := buildEnv("other", 4, 1, 1, 8, 64<<20, NormalModel())
+	other, err := buildEnv("other", 4, 1, 8, 64<<20, NormalModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSchemesLabel(t *testing.T) {
 	if list[0].Name != "s3" || list[1].Name != "mrs2" {
 		t.Fatalf("names = %q, %q", list[0].Name, list[1].Name)
 	}
-	env, err := buildEnv("input", 4, 1, 1, 8, 64<<20, NormalModel())
+	env, err := buildEnv("input", 4, 1, 8, 64<<20, NormalModel())
 	if err != nil {
 		t.Fatal(err)
 	}

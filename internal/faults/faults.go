@@ -13,8 +13,7 @@
 //
 // The injector plugs into both substrates: dfs.Store.SetReadFault
 // accepts Injector.FailRead for the real engine, and the simulator's
-// FaultModel uses the same Roll hash for its priced failures and the
-// Crash type for its node-down windows.
+// FaultModel uses the same Roll hash for its priced failures.
 package faults
 
 import (
@@ -23,16 +22,7 @@ import (
 	"sync/atomic"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/vclock"
 )
-
-// Crash is one node-down window: the node is unavailable during
-// [From, To) of virtual time (see sim.FaultModel).
-type Crash struct {
-	Node dfs.NodeID
-	From vclock.Time
-	To   vclock.Time
-}
 
 // Config parameterizes an Injector.
 type Config struct {

@@ -139,30 +139,6 @@ func (c *Collector) RoundStages() []RoundStages {
 	return out
 }
 
-// PipelineOverlap totals the reduce-stage time that ran concurrently
-// with a later round's map stage — the work the serial runtime would
-// have serialized. It is the sum over rounds of the overlap between
-// [ReduceStart, ReduceEnd] and any later round's [MapStart, MapEnd].
-func (c *Collector) PipelineOverlap() vclock.Duration {
-	var total vclock.Duration
-	for i, rs := range c.stages {
-		for _, later := range c.stages[i+1:] {
-			lo := rs.ReduceStart
-			if later.MapStart > lo {
-				lo = later.MapStart
-			}
-			hi := rs.ReduceEnd
-			if later.MapEnd < hi {
-				hi = later.MapEnd
-			}
-			if hi > lo {
-				total += hi.Sub(lo)
-			}
-		}
-	}
-	return total
-}
-
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{

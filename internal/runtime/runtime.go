@@ -43,23 +43,6 @@ type ExecutorFunc func(r scheduler.Round) (vclock.Duration, error)
 // ExecRound calls f.
 func (f ExecutorFunc) ExecRound(r scheduler.Round) (vclock.Duration, error) { return f(r) }
 
-// TimedExecutor is implemented by executors whose failure behavior
-// depends on the current virtual time (e.g. the simulator's crash
-// windows). The serial policy calls ExecRoundAt with the round's
-// launch time when available.
-type TimedExecutor interface {
-	ExecRoundAt(r scheduler.Round, now vclock.Time) (vclock.Duration, error)
-}
-
-// TimeSensitive refines TimedExecutor for executors whose ExecRoundAt
-// only sometimes differs from ExecRound (the simulator is
-// time-dependent only while a fault model is installed). When it
-// reports false, the serial policy is free to use the telemetry
-// stage-split path instead of ExecRoundAt.
-type TimeSensitive interface {
-	TimeDependent() bool
-}
-
 // FailureReporter is implemented by executors that isolate per-job
 // failures: a round may succeed while individual jobs' map/reduce code
 // failed. The engine drains the reports after each round, fails those

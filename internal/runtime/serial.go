@@ -28,19 +28,7 @@ func (p *serialPolicy) launch(r scheduler.Round, launch vclock.Time) error {
 	var dur, mapDur, redDur vclock.Duration
 	var err error
 	split := false
-	te, timed := e.exec.(TimedExecutor)
-	if timed && e.tele.active() {
-		// An executor that knows it is currently time-independent
-		// frees the telemetry path to split stages.
-		if ts, ok := e.exec.(TimeSensitive); ok && !ts.TimeDependent() {
-			if _, staged := e.exec.(StageExecutor); staged {
-				timed = false
-			}
-		}
-	}
-	if timed {
-		dur, err = te.ExecRoundAt(r, launch)
-	} else if se, staged := e.exec.(StageExecutor); staged && e.tele.active() {
+	if se, staged := e.exec.(StageExecutor); staged && e.tele.active() {
 		// Telemetry wants per-stage timings. ExecMapStage + stage()
 		// is the same computation ExecRound performs (the
 		// StageExecutor contract), just with the boundary visible.

@@ -4,117 +4,62 @@ import (
 	"errors"
 	"testing"
 
-	"s3sched/internal/dfs"
-	"s3sched/internal/faults"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
 
-func setupReplicated(t *testing.T, nodes, replicas, blocks int, blockSize int64) (*Cluster, *dfs.Store, *dfs.SegmentPlan) {
-	t.Helper()
-	store, err := dfs.NewStore(nodes, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := store.AddMetaFile("input", blocks, blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dfs.PlanSegments(f, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewCluster(nodes, 1), store, plan
-}
-
-// TestCrashWithoutReplicaLosesRound: with single replication, a crash
-// window covering a block's only holder loses the round; Elapsed is
-// the wait until the holder recovers.
-func TestCrashWithoutReplicaLosesRound(t *testing.T) {
-	cluster, store, plan := setup(t, 4, 8, 64*mb)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	r := round(plan, 0, meta(1, 1, 1))
-	victim := store.Locations(r.Blocks[0])[0]
-	err := ex.SetFaultModel(FaultModel{
-		MaxAttempts: 1,
-		Crashes:     []faults.Crash{{Node: victim, From: 100, To: 160}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := ex.ExecRoundAt(r, 120)
-	var lost *scheduler.RoundLostError
-	if !errors.As(rerr, &lost) {
-		t.Fatalf("error = %v, want *RoundLostError", rerr)
-	}
-	almost(t, "elapsed", lost.Elapsed.Seconds(), 40) // 160 - 120
-
-	// After the window the same round succeeds.
-	if _, rerr := ex.ExecRoundAt(r, 160); rerr != nil {
-		t.Fatalf("round still failing after recovery: %v", rerr)
-	}
-}
-
-// TestCrashWithReplicaSurvives: with 2-way replication a single crash
-// leaves a holder for every block, so the round completes — slower,
-// because the cluster lost a node's slots and locality.
-func TestCrashWithReplicaSurvives(t *testing.T) {
-	cluster, store, plan := setupReplicated(t, 4, 2, 8, 64*mb)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	r := round(plan, 0, meta(1, 1, 1))
-	base, err := ex.ExecRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.SetFaultModel(FaultModel{
-		MaxAttempts: 1,
-		Crashes:     []faults.Crash{{Node: 0, From: 0, To: 1000}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	dur, rerr := ex.ExecRoundAt(r, 10)
-	if rerr != nil {
-		t.Fatalf("round lost despite surviving replicas: %v", rerr)
-	}
-	if dur < base {
-		t.Errorf("crashed-node round took %v, want >= fault-free %v", dur, base)
-	}
-}
-
 // TestTransientRetriesExtendRound: a high failure rate forces retried
 // attempts which add RetrySec each to the round duration, and the
-// stats count them.
+// stats count them. The stage-split path rolls the same schedule and
+// charges the retries to the map stage, so a pipelined run pays for its
+// faults like a serial one.
 func TestTransientRetriesExtendRound(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 16, 64*mb)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
+	model := CostModel{ScanMBps: 64, ReducePerRound: 3}
 	r := round(plan, 0, meta(1, 1, 1))
-	base, err := ex.ExecRound(r)
+	base, err := NewExecutor(cluster, store, model).ExecRound(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.SetFaultModel(FaultModel{
-		Seed:          1,
-		BlockFailRate: 0.5,
-		MaxAttempts:   10,
-		RetrySec:      5,
-	}); err != nil {
-		t.Fatal(err)
+	for _, staged := range []bool{false, true} {
+		ex := NewExecutor(cluster, store, model)
+		if err := ex.SetFaultModel(FaultModel{
+			Seed:          1,
+			BlockFailRate: 0.5,
+			MaxAttempts:   10,
+			RetrySec:      5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var dur vclock.Duration
+		var rerr error
+		if staged {
+			var mapDur vclock.Duration
+			var stage func() (vclock.Duration, error)
+			if mapDur, stage, rerr = ex.ExecMapStage(r); rerr == nil {
+				var redDur vclock.Duration
+				redDur, rerr = stage()
+				almost(t, "reduce stage", redDur.Seconds(), 3)
+				dur = mapDur + redDur
+			}
+		} else {
+			dur, rerr = ex.ExecRound(r)
+		}
+		if rerr != nil {
+			t.Fatalf("staged=%v: round lost: %v", staged, rerr)
+		}
+		st := ex.FaultStats()
+		if st.Retries == 0 {
+			t.Fatalf("staged=%v: rate 0.5 over 4 blocks rolled zero retries; schedule changed?", staged)
+		}
+		almost(t, "duration", dur.Seconds(), base.Seconds()+float64(st.Retries)*5)
 	}
-	dur, rerr := ex.ExecRoundAt(r, 0)
-	if rerr != nil {
-		t.Fatalf("round lost: %v", rerr)
-	}
-	st := ex.FaultStats()
-	if st.Retries == 0 {
-		t.Fatal("rate 0.5 over 4 blocks rolled zero retries; schedule changed?")
-	}
-	almost(t, "duration", dur.Seconds(), base.Seconds()+float64(st.Retries)*5)
 }
 
-// TestExecRoundAtDeterministic: two executors with equal models replay
+// TestFaultScheduleDeterministic: two executors with equal models replay
 // identical durations, errors, and counters across a round sequence —
 // the acceptance criterion for reproducible fault schedules.
-func TestExecRoundAtDeterministic(t *testing.T) {
+func TestFaultScheduleDeterministic(t *testing.T) {
 	run := func() ([]float64, []string, int) {
 		cluster, store, plan := setup(t, 4, 16, 64*mb)
 		ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64, MapMBps: 128})
@@ -123,22 +68,19 @@ func TestExecRoundAtDeterministic(t *testing.T) {
 			BlockFailRate: 0.3,
 			MaxAttempts:   3,
 			RetrySec:      5,
-			Crashes:       []faults.Crash{{Node: 1, From: 20, To: 60}},
 		}); err != nil {
 			t.Fatal(err)
 		}
 		var durs []float64
 		var errs []string
-		now := vclock.Time(0)
 		for seg := 0; seg < 8; seg++ {
 			r := round(plan, seg%4, meta(1, 1, 1), meta(2, 2, 1))
-			d, err := ex.ExecRoundAt(r, now)
+			d, err := ex.ExecRound(r)
 			if err != nil {
 				errs = append(errs, err.Error())
 				continue
 			}
 			durs = append(durs, d.Seconds())
-			now = now.Add(d)
 		}
 		return durs, errs, ex.FaultStats().Retries
 	}
@@ -177,7 +119,7 @@ func TestRequeuedRoundRerollsAttempts(t *testing.T) {
 	r := round(plan, 0, meta(1, 1, 1))
 	lostOnce, succeeded := false, false
 	for i := 0; i < 64 && !(lostOnce && succeeded); i++ {
-		_, err := ex.ExecRoundAt(r, vclock.Time(float64(i)))
+		_, err := ex.ExecRound(r)
 		if err != nil {
 			var lost *scheduler.RoundLostError
 			if !errors.As(err, &lost) {

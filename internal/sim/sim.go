@@ -153,7 +153,6 @@ type Stats struct {
 	BlocksScanned int64 // physical block scans (cached reads excluded)
 	MapTasks      int64 // per-job per-block tasks
 	RemoteBlocks  int64 // blocks scanned with no replica holder in the round
-	CachedBlocks  int64 // block reads served from the warm set
 	SimTime       vclock.Duration
 }
 
@@ -167,12 +166,10 @@ type Executor struct {
 	stats Stats
 
 	// Failure-model state (see faults.go). fm is nil when no model is
-	// installed; downNow holds the nodes crashed at the round being
-	// priced, set only for the duration of an ExecRoundAt call.
+	// installed.
 	fm       *FaultModel
 	roundSeq int
 	fstats   metrics.FaultStats
-	downNow  map[int]bool
 
 	// cache is the warm-set pricing model (see cache.go); nil when
 	// cache-aware pricing is off.
@@ -202,27 +199,28 @@ func (e *Executor) ResetStats() {
 
 // ExecRound implements runtime.Executor.
 func (e *Executor) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	mapSec, redSec, err := e.price(r)
+	mapSec, redSec, retrySec, err := e.price(r)
 	if err != nil {
 		return 0, err
 	}
-	return vclock.Duration(mapSec + redSec), nil
+	return vclock.Duration(mapSec + redSec + retrySec), nil
 }
 
 // ExecMapStage implements runtime.StageExecutor (without importing
 // runtime: the stage is returned as the alias's underlying func type).
 // The cost model prices both stages at map end — the reduce cost is a
 // pure function of the round — so the returned stage only reports the
-// precomputed duration. Stats are charged here, on the driver's
-// goroutine; the closure touches no executor state and is safe to run
-// concurrently with later rounds' pricing.
+// precomputed duration; retried scans lengthen the map stage. Stats are
+// charged here, on the round loop's goroutine; the closure touches no
+// executor state and is safe to run concurrently with later rounds'
+// pricing.
 func (e *Executor) ExecMapStage(r scheduler.Round) (vclock.Duration, func() (vclock.Duration, error), error) {
-	mapSec, redSec, err := e.price(r)
+	mapSec, redSec, retrySec, err := e.price(r)
 	if err != nil {
 		return 0, nil, err
 	}
 	stage := func() (vclock.Duration, error) { return vclock.Duration(redSec), nil }
-	return vclock.Duration(mapSec), stage, nil
+	return vclock.Duration(mapSec + retrySec), stage, nil
 }
 
 // TimelessStages tells the pipelined runtime the stage above costs no
@@ -230,10 +228,12 @@ func (e *Executor) ExecMapStage(r scheduler.Round) (vclock.Duration, func() (vcl
 func (e *Executor) TimelessStages() {}
 
 // price computes the round's map-stage and reduce-stage costs in
-// seconds and charges the work counters.
-func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) {
+// seconds, rolls its transient faults under the fault model (retrySec
+// is what their retries add to the map stage; a round whose block
+// exhausts its attempts is lost) and charges the work counters.
+func (e *Executor) price(r scheduler.Round) (mapSec, redSec, retrySec float64, err error) {
 	if len(r.Jobs) == 0 || len(r.Blocks) == 0 {
-		return 0, 0, fmt.Errorf("sim: empty round (jobs=%d blocks=%d)", len(r.Jobs), len(r.Blocks))
+		return 0, 0, 0, fmt.Errorf("sim: empty round (jobs=%d blocks=%d)", len(r.Jobs), len(r.Blocks))
 	}
 	used := e.cluster.nodes
 	if len(r.Nodes) > 0 {
@@ -242,23 +242,13 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 		used = make([]*Node, 0, len(r.Nodes))
 		for _, id := range r.Nodes {
 			if int(id) < 0 || int(id) >= len(e.cluster.nodes) {
-				return 0, 0, fmt.Errorf("sim: round names unknown node %d", id)
+				return 0, 0, 0, fmt.Errorf("sim: round names unknown node %d", id)
 			}
 			used = append(used, e.cluster.nodes[id])
 		}
 	}
-	if len(e.downNow) > 0 {
-		// Crashed nodes run no tasks this round (see faults.go).
-		up := used[:0:0]
-		for _, nd := range used {
-			if !e.downNow[nd.ID] {
-				up = append(up, nd)
-			}
-		}
-		used = up
-	}
-	if len(used) == 0 {
-		return 0, 0, fmt.Errorf("sim: no usable nodes")
+	if retrySec, err = e.rollFaults(r); err != nil {
+		return 0, 0, 0, err
 	}
 
 	usedSet := make(map[int]bool, len(used))
@@ -274,7 +264,7 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 	for _, b := range r.Blocks {
 		f, ferr := e.store.File(b.File)
 		if ferr != nil {
-			return 0, 0, ferr
+			return 0, 0, 0, ferr
 		}
 		size := f.BlockLen(b.Index)
 		mb := float64(size) / (1 << 20)
@@ -356,9 +346,8 @@ func (e *Executor) price(r scheduler.Round) (mapSec, redSec float64, err error) 
 	e.stats.BlocksScanned += int64(len(r.Blocks)) - cached
 	e.stats.MapTasks += int64(len(r.Blocks) * len(r.Jobs))
 	e.stats.RemoteBlocks += remote
-	e.stats.CachedBlocks += cached
 	e.stats.SimTime += vclock.Duration(mapSec + redSec)
-	return mapSec, redSec, nil
+	return mapSec, redSec, retrySec, nil
 }
 
 // blockLocal reports whether any replica holder of b is in the round's

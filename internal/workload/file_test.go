@@ -106,6 +106,9 @@ func TestParseFileErrors(t *testing.T) {
 		{"emit factor on plain", header + file + strings.Replace(job, `"param":"t"`, `"param":"t","emitFactor":2`, 1), 0, "emitFactor"},
 		{"bad replicas", strings.Replace(header, `"replicas":1`, `"replicas":3`, 1) + file + job, 0, "replicas"},
 		{"bad fault rate", strings.Replace(header, `"nodes":2`, `"nodes":2,"faultRate":1.5`, 1) + file + job, 0, "fault rate"},
+		{"negative fault rate", strings.Replace(header, `"nodes":2`, `"nodes":2,"faultRate":-0.1`, 1) + file + job, 0, "fault rate"},
+		{"negative cache budget", strings.Replace(header, `"nodes":2`, `"nodes":2,"cacheMBPerNode":-1`, 1) + file + job, 0, "cache budget"},
+		{"bad cache fraction", strings.Replace(header, `"nodes":2`, `"nodes":2,"cacheFrac":1.5`, 1) + file + job, 0, "cache fraction"},
 		{"bad cost", strings.Replace(header, `"nodes":2`, `"nodes":2,"cost":{"scanMBps":-1}`, 1) + file + job, 0, "ScanMBps"},
 	}
 	for _, tc := range cases {
