@@ -305,6 +305,29 @@ func BenchmarkMapBlockWordcount(b *testing.B) {
 	benchMapBlock(b, workload.NewTextGen(1).Block(0, 256<<10), workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{})
 }
 
+// BenchmarkMapBlockWordcountMix is the map work a wc-shared worker runs
+// for one round's worth of distinct jobs: all 16 DistinctPrefixes over
+// eight 256 KB text blocks, one (block, job) unit each, as in the
+// benchmark's cluster (a NumReduce of 2, the summing combiner).
+func BenchmarkMapBlockWordcountMix(b *testing.B) {
+	gen, prefixes := workload.NewTextGen(1), workload.DistinctPrefixes(16)
+	blocks := make([][]byte, 8)
+	for i := range blocks {
+		blocks[i] = gen.Block(i, 256<<10)
+	}
+	b.SetBytes(int64(len(blocks) * len(prefixes) * 256 << 10))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, data := range blocks {
+			for _, prefix := range prefixes {
+				if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, workload.PatternCountMapper{Prefix: prefix}, workload.SumReducer{}, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMapBlockSelection is the same task for the 10% selection
 // over a 256 KB lineitem block: no combiner, rows emitted straight
 // into the partitions.

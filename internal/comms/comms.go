@@ -105,9 +105,11 @@ type MemberEvent struct {
 // / ShuffleFetchedBytes what it gave to and took from peers reducing.
 // ResultBytes / ResultEntries are the reduce output frames it keeps,
 // ResultEvictions those it dropped, ResultServedBytes what the master read.
-// MapTasks counts (block, job) map units, MapPasses the (block, group)
-// passes over the records that served them: their ratio is how many jobs
-// one parse of a record fed.
+// MapTasks counts (block, job) map units, MapPasses the passes over a
+// block's records that served them. A pass parses a block once for one
+// group of a task's jobs: all its selections, or its word counts of one
+// prefix; any other job has a pass of its own. Their ratio is how many
+// jobs one parse of a record fed.
 type WireStats struct {
 	BlockReads          int64
 	BytesScanned        int64

@@ -198,8 +198,8 @@ func TestRejectedFoldKillsOnlyItsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed := res.Metrics.Failed(); len(failed) != 1 || failed[0] != 2 {
-		t.Fatalf("failed = %v, want [2]", failed)
+	if _, err := res.Metrics.ResponseTime(2); err == nil || res.Metrics.FaultStats().FailedJobs != 1 || len(res.Metrics.Incomplete()) != 0 {
+		t.Fatalf("job 2 completed: %v; %d jobs failed, %v incomplete; want job 2 alone failed", err == nil, res.Metrics.FaultStats().FailedJobs, res.Metrics.Incomplete())
 	}
 	if _, ok := exec.Result(2); ok {
 		t.Error("the failed job has a result")

@@ -40,15 +40,18 @@ type Folder interface {
 }
 
 // SharedMapper is the optional second contract of a Mapper: one pass over
-// a block's records serves several mappers of its own dynamic type — the
-// jobs of a merged map task — so each record is parsed once for all of
-// them. emit tags a record with the position in mappers of the job that
-// keeps it; a record several jobs keep may be emitted to each as the same
-// KV, strings being immutable. An error fails every job of the pass. For
-// one mapper it emits exactly what Map does.
+// a block's records serves several mappers — the jobs of a merged map
+// task — so each record is parsed once for all of them. SharesPass says
+// which mappers may join a pass this one leads; MapShared is called on
+// the first of them and handed them all. emit(job, kv, n) stands for n
+// emits of kv to the job at that position in mappers (n >= 1); a record
+// several jobs keep may be emitted to each as the same KV, strings being
+// immutable. An error fails every job of the pass. For one mapper it
+// emits what Map does, in any order.
 type SharedMapper interface {
 	Mapper
-	MapShared(block dfs.BlockID, data []byte, mappers []Mapper, emit func(job int, kv KV)) error
+	SharesPass(other Mapper) bool
+	MapShared(block dfs.BlockID, data []byte, mappers []Mapper, emit func(job int, kv KV, n int)) error
 }
 
 // MapperFunc adapts a function to the Mapper interface.
@@ -166,7 +169,7 @@ func (r *Running) Compact(combiner Reducer) error {
 		}
 		table := newCombineTable(combiner)
 		for _, kv := range records {
-			table.add(kv)
+			table.add(kv, 1)
 		}
 		compacted := make([]KV, 0, len(table.groups))
 		err := table.fold(func(kv KV) { compacted = append(compacted, kv) })

@@ -267,7 +267,7 @@ func TestCombineHelper(t *testing.T) {
 	fold := func(combiner Reducer) ([]KV, error) {
 		table := newCombineTable(combiner)
 		for _, kv := range records {
-			table.add(kv)
+			table.add(kv, 1)
 		}
 		var out []KV
 		err := table.fold(func(kv KV) { out = append(out, kv) })

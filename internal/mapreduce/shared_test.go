@@ -26,10 +26,15 @@ type prefixMapper struct {
 }
 
 func (m prefixMapper) Map(b dfs.BlockID, data []byte, emit Emit) error {
-	return m.MapShared(b, data, []Mapper{m}, func(_ int, kv KV) { emit(kv) })
+	return m.MapShared(b, data, []Mapper{m}, func(_ int, kv KV, _ int) { emit(kv) })
 }
 
-func (m prefixMapper) MapShared(_ dfs.BlockID, data []byte, mappers []Mapper, emit func(int, KV)) error {
+func (prefixMapper) SharesPass(other Mapper) bool {
+	_, ok := other.(prefixMapper)
+	return ok
+}
+
+func (m prefixMapper) MapShared(_ dfs.BlockID, data []byte, mappers []Mapper, emit func(int, KV, int)) error {
 	if m.log != nil {
 		m.log.mu.Lock()
 		m.log.widths = append(m.log.widths, len(mappers))
@@ -42,7 +47,7 @@ func (m prefixMapper) MapShared(_ dfs.BlockID, data []byte, mappers []Mapper, em
 		kv := KV{Key: w, Value: "1"}
 		for j, other := range mappers {
 			if strings.HasPrefix(w, other.(prefixMapper).prefix) {
-				emit(j, kv)
+				emit(j, kv, 1)
 			}
 		}
 	}
@@ -60,7 +65,12 @@ func (m prefixMapper) CountInputRecords(data []byte) int64 {
 // a prefixMapper.
 type otherShared struct{ prefixMapper }
 
-// Jobs share a pass when their mappers are of one SharedMapper type; a job
+func (otherShared) SharesPass(other Mapper) bool {
+	_, ok := other.(otherShared)
+	return ok
+}
+
+// Jobs share a pass when the group head's SharesPass admits them; a job
 // that cannot run (no partitions) shares none.
 func TestMapGroups(t *testing.T) {
 	p, o, plain := MapJob{prefixMapper{prefix: "a"}, nil, 1}, MapJob{otherShared{prefixMapper{prefix: "b"}}, nil, 2}, MapJob{wordCountMapper{}, nil, 1}

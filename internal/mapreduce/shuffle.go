@@ -42,7 +42,9 @@ func newCombineTable(combiner Reducer) combineTable {
 	return combineTable{combiner: combiner, folder: folder}
 }
 
-func (t *combineTable) add(kv KV) {
+// add takes n values of kv's key, each kv.Value: one probe, then n folds
+// or n buffered values.
+func (t *combineTable) add(kv KV, n int) {
 	if t.err != nil {
 		return
 	}
@@ -56,11 +58,13 @@ func (t *combineTable) add(kv KV) {
 		t.groups = append(t.groups, group{key: kv.Key})
 	}
 	g := &t.groups[i]
-	if t.folder == nil {
-		g.values = append(g.values, kv.Value)
-		return
+	for ; n > 0 && t.err == nil; n-- {
+		if t.folder == nil {
+			g.values = append(g.values, kv.Value)
+		} else {
+			g.acc, t.err = t.folder.Fold(kv.Key, g.acc, kv.Value)
+		}
 	}
-	g.acc, t.err = t.folder.Fold(kv.Key, g.acc, kv.Value)
 }
 
 // fold emits the combined records and ends the table's use: distinct

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 
 	"s3sched/internal/dfs"
@@ -41,15 +40,16 @@ func MapBlockForJobs(block dfs.BlockID, data []byte, jobs []MapJob) (parts [][][
 }
 
 // MapGroups splits positions 0..len(jobs)-1 into the groups one pass over
-// a block serves, ordered by their first position: the jobs whose mappers
-// are of one SharedMapper type form a group, any other job is one.
+// a block serves, ordered by their first position: a job whose mapper is
+// a SharedMapper joins the first group whose head's SharesPass admits it,
+// any other job is one.
 func MapGroups(jobs []MapJob) [][]int {
 	groups := make([][]int, 0, len(jobs))
 next:
 	for j, job := range jobs {
 		if _, ok := job.Mapper.(SharedMapper); ok && job.Width > 0 {
 			for g, group := range groups {
-				if head := jobs[group[0]]; head.Width > 0 && reflect.TypeOf(head.Mapper) == reflect.TypeOf(job.Mapper) {
+				if head, ok := jobs[group[0]].Mapper.(SharedMapper); ok && jobs[group[0]].Width > 0 && head.SharesPass(job.Mapper) {
 					groups[g] = append(group, j)
 					continue next
 				}
@@ -75,17 +75,18 @@ func (t *jobTask) shuffle(kv KV) {
 	t.parts[p] = append(t.parts[p], kv)
 }
 
-// emitter is what the mapper emits the job's records to: a closure, one
-// call per record (a method value is two: +3 % CPU on wc-shared).
-func (t *jobTask) emitter() Emit {
-	return func(kv KV) {
-		t.counts.outputRecords++
-		t.counts.outputBytes += int64(len(kv.Key) + len(kv.Value))
-		if t.Combiner == nil {
-			t.shuffle(kv)
-		} else {
-			t.table.add(kv)
-		}
+// add takes n emits of kv, charged and kept as n separate emits would
+// be: n values for the combine table, or n copies in the partition.
+func (t *jobTask) add(kv KV, n int) {
+	t.counts.outputRecords += int64(n)
+	t.counts.outputBytes += int64(n) * int64(len(kv.Key)+len(kv.Value))
+	if t.Combiner != nil {
+		t.table.add(kv, n)
+		return
+	}
+	p := partitionOf(kv.Key, t.Width)
+	for ; n > 0; n-- {
+		t.parts[p] = append(t.parts[p], kv)
 	}
 }
 
@@ -100,8 +101,9 @@ func mapTask(block dfs.BlockID, data []byte, jobs []MapJob) []jobTask {
 }
 
 // mapPass is one pass over the block for the jobs of one group of
-// MapGroups. A job's records go straight into its partition slices, or
-// with a combiner into its combine table — folding as they come when the
+// MapGroups: MapShared for a SharedMapper's group, Map for any other job.
+// A job's records go straight into its partition slices, or with a
+// combiner into its combine table — folding as they come when the
 // combiner is a Folder — whose groups are partitioned at the end, record
 // for record what sorting, grouping and combining the raw output produces.
 // A mapper error fails every job of the pass, a combiner's only its own.
@@ -115,14 +117,15 @@ func mapPass(block dfs.BlockID, data []byte, jobs []MapJob, group []int, tasks [
 		tasks[j] = jobTask{MapJob: jobs[j], parts: make([][]KV, jobs[j].Width), table: newCombineTable(jobs[j].Combiner), counts: taskCounts{inputBytes: int64(len(data))}}
 	}
 	var err error
-	if shared, ok := head.Mapper.(SharedMapper); ok && len(group) > 1 {
-		mappers, emits := make([]Mapper, len(group)), make([]Emit, len(group))
+	if shared, ok := head.Mapper.(SharedMapper); ok {
+		mappers := make([]Mapper, len(group))
 		for i, j := range group {
-			mappers[i], emits[i] = jobs[j].Mapper, tasks[j].emitter()
+			mappers[i] = jobs[j].Mapper
 		}
-		err = shared.MapShared(block, data, mappers, func(i int, kv KV) { emits[i](kv) })
+		err = shared.MapShared(block, data, mappers, func(i int, kv KV, n int) { tasks[group[i]].add(kv, n) })
 	} else {
-		err = head.Mapper.Map(block, data, tasks[group[0]].emitter())
+		t := &tasks[group[0]]
+		err = head.Mapper.Map(block, data, func(kv KV) { t.add(kv, 1) })
 	}
 	for _, j := range group {
 		t := &tasks[j]

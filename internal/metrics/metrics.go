@@ -24,7 +24,6 @@ type Collector struct {
 	completed map[scheduler.JobID]vclock.Time
 	failed    map[scheduler.JobID]vclock.Time
 	order     []scheduler.JobID // submission order
-	stages    []RoundStages     // per-round stage timeline (pipelined runs)
 	faults    FaultStats
 	cache     CacheStats
 }
@@ -110,35 +109,6 @@ func (c *Collector) AddCacheStats(cs CacheStats) { c.cache.Add(cs) }
 // CacheStats returns the run's accumulated block-cache counters.
 func (c *Collector) CacheStats() CacheStats { return c.cache }
 
-// RoundStages is one round's stage timeline under pipelined execution:
-// the scan/map stage occupies the cluster's map slots during
-// [MapStart, MapEnd]; the reduce stage runs during [ReduceStart,
-// ReduceEnd], concurrently with later rounds' map stages; Retired is
-// when the round's completions were reported (round-ordered, so it can
-// trail ReduceEnd when an earlier round's reduce finished later).
-type RoundStages struct {
-	Seq         int // launch order, 0-based
-	Segment     int // segment scanned, or -1 when not segment-aligned
-	MapStart    vclock.Time
-	MapEnd      vclock.Time
-	ReduceStart vclock.Time
-	ReduceEnd   vclock.Time
-	Retired     vclock.Time
-}
-
-// AddRoundStages records one pipelined round's stage timeline.
-func (c *Collector) AddRoundStages(rs RoundStages) {
-	c.stages = append(c.stages, rs)
-}
-
-// RoundStages returns the recorded stage timelines in launch order.
-// Serial runs record none.
-func (c *Collector) RoundStages() []RoundStages {
-	out := make([]RoundStages, len(c.stages))
-	copy(out, c.stages)
-	return out
-}
-
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
@@ -214,18 +184,6 @@ func (c *Collector) Fail(id scheduler.JobID, t vclock.Time) {
 	}
 	c.failed[id] = t
 	c.faults.FailedJobs++
-}
-
-// Failed returns the jobs that terminated with an error, in submission
-// order.
-func (c *Collector) Failed() []scheduler.JobID {
-	var out []scheduler.JobID
-	for _, id := range c.order {
-		if _, f := c.failed[id]; f {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Jobs returns how many jobs were submitted.

@@ -74,7 +74,7 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 		if got := mapsServed(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("worker %d served map tasks over %v, want one a round over %v", i, got, want)
 		}
-		// Word count keeps a pass per job: its mapper shares none.
+		// Word counts of distinct prefixes share no pass.
 		if st := w.wireStats(); st.MapTasks != jobs*testBlocks/2 || st.MapPasses != st.MapTasks || st.BlockReads != testBlocks/2 {
 			t.Errorf("worker %d: %d map tasks in %d passes and %d block reads, want %d in as many and %d", i, st.MapTasks, st.MapPasses, st.BlockReads, jobs*testBlocks/2, testBlocks/2)
 		}

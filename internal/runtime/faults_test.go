@@ -58,7 +58,7 @@ func TestRequeueRecoversLostRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(res.Metrics.Failed()); n != 0 {
+	if n := res.Metrics.FaultStats().FailedJobs; n != 0 {
 		t.Fatalf("failed jobs = %d, want 0", n)
 	}
 	if res.Rounds != 2 {
@@ -156,9 +156,8 @@ func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := res.Metrics.Failed()
-	if len(failed) != 1 || failed[0] != 2 {
-		t.Fatalf("failed = %v, want [2]", failed)
+	if _, err := res.Metrics.ResponseTime(2); err == nil || res.Metrics.FaultStats().FailedJobs != 1 {
+		t.Fatalf("job 2 completed: %v; %d jobs failed; want job 2 alone failed", err == nil, res.Metrics.FaultStats().FailedJobs)
 	}
 	if n := len(res.Metrics.Incomplete()); n != 0 {
 		t.Fatalf("incomplete jobs = %d, want 0 (job 1 must finish)", n)
@@ -197,9 +196,8 @@ func TestJobFailurePipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := res.Metrics.Failed()
-	if len(failed) != 1 || failed[0] != 2 {
-		t.Fatalf("failed = %v, want [2]", failed)
+	if _, err := res.Metrics.ResponseTime(2); err == nil || res.Metrics.FaultStats().FailedJobs != 1 {
+		t.Fatalf("job 2 completed: %v; %d jobs failed; want job 2 alone failed", err == nil, res.Metrics.FaultStats().FailedJobs)
 	}
 	if n := len(res.Metrics.Incomplete()); n != 0 {
 		t.Fatalf("incomplete jobs = %d, want 0", n)

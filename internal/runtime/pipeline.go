@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -150,7 +149,7 @@ func (p *pipelinedPolicy) plan(h *pendingRound) (slot int, start, end, retire vc
 }
 
 // retire commits the head round: charges its reduce to a slot, records
-// the stage timeline, and reports RoundDone/completions at the
+// the round's telemetry, and reports RoundDone/completions at the
 // retirement time.
 func (p *pipelinedPolicy) retire() error {
 	e := p.e
@@ -164,15 +163,6 @@ func (p *pipelinedPolicy) retire() error {
 	slot, start, end, ret := p.plan(h)
 	p.slotFree[slot] = end
 	p.lastRetire = ret
-	e.coll.AddRoundStages(metrics.RoundStages{
-		Seq:         h.seq,
-		Segment:     h.r.Segment,
-		MapStart:    h.mapStart,
-		MapEnd:      h.mapEnd,
-		ReduceStart: start,
-		ReduceEnd:   end,
-		Retired:     ret,
-	})
 	// Record before settling so rounds-per-job counts include the
 	// round a job completes in.
 	e.tele.recordRound(h.r, h.seq, h.mapStart, h.mapEnd, start, end, ret, h.mapDur, h.out.dur, true)

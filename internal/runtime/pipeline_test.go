@@ -12,6 +12,7 @@ import (
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
+	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 )
 
@@ -45,9 +46,6 @@ func TestRunOptsFallsBackWithoutStageSupport(t *testing.T) {
 	if tet != 120 || art != 100 {
 		t.Errorf("fallback TET/ART = %v/%v, want 120/100", tet, art)
 	}
-	if got := res.Metrics.RoundStages(); len(got) != 0 {
-		t.Errorf("serial fallback recorded %d stage timelines, want 0", len(got))
-	}
 }
 
 func TestPipelineOverlapsReduceWithNextScan(t *testing.T) {
@@ -64,8 +62,9 @@ func TestPipelineOverlapsReduceWithNextScan(t *testing.T) {
 		t.Fatalf("serial TET = %v, want 100", tet)
 	}
 
+	log := trace.MustNew(256)
 	piped, err := RunTrace(core.New(p, nil), stagedFixed{6, 4}, []Arrival{{Job: job(1), At: 0}},
-		Options{Pipeline: true})
+		Options{Pipeline: true, Spans: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +78,23 @@ func TestPipelineOverlapsReduceWithNextScan(t *testing.T) {
 	if piped.End != 64 {
 		t.Errorf("End = %v, want 64", piped.End)
 	}
-	stages := piped.Metrics.RoundStages()
-	if len(stages) != 10 {
-		t.Fatalf("stage timelines = %d, want 10", len(stages))
+	var mapEnds, reduceEnds []vclock.Time // per round, in round order
+	for _, s := range log.Spans() {
+		switch s.Name {
+		case "scan-stage":
+			mapEnds = append(mapEnds, s.End)
+		case "reduce-stage":
+			reduceEnds = append(reduceEnds, s.End)
+		}
 	}
-	for i, st := range stages {
+	if len(mapEnds) != 10 || len(reduceEnds) != 10 {
+		t.Fatalf("stage spans = %d scan, %d reduce, want 10 each", len(mapEnds), len(reduceEnds))
+	}
+	for i := range mapEnds {
 		wantMapEnd := vclock.Time(6 * (i + 1))
-		if st.MapEnd != wantMapEnd || st.ReduceEnd != wantMapEnd+4 {
-			t.Errorf("round %d stages = %+v, want map end %v, reduce end %v",
-				i, st, wantMapEnd, wantMapEnd+4)
+		if mapEnds[i] != wantMapEnd || reduceEnds[i] != wantMapEnd+4 {
+			t.Errorf("round %d stages end at map %v, reduce %v, want %v, %v",
+				i, mapEnds[i], reduceEnds[i], wantMapEnd, wantMapEnd+4)
 		}
 	}
 }
@@ -373,8 +380,5 @@ func TestPipelineEngineConcurrentReduces(t *testing.T) {
 	}
 	if len(exec.Results()) != len(metas) {
 		t.Fatalf("results = %d, want %d", len(exec.Results()), len(metas))
-	}
-	if len(res.Metrics.RoundStages()) != res.Rounds {
-		t.Errorf("stage timelines = %d, rounds = %d", len(res.Metrics.RoundStages()), res.Rounds)
 	}
 }

@@ -98,7 +98,7 @@ func (f *failDrainExec) FaultStats() metrics.FaultStats { return f.stats }
 // folded fault stats.
 func TestPoliciesShareFailureDrain(t *testing.T) {
 	type outcome struct {
-		failed   []scheduler.JobID
+		failed   []scheduler.JobID // the jobs that neither completed nor remain
 		rounds   int
 		failJobs int
 		attempts int
@@ -118,8 +118,14 @@ func TestPoliciesShareFailureDrain(t *testing.T) {
 			t.Fatalf("pipeline=%v: %d incomplete jobs, want 0", pipeline, n)
 		}
 		fs := res.Metrics.FaultStats()
+		var failed []scheduler.JobID
+		for _, id := range []scheduler.JobID{1, 2} {
+			if _, err := res.Metrics.ResponseTime(id); err != nil {
+				failed = append(failed, id)
+			}
+		}
 		outcomes[pipeline] = outcome{
-			failed:   res.Metrics.Failed(),
+			failed:   failed,
 			rounds:   res.Rounds,
 			failJobs: fs.FailedJobs,
 			attempts: fs.FailedAttempts,

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -329,7 +330,7 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 			args.IDs = append(args.IDs, scheduler.JobID(i+1))
 			args.Jobs = append(args.Jobs, remote.JobRef{Name: factory + "-" + param, Factory: factory, Param: param, NumReduce: width})
 		}
-		groups := len(args.Jobs) // selection is the one factory whose jobs share a pass
+		groups := len(args.Jobs) // of these jobs, distinct in their params, only selections share a pass
 		if factory == "selection" {
 			groups = 1
 		}
@@ -337,6 +338,38 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 	}
 
 	engine := mapreduce.NewEngine(mapreduce.MustCluster(newStore(2), 2))
+	// asAlone holds the engine to charging every job of a batch what it
+	// charges the job alone.
+	asAlone := func(label string, specs []mapreduce.JobSpec) {
+		t.Helper()
+		merged, err := engine.RunMerged(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range specs {
+			alone, err := engine.RunJob(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(merged[i].Output, alone.Output) || !reflect.DeepEqual(merged[i].Counters.Snapshot(), alone.Counters.Snapshot()) {
+				t.Errorf("%s: the engine gives %s %d records and %v in the batch, %d and %v alone", label, spec.Name,
+					len(merged[i].Output), merged[i].Counters.Snapshot(), len(alone.Output), alone.Counters.Snapshot())
+			}
+		}
+	}
+
+	// Word counts share a pass only with an equal prefix (and factor): two
+	// of "t" and one of "a" take two passes a block.
+	args := remote.MapTaskArgs{File: "text", Blocks: []int{0, 1, 2, 3}, Epoch: 1, IDs: []scheduler.JobID{1, 2, 3}}
+	var specs []mapreduce.JobSpec
+	for i, prefix := range []string{"t", "a", "t"} {
+		name := fmt.Sprintf("wc%d-%s", i, prefix)
+		args.Jobs = append(args.Jobs, remote.JobRef{Name: name, Factory: "wordcount", Param: prefix, NumReduce: width})
+		specs = append(specs, workload.WordCountJob(name, "text", prefix, width))
+	}
+	check("two word counts of one prefix and one of another", args, 2)
+	asAlone("two word counts of one prefix and one of another", specs)
+
 	quantities := []int{5, 25, 5, 0, 50}
 	for n := 1; n <= len(quantities); n++ {
 		label := fmt.Sprintf("%d selections and an aggregation", n)
@@ -355,21 +388,7 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 			add(remote.JobRef{Name: name, Factory: "selection", Param: strconv.Itoa(q), NumReduce: width}, spec)
 		}
 		check(label, args, 2)
-
-		merged, err := engine.RunMerged(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, spec := range specs {
-			alone, err := engine.RunJob(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(merged[i].Output, alone.Output) || !reflect.DeepEqual(merged[i].Counters.Snapshot(), alone.Counters.Snapshot()) {
-				t.Errorf("%s: the engine gives %s %d records and %v in the batch, %d and %v alone", label, spec.Name,
-					len(merged[i].Output), merged[i].Counters.Snapshot(), len(alone.Output), alone.Counters.Snapshot())
-			}
-		}
+		asAlone(label, specs)
 	}
 }
 
@@ -411,19 +430,26 @@ func FuzzMappers(f *testing.F) {
 	f.Add(quantityRows("4", "0x10", "5"), "", uint8(1), 5)                                   // a quantity the sum rejects
 	f.Fuzz(func(t *testing.T, data []byte, prefix string, factor uint8, maxQuantity int) {
 		pattern := workload.PatternCountMapper{Prefix: prefix, EmitFactor: int(factor % 4)}
+		heavy := workload.PatternCountMapper{Prefix: prefix, EmitFactor: int(factor%4) + 2} // heavy-wordcount: no combiner
 		selection := workload.SelectionMapper{MaxQuantity: maxQuantity}
 		for _, pair := range []struct {
 			name     string
 			got, ref mapreduce.Mapper
+			combiner mapreduce.Reducer
 		}{
-			{"pattern", pattern, refPatternCount(prefix, int(factor%4))},
-			{"selection", selection, refSelection(maxQuantity)},
-			{"aggregation", workload.AggregationMapper{}, mapreduce.MapperFunc(refAggregation)},
+			{"pattern", pattern, refPatternCount(prefix, int(factor%4)), workload.SumReducer{}},
+			{"heavy", heavy, refPatternCount(prefix, int(factor%4)+2), nil},
+			{"selection", selection, refSelection(maxQuantity), nil},
+			{"aggregation", workload.AggregationMapper{}, mapreduce.MapperFunc(refAggregation), workload.SumReducer{}},
 		} {
 			got, gotFailed := collect(pair.got, data)
 			want, wantFailed := collect(pair.ref, data)
 			if gotFailed != wantFailed {
 				t.Fatalf("%s: failed = %v, reference failed = %v", pair.name, gotFailed, wantFailed)
+			}
+			if _, counts := pair.got.(workload.PatternCountMapper); counts { // a word count emits a word's records together
+				sortKVs(got)
+				sortKVs(want)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: emitted %q, reference %q", pair.name, got, want)
@@ -431,10 +457,13 @@ func FuzzMappers(f *testing.F) {
 			if pair.name == "selection" {
 				continue
 			}
-			// The other two sum: the whole task, folding as it maps,
-			// against sort, group, Reduce.
-			task, taskErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, pair.got, workload.SumReducer{}, 3)
-			ref, refErr := refMapBlock(data, pair.ref, refSum, 3)
+			// The others sum: the whole task, folding as it maps, against
+			// sort, group, Reduce; without a combiner, as reduce tasks see it.
+			task, taskErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, pair.got, pair.combiner, 3)
+			ref, refErr := refMapBlock(data, pair.ref, refCombinerOf(t, pair.name, pair.combiner), 3)
+			if pair.combiner == nil {
+				task, ref = reduced(t, task, workload.SumReducer{}), reduced(t, ref, refSum)
+			}
 			if (taskErr != nil) != (refErr != nil) || !reflect.DeepEqual(task, ref) {
 				t.Fatalf("%s: task %q, %v; reference %q, %v", pair.name, task, taskErr, ref, refErr)
 			}
@@ -463,6 +492,108 @@ func FuzzMappers(f *testing.F) {
 			t.Fatalf("selection counted %d input records, reference %d", got, len(refRows(data)))
 		}
 	})
+}
+
+// sortKVs sorts records by key, then value.
+func sortKVs(kvs []mapreduce.KV) {
+	sort.Slice(kvs, func(i, j int) bool {
+		return kvs[i].Key < kvs[j].Key || (kvs[i].Key == kvs[j].Key && kvs[i].Value < kvs[j].Value)
+	})
+}
+
+// reduced is each partition as its reduce task outputs it: what a job
+// produces, whatever order its map tasks emitted in.
+func reduced(t *testing.T, parts [][]mapreduce.KV, reducer mapreduce.Reducer) [][]mapreduce.KV {
+	t.Helper()
+	out := make([][]mapreduce.KV, len(parts))
+	for p, part := range parts {
+		var err error
+		if out[p], err = mapreduce.ReducePartition(part, reducer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// A word count hands each distinct word to the task once, with its
+// multiplicity; the task must do with it what as many separate emits
+// did. For word counts with the summing combiner (a Folder), with one
+// that buffers its values (no Folder) and with none (heavy-wordcount),
+// the mapper and the per-occurrence reference give the same partitions
+// after reduce, the same map output and combine counters, and the
+// buffering combiner the same values.
+func TestMultiplicityMatchesPerOccurrence(t *testing.T) {
+	store := dfs.MustStore(2, 1)
+	if _, err := workload.AddTextFile(store, "corpus", 4, 8<<10, 5); err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.File("corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 2))
+	// buffering is a sum that is no Folder and records every key's values.
+	type call struct {
+		key    string
+		values []string
+	}
+	buffering := func(calls *[]call) mapreduce.Reducer {
+		return mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) error {
+			*calls = append(*calls, call{key, slices.Clone(values)})
+			return refSum.Reduce(key, values, emit)
+		})
+	}
+	for _, prefix := range []string{"t", "wh", ""} {
+		for _, factor := range []int{0, 3} {
+			for _, combining := range []string{"folder", "buffer", "none"} {
+				label := fmt.Sprintf("prefix %q, factor %d, combiner %s", prefix, factor, combining)
+				mapper, ref := workload.PatternCountMapper{Prefix: prefix, EmitFactor: factor}, refPatternCount(prefix, factor)
+				var combiner mapreduce.Reducer
+				switch combining {
+				case "folder":
+					combiner = workload.SumReducer{}
+				case "buffer":
+					combiner = refSum // a ReducerFunc: no Folder
+				}
+				// One block at a time: partitions and what the combiner is handed.
+				for b := 0; b < f.NumBlocks; b++ {
+					data, err := store.ReadBlock(dfs.BlockID{File: "corpus", Index: b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var gotCalls, wantCalls []call
+					gotComb, wantComb := combiner, combiner
+					if combining == "buffer" {
+						gotComb, wantComb = buffering(&gotCalls), buffering(&wantCalls)
+					}
+					got, gotErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, gotComb, 3)
+					want, wantErr := mapreduce.MapBlockForJob(dfs.BlockID{}, data, ref, wantComb, 3)
+					if gotErr != nil || wantErr != nil {
+						t.Fatalf("%s, block %d: %v, reference %v", label, b, gotErr, wantErr)
+					}
+					if !reflect.DeepEqual(reduced(t, got, workload.SumReducer{}), reduced(t, want, workload.SumReducer{})) || !reflect.DeepEqual(gotCalls, wantCalls) {
+						t.Errorf("%s, block %d: the reduced partitions or the combiner's values differ from the reference", label, b)
+					}
+				}
+				// The whole job on the engine: output and counters.
+				spec := mapreduce.JobSpec{Name: "wc", File: "corpus", Mapper: mapper, Reducer: workload.SumReducer{}, Combiner: combiner, NumReduce: 3}
+				got, err := e.RunJob(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Mapper = ref
+				want, err := e.RunJob(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotCounters, wantCounters := got.Counters.Snapshot(), want.Counters.Snapshot()
+				delete(gotCounters, mapreduce.CounterMapInputRecords) // the reference counts no input records
+				if len(got.Output) == 0 || !reflect.DeepEqual(got.Output, want.Output) || !reflect.DeepEqual(gotCounters, wantCounters) {
+					t.Errorf("%s: %d records and %v; reference %d and %v", label, len(got.Output), gotCounters, len(want.Output), wantCounters)
+				}
+			}
+		}
+	}
 }
 
 // raceEnabled is set by race_test.go: the race detector's

@@ -115,14 +115,21 @@ var _ mapreduce.InputRecordCounter = SelectionMapper{}
 
 // Map implements mapreduce.Mapper: MapShared for one mapper.
 func (m SelectionMapper) Map(block dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-	return m.MapShared(block, data, []mapreduce.Mapper{m}, func(_ int, kv mapreduce.KV) { emit(kv) })
+	return m.MapShared(block, data, []mapreduce.Mapper{m}, func(_ int, kv mapreduce.KV, _ int) { emit(kv) })
+}
+
+// SharesPass implements mapreduce.SharedMapper: any two selections share
+// a pass, whatever their quantities.
+func (SelectionMapper) SharesPass(other mapreduce.Mapper) bool {
+	_, ok := other.(SelectionMapper)
+	return ok
 }
 
 // MapShared implements mapreduce.SharedMapper over SelectionMappers: a
 // row is cut and its l_quantity parsed once for all of them, and a row
 // any of them keeps is one record, its strings built once. A row no job
 // keeps costs a walk over its first five columns and no allocation.
-func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV)) error {
+func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV, n int)) error {
 	limits, widest := make([]int, len(mappers)), math.MinInt
 	for i, m := range mappers {
 		limits[i] = m.(SelectionMapper).MaxQuantity
@@ -144,7 +151,7 @@ func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce
 		kv := mapreduce.KV{Key: string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]]), Value: string(line)}
 		for j, limit := range limits {
 			if qty <= limit {
-				emit(j, kv)
+				emit(j, kv, 1)
 			}
 		}
 	}
@@ -218,6 +225,19 @@ func (AggregationMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) er
 // CountInputRecords implements mapreduce.InputRecordCounter.
 func (AggregationMapper) CountInputRecords(data []byte) int64 {
 	return SelectionMapper{}.CountInputRecords(data)
+}
+
+// interner hands out one string per distinct byte sequence, so a map
+// task allocates per distinct key instead of per record.
+type interner map[string]string
+
+func (in interner) of(b []byte) string {
+	if s, ok := in[string(b)]; ok { // the lookup does not allocate
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
 }
 
 // AggregationJob builds a Q1-style "sum quantity group by returnflag,

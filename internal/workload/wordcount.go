@@ -23,19 +23,43 @@ type PatternCountMapper struct {
 	EmitFactor int
 }
 
-var _ mapreduce.Mapper = PatternCountMapper{}
+var _ mapreduce.SharedMapper = PatternCountMapper{}
 var _ mapreduce.InputRecordCounter = PatternCountMapper{}
 
-// Map implements mapreduce.Mapper on the block's bytes: only a word
-// start carrying the prefix is looked at, and a distinct matching word
-// becomes one string per task, so the cost follows matches, not tokens.
-func (m PatternCountMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+// Map implements mapreduce.Mapper: MapShared for one mapper, a word
+// emitted as many times as it counts.
+func (m PatternCountMapper) Map(block dfs.BlockID, data []byte, emit mapreduce.Emit) error {
+	return m.MapShared(block, data, []mapreduce.Mapper{m}, func(_ int, kv mapreduce.KV, n int) {
+		for ; n > 0; n-- {
+			emit(kv)
+		}
+	})
+}
+
+// SharesPass implements mapreduce.SharedMapper: only word counts of one
+// prefix and factor share a pass. Distinct prefixes match distinct
+// words, so one pass for them saves no work and leaves slots idle.
+func (m PatternCountMapper) SharesPass(other mapreduce.Mapper) bool {
+	return other == mapreduce.Mapper(m)
+}
+
+// MapShared implements mapreduce.SharedMapper over mappers equal to m.
+// Only a word start carrying the prefix is looked at, and a matching
+// word is counted in one table keyed by its bytes: one probe a match,
+// and one string a distinct word. At the end of the block every job gets
+// each distinct word once, in the order of first occurrence, with its
+// count times EmitFactor, so the cost follows matches, not tokens.
+func (m PatternCountMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV, n int)) error {
 	if strings.ContainsAny(m.Prefix, " \n\t\r") {
 		return nil // a word holds no separator, so none can match
 	}
-	factor := max(m.EmitFactor, 1)
 	prefix := []byte(m.Prefix)
-	words := make(interner)
+	type count struct {
+		kv mapreduce.KV
+		n  int
+	}
+	var words []count
+	index := make(map[string]int) // a word's position in words
 	for i := 0; i < len(data); {
 		if len(prefix) > 0 { // jump to the next byte that could start a match
 			j := bytes.IndexByte(data[i:], prefix[0])
@@ -52,11 +76,20 @@ func (m PatternCountMapper) Map(_ dfs.BlockID, data []byte, emit mapreduce.Emit)
 		for end < len(data) && !isSpace(data[end]) {
 			end++
 		}
-		w := words.of(data[i:end])
-		for k := 0; k < factor; k++ {
-			emit(mapreduce.KV{Key: w, Value: "1"})
+		if k, ok := index[string(data[i:end])]; ok { // the lookup does not allocate
+			words[k].n++
+		} else {
+			w := string(data[i:end])
+			index[w] = len(words)
+			words = append(words, count{mapreduce.KV{Key: w, Value: "1"}, 1})
 		}
 		i = end
+	}
+	factor := max(m.EmitFactor, 1)
+	for _, w := range words {
+		for j := range mappers {
+			emit(j, w.kv, w.n*factor)
+		}
 	}
 	return nil
 }
@@ -77,19 +110,6 @@ func (m PatternCountMapper) CountInputRecords(data []byte) int64 {
 var separator = [256]uint8{' ': 1, '\n': 1, '\t': 1, '\r': 1}
 
 func isSpace(b byte) bool { return separator[b] != 0 }
-
-// interner hands out one string per distinct byte sequence, so a map
-// task allocates per distinct key instead of per record.
-type interner map[string]string
-
-func (in interner) of(b []byte) string {
-	if s, ok := in[string(b)]; ok { // the lookup does not allocate
-		return s
-	}
-	s := string(b)
-	in[s] = s
-	return s
-}
 
 // SumReducer sums integer-valued counts per key — wordcount's reducer
 // and combiner. A sum does not care in what order it meets its terms,
