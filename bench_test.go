@@ -1,7 +1,8 @@
 package s3sched_test
 
 // One benchmark per table and figure of the paper's evaluation (§V),
-// plus the DESIGN.md ablations and micro-benchmarks of the hot paths.
+// plus the DESIGN.md ablations (X2 and X5 are cells of the Figure 4
+// panels) and micro-benchmarks of the hot paths.
 // The figure benches report the measured TET/ART as custom metrics so
 // `go test -bench` output doubles as the experiment record; see
 // EXPERIMENTS.md for paper-vs-measured commentary.
@@ -11,8 +12,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
+	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
@@ -72,21 +75,31 @@ func BenchmarkFig3SimPaperScale(b *testing.B) {
 	b.ReportMetric(ratio, "n10/n1")
 }
 
-// benchPanel runs one Figure 4 panel and reports each scheme's
-// absolute and S^3-normalized metrics.
+// benchPanel runs the committed bench/fig4-<panel>.jsonl through the
+// comparison matrix at the cells CI gates and reports each scheme's
+// S^3-normalized metrics.
 func benchPanel(b *testing.B, panel string) {
 	b.Helper()
-	var res experiments.PanelResult
-	var err error
+	f, err := os.Open("bench/fig4-" + panel + ".jsonl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wf, err := workload.ParseFile(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rep *benchfmt.Report
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Fig4Panel(panel, experiments.DefaultParams())
+		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.Fig4Schemes(), Pipelines: []bool{false}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, row := range res.Report.Rows {
-		b.ReportMetric(row.NormTET, row.Scheme+"-TET/s3")
-		b.ReportMetric(row.NormART, row.Scheme+"-ART/s3")
+	s3 := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
+	for _, c := range rep.Cells {
+		b.ReportMetric(c.TET/s3.TET, c.Key.Scheduler+"-TET/s3")
+		b.ReportMetric(c.ART/s3.ART, c.Key.Scheduler+"-ART/s3")
 	}
 }
 
@@ -156,19 +169,6 @@ func BenchmarkAblationSlotChecking(b *testing.B) {
 	reportAblation(b, res)
 }
 
-// BenchmarkAblationDynAdjust — X2: dynamic sub-job adjustment (§IV-D2).
-func BenchmarkAblationDynAdjust(b *testing.B) {
-	var res experiments.AblationResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.AblationDynAdjust(experiments.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportAblation(b, res)
-}
-
 // BenchmarkAblationPartialAgg — X3: per-round partial aggregation
 // (§V-G), real engine.
 func BenchmarkAblationPartialAgg(b *testing.B) {
@@ -192,20 +192,6 @@ func BenchmarkAblationSegmentSize(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		res, err = experiments.AblationSegmentSize(experiments.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportAblation(b, res)
-}
-
-// BenchmarkAblationCircularScan — X5: circular scan vs
-// restart-at-beginning (§IV-B).
-func BenchmarkAblationCircularScan(b *testing.B) {
-	var res experiments.AblationResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.AblationCircularScan(experiments.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,15 +1,15 @@
-// Command s3bench regenerates every table and figure of the paper's
-// evaluation (§V) and prints rows in the paper's presentation: Table I
-// workload profile, Figure 3 combined-job cost, the six Figure 4
-// panels (normalized TET/ART per scheme), the §III analytic examples,
-// and the DESIGN.md ablations.
+// Command s3bench regenerates the paper's evaluation (§V) that is not
+// a workload file and prints rows in the paper's presentation: Table I
+// workload profile, Figure 3 combined-job cost, the §III analytic
+// examples, the DESIGN.md ablations and the beyond-paper studies.
+// Figure 4's six panels are workload files: s3compare -workload
+// bench/fig4-a.jsonl … bench/fig4-f.jsonl.
 //
 // Usage:
 //
 //	s3bench                 # run everything
-//	s3bench -exp fig4a      # one experiment
-//	s3bench -exp fig4       # all six panels + claim check
-//	s3bench -exp ablations  # X1..X5
+//	s3bench -exp table1     # one experiment
+//	s3bench -exp ablations  # X1, X3, X4
 //
 // Four subcommands carry the rest of the virtual-time tooling, each
 // with its own flags (s3bench <subcommand> -h):
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -78,8 +77,7 @@ func main() {
 	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
 		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
 	}
-	exp := flag.String("exp", "all", "experiment: table1|fig3|fig4|fig4a..fig4f|examples|ablations|jitter|poisson|estimator|all")
-	jsonPath := flag.String("json", "", "also write the Figure 4 panels + claim check as JSON to this file")
+	exp := flag.String("exp", "all", "experiment: table1|fig3|examples|ablations|jitter|poisson|estimator|all")
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -96,95 +94,30 @@ func main() {
 		return
 	}
 
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath); err != nil {
+	ran := false
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		ran = true
+		if err := e.run(); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
-
-	var err error
-	switch *exp {
-	case "all":
-		err = firstErr(runTable1, runFig3, runExamples, runFig4All, runAblations, runJitter, runPoisson, runEstimator)
-	case "table1":
-		err = runTable1()
-	case "fig3":
-		err = runFig3()
-	case "examples":
-		err = runExamples()
-	case "fig4":
-		err = runFig4All()
-	case "fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig4f":
-		err = runFig4Panel((*exp)[4:])
-	case "ablations":
-		err = runAblations()
-	case "jitter":
-		err = runJitter()
-	case "poisson":
-		err = runPoisson()
-	case "estimator":
-		err = runEstimator()
-	default:
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
 }
 
-// jsonScheme is one scheme's metrics in the machine-readable record.
-type jsonScheme struct {
-	TET     float64 `json:"tetSeconds"`
-	ART     float64 `json:"artSeconds"`
-	NormTET float64 `json:"tetVsS3"`
-	NormART float64 `json:"artVsS3"`
-}
-
-// jsonReport is the machine-readable regression record: every Figure 4
-// scheme's metrics plus the claim-check outcome.
-type jsonReport struct {
-	Panels         map[string]map[string]jsonScheme `json:"panels"`
-	ClaimsTotal    int                              `json:"claimsTotal"`
-	ClaimsHeld     int                              `json:"claimsHeld"`
-	ClaimsViolated []string                         `json:"claimsViolated,omitempty"`
-}
-
-func writeJSON(path string) error {
-	panels, err := experiments.RunAllPanels(experiments.DefaultParams())
-	if err != nil {
-		return err
-	}
-	rep := jsonReport{Panels: map[string]map[string]jsonScheme{}}
-	for id, p := range panels {
-		m := map[string]jsonScheme{}
-		for _, row := range p.Report.Rows {
-			m[row.Scheme] = jsonScheme{row.TET.Seconds(), row.ART.Seconds(), row.NormTET, row.NormART}
-		}
-		rep.Panels["fig4"+id] = m
-	}
-	violations := experiments.CheckPaperClaims(panels)
-	rep.ClaimsTotal = experiments.NumPaperClaims()
-	rep.ClaimsHeld = rep.ClaimsTotal - len(violations)
-	rep.ClaimsViolated = violations
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-func firstErr(fns ...func() error) error {
-	for _, fn := range fns {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
+// experimentList is every -exp, in the order -exp all runs them.
+var experimentList = []struct {
+	name string
+	run  func() error
+}{
+	{"table1", runTable1}, {"fig3", runFig3}, {"examples", runExamples}, {"ablations", runAblations},
+	{"jitter", runJitter}, {"poisson", runPoisson}, {"estimator", runEstimator},
 }
 
 func runTable1() error {
@@ -252,45 +185,6 @@ func runExamples() error {
 		}
 		fmt.Printf("%-9s %8v %8.0f %8.0f   %8.0f %8.0f\n",
 			c.scheme, c.offset, tet.Seconds(), art.Seconds(), c.tet, c.art)
-	}
-	fmt.Println()
-	return nil
-}
-
-var panelTitles = map[string]string{
-	"a": "Figure 4(a): sparse pattern, normal workload, 64 MB blocks",
-	"b": "Figure 4(b): dense pattern, normal workload, 64 MB blocks",
-	"c": "Figure 4(c): sparse pattern, heavy workload, 64 MB blocks",
-	"d": "Figure 4(d): sparse pattern, normal workload, 128 MB blocks",
-	"e": "Figure 4(e): sparse pattern, normal workload, 32 MB blocks",
-	"f": "Figure 4(f): selection workload (TPC-H lineitem), 64 MB blocks",
-}
-
-func runFig4Panel(panel string) error {
-	res, err := experiments.Fig4Panel(panel, experiments.DefaultParams())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== %s ==\n", panelTitles[panel])
-	fmt.Print(res.Report.String())
-	fmt.Println()
-	return nil
-}
-
-func runFig4All() error {
-	panels, err := experiments.RunAllPanels(experiments.DefaultParams())
-	if err != nil {
-		return err
-	}
-	for _, p := range []string{"a", "b", "c", "d", "e", "f"} {
-		fmt.Printf("== %s ==\n", panelTitles[p])
-		fmt.Print(panels[p].Report.String())
-		fmt.Println()
-	}
-	violations := experiments.CheckPaperClaims(panels)
-	fmt.Printf("paper-shape claims: %d/%d hold\n", experiments.NumPaperClaims()-len(violations), experiments.NumPaperClaims())
-	for _, v := range violations {
-		fmt.Println("  violated:", v)
 	}
 	fmt.Println()
 	return nil

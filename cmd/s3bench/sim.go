@@ -18,7 +18,7 @@ import (
 	"s3sched/internal/workload"
 )
 
-const schedUsage = "comma-separated schemes: s3 | s3-static | s3-nocircular | fifo | fair | mrshare:size[:size…] | window:seconds:maxbatch"
+const schedUsage = "comma-separated schemes: s3 | s3-static | s3-nocircular | fifo | fair | mrshare[:size…] | window:seconds:maxbatch"
 
 // runSim is `s3bench sim`: one custom scheduling scenario on the
 // calibrated simulator, per-scheme TET/ART plus work counters — the

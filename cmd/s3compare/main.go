@@ -4,6 +4,9 @@
 // never pipelines — and emits a single benchfmt JSON report with one
 // comparable cell per combination (TET, ART, P95, rounds, cache hit
 // ratio, fault retries, per-job completion times, output digest).
+// -schedulers takes any scheme of the one grammar (s3bench sim's
+// -sched), each optionally labelled: the default is s3,fifo,mrs1=mrshare
+// and the label keys the cells.
 //
 // Every cell that produces real output carries a digest of it; the
 // report refuses to encode if any two cells disagree, so a green run
@@ -14,6 +17,7 @@
 //	s3compare -workload bench/canonical.jsonl -o report.json
 //	s3compare -workload w.jsonl -engines sim -md        # markdown table on stdout
 //	s3compare -workload w.jsonl -schedulers s3,fifo -pipelines on
+//	s3compare -workload bench/fig4-a.jsonl -schedulers s3,mrs2=mrshare:6:4,s3-static -md
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"unicode"
 
 	"s3sched/internal/experiments"
 	"s3sched/internal/workload"
@@ -39,7 +44,7 @@ func run(args []string, stdout io.Writer) error {
 	workloadPath := fs.String("workload", "", "workload file (JSONL, required)")
 	out := fs.String("o", "", "write the JSON report to this file (default stdout)")
 	md := fs.Bool("md", false, "print a markdown comparison table instead of JSON")
-	schedulers := fs.String("schedulers", "", "comma list of schedulers (default s3,fifo,mrs1)")
+	schedulers := fs.String("schedulers", "", "comma list of [label=]scheme entries (default s3,fifo,mrs1=mrshare)")
 	engines := fs.String("engines", "", "comma list of engines (default sim,engine)")
 	pipelines := fs.String("pipelines", "", "pipeline cells: on|off|both (default both)")
 	caches := fs.String("caches", "", "cache cells: on|off|both (default: off, plus on if the workload sets a budget)")
@@ -100,31 +105,22 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// splitList splits a comma list, dropping blanks; nil when nothing is
+// left, so the matrix runner applies its default.
 func splitList(s string) []string {
-	if s == "" {
-		return nil
+	if list := strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }); len(list) > 0 {
+		return list
 	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	return nil
 }
 
-// parseToggle maps on|off|both to the cell subsets the matrix runner
+// toggles maps on|off|both to the cell subsets the matrix runner
 // expects; "" defers to RunCompare's workload-aware default.
+var toggles = map[string][]bool{"": nil, "on": {true}, "off": {false}, "both": {false, true}}
+
 func parseToggle(name, s string) ([]bool, error) {
-	switch s {
-	case "":
-		return nil, nil
-	case "on":
-		return []bool{true}, nil
-	case "off":
-		return []bool{false}, nil
-	case "both":
-		return []bool{false, true}, nil
+	if t, ok := toggles[s]; ok {
+		return t, nil
 	}
 	return nil, fmt.Errorf("-%s: want on|off|both, got %q", name, s)
 }

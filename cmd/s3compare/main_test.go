@@ -71,8 +71,13 @@ func TestCompareFlagErrors(t *testing.T) {
 	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-pipelines", "sideways"}, &out); err == nil {
 		t.Fatal("bad -pipelines value not rejected")
 	}
-	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-schedulers", "mrs1", "-pipelines", "on"}, &out); err == nil || out.Len() > 0 {
+	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-schedulers", "mrs1=mrshare", "-pipelines", "on"}, &out); err == nil || out.Len() > 0 {
 		t.Fatalf("a sub-matrix of serial copies only gave a report: %v", err)
+	}
+	for _, list := range []string{"s3,s3", "mrshare:6:4,mrshare:3:3:4", "mrs1"} {
+		if err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-schedulers", list}, &out); err == nil || out.Len() > 0 {
+			t.Fatalf("-schedulers %s gave a report: %v", list, err)
+		}
 	}
 	if err := run([]string{"-workload", "testdata/nope.jsonl"}, &out); err == nil {
 		t.Fatal("missing workload file not rejected")
@@ -100,5 +105,27 @@ func TestCompareWritesFile(t *testing.T) {
 	}
 	if len(rep.Cells) != 3 {
 		t.Fatalf("got %d cells, want 3 (one per scheduler)", len(rep.Cells))
+	}
+}
+
+// TestCompareLabelledSchedulers: -schedulers takes any scheme of the one
+// grammar, and a label keys its cells.
+func TestCompareLabelledSchedulers(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-pipelines", "off", "-caches", "off",
+		"-schedulers", "s3, mrs2=mrshare:1:2,mrshare"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rep, err := benchfmt.Decode(&out)
+	if err != nil {
+		t.Fatalf("report invalid: %v", err)
+	}
+	var keys []string
+	for _, c := range rep.Cells {
+		keys = append(keys, c.Key.Scheduler)
+	}
+	if got := strings.Join(keys, ","); got != "mrs2,mrshare,s3" {
+		t.Fatalf("cells keyed %s, want mrs2,mrshare,s3", got)
 	}
 }

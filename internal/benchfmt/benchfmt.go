@@ -145,8 +145,8 @@ func (r *Report) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode reads a report, rejecting unknown fields and version
-// mismatches.
+// Decode reads a report, rejecting unknown fields, version mismatches
+// and repeated cell keys (Cell would hide every copy but the first).
 func Decode(rd io.Reader) (*Report, error) {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
@@ -156,6 +156,14 @@ func Decode(rd io.Reader) (*Report, error) {
 	}
 	if r.Version != Version {
 		return nil, fmt.Errorf("benchfmt: report version %d, this build supports %d", r.Version, Version)
+	}
+	seen := make(map[CellKey]bool, len(r.Cells))
+	for i := range r.Cells {
+		k := r.Cells[i].Key
+		if seen[k] {
+			return nil, fmt.Errorf("benchfmt: report has cell %s twice", k)
+		}
+		seen[k] = true
 	}
 	return &r, nil
 }

@@ -53,14 +53,19 @@ func TestEncodeDecodeCanonical(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	if _, err := Decode(strings.NewReader(`{"version":99,"workload":"w","workloadDigest":"d","cells":[]}`)); err == nil {
-		t.Fatal("accepted wrong version")
+	const cell = `{"key":{"scheduler":"s3","engine":"sim","pipeline":false,"cache":false},"tet":1,"art":1,"p95":1,"rounds":1,"cacheHitRatio":0,"faultRetries":0,"jobs":[]}`
+	for what, src := range map[string]string{
+		"wrong version":       `{"version":99,"workload":"w","workloadDigest":"d","cells":[]}`,
+		"unknown field":       `{"version":1,"workload":"w","workloadDigest":"d","cells":[],"zorp":1}`,
+		"non-JSON":            `nope`,
+		"a repeated cell key": `{"version":1,"workload":"w","workloadDigest":"d","cells":[` + cell + `,` + cell + `]}`,
+	} {
+		if _, err := Decode(strings.NewReader(src)); err == nil {
+			t.Errorf("accepted %s", what)
+		}
 	}
-	if _, err := Decode(strings.NewReader(`{"version":1,"workload":"w","workloadDigest":"d","cells":[],"zorp":1}`)); err == nil {
-		t.Fatal("accepted unknown field")
-	}
-	if _, err := Decode(strings.NewReader(`nope`)); err == nil {
-		t.Fatal("accepted non-JSON")
+	if _, err := Decode(strings.NewReader(`{"version":1,"workload":"w","workloadDigest":"d","cells":[` + cell + `]}`)); err != nil {
+		t.Errorf("rejected a one-cell report: %v", err)
 	}
 }
 

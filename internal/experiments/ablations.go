@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -17,10 +18,11 @@ import (
 
 // Ablations quantify the design choices DESIGN.md §5 calls out:
 // X1 periodic slot checking under heterogeneity (§IV-D1),
-// X2 dynamic sub-job adjustment (§IV-D2),
 // X3 partial-output aggregation (§V-G),
-// X4 segment size = concurrent map slots (§IV-B),
-// X5 the circular scan itself (§IV-B).
+// X4 segment size = concurrent map slots (§IV-B).
+// X2 (dynamic sub-job adjustment, §IV-D2) and X5 (the circular scan,
+// §IV-B) vary only the scheme, so they are the s3-static and
+// s3-nocircular cells of bench/fig4-*.jsonl (Fig4Schemes).
 
 // AblationRow is one variant's outcome.
 type AblationRow struct {
@@ -70,20 +72,6 @@ func ablationRow(run SimRun) AblationRow {
 	}
 }
 
-// schemeAblation is an ablation whose variants are plain schemes over
-// the sparse normal workload.
-func schemeAblation(p Params, id, note string, variants []SchemeSpec) (AblationResult, error) {
-	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), variants)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	out := AblationResult{ID: id, Note: note}
-	for _, run := range runs {
-		out.Rows = append(out.Rows, ablationRow(run))
-	}
-	return out, nil
-}
-
 // AblationSlotChecking (X1): a straggler node at 25% speed paces every
 // round of plain S^3; DynamicS3 with a slot checker excludes it and
 // re-sizes segments to the healthy nodes.
@@ -128,14 +116,6 @@ func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
 	})
 }
 
-// AblationDynAdjust (X2): S^3 with and without dynamic sub-job
-// adjustment — the static variant parks arrivals until the queue
-// manager drains (§IV-D2).
-func AblationDynAdjust(p Params) (AblationResult, error) {
-	return schemeAblation(p, "X2", "dynamic sub-job adjustment on/off (§IV-D2)",
-		schemes("s3-dynamic=s3", "s3-static"))
-}
-
 // AblationSegmentSize (X4): blocks per segment below, at, and above
 // the cluster's concurrent map slots (§IV-B says equal is ideal).
 func AblationSegmentSize(p Params) (AblationResult, error) {
@@ -159,13 +139,6 @@ func AblationSegmentSize(p Params) (AblationResult, error) {
 		out.Rows = append(out.Rows, ablationRow(run))
 	}
 	return out, nil
-}
-
-// AblationCircularScan (X5): S^3 versus the restart-at-beginning
-// variant that cannot admit a job mid-pass (§IV-B).
-func AblationCircularScan(p Params) (AblationResult, error) {
-	return schemeAblation(p, "X5", "circular scan vs scan-from-beginning (§IV-B)",
-		schemes("s3-circular=s3", "s3-restart=s3-nocircular"))
 }
 
 // AblationPartialAgg (X3): real-engine wordcount through S^3 with and
@@ -231,19 +204,8 @@ func engineWordcount(partialAgg bool) (*mapreduce.Executor, *runtime.Result, err
 
 // AllAblations runs every ablation under p.
 func AllAblations(p Params) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, fn := range []func() (AblationResult, error){
-		func() (AblationResult, error) { return AblationSlotChecking(p) },
-		func() (AblationResult, error) { return AblationDynAdjust(p) },
-		AblationPartialAgg,
-		func() (AblationResult, error) { return AblationSegmentSize(p) },
-		func() (AblationResult, error) { return AblationCircularScan(p) },
-	} {
-		res, err := fn()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	x1, err1 := AblationSlotChecking(p)
+	x3, err3 := AblationPartialAgg()
+	x4, err4 := AblationSegmentSize(p)
+	return []AblationResult{x1, x3, x4}, errors.Join(err1, err3, err4)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/runtime"
@@ -34,20 +35,18 @@ func TestAblationSlotChecking(t *testing.T) {
 	}
 }
 
+// TestAblationDynAdjust (X2) on fig4-a's cells: parking arrivals until
+// the queue manager drains (s3-static) serializes everything — worse on
+// both metrics, with strictly more scan rounds than S3.
 func TestAblationDynAdjust(t *testing.T) {
-	res, err := AblationDynAdjust(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, _ := rowOf(res, "s3-dynamic")
-	static, _ := rowOf(res, "s3-static")
-	// Parking arrivals serializes everything: worse on both metrics,
-	// with strictly more scans.
+	rep := fig4Reports(t)["a"]
+	dyn := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
+	static := rep.Cell(benchfmt.CellKey{Scheduler: "s3-static", Engine: benchfmt.EngineSim})
 	if static.TET <= dyn.TET || static.ART <= dyn.ART {
-		t.Errorf("static (%v/%v) should lose to dynamic (%v/%v)", static.TET, static.ART, dyn.TET, dyn.ART)
+		t.Errorf("static (%.3f/%.3f) should lose to dynamic (%.3f/%.3f)", static.TET, static.ART, dyn.TET, dyn.ART)
 	}
-	if static.Extra["blockScans"] <= dyn.Extra["blockScans"] {
-		t.Errorf("static scans %v should exceed dynamic %v", static.Extra["blockScans"], dyn.Extra["blockScans"])
+	if static.Rounds <= dyn.Rounds {
+		t.Errorf("static rounds %d should exceed dynamic %d", static.Rounds, dyn.Rounds)
 	}
 }
 
@@ -78,18 +77,18 @@ func TestAblationSegmentSize(t *testing.T) {
 	}
 }
 
+// TestAblationCircularScan (X5) on fig4-a's cells: a job that cannot
+// join mid-pass (s3-nocircular restarts every pass at the beginning)
+// waits, and pays for it on both metrics.
 func TestAblationCircularScan(t *testing.T) {
-	res, err := AblationCircularScan(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	circ, _ := rowOf(res, "s3-circular")
-	restart, _ := rowOf(res, "s3-restart")
+	rep := fig4Reports(t)["a"]
+	circ := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
+	restart := rep.Cell(benchfmt.CellKey{Scheduler: "s3-nocircular", Engine: benchfmt.EngineSim})
 	if restart.ART <= circ.ART {
-		t.Errorf("restart-at-beginning ART %v should exceed circular %v", restart.ART, circ.ART)
+		t.Errorf("restart-at-beginning ART %.3f should exceed circular %.3f", restart.ART, circ.ART)
 	}
 	if restart.TET <= circ.TET {
-		t.Errorf("restart-at-beginning TET %v should exceed circular %v", restart.TET, circ.TET)
+		t.Errorf("restart-at-beginning TET %.3f should exceed circular %.3f", restart.TET, circ.TET)
 	}
 }
 
@@ -116,8 +115,8 @@ func TestAllAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("ablations = %d, want 5", len(res))
+	if len(res) != 3 {
+		t.Fatalf("ablations = %d, want 3", len(res))
 	}
 	seen := map[string]bool{}
 	for _, a := range res {
@@ -126,7 +125,7 @@ func TestAllAblations(t *testing.T) {
 		}
 		seen[a.ID] = true
 	}
-	for _, id := range []string{"X1", "X2", "X3", "X4", "X5"} {
+	for _, id := range []string{"X1", "X3", "X4"} {
 		if !seen[id] {
 			t.Errorf("missing ablation %s", id)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"s3sched/internal/benchfmt"
@@ -44,8 +45,12 @@ import (
 // CompareOptions selects a sub-matrix. The zero value means the full
 // matrix the workload supports.
 type CompareOptions struct {
-	// Schedulers is the scheme subset ("s3", "fifo", "mrs1"); nil =
-	// all three.
+	// Schedulers are ParseScheme specs, each optionally labelled
+	// "label=spec"; the label (else the scheme's name) keys the cells.
+	// nil = the paper's headline trio s3, fifo and mrs1=mrshare: MRShare
+	// as one batch of each file's readers, its strongest configuration
+	// for a known job set. Only plan-set schemes (s3, fifo, mrshare)
+	// run multi-file and DAG workloads.
 	Schedulers []string
 	// Engines is the execution subset (benchfmt.EngineSim,
 	// benchfmt.EngineReal); nil = both, with the engine dropped for
@@ -54,31 +59,22 @@ type CompareOptions struct {
 	// Pipelines/Caches are the toggle subsets; nil = {off, on}, with
 	// cache-on dropped when the workload has no cache budget. A
 	// pipeline-on cell exists only where runtime.WillPipeline holds
-	// (never for mrs1): elsewhere it would be its serial twin again.
+	// (never for mrshare): elsewhere it would be its serial twin again.
 	Pipelines []bool
 	Caches    []bool
 }
 
-// CompareSchedulers are the schemes the harness compares: the paper's
-// headline trio. MRShare runs as one batch of all jobs (mrs1), its
-// strongest configuration for a known job set.
-func CompareSchedulers() []string { return []string{"s3", "fifo", "mrs1"} }
-
-// makeScheduler builds a fresh plan-set scheduler for the scheme; each
-// also accepts the derived files DAG stages register mid-run.
-// jobsPerFile counts the declared readers of each file: mrs1 batches a
-// file's whole job set, its strongest configuration for a known pattern.
-func makeScheduler(name string, plans []*dfs.SegmentPlan, jobsPerFile map[string]int) (scheduler.Scheduler, error) {
-	switch name {
-	case "s3":
-		return core.NewMultiFile(plans, nil)
-	case "fifo":
-		return scheduler.NewFIFO(plans, nil)
-	case "mrs1": // a file nobody reads still needs a valid batch plan
-		return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(jobsPerFile[file], 1)} }, nil)
-	default:
-		return nil, fmt.Errorf("experiments: unknown compare scheduler %q", name)
+// once rejects a sub-matrix list that names a value twice: its cells
+// would be keyed alike.
+func once[T comparable](what string, xs []T) error {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return fmt.Errorf("experiments: %s %v is listed twice", what, x)
+		}
+		seen[x] = true
 	}
+	return nil
 }
 
 // derivedGeometry resolves the block size and segment granularity of
@@ -121,29 +117,30 @@ func derivedConsumers(wf *workload.File) map[scheduler.JobID]int {
 // returns the report, cells in canonical order.
 func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error) {
 	h := &wf.Header
-	schedulers := opts.Schedulers
-	if schedulers == nil {
-		schedulers = CompareSchedulers()
+	specs := opts.Schedulers
+	if specs == nil {
+		specs = []string{"s3", "fifo", "mrs1=mrshare"}
+	}
+	schemes := make([]SchemeSpec, len(specs))
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		var err error
+		if schemes[i], err = parseLabelled(spec); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		names[i] = schemes[i].Name
+	}
+	if err := errors.Join(once("scheduler", names), once("engine", opts.Engines),
+		once("pipeline", opts.Pipelines), once("cache", opts.Caches)); err != nil {
+		return nil, err
 	}
 	engines := opts.Engines
 	if engines == nil {
 		engines = []string{benchfmt.EngineSim, benchfmt.EngineReal}
 	}
-	hasMeta := false
-	for i := range wf.Files {
-		if wf.Files[i].Content == workload.ContentMeta {
-			hasMeta = true
-		}
-	}
+	hasMeta := slices.ContainsFunc(wf.Files, func(f workload.FileSpec) bool { return f.Content == workload.ContentMeta })
 	if hasMeta {
-		kept := engines[:0:0]
-		for _, e := range engines {
-			if e == benchfmt.EngineReal {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		engines = kept
+		engines = slices.DeleteFunc(slices.Clone(engines), func(e string) bool { return e == benchfmt.EngineReal })
 		if len(engines) == 0 {
 			return nil, fmt.Errorf("experiments: workload %q is %s-content; engine cells cannot run", h.Name, workload.ContentMeta)
 		}
@@ -185,12 +182,12 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 		Workload:       h.Name,
 		WorkloadDigest: wf.Digest(),
 	}
-	for _, schedName := range schedulers {
+	for _, scheme := range schemes {
 		for _, engine := range engines {
 			for _, pipe := range pipelines {
 				for _, cache := range caches {
-					key := benchfmt.CellKey{Scheduler: schedName, Engine: engine, Pipeline: pipe, Cache: cache}
-					cell, err := runCell(wf, key, refDigest, refBlocks)
+					key := benchfmt.CellKey{Scheduler: scheme.Name, Engine: engine, Pipeline: pipe, Cache: cache}
+					cell, err := runCell(wf, scheme, key, refDigest, refBlocks)
 					if errors.Is(err, errSerialCopy) {
 						continue
 					}
@@ -203,7 +200,7 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 		}
 	}
 	if len(report.Cells) == 0 {
-		return nil, fmt.Errorf("experiments: no cell of the sub-matrix can run: scheduler(s) %v never pipeline", schedulers)
+		return nil, fmt.Errorf("experiments: no cell of the sub-matrix can run: scheduler(s) %v never pipeline", names)
 	}
 	report.Sort()
 	if _, err := report.DigestConsensus(); err != nil {
@@ -219,14 +216,14 @@ var errSerialCopy = errors.New("pipeline requested but the run would be serial")
 // runCell runs one matrix configuration from a completely fresh
 // environment (store, scheduler, executor), so cells cannot contaminate
 // each other.
-func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlocks map[scheduler.JobID]int) (benchfmt.Cell, error) {
+func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDigest string, refBlocks map[scheduler.JobID]int) (benchfmt.Cell, error) {
 	h := &wf.Header
 	store, err := dfs.NewStore(h.Nodes, h.Replicas)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
 	plans := make([]*dfs.SegmentPlan, len(wf.Files))
-	jobsPerFile := make(map[string]int, len(wf.Files))
+	readers := make(map[string]int, len(wf.Files))
 	for i := range wf.Files {
 		file, err := wf.Files[i].AddTo(store)
 		if err != nil {
@@ -238,9 +235,9 @@ func runCell(wf *workload.File, key benchfmt.CellKey, refDigest string, refBlock
 		}
 	}
 	for i := range wf.Jobs {
-		jobsPerFile[wf.Jobs[i].File]++
+		readers[wf.Jobs[i].File]++
 	}
-	sched, err := makeScheduler(key.Scheduler, plans, jobsPerFile)
+	sched, err := scheme.Make(plans, readers, nil)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}

@@ -108,7 +108,7 @@ func TestRunCompareSimEngineTwins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	for _, sched := range CompareSchedulers() {
+	for _, sched := range []string{"s3", "fifo", "mrs1"} {
 		for _, pipe := range []bool{false, true} {
 			simCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineSim, Pipeline: pipe})
 			engCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineReal, Pipeline: pipe})
@@ -172,7 +172,7 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 	}
 	// A sub-matrix of nothing but serial copies is an error, not an
 	// empty report.
-	if _, err := RunCompare(wf, CompareOptions{Schedulers: []string{"mrs1"}, Pipelines: []bool{true}}); err == nil {
+	if _, err := RunCompare(wf, CompareOptions{Schedulers: []string{"mrs1=mrshare"}, Pipelines: []bool{true}}); err == nil {
 		t.Fatal("mrs1 × pipeline=on produced a report")
 	}
 	// Engine-only on meta content is an explicit error.
@@ -212,11 +212,29 @@ func TestRunCompareLineitem(t *testing.T) {
 
 func TestRunCompareRejects(t *testing.T) {
 	wf := parseCompareWorkload(t)
-	if _, err := RunCompare(wf, CompareOptions{Schedulers: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-	if _, err := RunCompare(wf, CompareOptions{Engines: []string{"abacus"}}); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, tc := range []struct {
+		what string
+		opts CompareOptions
+		want string // in the error
+	}{
+		{"unknown scheduler", CompareOptions{Schedulers: []string{"bogus"}}, "bogus"},
+		{"unknown engine", CompareOptions{Engines: []string{"abacus"}}, "abacus"},
+		{"repeated scheduler", CompareOptions{Schedulers: []string{"s3", "s3"}}, "scheduler s3 is listed twice"},
+		{"two schemes of one name", CompareOptions{Schedulers: []string{"mrshare:6:4", "mrshare:3:3:4"}}, "scheduler mrshare is listed twice"},
+		{"repeated label", CompareOptions{Schedulers: []string{"x=s3", "x=fifo"}}, "scheduler x is listed twice"},
+		{"empty label", CompareOptions{Schedulers: []string{"=s3"}}, "empty label"},
+		{"repeated engine", CompareOptions{Engines: []string{benchfmt.EngineSim, benchfmt.EngineSim}}, "engine sim is listed twice"},
+		{"repeated pipeline toggle", CompareOptions{Pipelines: []bool{false, false}}, "pipeline false is listed twice"},
+		{"repeated cache toggle", CompareOptions{Caches: []bool{true, true}}, "cache true is listed twice"},
+		{"single-file scheme over a DAG workload", CompareOptions{Schedulers: []string{"s3-static"}}, ""},
+	} {
+		in := wf
+		if tc.want == "" {
+			in = parseDAGWorkload(t)
+		}
+		if _, err := RunCompare(in, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.what, err, tc.want)
+		}
 	}
 }
 

@@ -12,9 +12,6 @@ import (
 // second arriving offset after the first, under scheme "fifo", "s3" or
 // "mrshare" (both jobs in one batch).
 func TwoJobExample(scheme string, offset vclock.Time) (tet, art vclock.Duration, err error) {
-	if scheme == "mrshare" {
-		scheme = "mrshare:2"
-	}
 	spec, err := ParseScheme(scheme)
 	if err != nil {
 		return 0, 0, err

@@ -3,12 +3,13 @@
 // combined-job cost study, and Figure 4's six scheduling comparisons,
 // plus the ablations DESIGN.md calls out.
 //
-// Figure 4 runs on the discrete-event simulator at the paper's full
-// scale (40 nodes, 160 GB / 400 GB inputs) with a cost model
-// calibrated so a normal wordcount job takes ≈240 s alone (Table I).
-// Table I and Figure 3 run on the real in-process MapReduce engine
-// over scaled-down generated data, because they measure execution
-// profile rather than arrival timing.
+// Figure 4 is six workload files (Fig4Workload, bench/fig4-*.jsonl)
+// run through RunCompare on the discrete-event simulator at the
+// paper's full scale (40 nodes, 160 GB / 400 GB inputs) with a cost
+// model calibrated so a normal wordcount job takes ≈240 s alone
+// (Table I). Table I and Figure 3 run on the real in-process MapReduce
+// engine over scaled-down generated data, because they measure
+// execution profile rather than arrival timing.
 package experiments
 
 import (
@@ -61,12 +62,7 @@ func NormalModel() sim.CostModel {
 	}
 }
 
-// HeavyWeights returns the (map, reduce) weights that turn the normal
-// model into the heavy workload: 10x map output and 200x reduce output
-// make one job ≈1.5x slower alone (§V-B, §V-E).
-func HeavyWeights() (mapWeight, reduceWeight float64) { return 14, 25 }
-
-// Env bundles the simulator state for one Figure 4 panel.
+// Env bundles the simulator state for one paper-scale run.
 type Env struct {
 	Store   *dfs.Store
 	Plan    *dfs.SegmentPlan
@@ -143,7 +139,11 @@ type Tune func(sched scheduler.Scheduler, exec *sim.Executor) error
 // executor over env, and summarize under the scheme's name. env must be
 // fresh when the run mutates it (cache); tune may be nil.
 func Simulate(env *Env, scheme SchemeSpec, log *trace.Log, arrivals []runtime.Arrival, opts runtime.Options, tune Tune) (SimRun, error) {
-	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, log)
+	readers := make(map[string]int)
+	for _, a := range arrivals {
+		readers[a.Job.File]++
+	}
+	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, readers, log)
 	if err != nil {
 		return SimRun{}, fmt.Errorf("experiments: building %s: %w", scheme.Name, err)
 	}
@@ -181,43 +181,21 @@ func simulateAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]
 	return runs, nil
 }
 
-// PanelResult is one Figure 4 panel: all schemes, normalized to S^3.
-type PanelResult struct {
-	ID      string
-	Report  metrics.Report
-	Schemes map[string]SimRun
+// PaperSchemes are Figure 4's five schemes (§V-D), as s3compare
+// label=spec entries: S^3, FIFO, and MRShare batching all ten jobs at
+// once (mrs1), as 6+4 (mrs2) and as 3+3+4 (mrs3). The paper's claims
+// read these cells.
+func PaperSchemes() []string {
+	return []string{"s3", "fifo", "mrs1=mrshare", "mrs2=mrshare:6:4", "mrs3=mrshare:3:3:4"}
 }
 
-// PaperSchemes returns the five schemes of Figure 4: S^3, FIFO, and
-// the three MRShare batching variants (§V-D).
-func PaperSchemes() []SchemeSpec {
-	return schemes("s3", "fifo", "mrs1=mrshare:10", "mrs2=mrshare:6:4", "mrs3=mrshare:3:3:4")
-}
+// Fig4Schemes are the cells of every bench/fig4-<panel>-baseline.json:
+// the paper's five plus ablations X2 (S^3 without dynamic sub-job
+// adjustment, §IV-D2) and X5 (without the circular scan, §IV-B).
+func Fig4Schemes() []string { return append(PaperSchemes(), "s3-static", "s3-nocircular") }
 
-// RunPanel runs every scheme over the same arrival sequence in env and
-// normalizes the results against S^3, like Figure 4's presentation.
-func RunPanel(id string, env *Env, metas []scheduler.JobMeta, times []vclock.Time, schemes []SchemeSpec) (PanelResult, error) {
-	arrivals, err := Arrivals(metas, times)
-	if err != nil {
-		return PanelResult{}, err
-	}
-	out := PanelResult{ID: id, Schemes: make(map[string]SimRun)}
-	var summaries []metrics.Summary
-	for _, spec := range schemes {
-		run, err := Simulate(env, spec, nil, arrivals, runtime.Options{}, nil)
-		if err != nil {
-			return PanelResult{}, err
-		}
-		summaries = append(summaries, run.Summary)
-		out.Schemes[spec.Name] = run
-	}
-	rep, err := metrics.Normalize("s3", summaries)
-	if err != nil {
-		return PanelResult{}, err
-	}
-	out.Report = rep
-	return out, nil
-}
+// Fig4Panels names Figure 4's panels, (a) to (f).
+func Fig4Panels() []string { return []string{"a", "b", "c", "d", "e", "f"} }
 
 // Params collects everything the Figure 4 panels depend on, so the
 // calibration harness (s3bench calibrate) can search over them and tests
@@ -243,14 +221,15 @@ type Params struct {
 // EXPERIMENTS.md for how it was fit against the paper's reported
 // ratios.
 func DefaultParams() Params {
-	w, rw := HeavyWeights()
 	return Params{
-		Model:        NormalModel(),
-		IntraGap:     25,
-		InterGap:     230,
-		DenseGap:     5,
-		HeavyMapW:    w,
-		HeavyReduceW: rw,
+		Model:    NormalModel(),
+		IntraGap: 25,
+		InterGap: 230,
+		DenseGap: 5,
+		// 10x map output and 200x reduce output make one job ≈1.5x
+		// slower alone (§V-B, §V-E).
+		HeavyMapW:    14,
+		HeavyReduceW: 25,
 		SelGapScale:  2.5,
 	}
 }
@@ -265,44 +244,48 @@ func (p Params) DensePattern() []vclock.Time {
 	return workload.DensePattern(NumJobs, p.DenseGap)
 }
 
-// Fig4Panel runs one Figure 4 panel ("a".."f") under p.
-func Fig4Panel(panel string, p Params) (PanelResult, error) {
-	type cfg struct {
-		inputGB int
-		blockMB int
-		weight  float64
-		rweight float64
-		times   []vclock.Time
-		sel     bool
-	}
-	var c cfg
+// Fig4Workload is Figure 4's panel ("a".."f") under p as a workload
+// file: ten jobs over one metadata-only paper-scale input segmented one
+// block per map slot, the panel's arrival pattern, block size, weights
+// and job kind, and p's cost model pinned in the header. The committed
+// bench/fig4-<panel>.jsonl is Fig4Workload(panel, DefaultParams()).
+func Fig4Workload(panel string, p Params) (*workload.File, error) {
+	inputGB, blockMB, times := WordcountGB, 64, p.SparsePattern()
+	job := workload.FileJob{Kind: workload.KindJob, File: "input", Factory: workload.FactoryWordCount}
 	switch panel {
-	case "a":
-		c = cfg{WordcountGB, 64, 1, 1, p.SparsePattern(), false}
-	case "b":
-		c = cfg{WordcountGB, 64, 1, 1, p.DensePattern(), false}
-	case "c":
-		c = cfg{WordcountGB, 64, p.HeavyMapW, p.HeavyReduceW, p.SparsePattern(), false}
+	case "a": // sparse pattern, normal workload, 64 MB blocks
+	case "b": // dense pattern
+		times = p.DensePattern()
+	case "c": // heavy workload
+		job.Weight, job.ReduceWeight = p.HeavyMapW, p.HeavyReduceW
 	case "d":
-		c = cfg{WordcountGB, 128, 1, 1, p.SparsePattern(), false}
+		blockMB = 128
 	case "e":
-		c = cfg{WordcountGB, 32, 1, 1, p.SparsePattern(), false}
-	case "f":
-		c = cfg{SelectionGB, 64, 1, 1, workload.SparseGroups([]int{3, 3, 4},
+		blockMB = 32
+	case "f": // 10 % selections over the TPC-H lineitem table, sparse gaps stretched to its longer jobs
+		inputGB = SelectionGB
+		times = workload.SparseGroups([]int{3, 3, 4},
 			vclock.Duration(float64(p.IntraGap)*p.SelGapScale),
-			vclock.Duration(float64(p.InterGap)*p.SelGapScale)), true}
+			vclock.Duration(float64(p.InterGap)*p.SelGapScale))
+		job.File, job.Factory, job.Param = "lineitem", workload.FactorySelection, "5"
 	default:
-		return PanelResult{}, fmt.Errorf("experiments: unknown panel %q", panel)
+		return nil, fmt.Errorf("experiments: unknown Figure 4 panel %q (want a..f)", panel)
 	}
-	env, err := NewEnv(c.inputGB, c.blockMB, p.Model)
-	if err != nil {
-		return PanelResult{}, err
+	model := p.Model
+	wf := &workload.File{
+		Header: workload.FileHeader{Kind: workload.KindHeader, Version: 1, Name: "fig4-" + panel,
+			Nodes: Nodes, SlotsPerNode: SlotsPerNode, Replicas: 1, Cost: &model},
+		Files: []workload.FileSpec{{Kind: workload.KindFile, Name: job.File, Content: workload.ContentMeta,
+			Blocks: inputGB * 1024 / blockMB, BlockBytes: int64(blockMB) << 20, SegmentBlocks: Nodes * SlotsPerNode}},
 	}
-	var metas []scheduler.JobMeta
-	if c.sel {
-		metas = workload.SelectionMetas(NumJobs, "input", c.weight, c.rweight)
-	} else {
-		metas = workload.WordCountMetas(NumJobs, "input", c.weight, c.rweight)
+	prefixes := workload.DistinctPrefixes(len(times))
+	for i, at := range times {
+		j := job
+		j.ID, j.At = scheduler.JobID(i+1), float64(at)
+		if j.Factory == workload.FactoryWordCount {
+			j.Param = prefixes[i]
+		}
+		wf.Jobs = append(wf.Jobs, j)
 	}
-	return RunPanel("fig4"+panel, env, metas, c.times, PaperSchemes())
+	return wf, wf.Validate()
 }

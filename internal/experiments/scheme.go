@@ -13,17 +13,18 @@ import (
 )
 
 // SchemeSpec names a scheme and builds a fresh scheduler over a plan
-// set (one plan per input file; one plan is the paper's case); log
-// receives the scheduler's decision trace (nil for none).
+// set (one plan per input file; one plan is the paper's case). readers
+// counts the jobs that will read each file (bare mrshare batches them
+// all); log receives the scheduler's decision trace (nil for none).
 type SchemeSpec struct {
 	Name string
-	Make func(plans []*dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error)
+	Make func(plans []*dfs.SegmentPlan, readers map[string]int, log *trace.Log) (scheduler.Scheduler, error)
 }
 
 // bare adapts a scheme with no multi-file form: it schedules exactly
 // one plan and rejects more.
 func bare(name string, mk func(*dfs.SegmentPlan, *trace.Log) (scheduler.Scheduler, error)) SchemeSpec {
-	return SchemeSpec{Name: name, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+	return SchemeSpec{Name: name, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
 		if len(plans) != 1 {
 			return nil, fmt.Errorf("scheme %s schedules one input file, got %d", name, len(plans))
 		}
@@ -39,9 +40,10 @@ var bareSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Schedu
 	"fair":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFair(p, l) },
 }
 
-// ParseScheme is the one scheme grammar of the virtual-time side:
+// ParseScheme is the one scheme grammar, of s3bench and s3compare alike:
 //
 //	s3 | s3-static | s3-nocircular | fifo | fair
+//	mrshare                   one batch of each file's readers
 //	mrshare:n[:n…]            predetermined batches of n jobs (any head
 //	                          spelled mrs… reads the same: mrs:4)
 //	window:seconds:maxbatch   time-window MRShare
@@ -52,12 +54,16 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 	head, rest, hasArgs := strings.Cut(spec, ":")
 	switch {
 	case spec == "s3": // with fifo and mrshare, a plan-set scheduler: what the cluster and the matrix run
-		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
 			return core.NewMultiFile(plans, l)
 		}}, nil
 	case spec == "fifo":
-		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
 			return scheduler.NewFIFO(plans, l)
+		}}, nil
+	case spec == "mrshare": // MRShare's strongest configuration for a known job set; a file nobody reads still needs a valid batch plan
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, readers map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
+			return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(readers[file], 1)} }, l)
 		}}, nil
 	case !hasArgs:
 		if mk, ok := bareSchemes[spec]; ok {
@@ -82,19 +88,22 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 			}
 			sizes = append(sizes, n)
 		}
-		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
+		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
 			return scheduler.NewMultiMRShare(plans, func(string) []int { return sizes }, l) // every file batches alike
 		}}, nil
 	}
-	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare:n[:n…] | window:seconds:maxbatch)", spec)
+	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare[:n…] | window:seconds:maxbatch)", spec)
 }
 
-// parseLabelled is ParseScheme for the studies' tables, whose rows
-// carry their own names: "label=spec" renames the parsed scheme.
+// parseLabelled is ParseScheme for tables and cells that carry their
+// own names: "label=spec" renames the parsed scheme.
 func parseLabelled(s string) (SchemeSpec, error) {
 	label, spec, ok := strings.Cut(s, "=")
 	if !ok {
 		return ParseScheme(s)
+	}
+	if label == "" {
+		return SchemeSpec{}, fmt.Errorf("scheme %q has an empty label", s)
 	}
 	scheme, err := ParseScheme(spec)
 	scheme.Name = label

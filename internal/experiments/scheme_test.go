@@ -30,6 +30,7 @@ func TestParseScheme(t *testing.T) {
 		{"s3-nocircular", "s3-nocircular", "s3-nocircular", false},
 		{"fifo", "fifo", "fifo", true},
 		{"fair", "fair", "fair", false},
+		{"mrshare", "mrshare", "mrshare-multifile", true},
 		{"mrshare:2:2", "mrshare", "mrshare-multifile", true},
 		{"mrshare:10", "mrshare", "mrshare-multifile", true},
 		{"mrs:4", "mrshare", "mrshare-multifile", true},
@@ -41,7 +42,6 @@ func TestParseScheme(t *testing.T) {
 		{spec: "nope"},
 		{spec: "s3:1"},
 		{spec: " s3"},
-		{spec: "mrshare"},
 		{spec: "mrs"},
 		{spec: "mrshare:"},
 		{spec: "mrshare:x"},
@@ -68,7 +68,7 @@ func TestParseScheme(t *testing.T) {
 			continue
 		}
 		log := trace.MustNew(8)
-		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, log)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, nil, log)
 		if err != nil {
 			t.Errorf("%q: Make: %v", tc.spec, err)
 			continue
@@ -77,37 +77,42 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("%q: spec name %q, scheduler name %q, want %q and %q", tc.spec, scheme.Name, sched.Name(), tc.name, tc.sched)
 		}
 		// A scheme with no multi-file form stays bare and says so.
-		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil); (err == nil) != tc.multi {
+		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil, nil); (err == nil) != tc.multi {
 			t.Errorf("%q over two files: err = %v, want multi-file form = %v", tc.spec, err, tc.multi)
 		}
-		if _, err := scheme.Make(nil, nil); err == nil {
+		if _, err := scheme.Make(nil, nil, nil); err == nil {
 			t.Errorf("%q over no plan: want an error", tc.spec)
 		}
 	}
 }
 
 // A labelled entry keeps the parsed scheduler and takes the row's name;
-// the batch sizes reach the scheduler (a third job overflows 1+1).
+// the batch sizes reach the scheduler (a third job overflows 1+1), and
+// bare mrshare batches exactly the file's readers (a third overflows 2).
 func TestSchemesLabel(t *testing.T) {
-	list := schemes("s3", "mrs2=mrshare:1:1")
-	if list[0].Name != "s3" || list[1].Name != "mrs2" {
-		t.Fatalf("names = %q, %q", list[0].Name, list[1].Name)
+	list := schemes("s3", "mrs2=mrshare:1:1", "mrs1=mrshare")
+	if list[0].Name != "s3" || list[1].Name != "mrs2" || list[2].Name != "mrs1" {
+		t.Fatalf("names = %q, %q, %q", list[0].Name, list[1].Name, list[2].Name)
 	}
 	env, err := buildEnv("input", 4, 1, 8, 64<<20, NormalModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := list[1].Make([]*dfs.SegmentPlan{env.Plan}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, job := range workload.WordCountMetas(3, "input", 1, 1) {
-		if err := sched.Submit(job, 0); (err != nil) != (i == 2) {
-			t.Errorf("job %d of a 1+1 batch plan: err = %v", job.ID, err)
+	for _, scheme := range list[1:] {
+		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, map[string]int{"input": 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, job := range workload.WordCountMetas(3, "input", 1, 1) {
+			if err := sched.Submit(job, 0); (err != nil) != (i == 2) {
+				t.Errorf("%s: job %d of a 1+1 batch plan: err = %v", scheme.Name, job.ID, err)
+			}
 		}
 	}
-	if _, err := parseLabelled("x=nope"); err == nil {
-		t.Error("a labelled unknown scheme should fail")
+	for _, bad := range []string{"x=nope", "=s3"} {
+		if _, err := parseLabelled(bad); err == nil {
+			t.Errorf("parseLabelled(%q) should fail", bad)
+		}
 	}
 }
 
