@@ -393,7 +393,14 @@ func TestMasterCrashRecovery(t *testing.T) {
 	stores := []*dfs.Store{startCrashWorker(t, ctrl, "worker-a"), startCrashWorker(t, ctrl, "worker-b")}
 	waitStatus(t, base, 30*time.Second, "master1 up", func(statusSnapshot) bool { return true })
 
-	ids := submitCrashJobs(t, base, numJobs)
+	// A job is stamped admitted while its POST is answered: admitted[id]
+	// is the stamp, acked[id] the instant the answer came back.
+	var ids []int
+	acked, admitted := map[int]time.Time{}, map[int]float64{}
+	for _, prefix := range workload.DistinctPrefixes(numJobs) {
+		id := postJob(t, base, "wordcount", prefix)
+		ids, acked[id], admitted[id] = append(ids, id), time.Now(), getJobTimes(t, base, id).AdmittedAt
+	}
 	// One pass over the corpus is crashBlocks/2 = 24 rounds; by round 3
 	// every job is still mid-flight.
 	waitStatus(t, base, 30*time.Second, "rounds to accumulate", func(st statusSnapshot) bool {
@@ -402,6 +409,7 @@ func TestMasterCrashRecovery(t *testing.T) {
 	if err := m1.cmd.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL master1: %v", err)
 	}
+	killed := time.Now()
 	_ = m1.cmd.Wait() // reap; exit status is meaningless after SIGKILL
 	// With no master there are no tasks: the workers' cache counters stand
 	// at what the first incarnation's hints caused.
@@ -439,8 +447,25 @@ func TestMasterCrashRecovery(t *testing.T) {
 	st := waitStatus(t, base, 5*time.Second, "recovery visible", func(st statusSnapshot) bool {
 		return st.Recovery != nil && st.Recovery.Recoveries >= 1
 	})
-	if st.Recovery.JobsResumed+st.Recovery.JobsRestarted == 0 {
-		t.Errorf("recovery carried no jobs: %+v", st.Recovery)
+	if st.Recovery.JobsResumed == 0 {
+		t.Errorf("recovery resumed no job mid-pass: %+v", st.Recovery)
+	}
+	// A resumed job keeps the submission time its snapshot carried, on a
+	// clock that counts from master1's epoch, so its latency spans the
+	// crash; a resubmitted one is measured from its resubmission.
+	kept := 0
+	for _, id := range ids {
+		jt := getJobTimes(t, base, id)
+		if jt.AdmittedAt != admitted[id] {
+			continue
+		}
+		kept++
+		if latency, crash := jt.DoneAt-jt.AdmittedAt, killed.Sub(acked[id]).Seconds(); latency < crash {
+			t.Errorf("job %d resumed: doneAt − admittedAt = %.3f s, shorter than the %.3f s from its POST to the kill", id, latency, crash)
+		}
+	}
+	if kept < st.Recovery.JobsResumed {
+		t.Errorf("%d of %d jobs kept master1's admission stamp; %d were resumed mid-pass", kept, len(ids), st.Recovery.JobsResumed)
 	}
 	got := jobOutputs(t, base, ids)
 	// No worker died, and the journal kept the first incarnation's stash

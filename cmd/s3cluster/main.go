@@ -16,8 +16,11 @@
 //	s3cluster -role worker -listen 127.0.0.1:7001
 //	s3cluster -role master -workers 127.0.0.1:7001,127.0.0.1:7002
 //
-// With -serve, the master (or demo) stays up as a daemon after its
-// initial jobs finish and accepts live submissions over HTTP:
+// Both run their -jobs seed through the admission path HTTP submissions
+// take; without -serve admission then closes, and the run drains, prints
+// its summary and exits. With -serve, the master (or demo) stays up as a
+// daemon after its initial jobs finish and accepts live submissions over
+// HTTP:
 //
 //	s3cluster -role demo -serve -status 127.0.0.1:8080
 //	curl -d '{"factory":"wordcount","param":"th"}' http://127.0.0.1:8080/jobs
@@ -25,7 +28,9 @@
 //
 // Live jobs join the scheduler's current circular pass at the next
 // round boundary, sharing scans with whatever is already running.
-// Interrupt (SIGINT) closes admission and drains in-flight jobs.
+// Interrupt (SIGINT) closes admission and drains in-flight jobs. Every
+// time the master reports — job stamps, metrics, spans, journal records —
+// is wall seconds since its journal's first master booted.
 //
 // Workers generate their corpus locally from the shared seed — the
 // distributed analogue of HDFS data locality: block bytes never cross
@@ -38,7 +43,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -74,7 +78,7 @@ var (
 	traceJSON    = flag.String("tracejson", "", "master/demo: write the run's span tree as Chrome trace-event JSON to this file")
 	cacheMB      = flag.Int64("cachemb", 0, "worker/demo: per-worker block-cache budget in MB (0 = caching off)")
 	serve        = flag.Bool("serve", false, "master/demo: stay up as a daemon accepting live job submissions via POST /jobs on the status address; SIGINT drains and exits")
-	journalPath  = flag.String("journal", "", "master/demo: write-ahead journal path; admissions and round commits are logged so a restart on the same path recovers in-flight jobs (requires -serve)")
+	journalPath  = flag.String("journal", "", "master/demo: write-ahead journal path; admissions and round commits are logged so a restart on the same path recovers in-flight jobs")
 	fsyncMode    = flag.String("fsync", "always", "master/demo: journal fsync policy: always (survives machine crashes) or never (survives process crashes only, faster)")
 	taskDeadline = flag.Duration("taskdeadline", 0, "master/demo: per-call worker task deadline; an expired call counts as a transport failure and fails over (0 = no deadline)")
 )
@@ -174,33 +178,13 @@ func runWorker() error {
 	return w.Close()
 }
 
-func jobRefs(n int) map[scheduler.JobID]remote.JobRef {
-	refs := make(map[scheduler.JobID]remote.JobRef, n)
-	prefixes := workload.DistinctPrefixes(n)
-	for i := 0; i < n; i++ {
-		refs[scheduler.JobID(i+1)] = remote.JobRef{
-			Name:      fmt.Sprintf("wordcount-%s", prefixes[i]),
-			Factory:   "wordcount",
-			Param:     prefixes[i],
-			NumReduce: 2,
-		}
-	}
-	return refs
-}
-
 func runMaster() error {
-	var refs map[scheduler.JobID]remote.JobRef
-	if !*serve {
-		// Daemon mode registers every job through the admission path;
-		// batch mode pre-registers the whole trace up front.
-		refs = jobRefs(*jobs)
-	}
 	if *ctrlAddr != "" {
 		// Dynamic membership: listen for worker registrations and gate
 		// round-driving on the expected cluster size. The control-plane
 		// deadlines scale from the heartbeat interval the workers were
 		// told to use.
-		master := remote.NewMaster(refs)
+		master := remote.NewMaster(nil)
 		cfg := remote.ControlConfig{
 			SuspectAfter: *hb * 5 / 2,
 			DeadAfter:    *hb * 5,
@@ -214,18 +198,18 @@ func runMaster() error {
 		if err := master.WaitForWorkers(*minWorkers, 5*time.Minute); err != nil {
 			return err
 		}
-		return drive(master, refs)
+		return drive(master)
 	}
 	addrs := strings.Split(*workerStr, ",")
 	if len(addrs) == 0 || addrs[0] == "" {
 		return fmt.Errorf("master needs -control (registration mode) or -workers (static topology)")
 	}
-	master, err := remote.Dial(addrs, refs)
+	master, err := remote.Dial(addrs, nil)
 	if err != nil {
 		return err
 	}
 	defer master.Close()
-	return drive(master, refs)
+	return drive(master)
 }
 
 func runDemo() error {
@@ -251,23 +235,19 @@ func runDemo() error {
 		}
 	}()
 	fmt.Printf("demo: %d in-process workers on %v\n", *demoN, addrs)
-	var refs map[scheduler.JobID]remote.JobRef
-	if !*serve {
-		refs = jobRefs(*jobs)
-	}
-	master, err := remote.Dial(addrs, refs)
+	master, err := remote.Dial(addrs, nil)
 	if err != nil {
 		return err
 	}
 	defer master.Close()
-	return drive(master, refs)
+	return drive(master)
 }
 
 // clusterAdmission adapts the runtime's live admission queue to the
 // status server's HTTP API: it validates submissions against the
 // workers' factory registry, registers the JobRef with the master
 // inside the source's pre-admission hook (so the engine can never race
-// ahead of registration), and tracks names for the final report.
+// ahead of registration).
 type clusterAdmission struct {
 	src *runtime.LiveSource
 	// dag wraps src with dependency tracking: jobs submitted with
@@ -279,9 +259,6 @@ type clusterAdmission struct {
 	// pre-admission hook — written (and fsynced, per policy) before the
 	// submission is acknowledged, so an acked job survives a crash.
 	journal *journal.Journal
-
-	mu   sync.Mutex
-	refs map[scheduler.JobID]remote.JobRef
 }
 
 // factoryFile routes a job factory to the file it scans: wordcount
@@ -302,7 +279,6 @@ func newClusterAdmission(src *runtime.LiveSource, dag *pipeline.LiveDAG, master 
 		dag:       dag,
 		master:    master,
 		factories: make(map[string]bool),
-		refs:      make(map[scheduler.JobID]remote.JobRef),
 	}
 	// The daemon validates against the same standard registry every
 	// worker runs, so a typo'd factory is rejected at the HTTP boundary
@@ -358,9 +334,9 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 
 // submitStage runs the admission protocol for one job: journal the
 // admission (write-ahead — a crash after the ack must still know the
-// job and its dependencies), register its program with the master, and
-// record its name, all inside the source's pre-admission hook so the
-// engine can never see a half-registered job. A journal append failure
+// job and its dependencies) and register its program with the master,
+// both inside the source's pre-admission hook so the engine can never
+// see a half-registered job. A journal append failure
 // rejects the submission. Jobs with unfinished dependencies are held by
 // the DAG layer and surface as "waiting" on the status API.
 func (a *clusterAdmission) submitStage(meta scheduler.JobMeta, ref remote.JobRef, deps []scheduler.JobID) (scheduler.JobID, error) {
@@ -377,19 +353,8 @@ func (a *clusterAdmission) submitStage(meta scheduler.JobMeta, ref remote.JobRef
 				return fmt.Errorf("journaling admission: %w", err)
 			}
 		}
-		if err := a.master.RegisterJob(id, ref); err != nil {
-			return err
-		}
-		a.adopt(id, ref)
-		return nil
+		return a.master.RegisterJob(id, ref)
 	})
-}
-
-// adopt records a job's ref for the final report without submitting.
-func (a *clusterAdmission) adopt(id scheduler.JobID, ref remote.JobRef) {
-	a.mu.Lock()
-	a.refs[id] = ref
-	a.mu.Unlock()
 }
 
 // JobStatus implements status.Admission.
@@ -402,19 +367,7 @@ func (a *clusterAdmission) Jobs() []runtime.JobStatus {
 	return a.src.Jobs()
 }
 
-// jobNames snapshots the admitted id→display-name mapping.
-func (a *clusterAdmission) jobNames() map[scheduler.JobID]string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[scheduler.JobID]string, len(a.refs))
-	for id, ref := range a.refs {
-		out[id] = ref.Name
-	}
-	return out
-}
-
-func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error {
-	master.SetTimeScale(1e6)
+func drive(master *remote.Master) error {
 	if *taskDeadline > 0 {
 		master.SetTaskDeadline(*taskDeadline)
 	}
@@ -427,9 +380,6 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	var jnl *journal.Journal
 	var recorded *journal.MasterState
 	if *journalPath != "" {
-		if !*serve {
-			return fmt.Errorf("-journal requires -serve: batch runs pre-register their whole workload, so there is nothing to recover")
-		}
 		pol, err := journal.ParseSyncPolicy(*fsyncMode)
 		if err != nil {
 			return err
@@ -458,6 +408,13 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 		master.SetJournal(jnl)
 		opts.Commits = &journalCommits{j: jnl}
 	}
+	if recorded != nil && recorded.Epoch != 0 {
+		// The journal's stash epoch, and the zero of the clock its
+		// records were stamped on.
+		master.RestoreEpoch(recorded.Epoch)
+	}
+	clock := master.Clock()
+	opts.Clock = clock
 
 	// The scheduler's segment plans: metadata only, matching the two
 	// files every worker serves (text corpus + lineitem table), a segment
@@ -511,9 +468,6 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	// before any recovery; RestoreState and AddPlan keep it.
 	sched.SetScanHinter(master.HandleScanHint)
 
-	var src *runtime.LiveSource
-	var dag *pipeline.LiveDAG
-	var adm *clusterAdmission
 	// remat rebuilds one finished job's output as a scannable derived
 	// file; the DAG layer invokes it on the engine goroutine between
 	// rounds, and recovery invokes it directly to restore materialized
@@ -521,22 +475,20 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	remat := func(id scheduler.JobID) error {
 		return materializeStage(master, sched, planStore, jnl, width, id)
 	}
-	statusAddr := *statAddr
-	if *serve {
-		src = runtime.NewLiveSource()
-		dag = pipeline.NewLiveDAG(src, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
-			err := remat(id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "s3cluster: job %d's output cannot become a file, so the jobs that read it fail: %v\n", id, err)
-			}
-			return 0, err
-		})
-		adm = newClusterAdmission(src, dag, master)
-		adm.journal = jnl
-		if statusAddr == "" {
-			// The daemon is pointless without its HTTP surface.
-			statusAddr = "127.0.0.1:8080"
+	src := runtime.NewLiveSourceOn(clock)
+	dag := pipeline.NewLiveDAG(src, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
+		err := remat(id)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "s3cluster: job %d's output cannot become a file, so the jobs that read it fail: %v\n", id, err)
 		}
+		return 0, err
+	})
+	adm := newClusterAdmission(src, dag, master)
+	adm.journal = jnl
+	statusAddr := *statAddr
+	if *serve && statusAddr == "" {
+		// The daemon is pointless without its HTTP surface.
+		statusAddr = "127.0.0.1:8080"
 	}
 	var srv *status.Server
 	if statusAddr != "" {
@@ -544,118 +496,99 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 		srv.SetRegistry(reg)
 		srv.SetCluster(master)
 		srv.SetResults(master)
-		if adm != nil {
-			srv.SetAdmission(adm)
-		}
+		srv.SetAdmission(adm)
 		addr, err := srv.Serve(statusAddr)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Printf("status dashboard: http://%s/ (also /metrics, /cluster, /debug/pprof/)\n", addr)
-		if adm != nil {
+		if *serve {
 			fmt.Printf("job admission: POST http://%s/jobs accepts {\"factory\",\"param\",...}; GET /jobs lists\n", addr)
 		}
 		opts.Hooks = srv.Hooks(sched)
 	}
 
-	var res *runtime.Result
-	var names map[scheduler.JobID]string
-	if *serve {
-		recovered := false
-		var journalEpoch int64
-		if recorded != nil {
-			// Without the journal: what re-materialising would write is what is being replayed.
-			quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, width, id) }
-			rep, err := recoverFromJournal(jnl, recorded, sched, master, dag, adm, quiet, &opts)
-			if err != nil {
-				return fmt.Errorf("recovering from %s: %w", *journalPath, err)
-			}
-			recovered = true
-			journalEpoch = rep.state.Epoch
-			nth := rep.state.Recoveries + 1
-			fmt.Printf("journal recovery #%d from %s: %d job(s) resumed mid-pass, %d resubmitted, %d already settled\n",
-				nth, *journalPath, rep.resumed, rep.restarted, rep.settled)
-			rm.Recoveries.Add(float64(nth))
-			rm.JobsRecovered.Add(float64(rep.resumed + rep.restarted))
-			spans.Addf(0, trace.JournalRecovered, -1, -1,
-				"recovery #%d: %d resumed, %d restarted", nth, rep.resumed, rep.restarted)
-			if srv != nil {
-				srv.SetRecovery(status.RecoveryInfo{
-					Recoveries:    nth,
-					JobsResumed:   rep.resumed,
-					JobsRestarted: rep.restarted,
-					JournalPath:   *journalPath,
-				})
-			}
+	if recorded != nil {
+		// Without the journal: what re-materialising would write is what is being replayed.
+		quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, width, id) }
+		rep, err := recoverFromJournal(jnl, recorded, sched, master, dag, adm, quiet, &opts)
+		if err != nil {
+			return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 		}
-		if jnl != nil && journalEpoch == 0 {
-			// A new journal, or one older than the record: whoever recovers
-			// from it next resumes on this master's stash epoch.
-			if err := jnl.AppendRecord(journal.KindMasterEpoch, journal.MasterEpochRecord{Epoch: master.Epoch()}); err != nil {
-				return fmt.Errorf("journaling the master epoch: %w", err)
-			}
-		}
-		if !recovered {
-			// Seed the initial workload through the same admission path
-			// HTTP submissions take. A recovered boot skips seeding: its
-			// workload is whatever the journal says was in flight.
-			prefixes := workload.DistinctPrefixes(*jobs)
-			for i := 0; i < *jobs; i++ {
-				if _, err := adm.SubmitJob(status.JobRequest{Factory: "wordcount", Param: prefixes[i]}); err != nil {
-					return err
-				}
-			}
-		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		if jnl != nil {
-			// With a journal, SIGTERM means "checkpoint and yield": the
-			// engine stops at the next round boundary, the scheduler
-			// snapshot lands in a checkpoint record, and a later boot on
-			// the same journal resumes the pass. SIGINT still drains.
-			stop := make(chan struct{})
-			opts.Stop = stop
-			term := make(chan os.Signal, 1)
-			signal.Notify(term, syscall.SIGTERM)
-			go func() {
-				<-term
-				signal.Stop(term)
-				fmt.Println("sigterm: checkpointing at the next round boundary")
-				close(stop)
-				src.Close()
-			}()
-		} else {
-			// Without a journal a checkpoint would be lost anyway, so
-			// SIGTERM degrades to the SIGINT drain.
-			signal.Notify(sig, syscall.SIGTERM)
-		}
-		go func() {
-			<-sig
-			signal.Stop(sig)
-			fmt.Println("interrupt: closing admission, draining in-flight jobs")
-			src.Close()
-		}()
-		// The engine sees the DAG wrapper: arrivals flow through it so
-		// deferred materializations drain on the engine goroutine, and
-		// its JobTracker hooks release (or cascade-fail) dependents as
-		// producers settle.
-		res, err = runtime.Run(sched, master, dag, opts)
-		names = adm.jobNames()
-	} else {
-		var arrivals []runtime.Arrival
-		for id := range refs {
-			arrivals = append(arrivals, runtime.Arrival{
-				Job: scheduler.JobMeta{ID: id, File: "corpus"},
-				At:  vclock.Time(id - 1),
+		nth := rep.state.Recoveries + 1
+		fmt.Printf("journal recovery #%d from %s: %d job(s) resumed mid-pass, %d resubmitted, %d already settled\n",
+			nth, *journalPath, rep.resumed, rep.restarted, rep.settled)
+		rm.Recoveries.Add(float64(nth))
+		rm.JobsRecovered.Add(float64(rep.resumed + rep.restarted))
+		spans.Addf(clock.Now(), trace.JournalRecovered, -1, -1,
+			"recovery #%d: %d resumed, %d restarted", nth, rep.resumed, rep.restarted)
+		if srv != nil {
+			srv.SetRecovery(status.RecoveryInfo{
+				Recoveries:    nth,
+				JobsResumed:   rep.resumed,
+				JobsRestarted: rep.restarted,
+				JournalPath:   *journalPath,
 			})
 		}
-		res, err = runtime.RunTrace(sched, master, arrivals, opts)
-		names = make(map[scheduler.JobID]string, len(refs))
-		for id, ref := range refs {
-			names[id] = ref.Name
+	}
+	if jnl != nil && (recorded == nil || recorded.Epoch == 0) {
+		// A new journal, or one older than the record: whoever recovers
+		// from it next resumes on this master's stash epoch and clock.
+		if err := jnl.AppendRecord(journal.KindMasterEpoch, journal.MasterEpochRecord{Epoch: master.Epoch()}); err != nil {
+			return fmt.Errorf("journaling the master epoch: %w", err)
 		}
 	}
+	if recorded == nil {
+		// Seed the initial workload through the same admission path
+		// HTTP submissions take. A recovered boot skips seeding: its
+		// workload is whatever the journal says was in flight.
+		prefixes := workload.DistinctPrefixes(*jobs)
+		for i := 0; i < *jobs; i++ {
+			if _, err := adm.SubmitJob(status.JobRequest{Factory: "wordcount", Param: prefixes[i]}); err != nil {
+				return err
+			}
+		}
+	}
+	if !*serve {
+		// A batch run admits its seed and nothing after it: the engine
+		// drains what is queued and returns.
+		src.Close()
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	if jnl != nil {
+		// With a journal, SIGTERM means "checkpoint and yield": the
+		// engine stops at the next round boundary, the scheduler
+		// snapshot lands in a checkpoint record, and a later boot on
+		// the same journal resumes the pass. SIGINT still drains.
+		stop := make(chan struct{})
+		opts.Stop = stop
+		term := make(chan os.Signal, 1)
+		signal.Notify(term, syscall.SIGTERM)
+		go func() {
+			<-term
+			signal.Stop(term)
+			fmt.Println("sigterm: checkpointing at the next round boundary")
+			close(stop)
+			src.Close()
+		}()
+	} else {
+		// Without a journal a checkpoint would be lost anyway, so
+		// SIGTERM degrades to the SIGINT drain.
+		signal.Notify(sig, syscall.SIGTERM)
+	}
+	go func() {
+		<-sig
+		signal.Stop(sig)
+		fmt.Println("interrupt: closing admission, draining in-flight jobs")
+		src.Close()
+	}()
+	// The engine sees the DAG wrapper: arrivals flow through it so
+	// deferred materializations drain on the engine goroutine, and
+	// its JobTracker hooks release (or cascade-fail) dependents as
+	// producers settle.
+	res, err := runtime.Run(sched, master, dag, opts)
 	if err != nil {
 		return err
 	}
@@ -721,7 +654,7 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 		held, evicted = held+st.ResultBytes, evicted+st.ResultEvictions
 		cache.Add(st.Cache())
 	}
-	fmt.Printf("cluster block reads: %d (isolated jobs would need %d)\n", reads, int64(len(names))*int64(*blocks))
+	fmt.Printf("cluster block reads: %d (isolated jobs would need %d)\n", reads, int64(len(src.Jobs()))*int64(*blocks))
 	if cache.Hits+cache.Misses > 0 {
 		fmt.Printf("cluster block cache: %d hits / %d misses (%.1f%% hit ratio)\n", cache.Hits, cache.Misses, 100*cache.HitRatio())
 	}
@@ -733,9 +666,9 @@ func drive(master *remote.Master, refs map[scheduler.JobID]remote.JobRef) error 
 	recomputes, _ := master.ResultRecomputes()
 	fmt.Printf("cluster results: %d bytes held on the workers, %d evictions, %d recomputes\n", held, evicted, recomputes)
 	if !*serve { // a daemon's clients read outputs over HTTP, and an evicted one costs a pass
-		for id, name := range names {
-			if out, err := master.JobOutput(id); err == nil {
-				fmt.Printf("job %d (%s): %d output keys\n", id, name, len(out))
+		for _, job := range src.Jobs() {
+			if out, err := master.JobOutput(job.ID); err == nil {
+				fmt.Printf("job %d (%s): %d output keys\n", job.ID, job.Name, len(out))
 			}
 		}
 	}

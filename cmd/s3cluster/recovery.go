@@ -62,10 +62,11 @@ type recoveryReport struct {
 	state                       *journal.MasterState
 }
 
-// recoverFromJournal rebuilds daemon state from the folded journal st:
-// the master goes back on the journal's stash epoch, settled jobs
+// recoverFromJournal rebuilds daemon state from the folded journal st
+// on a master already back on the journal's stash epoch: settled jobs
 // get their status (and restored results) back, snapshotted jobs resume
-// mid-pass over the map output the workers still hold,
+// mid-pass over the map output the workers still hold, submitted when
+// the snapshot says,
 // and admitted-but-unsnapshotted jobs are resubmitted under their
 // original ids — with their recorded dependencies, so a half-finished
 // DAG re-forms: done producers seed the DAG's done set, waiting
@@ -85,9 +86,6 @@ func recoverFromJournal(
 	opts *runtime.Options,
 ) (*recoveryReport, error) {
 	rep := &recoveryReport{state: st}
-	if st.Epoch != 0 {
-		master.RestoreEpoch(st.Epoch)
-	}
 
 	// resume collects the ids restored into the scheduler; the snapshot
 	// is pruned to exactly this set before RestoreState, because the
@@ -129,7 +127,6 @@ func recoverFromJournal(
 			if err := dag.Adopt(meta, runtime.JobDone, end.At, wasMat); err != nil {
 				return nil, err
 			}
-			adm.adopt(id, ref)
 			rep.settled++
 			continue
 		}
@@ -137,7 +134,6 @@ func recoverFromJournal(
 			if err := dag.Adopt(meta, runtime.JobFailed, end.At, false); err != nil {
 				return nil, err
 			}
-			adm.adopt(id, ref)
 			rep.settled++
 			continue
 		}
@@ -149,22 +145,27 @@ func recoverFromJournal(
 			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
 				return nil, err
 			}
-			adm.adopt(id, ref)
 			continue
 		}
-		if st.InSnapshot(id) {
+		if js, snapped := st.InSnapshot(id); snapped {
 			// Mid-pass resume: the scheduler snapshot knows the job's
 			// cursor, and the workers hold the map output of the segments
 			// behind it — or do not any more, and then the job's reduce
-			// has those blocks mapped again.
+			// has those blocks mapped again. Its submission time is on this
+			// master's clock when the journal has the epoch that clock
+			// counts from (a later stamp is from another clock); without
+			// one the job is measured from this boot.
+			var at vclock.Time
+			if st.Epoch != 0 {
+				at = min(js.SubmittedAt, master.Clock().Now())
+			}
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
 			}
 			if err := dag.Adopt(meta, runtime.JobRunning, 0, false); err != nil {
 				return nil, err
 			}
-			adm.adopt(id, ref)
-			opts.Restored = append(opts.Restored, runtime.RestoredJob{ID: id})
+			opts.Restored = append(opts.Restored, runtime.RestoredJob{ID: id, At: at})
 			resume[id] = true
 			rep.resumed++
 			continue
@@ -184,7 +185,6 @@ func recoverFromJournal(
 			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
 				return nil, err
 			}
-			adm.adopt(id, ref)
 			rep.settled++
 			continue
 		}

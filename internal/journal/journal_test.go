@@ -231,7 +231,7 @@ func TestReduceEntriesFold(t *testing.T) {
 		Scheme: "s3-multifile",
 		Queues: []scheduler.QueueSnapshot{{
 			File: "corpus", Segments: 4, Cursor: 1,
-			Jobs: []scheduler.JobSnapshot{{Meta: scheduler.JobMeta{ID: 2, File: "corpus"}, Remaining: 3}},
+			Jobs: []scheduler.JobSnapshot{{Meta: scheduler.JobMeta{ID: 2, File: "corpus"}, Remaining: 3, SubmittedAt: 1.25}},
 		}},
 	}
 	must(j.AppendRecord(KindRoundCommitted, RoundCommittedRecord{Segment: 0, Jobs: []scheduler.JobID{1, 2}, Snapshot: snap}))
@@ -256,8 +256,11 @@ func TestReduceEntriesFold(t *testing.T) {
 	if len(st.Order) != 3 || len(st.Failed) != 0 {
 		t.Fatalf("order %v failed %v: jobs 2 and 3 are still pending", st.Order, st.Failed)
 	}
-	if !st.InSnapshot(2) || st.InSnapshot(3) || st.InSnapshot(1) {
-		t.Fatalf("InSnapshot: 2=%v 3=%v 1=%v", st.InSnapshot(2), st.InSnapshot(3), st.InSnapshot(1))
+	js, two := st.InSnapshot(2)
+	_, three := st.InSnapshot(3)
+	_, one := st.InSnapshot(1)
+	if !two || three || one || js.SubmittedAt != 1.25 {
+		t.Fatalf("InSnapshot: 2=%v (%+v) 3=%v 1=%v", two, js, three, one)
 	}
 	if st.Snapshot == nil || st.Snapshot.Queues[0].Cursor != 1 {
 		t.Fatalf("snapshot = %+v", st.Snapshot)
@@ -329,7 +332,7 @@ func TestReduceEntriesDAGRecords(t *testing.T) {
 	if _, done := st.Done[1]; !done {
 		t.Fatalf("Done = %v, want job 1 settled too", st.Done)
 	}
-	if st.InSnapshot(1) {
+	if _, ok := st.InSnapshot(1); ok {
 		t.Fatal("InSnapshot with no snapshot")
 	}
 }

@@ -36,18 +36,19 @@ type MasterState struct {
 	MaxID scheduler.JobID
 }
 
-// InSnapshot reports whether the latest snapshot carries the job —
-// i.e. the scheduler can resume it mid-pass instead of restarting it.
-func (s *MasterState) InSnapshot(id scheduler.JobID) bool {
+// InSnapshot returns the job's entry in the latest snapshot, if it has
+// one — i.e. the scheduler can resume it mid-pass instead of restarting
+// it.
+func (s *MasterState) InSnapshot(id scheduler.JobID) (scheduler.JobSnapshot, bool) {
 	if s.Snapshot == nil {
-		return false
+		return scheduler.JobSnapshot{}, false
 	}
 	for _, js := range s.Snapshot.Jobs() {
 		if js.Meta.ID == id {
-			return true
+			return js, true
 		}
 	}
-	return false
+	return scheduler.JobSnapshot{}, false
 }
 
 // ReduceEntries folds replayed entries into a MasterState. Unknown

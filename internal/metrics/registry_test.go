@@ -215,14 +215,19 @@ func TestNewRunMetricsRegistersEverything(t *testing.T) {
 	reg := NewRegistry()
 	rm := NewRunMetrics(reg)
 	rm.JobResponse.Observe(1)
+	rm.JobResponse.Observe(0.003) // a wall-clock response: one layout from 50 µs to 5000 s
 	rm.RoundDuration.Observe(2)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"s3_job_response_seconds_bucket",
-		"s3_round_seconds_bucket",
+		`s3_job_response_seconds_bucket{le="5e-05"} 0`,
+		`s3_job_response_seconds_bucket{le="0.0025"} 0`,
+		`s3_job_response_seconds_bucket{le="0.005"} 1`,
+		`s3_job_response_seconds_bucket{le="1"} 2`,
+		`s3_job_response_seconds_bucket{le="5000"} 2`,
+		`s3_round_seconds_bucket{le="2.5"} 1`,
 		"s3_rounds_total",
 		"s3_queue_depth",
 		"s3_virtual_time_seconds",

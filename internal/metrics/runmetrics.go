@@ -1,16 +1,15 @@
 package metrics
 
-// Standard bucket layouts. Durations cover the sims' virtual seconds
-// (sub-second stages up to multi-thousand-second heavy runs); counts
-// cover batch widths and rounds-per-job on a 40-node cluster.
+// Standard bucket layouts. Durations run from what a real cluster does
+// inside one round (50 µs) to the sims' multi-thousand-second heavy
+// runs; counts cover batch widths and rounds-per-job on a 40-node
+// cluster.
 var (
 	// DurationBuckets are upper bounds in seconds.
-	DurationBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+	DurationBuckets = []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
+		0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 	// CountBuckets are upper bounds for small integer distributions.
 	CountBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
-	// WallBuckets are upper bounds in wall-clock seconds for what a real
-	// cluster does inside one round: 50 µs to 1 s.
-	WallBuckets = []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 0.1, 0.25, 1}
 )
 
 // RunMetrics bundles the standard instruments a driver run records,

@@ -7,6 +7,7 @@ import (
 
 	"s3sched/internal/journal"
 	"s3sched/internal/trace"
+	"s3sched/internal/vclock"
 )
 
 // Durability and watchdog surface of the master.
@@ -77,8 +78,17 @@ func (m *Master) Epoch() int64 { return m.epoch }
 
 // RestoreEpoch puts a recovered master back on the epoch its journal
 // recorded, so the jobs it resumes find their map output where the
-// crashed master's tasks left it. Call before the first round.
-func (m *Master) RestoreEpoch(epoch int64) { m.epoch = epoch }
+// crashed master's tasks left it, and its clock on the same zero. Call
+// before the first round.
+func (m *Master) RestoreEpoch(epoch int64) {
+	m.epoch = epoch
+	m.clock = vclock.NewWallSince(time.Unix(0, epoch))
+}
+
+// Clock is the master's wall clock: seconds since its epoch, the time
+// of the first master of a recovered journal. A process's run loop and
+// admission queue keep time by it too.
+func (m *Master) Clock() *vclock.Wall { return m.clock }
 
 // RestoreResult re-installs a completed job's journaled result so the
 // admission API can serve its output after a restart.

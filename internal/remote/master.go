@@ -47,7 +47,8 @@ type Master struct {
 	members *membership
 	// timeScale converts measured wall seconds to virtual seconds.
 	timeScale float64
-	clock     *vclock.Wall
+	// clock counts from epoch (Clock).
+	clock *vclock.Wall
 	// log, when non-nil, records one TaskDispatched event per issued
 	// RPC, tagged with a correlation id the worker echoes into its own
 	// trace. roundSeq numbers rounds for those ids.
@@ -142,8 +143,6 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 		members:   newMembership(),
 		jobs:      make(map[scheduler.JobID]JobRef, len(jobs)),
 		timeScale: 1,
-		clock:     vclock.NewWall(),
-		epoch:     newEpoch(),
 		shuffle:   make(map[scheduler.JobID]*jobShuffle),
 		released:  make(map[string]int),
 		results:   make(map[scheduler.JobID]*jobResult),
@@ -153,6 +152,7 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 	for id, ref := range jobs {
 		m.jobs[id] = ref
 	}
+	m.RestoreEpoch(newEpoch())
 	return m
 }
 
@@ -197,7 +197,7 @@ type wallMetrics struct {
 // s3_wall_*_seconds. Call before the first round.
 func (m *Master) SetRegistry(reg *metrics.Registry) {
 	hist := func(name, help string) *metrics.Histogram {
-		return reg.Histogram("s3_wall_"+name+"_seconds", help, metrics.WallBuckets)
+		return reg.Histogram("s3_wall_"+name+"_seconds", help, metrics.DurationBuckets)
 	}
 	m.wall = &wallMetrics{
 		hist("map_phase", "wall time of a round's map phase at the master"),

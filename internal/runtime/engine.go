@@ -52,7 +52,7 @@ type engine struct {
 	maxRequeues int
 	pol         stagePolicy
 
-	clock *vclock.Virtual
+	clock vclock.Clock
 	coll  *metrics.Collector
 	tele  *telemetry
 	res   *Result
@@ -75,13 +75,17 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 	if maxRequeues <= 0 {
 		maxRequeues = DefaultMaxRequeues
 	}
+	clock := opts.Clock
+	if clock == nil {
+		clock = vclock.NewVirtual()
+	}
 	e := &engine{
 		sched:       sched,
 		exec:        exec,
 		src:         src,
 		hooks:       opts.Hooks,
 		maxRequeues: maxRequeues,
-		clock:       vclock.NewVirtual(),
+		clock:       clock,
 		coll:        metrics.NewCollector(),
 		tele:        newTelemetry(opts),
 		failed:      make(map[scheduler.JobID]bool),
@@ -133,6 +137,9 @@ func (e *engine) run() (*Result, error) {
 	for _, rj := range e.restored {
 		e.coll.Submit(rj.ID, rj.At)
 		e.tele.jobSubmitted()
+		if e.trk != nil {
+			e.trk.JobAdmitted(rj.ID, rj.At)
+		}
 	}
 	for {
 		if e.stopRequested() {
@@ -201,7 +208,7 @@ func (e *engine) run() (*Result, error) {
 			var lost *scheduler.RoundLostError
 			if errors.As(err, &lost) {
 				e.requeues++
-				if lerr := e.requeueLost(r, lost); lerr != nil {
+				if lerr := e.requeueLost(r, now, lost); lerr != nil {
 					e.pol.drain()
 					return nil, lerr
 				}
@@ -243,10 +250,9 @@ func (e *engine) stopRequested() bool {
 }
 
 // drainMembership pulls the executor's pending membership transitions
-// into the telemetry sinks. Cluster churn happens on the wall clock;
-// events are stamped with the virtual time at which the run loop
-// observed them — the instant the information could first influence a
-// scheduling decision.
+// into the telemetry sinks. Events are stamped with the run's time at
+// which the loop observed them — the instant the information could
+// first influence a scheduling decision.
 func (e *engine) drainMembership(now vclock.Time) {
 	if e.mem == nil {
 		return
@@ -304,12 +310,13 @@ func (e *engine) nextEvent(now vclock.Time) (vclock.Time, bool) {
 	return target, have
 }
 
-// requeueLost processes a round-loss error: advance the clock by the
-// time the failed execution consumed, then return the round to a
+// requeueLost processes a round-loss error: advance the clock to the
+// end of the time the failed execution, launched at now, consumed
+// (a wall clock is there already), then return the round to a
 // Recoverable scheduler. Returns an error when the scheduler cannot
 // recover or the consecutive-requeue bound is exhausted. This is the
 // single MaxRequeues implementation both stage policies run through.
-func (e *engine) requeueLost(r scheduler.Round, lost *scheduler.RoundLostError) error {
+func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler.RoundLostError) error {
 	rec, ok := e.sched.(scheduler.Recoverable)
 	if !ok {
 		return fmt.Errorf("runtime: round over segment %d lost and scheduler %q cannot requeue: %w", r.Segment, e.sched.Name(), lost)
@@ -320,7 +327,7 @@ func (e *engine) requeueLost(r scheduler.Round, lost *scheduler.RoundLostError) 
 	if lost.Elapsed < 0 {
 		return fmt.Errorf("runtime: executor returned negative lost-round elapsed %v", lost.Elapsed)
 	}
-	e.clock.Advance(lost.Elapsed)
+	e.clock.AdvanceTo(now.Add(lost.Elapsed))
 	rec.RequeueRound(r, e.clock.Now())
 	e.coll.AddFaultStats(metrics.FaultStats{RequeuedRounds: 1, RequeuedSubJobs: len(r.Jobs)})
 	return nil

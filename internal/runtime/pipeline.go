@@ -241,7 +241,7 @@ func (p *pipelinedPolicy) launch(r scheduler.Round, now vclock.Time) error {
 	}
 	e.requeues = 0
 	e.res.Rounds++
-	e.clock.Advance(mapDur)
+	e.clock.AdvanceTo(now.Add(mapDur))
 	mapEnd := e.clock.Now()
 	// The scheduler's state (cursor, active set) advances at map end:
 	// the next round may be formed while this round's reduce drains.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
@@ -55,6 +56,41 @@ func TestRunFIFOSequential(t *testing.T) {
 	}
 	if res.Rounds != 20 {
 		t.Errorf("rounds = %d, want 20", res.Rounds)
+	}
+}
+
+// An open-loop replay on the wall clock, as a daemon keeps time: rounds
+// report the wall time they took, and arrivals 20 ms apart are admitted
+// when they are due, not as fast as the loop can pop them — so the run
+// ends no earlier than the last arrival, and every job is submitted at
+// its own time.
+func TestRunTraceOnWallClock(t *testing.T) {
+	exec := ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) {
+		began := time.Now()
+		time.Sleep(time.Millisecond)
+		return vclock.Duration(time.Since(began).Seconds()), nil
+	})
+	var arrivals []Arrival
+	for i := 0; i < 4; i++ {
+		arrivals = append(arrivals, Arrival{Job: job(i + 1), At: vclock.Time(0.02 * float64(i))})
+	}
+	clock := vclock.NewWall()
+	res, err := RunTrace(core.New(makePlan(t, 4, 1), nil), exec, arrivals, Options{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := arrivals[len(arrivals)-1].At
+	if res.End < last || clock.Now() < res.End {
+		t.Errorf("run ended at %v (clock now %v), want no earlier than the last arrival at %v", res.End, clock.Now(), last)
+	}
+	rows, err := res.Metrics.JobTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if row.SubmittedAt != arrivals[i].At || row.StartedAt < row.SubmittedAt {
+			t.Errorf("job %d submitted at %v and started at %v, want submitted at %v", row.ID, row.SubmittedAt, row.StartedAt, arrivals[i].At)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package runtime is the single round-loop engine behind every
 // execution path in the repository. It drives a scheduler and an
-// executor under a virtual clock through the paper's state machine —
+// executor under one clock, virtual unless Options.Clock is a wall
+// clock, through the paper's state machine —
 //
 //	admit due arrivals → form round → execute → drain failures →
 //	requeue-or-retire → fold stats
@@ -131,7 +132,7 @@ type Waker interface {
 // return nothing so the loop's hot path stays infallible.
 type CommitLog interface {
 	// RoundCommitted fires after settleRound retires round r at
-	// virtual time now. snap is the scheduler's post-round state, nil
+	// time now. snap is the scheduler's post-round state, nil
 	// when the scheduler is not Snapshottable or could not snapshot
 	// (pipelined reduces still draining). requeues is the engine's
 	// consecutive-requeue count (0 after a successful round).
@@ -148,10 +149,10 @@ type CommitLog interface {
 // collector's submit→start→complete lifecycle holds.
 type RestoredJob struct {
 	ID scheduler.JobID
-	// At is the admission time to record. Virtual clocks restart at
-	// zero on every boot, so recovery passes 0: post-restart response
-	// times measure from the restart, which is when this incarnation
-	// first owed the job service.
+	// At is the admission time to record, on the run's clock. A daemon's
+	// clock counts from its journal's first master epoch, so recovery
+	// passes the snapshot's submission time; a journal without that
+	// epoch stamped times this boot cannot read, and passes 0.
 	At vclock.Time
 }
 
@@ -174,7 +175,7 @@ type Arrival struct {
 type Result struct {
 	Metrics *metrics.Collector
 	Rounds  int
-	// End is the virtual time when the last job completed.
+	// End is the run's time when the last job completed.
 	End vclock.Time
 	// Stopped reports that the run exited early at a round boundary
 	// because Options.Stop fired — a graceful shutdown, not an error.
@@ -238,6 +239,10 @@ type Options struct {
 	// value a checkpoint carried, so a crash loop cannot reset its own
 	// budget by restarting.
 	InitialRequeues int
+	// Clock is the run's time, advanced by each round's duration and to
+	// each next arrival; nil is a fresh vclock.Virtual. On a vclock.Wall
+	// a live source must stamp from the same clock (NewLiveSourceOn).
+	Clock vclock.Clock
 }
 
 // Run drives arrivals from src through the scheduler, executing rounds

@@ -58,7 +58,7 @@ func (p *serialPolicy) launch(r scheduler.Round, launch vclock.Time) error {
 	}
 	e.requeues = 0
 	e.res.Rounds++
-	e.clock.Advance(dur)
+	e.clock.AdvanceTo(launch.Add(dur))
 	now := e.clock.Now()
 	// Jobs that arrived while the round ran join the queue before
 	// the round is retired, so the very next round can include

@@ -16,12 +16,13 @@ import (
 // (LiveSource) synchronize internally.
 type ArrivalSource interface {
 	// Pop removes and returns every arrival due at or before now, each
-	// stamped with its admission time (<= now). Sources without
-	// intrinsic timestamps (live queues) stamp jobs with now.
+	// stamped with its admission time (<= now). A live queue without a
+	// clock stamps its jobs with now.
 	Pop(now vclock.Time) []Arrival
 	// Peek reports the time of the earliest queued arrival (ok=false
-	// when nothing is queued right now). Live sources report 0 for a
-	// queued job — "due immediately"; the engine clamps to now.
+	// when nothing is queued right now). A live queue without a clock
+	// reports 0 for a queued job — "due immediately"; the engine clamps
+	// to now.
 	Peek() (at vclock.Time, ok bool)
 	// Pending reports how many accepted jobs await admission.
 	Pending() int
@@ -126,7 +127,9 @@ const (
 )
 
 // JobStatus is the externally visible state of one live-submitted job.
-// Times are virtual-clock seconds of the run the job was admitted to.
+// Times are on the run's clock: a daemon's are wall seconds since its
+// journal's first master epoch, so doneAt − admittedAt is the job's
+// response time, queue wait and restarts included.
 type JobStatus struct {
 	ID         scheduler.JobID `json:"id"`
 	Name       string          `json:"name"`
@@ -145,9 +148,12 @@ type JobStatus struct {
 // It implements ArrivalSource and JobTracker, so it also tracks each
 // job's lifecycle for an admission API to report.
 type LiveSource struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []scheduler.JobMeta
+	mu   sync.Mutex
+	cond *sync.Cond
+	// clock, when set, stamps each job as it is queued; queue is then in
+	// stamp order.
+	clock  vclock.Clock
+	queue  []Arrival
 	status map[scheduler.JobID]*JobStatus
 	order  []scheduler.JobID
 	nextID scheduler.JobID
@@ -157,9 +163,17 @@ type LiveSource struct {
 	held map[scheduler.JobID]scheduler.JobMeta
 }
 
-// NewLiveSource returns an open admission queue.
-func NewLiveSource() *LiveSource {
+// NewLiveSource returns an open admission queue whose jobs arrive when
+// the engine pops them.
+func NewLiveSource() *LiveSource { return NewLiveSourceOn(nil) }
+
+// NewLiveSourceOn returns an open admission queue that stamps each job
+// from clock when it is queued — submitted, or released from hold — so
+// its wait for the run loop counts toward its response time. clock must
+// be the run's Options.Clock; nil is NewLiveSource.
+func NewLiveSourceOn(clock vclock.Clock) *LiveSource {
 	s := &LiveSource{
+		clock:  clock,
 		status: make(map[scheduler.JobID]*JobStatus),
 		nextID: 1,
 		held:   make(map[scheduler.JobID]scheduler.JobMeta),
@@ -209,16 +223,13 @@ func (s *LiveSource) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID,
 	if meta.ID >= s.nextID {
 		s.nextID = meta.ID + 1
 	}
-	st := &JobStatus{ID: meta.ID, Name: meta.Name, State: JobQueued, DependsOn: slices.Clone(deps)}
+	s.status[meta.ID] = &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting, DependsOn: slices.Clone(deps)}
+	s.order = append(s.order, meta.ID)
 	if hold {
-		st.State = JobWaiting
 		s.held[meta.ID] = meta
 	} else {
-		s.queue = append(s.queue, meta)
-		s.cond.Broadcast()
+		s.enqueue(meta)
 	}
-	s.status[meta.ID] = st
-	s.order = append(s.order, meta.ID)
 	return meta.ID, nil
 }
 
@@ -233,10 +244,21 @@ func (s *LiveSource) Release(id scheduler.JobID) error {
 		return fmt.Errorf("runtime: job %d is not held", id)
 	}
 	delete(s.held, id)
-	s.queue = append(s.queue, meta)
-	s.status[id].State = JobQueued
-	s.cond.Broadcast()
+	s.enqueue(meta)
 	return nil
+}
+
+// enqueue queues meta — stamped, when the source has a clock, with the
+// time its status reports as admittedAt — and wakes a parked engine.
+// The caller holds s.mu.
+func (s *LiveSource) enqueue(meta scheduler.JobMeta) {
+	st := s.status[meta.ID]
+	st.State = JobQueued
+	if s.clock != nil {
+		st.AdmittedAt = s.clock.Now()
+	}
+	s.queue = append(s.queue, Arrival{Job: meta, At: st.AdmittedAt})
+	s.cond.Broadcast()
 }
 
 // Fail retires a job the engine has not seen yet, held or queued,
@@ -247,7 +269,7 @@ func (s *LiveSource) Fail(id scheduler.JobID, at vclock.Time) error {
 	defer s.mu.Unlock()
 	if _, held := s.held[id]; held {
 		delete(s.held, id)
-	} else if i := slices.IndexFunc(s.queue, func(m scheduler.JobMeta) bool { return m.ID == id }); i >= 0 {
+	} else if i := slices.IndexFunc(s.queue, func(a Arrival) bool { return a.Job.ID == id }); i >= 0 {
 		s.queue = slices.Delete(s.queue, i, i+1)
 	} else {
 		return fmt.Errorf("runtime: job %d is neither held nor queued", id)
@@ -267,27 +289,35 @@ func (s *LiveSource) Close() {
 	s.cond.Broadcast()
 }
 
-// Pop drains the queue, stamping every job with the engine's current
-// virtual time — a live job "arrives" the moment the loop admits it.
+// Pop removes the jobs stamped at or before now. Without a clock that
+// is every queued job, stamped now: it "arrives" the moment the loop
+// admits it.
 func (s *LiveSource) Pop(now vclock.Time) []Arrival {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
+	n := sort.Search(len(s.queue), func(i int) bool { return s.queue[i].At > now })
+	if n == 0 {
 		return nil
 	}
-	out := make([]Arrival, len(s.queue))
-	for i, meta := range s.queue {
-		out[i] = Arrival{Job: meta, At: now}
+	out := slices.Clone(s.queue[:n])
+	if s.clock == nil {
+		for i := range out {
+			out[i].At = now
+		}
 	}
-	s.queue = s.queue[:0]
+	s.queue = append(s.queue[:0], s.queue[n:]...)
 	return out
 }
 
-// Peek reports a queued job as due immediately.
+// Peek reports the oldest queued job's stamp: 0, due immediately,
+// without a clock.
 func (s *LiveSource) Peek() (vclock.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return 0, len(s.queue) > 0
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].At, true
 }
 
 // Pending reports the admission-queue depth.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"s3sched/internal/scheduler"
+	"s3sched/internal/vclock"
 )
 
 var errTest = errors.New("test error")
@@ -154,5 +155,40 @@ func TestLiveSourceLifecycle(t *testing.T) {
 	}
 	if src.Wait() {
 		t.Error("Wait() = true on closed, drained source")
+	}
+}
+
+// A live source on a clock stamps a job when it is queued — submitted,
+// or released from hold — reports the stamp as admittedAt at once, and
+// delivers only what is due.
+func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
+	clock := vclock.NewVirtual()
+	src := NewLiveSourceOn(clock)
+	first, err := src.Submit(meta(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := src.SubmitStage(meta(0), []scheduler.JobID{first}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.AdvanceTo(5)
+	if err := src.Release(held); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := src.Status(held); st.State != JobQueued || st.AdmittedAt != 5 {
+		t.Fatalf("released job's status %+v, want queued and admitted at 5", st)
+	}
+	if at, ok := src.Peek(); !ok || at != 0 {
+		t.Fatalf("Peek = %v,%v, want the first job's stamp 0", at, ok)
+	}
+	if got := src.Pop(3); len(got) != 1 || got[0].Job.ID != first || got[0].At != 0 {
+		t.Fatalf("Pop(3) = %v, want the first job at 0 only", got)
+	}
+	if at, ok := src.Peek(); !ok || at != 5 || src.Pending() != 1 {
+		t.Fatalf("Peek = %v,%v with %d pending, want the released job at 5", at, ok, src.Pending())
+	}
+	if got := src.Pop(5); len(got) != 1 || got[0].Job.ID != held || got[0].At != 5 {
+		t.Fatalf("Pop(5) = %v, want the released job at 5", got)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // configured) makes every method a no-op, so the run loop calls it
 // unconditionally.
 //
-// Everything recorded here is a pure function of virtual-clock times
+// Everything recorded here is a pure function of the run's clock times
 // and round compositions, so a deterministic executor (the simulator)
 // yields byte-identical metric snapshots and identical span trees
 // across runs — the property the telemetry tests pin down.

@@ -154,7 +154,7 @@ var dashboard = template.Must(template.New("dash").Funcs(template.FuncMap{
 <html><head><title>s3sched status</title></head><body>
 <h1>s3sched — {{.Scheme}}</h1>
 <table border="1" cellpadding="4">
-<tr><td>virtual time</td><td>{{printf "%.3f" .VirtualTime}}s</td></tr>
+<tr><td>run clock</td><td>{{printf "%.3f" .VirtualTime}}s</td></tr>
 <tr><td>rounds</td><td>{{.Rounds}}</td></tr>
 <tr><td>pending jobs</td><td>{{.PendingJobs}}</td></tr>
 <tr><td>completed jobs</td><td>{{.DoneJobs}}</td></tr>

@@ -121,6 +121,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	rm := metrics.NewRunMetrics(reg)
 	rm.JobResponse.Observe(12.5)
 	rm.RoundDuration.Observe(3.25)
+	rm.RoundDuration.Observe(0.0007) // a daemon's round, in wall seconds
 	rm.RoundsTotal.Inc()
 	s.SetRegistry(reg)
 	ts := httptest.NewServer(s.Handler())
@@ -141,7 +142,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"s3_job_response_seconds_bucket",
 		"s3_job_response_seconds_sum 12.5",
-		"s3_round_seconds_bucket",
+		`s3_round_seconds_bucket{le="0.0005"} 0`,
+		`s3_round_seconds_bucket{le="0.001"} 1`,
+		`s3_round_seconds_bucket{le="5"} 2`,
 		"s3_rounds_total 1",
 		"# TYPE s3_job_response_seconds histogram",
 	} {

@@ -38,8 +38,15 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fs", float64(d)) }
 // Seconds returns the duration as a plain float64 of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
+// Clock is what a run loop keeps time with: it reads the time and moves
+// it forward to an instant it has to reach.
+type Clock interface {
+	Now() Time
+	// AdvanceTo returns once the clock reads at least t.
+	AdvanceTo(t Time)
+}
+
 // Wall is a clock backed by the machine's monotonic wall clock.
-// The epoch is the moment NewWall was called.
 type Wall struct {
 	start time.Time
 }
@@ -47,8 +54,23 @@ type Wall struct {
 // NewWall returns a wall clock whose epoch is now.
 func NewWall() *Wall { return &Wall{start: time.Now()} }
 
-// Now returns the seconds elapsed since the clock was created.
+// NewWallSince returns a wall clock whose epoch is the given instant,
+// which may be in an earlier process's lifetime. The clock still runs
+// on this process's monotonic reading.
+func NewWallSince(epoch time.Time) *Wall {
+	now := time.Now()
+	return &Wall{start: now.Add(-now.Sub(epoch))}
+}
+
+// Now returns the seconds elapsed since the clock's epoch.
 func (w *Wall) Now() Time { return Time(time.Since(w.start).Seconds()) }
+
+// AdvanceTo sleeps until t; an instant already passed returns at once.
+func (w *Wall) AdvanceTo(t Time) {
+	for d := t.Sub(w.Now()); d > 0; d = t.Sub(w.Now()) {
+		time.Sleep(time.Duration(d * 1e9))
+	}
+}
 
 // Virtual is a manually advanced clock for deterministic simulation.
 // It is safe for concurrent use.
@@ -67,19 +89,9 @@ func (v *Virtual) Now() Time {
 	return v.now
 }
 
-// Advance moves the clock forward by d. It panics if d is negative:
-// simulated time never runs backwards, and a negative advance always
-// indicates a bug in the event loop.
-func (v *Virtual) Advance(d Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("vclock: negative advance %v", d))
-	}
-	v.mu.Lock()
-	v.now = v.now.Add(d)
-	v.mu.Unlock()
-}
-
-// AdvanceTo moves the clock forward to t. It panics if t is in the past.
+// AdvanceTo moves the clock forward to t. It panics if t is in the
+// past: simulated time never runs backwards, and a backwards step
+// always indicates a bug in the event loop.
 func (v *Virtual) AdvanceTo(t Time) {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -15,8 +15,8 @@ func TestVirtualStartsAtZero(t *testing.T) {
 
 func TestVirtualAdvance(t *testing.T) {
 	v := NewVirtual()
-	v.Advance(2.5)
-	v.Advance(1.5)
+	v.AdvanceTo(v.Now().Add(2.5))
+	v.AdvanceTo(v.Now().Add(1.5))
 	if got := v.Now(); got != 4 {
 		t.Fatalf("Now() = %v, want 4", got)
 	}
@@ -36,9 +36,9 @@ func TestVirtualAdvanceTo(t *testing.T) {
 
 func TestVirtualRejectsBackwards(t *testing.T) {
 	v := NewVirtual()
-	v.Advance(5)
+	v.AdvanceTo(5)
 	for _, fn := range []func(){
-		func() { v.Advance(-1) },
+		func() { v.AdvanceTo(v.Now().Add(-1)) },
 		func() { v.AdvanceTo(4) },
 	} {
 		func() {
@@ -55,14 +55,22 @@ func TestVirtualRejectsBackwards(t *testing.T) {
 func TestVirtualConcurrentAdvance(t *testing.T) {
 	v := NewVirtual()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 7; i++ {
 		wg.Add(1)
-		go func() {
+		go func() { // readers see time only move forward
 			defer wg.Done()
+			last := Time(0)
 			for j := 0; j < 100; j++ {
-				v.Advance(1)
+				now := v.Now()
+				if now < last {
+					t.Errorf("Now() went back from %v to %v", last, now)
+				}
+				last = now
 			}
 		}()
+	}
+	for j := 1; j <= 800; j++ {
+		v.AdvanceTo(Time(j))
 	}
 	wg.Wait()
 	if got := v.Now(); got != 800 {
@@ -77,6 +85,30 @@ func TestWallMovesForward(t *testing.T) {
 	t1 := w.Now()
 	if !t0.Before(t1) {
 		t.Fatalf("wall clock did not advance: %v -> %v", t0, t1)
+	}
+}
+
+func TestWallAdvanceToPastReturnsAtOnce(t *testing.T) {
+	w := NewWallSince(time.Now().Add(-time.Hour))
+	began := time.Now()
+	w.AdvanceTo(w.Now() - 1)
+	w.AdvanceTo(0)
+	if took := time.Since(began); took > 50*time.Millisecond {
+		t.Fatalf("AdvanceTo a passed instant took %v", took)
+	}
+	if now := w.Now(); now < 3600 || now > 3700 {
+		t.Fatalf("a clock whose epoch is an hour ago reads %v", now)
+	}
+}
+
+func TestWallAdvanceToFutureWaitsForIt(t *testing.T) {
+	w := NewWall()
+	for _, d := range []Duration{0.001, 0.02, 1e-9} {
+		target := w.Now().Add(d)
+		w.AdvanceTo(target)
+		if now := w.Now(); now < target {
+			t.Fatalf("AdvanceTo(%v) returned at %v", target, now)
+		}
 	}
 }
 
