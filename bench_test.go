@@ -292,25 +292,32 @@ func BenchmarkMapBlockWordcount(b *testing.B) {
 }
 
 // BenchmarkMapBlockWordcountMix is the map work a wc-shared worker runs
-// for one round's worth of distinct jobs: all 16 DistinctPrefixes over
-// eight 256 KB text blocks, one (block, job) unit each, as in the
-// benchmark's cluster (a NumReduce of 2, the summing combiner).
+// for one round: one merged task per block of eight 256 KB text blocks,
+// for k word counts of distinct DistinctPrefixes, as in the benchmark's
+// cluster (a NumReduce of 2, the summing combiner). One and two first
+// bytes take the IndexByte walks, three and more the 8-byte walk.
 func BenchmarkMapBlockWordcountMix(b *testing.B) {
-	gen, prefixes := workload.NewTextGen(1), workload.DistinctPrefixes(16)
+	gen := workload.NewTextGen(1)
 	blocks := make([][]byte, 8)
 	for i := range blocks {
 		blocks[i] = gen.Block(i, 256<<10)
 	}
-	b.SetBytes(int64(len(blocks) * len(prefixes) * 256 << 10))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, data := range blocks {
-			for _, prefix := range prefixes {
-				if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, workload.PatternCountMapper{Prefix: prefix}, workload.SumReducer{}, 2); err != nil {
-					b.Fatal(err)
+	for _, k := range []int{1, 2, 3, 7, 16} {
+		jobs := make([]mapreduce.MapJob, k)
+		for j, prefix := range workload.DistinctPrefixes(k) {
+			jobs[j] = mapreduce.MapJob{Mapper: workload.PatternCountMapper{Prefix: prefix}, Combiner: workload.SumReducer{}, Width: 2}
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(len(blocks) * 256 << 10))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, data := range blocks {
+					if _, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs); errors.Join(errs...) != nil {
+						b.Fatal(errors.Join(errs...))
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -149,7 +149,7 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		ShuffleFetchedBytes: reg.Counter("s3_shuffle_fetched_bytes_total", "map output bytes reducers fetched from peer workers"),
 		ShuffleRepairMaps:   reg.Counter("s3_shuffle_repair_maps_total", "map tasks re-run because no live worker held their output"),
 		MapTasks:            reg.Counter("s3_map_tasks_total", "(block, job) map units the workers served"),
-		MapPasses:           reg.Counter("s3_map_passes_total", "passes over a block's records that served the map units: one per block for all of a task's selections, or its word counts of one prefix, else one per unit"),
+		MapPasses:           reg.Counter("s3_map_passes_total", "passes over a block's records that served the map units: one per block for all of a task's selections, one for all its word counts, else one per unit"),
 		ResultStoreBytes:    reg.Gauge("s3_result_store_bytes", "finished jobs' output frames held on the workers"),
 		ResultEvictions:     reg.Counter("s3_result_evictions_total", "output frames workers dropped to fit their result budget"),
 		ResultFetchedBytes:  reg.Counter("s3_result_fetched_bytes_total", "output frame bytes the master fetched from workers"),

@@ -74,9 +74,9 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 		if got := mapsServed(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("worker %d served map tasks over %v, want one a round over %v", i, got, want)
 		}
-		// Word counts of distinct prefixes share no pass.
-		if st := w.wireStats(); st.MapTasks != jobs*testBlocks/2 || st.MapPasses != st.MapTasks || st.BlockReads != testBlocks/2 {
-			t.Errorf("worker %d: %d map tasks in %d passes and %d block reads, want %d in as many and %d", i, st.MapTasks, st.MapPasses, st.BlockReads, jobs*testBlocks/2, testBlocks/2)
+		// Word counts of distinct prefixes share a block's one pass.
+		if st := w.wireStats(); st.MapTasks != jobs*testBlocks/2 || st.MapPasses != testBlocks/2 || st.BlockReads != testBlocks/2 {
+			t.Errorf("worker %d: %d map tasks in %d passes and %d block reads, want %d in %d and %d", i, st.MapTasks, st.MapPasses, st.BlockReads, jobs*testBlocks/2, testBlocks/2, testBlocks/2)
 		}
 	}
 
@@ -86,7 +86,7 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 	}
 	const reduces = jobs * 2 // wordcountRefs reduce to two partitions
 	for name, want := range map[string]uint64{"map_phase": rounds, "map_handler": rounds, "map_hop": rounds, "reduce_phase": 1, "round_gap": rounds - 1,
-		"reduce_handler": reduces, "reduce_fetch": reduces, "reduce_hop": reduces} {
+		"map_pass": rounds * 2, "reduce_handler": reduces, "reduce_fetch": reduces, "reduce_hop": reduces} {
 		if !strings.Contains(text.String(), fmt.Sprintf("s3_wall_%s_seconds_count %d\n", name, want)) {
 			t.Errorf("/metrics lacks s3_wall_%s_seconds with %d observations:\n%s", name, want, text.String())
 		}
@@ -94,6 +94,11 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 	phase, handler, hop := m.wall.mapPhase.Snapshot(), m.wall.mapHandler.Snapshot(), m.wall.mapHop.Snapshot()
 	if handler.Sum <= 0 || handler.Sum > phase.Sum || hop.Sum > phase.Sum {
 		t.Errorf("map phases sum to %v s, their slowest handlers to %v s, the hops to %v s: a handler runs inside its phase", phase.Sum, handler.Sum, hop.Sum)
+	}
+	// Each map task, a worker's one a round, is observed with the time its
+	// passes spent mapping.
+	if pass := m.wall.mapPass.Snapshot(); pass.Sum <= 0 {
+		t.Errorf("s3_wall_map_pass_seconds sums to %v s over %d map tasks, want a positive sum", pass.Sum, pass.Count)
 	}
 	// Each reducer fetches its other half from the peer: the fetch runs
 	// inside the handler, and the handlers inside the reduce phases.

@@ -187,10 +187,11 @@ func (m *Master) SetTimeScale(scale float64) {
 // wallMetrics are where a round's wall time goes, in seconds: the map
 // phase as the master waits for it, the slowest handler inside it, what is
 // left (encode, a process wake-up each way, decode), the reduce phase of a
-// round that has one, the run loop's time between two rounds; per reduce
-// task its handler, the peer fetches in it, and the rest of the call.
+// round that has one, the run loop's time between two rounds; per map task
+// its passes' time in the map function; per reduce task its handler, the
+// peer fetches in it, and the rest of the call.
 type wallMetrics struct {
-	mapPhase, mapHandler, mapHop, reducePhase, roundGap, reduceHandler, reduceFetch, reduceHop *metrics.Histogram
+	mapPhase, mapHandler, mapHop, reducePhase, roundGap, mapPass, reduceHandler, reduceFetch, reduceHop *metrics.Histogram
 }
 
 // SetRegistry publishes the wall-clock split of every round on reg, as
@@ -205,6 +206,7 @@ func (m *Master) SetRegistry(reg *metrics.Registry) {
 		hist("map_hop", "map phase less its slowest handler: encode, wake-ups, decode"),
 		hist("reduce_phase", "wall time of a round's reduce phase, rounds completing a job only"),
 		hist("round_gap", "wall time between ExecRound returning and being called again"),
+		hist("map_pass", "wall time a map task's passes spent in the map function, summed over them"),
 		hist("reduce_handler", "wall time of a reduce task's handler"),
 		hist("reduce_fetch", "wall time a reduce handler waited on its peers' map output"),
 		hist("reduce_hop", "a reduce call less its handler: encode, wake-ups, decode"),
@@ -644,6 +646,9 @@ func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, 
 			out.what = fmt.Sprintf("blocks %s#%v", file, blocks)
 		}
 		return 0, err
+	}
+	if m.wall != nil {
+		m.wall.mapPass.Observe(float64(reply.PassNs) / 1e9)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -107,13 +107,16 @@ type PartReceipt struct {
 // MapTaskReply answers a map task with what it scanned and, per job and
 // partition, a receipt for what it stashed over all its blocks; the records
 // stay on the worker. WallNs is how long the handler ran: what is left of
-// the master's wait is the hop. Nothing fills PerJob: it remains for
+// the master's wait is the hop. PassNs is the time its passes spent in
+// mapreduce.MapBlockForJobs, summed over them: the map function's share,
+// which the slots overlap. Nothing fills PerJob: it remains for
 // bench/perf's remote.gob_* probes.
 type MapTaskReply struct {
 	PerJob       [][][]mapreduce.KV
 	BytesScanned int64
 	Receipts     [][]PartReceipt
 	WallNs       int64
+	PassNs       int64
 }
 
 // ReduceTaskArgs asks a worker to reduce one partition of one job from

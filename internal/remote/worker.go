@@ -137,7 +137,7 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	}, nb)
 	parts, errs := make([][][]mapreduce.KV, len(units)), make([]error, len(units))
 	passes := nb * len(groups)
-	var next atomic.Int64
+	var next, passNs atomic.Int64
 	run := func() {
 		for k := int(next.Add(1)) - 1; k < passes; k = int(next.Add(1)) - 1 {
 			b, group := k%nb, groups[k/nb]
@@ -150,7 +150,9 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 			if rd.err != nil {
 				continue
 			}
+			passed := time.Now()
 			got, failed := mapreduce.MapBlockForJobs(id, rd.data, pass)
+			passNs.Add(int64(time.Since(passed)))
 			for i, j := range group {
 				if parts[b*nj+j], errs[b*nj+j] = got[i], failed[i]; failed[i] != nil {
 					errs[b*nj+j] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[j].Name, id.Index, failed[i])
@@ -193,7 +195,7 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	if w.log != nil {
 		w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%v jobs %d bytes %d", args.Corr, args.File, args.Blocks, len(args.Jobs), reply.BytesScanned)
 	}
-	reply.WallNs = int64(time.Since(began))
+	reply.WallNs, reply.PassNs = int64(time.Since(began)), passNs.Load()
 	return nil
 }
 

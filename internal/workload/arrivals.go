@@ -93,19 +93,3 @@ func WordCountMetas(n int, file string, weight, reduceWeight float64) []schedule
 	}
 	return out
 }
-
-// SelectionMetas builds n scheduler job descriptions for selection
-// jobs over the lineitem table.
-func SelectionMetas(n int, file string, weight, reduceWeight float64) []scheduler.JobMeta {
-	out := make([]scheduler.JobMeta, n)
-	for i := range out {
-		out[i] = scheduler.JobMeta{
-			ID:           scheduler.JobID(i + 1),
-			Name:         fmt.Sprintf("selection-%d", i+1),
-			File:         file,
-			Weight:       weight,
-			ReduceWeight: reduceWeight,
-		}
-	}
-	return out
-}

@@ -330,8 +330,8 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 			args.IDs = append(args.IDs, scheduler.JobID(i+1))
 			args.Jobs = append(args.Jobs, remote.JobRef{Name: factory + "-" + param, Factory: factory, Param: param, NumReduce: width})
 		}
-		groups := len(args.Jobs) // of these jobs, distinct in their params, only selections share a pass
-		if factory == "selection" {
+		groups := len(args.Jobs) // of these jobs, distinct in their params, selections and word counts share a pass
+		if factory == "selection" || factory == "wordcount" {
 			groups = 1
 		}
 		check(factory, args, groups)
@@ -358,8 +358,8 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Word counts share a pass only with an equal prefix (and factor): two
-	// of "t" and one of "a" take two passes a block.
+	// Word counts share a pass whatever their prefixes: two of "t" and one
+	// of "a" take one pass a block.
 	args := remote.MapTaskArgs{File: "text", Blocks: []int{0, 1, 2, 3}, Epoch: 1, IDs: []scheduler.JobID{1, 2, 3}}
 	var specs []mapreduce.JobSpec
 	for i, prefix := range []string{"t", "a", "t"} {
@@ -367,7 +367,7 @@ func TestGroupedMapTaskMatchesReference(t *testing.T) {
 		args.Jobs = append(args.Jobs, remote.JobRef{Name: name, Factory: "wordcount", Param: prefix, NumReduce: width})
 		specs = append(specs, workload.WordCountJob(name, "text", prefix, width))
 	}
-	check("two word counts of one prefix and one of another", args, 2)
+	check("two word counts of one prefix and one of another", args, 1)
 	asAlone("two word counts of one prefix and one of another", specs)
 
 	quantities := []int{5, 25, 5, 0, 50}

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,62 +39,187 @@ func (m PatternCountMapper) Map(block dfs.BlockID, data []byte, emit mapreduce.E
 	})
 }
 
-// SharesPass implements mapreduce.SharedMapper: only word counts of one
-// prefix and factor share a pass. Distinct prefixes match distinct
-// words, so one pass for them saves no work and leaves slots idle.
-func (m PatternCountMapper) SharesPass(other mapreduce.Mapper) bool {
-	return other == mapreduce.Mapper(m)
+// SharesPass implements mapreduce.SharedMapper: every word count shares a
+// pass, whatever its prefix and factor, so a block is cut into words once
+// for all the word counts of a merged task.
+func (PatternCountMapper) SharesPass(other mapreduce.Mapper) bool {
+	_, ok := other.(PatternCountMapper)
+	return ok
 }
 
-// MapShared implements mapreduce.SharedMapper over mappers equal to m.
-// Only a word start carrying the prefix is looked at, and a matching
-// word is counted in one table keyed by its bytes: one probe a match,
-// and one string a distinct word. At the end of the block every job gets
-// each distinct word once, in the order of first occurrence, with its
-// count times EmitFactor, so the cost follows matches, not tokens.
-func (m PatternCountMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV, n int)) error {
-	if strings.ContainsAny(m.Prefix, " \n\t\r") {
-		return nil // a word holds no separator, so none can match
-	}
-	prefix := []byte(m.Prefix)
-	type count struct {
-		kv mapreduce.KV
-		n  int
-	}
-	var words []count
-	index := make(map[string]int) // a word's position in words
-	for i := 0; i < len(data); {
-		if len(prefix) > 0 { // jump to the next byte that could start a match
-			j := bytes.IndexByte(data[i:], prefix[0])
-			if j < 0 {
-				break
-			}
-			i += j
-		}
-		if isSpace(data[i]) || (i > 0 && !isSpace(data[i-1])) || !bytes.HasPrefix(data[i:], prefix) {
-			i++
-			continue
-		}
-		end := i
-		for end < len(data) && !isSpace(data[end]) {
-			end++
-		}
-		if k, ok := index[string(data[i:end])]; ok { // the lookup does not allocate
-			words[k].n++
-		} else {
-			w := string(data[i:end])
-			index[w] = len(words)
-			words = append(words, count{mapreduce.KV{Key: w, Value: "1"}, 1})
-		}
-		i = end
-	}
-	factor := max(m.EmitFactor, 1)
-	for _, w := range words {
-		for j := range mappers {
-			emit(j, w.kv, w.n*factor)
-		}
-	}
+// MapShared implements mapreduce.SharedMapper over PatternCountMappers.
+// Only a word start whose byte begins some job's prefix is looked at, and
+// a word some job matches is counted once, for all of them, in one table
+// keyed by its bytes: one probe a match, and one string a distinct word.
+// At the end of the block every job gets each distinct word it matches
+// once, in the order of first occurrence, with its count times the job's
+// EmitFactor: what the job emits alone, at a cost that follows matches,
+// not tokens.
+func (PatternCountMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV, n int)) error {
+	p := newWordPass(mappers)
+	p.count(data, len(p.firsts) <= indexByteFirsts)
+	p.emit(emit)
 	return nil
+}
+
+// indexByteFirsts is the most distinct first bytes a pass finds word
+// starts for with bytes.IndexByte. IndexByte skips a rare letter's block
+// in a fraction of one walk over every word start, but it stops at each
+// mid-word occurrence of its byte too: at two bytes it is still cheaper,
+// at three the one walk wins most letter sets (DESIGN.md has the numbers).
+const indexByteFirsts = 2
+
+// wordPass is one pass of word counts over a block: what its jobs want,
+// and the words they match, each counted once for all of them.
+type wordPass struct {
+	jobs []PatternCountMapper
+	// want[c] is 0 when no job wants a word beginning with byte c, 1 when
+	// a job's prefix must say so, 2 when some job matches every such word.
+	want   [256]uint8
+	firsts []byte // the bytes c with want[c] > 0, ascending
+	words  []wordCount
+	index  map[string]int // a word's position in words
+}
+
+type wordCount struct {
+	kv    mapreduce.KV
+	n     int
+	first int // where in the block the word first occurs
+}
+
+func newWordPass(mappers []mapreduce.Mapper) *wordPass {
+	p := &wordPass{jobs: make([]PatternCountMapper, len(mappers)), index: make(map[string]int)}
+	for j, m := range mappers {
+		p.jobs[j] = m.(PatternCountMapper)
+		switch prefix := p.jobs[j].Prefix; {
+		case strings.ContainsAny(prefix, " \n\t\r"): // a word holds no separator, so none can match
+		case prefix == "":
+			for c := range p.want {
+				p.want[c] = 2 * (1 - separator[c])
+			}
+		case len(prefix) == 1:
+			p.want[prefix[0]] = 2
+		default:
+			p.want[prefix[0]] = max(p.want[prefix[0]], 1)
+		}
+	}
+	for c, w := range p.want {
+		if w > 0 {
+			p.firsts = append(p.firsts, byte(c))
+		}
+	}
+	return p
+}
+
+// count counts the words of data some job matches, in order of first
+// occurrence. byFirst finds the candidate word starts with one
+// bytes.IndexByte walk per wanted first byte; otherwise one walk reads
+// data eight bytes at a time and visits every word start. Both count the
+// same table.
+func (p *wordPass) count(data []byte, byFirst bool) {
+	if byFirst {
+		for _, c := range p.firsts {
+			for i := 0; i < len(data); {
+				j := bytes.IndexByte(data[i:], c)
+				if j < 0 {
+					break
+				}
+				if i += j; i > 0 && !isSpace(data[i-1]) { // mid-word
+					i++
+					continue
+				}
+				end := wordEnd(data, i+1)
+				p.add(data, i, end)
+				i = end
+			}
+		}
+		slices.SortFunc(p.words, func(a, b wordCount) int { return a.first - b.first }) // the walks met the words byte by byte
+		return
+	}
+	// 0x80 marks each separator byte of x; a word starts at each other
+	// byte whose predecessor is one. The block's start counts as a
+	// separator, and a short tail is padded with spaces.
+	carry := uint64(0x80)
+	for at := 0; at < len(data); at += 8 {
+		var x uint64
+		if at+8 <= len(data) {
+			x = binary.LittleEndian.Uint64(data[at:])
+		} else {
+			tail := [8]byte{' ', ' ', ' ', ' ', ' ', ' ', ' ', ' '}
+			copy(tail[:], data[at:])
+			x = binary.LittleEndian.Uint64(tail[:])
+		}
+		sep := zeroBytes(x^' '*lanes) | zeroBytes(x^'\n'*lanes) | zeroBytes(x^'\t'*lanes) | zeroBytes(x^'\r'*lanes)
+		starts := (sep<<8 | carry) &^ sep
+		carry = sep >> 56
+		for ; starts != 0; starts &= starts - 1 {
+			k := bits.TrailingZeros64(starts) >> 3
+			if p.want[data[at+k]] == 0 {
+				continue
+			}
+			end := at + k + 1 + bits.TrailingZeros64(sep>>(8*k+8))>>3 // the next separator of x, or past x
+			if end > at+8 {
+				end = wordEnd(data, at+8)
+			}
+			p.add(data, at+k, end)
+		}
+	}
+}
+
+// lanes has a one in each byte of a word.
+const lanes = 0x0101010101010101
+
+// zeroBytes marks with 0x80 each zero byte of x and nothing else: no carry
+// crosses from one byte into the next.
+func zeroBytes(x uint64) uint64 {
+	const low7 = 0x7f * lanes
+	return ^((x&low7 + low7) | x | low7)
+}
+
+// wordEnd is the position of the first separator in data at or after
+// from, or len(data).
+func wordEnd(data []byte, from int) int {
+	for from < len(data) && !isSpace(data[from]) {
+		from++
+	}
+	return from
+}
+
+// add counts the word data[i:end] if some job matches it.
+func (p *wordPass) add(data []byte, i, end int) {
+	w := data[i:end]
+	if p.want[w[0]] == 1 && !p.matched(w) {
+		return
+	}
+	if k, ok := p.index[string(w)]; ok { // the lookup does not allocate
+		p.words[k].n++
+	} else {
+		s := string(w)
+		p.index[s] = len(p.words)
+		p.words = append(p.words, wordCount{mapreduce.KV{Key: s, Value: "1"}, 1, i})
+	}
+}
+
+// matched reports whether some job's prefix begins w.
+func (p *wordPass) matched(w []byte) bool {
+	for _, m := range p.jobs {
+		if len(w) >= len(m.Prefix) && string(w[:len(m.Prefix)]) == m.Prefix {
+			return true
+		}
+	}
+	return false
+}
+
+// emit hands every job each counted word its prefix begins, with the
+// word's count times the job's EmitFactor.
+func (p *wordPass) emit(emit func(job int, kv mapreduce.KV, n int)) {
+	for _, w := range p.words {
+		for j, m := range p.jobs {
+			if strings.HasPrefix(w.kv.Key, m.Prefix) { // never, for a prefix holding a separator
+				emit(j, w.kv, w.n*max(m.EmitFactor, 1))
+			}
+		}
+	}
 }
 
 // CountInputRecords implements mapreduce.InputRecordCounter: Hadoop's

@@ -349,10 +349,6 @@ func TestMetaBuilders(t *testing.T) {
 	if len(wc) != 3 || wc[0].ID != 1 || wc[2].ID != 3 || wc[1].File != "corpus" {
 		t.Errorf("WordCountMetas = %+v", wc)
 	}
-	sel := SelectionMetas(2, "lineitem", 2, 3)
-	if len(sel) != 2 || sel[1].Weight != 2 || sel[1].ReduceWeight != 3 {
-		t.Errorf("SelectionMetas = %+v", sel)
-	}
 }
 
 // Property: every generated text block parses into vocabulary words
