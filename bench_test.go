@@ -29,7 +29,7 @@ import (
 )
 
 // BenchmarkTable1WordcountDetails regenerates Table I: the normal
-// wordcount workload profile on the real engine.
+// wordcount workload profile from the sequential reference.
 func BenchmarkTable1WordcountDetails(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Table1(experiments.DefaultTable1Config())
@@ -43,8 +43,8 @@ func BenchmarkTable1WordcountDetails(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3CombinedJobCost regenerates Figure 3 on the real
-// engine: n jobs merged into one shared-scan batch, n = 1..10.
+// BenchmarkFig3CombinedJobCost regenerates Figure 3 on an in-process
+// cluster: n jobs merged into one shared-scan round, n = 1..10.
 func BenchmarkFig3CombinedJobCost(b *testing.B) {
 	cfg := experiments.DefaultFig3Config()
 	for i := 0; i < b.N; i++ {
@@ -170,7 +170,7 @@ func BenchmarkAblationSlotChecking(b *testing.B) {
 }
 
 // BenchmarkAblationPartialAgg — X3: per-round partial aggregation
-// (§V-G), real engine.
+// (§V-G), on the sequential reference.
 func BenchmarkAblationPartialAgg(b *testing.B) {
 	var res experiments.AblationResult
 	var err error
@@ -255,37 +255,8 @@ func BenchmarkEstimatorStudy(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-// BenchmarkEngineSharedMapRound measures one real shared-scan round:
-// 16 blocks feeding 4 jobs.
-func BenchmarkEngineSharedMapRound(b *testing.B) {
-	store := dfs.MustStore(4, 1)
-	if _, err := workload.AddTextFile(store, "corpus", 16, 4<<10, 1); err != nil {
-		b.Fatal(err)
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	f, err := store.File("corpus")
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := f.Blocks()
-	prefixes := workload.DistinctPrefixes(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		jobs := make([]*mapreduce.Running, 4)
-		for j := range jobs {
-			jobs[j], err = mapreduce.NewRunning(workload.WordCountJob("wc", "corpus", prefixes[j], 2))
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := engine.MapRound(blocks, jobs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMapBlockWordcount measures the one map-task body (engine
-// and workers both run it) on a 256 KB text block: byte-level pattern
+// BenchmarkMapBlockWordcount measures the one map-task body (the
+// workers and the sequential reference both run it) on a 256 KB text block: byte-level pattern
 // match, grouped combine, partition.
 func BenchmarkMapBlockWordcount(b *testing.B) {
 	benchMapBlock(b, workload.NewTextGen(1).Block(0, 256<<10), workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{})

@@ -7,10 +7,11 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
+	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
 
@@ -21,8 +22,9 @@ import (
 // completions — alongside the physical scan ledger that proves the
 // sharing.
 //
-// This runs the real MapReduce engine: the jobs compute actual word
-// counts over generated text and the results are printed at the end.
+// This runs the deployed master and three workers in-process: the jobs
+// compute actual word counts over generated text and the results are
+// printed at the end.
 func runDemo(args []string, stdout io.Writer) error {
 	flag.NewFlagSet("s3bench demo", flag.ExitOnError).Parse(args)
 	const (
@@ -30,14 +32,14 @@ func runDemo(args []string, stdout io.Writer) error {
 		blocks    = 18 // 6 segments of 3 blocks
 		blockSize = 4 << 10
 	)
-	store, err := dfs.NewStore(nodes, 1)
-	if err != nil {
-		return err
+	stores := make([]*dfs.Store, nodes)
+	for i := range stores {
+		stores[i] = dfs.MustStore(1, 1)
+		if _, err := workload.AddTextFile(stores[i], "corpus", blocks, blockSize, 42); err != nil {
+			return err
+		}
 	}
-	if _, err := workload.AddTextFile(store, "corpus", blocks, blockSize, 42); err != nil {
-		return err
-	}
-	f, err := store.File("corpus")
+	f, err := stores[0].File("corpus")
 	if err != nil {
 		return err
 	}
@@ -45,32 +47,27 @@ func runDemo(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "file %q: %d blocks of %d KiB in %d segments of %d blocks (one per map slot)\n\n",
+	fmt.Fprintf(stdout, "file %q: %d blocks of %d KiB in %d segments of %d blocks (one per worker)\n\n",
 		f.Name, f.NumBlocks, blockSize>>10, plan.NumSegments(), plan.BlocksPerSegment())
 
-	cluster, err := mapreduce.NewCluster(store, 1)
+	jobs := make(map[scheduler.JobID]remote.JobRef)
+	var arrivals []runtime.Arrival
+	for i, prefix := range []string{"t", "a", "w"} {
+		id := scheduler.JobID(i + 1)
+		jobs[id] = remote.JobRef{Name: "count-" + prefix + "*", Factory: "wordcount", Param: prefix, NumReduce: 2}
+		// The run's clock advances by each round's wall time, microseconds
+		// at least, so jobs 2 and 3 arrive while the first round runs.
+		arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, Name: jobs[id].Name, File: "corpus"}, At: vclock.Time(i) * 1e-6})
+	}
+	cluster, err := remote.StartLocal(jobs, remote.NewStandardRegistry(), stores...)
 	if err != nil {
 		return err
 	}
-	engine := mapreduce.NewEngine(cluster)
-	specs := map[scheduler.JobID]mapreduce.JobSpec{
-		1: workload.WordCountJob("count-t*", "corpus", "t", 2),
-		2: workload.WordCountJob("count-a*", "corpus", "a", 2),
-		3: workload.WordCountJob("count-w*", "corpus", "w", 2),
-	}
-	exec := mapreduce.NewExecutor(engine, specs)
-	// Stretch measured wall time so the staggered virtual arrivals
-	// below land mid-run.
-	exec.SetTimeScale(1e6)
+	defer cluster.Close()
 
 	log := trace.MustNew(512)
-	s3 := core.New(plan, log)
 	fmt.Fprintln(stdout, "submitting: job 1 at t=0, job 2 and job 3 while earlier rounds are in flight")
-	res, err := runtime.RunTrace(s3, exec, []runtime.Arrival{
-		{Job: scheduler.JobMeta{ID: 1, Name: "count-t*", File: "corpus"}, At: 0},
-		{Job: scheduler.JobMeta{ID: 2, Name: "count-a*", File: "corpus"}, At: 1},
-		{Job: scheduler.JobMeta{ID: 3, Name: "count-w*", File: "corpus"}, At: 2},
-	}, runtime.Options{})
+	res, err := runtime.RunTrace(core.New(plan, log), cluster, arrivals, runtime.Options{})
 	if err != nil {
 		return err
 	}
@@ -79,8 +76,15 @@ func runDemo(args []string, stdout io.Writer) error {
 	fmt.Fprint(stdout, log.String())
 
 	fmt.Fprintln(stdout, "=== physical scan ledger ===")
-	st := store.Stats()
-	fmt.Fprintf(stdout, "block scans: %d (3 isolated jobs would need %d)\n", st.BlockReads, 3*blocks)
+	stats, err := cluster.WorkerStats()
+	if err != nil {
+		return err
+	}
+	var scans int64
+	for _, st := range stats {
+		scans += st.BlockReads
+	}
+	fmt.Fprintf(stdout, "block scans: %d (3 isolated jobs would need %d)\n", scans, 3*blocks)
 	fmt.Fprintf(stdout, "rounds launched: %d\n", res.Rounds)
 	tet, err := res.Metrics.TET()
 	if err != nil {
@@ -90,15 +94,18 @@ func runDemo(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "TET %v, ART %v (virtual time)\n", tet, art)
+	fmt.Fprintf(stdout, "TET %v, ART %v (the rounds' wall time)\n", tet, art)
 
 	fmt.Fprintln(stdout, "\n=== results (top words per job) ===")
 	for id := scheduler.JobID(1); id <= 3; id++ {
-		r, _ := exec.Result(id)
-		fmt.Fprintf(stdout, "%s:", r.Name)
-		for i, kv := range r.Output {
+		out, err := cluster.JobOutput(id)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s:", jobs[id].Name)
+		for i, kv := range out {
 			if i == 5 {
-				fmt.Fprintf(stdout, " …(%d more)", len(r.Output)-5)
+				fmt.Fprintf(stdout, " …(%d more)", len(out)-5)
 				break
 			}
 			fmt.Fprintf(stdout, " %s=%s", kv.Key, kv.Value)

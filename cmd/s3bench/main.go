@@ -137,7 +137,7 @@ func runTable1() error {
 }
 
 func runFig3() error {
-	fmt.Println("== Figure 3: cost of combined jobs (n merged wordcount jobs, real engine) ==")
+	fmt.Println("== Figure 3: cost of combined jobs (n merged wordcount jobs, in-process cluster) ==")
 	points, err := experiments.Fig3(experiments.DefaultFig3Config())
 	if err != nil {
 		return err

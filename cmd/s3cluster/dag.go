@@ -52,15 +52,7 @@ func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *d
 			return fmt.Errorf("storing %s: %w", name, err)
 		}
 	}
-	blocks := make([][]byte, file.NumBlocks)
-	for i := range blocks {
-		b, err := planStore.ReadBlock(dfs.BlockID{File: name, Index: i})
-		if err != nil {
-			return fmt.Errorf("reading %s block %d: %w", name, i, err)
-		}
-		blocks[i] = b
-	}
-	if err := master.InstallFile(name, file.BlockSize, blocks); err != nil {
+	if err := master.InstallStored(planStore, name); err != nil {
 		return fmt.Errorf("installing %s: %w", name, err)
 	}
 	if jnl != nil {

@@ -2,7 +2,7 @@
 // serving map/reduce tasks over TCP, and a master driving them through
 // the S^3 scheduler. Three roles:
 //
-//	s3cluster -role demo                 # everything in one process
+//	s3cluster -role demo                 # master and -nodes workers in one process
 //	s3cluster -role master -control 127.0.0.1:7000 -minworkers 2
 //	s3cluster -role worker -master 127.0.0.1:7000
 //
@@ -213,34 +213,20 @@ func runMaster() error {
 }
 
 func runDemo() error {
-	reg := remote.NewStandardRegistry()
-	var addrs []string
-	var workers []*remote.Worker
-	for i := 0; i < *demoN; i++ {
-		store, err := workerStore()
-		if err != nil {
+	stores := make([]*dfs.Store, *demoN)
+	for i := range stores {
+		var err error
+		if stores[i], err = workerStore(); err != nil {
 			return err
 		}
-		w := remote.NewWorker(store, reg)
-		addr, err := w.Serve("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		workers = append(workers, w)
-		addrs = append(addrs, addr)
 	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	fmt.Printf("demo: %d in-process workers on %v\n", *demoN, addrs)
-	master, err := remote.Dial(addrs, nil)
+	cluster, err := remote.StartLocal(nil, remote.NewStandardRegistry(), stores...)
 	if err != nil {
 		return err
 	}
-	defer master.Close()
-	return drive(master)
+	defer cluster.Close()
+	fmt.Printf("demo: %d in-process workers registered with the master's control plane\n", *demoN)
+	return drive(cluster.Master)
 }
 
 // clusterAdmission adapts the runtime's live admission queue to the
@@ -441,13 +427,11 @@ func drive(master *remote.Master) error {
 		}
 		plans = append(plans, plan)
 	}
-	if w := plans[0].BlocksPerSegment(); *ctrlAddr != "" { // static members have one slot each: nothing to say
-		origin := ""
-		if w != slots {
-			origin = "journal, not the "
-		}
-		fmt.Printf("plan width %d = %s%d map slots on %d workers\n", w, origin, slots, workers)
+	origin := ""
+	if plans[0].BlocksPerSegment() != slots {
+		origin = "journal, not the "
 	}
+	fmt.Printf("plan width %d = %s%d map slots on %d workers\n", plans[0].BlocksPerSegment(), origin, slots, workers)
 
 	var spans *trace.Log
 	if *traceJSON != "" {

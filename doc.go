@@ -12,9 +12,10 @@
 //	                    sub-job alignment, slot checking, dynamic
 //	                    segment sizing, ablation variants
 //	internal/dfs        block store, placement, segment plans
-//	internal/mapreduce  real execution engine (map/shuffle/reduce,
-//	                    merged shared-scan rounds) and its round
-//	                    executor
+//	internal/mapreduce  the task code (map/combine/partition, reduce,
+//	                    shuffle frames) and its sequential reference
+//	internal/remote     the master and workers that run it over TCP,
+//	                    across processes or in one (StartLocal)
 //	internal/scheduler  Scheduler interface, multi-file Arbiter, FIFO, MRShare
 //	internal/sim        discrete-event simulator + cost model
 //	internal/runtime    the round loop binding schedulers to executors

@@ -1,7 +1,7 @@
 package s3sched_test
 
 // Integration tests: whole-system scenarios that cross package
-// boundaries — every scheduler driving the real MapReduce engine,
+// boundaries — every scheduler driving the deployed master and workers,
 // failure injection with adaptive re-planning, timed batching through
 // the driver, and randomized cross-scheme invariants on the simulator.
 
@@ -13,7 +13,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -22,15 +22,19 @@ import (
 	"s3sched/internal/workload"
 )
 
-// realRig builds a corpus, engine executor and metas for n wordcount
-// jobs over `blocks` blocks with `perSegment` blocks per segment.
-func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
+// realRig boots the deployed master and perSegment in-process workers,
+// each generating a corpus of `blocks` blocks, with n wordcount jobs
+// registered, and plans `perSegment` blocks per segment.
+func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.SegmentPlan, *remote.Local, []scheduler.JobMeta) {
 	t.Helper()
-	store := dfs.MustStore(perSegment, 1)
-	if _, err := workload.AddTextFile(store, "corpus", blocks, 2048, 99); err != nil {
-		t.Fatal(err)
+	stores := make([]*dfs.Store, perSegment)
+	for i := range stores {
+		stores[i] = dfs.MustStore(1, 1)
+		if _, err := workload.AddTextFile(stores[i], "corpus", blocks, 2048, 99); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f, err := store.File("corpus")
+	f, err := stores[0].File("corpus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +42,24 @@ func realRig(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentP
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	specs := make(map[scheduler.JobID]mapreduce.JobSpec, n)
+	jobs := make(map[scheduler.JobID]remote.JobRef, n)
 	metas := make([]scheduler.JobMeta, n)
-	prefixes := workload.DistinctPrefixes(n)
-	for i := 0; i < n; i++ {
+	for i, prefix := range workload.DistinctPrefixes(n) {
 		id := scheduler.JobID(i + 1)
-		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
+		jobs[id] = remote.JobRef{Name: fmt.Sprintf("wc%d", i), Factory: "wordcount", Param: prefix, NumReduce: 2}
 		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
 	}
-	return store, plan, mapreduce.NewExecutor(engine, specs), metas
+	cluster, err := remote.StartLocal(jobs, remote.NewStandardRegistry(), stores...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	return plan, cluster, metas
 }
 
 // TestAllSchedulersAgreeOnResults drives the same three wordcount jobs
-// through every scheduler implementation on the real engine; all must
-// produce byte-identical outputs.
+// through every scheduler implementation on the deployed master and
+// workers; all must produce byte-identical outputs.
 func TestAllSchedulersAgreeOnResults(t *testing.T) {
 	type mk func(t *testing.T, plan *dfs.SegmentPlan) scheduler.Scheduler
 	cases := []struct {
@@ -106,21 +113,22 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 	var reference map[scheduler.JobID]string
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, plan, exec, metas := realRig(t, 12, 4, 3)
-			exec.SetTimeScale(1e6)
+			plan, cluster, metas := realRig(t, 12, 4, 3)
 			arrivals := make([]runtime.Arrival, len(metas))
 			for i := range metas {
-				arrivals[i] = runtime.Arrival{Job: metas[i], At: vclock.Time(i)}
+				// Microseconds apart: each later job joins a run in flight.
+				arrivals[i] = runtime.Arrival{Job: metas[i], At: vclock.Time(i) * 1e-6}
 			}
-			if _, err := runtime.RunTrace(tc.mk(t, plan), exec, arrivals, runtime.Options{}); err != nil {
+			if _, err := runtime.RunTrace(tc.mk(t, plan), cluster, arrivals, runtime.Options{}); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			got := make(map[scheduler.JobID]string, 3)
-			for id, res := range exec.Results() {
-				got[id] = fmt.Sprint(res.Output)
-			}
-			if len(got) != 3 {
-				t.Fatalf("%s: %d results, want 3", tc.name, len(got))
+			for _, m := range metas {
+				out, err := cluster.JobOutput(m.ID)
+				if err != nil {
+					t.Fatalf("%s: job %d: %v", tc.name, m.ID, err)
+				}
+				got[m.ID] = fmt.Sprint(out)
 			}
 			if reference == nil {
 				reference = got
@@ -249,42 +257,44 @@ func TestWindowBatcherFiresWithoutArrivals(t *testing.T) {
 }
 
 // TestMultiFileRealEngine runs wordcount and selection jobs over two
-// different files through one MultiFile scheduler on the real engine.
+// different files through one MultiFile scheduler on the deployed master
+// and workers.
 func TestMultiFileRealEngine(t *testing.T) {
-	store := dfs.MustStore(4, 1)
-	if _, err := workload.AddTextFile(store, "corpus", 8, 2048, 1); err != nil {
-		t.Fatal(err)
+	stores := make([]*dfs.Store, 4)
+	for i := range stores {
+		stores[i] = dfs.MustStore(1, 1)
+		if _, err := workload.AddTextFile(stores[i], "corpus", 8, 2048, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.AddLineitemFile(stores[i], "lineitem", 8, 8<<10, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := workload.AddLineitemFile(store, "lineitem", 8, 8<<10, 2); err != nil {
-		t.Fatal(err)
+	var plans []*dfs.SegmentPlan
+	for _, name := range []string{"corpus", "lineitem"} {
+		f, err := stores[0].File(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := dfs.PlanSegments(f, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
 	}
-	fc, err := store.File("corpus")
+	m, err := core.NewMultiFile(plans, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := store.File("lineitem")
+	cluster, err := remote.StartLocal(map[scheduler.JobID]remote.JobRef{
+		1: {Name: "wc", Factory: "wordcount", Param: "t", NumReduce: 2},
+		2: {Name: "sel", Factory: "selection", Param: "5"},
+	}, remote.NewStandardRegistry(), stores...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := dfs.PlanSegments(fc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := dfs.PlanSegments(fl, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewMultiFile([]*dfs.SegmentPlan{pc, pl}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	exec := mapreduce.NewExecutor(engine, map[scheduler.JobID]mapreduce.JobSpec{
-		1: workload.WordCountJob("wc", "corpus", "t", 2),
-		2: workload.SelectionJob("sel", "lineitem", 5),
-	})
-	exec.SetTimeScale(1e6)
-	res, err := runtime.RunTrace(m, exec, []runtime.Arrival{
+	defer cluster.Close()
+	res, err := runtime.RunTrace(m, cluster, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "corpus"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "lineitem"}, At: 0},
 	}, runtime.Options{})
@@ -294,8 +304,10 @@ func TestMultiFileRealEngine(t *testing.T) {
 	if res.Metrics.Jobs() != 2 || len(res.Metrics.Incomplete()) != 0 {
 		t.Fatalf("metrics = %+v", res.Metrics)
 	}
-	if len(exec.Results()[1].Output) == 0 || len(exec.Results()[2].Output) == 0 {
-		t.Error("both jobs should produce output")
+	for _, id := range []scheduler.JobID{1, 2} {
+		if out, err := cluster.JobOutput(id); err != nil || len(out) == 0 {
+			t.Errorf("job %d: %d output records, %v; want some", id, len(out), err)
+		}
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 	"testing/quick"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/faults"
-	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -264,249 +263,155 @@ func TestMultiFileProperty(t *testing.T) {
 	}
 }
 
+// cacheRun is one wordcount run of cacheRuns: the jobs' outputs, the
+// rounds the run took, and the workers' physical reads and cache hits.
+type cacheRun struct {
+	outputs map[scheduler.JobID]string
+	rounds  int
+	reads   int64
+	hits    int64
+}
+
+// runCached drives numJobs wordcount jobs, arriving at 0, 2, 4, … seconds,
+// through S^3 on the deployed master and one in-process worker per node
+// over a generated corpus, every worker caching budget bytes under policy
+// (none at 0). Every round is priced at two seconds, so the round
+// sequence — and with it every scheduling decision — is the same whatever
+// the workers' caches do.
+func runCached(t *testing.T, seed int64, nodes, numBlocks, numJobs int, policy string, budget int64) (cacheRun, error) {
+	t.Helper()
+	const blockSize = int64(2 << 10)
+	stores := make([]*dfs.Store, nodes)
+	for i := range stores {
+		stores[i] = dfs.MustStore(1, 1)
+		if _, err := workload.AddTextFile(stores[i], "corpus", numBlocks, blockSize, seed); err != nil {
+			return cacheRun{}, err
+		}
+		if budget > 0 {
+			if _, err := stores[i].EnableCachePolicy(budget, policy); err != nil {
+				return cacheRun{}, err
+			}
+		}
+	}
+	f, err := stores[0].File("corpus")
+	if err != nil {
+		return cacheRun{}, err
+	}
+	plan, err := dfs.PlanSegments(f, nodes)
+	if err != nil {
+		return cacheRun{}, err
+	}
+	jobs := make(map[scheduler.JobID]remote.JobRef)
+	var arrivals []runtime.Arrival
+	for i, prefix := range workload.DistinctPrefixes(numJobs) {
+		id := scheduler.JobID(i + 1)
+		jobs[id] = remote.JobRef{Name: fmt.Sprintf("wc%d", i), Factory: "wordcount", Param: prefix, NumReduce: 2}
+		// Staggered arrivals: later jobs join mid-scan and wrap around
+		// the file, so the run re-reads blocks and the cache has repeats
+		// to absorb.
+		arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}, At: vclock.Time(2 * i)})
+	}
+	cluster, err := remote.StartLocal(jobs, remote.NewStandardRegistry(), stores...)
+	if err != nil {
+		return cacheRun{}, err
+	}
+	defer cluster.Close()
+	sched := New(plan, nil)
+	if budget > 0 {
+		sched.SetScanHinter(cluster.HandleScanHint)
+	}
+	twoSeconds := runtime.ExecutorFunc(func(r scheduler.Round) (vclock.Duration, error) {
+		_, err := cluster.ExecRound(r)
+		return 2, err
+	})
+	res, err := runtime.RunTrace(sched, twoSeconds, arrivals, runtime.Options{})
+	if err != nil {
+		return cacheRun{}, err
+	}
+	run := cacheRun{outputs: make(map[scheduler.JobID]string), rounds: res.Rounds}
+	for id := range jobs {
+		out, err := cluster.JobOutput(id)
+		if err != nil {
+			return cacheRun{}, err
+		}
+		run.outputs[id] = fmt.Sprint(out)
+	}
+	stats, err := cluster.WorkerStats()
+	if err != nil {
+		return cacheRun{}, err
+	}
+	for _, st := range stats {
+		run.reads += st.BlockReads
+		run.hits += st.CacheHits
+	}
+	return run, nil
+}
+
 // Property: the block cache is invisible to computation. For seeded
-// wordcount workloads on the real engine, the cache-on run produces
-// byte-identical outputs to the cache-off run while never doing more
-// physical reads. Engine runs are comparatively slow, so MaxCount stays
-// modest.
+// wordcount workloads on the deployed master and workers, the cache-on
+// run produces byte-identical outputs to the cache-off run while never
+// doing more physical reads. Cluster runs are comparatively slow, so
+// MaxCount stays modest.
 func TestCacheTransparencyProperty(t *testing.T) {
 	prop := func(seed int64, blocks8, jobs8, budget8 uint8) bool {
 		numBlocks := int(blocks8%12) + 4
 		numJobs := int(jobs8%3) + 2
-		const nodes = 4
-		const blockSize = int64(2 << 10)
 		// Budget sweeps from undersized (evictions exercised) to roomy.
-		budget := (int64(budget8%8) + 1) * blockSize
-
-		run := func(cacheBytes int64) (map[scheduler.JobID]*mapreduce.Result, dfs.Stats, bool) {
-			store := dfs.MustStore(nodes, 1)
-			if _, err := workload.AddTextFile(store, "corpus", numBlocks, blockSize, seed); err != nil {
-				return nil, dfs.Stats{}, false
-			}
-			if cacheBytes > 0 {
-				if _, err := store.EnableCachePolicy(cacheBytes, dfs.PolicyLRU); err != nil {
-					return nil, dfs.Stats{}, false
-				}
-			}
-			f, err := store.File("corpus")
-			if err != nil {
-				return nil, dfs.Stats{}, false
-			}
-			plan, err := dfs.PlanSegments(f, nodes)
-			if err != nil {
-				return nil, dfs.Stats{}, false
-			}
-			engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-			specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-			var arrivals []runtime.Arrival
-			prefixes := workload.DistinctPrefixes(numJobs)
-			for i := 0; i < numJobs; i++ {
-				id := scheduler.JobID(i + 1)
-				specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-				arrivals = append(arrivals, runtime.Arrival{
-					Job: scheduler.JobMeta{ID: id, File: "corpus"},
-					At:  vclock.Time(i),
-				})
-			}
-			exec := mapreduce.NewExecutor(engine, specs)
-			if _, err := runtime.RunTrace(New(plan, nil), exec, arrivals, runtime.Options{}); err != nil {
-				return nil, dfs.Stats{}, false
-			}
-			return exec.Results(), store.Stats(), true
-		}
-
-		cold, coldStats, ok := run(0)
-		if !ok {
+		budget := (int64(budget8%8) + 1) * (2 << 10)
+		cold, err := runCached(t, seed, 4, numBlocks, numJobs, "", 0)
+		if err != nil {
+			t.Log(err)
 			return false
 		}
-		warm, warmStats, ok := run(budget)
-		if !ok {
+		warm, err := runCached(t, seed, 4, numBlocks, numJobs, dfs.PolicyLRU, budget)
+		if err != nil {
+			t.Log(err)
 			return false
 		}
-		if warmStats.BlockReads > coldStats.BlockReads {
-			t.Logf("cache increased physical reads: %d > %d", warmStats.BlockReads, coldStats.BlockReads)
+		if warm.reads > cold.reads {
+			t.Logf("cache increased physical reads: %d > %d", warm.reads, cold.reads)
 			return false
 		}
-		if len(cold) != len(warm) {
-			return false
-		}
-		for id, rc := range cold {
-			rw := warm[id]
-			if rw == nil || rc.Name != rw.Name || len(rc.Output) != len(rw.Output) {
-				t.Logf("job %d output shape diverged", id)
-				return false
-			}
-			for i := range rc.Output {
-				if rc.Output[i] != rw.Output[i] {
-					t.Logf("job %d output[%d] diverged", id, i)
-					return false
-				}
-			}
-		}
-		return true
+		return fmt.Sprint(warm.outputs) == fmt.Sprint(cold.outputs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 18}); err != nil {
 		t.Error(err)
 	}
 }
 
-// fixedDurExec wraps the real mapreduce.Executor but reports constant
-// stage durations, so the driver's virtual clock — and with it the
-// scheduler's admission decisions and round sequence — is identical
-// across runs whose physical work differs (cache on vs off, prefetch
-// vs demand loads). Wall time never reaches the scheduler, which makes
-// round counts directly comparable.
-type fixedDurExec struct {
-	inner *mapreduce.Executor
-}
-
-func (f *fixedDurExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	mapDur, stage, err := f.ExecMapStage(r)
-	if err != nil {
-		return 0, err
-	}
-	redDur, err := stage()
-	if err != nil {
-		return 0, err
-	}
-	return mapDur + redDur, nil
-}
-
-func (f *fixedDurExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
-	_, stage, err := f.inner.ExecMapStage(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	return 1, func() (vclock.Duration, error) {
-		if _, err := stage(); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}, nil
-}
-
-func (f *fixedDurExec) TakeJobFailures() []scheduler.JobFailure { return f.inner.TakeJobFailures() }
-
 // The tentpole acceptance property: every eviction policy is invisible
-// to computation on the real engine, with and without injected read
-// faults. For each cell of {lru, cursor} × {faults off, on}, the
-// cache-on run (scan hints wired, cursor prefetching on the real read
-// path) must produce byte-identical job outputs to the cache-off run,
-// march through the *same number of rounds*, and never do more
-// physical reads. Fault injection stays below the retry budget, so
-// recovery is guaranteed and outputs stay exact.
+// to computation on the deployed workers. For each policy, the cache-on
+// run (scan hints riding the master's map tasks, cursor prefetching on
+// the workers' read path) must produce byte-identical job outputs to the
+// cache-off run, march through the *same number of rounds*, and never do
+// more physical reads.
 func TestCachePolicyMatrixTransparency(t *testing.T) {
-	const (
-		nodes     = 4
-		numBlocks = 12
-		blockSize = int64(2 << 10)
-		numJobs   = 3
-		seed      = 23
-	)
-	type outcome struct {
-		results map[scheduler.JobID]*mapreduce.Result
-		rounds  int
-		reads   int64
-		hits    int64
+	const nodes, numBlocks, numJobs, seed = 4, 12, 3, 23
+	cold, err := runCached(t, seed, nodes, numBlocks, numJobs, "", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(t *testing.T, policy string, budget int64, withFaults bool) outcome {
-		t.Helper()
-		store := dfs.MustStore(nodes, 1)
-		if _, err := workload.AddTextFile(store, "corpus", numBlocks, blockSize, seed); err != nil {
-			t.Fatal(err)
-		}
-		if budget > 0 {
-			if _, err := store.EnableCachePolicy(budget, policy); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f, err := store.File("corpus")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := dfs.PlanSegments(f, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-		if withFaults {
-			inj, err := faults.New(faults.Config{Seed: 99, ReadFailRate: 0.2, MaxInjectedPerBlock: 2})
+	if len(cold.outputs) != numJobs {
+		t.Fatalf("cold run finished %d jobs, want %d", len(cold.outputs), numJobs)
+	}
+	for _, policy := range dfs.Policies() {
+		t.Run(policy, func(t *testing.T) {
+			warm, err := runCached(t, seed, nodes, numBlocks, numJobs, policy, 6*(2<<10))
 			if err != nil {
 				t.Fatal(err)
 			}
-			store.SetReadFault(inj.FailRead)
-			if err := engine.SetRetryPolicy(mapreduce.RetryPolicy{MaxAttempts: 4}); err != nil {
-				t.Fatal(err)
+			if warm.rounds != cold.rounds {
+				t.Fatalf("round count diverged: cache-on %d, cache-off %d", warm.rounds, cold.rounds)
 			}
-		}
-		specs := make(map[scheduler.JobID]mapreduce.JobSpec)
-		var arrivals []runtime.Arrival
-		prefixes := workload.DistinctPrefixes(numJobs)
-		for i := 0; i < numJobs; i++ {
-			id := scheduler.JobID(i + 1)
-			specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefixes[i], 2)
-			// Staggered arrivals: later jobs join mid-scan and wrap
-			// around the file, so the run re-reads blocks and the cache
-			// has repeats to absorb.
-			arrivals = append(arrivals, runtime.Arrival{
-				Job: scheduler.JobMeta{ID: id, File: "corpus"},
-				At:  vclock.Time(2 * i),
-			})
-		}
-		exec := mapreduce.NewExecutor(engine, specs)
-		sched := New(plan, nil)
-		if budget > 0 {
-			sched.SetScanHinter(store.HandleScanHint)
-		}
-		res, err := runtime.RunTrace(sched, &fixedDurExec{inner: exec}, arrivals, runtime.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{
-			results: exec.Results(),
-			rounds:  res.Rounds,
-			reads:   store.Stats().BlockReads,
-			hits:    store.CacheStats().Hits,
-		}
-	}
-	for _, withFaults := range []bool{false, true} {
-		withFaults := withFaults
-		suffix := "faults-off"
-		if withFaults {
-			suffix = "faults-on"
-		}
-		cold := run(t, "", 0, withFaults)
-		if len(cold.results) != numJobs {
-			t.Fatalf("%s: cold run finished %d jobs, want %d", suffix, len(cold.results), numJobs)
-		}
-		for _, policy := range dfs.Policies() {
-			policy := policy
-			t.Run(policy+"/"+suffix, func(t *testing.T) {
-				warm := run(t, policy, 6*blockSize, withFaults)
-				if warm.rounds != cold.rounds {
-					t.Fatalf("round count diverged: cache-on %d, cache-off %d", warm.rounds, cold.rounds)
-				}
-				if warm.reads > cold.reads {
-					t.Fatalf("cache increased physical reads: %d > %d", warm.reads, cold.reads)
-				}
-				if warm.hits == 0 {
-					t.Fatal("cache-on run recorded no hits")
-				}
-				if len(warm.results) != len(cold.results) {
-					t.Fatalf("job count diverged: %d vs %d", len(warm.results), len(cold.results))
-				}
-				for id, rc := range cold.results {
-					rw := warm.results[id]
-					if rw == nil || rc.Name != rw.Name || len(rc.Output) != len(rw.Output) {
-						t.Fatalf("job %d output shape diverged", id)
-					}
-					for i := range rc.Output {
-						if rc.Output[i] != rw.Output[i] {
-							t.Fatalf("job %d output[%d] diverged: %+v vs %+v", id, i, rc.Output[i], rw.Output[i])
-						}
-					}
-				}
-			})
-		}
+			if warm.reads > cold.reads {
+				t.Fatalf("cache increased physical reads: %d > %d", warm.reads, cold.reads)
+			}
+			if warm.hits == 0 {
+				t.Fatal("cache-on run recorded no hits")
+			}
+			if fmt.Sprint(warm.outputs) != fmt.Sprint(cold.outputs) {
+				t.Fatalf("outputs diverged:\ncache-on  %v\ncache-off %v", warm.outputs, cold.outputs)
+			}
+		})
 	}
 }

@@ -108,8 +108,7 @@ type Stats struct {
 
 // ReadFault decides whether a read attempt of block id served by node
 // should fail before touching the data. A nil hook never fails reads.
-// Fault injectors (internal/faults) plug in here; production stores
-// leave it unset.
+// Tests plug failing disks in here; production stores leave it unset.
 type ReadFault func(id BlockID, node NodeID) error
 
 // Store is the in-memory distributed block store.
@@ -313,16 +312,6 @@ func (s *Store) Locations(id BlockID) []NodeID {
 	out := make([]NodeID, len(locs))
 	copy(out, locs)
 	return out
-}
-
-// HasLocal reports whether node holds a replica of the block.
-func (s *Store) HasLocal(id BlockID, node NodeID) bool {
-	for _, n := range s.Locations(id) {
-		if n == node {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadBlock returns the contents of a block and charges the scan to the

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -172,13 +173,10 @@ func TestPlacementReplication(t *testing.T) {
 				t.Fatalf("block %d replicated twice on node %d", i, n)
 			}
 			seen[n] = true
-			if !s.HasLocal(id, n) {
-				t.Fatalf("HasLocal(%v,%d) = false for a replica holder", id, n)
-			}
 		}
 	}
-	if s.HasLocal(BlockID{File: "f", Index: 0}, NodeID(4)) {
-		t.Error("node 4 should not hold block 0 (replicas on 0,1,2)")
+	if locs := s.Locations(BlockID{File: "f", Index: 0}); !reflect.DeepEqual(locs, []NodeID{0, 1, 2}) {
+		t.Errorf("block 0 on nodes %v, want 0, 1, 2", locs)
 	}
 }
 

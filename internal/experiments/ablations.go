@@ -141,9 +141,9 @@ func AblationSegmentSize(p Params) (AblationResult, error) {
 	return out, nil
 }
 
-// AblationPartialAgg (X3): real-engine wordcount through S^3 with and
-// without per-round partial aggregation (§V-G). The comparison is on
-// carried intermediate state and reduce input volume; outputs must be
+// AblationPartialAgg (X3): wordcount through S^3 with and without
+// per-round partial aggregation (§V-G). The comparison is on carried
+// intermediate state and reduce input volume; outputs must be
 // identical.
 func AblationPartialAgg() (AblationResult, error) {
 	out := AblationResult{ID: "X3", Note: "per-round partial aggregation of sub-job output (§V-G), real engine"}
@@ -151,12 +151,12 @@ func AblationPartialAgg() (AblationResult, error) {
 		name   string
 		enable bool
 	}{{"no-partial-agg", false}, {"partial-agg", true}} {
-		exec, res, err := engineWordcount(v.enable)
+		results, res, err := partialAggWordcount(v.enable)
 		if err != nil {
 			return AblationResult{}, err
 		}
 		var reduceIn, outRecords int64
-		for _, r := range exec.Results() {
+		for _, r := range results {
 			reduceIn += r.Counters.Get(mapreduce.CounterReduceInputRecords)
 			outRecords += r.Counters.Get(mapreduce.CounterReduceOutRecords)
 		}
@@ -172,34 +172,63 @@ func AblationPartialAgg() (AblationResult, error) {
 	return out, nil
 }
 
-// engineWordcount runs X3's real-engine fixture through S^3: three
+// partialAggWordcount runs X3's fixture through S^3: three
 // prefix-filtered wordcount jobs, all arriving at once, over a generated
-// 32-block corpus on 8 nodes — with per-round partial aggregation when
-// partialAgg is set.
-func engineWordcount(partialAgg bool) (*mapreduce.Executor, *runtime.Result, error) {
-	const nodes, blocks, blockSize, jobs = 8, 32, 4 << 10, 3
-	store := dfs.MustStore(nodes, 1)
+// 32-block corpus in 8-block segments. A round maps each of its blocks
+// into every job it carries with the sequential reference and, with
+// partialAgg, then folds each job's shuffle space through the combiner;
+// a job's last round reduces it. Rounds take no time: X3 compares state,
+// not time.
+func partialAggWordcount(partialAgg bool) (map[scheduler.JobID]*mapreduce.Result, *runtime.Result, error) {
+	const segment, blocks, blockSize, jobs = 8, 32, 4 << 10, 3
+	store := dfs.MustStore(1, 1)
 	f, err := workload.AddTextFile(store, "corpus", blocks, blockSize, 3)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := dfs.PlanSegments(f, nodes)
+	plan, err := dfs.PlanSegments(f, segment)
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := make(map[scheduler.JobID]mapreduce.JobSpec)
+	running := make(map[scheduler.JobID]*mapreduce.Running, jobs)
+	results := make(map[scheduler.JobID]*mapreduce.Result, jobs)
 	var arrivals []runtime.Arrival
 	for i, prefix := range workload.DistinctPrefixes(jobs) {
 		id := scheduler.JobID(i + 1)
-		specs[id] = workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefix, 2)
+		if running[id], err = mapreduce.NewRunning(workload.WordCountJob(fmt.Sprintf("wc%d", i), "corpus", prefix, 2)); err != nil {
+			return nil, nil, err
+		}
 		arrivals = append(arrivals, runtime.Arrival{Job: scheduler.JobMeta{ID: id, File: "corpus"}})
 	}
-	exec := mapreduce.NewExecutor(mapreduce.NewEngine(mapreduce.MustCluster(store, 1)), specs)
-	if partialAgg {
-		exec.EnablePartialAggregation(workload.SumReducer{})
-	}
+	exec := runtime.ExecutorFunc(func(r scheduler.Round) (vclock.Duration, error) {
+		for _, b := range r.Blocks {
+			data, err := store.ReadBlock(b)
+			if err != nil {
+				return 0, err
+			}
+			for _, j := range r.Jobs {
+				if err := running[j.ID].MapBlock(b, data); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if partialAgg {
+			for _, j := range r.Jobs {
+				if err := running[j.ID].Compact(workload.SumReducer{}); err != nil {
+					return 0, err
+				}
+			}
+		}
+		for _, id := range r.Completes {
+			var err error
+			if results[id], err = running[id].Finish(); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	})
 	res, err := runtime.RunTrace(core.New(plan, nil), exec, arrivals, runtime.Options{})
-	return exec, res, err
+	return results, res, err
 }
 
 // AllAblations runs every ablation under p.

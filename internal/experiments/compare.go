@@ -11,10 +11,10 @@ import (
 	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/faults"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
 	"s3sched/internal/pipeline"
+	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -29,11 +29,12 @@ import (
 // regression gate rather than a one-off snapshot:
 //
 //   - Determinism. Sim cells are priced by the cost model. Engine
-//     cells run the real in-process MapReduce for *outputs* but take
-//     their *timings* from a sibling sim executor over the same store
-//     (pricedExec below), so a report is byte-for-byte reproducible —
-//     wall clocks never leak into it — and a sim cell and its engine
-//     twin march through the same round sequence with the same TET.
+//     cells run the deployed master and workers in-process
+//     (remote.StartLocal) for *outputs* but take their *timings* from a
+//     sibling sim executor over the planning store (pricedExec below),
+//     so a report is byte-for-byte reproducible — wall clocks never
+//     leak into it — and a sim cell and its engine twin march through
+//     the same round sequence with the same TET.
 //
 //   - Output digests. Every engine cell digests its jobs' real
 //     outputs; sim cells (which execute nothing) carry the reference
@@ -54,7 +55,8 @@ type CompareOptions struct {
 	Schedulers []string
 	// Engines is the execution subset (benchfmt.EngineSim,
 	// benchfmt.EngineReal); nil = both, with the engine dropped for
-	// meta-content workloads (no bytes to execute).
+	// meta-content workloads (no bytes to execute) and fault-injecting
+	// ones (workers do not retry a failed read).
 	Engines []string
 	// Pipelines/Caches are the toggle subsets; nil = {off, on}, with
 	// cache-on dropped when the workload has no cache budget. A
@@ -139,10 +141,10 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 		engines = []string{benchfmt.EngineSim, benchfmt.EngineReal}
 	}
 	hasMeta := slices.ContainsFunc(wf.Files, func(f workload.FileSpec) bool { return f.Content == workload.ContentMeta })
-	if hasMeta {
+	if hasMeta || h.FaultRate > 0 {
 		engines = slices.DeleteFunc(slices.Clone(engines), func(e string) bool { return e == benchfmt.EngineReal })
 		if len(engines) == 0 {
-			return nil, fmt.Errorf("experiments: workload %q is %s-content; engine cells cannot run", h.Name, workload.ContentMeta)
+			return nil, fmt.Errorf("experiments: workload %q is %s-content or injects faults; engine cells cannot run", h.Name, workload.ContentMeta)
 		}
 	}
 	pipelines := opts.Pipelines
@@ -252,7 +254,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 	}
 
 	var exec runtime.Executor
-	var engineExec *mapreduce.Executor
+	var cluster *remote.Local
 	switch key.Engine {
 	case benchfmt.EngineSim:
 		simExec := sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model)
@@ -278,42 +280,18 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		}
 		exec = simExec
 	case benchfmt.EngineReal:
-		if key.Cache {
-			if _, err := store.EnableCachePolicy(int64(h.CacheMBPerNode)<<20, cellPolicy(h)); err != nil {
-				return benchfmt.Cell{}, err
-			}
-			if h.CachePolicy != "" {
-				wireScanHints(sched, store.HandleScanHint)
-			}
-		}
-		engine := mapreduce.NewEngine(mapreduce.MustCluster(store, h.SlotsPerNode))
-		if h.FaultRate > 0 {
-			// Real injected read faults, bounded below the retry budget
-			// so recovery is guaranteed and outputs stay exact.
-			inj, err := faults.New(faults.Config{
-				Seed:                h.FaultSeed,
-				ReadFailRate:        h.FaultRate,
-				MaxInjectedPerBlock: 2,
-			})
-			if err != nil {
-				return benchfmt.Cell{}, err
-			}
-			store.SetReadFault(inj.FailRead)
-			if err := engine.SetRetryPolicy(mapreduce.RetryPolicy{MaxAttempts: 4}); err != nil {
-				return benchfmt.Cell{}, err
-			}
-		}
-		specs, err := wf.EngineSpecs()
-		if err != nil {
+		if cluster, err = cellCluster(wf, key.Cache); err != nil {
 			return benchfmt.Cell{}, err
 		}
-		engineExec = mapreduce.NewExecutor(engine, specs)
-		// The timer sibling prices the same rounds the engine executes,
-		// over the same store, so engine cells get the sim's
-		// deterministic virtual timings (fault pricing excluded: the
-		// engine already recovers its real injected faults).
+		defer cluster.Close()
+		if key.Cache && h.CachePolicy != "" {
+			wireScanHints(sched, cluster.HandleScanHint)
+		}
+		// The timer sibling prices the same rounds the workers execute,
+		// over the planning store, so engine cells get the sim's
+		// deterministic virtual timings.
 		exec = &pricedExec{
-			inner: engineExec,
+			inner: cluster.Master,
 			timer: sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model),
 		}
 	default:
@@ -330,7 +308,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		// a trace; a finished producer's output is materialized into the
 		// cell's store, its segment plan registered with the scheduler,
 		// and its dependents released into the same circular pass.
-		mat := cellMaterializer(wf, key, store, sched, engineExec, model, refBlocks)
+		mat := cellMaterializer(wf, key, store, sched, cluster, model, refBlocks)
 		coord, cerr := pipeline.NewCoordinator(wf.Stages(), mat)
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
@@ -376,29 +354,73 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 			Response:    float64(row.Response),
 		}
 	}
-	if engineExec != nil {
-		// Engine cells earn their digest from the outputs they actually
-		// produced; a scheduler that corrupted results would disagree
-		// with the sim cells' reference digest and fail consensus.
-		cell.OutputDigest = digestResults(engineExec.Results())
+	if cluster != nil {
+		// Engine cells earn their digest from the outputs the workers
+		// actually produced; a scheduler that corrupted results would
+		// disagree with the sim cells' reference digest and fail consensus.
+		outputs := make(map[scheduler.JobID][]mapreduce.KV, len(wf.Jobs))
+		for i := range wf.Jobs {
+			if outputs[wf.Jobs[i].ID], err = cluster.JobOutput(wf.Jobs[i].ID); err != nil {
+				return benchfmt.Cell{}, err
+			}
+		}
+		cell.OutputDigest = digestOutputs(outputs)
 	}
 	return cell, nil
 }
 
+// cellCluster boots an engine cell's cluster: the master with every job
+// of the workload registered, and one in-process worker per node of the
+// header, each generating the workload's files into its own store, with
+// a block cache of the header's budget when cache is set.
+func cellCluster(wf *workload.File, cache bool) (*remote.Local, error) {
+	h := &wf.Header
+	stores := make([]*dfs.Store, h.Nodes)
+	for n := range stores {
+		stores[n] = dfs.MustStore(1, 1)
+		for i := range wf.Files {
+			if _, err := wf.Files[i].AddTo(stores[n]); err != nil {
+				return nil, err
+			}
+		}
+		if cache {
+			if _, err := stores[n].EnableCachePolicy(int64(h.CacheMBPerNode)<<20, cellPolicy(h)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	jobs := make(map[scheduler.JobID]remote.JobRef, len(wf.Jobs))
+	for i := range wf.Jobs {
+		jobs[wf.Jobs[i].ID] = jobRef(&wf.Jobs[i])
+	}
+	return remote.StartLocal(jobs, remote.NewStandardRegistry(), stores...)
+}
+
+// jobRef names a workload job's program the way the master ships it to
+// the workers: heavy-wordcount's emit factor travels in its param.
+func jobRef(j *workload.FileJob) remote.JobRef {
+	param := j.Param
+	if j.Factory == workload.FactoryHeavyWordCount {
+		param = fmt.Sprintf("%d:%s", max(j.EmitFactor, 1), j.Param)
+	}
+	return remote.JobRef{Name: j.Meta().Name, Factory: j.Factory, Param: param, NumReduce: j.NumReduce}
+}
+
 // cellMaterializer builds the pipeline.Materializer for one DAG cell.
-// Engine cells write the producer's real reduce output into the store
-// via mapreduce.StoreResult (uniform padded blocks); sim cells, which
-// execute nothing, register priced metadata with the block count the
-// solo reference measured — so both cells see a derived file of
-// identical geometry and every scan of it prices identically. The
-// returned delay is the cost model's materialization charge, deferring
-// the dependents' release.
+// Engine cells materialize as s3cluster does: the producer's output,
+// read from the workers that hold it, is written into the planning
+// store via mapreduce.StoreResult (uniform padded blocks) and installed
+// on every worker. Sim cells, which execute nothing, register priced
+// metadata with the block count the solo reference measured — so both
+// cells see a derived file of identical geometry and every scan of it
+// prices identically. The returned delay is the cost model's
+// materialization charge, deferring the dependents' release.
 func cellMaterializer(
 	wf *workload.File,
 	key benchfmt.CellKey,
 	store *dfs.Store,
 	sched scheduler.Scheduler,
-	engineExec *mapreduce.Executor,
+	cluster *remote.Local,
 	model sim.CostModel,
 	refBlocks map[scheduler.JobID]int,
 ) pipeline.Materializer {
@@ -414,17 +436,19 @@ func cellMaterializer(
 			return 0, err
 		}
 		var file *dfs.File
-		if engineExec != nil {
-			res, ok := engineExec.Result(id)
-			if !ok {
-				return 0, fmt.Errorf("engine has no result for finished job %d", id)
-			}
-			file, err = mapreduce.StoreResult(store, name, blockBytes, res)
+		if cluster != nil {
+			out, err := cluster.JobOutput(id)
 			if err != nil {
+				return 0, err
+			}
+			if file, err = mapreduce.StoreResult(store, name, blockBytes, &mapreduce.Result{Output: out}); err != nil {
 				return 0, err
 			}
 			if want, ok := refBlocks[id]; ok && file.NumBlocks != want {
 				return 0, fmt.Errorf("derived file %q is %d blocks, solo reference wrote %d", name, file.NumBlocks, want)
+			}
+			if err := cluster.InstallStored(store, name); err != nil {
+				return 0, err
 			}
 		} else {
 			want, ok := refBlocks[id]
@@ -469,9 +493,10 @@ func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 	}
 }
 
-// soloReference runs every job alone, each on a fresh uncached
-// fault-free store, and digests the outputs — the ground truth any
-// shared/pipelined/cached execution must reproduce. Jobs run in
+// soloReference runs every job alone with the sequential reference
+// (mapreduce.RunJob), each on a fresh uncached fault-free store, and
+// digests the outputs — the ground truth any shared/pipelined/cached
+// execution must reproduce. Jobs run in
 // dependency order: a DAG stage's derived input is pre-materialized
 // from its producer's solo output before the stage runs, and each
 // derived file's block count is recorded — the geometry sim cells
@@ -482,7 +507,8 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	results := make(map[scheduler.JobID]*mapreduce.Result, len(wf.Jobs))
+	reg := remote.NewStandardRegistry()
+	results := make(map[scheduler.JobID][]mapreduce.KV, len(wf.Jobs))
 	refBlocks := make(map[scheduler.JobID]int)
 	for _, i := range order {
 		j := &wf.Jobs[i]
@@ -504,62 +530,59 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 			if err != nil {
 				return "", nil, err
 			}
-			file, err := mapreduce.StoreResult(store, j.File, blockBytes, res)
+			file, err := mapreduce.StoreResult(store, j.File, blockBytes, &mapreduce.Result{Output: res})
 			if err != nil {
 				return "", nil, fmt.Errorf("materializing %q for job %d: %w", j.File, j.ID, err)
 			}
 			refBlocks[producer] = file.NumBlocks
 		}
-		content, ok := wf.ContentOf(j.File)
-		if !ok {
-			return "", nil, fmt.Errorf("job %d reads unknown file %q", j.ID, j.File)
-		}
-		spec, err := j.EngineSpec(content)
-		if err != nil {
-			return "", nil, err
-		}
-		res, err := mapreduce.NewEngine(mapreduce.MustCluster(store, h.SlotsPerNode)).RunJob(spec)
+		ref := jobRef(j)
+		mapper, reducer, combiner, err := reg.Build(ref.Factory, ref.Param)
 		if err != nil {
 			return "", nil, fmt.Errorf("job %d: %w", j.ID, err)
 		}
-		results[j.ID] = res
+		res, err := mapreduce.RunJob(store, mapreduce.JobSpec{Name: ref.Name, File: j.File, Mapper: mapper, Reducer: reducer, Combiner: combiner, NumReduce: j.NumReduce})
+		if err != nil {
+			return "", nil, fmt.Errorf("job %d: %w", j.ID, err)
+		}
+		results[j.ID] = res.Output
 	}
-	return digestResults(results), refBlocks, nil
+	return digestOutputs(results), refBlocks, nil
 }
 
-// digestResults fingerprints job outputs: sha256 over jobs in id order,
+// digestOutputs fingerprints job outputs: sha256 over jobs in id order,
 // each job's sorted key/value records framed unambiguously.
-func digestResults(results map[scheduler.JobID]*mapreduce.Result) string {
-	ids := make([]scheduler.JobID, 0, len(results))
-	for id := range results {
+func digestOutputs(outputs map[scheduler.JobID][]mapreduce.KV) string {
+	ids := make([]scheduler.JobID, 0, len(outputs))
+	for id := range outputs {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	hsh := sha256.New()
 	for _, id := range ids {
-		fmt.Fprintf(hsh, "job %d %d\n", id, len(results[id].Output))
-		for _, kv := range results[id].Output {
+		fmt.Fprintf(hsh, "job %d %d\n", id, len(outputs[id]))
+		for _, kv := range outputs[id] {
 			fmt.Fprintf(hsh, "%d %d\n%s%s", len(kv.Key), len(kv.Value), kv.Key, kv.Value)
 		}
 	}
 	return hex.EncodeToString(hsh.Sum(nil))
 }
 
-// pricedExec is the engine-cell executor: the inner mapreduce.Executor
-// does the real work (scans, shuffles, reduces, caching, fault
-// recovery) while the timer — a sim executor over the same store —
-// supplies the round durations. The wall clock never reaches the
-// scheduler, so engine runs are as deterministic as sim runs, and a
-// sim cell with the same scheduler marches through the identical round
-// sequence.
+// pricedExec is the engine-cell executor: the inner master has the
+// workers do the real work (scans, shuffles, reduces, caching) while the
+// timer — a sim executor over the planning store — supplies the round
+// durations. The wall clock never reaches the scheduler, so engine runs
+// are as deterministic as sim runs, and a sim cell with the same
+// scheduler marches through the identical round sequence. The master
+// runs a round whole; on a pipelined cell it does so inside the map
+// stage, and the timer alone splits the round into its two stages.
 type pricedExec struct {
-	inner *mapreduce.Executor
+	inner *remote.Master
 	timer *sim.Executor
 }
 
 var (
 	_ runtime.StageExecutor    = (*pricedExec)(nil)
-	_ runtime.FailureReporter  = (*pricedExec)(nil)
 	_ runtime.FaultStatsSource = (*pricedExec)(nil)
 	_ runtime.CacheStatsSource = (*pricedExec)(nil)
 )
@@ -577,13 +600,11 @@ func (p *pricedExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return mapDur + redDur, nil
 }
 
-// ExecMapStage implements runtime.StageExecutor: the inner executor's
-// map stage runs for real, then the timer prices the same round; the
-// returned reduce stage chains the inner reduce (for outputs) with the
-// timer's (for duration).
+// ExecMapStage implements runtime.StageExecutor: the master runs the
+// round, then the timer prices it; the returned reduce stage is the
+// timer's.
 func (p *pricedExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
-	_, innerStage, err := p.inner.ExecMapStage(r)
-	if err != nil {
+	if _, err := p.inner.ExecRound(r); err != nil {
 		var lost *scheduler.RoundLostError
 		if errors.As(err, &lost) {
 			// Re-price the lost round's elapsed time deterministically;
@@ -594,21 +615,8 @@ func (p *pricedExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.R
 		}
 		return 0, nil, err
 	}
-	mapDur, timerStage, err := p.timer.ExecMapStage(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	stage := func() (vclock.Duration, error) {
-		if _, err := innerStage(); err != nil {
-			return 0, err
-		}
-		return timerStage()
-	}
-	return mapDur, stage, nil
+	return p.timer.ExecMapStage(r)
 }
-
-// TakeJobFailures implements runtime.FailureReporter.
-func (p *pricedExec) TakeJobFailures() []scheduler.JobFailure { return p.inner.TakeJobFailures() }
 
 // FaultStats implements runtime.FaultStatsSource.
 func (p *pricedExec) FaultStats() metrics.FaultStats { return p.inner.FaultStats() }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"s3sched/internal/benchfmt"
+	"s3sched/internal/mapreduce"
+	"s3sched/internal/remote"
 	"s3sched/internal/workload"
 )
 
@@ -285,10 +287,10 @@ func TestCanonicalWorkloadOrdering(t *testing.T) {
 	}
 }
 
-// TestRunCompareFaultWorkload exercises the fault path end to end on
-// both engines: the sim prices modeled retries, the engine recovers
-// real injected read faults, and outputs still match the fault-free
-// solo reference.
+// TestRunCompareFaultWorkload exercises the fault path end to end: the
+// sim prices modeled retries, outputs still match the fault-free solo
+// reference, and no engine cell is built — workers do not retry a
+// failed read — nor can one be asked for.
 func TestRunCompareFaultWorkload(t *testing.T) {
 	faulty, err := workload.ParseFile(strings.NewReader(strings.NewReplacer(
 		`"cacheMBPerNode":1`, `"faultRate":0.05,"faultSeed":7,"cacheMBPerNode":1`,
@@ -311,6 +313,12 @@ func TestRunCompareFaultWorkload(t *testing.T) {
 	simCell := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
 	if simCell == nil || simCell.FaultRetries == 0 {
 		t.Fatalf("sim cell priced no retries at 5%% fault rate: %+v", simCell)
+	}
+	if len(rep.Cells) != 1 {
+		t.Fatalf("got %d cells, want the sim cell alone", len(rep.Cells))
+	}
+	if _, err := RunCompare(faulty, CompareOptions{Engines: []string{benchfmt.EngineReal}}); err == nil {
+		t.Fatal("engine-only compare of a fault-injecting workload did not fail")
 	}
 }
 
@@ -419,6 +427,32 @@ func TestWorkloadPipelining(t *testing.T) {
 			if name == "heavy-reduce" && c.Key.Scheduler == "s3" && c.TET > 0.8*serial.TET {
 				t.Errorf("%s %s: pipelined TET %.3f, want <= 80%% of serial %.3f", name, c.Key, c.TET, serial.TET)
 			}
+		}
+	}
+}
+
+// A workload job's program reaches the workers as a JobRef the standard
+// registry builds: heavy-wordcount's emit factor rides its param.
+func TestJobRefs(t *testing.T) {
+	reg := remote.NewStandardRegistry()
+	for _, tc := range []struct {
+		job    workload.FileJob
+		want   remote.JobRef
+		mapper mapreduce.Mapper
+	}{
+		{workload.FileJob{ID: 1, File: "corpus", Factory: "wordcount", Param: "t"},
+			remote.JobRef{Name: "wordcount-t-1", Factory: "wordcount", Param: "t"}, workload.PatternCountMapper{Prefix: "t"}},
+		{workload.FileJob{ID: 2, File: "corpus", Factory: "heavy-wordcount", Param: "a", NumReduce: 2, EmitFactor: 4},
+			remote.JobRef{Name: "heavy-wordcount-a-2", Factory: "heavy-wordcount", Param: "4:a", NumReduce: 2}, workload.PatternCountMapper{Prefix: "a", EmitFactor: 4}},
+		{workload.FileJob{ID: 3, File: "corpus", Factory: "heavy-wordcount", Param: "th"},
+			remote.JobRef{Name: "heavy-wordcount-th-3", Factory: "heavy-wordcount", Param: "1:th"}, workload.PatternCountMapper{Prefix: "th", EmitFactor: 1}},
+	} {
+		ref := jobRef(&tc.job)
+		if ref != tc.want {
+			t.Errorf("job %d: %+v, want %+v", tc.job.ID, ref, tc.want)
+		}
+		if mapper, _, _, err := reg.Build(ref.Factory, ref.Param); err != nil || mapper != tc.mapper {
+			t.Errorf("job %d builds %#v, %v; want %#v", tc.job.ID, mapper, err, tc.mapper)
 		}
 	}
 }

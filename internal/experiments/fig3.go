@@ -5,7 +5,8 @@ import (
 	"time"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
+	"s3sched/internal/remote"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -19,22 +20,23 @@ import (
 // TET at n=10) that is far below the n-fold cost of sequential
 // processing.
 //
-// Here the experiment runs on the real engine over generated text, so
-// the overhead of feeding one scan to n mappers is measured, not
+// Here the experiment runs the deployed master and workers in-process
+// (remote.StartLocal) over generated text, one merged round per point,
+// so the overhead of feeding one scan to n mappers is measured, not
 // modeled.
 
 // CombinedCost is one Figure 3 data point.
 type CombinedCost struct {
 	Jobs int
-	// Total is the wall time of the merged batch (map + reduce).
+	// Total is the wall time of the merged round (map + reduce).
 	Total time.Duration
-	// MapPhase is the wall time of the shared map round.
-	MapPhase time.Duration
-	// ReducePhase is the wall time of the reduce phases.
+	// MapPhase and ReducePhase are the round's phases as the master
+	// timed them (s3_wall_{map,reduce}_phase_seconds).
+	MapPhase    time.Duration
 	ReducePhase time.Duration
 	// BlockReads is physical scans issued — constant in n.
 	BlockReads int64
-	// MapTasks is the map tasks the jobs' counters charged — n × blocks.
+	// MapTasks is the (block, job) map units the workers ran — n × blocks.
 	MapTasks int64
 }
 
@@ -46,6 +48,10 @@ type Fig3Config struct {
 	NumReduce int   // paper: 30; scaled default 4
 	Seed      int64
 }
+
+// fig3Workers is how many in-process workers map a Figure 3 round: the
+// paper's 40 nodes, scaled down with the corpus.
+const fig3Workers = 4
 
 // DefaultFig3Config returns a laptop-scale configuration that finishes
 // in well under a second per point.
@@ -71,11 +77,11 @@ func Fig3(cfg Fig3Config) ([]CombinedCost, error) {
 }
 
 // SimCombinedCost is one Figure 3 data point priced by the calibrated
-// cost model at full paper scale (2560 blocks, 40 slots). The real
-// engine (Fig3) demonstrates the mechanism — constant physical scans,
-// growth far below n-fold — but its in-memory "I/O" is much cheaper
-// relative to map work than the authors' disks, so its ratios run
-// high. The simulator supplies the paper-scale magnitudes.
+// cost model at full paper scale (2560 blocks, 40 slots). The
+// in-process cluster (Fig3) demonstrates the mechanism — constant
+// physical scans, growth far below n-fold — but its in-memory "I/O" is
+// much cheaper relative to map work than the authors' disks, so its
+// ratios run high. The simulator supplies the paper-scale magnitudes.
 type SimCombinedCost struct {
 	Jobs     int
 	Total    vclock.Duration
@@ -136,49 +142,52 @@ func Fig3Sim(p Params, maxJobs int) ([]SimCombinedCost, error) {
 	return out, nil
 }
 
+// fig3Point runs n wordcount jobs as one round over every block of the
+// corpus, on a fresh cluster.
 func fig3Point(cfg Fig3Config, n int) (CombinedCost, error) {
-	store := dfs.MustStore(Nodes, 1)
-	if _, err := workload.AddTextFile(store, "corpus", cfg.Blocks, cfg.BlockSize, cfg.Seed); err != nil {
-		return CombinedCost{}, err
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, SlotsPerNode))
-
-	prefixes := workload.DistinctPrefixes(n)
-	jobs := make([]*mapreduce.Running, n)
-	for i := 0; i < n; i++ {
-		spec := workload.WordCountJob(fmt.Sprintf("wc-%d", i), "corpus", prefixes[i], cfg.NumReduce)
-		job, err := mapreduce.NewRunning(spec)
-		if err != nil {
+	stores := make([]*dfs.Store, fig3Workers)
+	for i := range stores {
+		stores[i] = dfs.MustStore(1, 1)
+		if _, err := workload.AddTextFile(stores[i], "corpus", cfg.Blocks, cfg.BlockSize, cfg.Seed); err != nil {
 			return CombinedCost{}, err
 		}
-		jobs[i] = job
 	}
-	f, err := store.File("corpus")
+	round := scheduler.Round{Blocks: make([]dfs.BlockID, cfg.Blocks)}
+	for b := range round.Blocks {
+		round.Blocks[b] = dfs.BlockID{File: "corpus", Index: b}
+	}
+	jobs := make(map[scheduler.JobID]remote.JobRef, n)
+	for i, prefix := range workload.DistinctPrefixes(n) {
+		id := scheduler.JobID(i + 1)
+		jobs[id] = remote.JobRef{Name: fmt.Sprintf("wc-%d", i), Factory: "wordcount", Param: prefix, NumReduce: cfg.NumReduce}
+		round.Jobs = append(round.Jobs, scheduler.JobMeta{ID: id, File: "corpus"})
+		round.Completes = append(round.Completes, id)
+	}
+	cluster, err := remote.StartLocal(jobs, remote.NewStandardRegistry(), stores...)
 	if err != nil {
 		return CombinedCost{}, err
 	}
+	defer cluster.Close()
+	reg := metrics.NewRegistry()
+	cluster.SetRegistry(reg)
 
 	start := time.Now()
-	if _, err := engine.MapRound(f.Blocks(), jobs); err != nil {
+	if _, err := cluster.ExecRound(round); err != nil {
 		return CombinedCost{}, err
 	}
-	mapDone := time.Now()
-	var mapTasks int64
-	for _, job := range jobs {
-		res, err := engine.Finish(job)
-		if err != nil {
-			return CombinedCost{}, err
-		}
-		mapTasks += res.Counters.Get(mapreduce.CounterMapTasks)
+	point := CombinedCost{Jobs: n, Total: time.Since(start)}
+	phase := func(name string) time.Duration {
+		sum := reg.Histogram("s3_wall_"+name+"_phase_seconds", "", nil).Snapshot().Sum
+		return time.Duration(sum * float64(time.Second))
 	}
-	end := time.Now()
-
-	return CombinedCost{
-		Jobs:        n,
-		Total:       end.Sub(start),
-		MapPhase:    mapDone.Sub(start),
-		ReducePhase: end.Sub(mapDone),
-		BlockReads:  store.Stats().BlockReads,
-		MapTasks:    mapTasks,
-	}, nil
+	point.MapPhase, point.ReducePhase = phase("map"), phase("reduce")
+	stats, err := cluster.WorkerStats()
+	if err != nil {
+		return CombinedCost{}, err
+	}
+	for _, st := range stats {
+		point.BlockReads += st.BlockReads
+		point.MapTasks += st.MapTasks
+	}
+	return point, nil
 }

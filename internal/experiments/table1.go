@@ -11,8 +11,9 @@ import (
 // Table I (§V-B) profiles the normal wordcount workload: input size,
 // map output records/size, reduce output records/size, and average
 // processing time. This experiment runs one pattern-counting wordcount
-// job on the real engine over generated text at a configurable scale
-// and reports both the measured values and their linear projection to
+// job with the sequential reference (mapreduce.RunJob: the task code
+// the workers run) over generated text at a configurable scale and
+// reports both the counters it charges and their linear projection to
 // the paper's 160 GB input.
 
 // Table1Config scales the workload-profile experiment.
@@ -64,8 +65,7 @@ func Table1(cfg Table1Config) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, SlotsPerNode))
-	res, err := engine.RunJob(workload.WordCountJob("table1", "corpus", cfg.Prefix, cfg.NumReduce))
+	res, err := mapreduce.RunJob(store, workload.WordCountJob("table1", "corpus", cfg.Prefix, cfg.NumReduce))
 	if err != nil {
 		return Table1Result{}, err
 	}

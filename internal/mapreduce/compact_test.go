@@ -9,11 +9,10 @@ func TestCompactShrinksIntermediateState(t *testing.T) {
 	blocks := textBlocks(
 		"a a a a b b", "a a b b b b", "a b a b a b", "b b b a a a",
 	)
-	cluster, _ := testCluster(t, 2, blocks)
-	e := NewEngine(cluster)
+	store := inputStore(t, blocks)
 
 	// Reference without compaction.
-	ref, err := e.RunJob(wordCountSpec("ref"))
+	ref, err := RunJob(store, wordCountSpec("ref"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +21,9 @@ func TestCompactShrinksIntermediateState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := cluster.Store().File("input")
-	all := f.Blocks()
+	all := inputBlocks(t, store)
 	// Two rounds with compaction after each (the §V-G pattern).
-	if _, err := e.MapRound(all[:2], []*Running{job}); err != nil {
+	if err := mapBlocks(t, store, job, all[:2]); err != nil {
 		t.Fatal(err)
 	}
 	before := intermediateRecords(job)
@@ -40,13 +38,13 @@ func TestCompactShrinksIntermediateState(t *testing.T) {
 	if after != 2 {
 		t.Errorf("records after compaction = %d, want 2", after)
 	}
-	if _, err := e.MapRound(all[2:], []*Running{job}); err != nil {
+	if err := mapBlocks(t, store, job, all[2:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Compact(sumReducer{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Finish(job)
+	res, err := job.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +54,7 @@ func TestCompactShrinksIntermediateState(t *testing.T) {
 }
 
 func TestCompactErrors(t *testing.T) {
-	cluster, _ := testCluster(t, 2, textBlocks("a"))
-	e := NewEngine(cluster)
+	store := inputStore(t, textBlocks("a"))
 	job, err := NewRunning(wordCountSpec("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +62,10 @@ func TestCompactErrors(t *testing.T) {
 	if err := job.Compact(nil); err == nil {
 		t.Error("nil combiner should fail")
 	}
-	f, _ := cluster.Store().File("input")
-	if _, err := e.MapRound(f.Blocks(), []*Running{job}); err != nil {
+	if err := mapBlocks(t, store, job, inputBlocks(t, store)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Finish(job); err != nil {
+	if _, err := job.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Compact(sumReducer{}); err == nil {
@@ -92,8 +88,6 @@ func TestCompactEmptyJobIsNoop(t *testing.T) {
 
 // intermediateRecords is how many shuffle records r holds.
 func intermediateRecords(r *Running) (total int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, p := range r.partitions {
 		total += len(p)
 	}

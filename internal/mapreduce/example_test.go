@@ -9,9 +9,10 @@ import (
 	"s3sched/internal/mapreduce"
 )
 
-// ExampleEngine_RunMerged runs two different wordcount jobs as one
-// merged batch: the input is scanned once and feeds both mappers.
-func ExampleEngine_RunMerged() {
+// ExampleRunJob runs a wordcount job over a two-block file with the
+// sequential reference: every block mapped, combined and partitioned,
+// then every partition reduced.
+func ExampleRunJob() {
 	store := dfs.MustStore(2, 1)
 	blocks := [][]byte{
 		[]byte("ant bee ant"),
@@ -38,15 +39,10 @@ func ExampleEngine_RunMerged() {
 		return nil
 	})
 
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	results, _ := engine.RunMerged([]mapreduce.JobSpec{
-		{Name: "count-all", File: "input", Mapper: mapper, Reducer: sum},
-		{Name: "count-all-again", File: "input", Mapper: mapper, Reducer: sum},
-	})
-
-	fmt.Println(results[0].Name, results[0].Output)
-	fmt.Println("block scans:", store.Stats().BlockReads, "(one per block for the whole batch)")
+	res, _ := mapreduce.RunJob(store, mapreduce.JobSpec{Name: "count-all", File: "input", Mapper: mapper, Reducer: sum, NumReduce: 2})
+	fmt.Println(res.Name, res.Output)
+	fmt.Println("map tasks:", res.Counters.Get(mapreduce.CounterMapTasks), "reduce tasks:", res.Counters.Get(mapreduce.CounterReduceTasks))
 	// Output:
 	// count-all [{ant 2} {bee 3} {cat 1}]
-	// block scans: 2 (one per block for the whole batch)
+	// map tasks: 2 reduce tasks: 2
 }

@@ -2,16 +2,23 @@ package mapreduce
 
 import (
 	"fmt"
-	"sync"
 
 	"s3sched/internal/dfs"
 )
 
 // Mapper transforms one input block into intermediate records. A
-// mapper must be safe for concurrent use: the engine invokes it from
+// mapper must be safe for concurrent use: a worker invokes it from
 // several map slots at once.
 type Mapper interface {
 	Map(block dfs.BlockID, data []byte, emit Emit) error
+}
+
+// InputRecordCounter is an optional interface a Mapper can implement
+// to report how many logical records (lines, tuples, …) a block
+// contains, so MapBlock can charge map.input.records the way Hadoop
+// does. Without it only byte-level input accounting is available.
+type InputRecordCounter interface {
+	CountInputRecords(data []byte) int64
 }
 
 // Reducer merges all intermediate values sharing a key. Reducers (and
@@ -104,20 +111,21 @@ func (s *JobSpec) Validate() error {
 
 func (s *JobSpec) reduceWidth() int { return max(s.NumReduce, 1) }
 
-// Running is the engine-side state of a job in flight: the shuffle
+// Running is one job run sequentially in this process: the shuffle
 // space its map tasks fill and the counters they charge. One Running
 // may receive map output across many rounds (S^3 sub-jobs) before
-// Finish is called.
+// Finish is called. It is the reference the cluster's workers are held
+// to, and serves what needs no cluster: a job's solo output and its
+// Hadoop-style counters. It is not safe for concurrent use.
 type Running struct {
 	Spec     JobSpec
 	Counters *Counters
 
-	mu         sync.Mutex
 	partitions [][]KV // intermediate records per reduce partition
 	finished   bool
 }
 
-// NewRunning prepares engine-side state for a job.
+// NewRunning prepares the state of a job about to run.
 func NewRunning(spec JobSpec) (*Running, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -129,18 +137,57 @@ func NewRunning(spec JobSpec) (*Running, error) {
 	}, nil
 }
 
-// addIntermediate appends shuffled records into the job's partitions.
-// It fails if the job has already been finished: a scheduler that maps
-// after reduce has violated the sub-job protocol, and the error is
-// reported from the offending round rather than crashing worker
-// goroutines.
-func (r *Running) addIntermediate(byPartition [][]KV) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// RunJob runs spec alone over every block of its file, in block order,
+// then reduces: the sequential reference for a job's output and
+// counters.
+func RunJob(store *dfs.Store, spec JobSpec) (*Result, error) {
+	run, err := NewRunning(spec)
+	if err != nil {
+		return nil, err
+	}
+	f, err := store.File(spec.File)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range f.Blocks() {
+		data, err := store.ReadBlock(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := run.MapBlock(b, data); err != nil {
+			return nil, err
+		}
+	}
+	return run.Finish()
+}
+
+// MapBlock runs the job's map task over one block — map, combine,
+// partition, as a worker's task does — charges its counters and adds
+// its output to the job's shuffle space. It fails once the job has
+// finished: a scheduler that maps after reduce has broken the sub-job
+// protocol.
+func (r *Running) MapBlock(block dfs.BlockID, data []byte) error {
 	if r.finished {
 		return fmt.Errorf("mapreduce: job %q received map output after Finish", r.Spec.Name)
 	}
-	for p, kvs := range byPartition {
+	t := mapTask(block, data, []MapJob{{r.Spec.Mapper, r.Spec.Combiner, r.Spec.reduceWidth()}})[0]
+	if t.err != nil {
+		return fmt.Errorf("job %q block %v: %w", r.Spec.Name, block, t.err)
+	}
+	c := r.Counters
+	c.Add(CounterMapTasks, 1)
+	c.Add(CounterMapInputBytes, t.counts.inputBytes)
+	if rc, ok := r.Spec.Mapper.(InputRecordCounter); ok {
+		if n := rc.CountInputRecords(data); n > 0 {
+			c.Add(CounterMapInputRecords, n)
+		}
+	}
+	c.Add(CounterMapOutputRecords, t.counts.outputRecords)
+	c.Add(CounterMapOutputBytes, t.counts.outputBytes)
+	if t.counts.combinerApplied {
+		c.Add(CounterCombineOutRecords, t.counts.combineRecords)
+	}
+	for p, kvs := range t.parts {
 		r.partitions[p] = append(r.partitions[p], kvs...)
 	}
 	return nil
@@ -158,8 +205,6 @@ func (r *Running) Compact(combiner Reducer) error {
 	if combiner == nil {
 		return fmt.Errorf("mapreduce: Compact needs a combiner")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.finished {
 		return fmt.Errorf("mapreduce: job %q compacted after Finish", r.Spec.Name)
 	}
@@ -181,15 +226,31 @@ func (r *Running) Compact(combiner Reducer) error {
 	return nil
 }
 
-// Seal marks the job finished and hands back its remaining shuffle
-// records. This is the shuffle-commit of a job's *last* round under
-// staged execution: no further map output may arrive, and the caller
-// runs the final reduce over the sealed snapshot with
-// Engine.FinishDrained — possibly concurrently with later rounds'
-// maps for other jobs.
-func (r *Running) Seal() [][]KV {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Finish runs the job's reduce phase — one reduce task per partition,
+// in order — over everything its map tasks produced, and returns the
+// completed result, the partitions' outputs merged into one run. A job
+// finishes exactly once, after its last map task; a second Finish
+// panics.
+func (r *Running) Finish() (*Result, error) {
+	parts := r.seal()
+	outputs := make([][]KV, len(parts))
+	for p, records := range parts {
+		r.Counters.Add(CounterReduceInputRecords, int64(len(records)))
+		out, err := ReduceInPlace(records, r.Spec.Reducer)
+		if err != nil {
+			return nil, fmt.Errorf("job %q partition %d: %w", r.Spec.Name, p, err)
+		}
+		outputs[p] = out
+	}
+	merged := MergeSorted(outputs)
+	r.Counters.Add(CounterReduceTasks, int64(len(parts)))
+	r.Counters.Add(CounterReduceOutRecords, int64(len(merged)))
+	r.Counters.Add(CounterReduceOutBytes, kvBytes(merged))
+	return &Result{Name: r.Spec.Name, Output: merged, Counters: r.Counters}, nil
+}
+
+// seal marks the job finished and hands back its shuffle records.
+func (r *Running) seal() [][]KV {
 	if r.finished {
 		panic(fmt.Sprintf("mapreduce: job %q finished twice", r.Spec.Name))
 	}
@@ -197,6 +258,15 @@ func (r *Running) Seal() [][]KV {
 	parts := r.partitions
 	r.partitions = nil
 	return parts
+}
+
+// kvBytes returns the payload size of records (keys + values).
+func kvBytes(kvs []KV) int64 {
+	var n int64
+	for _, kv := range kvs {
+		n += int64(len(kv.Key) + len(kv.Value))
+	}
+	return n
 }
 
 // Result is a completed job's output.

@@ -242,14 +242,14 @@ func TestGroupedCombineMatchesSortThenGroup(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(got, refPartition(want, width)) {
 				return false
 			}
-			job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(nil)})
+			job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(raw)})
 			if err != nil {
 				return false
 			}
-			if job.addIntermediate([][]KV{raw}) != nil || job.Compact(combiner) != nil {
+			if job.MapBlock(dfs.BlockID{}, nil) != nil || job.Compact(combiner) != nil {
 				return false
 			}
-			if compacted := job.Seal()[0]; len(compacted)+len(want) > 0 && !reflect.DeepEqual(compacted, want) {
+			if compacted := job.seal()[0]; len(compacted)+len(want) > 0 && !reflect.DeepEqual(compacted, want) {
 				return false
 			}
 		}
@@ -301,17 +301,17 @@ func TestRejectedFoldFailsTheTask(t *testing.T) {
 		t.Fatalf("buffered combine failed with %v, want the same kind of error", wantErr)
 	}
 
-	job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(nil)})
+	job, err := NewRunning(JobSpec{Name: "j", File: "f", Mapper: emitAll(raw)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.addIntermediate([][]KV{raw}); err != nil {
+	if err := job.MapBlock(dfs.BlockID{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Compact(foldingSum{}); err == nil || !strings.Contains(err.Error(), `"seven"`) {
 		t.Fatalf("Compact err = %v, want one naming \"seven\"", err)
 	}
-	if got := job.Seal()[0]; !reflect.DeepEqual(got, raw) {
+	if got := job.seal()[0]; !reflect.DeepEqual(got, raw) {
 		t.Fatalf("a failed Compact left %v, want the records untouched", got)
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 func TestStoreResultRoundTrip(t *testing.T) {
-	cluster, store := testCluster(t, 2, textBlocks("a b a b b", "c a b c c"))
-	e := NewEngine(cluster)
-	res, err := e.RunJob(wordCountSpec("wc"))
+	store := inputStore(t, textBlocks("a b a b b", "c a b c c"))
+	res, err := RunJob(store, wordCountSpec("wc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestStoreResultRoundTrip(t *testing.T) {
 			return nil
 		}},
 	}
-	back, err := e.RunJob(spec)
+	back, err := RunJob(store, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +42,8 @@ func TestStoreResultRoundTrip(t *testing.T) {
 func TestJobChaining(t *testing.T) {
 	// Stage 1: wordcount. Stage 2: keep only words counted >= 3 —
 	// a job scanning the first job's stored output.
-	cluster, store := testCluster(t, 2, textBlocks("a b a b b", "c a b c c"))
-	e := NewEngine(cluster)
-	res, err := e.RunJob(wordCountSpec("wc"))
+	store := inputStore(t, textBlocks("a b a b b", "c a b c c"))
+	res, err := RunJob(store, wordCountSpec("wc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestJobChaining(t *testing.T) {
 			return nil
 		}},
 	}
-	out, err := e.RunJob(filter)
+	out, err := RunJob(store, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +102,7 @@ func TestStoreResultValidation(t *testing.T) {
 
 func testStore(t *testing.T) *dfs.Store {
 	t.Helper()
-	_, store := testCluster(t, 2, textBlocks("x"))
-	return store
+	return inputStore(t, textBlocks("x"))
 }
 
 func TestKVLineMapperErrors(t *testing.T) {

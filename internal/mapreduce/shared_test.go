@@ -11,11 +11,10 @@ import (
 )
 
 // passLog records, for the prefixMappers sharing it, how many jobs every
-// pass over a block served and how often input records were counted.
+// pass over a block served.
 type passLog struct {
-	mu      sync.Mutex
-	widths  []int
-	counted int
+	mu     sync.Mutex
+	widths []int
 }
 
 // prefixMapper emits (word, "1") for every word starting with its prefix;
@@ -52,13 +51,6 @@ func (m prefixMapper) MapShared(_ dfs.BlockID, data []byte, mappers []Mapper, em
 		}
 	}
 	return nil
-}
-
-func (m prefixMapper) CountInputRecords(data []byte) int64 {
-	m.log.mu.Lock()
-	m.log.counted++
-	m.log.mu.Unlock()
-	return int64(len(strings.Fields(string(data))))
 }
 
 // otherShared is a second SharedMapper type: it never shares a pass with
@@ -120,61 +112,18 @@ func TestMapBlockForJobsMatchesOneJobTasks(t *testing.T) {
 	}
 }
 
-// The engine maps a block once for each group of its round's jobs and
-// counts the block's input records once for the group; every job's
-// output and counters are what it gets running alone.
-func TestEngineMapsOncePerGroup(t *testing.T) {
-	blocks := textBlocks("ab b aa ba", "abc a bb", "b b a c", "ca ab")
-	log := &passLog{}
-	specs := []JobSpec{
-		{Name: "a", File: "input", Mapper: prefixMapper{"a", log}, Reducer: sumReducer{}, NumReduce: 2},
-		{Name: "wc", File: "input", Mapper: wordCountMapper{}, Reducer: sumReducer{}, NumReduce: 2},
-		{Name: "b", File: "input", Mapper: prefixMapper{"b", log}, Reducer: sumReducer{}, Combiner: sumReducer{}, NumReduce: 3},
-		{Name: "a2", File: "input", Mapper: prefixMapper{"a", log}, NumReduce: 1},
+// A combiner that folds meets a value it cannot absorb in the middle of a
+// merged task, not after it: its job fails, and the job sharing the
+// block's read gets what its one-job task gives.
+func TestRejectedFoldKillsOnlyItsJob(t *testing.T) {
+	good := MapJob{emitAll([]KV{{"a", "1"}, {"b", "2"}, {"a", "3"}}), foldingSum{}, 2}
+	bad := MapJob{emitAll([]KV{{"w", "1"}, {"w", "many"}}), foldingSum{}, 2}
+	parts, errs := MapBlockForJobs(dfs.BlockID{}, nil, []MapJob{good, bad})
+	if errs[1] == nil || parts[1] != nil {
+		t.Errorf("the failed job: %v, %v; want no partitions and its combiner's error", parts[1], errs[1])
 	}
-	cluster, _ := testCluster(t, 2, blocks)
-	merged, err := NewEngine(cluster).RunMerged(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{3, 3, 3, 3}; !reflect.DeepEqual(log.widths, want) || log.counted != len(blocks) {
-		t.Errorf("passes served %v jobs and counted records %d times, want %v and %d", log.widths, log.counted, want, len(blocks))
-	}
-	for i, spec := range specs {
-		cluster, _ := testCluster(t, 2, blocks)
-		alone, err := NewEngine(cluster).RunJob(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(merged[i].Output, alone.Output) || !reflect.DeepEqual(merged[i].Counters.Snapshot(), alone.Counters.Snapshot()) {
-			t.Errorf("job %s: merged %v %v, alone %v %v", spec.Name, merged[i].Output, merged[i].Counters, alone.Output, alone.Counters)
-		}
-	}
-}
-
-// A job the engine isolated earlier in the round — its combiner failed —
-// is in no later pass: the job it shared one with maps on alone.
-func TestIsolatedJobJoinsNoPass(t *testing.T) {
-	log := &passLog{}
-	badFold := ReducerFunc(func(string, []string, Emit) error { return errors.New("no combine") })
-	good, err := NewRunning(JobSpec{Name: "good", File: "input", Mapper: prefixMapper{"a", log}, Reducer: sumReducer{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := NewRunning(JobSpec{Name: "bad", File: "input", Mapper: prefixMapper{"", log}, Combiner: badFold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, store := testCluster(t, 1, textBlocks("a b", "a c", "b a", "a a")) // one slot: blocks run one by one
-	_, jobErrs, roundErr := NewEngine(cluster).MapRoundCtx(t.Context(), allBlocks(t, store), []*Running{good, bad})
-	if roundErr != nil || jobErrs[0] != nil || jobErrs[1] == nil {
-		t.Fatalf("round %v, jobs %v: want the bad job isolated and nothing else failed", roundErr, jobErrs)
-	}
-	if want := []int{2, 1, 1, 1}; !reflect.DeepEqual(log.widths, want) {
-		t.Errorf("passes served %v jobs, want %v: after the first block the good job maps alone", log.widths, want)
-	}
-	res, err := NewEngine(cluster).Finish(good)
-	if err != nil || outputMap(res)["a"] != "5" {
-		t.Errorf("good job: %v, %v; want a = 5", res, err)
+	want, wantErr := MapBlockForJob(dfs.BlockID{}, nil, good.Mapper, good.Combiner, good.Width)
+	if errs[0] != nil || wantErr != nil || !reflect.DeepEqual(parts[0], want) {
+		t.Errorf("the job sharing the read: %v, %v; alone %v, %v", parts[0], errs[0], want, wantErr)
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"s3sched/internal/dfs"
 )
 
-// Single-task primitives, exported so other execution substrates
-// (internal/remote's distributed workers) run exactly the same task
-// logic as the in-process engine.
+// Single-task primitives, exported so internal/remote's workers run
+// exactly the task logic of the sequential reference (Running).
 
 // MapJob is one job's part of a map task: its mapper and combiner, and
 // the number of reduce partitions its output is split into.
@@ -60,6 +59,15 @@ next:
 	return groups
 }
 
+// taskCounts carries one map task's counter deltas for one job.
+type taskCounts struct {
+	inputBytes      int64
+	outputRecords   int64
+	outputBytes     int64
+	combineRecords  int64
+	combinerApplied bool
+}
+
 // jobTask is one job's part of a map task as it runs: the partitions and
 // combine table its records fill, its counters, and its error.
 type jobTask struct {
@@ -90,7 +98,7 @@ func (t *jobTask) add(kv KV, n int) {
 	}
 }
 
-// mapTask is the one map-task body, run by the engine's rounds and (through
+// mapTask is the one map-task body, run by Running.MapBlock and (through
 // MapBlockForJobs) the remote workers: tasks[j] is job j's part.
 func mapTask(block dfs.BlockID, data []byte, jobs []MapJob) []jobTask {
 	tasks := make([]jobTask, len(jobs))

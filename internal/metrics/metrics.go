@@ -35,9 +35,6 @@ type FaultStats struct {
 	Retries int
 	// FailedAttempts counts block-read attempts that failed.
 	FailedAttempts int
-	// BlacklistedNodes counts nodes marked down after consecutive
-	// failures.
-	BlacklistedNodes int
 	// RequeuedRounds counts lost rounds returned to the scheduler.
 	RequeuedRounds int
 	// RequeuedSubJobs counts sub-jobs riding those requeued rounds.
@@ -50,7 +47,6 @@ type FaultStats struct {
 func (s *FaultStats) Add(other FaultStats) {
 	s.Retries += other.Retries
 	s.FailedAttempts += other.FailedAttempts
-	s.BlacklistedNodes += other.BlacklistedNodes
 	s.RequeuedRounds += other.RequeuedRounds
 	s.RequeuedSubJobs += other.RequeuedSubJobs
 	s.FailedJobs += other.FailedJobs

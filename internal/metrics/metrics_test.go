@@ -380,9 +380,9 @@ func TestCacheStatsAccounting(t *testing.T) {
 
 func TestFaultStatsFold(t *testing.T) {
 	var fs FaultStats
-	fs.Add(FaultStats{Retries: 2, FailedAttempts: 3, BlacklistedNodes: 1, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1})
+	fs.Add(FaultStats{Retries: 2, FailedAttempts: 3, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1})
 	fs.Add(FaultStats{Retries: 1, FailedAttempts: 1})
-	want := FaultStats{Retries: 3, FailedAttempts: 4, BlacklistedNodes: 1, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1}
+	want := FaultStats{Retries: 3, FailedAttempts: 4, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1}
 	if fs != want {
 		t.Errorf("after Add, fs = %+v, want %+v", fs, want)
 	}

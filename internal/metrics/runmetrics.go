@@ -41,7 +41,6 @@ type RunMetrics struct {
 	JobsFailed          *Counter
 	RetriesTotal        *Counter
 	FailedAttemptsTotal *Counter
-	BlacklistedNodes    *Counter
 	RequeuedRounds      *Counter
 	RequeuedSubJobs     *Counter
 	CacheHits           *Counter
@@ -127,7 +126,6 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		JobsFailed:          reg.Counter("s3_jobs_failed_total", "jobs terminated with an error"),
 		RetriesTotal:        reg.Counter("s3_retries_total", "block attempts re-executed after a failure"),
 		FailedAttemptsTotal: reg.Counter("s3_failed_attempts_total", "block-read attempts that failed"),
-		BlacklistedNodes:    reg.Counter("s3_blacklisted_nodes_total", "nodes marked down after consecutive failures"),
 		RequeuedRounds:      reg.Counter("s3_requeued_rounds_total", "lost rounds returned to the scheduler"),
 		RequeuedSubJobs:     reg.Counter("s3_requeued_subjobs_total", "sub-jobs riding requeued rounds"),
 		CacheHits:           reg.Counter("s3_cache_hits_total", "block reads served from the node-local cache"),

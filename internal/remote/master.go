@@ -20,8 +20,8 @@ import (
 )
 
 // Master drives scheduler rounds on remote workers. It implements
-// runtime.Executor, so the same round loop that runs the in-process
-// engine and the simulator also runs the distributed cluster.
+// runtime.Executor, so the same round loop that runs the simulator
+// also runs the distributed cluster.
 //
 // Workers reach the master two ways:
 //
@@ -282,6 +282,22 @@ func (m *Master) InstallFile(name string, blockSize int64, blocks [][]byte) erro
 		}
 	}
 	return nil
+}
+
+// InstallStored is InstallFile for the file name of store: its blocks as
+// store reads them.
+func (m *Master) InstallStored(store *dfs.Store, name string) error {
+	f, err := store.File(name)
+	if err != nil {
+		return err
+	}
+	blocks := make([][]byte, f.NumBlocks)
+	for i, id := range f.Blocks() {
+		if blocks[i], err = store.ReadBlock(id); err != nil {
+			return fmt.Errorf("remote: reading %v to install it: %w", id, err)
+		}
+	}
+	return m.InstallFile(name, f.BlockSize, blocks)
 }
 
 // pushInstalled replays every installed derived file to one worker, in

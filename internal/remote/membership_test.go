@@ -91,19 +91,15 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// referenceResults runs the same wordcount jobs on the local in-process
-// engine — the byte-identical yardstick for every failover scenario.
+// referenceResults runs the same wordcount jobs with the sequential
+// reference — the byte-identical yardstick for every failover scenario.
 func referenceResults(t *testing.T, n int) map[scheduler.JobID]string {
 	t.Helper()
-	store := dfs.MustStore(3, 1)
-	if _, err := workload.AddTextFile(store, "corpus", testBlocks, testBlockSize, testSeed); err != nil {
-		t.Fatal(err)
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
+	store := testStore(t)
 	prefixes := workload.DistinctPrefixes(n)
 	out := make(map[scheduler.JobID]string, n)
 	for i := 0; i < n; i++ {
-		ref, err := engine.RunJob(workload.WordCountJob("ref", "corpus", prefixes[i], 2))
+		ref, err := mapreduce.RunJob(store, workload.WordCountJob("ref", "corpus", prefixes[i], 2))
 		if err != nil {
 			t.Fatal(err)
 		}

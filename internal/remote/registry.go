@@ -1,10 +1,12 @@
-// Package remote is a distributed execution substrate: a master
+// Package remote is the execution substrate for real bytes: a master
 // drives map and reduce tasks on worker processes over TCP (net/rpc),
-// the way the paper's S^3 plugin drives Hadoop TaskTrackers. The
-// schedulers are byte-for-byte the same ones the in-process engine and
-// the simulator use — the master simply implements runtime.Executor —
-// which demonstrates the paper's claim that S^3 integrates
-// non-intrusively with the execution layer (§IV-A).
+// the way the paper's S^3 plugin drives Hadoop TaskTrackers. It is the
+// only one: s3cluster deploys it across processes, and StartLocal boots
+// the same master and workers inside one process for the benchmark's
+// engine cells, the examples and the demos. The schedulers are
+// byte-for-byte the same ones the simulator uses — the master simply
+// implements runtime.Executor — which demonstrates the paper's claim
+// that S^3 integrates non-intrusively with the execution layer (§IV-A).
 //
 // Job code cannot cross the wire, so jobs are named factory
 // invocations: every worker holds a Registry mapping factory names to
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/workload"
@@ -67,10 +70,13 @@ func (r *Registry) Build(name, param string) (mapper mapreduce.Mapper, reducer, 
 	return f(param)
 }
 
-// NewStandardRegistry returns a registry with the repository's four
-// workload families:
+// NewStandardRegistry returns a registry with the repository's workload
+// families:
 //
 //	"wordcount"   param = prefix to count
+//	"heavy-wordcount"
+//	              param = <emitFactor>:<prefix>, a word count emitting
+//	              each match emitFactor (>= 1) times, with no combiner
 //	"selection"   param = max l_quantity (integer)
 //	"aggregation" param unused (Q1-style group-by sum)
 //	"topk"        param = k (integer); scans a materialized DAG-stage
@@ -79,6 +85,16 @@ func NewStandardRegistry() *Registry {
 	r := NewRegistry()
 	r.Register("wordcount", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
 		return workload.PatternCountMapper{Prefix: param}, workload.SumReducer{}, workload.SumReducer{}, nil
+	})
+	r.Register("heavy-wordcount", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
+		factor, prefix, ok := strings.Cut(param, ":")
+		n, err := strconv.Atoi(factor)
+		if !ok || err != nil || n < 1 {
+			return nil, nil, nil, fmt.Errorf("remote: heavy-wordcount wants <emitFactor>:<prefix> with an integer factor of at least 1, got %q", param)
+		}
+		// No combiner: shuffle and reduce see the multiplied output, like
+		// the paper's heavy workload.
+		return workload.PatternCountMapper{Prefix: prefix, EmitFactor: n}, workload.SumReducer{}, nil, nil
 	})
 	r.Register("selection", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
 		max, err := strconv.Atoi(param)

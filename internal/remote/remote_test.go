@@ -110,22 +110,11 @@ func TestDistributedS3MatchesLocalEngine(t *testing.T) {
 		t.Fatalf("metrics = %+v", res.Metrics)
 	}
 
-	// Reference: same jobs on the local in-process engine.
-	store := dfs.MustStore(3, 1)
-	if _, err := workload.AddTextFile(store, "corpus", testBlocks, testBlockSize, testSeed); err != nil {
-		t.Fatal(err)
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	prefixes := workload.DistinctPrefixes(2)
-	for i := 0; i < 2; i++ {
-		id := scheduler.JobID(i + 1)
-		ref, err := engine.RunJob(workload.WordCountJob("ref", "corpus", prefixes[i], 2))
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Reference: the same jobs run by the sequential reference.
+	for id, want := range referenceResults(t, 2) {
 		got, err := master.JobOutput(id)
-		if err != nil || fmt.Sprint(got) != fmt.Sprint(ref.Output) {
-			t.Errorf("job %d: distributed output differs from local engine (%v)", id, err)
+		if err != nil || fmt.Sprint(got) != want {
+			t.Errorf("job %d: distributed output differs from the sequential reference (%v)", id, err)
 		}
 		if len(got) == 0 {
 			t.Errorf("job %d: empty output", id)
@@ -194,6 +183,42 @@ func TestDistributedSharedScan(t *testing.T) {
 	}
 	if tasks != 3*testBlocks {
 		t.Errorf("map tasks = %d, want %d", tasks, 3*testBlocks)
+	}
+}
+
+// The factories that take a structured param build what it says, and
+// reject a malformed one with an error that names it.
+func TestStandardFactoryParams(t *testing.T) {
+	reg := NewStandardRegistry()
+	for _, tc := range []struct {
+		factory, param string
+		mapper         mapreduce.Mapper
+		reducer        mapreduce.Reducer
+	}{
+		{"heavy-wordcount", "4:th", workload.PatternCountMapper{Prefix: "th", EmitFactor: 4}, workload.SumReducer{}},
+		{"heavy-wordcount", "1:", workload.PatternCountMapper{EmitFactor: 1}, workload.SumReducer{}},
+		{"heavy-wordcount", "2:a:b", workload.PatternCountMapper{Prefix: "a:b", EmitFactor: 2}, workload.SumReducer{}},
+		{"topk", "3", workload.TopKMapper{}, workload.TopKReducer{K: 3}},
+	} {
+		mapper, reducer, combiner, err := reg.Build(tc.factory, tc.param)
+		// No combiner: heavy-wordcount's shuffle carries the multiplied
+		// output, and topk's one reduce key needs every candidate.
+		if err != nil || mapper != tc.mapper || reducer != tc.reducer || combiner != nil {
+			t.Errorf("%s(%q) = %#v, %#v, %#v, %v; want %#v, %#v, no combiner", tc.factory, tc.param, mapper, reducer, combiner, err, tc.mapper, tc.reducer)
+		}
+	}
+	for _, tc := range []struct{ factory, param string }{
+		{"heavy-wordcount", "th"},
+		{"heavy-wordcount", "0:th"},
+		{"heavy-wordcount", "-2:th"},
+		{"heavy-wordcount", "x:th"},
+		{"heavy-wordcount", ""},
+		{"topk", "zero"},
+		{"topk", "0"},
+	} {
+		if _, _, _, err := reg.Build(tc.factory, tc.param); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.param)) {
+			t.Errorf("%s(%q): err = %v, want one naming the param", tc.factory, tc.param, err)
+		}
 	}
 }
 
@@ -354,20 +379,11 @@ func TestWorkerFailover(t *testing.T) {
 	if failovers(master) == 0 {
 		t.Error("expected failovers with a dead worker")
 	}
-	// Results still correct: compare against the local engine.
-	store := dfs.MustStore(3, 1)
-	if _, err := workload.AddTextFile(store, "corpus", testBlocks, testBlockSize, testSeed); err != nil {
-		t.Fatal(err)
-	}
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	prefixes := workload.DistinctPrefixes(2)
-	for i := 0; i < 2; i++ {
-		ref, err := engine.RunJob(workload.WordCountJob("ref", "corpus", prefixes[i], 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := outputsOf(master)[scheduler.JobID(i+1)]; got != fmt.Sprint(ref.Output) {
-			t.Errorf("job %d: failover changed results", i+1)
+	// Results still correct: compare against the sequential reference.
+	got := outputsOf(master)
+	for id, want := range referenceResults(t, 2) {
+		if got[id] != want {
+			t.Errorf("job %d: failover changed results", id)
 		}
 	}
 }

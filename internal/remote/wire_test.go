@@ -33,10 +33,11 @@ func wireFiles() map[string][][]byte {
 // wireCases gives every standard factory a parameter and the file kind
 // it can scan. A factory missing here fails the tests below.
 var wireCases = map[string]struct{ param, file string }{
-	"wordcount":   {"t", "text"},
-	"selection":   {"25", "lineitem"},
-	"aggregation": {"", "lineitem"},
-	"topk":        {"3", "derived"},
+	"wordcount":       {"t", "text"},
+	"heavy-wordcount": {"3:t", "text"},
+	"selection":       {"25", "lineitem"},
+	"aggregation":     {"", "lineitem"},
+	"topk":            {"3", "derived"},
 }
 
 // gobRoundTrip sends v through a fresh encoder / decoder pair.

@@ -112,8 +112,8 @@ func TestLostRoundNeedsRecoverable(t *testing.T) {
 }
 
 // failingJobsExec runs rounds normally but reports the given jobs as
-// failed after their first round, like mapreduce.Executor does for mapper
-// errors.
+// failed after their first round, as an executor isolating a job's own
+// mapper errors would.
 type failingJobsExec struct {
 	bad      map[scheduler.JobID]bool
 	failures []scheduler.JobFailure

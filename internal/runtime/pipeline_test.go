@@ -2,14 +2,11 @@ package runtime
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/trace"
@@ -250,135 +247,5 @@ func TestPipelineMatchesSerialOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
-	}
-}
-
-// mapreduce cannot import this package, so the in-process executor's
-// conformance to the round loop's contracts is asserted here.
-var (
-	_ StageExecutor    = (*mapreduce.Executor)(nil)
-	_ FailureReporter  = (*mapreduce.Executor)(nil)
-	_ FaultStatsSource = (*mapreduce.Executor)(nil)
-	_ CacheStatsSource = (*mapreduce.Executor)(nil)
-)
-
-// stagedSetup builds a small generated corpus, a real engine and
-// prefix-counting specs for n jobs, with a configurable segment
-// granularity so pipelined runs have many rounds in flight. The corpus
-// and the jobs are made here: internal/workload validates its files
-// with internal/pipeline, which imports this package.
-func stagedSetup(t *testing.T, blocks, perSegment, n int) (*dfs.Store, *dfs.SegmentPlan, *mapreduce.Executor, []scheduler.JobMeta) {
-	t.Helper()
-	store := dfs.MustStore(4, 1)
-	words := strings.Fields("the art was here more so but of for now let do can put up yes")
-	f, err := store.AddGeneratedFile("corpus", blocks, 2048, func(i int) ([]byte, error) {
-		var b []byte
-		for k := i; len(b) < 2048; k += 7 {
-			b = append(append(b, words[k%len(words)]...), ' ')
-		}
-		return b[:2048], nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dfs.PlanSegments(f, perSegment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) error {
-		total := 0
-		for _, v := range values {
-			c, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			total += c
-		}
-		emit(mapreduce.KV{Key: key, Value: strconv.Itoa(total)})
-		return nil
-	})
-	engine := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	specs := make(map[scheduler.JobID]mapreduce.JobSpec, n)
-	metas := make([]scheduler.JobMeta, n)
-	for i := 0; i < n; i++ {
-		id := scheduler.JobID(i + 1)
-		prefix := string("tawhmsbo"[i%8])
-		specs[id] = mapreduce.JobSpec{
-			Name: fmt.Sprintf("wc%d", i),
-			File: "corpus",
-			Mapper: mapreduce.MapperFunc(func(_ dfs.BlockID, data []byte, emit mapreduce.Emit) error {
-				for _, w := range strings.Fields(string(data)) {
-					if strings.HasPrefix(w, prefix) {
-						emit(mapreduce.KV{Key: w, Value: "1"})
-					}
-				}
-				return nil
-			}),
-			Reducer:   sum,
-			Combiner:  sum,
-			NumReduce: 2,
-		}
-		metas[i] = scheduler.JobMeta{ID: id, File: "corpus"}
-	}
-	return store, plan, mapreduce.NewExecutor(engine, specs), metas
-}
-
-// TestPipelineEngineMatchesSerial runs the same staggered workload on
-// the real engine serially and pipelined: final outputs must be
-// byte-identical and jobs must complete in the same order. Under -race
-// this also exercises round N's reduce committing concurrently with
-// round N+1's map.
-func TestPipelineEngineMatchesSerial(t *testing.T) {
-	run := func(pipeline bool) (map[scheduler.JobID]string, []scheduler.JobID) {
-		_, plan, exec, metas := stagedSetup(t, 8, 1, 3)
-		exec.SetTimeScale(1e6)
-		arrivals := []Arrival{
-			{Job: metas[0], At: 0},
-			{Job: metas[1], At: 1},
-			{Job: metas[2], At: 2},
-		}
-		order, _ := completionOrder(t, core.New(plan, nil), exec, arrivals,
-			Options{Pipeline: pipeline, ReduceWorkers: 2})
-		out := map[scheduler.JobID]string{}
-		for id, res := range exec.Results() {
-			out[id] = fmt.Sprint(res.Output)
-		}
-		return out, order
-	}
-	serialOut, serialOrder := run(false)
-	pipedOut, pipedOrder := run(true)
-	if len(serialOut) != 3 || len(pipedOut) != 3 {
-		t.Fatalf("results missing (serial %d, piped %d)", len(serialOut), len(pipedOut))
-	}
-	for id, want := range serialOut {
-		if pipedOut[id] != want {
-			t.Errorf("job %d pipelined output differs from serial", id)
-		}
-	}
-	if fmt.Sprint(serialOrder) != fmt.Sprint(pipedOrder) {
-		t.Errorf("completion order %v (pipelined) != %v (serial)", pipedOrder, serialOrder)
-	}
-}
-
-// TestPipelineEngineConcurrentReduces drives many single-block rounds
-// with slow reduces through a wide worker pool, keeping several reduce
-// stages in flight while maps continue. Primarily a -race target.
-func TestPipelineEngineConcurrentReduces(t *testing.T) {
-	_, plan, exec, metas := stagedSetup(t, 12, 1, 4)
-	exec.SetTimeScale(1e6)
-	arrivals := make([]Arrival, len(metas))
-	for i, m := range metas {
-		arrivals[i] = Arrival{Job: m, At: vclock.Time(i)}
-	}
-	res, err := RunTrace(core.New(plan, nil), exec, arrivals,
-		Options{Pipeline: true, ReduceWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Jobs() != len(metas) {
-		t.Fatalf("jobs = %d, want %d", res.Metrics.Jobs(), len(metas))
-	}
-	if len(exec.Results()) != len(metas) {
-		t.Fatalf("results = %d, want %d", len(exec.Results()), len(metas))
 	}
 }

@@ -21,8 +21,7 @@
 // admission daemon.
 //
 // The package holds the contracts only and imports no data plane: each
-// substrate's executor lives beside it (sim.Executor,
-// mapreduce.Executor, remote.Master).
+// substrate's executor lives beside it (sim.Executor, remote.Master).
 package runtime
 
 import (
@@ -57,8 +56,8 @@ type FailureReporter interface {
 }
 
 // FaultStatsSource is implemented by executors that count fault
-// handling (retries, failed attempts, blacklists); the engine folds
-// the counters into the run's metrics at the end.
+// handling (retries, failed attempts); the engine folds the counters
+// into the run's metrics at the end.
 type FaultStatsSource interface {
 	FaultStats() metrics.FaultStats
 }

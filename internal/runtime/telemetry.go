@@ -227,7 +227,6 @@ func (t *telemetry) endRun(coll *metrics.Collector, at vclock.Time, rounds int) 
 		fs := coll.FaultStats()
 		t.rm.RetriesTotal.Add(float64(fs.Retries))
 		t.rm.FailedAttemptsTotal.Add(float64(fs.FailedAttempts))
-		t.rm.BlacklistedNodes.Add(float64(fs.BlacklistedNodes))
 		t.rm.SetCacheStats(coll.CacheStats())
 	}
 }

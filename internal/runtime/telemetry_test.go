@@ -280,77 +280,3 @@ func TestTelemetrySpanHierarchy(t *testing.T) {
 		t.Errorf("response histogram count wrong:\n%s", prom)
 	}
 }
-
-// TestEngineSimTelemetrySignalParity runs the real engine and the
-// simulator through the same telemetry plumbing and checks the two
-// emit the same signals: an identical set of metric names (every HELP/
-// TYPE line) and the same span vocabulary. Values differ — the engine
-// measures wall time — but the traces are diffable signal-for-signal.
-func TestEngineSimTelemetrySignalParity(t *testing.T) {
-	// Simulator run.
-	_, simLog, simReg := telemetryRun(t, false, 3, 4, true)
-
-	// Engine run with the same telemetry sinks.
-	_, plan, exec, metas := stagedSetup(t, 12, 3, 3)
-	engLog := trace.MustNew(4096)
-	engReg := metrics.NewRegistry()
-	// Scheduler log stays nil to mirror telemetryRun: the comparison is
-	// the driver-level signal set, which must not depend on executor.
-	sched := core.New(plan, nil)
-	arrivals := make([]Arrival, len(metas))
-	for i, m := range metas {
-		arrivals[i] = Arrival{Job: m, At: vclock.Time(i)}
-	}
-	if _, err := RunTrace(sched, exec, arrivals, Options{
-		Spans:   engLog,
-		Metrics: metrics.NewRunMetrics(engReg),
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	declared := func(reg *metrics.Registry) []string {
-		var buf strings.Builder
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "# ") {
-				out = append(out, line)
-			}
-		}
-		return out
-	}
-	simDecl, engDecl := declared(simReg), declared(engReg)
-	if fmt.Sprint(simDecl) != fmt.Sprint(engDecl) {
-		t.Errorf("metric declarations differ:\nsim: %v\nengine: %v", simDecl, engDecl)
-	}
-
-	names := func(log *trace.Log) []string {
-		set := map[string]bool{}
-		for _, s := range log.Spans() {
-			set[s.Name] = true
-		}
-		var out []string
-		for n := range set {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		return out
-	}
-	simNames, engNames := names(simLog), names(engLog)
-	if fmt.Sprint(simNames) != fmt.Sprint(engNames) {
-		t.Errorf("span vocabularies differ:\nsim: %v\nengine: %v", simNames, engNames)
-	}
-	for _, want := range []string{"run", "round", "scan-stage", "reduce-stage", "subjob"} {
-		found := false
-		for _, n := range engNames {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("engine run missing %q spans (got %v)", want, engNames)
-		}
-	}
-}

@@ -19,7 +19,7 @@ type RoundLostError struct {
 	// earliest replica holder recovers, so a requeued round finds at
 	// least one replica alive.
 	Elapsed vclock.Duration
-	// Err is the underlying failure (e.g. a *mapreduce.BlockLostError).
+	// Err is the underlying failure (e.g. no worker could run a task).
 	Err error
 }
 

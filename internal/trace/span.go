@@ -17,9 +17,9 @@ type Arg struct {
 
 // Span is one timed operation in a run's hierarchy: run → round →
 // scan-stage/reduce-stage → per-job sub-job. Start and End are vclock
-// times (virtual for sims, wall-derived for engine runs), so span
-// trees from a simulator and the real engine are diffable shape-for-
-// shape even though their absolute times differ.
+// times (virtual for sims, wall-derived for cluster runs), so span
+// trees from a simulator and the deployed master are diffable
+// shape-for-shape even though their absolute times differ.
 type Span struct {
 	ID     SpanID
 	Parent SpanID

@@ -39,11 +39,9 @@ const (
 	// completing; the round's reduce stage is still draining when the
 	// next round launches (RoundFinished marks the reduce end).
 	MapStageFinished
-	// AttemptFailed records one failed block-read attempt (injected or
-	// real); the engine retries or fails over per its retry policy.
+	// AttemptFailed records one failed block-read attempt.
 	AttemptFailed
-	// NodeDown records a node leaving service — crashed, or blacklisted
-	// after consecutive failures.
+	// NodeDown records a node leaving service.
 	NodeDown
 	// SubJobRequeued records a sub-job returned to the queue after its
 	// round was lost; the segment cursor does not advance past it.

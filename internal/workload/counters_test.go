@@ -19,7 +19,6 @@ func TestMapCountersPinned(t *testing.T) {
 	if _, err := AddLineitemFile(store, "lineitem", 4, 16<<10, 17); err != nil {
 		t.Fatal(err)
 	}
-	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 	names := []string{mapreduce.CounterMapInputRecords, mapreduce.CounterMapOutputRecords,
 		mapreduce.CounterMapOutputBytes, mapreduce.CounterCombineOutRecords}
 	heavy := WordCountJob("heavy", "corpus", "wh", 2)
@@ -30,10 +29,10 @@ func TestMapCountersPinned(t *testing.T) {
 	}{
 		{WordCountJob("wc", "corpus", "t", 3), [4]int64{8202, 2437, 10045, 61}},
 		{heavy, [4]int64{8202, 417, 2487, 0}},
-		{SelectionJob("sel", "lineitem", 5), [4]int64{581, 61, 7187, 0}},
-		{AggregationJob("agg", "lineitem", 2), [4]int64{581, 581, 2791, 24}},
+		{mapreduce.JobSpec{Name: "sel", File: "lineitem", Mapper: SelectionMapper{MaxQuantity: 5}}, [4]int64{581, 61, 7187, 0}},
+		{mapreduce.JobSpec{Name: "agg", File: "lineitem", Mapper: AggregationMapper{}, Reducer: SumReducer{}, Combiner: SumReducer{}, NumReduce: 2}, [4]int64{581, 581, 2791, 24}},
 	} {
-		res, err := e.RunJob(tc.spec)
+		res, err := mapreduce.RunJob(store, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}

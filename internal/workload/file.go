@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/mapreduce"
 	"s3sched/internal/pipeline"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -71,11 +70,10 @@ const (
 	ContentDerived = "derived"
 )
 
-// Factory names jobs may reference. They mirror
-// remote.NewStandardRegistry plus the heavy-workload variant.
+// Factory names jobs may reference: remote.NewStandardRegistry's.
 const (
 	FactoryWordCount      = "wordcount"       // param = prefix to count
-	FactoryHeavyWordCount = "heavy-wordcount" // param = prefix; EmitFactor multiplies map output
+	FactoryHeavyWordCount = "heavy-wordcount" // param = prefix; the job's emitFactor multiplies map output
 	FactorySelection      = "selection"       // param = max l_quantity (integer); map-only
 	FactoryAggregation    = "aggregation"     // param unused (Q1-style group-by sum)
 	FactoryTopK           = "topk"            // param = k; selects the k highest counts from a derived file
@@ -134,9 +132,6 @@ type FileHeader struct {
 	// schema v2 — a v1 file carrying it is rejected rather than
 	// silently repriced.
 	CachePolicy string `json:"cachePolicy,omitempty"`
-	// Pipeline is the default stage-pipelining setting for consumers
-	// that run a single configuration rather than the full matrix.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// Cost pins the sim calibration the file's timings were produced
 	// under; nil means the consumer's default (experiments.NormalModel).
 	Cost *sim.CostModel `json:"cost,omitempty"`
@@ -172,7 +167,7 @@ type FileJob struct {
 	Weight       float64 `json:"weight,omitempty"`
 	ReduceWeight float64 `json:"reduceWeight,omitempty"`
 	Priority     int     `json:"priority,omitempty"`
-	// NumReduce is the engine's reduce partition count (0 = 1).
+	// NumReduce is the job's reduce partition count (0 = 1).
 	NumReduce int `json:"numReduce,omitempty"`
 	// EmitFactor multiplies heavy-wordcount map output (0 = 1).
 	EmitFactor int `json:"emitFactor,omitempty"`
@@ -587,89 +582,6 @@ func (wf *File) Entries() []TraceEntry {
 		out[i] = TraceEntry{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At)}
 	}
 	return out
-}
-
-// EngineSpec builds the executable mapreduce job for engine runs. The
-// workload must have validated, so factory names and params are known
-// good; the error covers meta-content workloads, which have no bytes
-// to execute.
-func (j *FileJob) EngineSpec(content string) (mapreduce.JobSpec, error) {
-	if content == ContentMeta {
-		return mapreduce.JobSpec{}, fmt.Errorf("workload: job %d reads a %s file; engine runs need real content", j.ID, ContentMeta)
-	}
-	numReduce := j.NumReduce
-	if numReduce == 0 {
-		numReduce = 1
-	}
-	spec := mapreduce.JobSpec{
-		Name:      j.Meta().Name,
-		File:      j.File,
-		NumReduce: numReduce,
-	}
-	switch j.Factory {
-	case FactoryWordCount:
-		spec.Mapper = PatternCountMapper{Prefix: j.Param}
-		spec.Reducer = SumReducer{}
-		spec.Combiner = SumReducer{}
-	case FactoryHeavyWordCount:
-		// No combiner: shuffle and reduce see the multiplied output,
-		// like the paper's heavy workload.
-		spec.Mapper = PatternCountMapper{Prefix: j.Param, EmitFactor: j.EmitFactor}
-		spec.Reducer = SumReducer{}
-	case FactorySelection:
-		max, err := strconv.Atoi(j.Param)
-		if err != nil {
-			return mapreduce.JobSpec{}, fmt.Errorf("workload: job %d: selection param %q: %w", j.ID, j.Param, err)
-		}
-		spec.Mapper = SelectionMapper{MaxQuantity: max} // map-only
-	case FactoryAggregation:
-		spec.Mapper = AggregationMapper{}
-		spec.Reducer = SumReducer{}
-		spec.Combiner = SumReducer{}
-	case FactoryTopK:
-		k, err := strconv.Atoi(j.Param)
-		if err != nil || k < 1 {
-			return mapreduce.JobSpec{}, fmt.Errorf("workload: job %d: topk param %q is not a positive integer", j.ID, j.Param)
-		}
-		spec.Mapper = TopKMapper{}
-		spec.Reducer = TopKReducer{K: k}
-	default:
-		return mapreduce.JobSpec{}, fmt.Errorf("workload: job %d has unknown factory %q", j.ID, j.Factory)
-	}
-	return spec, nil
-}
-
-// ContentOf resolves a job input name to its content kind: a declared
-// file's content, or ContentDerived when the name is some job's
-// materialized output.
-func (wf *File) ContentOf(name string) (string, bool) {
-	for i := range wf.Files {
-		if wf.Files[i].Name == name {
-			return wf.Files[i].Content, true
-		}
-	}
-	if _, ok := wf.DerivedProducer(name); ok {
-		return ContentDerived, true
-	}
-	return "", false
-}
-
-// EngineSpecs builds the executable specs for every job, keyed by id —
-// the map mapreduce.NewExecutor takes.
-func (wf *File) EngineSpecs() (map[scheduler.JobID]mapreduce.JobSpec, error) {
-	out := make(map[scheduler.JobID]mapreduce.JobSpec, len(wf.Jobs))
-	for i := range wf.Jobs {
-		content, ok := wf.ContentOf(wf.Jobs[i].File)
-		if !ok {
-			return nil, fmt.Errorf("workload: job %d reads unknown file %q", wf.Jobs[i].ID, wf.Jobs[i].File)
-		}
-		spec, err := wf.Jobs[i].EngineSpec(content)
-		if err != nil {
-			return nil, err
-		}
-		out[wf.Jobs[i].ID] = spec
-	}
-	return out, nil
 }
 
 // AddTo registers the generated file with the store.

@@ -14,7 +14,7 @@ import (
 // goodWorkload is a small valid v1 workload exercising every record
 // kind and most optional fields.
 const goodWorkload = `# canonical tiny workload
-{"kind":"workload","version":1,"name":"tiny","nodes":2,"slotsPerNode":2,"replicas":2,"faultRate":0.01,"faultSeed":7,"cacheMBPerNode":4,"cacheFrac":0.5,"pipeline":true,"cost":{"scanMBps":50,"taskOverhead":0.1}}
+{"kind":"workload","version":1,"name":"tiny","nodes":2,"slotsPerNode":2,"replicas":2,"faultRate":0.01,"faultSeed":7,"cacheMBPerNode":4,"cacheFrac":0.5,"cost":{"scanMBps":50,"taskOverhead":0.1}}
 {"kind":"file","name":"corpus","content":"text","blocks":8,"blockBytes":4096,"segmentBlocks":2,"seed":11,"vocab":200}
 
 {"kind":"job","id":1,"at":0,"file":"corpus","factory":"wordcount","param":"t"}
@@ -32,7 +32,7 @@ func parseGood(t *testing.T) *File {
 
 func TestParseFileGood(t *testing.T) {
 	wf := parseGood(t)
-	if wf.Header.Name != "tiny" || wf.Header.Nodes != 2 || !wf.Header.Pipeline {
+	if wf.Header.Name != "tiny" || wf.Header.Nodes != 2 {
 		t.Fatalf("header mismatch: %+v", wf.Header)
 	}
 	if wf.Header.Cost == nil || wf.Header.Cost.ScanMBps != 50 || wf.Header.Cost.TaskOverhead != 0.1 {
@@ -87,6 +87,7 @@ func TestParseFileErrors(t *testing.T) {
 		{"empty", "", 0, "no \"workload\" header"},
 		{"not json", "nope\n", 1, ""},
 		{"unknown kind", header + `{"kind":"mystery"}` + "\n", 2, "unknown record kind"},
+		{"retired pipeline field", strings.Replace(header, `"nodes":2`, `"nodes":2,"pipeline":true`, 1) + file + job, 1, "pipeline"},
 		{"unknown field", header + `{"kind":"file","name":"f","content":"text","blocks":4,"blockBytes":64,"segmentBlocks":2,"zorp":1}` + "\n", 2, "zorp"},
 		{"record before header", file, 1, "before the \"workload\" header"},
 		{"duplicate header", header + header, 2, "duplicate"},
@@ -233,9 +234,6 @@ func TestParseFileV3Good(t *testing.T) {
 	if got, ok := wf.DerivedProducer("job-1.out"); !ok || got != 1 {
 		t.Fatalf("DerivedProducer(job-1.out) = %d, %v", got, ok)
 	}
-	if c, ok := wf.ContentOf("job-1.out"); !ok || c != ContentDerived {
-		t.Fatalf("ContentOf(job-1.out) = %q, %v", c, ok)
-	}
 	var buf bytes.Buffer
 	if err := wf.Serialize(&buf); err != nil {
 		t.Fatalf("Serialize: %v", err)
@@ -331,30 +329,6 @@ func TestFileJobMetaAndEntries(t *testing.T) {
 	}
 	if entries[1].At != 1.5 || entries[1].Job.Weight != 2 || entries[1].Job.ReduceWeight != 3 {
 		t.Fatalf("entry 1: %+v", entries[1])
-	}
-}
-
-func TestEngineSpecs(t *testing.T) {
-	wf := parseGood(t)
-	specs, err := wf.EngineSpecs()
-	if err != nil {
-		t.Fatalf("EngineSpecs: %v", err)
-	}
-	wc := specs[scheduler.JobID(1)]
-	if m, ok := wc.Mapper.(PatternCountMapper); !ok || m.Prefix != "t" || wc.Combiner == nil || wc.NumReduce != 1 {
-		t.Fatalf("wordcount spec: %+v", wc)
-	}
-	hv := specs[scheduler.JobID(2)]
-	if m, ok := hv.Mapper.(PatternCountMapper); !ok || m.EmitFactor != 4 || hv.Combiner != nil || hv.NumReduce != 2 {
-		t.Fatalf("heavy spec: %+v", hv)
-	}
-
-	// Meta-content workloads have no bytes to execute.
-	meta := parseGood(t)
-	meta.Files[0].Content = ContentMeta
-	meta.Files[0].Vocab = 0
-	if _, err := meta.EngineSpecs(); err == nil {
-		t.Fatal("EngineSpecs accepted a meta-content workload")
 	}
 }
 

@@ -3,14 +3,11 @@ package workload
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/faults"
 	"s3sched/internal/mapreduce"
 )
 
@@ -164,69 +161,6 @@ func FuzzWorkloadFile(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatalf("serialization not canonical:\n%q\nvs\n%q", buf.String(), buf2.String())
-		}
-	})
-}
-
-// FuzzWorkload is the end-to-end target (the CI fuzz smoke runs it):
-// arbitrary bytes become a DFS block and flow through the full
-// wordcount pipeline — map, combine, shuffle, reduce — twice, once
-// clean and once under deterministic read-fault injection with
-// retries. Neither run may panic, and both must produce identical
-// output: injected faults are recovered, never observable in results.
-func FuzzWorkload(f *testing.F) {
-	f.Add([]byte("the quick brown fox\tthe lazy dog\n"), int64(1))
-	f.Add([]byte(""), int64(2))
-	f.Add([]byte("\x00\xff|||\t\t\n\n"), int64(3))
-	f.Add([]byte("a a a b b c"), int64(4))
-	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		if len(data) == 0 || len(data) > 1<<12 {
-			t.Skip()
-		}
-		run := func(inject bool) string {
-			store, err := dfs.NewStore(2, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := store.AddFile("input", int64(len(data)), [][]byte{data}); err != nil {
-				t.Skip() // block shapes the store rejects are not workload bugs
-			}
-			if inject {
-				inj, err := faults.New(faults.Config{
-					Seed:                seed,
-					ReadFailRate:        0.5,
-					MaxInjectedPerBlock: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				store.SetReadFault(inj.FailRead)
-			}
-			e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-			if err := e.SetRetryPolicy(mapreduce.RetryPolicy{MaxAttempts: 4, Backoff: time.Microsecond}); err != nil {
-				t.Fatal(err)
-			}
-			job, err := mapreduce.NewRunning(WordCountJob("wc", "input", "", 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			file, err := store.File("input")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.MapRound(file.Blocks(), []*mapreduce.Running{job}); err != nil {
-				t.Fatalf("MapRound (inject=%v): %v", inject, err)
-			}
-			res, err := e.Finish(job)
-			if err != nil {
-				t.Fatalf("Finish (inject=%v): %v", inject, err)
-			}
-			return fmt.Sprint(res.Output)
-		}
-		clean := run(false)
-		faulty := run(true)
-		if clean != faulty {
-			t.Fatalf("fault injection changed output:\nclean:  %s\nfaulty: %s", clean, faulty)
 		}
 	})
 }

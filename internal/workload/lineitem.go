@@ -239,30 +239,3 @@ func (in interner) of(b []byte) string {
 	in[s] = s
 	return s
 }
-
-// AggregationJob builds a Q1-style "sum quantity group by returnflag,
-// linestatus" job. The SumReducer doubles as the combiner, which is
-// also the fold PartialAggregation uses between sub-jobs.
-func AggregationJob(name, file string, numReduce int) mapreduce.JobSpec {
-	return mapreduce.JobSpec{
-		Name:      name,
-		File:      file,
-		Mapper:    AggregationMapper{},
-		Reducer:   SumReducer{},
-		Combiner:  SumReducer{},
-		NumReduce: numReduce,
-	}
-}
-
-// SelectionJob builds the spec for one selection job. Different
-// maxQuantity values give distinct jobs over the same table, like the
-// paper's user-specified selection conditions. Selection is map-only
-// (SELECT * WHERE …), so Reducer is nil.
-func SelectionJob(name, file string, maxQuantity int) mapreduce.JobSpec {
-	return mapreduce.JobSpec{
-		Name:      name,
-		File:      file,
-		Mapper:    SelectionMapper{MaxQuantity: maxQuantity},
-		NumReduce: 1,
-	}
-}

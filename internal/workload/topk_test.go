@@ -119,39 +119,6 @@ func TestTopKOverStoredWordcountOutput(t *testing.T) {
 	}
 }
 
-func TestEngineSpecTopK(t *testing.T) {
-	j := &FileJob{ID: 2, File: "job-1.out", Factory: FactoryTopK, Param: "3"}
-	spec, err := j.EngineSpec(ContentDerived)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := spec.Mapper.(TopKMapper); !ok {
-		t.Fatalf("mapper = %T", spec.Mapper)
-	}
-	if r, ok := spec.Reducer.(TopKReducer); !ok || r.K != 3 {
-		t.Fatalf("reducer = %#v", spec.Reducer)
-	}
-	if spec.Combiner != nil {
-		t.Fatal("topk must not combine: the single reduce key needs the full candidate set")
-	}
-	j.Param = "zero"
-	if _, err := j.EngineSpec(ContentDerived); err == nil {
-		t.Fatal("non-integer k accepted")
-	}
-	j.Param = "0"
-	if _, err := j.EngineSpec(ContentDerived); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	meta := &FileJob{ID: 3, File: "m", Factory: FactoryWordCount, Param: "t"}
-	if _, err := meta.EngineSpec(ContentMeta); err == nil {
-		t.Fatal("meta content accepted for engine run")
-	}
-	unknown := &FileJob{ID: 4, File: "f", Factory: "mystery"}
-	if _, err := unknown.EngineSpec(ContentText); err == nil {
-		t.Fatal("unknown factory accepted")
-	}
-}
-
 func TestValidateAndSummaryDAG(t *testing.T) {
 	wf := &File{
 		Header: FileHeader{Kind: KindHeader, Version: 3, Name: "chain", Nodes: 2, SlotsPerNode: 2, Replicas: 1},

@@ -123,8 +123,7 @@ func TestPatternCountJobEndToEnd(t *testing.T) {
 	if _, err := AddTextFile(store, "corpus", 4, 2048, 5); err != nil {
 		t.Fatal(err)
 	}
-	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	res, err := e.RunJob(WordCountJob("wc-t", "corpus", "t", 3))
+	res, err := mapreduce.RunJob(store, WordCountJob("wc-t", "corpus", "t", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +161,13 @@ func TestHeavyJobMultipliesMapOutput(t *testing.T) {
 	if _, err := AddTextFile(store, "corpus", 2, 1024, 5); err != nil {
 		t.Fatal(err)
 	}
-	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	normal, err := e.RunJob(WordCountJob("n", "corpus", "t", 1))
+	normal, err := mapreduce.RunJob(store, WordCountJob("n", "corpus", "t", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	heavySpec := WordCountJob("h", "corpus", "t", 1) // the heavy workload: 10x the map output, no combiner
 	heavySpec.Mapper, heavySpec.Combiner = PatternCountMapper{Prefix: "t", EmitFactor: 10}, nil
-	heavy, err := e.RunJob(heavySpec)
+	heavy, err := mapreduce.RunJob(store, heavySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +257,8 @@ func TestSelectionJobSelectivity(t *testing.T) {
 	if _, err := AddLineitemFile(store, "lineitem", 6, 16<<10, 17); err != nil {
 		t.Fatal(err)
 	}
-	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
 	// MaxQuantity 5 of uniform 1..50 -> ~10% selectivity (paper §V-G).
-	res, err := e.RunJob(SelectionJob("sel", "lineitem", 5))
+	res, err := mapreduce.RunJob(store, mapreduce.JobSpec{Name: "sel", File: "lineitem", Mapper: SelectionMapper{MaxQuantity: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +379,7 @@ func TestAggregationJobQ1Style(t *testing.T) {
 	if _, err := AddLineitemFile(store, "lineitem", 6, 16<<10, 23); err != nil {
 		t.Fatal(err)
 	}
-	e := mapreduce.NewEngine(mapreduce.MustCluster(store, 1))
-	res, err := e.RunJob(AggregationJob("q1", "lineitem", 2))
+	res, err := mapreduce.RunJob(store, mapreduce.JobSpec{Name: "q1", File: "lineitem", Mapper: AggregationMapper{}, Reducer: SumReducer{}, Combiner: SumReducer{}, NumReduce: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
