@@ -91,7 +91,7 @@ func benchPanel(b *testing.B, panel string) {
 	}
 	var rep *benchfmt.Report
 	for i := 0; i < b.N; i++ {
-		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.Fig4Schemes(), Pipelines: []bool{false}})
+		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.Fig4Schemes()})
 		if err != nil {
 			b.Fatal(err)
 		}

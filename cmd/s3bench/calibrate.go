@@ -96,7 +96,7 @@ func score(p experiments.Params) ([]string, error) {
 	for _, panel := range experiments.Fig4Panels() {
 		wf, err := experiments.Fig4Workload(panel, p)
 		if err == nil {
-			reports[panel], err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.PaperSchemes(), Pipelines: []bool{false}})
+			reports[panel], err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.PaperSchemes()})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig4-%s: %w", panel, err)

@@ -15,8 +15,8 @@ import (
 // writeTraceJSON runs a small deterministic S^3 workload on the cost
 // model and writes the resulting span tree as Chrome trace-event JSON
 // (chrome://tracing / Perfetto). The workload is fixed — 16 blocks in
-// 4 segments, 5 staggered wordcount-shaped jobs, pipelined execution —
-// so the output is byte-identical across runs and golden-testable.
+// 4 segments, 5 staggered wordcount-shaped jobs — so the output is
+// byte-identical across runs and golden-testable.
 func writeTraceJSON(w io.Writer) error {
 	store, err := dfs.NewStore(4, 1)
 	if err != nil {
@@ -53,10 +53,7 @@ func writeTraceJSON(w io.Writer) error {
 			At:  vclock.Time(i) * 8,
 		}
 	}
-	if _, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{
-		Pipeline: true,
-		Spans:    log,
-	}); err != nil {
+	if _, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{Spans: log}); err != nil {
 		return err
 	}
 	return log.WriteChromeTrace(w)

@@ -579,14 +579,12 @@ func drive(master *remote.Master) error {
 	if res.Stopped {
 		// Graceful SIGTERM stop: persist the between-rounds scheduler
 		// state so the next boot resumes instead of re-running settled
-		// segments. A failed snapshot (pipelined stages still draining a
-		// reduce) degrades to a nil-snapshot checkpoint — recovery then
-		// resubmits the pending jobs from their admission records.
-		var snapPtr *scheduler.Snapshot
-		if snap, serr := sched.StateSnapshot(); serr == nil {
-			snapPtr = &snap
+		// segments.
+		snap, serr := sched.StateSnapshot()
+		if serr != nil {
+			return fmt.Errorf("shutdown checkpoint: %w", serr)
 		}
-		rec := journal.CheckpointRecord{At: res.End, Requeues: res.Requeues, Snapshot: snapPtr}
+		rec := journal.CheckpointRecord{At: res.End, Requeues: res.Requeues, Snapshot: &snap}
 		if aerr := jnl.AppendRecord(journal.KindCheckpoint, rec); aerr != nil {
 			return fmt.Errorf("writing shutdown checkpoint: %w", aerr)
 		}

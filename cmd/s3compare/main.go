@@ -1,7 +1,6 @@
 // Command s3compare runs one workload file through the scheduler
-// comparison matrix — {s3, fifo, mrs1} × {sim, engine} × {pipeline
-// on/off} × {cache on/off}, less the pipeline-on cells of mrs1, which
-// never pipelines — and emits a single benchfmt JSON report with one
+// comparison matrix — {s3, fifo, mrs1} × {sim, engine} × {cache
+// on/off} — and emits a single benchfmt JSON report with one
 // comparable cell per combination (TET, ART, P95, rounds, cache hit
 // ratio, fault retries, per-job completion times, output digest).
 // -schedulers takes any scheme of the one grammar (s3bench sim's
@@ -16,7 +15,7 @@
 //
 //	s3compare -workload bench/canonical.jsonl -o report.json
 //	s3compare -workload w.jsonl -engines sim -md        # markdown table on stdout
-//	s3compare -workload w.jsonl -schedulers s3,fifo -pipelines on
+//	s3compare -workload w.jsonl -schedulers s3,fifo -caches on
 //	s3compare -workload bench/fig4-a.jsonl -schedulers s3,mrs2=mrshare:6:4,s3-static -md
 package main
 
@@ -46,7 +45,6 @@ func run(args []string, stdout io.Writer) error {
 	md := fs.Bool("md", false, "print a markdown comparison table instead of JSON")
 	schedulers := fs.String("schedulers", "", "comma list of [label=]scheme entries (default s3,fifo,mrs1=mrshare)")
 	engines := fs.String("engines", "", "comma list of engines (default sim,engine)")
-	pipelines := fs.String("pipelines", "", "pipeline cells: on|off|both (default both)")
 	caches := fs.String("caches", "", "cache cells: on|off|both (default: off, plus on if the workload sets a budget)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,9 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	opts := experiments.CompareOptions{
 		Schedulers: splitList(*schedulers),
 		Engines:    splitList(*engines),
-	}
-	if opts.Pipelines, err = parseToggle("pipelines", *pipelines); err != nil {
-		return err
 	}
 	if opts.Caches, err = parseToggle("caches", *caches); err != nil {
 		return err

@@ -45,8 +45,8 @@ func TestCompareGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report is not decodable: %v", err)
 	}
-	if len(rep.Cells) != 20 { // mrs1 never pipelines: no pipeline=on copies of its four serial cells
-		t.Fatalf("got %d cells, want 20", len(rep.Cells))
+	if len(rep.Cells) != 12 { // 3 schedulers × 2 engines × cache off/on
+		t.Fatalf("got %d cells, want 12", len(rep.Cells))
 	}
 	if _, err := rep.DigestConsensus(); err != nil {
 		t.Fatalf("digest consensus: %v", err)
@@ -68,11 +68,8 @@ func TestCompareFlagErrors(t *testing.T) {
 	if err := run(nil, &out); err == nil || !strings.Contains(err.Error(), "-workload") {
 		t.Fatalf("missing -workload not rejected: %v", err)
 	}
-	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-pipelines", "sideways"}, &out); err == nil {
-		t.Fatal("bad -pipelines value not rejected")
-	}
-	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-schedulers", "mrs1=mrshare", "-pipelines", "on"}, &out); err == nil || out.Len() > 0 {
-		t.Fatalf("a sub-matrix of serial copies only gave a report: %v", err)
+	if err := run([]string{"-workload", "testdata/tiny.jsonl", "-caches", "sideways"}, &out); err == nil {
+		t.Fatal("bad -caches value not rejected")
 	}
 	for _, list := range []string{"s3,s3", "mrshare:6:4,mrshare:3:3:4", "mrs1"} {
 		if err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-schedulers", list}, &out); err == nil || out.Len() > 0 {
@@ -87,7 +84,7 @@ func TestCompareFlagErrors(t *testing.T) {
 func TestCompareWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rep.json")
 	var out bytes.Buffer
-	err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-pipelines", "off", "-caches", "off", "-o", path}, &out)
+	err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-caches", "off", "-o", path}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -112,7 +109,7 @@ func TestCompareWritesFile(t *testing.T) {
 // grammar, and a label keys its cells.
 func TestCompareLabelledSchedulers(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-pipelines", "off", "-caches", "off",
+	err := run([]string{"-workload", "testdata/tiny.jsonl", "-engines", "sim", "-caches", "off",
 		"-schedulers", "s3, mrs2=mrshare:1:2,mrshare"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestReportGoldenDiff pins the markdown diff for a fixture pair:
 // testdata/regressed.json is testdata/base.json with the cache cells
-// dropped (a narrower run) and the fifo/sim/-/- TET inflated 25%.
+// dropped (a narrower run) and the fifo/sim/- TET inflated 25%.
 func TestReportGoldenDiff(t *testing.T) {
 	var out bytes.Buffer
 	code, err := run([]string{

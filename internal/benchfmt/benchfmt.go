@@ -1,6 +1,6 @@
 // Package benchfmt is the interchange format of the differential
 // benchmark harness: one Report per s3compare run, one Cell per
-// {scheduler} × {sim|engine} × {pipeline} × {cache} configuration, all
+// {scheduler} × {sim|engine} × {cache} configuration, all
 // measured over the same workload file. The encoding is canonical
 // (sorted cells, stable JSON field order, trailing newline), so a
 // deterministic run produces byte-identical report files — which is
@@ -13,6 +13,7 @@
 package benchfmt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,8 +21,9 @@ import (
 	"strings"
 )
 
-// Version is the report schema version.
-const Version = 1
+// Version is the report schema version. Version 1 keyed cells by a
+// pipeline toggle as well; such reports no longer decode.
+const Version = 2
 
 // Engine kinds a cell can run on.
 const (
@@ -35,28 +37,21 @@ type CellKey struct {
 	Scheduler string `json:"scheduler"`
 	// Engine is EngineSim or EngineReal.
 	Engine string `json:"engine"`
-	// Pipeline requests stage-pipelined execution. Schedulers that are
-	// not stage-aware (MRShare) run serially either way; the flag
-	// records what was asked, not what engaged.
-	Pipeline bool `json:"pipeline"`
 	// Cache enables the block cache at the workload's budget.
 	Cache bool `json:"cache"`
 }
 
 // String renders the key in the compact form used in tables and flags:
-// "s3/sim/pipe/cache", with "-" for disabled toggles.
+// "s3/sim/cache", with "-" for a disabled cache.
 func (k CellKey) String() string {
-	pipe, cache := "-", "-"
-	if k.Pipeline {
-		pipe = "pipe"
-	}
+	cache := "-"
 	if k.Cache {
 		cache = "cache"
 	}
-	return fmt.Sprintf("%s/%s/%s/%s", k.Scheduler, k.Engine, pipe, cache)
+	return fmt.Sprintf("%s/%s/%s", k.Scheduler, k.Engine, cache)
 }
 
-// less orders keys scheduler, engine, pipeline, cache — the canonical
+// less orders keys scheduler, engine, cache — the canonical
 // cell order within a report.
 func (k CellKey) less(o CellKey) bool {
 	if k.Scheduler != o.Scheduler {
@@ -64,9 +59,6 @@ func (k CellKey) less(o CellKey) bool {
 	}
 	if k.Engine != o.Engine {
 		return k.Engine < o.Engine
-	}
-	if k.Pipeline != o.Pipeline {
-		return !k.Pipeline
 	}
 	if k.Cache != o.Cache {
 		return !k.Cache
@@ -145,17 +137,29 @@ func (r *Report) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode reads a report, rejecting unknown fields, version mismatches
-// and repeated cell keys (Cell would hide every copy but the first).
+// Decode reads a report, rejecting version mismatches, unknown fields
+// and repeated cell keys (Cell would hide every copy but the first). The
+// version is checked first, so an older report is refused for its
+// version rather than for a field its schema had.
 func Decode(rd io.Reader) (*Report, error) {
-	dec := json.NewDecoder(rd)
+	var raw json.RawMessage
+	if err := json.NewDecoder(rd).Decode(&raw); err != nil {
+		return nil, fmt.Errorf("benchfmt: decoding report: %w", err)
+	}
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, fmt.Errorf("benchfmt: decoding report: %w", err)
+	}
+	if v.Version != Version {
+		return nil, fmt.Errorf("benchfmt: report version %d, this build supports %d", v.Version, Version)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var r Report
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("benchfmt: decoding report: %w", err)
-	}
-	if r.Version != Version {
-		return nil, fmt.Errorf("benchfmt: report version %d, this build supports %d", r.Version, Version)
 	}
 	seen := make(map[CellKey]bool, len(r.Cells))
 	for i := range r.Cells {

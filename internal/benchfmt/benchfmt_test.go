@@ -19,7 +19,7 @@ func sampleReport() *Report {
 				Jobs:         []JobTiming{{ID: 1, CompletedAt: 200, Response: 200}},
 			},
 			{
-				Key: CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: true, Cache: true},
+				Key: CellKey{Scheduler: "s3", Engine: EngineSim, Cache: true},
 				TET: 100, ART: 60, P95: 95, Rounds: 8, CacheHitRatio: 0.685,
 				OutputDigest: "d1d1d1d1d1d1",
 				Jobs:         []JobTiming{{ID: 1, CompletedAt: 100, Response: 100}},
@@ -53,25 +53,36 @@ func TestEncodeDecodeCanonical(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	const cell = `{"key":{"scheduler":"s3","engine":"sim","pipeline":false,"cache":false},"tet":1,"art":1,"p95":1,"rounds":1,"cacheHitRatio":0,"faultRetries":0,"jobs":[]}`
+	const cell = `{"key":{"scheduler":"s3","engine":"sim","cache":false},"tet":1,"art":1,"p95":1,"rounds":1,"cacheHitRatio":0,"faultRetries":0,"jobs":[]}`
 	for what, src := range map[string]string{
 		"wrong version":       `{"version":99,"workload":"w","workloadDigest":"d","cells":[]}`,
-		"unknown field":       `{"version":1,"workload":"w","workloadDigest":"d","cells":[],"zorp":1}`,
+		"unknown field":       `{"version":2,"workload":"w","workloadDigest":"d","cells":[],"zorp":1}`,
 		"non-JSON":            `nope`,
-		"a repeated cell key": `{"version":1,"workload":"w","workloadDigest":"d","cells":[` + cell + `,` + cell + `]}`,
+		"a repeated cell key": `{"version":2,"workload":"w","workloadDigest":"d","cells":[` + cell + `,` + cell + `]}`,
 	} {
 		if _, err := Decode(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted %s", what)
 		}
 	}
-	if _, err := Decode(strings.NewReader(`{"version":1,"workload":"w","workloadDigest":"d","cells":[` + cell + `]}`)); err != nil {
+	if _, err := Decode(strings.NewReader(`{"version":2,"workload":"w","workloadDigest":"d","cells":[` + cell + `]}`)); err != nil {
 		t.Errorf("rejected a one-cell report: %v", err)
 	}
 }
 
+// A version-1 report keyed its cells by a pipeline toggle too. It is
+// refused for its version, before the retired field is looked at.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	const v1 = `{"version":1,"workload":"w","workloadDigest":"d","cells":[` +
+		`{"key":{"scheduler":"s3","engine":"sim","pipeline":true,"cache":false},"tet":1,"art":1,"p95":1,"rounds":1,"cacheHitRatio":0,"faultRetries":0,"jobs":[]}]}`
+	_, err := Decode(strings.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "report version 1, this build supports 2") {
+		t.Fatalf("v1 report: err = %v, want the version error", err)
+	}
+}
+
 func TestCellKeyString(t *testing.T) {
-	k := CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: true}
-	if got := k.String(); got != "s3/sim/pipe/-" {
+	k := CellKey{Scheduler: "s3", Engine: EngineSim}
+	if got := k.String(); got != "s3/sim/-" {
 		t.Fatalf("String() = %q", got)
 	}
 }
@@ -95,7 +106,7 @@ func TestDigestConsensus(t *testing.T) {
 
 func TestMarkdownTable(t *testing.T) {
 	md := sampleReport().Markdown()
-	for _, want := range []string{"| fifo/sim/-/- |", "| s3/sim/pipe/cache |", "100.00", "68.5%", "`d1d1d1d1d1d1`"} {
+	for _, want := range []string{"| fifo/sim/- |", "| s3/sim/cache |", "100.00", "68.5%", "`d1d1d1d1d1d1`"} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
 		}
@@ -106,20 +117,18 @@ func TestSortOrder(t *testing.T) {
 	r := &Report{
 		Version: Version, Workload: "w", WorkloadDigest: "d",
 		Cells: []Cell{
-			{Key: CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: true}},
-			{Key: CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: false, Cache: true}},
-			{Key: CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: false, Cache: false}},
+			{Key: CellKey{Scheduler: "s3", Engine: EngineSim, Cache: true}},
+			{Key: CellKey{Scheduler: "s3", Engine: EngineSim, Cache: false}},
 			{Key: CellKey{Scheduler: "s3", Engine: EngineReal}},
 			{Key: CellKey{Scheduler: "fifo", Engine: EngineSim}},
 		},
 	}
 	r.Sort()
 	want := []string{
-		"fifo/sim/-/-",
-		"s3/engine/-/-",
-		"s3/sim/-/-",
-		"s3/sim/-/cache",
-		"s3/sim/pipe/-",
+		"fifo/sim/-",
+		"s3/engine/-",
+		"s3/sim/-",
+		"s3/sim/cache",
 	}
 	for i, w := range want {
 		if got := r.Cells[i].Key.String(); got != w {
@@ -162,7 +171,7 @@ func TestCompareGate(t *testing.T) {
 	}
 
 	// 20% TET regression on one cell trips the 10% gate.
-	cur.Cell(CellKey{Scheduler: "s3", Engine: EngineSim, Pipeline: true, Cache: true}).TET = 120
+	cur.Cell(CellKey{Scheduler: "s3", Engine: EngineSim, Cache: true}).TET = 120
 	d, err = Compare(base, cur, 0.10)
 	if err != nil {
 		t.Fatal(err)

@@ -25,14 +25,14 @@ type planSet interface {
 // TestArbiterProperty drives the three plan-set schedulers — the arbiter
 // over S^3 queues, the arbiter over MRShare queues, and the global-queue
 // FIFO — through random files, arrivals, a file registered mid-run, lost
-// rounds, aborts and serial/MapDone interleavings, and checks what a
-// driver relies on whatever the policy:
+// rounds and aborts, and checks what a driver relies on whatever the
+// policy:
 //
 //   - a round scans one file, and the rounds that scan a file take its
 //     segments in order, one step mod k at a time;
 //   - a lost round re-forms identically before any other file's;
 //   - RoundDone reaches the queue that launched the round (it reports
-//     exactly the round's Completes), also when several rounds drain;
+//     exactly the round's Completes);
 //   - AddPlan is refused while a map is in flight, and only then;
 //   - every job retires exactly once, an aborted one never;
 //   - no file with runnable work starves (the arbiters serve it within
@@ -115,15 +115,13 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 	if err != nil {
 		return err
 	}
-	stage, staged := s.(scheduler.StageAware)
 
 	// The model. readyAt[id] is how many submissions its file must have
 	// seen before a batched policy can run id: the end of its batch.
 	var (
 		now       vclock.Time
 		submitted = make(map[scheduler.JobID]bool)
-		order     []scheduler.JobID                // submission order
-		scanned   = make(map[scheduler.JobID]bool) // last map done, reduce draining
+		order     []scheduler.JobID // submission order
 		retired   = make(map[scheduler.JobID]int)
 		retiredIn []scheduler.JobID // retirement order
 		aborted   = make(map[scheduler.JobID]bool)
@@ -131,7 +129,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		readyAt   = make(map[scheduler.JobID]int)
 		lastSeg   = make(map[string]int)
 		waited    = make(map[string]int) // scans of other files while the file could have run
-		draining  []scheduler.Round
 		lateIn    bool
 	)
 	sizes["late"] = []int{lateReaders}
@@ -146,7 +143,7 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		}
 	}
 	open := func(id scheduler.JobID) bool {
-		return submitted[id] && !scanned[id] && retired[id] == 0 && !aborted[id]
+		return submitted[id] && retired[id] == 0 && !aborted[id]
 	}
 	runnable := func(file string) bool {
 		for _, id := range perFile[file] {
@@ -170,11 +167,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		}
 		return nil
 	}
-	retireOldest := func() error {
-		r := draining[0]
-		draining = draining[1:]
-		return retire(r, s.RoundDone(r, now))
-	}
 	next := scheduler.JobID(1)
 	for steps := 0; ; steps++ {
 		if steps > 5000 {
@@ -182,7 +174,7 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		}
 		now++
 		allIn := int(next) > n
-		if allIn && s.PendingJobs() == 0 && len(draining) == 0 {
+		if allIn && s.PendingJobs() == 0 {
 			break
 		}
 		switch act := rng.Intn(8); {
@@ -216,7 +208,7 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 			seenOn[fileOf[id]]++
 			next++
 			continue
-		case act == 3 && len(draining) == 0:
+		case act == 3:
 			// Abort an open job; its file's scan order may restart.
 			var candidates []scheduler.JobID
 			for _, id := range order {
@@ -234,11 +226,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 				delete(lastSeg, fileOf[id])
 			}
 			continue
-		case act == 4 && len(draining) > 0:
-			if err := retireOldest(); err != nil {
-				return err
-			}
-			continue
 		}
 
 		r, ok := s.NextRound(now)
@@ -246,11 +233,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 			for _, file := range s.Files() {
 				if runnable(file) {
 					return fmt.Errorf("idle with runnable work on %s", file)
-				}
-			}
-			if len(draining) > 0 {
-				if err := retireOldest(); err != nil {
-					return err
 				}
 			}
 			continue
@@ -293,15 +275,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 					}
 				}
 			}
-		}
-		// Rounds retire in launch order: serially only with none draining.
-		if staged && (len(draining) > 0 || rng.Intn(2) == 0) {
-			stage.MapDone(r, now)
-			for _, id := range r.Completes {
-				scanned[id] = true
-			}
-			draining = append(draining, r)
-			continue
 		}
 		if err := retire(r, s.RoundDone(r, now)); err != nil {
 			return err

@@ -17,12 +17,11 @@ import (
 // DAG stage's output joins the rotation) hints the same cache as the
 // first plans — and snapshot/restore.
 type MultiFile struct {
-	scheduler.Staged[*S3]
+	*scheduler.Arbiter[*S3]
 	hinter ScanHinter
 }
 
 var (
-	_ scheduler.StageAware    = (*MultiFile)(nil)
 	_ scheduler.Recoverable   = (*MultiFile)(nil)
 	_ scheduler.Snapshottable = (*MultiFile)(nil)
 	_ scheduler.PlanRegistrar = (*MultiFile)(nil)

@@ -67,10 +67,6 @@ type S3 struct {
 	// Snapshot/Restore state; jobs restored into a fresh scheduler
 	// simply have no open span.
 	jobSpans map[scheduler.JobID]trace.SpanID
-	// pendingDone queues, per pipelined round whose scan finished
-	// (MapDone) but whose reduce is still draining, the jobs that round
-	// completed. RoundDone pops in round order.
-	pendingDone [][]scheduler.JobID
 	// hinter, when set, receives the cache guidance derived from each
 	// cursor advance (SetScanHinter).
 	hinter ScanHinter
@@ -82,7 +78,6 @@ type ScanHinter func(dfs.ScanHint)
 
 var (
 	_ scheduler.Scheduler   = (*S3)(nil)
-	_ scheduler.StageAware  = (*S3)(nil)
 	_ scheduler.Recoverable = (*S3)(nil)
 )
 
@@ -201,42 +196,15 @@ func (s *S3) NextRound(now vclock.Time) (scheduler.Round, bool) {
 	return r, true
 }
 
-// MapDone implements scheduler.StageAware: the round's scan finished,
-// so Algorithm 1's state advances now — the scan is what consumes the
-// segment — and the next round may be formed while the reduce stage
-// drains. The completed-job list is queued for the later RoundDone.
-func (s *S3) MapDone(r scheduler.Round, now vclock.Time) {
-	if !s.inFlight {
-		panic("core: S3.MapDone without a round in flight")
-	}
-	s.inFlight = false
-	s.log.Addf(now, trace.MapStageFinished, -1, r.Segment, "s3")
-	s.pendingDone = append(s.pendingDone, s.retireScan(r, now))
-}
-
-// RoundDone implements Scheduler: lines 5–13 of Algorithm 1 — retire
-// completed jobs and advance the segment cursor circularly. Under the
-// pipelined protocol the state already advanced at MapDone and this
-// only reports the queued completion list at the reduce-end time.
+// RoundDone implements Scheduler: lines 5–13 of Algorithm 1 — decrement
+// every launched job's remaining sub-jobs, retire the finished ones
+// from the active queue, and advance the segment cursor circularly.
 func (s *S3) RoundDone(r scheduler.Round, now vclock.Time) []scheduler.JobID {
-	if len(s.pendingDone) > 0 {
-		done := s.pendingDone[0]
-		s.pendingDone = s.pendingDone[1:]
-		s.log.Addf(now, trace.RoundFinished, -1, r.Segment, "s3")
-		return done
-	}
 	if !s.inFlight {
 		panic("core: S3.RoundDone without a round in flight")
 	}
 	s.inFlight = false
 	s.log.Addf(now, trace.RoundFinished, -1, r.Segment, "s3")
-	return s.retireScan(r, now)
-}
-
-// retireScan applies the post-scan half of Algorithm 1: decrement every
-// launched job's remaining sub-jobs, drop the finished ones from the
-// active queue, and advance the segment cursor circularly.
-func (s *S3) retireScan(r scheduler.Round, now vclock.Time) []scheduler.JobID {
 	var done []scheduler.JobID
 	remaining := s.active[:0]
 	for _, js := range s.active {

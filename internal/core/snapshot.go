@@ -24,9 +24,6 @@ func (s *S3) Snapshot() (scheduler.QueueSnapshot, error) {
 	if s.inFlight {
 		return scheduler.QueueSnapshot{}, fmt.Errorf("core: cannot snapshot with a round in flight")
 	}
-	if len(s.pendingDone) > 0 {
-		return scheduler.QueueSnapshot{}, fmt.Errorf("core: cannot snapshot with %d pipelined reduce(s) draining", len(s.pendingDone))
-	}
 	snap := scheduler.QueueSnapshot{
 		File:     s.plan.File().Name,
 		Segments: s.plan.NumSegments(),

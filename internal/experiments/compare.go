@@ -23,7 +23,7 @@ import (
 )
 
 // Differential benchmark: run one workload file through the
-// {scheduler} × {sim|engine} × {pipeline} × {cache} matrix and emit one
+// {scheduler} × {sim|engine} × {cache} matrix and emit one
 // benchfmt.Cell per configuration, every cell comparable because every
 // cell saw the identical workload. Two properties make the report a
 // regression gate rather than a one-off snapshot:
@@ -40,8 +40,8 @@ import (
 //     outputs; sim cells (which execute nothing) carry the reference
 //     digest obtained by running each job *alone* on a fresh store.
 //     All cells of a report carrying one identical digest is the
-//     harness's proof that scan sharing, pipelining, caching and
-//     scheduling order never change what a job computes.
+//     harness's proof that scan sharing, caching and scheduling order
+//     never change what a job computes.
 
 // CompareOptions selects a sub-matrix. The zero value means the full
 // matrix the workload supports.
@@ -58,12 +58,9 @@ type CompareOptions struct {
 	// meta-content workloads (no bytes to execute) and fault-injecting
 	// ones (workers do not retry a failed read).
 	Engines []string
-	// Pipelines/Caches are the toggle subsets; nil = {off, on}, with
-	// cache-on dropped when the workload has no cache budget. A
-	// pipeline-on cell exists only where runtime.WillPipeline holds
-	// (never for mrshare): elsewhere it would be its serial twin again.
-	Pipelines []bool
-	Caches    []bool
+	// Caches is the toggle subset; nil = {off, on}, with cache-on
+	// dropped when the workload has no cache budget.
+	Caches []bool
 }
 
 // once rejects a sub-matrix list that names a value twice: its cells
@@ -133,7 +130,7 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 		names[i] = schemes[i].Name
 	}
 	if err := errors.Join(once("scheduler", names), once("engine", opts.Engines),
-		once("pipeline", opts.Pipelines), once("cache", opts.Caches)); err != nil {
+		once("cache", opts.Caches)); err != nil {
 		return nil, err
 	}
 	engines := opts.Engines
@@ -146,10 +143,6 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 		if len(engines) == 0 {
 			return nil, fmt.Errorf("experiments: workload %q is %s-content or injects faults; engine cells cannot run", h.Name, workload.ContentMeta)
 		}
-	}
-	pipelines := opts.Pipelines
-	if pipelines == nil {
-		pipelines = []bool{false, true}
 	}
 	caches := opts.Caches
 	if caches == nil {
@@ -186,23 +179,15 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 	}
 	for _, scheme := range schemes {
 		for _, engine := range engines {
-			for _, pipe := range pipelines {
-				for _, cache := range caches {
-					key := benchfmt.CellKey{Scheduler: scheme.Name, Engine: engine, Pipeline: pipe, Cache: cache}
-					cell, err := runCell(wf, scheme, key, refDigest, refBlocks)
-					if errors.Is(err, errSerialCopy) {
-						continue
-					}
-					if err != nil {
-						return nil, fmt.Errorf("experiments: cell %s: %w", key, err)
-					}
-					report.Cells = append(report.Cells, cell)
+			for _, cache := range caches {
+				key := benchfmt.CellKey{Scheduler: scheme.Name, Engine: engine, Cache: cache}
+				cell, err := runCell(wf, scheme, key, refDigest, refBlocks)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: cell %s: %w", key, err)
 				}
+				report.Cells = append(report.Cells, cell)
 			}
 		}
-	}
-	if len(report.Cells) == 0 {
-		return nil, fmt.Errorf("experiments: no cell of the sub-matrix can run: scheduler(s) %v never pipeline", names)
 	}
 	report.Sort()
 	if _, err := report.DigestConsensus(); err != nil {
@@ -210,10 +195,6 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 	}
 	return report, nil
 }
-
-// errSerialCopy is runCell's verdict on a pipeline=on cell that is not
-// stage-capable: it would be its serial twin again, so the matrix has none.
-var errSerialCopy = errors.New("pipeline requested but the run would be serial")
 
 // runCell runs one matrix configuration from a completely fresh
 // environment (store, scheduler, executor), so cells cannot contaminate
@@ -298,10 +279,6 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
 
-	opts := runtime.Options{Pipeline: key.Pipeline}
-	if key.Pipeline && !runtime.WillPipeline(sched, exec, opts) {
-		return benchfmt.Cell{}, errSerialCopy
-	}
 	var res *runtime.Result
 	if wf.HasDAG() {
 		// DAG cells run under a pipeline coordinator: roots arrive like
@@ -313,7 +290,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
 		}
-		res, err = runtime.Run(sched, exec, coord, opts)
+		res, err = runtime.Run(sched, exec, coord, runtime.Options{})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -321,7 +298,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 			return benchfmt.Cell{}, cerr
 		}
 	} else {
-		res, err = runtime.RunTrace(sched, exec, arrivals, opts)
+		res, err = runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}
@@ -495,8 +472,8 @@ func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 
 // soloReference runs every job alone with the sequential reference
 // (mapreduce.RunJob), each on a fresh uncached fault-free store, and
-// digests the outputs — the ground truth any shared/pipelined/cached
-// execution must reproduce. Jobs run in
+// digests the outputs — the ground truth any shared or cached execution
+// must reproduce. Jobs run in
 // dependency order: a DAG stage's derived input is pre-materialized
 // from its producer's solo output before the stage runs, and each
 // derived file's block count is recorded — the geometry sim cells
@@ -574,48 +551,40 @@ func digestOutputs(outputs map[scheduler.JobID][]mapreduce.KV) string {
 // durations. The wall clock never reaches the scheduler, so engine runs
 // are as deterministic as sim runs, and a sim cell with the same
 // scheduler marches through the identical round sequence. The master
-// runs a round whole; on a pipelined cell it does so inside the map
-// stage, and the timer alone splits the round into its two stages.
+// runs each round whole; the timer alone splits it into its two stages.
 type pricedExec struct {
 	inner *remote.Master
 	timer *sim.Executor
 }
 
 var (
-	_ runtime.StageExecutor    = (*pricedExec)(nil)
+	_ runtime.StageTimer       = (*pricedExec)(nil)
 	_ runtime.FaultStatsSource = (*pricedExec)(nil)
 	_ runtime.CacheStatsSource = (*pricedExec)(nil)
 )
 
 // ExecRound implements runtime.Executor.
 func (p *pricedExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	mapDur, stage, err := p.ExecMapStage(r)
-	if err != nil {
-		return 0, err
-	}
-	redDur, err := stage()
-	if err != nil {
-		return 0, err
-	}
-	return mapDur + redDur, nil
+	mapDur, redDur, err := p.ExecStages(r)
+	return mapDur + redDur, err
 }
 
-// ExecMapStage implements runtime.StageExecutor: the master runs the
-// round, then the timer prices it; the returned reduce stage is the
-// timer's.
-func (p *pricedExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
+// ExecStages implements runtime.StageTimer: the master runs the round,
+// then the timer prices it.
+func (p *pricedExec) ExecStages(r scheduler.Round) (mapDur, redDur vclock.Duration, err error) {
 	if _, err := p.inner.ExecRound(r); err != nil {
 		var lost *scheduler.RoundLostError
 		if errors.As(err, &lost) {
-			// Re-price the lost round's elapsed time deterministically;
-			// the requeue path must not observe wall time either.
-			if mapDur, _, perr := p.timer.ExecMapStage(r); perr == nil {
+			// Re-price the lost round's elapsed time deterministically,
+			// as its map stage alone; the requeue path must not observe
+			// wall time either.
+			if mapDur, _, perr := p.timer.ExecStages(r); perr == nil {
 				lost.Elapsed = mapDur
 			}
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
-	return p.timer.ExecMapStage(r)
+	return p.timer.ExecStages(r)
 }
 
 // FaultStats implements runtime.FaultStatsSource.

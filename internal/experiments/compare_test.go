@@ -39,16 +39,9 @@ func TestRunCompareFullMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	// {s3, fifo} × 2 engines × 2 pipelines × 2 caches, plus mrs1's serial
-	// half: MRShare is never stage-aware, so its pipeline=on cells would
-	// be copies and the matrix has none.
-	if len(rep.Cells) != 20 {
-		t.Fatalf("got %d cells, want 20", len(rep.Cells))
-	}
-	for i := range rep.Cells {
-		if k := rep.Cells[i].Key; k.Scheduler == "mrs1" && k.Pipeline {
-			t.Fatalf("matrix has the serial copy %s", k)
-		}
+	// {s3, fifo, mrs1} × 2 engines × 2 caches.
+	if len(rep.Cells) != 12 {
+		t.Fatalf("got %d cells, want 12", len(rep.Cells))
 	}
 	digest, err := rep.DigestConsensus()
 	if err != nil {
@@ -111,25 +104,17 @@ func TestRunCompareSimEngineTwins(t *testing.T) {
 		t.Fatalf("RunCompare: %v", err)
 	}
 	for _, sched := range []string{"s3", "fifo", "mrs1"} {
-		for _, pipe := range []bool{false, true} {
-			simCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineSim, Pipeline: pipe})
-			engCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineReal, Pipeline: pipe})
-			if sched == "mrs1" && pipe {
-				if simCell != nil || engCell != nil {
-					t.Fatal("mrs1 never pipelines, yet has a pipeline=on cell")
-				}
-				continue
-			}
-			if simCell == nil || engCell == nil {
-				t.Fatalf("missing twin for %s/pipe=%v", sched, pipe)
-			}
-			if simCell.TET != engCell.TET || simCell.Rounds != engCell.Rounds {
-				t.Fatalf("%s pipe=%v: sim TET=%v rounds=%d, engine TET=%v rounds=%d",
-					sched, pipe, simCell.TET, simCell.Rounds, engCell.TET, engCell.Rounds)
-			}
-			if simCell.ART != engCell.ART {
-				t.Fatalf("%s pipe=%v: sim ART=%v != engine ART=%v", sched, pipe, simCell.ART, engCell.ART)
-			}
+		simCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineSim})
+		engCell := rep.Cell(benchfmt.CellKey{Scheduler: sched, Engine: benchfmt.EngineReal})
+		if simCell == nil || engCell == nil {
+			t.Fatalf("missing twin for %s", sched)
+		}
+		if simCell.TET != engCell.TET || simCell.Rounds != engCell.Rounds {
+			t.Fatalf("%s: sim TET=%v rounds=%d, engine TET=%v rounds=%d",
+				sched, simCell.TET, simCell.Rounds, engCell.TET, engCell.Rounds)
+		}
+		if simCell.ART != engCell.ART {
+			t.Fatalf("%s: sim ART=%v != engine ART=%v", sched, simCell.ART, engCell.ART)
 		}
 	}
 }
@@ -139,7 +124,6 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 	rep, err := RunCompare(wf, CompareOptions{
 		Schedulers: []string{"s3"},
 		Engines:    []string{benchfmt.EngineSim},
-		Pipelines:  []bool{false},
 		Caches:     []bool{false},
 	})
 	if err != nil {
@@ -161,8 +145,8 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare(meta): %v", err)
 	}
-	if len(mrep.Cells) != 10 {
-		t.Fatalf("meta matrix gave %d cells, want 10 (sim only)", len(mrep.Cells))
+	if len(mrep.Cells) != 6 {
+		t.Fatalf("meta matrix gave %d cells, want 6 (sim only)", len(mrep.Cells))
 	}
 	for i := range mrep.Cells {
 		if mrep.Cells[i].Key.Engine != benchfmt.EngineSim {
@@ -171,11 +155,6 @@ func TestRunCompareSubMatrixAndMeta(t *testing.T) {
 		if mrep.Cells[i].OutputDigest != "" {
 			t.Fatalf("meta cell %s carries a digest", mrep.Cells[i].Key)
 		}
-	}
-	// A sub-matrix of nothing but serial copies is an error, not an
-	// empty report.
-	if _, err := RunCompare(wf, CompareOptions{Schedulers: []string{"mrs1=mrshare"}, Pipelines: []bool{true}}); err == nil {
-		t.Fatal("mrs1 × pipeline=on produced a report")
 	}
 	// Engine-only on meta content is an explicit error.
 	if _, err := RunCompare(meta, CompareOptions{Engines: []string{benchfmt.EngineReal}}); err == nil {
@@ -202,7 +181,7 @@ func TestRunCompareLineitem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseFile: %v", err)
 	}
-	rep, err := RunCompare(wf, CompareOptions{Pipelines: []bool{true}})
+	rep, err := RunCompare(wf, CompareOptions{})
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
@@ -226,7 +205,6 @@ func TestRunCompareRejects(t *testing.T) {
 		{"repeated label", CompareOptions{Schedulers: []string{"x=s3", "x=fifo"}}, "scheduler x is listed twice"},
 		{"empty label", CompareOptions{Schedulers: []string{"=s3"}}, "empty label"},
 		{"repeated engine", CompareOptions{Engines: []string{benchfmt.EngineSim, benchfmt.EngineSim}}, "engine sim is listed twice"},
-		{"repeated pipeline toggle", CompareOptions{Pipelines: []bool{false, false}}, "pipeline false is listed twice"},
 		{"repeated cache toggle", CompareOptions{Caches: []bool{true, true}}, "cache true is listed twice"},
 		{"single-file scheme over a DAG workload", CompareOptions{Schedulers: []string{"s3-static"}}, ""},
 	} {
@@ -263,9 +241,8 @@ func committedWorkload(t *testing.T, name string) *workload.File {
 // which beats FIFO's scan-per-job, on both TET and ART.
 func TestCanonicalWorkloadOrdering(t *testing.T) {
 	rep, err := RunCompare(committedWorkload(t, "canonical"), CompareOptions{
-		Engines:   []string{benchfmt.EngineSim},
-		Pipelines: []bool{false},
-		Caches:    []bool{false},
+		Engines: []string{benchfmt.EngineSim},
+		Caches:  []bool{false},
 	})
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
@@ -301,7 +278,6 @@ func TestRunCompareFaultWorkload(t *testing.T) {
 	}
 	rep, err := RunCompare(faulty, CompareOptions{
 		Schedulers: []string{"s3"},
-		Pipelines:  []bool{false},
 		Caches:     []bool{false},
 	})
 	if err != nil {
@@ -326,33 +302,29 @@ func TestRunCompareFaultWorkload(t *testing.T) {
 // budget half a node's share of the scan cycle — where LRU scores no
 // hits at all — the cursor policy, fed S3's scan hints, still serves
 // nearly every block warm, and the cached run is faster than the
-// uncached one, serial and pipelined.
+// uncached one.
 func TestCacheCliffWorkload(t *testing.T) {
 	rep, err := RunCompare(committedWorkload(t, "cache-cliff"), CompareOptions{Schedulers: []string{"s3"}})
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	for _, pipe := range []bool{false, true} {
-		key := benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim, Pipeline: pipe}
-		off := rep.Cell(key)
-		key.Cache = true
-		on := rep.Cell(key)
-		if off == nil || on == nil {
-			t.Fatalf("pipeline=%v: missing cache cells", pipe)
-		}
-		if on.CacheHitRatio < 0.9 {
-			t.Errorf("%s: cursor hit ratio %.3f, want >= 0.9", on.Key, on.CacheHitRatio)
-		}
-		if on.TET >= off.TET {
-			t.Errorf("%s: TET %.3f not below the uncached %.3f", on.Key, on.TET, off.TET)
-		}
+	off := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim})
+	on := rep.Cell(benchfmt.CellKey{Scheduler: "s3", Engine: benchfmt.EngineSim, Cache: true})
+	if off == nil || on == nil {
+		t.Fatal("missing cache cells")
+	}
+	if on.CacheHitRatio < 0.9 {
+		t.Errorf("%s: cursor hit ratio %.3f, want >= 0.9", on.Key, on.CacheHitRatio)
+	}
+	if on.TET >= off.TET {
+		t.Errorf("%s: TET %.3f not below the uncached %.3f", on.Key, on.TET, off.TET)
 	}
 }
 
 // TestFaultWorkload runs bench/faults.jsonl: with 2-way replication and
 // a 2 % transient block-failure rate every job of every cell finishes,
-// the serial cells price retries, and faults slow S3 down without
-// inverting its lead over FIFO.
+// every cell prices retries, and faults slow S3 down without inverting
+// its lead over FIFO.
 func TestFaultWorkload(t *testing.T) {
 	wf := committedWorkload(t, "faults")
 	rep, err := RunCompare(wf, CompareOptions{})
@@ -363,7 +335,7 @@ func TestFaultWorkload(t *testing.T) {
 		if len(c.Jobs) != len(wf.Jobs) {
 			t.Errorf("%s: %d of %d jobs finished", c.Key, len(c.Jobs), len(wf.Jobs))
 		}
-		if !c.Key.Pipeline && c.FaultRetries == 0 {
+		if c.FaultRetries == 0 {
 			t.Errorf("%s: no retries at a 2%% fault rate", c.Key)
 		}
 	}
@@ -371,63 +343,6 @@ func TestFaultWorkload(t *testing.T) {
 	fifo := rep.Cell(benchfmt.CellKey{Scheduler: "fifo", Engine: benchfmt.EngineSim})
 	if s3 == nil || fifo == nil || s3.TET >= fifo.TET {
 		t.Errorf("S3 does not beat FIFO under faults: s3 %+v, fifo %+v", s3, fifo)
-	}
-}
-
-// TestPipelinedCellsPriceFaults: a pipelined sim run pays for the fault
-// model like a serial one — its cells count retries and take longer
-// than the same cells with the fault rate at zero.
-func TestPipelinedCellsPriceFaults(t *testing.T) {
-	faulty, clean := committedWorkload(t, "faults"), committedWorkload(t, "faults")
-	clean.Header.FaultRate = 0
-	opts := CompareOptions{Pipelines: []bool{true}}
-	rep, err := RunCompare(faulty, opts)
-	if err != nil {
-		t.Fatalf("RunCompare: %v", err)
-	}
-	twins, err := RunCompare(clean, opts)
-	if err != nil {
-		t.Fatalf("RunCompare fault-free: %v", err)
-	}
-	if len(rep.Cells) == 0 {
-		t.Fatal("no pipelined cells")
-	}
-	for _, c := range rep.Cells {
-		twin := twins.Cell(c.Key)
-		if twin == nil {
-			t.Fatalf("%s: no fault-free twin", c.Key)
-		}
-		if c.FaultRetries == 0 || c.TET <= twin.TET {
-			t.Errorf("%s: %d retries, TET %.3f against %.3f fault-free; faults went unpriced",
-				c.Key, c.FaultRetries, c.TET, twin.TET)
-		}
-	}
-}
-
-// TestWorkloadPipelining: on the four gated workloads no pipeline=on
-// cell is slower than its serial twin, and where reduce dominates
-// (bench/heavy-reduce.jsonl) overlapping round N's reduce with round
-// N+1's scan cuts S3's TET by a fifth or more.
-func TestWorkloadPipelining(t *testing.T) {
-	for _, name := range []string{"canonical", "dense", "heavy-reduce", "dag"} {
-		rep, err := RunCompare(committedWorkload(t, name), CompareOptions{Engines: []string{benchfmt.EngineSim}})
-		if err != nil {
-			t.Fatalf("%s: RunCompare: %v", name, err)
-		}
-		for _, c := range rep.Cells {
-			if !c.Key.Pipeline {
-				continue
-			}
-			serialKey := c.Key
-			serialKey.Pipeline = false
-			serial := rep.Cell(serialKey)
-			if c.TET > serial.TET {
-				t.Errorf("%s %s: pipelined TET %.3f exceeds serial %.3f", name, c.Key, c.TET, serial.TET)
-			}
-			if name == "heavy-reduce" && c.Key.Scheduler == "s3" && c.TET > 0.8*serial.TET {
-				t.Errorf("%s %s: pipelined TET %.3f, want <= 80%% of serial %.3f", name, c.Key, c.TET, serial.TET)
-			}
-		}
 	}
 }
 

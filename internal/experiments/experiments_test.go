@@ -27,9 +27,9 @@ var fig4Titles = map[string]string{
 }
 
 // fig4Options is the sub-matrix CI gates the fig4 files at: every
-// scheme of Figure 4 plus ablations X2 and X5, serial sim cells.
+// scheme of Figure 4 plus ablations X2 and X5, sim cells.
 func fig4Options() CompareOptions {
-	return CompareOptions{Schedulers: Fig4Schemes(), Pipelines: []bool{false}}
+	return CompareOptions{Schedulers: Fig4Schemes()}
 }
 
 // fig4Reports runs the six committed Figure 4 files, keyed by panel.
@@ -63,7 +63,7 @@ func TestFig4FilesMatchGenerator(t *testing.T) {
 			buf.WriteString("# `go test ./internal/experiments -run TestFig4FilesMatchGenerator -update`\n")
 			buf.WriteString("# rewrites it and its baseline. Metadata-only content at paper scale\n")
 			buf.WriteString("# (40 nodes, one block per map slot): sim cells only. CI gates it with\n")
-			fmt.Fprintf(&buf, "#   s3compare -workload bench/fig4-%s.jsonl -schedulers %s -pipelines off\n", panel, strings.Join(Fig4Schemes(), ","))
+			fmt.Fprintf(&buf, "#   s3compare -workload bench/fig4-%s.jsonl -schedulers %s\n", panel, strings.Join(Fig4Schemes(), ","))
 			if err := wf.Serialize(&buf); err != nil {
 				t.Fatal(err)
 			}

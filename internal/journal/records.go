@@ -111,10 +111,10 @@ type StageMaterializedRecord struct {
 }
 
 // RoundCommittedRecord marks a retired round and carries the
-// scheduler state at the boundary. Snapshot may be nil when the
-// scheduler could not snapshot (e.g. pipelined reduces still
-// draining); recovery then falls back to the latest earlier snapshot
-// or to resubmission.
+// scheduler state at the boundary. A snapshot that fails fails the run,
+// so Snapshot is nil only for a scheduler that cannot snapshot or in a
+// record an older build wrote; recovery then falls back to the latest
+// earlier snapshot or to resubmission.
 type RoundCommittedRecord struct {
 	Segment  int                 `json:"segment"`
 	Jobs     []scheduler.JobID   `json:"jobs"`

@@ -25,11 +25,10 @@ type RunMetrics struct {
 	// JobRounds observes how many rounds each completed job rode.
 	JobRounds *Histogram
 	// RoundDuration observes each round's total stage work
-	// (scan + reduce), which is identical between serial and pipelined
-	// execution of the same priced workload.
+	// (scan + reduce).
 	RoundDuration *Histogram
 	// RoundScan and RoundReduce observe the stage components when the
-	// executor splits stages.
+	// executor splits stages (runtime.StageTimer).
 	RoundScan   *Histogram
 	RoundReduce *Histogram
 	// BatchWidth observes how many sub-jobs shared each round's scan.

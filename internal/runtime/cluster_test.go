@@ -60,20 +60,6 @@ func wordcountCluster(t *testing.T, blocks, perSegment, n int, cacheBytes int64)
 	return plan, cluster, arrivals
 }
 
-// wholeRounds runs each round whole on the master inside its map stage,
-// as s3compare's engine cells do, and prices both stages at one second.
-type wholeRounds struct{ *remote.Local }
-
-func (w wholeRounds) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	_, err := w.Local.ExecRound(r)
-	return 2, err
-}
-
-func (w wholeRounds) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
-	_, err := w.Local.ExecRound(r)
-	return 1, func() (vclock.Duration, error) { return 1, nil }, err
-}
-
 // End-to-end cache telemetry: a run on the deployed master and workers,
 // whose stores cache, must fold their hit/miss counts into the run's
 // Collector and export them through the registry instruments.
@@ -159,40 +145,5 @@ func TestEngineSimTelemetrySignalParity(t *testing.T) {
 	simNames, engNames := names(simLog, "scan-stage", "reduce-stage"), names(engLog)
 	if want := []string{"round", "run", "subjob"}; !slices.Equal(engNames, want) || !slices.Equal(simNames, want) {
 		t.Errorf("span vocabularies: engine %v, sim less its stages %v; want both %v", engNames, simNames, want)
-	}
-}
-
-// TestPipelineEngineMatchesSerial runs the same staggered workload on the
-// master and workers serially and pipelined, each round whole inside its
-// map stage: final outputs must be byte-identical and jobs must complete
-// in the same order.
-func TestPipelineEngineMatchesSerial(t *testing.T) {
-	run := func(pipeline bool) (map[scheduler.JobID]string, []scheduler.JobID) {
-		plan, cluster, arrivals := wordcountCluster(t, 8, 1, 3, 0)
-		var order []scheduler.JobID
-		opts := runtime.Options{Pipeline: pipeline, ReduceWorkers: 2}
-		opts.Hooks.OnRoundDone = func(_ scheduler.Round, _ vclock.Time, completed []scheduler.JobID) {
-			order = append(order, completed...)
-		}
-		if _, err := runtime.RunTrace(core.New(plan, nil), wholeRounds{cluster}, arrivals, opts); err != nil {
-			t.Fatal(err)
-		}
-		out := map[scheduler.JobID]string{}
-		for _, a := range arrivals {
-			got, err := cluster.JobOutput(a.Job.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[a.Job.ID] = fmt.Sprint(got)
-		}
-		return out, order
-	}
-	serialOut, serialOrder := run(false)
-	pipedOut, pipedOrder := run(true)
-	if fmt.Sprint(serialOut) != fmt.Sprint(pipedOut) {
-		t.Error("pipelined outputs differ from serial")
-	}
-	if len(serialOrder) != 3 || fmt.Sprint(serialOrder) != fmt.Sprint(pipedOrder) {
-		t.Errorf("completion order %v (pipelined) != %v (serial)", pipedOrder, serialOrder)
 	}
 }

@@ -1,6 +1,8 @@
 package runtime_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"s3sched/internal/core"
@@ -44,7 +46,7 @@ func deployedOver(t *testing.T, plan *dfs.SegmentPlan) *core.MultiFile {
 }
 
 // TestEngineCommitLog: the engine fires RoundCommitted once per
-// retired round (with a usable scheduler snapshot in serial mode),
+// retired round (with a usable scheduler snapshot),
 // JobDone once per completion, and JobFailed for jobs whose own code
 // failed — the exact stream the write-ahead journal persists.
 func TestEngineCommitLog(t *testing.T) {
@@ -63,7 +65,7 @@ func TestEngineCommitLog(t *testing.T) {
 	}
 	for i, r := range log.rounds {
 		if r.snap == nil {
-			t.Fatalf("round %d committed without a snapshot (serial mode should always snapshot)", i)
+			t.Fatalf("round %d committed without a snapshot", i)
 		}
 		if r.requeues != 0 {
 			t.Errorf("round %d committed with requeues=%d, want 0", i, r.requeues)
@@ -79,6 +81,28 @@ func TestEngineCommitLog(t *testing.T) {
 	}
 	if len(log.failed) != 1 || log.failed[0] != 2 {
 		t.Errorf("JobFailed stream = %v, want [2]", log.failed)
+	}
+}
+
+// unsnapshottable is the deployed scheduler whose snapshot always fails.
+type unsnapshottable struct{ *core.MultiFile }
+
+func (unsnapshottable) StateSnapshot() (scheduler.Snapshot, error) {
+	return scheduler.Snapshot{}, errors.New("snapshot refused")
+}
+
+// TestEngineFailsOnSnapshotError: a round-commit point whose snapshot
+// fails stops a journaled run with that error instead of journaling a
+// round recovery could not resume from.
+func TestEngineFailsOnSnapshotError(t *testing.T) {
+	log := &captureLog{}
+	_, err := runtime.RunTrace(unsnapshottable{deployedOver(t, parityPlan(t, 3))}, fixedExec{},
+		[]runtime.Arrival{{Job: parityMeta(1), At: 0}}, runtime.Options{Commits: log})
+	if err == nil || !strings.Contains(err.Error(), "snapshot refused") {
+		t.Fatalf("run with a failing snapshot: err = %v, want the snapshot's error", err)
+	}
+	if len(log.rounds) != 0 {
+		t.Errorf("%d round(s) journaled without a snapshot", len(log.rounds))
 	}
 }
 

@@ -9,36 +9,7 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// stagePolicy is the pluggable half of the engine: how a formed round
-// turns into executed work and retired completions. The engine owns
-// everything policy-independent — arrival admission, requeue
-// accounting, failure draining, stats folding, idle timing — so those
-// semantics are shared by construction.
-type stagePolicy interface {
-	// start spins up any background workers the policy needs.
-	start()
-	// launch runs round r from launch time now, advancing the engine
-	// clock by the synchronous stage work. It either retires the round
-	// inline (serial) or queues its reduce stage (pipelined). A
-	// *scheduler.RoundLostError return is requeued by the engine; any
-	// other error aborts the run.
-	launch(r scheduler.Round, now vclock.Time) error
-	// poll opportunistically retires rounds whose asynchronous work has
-	// finished within virtual time now. No-op for the serial policy.
-	poll(now vclock.Time) error
-	// idle handles an idle scheduler given the earliest known external
-	// event (target, when have). It reports handled=true when it made
-	// progress (advanced the clock or retired a round) and the loop
-	// should re-poll the scheduler.
-	idle(now vclock.Time, target vclock.Time, have bool) (handled bool, err error)
-	// drain blocks until every in-flight asynchronous stage has
-	// reported, so error returns never leak goroutines mid-stage.
-	drain()
-	// shutdown releases the policy's background workers.
-	shutdown()
-}
-
-// engine is one run of the unified round loop.
+// engine is one run of the round loop.
 type engine struct {
 	sched scheduler.Scheduler
 	exec  Executor
@@ -50,15 +21,13 @@ type engine struct {
 	mem         MembershipSource
 	hooks       Hooks
 	maxRequeues int
-	pol         stagePolicy
 
 	clock vclock.Clock
 	coll  *metrics.Collector
 	tele  *telemetry
 	res   *Result
-	// failed persists across rounds — under pipelining a failure
-	// drained at an earlier round's retire must not be double-counted
-	// when a later round reports the same job completed.
+	// failed persists across rounds, so a job whose failure was drained
+	// at one round is never counted again.
 	failed map[scheduler.JobID]bool
 	// requeues counts consecutive requeues of the current round.
 	requeues int
@@ -101,36 +70,15 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 		e.mem = mem
 	}
 	e.res = &Result{Metrics: e.coll}
-	e.pol = &serialPolicy{e: e}
-	if WillPipeline(sched, exec, opts) {
-		e.pol = newPipelinedPolicy(e, sched.(scheduler.StageAware), exec.(StageExecutor), opts)
-	}
 	return e
 }
 
-// WillPipeline reports whether a run with this scheduler, executor and
-// options would use the stage-pipelined policy: pipelining must be
-// requested AND both sides must be stage-capable. Nothing labels a
-// result by what actually engaged, so s3compare asks here before it
-// emits a pipeline=on cell: MRShare, for example, is never stage-aware,
-// and its cell would be a copy of the serial one.
-func WillPipeline(sched scheduler.Scheduler, exec Executor, opts Options) bool {
-	if !opts.Pipeline {
-		return false
-	}
-	_, okExec := exec.(StageExecutor)
-	_, okSched := sched.(scheduler.StageAware)
-	return okExec && okSched
-}
-
 // run is the state machine: admit due arrivals → form round → execute
-// (policy) → drain failures → requeue-or-retire → fold stats.
+// → drain failures → requeue-or-retire → fold stats.
 func (e *engine) run() (*Result, error) {
 	if e.src == nil {
 		return nil, fmt.Errorf("runtime: nil arrival source")
 	}
-	e.pol.start()
-	defer e.pol.shutdown()
 	e.tele.beginRun(e.sched.Name(), e.clock.Now())
 	// Journal-recovered jobs are already in the scheduler; give each a
 	// collector entry so the submit→start→complete lifecycle holds.
@@ -148,36 +96,18 @@ func (e *engine) run() (*Result, error) {
 		now := e.clock.Now()
 		e.drainMembership(now)
 		if err := e.deliverDue(now); err != nil {
-			e.pol.drain()
-			return nil, err
-		}
-		if err := e.pol.poll(now); err != nil {
-			e.pol.drain()
 			return nil, err
 		}
 		r, ok := e.sched.NextRound(now)
 		if !ok {
 			// Idle scheduler: the next event is whichever comes first —
-			// the next arrival, the scheduler's own timer, or whatever
-			// asynchronous work the policy still has draining.
-			target, have := e.nextEvent(now)
-			handled, err := e.pol.idle(now, target, have)
-			if err != nil {
-				e.pol.drain()
-				return nil, err
-			}
-			if handled {
+			// the next arrival or the scheduler's own timer.
+			if target, have := e.nextEvent(now); have {
+				e.clock.AdvanceTo(max(target, now))
 				continue
 			}
-			if have {
-				if target < now {
-					target = now
-				}
-				e.clock.AdvanceTo(target)
-				continue
-			}
-			// No work, no timers, nothing draining. A live source may
-			// still produce arrivals: park until it does or closes.
+			// No work and no timers. A live source may still produce
+			// arrivals: park until it does or closes.
 			if e.src.Wait() {
 				continue
 			}
@@ -204,21 +134,18 @@ func (e *engine) run() (*Result, error) {
 		if e.hooks.OnRoundStart != nil {
 			e.hooks.OnRoundStart(r, now)
 		}
-		if err := e.pol.launch(r, now); err != nil {
+		if err := e.launch(r, now); err != nil {
 			var lost *scheduler.RoundLostError
-			if errors.As(err, &lost) {
-				e.requeues++
-				if lerr := e.requeueLost(r, now, lost); lerr != nil {
-					e.pol.drain()
-					return nil, lerr
-				}
-				e.tele.roundLost(r)
-				// Arrivals during the failed attempt still join the
-				// queue; the re-formed round aligns them too.
-				continue
+			if !errors.As(err, &lost) {
+				return nil, err
 			}
-			e.pol.drain()
-			return nil, err
+			e.requeues++
+			if lerr := e.requeueLost(r, now, lost); lerr != nil {
+				return nil, lerr
+			}
+			e.tele.roundLost(r)
+			// Arrivals during the failed attempt still join the queue;
+			// the re-formed round aligns them too.
 		}
 	}
 	e.drainMembership(e.clock.Now())
@@ -229,20 +156,66 @@ func (e *engine) run() (*Result, error) {
 	return e.res, nil
 }
 
-// stopRequested reports whether Options.Stop has fired. The first
-// observation drains the policy's asynchronous stages (so no reduce is
-// mid-flight when the caller checkpoints) and marks the result
-// stopped.
+// launch executes round r from launch time start to completion — scan
+// and reduce — and retires it before the next round forms: the paper's
+// Algorithm-1 loop as written. An executor that is a StageTimer runs the
+// round through ExecStages, so telemetry sees where the scan ended. A
+// *scheduler.RoundLostError return is requeued by the caller; any other
+// error aborts the run.
+func (e *engine) launch(r scheduler.Round, start vclock.Time) error {
+	var dur, mapDur, redDur vclock.Duration
+	var err error
+	st, split := e.exec.(StageTimer)
+	if split {
+		mapDur, redDur, err = st.ExecStages(r)
+		dur = mapDur + redDur
+	} else {
+		dur, err = e.exec.ExecRound(r)
+	}
+	if err != nil {
+		var lost *scheduler.RoundLostError
+		if errors.As(err, &lost) {
+			return err
+		}
+		return fmt.Errorf("runtime: round over segment %d failed: %w", r.Segment, err)
+	}
+	if dur < 0 {
+		return fmt.Errorf("runtime: executor returned negative duration %v", dur)
+	}
+	e.requeues = 0
+	e.res.Rounds++
+	e.clock.AdvanceTo(start.Add(dur))
+	now := e.clock.Now()
+	// Jobs that arrived while the round ran join the queue before the
+	// round is retired, so the very next round can include them (S^3
+	// dynamic sub-job adjustment, §IV-D2).
+	if err := e.deliverDue(now); err != nil {
+		return err
+	}
+	// Record the round before settling so rounds-per-job counts include
+	// the round a job completes in.
+	mapEnd := start.Add(mapDur)
+	if !split {
+		mapEnd, mapDur = now, dur
+	}
+	e.tele.recordRound(r, e.res.Rounds-1, start, mapEnd, now, mapDur, redDur, split)
+	completed := e.sched.RoundDone(r, now)
+	if err := e.settleRound(r, now, completed); err != nil {
+		return err
+	}
+	e.tele.queueDepth(e.sched.PendingJobs())
+	return nil
+}
+
+// stopRequested reports whether Options.Stop has fired, and marks the
+// result stopped when it has.
 func (e *engine) stopRequested() bool {
 	if e.stop == nil {
 		return false
 	}
 	select {
 	case <-e.stop:
-		if !e.res.Stopped {
-			e.pol.drain()
-			e.res.Stopped = true
-		}
+		e.res.Stopped = true
 		return true
 	default:
 		return false
@@ -268,11 +241,10 @@ func (e *engine) drainMembership(now vclock.Time) {
 }
 
 // deliverDue admits every arrival due at now into the scheduler. This
-// runs at the top of each loop iteration and — in the serial policy —
-// again right after a round's clock advance, so jobs that arrived
-// while the round ran join the queue before the round is retired and
-// the very next round can include them (S^3 dynamic sub-job
-// adjustment, §IV-D2).
+// runs at the top of each loop iteration and again right after a
+// round's clock advance, so jobs that arrived while the round ran join
+// the queue before the round is retired and the very next round can
+// include them (S^3 dynamic sub-job adjustment, §IV-D2).
 func (e *engine) deliverDue(now vclock.Time) error {
 	arrivals := e.src.Pop(now)
 	for _, a := range arrivals {
@@ -314,8 +286,7 @@ func (e *engine) nextEvent(now vclock.Time) (vclock.Time, bool) {
 // end of the time the failed execution, launched at now, consumed
 // (a wall clock is there already), then return the round to a
 // Recoverable scheduler. Returns an error when the scheduler cannot
-// recover or the consecutive-requeue bound is exhausted. This is the
-// single MaxRequeues implementation both stage policies run through.
+// recover or the consecutive-requeue bound is exhausted.
 func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler.RoundLostError) error {
 	rec, ok := e.sched.(scheduler.Recoverable)
 	if !ok {
@@ -336,8 +307,10 @@ func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler
 // settleRound records a retired round's completions and drains the
 // executor's per-job failure reports: failed jobs are marked failed
 // (not completed) and aborted in the scheduler so no future round
-// includes them. This is the single FailureReporter drain both stage
-// policies run through.
+// includes them. With a CommitLog it then journals the round with the
+// scheduler's snapshot; a snapshot that fails here, where the round has
+// just been retired, fails the run rather than journaling a round
+// recovery could not resume from.
 func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []scheduler.JobID) error {
 	var fresh []scheduler.JobID
 	if fr, ok := e.exec.(FailureReporter); ok {
@@ -380,16 +353,13 @@ func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []sch
 		rec.AbortJobs(abort, now)
 	}
 	if e.commits != nil {
-		// Round-commit point: the scheduler just retired the round, so
-		// its state is consistent and (serial mode) snapshottable. Under
-		// pipelining a snapshot may legitimately fail while reduces
-		// drain; the journal then records the round without one and
-		// recovery falls back to resubmitting pending jobs.
 		var snapPtr *scheduler.Snapshot
 		if sn, ok := e.sched.(scheduler.Snapshottable); ok {
-			if snap, err := sn.StateSnapshot(); err == nil {
-				snapPtr = &snap
+			snap, err := sn.StateSnapshot()
+			if err != nil {
+				return fmt.Errorf("runtime: snapshot after round over segment %d: %w", r.Segment, err)
 			}
+			snapPtr = &snap
 		}
 		e.commits.RoundCommitted(r, now, snapPtr, e.requeues)
 		for _, id := range fresh {

@@ -178,49 +178,3 @@ func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
 		t.Errorf("FaultStats.FailedAttempts = %d, want 1 (executor stats folded in)", fs.FailedAttempts)
 	}
 }
-
-// TestJobFailurePipelined: the same isolation holds under the
-// stage-pipelined driver, where failures settle at reduce retirement.
-func TestJobFailurePipelined(t *testing.T) {
-	p := makePlan(t, 8, 2)
-	s := deployed(t, p)
-	inner := &failingJobsExec{
-		bad:      map[scheduler.JobID]bool{2: true},
-		reported: make(map[scheduler.JobID]bool),
-	}
-	exec := &stagedFailExec{inner: inner}
-	res, err := RunTrace(s, exec, []Arrival{
-		{Job: job(1), At: 0},
-		{Job: job(2), At: 0},
-	}, Options{Pipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Metrics.ResponseTime(2); err == nil || res.Metrics.FaultStats().FailedJobs != 1 {
-		t.Fatalf("job 2 completed: %v; %d jobs failed; want job 2 alone failed", err == nil, res.Metrics.FaultStats().FailedJobs)
-	}
-	if n := len(res.Metrics.Incomplete()); n != 0 {
-		t.Fatalf("incomplete jobs = %d, want 0", n)
-	}
-}
-
-// stagedFailExec adapts failingJobsExec to the stage-pipelined
-// protocol: the scan takes 6s, the reduce 4s.
-type stagedFailExec struct {
-	inner *failingJobsExec
-}
-
-func (s *stagedFailExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	return s.inner.ExecRound(r)
-}
-
-func (s *stagedFailExec) ExecMapStage(r scheduler.Round) (vclock.Duration, ReduceStage, error) {
-	if _, err := s.inner.ExecRound(r); err != nil {
-		return 0, nil, err
-	}
-	return 6, func() (vclock.Duration, error) { return 4, nil }, nil
-}
-
-func (s *stagedFailExec) TakeJobFailures() []scheduler.JobFailure { return s.inner.TakeJobFailures() }
-
-func (s *stagedFailExec) FaultStats() metrics.FaultStats { return s.inner.FaultStats() }

@@ -57,48 +57,45 @@ func parityExec(t *testing.T, segments int) *sim.Executor {
 // nothing when jobs are already waiting at startup.
 func TestLiveSourceMatchesTraceAtTimeZero(t *testing.T) {
 	const segments, jobs = 6, 3
-	for _, pipeline := range []bool{false, true} {
-		runVia := func(live bool) (string, *runtime.Result) {
-			reg := metrics.NewRegistry()
-			opts := runtime.Options{Pipeline: pipeline, Metrics: metrics.NewRunMetrics(reg)}
-			sched := core.New(parityPlan(t, segments), nil)
-			exec := parityExec(t, segments)
-			var res *runtime.Result
-			var err error
-			if live {
-				src := runtime.NewLiveSource()
-				for i := 0; i < jobs; i++ {
-					if _, err := src.Submit(parityMeta(i + 1)); err != nil {
-						t.Fatal(err)
-					}
+	runVia := func(live bool) (string, *runtime.Result) {
+		reg := metrics.NewRegistry()
+		opts := runtime.Options{Metrics: metrics.NewRunMetrics(reg)}
+		sched := core.New(parityPlan(t, segments), nil)
+		exec := parityExec(t, segments)
+		var res *runtime.Result
+		var err error
+		if live {
+			src := runtime.NewLiveSource()
+			for i := 0; i < jobs; i++ {
+				if _, err := src.Submit(parityMeta(i + 1)); err != nil {
+					t.Fatal(err)
 				}
-				src.Close()
-				res, err = runtime.Run(sched, exec, src, opts)
-			} else {
-				arrivals := make([]runtime.Arrival, jobs)
-				for i := range arrivals {
-					arrivals[i] = runtime.Arrival{Job: parityMeta(i + 1), At: 0}
-				}
-				res, err = runtime.RunTrace(sched, exec, arrivals, opts)
 			}
-			if err != nil {
-				t.Fatal(err)
+			src.Close()
+			res, err = runtime.Run(sched, exec, src, opts)
+		} else {
+			arrivals := make([]runtime.Arrival, jobs)
+			for i := range arrivals {
+				arrivals[i] = runtime.Arrival{Job: parityMeta(i + 1), At: 0}
 			}
-			var prom bytes.Buffer
-			if err := reg.WritePrometheus(&prom); err != nil {
-				t.Fatal(err)
-			}
-			return prom.String(), res
+			res, err = runtime.RunTrace(sched, exec, arrivals, opts)
 		}
-		promTrace, resTrace := runVia(false)
-		promLive, resLive := runVia(true)
-		if promTrace != promLive {
-			t.Errorf("pipeline=%v: live and trace sources diverge:\n%s\n----\n%s",
-				pipeline, promTrace, promLive)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resTrace.Rounds != resLive.Rounds || resTrace.End != resLive.End {
-			t.Errorf("pipeline=%v: results diverge: trace %d/%v live %d/%v",
-				pipeline, resTrace.Rounds, resTrace.End, resLive.Rounds, resLive.End)
+		var prom bytes.Buffer
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
 		}
+		return prom.String(), res
+	}
+	promTrace, resTrace := runVia(false)
+	promLive, resLive := runVia(true)
+	if promTrace != promLive {
+		t.Errorf("live and trace sources diverge:\n%s\n----\n%s", promTrace, promLive)
+	}
+	if resTrace.Rounds != resLive.Rounds || resTrace.End != resLive.End {
+		t.Errorf("results diverge: trace %d/%v live %d/%v",
+			resTrace.Rounds, resTrace.End, resLive.Rounds, resLive.End)
 	}
 }

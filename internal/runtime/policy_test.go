@@ -12,8 +12,8 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// lostExec loses every round, in whichever stage protocol the policy
-// speaks — the worst case for requeue accounting.
+// lostExec loses every round, whole or split into stages — the worst
+// case for requeue accounting.
 type lostExec struct {
 	calls int
 }
@@ -23,42 +23,44 @@ func (l *lostExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return 0, &scheduler.RoundLostError{Round: r, Elapsed: 5, Err: errors.New("injected loss")}
 }
 
-func (l *lostExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
+func (l *lostExec) ExecStages(r scheduler.Round) (vclock.Duration, vclock.Duration, error) {
 	l.calls++
-	return 0, nil, &scheduler.RoundLostError{Round: r, Elapsed: 5, Err: errors.New("injected loss")}
+	return 0, 0, &scheduler.RoundLostError{Round: r, Elapsed: 5, Err: errors.New("injected loss")}
 }
 
-// TestPoliciesShareRequeueBound: the serial and pipelined stage
-// policies run the same engine-owned requeue semantics — identical
-// attempt counts and an identical giving-up error. This is the drift
-// guard for the MaxRequeues bound the two legacy drivers used to
-// duplicate.
+// TestPoliciesShareRequeueBound: rounds run whole (ExecRound) and split
+// into stages (ExecStages) go through the same engine-owned requeue
+// semantics — identical attempt counts and an identical giving-up error.
 func TestPoliciesShareRequeueBound(t *testing.T) {
 	errs := make(map[bool]string)
-	for _, pipeline := range []bool{false, true} {
+	for _, split := range []bool{false, true} {
 		sched := core.New(parityPlan(t, 2), nil)
 		exec := &lostExec{}
-		_, err := runtime.RunTrace(sched, exec, []runtime.Arrival{{Job: parityMeta(1), At: 0}},
-			runtime.Options{Pipeline: pipeline, MaxRequeues: 3})
+		var ex runtime.Executor = exec
+		if !split {
+			ex = runtime.ExecutorFunc(exec.ExecRound)
+		}
+		_, err := runtime.RunTrace(sched, ex, []runtime.Arrival{{Job: parityMeta(1), At: 0}},
+			runtime.Options{MaxRequeues: 3})
 		if err == nil {
-			t.Fatalf("pipeline=%v: permanently lost round succeeded", pipeline)
+			t.Fatalf("split=%v: permanently lost round succeeded", split)
 		}
 		if !strings.Contains(err.Error(), "giving up") {
-			t.Errorf("pipeline=%v: error %q does not mention giving up", pipeline, err)
+			t.Errorf("split=%v: error %q does not mention giving up", split, err)
 		}
 		if exec.calls != 4 {
-			t.Errorf("pipeline=%v: executor called %d times, want 4 (1 + 3 requeues)", pipeline, exec.calls)
+			t.Errorf("split=%v: executor called %d times, want 4 (1 + 3 requeues)", split, exec.calls)
 		}
-		errs[pipeline] = err.Error()
+		errs[split] = err.Error()
 	}
 	if errs[false] != errs[true] {
-		t.Errorf("policies give different requeue errors:\nserial:    %s\npipelined: %s",
+		t.Errorf("whole and split rounds give different requeue errors:\nwhole: %s\nsplit: %s",
 			errs[false], errs[true])
 	}
 }
 
 // failDrainExec fails job 2's own code on its first round and reports
-// it through the FailureReporter protocol, in both stage shapes.
+// it through the FailureReporter protocol, whole or split into stages.
 type failDrainExec struct {
 	reported bool
 	failures []scheduler.JobFailure
@@ -80,9 +82,9 @@ func (f *failDrainExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return 10, nil
 }
 
-func (f *failDrainExec) ExecMapStage(r scheduler.Round) (vclock.Duration, runtime.ReduceStage, error) {
+func (f *failDrainExec) ExecStages(r scheduler.Round) (vclock.Duration, vclock.Duration, error) {
 	f.fail(r)
-	return 6, func() (vclock.Duration, error) { return 4, nil }, nil
+	return 6, 4, nil
 }
 
 func (f *failDrainExec) TakeJobFailures() []scheduler.JobFailure {
@@ -93,9 +95,16 @@ func (f *failDrainExec) TakeJobFailures() []scheduler.JobFailure {
 
 func (f *failDrainExec) FaultStats() metrics.FaultStats { return f.stats }
 
+// failDrainer is failDrainExec without ExecStages: its rounds run whole.
+type failDrainer interface {
+	runtime.Executor
+	runtime.FailureReporter
+	runtime.FaultStatsSource
+}
+
 // TestPoliciesShareFailureDrain: per-job failures drain identically
-// under both policies — same failed set, no incomplete survivors, same
-// folded fault stats.
+// whether rounds run whole or split into stages — same failed set, no
+// incomplete survivors, same folded fault stats.
 func TestPoliciesShareFailureDrain(t *testing.T) {
 	type outcome struct {
 		failed   []scheduler.JobID // the jobs that neither completed nor remain
@@ -104,18 +113,21 @@ func TestPoliciesShareFailureDrain(t *testing.T) {
 		attempts int
 	}
 	outcomes := make(map[bool]outcome)
-	for _, pipeline := range []bool{false, true} {
+	for _, split := range []bool{false, true} {
 		sched := core.New(parityPlan(t, 2), nil)
-		exec := &failDrainExec{}
+		var exec failDrainer = &failDrainExec{}
+		if !split {
+			exec = struct{ failDrainer }{exec}
+		}
 		res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
 			{Job: parityMeta(1), At: 0},
 			{Job: parityMeta(2), At: 0},
-		}, runtime.Options{Pipeline: pipeline})
+		}, runtime.Options{})
 		if err != nil {
-			t.Fatalf("pipeline=%v: %v", pipeline, err)
+			t.Fatalf("split=%v: %v", split, err)
 		}
 		if n := len(res.Metrics.Incomplete()); n != 0 {
-			t.Fatalf("pipeline=%v: %d incomplete jobs, want 0", pipeline, n)
+			t.Fatalf("split=%v: %d incomplete jobs, want 0", split, n)
 		}
 		fs := res.Metrics.FaultStats()
 		var failed []scheduler.JobID
@@ -124,19 +136,19 @@ func TestPoliciesShareFailureDrain(t *testing.T) {
 				failed = append(failed, id)
 			}
 		}
-		outcomes[pipeline] = outcome{
+		outcomes[split] = outcome{
 			failed:   failed,
 			rounds:   res.Rounds,
 			failJobs: fs.FailedJobs,
 			attempts: fs.FailedAttempts,
 		}
 	}
-	s, p := outcomes[false], outcomes[true]
-	if len(s.failed) != 1 || s.failed[0] != 2 {
-		t.Fatalf("serial failed = %v, want [2]", s.failed)
+	w, s := outcomes[false], outcomes[true]
+	if len(w.failed) != 1 || w.failed[0] != 2 {
+		t.Fatalf("failed = %v, want [2]", w.failed)
 	}
-	if len(p.failed) != 1 || p.failed[0] != 2 || s.rounds != p.rounds ||
-		s.failJobs != p.failJobs || s.attempts != p.attempts {
-		t.Errorf("drain outcomes diverge: serial %+v, pipelined %+v", s, p)
+	if len(s.failed) != 1 || s.failed[0] != 2 || w.rounds != s.rounds ||
+		w.failJobs != s.failJobs || w.attempts != s.attempts {
+		t.Errorf("drain outcomes diverge: whole %+v, split %+v", w, s)
 	}
 }

@@ -7,11 +7,11 @@
 //	requeue-or-retire → fold stats
 //
 // — and produces the per-job timings the paper's metrics are computed
-// from. The serial and stage-pipelined paths are two stage policies
-// over this one engine, so requeue bounds (MaxRequeues), per-job
-// failure draining (FailureReporter), and end-of-run stats folding
-// (FaultStatsSource/CacheStatsSource) are implemented exactly once and
-// cannot drift between modes.
+// from. Rounds are strictly serial, as in the paper's Algorithm 1: the
+// next round forms only once the last has been retired. Requeue bounds
+// (MaxRequeues), per-job failure draining (FailureReporter), and
+// end-of-run stats folding (FaultStatsSource/CacheStatsSource) are
+// implemented exactly once, for every executor.
 //
 // Arrival delivery is pluggable (ArrivalSource): a pre-recorded trace
 // slice (TraceSource) reproduces the batch experiments byte for byte,
@@ -46,9 +46,7 @@ func (f ExecutorFunc) ExecRound(r scheduler.Round) (vclock.Duration, error) { re
 // FailureReporter is implemented by executors that isolate per-job
 // failures: a round may succeed while individual jobs' map/reduce code
 // failed. The engine drains the reports after each round, fails those
-// jobs in the metrics, and aborts them in the scheduler. Both stage
-// policies share the one drain implementation (engine.settleRound), so
-// the semantics are identical by construction.
+// jobs in the metrics, and aborts them in the scheduler.
 type FailureReporter interface {
 	// TakeJobFailures returns and clears the failures recorded since
 	// the previous call.
@@ -86,28 +84,14 @@ type MembershipSource interface {
 	LiveWorkers() int
 }
 
-// ReduceStage runs a committed round's reduce work and reports how
-// long it took. The engine may invoke it on a worker goroutine,
-// concurrently with later rounds' map stages; everything the stage
-// touches must have been committed (snapshotted or locked) by
-// ExecMapStage before it returned.
-//
-// ReduceStage is a type alias, not a defined type, so executors in
-// other packages can satisfy StageExecutor without importing runtime.
-type ReduceStage = func() (vclock.Duration, error)
-
-// StageExecutor is implemented by executors that can split a round
-// into its two stages: the scan/map stage (ending at shuffle-commit)
-// and the reduce stage. Splitting lets the engine start round N+1's
-// scan as soon as round N's map finishes, overlapping N's reduce with
-// N+1's scan — the pipelining §V leaves on the table when every round
-// blocks on its own reduce.
-type StageExecutor interface {
-	Executor
-	// ExecMapStage runs the round's scan/map stage, commits the shuffle
-	// (so later map output cannot bleed into this round's reduce input),
-	// and returns the stage's duration plus the round's reduce stage.
-	ExecMapStage(r scheduler.Round) (vclock.Duration, ReduceStage, error)
+// StageTimer is implemented by executors that know how a round's
+// duration splits into its scan/map stage and its reduce stage — the
+// cost model does, a real master does not. The engine then runs each
+// round through ExecStages instead of ExecRound, advances the clock by
+// the sum, and draws the scan-stage/reduce-stage spans and the
+// s3_round_{scan,reduce}_seconds histograms from the parts.
+type StageTimer interface {
+	ExecStages(r scheduler.Round) (mapDur, redDur vclock.Duration, err error)
 }
 
 // Waker is implemented by time-driven schedulers (e.g. window-based
@@ -124,16 +108,16 @@ type Waker interface {
 // write-ahead journal's view of the run loop. The engine calls it
 // synchronously from its goroutine at exactly the places the
 // scheduler's state is consistent: after a round is retired
-// (RoundCommitted, with a scheduler snapshot when one could be taken)
-// and when a job's fate settles (JobDone/JobFailed). Implementations
+// (RoundCommitted, with the scheduler's snapshot) and when a job's fate
+// settles (JobDone/JobFailed). Implementations
 // that cannot write (disk full) should fail the run via their own
 // executor path rather than silently dropping records; these callbacks
 // return nothing so the loop's hot path stays infallible.
 type CommitLog interface {
 	// RoundCommitted fires after settleRound retires round r at
 	// time now. snap is the scheduler's post-round state, nil
-	// when the scheduler is not Snapshottable or could not snapshot
-	// (pipelined reduces still draining). requeues is the engine's
+	// when the scheduler is not Snapshottable; a snapshot that fails
+	// fails the run instead. requeues is the engine's
 	// consecutive-requeue count (0 after a successful round).
 	RoundCommitted(r scheduler.Round, now vclock.Time, snap *scheduler.Snapshot, requeues int)
 	// JobDone fires when id completes; JobFailed when its own
@@ -159,10 +143,6 @@ type RestoredJob struct {
 // the engine gives up (a fault schedule that never lets the round
 // complete would otherwise loop forever).
 const DefaultMaxRequeues = 32
-
-// DefaultReduceWorkers bounds concurrently draining reduce stages when
-// Options.ReduceWorkers is unset.
-const DefaultReduceWorkers = 2
 
 // Arrival is one job submission event.
 type Arrival struct {
@@ -199,14 +179,6 @@ type Hooks struct {
 
 // Options configures a run.
 type Options struct {
-	// Pipeline requests stage-pipelined execution. It engages only when
-	// both the scheduler (scheduler.StageAware) and the executor
-	// (StageExecutor) support it; otherwise the serial policy runs.
-	Pipeline bool
-	// ReduceWorkers bounds concurrently running reduce stages
-	// (default DefaultReduceWorkers). Also the number of virtual reduce
-	// slots the timing model charges reduces against.
-	ReduceWorkers int
 	// MaxRequeues bounds consecutive requeues of one lost round before
 	// the engine gives up (default DefaultMaxRequeues).
 	MaxRequeues int
@@ -216,10 +188,7 @@ type Options struct {
 	// time. Export it with trace.WriteChromeTrace.
 	Spans *trace.Log
 	// Metrics, when set, receives live counter/gauge/histogram updates
-	// as the run progresses (see metrics.NewRunMetrics). With either
-	// sink set, the serial policy splits stage-capable executors into
-	// scan+reduce to attribute time per stage; the composition is
-	// semantically identical to ExecRound.
+	// as the run progresses (see metrics.NewRunMetrics).
 	Metrics *metrics.RunMetrics
 	// Commits, when set, receives the run's durable commit points (see
 	// CommitLog) — how the write-ahead journal observes the loop.
@@ -246,8 +215,7 @@ type Options struct {
 
 // Run drives arrivals from src through the scheduler, executing rounds
 // until every admitted job completes and the source reports no more
-// will ever come. The stage policy is chosen from opts.Pipeline and
-// the capabilities of sched/exec.
+// will ever come.
 func Run(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Options) (*Result, error) {
 	e := newEngine(sched, exec, src, opts)
 	return e.run()

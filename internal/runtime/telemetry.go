@@ -41,10 +41,6 @@ func newTelemetry(opts Options) *telemetry {
 	}
 }
 
-// active reports whether telemetry wants per-stage timings; the serial
-// policy only splits rounds into stages when it does.
-func (t *telemetry) active() bool { return t != nil }
-
 func (t *telemetry) beginRun(scheme string, at vclock.Time) {
 	if t == nil {
 		return
@@ -129,17 +125,14 @@ func (t *telemetry) jobStarted(coll *metrics.Collector, id scheduler.JobID) {
 	}
 }
 
-// recordRound records one retired round: its span subtree and its
-// duration/batch histograms. split reports whether the scan/reduce
-// boundary is known; without it only the whole-round histogram is
-// observed. The histograms observe the executor-reported stage
-// durations (mapDur/redDur), not differences of absolute span times:
-// durations are identical between serial and pipelined execution of
-// the same priced workload down to the last bit, while absolute
-// placement (and hence time differences) rounds differently.
+// recordRound records one retired round, run from start to end: its
+// span subtree and its duration/batch histograms. split reports whether
+// the scan/reduce boundary (mapEnd) is known; without it only the
+// whole-round histogram is observed. The histograms observe the
+// executor-reported stage durations (mapDur/redDur), not differences of
+// absolute span times, which round differently.
 func (t *telemetry) recordRound(r scheduler.Round, seq int,
-	mapStart, mapEnd, redStart, redEnd, retired vclock.Time,
-	mapDur, redDur vclock.Duration, split bool) {
+	start, mapEnd, end vclock.Time, mapDur, redDur vclock.Duration, split bool) {
 	if t == nil {
 		return
 	}
@@ -147,7 +140,7 @@ func (t *telemetry) recordRound(r scheduler.Round, seq int,
 		t.roundsOf[id]++
 	}
 	if t.log != nil {
-		round := t.log.StartSpan(mapStart, "round", trace.SpanOpts{
+		round := t.log.StartSpan(start, "round", trace.SpanOpts{
 			Cat: "driver", Parent: t.run, Job: -1, Segment: r.Segment,
 			Args: []trace.Arg{
 				{Key: "seq", Value: strconv.Itoa(seq)},
@@ -156,19 +149,19 @@ func (t *telemetry) recordRound(r scheduler.Round, seq int,
 			},
 		})
 		if split {
-			scan := t.log.StartSpan(mapStart, "scan-stage", trace.SpanOpts{
+			scan := t.log.StartSpan(start, "scan-stage", trace.SpanOpts{
 				Cat: "driver", Parent: round, Job: -1, Segment: r.Segment})
 			t.log.EndSpan(scan, mapEnd)
-			red := t.log.StartSpan(redStart, "reduce-stage", trace.SpanOpts{
+			red := t.log.StartSpan(mapEnd, "reduce-stage", trace.SpanOpts{
 				Cat: "driver", Parent: round, Job: -1, Segment: r.Segment})
-			t.log.EndSpan(red, redEnd)
+			t.log.EndSpan(red, end)
 		}
 		for _, sj := range r.Jobs {
-			sub := t.log.StartSpan(mapStart, "subjob", trace.SpanOpts{
+			sub := t.log.StartSpan(start, "subjob", trace.SpanOpts{
 				Cat: "driver", Parent: round, Job: int(sj.ID), Segment: r.Segment})
-			t.log.EndSpan(sub, redEnd)
+			t.log.EndSpan(sub, end)
 		}
-		t.log.EndSpan(round, retired)
+		t.log.EndSpan(round, end)
 	}
 	if t.rm != nil {
 		t.rm.RoundsTotal.Inc()

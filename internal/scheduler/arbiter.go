@@ -37,8 +37,8 @@ type Queue interface {
 // the files with runnable work the highest-ranked goes next, ties
 // rotating round-robin so no file starves. Within a queue the scheme's
 // own semantics apply unchanged, and what a queue can do beyond
-// Scheduler — Recoverable, Stalled, StageAware (through Staged) — is
-// forwarded to the queue that launched the round.
+// Scheduler — Recoverable, Stalled — is forwarded to the queue that
+// launched the round.
 type Arbiter[Q Queue] struct {
 	name  string
 	build func(plan *dfs.SegmentPlan, expectJobs int) (Q, error)
@@ -51,9 +51,6 @@ type Arbiter[Q Queue] struct {
 
 	inFlight     bool
 	inFlightFile string
-	// draining lists, oldest first, the files of pipelined rounds whose
-	// map finished (MapDone) but whose RoundDone has not arrived.
-	draining []string
 }
 
 // NewArbiter builds an arbiter called name over the given segment plans
@@ -206,14 +203,8 @@ func (a *Arbiter[Q]) launched(what string) Q {
 	return a.queues[a.inFlightFile]
 }
 
-// RoundDone implements Scheduler. Pipelined rounds retire in launch
-// order, so the oldest draining round's queue gets it.
+// RoundDone implements Scheduler.
 func (a *Arbiter[Q]) RoundDone(r Round, now vclock.Time) []JobID {
-	if len(a.draining) > 0 {
-		q := a.queues[a.draining[0]]
-		a.draining = a.draining[1:]
-		return q.RoundDone(r, now)
-	}
 	return a.launched("RoundDone").RoundDone(r, now)
 }
 
@@ -255,20 +246,4 @@ func (a *Arbiter[Q]) Stalled() bool {
 		}
 	}
 	return stuck
-}
-
-// Staged is an Arbiter over stage-aware queues. StageAware is the one
-// optional interface the run loop detects by method set alone
-// (runtime.WillPipeline), so only an arbiter whose queues all have
-// MapDone may carry it.
-type Staged[Q interface {
-	Queue
-	StageAware
-}] struct{ *Arbiter[Q] }
-
-// MapDone implements StageAware: the launching queue advances now, and
-// the round joins the draining list that routes its RoundDone.
-func (s Staged[Q]) MapDone(r Round, now vclock.Time) {
-	s.launched("MapDone").MapDone(r, now)
-	s.draining = append(s.draining, s.inFlightFile)
 }

@@ -321,9 +321,9 @@ func TestMultiMRShareRequeueAndAbort(t *testing.T) {
 	m.RoundDone(r3, 9)
 }
 
-// fifoPerFile is an arbiter over one stage-aware FIFO queue per file —
-// no scheme ships it, but it exercises Staged inside this package.
-func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) Staged[*FIFO] {
+// fifoPerFile is an arbiter over one FIFO queue per file — no scheme
+// ships it, but it exercises the arbiter inside this package.
+func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) *Arbiter[*FIFO] {
 	t.Helper()
 	a, err := NewArbiter("fifo-per-file", plans,
 		func(p *dfs.SegmentPlan, _ int) (*FIFO, error) { return NewFIFO([]*dfs.SegmentPlan{p}, nil) },
@@ -331,43 +331,7 @@ func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) Staged[*FIFO] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Staged[*FIFO]{a}
-}
-
-func TestArbiterRoutesDrainingRoundsInOrder(t *testing.T) {
-	s := fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) // one segment each
-	var _ StageAware = s
-	for i, file := range []string{"a", "b"} {
-		if err := s.Submit(jobOn(i+1, file), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ra, _ := s.NextRound(0)
-	s.MapDone(ra, 1)
-	// a's reduce drains: b's map may start, and a file may be registered.
-	if err := s.AddPlan(namedPlan(t, "c", 2, 2), 1); err != nil {
-		t.Fatalf("AddPlan with a reduce draining but no map in flight: %v", err)
-	}
-	rb, ok := s.NextRound(1)
-	if !ok || rb.Blocks[0].File != "b" {
-		t.Fatalf("second round = %+v, want b's", rb)
-	}
-	if err := s.AddPlan(namedPlan(t, "d", 2, 2), 1); err == nil {
-		t.Fatal("AddPlan accepted with a map in flight")
-	}
-	s.MapDone(rb, 2)
-	if _, ok := s.NextRound(2); ok {
-		t.Fatal("both jobs are scanned out, yet a round formed")
-	}
-	// RoundDone arrives in launch order and reaches the launching queue.
-	if done := s.RoundDone(ra, 3); len(done) != 1 || done[0] != 1 {
-		t.Fatalf("a's round retired %v, want [1]", done)
-	}
-	if done := s.RoundDone(rb, 4); len(done) != 1 || done[0] != 2 {
-		t.Fatalf("b's round retired %v, want [2]", done)
-	}
-	mustPanic(t, "RoundDone with nothing launched or draining", func() { s.RoundDone(rb, 5) })
-	mustPanic(t, "MapDone idle", func() { s.MapDone(rb, 5) })
+	return a
 }
 
 func TestArbiterRequeueKeepsTheFilesTurn(t *testing.T) {
@@ -378,6 +342,9 @@ func TestArbiterRequeueKeepsTheFilesTurn(t *testing.T) {
 		}
 	}
 	r1, _ := s.NextRound(0)
+	if err := s.AddPlan(namedPlan(t, "c", 2, 2), 1); err == nil {
+		t.Fatal("AddPlan accepted with a round in flight")
+	}
 	s.RequeueRound(r1, 1)
 	r2, ok := s.NextRound(2)
 	if !ok || r2.Blocks[0].File != "a" {
@@ -423,7 +390,7 @@ func TestPlanSetPoliciesAgree(t *testing.T) {
 }
 
 func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
-	fresh := func() Staged[*FIFO] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
+	fresh := func() *Arbiter[*FIFO] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
 	// FIFO queues have no snapshot of their own: these stand-ins save
 	// the file name and load nothing.
 	save := func(f *FIFO) (QueueSnapshot, error) { return QueueSnapshot{File: f.Files()[0]}, nil }

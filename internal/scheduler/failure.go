@@ -47,7 +47,7 @@ type Recoverable interface {
 	// NextRound to the queue after its execution was lost. The
 	// scheduler must not treat the round's segment as consumed: the
 	// next NextRound re-forms a round over the same segment (possibly
-	// with newly aligned jobs). Called instead of RoundDone/MapDone.
+	// with newly aligned jobs). Called instead of RoundDone.
 	RequeueRound(r Round, now vclock.Time)
 	// AbortJobs removes failed jobs from all future rounds. Called with
 	// no round in flight. Aborted ids never complete.

@@ -29,13 +29,9 @@ type FIFO struct {
 	// inFlight guards the serial-round protocol.
 	inFlight bool
 	pending  int
-	// pendingDone queues completion lists for pipelined rounds whose
-	// scan finished but whose reduce is still draining (see StageAware).
-	pendingDone [][]JobID
 }
 
 var (
-	_ StageAware    = (*FIFO)(nil)
 	_ Recoverable   = (*FIFO)(nil)
 	_ PlanRegistrar = (*FIFO)(nil)
 )
@@ -126,38 +122,14 @@ func (f *FIFO) NextRound(now vclock.Time) (Round, bool) {
 	return r, true
 }
 
-// MapDone implements StageAware: the scan of the round finished, so
-// the job's segment progress advances now and the next round may form
-// while the reduce stage drains; RoundDone later reports the queued
-// completion list.
-func (f *FIFO) MapDone(r Round, now vclock.Time) {
-	if !f.inFlight {
-		panic("scheduler: FIFO.MapDone without a round in flight")
-	}
-	f.inFlight = false
-	f.log.Addf(now, trace.MapStageFinished, int(f.cur.job.ID), r.Segment, "fifo")
-	f.pendingDone = append(f.pendingDone, f.retireScan(now))
-}
-
-// RoundDone implements Scheduler.
+// RoundDone implements Scheduler: the running job advances past its
+// just-scanned segment and retires when that was the last one.
 func (f *FIFO) RoundDone(r Round, now vclock.Time) []JobID {
-	if len(f.pendingDone) > 0 {
-		done := f.pendingDone[0]
-		f.pendingDone = f.pendingDone[1:]
-		f.log.Addf(now, trace.RoundFinished, int(r.Jobs[0].ID), r.Segment, "fifo")
-		return done
-	}
 	if !f.inFlight {
 		panic("scheduler: FIFO.RoundDone without a round in flight")
 	}
 	f.inFlight = false
 	f.log.Addf(now, trace.RoundFinished, int(f.cur.job.ID), r.Segment, "fifo")
-	return f.retireScan(now)
-}
-
-// retireScan advances the running job past its just-scanned segment,
-// retiring it when that was the last one.
-func (f *FIFO) retireScan(now vclock.Time) []JobID {
 	f.cur.next++
 	if f.cur.next == f.cur.plan.NumSegments() {
 		done := f.cur.job.ID

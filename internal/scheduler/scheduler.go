@@ -107,9 +107,6 @@ func (r Round) JobIDs() []JobID {
 // Submit may be called at any point — in particular while a round is
 // in flight, which is exactly the case S^3's dynamic sub-job
 // adjustment exploits.
-//
-// Schedulers that additionally implement StageAware relax the protocol
-// for pipelined execution: see StageAware.
 type Scheduler interface {
 	// Name identifies the scheme ("fifo", "mrshare", "s3").
 	Name() string
@@ -124,27 +121,6 @@ type Scheduler interface {
 	RoundDone(r Round, now vclock.Time) []JobID
 	// PendingJobs reports how many submitted jobs have not completed.
 	PendingJobs() int
-}
-
-// StageAware is implemented by schedulers that support pipelined
-// (stage-overlapped) execution. A round is split into a scan/map stage
-// that occupies the cluster's map slots and a reduce stage that drains
-// concurrently with later rounds' maps.
-//
-// Pipelined protocol: after NextRound returns round N, the driver calls
-// MapDone(N) when the scan/map stage finishes. From that point the
-// scheduler must be able to form round N+1 via NextRound — the segment
-// cursor advances at MapDone, because the scan is what consumes the
-// segment — even though RoundDone(N) has not run yet. RoundDone calls
-// still arrive exactly once per round and in round order, carrying each
-// round's reduce-completion time; the jobs RoundDone reports finished
-// are the ones whose last scan was in that round, identical to the
-// serial protocol. A scheduler that never sees MapDone must keep the
-// serial semantics unchanged.
-type StageAware interface {
-	// MapDone reports that the scan/map stage of the round returned by
-	// the last NextRound finished at now.
-	MapDone(r Round, now vclock.Time)
 }
 
 // ErrDuplicateJob is wrapped by Submit when a job id is reused.

@@ -11,8 +11,7 @@ import (
 // TestTransientRetriesExtendRound: a high failure rate forces retried
 // attempts which add RetrySec each to the round duration, and the
 // stats count them. The stage-split path rolls the same schedule and
-// charges the retries to the map stage, so a pipelined run pays for its
-// faults like a serial one.
+// charges the retries to the map stage.
 func TestTransientRetriesExtendRound(t *testing.T) {
 	cluster, store, plan := setup(t, 4, 16, 64*mb)
 	model := CostModel{ScanMBps: 64, ReducePerRound: 3}
@@ -34,11 +33,8 @@ func TestTransientRetriesExtendRound(t *testing.T) {
 		var dur vclock.Duration
 		var rerr error
 		if staged {
-			var mapDur vclock.Duration
-			var stage func() (vclock.Duration, error)
-			if mapDur, stage, rerr = ex.ExecMapStage(r); rerr == nil {
-				var redDur vclock.Duration
-				redDur, rerr = stage()
+			var mapDur, redDur vclock.Duration
+			if mapDur, redDur, rerr = ex.ExecStages(r); rerr == nil {
 				almost(t, "reduce stage", redDur.Seconds(), 3)
 				dur = mapDur + redDur
 			}

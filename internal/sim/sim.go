@@ -206,26 +206,16 @@ func (e *Executor) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	return vclock.Duration(mapSec + redSec + retrySec), nil
 }
 
-// ExecMapStage implements runtime.StageExecutor (without importing
-// runtime: the stage is returned as the alias's underlying func type).
-// The cost model prices both stages at map end — the reduce cost is a
-// pure function of the round — so the returned stage only reports the
-// precomputed duration; retried scans lengthen the map stage. Stats are
-// charged here, on the round loop's goroutine; the closure touches no
-// executor state and is safe to run concurrently with later rounds'
-// pricing.
-func (e *Executor) ExecMapStage(r scheduler.Round) (vclock.Duration, func() (vclock.Duration, error), error) {
+// ExecStages implements runtime.StageTimer: the round's price split
+// into its map stage, which retried scans lengthen, and its reduce
+// stage.
+func (e *Executor) ExecStages(r scheduler.Round) (mapDur, redDur vclock.Duration, err error) {
 	mapSec, redSec, retrySec, err := e.price(r)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
-	stage := func() (vclock.Duration, error) { return vclock.Duration(redSec), nil }
-	return vclock.Duration(mapSec + retrySec), stage, nil
+	return vclock.Duration(mapSec + retrySec), vclock.Duration(redSec), nil
 }
-
-// TimelessStages tells the pipelined runtime the stage above costs no
-// wall time.
-func (e *Executor) TimelessStages() {}
 
 // price computes the round's map-stage and reduce-stage costs in
 // seconds, rolls its transient faults under the fault model (retrySec

@@ -35,10 +35,6 @@ const (
 	// BatchAdjusted records dynamic sub-job adjustment rewriting a
 	// waiting batch.
 	BatchAdjusted
-	// MapStageFinished records a pipelined round's scan/map stage
-	// completing; the round's reduce stage is still draining when the
-	// next round launches (RoundFinished marks the reduce end).
-	MapStageFinished
 	// AttemptFailed records one failed block-read attempt.
 	AttemptFailed
 	// NodeDown records a node leaving service.
@@ -106,7 +102,6 @@ var kindNames = map[Kind]string{
 	NodeExcluded:     "node-excluded",
 	NodeRestored:     "node-restored",
 	BatchAdjusted:    "batch-adjusted",
-	MapStageFinished: "mapstage-finished",
 	AttemptFailed:    "attempt-failed",
 	NodeDown:         "node-down",
 	SubJobRequeued:   "subjob-requeued",
