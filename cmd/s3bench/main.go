@@ -2,8 +2,8 @@
 // a workload file and prints rows in the paper's presentation: Table I
 // workload profile, Figure 3 combined-job cost, the §III analytic
 // examples, the DESIGN.md ablations and the beyond-paper studies.
-// Figure 4's six panels are workload files: s3compare -workload
-// bench/fig4-a.jsonl … bench/fig4-f.jsonl.
+// Figure 4's six panels, like every other scheduler comparison, are
+// workload files run by s3compare (bench/fig4-a.jsonl … fig4-f.jsonl).
 //
 // Usage:
 //
@@ -11,17 +11,13 @@
 //	s3bench -exp table1     # one experiment
 //	s3bench -exp ablations  # X1, X3, X4
 //
-// Four subcommands carry the rest of the virtual-time tooling, each
-// with its own flags (s3bench <subcommand> -h):
+// Two subcommands carry their own flags (s3bench <subcommand> -h):
 //
 //	s3bench demo            # Algorithm 1 narrated on a tiny real cluster
-//	s3bench sim             # a custom scenario: schemes × arrival pattern
-//	s3bench replay          # a recorded CSV arrival trace through schemes
 //	s3bench calibrate       # grid-search the cost model against the paper's claims
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,30 +30,16 @@ import (
 // subcommands each parse their own flags and print to stdout.
 var subcommands = map[string]func(args []string, stdout io.Writer) error{
 	"demo":      runDemo,
-	"sim":       runSim,
-	"replay":    runReplay,
 	"calibrate": runCalibrate,
 }
 
-// usageError marks a bad flag value: one line on stderr, exit 2.
-type usageError struct{ error }
-
-func usagef(format string, args ...any) error {
-	return usageError{fmt.Errorf(format, args...)}
-}
-
-// runSubcommand runs the named subcommand and reports its exit code:
-// 2 for a usage error, 1 for any other failure.
+// runSubcommand runs the named subcommand and reports its exit code.
 func runSubcommand(name string, args []string, stdout, stderr io.Writer) int {
-	err := subcommands[name](args, stdout)
-	if err == nil {
-		return 0
+	if err := subcommands[name](args, stdout); err != nil {
+		fmt.Fprintf(stderr, "s3bench %s: %v\n", name, err)
+		return 1
 	}
-	fmt.Fprintf(stderr, "s3bench %s: %v\n", name, err)
-	if errors.As(err, &usageError{}) {
-		return 2
-	}
-	return 1
+	return 0
 }
 
 // writeFile creates path and fills it with write.
@@ -81,7 +63,7 @@ func main() {
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want demo | sim | replay | calibrate, or flags only)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want demo | calibrate, or flags only)\n", flag.Arg(0))
 		os.Exit(2)
 	}
 

@@ -3,9 +3,10 @@
 // on/off} — and emits a single benchfmt JSON report with one
 // comparable cell per combination (TET, ART, P95, rounds, cache hit
 // ratio, fault retries, per-job completion times, output digest).
-// -schedulers takes any scheme of the one grammar (s3bench sim's
-// -sched), each optionally labelled: the default is s3,fifo,mrs1=mrshare
-// and the label keys the cells.
+// -schedulers takes any scheme of the one grammar
+// (experiments.ParseScheme), each optionally labelled: the default is
+// s3,fifo,mrs1=mrshare and the label keys the cells, so two schemes that
+// share a name need labels (w30=window:30:10,w120=window:120:10).
 //
 // Every cell that produces real output carries a digest of it; the
 // report refuses to encode if any two cells disagree, so a green run

@@ -63,6 +63,39 @@ func TestCompareGoldenMarkdown(t *testing.T) {
 	checkGolden(t, "report.golden.md", out.Bytes())
 }
 
+// TestCompareStudyGoldens pins the sim-only scheduler studies that are
+// runs of a workload file: Figure 4(a) against MRShare as 5+5, the
+// scheduler taxonomy (B5), time-window MRShare (B1), the LRU cache at
+// 4 GB and at the 2 GB cliff, and a recorded six-job submission log
+// whose JSON report carries the per-job audit.
+func TestCompareStudyGoldens(t *testing.T) {
+	fig4a := filepath.Join("..", "..", "bench", "fig4-a.jsonl")
+	for _, tc := range []struct {
+		name, format string // the golden is testdata/<name>.golden.<format>
+		args         []string
+	}{
+		{"defaults", "md", []string{"-workload", fig4a, "-schedulers", "s3,fifo,mrs55=mrshare:5:5"}},
+		{"taxonomy", "md", []string{"-workload", fig4a, "-schedulers", "fifo,fair,s3"}},
+		{"window", "md", []string{"-workload", fig4a,
+			"-schedulers", "s3,w30=window:30:10,w120=window:120:10,w240=window:240:10,w480=window:480:10"}},
+		{"lru-4096", "md", []string{"-workload", "testdata/lru-4096.jsonl", "-schedulers", "s3,fifo", "-caches", "on"}},
+		{"lru-2048", "md", []string{"-workload", "testdata/lru-2048.jsonl", "-schedulers", "s3", "-caches", "on"}},
+		{"replay", "json", []string{"-workload", "testdata/replay.jsonl", "-schedulers", "s3,fifo,w120=window:120:10"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tc.args, "-engines", "sim")
+			if tc.format == "md" {
+				args = append(args, "-md")
+			}
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			checkGolden(t, tc.name+".golden."+tc.format, out.Bytes())
+		})
+	}
+}
+
 func TestCompareFlagErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); err == nil || !strings.Contains(err.Error(), "-workload") {

@@ -11,7 +11,6 @@ import (
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
-	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -92,7 +91,7 @@ func AblationSlotChecking(p Params) (AblationResult, error) {
 			return AblationResult{}, err
 		}
 		env.Cluster.SetSpeed(straggler, 0.25)
-		run, err := Simulate(env, variant(env.Cluster), nil, arrivals, runtime.Options{}, nil)
+		run, err := Simulate(env, variant(env.Cluster), arrivals)
 		if err != nil {
 			return AblationResult{}, err
 		}
@@ -105,14 +104,14 @@ func AblationSlotChecking(p Params) (AblationResult, error) {
 // observed node speeds — the one variant outside ParseScheme's grammar,
 // because it is built from the cluster it will run on.
 func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
-	return bare("s3-slotcheck", func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
+	return bare("s3-slotcheck", func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
 		checker := core.NewSlotChecker(0.5, 1.0, nil)
 		all := make([]dfs.NodeID, len(cluster.Nodes()))
 		for i, n := range cluster.Nodes() {
 			checker.Observe(dfs.NodeID(n.ID), n.Speed, 0)
 			all[i] = dfs.NodeID(i)
 		}
-		return core.NewDynamic(plan.File(), all, SlotsPerNode, checker, log)
+		return core.NewDynamic(plan.File(), all, SlotsPerNode, checker, nil)
 	})
 }
 
@@ -132,7 +131,7 @@ func AblationSegmentSize(p Params) (AblationResult, error) {
 		if env.Plan, err = dfs.PlanSegments(env.Plan.File(), per); err != nil {
 			return AblationResult{}, err
 		}
-		run, err := Simulate(env, schemes(fmt.Sprintf("seg-%d=s3", per))[0], nil, arrivals, runtime.Options{}, nil)
+		run, err := Simulate(env, schemes(fmt.Sprintf("seg-%d=s3", per))[0], arrivals)
 		if err != nil {
 			return AblationResult{}, err
 		}

@@ -6,9 +6,7 @@ import (
 	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
-	"s3sched/internal/trace"
 )
 
 func TestAblationSlotChecking(t *testing.T) {
@@ -132,9 +130,9 @@ func TestAllAblations(t *testing.T) {
 	}
 }
 
-// TestWindowStudy: the beyond-paper window study (s3bench sim -sched
-// s3,window:30:10,…): no window length recovers S^3's response times —
-// short windows forfeit sharing, long ones re-create MRShare's waiting.
+// TestWindowStudy: the beyond-paper window study (s3compare's window
+// golden): no window length recovers S^3's response times — short
+// windows forfeit sharing, long ones re-create MRShare's waiting.
 func TestWindowStudy(t *testing.T) {
 	p := DefaultParams()
 	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1),
@@ -240,7 +238,7 @@ func TestEstimatorStudyAccurate(t *testing.T) {
 }
 
 // TestTaxonomyStudy: §II-B's scheduler taxonomy measured on the sparse
-// normal workload (s3bench sim -sched fifo,fair,s3).
+// normal workload (s3compare's taxonomy golden: -schedulers fifo,fair,s3).
 func TestTaxonomyStudy(t *testing.T) {
 	p := DefaultParams()
 	runs, err := simulateAll(p, wordcountArrivals(p.SparsePattern(), 1, 1), schemes("fifo", "fair", "s3"))
@@ -279,7 +277,7 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Simulate(env1, schemes("s3")[0], nil, arrivals, runtime.Options{}, nil)
+	fixed, err := Simulate(env1, schemes("s3")[0], arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +290,10 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = dfs.NodeID(i)
 	}
-	dynamic := bare("s3-dynamic", func(plan *dfs.SegmentPlan, log *trace.Log) (scheduler.Scheduler, error) {
-		return core.NewDynamic(plan.File(), nodes, SlotsPerNode, nil, log)
+	dynamic := bare("s3-dynamic", func(plan *dfs.SegmentPlan) (scheduler.Scheduler, error) {
+		return core.NewDynamic(plan.File(), nodes, SlotsPerNode, nil, nil)
 	})
-	adaptive, err := Simulate(env2, dynamic, nil, arrivals, runtime.Options{}, nil)
+	adaptive, err := Simulate(env2, dynamic, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"s3sched/internal/benchfmt"
 	"s3sched/internal/core"
@@ -76,6 +77,15 @@ func once[T comparable](what string, xs []T) error {
 	return nil
 }
 
+// labelHint suggests a label for an unlabelled spec: the scheme's
+// initial and its first parameter, so window:30:10 becomes
+// w30=window:30:10.
+func labelHint(spec string) string {
+	kind, params, _ := strings.Cut(spec, ":")
+	first, _, _ := strings.Cut(params, ":")
+	return kind[:1] + first + "=" + spec
+}
+
 // derivedGeometry resolves the block size and segment granularity of
 // job id's derived output: inherited from the producing job's own
 // input file, recursing through chained stages until a declared file
@@ -122,12 +132,18 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 	}
 	schemes := make([]SchemeSpec, len(specs))
 	names := make([]string, len(specs))
+	specOf := make(map[string]string, len(specs))
 	for i, spec := range specs {
 		var err error
 		if schemes[i], err = parseLabelled(spec); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 		names[i] = schemes[i].Name
+		if prev, ok := specOf[names[i]]; ok && prev != spec && !strings.Contains(prev+spec, "=") {
+			return nil, fmt.Errorf("experiments: scheduler %s is listed twice: %s and %s both take that name; label them, as in %s",
+				names[i], prev, spec, labelHint(prev))
+		}
+		specOf[names[i]] = spec
 	}
 	if err := errors.Join(once("scheduler", names), once("engine", opts.Engines),
 		once("cache", opts.Caches)); err != nil {
@@ -220,14 +236,9 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 	for i := range wf.Jobs {
 		readers[wf.Jobs[i].File]++
 	}
-	sched, err := scheme.Make(plans, readers, nil)
+	sched, err := scheme.Make(plans, readers)
 	if err != nil {
 		return benchfmt.Cell{}, err
-	}
-	entries := wf.Entries()
-	arrivals := make([]runtime.Arrival, len(entries))
-	for i, e := range entries {
-		arrivals[i] = runtime.Arrival{Job: e.Job, At: e.At}
 	}
 	model := NormalModel()
 	if h.Cost != nil {
@@ -298,7 +309,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 			return benchfmt.Cell{}, cerr
 		}
 	} else {
-		res, err = runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
+		res, err = runtime.RunTrace(sched, exec, wf.Entries(), runtime.Options{})
 		if err != nil {
 			return benchfmt.Cell{}, err
 		}

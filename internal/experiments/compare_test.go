@@ -202,6 +202,8 @@ func TestRunCompareRejects(t *testing.T) {
 		{"unknown engine", CompareOptions{Engines: []string{"abacus"}}, "abacus"},
 		{"repeated scheduler", CompareOptions{Schedulers: []string{"s3", "s3"}}, "scheduler s3 is listed twice"},
 		{"two schemes of one name", CompareOptions{Schedulers: []string{"mrshare:6:4", "mrshare:3:3:4"}}, "scheduler mrshare is listed twice"},
+		{"unlabelled specs of one name", CompareOptions{Schedulers: []string{"s3", "window:30:10", "window:120:10"}},
+			"scheduler mrshare-window is listed twice: window:30:10 and window:120:10 both take that name; label them, as in w30=window:30:10"},
 		{"repeated label", CompareOptions{Schedulers: []string{"x=s3", "x=fifo"}}, "scheduler x is listed twice"},
 		{"empty label", CompareOptions{Schedulers: []string{"=s3"}}, "empty label"},
 		{"repeated engine", CompareOptions{Engines: []string{benchfmt.EngineSim, benchfmt.EngineSim}}, "engine sim is listed twice"},

@@ -20,9 +20,9 @@ func TwoJobExample(scheme string, offset vclock.Time) (tet, art vclock.Duration,
 	if err != nil {
 		return 0, 0, err
 	}
-	run, err := Simulate(env, spec, nil, []runtime.Arrival{
+	run, err := Simulate(env, spec, []runtime.Arrival{
 		{Job: scheduler.JobMeta{ID: 1, File: "input"}, At: 0},
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: offset},
-	}, runtime.Options{}, nil)
+	})
 	return run.Summary.TET, run.Summary.ART, err
 }

@@ -20,7 +20,6 @@ import (
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
-	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -74,16 +73,10 @@ type Env struct {
 // Nodes nodes over a metadata-only file "input" of inputGB gigabytes
 // in blockMB-megabyte blocks, segmented at one block per map slot.
 func NewEnv(inputGB, blockMB int, model sim.CostModel) (*Env, error) {
-	return NewEnvFile("input", inputGB, blockMB, model)
-}
-
-// NewEnvFile is NewEnv with an explicit file name: a replayed trace
-// names its own file.
-func NewEnvFile(file string, inputGB, blockMB int, model sim.CostModel) (*Env, error) {
 	if inputGB <= 0 || blockMB <= 0 {
 		return nil, fmt.Errorf("experiments: invalid sizes inputGB=%d blockMB=%d", inputGB, blockMB)
 	}
-	return buildEnv(file, Nodes, SlotsPerNode, inputGB*1024/blockMB, int64(blockMB)<<20, model)
+	return buildEnv("input", Nodes, SlotsPerNode, inputGB*1024/blockMB, int64(blockMB)<<20, model)
 }
 
 // buildEnv registers an unreplicated metadata-only file of numBlocks
@@ -104,8 +97,8 @@ func buildEnv(file string, nodes, slots, numBlocks int, blockBytes int64, model 
 	return &Env{Store: store, Plan: plan, Cluster: sim.NewCluster(nodes, slots), Model: model}, nil
 }
 
-// Arrivals pairs each job with its arrival time.
-func Arrivals(metas []scheduler.JobMeta, times []vclock.Time) ([]runtime.Arrival, error) {
+// arrivalsAt pairs each job with its arrival time.
+func arrivalsAt(metas []scheduler.JobMeta, times []vclock.Time) ([]runtime.Arrival, error) {
 	if len(metas) != len(times) {
 		return nil, fmt.Errorf("experiments: %d jobs but %d arrival times", len(metas), len(times))
 	}
@@ -118,7 +111,7 @@ func Arrivals(metas []scheduler.JobMeta, times []vclock.Time) ([]runtime.Arrival
 
 // wordcountArrivals is one wordcount job over "input" per arrival time.
 func wordcountArrivals(times []vclock.Time, weight, reduceWeight float64) []runtime.Arrival {
-	arrivals, _ := Arrivals(workload.WordCountMetas(len(times), "input", weight, reduceWeight), times) // same length by construction
+	arrivals, _ := arrivalsAt(workload.WordCountMetas(len(times), "input", weight, reduceWeight), times) // same length by construction
 	return arrivals
 }
 
@@ -129,31 +122,20 @@ type SimRun struct {
 	Stats   sim.Stats
 }
 
-// Tune adjusts a run's freshly built scheduler and executor before the
-// first arrival (s3bench sim's block cache).
-type Tune func(sched scheduler.Scheduler, exec *sim.Executor) error
-
-// Simulate is the one virtual-time run every study and CLI repeats:
-// build scheme's scheduler over env's plan (log receives its decision
-// trace; nil for none), replay arrivals through a fresh simulator
-// executor over env, and summarize under the scheme's name. env must be
-// fresh when the run mutates it (cache); tune may be nil.
-func Simulate(env *Env, scheme SchemeSpec, log *trace.Log, arrivals []runtime.Arrival, opts runtime.Options, tune Tune) (SimRun, error) {
+// Simulate is the one virtual-time run every study repeats: build
+// scheme's scheduler over env's plan, replay arrivals through a fresh
+// simulator executor over env, and summarize under the scheme's name.
+func Simulate(env *Env, scheme SchemeSpec, arrivals []runtime.Arrival) (SimRun, error) {
 	readers := make(map[string]int)
 	for _, a := range arrivals {
 		readers[a.Job.File]++
 	}
-	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, readers, log)
+	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, readers)
 	if err != nil {
 		return SimRun{}, fmt.Errorf("experiments: building %s: %w", scheme.Name, err)
 	}
 	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-	if tune != nil {
-		if err := tune(sched, exec); err != nil {
-			return SimRun{}, fmt.Errorf("experiments: tuning %s: %w", scheme.Name, err)
-		}
-	}
-	res, err := runtime.RunTrace(sched, exec, arrivals, opts)
+	res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
 	if err != nil {
 		return SimRun{}, fmt.Errorf("experiments: running %s: %w", scheme.Name, err)
 	}
@@ -174,7 +156,7 @@ func simulateAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]
 		if err != nil {
 			return nil, err
 		}
-		if runs[i], err = Simulate(env, scheme, nil, arrivals, runtime.Options{}, nil); err != nil {
+		if runs[i], err = Simulate(env, scheme, arrivals); err != nil {
 			return nil, err
 		}
 	}

@@ -173,7 +173,7 @@ func TestNewEnvValidation(t *testing.T) {
 }
 
 func TestArrivalsArityMismatch(t *testing.T) {
-	if _, err := Arrivals(nil, DefaultParams().SparsePattern()); err == nil {
+	if _, err := arrivalsAt(nil, DefaultParams().SparsePattern()); err == nil {
 		t.Error("meta/time arity mismatch should fail")
 	}
 }
@@ -186,9 +186,8 @@ func TestSingleJobAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Simulate(env, schemes("s3")[0], nil,
-		[]runtime.Arrival{{Job: scheduler.JobMeta{ID: 1, File: "input", Weight: 1, ReduceWeight: 1}, At: 0}},
-		runtime.Options{}, nil)
+	run, err := Simulate(env, schemes("s3")[0],
+		[]runtime.Arrival{{Job: scheduler.JobMeta{ID: 1, File: "input", Weight: 1, ReduceWeight: 1}, At: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

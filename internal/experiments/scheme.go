@@ -8,39 +8,38 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
-	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 )
 
 // SchemeSpec names a scheme and builds a fresh scheduler over a plan
 // set (one plan per input file; one plan is the paper's case). readers
 // counts the jobs that will read each file (bare mrshare batches them
-// all); log receives the scheduler's decision trace (nil for none).
+// all).
 type SchemeSpec struct {
 	Name string
-	Make func(plans []*dfs.SegmentPlan, readers map[string]int, log *trace.Log) (scheduler.Scheduler, error)
+	Make func(plans []*dfs.SegmentPlan, readers map[string]int) (scheduler.Scheduler, error)
 }
 
 // bare adapts a scheme with no multi-file form: it schedules exactly
 // one plan and rejects more.
-func bare(name string, mk func(*dfs.SegmentPlan, *trace.Log) (scheduler.Scheduler, error)) SchemeSpec {
-	return SchemeSpec{Name: name, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
+func bare(name string, mk func(*dfs.SegmentPlan) (scheduler.Scheduler, error)) SchemeSpec {
+	return SchemeSpec{Name: name, Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
 		if len(plans) != 1 {
 			return nil, fmt.Errorf("scheme %s schedules one input file, got %d", name, len(plans))
 		}
-		return mk(plans[0], l)
+		return mk(plans[0])
 	}}
 }
 
 // bareSchemes are the argument-less schemes that stay single-file
 // studies, keyed by the name their scheduler reports.
-var bareSchemes = map[string]func(*dfs.SegmentPlan, *trace.Log) scheduler.Scheduler{
-	"s3-static":     func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewStatic(p, l) },
-	"s3-nocircular": func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return core.NewNoCircular(p, l) },
-	"fair":          func(p *dfs.SegmentPlan, l *trace.Log) scheduler.Scheduler { return scheduler.NewFair(p, l) },
+var bareSchemes = map[string]func(*dfs.SegmentPlan) scheduler.Scheduler{
+	"s3-static":     func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) },
+	"s3-nocircular": func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) },
+	"fair":          func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFair(p, nil) },
 }
 
-// ParseScheme is the one scheme grammar, of s3bench and s3compare alike:
+// ParseScheme is the one scheme grammar, of every study and s3compare alike:
 //
 //	s3 | s3-static | s3-nocircular | fifo | fair
 //	mrshare                   one batch of each file's readers
@@ -54,20 +53,20 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 	head, rest, hasArgs := strings.Cut(spec, ":")
 	switch {
 	case spec == "s3": // with fifo and mrshare, a plan-set scheduler: what the cluster and the matrix run
-		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
-			return core.NewMultiFile(plans, l)
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
+			return core.NewMultiFile(plans, nil)
 		}}, nil
 	case spec == "fifo":
-		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
-			return scheduler.NewFIFO(plans, l)
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
+			return scheduler.NewFIFO(plans, nil)
 		}}, nil
 	case spec == "mrshare": // MRShare's strongest configuration for a known job set; a file nobody reads still needs a valid batch plan
-		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, readers map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
-			return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(readers[file], 1)} }, l)
+		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, readers map[string]int) (scheduler.Scheduler, error) {
+			return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(readers[file], 1)} }, nil)
 		}}, nil
 	case !hasArgs:
 		if mk, ok := bareSchemes[spec]; ok {
-			return bare(spec, func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) { return mk(p, l), nil }), nil
+			return bare(spec, func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) { return mk(p), nil }), nil
 		}
 	case head == "window":
 		secs, maxBatch, ok := strings.Cut(rest, ":")
@@ -76,8 +75,8 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 		if !ok || err != nil || nerr != nil || window <= 0 || n < 1 {
 			return SchemeSpec{}, fmt.Errorf("bad scheme %q: want window:seconds:maxbatch, both positive", spec)
 		}
-		return bare("mrshare-window", func(p *dfs.SegmentPlan, l *trace.Log) (scheduler.Scheduler, error) {
-			return scheduler.NewWindowMRShare(p, vclock.Duration(window), n, l)
+		return bare("mrshare-window", func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
+			return scheduler.NewWindowMRShare(p, vclock.Duration(window), n, nil)
 		}), nil
 	case strings.HasPrefix(head, "mrs"):
 		var sizes []int
@@ -88,8 +87,8 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 			}
 			sizes = append(sizes, n)
 		}
-		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, _ map[string]int, l *trace.Log) (scheduler.Scheduler, error) {
-			return scheduler.NewMultiMRShare(plans, func(string) []int { return sizes }, l) // every file batches alike
+		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
+			return scheduler.NewMultiMRShare(plans, func(string) []int { return sizes }, nil) // every file batches alike
 		}}, nil
 	}
 	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare[:n…] | window:seconds:maxbatch)", spec)

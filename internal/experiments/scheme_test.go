@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/trace"
 	"s3sched/internal/workload"
 )
 
@@ -67,8 +66,7 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%q): %v", tc.spec, err)
 			continue
 		}
-		log := trace.MustNew(8)
-		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, nil, log)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, nil)
 		if err != nil {
 			t.Errorf("%q: Make: %v", tc.spec, err)
 			continue
@@ -77,10 +75,10 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("%q: spec name %q, scheduler name %q, want %q and %q", tc.spec, scheme.Name, sched.Name(), tc.name, tc.sched)
 		}
 		// A scheme with no multi-file form stays bare and says so.
-		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil, nil); (err == nil) != tc.multi {
+		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil); (err == nil) != tc.multi {
 			t.Errorf("%q over two files: err = %v, want multi-file form = %v", tc.spec, err, tc.multi)
 		}
-		if _, err := scheme.Make(nil, nil, nil); err == nil {
+		if _, err := scheme.Make(nil, nil); err == nil {
 			t.Errorf("%q over no plan: want an error", tc.spec)
 		}
 	}
@@ -99,7 +97,7 @@ func TestSchemesLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scheme := range list[1:] {
-		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, map[string]int{"input": 2}, nil)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, map[string]int{"input": 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -346,16 +346,14 @@ func (c *Collector) PercentileResponse(p float64) (vclock.Duration, error) {
 	return rts[rank-1], nil
 }
 
-// Summary is the measured outcome of one scheduler run. P50/P95/P99
-// are per-job response-time percentiles (nearest-rank), the tail view
-// a mean like ART hides.
+// Summary is the measured outcome of one scheduler run. P95 is the
+// per-job response-time percentile (nearest-rank), the tail view a mean
+// like ART hides.
 type Summary struct {
 	Scheme string
 	TET    vclock.Duration
 	ART    vclock.Duration
-	P50    vclock.Duration
 	P95    vclock.Duration
-	P99    vclock.Duration
 }
 
 // Summarize computes a Summary for a completed run.
@@ -368,87 +366,9 @@ func (c *Collector) Summarize(scheme string) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	s := Summary{Scheme: scheme, TET: tet, ART: art}
-	for _, pct := range []struct {
-		p   float64
-		dst *vclock.Duration
-	}{{50, &s.P50}, {95, &s.P95}, {99, &s.P99}} {
-		v, err := c.PercentileResponse(pct.p)
-		if err != nil {
-			return Summary{}, err
-		}
-		*pct.dst = v
+	p95, err := c.PercentileResponse(95)
+	if err != nil {
+		return Summary{}, err
 	}
-	return s, nil
-}
-
-// Report is a set of Summaries normalized against a baseline scheme,
-// matching Figure 4's presentation (the S^3 bar is defined as 1.0).
-type Report struct {
-	Baseline string
-	Rows     []ReportRow
-}
-
-// ReportRow is one scheme's absolute and normalized metrics.
-type ReportRow struct {
-	Scheme  string
-	TET     vclock.Duration
-	ART     vclock.Duration
-	P50     vclock.Duration
-	P95     vclock.Duration
-	P99     vclock.Duration
-	NormTET float64
-	NormART float64
-}
-
-// Normalize builds a Report dividing every summary's metrics by the
-// baseline scheme's (paper: normalized so S^3 = 1).
-func Normalize(baseline string, summaries []Summary) (Report, error) {
-	var base *Summary
-	for i := range summaries {
-		if summaries[i].Scheme == baseline {
-			base = &summaries[i]
-			break
-		}
-	}
-	if base == nil {
-		return Report{}, fmt.Errorf("metrics: baseline scheme %q not among summaries", baseline)
-	}
-	if base.TET <= 0 || base.ART <= 0 {
-		return Report{}, fmt.Errorf("metrics: baseline %q has non-positive metrics %+v", baseline, *base)
-	}
-	rep := Report{Baseline: baseline}
-	for _, s := range summaries {
-		rep.Rows = append(rep.Rows, ReportRow{
-			Scheme:  s.Scheme,
-			TET:     s.TET,
-			ART:     s.ART,
-			P50:     s.P50,
-			P95:     s.P95,
-			P99:     s.P99,
-			NormTET: s.TET.Seconds() / base.TET.Seconds(),
-			NormART: s.ART.Seconds() / base.ART.Seconds(),
-		})
-	}
-	return rep, nil
-}
-
-// String renders the report as an aligned table sorted by scheme name,
-// with the baseline first.
-func (r Report) String() string {
-	rows := make([]ReportRow, len(r.Rows))
-	copy(rows, r.Rows)
-	sort.Slice(rows, func(i, j int) bool {
-		if (rows[i].Scheme == r.Baseline) != (rows[j].Scheme == r.Baseline) {
-			return rows[i].Scheme == r.Baseline
-		}
-		return rows[i].Scheme < rows[j].Scheme
-	})
-	out := fmt.Sprintf("%-10s %12s %12s %12s %12s %12s %9s %9s\n",
-		"scheme", "TET", "ART", "p50", "p95", "p99", "TET/base", "ART/base")
-	for _, row := range rows {
-		out += fmt.Sprintf("%-10s %12s %12s %12s %12s %12s %9.2f %9.2f\n",
-			row.Scheme, row.TET, row.ART, row.P50, row.P95, row.P99, row.NormTET, row.NormART)
-	}
-	return out
+	return Summary{Scheme: scheme, TET: tet, ART: art, P95: p95}, nil
 }

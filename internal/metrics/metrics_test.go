@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,54 +100,6 @@ func TestCollectorPanics(t *testing.T) {
 			}()
 			tc.fn(NewCollector())
 		})
-	}
-}
-
-func TestSummarizeAndNormalize(t *testing.T) {
-	mk := func(scheme string, tet, art vclock.Duration) Summary {
-		return Summary{Scheme: scheme, TET: tet, ART: art}
-	}
-	rep, err := Normalize("s3", []Summary{
-		mk("s3", 100, 50),
-		mk("fifo", 220, 125),
-		mk("mrshare", 120, 110),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make(map[string]ReportRow)
-	for _, r := range rep.Rows {
-		rows[r.Scheme] = r
-	}
-	row, ok := rows["fifo"]
-	if !ok {
-		t.Fatal("fifo row missing")
-	}
-	if row.NormTET != 2.2 || row.NormART != 2.5 {
-		t.Errorf("fifo normalized = %v/%v, want 2.2/2.5", row.NormTET, row.NormART)
-	}
-	base := rows["s3"]
-	if base.NormTET != 1 || base.NormART != 1 {
-		t.Errorf("baseline normalized = %v/%v, want 1/1", base.NormTET, base.NormART)
-	}
-	s := rep.String()
-	for _, want := range []string{"s3", "fifo", "mrshare", "TET/base"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
-	}
-	// Baseline renders first.
-	if !strings.HasPrefix(strings.Split(s, "\n")[1], "s3") {
-		t.Errorf("baseline not first:\n%s", s)
-	}
-}
-
-func TestNormalizeErrors(t *testing.T) {
-	if _, err := Normalize("s3", []Summary{{Scheme: "fifo", TET: 1, ART: 1}}); err == nil {
-		t.Error("missing baseline should error")
-	}
-	if _, err := Normalize("s3", []Summary{{Scheme: "s3", TET: 0, ART: 1}}); err == nil {
-		t.Error("zero baseline TET should error")
 	}
 }
 
@@ -276,7 +227,7 @@ func TestPercentilesAndMax(t *testing.T) {
 	}
 }
 
-func TestJobTableAndCSV(t *testing.T) {
+func TestJobTable(t *testing.T) {
 	c := NewCollector()
 	c.Submit(2, 10)
 	c.Submit(1, 0)
@@ -294,26 +245,11 @@ func TestJobTableAndCSV(t *testing.T) {
 	if rows[0].Waiting != 5 || rows[0].Processing != 45 || rows[0].Response != 50 {
 		t.Errorf("row 1 = %+v", rows[0])
 	}
-	var buf strings.Builder
-	if err := c.WriteJobCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "job,submitted") {
-		t.Fatalf("csv = %q", out)
-	}
-	if !strings.HasPrefix(lines[1], "1,0.000,5.000,50.000,5.000,45.000,50.000") {
-		t.Errorf("row 1 csv = %q", lines[1])
-	}
 	// Incomplete collector fails.
 	bad := NewCollector()
 	bad.Submit(1, 0)
 	if _, err := bad.JobTable(); err == nil {
 		t.Error("incomplete job table should fail")
-	}
-	if err := bad.WriteJobCSV(&buf); err == nil {
-		t.Error("incomplete CSV should fail")
 	}
 }
 

@@ -1,11 +1,8 @@
 package metrics
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -58,29 +55,4 @@ func (c *Collector) JobTable() ([]JobRow, error) {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	return rows, nil
-}
-
-// WriteJobCSV writes the job table as CSV with a header row.
-func (c *Collector) WriteJobCSV(w io.Writer) error {
-	rows, err := c.JobTable()
-	if err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"job", "submitted", "started", "completed", "waiting", "processing", "response"}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	for _, r := range rows {
-		rec := []string{
-			strconv.Itoa(int(r.ID)),
-			f(float64(r.SubmittedAt)), f(float64(r.StartedAt)), f(float64(r.CompletedAt)),
-			f(r.Waiting.Seconds()), f(r.Processing.Seconds()), f(r.Response.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -63,9 +63,6 @@ func TestGolden(t *testing.T) {
 			err := l.WriteChromeTrace(&buf)
 			return buf.Bytes(), err
 		}},
-		{"timeline.txt", func(l *Log) ([]byte, error) {
-			return []byte(l.RenderTimeline(60)), nil
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -173,49 +173,3 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("nil log JSON = %q", s)
 	}
 }
-
-func TestRenderTimeline(t *testing.T) {
-	l := MustNew(32)
-	l.Addf(0, RoundLaunched, -1, 0, "batch 1")
-	l.Addf(10, RoundFinished, -1, 0, "")
-	l.Addf(10, RoundLaunched, -1, 1, "batch 2")
-	l.Addf(30, RoundFinished, -1, 1, "")
-	out := l.RenderTimeline(40)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline = %d lines:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "2 rounds") {
-		t.Errorf("header = %q", lines[0])
-	}
-	// Round 2 is twice as long as round 1 and starts after it.
-	r1hashes := strings.Count(lines[1], "#")
-	r2hashes := strings.Count(lines[2], "#")
-	if r2hashes < r1hashes {
-		t.Errorf("round 2 bar (%d) should be wider than round 1 (%d):\n%s", r2hashes, r1hashes, out)
-	}
-	if !strings.Contains(lines[1], "seg 0") || !strings.Contains(lines[2], "seg 1") {
-		t.Errorf("segment labels missing:\n%s", out)
-	}
-	if !strings.Contains(lines[1], "batch 1") {
-		t.Errorf("detail missing:\n%s", out)
-	}
-}
-
-func TestRenderTimelineEdgeCases(t *testing.T) {
-	if out := MustNew(4).RenderTimeline(40); out != "" {
-		t.Errorf("empty log timeline = %q", out)
-	}
-	// Unfinished round is ignored.
-	l := MustNew(8)
-	l.Addf(0, RoundLaunched, -1, 0, "")
-	if out := l.RenderTimeline(40); out != "" {
-		t.Errorf("open round timeline = %q", out)
-	}
-	// Zero-duration rounds still render a bar.
-	l.Addf(0, RoundFinished, -1, 0, "")
-	out := l.RenderTimeline(5) // tiny width is clamped
-	if !strings.Contains(out, "#") {
-		t.Errorf("zero-duration round has no bar:\n%s", out)
-	}
-}

@@ -14,6 +14,7 @@ import (
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/pipeline"
+	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -574,12 +575,12 @@ func (j *FileJob) Meta() scheduler.JobMeta {
 	}
 }
 
-// Entries returns the workload's arrivals in file order, ready for a
-// trace source.
-func (wf *File) Entries() []TraceEntry {
-	out := make([]TraceEntry, len(wf.Jobs))
+// Entries returns the workload's arrivals in file order, ready for
+// runtime.RunTrace.
+func (wf *File) Entries() []runtime.Arrival {
+	out := make([]runtime.Arrival, len(wf.Jobs))
 	for i := range wf.Jobs {
-		out[i] = TraceEntry{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At)}
+		out[i] = runtime.Arrival{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At)}
 	}
 	return out
 }
