@@ -230,17 +230,20 @@ func runDemo() error {
 }
 
 // clusterAdmission adapts the runtime's live admission queue to the
-// status server's HTTP API: it validates submissions against the
-// workers' factory registry, registers the JobRef with the master
-// inside the source's pre-admission hook (so the engine can never race
-// ahead of registration).
+// status server's HTTP API: it refuses every job a worker would refuse,
+// and registers the JobRef with the master inside the source's
+// pre-admission hook (so the engine can never race ahead of
+// registration).
 type clusterAdmission struct {
 	src *runtime.LiveSource
 	// dag wraps src with dependency tracking: jobs submitted with
 	// dependsOn are held until their producers finish and materialize.
-	dag       *pipeline.LiveDAG
-	master    *remote.Master
-	factories map[string]bool
+	dag    *pipeline.LiveDAG
+	master *remote.Master
+	// registry is the one every worker runs. A job's own error fails the
+	// whole run, so check builds each job with it before anything is
+	// journaled.
+	registry *remote.Registry
 	// journal, when set, gets a job-admitted record inside the same
 	// pre-admission hook — written (and fsynced, per policy) before the
 	// submission is acknowledged, so an acked job survives a crash.
@@ -249,7 +252,7 @@ type clusterAdmission struct {
 
 // factoryFile routes a job factory to the file it scans: wordcount
 // reads the text corpus, the TPC-H-shaped factories read the lineitem
-// table. Unknown factories never get here (admission validates first).
+// table. Unknown factories never get here (admission checks first).
 func factoryFile(factory string) string {
 	switch factory {
 	case "selection", "aggregation":
@@ -260,19 +263,27 @@ func factoryFile(factory string) string {
 }
 
 func newClusterAdmission(src *runtime.LiveSource, dag *pipeline.LiveDAG, master *remote.Master) *clusterAdmission {
-	a := &clusterAdmission{
-		src:       src,
-		dag:       dag,
-		master:    master,
-		factories: make(map[string]bool),
+	return &clusterAdmission{src: src, dag: dag, master: master, registry: remote.NewStandardRegistry()}
+}
+
+// check returns why a worker would refuse ref, or nil. Its factory must
+// build with its parameter, and a topk must read the key\tcount lines of
+// a counting producer: it scans the output of deps[0], and a selection's
+// output is map-only rows.
+func (a *clusterAdmission) check(ref remote.JobRef, deps []scheduler.JobID) error {
+	if _, _, _, err := a.registry.Build(ref.Factory, ref.Param); err != nil {
+		return err
 	}
-	// The daemon validates against the same standard registry every
-	// worker runs, so a typo'd factory is rejected at the HTTP boundary
-	// instead of aborting the pass worker-side.
-	for _, name := range remote.NewStandardRegistry().Names() {
-		a.factories[name] = true
+	if ref.Factory != "topk" {
+		return nil
 	}
-	return a
+	if len(deps) == 0 {
+		return fmt.Errorf("factory %q scans another job's materialized output; submit it with dependsOn", ref.Factory)
+	}
+	if p, ok := a.master.Job(deps[0]); ok && p.Factory == "selection" {
+		return fmt.Errorf("topk counts its first dependency's output, and job %d is a selection: its values are rows, not counts", deps[0])
+	}
+	return nil
 }
 
 // SubmitJob implements status.Admission.
@@ -281,16 +292,7 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 	if factory == "" {
 		factory = "wordcount"
 	}
-	if !a.factories[factory] {
-		return 0, fmt.Errorf("unknown job factory %q (have %v)", factory, remote.NewStandardRegistry().Names())
-	}
 	deps := append([]scheduler.JobID(nil), req.DependsOn...)
-	if factory == "topk" && len(deps) == 0 {
-		// topk parses key\tcount lines — a DAG stage's output framing.
-		// Pointing it at the raw corpus would abort the shared pass
-		// worker-side; refuse at the HTTP boundary instead.
-		return 0, fmt.Errorf("factory %q scans another job's materialized output; submit it with dependsOn", factory)
-	}
 	name := req.Name
 	if name == "" {
 		if req.Param != "" {
@@ -304,6 +306,9 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 		numReduce = 2
 	}
 	ref := remote.JobRef{Name: name, Factory: factory, Param: req.Param, NumReduce: numReduce}
+	if err := a.check(ref, deps); err != nil {
+		return 0, err
+	}
 	meta := scheduler.JobMeta{
 		Name:     name,
 		File:     factoryFile(factory),

@@ -40,10 +40,6 @@ func (c *journalCommits) JobDone(id scheduler.JobID, now vclock.Time) {
 	c.append(journal.KindJobDone, journal.JobEndRecord{Job: id, At: now})
 }
 
-func (c *journalCommits) JobFailed(id scheduler.JobID, now vclock.Time) {
-	c.append(journal.KindJobFailed, journal.JobEndRecord{Job: id, At: now})
-}
-
 func (c *journalCommits) append(kind string, payload any) {
 	if err := c.j.AppendRecord(kind, payload); err != nil {
 		// Progress records refine recovery (resume mid-pass instead of
@@ -137,11 +133,12 @@ func recoverFromJournal(
 			rep.settled++
 			continue
 		}
-		if !adm.factories[rec.Factory] {
-			// The binary that wrote the journal knew this factory; this
-			// one does not. Rerunning is impossible, so surface the job
-			// as failed instead of wedging the pass.
-			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d uses unknown factory %q; marking failed\n", id, rec.Factory)
+		if err := adm.check(ref, rec.DependsOn); err != nil {
+			// The binary that wrote the journal admitted a job this one
+			// refuses: an unknown factory, a parameter its workers reject,
+			// a topk over a selection. Running it would fail the run, so
+			// surface the job as failed.
+			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d: %v; marking failed\n", id, err)
 			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
 				return nil, err
 			}

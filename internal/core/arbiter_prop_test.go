@@ -25,7 +25,7 @@ type planSet interface {
 // TestArbiterProperty drives the three plan-set schedulers — the arbiter
 // over S^3 queues, the arbiter over MRShare queues, and the global-queue
 // FIFO — through random files, arrivals, a file registered mid-run, lost
-// rounds and aborts, and checks what a driver relies on whatever the
+// rounds, and checks what a driver relies on whatever the
 // policy:
 //
 //   - a round scans one file, and the rounds that scan a file take its
@@ -34,7 +34,7 @@ type planSet interface {
 //   - RoundDone reaches the queue that launched the round (it reports
 //     exactly the round's Completes);
 //   - AddPlan is refused while a map is in flight, and only then;
-//   - every job retires exactly once, an aborted one never;
+//   - every job retires exactly once;
 //   - no file with runnable work starves (the arbiters serve it within
 //     one rotation; FIFO retires jobs in submission order).
 func TestArbiterProperty(t *testing.T) {
@@ -123,8 +123,7 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		submitted = make(map[scheduler.JobID]bool)
 		order     []scheduler.JobID // submission order
 		retired   = make(map[scheduler.JobID]int)
-		retiredIn []scheduler.JobID // retirement order
-		aborted   = make(map[scheduler.JobID]bool)
+		retiredIn []scheduler.JobID      // retirement order
 		seenOn    = make(map[string]int) // submissions per file so far
 		readyAt   = make(map[scheduler.JobID]int)
 		lastSeg   = make(map[string]int)
@@ -143,7 +142,7 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		}
 	}
 	open := func(id scheduler.JobID) bool {
-		return submitted[id] && retired[id] == 0 && !aborted[id]
+		return submitted[id] && retired[id] == 0
 	}
 	runnable := func(file string) bool {
 		for _, id := range perFile[file] {
@@ -208,24 +207,6 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 			seenOn[fileOf[id]]++
 			next++
 			continue
-		case act == 3:
-			// Abort an open job; its file's scan order may restart.
-			var candidates []scheduler.JobID
-			for _, id := range order {
-				if open(id) {
-					candidates = append(candidates, id)
-				}
-			}
-			if len(candidates) == 0 {
-				continue
-			}
-			id := candidates[rng.Intn(len(candidates))]
-			s.AbortJobs([]scheduler.JobID{id}, now)
-			aborted[id] = true
-			if batched || global {
-				delete(lastSeg, fileOf[id])
-			}
-			continue
 		}
 
 		r, ok := s.NextRound(now)
@@ -281,19 +262,13 @@ func arbiterScenario(rng *rand.Rand, build func([]*dfs.SegmentPlan, map[string][
 		}
 	}
 
-	var finished []scheduler.JobID
 	for _, id := range order {
-		switch {
-		case aborted[id] && retired[id] != 0:
-			return fmt.Errorf("aborted job %d retired", id)
-		case !aborted[id] && retired[id] != 1:
+		if retired[id] != 1 {
 			return fmt.Errorf("job %d retired %d times", id, retired[id])
-		case !aborted[id]:
-			finished = append(finished, id)
 		}
 	}
-	if global && !slices.Equal(retiredIn, finished) {
-		return fmt.Errorf("one queue retired %v, admitted in the order %v", retiredIn, finished)
+	if global && !slices.Equal(retiredIn, order) {
+		return fmt.Errorf("one queue retired %v, admitted in the order %v", retiredIn, order)
 	}
 	return nil
 }

@@ -79,39 +79,6 @@ func TestS3RequeuedRoundPicksUpLateArrivals(t *testing.T) {
 	}
 }
 
-// TestS3AbortRemovesFromFutureRounds: an aborted job never aligns into
-// another round, and its id stays registered.
-func TestS3AbortRemovesFromFutureRounds(t *testing.T) {
-	p := makePlan(t, 8, 2)
-	s := New(p, nil)
-	for i := 1; i <= 2; i++ {
-		if err := s.Submit(job(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r1, _ := s.NextRound(0)
-	s.RoundDone(r1, 1)
-	s.AbortJobs([]scheduler.JobID{2}, 1)
-	if got := s.PendingJobs(); got != 1 {
-		t.Fatalf("PendingJobs = %d after abort, want 1", got)
-	}
-	for {
-		r, ok := s.NextRound(0)
-		if !ok {
-			break
-		}
-		for _, id := range r.JobIDs() {
-			if id == 2 {
-				t.Fatal("aborted job 2 reappeared in a round")
-			}
-		}
-		s.RoundDone(r, 0)
-	}
-	if err := s.Submit(job(2), 5); err == nil {
-		t.Error("resubmitting an aborted id succeeded, want duplicate error")
-	}
-}
-
 // TestS3RequeueWithoutRoundPanics guards the serial-round protocol.
 func TestS3RequeueWithoutRoundPanics(t *testing.T) {
 	p := makePlan(t, 8, 2)

@@ -291,32 +291,5 @@ func (s *S3) RequeueRound(r scheduler.Round, now vclock.Time) {
 	}
 }
 
-// AbortJobs implements scheduler.Recoverable: failed jobs leave the
-// active queue and never align into another round. Their ids stay
-// registered (a reused id is still a duplicate).
-func (s *S3) AbortJobs(ids []scheduler.JobID, now vclock.Time) {
-	if len(ids) == 0 {
-		return
-	}
-	drop := make(map[scheduler.JobID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	remaining := s.active[:0]
-	for _, js := range s.active {
-		if drop[js.Meta.ID] {
-			s.log.Addf(now, trace.JobAborted, int(js.Meta.ID), -1, "s3 %d sub-job(s) unfinished", js.Remaining)
-			s.log.EndSpan(s.jobSpans[js.Meta.ID], now, trace.Arg{Key: "result", Value: "aborted"})
-			delete(s.jobSpans, js.Meta.ID)
-			continue
-		}
-		remaining = append(remaining, js)
-	}
-	for i := len(remaining); i < len(s.active); i++ {
-		s.active[i] = nil
-	}
-	s.active = remaining
-}
-
 // PendingJobs implements Scheduler.
 func (s *S3) PendingJobs() int { return len(s.active) }

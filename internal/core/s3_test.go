@@ -9,6 +9,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
+	"s3sched/internal/vclock"
 )
 
 func makePlan(t *testing.T, numBlocks, perSegment int) *dfs.SegmentPlan {
@@ -328,19 +329,19 @@ func TestS3JobLifetimeSpans(t *testing.T) {
 	if err := s.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(job(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Run one round, abort job 2, then drain job 1.
+	// Run one round at 5, admit job 2, then drain both a round a tick:
+	// job 1 completes at 8, job 2 one segment later.
 	r, _ := s.NextRound(0)
 	s.RoundDone(r, 5)
-	s.AbortJobs([]scheduler.JobID{2}, 6)
-	for {
+	if err := s.Submit(job(2), 5); err != nil {
+		t.Fatal(err)
+	}
+	for at := 6; ; at++ {
 		r, ok := s.NextRound(0)
 		if !ok {
 			break
 		}
-		s.RoundDone(r, 10)
+		s.RoundDone(r, vclock.Time(at))
 	}
 	byJob := map[int]trace.Span{}
 	for _, sp := range log.Spans() {
@@ -355,8 +356,8 @@ func TestS3JobLifetimeSpans(t *testing.T) {
 	if len(byJob) != 2 {
 		t.Fatalf("job spans = %d, want 2", len(byJob))
 	}
-	wantResult := map[int]string{1: "completed", 2: "aborted"}
-	for id, want := range wantResult {
+	wantSpan := map[int][2]vclock.Time{1: {0, 8}, 2: {5, 9}}
+	for id, want := range wantSpan {
 		sp, ok := byJob[id]
 		if !ok {
 			t.Fatalf("no span for job %d", id)
@@ -370,15 +371,12 @@ func TestS3JobLifetimeSpans(t *testing.T) {
 				got = a.Value
 			}
 		}
-		if got != want {
-			t.Errorf("job %d result arg = %q, want %q", id, got, want)
+		if got != "completed" {
+			t.Errorf("job %d result arg = %q, want completed", id, got)
 		}
-	}
-	if byJob[1].End != 10 {
-		t.Errorf("job 1 span end = %v, want 10", byJob[1].End)
-	}
-	if byJob[2].End != 6 {
-		t.Errorf("job 2 span end = %v, want 6", byJob[2].End)
+		if sp.Start != want[0] || sp.End != want[1] {
+			t.Errorf("job %d span [%v, %v], want [%v, %v]", id, sp.Start, sp.End, want[0], want[1])
+		}
 	}
 }
 

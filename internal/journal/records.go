@@ -31,8 +31,10 @@ const (
 	// KindRoundCommitted: the engine retired a round; carries the
 	// scheduler snapshot taken at the round boundary.
 	KindRoundCommitted = "round-committed"
-	// KindJobDone / KindJobFailed: the engine settled a job's fate.
-	KindJobDone   = "job-done"
+	// KindJobDone: the engine completed a job.
+	KindJobDone = "job-done"
+	// KindJobFailed: an older engine failed a job on its own code. Nothing
+	// writes it now; a journal holding one still folds into Failed.
 	KindJobFailed = "job-failed"
 	// KindStageMaterialized: a finished DAG stage's reduce output was
 	// written into the cluster as a derived file and its segment plan

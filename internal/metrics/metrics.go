@@ -22,7 +22,6 @@ type Collector struct {
 	submitted map[scheduler.JobID]vclock.Time
 	started   map[scheduler.JobID]vclock.Time
 	completed map[scheduler.JobID]vclock.Time
-	failed    map[scheduler.JobID]vclock.Time
 	order     []scheduler.JobID // submission order
 	faults    FaultStats
 	cache     CacheStats
@@ -39,8 +38,6 @@ type FaultStats struct {
 	RequeuedRounds int
 	// RequeuedSubJobs counts sub-jobs riding those requeued rounds.
 	RequeuedSubJobs int
-	// FailedJobs counts jobs that terminated with an error.
-	FailedJobs int
 }
 
 // Add accumulates other into s.
@@ -49,7 +46,6 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.FailedAttempts += other.FailedAttempts
 	s.RequeuedRounds += other.RequeuedRounds
 	s.RequeuedSubJobs += other.RequeuedSubJobs
-	s.FailedJobs += other.FailedJobs
 }
 
 // AddFaultStats accumulates fault counters into the collector.
@@ -111,7 +107,6 @@ func NewCollector() *Collector {
 		submitted: make(map[scheduler.JobID]vclock.Time),
 		started:   make(map[scheduler.JobID]vclock.Time),
 		completed: make(map[scheduler.JobID]vclock.Time),
-		failed:    make(map[scheduler.JobID]vclock.Time),
 	}
 }
 
@@ -146,7 +141,7 @@ func (c *Collector) Start(id scheduler.JobID, t vclock.Time) bool {
 }
 
 // Complete records job id finishing at time t. Completing an
-// unsubmitted, already-completed, or failed job panics.
+// unsubmitted or already-completed job panics.
 func (c *Collector) Complete(id scheduler.JobID, t vclock.Time) {
 	sub, ok := c.submitted[id]
 	if !ok {
@@ -155,59 +150,21 @@ func (c *Collector) Complete(id scheduler.JobID, t vclock.Time) {
 	if _, dup := c.completed[id]; dup {
 		panic(fmt.Sprintf("metrics: job %d completed twice", id))
 	}
-	if _, f := c.failed[id]; f {
-		panic(fmt.Sprintf("metrics: job %d completed after failing", id))
-	}
 	if t < sub {
 		panic(fmt.Sprintf("metrics: job %d completed at %v before submission at %v", id, t, sub))
 	}
 	c.completed[id] = t
 }
 
-// Fail records job id terminating with an error at time t. Failed jobs
-// are excluded from TET/ART (which measure the surviving workload) but
-// counted in FaultStats. Failing an unsubmitted or completed job
-// panics; repeated Fail calls for one job are idempotent.
-func (c *Collector) Fail(id scheduler.JobID, t vclock.Time) {
-	if _, ok := c.submitted[id]; !ok {
-		panic(fmt.Sprintf("metrics: job %d failed but never submitted", id))
-	}
-	if _, done := c.completed[id]; done {
-		panic(fmt.Sprintf("metrics: job %d failed after completing", id))
-	}
-	if _, dup := c.failed[id]; dup {
-		return
-	}
-	c.failed[id] = t
-	c.faults.FailedJobs++
-}
-
 // Jobs returns how many jobs were submitted.
 func (c *Collector) Jobs() int { return len(c.submitted) }
 
-// Incomplete returns the submitted jobs that neither completed nor
-// failed, in submission order. Failed jobs are terminal, not pending,
-// so they do not appear here.
+// Incomplete returns the submitted jobs that have not completed, in
+// submission order.
 func (c *Collector) Incomplete() []scheduler.JobID {
 	var out []scheduler.JobID
 	for _, id := range c.order {
-		if _, done := c.completed[id]; done {
-			continue
-		}
-		if _, f := c.failed[id]; f {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// survivors returns the submitted jobs that did not fail, in
-// submission order — the population TET/ART are computed over.
-func (c *Collector) survivors() []scheduler.JobID {
-	out := make([]scheduler.JobID, 0, len(c.order))
-	for _, id := range c.order {
-		if _, f := c.failed[id]; !f {
+		if _, done := c.completed[id]; !done {
 			out = append(out, id)
 		}
 	}
@@ -257,17 +214,14 @@ func (c *Collector) ProcessingTime(id scheduler.JobID) (vclock.Duration, error) 
 }
 
 // TET returns the total execution time: the interval between the first
-// job's submission and the last surviving job's completion. It fails
-// if any surviving job is incomplete or every job failed.
+// job's submission and the last job's completion. It fails if any job
+// is incomplete.
 func (c *Collector) TET() (vclock.Duration, error) {
 	if len(c.submitted) == 0 {
 		return 0, fmt.Errorf("metrics: no jobs recorded")
 	}
 	if inc := c.Incomplete(); len(inc) > 0 {
 		return 0, fmt.Errorf("metrics: %d job(s) incomplete: %v", len(inc), inc)
-	}
-	if len(c.completed) == 0 {
-		return 0, fmt.Errorf("metrics: every job failed; TET undefined")
 	}
 	var first vclock.Time
 	var last vclock.Time
@@ -286,8 +240,8 @@ func (c *Collector) TET() (vclock.Duration, error) {
 	return last.Sub(first), nil
 }
 
-// ART returns the average response time across surviving jobs. It
-// fails if any surviving job is incomplete or every job failed.
+// ART returns the average response time across all jobs. It fails if
+// any job is incomplete.
 func (c *Collector) ART() (vclock.Duration, error) {
 	if len(c.submitted) == 0 {
 		return 0, fmt.Errorf("metrics: no jobs recorded")
@@ -295,30 +249,25 @@ func (c *Collector) ART() (vclock.Duration, error) {
 	if inc := c.Incomplete(); len(inc) > 0 {
 		return 0, fmt.Errorf("metrics: %d job(s) incomplete: %v", len(inc), inc)
 	}
-	jobs := c.survivors()
-	if len(jobs) == 0 {
-		return 0, fmt.Errorf("metrics: every job failed; ART undefined")
-	}
 	var total vclock.Duration
-	for _, id := range jobs {
+	for _, id := range c.order {
 		rt, err := c.ResponseTime(id)
 		if err != nil {
 			return 0, err
 		}
 		total += rt
 	}
-	return total / vclock.Duration(len(jobs)), nil
+	return total / vclock.Duration(len(c.order)), nil
 }
 
-// ResponseTimes returns every surviving job's response time in
-// submission order. It fails if any surviving job is incomplete.
+// ResponseTimes returns every job's response time in submission order.
+// It fails if any job is incomplete.
 func (c *Collector) ResponseTimes() ([]vclock.Duration, error) {
-	jobs := c.survivors()
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("metrics: no surviving jobs recorded")
+	if len(c.order) == 0 {
+		return nil, fmt.Errorf("metrics: no jobs recorded")
 	}
-	out := make([]vclock.Duration, 0, len(jobs))
-	for _, id := range jobs {
+	out := make([]vclock.Duration, 0, len(c.order))
+	for _, id := range c.order {
 		rt, err := c.ResponseTime(id)
 		if err != nil {
 			return nil, err

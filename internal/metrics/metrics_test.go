@@ -316,17 +316,17 @@ func TestCacheStatsAccounting(t *testing.T) {
 
 func TestFaultStatsFold(t *testing.T) {
 	var fs FaultStats
-	fs.Add(FaultStats{Retries: 2, FailedAttempts: 3, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1})
+	fs.Add(FaultStats{Retries: 2, FailedAttempts: 3, RequeuedRounds: 4, RequeuedSubJobs: 5})
 	fs.Add(FaultStats{Retries: 1, FailedAttempts: 1})
-	want := FaultStats{Retries: 3, FailedAttempts: 4, RequeuedRounds: 4, RequeuedSubJobs: 5, FailedJobs: 1}
+	want := FaultStats{Retries: 3, FailedAttempts: 4, RequeuedRounds: 4, RequeuedSubJobs: 5}
 	if fs != want {
 		t.Errorf("after Add, fs = %+v, want %+v", fs, want)
 	}
 	c := NewCollector()
 	c.AddFaultStats(FaultStats{Retries: 1, RequeuedRounds: 2})
-	c.AddFaultStats(FaultStats{FailedJobs: 1})
+	c.AddFaultStats(FaultStats{RequeuedSubJobs: 1})
 	got := c.FaultStats()
-	if got.Retries != 1 || got.RequeuedRounds != 2 || got.FailedJobs != 1 {
+	if got.Retries != 1 || got.RequeuedRounds != 2 || got.RequeuedSubJobs != 1 {
 		t.Errorf("collector fault stats = %+v", got)
 	}
 }

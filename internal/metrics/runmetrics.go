@@ -37,7 +37,6 @@ type RunMetrics struct {
 	RoundsTotal         *Counter
 	JobsSubmitted       *Counter
 	JobsCompleted       *Counter
-	JobsFailed          *Counter
 	RetriesTotal        *Counter
 	FailedAttemptsTotal *Counter
 	RequeuedRounds      *Counter
@@ -122,7 +121,6 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 		RoundsTotal:         reg.Counter("s3_rounds_total", "rounds launched"),
 		JobsSubmitted:       reg.Counter("s3_jobs_submitted_total", "jobs submitted to the scheduler"),
 		JobsCompleted:       reg.Counter("s3_jobs_completed_total", "jobs completed"),
-		JobsFailed:          reg.Counter("s3_jobs_failed_total", "jobs terminated with an error"),
 		RetriesTotal:        reg.Counter("s3_retries_total", "block attempts re-executed after a failure"),
 		FailedAttemptsTotal: reg.Counter("s3_failed_attempts_total", "block-read attempts that failed"),
 		RequeuedRounds:      reg.Counter("s3_requeued_rounds_total", "lost rounds returned to the scheduler"),

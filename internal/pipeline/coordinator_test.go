@@ -96,7 +96,7 @@ func TestCoordinatorReleasesAfterMaterialization(t *testing.T) {
 	if c.Wait() {
 		t.Fatal("Wait() = true with nothing queued")
 	}
-	c.JobFinished(1, vclock.Time(5), false)
+	c.JobFinished(1, vclock.Time(5))
 	if m.calls[1] != 1 {
 		t.Fatalf("materializer called %d times for job 1, want 1", m.calls[1])
 	}
@@ -112,7 +112,7 @@ func TestCoordinatorReleasesAfterMaterialization(t *testing.T) {
 		t.Fatalf("Pop(7) = %+v, want job 2 at 7", got)
 	}
 	// Duplicate finish notifications must not re-materialize.
-	c.JobFinished(1, vclock.Time(9), false)
+	c.JobFinished(1, vclock.Time(9))
 	if m.calls[1] != 1 {
 		t.Fatalf("duplicate JobFinished re-ran the materializer (%d calls)", m.calls[1])
 	}
@@ -132,11 +132,11 @@ func TestCoordinatorDiamondWaitsForAllDeps(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	c.Pop(0)
-	c.JobFinished(1, vclock.Time(3), false)
+	c.JobFinished(1, vclock.Time(3))
 	if got := c.Pop(vclock.Time(10)); len(got) != 0 {
 		t.Fatalf("consumer released after one of two deps: %+v", got)
 	}
-	c.JobFinished(2, vclock.Time(4), false)
+	c.JobFinished(2, vclock.Time(4))
 	got := c.Pop(vclock.Time(10))
 	if len(got) != 1 || got[0].Job.ID != 3 || got[0].At != vclock.Time(4) {
 		t.Fatalf("Pop = %+v, want job 3 at 4 (last dep's finish)", got)
@@ -146,8 +146,11 @@ func TestCoordinatorDiamondWaitsForAllDeps(t *testing.T) {
 	}
 }
 
-func TestCoordinatorCascadeFail(t *testing.T) {
+// A producer whose output cannot become a file takes its whole cone
+// with it, transitively, and none of it is materialized or delivered.
+func TestCoordinatorMaterializeErrorCascades(t *testing.T) {
 	m := newCountingMat(0)
+	m.fail[1] = true
 	c, err := NewCoordinator([]Stage{
 		{Job: meta(1, "corpus")},
 		{Job: meta(2, "job-1.out"), DependsOn: []scheduler.JobID{1}},
@@ -157,35 +160,15 @@ func TestCoordinatorCascadeFail(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	c.Pop(0)
-	c.JobFinished(1, vclock.Time(2), true)
-	if got := c.Failed(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Failed() = %v, want [2 3]", got)
-	}
-	if m.calls[1] != 0 {
-		t.Fatal("failed producer was materialized")
-	}
-	if err := c.Err(); err == nil || !contains(err.Error(), "[2 3] cascade-failed") {
-		t.Fatalf("Err() = %v after cascade, want the cone and nothing still held", err)
-	}
-}
-
-func TestCoordinatorMaterializeErrorCascades(t *testing.T) {
-	m := newCountingMat(0)
-	m.fail[1] = true
-	c, err := NewCoordinator([]Stage{
-		{Job: meta(1, "corpus")},
-		{Job: meta(2, "job-1.out"), DependsOn: []scheduler.JobID{1}},
-	}, m.mat)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	c.Pop(0)
-	c.JobFinished(1, vclock.Time(2), false)
+	c.JobFinished(1, vclock.Time(2))
 	if c.Err() == nil || !contains(c.Err().Error(), "materializing stage 1") {
 		t.Fatalf("Err() = %v, want materialization failure", c.Err())
 	}
-	if got := c.Failed(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Failed() = %v, want [2]", got)
+	if got := c.Failed(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("Failed() = %v, want [2 3]", got)
+	}
+	if m.calls[2] != 0 || c.Wait() {
+		t.Fatalf("the cone ran on: %d materializations of stage 2, queued %v", m.calls[2], c.Wait())
 	}
 }
 

@@ -16,17 +16,15 @@ import (
 )
 
 // dagCase is one random DAG over ids 1..n, edges from lower to higher
-// ids, with the stages whose own job fails and the producers whose
-// output cannot become a file.
+// ids, with the producers whose output cannot become a file.
 type dagCase struct {
 	stages   []pipeline.Stage
-	jobFails map[scheduler.JobID]bool
 	matFails map[scheduler.JobID]bool
 }
 
 func randomDAG(rng *rand.Rand) dagCase {
 	n := 1 + rng.Intn(12)
-	c := dagCase{jobFails: map[scheduler.JobID]bool{}, matFails: map[scheduler.JobID]bool{}}
+	c := dagCase{matFails: map[scheduler.JobID]bool{}}
 	for i := 1; i <= n; i++ {
 		st := pipeline.Stage{Job: scheduler.JobMeta{ID: scheduler.JobID(i), Name: fmt.Sprint("s", i)}, At: vclock.Time(rng.Intn(4))}
 		for d := 1; d < i; d++ {
@@ -36,20 +34,19 @@ func randomDAG(rng *rand.Rand) dagCase {
 		}
 		rng.Shuffle(len(st.DependsOn), func(a, b int) { st.DependsOn[a], st.DependsOn[b] = st.DependsOn[b], st.DependsOn[a] })
 		c.stages = append(c.stages, st)
-		c.jobFails[st.Job.ID] = rng.Intn(7) == 0
-		c.matFails[st.Job.ID] = rng.Intn(7) == 0
+		c.matFails[st.Job.ID] = rng.Intn(4) == 0
 	}
 	return c
 }
 
 // want is the oracle: a stage is released exactly when every producer
-// was released, finished well and had its output made a file.
+// was released and had its output made a file.
 func (c dagCase) want() (released, failed []scheduler.JobID) {
 	ok := map[scheduler.JobID]bool{}
 	for _, st := range c.stages { // ids ascend, so producers come first
 		ok[st.Job.ID] = true
 		for _, dep := range st.DependsOn {
-			if !ok[dep] || c.jobFails[dep] || c.matFails[dep] {
+			if !ok[dep] || c.matFails[dep] {
 				ok[st.Job.ID] = false
 			}
 		}
@@ -70,7 +67,7 @@ type run struct {
 	deps     map[scheduler.JobID][]scheduler.JobID
 	running  []scheduler.JobID
 	released map[scheduler.JobID]bool
-	finished map[scheduler.JobID]bool // finished well
+	finished map[scheduler.JobID]bool
 	matCalls map[scheduler.JobID]int
 }
 
@@ -87,7 +84,7 @@ func (r *run) mat(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
 		r.t.Errorf("stage %d materialized %d times", id, r.matCalls[id])
 	}
 	if !r.finished[id] {
-		r.t.Errorf("stage %d materialized before it finished well", id)
+		r.t.Errorf("stage %d materialized before it finished", id)
 	}
 	if r.c.matFails[id] {
 		return 0, errors.New("injected")
@@ -104,7 +101,7 @@ func (r *run) deliver(arrivals []runtime.Arrival) {
 		}
 		for _, dep := range r.deps[id] {
 			if !r.finished[dep] || r.matCalls[dep] != 1 || r.c.matFails[dep] {
-				r.t.Errorf("stage %d released before producer %d finished well and became a file", id, dep)
+				r.t.Errorf("stage %d released before producer %d finished and became a file", id, dep)
 			}
 		}
 		r.released[id] = true
@@ -117,8 +114,8 @@ func (r *run) finishOne(rng *rand.Rand, trk runtime.JobTracker, now vclock.Time)
 	k := rng.Intn(len(r.running))
 	id := r.running[k]
 	r.running = slices.Delete(r.running, k, k+1)
-	r.finished[id] = !r.c.jobFails[id]
-	trk.JobFinished(id, now, r.c.jobFails[id])
+	r.finished[id] = true
+	trk.JobFinished(id, now)
 }
 
 func (r *run) releasedSet() []scheduler.JobID {
@@ -130,12 +127,11 @@ func (r *run) releasedSet() []scheduler.JobID {
 	return out
 }
 
-// TestGraphProperty drives random DAGs, settle orders and producer and
-// materializer failures through both adapters of the one graph: every
-// stage ends released or failed, exactly one of the two and exactly as
-// the oracle says, in both; none is released before its producers
-// finished well and were materialized; no producer is materialized
-// twice. And the graph's order agrees with ParseFile about which
+// TestGraphProperty drives random DAGs, settle orders and materializer
+// failures through both adapters of the one graph: every stage ends
+// released or failed, exactly one of the two and exactly as the oracle
+// says, in both; none is released before its producers finished and
+// were materialized; no producer is materialized twice. And the graph's order agrees with ParseFile about which
 // listings have a cycle, and where.
 func TestGraphProperty(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
@@ -207,7 +203,7 @@ func TestGraphProperty(t *testing.T) {
 
 		checkOrder(t, seed, rng)
 		if t.Failed() {
-			t.Fatalf("seed %d: stages %+v jobFails %v matFails %v", seed, c.stages, c.jobFails, c.matFails)
+			t.Fatalf("seed %d: stages %+v matFails %v", seed, c.stages, c.matFails)
 		}
 	}
 }

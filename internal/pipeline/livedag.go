@@ -99,7 +99,7 @@ func (d *LiveDAG) Adopt(meta scheduler.JobMeta, state runtime.JobState, doneAt v
 func (d *LiveDAG) Pop(now vclock.Time) []runtime.Arrival {
 	d.mu.Lock()
 	for _, pid := range d.due {
-		d.settle(pid, now, false)
+		d.settle(pid, now)
 	}
 	d.due = nil
 	d.mu.Unlock()
@@ -118,24 +118,24 @@ func (d *LiveDAG) Wait() bool { return d.src.Wait() }
 // JobAdmitted implements runtime.JobTracker.
 func (d *LiveDAG) JobAdmitted(id scheduler.JobID, at vclock.Time) { d.src.JobAdmitted(id, at) }
 
-// JobFinished implements runtime.JobTracker: record the terminal state
-// on the status API, then settle dependents — materialize the output
-// if anyone waits on it, release satisfied stages, cascade-fail the
-// dependents of a failed producer. Runs on the engine goroutine,
+// JobFinished implements runtime.JobTracker: record the job done on
+// the status API, then settle dependents — materialize the output if
+// anyone waits on it and release satisfied stages, or cascade-fail them
+// when it cannot be materialized. Runs on the engine goroutine,
 // synchronously inside round settlement, so releases are visible
 // before the engine looks for its next arrival.
-func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time, failed bool) {
-	d.src.JobFinished(id, at, failed)
+func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time) {
+	d.src.JobFinished(id, at)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.settle(id, at, failed)
+	d.settle(id, at)
 }
 
 // settle passes what a finished stage releases and fails on to the
 // source. Its errors are dropped: a stage queued because its producers
 // had only to be materialized is not held, so releasing it is refused.
-func (d *LiveDAG) settle(id scheduler.JobID, at vclock.Time, failed bool) {
-	released, _, cone := d.finished(id, at, failed)
+func (d *LiveDAG) settle(id scheduler.JobID, at vclock.Time) {
+	released, _, cone := d.finished(id, at)
 	for _, cid := range cone {
 		_ = d.src.Fail(cid, at)
 	}

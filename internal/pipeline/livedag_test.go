@@ -49,7 +49,7 @@ func TestLiveDAGHoldAndRelease(t *testing.T) {
 	}
 
 	d.JobAdmitted(pid, 1)
-	d.JobFinished(pid, vclock.Time(9), false)
+	d.JobFinished(pid, vclock.Time(9))
 	if m.calls[pid] != 1 {
 		t.Fatalf("materializer called %d times, want 1", m.calls[pid])
 	}
@@ -81,7 +81,7 @@ func TestLiveDAGLateConsumerDefersMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(5), false)
+	d.JobFinished(pid, vclock.Time(5))
 	if m.calls[pid] != 0 {
 		t.Fatalf("producer with no consumers was materialized (%d calls)", m.calls[pid])
 	}
@@ -123,25 +123,28 @@ func TestLiveDAGRefusesBadDependencies(t *testing.T) {
 		t.Fatal("accepted a dependency that was never submitted")
 	}
 
-	pid, err := d.SubmitStage(scheduler.JobMeta{Name: "p", File: "corpus"}, nil, nil)
-	if err != nil {
+	// A producer recovery adopted failed.
+	failed := scheduler.JobMeta{ID: 1, Name: "f", File: "corpus"}
+	if err := d.Adopt(failed, runtime.JobFailed, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	d.Pop(0)
-	d.JobFinished(pid, 1, true)
-	if _, err := d.SubmitStage(scheduler.JobMeta{Name: "c"}, []scheduler.JobID{pid}, nil); err == nil {
-		t.Fatal("accepted a dependency on a failed job")
+	if _, err := d.SubmitStage(scheduler.JobMeta{Name: "c"}, []scheduler.JobID{failed.ID}, nil); !errors.Is(err, ErrDoomed) {
+		t.Fatalf("dependency on a failed job: %v, want ErrDoomed", err)
 	}
-	if m.calls[pid] != 0 {
+	d.Pop(0)
+	if m.calls[failed.ID] != 0 {
 		t.Fatal("failed producer was materialized")
 	}
 }
 
-func TestLiveDAGCascadeFail(t *testing.T) {
+// A producer whose output cannot become a file fails its dependents and
+// theirs, transitively; the producer itself is done.
+func TestLiveDAGMaterializeErrorCascades(t *testing.T) {
 	m := newCountingMat(0)
 	d, src := newTestDAG(m)
 
 	pid, _ := d.SubmitStage(scheduler.JobMeta{Name: "p", File: "corpus"}, nil, nil)
+	m.fail[pid] = true
 	c1, err := d.SubmitStage(scheduler.JobMeta{Name: "c1"}, []scheduler.JobID{pid}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -151,32 +154,14 @@ func TestLiveDAGCascadeFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(4), true)
+	d.JobFinished(pid, vclock.Time(4))
 
-	mustState(t, src, pid, runtime.JobFailed)
+	mustState(t, src, pid, runtime.JobDone)
 	mustState(t, src, c1, runtime.JobFailed)
 	mustState(t, src, c2, runtime.JobFailed)
 	if got := d.Pop(vclock.Time(99)); len(got) != 0 {
 		t.Fatalf("cascade-failed stages still delivered: %+v", got)
 	}
-}
-
-func TestLiveDAGMaterializeErrorCascades(t *testing.T) {
-	m := newCountingMat(0)
-	d, src := newTestDAG(m)
-
-	pid, _ := d.SubmitStage(scheduler.JobMeta{Name: "p", File: "corpus"}, nil, nil)
-	m.fail[pid] = true
-	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "c"}, []scheduler.JobID{pid}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(4), false)
-
-	// The producer itself succeeded; only its dependents are undeliverable.
-	mustState(t, src, pid, runtime.JobDone)
-	mustState(t, src, cid, runtime.JobFailed)
 }
 
 func TestLiveDAGMultiDepReleasesAfterLast(t *testing.T) {
@@ -190,9 +175,9 @@ func TestLiveDAGMultiDepReleasesAfterLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Pop(0)
-	d.JobFinished(p1, 3, false)
+	d.JobFinished(p1, 3)
 	mustState(t, src, cid, runtime.JobWaiting)
-	d.JobFinished(p2, 5, false)
+	d.JobFinished(p2, 5)
 	mustState(t, src, cid, runtime.JobQueued)
 	if m.calls[p1] != 1 || m.calls[p2] != 1 {
 		t.Fatalf("materializer calls = %v, want one per producer", m.calls)
@@ -258,7 +243,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustState(t, src, 410, runtime.JobWaiting)
-	d.JobFinished(400, vclock.Time(8), false)
+	d.JobFinished(400, vclock.Time(8))
 	mustState(t, src, 410, runtime.JobQueued)
 	if m.calls[400] != 1 {
 		t.Fatalf("materializer called %d times for resumed producer, want 1", m.calls[400])
@@ -298,7 +283,7 @@ func TestLiveDAGConcurrentSubmitAndFinish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		d.JobFinished(pid, vclock.Time(3), false)
+		d.JobFinished(pid, vclock.Time(3))
 	}()
 	close(start)
 	wg.Wait()
@@ -327,7 +312,7 @@ func TestLiveDAGDeferredMaterializeErrorFailsConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(5), false)
+	d.JobFinished(pid, vclock.Time(5))
 
 	m.fail[pid] = true
 	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "topk", File: "job-1.out"}, []scheduler.JobID{pid}, nil)
@@ -375,13 +360,13 @@ func TestLiveDAGHeldStageWithFinishedUnreadProducer(t *testing.T) {
 	p1, _ := d.SubmitStage(scheduler.JobMeta{Name: "p1", File: "corpus"}, nil, nil)
 	p2, _ := d.SubmitStage(scheduler.JobMeta{Name: "p2", File: "corpus"}, nil, nil)
 	d.Pop(0)
-	d.JobFinished(p1, vclock.Time(2), false)
+	d.JobFinished(p1, vclock.Time(2))
 	cid, err := d.SubmitStage(scheduler.JobMeta{Name: "join", File: "job-1.out"}, []scheduler.JobID{p1, p2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustState(t, src, cid, runtime.JobWaiting)
-	d.JobFinished(p2, vclock.Time(4), false)
+	d.JobFinished(p2, vclock.Time(4))
 	mustState(t, src, cid, runtime.JobWaiting) // p1's output is no file yet
 	if got := d.Pop(vclock.Time(5)); len(got) != 1 || got[0].Job.ID != cid {
 		t.Fatalf("Pop = %+v, want the join %d", got, cid)

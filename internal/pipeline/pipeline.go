@@ -68,15 +68,12 @@ type tracker struct {
 
 // finished settles a stage the engine reports finished at at, once, and
 // returns the stages to release, no earlier than ready, and the cone to
-// fail. A stage that finished well is materialized if it has readers —
-// when that fails, they fail as if the stage had — and left unread if
-// it has none.
-func (t *tracker) finished(id scheduler.JobID, at vclock.Time, failed bool) (released []scheduler.JobID, ready vclock.Time, cone []scheduler.JobID) {
+// fail. A finished stage is materialized if it has readers — when that
+// fails, they fail as if the stage had — and left unread if it has none.
+func (t *tracker) finished(id scheduler.JobID, at vclock.Time) (released []scheduler.JobID, ready vclock.Time, cone []scheduler.JobID) {
 	switch {
 	case t.g.Settled(id):
 		return nil, at, nil
-	case failed:
-		return nil, at, t.g.Fail(id)
 	case !t.g.Waited(id):
 		t.unread[id] = true
 		return nil, at, nil
@@ -154,9 +151,10 @@ func (c *Coordinator) JobAdmitted(scheduler.JobID, vclock.Time) {}
 
 // JobFinished implements runtime.JobTracker: the stages a finished
 // producer releases arrive at max(stage.At, finish + materialization
-// delay); the cone a failed one takes with it is never admitted.
-func (c *Coordinator) JobFinished(id scheduler.JobID, at vclock.Time, failed bool) {
-	released, ready, cone := c.finished(id, at, failed)
+// delay); the cone of one whose output could not be materialized is
+// never admitted.
+func (c *Coordinator) JobFinished(id scheduler.JobID, at vclock.Time) {
+	released, ready, cone := c.finished(id, at)
 	for _, cid := range released {
 		c.Insert(runtime.Arrival{Job: c.held[cid].Job, At: max(c.held[cid].At, ready)})
 		delete(c.held, cid)
@@ -168,16 +166,14 @@ func (c *Coordinator) JobFinished(id scheduler.JobID, at vclock.Time, failed boo
 }
 
 // Err reports why the DAG did not run to its end, after a run: the first
-// materialization failure, else the stages that cascade-failed with a
-// producer — they were never admitted, so run metrics do not include
-// them — else those still held, which takes a producer that never
-// finished. nil after a clean run.
+// materialization failure — the stages that cascade-failed with it were
+// never admitted, so run metrics do not include them — else the stages
+// still held, which takes a producer that never finished. nil after a
+// clean run.
 func (c *Coordinator) Err() error {
 	switch {
 	case c.err != nil:
 		return c.err
-	case len(c.failed) > 0:
-		return fmt.Errorf("pipeline: DAG stages %v cascade-failed", c.Failed())
 	case len(c.held) > 0:
 		return fmt.Errorf("pipeline: %d DAG stages never became ready", len(c.held))
 	}

@@ -244,6 +244,14 @@ func (m *Master) RegisterJob(id scheduler.JobID, ref JobRef) error {
 	return nil
 }
 
+// Job reports the JobRef registered under id.
+func (m *Master) Job(id scheduler.JobID) (JobRef, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ref, ok := m.jobs[id]
+	return ref, ok
+}
+
 // InstallFile publishes a derived file cluster-wide: it is recorded
 // for replay to future registrants, then pushed to every currently
 // live worker. Re-installing the same name with identical geometry is

@@ -65,7 +65,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Build(name, param string) (mapper mapreduce.Mapper, reducer, combiner mapreduce.Reducer, err error) {
 	f, ok := r.factories[name]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("remote: unknown job factory %q", name)
+		return nil, nil, nil, fmt.Errorf("remote: unknown job factory %q (have %v)", name, r.Names())
 	}
 	return f(param)
 }

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,6 @@ import (
 type captureLog struct {
 	rounds []capturedRound
 	done   []scheduler.JobID
-	failed []scheduler.JobID
 }
 
 type capturedRound struct {
@@ -31,8 +31,7 @@ func (c *captureLog) RoundCommitted(r scheduler.Round, _ vclock.Time, snap *sche
 	c.rounds = append(c.rounds, capturedRound{segment: r.Segment, snap: snap, requeues: requeues})
 }
 
-func (c *captureLog) JobDone(id scheduler.JobID, _ vclock.Time)   { c.done = append(c.done, id) }
-func (c *captureLog) JobFailed(id scheduler.JobID, _ vclock.Time) { c.failed = append(c.failed, id) }
+func (c *captureLog) JobDone(id scheduler.JobID, _ vclock.Time) { c.done = append(c.done, id) }
 
 // deployedOver is the scheduler cmd/s3cluster journals and recovers —
 // core.NewMultiFile, the one scheme that snapshots — over one file.
@@ -46,16 +45,14 @@ func deployedOver(t *testing.T, plan *dfs.SegmentPlan) *core.MultiFile {
 }
 
 // TestEngineCommitLog: the engine fires RoundCommitted once per
-// retired round (with a usable scheduler snapshot),
-// JobDone once per completion, and JobFailed for jobs whose own code
-// failed — the exact stream the write-ahead journal persists.
+// retired round (with a usable scheduler snapshot) and JobDone once per
+// completion — the exact stream the write-ahead journal persists.
 func TestEngineCommitLog(t *testing.T) {
 	sched := deployedOver(t, parityPlan(t, 3))
 	log := &captureLog{}
-	exec := &failDrainExec{} // fails job 2's code on its first round
-	res, err := runtime.RunTrace(sched, exec, []runtime.Arrival{
+	res, err := runtime.RunTrace(sched, fixedExec{}, []runtime.Arrival{
 		{Job: parityMeta(1), At: 0},
-		{Job: parityMeta(2), At: 0},
+		{Job: parityMeta(2), At: 1},
 	}, runtime.Options{Commits: log})
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +73,8 @@ func TestEngineCommitLog(t *testing.T) {
 	if n := len(last.Jobs()); n != 0 {
 		t.Errorf("final snapshot holds %d jobs, want 0", n)
 	}
-	if len(log.done) != 1 || log.done[0] != 1 {
-		t.Errorf("JobDone stream = %v, want [1]", log.done)
-	}
-	if len(log.failed) != 1 || log.failed[0] != 2 {
-		t.Errorf("JobFailed stream = %v, want [2]", log.failed)
+	if !slices.Equal(log.done, []scheduler.JobID{1, 2}) {
+		t.Errorf("JobDone stream = %v, want [1 2]", log.done)
 	}
 }
 

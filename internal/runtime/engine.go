@@ -26,9 +26,6 @@ type engine struct {
 	coll  *metrics.Collector
 	tele  *telemetry
 	res   *Result
-	// failed persists across rounds, so a job whose failure was drained
-	// at one round is never counted again.
-	failed map[scheduler.JobID]bool
 	// requeues counts consecutive requeues of the current round.
 	requeues int
 	// commits is the write-ahead commit sink, nil when not journaling.
@@ -57,7 +54,6 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 		clock:       clock,
 		coll:        metrics.NewCollector(),
 		tele:        newTelemetry(opts),
-		failed:      make(map[scheduler.JobID]bool),
 		commits:     opts.Commits,
 		stop:        opts.Stop,
 		restored:    opts.Restored,
@@ -74,7 +70,7 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 }
 
 // run is the state machine: admit due arrivals → form round → execute
-// → drain failures → requeue-or-retire → fold stats.
+// → requeue-or-retire → fold stats.
 func (e *engine) run() (*Result, error) {
 	if e.src == nil {
 		return nil, fmt.Errorf("runtime: nil arrival source")
@@ -304,53 +300,17 @@ func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler
 	return nil
 }
 
-// settleRound records a retired round's completions and drains the
-// executor's per-job failure reports: failed jobs are marked failed
-// (not completed) and aborted in the scheduler so no future round
-// includes them. With a CommitLog it then journals the round with the
-// scheduler's snapshot; a snapshot that fails here, where the round has
-// just been retired, fails the run rather than journaling a round
-// recovery could not resume from.
+// settleRound records a retired round's completions. With a CommitLog
+// it then journals the round with the scheduler's snapshot; a snapshot
+// that fails here, where the round has just been retired, fails the run
+// rather than journaling a round recovery could not resume from.
 func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []scheduler.JobID) error {
-	var fresh []scheduler.JobID
-	if fr, ok := e.exec.(FailureReporter); ok {
-		for _, jf := range fr.TakeJobFailures() {
-			if e.failed[jf.ID] {
-				continue
-			}
-			e.failed[jf.ID] = true
-			e.coll.Fail(jf.ID, now)
-			e.tele.jobFailed()
-			if e.trk != nil {
-				e.trk.JobFinished(jf.ID, now, true)
-			}
-			fresh = append(fresh, jf.ID)
-		}
-	}
-	done := make(map[scheduler.JobID]bool, len(completed))
 	for _, id := range completed {
-		done[id] = true
-		if e.failed[id] {
-			continue // recorded as failed, and already retired by the scheduler
-		}
 		e.coll.Complete(id, now)
 		e.tele.jobCompleted(e.coll, id)
 		if e.trk != nil {
-			e.trk.JobFinished(id, now, false)
+			e.trk.JobFinished(id, now)
 		}
-	}
-	var abort []scheduler.JobID
-	for _, id := range fresh {
-		if !done[id] {
-			abort = append(abort, id)
-		}
-	}
-	if len(abort) > 0 {
-		rec, ok := e.sched.(scheduler.Recoverable)
-		if !ok {
-			return fmt.Errorf("runtime: job(s) %v failed and scheduler %q cannot abort them", abort, e.sched.Name())
-		}
-		rec.AbortJobs(abort, now)
 	}
 	if e.commits != nil {
 		var snapPtr *scheduler.Snapshot
@@ -362,13 +322,8 @@ func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []sch
 			snapPtr = &snap
 		}
 		e.commits.RoundCommitted(r, now, snapPtr, e.requeues)
-		for _, id := range fresh {
-			e.commits.JobFailed(id, now)
-		}
 		for _, id := range completed {
-			if !e.failed[id] {
-				e.commits.JobDone(id, now)
-			}
+			e.commits.JobDone(id, now)
 		}
 	}
 	if e.hooks.OnRoundDone != nil {

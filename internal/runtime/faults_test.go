@@ -14,8 +14,8 @@ import (
 
 // deployed builds the scheduler cmd/s3cluster deploys, the way drive()
 // does: core.NewMultiFile over two files — p, the one the test's jobs
-// read, and a second nobody reads. Requeue and abort must reach p's
-// queue through it.
+// read, and a second nobody reads. A requeue must reach p's queue
+// through it.
 func deployed(t *testing.T, p *dfs.SegmentPlan) *core.MultiFile {
 	t.Helper()
 	idle, err := dfs.MustStore(1, 1).AddMetaFile("idle", 2, 64<<20)
@@ -33,10 +33,15 @@ func deployed(t *testing.T, p *dfs.SegmentPlan) *core.MultiFile {
 	return m
 }
 
-// flakyExec loses the first `lose` rounds, then runs every round in 10s.
+// flakyExec loses the first `lose` rounds, then runs every round in 10s;
+// it counts each loss as a failed attempt.
 type flakyExec struct {
 	lose  int
 	calls int
+}
+
+func (f *flakyExec) FaultStats() metrics.FaultStats {
+	return metrics.FaultStats{FailedAttempts: min(f.calls, f.lose)}
 }
 
 func (f *flakyExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
@@ -48,8 +53,8 @@ func (f *flakyExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 }
 
 // TestRequeueRecoversLostRound: a lost round is requeued and the run
-// still completes every job; the lost time and requeue count are
-// accounted.
+// still completes every job; the lost time, the requeue count and the
+// executor's own fault counters are accounted.
 func TestRequeueRecoversLostRound(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
 	s := deployed(t, p)
@@ -58,15 +63,12 @@ func TestRequeueRecoversLostRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Metrics.FaultStats().FailedJobs; n != 0 {
-		t.Fatalf("failed jobs = %d, want 0", n)
-	}
 	if res.Rounds != 2 {
 		t.Errorf("successful rounds = %d, want 2", res.Rounds)
 	}
 	fs := res.Metrics.FaultStats()
-	if fs.RequeuedRounds != 2 || fs.RequeuedSubJobs != 2 {
-		t.Errorf("requeue stats = %+v, want 2 rounds / 2 sub-jobs", fs)
+	if fs.RequeuedRounds != 2 || fs.RequeuedSubJobs != 2 || fs.FailedAttempts != 2 {
+		t.Errorf("fault stats = %+v, want 2 rounds / 2 sub-jobs requeued and the executor's 2 failed attempts", fs)
 	}
 	// 2 lost rounds x 5s + 2 good rounds x 10s.
 	rt, err := res.Metrics.ResponseTime(1)
@@ -108,73 +110,5 @@ func TestLostRoundNeedsRecoverable(t *testing.T) {
 	_, err := RunTrace(s, exec, []Arrival{{Job: job(1), At: 0}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "cannot requeue") {
 		t.Fatalf("error = %v, want cannot-requeue", err)
-	}
-}
-
-// failingJobsExec runs rounds normally but reports the given jobs as
-// failed after their first round, as an executor isolating a job's own
-// mapper errors would.
-type failingJobsExec struct {
-	bad      map[scheduler.JobID]bool
-	failures []scheduler.JobFailure
-	reported map[scheduler.JobID]bool
-	stats    metrics.FaultStats
-}
-
-func (f *failingJobsExec) ExecRound(r scheduler.Round) (vclock.Duration, error) {
-	for _, j := range r.Jobs {
-		if f.bad[j.ID] && !f.reported[j.ID] {
-			f.reported[j.ID] = true
-			f.failures = append(f.failures, scheduler.JobFailure{ID: j.ID, Err: errors.New("mapper exploded")})
-			f.stats.FailedAttempts++
-		}
-	}
-	return 10, nil
-}
-
-func (f *failingJobsExec) TakeJobFailures() []scheduler.JobFailure {
-	out := f.failures
-	f.failures = nil
-	return out
-}
-
-func (f *failingJobsExec) FaultStats() metrics.FaultStats { return f.stats }
-
-// TestJobFailureIsIsolatedAndAborted: a failed job is marked failed,
-// aborted out of future rounds, and the surviving job completes.
-func TestJobFailureIsIsolatedAndAborted(t *testing.T) {
-	p := makePlan(t, 8, 2) // 4 segments
-	s := deployed(t, p)
-	exec := &failingJobsExec{
-		bad:      map[scheduler.JobID]bool{2: true},
-		reported: make(map[scheduler.JobID]bool),
-	}
-	res, err := RunTrace(s, exec, []Arrival{
-		{Job: job(1), At: 0},
-		{Job: job(2), At: 0},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Metrics.ResponseTime(2); err == nil || res.Metrics.FaultStats().FailedJobs != 1 {
-		t.Fatalf("job 2 completed: %v; %d jobs failed; want job 2 alone failed", err == nil, res.Metrics.FaultStats().FailedJobs)
-	}
-	if n := len(res.Metrics.Incomplete()); n != 0 {
-		t.Fatalf("incomplete jobs = %d, want 0 (job 1 must finish)", n)
-	}
-	if _, err := res.Metrics.ResponseTime(1); err != nil {
-		t.Errorf("job 1 has no response time: %v", err)
-	}
-	// Job 2 shared only the first round before aborting: 4 rounds for
-	// job 1, no extra rounds for job 2's remaining segments.
-	if res.Rounds != 4 {
-		t.Errorf("rounds = %d, want 4 (aborted job schedules no more scans)", res.Rounds)
-	}
-	fs := res.Metrics.FaultStats()
-	if fs.FailedJobs != 1 {
-		t.Errorf("FaultStats.FailedJobs = %d, want 1", fs.FailedJobs)
-	}
-	if fs.FailedAttempts != 1 {
-		t.Errorf("FaultStats.FailedAttempts = %d, want 1 (executor stats folded in)", fs.FailedAttempts)
 	}
 }

@@ -3,15 +3,17 @@
 // executor under one clock, virtual unless Options.Clock is a wall
 // clock, through the paper's state machine —
 //
-//	admit due arrivals → form round → execute → drain failures →
-//	requeue-or-retire → fold stats
+//	admit due arrivals → form round → execute → requeue-or-retire →
+//	fold stats
 //
 // — and produces the per-job timings the paper's metrics are computed
 // from. Rounds are strictly serial, as in the paper's Algorithm 1: the
-// next round forms only once the last has been retired. Requeue bounds
-// (MaxRequeues), per-job failure draining (FailureReporter), and
-// end-of-run stats folding (FaultStatsSource/CacheStatsSource) are
-// implemented exactly once, for every executor.
+// next round forms only once the last has been retired, and a job's one
+// engine outcome is done, when its last sub-job's round retires. A round
+// that fails with anything but a RoundLostError fails the run. Requeue
+// bounds (MaxRequeues) and end-of-run stats folding
+// (FaultStatsSource/CacheStatsSource) are implemented exactly once, for
+// every executor.
 //
 // Arrival delivery is pluggable (ArrivalSource): a pre-recorded trace
 // slice (TraceSource) reproduces the batch experiments byte for byte,
@@ -42,16 +44,6 @@ type ExecutorFunc func(r scheduler.Round) (vclock.Duration, error)
 
 // ExecRound calls f.
 func (f ExecutorFunc) ExecRound(r scheduler.Round) (vclock.Duration, error) { return f(r) }
-
-// FailureReporter is implemented by executors that isolate per-job
-// failures: a round may succeed while individual jobs' map/reduce code
-// failed. The engine drains the reports after each round, fails those
-// jobs in the metrics, and aborts them in the scheduler.
-type FailureReporter interface {
-	// TakeJobFailures returns and clears the failures recorded since
-	// the previous call.
-	TakeJobFailures() []scheduler.JobFailure
-}
 
 // FaultStatsSource is implemented by executors that count fault
 // handling (retries, failed attempts); the engine folds the counters
@@ -108,8 +100,8 @@ type Waker interface {
 // write-ahead journal's view of the run loop. The engine calls it
 // synchronously from its goroutine at exactly the places the
 // scheduler's state is consistent: after a round is retired
-// (RoundCommitted, with the scheduler's snapshot) and when a job's fate
-// settles (JobDone/JobFailed). Implementations
+// (RoundCommitted, with the scheduler's snapshot) and when a job
+// completes (JobDone). Implementations
 // that cannot write (disk full) should fail the run via their own
 // executor path rather than silently dropping records; these callbacks
 // return nothing so the loop's hot path stays infallible.
@@ -120,10 +112,8 @@ type CommitLog interface {
 	// fails the run instead. requeues is the engine's
 	// consecutive-requeue count (0 after a successful round).
 	RoundCommitted(r scheduler.Round, now vclock.Time, snap *scheduler.Snapshot, requeues int)
-	// JobDone fires when id completes; JobFailed when its own
-	// map/reduce code terminally fails.
+	// JobDone fires when id completes.
 	JobDone(id scheduler.JobID, now vclock.Time)
-	JobFailed(id scheduler.JobID, now vclock.Time)
 }
 
 // RestoredJob names a job already present in the scheduler when the

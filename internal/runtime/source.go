@@ -36,11 +36,10 @@ type ArrivalSource interface {
 // JobTracker is optionally implemented by an ArrivalSource that wants
 // lifecycle callbacks for the jobs it produced. The engine invokes it
 // synchronously from the run loop: JobAdmitted when the job enters the
-// scheduler, JobFinished when the job completes (failed=false) or its
-// own map/reduce code terminally fails (failed=true).
+// scheduler, JobFinished when it completes.
 type JobTracker interface {
 	JobAdmitted(id scheduler.JobID, at vclock.Time)
-	JobFinished(id scheduler.JobID, at vclock.Time, failed bool)
+	JobFinished(id scheduler.JobID, at vclock.Time)
 }
 
 // TraceSource replays a pre-sorted arrival trace — the batch-mode
@@ -121,8 +120,9 @@ const (
 	JobRunning JobState = "running"
 	// JobDone: completed; results are available from the executor.
 	JobDone JobState = "done"
-	// JobFailed: the job's own map/reduce code terminally failed and
-	// the job was aborted. The rest of the workload continues.
+	// JobFailed: retired without running, because a dependency failed
+	// or its output could not be made a file (Fail), or because
+	// recovery adopted a journaled job this binary cannot run.
 	JobFailed JobState = "failed"
 )
 
@@ -349,18 +349,12 @@ func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) {
 }
 
 // JobFinished implements JobTracker.
-func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time, failed bool) {
+func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.status[id]
-	if !ok {
-		return
-	}
-	st.DoneAt = at
-	if failed {
-		st.State = JobFailed
-	} else {
+	if st, ok := s.status[id]; ok {
 		st.State = JobDone
+		st.DoneAt = at
 	}
 }
 

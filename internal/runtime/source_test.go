@@ -142,7 +142,7 @@ func TestLiveSourceLifecycle(t *testing.T) {
 	if st, _ := src.Status(id); st.State != JobRunning || st.AdmittedAt != 12 {
 		t.Fatalf("after admit: %+v", st)
 	}
-	src.JobFinished(id, 30, false)
+	src.JobFinished(id, 30)
 	if st, _ := src.Status(id); st.State != JobDone || st.DoneAt != 30 {
 		t.Fatalf("after finish: %+v", st)
 	}

@@ -193,13 +193,6 @@ func (t *telemetry) jobCompleted(coll *metrics.Collector, id scheduler.JobID) {
 	t.rm.JobRounds.Observe(float64(t.roundsOf[id]))
 }
 
-func (t *telemetry) jobFailed() {
-	if t == nil || t.rm == nil {
-		return
-	}
-	t.rm.JobsFailed.Inc()
-}
-
 func (t *telemetry) queueDepth(n int) {
 	if t == nil || t.rm == nil {
 		return
@@ -208,8 +201,7 @@ func (t *telemetry) queueDepth(n int) {
 }
 
 // endRun closes the run span and folds the collector's end-of-run
-// fault counters into the registry. FailedJobs is excluded — jobFailed
-// already counted each failure as it was drained.
+// fault counters into the registry.
 func (t *telemetry) endRun(coll *metrics.Collector, at vclock.Time, rounds int) {
 	if t == nil {
 		return

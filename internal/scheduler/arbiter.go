@@ -216,14 +216,6 @@ func (a *Arbiter[Q]) RequeueRound(r Round, now vclock.Time) {
 	a.next = (a.next + len(a.order) - 1) % len(a.order)
 }
 
-// AbortJobs implements Recoverable: every queue strips the failed jobs
-// (a queue ignores ids it never saw).
-func (a *Arbiter[Q]) AbortJobs(ids []JobID, now vclock.Time) {
-	for _, file := range a.order {
-		a.queues[file].AbortJobs(ids, now)
-	}
-}
-
 // PendingJobs implements Scheduler.
 func (a *Arbiter[Q]) PendingJobs() int {
 	total := 0

@@ -126,29 +126,6 @@ func TestMultiFIFORequeueReformsRound(t *testing.T) {
 	f.RoundDone(r2, 3)
 }
 
-func TestMultiFIFOAbortJobs(t *testing.T) {
-	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := f.Submit(jobOn(i, "a"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, _ := f.NextRound(0) // job 1 running
-	f.RoundDone(r, 1)
-	// Abort the running job (1) and a queued job (3).
-	f.AbortJobs([]JobID{1, 3}, 2)
-	if f.PendingJobs() != 1 {
-		t.Fatalf("pending = %d, want 1 (job 2)", f.PendingJobs())
-	}
-	_, completed := drain(t, f)
-	if len(completed) != 1 || completed[0] != 2 {
-		t.Fatalf("completed = %v, want [2]", completed)
-	}
-}
-
 func TestMultiFIFOProtocolViolationsPanic(t *testing.T) {
 	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
 	if err != nil {
@@ -284,7 +261,7 @@ func TestMultiMRShareConstructorErrors(t *testing.T) {
 	}
 }
 
-func TestMultiMRShareRequeueAndAbort(t *testing.T) {
+func TestMultiMRShareRequeueAndIdleProtocol(t *testing.T) {
 	m, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)},
 		batchPlans(map[string][]int{"a": {1, 1}}), nil)
 	if err != nil {
@@ -303,12 +280,15 @@ func TestMultiMRShareRequeueAndAbort(t *testing.T) {
 		t.Fatalf("requeued round = %+v, want segment %d", r2, r1.Segment)
 	}
 	m.RoundDone(r2, 3)
-	m.AbortJobs([]JobID{1}, 4)
+	r2, _ = m.NextRound(4)
+	if done := m.RoundDone(r2, 4); len(done) != 1 || done[0] != 1 {
+		t.Fatalf("last segment retired %v, want [1]", done)
+	}
 	if m.PendingJobs() != 0 {
-		t.Fatalf("pending after abort = %d", m.PendingJobs())
+		t.Fatalf("pending after the last segment = %d", m.PendingJobs())
 	}
 	if _, ok := m.NextRound(5); ok {
-		t.Fatal("aborted job still scheduled")
+		t.Fatal("finished job still scheduled")
 	}
 
 	mustPanic(t, "RoundDone idle", func() { m.RoundDone(r2, 6) })

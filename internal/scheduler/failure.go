@@ -29,15 +29,6 @@ func (e *RoundLostError) Error() string {
 
 func (e *RoundLostError) Unwrap() error { return e.Err }
 
-// JobFailure is one job's terminal failure surfaced by an executor: the
-// job's own map or reduce code failed, independent of infrastructure
-// faults. The driver isolates it — the job is aborted, the rest of the
-// workload continues.
-type JobFailure struct {
-	ID  JobID
-	Err error
-}
-
 // Recoverable is implemented by schedulers that can recover from
 // partial failure. S^3 extends its dynamic sub-job adjustment to
 // failure: a lost segment round requeues the affected sub-jobs at the
@@ -49,7 +40,4 @@ type Recoverable interface {
 	// next NextRound re-forms a round over the same segment (possibly
 	// with newly aligned jobs). Called instead of RoundDone.
 	RequeueRound(r Round, now vclock.Time)
-	// AbortJobs removes failed jobs from all future rounds. Called with
-	// no round in flight. Aborted ids never complete.
-	AbortJobs(ids []JobID, now vclock.Time)
 }

@@ -153,29 +153,5 @@ func (f *FIFO) RequeueRound(r Round, now vclock.Time) {
 	f.log.Addf(now, trace.SubJobRequeued, int(f.cur.job.ID), r.Segment, "fifo round lost; resubmitting")
 }
 
-// AbortJobs implements Recoverable: failed jobs leave the waiting
-// queue, and a failed running job is dropped mid-file.
-func (f *FIFO) AbortJobs(ids []JobID, now vclock.Time) {
-	drop := make(map[JobID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	queue := f.queue[:0]
-	for _, j := range f.queue {
-		if drop[j.ID] {
-			f.pending--
-			f.log.Addf(now, trace.JobAborted, int(j.ID), -1, "fifo (queued)")
-			continue
-		}
-		queue = append(queue, j)
-	}
-	f.queue = queue
-	if f.cur != nil && drop[f.cur.job.ID] {
-		f.log.Addf(now, trace.JobAborted, int(f.cur.job.ID), f.cur.next, "fifo (running)")
-		f.cur = nil
-		f.pending--
-	}
-}
-
 // PendingJobs implements Scheduler.
 func (f *FIFO) PendingJobs() int { return f.pending }

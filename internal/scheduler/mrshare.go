@@ -24,17 +24,13 @@ type MRShare struct {
 	sizes []int
 
 	seen      map[JobID]bool
-	submitted int       // total jobs submitted so far
-	filling   []JobMeta // members of the batch currently accumulating
-	// fillAborted counts jobs aborted out of the filling batch; they
-	// still occupy their slot in the batch plan so the batch becomes
-	// ready at the same submission count.
-	fillAborted int
-	fillIdx     int         // index of the batch being filled
-	ready       [][]JobMeta // complete batches awaiting execution, FIFO
-	cur         *mrshareRun
-	inFlight    bool
-	pending     int
+	submitted int         // total jobs submitted so far
+	filling   []JobMeta   // members of the batch currently accumulating
+	fillIdx   int         // index of the batch being filled
+	ready     [][]JobMeta // complete batches awaiting execution, FIFO
+	cur       *mrshareRun
+	inFlight  bool
+	pending   int
 }
 
 type mrshareRun struct {
@@ -86,11 +82,10 @@ func (m *MRShare) Submit(job JobMeta, at vclock.Time) error {
 	m.submitted++
 	m.pending++
 	m.filling = append(m.filling, job.Normalized())
-	m.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "mrshare batch %d (%d/%d)", m.fillIdx, len(m.filling)+m.fillAborted, m.sizes[m.fillIdx])
-	if len(m.filling)+m.fillAborted == m.sizes[m.fillIdx] {
+	m.log.Addf(at, trace.JobSubmitted, int(job.ID), -1, "mrshare batch %d (%d/%d)", m.fillIdx, len(m.filling), m.sizes[m.fillIdx])
+	if len(m.filling) == m.sizes[m.fillIdx] {
 		m.ready = append(m.ready, m.filling)
 		m.filling = nil
-		m.fillAborted = 0
 		m.fillIdx++
 	}
 	return nil
@@ -157,46 +152,6 @@ func (m *MRShare) RequeueRound(r Round, now vclock.Time) {
 	}
 	m.inFlight = false
 	m.log.Addf(now, trace.SubJobRequeued, -1, r.Segment, "mrshare batch round lost; resubmitting")
-}
-
-// AbortJobs implements Recoverable: failed jobs are removed from the
-// running batch and from batches not yet started. A batch whose last
-// member is aborted dissolves.
-func (m *MRShare) AbortJobs(ids []JobID, now vclock.Time) {
-	drop := make(map[JobID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	strip := func(jobs []JobMeta, where string) []JobMeta {
-		kept := jobs[:0]
-		for _, j := range jobs {
-			if drop[j.ID] {
-				m.pending--
-				m.log.Addf(now, trace.JobAborted, int(j.ID), -1, "mrshare (%s)", where)
-				continue
-			}
-			kept = append(kept, j)
-		}
-		return kept
-	}
-	if m.cur != nil {
-		m.cur.jobs = strip(m.cur.jobs, "running")
-		if len(m.cur.jobs) == 0 {
-			m.cur = nil
-		}
-	}
-	ready := m.ready[:0]
-	for _, batch := range m.ready {
-		if batch = strip(batch, "ready"); len(batch) > 0 {
-			ready = append(ready, batch)
-		}
-	}
-	m.ready = ready
-	// Jobs still filling a batch keep their slot in the batch plan: the
-	// batch becomes ready at the same submission count, just smaller.
-	before := len(m.filling)
-	m.filling = strip(m.filling, "filling")
-	m.fillAborted += before - len(m.filling)
 }
 
 // PendingJobs implements Scheduler.

@@ -42,9 +42,6 @@ const (
 	// SubJobRequeued records a sub-job returned to the queue after its
 	// round was lost; the segment cursor does not advance past it.
 	SubJobRequeued
-	// JobAborted records a job removed from scheduling after a terminal
-	// failure of its own map/reduce code.
-	JobAborted
 	// TaskCommitted records a map attempt winning its block's commit
 	// race — the output every batched job sees for the block.
 	TaskCommitted
@@ -105,7 +102,6 @@ var kindNames = map[Kind]string{
 	AttemptFailed:    "attempt-failed",
 	NodeDown:         "node-down",
 	SubJobRequeued:   "subjob-requeued",
-	JobAborted:       "job-aborted",
 	TaskCommitted:    "task-committed",
 	TaskSpeculated:   "task-speculated",
 	TaskDispatched:   "task-dispatched",

@@ -414,10 +414,12 @@ func (wf *File) validate(lines *lineIndex) error {
 		// Resolve the input: a declared file, or the derived output of
 		// one of this job's dependencies.
 		content := ""
+		var producer scheduler.JobID
 		if fi, ok := fileIdx[j.File]; ok {
 			content = wf.Files[fi].Content
 		} else {
-			producer, derived := wf.DerivedProducer(j.File)
+			var derived bool
+			producer, derived = wf.DerivedProducer(j.File)
 			switch {
 			case !derived:
 				return at(jl, fmt.Errorf("workload %q: job %d reads unknown file %q", h.Name, j.ID, j.File))
@@ -460,6 +462,9 @@ func (wf *File) validate(lines *lineIndex) error {
 			}
 			if k, err := strconv.Atoi(j.Param); err != nil || k < 1 {
 				return at(jl, fmt.Errorf("workload %q: job %d: topk param must be a positive integer k, got %q", h.Name, j.ID, j.Param))
+			}
+			if wf.Jobs[jobIdx[producer]].Factory == FactorySelection {
+				return at(jl, fmt.Errorf("workload %q: job %d (%s) reads job %d's output, and a selection's values are rows, not counts", h.Name, j.ID, j.Factory, producer))
 			}
 		default:
 			return at(jl, fmt.Errorf("workload %q: job %d has unknown factory %q", h.Name, j.ID, j.Factory))

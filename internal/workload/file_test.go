@@ -189,6 +189,12 @@ func TestParseFileV3Errors(t *testing.T) {
 			header + file + job1 +
 				`{"kind":"job","id":2,"at":0,"file":"job-1.out","factory":"topk","param":"0","dependsOn":[1]}` + "\n",
 			4, "positive integer k"},
+		{"topk over a selection",
+			header + file +
+				`{"kind":"file","name":"li","content":"lineitem","blocks":4,"blockBytes":64,"segmentBlocks":2}` + "\n" +
+				`{"kind":"job","id":1,"at":0,"file":"li","factory":"selection","param":"10"}` + "\n" +
+				`{"kind":"job","id":2,"at":0,"file":"job-1.out","factory":"topk","param":"3","dependsOn":[1]}` + "\n",
+			5, "a selection's values are rows, not counts"},
 		{"DAG over meta file",
 			header + strings.Replace(file, `"content":"text"`, `"content":"meta"`, 1) + job1 +
 				`{"kind":"job","id":2,"at":0,"file":"job-1.out","factory":"topk","param":"3","dependsOn":[1]}` + "\n",
