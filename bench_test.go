@@ -80,16 +80,9 @@ func BenchmarkFig3SimPaperScale(b *testing.B) {
 // S^3-normalized metrics.
 func benchPanel(b *testing.B, panel string) {
 	b.Helper()
-	f, err := os.Open("bench/fig4-" + panel + ".jsonl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wf, err := workload.ParseFile(f)
-	f.Close()
-	if err != nil {
-		b.Fatal(err)
-	}
+	wf := benchWorkload(b, "bench/fig4-"+panel+".jsonl")
 	var rep *benchfmt.Report
+	var err error
 	for i := 0; i < b.N; i++ {
 		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.Fig4Schemes()})
 		if err != nil {
@@ -101,6 +94,21 @@ func benchPanel(b *testing.B, panel string) {
 		b.ReportMetric(c.TET/s3.TET, c.Key.Scheduler+"-TET/s3")
 		b.ReportMetric(c.ART/s3.ART, c.Key.Scheduler+"-ART/s3")
 	}
+}
+
+// benchWorkload parses the workload file at path.
+func benchWorkload(b *testing.B, path string) *workload.File {
+	b.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	wf, err := workload.ParseFile(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wf
 }
 
 // BenchmarkFig4aSparseNormal64 — Figure 4(a): sparse pattern, normal
@@ -186,17 +194,29 @@ func BenchmarkAblationPartialAgg(b *testing.B) {
 }
 
 // BenchmarkAblationSegmentSize — X4: segment width vs the ideal
-// one-block-per-slot (§IV-B).
+// one-block-per-slot (§IV-B): fig4-a's s3 cell at 20, 40 and 80 blocks
+// per segment.
 func BenchmarkAblationSegmentSize(b *testing.B) {
-	var res experiments.AblationResult
-	var err error
+	files := []*workload.File{
+		benchWorkload(b, "cmd/s3compare/testdata/seg-20.jsonl"),
+		benchWorkload(b, "bench/fig4-a.jsonl"),
+		benchWorkload(b, "cmd/s3compare/testdata/seg-80.jsonl"),
+	}
+	reps := make([]*benchfmt.Report, len(files))
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.AblationSegmentSize(experiments.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
+		for j, wf := range files {
+			var err error
+			if reps[j], err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: []string{"s3"}}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	reportAblation(b, res)
+	for j, rep := range reps {
+		c := rep.Cells[0]
+		name := fmt.Sprintf("seg-%d", files[j].Files[0].SegmentBlocks)
+		b.ReportMetric(c.TET, name+"-TET")
+		b.ReportMetric(c.ART, name+"-ART")
+	}
 }
 
 func reportAblation(b *testing.B, res experiments.AblationResult) {
@@ -406,15 +426,24 @@ func BenchmarkS3SchedulerThroughput(b *testing.B) {
 }
 
 // BenchmarkSimExecutorRound measures the cost-model pricing of one
-// 40-block round with a 10-job batch.
+// 40-block round carrying fig4-a's ten jobs.
 func BenchmarkSimExecutorRound(b *testing.B) {
-	env, err := experiments.NewEnv(experiments.WordcountGB, 64, experiments.NormalModel())
+	wf := benchWorkload(b, "bench/fig4-a.jsonl")
+	h, spec := &wf.Header, &wf.Files[0]
+	store := dfs.MustStore(h.Nodes, h.Replicas)
+	f, err := spec.AddTo(store)
 	if err != nil {
 		b.Fatal(err)
 	}
-	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-	metas := workload.WordCountMetas(10, "input", 1, 1)
-	r := scheduler.Round{Segment: 0, Blocks: env.Plan.Blocks(0), Jobs: metas, FreshJobs: 1}
+	plan, err := dfs.PlanSegments(f, spec.SegmentBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec := sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, *h.Cost)
+	r := scheduler.Round{Segment: 0, Blocks: plan.Blocks(0), FreshJobs: 1}
+	for _, a := range wf.Entries() {
+		r.Jobs = append(r.Jobs, a.Job.Normalized())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.ExecRound(r); err != nil {

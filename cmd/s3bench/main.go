@@ -1,15 +1,17 @@
 // Command s3bench regenerates the paper's evaluation (§V) that is not
-// a workload file and prints rows in the paper's presentation: Table I
-// workload profile, Figure 3 combined-job cost, the §III analytic
-// examples, the DESIGN.md ablations and the beyond-paper studies.
-// Figure 4's six panels, like every other scheduler comparison, are
-// workload files run by s3compare (bench/fig4-a.jsonl … fig4-f.jsonl).
+// a comparison of schedulers over one workload file, and prints rows in
+// the paper's presentation: Table I workload profile, Figure 3
+// combined-job cost, the DESIGN.md ablations X1 and X3 and the
+// beyond-paper studies. Figure 4's six panels, §III's examples and
+// ablation X4, like every other scheduler comparison, are workload
+// files run by s3compare (bench/fig4-a.jsonl … fig4-f.jsonl,
+// cmd/s3compare/testdata/{examples,seg}-*.jsonl).
 //
 // Usage:
 //
 //	s3bench                 # run everything
 //	s3bench -exp table1     # one experiment
-//	s3bench -exp ablations  # X1, X3, X4
+//	s3bench -exp ablations  # X1, X3
 //
 // Two subcommands carry their own flags (s3bench <subcommand> -h):
 //
@@ -24,7 +26,6 @@ import (
 	"os"
 
 	"s3sched/internal/experiments"
-	"s3sched/internal/vclock"
 )
 
 // subcommands each parse their own flags and print to stdout.
@@ -59,7 +60,7 @@ func main() {
 	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
 		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
 	}
-	exp := flag.String("exp", "all", "experiment: table1|fig3|examples|ablations|jitter|poisson|estimator|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig3|ablations|jitter|poisson|estimator|all")
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -98,7 +99,7 @@ var experimentList = []struct {
 	name string
 	run  func() error
 }{
-	{"table1", runTable1}, {"fig3", runFig3}, {"examples", runExamples}, {"ablations", runAblations},
+	{"table1", runTable1}, {"fig3", runFig3}, {"ablations", runAblations},
 	{"jitter", runJitter}, {"poisson", runPoisson}, {"estimator", runEstimator},
 }
 
@@ -144,30 +145,6 @@ func runFig3() error {
 		fmt.Printf("%4d %12s %12s %12s %9.2fx\n", p.Jobs, p.Total, p.MapTime, p.Reduce, p.VsSingle)
 	}
 	fmt.Println("(paper: 1.255x at n=10)")
-	fmt.Println()
-	return nil
-}
-
-func runExamples() error {
-	fmt.Println("== §III Examples 1-3: two 100s jobs, second arriving at +20s / +80s ==")
-	fmt.Printf("%-9s %8s %8s %8s   %8s %8s\n", "", "offset", "TET", "ART", "paperTET", "paperART")
-	type expect struct {
-		scheme   string
-		offset   vclock.Time
-		tet, art float64
-	}
-	cases := []expect{
-		{"fifo", 20, 200, 140}, {"mrshare", 20, 120, 110}, {"s3", 20, 120, 100},
-		{"fifo", 80, 200, 110}, {"mrshare", 80, 180, 140}, {"s3", 80, 180, 100},
-	}
-	for _, c := range cases {
-		tet, art, err := experiments.TwoJobExample(c.scheme, c.offset)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-9s %8v %8.0f %8.0f   %8.0f %8.0f\n",
-			c.scheme, c.offset, tet.Seconds(), art.Seconds(), c.tet, c.art)
-	}
 	fmt.Println()
 	return nil
 }

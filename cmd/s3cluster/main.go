@@ -6,19 +6,14 @@
 //	s3cluster -role master -control 127.0.0.1:7000 -minworkers 2
 //	s3cluster -role worker -master 127.0.0.1:7000
 //
-// In this registration mode (the default deployment topology) workers
-// dial the master's control address, register with their identity and
-// block inventory, and heartbeat; a worker killed and restarted
-// re-registers and rejoins the run in flight, while the master requeues
-// whatever rounds its death interrupted. The legacy static topology —
-// the master dialing a fixed worker list — remains available:
+// Workers dial the master's control address, register with their
+// identity and block inventory, and heartbeat; a worker killed and
+// restarted re-registers and rejoins the run in flight, while the
+// master requeues whatever rounds its death interrupted.
 //
-//	s3cluster -role worker -listen 127.0.0.1:7001
-//	s3cluster -role master -workers 127.0.0.1:7001,127.0.0.1:7002
-//
-// Both run their -jobs seed through the admission path HTTP submissions
-// take; without -serve admission then closes, and the run drains, prints
-// its summary and exits. With -serve, the master (or demo) stays up as a
+// Master and demo run their -jobs seed through the admission path HTTP
+// submissions take; without -serve admission then closes, and the run
+// drains, prints its summary and exits. With -serve, the master (or demo) stays up as a
 // daemon after its initial jobs finish and accepts live submissions over
 // HTTP:
 //
@@ -42,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,10 +57,9 @@ import (
 var (
 	role         = flag.String("role", "demo", "demo | worker | master")
 	listen       = flag.String("listen", "127.0.0.1:0", "worker: address to serve tasks on")
-	workerStr    = flag.String("workers", "", "master: comma-separated worker addresses (legacy static topology)")
 	masterAddr   = flag.String("master", "", "worker: master control address to register with (registration mode)")
 	workerID     = flag.String("id", "", "worker: stable identity for registration (default worker@<task address>)")
-	ctrlAddr     = flag.String("control", "", "master: control-plane listen address for worker registration (dynamic membership mode)")
+	ctrlAddr     = flag.String("control", "", "master: control-plane listen address for worker registration ")
 	minWorkers   = flag.Int("minworkers", 1, "master: registered workers to wait for before driving rounds")
 	hb           = flag.Duration("hb", remote.DefaultHeartbeat, "worker: heartbeat interval; master: expected worker heartbeat interval (suspect/dead deadlines scale from it)")
 	blocks       = flag.Int("blocks", 24, "corpus blocks (must match across the cluster)")
@@ -179,36 +172,26 @@ func runWorker() error {
 }
 
 func runMaster() error {
-	if *ctrlAddr != "" {
-		// Dynamic membership: listen for worker registrations and gate
-		// round-driving on the expected cluster size. The control-plane
-		// deadlines scale from the heartbeat interval the workers were
-		// told to use.
-		master := remote.NewMaster(nil)
-		cfg := remote.ControlConfig{
-			SuspectAfter: *hb * 5 / 2,
-			DeadAfter:    *hb * 5,
-		}
-		bound, err := master.ListenControl(*ctrlAddr, cfg)
-		if err != nil {
-			return err
-		}
-		defer master.Close()
-		fmt.Printf("control plane on %s; waiting for %d worker(s)\n", bound, *minWorkers)
-		if err := master.WaitForWorkers(*minWorkers, 5*time.Minute); err != nil {
-			return err
-		}
-		return drive(master)
+	if *ctrlAddr == "" {
+		return fmt.Errorf("master needs -control, the address workers register at")
 	}
-	addrs := strings.Split(*workerStr, ",")
-	if len(addrs) == 0 || addrs[0] == "" {
-		return fmt.Errorf("master needs -control (registration mode) or -workers (static topology)")
+	// Listen for worker registrations and gate round-driving on the
+	// expected cluster size. The control-plane deadlines scale from the
+	// heartbeat interval the workers were told to use.
+	master := remote.NewMaster(nil)
+	cfg := remote.ControlConfig{
+		SuspectAfter: *hb * 5 / 2,
+		DeadAfter:    *hb * 5,
 	}
-	master, err := remote.Dial(addrs, nil)
+	bound, err := master.ListenControl(*ctrlAddr, cfg)
 	if err != nil {
 		return err
 	}
 	defer master.Close()
+	fmt.Printf("control plane on %s; waiting for %d worker(s)\n", bound, *minWorkers)
+	if err := master.WaitForWorkers(*minWorkers, 5*time.Minute); err != nil {
+		return err
+	}
 	return drive(master)
 }
 

@@ -66,8 +66,10 @@ func TestCompareGoldenMarkdown(t *testing.T) {
 // TestCompareStudyGoldens pins the sim-only scheduler studies that are
 // runs of a workload file: Figure 4(a) against MRShare as 5+5, the
 // scheduler taxonomy (B5), time-window MRShare (B1), the LRU cache at
-// 4 GB and at the 2 GB cliff, and a recorded six-job submission log
-// whose JSON report carries the per-job audit.
+// 4 GB and at the 2 GB cliff, a recorded six-job submission log whose
+// JSON report carries the per-job audit, ablation X4's segments of 20
+// and 80 blocks (fig4-a's s3 cell is its 40), and §III's two-job
+// examples with the second job at +20 s and +80 s.
 func TestCompareStudyGoldens(t *testing.T) {
 	fig4a := filepath.Join("..", "..", "bench", "fig4-a.jsonl")
 	for _, tc := range []struct {
@@ -81,6 +83,10 @@ func TestCompareStudyGoldens(t *testing.T) {
 		{"lru-4096", "md", []string{"-workload", "testdata/lru-4096.jsonl", "-schedulers", "s3,fifo", "-caches", "on"}},
 		{"lru-2048", "md", []string{"-workload", "testdata/lru-2048.jsonl", "-schedulers", "s3", "-caches", "on"}},
 		{"replay", "json", []string{"-workload", "testdata/replay.jsonl", "-schedulers", "s3,fifo,w120=window:120:10"}},
+		{"seg-20", "md", []string{"-workload", "testdata/seg-20.jsonl", "-schedulers", "s3"}},
+		{"seg-80", "md", []string{"-workload", "testdata/seg-80.jsonl", "-schedulers", "s3"}},
+		{"examples-20", "md", []string{"-workload", "testdata/examples-20.jsonl", "-schedulers", "fifo,mrshare,s3"}},
+		{"examples-80", "md", []string{"-workload", "testdata/examples-80.jsonl", "-schedulers", "fifo,mrshare,s3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append(tc.args, "-engines", "sim")

@@ -9,24 +9,41 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
+	"s3sched/internal/benchfmt"
 	"s3sched/internal/experiments"
-	"s3sched/internal/vclock"
+	"s3sched/internal/workload"
 )
+
+// twoJobs is the workload file cmd/s3compare/testdata/examples-20.jsonl
+// with the second job's arrival left to fill in (%d seconds after the
+// first): a 10-block file on one map slot, each block a 10-second
+// segment.
+const twoJobs = `{"kind":"workload","version":1,"name":"examples","nodes":1,"slotsPerNode":1,"replicas":1,"cost":{"scanMBps":6.4}}
+{"kind":"file","name":"input","content":"meta","blocks":10,"blockBytes":67108864,"segmentBlocks":1}
+{"kind":"job","id":1,"at":0,"file":"input","factory":"wordcount","param":"t"}
+{"kind":"job","id":2,"at":%d,"file":"input","factory":"wordcount","param":"a"}
+`
 
 func main() {
 	fmt.Println("two 100s jobs; J2 arrives at offset t (10s segment granularity)")
 	fmt.Printf("%8s | %8s %8s | %8s %8s | %8s %8s\n",
 		"offset", "fifoTET", "fifoART", "mrsTET", "mrsART", "s3TET", "s3ART")
+	schemes := []string{"fifo", "mrshare", "s3"}
 	for off := 0; off <= 100; off += 10 {
+		wf, err := workload.ParseFile(strings.NewReader(fmt.Sprintf(twoJobs, off)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: schemes, Engines: []string{benchfmt.EngineSim}})
+		if err != nil {
+			log.Fatal(err)
+		}
 		row := fmt.Sprintf("%7ds |", off)
-		for _, scheme := range []string{"fifo", "mrshare", "s3"} {
-			// A fresh 10-segment, 100-second-per-job environment per run.
-			tet, art, err := experiments.TwoJobExample(scheme, vclock.Time(off))
-			if err != nil {
-				log.Fatal(err)
-			}
-			row += fmt.Sprintf(" %8.0f %8.0f", tet.Seconds(), art.Seconds())
+		for _, scheme := range schemes {
+			c := rep.Cell(benchfmt.CellKey{Scheduler: scheme, Engine: benchfmt.EngineSim})
+			row += fmt.Sprintf(" %8.0f %8.0f", c.TET, c.ART)
 			if scheme != "s3" {
 				row += " |"
 			}

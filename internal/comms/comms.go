@@ -164,7 +164,7 @@ type WorkerInfo struct {
 	ID       string `json:"id"`
 	TaskAddr string `json:"taskAddr"`
 	State    string `json:"state"`
-	// Static marks boot-time -workers members that never heartbeat.
+	// Static marks members dialled at boot (remote.Dial) that never heartbeat.
 	Static bool `json:"static,omitempty"`
 	// MapSlots is the worker's share of a segment's width: what it
 	// advertised when it registered, one for a static member.

@@ -16,12 +16,14 @@ import (
 )
 
 // Ablations quantify the design choices DESIGN.md §5 calls out:
-// X1 periodic slot checking under heterogeneity (§IV-D1),
-// X3 partial-output aggregation (§V-G),
-// X4 segment size = concurrent map slots (§IV-B).
+// X1 periodic slot checking under heterogeneity (§IV-D1) and
+// X3 partial-output aggregation (§V-G).
 // X2 (dynamic sub-job adjustment, §IV-D2) and X5 (the circular scan,
 // §IV-B) vary only the scheme, so they are the s3-static and
-// s3-nocircular cells of bench/fig4-*.jsonl (Fig4Schemes).
+// s3-nocircular cells of bench/fig4-*.jsonl (Fig4Schemes). X4 (segment
+// size = concurrent map slots, §IV-B) varies only the file's
+// segmentBlocks: it is cmd/s3compare/testdata/seg-{20,80}.jsonl beside
+// fig4-a's 40.
 
 // AblationRow is one variant's outcome.
 type AblationRow struct {
@@ -60,42 +62,49 @@ func (a AblationResult) String() string {
 	return out
 }
 
-// ablationRow reports one variant's run as a table row.
-func ablationRow(run SimRun) AblationRow {
-	return AblationRow{
-		Name:   run.Summary.Scheme,
-		TET:    run.Summary.TET,
-		ART:    run.Summary.ART,
-		Rounds: run.Result.Rounds,
-		Extra:  map[string]float64{"blockScans": float64(run.Stats.BlocksScanned)},
-	}
-}
-
 // AblationSlotChecking (X1): a straggler node at 25% speed paces every
-// round of plain S^3; DynamicS3 with a slot checker excludes it and
-// re-sizes segments to the healthy nodes.
+// round of plain S^3 on Figure 4(a)'s workload; DynamicS3 with a slot
+// checker excludes it and re-sizes segments to the healthy nodes.
 func AblationSlotChecking(p Params) (AblationResult, error) {
-	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
+	wf, err := Fig4Workload("a", p)
+	if err != nil {
+		return AblationResult{}, err
+	}
 	straggler := 5 // arbitrary node id
 	out := AblationResult{
 		ID:   "X1",
 		Note: "periodic slot checking under a 0.25x straggler node (§IV-D1)",
 	}
-	for _, variant := range []func(*sim.Cluster) SchemeSpec{
-		// Plain S3: the straggler paces all rounds.
-		func(*sim.Cluster) SchemeSpec { return schemes("s3-nocheck=s3")[0] },
-		slotCheckScheme,
-	} {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
+	for _, slotCheck := range []bool{false, true} {
+		env, err := newCellEnv(wf)
 		if err != nil {
 			return AblationResult{}, err
 		}
-		env.Cluster.SetSpeed(straggler, 0.25)
-		run, err := Simulate(env, variant(env.Cluster), arrivals)
+		env.cluster.SetSpeed(straggler, 0.25)
+		scheme := schemes("s3-nocheck=s3")[0] // plain S3: the straggler paces all rounds
+		if slotCheck {
+			scheme = slotCheckScheme(env.cluster)
+		}
+		sched, err := scheme.Make(env.plans, env.readers)
 		if err != nil {
 			return AblationResult{}, err
 		}
-		out.Rows = append(out.Rows, ablationRow(run))
+		exec := sim.NewExecutor(env.cluster, env.store, env.model)
+		res, err := runtime.RunTrace(sched, exec, wf.Entries(), runtime.Options{})
+		if err != nil {
+			return AblationResult{}, err
+		}
+		sum, err := res.Metrics.Summarize(scheme.Name)
+		if err != nil {
+			return AblationResult{}, err
+		}
+		out.Rows = append(out.Rows, AblationRow{
+			Name:   scheme.Name,
+			TET:    sum.TET,
+			ART:    sum.ART,
+			Rounds: res.Rounds,
+			Extra:  map[string]float64{"blockScans": float64(exec.Stats().BlocksScanned)},
+		})
 	}
 	return out, nil
 }
@@ -113,31 +122,6 @@ func slotCheckScheme(cluster *sim.Cluster) SchemeSpec {
 		}
 		return core.NewDynamic(plan.File(), all, SlotsPerNode, checker, nil)
 	})
-}
-
-// AblationSegmentSize (X4): blocks per segment below, at, and above
-// the cluster's concurrent map slots (§IV-B says equal is ideal).
-func AblationSegmentSize(p Params) (AblationResult, error) {
-	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
-	out := AblationResult{
-		ID:   "X4",
-		Note: "segment size vs the ideal one-block-per-slot (§IV-B)",
-	}
-	for _, per := range []int{Nodes / 2, Nodes, Nodes * 2} {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		if env.Plan, err = dfs.PlanSegments(env.Plan.File(), per); err != nil {
-			return AblationResult{}, err
-		}
-		run, err := Simulate(env, schemes(fmt.Sprintf("seg-%d=s3", per))[0], arrivals)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Rows = append(out.Rows, ablationRow(run))
-	}
-	return out, nil
 }
 
 // AblationPartialAgg (X3): wordcount through S^3 with and without
@@ -234,6 +218,5 @@ func partialAggWordcount(partialAgg bool) (map[scheduler.JobID]*mapreduce.Result
 func AllAblations(p Params) ([]AblationResult, error) {
 	x1, err1 := AblationSlotChecking(p)
 	x3, err3 := AblationPartialAgg()
-	x4, err4 := AblationSegmentSize(p)
-	return []AblationResult{x1, x3, x4}, errors.Join(err1, err3, err4)
+	return []AblationResult{x1, x3}, errors.Join(err1, err3)
 }

@@ -212,44 +212,74 @@ func RunCompare(wf *workload.File, opts CompareOptions) (*benchfmt.Report, error
 	return report, nil
 }
 
+// cellEnv is a workload file's virtual-time environment: a store
+// holding every declared file, one segment plan per file, the number of
+// jobs reading each, a simulated cluster of the header's shape and the
+// cost model the header pins.
+type cellEnv struct {
+	store   *dfs.Store
+	plans   []*dfs.SegmentPlan
+	readers map[string]int
+	cluster *sim.Cluster
+	model   sim.CostModel
+}
+
+// newCellEnv builds wf's environment from scratch. It is the one
+// builder of virtual-time environments: every cell, and every study
+// that drives a run by hand, starts from it.
+func newCellEnv(wf *workload.File) (*cellEnv, error) {
+	h := &wf.Header
+	store, err := dfs.NewStore(h.Nodes, h.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	env := &cellEnv{
+		store:   store,
+		readers: make(map[string]int, len(wf.Files)),
+		cluster: sim.NewCluster(h.Nodes, h.SlotsPerNode),
+		model:   NormalModel(),
+	}
+	for i := range wf.Files {
+		file, err := wf.Files[i].AddTo(store)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := dfs.PlanSegments(file, wf.Files[i].SegmentBlocks)
+		if err != nil {
+			return nil, err
+		}
+		env.plans = append(env.plans, plan)
+	}
+	for i := range wf.Jobs {
+		env.readers[wf.Jobs[i].File]++
+	}
+	if h.Cost != nil {
+		env.model = *h.Cost
+	}
+	return env, nil
+}
+
 // runCell runs one matrix configuration from a completely fresh
 // environment (store, scheduler, executor), so cells cannot contaminate
 // each other.
 func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDigest string, refBlocks map[scheduler.JobID]int) (benchfmt.Cell, error) {
 	h := &wf.Header
-	store, err := dfs.NewStore(h.Nodes, h.Replicas)
+	env, err := newCellEnv(wf)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
-	plans := make([]*dfs.SegmentPlan, len(wf.Files))
-	readers := make(map[string]int, len(wf.Files))
-	for i := range wf.Files {
-		file, err := wf.Files[i].AddTo(store)
-		if err != nil {
-			return benchfmt.Cell{}, err
-		}
-		plans[i], err = dfs.PlanSegments(file, wf.Files[i].SegmentBlocks)
-		if err != nil {
-			return benchfmt.Cell{}, err
-		}
-	}
-	for i := range wf.Jobs {
-		readers[wf.Jobs[i].File]++
-	}
-	sched, err := scheme.Make(plans, readers)
+	sched, err := scheme.Make(env.plans, env.readers)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
-	model := NormalModel()
-	if h.Cost != nil {
-		model = *h.Cost
-	}
+	// The cell's pricer: its executor in a sim cell, the timer beside
+	// the workers in an engine cell.
+	simExec := sim.NewExecutor(env.cluster, env.store, env.model)
 
 	var exec runtime.Executor
 	var cluster *remote.Local
 	switch key.Engine {
 	case benchfmt.EngineSim:
-		simExec := sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model)
 		if key.Cache {
 			// A v1 workload (no cachePolicy) prices under plain LRU; a v2
 			// policy is driven by the scheduler's scan hints.
@@ -282,10 +312,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		// The timer sibling prices the same rounds the workers execute,
 		// over the planning store, so engine cells get the sim's
 		// deterministic virtual timings.
-		exec = &pricedExec{
-			inner: cluster.Master,
-			timer: sim.NewExecutor(sim.NewCluster(h.Nodes, h.SlotsPerNode), store, model),
-		}
+		exec = &pricedExec{inner: cluster.Master, timer: simExec}
 	default:
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
@@ -296,7 +323,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		// a trace; a finished producer's output is materialized into the
 		// cell's store, its segment plan registered with the scheduler,
 		// and its dependents released into the same circular pass.
-		mat := cellMaterializer(wf, key, store, sched, cluster, model, refBlocks)
+		mat := cellMaterializer(wf, key, env, sched, cluster, refBlocks)
 		coord, cerr := pipeline.NewCoordinator(wf.Stages(), mat)
 		if cerr != nil {
 			return benchfmt.Cell{}, cerr
@@ -406,10 +433,9 @@ func jobRef(j *workload.FileJob) remote.JobRef {
 func cellMaterializer(
 	wf *workload.File,
 	key benchfmt.CellKey,
-	store *dfs.Store,
+	env *cellEnv,
 	sched scheduler.Scheduler,
 	cluster *remote.Local,
-	model sim.CostModel,
 	refBlocks map[scheduler.JobID]int,
 ) pipeline.Materializer {
 	consumers := derivedConsumers(wf)
@@ -429,13 +455,13 @@ func cellMaterializer(
 			if err != nil {
 				return 0, err
 			}
-			if file, err = mapreduce.StoreResult(store, name, blockBytes, &mapreduce.Result{Output: out}); err != nil {
+			if file, err = mapreduce.StoreResult(env.store, name, blockBytes, &mapreduce.Result{Output: out}); err != nil {
 				return 0, err
 			}
 			if want, ok := refBlocks[id]; ok && file.NumBlocks != want {
 				return 0, fmt.Errorf("derived file %q is %d blocks, solo reference wrote %d", name, file.NumBlocks, want)
 			}
-			if err := cluster.InstallStored(store, name); err != nil {
+			if err := cluster.InstallStored(env.store, name); err != nil {
 				return 0, err
 			}
 		} else {
@@ -443,7 +469,7 @@ func cellMaterializer(
 			if !ok {
 				return 0, fmt.Errorf("no reference block count for job %d's output", id)
 			}
-			file, err = store.AddMetaFile(name, want, blockBytes)
+			file, err = env.store.AddMetaFile(name, want, blockBytes)
 			if err != nil {
 				return 0, err
 			}
@@ -459,7 +485,7 @@ func cellMaterializer(
 		if err := reg.AddPlan(plan, n); err != nil {
 			return 0, err
 		}
-		return model.MaterializeDelay(int64(file.NumBlocks) * blockBytes), nil
+		return env.model.MaterializeDelay(int64(file.NumBlocks) * blockBytes), nil
 	}
 }
 
@@ -490,7 +516,6 @@ func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 // derived file's block count is recorded — the geometry sim cells
 // price materialized stage outputs under.
 func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
-	h := &wf.Header
 	order, err := pipeline.Order(wf.Stages())
 	if err != nil {
 		return "", nil, err
@@ -500,14 +525,9 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 	refBlocks := make(map[scheduler.JobID]int)
 	for _, i := range order {
 		j := &wf.Jobs[i]
-		store, err := dfs.NewStore(h.Nodes, h.Replicas)
+		env, err := newCellEnv(wf)
 		if err != nil {
 			return "", nil, err
-		}
-		for i := range wf.Files {
-			if _, err := wf.Files[i].AddTo(store); err != nil {
-				return "", nil, err
-			}
 		}
 		if producer, ok := wf.DerivedProducer(j.File); ok {
 			res, done := results[producer]
@@ -518,7 +538,7 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 			if err != nil {
 				return "", nil, err
 			}
-			file, err := mapreduce.StoreResult(store, j.File, blockBytes, &mapreduce.Result{Output: res})
+			file, err := mapreduce.StoreResult(env.store, j.File, blockBytes, &mapreduce.Result{Output: res})
 			if err != nil {
 				return "", nil, fmt.Errorf("materializing %q for job %d: %w", j.File, j.ID, err)
 			}
@@ -529,7 +549,7 @@ func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
 		if err != nil {
 			return "", nil, fmt.Errorf("job %d: %w", j.ID, err)
 		}
-		res, err := mapreduce.RunJob(store, mapreduce.JobSpec{Name: ref.Name, File: j.File, Mapper: mapper, Reducer: reducer, Combiner: combiner, NumReduce: j.NumReduce})
+		res, err := mapreduce.RunJob(env.store, mapreduce.JobSpec{Name: ref.Name, File: j.File, Mapper: mapper, Reducer: reducer, Combiner: combiner, NumReduce: j.NumReduce})
 		if err != nil {
 			return "", nil, fmt.Errorf("job %d: %w", j.ID, err)
 		}

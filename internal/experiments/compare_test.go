@@ -224,14 +224,20 @@ func TestRunCompareRejects(t *testing.T) {
 // files the CI perf gate runs.
 func committedWorkload(t *testing.T, name string) *workload.File {
 	t.Helper()
-	f, err := os.Open(filepath.Join("..", "..", "bench", name+".jsonl"))
+	return parseWorkload(t, filepath.Join("..", "..", "bench", name+".jsonl"))
+}
+
+// parseWorkload parses the workload file at path.
+func parseWorkload(t *testing.T, path string) *workload.File {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("%s workload: %v", name, err)
+		t.Fatalf("workload: %v", err)
 	}
 	defer f.Close()
 	wf, err := workload.ParseFile(f)
 	if err != nil {
-		t.Fatalf("ParseFile %s: %v", name, err)
+		t.Fatalf("ParseFile %s: %v", path, err)
 	}
 	return wf
 }

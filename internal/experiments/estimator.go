@@ -34,15 +34,18 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 	if observeAt < 3 {
 		return EstimatorResult{}, fmt.Errorf("experiments: need at least 3 observed rounds, got %d", observeAt)
 	}
-	env, err := NewEnv(WordcountGB, 64, p.Model)
+	wf, err := Fig4Workload("a", p)
 	if err != nil {
 		return EstimatorResult{}, err
 	}
-	arrivals := wordcountArrivals(p.SparsePattern(), 1, 1)
+	env, err := newCellEnv(wf)
+	if err != nil {
+		return EstimatorResult{}, err
+	}
 
-	s3 := core.New(env.Plan, nil)
+	s3 := core.New(env.plans[0], nil)
 	est := core.NewEstimator()
-	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
+	exec := sim.NewExecutor(env.cluster, env.store, env.model)
 
 	var (
 		roundStart vclock.Time
@@ -68,7 +71,7 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 			}
 		},
 	}
-	res, err := runtime.RunTrace(s3, exec, arrivals, runtime.Options{Hooks: hooks})
+	res, err := runtime.RunTrace(s3, exec, wf.Entries(), runtime.Options{Hooks: hooks})
 	if err != nil {
 		return EstimatorResult{}, err
 	}

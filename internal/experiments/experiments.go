@@ -9,15 +9,16 @@
 // model calibrated so a normal wordcount job takes ≈240 s alone
 // (Table I). Table I and Figure 3 run on the real in-process MapReduce
 // engine over scaled-down generated data, because they measure
-// execution profile rather than arrival timing.
+// execution profile rather than arrival timing. Every other study runs
+// a workload file — most of them Figure 4(a)'s, its arrivals moved or
+// multiplied — in an environment built by newCellEnv, the one builder
+// RunCompare's cells use too.
 package experiments
 
 import (
 	"fmt"
 
-	"s3sched/internal/dfs"
-	"s3sched/internal/metrics"
-	"s3sched/internal/runtime"
+	"s3sched/internal/benchfmt"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -59,108 +60,6 @@ func NormalModel() sim.CostModel {
 		ReducePerRound: 0.015, // small reduce output (1.5 MB)
 		ReduceSetup:    0.02,  // reduce-phase setup/commit per weight
 	}
-}
-
-// Env bundles the simulator state for one paper-scale run.
-type Env struct {
-	Store   *dfs.Store
-	Plan    *dfs.SegmentPlan
-	Cluster *sim.Cluster
-	Model   sim.CostModel
-}
-
-// NewEnv builds a paper-scale simulation environment: a cluster of
-// Nodes nodes over a metadata-only file "input" of inputGB gigabytes
-// in blockMB-megabyte blocks, segmented at one block per map slot.
-func NewEnv(inputGB, blockMB int, model sim.CostModel) (*Env, error) {
-	if inputGB <= 0 || blockMB <= 0 {
-		return nil, fmt.Errorf("experiments: invalid sizes inputGB=%d blockMB=%d", inputGB, blockMB)
-	}
-	return buildEnv("input", Nodes, SlotsPerNode, inputGB*1024/blockMB, int64(blockMB)<<20, model)
-}
-
-// buildEnv registers an unreplicated metadata-only file of numBlocks
-// blocks on a fresh store and segments it at one block per map slot.
-func buildEnv(file string, nodes, slots, numBlocks int, blockBytes int64, model sim.CostModel) (*Env, error) {
-	store, err := dfs.NewStore(nodes, 1)
-	if err != nil {
-		return nil, err
-	}
-	f, err := store.AddMetaFile(file, numBlocks, blockBytes)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := dfs.PlanSegments(f, nodes*slots)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Store: store, Plan: plan, Cluster: sim.NewCluster(nodes, slots), Model: model}, nil
-}
-
-// arrivalsAt pairs each job with its arrival time.
-func arrivalsAt(metas []scheduler.JobMeta, times []vclock.Time) ([]runtime.Arrival, error) {
-	if len(metas) != len(times) {
-		return nil, fmt.Errorf("experiments: %d jobs but %d arrival times", len(metas), len(times))
-	}
-	arrivals := make([]runtime.Arrival, len(metas))
-	for i := range metas {
-		arrivals[i] = runtime.Arrival{Job: metas[i], At: times[i]}
-	}
-	return arrivals, nil
-}
-
-// wordcountArrivals is one wordcount job over "input" per arrival time.
-func wordcountArrivals(times []vclock.Time, weight, reduceWeight float64) []runtime.Arrival {
-	arrivals, _ := arrivalsAt(workload.WordCountMetas(len(times), "input", weight, reduceWeight), times) // same length by construction
-	return arrivals
-}
-
-// SimRun is the outcome of one Simulate call.
-type SimRun struct {
-	Result  *runtime.Result
-	Summary metrics.Summary // labelled with the scheme's Name
-	Stats   sim.Stats
-}
-
-// Simulate is the one virtual-time run every study repeats: build
-// scheme's scheduler over env's plan, replay arrivals through a fresh
-// simulator executor over env, and summarize under the scheme's name.
-func Simulate(env *Env, scheme SchemeSpec, arrivals []runtime.Arrival) (SimRun, error) {
-	readers := make(map[string]int)
-	for _, a := range arrivals {
-		readers[a.Job.File]++
-	}
-	sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, readers)
-	if err != nil {
-		return SimRun{}, fmt.Errorf("experiments: building %s: %w", scheme.Name, err)
-	}
-	exec := sim.NewExecutor(env.Cluster, env.Store, env.Model)
-	res, err := runtime.RunTrace(sched, exec, arrivals, runtime.Options{})
-	if err != nil {
-		return SimRun{}, fmt.Errorf("experiments: running %s: %w", scheme.Name, err)
-	}
-	sum, err := res.Metrics.Summarize(scheme.Name)
-	if err != nil {
-		return SimRun{}, fmt.Errorf("experiments: summarizing %s: %w", scheme.Name, err)
-	}
-	return SimRun{Result: res, Summary: sum, Stats: exec.Stats()}, nil
-}
-
-// simulateAll replays arrivals through each scheme in turn, every one
-// on its own fresh paper-scale wordcount environment (160 GB, 64 MB
-// blocks) — a study is a list of schemes over an arrival pattern.
-func simulateAll(p Params, arrivals []runtime.Arrival, schemes []SchemeSpec) ([]SimRun, error) {
-	runs := make([]SimRun, len(schemes))
-	for i, scheme := range schemes {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return nil, err
-		}
-		if runs[i], err = Simulate(env, scheme, arrivals); err != nil {
-			return nil, err
-		}
-	}
-	return runs, nil
 }
 
 // PaperSchemes are Figure 4's five schemes (§V-D), as s3compare
@@ -216,28 +115,24 @@ func DefaultParams() Params {
 	}
 }
 
-// SparsePattern is the paper's sparse submission pattern under p.
-func (p Params) SparsePattern() []vclock.Time {
-	return workload.SparseGroups([]int{3, 3, 4}, p.IntraGap, p.InterGap)
-}
-
-// DensePattern is the dense submission pattern under p.
-func (p Params) DensePattern() []vclock.Time {
-	return workload.DensePattern(NumJobs, p.DenseGap)
-}
-
 // Fig4Workload is Figure 4's panel ("a".."f") under p as a workload
 // file: ten jobs over one metadata-only paper-scale input segmented one
 // block per map slot, the panel's arrival pattern, block size, weights
 // and job kind, and p's cost model pinned in the header. The committed
 // bench/fig4-<panel>.jsonl is Fig4Workload(panel, DefaultParams()).
 func Fig4Workload(panel string, p Params) (*workload.File, error) {
-	inputGB, blockMB, times := WordcountGB, 64, p.SparsePattern()
+	// The paper's sparse pattern: three groups of 3, 3 and 4 jobs, its
+	// gaps stretched by scale.
+	sparse := func(scale float64) []vclock.Time {
+		return workload.SparseGroups([]int{3, 3, 4},
+			vclock.Duration(float64(p.IntraGap)*scale), vclock.Duration(float64(p.InterGap)*scale))
+	}
+	inputGB, blockMB, times := WordcountGB, 64, sparse(1)
 	job := workload.FileJob{Kind: workload.KindJob, File: "input", Factory: workload.FactoryWordCount}
 	switch panel {
 	case "a": // sparse pattern, normal workload, 64 MB blocks
 	case "b": // dense pattern
-		times = p.DensePattern()
+		times = workload.DensePattern(NumJobs, p.DenseGap)
 	case "c": // heavy workload
 		job.Weight, job.ReduceWeight = p.HeavyMapW, p.HeavyReduceW
 	case "d":
@@ -245,10 +140,7 @@ func Fig4Workload(panel string, p Params) (*workload.File, error) {
 	case "e":
 		blockMB = 32
 	case "f": // 10 % selections over the TPC-H lineitem table, sparse gaps stretched to its longer jobs
-		inputGB = SelectionGB
-		times = workload.SparseGroups([]int{3, 3, 4},
-			vclock.Duration(float64(p.IntraGap)*p.SelGapScale),
-			vclock.Duration(float64(p.InterGap)*p.SelGapScale))
+		inputGB, times = SelectionGB, sparse(p.SelGapScale)
 		job.File, job.Factory, job.Param = "lineitem", workload.FactorySelection, "5"
 	default:
 		return nil, fmt.Errorf("experiments: unknown Figure 4 panel %q (want a..f)", panel)
@@ -270,4 +162,33 @@ func Fig4Workload(panel string, p Params) (*workload.File, error) {
 		wf.Jobs = append(wf.Jobs, j)
 	}
 	return wf, wf.Validate()
+}
+
+// arrivingAt is wf with one job per arrival time, each a copy of wf's
+// first job under its own id and word prefix: Figure 4's jobs at other
+// times and in other numbers.
+func arrivingAt(wf *workload.File, times []vclock.Time) *workload.File {
+	out := *wf
+	out.Jobs = make([]workload.FileJob, len(times))
+	prefixes := workload.DistinctPrefixes(len(times))
+	for i, at := range times {
+		j := wf.Jobs[0]
+		j.ID, j.At, j.Param = scheduler.JobID(i+1), float64(at), prefixes[i]
+		out.Jobs[i] = j
+	}
+	return &out
+}
+
+// simCells runs wf's sim cells under the given schemes (RunCompare's
+// label=spec entries) and returns them in the order given.
+func simCells(wf *workload.File, specs ...string) ([]benchfmt.Cell, error) {
+	rep, err := RunCompare(wf, CompareOptions{Schedulers: specs, Engines: []string{benchfmt.EngineSim}})
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]benchfmt.Cell, len(specs))
+	for i, scheme := range schemes(specs...) {
+		cells[i] = *rep.Cell(benchfmt.CellKey{Scheduler: scheme.Name, Engine: benchfmt.EngineSim})
+	}
+	return cells, nil
 }

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"s3sched/internal/benchfmt"
-	"s3sched/internal/runtime"
-	"s3sched/internal/scheduler"
 )
 
 var update = flag.Bool("update", false, "rewrite bench/fig4-*.jsonl and their baselines from Fig4Workload")
@@ -153,45 +151,18 @@ func TestFig4PanelUnknown(t *testing.T) {
 	}
 }
 
-func TestNewEnvValidation(t *testing.T) {
-	if _, err := NewEnv(0, 64, NormalModel()); err == nil {
-		t.Error("zero input should fail")
-	}
-	if _, err := NewEnv(160, 0, NormalModel()); err == nil {
-		t.Error("zero block size should fail")
-	}
-	env, err := NewEnv(160, 64, NormalModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Plan.NumSegments() != 64 {
-		t.Errorf("segments = %d, want 64 (2560 blocks / 40 slots)", env.Plan.NumSegments())
-	}
-	if env.Plan.File().NumBlocks != 2560 {
-		t.Errorf("blocks = %d, want 2560", env.Plan.File().NumBlocks)
-	}
-}
-
-func TestArrivalsArityMismatch(t *testing.T) {
-	if _, err := arrivalsAt(nil, DefaultParams().SparsePattern()); err == nil {
-		t.Error("meta/time arity mismatch should fail")
-	}
-}
-
 // A single normal job alone must take roughly the paper's Table I
 // anchor: ~240 s.
 func TestSingleJobAnchor(t *testing.T) {
-	p := DefaultParams()
-	env, err := NewEnv(WordcountGB, 64, p.Model)
+	wf, err := Fig4Workload("a", DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Simulate(env, schemes("s3")[0],
-		[]runtime.Arrival{{Job: scheduler.JobMeta{ID: 1, File: "input", Weight: 1, ReduceWeight: 1}, At: 0}})
+	tet, err := singleJobTime(wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tet := run.Summary.TET.Seconds(); tet < 200 || tet > 290 {
-		t.Errorf("single job = %.0fs, want ~240s (paper Table I)", tet)
+	if s := tet.Seconds(); s < 200 || s > 290 {
+		t.Errorf("single job = %.0fs, want ~240s (paper Table I)", s)
 	}
 }

@@ -96,21 +96,30 @@ func Fig3Sim(p Params, maxJobs int) ([]SimCombinedCost, error) {
 	if maxJobs <= 0 {
 		return nil, fmt.Errorf("experiments: Fig3Sim needs positive maxJobs, got %d", maxJobs)
 	}
+	wf, err := Fig4Workload("a", p)
+	if err != nil {
+		return nil, err
+	}
+	env, err := newCellEnv(wf)
+	if err != nil {
+		return nil, err
+	}
 	var out []SimCombinedCost
 	var base float64
 	for n := 1; n <= maxJobs; n++ {
-		env, err := NewEnv(WordcountGB, 64, p.Model)
-		if err != nil {
-			return nil, err
+		exec := sim.NewExecutor(env.cluster, env.store, env.model)
+		// n of Figure 4(a)'s jobs, weights defaulted as a scheduler
+		// would on submission.
+		var metas []scheduler.JobMeta
+		for _, a := range arrivingAt(wf, make([]vclock.Time, n)).Entries() {
+			metas = append(metas, a.Job.Normalized())
 		}
-		exec := sim.NewExecutor(env.Cluster, env.Store, p.Model)
-		metas := workload.WordCountMetas(n, "input", 1, 1)
 		var total, reduce vclock.Duration
-		k := env.Plan.NumSegments()
+		k := env.plans[0].NumSegments()
 		for seg := 0; seg < k; seg++ {
 			r := scheduler.Round{
 				Segment: seg,
-				Blocks:  env.Plan.Blocks(seg),
+				Blocks:  env.plans[0].Blocks(seg),
 				Jobs:    metas,
 			}
 			if seg == 0 {
@@ -126,7 +135,7 @@ func Fig3Sim(p Params, maxJobs int) ([]SimCombinedCost, error) {
 				return nil, err
 			}
 			total += d
-			reduce += vclock.Duration(float64(n) * p.Model.ReducePerRound)
+			reduce += vclock.Duration(float64(n) * env.model.ReducePerRound)
 		}
 		if n == 1 {
 			base = total.Seconds()

@@ -37,32 +37,35 @@ func JitterStudy(p Params, trials int, spread float64, seed int64) ([]JitterSumm
 	if trials <= 0 || spread < 0 || spread >= 1 {
 		return nil, fmt.Errorf("experiments: invalid jitter study (trials=%d spread=%v)", trials, spread)
 	}
+	wf, err := Fig4Workload("a", p)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
-	base := p.SparsePattern()
 
 	type agg struct {
 		tets, arts       []float64
 		winsTET, winsART int
 	}
 	// Every trial runs S^3 first, then the schemes measured against it.
-	list := schemes("s3", "fifo", "mrs3=mrshare:3:3:4")
+	list := []string{"s3", "fifo", "mrs3=mrshare:3:3:4"}
 	aggs := make([]agg, len(list))
 
 	for trial := 0; trial < trials; trial++ {
-		times := make([]vclock.Time, len(base))
-		for i, t := range base {
+		times := make([]vclock.Time, len(wf.Jobs))
+		for i, j := range wf.Jobs {
 			factor := 1 + spread*(2*rng.Float64()-1)
-			times[i] = vclock.Time(float64(t) * factor)
+			times[i] = vclock.Time(j.At * factor)
 		}
-		runs, err := simulateAll(p, wordcountArrivals(times, 1, 1), list)
+		cells, err := simCells(arrivingAt(wf, times), list...)
 		if err != nil {
 			return nil, fmt.Errorf("jitter trial %d: %w", trial, err)
 		}
-		s3 := runs[0].Summary
-		for i := 1; i < len(runs); i++ {
-			row, a := runs[i].Summary, &aggs[i]
-			a.tets = append(a.tets, row.TET.Seconds()/s3.TET.Seconds())
-			a.arts = append(a.arts, row.ART.Seconds()/s3.ART.Seconds())
+		s3 := cells[0]
+		for i := 1; i < len(cells); i++ {
+			row, a := cells[i], &aggs[i]
+			a.tets = append(a.tets, row.TET/s3.TET)
+			a.arts = append(a.arts, row.ART/s3.ART)
 			if row.TET > s3.TET {
 				a.winsTET++
 			}
@@ -76,7 +79,7 @@ func JitterStudy(p Params, trials int, spread float64, seed int64) ([]JitterSumm
 	for i := 1; i < len(list); i++ {
 		a := aggs[i]
 		out = append(out, JitterSummary{
-			Scheme:  list[i].Name,
+			Scheme:  schemes(list[i])[0].Name,
 			Trials:  trials,
 			MeanTET: mean(a.tets), MinTET: slices.Min(a.tets), MaxTET: slices.Max(a.tets),
 			MeanART: mean(a.arts), MinART: slices.Min(a.arts), MaxART: slices.Max(a.arts),

@@ -31,9 +31,13 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 	if len(rhos) == 0 || jobs <= 0 {
 		return nil, fmt.Errorf("experiments: PoissonStudy needs load points and jobs")
 	}
+	wf, err := Fig4Workload("a", p)
+	if err != nil {
+		return nil, err
+	}
 	// Single-job service time under the calibrated model (FIFO runs
 	// the job alone).
-	jobTime, err := singleJobTime(p)
+	jobTime, err := singleJobTime(wf)
 	if err != nil {
 		return nil, err
 	}
@@ -45,15 +49,15 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 		}
 		meanGap := vclock.Duration(jobTime.Seconds() / rho)
 		times := workload.PoissonPattern(jobs, meanGap, seed)
-		runs, err := simulateAll(p, wordcountArrivals(times, 1, 1), schemes("s3", "fifo"))
+		cells, err := simCells(arrivingAt(wf, times), "s3", "fifo")
 		if err != nil {
 			return nil, fmt.Errorf("rho=%v: %w", rho, err)
 		}
-		s3, fifo := runs[0].Summary, runs[1].Summary
+		s3, fifo := cells[0], cells[1]
 		point := PoissonPoint{
 			Rho: rho, MeanGap: meanGap,
-			S3ART: s3.ART, S3TET: s3.TET,
-			FIFOART: fifo.ART, FIFOTET: fifo.TET,
+			S3ART: vclock.Duration(s3.ART), S3TET: vclock.Duration(s3.TET),
+			FIFOART: vclock.Duration(fifo.ART), FIFOTET: vclock.Duration(fifo.TET),
 		}
 		point.ARTRatio = point.FIFOART.Seconds() / point.S3ART.Seconds()
 		out = append(out, point)
@@ -61,11 +65,11 @@ func PoissonStudy(p Params, rhos []float64, jobs int, seed int64) ([]PoissonPoin
 	return out, nil
 }
 
-// singleJobTime measures one normal job running alone.
-func singleJobTime(p Params) (vclock.Duration, error) {
-	runs, err := simulateAll(p, wordcountArrivals([]vclock.Time{0}, 1, 1), schemes("s3"))
+// singleJobTime measures wf's first job running alone.
+func singleJobTime(wf *workload.File) (vclock.Duration, error) {
+	cells, err := simCells(arrivingAt(wf, []vclock.Time{0}), "s3")
 	if err != nil {
 		return 0, err
 	}
-	return runs[0].Summary.TET, nil
+	return vclock.Duration(cells[0].TET), nil
 }

@@ -4,20 +4,13 @@ import (
 	"testing"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/workload"
+	"s3sched/internal/scheduler"
 )
 
 // TestParseScheme holds every spelling either former CLI parser
 // (s3sim's, s3replay's) accepted, and every rejection of both.
 func TestParseScheme(t *testing.T) {
-	env, err := buildEnv("input", 4, 1, 8, 64<<20, NormalModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := buildEnv("other", 4, 1, 8, 64<<20, NormalModel())
-	if err != nil {
-		t.Fatal(err)
-	}
+	input, other := metaPlan(t, "input"), metaPlan(t, "other")
 	for _, tc := range []struct {
 		spec  string
 		name  string // the spec's name; "" = rejected
@@ -66,7 +59,7 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%q): %v", tc.spec, err)
 			continue
 		}
-		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, nil)
+		sched, err := scheme.Make([]*dfs.SegmentPlan{input}, nil)
 		if err != nil {
 			t.Errorf("%q: Make: %v", tc.spec, err)
 			continue
@@ -75,7 +68,7 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("%q: spec name %q, scheduler name %q, want %q and %q", tc.spec, scheme.Name, sched.Name(), tc.name, tc.sched)
 		}
 		// A scheme with no multi-file form stays bare and says so.
-		if _, err := scheme.Make([]*dfs.SegmentPlan{env.Plan, other.Plan}, nil); (err == nil) != tc.multi {
+		if _, err := scheme.Make([]*dfs.SegmentPlan{input, other}, nil); (err == nil) != tc.multi {
 			t.Errorf("%q over two files: err = %v, want multi-file form = %v", tc.spec, err, tc.multi)
 		}
 		if _, err := scheme.Make(nil, nil); err == nil {
@@ -92,16 +85,14 @@ func TestSchemesLabel(t *testing.T) {
 	if list[0].Name != "s3" || list[1].Name != "mrs2" || list[2].Name != "mrs1" {
 		t.Fatalf("names = %q, %q, %q", list[0].Name, list[1].Name, list[2].Name)
 	}
-	env, err := buildEnv("input", 4, 1, 8, 64<<20, NormalModel())
-	if err != nil {
-		t.Fatal(err)
-	}
+	input := metaPlan(t, "input")
 	for _, scheme := range list[1:] {
-		sched, err := scheme.Make([]*dfs.SegmentPlan{env.Plan}, map[string]int{"input": 2})
+		sched, err := scheme.Make([]*dfs.SegmentPlan{input}, map[string]int{"input": 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, job := range workload.WordCountMetas(3, "input", 1, 1) {
+		for i := range 3 {
+			job := scheduler.JobMeta{ID: scheduler.JobID(i + 1), File: "input"}
 			if err := sched.Submit(job, 0); (err != nil) != (i == 2) {
 				t.Errorf("%s: job %d of a 1+1 batch plan: err = %v", scheme.Name, job.ID, err)
 			}
@@ -114,18 +105,17 @@ func TestSchemesLabel(t *testing.T) {
 	}
 }
 
-func TestTwoJobExample(t *testing.T) {
-	// §III's analytic values (Examples 1-3, second job at +20 s).
-	for scheme, want := range map[string][2]float64{"fifo": {200, 140}, "mrshare": {120, 110}, "s3": {120, 100}} {
-		tet, art, err := TwoJobExample(scheme, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tet.Seconds() != want[0] || art.Seconds() != want[1] {
-			t.Errorf("%s: TET/ART = %v/%v, want %v", scheme, tet, art, want)
-		}
+// metaPlan is an 8-block metadata-only file of the given name on a
+// 4-node store, cut one block per node.
+func metaPlan(t *testing.T, name string) *dfs.SegmentPlan {
+	t.Helper()
+	f, err := dfs.MustStore(4, 1).AddMetaFile(name, 8, 64<<20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := TwoJobExample("nope", 20); err == nil {
-		t.Error("unknown scheme should fail")
+	plan, err := dfs.PlanSegments(f, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return plan
 }

@@ -31,7 +31,7 @@ import (
 //     keeps a joined/suspect/dead membership table whose deltas feed
 //     the runtime engine (worker-lost/worker-rejoined events) and the
 //     status server's GET /cluster.
-//   - Static dial (Dial): the legacy boot-time -workers list; members
+//   - Static dial (Dial): a fixed worker list dialled at boot; members
 //     never leave the table.
 //
 // Task placement is locality-first over the live membership snapshot:
@@ -159,7 +159,9 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 // Dial connects a master to a fixed list of worker addresses — the
 // static topology. Workers joined this way never heartbeat and never
 // leave the membership table; per-task failover still skips the ones
-// whose connections break.
+// whose connections break. Its one non-test caller is
+// bench/perf/replica.go, until the benchmark scrapes the deployed
+// processes instead (ROADMAP item 4).
 func Dial(addrs []string, jobs map[scheduler.JobID]JobRef) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("remote: master needs at least one worker")

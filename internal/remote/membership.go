@@ -110,7 +110,7 @@ func newMembership() *membership {
 }
 
 // addStatic installs a boot-time worker that never heartbeats (the
-// legacy -workers path). Static members are permanently non-dead:
+// Dial path). Static members are permanently non-dead:
 // failover still skips them per-call when their connection breaks.
 func (t *membership) addStatic(id, addr string, client *rpc.Client) {
 	t.mu.Lock()

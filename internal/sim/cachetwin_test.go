@@ -7,6 +7,7 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
@@ -93,7 +94,10 @@ func TestSimEngineCacheTwinDifferential(t *testing.T) {
 
 			// Manual driver loop with a fixed two-tick round duration, so
 			// staggered arrivals join mid-scan and wrap around the file.
-			metas := workload.WordCountMetas(numJobs, "input", 1, 1)
+			metas := make([]scheduler.JobMeta, numJobs)
+			for i := range metas {
+				metas[i] = scheduler.JobMeta{ID: scheduler.JobID(i + 1), File: "input", Weight: 1, ReduceWeight: 1}
+			}
 			arriveAt := []vclock.Time{0, 3, 6}
 			next := 0
 			now := vclock.Time(0)

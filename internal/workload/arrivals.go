@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
 
@@ -72,24 +71,6 @@ func PoissonPattern(n int, meanGap vclock.Duration, seed int64) []vclock.Time {
 	for i := range out {
 		out[i] = t
 		t = t.Add(vclock.Duration(rng.ExpFloat64() * float64(meanGap)))
-	}
-	return out
-}
-
-// WordCountMetas builds n scheduler job descriptions for the given
-// file with the given weights (paper: weight 1 for the normal
-// workload; larger map/reduce weights for the heavy workload).
-func WordCountMetas(n int, file string, weight, reduceWeight float64) []scheduler.JobMeta {
-	prefixes := DistinctPrefixes(n)
-	out := make([]scheduler.JobMeta, n)
-	for i := range out {
-		out[i] = scheduler.JobMeta{
-			ID:           scheduler.JobID(i + 1),
-			Name:         fmt.Sprintf("wordcount-%s-%d", prefixes[i], i+1),
-			File:         file,
-			Weight:       weight,
-			ReduceWeight: reduceWeight,
-		}
 	}
 	return out
 }

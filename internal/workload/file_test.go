@@ -98,6 +98,8 @@ func TestParseFileErrors(t *testing.T) {
 		{"no jobs", header + file, 0, "no job records"},
 		{"bad content", header + strings.Replace(file, `"content":"text"`, `"content":"parquet"`, 1) + job, 0, "unknown content"},
 		{"bad segment", header + strings.Replace(file, `"segmentBlocks":2`, `"segmentBlocks":9`, 1) + job, 0, "segment size"},
+		{"no blocks", header + strings.Replace(file, `"blocks":4`, `"blocks":0`, 1) + job, 0, "positive blocks"},
+		{"no block bytes", header + strings.Replace(file, `"blockBytes":64`, `"blockBytes":0`, 1) + job, 0, "positive blocks"},
 		{"dup job id", header + file + job + job, 0, "duplicate job id"},
 		{"negative at", header + file + strings.Replace(job, `"at":0`, `"at":-1`, 1), 0, "negative time"},
 		{"wrong file ref", header + file + strings.Replace(job, `"file":"f"`, `"file":"x"`, 1), 3, "unknown file"},

@@ -341,15 +341,6 @@ func TestPatternPanics(t *testing.T) {
 	}
 }
 
-func TestMetaBuilders(t *testing.T) {
-	wc := WordCountMetas(3, "corpus", 1, 1)
-	if len(wc) != 3 || wc[0].ID != 1 || wc[2].ID != 3 || wc[1].File != "corpus" {
-		t.Errorf("WordCountMetas = %+v", wc)
-	}
-}
-
-// Property: every generated text block parses into vocabulary words
-// (except a possibly truncated final token), at any size and seed.
 func TestTextBlockProperty(t *testing.T) {
 	vocab := map[string]bool{}
 	for _, w := range wordList {
