@@ -29,7 +29,7 @@ type Reducer interface {
 }
 
 // Folder is the optional second contract of a combiner: it absorbs a
-// key's values one at a time into a running int64 — a sum, a count, a
+// key's values as they come into a running int64 — a sum, a count, a
 // minimum — where Reduce needs them all at once. Only a combiner whose
 // result does not depend on the order of a key's values may implement
 // it, the class Running.Compact already demands. The map task then
@@ -39,9 +39,9 @@ type Reducer interface {
 // their fold emits the records Reduce emits for them.
 type Folder interface {
 	Reducer
-	// Fold returns acc with value absorbed; acc is 0 at a key's first
-	// value. An error fails the task.
-	Fold(key string, acc int64, value string) (int64, error)
+	// Fold returns acc with n >= 1 copies of value absorbed, as n calls of
+	// one would; acc is 0 at a key's first value. An error fails the task.
+	Fold(key string, acc int64, value string, n int) (int64, error)
 	// Unfold emits the combined records of a key whose values folded to acc.
 	Unfold(key string, acc int64, emit Emit)
 }

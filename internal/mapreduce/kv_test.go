@@ -206,12 +206,12 @@ func (concatReducer) Reduce(key string, values []string, emit Emit) error {
 // keeps one running total per key where sumReducer is handed the values.
 type foldingSum struct{ sumReducer }
 
-func (foldingSum) Fold(key string, acc int64, value string) (int64, error) {
-	n, err := strconv.Atoi(value)
+func (foldingSum) Fold(key string, acc int64, value string, n int) (int64, error) {
+	v, err := strconv.Atoi(value)
 	if err != nil {
 		return 0, fmt.Errorf("value %q of key %q: %w", value, key, err)
 	}
-	return acc + int64(n), nil
+	return acc + int64(n*v), nil
 }
 
 func (foldingSum) Unfold(key string, acc int64, emit Emit) {
@@ -285,16 +285,42 @@ func TestCombineHelper(t *testing.T) {
 	}
 }
 
+// emitTimes is a SharedMapper that emits each of its records as n copies
+// in one call, as a word count emits a word it counted n times.
+type emitTimes struct {
+	records []KV
+	n       int
+}
+
+func (m emitTimes) Map(b dfs.BlockID, data []byte, emit Emit) error {
+	return m.MapShared(b, data, nil, func(_ int, kv KV, n int) {
+		for ; n > 0; n-- {
+			emit(kv)
+		}
+	})
+}
+
+func (emitTimes) SharesPass(Mapper) bool { return false }
+
+func (m emitTimes) MapShared(_ dfs.BlockID, _ []byte, _ []Mapper, emit func(int, KV, int)) error {
+	for _, kv := range m.records {
+		emit(0, kv, m.n)
+	}
+	return nil
+}
+
 // A value the Folder rejects fails the task as a combiner error naming
 // it, and nothing is emitted: not the keys folded before it, not the
-// ones after.
+// ones after — whether it comes as one copy or as n in one emit.
 func TestRejectedFoldFailsTheTask(t *testing.T) {
 	raw := []KV{{"a", "1"}, {"b", "seven"}, {"a", "2"}, {"c", "3"}}
-	parts, err := MapBlockForJob(dfs.BlockID{}, nil, emitAll(raw), foldingSum{}, 2)
 	var numErr *strconv.NumError
-	if parts != nil || err == nil || !strings.HasPrefix(err.Error(), "combiner: ") ||
-		!strings.Contains(err.Error(), `"seven"`) || !errors.As(err, &numErr) {
-		t.Fatalf("partitions %v, err %v; want none and a combiner error naming \"seven\"", parts, err)
+	for _, mapper := range []Mapper{emitAll(raw), emitTimes{raw, 3}} {
+		parts, err := MapBlockForJob(dfs.BlockID{}, nil, mapper, foldingSum{}, 2)
+		if parts != nil || err == nil || !strings.HasPrefix(err.Error(), "combiner: ") ||
+			!strings.Contains(err.Error(), `"seven"`) || !errors.As(err, &numErr) {
+			t.Fatalf("%T: partitions %v, err %v; want none and a combiner error naming \"seven\"", mapper, parts, err)
+		}
 	}
 	_, wantErr := MapBlockForJob(dfs.BlockID{}, nil, emitAll(raw), sumReducer{}, 2)
 	if wantErr == nil || !strings.HasPrefix(wantErr.Error(), "combiner: ") || !errors.As(wantErr, &numErr) {

@@ -42,8 +42,8 @@ func newCombineTable(combiner Reducer) combineTable {
 	return combineTable{combiner: combiner, folder: folder}
 }
 
-// add takes n values of kv's key, each kv.Value: one probe, then n folds
-// or n buffered values.
+// add takes n values of kv's key, each kv.Value: one probe, then one
+// fold of all n or n buffered values.
 func (t *combineTable) add(kv KV, n int) {
 	if t.err != nil {
 		return
@@ -58,12 +58,12 @@ func (t *combineTable) add(kv KV, n int) {
 		t.groups = append(t.groups, group{key: kv.Key})
 	}
 	g := &t.groups[i]
-	for ; n > 0 && t.err == nil; n-- {
-		if t.folder == nil {
-			g.values = append(g.values, kv.Value)
-		} else {
-			g.acc, t.err = t.folder.Fold(kv.Key, g.acc, kv.Value)
-		}
+	if t.folder != nil {
+		g.acc, t.err = t.folder.Fold(kv.Key, g.acc, kv.Value, n)
+		return
+	}
+	for ; n > 0; n-- {
+		g.values = append(g.values, kv.Value)
 	}
 }
 

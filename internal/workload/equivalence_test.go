@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -649,18 +650,25 @@ func TestMapTaskAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	// task is the allocations and the bytes allocated by one map task.
-	task := func(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) (allocs, bytes float64) {
+	// measure is the allocations and the bytes allocated by one run of task.
+	measure := func(task func() error) (allocs, bytes float64) {
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs = testing.AllocsPerRun(runs, func() {
-			if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
+			if err := task(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		runtime.ReadMemStats(&after)
 		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	}
+	// task measures one one-job map task.
+	task := func(data []byte, mapper mapreduce.Mapper, combiner mapreduce.Reducer) (allocs, bytes float64) {
+		return measure(func() error {
+			_, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2)
+			return err
+		})
 	}
 
 	// 256 KB of text is ~48k words, ~6k of them matching: the string
@@ -669,6 +677,20 @@ func TestMapTaskAllocations(t *testing.T) {
 	text := workload.NewTextGen(1).Block(0, 256<<10)
 	if n, b := task(text, workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{}); n > 120 || b > 64<<10 {
 		t.Errorf("wordcount over a 256 KB block: %.0f allocations of %.0f bytes, want <= 120 of <= 64 KB", n, b)
+	}
+
+	// Eight word counts sharing a pass pay for one word table and one
+	// string per distinct word, for all of them, then each job's combine
+	// table: nothing per occurrence.
+	var jobs []mapreduce.MapJob
+	for _, prefix := range workload.DistinctPrefixes(8) {
+		jobs = append(jobs, mapreduce.MapJob{Mapper: workload.PatternCountMapper{Prefix: prefix}, Combiner: workload.SumReducer{}, Width: 2})
+	}
+	if n, b := measure(func() error {
+		_, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, text, jobs)
+		return errors.Join(errs...)
+	}); n > 400 || b > 64<<10 {
+		t.Errorf("eight word counts sharing a pass over a 256 KB block: %.0f allocations of %.0f bytes, want <= 400 of <= 64 KB", n, b)
 	}
 
 	// Selection pays for the rows it selects — a key and a value each,

@@ -50,7 +50,7 @@ func (PatternCountMapper) SharesPass(other mapreduce.Mapper) bool {
 // MapShared implements mapreduce.SharedMapper over PatternCountMappers.
 // Only a word start whose byte begins some job's prefix is looked at, and
 // a word some job matches is counted once, for all of them, in one table
-// keyed by its bytes: one probe a match, and one string a distinct word.
+// keyed by its bytes (wordSlot): one probe a match, one string a distinct word.
 // At the end of the block every job gets each distinct word it matches
 // once, in the order of first occurrence, with its count times the job's
 // EmitFactor: what the job emits alone, at a cost that follows matches,
@@ -78,7 +78,15 @@ type wordPass struct {
 	want   [256]uint8
 	firsts []byte // the bytes c with want[c] > 0, ascending
 	words  []wordCount
-	index  map[string]int // a word's position in words
+	table  []wordSlot // a power of two long, at most half full
+}
+
+// wordSlot is a slot of the open-addressing word table: a word's first
+// eight bytes or fewer packed little-endian, its length (0: a free slot)
+// and its position in words. "a\x00" and "a" pack to the same head.
+type wordSlot struct {
+	head    uint64
+	len, at uint32
 }
 
 type wordCount struct {
@@ -88,7 +96,7 @@ type wordCount struct {
 }
 
 func newWordPass(mappers []mapreduce.Mapper) *wordPass {
-	p := &wordPass{jobs: make([]PatternCountMapper, len(mappers)), index: make(map[string]int)}
+	p := &wordPass{jobs: make([]PatternCountMapper, len(mappers)), table: make([]wordSlot, 256)}
 	for j, m := range mappers {
 		p.jobs[j] = m.(PatternCountMapper)
 		switch prefix := p.jobs[j].Prefix; {
@@ -138,17 +146,10 @@ func (p *wordPass) count(data []byte, byFirst bool) {
 	}
 	// 0x80 marks each separator byte of x; a word starts at each other
 	// byte whose predecessor is one. The block's start counts as a
-	// separator, and a short tail is padded with spaces.
+	// separator.
 	carry := uint64(0x80)
 	for at := 0; at < len(data); at += 8 {
-		var x uint64
-		if at+8 <= len(data) {
-			x = binary.LittleEndian.Uint64(data[at:])
-		} else {
-			tail := [8]byte{' ', ' ', ' ', ' ', ' ', ' ', ' ', ' '}
-			copy(tail[:], data[at:])
-			x = binary.LittleEndian.Uint64(tail[:])
-		}
+		x := load8(data, at)
 		sep := zeroBytes(x^' '*lanes) | zeroBytes(x^'\n'*lanes) | zeroBytes(x^'\t'*lanes) | zeroBytes(x^'\r'*lanes)
 		starts := (sep<<8 | carry) &^ sep
 		carry = sep >> 56
@@ -164,6 +165,17 @@ func (p *wordPass) count(data []byte, byFirst bool) {
 			p.add(data, at+k, end)
 		}
 	}
+}
+
+// load8 is the eight bytes of data from at, little-endian, padded with
+// spaces past its end.
+func load8(data []byte, at int) uint64 {
+	if at+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[at:])
+	}
+	tail := [8]byte{' ', ' ', ' ', ' ', ' ', ' ', ' ', ' '}
+	copy(tail[:], data[at:])
+	return binary.LittleEndian.Uint64(tail[:])
 }
 
 // lanes has a one in each byte of a word.
@@ -185,18 +197,45 @@ func wordEnd(data []byte, from int) int {
 	return from
 }
 
-// add counts the word data[i:end] if some job matches it.
+// add counts the word data[i:end] if some job matches it. The table
+// doubles when a new word makes it more than half full.
 func (p *wordPass) add(data []byte, i, end int) {
-	w := data[i:end]
-	if p.want[w[0]] == 1 && !p.matched(w) {
+	if p.want[data[i]] == 1 && !p.matched(data[i:end]) {
 		return
 	}
-	if k, ok := p.index[string(w)]; ok { // the lookup does not allocate
-		p.words[k].n++
+	if slot, head := p.find(data, i, end); slot.len != 0 {
+		p.words[slot.at].n++
 	} else {
-		s := string(w)
-		p.index[s] = len(p.words)
-		p.words = append(p.words, wordCount{mapreduce.KV{Key: s, Value: "1"}, 1, i})
+		*slot = wordSlot{head, uint32(end - i), uint32(len(p.words))}
+		p.words = append(p.words, wordCount{mapreduce.KV{Key: string(data[i:end]), Value: "1"}, 1, i})
+		if 2*len(p.words) > len(p.table) {
+			p.table = make([]wordSlot, 2*len(p.table))
+			for k, w := range p.words {
+				slot, head := p.find(data, w.first, w.first+len(w.kv.Key))
+				*slot = wordSlot{head, uint32(len(w.kv.Key)), uint32(k)}
+			}
+		}
+	}
+}
+
+// find returns the slot for the word data[i:end], holding it or free for
+// it, and the word's head. Up to eight bytes a word hashes by its head
+// alone ("a" and "a\x00" share a start slot); a longer one mixes in its
+// length and last eight bytes, and compares the bytes past its head too.
+func (p *wordPass) find(data []byte, i, end int) (*wordSlot, uint64) {
+	head, n, tail := load8(data, i), end-i, uint64(0)
+	if n < 8 {
+		head &= 1<<(8*n) - 1
+	} else if n > 8 {
+		tail = binary.LittleEndian.Uint64(data[end-8:]) ^ uint64(n)
+	}
+	hi, lo := bits.Mul64(head^0x9e3779b97f4a7c15, tail^0xbf58476d1ce4e5b9)
+	mask := uint64(len(p.table) - 1)
+	for s := (hi ^ lo) & mask; ; s = (s + 1) & mask {
+		slot := &p.table[s]
+		if slot.len == 0 || slot.head == head && int(slot.len) == n && (n <= 8 || p.words[slot.at].kv.Key[8:] == string(data[i+8:end])) {
+			return slot, head
+		}
 	}
 }
 
@@ -251,7 +290,7 @@ func (s SumReducer) Reduce(key string, values []string, emit mapreduce.Emit) err
 	total := int64(0)
 	for _, v := range values {
 		var err error
-		if total, err = s.Fold(key, total, v); err != nil {
+		if total, err = s.Fold(key, total, v, 1); err != nil {
 			return err
 		}
 	}
@@ -259,16 +298,16 @@ func (s SumReducer) Reduce(key string, values []string, emit mapreduce.Emit) err
 	return nil
 }
 
-// Fold implements mapreduce.Folder: acc + value.
-func (SumReducer) Fold(key string, acc int64, value string) (int64, error) {
+// Fold implements mapreduce.Folder: acc + n × value, value parsed once.
+func (SumReducer) Fold(key string, acc int64, value string, n int) (int64, error) {
 	if value == "1" { // every word occurrence
-		return acc + 1, nil
+		return acc + int64(n), nil
 	}
-	n, err := strconv.ParseInt(value, 10, 64)
+	v, err := strconv.ParseInt(value, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("workload: non-numeric count %q for word %q: %w", value, key, err)
 	}
-	return acc + n, nil
+	return acc + int64(n)*v, nil
 }
 
 // Unfold implements mapreduce.Folder: the sum, in decimal.
