@@ -232,21 +232,23 @@ func (s *S3) RoundDone(r scheduler.Round, now vclock.Time) []scheduler.JobID {
 
 	s.cursor = s.plan.Next(s.cursor)
 	s.log.Addf(now, trace.SegmentAdvanced, -1, s.cursor, "")
-	s.emitHint(r.Segment)
+	s.emitHint()
 	sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
 	return done
 }
 
-// emitHint derives one cursor advance's cache guidance. scanned is the
-// segment the finished round consumed; s.cursor already points at the
-// next one. Prefetch names the segment *after* the new cursor — the
-// cursor segment itself is being formed into the next round, so only
-// s+2 gives the readahead a full round of lookahead — and only when
-// some still-active job has at least two sub-jobs left, which (by the
-// active-jobs-need-the-cursor invariant) guarantees that segment will
-// be scanned: a speculative read of a never-scanned segment would
-// charge a physical scan that cache transparency forbids.
-func (s *S3) emitHint(scanned int) {
+// emitHint derives one cursor advance's cache guidance; s.cursor
+// already points at the next segment. Pin names it and the one after
+// it: the cache keeps what the cursor reaches soonest, and the first
+// pinned block tells it where the cursor stands. Prefetch names the
+// segment *after* the new cursor — the cursor segment itself is being
+// formed into the next round, so only s+2 gives the readahead a full
+// round of lookahead — and only when some still-active job has at least
+// two sub-jobs left, which (by the active-jobs-need-the-cursor
+// invariant) guarantees that segment will be scanned: a speculative
+// read of a never-scanned segment would charge a physical scan that
+// cache transparency forbids.
+func (s *S3) emitHint() {
 	if s.hinter == nil {
 		return
 	}
@@ -258,14 +260,9 @@ func (s *S3) emitHint(scanned int) {
 	}
 	if k > 2 {
 		h.Pin = append(h.Pin, s.plan.Blocks(next))
-	}
-	if k > 1 {
-		h.Demote = s.plan.Blocks(scanned)
-	}
-	if k > 2 {
 		for _, js := range s.active {
 			if js.Remaining >= 2 {
-				h.Prefetch = s.plan.Blocks(next)
+				h.Prefetch = h.Pin[1]
 				break
 			}
 		}

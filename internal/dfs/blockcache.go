@@ -11,11 +11,13 @@
 //
 // Replacement is delegated to an EvictionPolicy (policy.go): plain LRU
 // collapses to zero hits when the circular scan's cycle exceeds the
-// budget, so the scan-resistant cursor policy can be selected per
-// cache. The cursor policy additionally accepts ScanHints from the JQM
-// and supports PrefetchAsync: reading the next segment ahead of the
-// cursor during the reduce stage, coalesced with demand reads through
-// the same in-flight table.
+// budget, so the scan-aware cursor policy can be selected per cache. It
+// takes ScanHints from the JQM and keeps the blocks the cursor reaches
+// soonest; a full shard serves a scan's miss uncached rather than evict
+// one of them. PrefetchAsync reads the segment after the cursor ahead,
+// coalesced with demand reads through the same in-flight table, but
+// only into free room: every resident block is one the cursor comes
+// back to, so a readahead that evicted it would only move a read.
 //
 // Fault interaction is deliberate: the ReadFault hook fires on cache
 // misses only (a cached block never touches the disk path, so it cannot
@@ -93,6 +95,7 @@ type nodeCache struct {
 	meta     *cacheShard
 	data     map[BlockID][]byte
 	inflight map[BlockID]*inflightLoad
+	reserved int64 // bytes of readahead in flight: room already spoken for
 }
 
 // BlockCache is a per-node, byte-budgeted block cache with
@@ -161,8 +164,8 @@ func (c *BlockCache) shard(node NodeID) *nodeCache {
 			panic(err) // unreachable: name validated at construction
 		}
 		// Replay the newest hint per file so a shard created mid-pass
-		// starts with the current pin window. Demotes only act on
-		// resident blocks, so replay order across files is irrelevant.
+		// starts with the current cursors. A fresh policy has no clock
+		// to advance, so replay order across files is irrelevant.
 		for _, h := range c.lastHints {
 			pol.Hint(h)
 		}
@@ -242,28 +245,23 @@ func (c *BlockCache) Read(id BlockID, node NodeID, load func() ([]byte, error)) 
 // PrefetchAsync starts a speculative background load of the block into
 // node's shard, returning true when a load was issued. It declines —
 // without side effects — when the block is already resident or in
-// flight, when it exceeds the whole budget, or when the shard's pinned
-// bytes plus this block would overflow the budget (prefetch must never
-// force pinned data out). The load is registered in the in-flight
-// table before returning, so demand reads arriving afterwards coalesce
-// onto it instead of reading the source again. Errors are swallowed:
+// flight, or when the shard has no free room for it beside the
+// readahead already in flight: readahead never evicts. The load is
+// registered in the in-flight table before returning, so demand reads
+// arriving afterwards coalesce onto it instead of reading the source
+// again. It lands only if the room is still free. Errors are swallowed:
 // the block simply is not cached and PrefetchFailed is incremented.
 func (c *BlockCache) PrefetchAsync(id BlockID, node NodeID, size int64, load func() ([]byte, error)) bool {
 	c.mu.Lock()
 	nc := c.shard(node)
-	if _, ok := nc.data[id]; ok {
-		c.mu.Unlock()
-		return false
-	}
-	if _, ok := nc.inflight[id]; ok {
-		c.mu.Unlock()
-		return false
-	}
-	if size > c.budget || nc.meta.pinnedBytes()+size > c.budget {
+	_, cached := nc.data[id]
+	_, loading := nc.inflight[id]
+	if cached || loading || nc.meta.bytes+nc.reserved+size > c.budget {
 		c.mu.Unlock()
 		return false
 	}
 	c.prefetches++
+	nc.reserved += size
 	fl := &inflightLoad{done: make(chan struct{}), prefetch: true}
 	nc.inflight[id] = fl
 	c.mu.Unlock()
@@ -272,28 +270,29 @@ func (c *BlockCache) PrefetchAsync(id BlockID, node NodeID, size int64, load fun
 		fl.data, fl.err = load()
 		c.mu.Lock()
 		delete(nc.inflight, id)
-		var events []CacheEvent
+		nc.reserved -= size
+		var ev *CacheEvent
 		if fl.err != nil {
 			c.prefetchFailed++
-		} else if evicted, kept := c.insertLocked(nc, node, id, fl.data); kept {
-			events = append(evicted, CacheEvent{Kind: CachePrefetch, Block: id, Node: node, Bytes: int64(len(fl.data))})
-		} else {
-			events = evicted
+		} else if size := int64(len(fl.data)); nc.meta.fill(id, size, c.budget) {
+			nc.data[id] = fl.data
+			c.bytes += size
+			ev = &CacheEvent{Kind: CachePrefetch, Block: id, Node: node, Bytes: size}
 		}
 		obs := c.obs
 		c.mu.Unlock()
 		close(fl.done)
-		if obs != nil {
-			for _, ev := range events {
-				obs(ev)
-			}
+		if obs != nil && ev != nil {
+			obs(*ev)
 		}
 	}()
 	return true
 }
 
 // Hint forwards scheduler guidance to every shard's policy and
-// remembers the newest hint per file for shards created later.
+// remembers the newest hint per file for shards created later. Callers
+// outside the package go through Store.HandleScanHint, which sets the
+// hint's Cycle.
 func (c *BlockCache) Hint(h ScanHint) {
 	c.mu.Lock()
 	c.lastHints[h.File] = h
@@ -303,11 +302,12 @@ func (c *BlockCache) Hint(h ScanHint) {
 	c.mu.Unlock()
 }
 
-// insertLocked caches data on nc via the shard's policy, evicting
-// victims until the shard fits its budget. Blocks larger than the whole
-// budget — or squeezed out because every other resident block is
-// pinned — are served but not kept. Returns the eviction events to
-// fire once the lock is released and whether the block stayed cached.
+// insertLocked caches a demand read's data on nc via the shard's
+// policy, evicting victims until the shard fits its budget. Blocks the
+// shard does not keep — larger than the whole budget, squeezed out by
+// pins, or needed later than every other resident — are served but not
+// kept. Returns the eviction events to fire once the lock is released
+// and whether the block stayed cached.
 func (c *BlockCache) insertLocked(nc *nodeCache, node NodeID, id BlockID, data []byte) ([]CacheEvent, bool) {
 	before := nc.meta.bytes
 	evicted, kept := nc.meta.admit(id, int64(len(data)), c.budget)

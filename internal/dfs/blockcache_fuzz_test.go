@@ -3,27 +3,138 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
+// settleCache waits until no load is in flight on any shard of c.
+func settleCache(c *BlockCache) {
+	for {
+		c.mu.Lock()
+		loading := 0
+		for _, nc := range c.nodes {
+			loading += len(nc.inflight)
+		}
+		c.mu.Unlock()
+		if loading == 0 {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// shardBlock names a block on one node's shard.
+type shardBlock struct {
+	node NodeID
+	id   BlockID
+}
+
+// pinnedBlocks is every resident block c's policies report pinned now.
+func pinnedBlocks(c *BlockCache) map[shardBlock]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[shardBlock]bool)
+	for node, nc := range c.nodes {
+		for id := range nc.meta.sizes {
+			if nc.meta.policy.Pinned(id) {
+				out[shardBlock{node, id}] = true
+			}
+		}
+	}
+	return out
+}
+
+// pinModel is the cursor policy's pin rule for one file, written out
+// per shard: a hint pins its blocks; a read unpins its block until the
+// cursor moves; a block the cursor has advanced more than a cycle past
+// since it was last read or cached is pinned no more. A shard created
+// later starts from the newest hint.
+type pinModel struct {
+	cycle int
+	last  []BlockID // newest hint's pins
+	nodes map[NodeID]*pinState
+}
+
+type pinState struct {
+	pins     []BlockID // nil: no hint yet
+	progress int       // blocks the cursor advanced
+	read     map[BlockID]bool
+	seen     map[BlockID]int // progress when last read or cached
+}
+
+func newPinModel(cycle int) *pinModel {
+	return &pinModel{cycle: cycle, nodes: map[NodeID]*pinState{}}
+}
+
+func (m *pinModel) shard(node NodeID) *pinState {
+	if m.nodes[node] == nil {
+		m.nodes[node] = &pinState{pins: m.last, read: map[BlockID]bool{}, seen: map[BlockID]int{}}
+	}
+	return m.nodes[node]
+}
+
+func (m *pinModel) hint(pins []BlockID) {
+	for _, st := range m.nodes {
+		if st.pins == nil || st.pins[0] != pins[0] {
+			if st.pins != nil {
+				st.progress += ((pins[0].Index-st.pins[0].Index)%m.cycle + m.cycle) % m.cycle
+			}
+			st.read = map[BlockID]bool{}
+		}
+		st.pins = pins
+	}
+	m.last = pins
+}
+
+// cached records a readahead that landed; readOK a successful read.
+func (m *pinModel) cached(node NodeID, id BlockID) { m.shard(node).seen[id] = m.shard(node).progress }
+
+func (m *pinModel) readOK(node NodeID, id BlockID) {
+	m.cached(node, id)
+	m.shard(node).read[id] = true
+}
+
+func (m *pinModel) pinned(node NodeID, id BlockID) bool {
+	st := m.nodes[node]
+	return st != nil && slices.Contains(st.pins, id) && !st.read[id] && st.progress-st.seen[id] <= m.cycle
+}
+
+// shardBytes is what node's shard of c holds.
+func shardBytes(c *BlockCache, node NodeID) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if nc := c.nodes[node]; nc != nil {
+		return nc.meta.bytes
+	}
+	return 0
+}
+
 // FuzzBlockCache drives the cache with a byte-encoded op sequence and
-// checks the invariants shared by every eviction policy. The first
-// byte selects the policy; each following byte is either a read op
-// (block, node, fault bit) or — with bit 0x40 set — a scheduler hint
-// (pin a two-block window, demote the block behind it). After the
-// sequence: accounting identity hits+misses == reads, per-shard budgets
-// respected, faulted reads never cached, pinned blocks never evicted
-// (cursor policy), correct bytes on every successful read, and a
-// single-flight check (N concurrent cold readers → one source read)
-// on a fresh cache of the same policy.
+// checks the contract shared by every eviction policy. The first byte
+// selects the policy; each following byte is a read (block, node, fault
+// bit), or — with bit 0x40 set — a scheduler hint (the cursor at a
+// block, pinning it and the next) or, with 0xc0 set, a readahead of a
+// block onto a node. After every op: hits+misses == reads, no shard
+// over its budget, faulted reads never cached, correct bytes on every
+// successful read, a demand read left uncached only by a full shard, a
+// readahead that evicted nothing, no eviction of a block pinModel pins,
+// and the policy pinning exactly the resident blocks pinModel pins. Then
+// a single-flight check (N concurrent cold readers → one source read) on
+// a fresh cache of the same policy.
 func FuzzBlockCache(f *testing.F) {
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte{0x01, 0x01, 0x42, 0x81, 0x01, 0xff, 0x42})
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x80})                   // cursor policy, repeated fault
 	f.Add([]byte{0x01, 0x41, 0x01, 0x02, 0x45, 0x03, 0x04, 0x05}) // hints interleaved with reads
 	f.Add([]byte{0x01, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x00})
+	// A hinted circular scan on one node, reading ahead two blocks past
+	// the cursor, two cycles: the full shard serves misses uncached.
+	f.Add([]byte{0x01, 0x40, 0xc2, 0xc3, 0x00, 0x01, 0x42, 0xc4, 0xc5, 0x02, 0x03,
+		0x44, 0xc6, 0xc7, 0x04, 0x05, 0x46, 0xc0, 0xc1, 0x06, 0x07,
+		0x40, 0x00, 0x01, 0x42, 0x02, 0x03, 0x44, 0x04, 0x05, 0x46, 0x06, 0x07})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -47,74 +158,98 @@ func FuzzBlockCache(f *testing.F) {
 			}
 			return b
 		}
-		// Mirror the pin set the cursor policy should honor; the op
-		// stream is single-threaded, so observer callbacks interleave
-		// deterministically with pin updates.
-		pinned := make(map[BlockID]bool)
-		var pinMu sync.Mutex
+		// The op stream is single-threaded and every readahead settles
+		// before the next op, so the evictions an op caused are known
+		// when it returns. Under cursor, pinModel says what is pinned.
+		model := newPinModel(numBlocks)
+		var mu sync.Mutex
+		var evicted []shardBlock
 		c.SetObserver(func(ev CacheEvent) {
-			if ev.Kind != CacheEvict || policy != PolicyCursor {
-				return
-			}
-			pinMu.Lock()
-			bad := pinned[ev.Block]
-			pinMu.Unlock()
-			if bad {
-				t.Errorf("pinned block %v evicted", ev.Block)
+			if ev.Kind == CacheEvict {
+				mu.Lock()
+				evicted = append(evicted, shardBlock{ev.Node, ev.Block})
+				mu.Unlock()
 			}
 		})
 		fault := errors.New("injected")
 		var reads int64
 		for _, op := range ops {
-			if op&0x40 != 0 {
-				at := int(op & 0x07)
-				pin := []BlockID{
-					{File: "f", Index: at},
-					{File: "f", Index: (at + 1) % numBlocks},
-				}
-				demote := BlockID{File: "f", Index: (at + numBlocks - 1) % numBlocks}
-				pinMu.Lock()
-				pinned = map[BlockID]bool{pin[0]: true, pin[1]: true}
-				pinMu.Unlock()
-				c.Hint(ScanHint{File: "f", Pin: [][]BlockID{pin}, Demote: []BlockID{demote}})
-				continue
-			}
+			mu.Lock()
+			evicted = nil
+			mu.Unlock()
 			id := BlockID{File: "f", Index: int(op & 0x07)}
 			node := NodeID((op >> 3) & 0x03)
-			failThis := op&0x80 != 0
-			data, err := c.Read(id, node, func() ([]byte, error) {
-				if failThis {
-					return nil, fault
+			switch {
+			case op&0xc0 == 0xc0:
+				model.shard(node)
+				if c.PrefetchAsync(id, node, blockSize, func() ([]byte, error) { return content(id.Index), nil }) {
+					settleCache(c)
+					model.cached(node, id)
 				}
-				return content(id.Index), nil
-			})
-			reads++
-			if err != nil {
-				if !errors.Is(err, fault) {
-					t.Fatalf("unexpected error: %v", err)
+				if len(evicted) != 0 {
+					t.Fatalf("readahead of %v evicted %v", id, evicted)
 				}
-				if c.Contains(id, node) {
-					t.Fatalf("faulted read of %v cached on node %d", id, node)
+			case op&0x40 != 0:
+				pins := []BlockID{id, {File: "f", Index: (id.Index + 1) % numBlocks}}
+				c.Hint(ScanHint{File: "f", Pin: [][]BlockID{pins}, Cycle: numBlocks})
+				model.hint(pins)
+			default:
+				model.shard(node)
+				failThis := op&0x80 != 0
+				wasCached := c.Contains(id, node)
+				data, err := c.Read(id, node, func() ([]byte, error) {
+					if failThis {
+						return nil, fault
+					}
+					return content(id.Index), nil
+				})
+				reads++
+				if err != nil {
+					if !errors.Is(err, fault) {
+						t.Fatalf("unexpected error: %v", err)
+					}
+					if c.Contains(id, node) {
+						t.Fatalf("faulted read of %v cached on node %d", id, node)
+					}
+				} else if !bytes.Equal(data, content(id.Index)) {
+					t.Fatalf("wrong bytes for %v", id)
+				} else {
+					model.readOK(node, id)
+					if !wasCached && !c.Contains(id, node) && shardBytes(c, node)+blockSize <= budget {
+						t.Fatalf("miss of %v left uncached with room free on node %d", id, node)
+					}
 				}
-			} else if !bytes.Equal(data, content(id.Index)) {
-				t.Fatalf("wrong bytes for %v", id)
+				if st := c.Stats(); st.Hits+st.Misses != reads {
+					t.Fatalf("hits(%d)+misses(%d) != reads(%d)", st.Hits, st.Misses, reads)
+				}
 			}
-			st := c.Stats()
-			if st.Hits+st.Misses != reads {
-				t.Fatalf("hits(%d)+misses(%d) != reads(%d)", st.Hits, st.Misses, reads)
+			if policy != PolicyCursor {
+				model = newPinModel(numBlocks) // lru pins nothing
 			}
-			if st.Bytes < 0 || st.Bytes > 4*budget {
-				t.Fatalf("aggregate bytes %d outside [0, 4*budget]", st.Bytes)
+			for _, ev := range evicted {
+				if model.pinned(ev.node, ev.id) {
+					t.Fatalf("pinned block %v evicted from node %d", ev.id, ev.node)
+				}
+			}
+			got := pinnedBlocks(c)
+			for sb := range got {
+				if !model.pinned(sb.node, sb.id) {
+					t.Fatalf("%s pins %v on node %d, the pin rule does not", policy, sb.id, sb.node)
+				}
+			}
+			for node, st := range model.nodes {
+				for _, id := range st.pins {
+					if model.pinned(node, id) && c.Contains(id, node) && !got[shardBlock{node, id}] {
+						t.Fatalf("%v on node %d is not pinned, the pin rule pins it", id, node)
+					}
+				}
+			}
+			for node := NodeID(0); node < 4; node++ {
+				if b := shardBytes(c, node); b > budget {
+					t.Fatalf("node %d shard holds %d bytes > budget %d", node, b, budget)
+				}
 			}
 		}
-		// Per-shard budget check at the end of the sequence.
-		c.mu.Lock()
-		for node, nc := range c.nodes {
-			if nc.meta.bytes > budget {
-				t.Errorf("node %d shard holds %d bytes > budget %d", node, nc.meta.bytes, budget)
-			}
-		}
-		c.mu.Unlock()
 
 		// Single-flight invariant on a fresh cache of the same policy:
 		// concurrent cold readers of one block coalesce into one source

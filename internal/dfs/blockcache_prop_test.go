@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // Property: under an arbitrary interleaving of reads, faults, node
-// attributions and scheduler hints, the cache preserves its core
-// invariants for every eviction policy:
+// attributions, readahead and scheduler hints, the cache preserves its
+// core invariants for every eviction policy:
 //
-//  1. every shard's footprint stays within the byte budget (and the
-//     aggregate Bytes counter matches the sum of live entries, whose
-//     recorded sizes match the stored contents),
+//  1. every shard's footprint stays within the byte budget after every
+//     op (and the aggregate Bytes counter matches the sum of live
+//     entries, whose recorded sizes match the stored contents),
 //  2. hits + misses equals the number of Read calls,
 //  3. a read that faulted leaves nothing behind in the cache,
-//  4. successful reads always return the block's true contents.
+//  4. successful reads always return the block's true contents,
+//  5. a successful miss goes uncached only when its shard is full,
+//  6. readahead never evicts, and
+//  7. no block is evicted while pinned (pinModel's rule, under cursor).
 func TestBlockCacheInvariantsProperty(t *testing.T) {
 	const (
 		numBlocks = 12
@@ -42,27 +46,46 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 					}
 					return b
 				}
+				model := newPinModel(numBlocks)
+				var evicted []shardBlock // only Read evicts, and it reports before it returns
+				var mu sync.Mutex
+				c.SetObserver(func(ev CacheEvent) {
+					if ev.Kind == CacheEvict {
+						mu.Lock()
+						evicted = append(evicted, shardBlock{ev.Node, ev.Block})
+						mu.Unlock()
+					}
+				})
 				fault := errors.New("injected")
 				var reads, faulted int64
 				for op := 0; op < 20+int(ops); op++ {
-					if rng.Intn(8) == 0 {
-						// Scheduler hint: pin a two-block window, demote the
-						// window behind it. Only the cursor policy acts on
-						// it; for lru it must be a harmless no-op.
-						at := rng.Intn(numBlocks)
-						c.Hint(ScanHint{
-							File: "f",
-							Pin: [][]BlockID{{
-								{File: "f", Index: at},
-								{File: "f", Index: (at + 1) % numBlocks},
-							}},
-							Demote: []BlockID{
-								{File: "f", Index: (at + numBlocks - 1) % numBlocks},
-							},
-						})
-					}
+					mu.Lock()
+					evicted = nil
+					mu.Unlock()
 					id := BlockID{File: "f", Index: rng.Intn(numBlocks)}
 					node := NodeID(rng.Intn(numNodes))
+					switch rng.Intn(8) {
+					case 0:
+						// Scheduler hint: the cursor at id, pinning it and the
+						// next block. Only the cursor policy acts on it; for
+						// lru it must be a harmless no-op.
+						pins := []BlockID{id, {File: "f", Index: (id.Index + 1) % numBlocks}}
+						c.Hint(ScanHint{File: "f", Pin: [][]BlockID{pins}, Cycle: numBlocks})
+						model.hint(pins)
+						continue
+					case 1:
+						model.shard(node)
+						if c.PrefetchAsync(id, node, blockSize, func() ([]byte, error) { return content(id.Index), nil }) {
+							settleCache(c)
+							model.cached(node, id)
+						}
+						if len(evicted) != 0 {
+							t.Logf("readahead of %v evicted %v", id, evicted)
+							return false
+						}
+						continue
+					}
+					model.shard(node)
 					failThis := faultEvery > 0 && rng.Intn(int(faultEvery)+1) == 0
 					wasCached := c.Contains(id, node)
 					data, err := c.Read(id, node, func() ([]byte, error) {
@@ -94,6 +117,26 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 							t.Logf("miss returned err=%v", err)
 							return false
 						}
+						if !c.Contains(id, node) && shardBytes(c, node)+blockSize <= budget {
+							t.Logf("miss of %v left uncached with room free on node %d", id, node)
+							return false
+						}
+					}
+					if err == nil {
+						model.readOK(node, id)
+					}
+					if policy != PolicyCursor {
+						model = newPinModel(numBlocks)
+					}
+					for _, ev := range evicted {
+						if model.pinned(ev.node, ev.id) {
+							t.Logf("pinned block %v evicted from node %d", ev.id, ev.node)
+							return false
+						}
+					}
+					if b := shardBytes(c, node); b > budget {
+						t.Logf("node %d shard holds %d bytes > budget %d", node, b, budget)
+						return false
 					}
 				}
 				st := c.Stats()
@@ -209,19 +252,24 @@ func TestBlockCacheTransparencyProperty(t *testing.T) {
 }
 
 // Property: MetaCache is a faithful stat twin of BlockCache — the same
-// access sequence (reads and hints) through both produces identical
-// hit/miss/eviction counters and identical residency, for every policy.
-// This is the structural guarantee the simulator's cache pricing rests
-// on.
+// access sequence (reads, readahead and hints) through both produces
+// identical hit/miss/eviction/prefetch counters and identical
+// residency, for every policy. This is the structural guarantee the
+// simulator's cache pricing rests on. Half the sequences are random;
+// the other half are a hinted circular scan — the cursor's hint, the
+// readahead of the next segment, then the cursor segment's reads on
+// each block's home node — whose full shards serve misses uncached.
 func TestMetaCacheTwinProperty(t *testing.T) {
 	const (
 		numBlocks = 12
 		numNodes  = 3
+		segment   = 3 // blocks a hinted round reads
 		blockSize = int64(64)
 	)
 	for _, policy := range Policies() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
+			var bypassed int64 // hinted-cycle misses a full shard served uncached
 			prop := func(seed int64, budgetBlocks uint8, ops uint8) bool {
 				rng := rand.New(rand.NewSource(seed))
 				budget := (int64(budgetBlocks%6) + 1) * blockSize
@@ -236,33 +284,72 @@ func TestMetaCacheTwinProperty(t *testing.T) {
 					return false
 				}
 				content := make([]byte, blockSize)
+				load := func() ([]byte, error) { return content, nil }
+				blocks := func(seg int) []BlockID {
+					var out []BlockID
+					for i := 0; i < segment; i++ {
+						out = append(out, BlockID{File: "f", Index: (seg*segment + i) % numBlocks})
+					}
+					return out
+				}
+				hint := func(h ScanHint) {
+					real.Hint(h)
+					meta.Hint(h)
+				}
+				read := func(id BlockID, node NodeID) bool {
+					if _, err := real.Read(id, node, load); err != nil {
+						t.Log(err)
+						return false
+					}
+					hit := meta.Access(id, node, blockSize)
+					if !hit && !meta.Contains(id, node) && seed%2 != 0 {
+						bypassed++
+					}
+					if real.Contains(id, node) != meta.Contains(id, node) {
+						t.Logf("residency divergence at %v node %d", id, node)
+						return false
+					}
+					return true
+				}
+				prefetch := func(id BlockID, node NodeID) bool {
+					issued := real.PrefetchAsync(id, node, blockSize, load)
+					settleCache(real)
+					if issued != meta.Prefetch(id, node, blockSize) {
+						t.Logf("prefetch of %v on node %d issued by one twin only", id, node)
+						return false
+					}
+					return true
+				}
 				for op := 0; op < 20+int(ops); op++ {
-					if rng.Intn(8) == 0 {
-						at := rng.Intn(numBlocks)
-						h := ScanHint{
-							File: "f",
-							Pin: [][]BlockID{{
-								{File: "f", Index: at},
-								{File: "f", Index: (at + 1) % numBlocks},
-							}},
-							Demote: []BlockID{
-								{File: "f", Index: (at + numBlocks - 1) % numBlocks},
-							},
+					if seed%2 != 0 {
+						seg := op % (numBlocks / segment)
+						pins := append(blocks(seg), blocks(seg+1)...)
+						hint(ScanHint{File: "f", Pin: [][]BlockID{pins}, Prefetch: blocks(seg + 1), Cycle: numBlocks})
+						for _, id := range blocks(seg + 1) {
+							if !prefetch(id, NodeID(id.Index%numNodes)) {
+								return false
+							}
 						}
-						real.Hint(h)
-						meta.Hint(h)
+						for _, id := range blocks(seg) {
+							if !read(id, NodeID(id.Index%numNodes)) {
+								return false
+							}
+						}
 						continue
 					}
 					id := BlockID{File: "f", Index: rng.Intn(numBlocks)}
 					node := NodeID(rng.Intn(numNodes))
-					if _, err := real.Read(id, node, func() ([]byte, error) { return content, nil }); err != nil {
-						t.Log(err)
-						return false
-					}
-					meta.Access(id, node, blockSize)
-					if real.Contains(id, node) != meta.Contains(id, node) {
-						t.Logf("residency divergence at %v node %d after op %d", id, node, op)
-						return false
+					switch rng.Intn(8) {
+					case 0:
+						hint(ScanHint{File: "f", Pin: [][]BlockID{{id, {File: "f", Index: (id.Index + 1) % numBlocks}}}, Cycle: numBlocks})
+					case 1:
+						if !prefetch(id, node) {
+							return false
+						}
+					default:
+						if !read(id, node) {
+							return false
+						}
 					}
 				}
 				rs, ms := real.Stats(), meta.Stats()
@@ -274,6 +361,9 @@ func TestMetaCacheTwinProperty(t *testing.T) {
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 				t.Fatal(err)
+			}
+			if policy == PolicyCursor && bypassed == 0 {
+				t.Error("no hinted-cycle miss was served uncached: the bypass path went untested")
 			}
 		})
 	}

@@ -308,7 +308,7 @@ func TestResetStatsCoversAllCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pin something so the PinnedBytes gauge is live too.
-	c.Hint(ScanHint{File: "f", Pin: [][]BlockID{{{File: "f", Index: 1}}}})
+	s.HandleScanHint(ScanHint{File: "f", Pin: [][]BlockID{{{File: "f", Index: 1}}}})
 
 	st := reflect.ValueOf(s.Stats())
 	for i := 0; i < st.NumField(); i++ {

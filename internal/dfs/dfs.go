@@ -372,15 +372,17 @@ func (s *Store) loadFunc(f *File, id BlockID, node NodeID, fault ReadFault) func
 }
 
 // HandleScanHint feeds one scheduler hint to the cache: the policy
-// learns the new pin window, and — under the cursor policy on an
-// unreplicated store — the hinted prefetch blocks start loading in the
-// background on their primary holders. Prefetch is restricted to
-// replicas == 1 because the readahead lands on Locations(b)[0]; with
-// replication the engine's least-loaded replica choice may serve the
-// block elsewhere and the speculative read would be charged without
-// ever being consumed. Prefetch loads run through the same fault hook
-// and scan counters as demand reads, but a block whose load fails is
-// simply not cached (never retried, never an error to readers).
+// learns where the cursor stands — the hint's Cycle is set here, from
+// the file — and, under the cursor policy on an unreplicated store, the
+// hinted prefetch blocks start loading in the background on their
+// primary holders, as far as their shards have free room. Prefetch is
+// restricted to replicas == 1 because the readahead lands on
+// Locations(b)[0]; with replication the engine's least-loaded replica
+// choice may serve the block elsewhere and the speculative read would
+// be charged without ever being consumed. Prefetch loads run through
+// the same fault hook and scan counters as demand reads, but a block
+// whose load fails is simply not cached (never retried, never an error
+// to readers).
 //
 // The signature matches core.ScanHinter, so wire it directly:
 // sched.SetScanHinter(store.HandleScanHint).
@@ -392,6 +394,9 @@ func (s *Store) HandleScanHint(h ScanHint) {
 	s.mu.RUnlock()
 	if cache == nil {
 		return
+	}
+	if f != nil {
+		h.Cycle = f.NumBlocks
 	}
 	cache.Hint(h)
 	if cache.Policy() != PolicyCursor || s.replicas != 1 || f == nil {

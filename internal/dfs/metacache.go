@@ -89,24 +89,16 @@ func (m *MetaCache) Access(id BlockID, node NodeID, size int64) bool {
 }
 
 // Prefetch models PrefetchAsync: it admits the block speculatively
-// under the same issue conditions (not resident, fits the budget,
-// does not crowd out pinned bytes) and reports whether a prefetch was
-// issued. There is no in-flight state — the block is warm immediately,
-// the ideal the engine's readahead approaches when the load finishes
-// within the overlapped reduce stage.
+// under the same issue condition (not resident, fits the free room) and
+// reports whether a prefetch was issued. There is no in-flight state —
+// the block is warm immediately, the ideal the engine's readahead
+// approaches when the load finishes within the overlapped reduce stage.
 func (m *MetaCache) Prefetch(id BlockID, node NodeID, size int64) bool {
-	s := m.shard(node)
-	if s.has(id) {
-		return false
-	}
-	if size > m.budget || s.pinnedBytes()+size > m.budget {
+	if !m.shard(node).fill(id, size, m.budget) {
 		return false
 	}
 	m.prefetches++
-	before := s.bytes
-	evicted, _ := s.admit(id, size, m.budget)
-	m.evictions += int64(len(evicted))
-	m.bytes += s.bytes - before
+	m.bytes += size
 	return true
 }
 

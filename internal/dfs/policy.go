@@ -5,17 +5,19 @@
 // exactly one cycle later — is the textbook adversary for LRU: when the
 // budget is smaller than the cycle, LRU evicts each block just before
 // the cursor comes back to it and the hit ratio collapses to zero
-// (bench/cache-cliff.jsonl's 2GB/node budget). The fix is not a bigger cache but a
-// scan-aware policy, so the replacement decision is factored out behind
-// EvictionPolicy and two implementations ship:
+// (bench/cache-cliff.jsonl's 2GB/node budget). The fix is not a bigger
+// cache but a scan-aware policy, so the replacement decision is factored
+// out behind EvictionPolicy and two implementations ship:
 //
 //	lru    — the original behavior, kept as the baseline.
-//	cursor — segment-granular pinning driven by ScanHint from the JQM
-//	         cursor: the next-to-be-scanned segments are pinned
-//	         (Victim never selects them), just-scanned segments are
-//	         demoted to evict-first. With readahead this approximates
-//	         Belady for the circular scan: keep exactly what the
-//	         cursor will want next.
+//	cursor — Belady's MIN for the circular scan, driven by ScanHint from
+//	         the JQM cursor: a hinted file's residents are ranked by how
+//	         soon the cursor reaches them, and the one it reaches last —
+//	         the block scanned most recently — goes first. A newcomer the
+//	         scan has just read is needed a whole cycle later, so a full
+//	         shard serves it uncached rather than displace a block the
+//	         cursor reaches sooner: a cache of C blocks over an N-block
+//	         cycle reads N−C blocks a cycle, the least any policy can.
 //
 // Policies are metadata-only — they see block ids and sizes, never
 // contents — so the identical implementations drive both the real
@@ -48,22 +50,23 @@ func ValidPolicy(name string) bool { return slices.Contains(Policies(), name) }
 // time its circular cursor advances (core.S3.SetScanHinter). One hint
 // carries the full picture for one file, so applying it is idempotent:
 //
-//   - Pin lists the upcoming segments in cursor order (typically the
-//     cursor segment and the one after it). It *replaces* the previous
-//     pin set for File — segments that left the window unpin
-//     implicitly.
-//   - Demote lists the just-scanned segment's blocks: under S^3 every
-//     active job has consumed them, so they are the least valuable
-//     bytes in the cache and drop to evict-first order.
+//   - Pin lists the blocks the cursor reaches next, in scan order (the
+//     cursor segment and the one after it): its first block is where
+//     the cursor stands. The cursor policy pins the run from the first
+//     to the last until the scan reads each block. A hint with no pins
+//     leaves the file unranked (plain LRU).
 //   - Prefetch lists the blocks worth reading ahead (the segment after
 //     the cursor) — empty when the scheduler cannot guarantee the
-//     segment will actually be scanned. Only the cursor policy acts on
-//     it; pins and demotes are advice any policy may use.
+//     segment will actually be scanned. Readahead only fills free room.
+//   - Cycle is the file's block count: a block the cursor leaves comes
+//     round again Cycle blocks later. dfs.Store and the sim executor
+//     set it from the file, so it never crosses the wire; a hint
+//     without it ranks nothing.
 type ScanHint struct {
 	File     string
 	Pin      [][]BlockID
-	Demote   []BlockID
 	Prefetch []BlockID
+	Cycle    int
 }
 
 // EvictionPolicy decides which resident block a cache shard discards
@@ -74,9 +77,12 @@ type ScanHint struct {
 // The contract shared by all policies (fuzzed in FuzzBlockCache):
 //
 //   - Admit/Remove bracket residency: a block is resident from Admit
-//     until Remove, and Touch/Victim only ever see resident blocks.
+//     until Remove, and Touch/Victim only ever see resident blocks. A
+//     demand read admits and then touches its block; readahead only
+//     admits it.
 //   - Victim returns a resident block, never one that Pinned reports
-//     true for; ok=false means every resident block is pinned.
+//     true for; ok=false means every resident block is pinned. It may
+//     name the block just admitted: the shard then serves it uncached.
 //   - Hint is advisory: a policy may ignore it entirely (lru).
 type EvictionPolicy interface {
 	// Name returns the policy's registry name.
@@ -90,7 +96,7 @@ type EvictionPolicy interface {
 	Victim() (BlockID, bool)
 	// Remove records a block leaving residency (eviction or purge).
 	Remove(id BlockID)
-	// Hint applies scheduler guidance (pins, demotions).
+	// Hint applies scheduler guidance (the cursor and its pins).
 	Hint(h ScanHint)
 	// Pinned reports whether the block is pin-protected right now.
 	Pinned(id BlockID) bool
@@ -147,51 +153,96 @@ func (p *lruPolicy) Remove(id BlockID) {
 func (p *lruPolicy) Hint(ScanHint)       {}
 func (p *lruPolicy) Pinned(BlockID) bool { return false }
 
-// cursorPolicy keeps an LRU order modulated by scheduler hints: blocks
-// of the pinned (upcoming) segments are never selected as victims, and
-// demoted (just-scanned) blocks drop to the back of the order, making
-// them the first to go. Without hints it degenerates to plain LRU, so
-// schedulers that never emit ScanHints (fifo, mrshare) still behave
-// sanely under it.
+// cursorPolicy ranks each hinted file's residents by when the cursor
+// next reaches them and evicts the one it reaches last. A block read
+// since the cursor last moved is not needed again until the next cycle,
+// so it ranks a cycle further out than its position says.
+//
+// Some residents the cursor will not come back to, and they go first,
+// least recently used first: blocks of a file with no hint; blocks of a
+// drained file, which got no hint while the other hinted cursors
+// advanced a whole cycle of it; and blocks their own cursor passed a
+// whole cycle ago without reading them (another worker's share since a
+// membership change). Without hints the policy is plain LRU.
 type cursorPolicy struct {
-	entries map[BlockID]*list.Element
-	order   *list.List // front = most recently used / admitted
-	// pins holds the pinned block set per file; a hint replaces its
-	// file's set wholesale.
-	pins map[string]map[BlockID]struct{}
+	entries map[BlockID]*list.Element // value: *cursorEntry
+	order   *list.List                // front = most recently used
+	scans   map[string]*cursorScan
+	clock   int // blocks the hinted cursors have advanced, all files
+	moves   int // cursor moves so far: names each scan epoch
+}
+
+type cursorEntry struct {
+	id   BlockID
+	read int // its file's scan epoch when it was last read
+	seen int // its file's progress when it was last read or admitted
+}
+
+// cursorScan is one file's newest hint, applied at clock time at: the
+// cursor stands at block cursor of cycle and pins the window blocks from
+// it on. Its move there opened epoch and brought the blocks it has
+// advanced in all to progress.
+type cursorScan struct {
+	cursor, cycle, window int
+	at, epoch, progress   int
 }
 
 func newCursorPolicy() *cursorPolicy {
 	return &cursorPolicy{
 		entries: make(map[BlockID]*list.Element),
 		order:   list.New(),
-		pins:    make(map[string]map[BlockID]struct{}),
+		scans:   make(map[string]*cursorScan),
 	}
 }
 
 func (p *cursorPolicy) Name() string { return PolicyCursor }
 
 func (p *cursorPolicy) Touch(id BlockID) {
-	if el, ok := p.entries[id]; ok {
-		p.order.MoveToFront(el)
+	el, ok := p.entries[id]
+	if !ok {
+		return
+	}
+	p.order.MoveToFront(el)
+	if s := p.scans[id.File]; s != nil {
+		e := el.Value.(*cursorEntry)
+		e.read, e.seen = s.epoch, s.progress
 	}
 }
 
 func (p *cursorPolicy) Admit(id BlockID, size int64) {
-	p.entries[id] = p.order.PushFront(id)
+	e := &cursorEntry{id: id}
+	if s := p.scans[id.File]; s != nil {
+		e.seen = s.progress
+	}
+	p.entries[id] = p.order.PushFront(e)
 }
 
-// Victim walks from the LRU end skipping pinned blocks. The walk is
-// linear, but the pinned window is at most two segments, so in
-// practice the first unpinned candidate sits at or near the back.
+// Victim returns the least recently used resident the cursor will not
+// come back to if there is one, else the unpinned block it reaches
+// last. The walk visits every resident, about 30 ns each on a 2-core
+// x86 host: cheap beside a block read at hundreds of residents; a shard
+// of thousands of small blocks would want them indexed by position.
 func (p *cursorPolicy) Victim() (BlockID, bool) {
+	var victim BlockID
+	found, latest := false, 0
 	for el := p.order.Back(); el != nil; el = el.Prev() {
-		id := el.Value.(BlockID)
-		if !p.Pinned(id) {
-			return id, true
+		e := el.Value.(*cursorEntry)
+		s := p.scans[e.id.File]
+		if p.stale(s, e) {
+			return e.id, true
+		}
+		if s.pinned(e) {
+			continue
+		}
+		due := s.at + s.ahead(e.id) - p.clock
+		if e.read == s.epoch {
+			due += s.cycle
+		}
+		if !found || due > latest {
+			victim, found, latest = e.id, true, due
 		}
 	}
-	return BlockID{}, false
+	return victim, found
 }
 
 func (p *cursorPolicy) Remove(id BlockID) {
@@ -201,30 +252,63 @@ func (p *cursorPolicy) Remove(id BlockID) {
 	}
 }
 
-// Hint replaces the file's pin set with the hinted upcoming segments
-// and demotes the just-scanned blocks to evict-first order.
+// Hint moves the file's cursor to its first pinned block, opening a
+// new epoch when the cursor moved. A hint with no pins or no Cycle
+// withdraws the file's. It allocates only for a file's first hint:
+// admission applies one per map task.
 func (p *cursorPolicy) Hint(h ScanHint) {
-	pinned := make(map[BlockID]struct{})
+	var first, last BlockID
+	pins := 0
 	for _, seg := range h.Pin {
-		for _, id := range seg {
-			pinned[id] = struct{}{}
+		if len(seg) > 0 {
+			if pins == 0 {
+				first = seg[0]
+			}
+			last, pins = seg[len(seg)-1], pins+len(seg)
 		}
 	}
-	p.pins[h.File] = pinned
-	for _, id := range h.Demote {
-		if _, still := pinned[id]; still {
-			continue
-		}
-		if el, ok := p.entries[id]; ok {
-			p.order.MoveToBack(el)
-		}
+	s := p.scans[h.File]
+	if pins == 0 || h.Cycle <= 0 {
+		delete(p.scans, h.File)
+		return
 	}
+	if s == nil {
+		s = &cursorScan{cursor: first.Index, epoch: -1}
+		p.scans[h.File] = s
+	}
+	moved := mod(first.Index-s.cursor, h.Cycle)
+	if moved > 0 || s.epoch < 0 {
+		p.moves++
+		s.epoch, s.progress = p.moves, s.progress+moved
+	}
+	p.clock += moved
+	s.at, s.cursor, s.cycle = p.clock, first.Index, h.Cycle
+	s.window = mod(last.Index-first.Index, h.Cycle) + 1
 }
 
 func (p *cursorPolicy) Pinned(id BlockID) bool {
-	_, ok := p.pins[id.File][id]
-	return ok
+	el, ok := p.entries[id]
+	if !ok {
+		return false
+	}
+	e, s := el.Value.(*cursorEntry), p.scans[id.File]
+	return !p.stale(s, e) && s.pinned(e)
 }
+
+// stale reports whether the cursor will not come back to e.
+func (p *cursorPolicy) stale(s *cursorScan, e *cursorEntry) bool {
+	return s == nil || p.clock-s.at >= s.cycle || s.progress-e.seen > s.cycle
+}
+
+// pinned: inside the window and not yet read by this pass.
+func (s *cursorScan) pinned(e *cursorEntry) bool {
+	return e.read != s.epoch && s.ahead(e.id) < s.window
+}
+
+// ahead is how many blocks the cursor moves before it reaches id.
+func (s *cursorScan) ahead(id BlockID) int { return mod(id.Index-s.cursor, s.cycle) }
+
+func mod(a, n int) int { return (a%n + n) % n }
 
 // cacheShard is the metadata half of one cache shard: residency, byte
 // accounting and the eviction loop, shared verbatim between the real
@@ -257,11 +341,10 @@ func (s *cacheShard) access(id BlockID) bool {
 	return true
 }
 
-// admit makes id resident and evicts victims until the shard fits
-// budget. kept=false means the incoming block itself was discarded:
-// either it exceeds the whole budget, or every other resident block is
-// pinned — pinned residents are never evicted, and the budget is never
-// exceeded, so the newcomer is the one to go.
+// admit caches a demand read's block and evicts victims until the
+// shard fits budget. kept=false means the newcomer itself was
+// discarded: it exceeds the whole budget, every other resident is
+// pinned, or the policy needs every other resident sooner than it.
 func (s *cacheShard) admit(id BlockID, size, budget int64) (evicted []BlockID, kept bool) {
 	if size > budget {
 		return nil, false
@@ -272,6 +355,7 @@ func (s *cacheShard) admit(id BlockID, size, budget int64) (evicted []BlockID, k
 		return nil, true
 	}
 	s.policy.Admit(id, size)
+	s.policy.Touch(id)
 	s.sizes[id] = size
 	s.bytes += size
 	for s.bytes > budget {
@@ -284,6 +368,19 @@ func (s *cacheShard) admit(id BlockID, size, budget int64) (evicted []BlockID, k
 		evicted = append(evicted, v)
 	}
 	return evicted, true
+}
+
+// fill caches a readahead block if it fits the free room, and reports
+// whether it did: readahead never evicts, for every resident is a block
+// the cursor comes back to.
+func (s *cacheShard) fill(id BlockID, size, budget int64) bool {
+	if s.has(id) || s.bytes+size > budget {
+		return false
+	}
+	s.policy.Admit(id, size)
+	s.sizes[id] = size
+	s.bytes += size
+	return true
 }
 
 // remove drops id from residency (no-op when absent).

@@ -55,7 +55,7 @@ func TestPolicyRegistry(t *testing.T) {
 		id := BlockID{File: "f", Index: 0}
 		p.Admit(id, 64)
 		p.Touch(id)
-		p.Hint(ScanHint{File: "f", Pin: [][]BlockID{{id}}, Demote: []BlockID{id}})
+		p.Hint(ScanHint{File: "f", Pin: [][]BlockID{{id}}, Cycle: 1})
 		if p.Name() == PolicyCursor != p.Pinned(id) {
 			t.Errorf("%s: Pinned(%v) = %v after pin hint", name, id, p.Pinned(id))
 		}
@@ -88,7 +88,6 @@ func TestHandleScanHintPrefetchesNextSegment(t *testing.T) {
 	s.HandleScanHint(ScanHint{
 		File:     f.Name,
 		Pin:      [][]BlockID{ids[2:4]},
-		Demote:   ids[0:2],
 		Prefetch: ids[2:4],
 	})
 	cs := waitCache(s, func(cs CacheStats) bool { return cs.Bytes == 2*blockSize })
@@ -120,6 +119,95 @@ func TestHandleScanHintPrefetchesNextSegment(t *testing.T) {
 	s.HandleScanHint(ScanHint{File: f.Name, Prefetch: ids[2:4]})
 	if cs := s.CacheStats(); cs.Prefetches != 2 {
 		t.Fatalf("resident blocks re-prefetched: %+v", cs)
+	}
+}
+
+// cycleScan drives s's one-node cache the way S3 does for file: per
+// round the cursor's hint — its segment and the next pinned, the next
+// read ahead — then the cursor segment's reads. It returns the physical
+// reads, readahead included, of each of cycles passes.
+func cycleScan(t *testing.T, s *Store, file string, segment, cycles int) []int64 {
+	t.Helper()
+	f, err := s.File(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := func(k int) []BlockID {
+		var out []BlockID
+		for i := k * segment; i < (k+1)*segment; i++ {
+			out = append(out, BlockID{File: file, Index: i % f.NumBlocks})
+		}
+		return out
+	}
+	k := f.NumBlocks / segment
+	out := make([]int64, cycles)
+	for c := range out {
+		before := s.Stats().BlockReads
+		for r := 0; r < k; r++ {
+			s.HandleScanHint(ScanHint{File: file, Pin: [][]BlockID{seg(r), seg(r + 1)}, Prefetch: seg(r + 1)})
+			settleCache(s.Cache())
+			for _, id := range seg(r) {
+				if _, err := s.ReadBlockAt(id, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		out[c] = s.Stats().BlockReads - before
+	}
+	return out
+}
+
+// One shard, a hinted circular scan of N blocks, a budget of C < N: from
+// the second cycle on, the cursor policy reads N−C blocks a cycle — it
+// keeps C and serves the rest uncached, the least any policy can read —
+// and never evicts; LRU reads all N.
+func TestCursorScanReadsNMinusC(t *testing.T) {
+	const n, c, blockSize = 12, 5, 256
+	for policy, want := range map[string]int64{PolicyCursor: n - c, PolicyLRU: n} {
+		s, _ := hintStore(t, 1, 1, n, blockSize)
+		if _, err := s.EnableCachePolicy(c*blockSize, policy); err != nil {
+			t.Fatal(err)
+		}
+		reads := cycleScan(t, s, "input", 2, 4)
+		for cycle, got := range reads[1:] {
+			if got != want {
+				t.Errorf("%s: cycle %d read %d blocks (cycles %v), want %d", policy, cycle+2, got, reads, want)
+			}
+		}
+		if cs := s.CacheStats(); policy == PolicyCursor && cs.Evictions != 0 {
+			t.Errorf("cursor: %d evictions, want none: %+v", cs.Evictions, cs)
+		}
+	}
+}
+
+// A file whose queue drained keeps its last hint — and its pins — on
+// the workers (DESIGN.md §9). Its blocks give their slots up to a live
+// scan once that scan has advanced a whole cycle of the drained file.
+func TestDrainedFileYieldsToLiveScan(t *testing.T) {
+	const n, c, blockSize = 12, 5, 256
+	s, _ := hintStore(t, 1, 1, n, blockSize)
+	old, err := s.AddFile("old", blockSize, [][]byte{make([]byte, blockSize), make([]byte, blockSize), make([]byte, blockSize), make([]byte, blockSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.EnableCachePolicy(c*blockSize, PolicyCursor); err != nil {
+		t.Fatal(err)
+	}
+	// The old file's last round: its window read ahead and never scanned.
+	window := old.Blocks()
+	s.HandleScanHint(ScanHint{File: old.Name, Pin: [][]BlockID{window[:2], window[2:]}, Prefetch: window})
+	settleCache(s.Cache())
+	if cs := s.CacheStats(); cs.PinnedBytes != 4*blockSize {
+		t.Fatalf("the drained window is not pinned: %+v", cs)
+	}
+	reads := cycleScan(t, s, "input", 2, 3)
+	for _, id := range window {
+		if s.Cache().Contains(id, 0) {
+			t.Errorf("drained %v still cached after %d live cycles", id, len(reads))
+		}
+	}
+	if reads[2] != n-c {
+		t.Errorf("live scan read %v blocks a cycle, want %d once the drained file is gone", reads, n-c)
 	}
 }
 
@@ -216,7 +304,7 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	}
 	// A hint delivered before any shard exists must still apply to
 	// shards created later (the lastHints replay).
-	m.Hint(ScanHint{File: "f", Pin: [][]BlockID{ids[0:2]}})
+	m.Hint(ScanHint{File: "f", Pin: [][]BlockID{ids[0:2]}, Cycle: len(ids)})
 	if m.Access(ids[0], 0, blockSize) {
 		t.Fatal("cold access hit")
 	}
@@ -232,10 +320,10 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	if m.Prefetch(ids[2], 0, 3*blockSize) {
 		t.Fatal("over-budget block prefetched")
 	}
-	// Both resident blocks are pinned and fill the budget, so a further
-	// prefetch would crowd out pinned bytes and must decline.
+	// The two resident blocks fill the budget: readahead never evicts,
+	// so a further prefetch declines.
 	if m.Prefetch(ids[2], 0, blockSize) {
-		t.Fatal("prefetch crowded out pinned bytes")
+		t.Fatal("prefetch evicted to make room")
 	}
 	if !m.Contains(ids[1], 0) || m.Contains(ids[1], 1) {
 		t.Fatal("Contains wrong about residency")
@@ -244,7 +332,8 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 		t.Fatalf("CachedBytes = %d, want %d", got, 2*blockSize)
 	}
 	st := m.Stats()
-	want := CacheStats{Hits: 1, Misses: 1, Prefetches: 1, Bytes: 2 * blockSize, PinnedBytes: 2 * blockSize}
+	// The read unpinned ids[0]; the prefetched ids[1] stays pinned.
+	want := CacheStats{Hits: 1, Misses: 1, Prefetches: 1, Bytes: 2 * blockSize, PinnedBytes: blockSize}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
@@ -253,7 +342,7 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Prefetches != 0 {
 		t.Fatalf("ResetStats left counters: %+v", st)
 	}
-	if st.Bytes != 2*blockSize || st.PinnedBytes != 2*blockSize {
+	if st.Bytes != 2*blockSize || st.PinnedBytes != blockSize {
 		t.Fatalf("ResetStats dropped residency gauges: %+v", st)
 	}
 }

@@ -467,25 +467,25 @@ func TestHintShareRoundTrip(t *testing.T) {
 		}
 		return out
 	}
-	h := dfs.ScanHint{File: "f", Pin: [][]dfs.BlockID{ids(4, 5), ids(6, 7)}, Demote: ids(2, 3), Prefetch: ids(6, 7)}
-	for pos, want := range [][]int{{2, 4, 6, 1, 2, 1, 6}, {2, 5, 7, 1, 3, 1, 7}} {
+	h := dfs.ScanHint{File: "f", Pin: [][]dfs.BlockID{ids(4, 5), ids(6, 7)}, Prefetch: ids(6, 7)}
+	for pos, want := range [][]int{{2, 4, 6, 1, 6}, {2, 5, 7, 1, 7}} {
 		share := hintShare(h, pos, 2)
 		if !reflect.DeepEqual(share, want) {
 			t.Errorf("worker %d of 2: share %v, want %v", pos, share, want)
 		}
 		got, err := (&MapTaskArgs{File: "f", Hint: share}).scanHint()
-		wantHint := dfs.ScanHint{File: "f", Pin: [][]dfs.BlockID{ids(want[1], want[2])}, Demote: ids(want[4]), Prefetch: ids(want[6])}
+		wantHint := dfs.ScanHint{File: "f", Pin: [][]dfs.BlockID{ids(want[1], want[2])}, Prefetch: ids(want[4])}
 		if err != nil || !reflect.DeepEqual(got, wantHint) {
 			t.Errorf("worker %d of 2: rebuilt %+v (%v), want %+v", pos, got, err, wantHint)
 		}
 	}
-	if share := hintShare(h, 0, 1); !reflect.DeepEqual(share, []int{4, 4, 5, 6, 7, 2, 2, 3, 2, 6, 7}) {
+	if share := hintShare(h, 0, 1); !reflect.DeepEqual(share, []int{4, 4, 5, 6, 7, 2, 6, 7}) {
 		t.Errorf("the only worker's share is %v, want the whole hint", share)
 	}
-	if share := hintShare(dfs.ScanHint{File: "f"}, 0, 2); !reflect.DeepEqual(share, []int{0, 0, 0}) {
-		t.Errorf("an empty hint's share is %v, want [0 0 0]: it still clears the pins", share)
+	if share := hintShare(dfs.ScanHint{File: "f"}, 0, 2); !reflect.DeepEqual(share, []int{0, 0}) {
+		t.Errorf("an empty hint's share is %v, want [0 0]: it still clears the pins", share)
 	}
-	for _, bad := range [][]int{{}, {1}, {3, 1, 2}, {-1, 0, 0}, {0, 0}, {0, 2, 9, 0}, {1, 4, 0, 2, 6}} {
+	for _, bad := range [][]int{{}, {1}, {3, 1, 2}, {-1, 0}, {0}, {0, 2, 9}, {1, 4, 2, 6}} {
 		if got, err := (&MapTaskArgs{File: "f", Hint: bad}).scanHint(); err == nil {
 			t.Errorf("hint %v rebuilt as %+v, want an error", bad, got)
 		}

@@ -52,8 +52,8 @@ type MapTaskArgs struct {
 	// stitched together. Empty when the master traces nothing.
 	Corr string
 	// Hint is the receiving worker's share of the scheduler's newest
-	// dfs.ScanHint for File: three counted lists of block indices — pin,
-	// demote, prefetch — end to end (hintShare writes it, scanHint reads
+	// dfs.ScanHint for File: two counted lists of block indices — pin and
+	// prefetch — end to end (hintShare writes it, scanHint reads
 	// it). Indices, because the file is already named and a []BlockID would
 	// cross gob as a struct per block on every task. Nil, and then absent
 	// from the wire, until the scheduler has emitted one.
@@ -62,11 +62,12 @@ type MapTaskArgs struct {
 
 // hintShare flattens into MapTaskArgs.Hint's layout the part of h that
 // concerns the worker at position pos of n live ones: the blocks whose
-// home it is. A pin or a demote means nothing to a worker that never
+// home it is. A pin means nothing to a worker that never
 // reads the block, and a prefetch there would be a wasted physical read.
+// The pins keep scan order, so the first is still where the cursor stands.
 func hintShare(h dfs.ScanHint, pos, n int) []int {
 	out := make([]int, 0, 8)
-	for _, list := range [][]dfs.BlockID{slices.Concat(h.Pin...), h.Demote, h.Prefetch} {
+	for _, list := range [][]dfs.BlockID{slices.Concat(h.Pin...), h.Prefetch} {
 		count := len(out)
 		out = append(out, 0)
 		for _, id := range list {
@@ -80,10 +81,10 @@ func hintShare(h dfs.ScanHint, pos, n int) []int {
 }
 
 // scanHint rebuilds the dfs.ScanHint that Hint flattens. The pins come
-// back as one group: the policy takes their union.
+// back as one group: the policy pins the run from the first to the last.
 func (a *MapTaskArgs) scanHint() (dfs.ScanHint, error) {
-	var lists [3][]dfs.BlockID                 // pin, demote, prefetch
-	ids := make([]dfs.BlockID, 0, len(a.Hint)) // one array under all three
+	var lists [2][]dfs.BlockID                 // pin, prefetch
+	ids := make([]dfs.BlockID, 0, len(a.Hint)) // one array under both
 	rest := a.Hint
 	for i := range lists {
 		if len(rest) == 0 || rest[0] < 0 || rest[0] >= len(rest) {
@@ -95,7 +96,7 @@ func (a *MapTaskArgs) scanHint() (dfs.ScanHint, error) {
 		}
 		lists[i], rest = ids[from:], rest[1+rest[0]:]
 	}
-	return dfs.ScanHint{File: a.File, Pin: [][]dfs.BlockID{lists[0]}, Demote: lists[1], Prefetch: lists[2]}, nil
+	return dfs.ScanHint{File: a.File, Pin: [][]dfs.BlockID{lists[0]}, Prefetch: lists[1]}, nil
 }
 
 // PartReceipt is what one map task stashed for one reduce partition of

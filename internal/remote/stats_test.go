@@ -40,9 +40,10 @@ func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 	}
 	defer m.Close()
 
-	// Cold scan of the first half, then a hint that pins it and
-	// prefetches the second half, riding the warm rescan: every counter —
-	// hits, misses, pins, prefetches, footprint — goes nonzero.
+	// Cold scan of the first half, then a hint that pins both halves and
+	// prefetches the second, riding the warm rescan of the first: every
+	// counter — hits, misses, pins (the unread second half), prefetches,
+	// footprint — goes nonzero.
 	blocks := f.Blocks()
 	half := blocks[:len(blocks)/2]
 	scan := scheduler.Round{Blocks: half, Jobs: []scheduler.JobMeta{{ID: 1, File: f.Name}}}
@@ -51,7 +52,7 @@ func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 	}
 	m.HandleScanHint(dfs.ScanHint{
 		File:     f.Name,
-		Pin:      [][]dfs.BlockID{half},
+		Pin:      [][]dfs.BlockID{half, blocks[len(blocks)/2:]},
 		Prefetch: blocks[len(blocks)/2:],
 	})
 	if _, err := m.ExecRound(scan); err != nil {

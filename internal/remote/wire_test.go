@@ -393,11 +393,10 @@ func TestMapTaskHintWireCost(t *testing.T) {
 		})
 		return size, allocs
 	}
-	// One worker's share of a hint: two pins, a demote and a prefetch.
+	// One worker's share of a hint: two pins and a prefetch.
 	share := hintShare(dfs.ScanHint{
 		File:     "corpus",
 		Pin:      [][]dfs.BlockID{{{File: "corpus", Index: 5}}, {{File: "corpus", Index: 6}}},
-		Demote:   []dfs.BlockID{{File: "corpus", Index: 4}},
 		Prefetch: []dfs.BlockID{{File: "corpus", Index: 6}},
 	}, 0, 1)
 	var got MapTaskArgs
@@ -409,7 +408,7 @@ func TestMapTaskHintWireCost(t *testing.T) {
 		t.Fatalf("task arrived as %+v, want %+v", got, hinted)
 	}
 	t.Logf("task of 7 jobs: %d bytes, %.0f allocations; with the hint %v: %d bytes, %.0f allocations", plainSize, plainAllocs, share, hintSize, hintAllocs)
-	// Today 9 bytes and 2 allocations; three []int fields cost 12 and 13.
+	// Today 7 bytes and 2 allocations; three []int fields cost 12 and 13.
 	if hintSize-plainSize > 16 || hintAllocs-plainAllocs > 4 {
 		t.Errorf("the hint costs %d bytes and %.0f allocations per task, want at most 16 and 4", hintSize-plainSize, hintAllocs-plainAllocs)
 	}

@@ -52,30 +52,31 @@ func (e *Executor) EnableCachePolicy(bytesPerNode int64, frac float64, policy st
 }
 
 // HandleScanHint feeds one scheduler hint to the cache (a no-op with
-// caching off): pins and demotions reach the policy, and — for the
-// cursor policy on an unreplicated store, mirroring
-// dfs.Store.HandleScanHint — the hinted blocks are prefetched onto
-// their primary holders. Each issued prefetch is charged as a physical
-// scan now, and its scan time accumulates into a readahead bill the
-// next priced round pays net of the previous round's reduce overlap.
-// The signature matches core.ScanHinter.
+// caching off): the policy learns where the cursor stands — the hint's
+// Cycle is set here, from the file, as dfs.Store.HandleScanHint does —
+// and, for the cursor policy on an unreplicated store, the hinted
+// blocks are prefetched onto their primary holders as far as free room
+// allows. Each issued prefetch is charged as a physical scan now, and
+// its scan time accumulates into a readahead bill the next priced round
+// pays net of the previous round's reduce overlap. The signature
+// matches core.ScanHinter.
 func (e *Executor) HandleScanHint(h dfs.ScanHint) {
 	c := e.cache
 	if c == nil {
 		return
 	}
+	f, err := e.store.File(h.File)
+	if err == nil {
+		h.Cycle = f.NumBlocks
+	}
 	c.meta.Hint(h)
-	if c.meta.Policy() != dfs.PolicyCursor || e.store.Replicas() != 1 {
+	if c.meta.Policy() != dfs.PolicyCursor || e.store.Replicas() != 1 || err != nil {
 		return
 	}
 	// One node's readahead runs serially; different nodes prefetch in
 	// parallel. The wall-clock bill is the slowest node's share.
 	perNodeMB := make(map[dfs.NodeID]float64)
 	for _, b := range h.Prefetch {
-		f, err := e.store.File(b.File)
-		if err != nil {
-			continue
-		}
 		locs := e.store.Locations(b)
 		if len(locs) == 0 {
 			continue
