@@ -314,7 +314,7 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 // rejects the submission. Jobs with unfinished dependencies are held by
 // the DAG layer and surface as "waiting" on the status API.
 func (a *clusterAdmission) submitStage(meta scheduler.JobMeta, ref remote.JobRef, deps []scheduler.JobID) (scheduler.JobID, error) {
-	return a.dag.SubmitStage(meta, deps, func(id scheduler.JobID) error {
+	return a.dag.SubmitStage(runtime.Arrival{Job: meta}, deps, func(id scheduler.JobID) error {
 		if a.journal != nil {
 			m := meta
 			m.ID = id
@@ -558,7 +558,7 @@ func drive(master *remote.Master) error {
 	}()
 	// The engine sees the DAG wrapper: arrivals flow through it so
 	// deferred materializations drain on the engine goroutine, and
-	// its JobTracker hooks release (or cascade-fail) dependents as
+	// its JobFinished hook releases (or cascade-fails) dependents as
 	// producers settle.
 	res, err := runtime.Run(sched, master, dag, opts)
 	if err != nil {

@@ -317,29 +317,31 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
 
-	var res *runtime.Result
-	if wf.HasDAG() {
-		// DAG cells run under a pipeline coordinator: roots arrive like
-		// a trace; a finished producer's output is materialized into the
-		// cell's store, its segment plan registered with the scheduler,
-		// and its dependents released into the same circular pass.
-		mat := cellMaterializer(wf, key, env, sched, cluster, refBlocks)
-		coord, cerr := pipeline.NewCoordinator(wf.Stages(), mat)
-		if cerr != nil {
-			return benchfmt.Cell{}, cerr
-		}
-		res, err = runtime.Run(sched, exec, coord, runtime.Options{})
-		if err != nil {
+	// Every cell admits as a daemon does, through a LiveDAG, here filled
+	// before the run: roots arrive at their time; a finished producer's
+	// output is materialized into the cell's store, its segment plan
+	// registered with the scheduler, and its dependents released into the
+	// same circular pass.
+	stages := wf.Stages()
+	order, err := pipeline.Order(stages)
+	if err != nil {
+		return benchfmt.Cell{}, err
+	}
+	clock := vclock.NewVirtual()
+	src := runtime.NewLiveSourceOn(clock)
+	dag := pipeline.NewLiveDAG(src, cellMaterializer(wf, key, env, sched, cluster, refBlocks))
+	for _, i := range order {
+		if _, err := dag.SubmitStage(runtime.Arrival{Job: stages[i].Job, At: stages[i].At}, stages[i].DependsOn, nil); err != nil {
 			return benchfmt.Cell{}, err
 		}
-		if cerr := coord.Err(); cerr != nil {
-			return benchfmt.Cell{}, cerr
-		}
-	} else {
-		res, err = runtime.RunTrace(sched, exec, wf.Entries(), runtime.Options{})
-		if err != nil {
-			return benchfmt.Cell{}, err
-		}
+	}
+	src.Close()
+	res, err := runtime.Run(sched, exec, dag, runtime.Options{Clock: clock})
+	if err != nil {
+		return benchfmt.Cell{}, err
+	}
+	if err := dag.Err(); err != nil {
+		return benchfmt.Cell{}, err
 	}
 	sum, err := res.Metrics.Summarize(key.String())
 	if err != nil {
@@ -421,7 +423,7 @@ func jobRef(j *workload.FileJob) remote.JobRef {
 	return remote.JobRef{Name: j.Meta().Name, Factory: j.Factory, Param: param, NumReduce: j.NumReduce}
 }
 
-// cellMaterializer builds the pipeline.Materializer for one DAG cell.
+// cellMaterializer builds the pipeline.Materializer for one cell.
 // Engine cells materialize as s3cluster does: the producer's output,
 // read from the workers that hold it, is written into the planning
 // store via mapreduce.StoreResult (uniform padded blocks) and installed

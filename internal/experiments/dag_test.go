@@ -26,8 +26,8 @@ func parseDAGWorkload(t *testing.T) *workload.File {
 	if err != nil {
 		t.Fatalf("ParseFile: %v", err)
 	}
-	if !wf.HasDAG() {
-		t.Fatal("dag workload did not register as a DAG")
+	if len(wf.Jobs[1].DependsOn) == 0 {
+		t.Fatal("dag workload's job 2 declares no dependency")
 	}
 	return wf
 }

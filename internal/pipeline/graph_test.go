@@ -59,8 +59,8 @@ func (c dagCase) want() (released, failed []scheduler.JobID) {
 	return released, failed
 }
 
-// run is the bookkeeping both adapters are driven under: what the
-// engine would see, and the invariants checked as it sees it.
+// run is the bookkeeping a LiveDAG is driven under: what the engine
+// would see, and the invariants checked as it sees it.
 type run struct {
 	t        *testing.T
 	c        dagCase
@@ -110,12 +110,12 @@ func (r *run) deliver(arrivals []runtime.Arrival) {
 }
 
 // finishOne has the engine finish a random running stage.
-func (r *run) finishOne(rng *rand.Rand, trk runtime.JobTracker, now vclock.Time) {
+func (r *run) finishOne(rng *rand.Rand, src runtime.ArrivalSource, now vclock.Time) {
 	k := rng.Intn(len(r.running))
 	id := r.running[k]
 	r.running = slices.Delete(r.running, k, k+1)
 	r.finished[id] = true
-	trk.JobFinished(id, now)
+	src.JobFinished(id, now)
 }
 
 func (r *run) releasedSet() []scheduler.JobID {
@@ -127,79 +127,88 @@ func (r *run) releasedSet() []scheduler.JobID {
 	return out
 }
 
+// check holds how a run ended to the oracle: every stage ends released
+// or failed — refused at the door counts as failed — exactly one of the
+// two and exactly as want says.
+func (r *run) check(seed int64, mode string, src *runtime.LiveSource, refused map[scheduler.JobID]bool) {
+	wantReleased, wantFailed := r.c.want()
+	var failed []scheduler.JobID
+	for _, st := range r.c.stages {
+		status, accepted := src.Status(st.Job.ID)
+		switch {
+		case accepted == refused[st.Job.ID]:
+			r.t.Errorf("seed %d: %s stage %d accepted=%v refused=%v", seed, mode, st.Job.ID, accepted, refused[st.Job.ID])
+		case !accepted, status.State == runtime.JobFailed && !r.released[st.Job.ID]:
+			failed = append(failed, st.Job.ID)
+		case status.State != runtime.JobDone && status.State != runtime.JobFailed:
+			r.t.Errorf("seed %d: %s stage %d ended %q", seed, mode, st.Job.ID, status.State)
+		}
+	}
+	if got := r.releasedSet(); !slices.Equal(got, wantReleased) {
+		r.t.Errorf("seed %d: %s released %v, want %v", seed, mode, got, wantReleased)
+	}
+	if !slices.Equal(failed, wantFailed) {
+		r.t.Errorf("seed %d: %s failed %v, want %v", seed, mode, failed, wantFailed)
+	}
+}
+
 // TestGraphProperty drives random DAGs, settle orders and materializer
-// failures through both adapters of the one graph: every stage ends
-// released or failed, exactly one of the two and exactly as the oracle
-// says, in both; none is released before its producers finished and
-// were materialized; no producer is materialized twice. And the graph's order agrees with ParseFile about which
-// listings have a cycle, and where.
+// failures through LiveDAG, filled before the run as an s3compare cell
+// is and submitted during it as a daemon is: every stage ends released
+// or failed as the oracle says; none is released before its producers
+// finished and were materialized; no producer is materialized twice.
+// And the graph's order agrees with ParseFile about which listings have
+// a cycle, and where.
 func TestGraphProperty(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomDAG(rng)
-		wantReleased, wantFailed := c.want()
 
-		// Batch: every stage known up front.
+		// Filled: every stage submitted, and the source closed, first.
 		b := newRun(t, c)
-		coord, err := pipeline.NewCoordinator(c.stages, b.mat)
-		if err != nil {
-			t.Fatalf("seed %d: NewCoordinator: %v", seed, err)
+		src := runtime.NewLiveSource()
+		dag := pipeline.NewLiveDAG(src, b.mat)
+		for _, st := range c.stages {
+			if _, err := dag.SubmitStage(runtime.Arrival{Job: st.Job, At: st.At}, st.DependsOn, nil); err != nil {
+				t.Fatalf("seed %d: SubmitStage %d: %v", seed, st.Job.ID, err)
+			}
 		}
+		src.Close()
 		now := vclock.Time(10)
-		for b.deliver(coord.Pop(now)); len(b.running) > 0; b.deliver(coord.Pop(now)) {
-			b.finishOne(rng, coord, now)
+		for b.deliver(dag.Pop(now)); len(b.running) > 0; b.deliver(dag.Pop(now)) {
+			b.finishOne(rng, dag, now)
 			now += 2 // past the materialization delay
 		}
-		if err := coord.Err(); coord.Wait() || err != nil && strings.Contains(err.Error(), "never became ready") {
-			t.Errorf("seed %d: batch run ended with stages queued or held: %v", seed, err)
+		if err := dag.Err(); dag.Wait() || err != nil && strings.Contains(err.Error(), "never became ready") {
+			t.Errorf("seed %d: filled run ended with stages queued or held: %v", seed, err)
 		}
-		if got := b.releasedSet(); !slices.Equal(got, wantReleased) {
-			t.Errorf("seed %d: batch released %v, want %v", seed, got, wantReleased)
-		}
-		if got := coord.Failed(); !slices.Equal(got, wantFailed) {
-			t.Errorf("seed %d: batch failed %v, want %v", seed, got, wantFailed)
-		}
+		b.check(seed, "filled", src, nil)
 
 		// Live: stages are submitted in id order at random moments of the run.
 		l := newRun(t, c)
-		src := runtime.NewLiveSource()
-		dag := pipeline.NewLiveDAG(src, l.mat)
+		src = runtime.NewLiveSource()
+		dag = pipeline.NewLiveDAG(src, l.mat)
 		refused := map[scheduler.JobID]bool{}
 		next := 0
-		for now = 10; next < len(c.stages) || len(l.running) > 0; now++ {
-			if next < len(c.stages) && (len(l.running) == 0 || rng.Intn(2) == 0) {
+		// A release is due a materialization delay after the finish.
+		for now = 10; next < len(c.stages) || len(l.running) > 0 || dag.Pending() > 0; now++ {
+			switch {
+			case next < len(c.stages) && (len(l.running) == 0 || rng.Intn(2) == 0):
 				st := c.stages[next]
 				next++
-				_, err := dag.SubmitStage(st.Job, st.DependsOn, nil)
+				_, err := dag.SubmitStage(runtime.Arrival{Job: st.Job}, st.DependsOn, nil)
 				switch orphan := slices.ContainsFunc(st.DependsOn, func(d scheduler.JobID) bool { return refused[d] }); {
 				case errors.Is(err, pipeline.ErrDoomed), orphan && err != nil:
 					refused[st.Job.ID] = true // a client never gets an id to build on
 				case err != nil:
 					t.Fatalf("seed %d: SubmitStage %d: %v", seed, st.Job.ID, err)
 				}
-			} else {
+			case len(l.running) > 0:
 				l.finishOne(rng, dag, now)
 			}
 			l.deliver(dag.Pop(now))
 		}
-		var liveFailed []scheduler.JobID
-		for _, st := range c.stages {
-			status, accepted := src.Status(st.Job.ID)
-			switch {
-			case accepted == refused[st.Job.ID]:
-				t.Errorf("seed %d: stage %d accepted=%v refused=%v", seed, st.Job.ID, accepted, refused[st.Job.ID])
-			case !accepted, status.State == runtime.JobFailed && !l.released[st.Job.ID]:
-				liveFailed = append(liveFailed, st.Job.ID)
-			case status.State != runtime.JobDone && status.State != runtime.JobFailed:
-				t.Errorf("seed %d: live stage %d ended %q", seed, st.Job.ID, status.State)
-			}
-		}
-		if got := l.releasedSet(); !slices.Equal(got, wantReleased) {
-			t.Errorf("seed %d: live released %v, want %v", seed, got, wantReleased)
-		}
-		if !slices.Equal(liveFailed, wantFailed) {
-			t.Errorf("seed %d: live failed %v, want %v", seed, liveFailed, wantFailed)
-		}
+		l.check(seed, "live", src, refused)
 
 		checkOrder(t, seed, rng)
 		if t.Failed() {

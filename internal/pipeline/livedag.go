@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -9,13 +10,13 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// LiveDAG is the daemon-mode arrival source: the graph over a
-// runtime.LiveSource, under a lock. It is what an s3cluster daemon
-// hands the engine, so chained POST /jobs submissions pipeline through
-// the live circular pass.
+// LiveDAG is the arrival source of every run with dependencies: the
+// graph over a runtime.LiveSource, under a lock. An s3cluster daemon
+// hands it the engine, so chained POST /jobs submissions pipeline
+// through the live circular pass; an s3compare cell fills it with its
+// workload's stages, in pipeline.Order, before the run.
 //
-// Unlike the batch Coordinator, the DAG here is not known up front:
-// stages arrive one POST at a time, each depending only on stages
+// The DAG need not be known up front: each stage depends only on stages
 // already accepted, so the graph is acyclic by construction — and a
 // producer may have finished, unread, before its first reader arrives.
 type LiveDAG struct {
@@ -25,32 +26,34 @@ type LiveDAG struct {
 	due []scheduler.JobID // unread producers a reader has since arrived for
 }
 
-var (
-	_ runtime.ArrivalSource = (*LiveDAG)(nil)
-	_ runtime.JobTracker    = (*LiveDAG)(nil)
-)
+var _ runtime.ArrivalSource = (*LiveDAG)(nil)
 
 // NewLiveDAG wraps src. mat materializes a finished producer's output
-// before its dependents are released; it runs on the engine goroutine.
+// before its dependents are released; it runs on the engine goroutine,
+// and may be nil only when no stage has dependencies.
 func NewLiveDAG(src *runtime.LiveSource, mat Materializer) *LiveDAG {
 	return &LiveDAG{src: src, tracker: tracker{mat: mat, unread: make(map[scheduler.JobID]bool)}}
 }
 
 // SubmitStage accepts a job with dependencies, which must name
-// already-accepted jobs, once each. One with a failed dependency is
-// refused with ErrDoomed, before pre runs; one with an unfinished
-// dependency is held and the status API reports it "waiting"; any other
-// is queued at once — and if a dependency finished unread, the engine
-// it wakes materializes that in Pop before the stage is delivered. pre
-// behaves as in LiveSource.SubmitWith.
-func (d *LiveDAG) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
+// already-accepted jobs, once each; a.At is the stage's lower bound, as
+// in LiveSource.SubmitStage. One with a failed dependency is refused
+// with ErrDoomed, before pre runs; one with an unfinished dependency is
+// held and the status API reports it "waiting"; any other is queued at
+// once — and if a dependency finished unread, the engine it wakes
+// materializes that in Pop before the stage is delivered. pre behaves
+// as in LiveSource.SubmitWith.
+func (d *LiveDAG) SubmitStage(a runtime.Arrival, deps []scheduler.JobID, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, err := d.g.Check(meta.ID, deps); err != nil {
+	if _, err := d.g.Check(a.Job.ID, deps); err != nil {
 		return 0, err
 	}
+	if len(deps) > 0 && d.mat == nil {
+		return 0, fmt.Errorf("pipeline: stage %q has dependencies but the DAG has no materializer", a.Job.Name)
+	}
 	unfinished := func(dep scheduler.JobID) bool { return !d.g.Settled(dep) && !d.unread[dep] }
-	id, err := d.src.SubmitStage(meta, deps, slices.ContainsFunc(deps, unfinished), pre)
+	id, err := d.src.SubmitStage(a, deps, slices.ContainsFunc(deps, unfinished), pre)
 	if err != nil {
 		return 0, err
 	}
@@ -115,10 +118,10 @@ func (d *LiveDAG) Pending() int { return d.src.Pending() }
 // Wait implements runtime.ArrivalSource.
 func (d *LiveDAG) Wait() bool { return d.src.Wait() }
 
-// JobAdmitted implements runtime.JobTracker.
+// JobAdmitted implements runtime.ArrivalSource.
 func (d *LiveDAG) JobAdmitted(id scheduler.JobID, at vclock.Time) { d.src.JobAdmitted(id, at) }
 
-// JobFinished implements runtime.JobTracker: record the job done on
+// JobFinished implements runtime.ArrivalSource: record the job done on
 // the status API, then settle dependents — materialize the output if
 // anyone waits on it and release satisfied stages, or cascade-fail them
 // when it cannot be materialized. Runs on the engine goroutine,
@@ -132,14 +135,39 @@ func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time) {
 }
 
 // settle passes what a finished stage releases and fails on to the
-// source. Its errors are dropped: a stage queued because its producers
-// had only to be materialized is not held, so releasing it is refused.
+// source; a released stage is queued no earlier than the finish plus
+// the materialization delay. Its errors are dropped: a stage queued
+// because its producers had only to be materialized is not held, so
+// releasing it is refused.
 func (d *LiveDAG) settle(id scheduler.JobID, at vclock.Time) {
-	released, _, cone := d.finished(id, at)
+	released, ready, cone := d.finished(id, at)
 	for _, cid := range cone {
 		_ = d.src.Fail(cid, at)
 	}
 	for _, cid := range released {
-		_ = d.src.Release(cid)
+		_ = d.src.Release(cid, ready)
 	}
+}
+
+// Err reports why the DAG did not run to its end, after a run: the first
+// materialization failure — the stages that failed with it were never
+// admitted, so run metrics do not include them — else the stages still
+// held, which takes a producer that never finished. nil after a clean
+// run.
+func (d *LiveDAG) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return d.err
+	}
+	held := 0
+	for _, st := range d.src.Jobs() {
+		if st.State == runtime.JobWaiting {
+			held++
+		}
+	}
+	if held > 0 {
+		return fmt.Errorf("pipeline: %d DAG stages never became ready", held)
+	}
+	return nil
 }

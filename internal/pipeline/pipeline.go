@@ -6,31 +6,27 @@
 // inputs (the ROADMAP's S^3 twist on Fotakis et al.'s multi-round
 // precedence model).
 //
-// One Graph decides when a stage is ready and what fails with it; two
-// arrival sources put it in front of the engine: Coordinator for
-// trace-driven runs (s3compare cells), a runtime.TraceSource that a
-// released stage is inserted into, and LiveDAG for daemon mode
-// (s3cluster), a runtime.LiveSource where a held stage shows as
-// "waiting" on the admission API. Through the same code both see to it
-// that no stage reaches the scheduler before every producer's output is
-// a file; that a stage whose producer failed, or whose producer's output
-// could not be made a file, fails with it, and so does everything
-// downstream; that an output is materialized at most once, and only if
-// something reads it; and that every accepted stage ends released or
-// failed, never both.
+// One Graph decides when a stage is ready and what fails with it, and
+// one arrival source, LiveDAG, puts it in front of the engine: a
+// runtime.LiveSource where a held stage shows as "waiting" on the
+// admission API. An s3cluster daemon submits its stages one POST at a
+// time; an s3compare cell submits its workload's before the run. Either
+// way no stage reaches the scheduler before every producer's output is a
+// file; a stage whose producer failed, or whose producer's output could
+// not be made a file, fails with it, and so does everything downstream;
+// an output is materialized at most once, and only if something reads
+// it; and every accepted stage ends released or failed, never both.
 //
-// Materialization is delegated: the source decides *when* a stage's
-// output becomes a file, the installed Materializer decides *how* (sim
-// cells register priced metadata, engine cells write real blocks, the
-// cluster master replicates to workers) and reports how long it took,
-// which delays the dependents' release.
+// Materialization is delegated: LiveDAG decides *when* a stage's output
+// becomes a file, the installed Materializer decides *how* (sim cells
+// register priced metadata, engine cells write real blocks, the cluster
+// master replicates to workers) and reports how long it took, which
+// delays the dependents' release.
 package pipeline
 
 import (
 	"fmt"
-	"slices"
 
-	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -54,8 +50,8 @@ type Stage struct {
 // never read (pure ordering edges) returns (0, nil) without ingesting.
 type Materializer func(id scheduler.JobID, at vclock.Time) (vclock.Duration, error)
 
-// tracker is what both sources are made of: the graph, the materializer
-// and the one place a finished stage meets them.
+// tracker is the graph, the materializer and the one place a finished
+// stage meets them.
 type tracker struct {
 	g   Graph
 	mat Materializer
@@ -87,102 +83,4 @@ func (t *tracker) finished(id scheduler.JobID, at vclock.Time) (released []sched
 		return nil, at, t.g.Fail(id)
 	}
 	return t.g.Done(id), at.Add(delay), nil
-}
-
-// Coordinator schedules a DAG of stages known up front over the
-// engine's arrival machinery. Roots are delivered by At like a trace;
-// dependents are held until every dependency materializes, then
-// inserted into the same trace. The engine owns it (single goroutine),
-// so there is no locking — daemon mode uses LiveDAG instead. A
-// coordinator never blocks in Wait: releases happen inside the engine's
-// own JobFinished callback, so when nothing is queued now, nothing ever
-// will be.
-type Coordinator struct {
-	*runtime.TraceSource
-	tracker
-	held   map[scheduler.JobID]Stage // not released yet
-	failed []scheduler.JobID
-}
-
-var (
-	_ runtime.ArrivalSource = (*Coordinator)(nil)
-	_ runtime.JobTracker    = (*Coordinator)(nil)
-)
-
-// NewCoordinator builds a coordinator over the DAG. Stages must have
-// unique positive ids and acyclic dependencies naming other stages
-// (workload.File.Validate enforces all of this for workload-derived
-// DAGs; the checks here catch hand-built ones). mat may be nil only
-// when no stage has dependents.
-func NewCoordinator(stages []Stage, mat Materializer) (*Coordinator, error) {
-	order, err := Order(stages)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{
-		tracker: tracker{mat: mat, unread: make(map[scheduler.JobID]bool)},
-		held:    make(map[scheduler.JobID]Stage),
-	}
-	var roots []runtime.Arrival
-	for _, i := range order {
-		st := stages[i]
-		if st.Job.ID <= 0 {
-			return nil, fmt.Errorf("pipeline: stage %q has non-positive id %d", st.Job.Name, st.Job.ID)
-		}
-		held, err := c.g.Add(st.Job.ID, st.DependsOn)
-		if err != nil {
-			return nil, err
-		}
-		if held {
-			c.held[st.Job.ID] = st
-		} else {
-			roots = append(roots, runtime.Arrival{Job: st.Job, At: st.At})
-		}
-	}
-	if len(c.held) > 0 && mat == nil {
-		return nil, fmt.Errorf("pipeline: DAG has dependent stages but no materializer")
-	}
-	c.TraceSource, err = runtime.NewTraceSource(roots)
-	return c, err
-}
-
-// JobAdmitted implements runtime.JobTracker.
-func (c *Coordinator) JobAdmitted(scheduler.JobID, vclock.Time) {}
-
-// JobFinished implements runtime.JobTracker: the stages a finished
-// producer releases arrive at max(stage.At, finish + materialization
-// delay); the cone of one whose output could not be materialized is
-// never admitted.
-func (c *Coordinator) JobFinished(id scheduler.JobID, at vclock.Time) {
-	released, ready, cone := c.finished(id, at)
-	for _, cid := range released {
-		c.Insert(runtime.Arrival{Job: c.held[cid].Job, At: max(c.held[cid].At, ready)})
-		delete(c.held, cid)
-	}
-	for _, cid := range cone {
-		delete(c.held, cid)
-	}
-	c.failed = append(c.failed, cone...)
-}
-
-// Err reports why the DAG did not run to its end, after a run: the first
-// materialization failure — the stages that cascade-failed with it were
-// never admitted, so run metrics do not include them — else the stages
-// still held, which takes a producer that never finished. nil after a
-// clean run.
-func (c *Coordinator) Err() error {
-	switch {
-	case c.err != nil:
-		return c.err
-	case len(c.held) > 0:
-		return fmt.Errorf("pipeline: %d DAG stages never became ready", len(c.held))
-	}
-	return nil
-}
-
-// Failed returns the cascade-failed stages in ascending id order.
-func (c *Coordinator) Failed() []scheduler.JobID {
-	out := slices.Clone(c.failed)
-	slices.Sort(out)
-	return out
 }

@@ -14,8 +14,6 @@ type engine struct {
 	sched scheduler.Scheduler
 	exec  Executor
 	src   ArrivalSource
-	// trk is src's lifecycle-callback side, when it has one.
-	trk JobTracker
 	// mem is exec's dynamic-membership side, when it has one; its
 	// deltas are drained every loop iteration.
 	mem         MembershipSource
@@ -59,9 +57,6 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 		restored:    opts.Restored,
 		requeues:    opts.InitialRequeues,
 	}
-	if trk, ok := src.(JobTracker); ok {
-		e.trk = trk
-	}
 	if mem, ok := exec.(MembershipSource); ok {
 		e.mem = mem
 	}
@@ -81,9 +76,7 @@ func (e *engine) run() (*Result, error) {
 	for _, rj := range e.restored {
 		e.coll.Submit(rj.ID, rj.At)
 		e.tele.jobSubmitted()
-		if e.trk != nil {
-			e.trk.JobAdmitted(rj.ID, rj.At)
-		}
+		e.src.JobAdmitted(rj.ID, rj.At)
 	}
 	for {
 		if e.stopRequested() {
@@ -249,10 +242,7 @@ func (e *engine) deliverDue(now vclock.Time) error {
 		}
 		e.coll.Submit(a.Job.ID, a.At)
 		e.tele.jobSubmitted()
-		if e.trk != nil {
-			e.trk.JobAdmitted(a.Job.ID, a.At)
-			e.tele.jobAdmitted(a.Job.ID, a.At)
-		}
+		e.src.JobAdmitted(a.Job.ID, a.At)
 	}
 	if len(arrivals) > 0 {
 		e.tele.admissionDepth(e.src.Pending())
@@ -308,9 +298,7 @@ func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []sch
 	for _, id := range completed {
 		e.coll.Complete(id, now)
 		e.tele.jobCompleted(e.coll, id)
-		if e.trk != nil {
-			e.trk.JobFinished(id, now)
-		}
+		e.src.JobFinished(id, now)
 	}
 	if e.commits != nil {
 		var snapPtr *scheduler.Snapshot

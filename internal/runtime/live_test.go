@@ -21,7 +21,7 @@ func (fixedExec) ExecRound(scheduler.Round) (vclock.Duration, error) { return 10
 // TestLiveAdmissionJoinsCurrentPass: jobs submitted while a pass is in
 // flight are admitted at the next round boundary — the paper's online
 // JQM behavior — and every one completes, with its lifecycle tracked
-// and a job-admitted trace event recorded.
+// and a job-submitted trace event recorded.
 func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 	// The serial round loop is the only one; the subtest keeps the name
 	// it had beside the pipelined loop that was deleted.
@@ -56,7 +56,7 @@ func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 
 		log := trace.MustNew(4096)
 		reg := metrics.NewRegistry()
-		sched := core.New(parityPlan(t, 4), nil)
+		sched := core.New(parityPlan(t, 4), log)
 		res, err := runtime.Run(sched, fixedExec{}, src, runtime.Options{
 			Hooks:   hooks,
 			Spans:   log,
@@ -76,9 +76,9 @@ func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 				t.Errorf("late job %d admitted at %v, want mid-pass (> 0)", js.ID, js.AdmittedAt)
 			}
 		}
-		admitted := log.OfKind(trace.JobAdmitted)
-		if len(admitted) != 1+lateJobs {
-			t.Errorf("job-admitted events = %d, want %d", len(admitted), 1+lateJobs)
+		submitted := log.OfKind(trace.JobSubmitted)
+		if len(submitted) != 1+lateJobs {
+			t.Errorf("job-submitted events = %d, want %d", len(submitted), 1+lateJobs)
 		}
 	})
 }

@@ -51,10 +51,10 @@ func parityExec(t *testing.T, segments int) *sim.Executor {
 	return sim.NewExecutor(sim.NewCluster(segments, 1), store, parityModel)
 }
 
-// TestLiveSourceMatchesTraceAtTimeZero: a LiveSource pre-filled before
-// the run and a TraceSource with every arrival at t=0 are
-// indistinguishable in metrics and results — live admission costs
-// nothing when jobs are already waiting at startup.
+// TestLiveSourceMatchesTraceAtTimeZero: a LiveSource without a clock,
+// pre-filled before the run, and RunTrace's with every arrival at t=0
+// are indistinguishable in metrics and results — stamping a job when it
+// is popped costs nothing when jobs are already waiting at startup.
 func TestLiveSourceMatchesTraceAtTimeZero(t *testing.T) {
 	const segments, jobs = 6, 3
 	runVia := func(live bool) (string, *runtime.Result) {

@@ -15,12 +15,11 @@
 // (FaultStatsSource/CacheStatsSource) are implemented exactly once, for
 // every executor.
 //
-// Arrival delivery is pluggable (ArrivalSource): a pre-recorded trace
-// slice (TraceSource) reproduces the batch experiments byte for byte,
-// while a LiveSource accepts thread-safe submissions from other
-// goroutines *while a pass is in flight* — the window S^3's sub-job
-// alignment exploits — turning the same loop into a long-lived
-// admission daemon.
+// Jobs arrive through one admission queue, LiveSource: it accepts
+// thread-safe submissions from other goroutines *while a pass is in
+// flight* — the window S^3's sub-job alignment exploits — which makes
+// the loop a long-lived admission daemon, and a recorded trace is the
+// same queue filled before the run (RunTrace).
 //
 // The package holds the contracts only and imports no data plane: each
 // substrate's executor lives beside it (sim.Executor, remote.Master).
@@ -211,12 +210,23 @@ func Run(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Optio
 	return e.run()
 }
 
-// RunTrace is Run over a pre-recorded arrival slice. Arrivals may be
-// given in any order; they are processed by time, ties by job id.
+// RunTrace is Run over a pre-recorded arrival slice: a LiveSource filled
+// with it, closed, and run on opts.Clock. Arrivals may be given in any
+// order; they are admitted by time, ties by job id, each stamped with
+// its recorded time.
 func RunTrace(sched scheduler.Scheduler, exec Executor, arrivals []Arrival, opts Options) (*Result, error) {
-	src, err := NewTraceSource(arrivals)
-	if err != nil {
-		return nil, err
+	src := NewLiveSource()
+	for _, a := range arrivals {
+		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+			return nil, err
+		}
 	}
+	src.Close()
+	if opts.Clock == nil {
+		opts.Clock = vclock.NewVirtual()
+	}
+	// Filled without a clock, each job kept its recorded time; with one,
+	// Pop keeps the stamps.
+	src.clock = opts.Clock
 	return Run(sched, exec, src, opts)
 }

@@ -10,19 +10,18 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// ArrivalSource feeds job submissions into the engine. The engine is
-// the only caller of these methods and calls them from its single
-// goroutine; implementations that accept jobs from other goroutines
-// (LiveSource) synchronize internally.
+// ArrivalSource feeds job submissions into the engine and hears back
+// from it. The engine is the only caller of these methods and calls
+// them from its single goroutine; an implementation that accepts jobs
+// from other goroutines (LiveSource) synchronizes internally.
 type ArrivalSource interface {
 	// Pop removes and returns every arrival due at or before now, each
 	// stamped with its admission time (<= now). A live queue without a
 	// clock stamps its jobs with now.
 	Pop(now vclock.Time) []Arrival
 	// Peek reports the time of the earliest queued arrival (ok=false
-	// when nothing is queued right now). A live queue without a clock
-	// reports 0 for a queued job — "due immediately"; the engine clamps
-	// to now.
+	// when nothing is queued right now). The engine clamps a time
+	// already passed to now.
 	Peek() (at vclock.Time, ok bool)
 	// Pending reports how many accepted jobs await admission.
 	Pending() int
@@ -31,80 +30,12 @@ type ArrivalSource interface {
 	// engine calls it only when the scheduler is idle and no timer is
 	// pending, so a live daemon parks here between submissions.
 	Wait() bool
-}
-
-// JobTracker is optionally implemented by an ArrivalSource that wants
-// lifecycle callbacks for the jobs it produced. The engine invokes it
-// synchronously from the run loop: JobAdmitted when the job enters the
-// scheduler, JobFinished when it completes.
-type JobTracker interface {
+	// JobAdmitted fires when a job enters the scheduler, JobFinished
+	// when it completes; the engine calls both synchronously from the
+	// run loop.
 	JobAdmitted(id scheduler.JobID, at vclock.Time)
 	JobFinished(id scheduler.JobID, at vclock.Time)
 }
-
-// TraceSource replays a pre-sorted arrival trace — the batch-mode
-// source every experiment uses. It is not safe for concurrent use;
-// the engine owns it.
-type TraceSource struct {
-	evs  []Arrival
-	next int
-}
-
-// NewTraceSource validates arrivals and orders them by time, ties by
-// job id.
-func NewTraceSource(arrivals []Arrival) (*TraceSource, error) {
-	evs := make([]Arrival, len(arrivals))
-	copy(evs, arrivals)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].Job.ID < evs[j].Job.ID
-	})
-	for i, a := range evs {
-		if a.At < 0 {
-			return nil, fmt.Errorf("runtime: arrival %d at negative time %v", i, a.At)
-		}
-	}
-	return &TraceSource{evs: evs}, nil
-}
-
-// Insert adds an arrival to the undelivered part of the trace, in its
-// (time, id) place — how a DAG coordinator releases a stage mid-run.
-func (s *TraceSource) Insert(a Arrival) {
-	rest := s.evs[s.next:]
-	i := sort.Search(len(rest), func(k int) bool {
-		return rest[k].At > a.At || rest[k].At == a.At && rest[k].Job.ID > a.Job.ID
-	})
-	s.evs = slices.Insert(s.evs, s.next+i, a)
-}
-
-// Pop returns the arrivals due at or before now.
-func (s *TraceSource) Pop(now vclock.Time) []Arrival {
-	start := s.next
-	for s.next < len(s.evs) && s.evs[s.next].At <= now {
-		s.next++
-	}
-	if s.next == start {
-		return nil
-	}
-	return s.evs[start:s.next]
-}
-
-// Peek reports the next undelivered arrival's time.
-func (s *TraceSource) Peek() (vclock.Time, bool) {
-	if s.next >= len(s.evs) {
-		return 0, false
-	}
-	return s.evs[s.next].At, true
-}
-
-// Pending reports how many arrivals remain undelivered.
-func (s *TraceSource) Pending() int { return len(s.evs) - s.next }
-
-// Wait reports whether any arrival remains. A trace never blocks: it
-// is exhausted exactly when every recorded arrival was delivered.
-func (s *TraceSource) Wait() bool { return s.next < len(s.evs) }
 
 // JobState is a live-submitted job's lifecycle phase.
 type JobState string
@@ -141,26 +72,27 @@ type JobStatus struct {
 	DependsOn []scheduler.JobID `json:"dependsOn,omitempty"`
 }
 
-// LiveSource is a thread-safe admission queue: any goroutine may
-// Submit jobs while the engine runs a pass, and the engine merges them
-// into the current circular scan at the next round boundary — the
-// online behavior of the paper's Job Queue Manager (§IV, Algorithm 1).
-// It implements ArrivalSource and JobTracker, so it also tracks each
-// job's lifecycle for an admission API to report.
+// LiveSource is the one arrival source: a thread-safe admission queue.
+// Any goroutine may Submit jobs while the engine runs a pass, and the
+// engine merges them into the current circular scan at the next round
+// boundary — the online behavior of the paper's Job Queue Manager (§IV,
+// Algorithm 1). A recorded trace is the same queue filled before the run
+// (RunTrace). It tracks each job's lifecycle for an admission API to
+// report.
 type LiveSource struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// clock, when set, stamps each job as it is queued; queue is then in
-	// stamp order.
+	// clock, when set, stamps each job as it is queued; without one a
+	// job is stamped when the engine pops it.
 	clock  vclock.Clock
-	queue  []Arrival
+	queue  []Arrival // in (stamp, id) order
 	status map[scheduler.JobID]*JobStatus
 	order  []scheduler.JobID
 	nextID scheduler.JobID
 	closed bool
 	// held are accepted-but-waiting jobs (DAG stages with unsettled
 	// dependencies); Release moves one into queue, Fail retires it.
-	held map[scheduler.JobID]scheduler.JobMeta
+	held map[scheduler.JobID]Arrival
 }
 
 // NewLiveSource returns an open admission queue whose jobs arrive when
@@ -176,7 +108,7 @@ func NewLiveSourceOn(clock vclock.Clock) *LiveSource {
 		clock:  clock,
 		status: make(map[scheduler.JobID]*JobStatus),
 		nextID: 1,
-		held:   make(map[scheduler.JobID]scheduler.JobMeta),
+		held:   make(map[scheduler.JobID]Arrival),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -195,25 +127,31 @@ func (s *LiveSource) Submit(meta scheduler.JobMeta) (scheduler.JobID, error) {
 // state (e.g. a remote JobRef) without racing the scheduler: if pre
 // fails, the job is not enqueued and its id is not consumed.
 func (s *LiveSource) SubmitWith(meta scheduler.JobMeta, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
-	return s.SubmitStage(meta, nil, false, pre)
+	return s.SubmitStage(Arrival{Job: meta}, nil, false, pre)
 }
 
-// SubmitStage is the one submit path. deps is recorded on the status
-// for the admission API; the source does not interpret it. With hold
-// the job is accepted without being queued: it is parked in "waiting"
-// state until Release hands it to the engine or Fail retires it —
-// which of the two, and when, the dependency graph of
+// SubmitStage is the one submit path. a.At is a lower bound: the job is
+// stamped at max(a.At, the clock's now) when it is queued. deps is
+// recorded on the status for the admission API; the source does not
+// interpret it. With hold the job is accepted without being queued: it
+// is parked in "waiting" state until Release hands it to the engine or
+// Fail retires it — which of the two, and when, the dependency graph of
 // pipeline.LiveDAG decides.
-func (s *LiveSource) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID, hold bool, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
+func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, hold bool, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	meta := &a.Job
+	switch {
+	case s.closed:
 		return 0, fmt.Errorf("runtime: admission queue is closed")
-	}
-	if meta.ID == 0 {
+	case a.At < 0:
+		return 0, fmt.Errorf("runtime: job %d arrives at negative time %v", meta.ID, a.At)
+	case meta.ID < 0:
+		return 0, fmt.Errorf("runtime: negative job id %d", meta.ID)
+	case meta.ID == 0:
 		meta.ID = s.nextID
-	} else if _, dup := s.status[meta.ID]; dup {
-		return 0, fmt.Errorf("runtime: job id %d already submitted", meta.ID)
+	case s.status[meta.ID] != nil:
+		return 0, fmt.Errorf("runtime: job %d: %w", meta.ID, scheduler.ErrDuplicateJob)
 	}
 	if pre != nil {
 		if err := pre(meta.ID); err != nil {
@@ -226,38 +164,45 @@ func (s *LiveSource) SubmitStage(meta scheduler.JobMeta, deps []scheduler.JobID,
 	s.status[meta.ID] = &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting, DependsOn: slices.Clone(deps)}
 	s.order = append(s.order, meta.ID)
 	if hold {
-		s.held[meta.ID] = meta
+		s.held[meta.ID] = a
 	} else {
-		s.enqueue(meta)
+		s.enqueue(a)
 	}
 	return meta.ID, nil
 }
 
-// Release moves a held job into the admission queue, waking a parked
-// engine. It works after Close — held jobs whose dependencies complete
-// during drain still run; only *new* submissions are refused.
-func (s *LiveSource) Release(id scheduler.JobID) error {
+// Release moves a held job into the admission queue no earlier than at,
+// waking a parked engine. It works after Close — held jobs whose
+// dependencies complete during drain still run; only *new* submissions
+// are refused.
+func (s *LiveSource) Release(id scheduler.JobID, at vclock.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	meta, ok := s.held[id]
+	a, ok := s.held[id]
 	if !ok {
 		return fmt.Errorf("runtime: job %d is not held", id)
 	}
 	delete(s.held, id)
-	s.enqueue(meta)
+	a.At = max(a.At, at)
+	s.enqueue(a)
 	return nil
 }
 
-// enqueue queues meta — stamped, when the source has a clock, with the
-// time its status reports as admittedAt — and wakes a parked engine.
-// The caller holds s.mu.
-func (s *LiveSource) enqueue(meta scheduler.JobMeta) {
-	st := s.status[meta.ID]
-	st.State = JobQueued
+// enqueue queues a in its (stamp, id) place — stamped, when the source
+// has a clock, no earlier than now, with the time its status reports as
+// admittedAt — and wakes a parked engine. The caller holds s.mu.
+func (s *LiveSource) enqueue(a Arrival) {
 	if s.clock != nil {
-		st.AdmittedAt = s.clock.Now()
+		a.At = max(a.At, s.clock.Now())
 	}
-	s.queue = append(s.queue, Arrival{Job: meta, At: st.AdmittedAt})
+	st := s.status[a.Job.ID]
+	st.State = JobQueued
+	st.AdmittedAt = a.At
+	i := sort.Search(len(s.queue), func(k int) bool {
+		q := s.queue[k]
+		return q.At > a.At || q.At == a.At && q.Job.ID > a.Job.ID
+	})
+	s.queue = slices.Insert(s.queue, i, a)
 	s.cond.Broadcast()
 }
 
@@ -289,9 +234,8 @@ func (s *LiveSource) Close() {
 	s.cond.Broadcast()
 }
 
-// Pop removes the jobs stamped at or before now. Without a clock that
-// is every queued job, stamped now: it "arrives" the moment the loop
-// admits it.
+// Pop removes the jobs stamped at or before now. Without a clock each
+// is stamped now: it "arrives" the moment the loop admits it.
 func (s *LiveSource) Pop(now vclock.Time) []Arrival {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,8 +253,8 @@ func (s *LiveSource) Pop(now vclock.Time) []Arrival {
 	return out
 }
 
-// Peek reports the oldest queued job's stamp: 0, due immediately,
-// without a clock.
+// Peek reports the earliest queued job's stamp; without a clock, its
+// lower bound.
 func (s *LiveSource) Peek() (vclock.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,7 +282,7 @@ func (s *LiveSource) Wait() bool {
 	return len(s.queue) > 0
 }
 
-// JobAdmitted implements JobTracker.
+// JobAdmitted implements ArrivalSource.
 func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -348,7 +292,7 @@ func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) {
 	}
 }
 
-// JobFinished implements JobTracker.
+// JobFinished implements ArrivalSource.
 func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,7 +317,7 @@ func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, d
 		return fmt.Errorf("runtime: cannot adopt a job without an id")
 	}
 	if _, dup := s.status[meta.ID]; dup {
-		return fmt.Errorf("runtime: job id %d already submitted", meta.ID)
+		return fmt.Errorf("runtime: job %d: %w", meta.ID, scheduler.ErrDuplicateJob)
 	}
 	if meta.ID >= s.nextID {
 		s.nextID = meta.ID + 1

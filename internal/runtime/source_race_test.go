@@ -91,7 +91,7 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 			defer wg.Done()
 			// Explicit ids in a disjoint range: auto-assignment could land
 			// on a producer id whose Adopt has not run yet.
-			id, err := src.SubmitStage(scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}, []scheduler.JobID{p}, true, nil)
+			id, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}}, []scheduler.JobID{p}, true, nil)
 			if err != nil {
 				t.Errorf("SubmitStage: %v", err)
 				return
@@ -123,7 +123,7 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 		wg.Add(1)
 		go func(id scheduler.JobID) {
 			defer wg.Done()
-			if err := src.Release(id); err != nil {
+			if err := src.Release(id, 0); err != nil {
 				t.Errorf("Release %d: %v", id, err)
 			}
 		}(id)
@@ -143,14 +143,14 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, err := src.SubmitStage(scheduler.JobMeta{Name: "consumer"}, []scheduler.JobID{pid}, true, nil)
+	cid, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "consumer"}}, []scheduler.JobID{pid}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := heldJobs(src); got != 1 {
 		t.Fatalf("%d jobs held, want 1", got)
 	}
-	if err := src.Release(cid + 99); err == nil {
+	if err := src.Release(cid+99, 0); err == nil {
 		t.Fatal("Release of unknown id succeeded")
 	}
 	if err := src.Fail(cid+99, 0); err == nil {
@@ -158,13 +158,13 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	}
 
 	// A held job's pre-hook failure must not consume the id.
-	if _, err := src.SubmitStage(scheduler.JobMeta{Name: "bad"}, nil, true, func(scheduler.JobID) error {
+	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "bad"}}, nil, true, func(scheduler.JobID) error {
 		return fmt.Errorf("refused")
 	}); err == nil {
 		t.Fatal("pre-hook failure not propagated")
 	}
 
-	victim, err := src.SubmitStage(scheduler.JobMeta{Name: "victim"}, []scheduler.JobID{pid}, true, nil)
+	victim, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "victim"}}, []scheduler.JobID{pid}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 
 	// A queued job the engine has not popped fails the same way, and is
 	// not delivered; one the engine has popped is out of the source's hands.
-	doomed, err := src.SubmitStage(scheduler.JobMeta{Name: "doomed"}, []scheduler.JobID{pid}, false, nil)
+	doomed, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "doomed"}}, []scheduler.JobID{pid}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +197,13 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	// Release works after Close: held jobs whose dependencies settle
 	// during drain still run.
 	src.Close()
-	if err := src.Release(cid); err != nil {
+	if err := src.Release(cid, 0); err != nil {
 		t.Fatalf("Release after Close: %v", err)
 	}
 	if st, _ := src.Status(cid); st.State != JobQueued {
 		t.Fatalf("released status = %+v", st)
 	}
-	if _, err := src.SubmitStage(scheduler.JobMeta{Name: "late"}, nil, true, nil); err == nil {
+	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "late"}}, nil, true, nil); err == nil {
 		t.Fatal("SubmitStage after Close succeeded")
 	}
 }

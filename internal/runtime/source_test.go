@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"s3sched/internal/core"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -16,49 +17,61 @@ func meta(id int) scheduler.JobMeta {
 	return scheduler.JobMeta{ID: scheduler.JobID(id), File: "input", Weight: 1, ReduceWeight: 1}
 }
 
-func TestTraceSourceOrdersAndDrains(t *testing.T) {
-	src, err := NewTraceSource([]Arrival{
-		{Job: meta(3), At: 5},
-		{Job: meta(1), At: 0},
-		{Job: meta(2), At: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
+// Jobs due at one time are delivered in id order, whatever order they
+// were submitted in — the tie rule of a recorded trace.
+func TestLiveSourceOrdersEqualStampsByID(t *testing.T) {
+	src := NewLiveSourceOn(vclock.NewVirtual())
+	for _, a := range []Arrival{{Job: meta(3), At: 5}, {Job: meta(1), At: 0}, {Job: meta(2), At: 5}} {
+		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
+	src.Close()
 	if at, ok := src.Peek(); !ok || at != 0 {
 		t.Fatalf("Peek = %v,%v, want 0,true", at, ok)
 	}
 	if got := src.Pop(0); len(got) != 1 || got[0].Job.ID != 1 {
 		t.Fatalf("Pop(0) = %v, want job 1", got)
 	}
-	// Ties at t=5 break by job id.
 	got := src.Pop(10)
-	if len(got) != 2 || got[0].Job.ID != 2 || got[1].Job.ID != 3 {
-		t.Fatalf("Pop(10) = %v, want jobs 2,3", got)
+	if len(got) != 2 || got[0].Job.ID != 2 || got[1].Job.ID != 3 || got[0].At != 5 {
+		t.Fatalf("Pop(10) = %v, want jobs 2,3 at 5", got)
 	}
-	if src.Pending() != 0 {
-		t.Errorf("Pending = %d after drain, want 0", src.Pending())
-	}
-	if src.Wait() {
-		t.Error("Wait() = true on exhausted trace")
+	if src.Pending() != 0 || src.Wait() {
+		t.Errorf("Pending = %d, Wait = %v on a closed, drained source", src.Pending(), src.Wait())
 	}
 }
 
-// Insert places an arrival among the undelivered ones in (time, id)
-// order — also ahead of everything, also on an exhausted trace — and
-// leaves what an earlier Pop returned alone.
-func TestTraceSourceInsert(t *testing.T) {
-	src, err := NewTraceSource([]Arrival{{Job: meta(1), At: 0}, {Job: meta(4), At: 5}, {Job: meta(6), At: 9}})
-	if err != nil {
-		t.Fatal(err)
+// A held job released after Close is still queued, at the latest of its
+// own lower bound and the release's, in its (stamp, id) place — also
+// ahead of what is queued, and never rewriting what was delivered.
+func TestLiveSourceReleaseAfterClose(t *testing.T) {
+	src := NewLiveSourceOn(vclock.NewVirtual())
+	for _, a := range []Arrival{{Job: meta(1), At: 0}, {Job: meta(4), At: 5}, {Job: meta(6), At: 9}} {
+		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range []Arrival{{Job: meta(5), At: 5}, {Job: meta(3), At: 5}, {Job: meta(2), At: 1}, {Job: meta(7), At: 0}} {
+		if _, err := src.SubmitStage(a, []scheduler.JobID{1}, true, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	popped := src.Pop(0)
-	src.Insert(Arrival{Job: meta(5), At: 5})
-	src.Insert(Arrival{Job: meta(3), At: 5})
-	src.Insert(Arrival{Job: meta(2), At: 1})
-	src.Insert(Arrival{Job: meta(7), At: 12})
+	src.Close()
+	for _, r := range []struct {
+		id scheduler.JobID
+		at vclock.Time
+	}{{5, 0}, {3, 2}, {2, 0}, {7, 12}} {
+		if err := src.Release(r.id, r.at); err != nil {
+			t.Fatalf("Release(%d) after Close: %v", r.id, err)
+		}
+	}
 	if len(popped) != 1 || popped[0].Job.ID != 1 {
-		t.Fatalf("an Insert rewrote a delivered arrival: %v", popped)
+		t.Fatalf("a Release rewrote a delivered arrival: %v", popped)
+	}
+	if st, _ := src.Status(7); st.State != JobQueued || st.AdmittedAt != 12 {
+		t.Fatalf("job 7 released at 12 has status %+v", st)
 	}
 	if at, ok := src.Peek(); !ok || at != 1 || src.Pending() != 6 {
 		t.Fatalf("Peek = %v,%v Pending = %d, want 1,true and 6", at, ok, src.Pending())
@@ -67,19 +80,25 @@ func TestTraceSourceInsert(t *testing.T) {
 	for _, a := range src.Pop(20) {
 		got = append(got, a.Job.ID)
 	}
-	if want := []scheduler.JobID{2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) {
-		t.Fatalf("Pop(20) = %v, want %v", got, want)
-	}
-	src.Insert(Arrival{Job: meta(8), At: 3})
-	if got := src.Pop(20); len(got) != 1 || got[0].Job.ID != 8 || src.Wait() {
-		t.Fatalf("Pop after an Insert into an exhausted trace = %v, want job 8", got)
+	if want := []scheduler.JobID{2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) || src.Wait() {
+		t.Fatalf("Pop(20) = %v, want %v and nothing left", got, want)
 	}
 }
 
-func TestTraceSourceRejectsNegativeTime(t *testing.T) {
-	_, err := NewTraceSource([]Arrival{{Job: meta(1), At: -1}})
+// A negative arrival time is refused at submission, and RunTrace
+// returns the refusal before it runs anything.
+func TestLiveSourceRejectsNegativeTime(t *testing.T) {
+	src := NewLiveSource()
+	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: -1}, nil, false, nil); err == nil || !strings.Contains(err.Error(), "negative time") {
+		t.Fatalf("SubmitStage err = %v, want negative-time refusal", err)
+	}
+	exec := ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) {
+		t.Fatal("RunTrace ran a round")
+		return 0, nil
+	})
+	_, err := RunTrace(core.New(makePlan(t, 2, 1), nil), exec, []Arrival{{Job: meta(1), At: 0}, {Job: meta(2), At: -1}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "negative time") {
-		t.Fatalf("err = %v, want negative-time rejection", err)
+		t.Fatalf("RunTrace err = %v, want negative-time refusal", err)
 	}
 }
 
@@ -168,12 +187,12 @@ func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := src.SubmitStage(meta(0), []scheduler.JobID{first}, true, nil)
+	held, err := src.SubmitStage(Arrival{Job: meta(0)}, []scheduler.JobID{first}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock.AdvanceTo(5)
-	if err := src.Release(held); err != nil {
+	if err := src.Release(held, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := src.Status(held); st.State != JobQueued || st.AdmittedAt != 5 {

@@ -58,16 +58,6 @@ func (t *telemetry) jobSubmitted() {
 	t.rm.JobsSubmitted.Inc()
 }
 
-// jobAdmitted records a live-submitted job entering the scheduler's
-// current pass. Only tracked (live) sources emit it, so batch trace
-// replays stay byte-identical to the pre-admission-layer runs.
-func (t *telemetry) jobAdmitted(id scheduler.JobID, at vclock.Time) {
-	if t == nil || t.log == nil {
-		return
-	}
-	t.log.Addf(at, trace.JobAdmitted, int(id), -1, "live admission into current pass")
-}
-
 // admissionDepth publishes the arrival source's queued-but-unadmitted
 // job count after a delivery.
 func (t *telemetry) admissionDepth(n int) {

@@ -61,11 +61,6 @@ const (
 	// CacheEvict records the block cache discarding a block to fit its
 	// byte budget.
 	CacheEvict
-	// JobAdmitted records the runtime engine admitting a live-submitted
-	// job into the scheduler's current circular pass — the online
-	// arrival window batch traces pre-record and a daemon serves over
-	// HTTP.
-	JobAdmitted
 	// WorkerRegistered records a worker joining the cluster through the
 	// control plane (or being installed by a static dial); Detail
 	// carries the worker id and its task address.
@@ -108,7 +103,6 @@ var kindNames = map[Kind]string{
 	TaskServed:       "task-served",
 	CacheHit:         "cache-hit",
 	CacheEvict:       "cache-evict",
-	JobAdmitted:      "job-admitted",
 	WorkerRegistered: "worker-registered",
 	WorkerLost:       "worker-lost",
 	WorkerRejoined:   "worker-rejoined",

@@ -501,19 +501,8 @@ func (wf *File) DerivedProducer(name string) (scheduler.JobID, bool) {
 	return 0, false
 }
 
-// HasDAG reports whether any job declares dependencies — the workloads
-// that need a pipeline coordinator and a plan-registering scheduler.
-func (wf *File) HasDAG() bool {
-	for i := range wf.Jobs {
-		if len(wf.Jobs[i].DependsOn) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Stages returns the jobs as DAG stages, in file order: what the
-// dependency graph orders and a pipeline.Coordinator schedules.
+// dependency graph orders and a pipeline.LiveDAG admits.
 func (wf *File) Stages() []pipeline.Stage {
 	stages := make([]pipeline.Stage, len(wf.Jobs))
 	for i := range wf.Jobs {
@@ -580,8 +569,8 @@ func (j *FileJob) Meta() scheduler.JobMeta {
 	}
 }
 
-// Entries returns the workload's arrivals in file order, ready for
-// runtime.RunTrace.
+// Entries returns the workload's arrivals in file order, without their
+// dependencies, ready for runtime.RunTrace.
 func (wf *File) Entries() []runtime.Arrival {
 	out := make([]runtime.Arrival, len(wf.Jobs))
 	for i := range wf.Jobs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,8 +237,8 @@ func TestParseFileV3Good(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseFile: %v", err)
 	}
-	if !wf.HasDAG() {
-		t.Fatal("HasDAG() = false for a DAG workload")
+	if got := wf.Jobs[2].DependsOn; !slices.Equal(got, []scheduler.JobID{1, 2}) {
+		t.Fatalf("job 3 DependsOn = %v, want [1 2]", got)
 	}
 	if got, ok := wf.DerivedProducer("job-1.out"); !ok || got != 1 {
 		t.Fatalf("DerivedProducer(job-1.out) = %d, %v", got, ok)

@@ -133,10 +133,6 @@ func TestValidateAndSummaryDAG(t *testing.T) {
 	if err := wf.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if !wf.HasDAG() {
-		t.Fatal("a workload with dependsOn does not report a DAG")
-	}
-
 	multi := &File{
 		Header: FileHeader{Kind: KindHeader, Version: 3, Name: "multi", Nodes: 1, SlotsPerNode: 1, Replicas: 1},
 		Files: []FileSpec{
@@ -149,9 +145,6 @@ func TestValidateAndSummaryDAG(t *testing.T) {
 	}
 	if err := multi.Validate(); err != nil {
 		t.Fatalf("Validate multi: %v", err)
-	}
-	if multi.HasDAG() {
-		t.Fatal("a flat multi-file workload reports a DAG")
 	}
 
 	bad := *wf
