@@ -20,6 +20,7 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -156,7 +157,7 @@ func BenchmarkExamplesAnalytic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tet, _ := res.Metrics.TET(); tet != 120 {
+		if tet, _ := metrics.TET(res.Jobs); tet != 120 {
 			b.Fatalf("TET = %v, want 120", tet)
 		}
 	}

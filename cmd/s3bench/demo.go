@@ -7,6 +7,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -86,11 +87,11 @@ func runDemo(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "block scans: %d (3 isolated jobs would need %d)\n", scans, 3*blocks)
 	fmt.Fprintf(stdout, "rounds launched: %d\n", res.Rounds)
-	tet, err := res.Metrics.TET()
+	tet, err := metrics.TET(res.Jobs)
 	if err != nil {
 		return err
 	}
-	art, err := res.Metrics.ART()
+	art, err := metrics.ART(res.Jobs)
 	if err != nil {
 		return err
 	}

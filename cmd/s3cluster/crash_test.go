@@ -758,6 +758,62 @@ func TestSigtermCheckpointResume(t *testing.T) {
 	_ = m2.wait(t, 30*time.Second)
 }
 
+// TestSigtermCountsOnlyDoneJobs: a journaled master stopped by SIGTERM
+// with jobs pending reports as completed the jobs that are done — as
+// many as its journal has job-done records for — not every job it
+// admitted.
+func TestSigtermCountsOnlyDoneJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process checkpoint test")
+	}
+	ctrl, statusAddr := pickAddr(t), pickAddr(t)
+	journalPath := filepath.Join(t.TempDir(), "journal.wal")
+	base := "http://" + statusAddr
+	m := spawnMaster(t, "master", ctrl, statusAddr, journalPath, "")
+	startCrashWorker(t, ctrl, "worker-a")
+	startCrashWorker(t, ctrl, "worker-b")
+	waitStatus(t, base, 30*time.Second, "master up", func(statusSnapshot) bool { return true })
+	submitCrashJobs(t, base, 4)
+	waitStatus(t, base, 30*time.Second, "rounds to accumulate", func(st statusSnapshot) bool { return st.Rounds >= 2 })
+	if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM master: %v", err)
+	}
+	if err := m.wait(t, 30*time.Second); err != nil {
+		t.Fatalf("master exited uncleanly after SIGTERM: %v", err)
+	}
+	logOut, err := os.ReadFile(m.log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds, pending, completed int
+	if i := bytes.Index(logOut, []byte("checkpoint written")); i < 0 {
+		t.Fatalf("no checkpoint; log:\n%s", logOut)
+	} else if _, err := fmt.Sscanf(string(logOut[i:]), "checkpoint written after %d round(s): %d job(s) pending", &rounds, &pending); err != nil || pending == 0 {
+		t.Fatalf("checkpoint line with %d pending (%v), want jobs pending; log:\n%s", pending, err, logOut)
+	}
+	if i := bytes.Index(logOut, []byte("completed ")); i < 0 {
+		t.Fatalf("no completion line; log:\n%s", logOut)
+	} else if _, err := fmt.Sscanf(string(logOut[i:]), "completed %d jobs", &completed); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := journal.Replay(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := journal.ReduceEntries(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if completed != len(st.Done) {
+		t.Errorf("completed %d jobs with %d pending, want the journal's %d done", completed, pending, len(st.Done))
+	}
+}
+
 // recoveredOutputs is the durability contract of a done job's output: two
 // selections finish under a journaling master, which is SIGKILLed; a
 // second incarnation on the same journal — receipts restored, the stash

@@ -594,8 +594,8 @@ func drive(master *remote.Master) error {
 		fmt.Printf("wrote %s\n", *traceJSON)
 	}
 	if srv != nil {
-		tet, tErr := res.Metrics.TET()
-		art, aErr := res.Metrics.ART()
+		tet, tErr := metrics.TET(res.Jobs)
+		art, aErr := metrics.ART(res.Jobs)
 		srv.Update(func(st *status.State) {
 			st.RunComplete = !res.Stopped
 			if tErr == nil {
@@ -606,7 +606,13 @@ func drive(master *remote.Master) error {
 			}
 		})
 	}
-	fmt.Printf("completed %d jobs in %d rounds\n", res.Metrics.Jobs(), res.Rounds)
+	done := 0
+	for _, j := range res.Jobs {
+		if j.State == runtime.JobDone {
+			done++
+		}
+	}
+	fmt.Printf("completed %d jobs in %d rounds\n", done, res.Rounds)
 
 	stats, err := master.WorkerStats()
 	if err != nil {

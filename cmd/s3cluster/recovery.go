@@ -69,8 +69,10 @@ type recoveryReport struct {
 // consumers hold again, and stage-materialized records re-install the
 // derived files before the engine starts (remat rebuilds one; it must
 // run before RestoreState, which needs every snapshot queue's file
-// registered). Mutates opts (Restored, InitialRequeues) and appends a
-// recovered record marking the journal as once-more-recovered.
+// registered). A resumed job is adopted into the DAG's source as running,
+// which is how the engine learns to resume it. Sets
+// opts.InitialRequeues and appends a recovered record marking the
+// journal as once-more-recovered.
 func recoverFromJournal(
 	jnl *journal.Journal,
 	st *journal.MasterState,
@@ -120,14 +122,14 @@ func recoverFromJournal(
 					return nil, fmt.Errorf("re-materializing job %d output: %w", id, err)
 				}
 			}
-			if err := dag.Adopt(meta, runtime.JobDone, end.At, wasMat); err != nil {
+			if err := dag.Adopt(meta, runtime.JobDone, 0, end.At, wasMat); err != nil {
 				return nil, err
 			}
 			rep.settled++
 			continue
 		}
 		if end, failed := st.Failed[id]; failed {
-			if err := dag.Adopt(meta, runtime.JobFailed, end.At, false); err != nil {
+			if err := dag.Adopt(meta, runtime.JobFailed, 0, end.At, false); err != nil {
 				return nil, err
 			}
 			rep.settled++
@@ -139,7 +141,7 @@ func recoverFromJournal(
 			// a topk over a selection. Running it would fail the run, so
 			// surface the job as failed.
 			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d: %v; marking failed\n", id, err)
-			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
+			if err := dag.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
 				return nil, err
 			}
 			continue
@@ -159,10 +161,9 @@ func recoverFromJournal(
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
 			}
-			if err := dag.Adopt(meta, runtime.JobRunning, 0, false); err != nil {
+			if err := dag.Adopt(meta, runtime.JobRunning, at, 0, false); err != nil {
 				return nil, err
 			}
-			opts.Restored = append(opts.Restored, runtime.RestoredJob{ID: id, At: at})
 			resume[id] = true
 			rep.resumed++
 			continue
@@ -179,7 +180,7 @@ func recoverFromJournal(
 		// back failed.
 		_, err := adm.submitStage(meta, ref, rec.DependsOn)
 		if errors.Is(err, pipeline.ErrDoomed) {
-			if err := dag.Adopt(meta, runtime.JobFailed, 0, false); err != nil {
+			if err := dag.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
 				return nil, err
 			}
 			rep.settled++

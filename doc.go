@@ -20,7 +20,7 @@
 //	internal/sim        discrete-event simulator + cost model
 //	internal/runtime    the round loop binding schedulers to executors
 //	internal/workload   text & TPC-H lineitem generators, job families
-//	internal/metrics    TET / ART, normalized Figure-4-style reports
+//	internal/metrics    TET / ART over the run's job table, live registry
 //	internal/experiments  every paper experiment + claim checks
 //	cmd/s3bench         regenerate all tables & figures; subcommands
 //	                    sim (free-form simulator runs), replay (CSV

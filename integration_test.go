@@ -13,6 +13,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -206,8 +207,8 @@ func TestFailureInjectionSlotCheckerAdapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc := res.Metrics.Incomplete(); len(inc) != 0 {
-		t.Fatalf("incomplete jobs: %v", inc)
+	if _, err := metrics.TET(res.Jobs); err != nil {
+		t.Fatal(err)
 	}
 	if exc := log.OfKind(trace.NodeExcluded); len(exc) != 1 {
 		t.Errorf("exclusion events = %d, want 1", len(exc))
@@ -244,11 +245,7 @@ func TestWindowBatcherFiresWithoutArrivals(t *testing.T) {
 	}
 	// Batch seals at t=50 (window from first arrival), runs 2 rounds
 	// of 5s: both jobs complete at 60.
-	rt, err := res.Metrics.ResponseTime(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt != 60 {
+	if rt := res.Jobs[0].DoneAt.Sub(res.Jobs[0].AdmittedAt); res.Jobs[0].ID != 1 || rt != 60 {
 		t.Errorf("job 1 response = %v, want 60 (50 window + 10 run)", rt)
 	}
 	if res.End != 60 {
@@ -301,8 +298,8 @@ func TestMultiFileRealEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != 2 || len(res.Metrics.Incomplete()) != 0 {
-		t.Fatalf("metrics = %+v", res.Metrics)
+	if _, err := metrics.TET(res.Jobs); len(res.Jobs) != 2 || err != nil {
+		t.Fatalf("jobs = %+v: %v", res.Jobs, err)
 	}
 	for _, id := range []scheduler.JobID{1, 2} {
 		if out, err := cluster.JobOutput(id); err != nil || len(out) == 0 {
@@ -345,7 +342,7 @@ func TestRandomPatternsS3DominatesFIFO(t *testing.T) {
 			if err != nil {
 				return 0, 0, 0, false
 			}
-			artD, err := res.Metrics.ART()
+			artD, err := metrics.ART(res.Jobs)
 			if err != nil {
 				return 0, 0, 0, false
 			}
@@ -406,16 +403,16 @@ func TestStressManyJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != jobs || len(res.Metrics.Incomplete()) != 0 {
-		t.Fatalf("jobs=%d incomplete=%v", res.Metrics.Jobs(), res.Metrics.Incomplete())
+	if _, err := metrics.TET(res.Jobs); len(res.Jobs) != jobs || err != nil {
+		t.Fatalf("jobs=%d: %v", len(res.Jobs), err)
 	}
-	art, err := res.Metrics.ART()
+	art, err := metrics.ART(res.Jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: responses stay bounded (every job completes within k
 	// rounds of joining; shared rounds keep the queue from diverging).
-	maxRT, _ := res.Metrics.PercentileResponse(100)
+	maxRT, _ := metrics.PercentileResponse(res.Jobs, 100)
 	if maxRT.Seconds() > 5*art.Seconds() {
 		t.Errorf("max response %v vs ART %v: unexpected spread", maxRT, art)
 	}

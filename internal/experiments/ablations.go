@@ -8,6 +8,7 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -94,7 +95,7 @@ func AblationSlotChecking(p Params) (AblationResult, error) {
 		if err != nil {
 			return AblationResult{}, err
 		}
-		sum, err := res.Metrics.Summarize(scheme.Name)
+		sum, err := metrics.Summarize(res.Jobs)
 		if err != nil {
 			return AblationResult{}, err
 		}

@@ -308,7 +308,7 @@ func TestDynamicS3MatchesS3OnHomogeneousCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sums[i], err = res.Metrics.Summarize(scheme.Name); err != nil {
+		if sums[i], err = metrics.Summarize(res.Jobs); err != nil {
 			t.Fatal(err)
 		}
 		rounds[i] = res.Rounds

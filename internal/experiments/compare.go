@@ -343,11 +343,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 	if err := dag.Err(); err != nil {
 		return benchfmt.Cell{}, err
 	}
-	sum, err := res.Metrics.Summarize(key.String())
-	if err != nil {
-		return benchfmt.Cell{}, err
-	}
-	rows, err := res.Metrics.JobTable()
+	sum, err := metrics.Summarize(res.Jobs)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
@@ -357,20 +353,20 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		ART:           float64(sum.ART),
 		P95:           float64(sum.P95),
 		Rounds:        res.Rounds,
-		CacheHitRatio: res.Metrics.CacheStats().HitRatio(),
-		FaultRetries:  res.Metrics.FaultStats().Retries,
+		CacheHitRatio: res.Cache.HitRatio(),
+		FaultRetries:  res.Faults.Retries,
 		OutputDigest:  refDigest,
-		Jobs:          make([]benchfmt.JobTiming, len(rows)),
 	}
-	for i, row := range rows {
-		cell.Jobs[i] = benchfmt.JobTiming{
-			ID:          int(row.ID),
-			SubmittedAt: float64(row.SubmittedAt),
-			StartedAt:   float64(row.StartedAt),
-			CompletedAt: float64(row.CompletedAt),
-			Response:    float64(row.Response),
-		}
+	for _, j := range res.Jobs {
+		cell.Jobs = append(cell.Jobs, benchfmt.JobTiming{
+			ID:          int(j.ID),
+			SubmittedAt: float64(j.AdmittedAt),
+			StartedAt:   float64(j.StartedAt),
+			CompletedAt: float64(j.DoneAt),
+			Response:    float64(j.DoneAt.Sub(j.AdmittedAt)),
+		})
 	}
+	slices.SortFunc(cell.Jobs, func(a, b benchfmt.JobTiming) int { return a.ID - b.ID })
 	if cluster != nil {
 		// Engine cells earn their digest from the outputs the workers
 		// actually produced; a scheduler that corrupted results would

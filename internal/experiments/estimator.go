@@ -82,13 +82,9 @@ func EstimatorStudy(p Params, observeAt int) (EstimatorResult, error) {
 		return EstimatorResult{}, fmt.Errorf("experiments: run finished before round %d; nothing predicted", observeAt)
 	}
 
-	table, err := res.Metrics.JobTable()
-	if err != nil {
-		return EstimatorResult{}, err
-	}
-	actual := make(map[scheduler.JobID]vclock.Time, len(table))
-	for _, row := range table {
-		actual[row.ID] = row.CompletedAt
+	actual := make(map[scheduler.JobID]vclock.Time, len(res.Jobs))
+	for _, j := range res.Jobs {
+		actual[j.ID] = j.DoneAt
 	}
 
 	out := EstimatorResult{ObservedRounds: observeAt, PredictedJobs: len(predicted)}

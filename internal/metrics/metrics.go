@@ -1,8 +1,11 @@
 // Package metrics computes the paper's two performance metrics
-// (§III-B): total execution time (TET — first submission to last
-// completion) and average response time (ART — mean per-job
-// submission-to-completion interval), plus the normalized report rows
-// Figure 4 presents.
+// (§III-B) from the run's job table: total execution time (TET — first
+// submission to last completion) and average response time (ART — mean
+// per-job submission-to-completion interval), plus a P95 tail. It keeps
+// no per-job record of its own: the stamps are runtime.JobStatus's,
+// which the admission queue keeps. Beside them it holds the run's fault
+// and cache counters and the Prometheus-style registry live runs
+// publish.
 package metrics
 
 import (
@@ -10,22 +13,8 @@ import (
 	"math"
 	"sort"
 
-	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
-
-// Collector accumulates per-job submission, first-scheduling and
-// completion times. The optional start times let ART be decomposed the
-// way §III-B describes: response = waiting (submission → first round
-// that includes the job) + processing (first round → completion).
-type Collector struct {
-	submitted map[scheduler.JobID]vclock.Time
-	started   map[scheduler.JobID]vclock.Time
-	completed map[scheduler.JobID]vclock.Time
-	order     []scheduler.JobID // submission order
-	faults    FaultStats
-	cache     CacheStats
-}
 
 // FaultStats aggregates a run's fault-handling counters. All zeros on
 // a fault-free run.
@@ -47,12 +36,6 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.RequeuedRounds += other.RequeuedRounds
 	s.RequeuedSubJobs += other.RequeuedSubJobs
 }
-
-// AddFaultStats accumulates fault counters into the collector.
-func (c *Collector) AddFaultStats(fs FaultStats) { c.faults.Add(fs) }
-
-// FaultStats returns the run's accumulated fault counters.
-func (c *Collector) FaultStats() FaultStats { return c.faults }
 
 // CacheStats aggregates a run's block-cache counters. All zeros when
 // caching is off.
@@ -95,195 +78,72 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.PinnedBytes += other.PinnedBytes
 }
 
-// AddCacheStats accumulates block-cache counters into the collector.
-func (c *Collector) AddCacheStats(cs CacheStats) { c.cache.Add(cs) }
-
-// CacheStats returns the run's accumulated block-cache counters.
-func (c *Collector) CacheStats() CacheStats { return c.cache }
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		submitted: make(map[scheduler.JobID]vclock.Time),
-		started:   make(map[scheduler.JobID]vclock.Time),
-		completed: make(map[scheduler.JobID]vclock.Time),
-	}
+// Job is what the paper's metrics read of one job; runtime.JobStatus,
+// the run's one per-job record, is one.
+type Job interface {
+	// Span returns when the job was admitted and when it completed;
+	// done is false while it has not.
+	Span() (admitted, completed vclock.Time, done bool)
 }
 
-// Submit records job id arriving at time t. Resubmission panics: it
-// would silently corrupt ART.
-func (c *Collector) Submit(id scheduler.JobID, t vclock.Time) {
-	if _, dup := c.submitted[id]; dup {
-		panic(fmt.Sprintf("metrics: job %d submitted twice", id))
-	}
-	c.submitted[id] = t
-	c.order = append(c.order, id)
-}
-
-// Start records the first time job id was included in a launched
-// round. Only the first call per job takes effect, so callers may
-// report every round's batch without bookkeeping. It reports whether
-// this call was the first — the moment the job's waiting interval
-// became known — so telemetry can observe it exactly once.
-func (c *Collector) Start(id scheduler.JobID, t vclock.Time) bool {
-	sub, ok := c.submitted[id]
-	if !ok {
-		panic(fmt.Sprintf("metrics: job %d started but never submitted", id))
-	}
-	if t < sub {
-		panic(fmt.Sprintf("metrics: job %d started at %v before submission at %v", id, t, sub))
-	}
-	if _, dup := c.started[id]; dup {
-		return false
-	}
-	c.started[id] = t
-	return true
-}
-
-// Complete records job id finishing at time t. Completing an
-// unsubmitted or already-completed job panics.
-func (c *Collector) Complete(id scheduler.JobID, t vclock.Time) {
-	sub, ok := c.submitted[id]
-	if !ok {
-		panic(fmt.Sprintf("metrics: job %d completed but never submitted", id))
-	}
-	if _, dup := c.completed[id]; dup {
-		panic(fmt.Sprintf("metrics: job %d completed twice", id))
-	}
-	if t < sub {
-		panic(fmt.Sprintf("metrics: job %d completed at %v before submission at %v", id, t, sub))
-	}
-	c.completed[id] = t
-}
-
-// Jobs returns how many jobs were submitted.
-func (c *Collector) Jobs() int { return len(c.submitted) }
-
-// Incomplete returns the submitted jobs that have not completed, in
-// submission order.
-func (c *Collector) Incomplete() []scheduler.JobID {
-	var out []scheduler.JobID
-	for _, id := range c.order {
-		if _, done := c.completed[id]; !done {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ResponseTime returns a job's submission-to-completion interval.
-func (c *Collector) ResponseTime(id scheduler.JobID) (vclock.Duration, error) {
-	sub, ok := c.submitted[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d was never submitted", id)
-	}
-	done, ok := c.completed[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d has not completed", id)
-	}
-	return done.Sub(sub), nil
-}
-
-// WaitingTime returns the interval from a job's submission to the
-// launch of the first round that included it (§III-B's waiting
-// component). It fails when no start was recorded.
-func (c *Collector) WaitingTime(id scheduler.JobID) (vclock.Duration, error) {
-	sub, ok := c.submitted[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d was never submitted", id)
-	}
-	start, ok := c.started[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d has no recorded start", id)
-	}
-	return start.Sub(sub), nil
-}
-
-// ProcessingTime returns the interval from a job's first scheduled
-// round to its completion (§III-B's processing component).
-func (c *Collector) ProcessingTime(id scheduler.JobID) (vclock.Duration, error) {
-	start, ok := c.started[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d has no recorded start", id)
-	}
-	done, ok := c.completed[id]
-	if !ok {
-		return 0, fmt.Errorf("metrics: job %d has not completed", id)
-	}
-	return done.Sub(start), nil
-}
-
-// TET returns the total execution time: the interval between the first
-// job's submission and the last job's completion. It fails if any job
-// is incomplete.
-func (c *Collector) TET() (vclock.Duration, error) {
-	if len(c.submitted) == 0 {
-		return 0, fmt.Errorf("metrics: no jobs recorded")
-	}
-	if inc := c.Incomplete(); len(inc) > 0 {
-		return 0, fmt.Errorf("metrics: %d job(s) incomplete: %v", len(inc), inc)
-	}
-	var first vclock.Time
-	var last vclock.Time
-	firstSet := false
-	for _, t := range c.submitted {
-		if !firstSet || t < first {
-			first = t
-			firstSet = true
-		}
-	}
-	for _, t := range c.completed {
-		if t > last {
-			last = t
-		}
-	}
-	return last.Sub(first), nil
-}
-
-// ART returns the average response time across all jobs. It fails if
-// any job is incomplete.
-func (c *Collector) ART() (vclock.Duration, error) {
-	if len(c.submitted) == 0 {
-		return 0, fmt.Errorf("metrics: no jobs recorded")
-	}
-	if inc := c.Incomplete(); len(inc) > 0 {
-		return 0, fmt.Errorf("metrics: %d job(s) incomplete: %v", len(inc), inc)
-	}
-	var total vclock.Duration
-	for _, id := range c.order {
-		rt, err := c.ResponseTime(id)
-		if err != nil {
-			return 0, err
-		}
-		total += rt
-	}
-	return total / vclock.Duration(len(c.order)), nil
-}
-
-// ResponseTimes returns every job's response time in submission order.
-// It fails if any job is incomplete.
-func (c *Collector) ResponseTimes() ([]vclock.Duration, error) {
-	if len(c.order) == 0 {
+// responseTimes returns each job's admission-to-completion interval, in
+// the order given. It fails on no jobs or on one not yet complete.
+func responseTimes[J Job](jobs []J) ([]vclock.Duration, error) {
+	if len(jobs) == 0 {
 		return nil, fmt.Errorf("metrics: no jobs recorded")
 	}
-	out := make([]vclock.Duration, 0, len(c.order))
-	for _, id := range c.order {
-		rt, err := c.ResponseTime(id)
-		if err != nil {
-			return nil, err
+	out := make([]vclock.Duration, len(jobs))
+	incomplete := 0
+	for i, j := range jobs {
+		sub, end, done := j.Span()
+		if !done {
+			incomplete++
 		}
-		out = append(out, rt)
+		out[i] = end.Sub(sub)
+	}
+	if incomplete > 0 {
+		return nil, fmt.Errorf("metrics: %d of %d job(s) incomplete", incomplete, len(jobs))
 	}
 	return out, nil
 }
 
+// TET returns the total execution time: the interval between the first
+// job's admission and the last job's completion. It fails if any job is
+// incomplete.
+func TET[J Job](jobs []J) (vclock.Duration, error) {
+	if _, err := responseTimes(jobs); err != nil {
+		return 0, err
+	}
+	first, _, _ := jobs[0].Span()
+	var last vclock.Time
+	for _, j := range jobs {
+		sub, end, _ := j.Span()
+		first, last = min(first, sub), max(last, end)
+	}
+	return last.Sub(first), nil
+}
+
+// ART returns the average response time across jobs, summed in the
+// order given. It fails if any job is incomplete.
+func ART[J Job](jobs []J) (vclock.Duration, error) {
+	rts, err := responseTimes(jobs)
+	if err != nil {
+		return 0, err
+	}
+	var total vclock.Duration
+	for _, rt := range rts {
+		total += rt
+	}
+	return total / vclock.Duration(len(rts)), nil
+}
+
 // PercentileResponse returns the p-th percentile response time
 // (0 < p <= 100) using the nearest-rank method.
-func (c *Collector) PercentileResponse(p float64) (vclock.Duration, error) {
+func PercentileResponse[J Job](jobs []J, p float64) (vclock.Duration, error) {
 	if p <= 0 || p > 100 {
 		return 0, fmt.Errorf("metrics: percentile %v outside (0,100]", p)
 	}
-	rts, err := c.ResponseTimes()
+	rts, err := responseTimes(jobs)
 	if err != nil {
 		return 0, err
 	}
@@ -299,25 +159,24 @@ func (c *Collector) PercentileResponse(p float64) (vclock.Duration, error) {
 // per-job response-time percentile (nearest-rank), the tail view a mean
 // like ART hides.
 type Summary struct {
-	Scheme string
-	TET    vclock.Duration
-	ART    vclock.Duration
-	P95    vclock.Duration
+	TET vclock.Duration
+	ART vclock.Duration
+	P95 vclock.Duration
 }
 
-// Summarize computes a Summary for a completed run.
-func (c *Collector) Summarize(scheme string) (Summary, error) {
-	tet, err := c.TET()
+// Summarize computes a Summary for a completed run's jobs.
+func Summarize[J Job](jobs []J) (Summary, error) {
+	tet, err := TET(jobs)
 	if err != nil {
 		return Summary{}, err
 	}
-	art, err := c.ART()
+	art, err := ART(jobs)
 	if err != nil {
 		return Summary{}, err
 	}
-	p95, err := c.PercentileResponse(95)
+	p95, err := PercentileResponse(jobs, 95)
 	if err != nil {
 		return Summary{}, err
 	}
-	return Summary{Scheme: scheme, TET: tet, ART: art, P95: p95}, nil
+	return Summary{TET: tet, ART: art, P95: p95}, nil
 }

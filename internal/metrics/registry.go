@@ -11,10 +11,9 @@ import (
 )
 
 // Registry holds live counters, gauges and fixed-bucket histograms and
-// exposes them in Prometheus text format. Unlike Collector (an
-// end-of-run ledger with strict lifecycle panics), Registry instruments
-// a running system: all operations are concurrency-safe and cheap
-// enough to leave on. Export is deterministic — metrics sort by name,
+// exposes them in Prometheus text format. Registry instruments a
+// running system: all operations are concurrency-safe and cheap enough
+// to leave on. Export is deterministic — metrics sort by name,
 // floats format minimally — so two identical seeded runs produce
 // byte-identical snapshots.
 type Registry struct {
@@ -48,8 +47,7 @@ func (r *Registry) register(name, help string, build func() any) any {
 
 // Counter returns the named monotonically-increasing counter,
 // registering it on first use. Registering a name twice with different
-// metric types panics — that is a programming error, consistent with
-// Collector's misuse panics.
+// metric types panics — that is a programming error.
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.register(name, help, func() any { return &Counter{} })
 	c, ok := m.(*Counter)

@@ -92,10 +92,13 @@ func (r *run) mat(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
 	return vclock.Duration(1), nil
 }
 
-// deliver records what a Pop handed the engine.
-func (r *run) deliver(arrivals []runtime.Arrival) {
+// deliver records what a Pop handed the engine, which admits it.
+func (r *run) deliver(src runtime.ArrivalSource, arrivals []runtime.Arrival) {
 	for _, a := range arrivals {
 		id := a.Job.ID
+		if err := src.JobAdmitted(id, a.At); err != nil {
+			r.t.Error(err)
+		}
 		if r.released[id] {
 			r.t.Errorf("stage %d released twice", id)
 		}
@@ -115,7 +118,9 @@ func (r *run) finishOne(rng *rand.Rand, src runtime.ArrivalSource, now vclock.Ti
 	id := r.running[k]
 	r.running = slices.Delete(r.running, k, k+1)
 	r.finished[id] = true
-	src.JobFinished(id, now)
+	if _, err := src.JobFinished(id, now); err != nil {
+		r.t.Error(err)
+	}
 }
 
 func (r *run) releasedSet() []scheduler.JobID {
@@ -175,7 +180,7 @@ func TestGraphProperty(t *testing.T) {
 		}
 		src.Close()
 		now := vclock.Time(10)
-		for b.deliver(dag.Pop(now)); len(b.running) > 0; b.deliver(dag.Pop(now)) {
+		for b.deliver(dag, dag.Pop(now)); len(b.running) > 0; b.deliver(dag, dag.Pop(now)) {
 			b.finishOne(rng, dag, now)
 			now += 2 // past the materialization delay
 		}
@@ -206,7 +211,7 @@ func TestGraphProperty(t *testing.T) {
 			case len(l.running) > 0:
 				l.finishOne(rng, dag, now)
 			}
-			l.deliver(dag.Pop(now))
+			l.deliver(dag, dag.Pop(now))
 		}
 		l.check(seed, "live", src, refused)
 

@@ -69,14 +69,15 @@ func (d *LiveDAG) SubmitStage(a runtime.Arrival, deps []scheduler.JobID, pre fun
 }
 
 // Adopt seeds a journal-recovered stage, so that later stages may
-// depend on it: one the restored scheduler is running again, or a
-// settled one that only needs its terminal state back. made says a done
-// stage's output is a file already — recovery replays stage-materialized
-// records itself — so its readers need no second materialization.
-func (d *LiveDAG) Adopt(meta scheduler.JobMeta, state runtime.JobState, doneAt vclock.Time, made bool) error {
+// depend on it: one the restored scheduler is running again, admitted at
+// admittedAt, or a settled one that only needs its terminal state back.
+// made says a done stage's output is a file already — recovery replays
+// stage-materialized records itself — so its readers need no second
+// materialization.
+func (d *LiveDAG) Adopt(meta scheduler.JobMeta, state runtime.JobState, admittedAt, doneAt vclock.Time, made bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.src.Adopt(meta, state, 0, doneAt); err != nil {
+	if err := d.src.Adopt(meta, state, admittedAt, doneAt); err != nil {
 		return err
 	}
 	if _, err := d.g.Add(meta.ID, nil); err != nil {
@@ -119,7 +120,17 @@ func (d *LiveDAG) Pending() int { return d.src.Pending() }
 func (d *LiveDAG) Wait() bool { return d.src.Wait() }
 
 // JobAdmitted implements runtime.ArrivalSource.
-func (d *LiveDAG) JobAdmitted(id scheduler.JobID, at vclock.Time) { d.src.JobAdmitted(id, at) }
+func (d *LiveDAG) JobAdmitted(id scheduler.JobID, at vclock.Time) error {
+	return d.src.JobAdmitted(id, at)
+}
+
+// JobsStarted implements runtime.ArrivalSource.
+func (d *LiveDAG) JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vclock.Duration, error) {
+	return d.src.JobsStarted(ids, at)
+}
+
+// Jobs implements runtime.ArrivalSource.
+func (d *LiveDAG) Jobs() []runtime.JobStatus { return d.src.Jobs() }
 
 // JobFinished implements runtime.ArrivalSource: record the job done on
 // the status API, then settle dependents — materialize the output if
@@ -127,11 +138,15 @@ func (d *LiveDAG) JobAdmitted(id scheduler.JobID, at vclock.Time) { d.src.JobAdm
 // when it cannot be materialized. Runs on the engine goroutine,
 // synchronously inside round settlement, so releases are visible
 // before the engine looks for its next arrival.
-func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time) {
-	d.src.JobFinished(id, at)
+func (d *LiveDAG) JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Duration, error) {
+	rt, err := d.src.JobFinished(id, at)
+	if err != nil {
+		return 0, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.settle(id, at)
+	return rt, nil
 }
 
 // settle passes what a finished stage releases and fails on to the

@@ -42,6 +42,27 @@ func (m *countingMat) mat(id scheduler.JobID, at vclock.Time) (vclock.Duration, 
 	return m.delay, nil
 }
 
+// deliver pops the arrivals due at now and admits them, as the engine
+// does.
+func deliver(t *testing.T, d *LiveDAG, now vclock.Time) []runtime.Arrival {
+	t.Helper()
+	got := d.Pop(now)
+	for _, a := range got {
+		if err := d.JobAdmitted(a.Job.ID, a.At); err != nil {
+			t.Error(err)
+		}
+	}
+	return got
+}
+
+// finish has the engine finish a running job.
+func finish(t *testing.T, d *LiveDAG, id scheduler.JobID, at vclock.Time) {
+	t.Helper()
+	if _, err := d.JobFinished(id, at); err != nil {
+		t.Error(err)
+	}
+}
+
 func newTestDAG(m *countingMat) (*LiveDAG, *runtime.LiveSource) {
 	src := runtime.NewLiveSource()
 	return NewLiveDAG(src, m.mat), src
@@ -99,13 +120,13 @@ func TestLiveDAGReleasesAtLowerBound(t *testing.T) {
 	if got := d.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1 (the root: a held stage is not queued)", got)
 	}
-	if roots := d.Pop(0); len(roots) != 1 || roots[0].Job.ID != 1 {
+	if roots := deliver(t, d, 0); len(roots) != 1 || roots[0].Job.ID != 1 {
 		t.Fatalf("Pop(0) = %+v, want root job 1", roots)
 	}
 	if _, ok := d.Peek(); ok || d.Wait() {
 		t.Fatal("a closed source reports an arrival while the consumers are held")
 	}
-	d.JobFinished(1, vclock.Time(5))
+	finish(t, d, 1, vclock.Time(5))
 	if m.calls[1] != 1 {
 		t.Fatalf("materializer called %d times for job 1, want 1", m.calls[1])
 	}
@@ -121,9 +142,8 @@ func TestLiveDAGReleasesAtLowerBound(t *testing.T) {
 	if got := d.Pop(vclock.Time(12)); len(got) != 1 || got[0].Job.ID != 3 || got[0].At != vclock.Time(10) {
 		t.Fatalf("Pop(12) = %+v, want job 3 at its own 10", got)
 	}
-	// Duplicate finish notifications must not re-materialize.
-	d.JobFinished(1, vclock.Time(9))
-	if m.calls[1] != 1 || d.Err() != nil {
+	// A duplicate finish is refused and must not re-materialize.
+	if _, err := d.JobFinished(1, vclock.Time(9)); err == nil || m.calls[1] != 1 || d.Err() != nil {
 		t.Fatalf("duplicate JobFinished: %d materializations, Err %v", m.calls[1], d.Err())
 	}
 }
@@ -137,7 +157,7 @@ func TestLiveDAGErrNeverReady(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	d.Pop(0)
+	deliver(t, d, 0)
 	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "1 DAG stages never became ready") {
 		t.Fatalf("Err() = %v, want the held stage reported", err)
 	}
@@ -158,12 +178,12 @@ func TestCoordinatorDiamondWaitsForAllDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	d.Pop(0)
-	d.JobFinished(1, vclock.Time(3))
+	deliver(t, d, 0)
+	finish(t, d, 1, vclock.Time(3))
 	if got := d.Pop(vclock.Time(10)); len(got) != 0 {
 		t.Fatalf("consumer released after one of two deps: %+v", got)
 	}
-	d.JobFinished(2, vclock.Time(4))
+	finish(t, d, 2, vclock.Time(4))
 	got := d.Pop(vclock.Time(10))
 	if len(got) != 1 || got[0].Job.ID != 3 || got[0].At != vclock.Time(4) {
 		t.Fatalf("Pop = %+v, want job 3 at 4 (last dep's finish)", got)
@@ -188,8 +208,8 @@ func TestCoordinatorMaterializeErrorCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	d.Pop(0)
-	d.JobFinished(1, vclock.Time(2))
+	deliver(t, d, 0)
+	finish(t, d, 1, vclock.Time(2))
 	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "materializing stage 1") {
 		t.Fatalf("Err() = %v, want materialization failure", err)
 	}
@@ -220,7 +240,7 @@ func TestLiveDAGHoldAndRelease(t *testing.T) {
 		t.Fatalf("submit producer: %v", err)
 	}
 	mustState(t, src, pid, runtime.JobQueued)
-	if got := d.Pop(0); len(got) != 1 || got[0].Job.ID != pid {
+	if got := deliver(t, d, 0); len(got) != 1 || got[0].Job.ID != pid {
 		t.Fatalf("Pop = %+v, want producer %d", got, pid)
 	}
 
@@ -233,8 +253,7 @@ func TestLiveDAGHoldAndRelease(t *testing.T) {
 		t.Fatalf("consumer DependsOn = %v, want [%d]", st.DependsOn, pid)
 	}
 
-	d.JobAdmitted(pid, 1)
-	d.JobFinished(pid, vclock.Time(9))
+	finish(t, d, pid, vclock.Time(9))
 	if m.calls[pid] != 1 {
 		t.Fatalf("materializer called %d times, want 1", m.calls[pid])
 	}
@@ -265,8 +284,8 @@ func TestLiveDAGLateConsumerDefersMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(5))
+	deliver(t, d, 0)
+	finish(t, d, pid, vclock.Time(5))
 	if m.calls[pid] != 0 {
 		t.Fatalf("producer with no consumers was materialized (%d calls)", m.calls[pid])
 	}
@@ -310,13 +329,13 @@ func TestLiveDAGRefusesBadDependencies(t *testing.T) {
 
 	// A producer recovery adopted failed.
 	failed := scheduler.JobMeta{ID: 1, Name: "f", File: "corpus"}
-	if err := d.Adopt(failed, runtime.JobFailed, 1, false); err != nil {
+	if err := d.Adopt(failed, runtime.JobFailed, 0, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "c"}}, []scheduler.JobID{failed.ID}, nil); !errors.Is(err, ErrDoomed) {
 		t.Fatalf("dependency on a failed job: %v, want ErrDoomed", err)
 	}
-	d.Pop(0)
+	deliver(t, d, 0)
 	if m.calls[failed.ID] != 0 {
 		t.Fatal("failed producer was materialized")
 	}
@@ -340,8 +359,8 @@ func TestLiveDAGMaterializeErrorCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(4))
+	deliver(t, d, 0)
+	finish(t, d, pid, vclock.Time(4))
 
 	mustState(t, src, pid, runtime.JobDone)
 	mustState(t, src, c1, runtime.JobFailed)
@@ -364,10 +383,10 @@ func TestLiveDAGMultiDepReleasesAfterLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Pop(0)
-	d.JobFinished(p1, 3)
+	deliver(t, d, 0)
+	finish(t, d, p1, 3)
 	mustState(t, src, cid, runtime.JobWaiting)
-	d.JobFinished(p2, 5)
+	finish(t, d, p2, 5)
 	mustState(t, src, cid, runtime.JobQueued)
 	if at, ok := d.Peek(); !ok || at != 5 {
 		t.Fatalf("Peek() = %v, %v; want the join at its last producer's finish, 5", at, ok)
@@ -385,7 +404,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 	// queued immediately and Pop must not re-materialize. Adopted ids sit
 	// high so auto-assigned consumer ids cannot collide.
 	doneMeta := scheduler.JobMeta{ID: 100, Name: "done", File: "corpus"}
-	if err := d.Adopt(doneMeta, runtime.JobDone, 2, true); err != nil {
+	if err := d.Adopt(doneMeta, runtime.JobDone, 0, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	cid, err := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "c"}}, []scheduler.JobID{100}, nil)
@@ -402,7 +421,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 	// consumer under its old id, as recovery does, queues it and the next
 	// Pop materializes.
 	done2 := scheduler.JobMeta{ID: 200, Name: "done2", File: "corpus"}
-	if err := d.Adopt(done2, runtime.JobDone, 3, false); err != nil {
+	if err := d.Adopt(done2, runtime.JobDone, 0, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	heldMeta := scheduler.JobMeta{ID: 210, Name: "held", File: "job-200.out"}
@@ -417,7 +436,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 
 	// Recovered failed producer: its consumer is refused.
 	failedMeta := scheduler.JobMeta{ID: 300, Name: "bad", File: "corpus"}
-	if err := d.Adopt(failedMeta, runtime.JobFailed, 4, false); err != nil {
+	if err := d.Adopt(failedMeta, runtime.JobFailed, 0, 4, false); err != nil {
 		t.Fatal(err)
 	}
 	orphan := scheduler.JobMeta{ID: 310, Name: "orphan", File: "job-300.out"}
@@ -428,7 +447,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 	// Recovered pending producer: the resubmitted consumer waits, then a
 	// live finish releases it.
 	pendMeta := scheduler.JobMeta{ID: 400, Name: "pend", File: "corpus"}
-	if err := d.Adopt(pendMeta, runtime.JobRunning, 0, false); err != nil {
+	if err := d.Adopt(pendMeta, runtime.JobRunning, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	waiter := scheduler.JobMeta{ID: 410, Name: "waiter", File: "job-400.out"}
@@ -436,7 +455,7 @@ func TestLiveDAGAdoptPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustState(t, src, 410, runtime.JobWaiting)
-	d.JobFinished(400, vclock.Time(8))
+	finish(t, d, 400, vclock.Time(8))
 	mustState(t, src, 410, runtime.JobQueued)
 	if m.calls[400] != 1 {
 		t.Fatalf("materializer called %d times for resumed producer, want 1", m.calls[400])
@@ -453,7 +472,7 @@ func TestLiveDAGConcurrentSubmitAndFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Pop(0)
+	deliver(t, d, 0)
 
 	const consumers = 16
 	ids := make([]scheduler.JobID, consumers)
@@ -476,7 +495,7 @@ func TestLiveDAGConcurrentSubmitAndFinish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		d.JobFinished(pid, vclock.Time(3))
+		finish(t, d, pid, vclock.Time(3))
 	}()
 	close(start)
 	wg.Wait()
@@ -504,8 +523,8 @@ func TestLiveDAGDeferredMaterializeErrorFailsConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Pop(0)
-	d.JobFinished(pid, vclock.Time(5))
+	deliver(t, d, 0)
+	finish(t, d, pid, vclock.Time(5))
 
 	m.fail[pid] = true
 	cid, err := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "topk", File: "job-1.out"}}, []scheduler.JobID{pid}, nil)
@@ -552,14 +571,14 @@ func TestLiveDAGHeldStageWithFinishedUnreadProducer(t *testing.T) {
 
 	p1, _ := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "p1", File: "corpus"}}, nil, nil)
 	p2, _ := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "p2", File: "corpus"}}, nil, nil)
-	d.Pop(0)
-	d.JobFinished(p1, vclock.Time(2))
+	deliver(t, d, 0)
+	finish(t, d, p1, vclock.Time(2))
 	cid, err := d.SubmitStage(runtime.Arrival{Job: scheduler.JobMeta{Name: "join", File: "job-1.out"}}, []scheduler.JobID{p1, p2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustState(t, src, cid, runtime.JobWaiting)
-	d.JobFinished(p2, vclock.Time(4))
+	finish(t, d, p2, vclock.Time(4))
 	mustState(t, src, cid, runtime.JobWaiting) // p1's output is no file yet
 	if got := d.Pop(vclock.Time(5)); len(got) != 1 || got[0].Job.ID != cid {
 		t.Fatalf("Pop = %+v, want the join %d", got, cid)

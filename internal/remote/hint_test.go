@@ -174,8 +174,8 @@ func TestHintedCursorCacheDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Metrics.Jobs() != jobs || rounds < 3*hintSegments {
-			t.Fatalf("%s: %d jobs in %d rounds, want %d jobs over three passes", policy, res.Metrics.Jobs(), rounds, jobs)
+		if len(res.Jobs) != jobs || rounds < 3*hintSegments {
+			t.Fatalf("%s: %d jobs in %d rounds, want %d jobs over three passes", policy, len(res.Jobs), rounds, jobs)
 		}
 		got.outputs = outputsOf(m)
 		for _, store := range stores {
@@ -335,7 +335,7 @@ func TestRequeuedRoundResendsItsHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := res.Metrics.FaultStats(); fs.RequeuedRounds != 1 || attempts != 2 {
+	if fs := res.Faults; fs.RequeuedRounds != 1 || attempts != 2 {
 		t.Fatalf("%d requeued rounds over %d attempts at segment %d, want 1 over 2", fs.RequeuedRounds, attempts, lostSegment)
 	}
 
@@ -419,8 +419,8 @@ func TestRestartedWorkerRewarmsFromTaskHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != jobs || fresh == nil {
-		t.Fatalf("%d jobs finished, replacement started: %v", res.Metrics.Jobs(), fresh != nil)
+	if len(res.Jobs) != jobs || fresh == nil {
+		t.Fatalf("%d jobs finished, replacement started: %v", len(res.Jobs), fresh != nil)
 	}
 	if cs := afterOneCycle; cs.Prefetches == 0 || cs.Hits == 0 || cs.PinnedBytes == 0 || cs.PrefetchFailed != 0 {
 		t.Errorf("one cycle after the restart the replacement's cache shows %+v, want prefetches, hits and pins", cs)

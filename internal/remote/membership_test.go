@@ -10,6 +10,7 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
@@ -291,8 +292,8 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 	if rounds < 2 {
 		t.Fatalf("run finished in %d rounds; the restart never happened mid-run", rounds)
 	}
-	if n := len(res.Metrics.Incomplete()); n != 0 {
-		t.Fatalf("%d incomplete jobs", n)
+	if _, err := metrics.TET(res.Jobs); err != nil {
+		t.Fatal(err)
 	}
 
 	// Byte-identical outputs despite the restart.
@@ -368,10 +369,10 @@ func TestFullOutageRequeuesUntilRejoin(t *testing.T) {
 	if repErr != nil {
 		t.Fatalf("replacement worker: %v", repErr)
 	}
-	if n := len(res.Metrics.Incomplete()); n != 0 {
-		t.Fatalf("%d incomplete jobs", n)
+	if _, err := metrics.TET(res.Jobs); err != nil {
+		t.Fatal(err)
 	}
-	if fs := res.Metrics.FaultStats(); fs.RequeuedRounds == 0 {
+	if fs := res.Faults; fs.RequeuedRounds == 0 {
 		t.Error("outage produced no requeued rounds")
 	}
 	want := referenceResults(t, 1)

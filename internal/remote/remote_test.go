@@ -8,6 +8,7 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
@@ -106,8 +107,8 @@ func TestDistributedS3MatchesLocalEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != 2 || len(res.Metrics.Incomplete()) != 0 {
-		t.Fatalf("metrics = %+v", res.Metrics)
+	if _, err := metrics.TET(res.Jobs); len(res.Jobs) != 2 || err != nil {
+		t.Fatalf("jobs = %+v: %v", res.Jobs, err)
 	}
 
 	// Reference: the same jobs run by the sequential reference.
@@ -373,8 +374,8 @@ func TestWorkerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with dead worker: %v", err)
 	}
-	if len(res.Metrics.Incomplete()) != 0 {
-		t.Fatalf("incomplete: %v", res.Metrics.Incomplete())
+	if _, err := metrics.TET(res.Jobs); err != nil {
+		t.Fatal(err)
 	}
 	if failovers(master) == 0 {
 		t.Error("expected failovers with a dead worker")

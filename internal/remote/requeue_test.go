@@ -103,7 +103,7 @@ func TestRequeuedRoundKeepsFinishedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := res.Metrics.FaultStats(); fs.RequeuedRounds != 1 || attempts != 2 {
+	if fs := res.Faults; fs.RequeuedRounds != 1 || attempts != 2 {
 		t.Fatalf("%d requeued rounds over %d attempts at the last round, want 1 over 2", fs.RequeuedRounds, attempts)
 	}
 

@@ -17,6 +17,7 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
+	"s3sched/internal/metrics"
 	s3runtime "s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
@@ -337,14 +338,14 @@ func TestRestartedHolderIsRepaired(t *testing.T) {
 		t.Fatal("the restart never happened")
 	}
 	defer replacement.Close()
-	if n := len(res.Metrics.Incomplete()); n != 0 {
-		t.Fatalf("%d incomplete jobs", n)
+	if _, err := metrics.TET(res.Jobs); err != nil {
+		t.Fatal(err)
 	}
 	checkOutputs(t, master, jobs)
 	if ss := repairsOf(master); ss.RepairMaps == 0 || ss.RepairMaps > lost {
 		t.Errorf("%+v, want between 1 and %d repair maps: what the old process had mapped", ss, lost)
 	}
-	if fs := res.Metrics.FaultStats(); fs.RequeuedRounds != 0 {
+	if fs := res.Faults; fs.RequeuedRounds != 0 {
 		t.Errorf("%d rounds requeued: a lost stash is repaired inside the round", fs.RequeuedRounds)
 	}
 }
@@ -509,8 +510,8 @@ func TestStashHoldsInflightJobsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != jobs || committed(m) != jobs {
-		t.Fatalf("%d jobs finished, %d results", res.Metrics.Jobs(), committed(m))
+	if len(res.Jobs) != jobs || committed(m) != jobs {
+		t.Fatalf("%d jobs finished, %d results", len(res.Jobs), committed(m))
 	}
 	// A job rides four rounds and one arrives every two: three in flight
 	// at most, six of twelve blocks each on a worker.

@@ -33,7 +33,7 @@ func TestSimCacheStatsFolded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := res.Metrics.CacheStats(); cs.Misses == 0 {
+	if cs := res.Cache; cs.Misses == 0 {
 		t.Fatalf("collector cache stats = %+v, want sim misses folded", cs)
 	}
 }

@@ -62,7 +62,7 @@ func wordcountCluster(t *testing.T, blocks, perSegment, n int, cacheBytes int64)
 
 // End-to-end cache telemetry: a run on the deployed master and workers,
 // whose stores cache, must fold their hit/miss counts into the run's
-// Collector and export them through the registry instruments.
+// Result and export them through the registry instruments.
 func TestEngineCacheTelemetry(t *testing.T) {
 	plan, cluster, arrivals := wordcountCluster(t, 8, 4, 2, 1<<20)
 	arrivals[1].At = 1e-6 // staggered: job 2 wraps and re-reads
@@ -71,9 +71,9 @@ func TestEngineCacheTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := res.Metrics.CacheStats()
+	cs := res.Cache
 	if cs.Hits == 0 || cs.Misses == 0 {
-		t.Fatalf("collector cache stats = %+v, want activity folded from the workers' stores", cs)
+		t.Fatalf("run cache stats = %+v, want activity folded from the workers' stores", cs)
 	}
 	var prom strings.Builder
 	if err := reg.WritePrometheus(&prom); err != nil {

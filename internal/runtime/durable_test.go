@@ -8,6 +8,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -142,25 +143,27 @@ func TestEngineGracefulStop(t *testing.T) {
 }
 
 // TestEngineRestoredJobs: jobs pre-loaded into the scheduler (journal
-// recovery) and declared via Options.Restored complete normally and
-// are counted in the run's metrics even though no arrival source ever
-// delivered them.
+// recovery) and adopted into the source as running, as recovery adopts
+// them, complete normally and are the run's jobs even though the source
+// never delivered them.
 func TestEngineRestoredJobs(t *testing.T) {
 	sched := deployedOver(t, parityPlan(t, 3))
-	if err := sched.Submit(parityMeta(1), 0); err != nil {
-		t.Fatal(err)
+	src := runtime.NewLiveSource()
+	for _, id := range []int{1, 2} {
+		if err := sched.Submit(parityMeta(id), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Adopt(parityMeta(id), runtime.JobRunning, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sched.Submit(parityMeta(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := runtime.RunTrace(sched, fixedExec{}, nil, runtime.Options{
-		Restored: []runtime.RestoredJob{{ID: 1}, {ID: 2}},
-	})
+	src.Close()
+	res, err := runtime.Run(sched, fixedExec{}, src, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Metrics.Jobs(); got != 2 {
-		t.Fatalf("completed jobs = %d, want 2", got)
+	if _, err := metrics.TET(res.Jobs); len(res.Jobs) != 2 || err != nil {
+		t.Fatalf("run's jobs = %+v (%v), want both restored jobs done", res.Jobs, err)
 	}
 	if res.Stopped {
 		t.Error("run reported Stopped without a stop channel")

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
@@ -21,7 +22,6 @@ type engine struct {
 	maxRequeues int
 
 	clock vclock.Clock
-	coll  *metrics.Collector
 	tele  *telemetry
 	res   *Result
 	// requeues counts consecutive requeues of the current round.
@@ -30,8 +30,6 @@ type engine struct {
 	commits CommitLog
 	// stop requests a graceful exit at the next round boundary.
 	stop <-chan struct{}
-	// restored are journal-recovered jobs to seed into the collector.
-	restored []RestoredJob
 }
 
 func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Options) *engine {
@@ -50,17 +48,15 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts
 		hooks:       opts.Hooks,
 		maxRequeues: maxRequeues,
 		clock:       clock,
-		coll:        metrics.NewCollector(),
 		tele:        newTelemetry(opts),
 		commits:     opts.Commits,
 		stop:        opts.Stop,
-		restored:    opts.Restored,
 		requeues:    opts.InitialRequeues,
 	}
 	if mem, ok := exec.(MembershipSource); ok {
 		e.mem = mem
 	}
-	e.res = &Result{Metrics: e.coll}
+	e.res = &Result{}
 	return e
 }
 
@@ -71,12 +67,12 @@ func (e *engine) run() (*Result, error) {
 		return nil, fmt.Errorf("runtime: nil arrival source")
 	}
 	e.tele.beginRun(e.sched.Name(), e.clock.Now())
-	// Journal-recovered jobs are already in the scheduler; give each a
-	// collector entry so the submit→start→complete lifecycle holds.
-	for _, rj := range e.restored {
-		e.coll.Submit(rj.ID, rj.At)
-		e.tele.jobSubmitted()
-		e.src.JobAdmitted(rj.ID, rj.At)
+	// Jobs the source holds as running were recovered from a journal
+	// into the scheduler already: the run resumes them.
+	for _, st := range e.src.Jobs() {
+		if st.State == JobRunning {
+			e.tele.jobSubmitted()
+		}
 	}
 	for {
 		if e.stopRequested() {
@@ -105,21 +101,21 @@ func (e *engine) run() (*Result, error) {
 			}
 			if e.sched.PendingJobs() > 0 {
 				if st, isSt := e.sched.(scheduler.Stalled); isSt && st.Stalled() {
-					return nil, fmt.Errorf("runtime: scheduler %q stalled with %d pending job(s): %v",
-						e.sched.Name(), e.sched.PendingJobs(), e.coll.Incomplete())
+					return nil, fmt.Errorf("runtime: scheduler %q stalled with %d pending job(s)",
+						e.sched.Name(), e.sched.PendingJobs())
 				}
-				return nil, fmt.Errorf("runtime: scheduler %q idle but %d job(s) incomplete: %v",
-					e.sched.Name(), e.sched.PendingJobs(), e.coll.Incomplete())
+				return nil, fmt.Errorf("runtime: scheduler %q idle but %d job(s) incomplete",
+					e.sched.Name(), e.sched.PendingJobs())
 			}
 			break
 		}
 		// The launch of a round is each included job's transition
 		// from waiting to processing (§III-B decomposition).
-		for _, id := range r.JobIDs() {
-			if e.coll.Start(id, now) {
-				e.tele.jobStarted(e.coll, id)
-			}
+		waits, err := e.src.JobsStarted(r.JobIDs(), now)
+		if err != nil {
+			return nil, err
 		}
+		e.tele.jobsStarted(waits)
 		if e.hooks.OnRoundStart != nil {
 			e.hooks.OnRoundStart(r, now)
 		}
@@ -141,7 +137,13 @@ func (e *engine) run() (*Result, error) {
 	e.finishStats()
 	e.res.End = e.clock.Now()
 	e.res.Requeues = e.requeues
-	e.tele.endRun(e.coll, e.res.End, e.res.Rounds)
+	e.tele.endRun(e.res)
+	for _, st := range e.src.Jobs() {
+		if st.seq > 0 {
+			e.res.Jobs = append(e.res.Jobs, st)
+		}
+	}
+	slices.SortFunc(e.res.Jobs, func(a, b JobStatus) int { return a.seq - b.seq })
 	return e.res, nil
 }
 
@@ -240,9 +242,10 @@ func (e *engine) deliverDue(now vclock.Time) error {
 		if err := e.sched.Submit(a.Job, a.At); err != nil {
 			return err
 		}
-		e.coll.Submit(a.Job.ID, a.At)
+		if err := e.src.JobAdmitted(a.Job.ID, a.At); err != nil {
+			return err
+		}
 		e.tele.jobSubmitted()
-		e.src.JobAdmitted(a.Job.ID, a.At)
 	}
 	if len(arrivals) > 0 {
 		e.tele.admissionDepth(e.src.Pending())
@@ -286,7 +289,7 @@ func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler
 	}
 	e.clock.AdvanceTo(now.Add(lost.Elapsed))
 	rec.RequeueRound(r, e.clock.Now())
-	e.coll.AddFaultStats(metrics.FaultStats{RequeuedRounds: 1, RequeuedSubJobs: len(r.Jobs)})
+	e.res.Faults.Add(metrics.FaultStats{RequeuedRounds: 1, RequeuedSubJobs: len(r.Jobs)})
 	return nil
 }
 
@@ -296,9 +299,11 @@ func (e *engine) requeueLost(r scheduler.Round, now vclock.Time, lost *scheduler
 // rather than journaling a round recovery could not resume from.
 func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []scheduler.JobID) error {
 	for _, id := range completed {
-		e.coll.Complete(id, now)
-		e.tele.jobCompleted(e.coll, id)
-		e.src.JobFinished(id, now)
+		rt, err := e.src.JobFinished(id, now)
+		if err != nil {
+			return err
+		}
+		e.tele.jobCompleted(id, rt)
 	}
 	if e.commits != nil {
 		var snapPtr *scheduler.Snapshot
@@ -324,9 +329,9 @@ func (e *engine) settleRound(r scheduler.Round, now vclock.Time, completed []sch
 // run's metrics once the loop ends.
 func (e *engine) finishStats() {
 	if src, ok := e.exec.(FaultStatsSource); ok {
-		e.coll.AddFaultStats(src.FaultStats())
+		e.res.Faults.Add(src.FaultStats())
 	}
 	if src, ok := e.exec.(CacheStatsSource); ok {
-		e.coll.AddCacheStats(src.CacheStats())
+		e.res.Cache.Add(src.CacheStats())
 	}
 }

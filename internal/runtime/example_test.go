@@ -5,6 +5,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -27,8 +28,8 @@ func ExampleRunTrace() {
 		{Job: scheduler.JobMeta{ID: 2, File: "input"}, At: 20},
 	}, runtime.Options{})
 
-	tet, _ := res.Metrics.TET()
-	art, _ := res.Metrics.ART()
+	tet, _ := metrics.TET(res.Jobs)
+	art, _ := metrics.ART(res.Jobs)
 	fmt.Printf("TET %v  ART %v  rounds %d\n", tet, art, res.Rounds)
 	// Output:
 	// TET 120.000s  ART 100.000s  rounds 12

@@ -66,12 +66,12 @@ func TestRequeueRecoversLostRound(t *testing.T) {
 	if res.Rounds != 2 {
 		t.Errorf("successful rounds = %d, want 2", res.Rounds)
 	}
-	fs := res.Metrics.FaultStats()
+	fs := res.Faults
 	if fs.RequeuedRounds != 2 || fs.RequeuedSubJobs != 2 || fs.FailedAttempts != 2 {
 		t.Errorf("fault stats = %+v, want 2 rounds / 2 sub-jobs requeued and the executor's 2 failed attempts", fs)
 	}
 	// 2 lost rounds x 5s + 2 good rounds x 10s.
-	rt, err := res.Metrics.ResponseTime(1)
+	rt, err := metrics.ART(res.Jobs) // the one job's response time
 	if err != nil {
 		t.Fatal(err)
 	}

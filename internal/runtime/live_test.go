@@ -65,7 +65,7 @@ func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Metrics.Jobs(); got != 1+lateJobs {
+		if got := len(res.Jobs); got != 1+lateJobs {
 			t.Fatalf("completed jobs = %d, want %d", got, 1+lateJobs)
 		}
 		for _, js := range src.Jobs() {
@@ -118,7 +118,7 @@ func TestLiveAdmissionConcurrentSubmitters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Metrics.Jobs(); got != submitters*perSubmitter {
+		if got := len(res.Jobs); got != submitters*perSubmitter {
 			t.Fatalf("completed jobs = %d, want %d", got, submitters*perSubmitter)
 		}
 		for _, js := range src.Jobs() {

@@ -9,6 +9,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
@@ -49,8 +50,8 @@ func TestRunFIFOSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tet, _ := res.Metrics.TET()
-	art, _ := res.Metrics.ART()
+	tet, _ := metrics.TET(res.Jobs)
+	art, _ := metrics.ART(res.Jobs)
 	if tet != 200 || art != 140 {
 		t.Errorf("FIFO TET/ART = %v/%v, want 200/140 (paper Example 1)", tet, art)
 	}
@@ -83,13 +84,9 @@ func TestRunTraceOnWallClock(t *testing.T) {
 	if res.End < last || clock.Now() < res.End {
 		t.Errorf("run ended at %v (clock now %v), want no earlier than the last arrival at %v", res.End, clock.Now(), last)
 	}
-	rows, err := res.Metrics.JobTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range rows {
-		if row.SubmittedAt != arrivals[i].At || row.StartedAt < row.SubmittedAt {
-			t.Errorf("job %d submitted at %v and started at %v, want submitted at %v", row.ID, row.SubmittedAt, row.StartedAt, arrivals[i].At)
+	for i, j := range res.Jobs {
+		if j.ID != arrivals[i].Job.ID || j.AdmittedAt != arrivals[i].At || j.StartedAt < j.AdmittedAt {
+			t.Errorf("job %d submitted at %v and started at %v, want job %d submitted at %v", j.ID, j.AdmittedAt, j.StartedAt, arrivals[i].Job.ID, arrivals[i].At)
 		}
 	}
 }
@@ -104,8 +101,8 @@ func TestRunS3SharedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tet, _ := res.Metrics.TET()
-	art, _ := res.Metrics.ART()
+	tet, _ := metrics.TET(res.Jobs)
+	art, _ := metrics.ART(res.Jobs)
 	if tet != 120 || art != 100 {
 		t.Errorf("S3 TET/ART = %v/%v, want 120/100 (paper Example 3)", tet, art)
 	}
@@ -125,12 +122,12 @@ func TestRunIdleGapBetweenJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt1, _ := res.Metrics.ResponseTime(1)
-	rt2, _ := res.Metrics.ResponseTime(2)
+	rt1 := res.Jobs[0].DoneAt.Sub(res.Jobs[0].AdmittedAt)
+	rt2 := res.Jobs[1].DoneAt.Sub(res.Jobs[1].AdmittedAt)
 	if rt1 != 10 || rt2 != 10 {
 		t.Errorf("response times = %v/%v, want 10/10 (no interference)", rt1, rt2)
 	}
-	tet, _ := res.Metrics.TET()
+	tet, _ := metrics.TET(res.Jobs)
 	if tet != 110 {
 		t.Errorf("TET = %v, want 110 (idle gap included)", tet)
 	}
@@ -149,8 +146,8 @@ func TestRunArrivalsUnsorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Jobs() != 2 {
-		t.Errorf("jobs = %d", res.Metrics.Jobs())
+	if len(res.Jobs) != 2 {
+		t.Errorf("jobs = %d", len(res.Jobs))
 	}
 }
 
@@ -216,7 +213,7 @@ func TestRunEmptyArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 0 || res.Metrics.Jobs() != 0 {
+	if res.Rounds != 0 || len(res.Jobs) != 0 {
 		t.Errorf("empty run = %+v", res)
 	}
 }

@@ -6,14 +6,14 @@
 //	admit due arrivals → form round → execute → requeue-or-retire →
 //	fold stats
 //
-// — and produces the per-job timings the paper's metrics are computed
-// from. Rounds are strictly serial, as in the paper's Algorithm 1: the
-// next round forms only once the last has been retired, and a job's one
-// engine outcome is done, when its last sub-job's round retires. A round
-// that fails with anything but a RoundLostError fails the run. Requeue
-// bounds (MaxRequeues) and end-of-run stats folding
-// (FaultStatsSource/CacheStatsSource) are implemented exactly once, for
-// every executor.
+// — and stamps, on the source's one record of each job, the timings the
+// paper's metrics are computed from. Rounds are strictly serial, as in
+// the paper's Algorithm 1: the next round forms only once the last has
+// been retired, and a job's one engine outcome is done, when its last
+// sub-job's round retires. A round that fails with anything but a
+// RoundLostError fails the run. Requeue bounds (MaxRequeues) and
+// end-of-run stats folding (FaultStatsSource/CacheStatsSource) are
+// implemented exactly once, for every executor.
 //
 // Jobs arrive through one admission queue, LiveSource: it accepts
 // thread-safe submissions from other goroutines *while a pass is in
@@ -115,19 +115,6 @@ type CommitLog interface {
 	JobDone(id scheduler.JobID, now vclock.Time)
 }
 
-// RestoredJob names a job already present in the scheduler when the
-// run starts — restored from a journal snapshot rather than delivered
-// by the arrival source. The engine seeds its metrics entry so the
-// collector's submit→start→complete lifecycle holds.
-type RestoredJob struct {
-	ID scheduler.JobID
-	// At is the admission time to record, on the run's clock. A daemon's
-	// clock counts from its journal's first master epoch, so recovery
-	// passes the snapshot's submission time; a journal without that
-	// epoch stamped times this boot cannot read, and passes 0.
-	At vclock.Time
-}
-
 // DefaultMaxRequeues bounds consecutive requeues of one round before
 // the engine gives up (a fault schedule that never lets the round
 // complete would otherwise loop forever).
@@ -141,8 +128,13 @@ type Arrival struct {
 
 // Result is the outcome of one engine run.
 type Result struct {
-	Metrics *metrics.Collector
-	Rounds  int
+	// Jobs are the records of the jobs the run admitted or resumed, in
+	// that order, as the source held them at exit: what metrics.TET, ART
+	// and Summarize read.
+	Jobs   []JobStatus
+	Faults metrics.FaultStats
+	Cache  metrics.CacheStats
+	Rounds int
 	// End is the run's time when the last job completed.
 	End vclock.Time
 	// Stopped reports that the run exited early at a round boundary
@@ -188,10 +180,6 @@ type Options struct {
 	// jobs still in the scheduler. Close the arrival source alongside
 	// so an idle-parked engine wakes up.
 	Stop <-chan struct{}
-	// Restored lists jobs already present in the scheduler at start —
-	// journal-recovery state the arrival source will not deliver. The
-	// engine seeds their metrics entries exactly once.
-	Restored []RestoredJob
 	// InitialRequeues seeds the consecutive-requeue counter — the
 	// value a checkpoint carried, so a crash loop cannot reset its own
 	// budget by restarting.

@@ -30,11 +30,20 @@ type ArrivalSource interface {
 	// engine calls it only when the scheduler is idle and no timer is
 	// pending, so a live daemon parks here between submissions.
 	Wait() bool
-	// JobAdmitted fires when a job enters the scheduler, JobFinished
-	// when it completes; the engine calls both synchronously from the
-	// run loop.
-	JobAdmitted(id scheduler.JobID, at vclock.Time)
-	JobFinished(id scheduler.JobID, at vclock.Time)
+	// JobAdmitted fires when a queued job enters the scheduler,
+	// JobsStarted when a round including ids launches, and JobFinished
+	// when a job completes; the engine calls each synchronously from the
+	// run loop, once per event. JobsStarted returns the waiting interval
+	// (admission to this launch) of each job no earlier round included,
+	// in ids order, and JobFinished the job's response time. Each fails
+	// on a job out of step: unknown, admitted or finished twice, or
+	// stamped before its admission.
+	JobAdmitted(id scheduler.JobID, at vclock.Time) error
+	JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vclock.Duration, error)
+	JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Duration, error)
+	// Jobs returns every job's record in submission order; the engine
+	// resumes those running when it starts and reports the ones it ran.
+	Jobs() []JobStatus
 }
 
 // JobState is a live-submitted job's lifecycle phase.
@@ -57,8 +66,9 @@ const (
 	JobFailed JobState = "failed"
 )
 
-// JobStatus is the externally visible state of one live-submitted job.
-// Times are on the run's clock: a daemon's are wall seconds since its
+// JobStatus is the one record of a job: the state the admission API
+// reports and the stamps the paper's metrics are computed from. Times
+// are on the run's clock: a daemon's are wall seconds since its
 // journal's first master epoch, so doneAt − admittedAt is the job's
 // response time, queue wait and restarts included.
 type JobStatus struct {
@@ -67,9 +77,22 @@ type JobStatus struct {
 	State      JobState        `json:"state"`
 	AdmittedAt vclock.Time     `json:"admittedAt"`
 	DoneAt     vclock.Time     `json:"doneAt"`
+	// StartedAt is the launch of the first round that included the job:
+	// admittedAt → startedAt is its waiting, startedAt → doneAt its
+	// processing (§III-B).
+	StartedAt vclock.Time `json:"-"`
 	// DependsOn lists the job's declared dependencies (DAG stages);
 	// empty for independent jobs.
 	DependsOn []scheduler.JobID `json:"dependsOn,omitempty"`
+	// seq is the job's 1-based place in the order the engine admitted or
+	// resumed jobs, 0 for one it never ran; started says StartedAt is set.
+	seq     int
+	started bool
+}
+
+// Span implements metrics.Job.
+func (j JobStatus) Span() (admitted, completed vclock.Time, done bool) {
+	return j.AdmittedAt, j.DoneAt, j.State == JobDone
 }
 
 // LiveSource is the one arrival source: a thread-safe admission queue.
@@ -89,6 +112,8 @@ type LiveSource struct {
 	status map[scheduler.JobID]*JobStatus
 	order  []scheduler.JobID
 	nextID scheduler.JobID
+	// ran counts the jobs admitted or resumed, numbering their seq.
+	ran    int
 	closed bool
 	// held are accepted-but-waiting jobs (DAG stages with unsettled
 	// dependencies); Release moves one into queue, Fail retires it.
@@ -283,29 +308,72 @@ func (s *LiveSource) Wait() bool {
 }
 
 // JobAdmitted implements ArrivalSource.
-func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) {
+func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.status[id]; ok {
-		st.State = JobRunning
-		st.AdmittedAt = at
+	st, err := s.stamp(id, JobQueued, at)
+	if err != nil {
+		return err
 	}
+	s.ran++
+	st.seq = s.ran
+	st.State = JobRunning
+	st.AdmittedAt = at
+	return nil
+}
+
+// JobsStarted implements ArrivalSource.
+func (s *LiveSource) JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vclock.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var waits []vclock.Duration
+	for _, id := range ids {
+		st, err := s.stamp(id, JobRunning, at)
+		if err != nil {
+			return nil, err
+		}
+		if !st.started {
+			st.started = true
+			st.StartedAt = at
+			waits = append(waits, at.Sub(st.AdmittedAt))
+		}
+	}
+	return waits, nil
 }
 
 // JobFinished implements ArrivalSource.
-func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) {
+func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.status[id]; ok {
-		st.State = JobDone
-		st.DoneAt = at
+	st, err := s.stamp(id, JobRunning, at)
+	if err != nil {
+		return 0, err
 	}
+	st.State = JobDone
+	st.DoneAt = at
+	return at.Sub(st.AdmittedAt), nil
+}
+
+// stamp returns id's record for an event at at, refusing an unknown id,
+// one not in state want, and a time before the job's admission (or, for
+// a queued job, its queue stamp). The caller holds s.mu.
+func (s *LiveSource) stamp(id scheduler.JobID, want JobState, at vclock.Time) (*JobStatus, error) {
+	st, ok := s.status[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("runtime: job %d was never submitted", id)
+	case st.State != want:
+		return nil, fmt.Errorf("runtime: job %d is %s, not %s", id, st.State, want)
+	case at < st.AdmittedAt:
+		return nil, fmt.Errorf("runtime: job %d stamped at %v, before its admission at %v", id, at, st.AdmittedAt)
+	}
+	return st, nil
 }
 
 // Adopt installs a status entry for a journal-recovered job without
-// queueing it for admission: resumed jobs are already inside the
-// restored scheduler (the engine seeds them via Options.Restored), and
-// settled jobs only need their terminal state visible to the admission
+// queueing it for admission: a running one is already inside the
+// restored scheduler, admitted at admittedAt, and the engine resumes it;
+// a settled one only needs its terminal state visible to the admission
 // API. The id is reserved so later Submits cannot collide with it.
 func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, doneAt vclock.Time) error {
 	s.mu.Lock()
@@ -328,6 +396,10 @@ func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, d
 		State:      state,
 		AdmittedAt: admittedAt,
 		DoneAt:     doneAt,
+	}
+	if state == JobRunning {
+		s.ran++
+		s.status[meta.ID].seq = s.ran
 	}
 	s.order = append(s.order, meta.ID)
 	return nil

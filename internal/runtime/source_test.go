@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"s3sched/internal/core"
 	"s3sched/internal/scheduler"
@@ -157,12 +158,19 @@ func TestLiveSourceLifecycle(t *testing.T) {
 	if len(got) != 1 || got[0].At != 12 {
 		t.Fatalf("Pop stamped %v, want admission at now=12", got)
 	}
-	src.JobAdmitted(id, 12)
+	if err := src.JobAdmitted(id, 12); err != nil {
+		t.Fatal(err)
+	}
 	if st, _ := src.Status(id); st.State != JobRunning || st.AdmittedAt != 12 {
 		t.Fatalf("after admit: %+v", st)
 	}
-	src.JobFinished(id, 30)
-	if st, _ := src.Status(id); st.State != JobDone || st.DoneAt != 30 {
+	if waits, err := src.JobsStarted([]scheduler.JobID{id}, 20); err != nil || !slices.Equal(waits, []vclock.Duration{8}) {
+		t.Fatalf("JobsStarted = %v, %v; want a wait of 8", waits, err)
+	}
+	if rt, err := src.JobFinished(id, 30); err != nil || rt != 18 {
+		t.Fatalf("JobFinished = %v, %v; want a response of 18", rt, err)
+	}
+	if st, _ := src.Status(id); st.State != JobDone || st.StartedAt != 20 || st.DoneAt != 30 {
 		t.Fatalf("after finish: %+v", st)
 	}
 	if _, ok := src.Status(99); ok {
@@ -209,5 +217,125 @@ func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 	}
 	if got := src.Pop(5); len(got) != 1 || got[0].Job.ID != held || got[0].At != 5 {
 		t.Fatalf("Pop(5) = %v, want the released job at 5", got)
+	}
+}
+
+// running returns a source holding one job, id 1, admitted at 10.
+func running(t *testing.T) *LiveSource {
+	t.Helper()
+	src := NewLiveSource()
+	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: 10}, nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	src.Pop(10)
+	if err := src.JobAdmitted(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// The checks the run's job table makes on every stamp: each of the
+// following fails the run instead of corrupting TET or ART.
+
+func TestLiveSourceAdmitTwice(t *testing.T) {
+	if err := running(t).JobAdmitted(1, 11); err == nil {
+		t.Fatal("a second admission of job 1 was accepted")
+	}
+}
+
+func TestLiveSourceStampUnknownJob(t *testing.T) {
+	src := running(t)
+	if err := src.JobAdmitted(9, 10); err == nil {
+		t.Error("admitted a job that was never submitted")
+	}
+	if _, err := src.JobsStarted([]scheduler.JobID{1, 9}, 12); err == nil {
+		t.Error("started a job that was never submitted")
+	}
+	if _, err := src.JobFinished(9, 12); err == nil {
+		t.Error("finished a job that was never submitted")
+	}
+}
+
+func TestLiveSourceFinishTwice(t *testing.T) {
+	src := running(t)
+	if _, err := src.JobFinished(1, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.JobFinished(1, 25); err == nil {
+		t.Fatal("a second finish of job 1 was accepted")
+	}
+	if st, _ := src.Status(1); st.DoneAt != 20 {
+		t.Fatalf("the refused finish moved doneAt to %v", st.DoneAt)
+	}
+}
+
+func TestLiveSourceStampBeforeAdmission(t *testing.T) {
+	src := running(t)
+	if _, err := src.JobsStarted([]scheduler.JobID{1}, 5); err == nil {
+		t.Error("a start before the admission at 10 was accepted")
+	}
+	if _, err := src.JobFinished(1, 5); err == nil {
+		t.Error("a finish before the admission at 10 was accepted")
+	}
+}
+
+// §III-B: response = waiting (admission → first round that includes the
+// job) + processing (first round → completion); later rounds do not move
+// the start.
+func TestWaitingProcessingDecomposition(t *testing.T) {
+	src := running(t)
+	if waits, err := src.JobsStarted([]scheduler.JobID{1}, 40); err != nil || !slices.Equal(waits, []vclock.Duration{30}) {
+		t.Fatalf("first launch: waits %v, %v; want [30]", waits, err)
+	}
+	if waits, err := src.JobsStarted([]scheduler.JobID{1}, 60); err != nil || len(waits) != 0 {
+		t.Fatalf("second launch: waits %v, %v; want none", waits, err)
+	}
+	rt, err := src.JobFinished(1, 140)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := src.Status(1)
+	w, p := st.StartedAt.Sub(st.AdmittedAt), st.DoneAt.Sub(st.StartedAt)
+	if w != 30 || p != 100 || w+p != rt {
+		t.Fatalf("wait/processing = %v/%v, response %v; want 30/100 summing to it", w, p, rt)
+	}
+}
+
+// Property: for any valid admission <= start <= completion, the waits
+// and responses the source reports and its records agree, and waiting +
+// processing == response exactly.
+func TestDecompositionIdentityProperty(t *testing.T) {
+	prop := func(subs, waits, procs [5]uint8) bool {
+		src := NewLiveSourceOn(vclock.NewVirtual())
+		for i := range subs {
+			if _, err := src.SubmitStage(Arrival{Job: meta(i + 1), At: vclock.Time(subs[i] % 100)}, nil, false, nil); err != nil {
+				return false
+			}
+		}
+		reported := map[scheduler.JobID][2]vclock.Duration{}
+		for _, a := range src.Pop(100) {
+			id, i := a.Job.ID, int(a.Job.ID)-1
+			start := a.At.Add(vclock.Duration(waits[i] % 50))
+			done := start.Add(vclock.Duration(procs[i]%50) + 1)
+			if src.JobAdmitted(id, a.At) != nil {
+				return false
+			}
+			w, err1 := src.JobsStarted([]scheduler.JobID{id}, start)
+			rt, err2 := src.JobFinished(id, done)
+			if err1 != nil || err2 != nil || len(w) != 1 {
+				return false
+			}
+			reported[id] = [2]vclock.Duration{w[0], rt}
+		}
+		for _, st := range src.Jobs() {
+			w, p, rt := st.StartedAt.Sub(st.AdmittedAt), st.DoneAt.Sub(st.StartedAt), st.DoneAt.Sub(st.AdmittedAt)
+			if w+p != rt || reported[st.ID] != [2]vclock.Duration{w, rt} {
+				return false
+			}
+		}
+		return len(reported) == len(subs)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -104,13 +104,13 @@ func (t *telemetry) workersConnected(n int) {
 	t.rm.WorkersConnected.Set(float64(n))
 }
 
-// jobStarted records a job's waiting interval the first time a round
-// includes it.
-func (t *telemetry) jobStarted(coll *metrics.Collector, id scheduler.JobID) {
+// jobsStarted records the waiting interval of each job a round was the
+// first to include.
+func (t *telemetry) jobsStarted(waits []vclock.Duration) {
 	if t == nil || t.rm == nil {
 		return
 	}
-	if w, err := coll.WaitingTime(id); err == nil {
+	for _, w := range waits {
 		t.rm.JobWaiting.Observe(w.Seconds())
 	}
 }
@@ -172,14 +172,12 @@ func (t *telemetry) roundLost(r scheduler.Round) {
 	t.rm.RequeuedSubJobs.Add(float64(len(r.Jobs)))
 }
 
-func (t *telemetry) jobCompleted(coll *metrics.Collector, id scheduler.JobID) {
+func (t *telemetry) jobCompleted(id scheduler.JobID, rt vclock.Duration) {
 	if t == nil || t.rm == nil {
 		return
 	}
 	t.rm.JobsCompleted.Inc()
-	if rt, err := coll.ResponseTime(id); err == nil {
-		t.rm.JobResponse.Observe(rt.Seconds())
-	}
+	t.rm.JobResponse.Observe(rt.Seconds())
 	t.rm.JobRounds.Observe(float64(t.roundsOf[id]))
 }
 
@@ -190,18 +188,17 @@ func (t *telemetry) queueDepth(n int) {
 	t.rm.QueueDepth.Set(float64(n))
 }
 
-// endRun closes the run span and folds the collector's end-of-run
-// fault counters into the registry.
-func (t *telemetry) endRun(coll *metrics.Collector, at vclock.Time, rounds int) {
+// endRun closes the run span and folds the run's end-of-run fault and
+// cache counters into the registry.
+func (t *telemetry) endRun(res *Result) {
 	if t == nil {
 		return
 	}
-	t.log.EndSpan(t.run, at, trace.Arg{Key: "rounds", Value: strconv.Itoa(rounds)})
+	t.log.EndSpan(t.run, res.End, trace.Arg{Key: "rounds", Value: strconv.Itoa(res.Rounds)})
 	if t.rm != nil {
-		t.rm.VirtualTime.Set(float64(at))
-		fs := coll.FaultStats()
-		t.rm.RetriesTotal.Add(float64(fs.Retries))
-		t.rm.FailedAttemptsTotal.Add(float64(fs.FailedAttempts))
-		t.rm.SetCacheStats(coll.CacheStats())
+		t.rm.VirtualTime.Set(float64(res.End))
+		t.rm.RetriesTotal.Add(float64(res.Faults.Retries))
+		t.rm.FailedAttemptsTotal.Add(float64(res.Faults.FailedAttempts))
+		t.rm.SetCacheStats(res.Cache)
 	}
 }

@@ -117,10 +117,10 @@ func TestSerialStageSplitIsSemanticallyInert(t *testing.T) {
 		return res
 	}
 	whole, split := run(false), run(true)
-	wTET, _ := whole.Metrics.TET()
-	sTET, _ := split.Metrics.TET()
-	wART, _ := whole.Metrics.ART()
-	sART, _ := split.Metrics.ART()
+	wTET, _ := metrics.TET(whole.Jobs)
+	sTET, _ := metrics.TET(split.Jobs)
+	wART, _ := metrics.ART(whole.Jobs)
+	sART, _ := metrics.ART(split.Jobs)
 	if wTET != sTET || wART != sART || whole.Rounds != split.Rounds {
 		t.Fatalf("the stage split changed the run: TET %v→%v ART %v→%v rounds %d→%d",
 			wTET, sTET, wART, sART, whole.Rounds, split.Rounds)

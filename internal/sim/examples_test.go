@@ -5,6 +5,7 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
@@ -53,11 +54,11 @@ func runScheme(t *testing.T, sched scheduler.Scheduler, exec runtime.Executor, o
 	if err != nil {
 		t.Fatalf("%s: %v", sched.Name(), err)
 	}
-	tetD, err := res.Metrics.TET()
+	tetD, err := metrics.TET(res.Jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	artD, err := res.Metrics.ART()
+	artD, err := metrics.ART(res.Jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

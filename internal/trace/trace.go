@@ -37,17 +37,9 @@ const (
 	BatchAdjusted
 	// AttemptFailed records one failed block-read attempt.
 	AttemptFailed
-	// NodeDown records a node leaving service.
-	NodeDown
 	// SubJobRequeued records a sub-job returned to the queue after its
 	// round was lost; the segment cursor does not advance past it.
 	SubJobRequeued
-	// TaskCommitted records a map attempt winning its block's commit
-	// race — the output every batched job sees for the block.
-	TaskCommitted
-	// TaskSpeculated records a straggler map attempt duplicated on
-	// another node (speculative execution).
-	TaskSpeculated
 	// TaskDispatched records a master issuing an RPC task; its Detail
 	// starts with "corr=<id>", matching the serving worker's TaskServed
 	// event so distributed task lifetimes can be stitched together.
@@ -95,10 +87,7 @@ var kindNames = map[Kind]string{
 	NodeRestored:     "node-restored",
 	BatchAdjusted:    "batch-adjusted",
 	AttemptFailed:    "attempt-failed",
-	NodeDown:         "node-down",
 	SubJobRequeued:   "subjob-requeued",
-	TaskCommitted:    "task-committed",
-	TaskSpeculated:   "task-speculated",
 	TaskDispatched:   "task-dispatched",
 	TaskServed:       "task-served",
 	CacheHit:         "cache-hit",
