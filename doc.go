@@ -16,7 +16,7 @@
 //	                    shuffle frames) and its sequential reference
 //	internal/remote     the master and workers that run it over TCP,
 //	                    across processes or in one (StartLocal)
-//	internal/scheduler  Scheduler interface, multi-file Arbiter, FIFO, MRShare
+//	internal/scheduler  Scheduler interface, multi-file Arbiter, Batch (FIFO, MRShare), Fair
 //	internal/sim        discrete-event simulator + cost model
 //	internal/runtime    the round loop binding schedulers to executors
 //	internal/workload   text & TPC-H lineitem generators, job families

@@ -69,7 +69,7 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 	}{
 		{"s3", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.New(p, nil) }},
 		{"s3-static", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) }},
-		{"s3-nocircular", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) }},
+		{"s3-nocircular", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewNoCircular(p, nil) }},
 		{"fifo", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
 			f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil)
 			if err != nil {

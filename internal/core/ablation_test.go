@@ -8,7 +8,7 @@ import (
 
 func TestNoCircularWaitsForNextPass(t *testing.T) {
 	p := makePlan(t, 6, 2) // 3 segments
-	n := NewNoCircular(p, nil)
+	n := scheduler.NewNoCircular(p, nil)
 	if err := n.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestNoCircularWaitsForNextPass(t *testing.T) {
 
 func TestNoCircularBatchesWaiters(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	n := NewNoCircular(p, nil)
+	n := scheduler.NewNoCircular(p, nil)
 	if err := n.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestNoCircularBatchesWaiters(t *testing.T) {
 
 func TestNoCircularErrorsAndName(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	n := NewNoCircular(p, nil)
+	n := scheduler.NewNoCircular(p, nil)
 	if n.Name() != "s3-nocircular" {
 		t.Errorf("Name = %q", n.Name())
 	}
@@ -83,7 +83,7 @@ func TestNoCircularErrorsAndName(t *testing.T) {
 	if err := n.Submit(bad, 0); err == nil {
 		t.Error("wrong file should fail")
 	}
-	if _, ok := NewNoCircular(p, nil).NextRound(0); ok {
+	if _, ok := scheduler.NewNoCircular(p, nil).NextRound(0); ok {
 		t.Error("empty scheduler should be idle")
 	}
 }
@@ -207,5 +207,26 @@ func TestStaticVsDynamicRoundCount(t *testing.T) {
 	}
 	if static != 8 {
 		t.Errorf("static rounds = %d, want 8 (two full passes)", static)
+	}
+}
+
+// A lost StaticS3 round re-forms over the same segment with the same
+// jobs, and a job parked meanwhile stays parked.
+func TestStaticS3RequeueKeepsParkedJobs(t *testing.T) {
+	s := NewStatic(makePlan(t, 4, 2), nil) // 2 segments
+	if err := s.Submit(job(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	r1, _ := s.NextRound(0)
+	if err := s.Submit(job(2), 1); err != nil {
+		t.Fatal(err)
+	}
+	s.RequeueRound(r1, 2)
+	r2, ok := s.NextRound(3)
+	if !ok || r2.Segment != r1.Segment || len(r2.Jobs) != 1 || r2.Jobs[0].ID != 1 {
+		t.Fatalf("requeued round = %+v, want job 1 alone over segment %d", r2, r1.Segment)
+	}
+	if s.PendingJobs() != 2 {
+		t.Fatalf("pending = %d, want 2 (1 active + 1 parked)", s.PendingJobs())
 	}
 }

@@ -120,7 +120,7 @@ func TestNoCircularPassProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := NewNoCircular(p, nil)
+		s := scheduler.NewNoCircular(p, nil)
 
 		segsByJob := map[scheduler.JobID][]int{}
 		submitted := 0

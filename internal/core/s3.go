@@ -16,8 +16,9 @@
 //     least-squares fit over observed rounds.
 //   - MultiFile: what a cluster deploys — scheduler.Arbiter over S3
 //     queues with priority arbitration (§VI), snapshots, scan hints.
-//   - StaticS3 and NoCircular: ablation variants that disable dynamic
-//     sub-job adjustment and the circular scan, respectively.
+//   - StaticS3: the ablation that disables dynamic sub-job adjustment.
+//     Its twin without the circular scan is a linear pass, so it is
+//     scheduler.NewNoCircular, beside the baselines.
 package core
 
 import (

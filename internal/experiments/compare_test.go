@@ -385,6 +385,23 @@ func TestFaultWorkload(t *testing.T) {
 	}
 }
 
+// Every scheme ParseScheme knows recovers from a lost round: under each,
+// the sim cell of bench/faults.jsonl (whose fault roll loses whole
+// rounds, not only block attempts) finishes every job.
+func TestFaultWorkloadEveryScheme(t *testing.T) {
+	wf := committedWorkload(t, "faults")
+	for _, spec := range []string{"s3", "s3-static", "s3-nocircular", "fifo", "fair", "mrshare", "mrshare:3:3:4", "window:60:4"} {
+		rep, err := RunCompare(wf, CompareOptions{Schedulers: []string{spec}, Engines: []string{benchfmt.EngineSim}})
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		if c := rep.Cells[0]; len(c.Jobs) != len(wf.Jobs) || c.FaultRetries == 0 {
+			t.Errorf("%s: %d of %d jobs finished, %d retries", spec, len(c.Jobs), len(wf.Jobs), c.FaultRetries)
+		}
+	}
+}
+
 // A workload job's program reaches the workers as a JobRef the standard
 // registry builds: heavy-wordcount's emit factor rides its param.
 func TestJobRefs(t *testing.T) {

@@ -35,7 +35,7 @@ func bare(name string, mk func(*dfs.SegmentPlan) (scheduler.Scheduler, error)) S
 // studies, keyed by the name their scheduler reports.
 var bareSchemes = map[string]func(*dfs.SegmentPlan) scheduler.Scheduler{
 	"s3-static":     func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) },
-	"s3-nocircular": func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) },
+	"s3-nocircular": func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewNoCircular(p, nil) },
 	"fair":          func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFair(p, nil) },
 }
 

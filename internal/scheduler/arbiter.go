@@ -47,7 +47,7 @@ type Arbiter[Q Queue] struct {
 	queues map[string]Q
 	order  []string // file names as registered; next walks it round-robin
 	next   int
-	seen   map[JobID]bool
+	seen   map[JobID]int // every job ever routed: its submission order
 
 	inFlight     bool
 	inFlightFile string
@@ -63,7 +63,7 @@ func NewArbiter[Q Queue](name string, plans []*dfs.SegmentPlan,
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("scheduler: %s needs at least one segment plan", name)
 	}
-	a := &Arbiter[Q]{name: name, build: build, rank: rank, queues: make(map[string]Q), seen: make(map[JobID]bool)}
+	a := &Arbiter[Q]{name: name, build: build, rank: rank, queues: make(map[string]Q), seen: make(map[JobID]int)}
 	for _, p := range plans {
 		if err := a.AddPlan(p, 0); err != nil {
 			return nil, err
@@ -139,10 +139,10 @@ func (a *Arbiter[Q]) RestoreQueues(snap Snapshot, load func(Q, QueueSnapshot) er
 			return err
 		}
 		for _, js := range qs.Jobs {
-			if a.seen[js.Meta.ID] {
+			if _, dup := a.seen[js.Meta.ID]; dup {
 				return fmt.Errorf("scheduler: snapshot repeats job %d across files", js.Meta.ID)
 			}
-			a.seen[js.Meta.ID] = true
+			a.seen[js.Meta.ID] = len(a.seen)
 		}
 	}
 	a.next = snap.Rotation
@@ -151,7 +151,7 @@ func (a *Arbiter[Q]) RestoreQueues(snap Snapshot, load func(Q, QueueSnapshot) er
 
 // Submit implements Scheduler: the job is routed to its file's queue.
 func (a *Arbiter[Q]) Submit(job JobMeta, at vclock.Time) error {
-	if a.seen[job.ID] {
+	if _, dup := a.seen[job.ID]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, job.ID)
 	}
 	q, ok := a.queues[job.File]
@@ -161,7 +161,7 @@ func (a *Arbiter[Q]) Submit(job JobMeta, at vclock.Time) error {
 	if err := q.Submit(job, at); err != nil {
 		return err
 	}
-	a.seen[job.ID] = true
+	a.seen[job.ID] = len(a.seen)
 	return nil
 }
 

@@ -303,11 +303,11 @@ func TestMultiMRShareRequeueAndIdleProtocol(t *testing.T) {
 
 // fifoPerFile is an arbiter over one FIFO queue per file — no scheme
 // ships it, but it exercises the arbiter inside this package.
-func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) *Arbiter[*FIFO] {
+func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) *Arbiter[*Batch] {
 	t.Helper()
 	a, err := NewArbiter("fifo-per-file", plans,
-		func(p *dfs.SegmentPlan, _ int) (*FIFO, error) { return NewFIFO([]*dfs.SegmentPlan{p}, nil) },
-		func(f *FIFO) (int, bool) { return 0, f.cur != nil || len(f.queue) > 0 })
+		func(p *dfs.SegmentPlan, _ int) (*Batch, error) { return fifoQueue(p, nil), nil },
+		func(f *Batch) (int, bool) { return 0, f.runnable() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +370,11 @@ func TestPlanSetPoliciesAgree(t *testing.T) {
 }
 
 func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
-	fresh := func() *Arbiter[*FIFO] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
+	fresh := func() *Arbiter[*Batch] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
 	// FIFO queues have no snapshot of their own: these stand-ins save
 	// the file name and load nothing.
-	save := func(f *FIFO) (QueueSnapshot, error) { return QueueSnapshot{File: f.Files()[0]}, nil }
-	load := func(*FIFO, QueueSnapshot) error { return nil }
+	save := func(f *Batch) (QueueSnapshot, error) { return QueueSnapshot{File: f.plan.File().Name}, nil }
+	load := func(*Batch, QueueSnapshot) error { return nil }
 
 	src := fresh()
 	if err := src.Submit(jobOn(1, "a"), 0); err != nil {
@@ -389,7 +389,7 @@ func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
 	if snap.Scheme != "fifo-per-file" || snap.Rotation != 1 || len(snap.Queues) != 2 || snap.Queues[1].File != "b" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if _, err := src.SnapshotQueues(func(*FIFO) (QueueSnapshot, error) { return QueueSnapshot{}, errors.New("busy") }); err == nil {
+	if _, err := src.SnapshotQueues(func(*Batch) (QueueSnapshot, error) { return QueueSnapshot{}, errors.New("busy") }); err == nil {
 		t.Error("a queue that cannot snapshot was ignored")
 	}
 
@@ -416,7 +416,7 @@ func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
 		broken.Queues = append([]QueueSnapshot(nil), snap.Queues...)
 		loader := load
 		if bad == nil {
-			loader = func(*FIFO, QueueSnapshot) error { return errors.New("bad queue") }
+			loader = func(*Batch, QueueSnapshot) error { return errors.New("bad queue") }
 		} else {
 			bad(&broken)
 		}

@@ -32,7 +32,7 @@ func (e *RoundLostError) Unwrap() error { return e.Err }
 // Recoverable is implemented by schedulers that can recover from
 // partial failure. S^3 extends its dynamic sub-job adjustment to
 // failure: a lost segment round requeues the affected sub-jobs at the
-// unchanged cursor; FIFO and MRShare resubmit the lost round whole.
+// unchanged cursor; the baselines resubmit the lost round whole.
 type Recoverable interface {
 	// RequeueRound returns the in-flight round returned by the last
 	// NextRound to the queue after its execution was lost. The

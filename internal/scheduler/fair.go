@@ -40,7 +40,7 @@ type fairJob struct {
 	next int // next segment (linear 0..k-1)
 }
 
-var _ Scheduler = (*Fair)(nil)
+var _ Recoverable = (*Fair)(nil)
 
 // NewFair returns a fair scheduler over the plan. log may be nil.
 func NewFair(plan *dfs.SegmentPlan, log *trace.Log) *Fair {
@@ -122,6 +122,18 @@ func (f *Fair) RoundDone(r Round, now vclock.Time) []JobID {
 	}
 	f.rr++
 	return nil
+}
+
+// RequeueRound implements Recoverable: the lost slice is resubmitted
+// whole. Its job keeps its segment progress and the round-robin pointer
+// stays on it, so the next NextRound re-forms the same slice.
+func (f *Fair) RequeueRound(r Round, now vclock.Time) {
+	if !f.inFlight {
+		panic("scheduler: Fair.RequeueRound without a round in flight")
+	}
+	f.inFlight = false
+	f.log.Addf(now, trace.SubJobRequeued, int(f.inFlightJob.meta.ID), r.Segment, "fair slice lost; resubmitting")
+	f.inFlightJob = nil
 }
 
 // PendingJobs implements Scheduler.

@@ -25,7 +25,7 @@ func makePlan(t *testing.T, numBlocks, perSegment int) *dfs.SegmentPlan {
 }
 
 // newFIFO builds a FIFO over the plans; log may be nil.
-func newFIFO(t *testing.T, log *trace.Log, plans ...*dfs.SegmentPlan) *FIFO {
+func newFIFO(t *testing.T, log *trace.Log, plans ...*dfs.SegmentPlan) *Arbiter[*Batch] {
 	t.Helper()
 	f, err := NewFIFO(plans, log)
 	if err != nil {

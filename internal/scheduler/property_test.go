@@ -1,88 +1,15 @@
 package scheduler
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/vclock"
 )
-
-// Property: WindowMRShare batches never exceed the size cap, and the
-// members of one batch all arrived within one window of its first
-// member. Every job completes exactly once.
-func TestWindowBatchingProperty(t *testing.T) {
-	prop := func(seed int64, n8, window8, cap8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(n8%10) + 1
-		window := vclock.Duration(window8%50) + 1
-		maxBatch := int(cap8%5) + 1
-
-		store := dfs.MustStore(2, 1)
-		f, err := store.AddMetaFile("input", 2, 64)
-		if err != nil {
-			return false
-		}
-		plan, err := dfs.PlanSegments(f, 1) // 2 segments
-		if err != nil {
-			return false
-		}
-		w, err := NewWindowMRShare(plan, window, maxBatch, nil)
-		if err != nil {
-			return false
-		}
-
-		arrivalOf := map[JobID]vclock.Time{}
-		now := vclock.Time(0)
-		submitted, completed := 0, 0
-		steps := 0
-		for submitted < n || w.PendingJobs() > 0 {
-			steps++
-			if steps > 10000 {
-				return false
-			}
-			if submitted < n && rng.Intn(2) == 0 {
-				id := JobID(submitted + 1)
-				if err := w.Submit(JobMeta{ID: id, File: "input"}, now); err != nil {
-					return false
-				}
-				arrivalOf[id] = now
-				submitted++
-				now = now.Add(vclock.Duration(rng.Intn(20)))
-				continue
-			}
-			r, ok := w.NextRound(now)
-			if !ok {
-				// Idle: advance to the wake time or push the clock.
-				if wake, wok := w.NextWake(now); wok && wake > now {
-					now = wake
-				} else if submitted < n {
-					now = now.Add(1)
-				} else if w.PendingJobs() > 0 {
-					return false // stuck with no timer
-				}
-				continue
-			}
-			if len(r.Jobs) > maxBatch {
-				return false
-			}
-			// Batch members arrived within one window of the first.
-			first := arrivalOf[r.Jobs[0].ID]
-			for _, j := range r.Jobs {
-				if arrivalOf[j.ID].Sub(first) > window {
-					return false
-				}
-			}
-			now = now.Add(vclock.Duration(rng.Intn(5)) + 1)
-			completed += len(w.RoundDone(r, now))
-		}
-		return completed == n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
 
 // Property: Fair gives every job exactly k slices with segments in
 // linear order, regardless of interleaved arrivals.
@@ -149,60 +76,184 @@ func TestFairSliceProperty(t *testing.T) {
 	}
 }
 
-// Property: MRShare with random batch splits completes every job, and
-// every round's batch is exactly one configured batch.
-func TestMRShareBatchProperty(t *testing.T) {
-	prop := func(seed int64, n8, k8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(n8%8) + 1
-		k := int(k8%4) + 1
-		// Random batch split summing to n.
-		var sizes []int
-		left := n
-		for left > 0 {
-			sz := rng.Intn(left) + 1
-			sizes = append(sizes, sz)
-			left -= sz
-		}
-		store := dfs.MustStore(2, 1)
-		f, err := store.AddMetaFile("input", k, 64)
-		if err != nil {
-			return false
-		}
-		plan, err := dfs.PlanSegments(f, 1)
-		if err != nil {
-			return false
-		}
-		m, err := NewMRShare(plan, sizes, nil)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if err := m.Submit(JobMeta{ID: JobID(i + 1), File: "input"}, 0); err != nil {
-				return false
-			}
-		}
-		completed := 0
-		batchIdx := 0
-		roundsInBatch := 0
-		for {
-			r, ok := m.NextRound(0)
-			if !ok {
-				break
-			}
-			if len(r.Jobs) != sizes[batchIdx] {
-				return false
-			}
-			roundsInBatch++
-			if roundsInBatch == k {
-				batchIdx++
-				roundsInBatch = 0
-			}
-			completed += len(m.RoundDone(r, 0))
-		}
-		return completed == n && batchIdx == len(sizes)
+// Property, for each of Batch's four seal rules under random arrivals,
+// clock steps and lost rounds:
+//   - every job completes exactly once;
+//   - a batch's rounds scan segments 0..k-1 in order, each carrying the
+//     whole batch, and only the last completes it;
+//   - batches start in submission order, and their membership obeys
+//     the rule;
+//   - FreshJobs, Tagged and SubJobReduce match the round shape;
+//   - a lost round re-forms identically;
+//   - only MRShare's predetermined sizes can leave a batch stalled.
+func TestBatchSealRuleProperty(t *testing.T) {
+	type sealCase struct {
+		name            string
+		build           func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*Batch, error)
+		tagged, subJobs bool
+		// obeys checks the idx-th batch, starting at now with members,
+		// a prefix of the jobs that were waiting then.
+		obeys func(b *Batch, idx int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+	cases := []sealCase{
+		{
+			name: "mrshare", tagged: true,
+			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*Batch, error) {
+				var sizes []int // a random split of n
+				for left := n; left > 0; {
+					sz := rng.Intn(left) + 1
+					sizes = append(sizes, sz)
+					left -= sz
+				}
+				return NewMRShare(plan, sizes, nil)
+			},
+			obeys: func(b *Batch, idx int, members, _ []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
+				return len(members) == b.sizes[idx]
+			},
+		},
+		{
+			name: "window", tagged: true,
+			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, _ int) (*Batch, error) {
+				return NewWindowMRShare(plan, vclock.Duration(rng.Intn(50)+1), rng.Intn(5)+1, nil)
+			},
+			obeys: func(b *Batch, _ int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool {
+				expiry := at[members[0]].Add(b.window)
+				for _, id := range members {
+					if at[id] >= expiry {
+						return false
+					}
+				}
+				if len(members) == b.maxBatch {
+					return true
+				}
+				// Sealed short of the cap: only by expiry, and with no
+				// waiting job that arrived before it.
+				return len(members) < b.maxBatch && now >= expiry &&
+					(len(waiting) == len(members) || at[waiting[len(members)]] >= expiry)
+			},
+		},
+		{
+			name: "fifo",
+			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*Batch, error) {
+				return fifoQueue(plan, nil), nil
+			},
+			obeys: func(_ *Batch, _ int, members, _ []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
+				return len(members) == 1
+			},
+		},
+		{
+			name: "nocircular", subJobs: true,
+			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*Batch, error) {
+				return NewNoCircular(plan, nil), nil
+			},
+			obeys: func(_ *Batch, _ int, members, waiting []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
+				return len(members) == len(waiting) // everyone waiting when the pass ends
+			},
+		},
 	}
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				if err := sealScenario(rand.New(rand.NewSource(seed)), sc.build, sc.tagged, sc.subJobs, sc.obeys); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) (*Batch, error), tagged, subJobs bool,
+	obeys func(b *Batch, idx int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool) error {
+	n, k := rng.Intn(10)+1, rng.Intn(4)+1
+	f, err := dfs.MustStore(2, 1).AddMetaFile("input", k, 64)
+	if err != nil {
+		return err
+	}
+	plan, err := dfs.PlanSegments(f, 1) // k segments
+	if err != nil {
+		return err
+	}
+	b, err := build(plan, rng, n)
+	if err != nil {
+		return err
+	}
+
+	at := map[JobID]vclock.Time{}
+	done := map[JobID]int{}
+	var waiting, cur []JobID // submitted but not started; the running batch
+	now := vclock.Time(0)
+	submitted, batches, seg := 0, 0, 0
+	for steps := 0; submitted < n || b.PendingJobs() > 0; steps++ {
+		if steps > 10000 {
+			return fmt.Errorf("no progress: %d of %d submitted, %d pending", submitted, n, b.PendingJobs())
+		}
+		if submitted < n && rng.Intn(2) == 0 {
+			id := JobID(submitted + 1)
+			if err := b.Submit(JobMeta{ID: id, File: "input"}, now); err != nil {
+				return err
+			}
+			if b.Stalled() && b.sizes == nil {
+				return fmt.Errorf("stalled with %d filling; only a predetermined batch size waits on arrivals alone", len(b.filling))
+			}
+			at[id] = now
+			waiting = append(waiting, id)
+			submitted++
+			now = now.Add(vclock.Duration(rng.Intn(20)))
+			continue
+		}
+		r, ok := b.NextRound(now)
+		if !ok {
+			if wake, wok := b.NextWake(now); wok && wake > now {
+				now = wake
+			} else if submitted == n {
+				return fmt.Errorf("idle with %d pending and no timer", b.PendingJobs())
+			}
+			continue
+		}
+		if rng.Intn(4) == 0 { // the round is lost and must re-form as it was
+			b.RequeueRound(r, now)
+			again, ok := b.NextRound(now)
+			if !ok || again.Segment != r.Segment || !slices.Equal(again.JobIDs(), r.JobIDs()) {
+				return fmt.Errorf("lost round %+v re-formed as %+v", r, again)
+			}
+		}
+		members := r.JobIDs()
+		if cur == nil {
+			if len(members) == 0 || len(members) > len(waiting) || !slices.Equal(members, waiting[:len(members)]) {
+				return fmt.Errorf("batch %v starts, waiting %v", members, waiting)
+			}
+			if !obeys(b, batches, members, waiting, at, now) {
+				return fmt.Errorf("batch %d %v at t=%v breaks its seal rule (arrivals %v)", batches, members, now, at)
+			}
+			cur, waiting, seg = members, waiting[len(members):], 0
+			batches++
+		}
+		last := seg == k-1
+		switch {
+		case r.Segment != seg || !slices.Equal(members, cur):
+			return fmt.Errorf("round %+v, want segment %d of batch %v", r, seg, cur)
+		case r.Tagged != tagged || r.SubJobReduce != subJobs || (r.FreshJobs == 1) != (seg == 0 || subJobs):
+			return fmt.Errorf("round %+v has the wrong shape", r)
+		case last != slices.Equal(r.Completes, members) || (!last && len(r.Completes) > 0):
+			return fmt.Errorf("round %+v of %d completes %v", r, k, r.Completes)
+		}
+		now = now.Add(vclock.Duration(rng.Intn(5)) + 1)
+		for _, id := range b.RoundDone(r, now) {
+			done[id]++
+		}
+		if seg++; seg == k {
+			cur = nil
+		}
+	}
+	for id := JobID(1); id <= JobID(n); id++ {
+		if done[id] != 1 {
+			return fmt.Errorf("job %d completed %d times", id, done[id])
+		}
+	}
+	return nil
 }

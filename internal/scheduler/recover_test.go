@@ -53,3 +53,26 @@ func TestMRShareRequeueRepeatsBatchRound(t *testing.T) {
 		t.Fatalf("requeued round = %+v, want batch of 2 over segment %d", r2, r1.Segment)
 	}
 }
+
+// TestFairRequeueKeepsTheSlice: a lost fair slice re-forms for the same
+// job over the same segment, and the rotation then goes on as if the
+// slice had run once.
+func TestFairRequeueKeepsTheSlice(t *testing.T) {
+	f := NewFair(makePlan(t, 4, 2), nil) // 2 segments
+	for i := 1; i <= 2; i++ {
+		if err := f.Submit(job(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1, _ := f.NextRound(0)
+	f.RequeueRound(r1, 1)
+	mustPanic(t, "RequeueRound idle", func() { f.RequeueRound(r1, 1) })
+	r2, ok := f.NextRound(2)
+	if !ok || r2.Jobs[0].ID != r1.Jobs[0].ID || r2.Segment != r1.Segment {
+		t.Fatalf("requeued slice = %+v, want job %d segment %d", r2, r1.Jobs[0].ID, r1.Segment)
+	}
+	f.RoundDone(r2, 3)
+	if r3, _ := f.NextRound(3); r3.Jobs[0].ID != 2 || r3.Segment != 0 {
+		t.Fatalf("after the re-run slice: %+v, want job 2 segment 0", r3)
+	}
+}

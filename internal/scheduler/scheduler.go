@@ -1,7 +1,8 @@
 // Package scheduler defines the job-scheduling abstraction shared by
 // every scheme in the paper's evaluation — FIFO (Hadoop default),
 // MRShare-style whole-file batching, and S^3 (internal/core) — plus
-// the FIFO and MRShare baselines and the multi-file Arbiter.
+// the baselines (Batch, the one linear-pass queue, and Fair) and the
+// multi-file Arbiter.
 //
 // A Scheduler turns submitted jobs into a serial stream of Rounds. A
 // Round is one unit of cluster work: scan the listed blocks once and

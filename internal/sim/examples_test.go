@@ -65,7 +65,7 @@ func runScheme(t *testing.T, sched scheduler.Scheduler, exec runtime.Executor, o
 	return tetD.Seconds(), artD.Seconds()
 }
 
-func fifo(t *testing.T, plan *dfs.SegmentPlan) *scheduler.FIFO {
+func fifo(t *testing.T, plan *dfs.SegmentPlan) *scheduler.Arbiter[*scheduler.Batch] {
 	t.Helper()
 	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{plan}, nil)
 	if err != nil {

@@ -145,7 +145,8 @@ func (e Event) String() string {
 type Log struct {
 	mu      sync.Mutex
 	cap     int
-	events  []Event
+	events  []Event // a ring once full: the oldest event is at head
+	head    int
 	dropped int
 
 	spans        []Span
@@ -181,12 +182,13 @@ func (l *Log) Add(e Event) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.events) == l.cap {
-		copy(l.events, l.events[1:])
-		l.events = l.events[:l.cap-1]
-		l.dropped++
+	if len(l.events) < l.cap {
+		l.events = append(l.events, e)
+		return
 	}
-	l.events = append(l.events, e)
+	l.events[l.head] = e
+	l.head = (l.head + 1) % l.cap
+	l.dropped++
 }
 
 // Addf records an event with a formatted detail string. Safe on nil.
@@ -204,9 +206,9 @@ func (l *Log) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	out := make([]Event, 0, len(l.events))
+	out = append(out, l.events[l.head:]...)
+	return append(out, l.events[:l.head]...)
 }
 
 // Dropped reports how many events were discarded due to capacity.

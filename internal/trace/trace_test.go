@@ -38,6 +38,42 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// Past capacity the log wraps around its ring many times over; after
+// every add it holds exactly the last cap events, oldest first.
+func TestRingWraparound(t *testing.T) {
+	const capacity = 5
+	l := MustNew(capacity)
+	for i := 0; i < 3*capacity; i++ {
+		l.Add(Event{Kind: JobSubmitted, Job: i, Segment: -1})
+		ev := l.Events()
+		first := max(0, i+1-capacity)
+		if len(ev) != i+1-first {
+			t.Fatalf("after %d adds len = %d, want %d", i+1, len(ev), i+1-first)
+		}
+		for k, e := range ev {
+			if e.Job != first+k {
+				t.Fatalf("after %d adds event %d is job %d, want %d", i+1, k, e.Job, first+k)
+			}
+		}
+		if l.Dropped() != first {
+			t.Fatalf("after %d adds Dropped = %d, want %d", i+1, l.Dropped(), first)
+		}
+	}
+}
+
+// BenchmarkAddFull is one Add into a full log at s3cluster -tracejson's
+// capacity: the cost of every event once the ring has wrapped.
+func BenchmarkAddFull(b *testing.B) {
+	l := MustNew(1 << 16)
+	for i := 0; i < 1<<16; i++ {
+		l.Add(Event{Job: i})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Add(Event{Job: i})
+	}
+}
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(Event{})
