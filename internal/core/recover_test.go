@@ -77,6 +77,11 @@ func TestS3RequeuedRoundPicksUpLateArrivals(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("requeued round jobs = %v, want both jobs sharing the scan", ids)
 	}
+	// Job 2 now starts at the requeued segment, not the one after it, so
+	// a snapshot of the queue still holds Algorithm 1's invariant.
+	if got := s.Active()[1].StartSegment; got != r1.Segment {
+		t.Fatalf("job 2 starts at segment %d, want %d", got, r1.Segment)
+	}
 }
 
 // TestS3RequeueWithoutRoundPanics guards the serial-round protocol.
