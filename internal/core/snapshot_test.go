@@ -97,7 +97,7 @@ func TestSnapshotRejectsInFlight(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	plan := makePlan(t, 12, 3) // file "input", 4 segments
-	good := scheduler.QueueSnapshot{File: "input", Segments: 4, Cursor: 1, Jobs: []scheduler.JobSnapshot{
+	good := scheduler.QueueSnapshot{File: "input", Segments: 4, Cursor: 2, Jobs: []scheduler.JobSnapshot{
 		{Meta: job(1), StartSegment: 0, Remaining: 2},
 	}}
 	restore := func(q scheduler.QueueSnapshot) error {
@@ -114,8 +114,14 @@ func TestRestoreValidation(t *testing.T) {
 		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), Remaining: 0}}},
 		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), Remaining: 9}}},
 		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{{Meta: job(1), StartSegment: -1, Remaining: 1}}},
-		{File: "input", Segments: 4, Cursor: 0, Jobs: []scheduler.JobSnapshot{
+		{File: "input", Segments: 4, Cursor: 3, Jobs: []scheduler.JobSnapshot{
 			{Meta: job(1), Remaining: 1}, {Meta: job(1), Remaining: 1},
+		}},
+		// Started at 0 with 3 of 4 left, the job needs segment 1 next,
+		// not the cursor's 2.
+		{File: "input", Segments: 4, Cursor: 2, Jobs: []scheduler.JobSnapshot{{Meta: job(1), Remaining: 3}}},
+		{File: "input", Segments: 4, Cursor: 2, Jobs: []scheduler.JobSnapshot{
+			{Meta: scheduler.JobMeta{ID: 1, File: "other"}, Remaining: 2},
 		}},
 	}
 	for i, snap := range cases {
