@@ -69,23 +69,23 @@ func TestAllSchedulersAgreeOnResults(t *testing.T) {
 	}{
 		{"s3", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.New(p, nil) }},
 		{"s3-static", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) }},
-		{"s3-nocircular", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewNoCircular(p, nil) }},
+		{"s3-nocircular", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) }},
 		{"fifo", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
-			f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil)
+			f, err := core.NewFIFO([]*dfs.SegmentPlan{p}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return f
 		}},
 		{"mrshare", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
-			m, err := scheduler.NewMRShare(p, []int{3}, nil)
+			m, err := core.NewMRShare(p, []int{3}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}},
 		{"mrshare-window", func(t *testing.T, p *dfs.SegmentPlan) scheduler.Scheduler {
-			w, err := scheduler.NewWindowMRShare(p, 1000, 3, nil)
+			w, err := core.NewWindowMRShare(p, 1000, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestWindowBatcherFiresWithoutArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := scheduler.NewWindowMRShare(plan, 50, 10, nil)
+	w, err := core.NewWindowMRShare(plan, 50, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestRandomPatternsS3DominatesFIFO(t *testing.T) {
 
 		s3ART, s3Scans, s3Tasks, ok1 := runScheme(func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.New(p, nil) })
 		fifoART, fifoScans, fifoTasks, ok2 := runScheme(func(p *dfs.SegmentPlan) scheduler.Scheduler {
-			f, _ := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil) // one plan never fails
+			f, _ := core.NewFIFO([]*dfs.SegmentPlan{p}, nil) // one plan never fails
 			return f
 		})
 		if !ok1 || !ok2 {

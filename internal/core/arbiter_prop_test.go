@@ -49,10 +49,10 @@ func TestArbiterProperty(t *testing.T) {
 	policies := []policy{
 		{name: "s3", build: func(p []*dfs.SegmentPlan, _ map[string][]int) (planSet, error) { return NewMultiFile(p, nil) }},
 		{name: "mrshare", batched: true, build: func(p []*dfs.SegmentPlan, sizes map[string][]int) (planSet, error) {
-			return scheduler.NewMultiMRShare(p, func(file string) []int { return sizes[file] }, nil)
+			return NewMultiMRShare(p, func(file string) []int { return sizes[file] }, nil)
 		}},
 		{name: "fifo", global: true, build: func(p []*dfs.SegmentPlan, _ map[string][]int) (planSet, error) {
-			return scheduler.NewFIFO(p, nil)
+			return NewFIFO(p, nil)
 		}},
 	}
 	for _, pol := range policies {

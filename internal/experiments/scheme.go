@@ -35,7 +35,7 @@ func bare(name string, mk func(*dfs.SegmentPlan) (scheduler.Scheduler, error)) S
 // studies, keyed by the name their scheduler reports.
 var bareSchemes = map[string]func(*dfs.SegmentPlan) scheduler.Scheduler{
 	"s3-static":     func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewStatic(p, nil) },
-	"s3-nocircular": func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewNoCircular(p, nil) },
+	"s3-nocircular": func(p *dfs.SegmentPlan) scheduler.Scheduler { return core.NewNoCircular(p, nil) },
 	"fair":          func(p *dfs.SegmentPlan) scheduler.Scheduler { return scheduler.NewFair(p, nil) },
 }
 
@@ -58,11 +58,11 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 		}}, nil
 	case spec == "fifo":
 		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
-			return scheduler.NewFIFO(plans, nil)
+			return core.NewFIFO(plans, nil)
 		}}, nil
 	case spec == "mrshare": // MRShare's strongest configuration for a known job set; a file nobody reads still needs a valid batch plan
 		return SchemeSpec{Name: spec, Make: func(plans []*dfs.SegmentPlan, readers map[string]int) (scheduler.Scheduler, error) {
-			return scheduler.NewMultiMRShare(plans, func(file string) []int { return []int{max(readers[file], 1)} }, nil)
+			return core.NewMultiMRShare(plans, func(file string) []int { return []int{max(readers[file], 1)} }, nil)
 		}}, nil
 	case !hasArgs:
 		if mk, ok := bareSchemes[spec]; ok {
@@ -76,7 +76,7 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 			return SchemeSpec{}, fmt.Errorf("bad scheme %q: want window:seconds:maxbatch, both positive", spec)
 		}
 		return bare("mrshare-window", func(p *dfs.SegmentPlan) (scheduler.Scheduler, error) {
-			return scheduler.NewWindowMRShare(p, vclock.Duration(window), n, nil)
+			return core.NewWindowMRShare(p, vclock.Duration(window), n, nil)
 		}), nil
 	case strings.HasPrefix(head, "mrs"):
 		var sizes []int
@@ -88,7 +88,7 @@ func ParseScheme(spec string) (SchemeSpec, error) {
 			sizes = append(sizes, n)
 		}
 		return SchemeSpec{Name: "mrshare", Make: func(plans []*dfs.SegmentPlan, _ map[string]int) (scheduler.Scheduler, error) {
-			return scheduler.NewMultiMRShare(plans, func(string) []int { return sizes }, nil) // every file batches alike
+			return core.NewMultiMRShare(plans, func(string) []int { return sizes }, nil) // every file batches alike
 		}}, nil
 	}
 	return SchemeSpec{}, fmt.Errorf("unknown scheme %q (want s3 | s3-static | s3-nocircular | fifo | fair | mrshare[:n…] | window:seconds:maxbatch)", spec)

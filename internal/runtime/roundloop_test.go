@@ -39,7 +39,7 @@ func fixed(d vclock.Duration) Executor {
 
 func TestRunFIFOSequential(t *testing.T) {
 	p := makePlan(t, 10, 1) // 10 segments, 10s each -> 100s per job
-	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{p}, nil)
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunNegativeDurationRejected(t *testing.T) {
 
 func TestRunMRShareStallSurfaces(t *testing.T) {
 	p := makePlan(t, 2, 1)
-	m, err := scheduler.NewMRShare(p, []int{3}, nil)
+	m, err := core.NewMRShare(p, []int{3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,6 +102,10 @@ func (a *Arbiter[Q]) Queue(file string) (Q, bool) {
 	return q, ok
 }
 
+// SubmissionOrder returns how many jobs the arbiter had routed before
+// job id.
+func (a *Arbiter[Q]) SubmissionOrder(id JobID) int { return a.seen[id] }
+
 // SnapshotQueues assembles a Snapshot: the rotation pointer plus each
 // file's queue as save renders it, in registration order.
 func (a *Arbiter[Q]) SnapshotQueues(save func(Q) (QueueSnapshot, error)) (Snapshot, error) {

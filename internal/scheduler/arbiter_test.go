@@ -1,10 +1,12 @@
-package scheduler
+package scheduler_test
 
 import (
 	"errors"
 	"testing"
 
+	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 )
 
@@ -24,12 +26,12 @@ func namedPlan(t *testing.T, name string, numBlocks, perSegment int) *dfs.Segmen
 	return p
 }
 
-func jobOn(id int, file string) JobMeta {
-	return JobMeta{ID: JobID(id), Name: "j", File: file, Weight: 1, ReduceWeight: 1}
+func jobOn(id int, file string) scheduler.JobMeta {
+	return scheduler.JobMeta{ID: scheduler.JobID(id), Name: "j", File: file, Weight: 1, ReduceWeight: 1}
 }
 
 func TestMultiFIFORoutesJobsByFile(t *testing.T) {
-	f, err := NewFIFO([]*dfs.SegmentPlan{
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{
 		namedPlan(t, "a", 4, 2), // 2 segments
 		namedPlan(t, "b", 6, 2), // 3 segments
 	}, trace.MustNew(64))
@@ -57,7 +59,7 @@ func TestMultiFIFORoutesJobsByFile(t *testing.T) {
 	if len(rounds) != 5 {
 		t.Fatalf("rounds = %d, want 5", len(rounds))
 	}
-	wantJobs := []JobID{1, 1, 1, 2, 2}
+	wantJobs := []scheduler.JobID{1, 1, 1, 2, 2}
 	for i, r := range rounds {
 		if len(r.Jobs) != 1 || r.Jobs[0].ID != wantJobs[i] {
 			t.Fatalf("round %d jobs = %v, want [%d]", i, r.JobIDs(), wantJobs[i])
@@ -75,12 +77,12 @@ func TestMultiFIFORoutesJobsByFile(t *testing.T) {
 }
 
 func TestMultiFIFOAddPlanMidRun(t *testing.T) {
-	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrWrongFile) {
-		t.Fatalf("submit before AddPlan err = %v, want ErrWrongFile", err)
+	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, scheduler.ErrWrongFile) {
+		t.Fatalf("submit before AddPlan err = %v, want scheduler.ErrWrongFile", err)
 	}
 	if err := f.AddPlan(namedPlan(t, "derived", 2, 2), 0); err != nil {
 		t.Fatal(err)
@@ -91,8 +93,8 @@ func TestMultiFIFOAddPlanMidRun(t *testing.T) {
 	if err := f.Submit(jobOn(1, "derived"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, ErrDuplicateJob) {
-		t.Fatalf("duplicate submit err = %v, want ErrDuplicateJob", err)
+	if err := f.Submit(jobOn(1, "derived"), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Fatalf("duplicate submit err = %v, want scheduler.ErrDuplicateJob", err)
 	}
 	_, completed := drain(t, f)
 	if len(completed) != 1 || completed[0] != 1 {
@@ -101,13 +103,13 @@ func TestMultiFIFOAddPlanMidRun(t *testing.T) {
 }
 
 func TestMultiFIFOEmptyConstructor(t *testing.T) {
-	if _, err := NewFIFO(nil, nil); err == nil {
-		t.Fatal("NewFIFO accepted zero plans")
+	if _, err := core.NewFIFO(nil, nil); err == nil {
+		t.Fatal("core.NewFIFO accepted zero plans")
 	}
 }
 
 func TestMultiFIFORequeueReformsRound(t *testing.T) {
-	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestMultiFIFORequeueReformsRound(t *testing.T) {
 }
 
 func TestMultiFIFOProtocolViolationsPanic(t *testing.T) {
-	f, err := NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func batchPlans(m map[string][]int) func(string) []int {
 }
 
 func TestMultiMRShareBatchesPerFile(t *testing.T) {
-	m, err := NewMultiMRShare([]*dfs.SegmentPlan{
+	m, err := core.NewMultiMRShare([]*dfs.SegmentPlan{
 		namedPlan(t, "a", 4, 2), // 2 segments
 		namedPlan(t, "b", 4, 2),
 	}, batchPlans(map[string][]int{"a": {2}, "b": {1}}), trace.MustNew(64))
@@ -173,10 +175,10 @@ func TestMultiMRShareBatchesPerFile(t *testing.T) {
 	if err := m.Submit(jobOn(1, "a"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(jobOn(1, "a"), 0); !errors.Is(err, ErrDuplicateJob) {
+	if err := m.Submit(jobOn(1, "a"), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
 		t.Fatalf("duplicate err = %v", err)
 	}
-	if err := m.Submit(jobOn(2, "nope"), 0); !errors.Is(err, ErrWrongFile) {
+	if err := m.Submit(jobOn(2, "nope"), 0); !errors.Is(err, scheduler.ErrWrongFile) {
 		t.Fatalf("wrong-file err = %v", err)
 	}
 	// a's batch needs two jobs; with only one the scheduler is stalled.
@@ -221,7 +223,7 @@ func TestMultiMRShareBatchesPerFile(t *testing.T) {
 }
 
 func TestMultiMRShareAddPlanMidRun(t *testing.T) {
-	m, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
+	m, err := core.NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
 		batchPlans(map[string][]int{"a": {1}}), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -252,17 +254,17 @@ func TestMultiMRShareAddPlanMidRun(t *testing.T) {
 }
 
 func TestMultiMRShareConstructorErrors(t *testing.T) {
-	if _, err := NewMultiMRShare(nil, batchPlans(nil), nil); err == nil {
+	if _, err := core.NewMultiMRShare(nil, batchPlans(nil), nil); err == nil {
 		t.Fatal("accepted zero plans")
 	}
-	if _, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
+	if _, err := core.NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)},
 		batchPlans(nil), nil); err == nil {
 		t.Fatal("accepted a file without a batch plan")
 	}
 }
 
 func TestMultiMRShareRequeueAndIdleProtocol(t *testing.T) {
-	m, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)},
+	m, err := core.NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 4, 2)},
 		batchPlans(map[string][]int{"a": {1, 1}}), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -301,21 +303,27 @@ func TestMultiMRShareRequeueAndIdleProtocol(t *testing.T) {
 	m.RoundDone(r3, 9)
 }
 
-// fifoPerFile is an arbiter over one FIFO queue per file — no scheme
-// ships it, but it exercises the arbiter inside this package.
-func fifoPerFile(t *testing.T, plans ...*dfs.SegmentPlan) *Arbiter[*Batch] {
+// fairPerFile is an arbiter over one fair queue per file — no scheme
+// ships it, but it exercises the arbiter with this package's own queue.
+// fileOf names each queue's file.
+func fairPerFile(t *testing.T, plans ...*dfs.SegmentPlan) (a *scheduler.Arbiter[*scheduler.Fair], fileOf map[*scheduler.Fair]string) {
 	t.Helper()
-	a, err := NewArbiter("fifo-per-file", plans,
-		func(p *dfs.SegmentPlan, _ int) (*Batch, error) { return fifoQueue(p, nil), nil },
-		func(f *Batch) (int, bool) { return 0, f.runnable() })
+	fileOf = make(map[*scheduler.Fair]string)
+	a, err := scheduler.NewArbiter("fair-per-file", plans,
+		func(p *dfs.SegmentPlan, _ int) (*scheduler.Fair, error) {
+			f := scheduler.NewFair(p, nil)
+			fileOf[f] = p.File().Name
+			return f, nil
+		},
+		func(f *scheduler.Fair) (int, bool) { return 0, f.PendingJobs() > 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return a, fileOf
 }
 
 func TestArbiterRequeueKeepsTheFilesTurn(t *testing.T) {
-	s := fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2))
+	s, _ := fairPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2))
 	for i, file := range []string{"a", "b"} {
 		if err := s.Submit(jobOn(i+1, file), 0); err != nil {
 			t.Fatal(err)
@@ -341,10 +349,10 @@ func TestArbiterRequeueKeepsTheFilesTurn(t *testing.T) {
 // refused while a map is in flight.
 func TestPlanSetPoliciesAgree(t *testing.T) {
 	type planSet interface {
-		Scheduler
-		PlanRegistrar
+		scheduler.Scheduler
+		scheduler.PlanRegistrar
 	}
-	mrs, err := NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, batchPlans(map[string][]int{"a": {1}}), nil)
+	mrs, err := core.NewMultiMRShare([]*dfs.SegmentPlan{namedPlan(t, "a", 2, 2)}, batchPlans(map[string][]int{"a": {1}}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +360,8 @@ func TestPlanSetPoliciesAgree(t *testing.T) {
 		if err := s.Submit(jobOn(1, "a"), 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := s.Submit(jobOn(1, "nowhere"), 0); !errors.Is(err, ErrDuplicateJob) {
-			t.Errorf("%s: reused id on an unknown file: %v, want ErrDuplicateJob", name, err)
+		if err := s.Submit(jobOn(1, "nowhere"), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+			t.Errorf("%s: reused id on an unknown file: %v, want scheduler.ErrDuplicateJob", name, err)
 		}
 		r, ok := s.NextRound(0)
 		if !ok {
@@ -370,13 +378,18 @@ func TestPlanSetPoliciesAgree(t *testing.T) {
 }
 
 func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
-	fresh := func() *Arbiter[*Batch] { return fifoPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2)) }
-	// FIFO queues have no snapshot of their own: these stand-ins save
+	fresh := func() *scheduler.Arbiter[*scheduler.Fair] {
+		a, _ := fairPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2))
+		return a
+	}
+	// Fair queues have no snapshot of their own: these stand-ins save
 	// the file name and load nothing.
-	save := func(f *Batch) (QueueSnapshot, error) { return QueueSnapshot{File: f.plan.File().Name}, nil }
-	load := func(*Batch, QueueSnapshot) error { return nil }
+	src, fileOf := fairPerFile(t, namedPlan(t, "a", 2, 2), namedPlan(t, "b", 2, 2))
+	save := func(f *scheduler.Fair) (scheduler.QueueSnapshot, error) {
+		return scheduler.QueueSnapshot{File: fileOf[f]}, nil
+	}
+	load := func(*scheduler.Fair, scheduler.QueueSnapshot) error { return nil }
 
-	src := fresh()
 	if err := src.Submit(jobOn(1, "a"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -386,37 +399,39 @@ func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Scheme != "fifo-per-file" || snap.Rotation != 1 || len(snap.Queues) != 2 || snap.Queues[1].File != "b" {
+	if snap.Scheme != "fair-per-file" || snap.Rotation != 1 || len(snap.Queues) != 2 || snap.Queues[1].File != "b" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if _, err := src.SnapshotQueues(func(*Batch) (QueueSnapshot, error) { return QueueSnapshot{}, errors.New("busy") }); err == nil {
+	if _, err := src.SnapshotQueues(func(*scheduler.Fair) (scheduler.QueueSnapshot, error) {
+		return scheduler.QueueSnapshot{}, errors.New("busy")
+	}); err == nil {
 		t.Error("a queue that cannot snapshot was ignored")
 	}
 
-	snap.Queues[0].Jobs = []JobSnapshot{{Meta: jobOn(4, "a")}}
+	snap.Queues[0].Jobs = []scheduler.JobSnapshot{{Meta: jobOn(4, "a")}}
 	dst := fresh()
 	if err := dst.RestoreQueues(snap, load); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Submit(jobOn(4, "a"), 0); !errors.Is(err, ErrDuplicateJob) {
-		t.Errorf("restored id resubmitted: %v, want ErrDuplicateJob", err)
+	if err := dst.Submit(jobOn(4, "a"), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Errorf("restored id resubmitted: %v, want scheduler.ErrDuplicateJob", err)
 	}
 	if err := dst.RestoreQueues(snap, load); err == nil {
 		t.Error("restore into a used arbiter accepted")
 	}
-	for what, bad := range map[string]func(*Snapshot){
-		"another scheme":             func(s *Snapshot) { s.Scheme = "fifo" },
-		"rotation past the files":    func(s *Snapshot) { s.Rotation = 2 },
-		"an unregistered file":       func(s *Snapshot) { s.Queues[1].File = "nowhere" },
-		"one file twice":             func(s *Snapshot) { s.Queues[1].File = "a" },
-		"one job on two files":       func(s *Snapshot) { s.Queues[1].Jobs = s.Queues[0].Jobs },
+	for what, bad := range map[string]func(*scheduler.Snapshot){
+		"another scheme":             func(s *scheduler.Snapshot) { s.Scheme = "fifo" },
+		"rotation past the files":    func(s *scheduler.Snapshot) { s.Rotation = 2 },
+		"an unregistered file":       func(s *scheduler.Snapshot) { s.Queues[1].File = "nowhere" },
+		"one file twice":             func(s *scheduler.Snapshot) { s.Queues[1].File = "a" },
+		"one job on two files":       func(s *scheduler.Snapshot) { s.Queues[1].Jobs = s.Queues[0].Jobs },
 		"a queue that fails to load": nil,
 	} {
 		broken := snap
-		broken.Queues = append([]QueueSnapshot(nil), snap.Queues...)
+		broken.Queues = append([]scheduler.QueueSnapshot(nil), snap.Queues...)
 		loader := load
 		if bad == nil {
-			loader = func(*Batch, QueueSnapshot) error { return errors.New("bad queue") }
+			loader = func(*scheduler.Fair, scheduler.QueueSnapshot) error { return errors.New("bad queue") }
 		} else {
 			bad(&broken)
 		}

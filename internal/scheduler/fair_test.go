@@ -1,13 +1,15 @@
-package scheduler
+package scheduler_test
 
 import (
 	"fmt"
 	"testing"
+
+	"s3sched/internal/scheduler"
 )
 
 func TestFairRoundRobinsBetweenJobs(t *testing.T) {
 	p := makePlan(t, 6, 2) // 3 segments
-	f := NewFair(p, nil)
+	f := scheduler.NewFair(p, nil)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +18,7 @@ func TestFairRoundRobinsBetweenJobs(t *testing.T) {
 	}
 	type slice struct{ job, seg int }
 	var order []slice
-	var completions []JobID
+	var completions []scheduler.JobID
 	for {
 		r, ok := f.NextRound(0)
 		if !ok {
@@ -41,7 +43,7 @@ func TestFairNoSharing(t *testing.T) {
 	// Each job scans every segment for itself: 2 jobs over 3 segments
 	// is 6 rounds, where S^3 would need 3.
 	p := makePlan(t, 3, 1)
-	f := NewFair(p, nil)
+	f := scheduler.NewFair(p, nil)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestFairNoSharing(t *testing.T) {
 
 func TestFairLateArrivalJoinsRotation(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	f := NewFair(p, nil)
+	f := scheduler.NewFair(p, nil)
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestFairLateArrivalJoinsRotation(t *testing.T) {
 
 func TestFairErrorsAndPanics(t *testing.T) {
 	p := makePlan(t, 4, 2)
-	f := NewFair(p, nil)
+	f := scheduler.NewFair(p, nil)
 	if f.Name() != "fair" {
 		t.Errorf("Name = %q", f.Name())
 	}

@@ -1,10 +1,12 @@
-package scheduler
+package scheduler_test
 
 import (
 	"errors"
 	"testing"
 
+	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
 )
 
@@ -25,22 +27,22 @@ func makePlan(t *testing.T, numBlocks, perSegment int) *dfs.SegmentPlan {
 }
 
 // newFIFO builds a FIFO over the plans; log may be nil.
-func newFIFO(t *testing.T, log *trace.Log, plans ...*dfs.SegmentPlan) *Arbiter[*Batch] {
+func newFIFO(t *testing.T, log *trace.Log, plans ...*dfs.SegmentPlan) *scheduler.Arbiter[*core.S3] {
 	t.Helper()
-	f, err := NewFIFO(plans, log)
+	f, err := core.NewFIFO(plans, log)
 	if err != nil {
-		t.Fatalf("NewFIFO: %v", err)
+		t.Fatalf("core.NewFIFO: %v", err)
 	}
 	return f
 }
 
-func job(id int) JobMeta {
-	return JobMeta{ID: JobID(id), Name: "j", File: "input", Weight: 1, ReduceWeight: 1}
+func job(id int) scheduler.JobMeta {
+	return scheduler.JobMeta{ID: scheduler.JobID(id), Name: "j", File: "input", Weight: 1, ReduceWeight: 1}
 }
 
 // drain runs the scheduler until idle, returning the rounds executed
 // and the completion order.
-func drain(t *testing.T, s Scheduler) (rounds []Round, completed []JobID) {
+func drain(t *testing.T, s scheduler.Scheduler) (rounds []scheduler.Round, completed []scheduler.JobID) {
 	t.Helper()
 	for i := 0; ; i++ {
 		if i > 10000 {
@@ -97,13 +99,13 @@ func TestFIFORunsJobsSequentially(t *testing.T) {
 		t.Fatalf("rounds = %d, want 6 (3 jobs x 2 segments, no sharing)", len(rounds))
 	}
 	// Every round carries exactly one job; jobs run in order.
-	wantJobs := []JobID{1, 1, 2, 2, 3, 3}
+	wantJobs := []scheduler.JobID{1, 1, 2, 2, 3, 3}
 	for i, r := range rounds {
 		if len(r.Jobs) != 1 || r.Jobs[0].ID != wantJobs[i] {
 			t.Errorf("round %d jobs = %v, want [%d]", i, r.JobIDs(), wantJobs[i])
 		}
 	}
-	if want := []JobID{1, 2, 3}; len(completed) != 3 || completed[0] != want[0] || completed[1] != want[1] || completed[2] != want[2] {
+	if want := []scheduler.JobID{1, 2, 3}; len(completed) != 3 || completed[0] != want[0] || completed[1] != want[1] || completed[2] != want[2] {
 		t.Errorf("completion order = %v, want %v", completed, want)
 	}
 }
@@ -141,13 +143,13 @@ func TestFIFODuplicateAndWrongFile(t *testing.T) {
 	if err := f.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(job(1), 0); !errors.Is(err, ErrDuplicateJob) {
-		t.Errorf("duplicate submit err = %v, want ErrDuplicateJob", err)
+	if err := f.Submit(job(1), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Errorf("duplicate submit err = %v, want scheduler.ErrDuplicateJob", err)
 	}
 	bad := job(2)
 	bad.File = "other"
-	if err := f.Submit(bad, 0); !errors.Is(err, ErrWrongFile) {
-		t.Errorf("wrong-file submit err = %v, want ErrWrongFile", err)
+	if err := f.Submit(bad, 0); !errors.Is(err, scheduler.ErrWrongFile) {
+		t.Errorf("wrong-file submit err = %v, want scheduler.ErrWrongFile", err)
 	}
 }
 
@@ -191,7 +193,7 @@ func TestFIFOIdleWhenEmpty(t *testing.T) {
 func TestFIFOWeightNormalization(t *testing.T) {
 	p := makePlan(t, 2, 2)
 	f := newFIFO(t, nil, p)
-	j := JobMeta{ID: 1, File: "input"} // zero weights
+	j := scheduler.JobMeta{ID: 1, File: "input"} // zero weights
 	if err := f.Submit(j, 0); err != nil {
 		t.Fatal(err)
 	}

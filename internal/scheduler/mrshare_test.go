@@ -1,13 +1,16 @@
-package scheduler
+package scheduler_test
 
 import (
 	"errors"
 	"testing"
+
+	"s3sched/internal/core"
+	"s3sched/internal/scheduler"
 )
 
 func TestMRShareSingleBatchWaitsForAll(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	m, err := NewMRShare(p, []int{3}, nil)
+	m, err := core.NewMRShare(p, []int{3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +24,7 @@ func TestMRShareSingleBatchWaitsForAll(t *testing.T) {
 		t.Fatal("batch of 3 must not run with only 2 jobs submitted")
 	}
 	if !m.Stalled() {
-		t.Error("scheduler with a partial batch and nothing running should report Stalled")
+		t.Error("scheduler with a partial batch and nothing running should report scheduler.Stalled")
 	}
 	if err := m.Submit(job(3), 9); err != nil {
 		t.Fatal(err)
@@ -48,7 +51,7 @@ func TestMRShareSingleBatchWaitsForAll(t *testing.T) {
 
 func TestMRShareTwoBatches(t *testing.T) {
 	p := makePlan(t, 2, 2) // 1 segment -> 1 round per batch
-	m, err := NewMRShare(p, []int{2, 2}, nil)
+	m, err := core.NewMRShare(p, []int{2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestMRShareTwoBatches(t *testing.T) {
 
 func TestMRShareSecondBatchReadyWhileFirstRuns(t *testing.T) {
 	p := makePlan(t, 2, 1) // 2 segments
-	m, err := NewMRShare(p, []int{1, 1}, nil)
+	m, err := core.NewMRShare(p, []int{1, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,20 +106,20 @@ func TestMRShareSecondBatchReadyWhileFirstRuns(t *testing.T) {
 
 func TestMRShareConfigValidation(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	if _, err := NewMRShare(p, nil, nil); err == nil {
+	if _, err := core.NewMRShare(p, nil, nil); err == nil {
 		t.Error("empty batch list should fail")
 	}
-	if _, err := NewMRShare(p, []int{2, 0}, nil); err == nil {
+	if _, err := core.NewMRShare(p, []int{2, 0}, nil); err == nil {
 		t.Error("zero batch size should fail")
 	}
-	if _, err := NewMRShare(p, []int{-1}, nil); err == nil {
+	if _, err := core.NewMRShare(p, []int{-1}, nil); err == nil {
 		t.Error("negative batch size should fail")
 	}
 }
 
 func TestMRShareOverCapacityRejected(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	m, err := NewMRShare(p, []int{1}, nil)
+	m, err := core.NewMRShare(p, []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,26 +133,26 @@ func TestMRShareOverCapacityRejected(t *testing.T) {
 
 func TestMRShareDuplicateAndWrongFile(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	m, err := NewMRShare(p, []int{3}, nil)
+	m, err := core.NewMRShare(p, []int{3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Submit(job(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(job(1), 0); !errors.Is(err, ErrDuplicateJob) {
-		t.Errorf("err = %v, want ErrDuplicateJob", err)
+	if err := m.Submit(job(1), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Errorf("err = %v, want scheduler.ErrDuplicateJob", err)
 	}
 	bad := job(2)
 	bad.File = "nope"
-	if err := m.Submit(bad, 0); !errors.Is(err, ErrWrongFile) {
-		t.Errorf("err = %v, want ErrWrongFile", err)
+	if err := m.Submit(bad, 0); !errors.Is(err, scheduler.ErrWrongFile) {
+		t.Errorf("err = %v, want scheduler.ErrWrongFile", err)
 	}
 }
 
 func TestMRShareProtocolViolationsPanic(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	m, err := NewMRShare(p, []int{1}, nil)
+	m, err := core.NewMRShare(p, []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestMRShareProtocolViolationsPanic(t *testing.T) {
 
 func TestMRShareNameAndNotStalledWhenComplete(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	m, err := NewMRShare(p, []int{1}, nil)
+	m, err := core.NewMRShare(p, []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

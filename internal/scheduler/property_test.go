@@ -1,4 +1,4 @@
-package scheduler
+package scheduler_test
 
 import (
 	"fmt"
@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"s3sched/internal/core"
 	"s3sched/internal/dfs"
+	"s3sched/internal/scheduler"
 	"s3sched/internal/vclock"
 )
 
@@ -28,9 +30,9 @@ func TestFairSliceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fair := NewFair(plan, nil)
+		fair := scheduler.NewFair(plan, nil)
 
-		segs := map[JobID][]int{}
+		segs := map[scheduler.JobID][]int{}
 		submitted := 0
 		steps := 0
 		for submitted < n || fair.PendingJobs() > 0 {
@@ -39,8 +41,8 @@ func TestFairSliceProperty(t *testing.T) {
 				return false
 			}
 			if submitted < n && (rng.Intn(2) == 0 || fair.PendingJobs() == 0) {
-				id := JobID(submitted + 1)
-				if err := fair.Submit(JobMeta{ID: id, File: "input"}, 0); err != nil {
+				id := scheduler.JobID(submitted + 1)
+				if err := fair.Submit(scheduler.JobMeta{ID: id, File: "input"}, 0); err != nil {
 					return false
 				}
 				submitted++
@@ -76,7 +78,9 @@ func TestFairSliceProperty(t *testing.T) {
 	}
 }
 
-// Property, for each of Batch's four seal rules under random arrivals,
+// Property, for each of the four seal rules of the gated queues (FIFO,
+// MRShare, window MRShare, S^3 without its circular scan) under random
+// arrivals,
 // clock steps and lost rounds:
 //   - every job completes exactly once;
 //   - a batch's rounds scan segments 0..k-1 in order, each carrying the
@@ -88,73 +92,75 @@ func TestFairSliceProperty(t *testing.T) {
 //   - only MRShare's predetermined sizes can leave a batch stalled.
 func TestBatchSealRuleProperty(t *testing.T) {
 	type sealCase struct {
-		name            string
-		build           func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*Batch, error)
+		name string
+		// build returns the queue and its seal rule.
+		build           func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*core.S3, sealRule, error)
 		tagged, subJobs bool
-		// obeys checks the idx-th batch, starting at now with members,
-		// a prefix of the jobs that were waiting then.
-		obeys func(b *Batch, idx int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool
 	}
 	cases := []sealCase{
 		{
 			name: "mrshare", tagged: true,
-			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*Batch, error) {
+			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, n int) (*core.S3, sealRule, error) {
 				var sizes []int // a random split of n
 				for left := n; left > 0; {
 					sz := rng.Intn(left) + 1
 					sizes = append(sizes, sz)
 					left -= sz
 				}
-				return NewMRShare(plan, sizes, nil)
-			},
-			obeys: func(b *Batch, idx int, members, _ []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
-				return len(members) == b.sizes[idx]
+				q, err := core.NewMRShare(plan, sizes, nil)
+				return q, func(idx int, members, _ []scheduler.JobID, _ map[scheduler.JobID]vclock.Time, _ vclock.Time) bool {
+					return len(members) == sizes[idx]
+				}, err
 			},
 		},
 		{
 			name: "window", tagged: true,
-			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, _ int) (*Batch, error) {
-				return NewWindowMRShare(plan, vclock.Duration(rng.Intn(50)+1), rng.Intn(5)+1, nil)
-			},
-			obeys: func(b *Batch, _ int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool {
-				expiry := at[members[0]].Add(b.window)
-				for _, id := range members {
-					if at[id] >= expiry {
-						return false
+			build: func(plan *dfs.SegmentPlan, rng *rand.Rand, _ int) (*core.S3, sealRule, error) {
+				window, maxBatch := vclock.Duration(rng.Intn(50)+1), rng.Intn(5)+1
+				q, err := core.NewWindowMRShare(plan, window, maxBatch, nil)
+				return q, func(_ int, members, waiting []scheduler.JobID, at map[scheduler.JobID]vclock.Time, now vclock.Time) bool {
+					expiry := at[members[0]].Add(window)
+					for _, id := range members {
+						if at[id] >= expiry {
+							return false
+						}
 					}
-				}
-				if len(members) == b.maxBatch {
-					return true
-				}
-				// Sealed short of the cap: only by expiry, and with no
-				// waiting job that arrived before it.
-				return len(members) < b.maxBatch && now >= expiry &&
-					(len(waiting) == len(members) || at[waiting[len(members)]] >= expiry)
+					if len(members) == maxBatch {
+						return true
+					}
+					// Sealed short of the cap: only by expiry, and with no
+					// waiting job that arrived before it.
+					return len(members) < maxBatch && now >= expiry &&
+						(len(waiting) == len(members) || at[waiting[len(members)]] >= expiry)
+				}, err
 			},
 		},
 		{
 			name: "fifo",
-			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*Batch, error) {
-				return fifoQueue(plan, nil), nil
-			},
-			obeys: func(_ *Batch, _ int, members, _ []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
-				return len(members) == 1
+			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*core.S3, sealRule, error) {
+				f, err := core.NewFIFO([]*dfs.SegmentPlan{plan}, nil)
+				if err != nil {
+					return nil, nil, err
+				}
+				q, _ := f.Queue(plan.File().Name) // the file's own queue, without the arbiter
+				return q, func(_ int, members, _ []scheduler.JobID, _ map[scheduler.JobID]vclock.Time, _ vclock.Time) bool {
+					return len(members) == 1
+				}, nil
 			},
 		},
 		{
 			name: "nocircular", subJobs: true,
-			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*Batch, error) {
-				return NewNoCircular(plan, nil), nil
-			},
-			obeys: func(_ *Batch, _ int, members, waiting []JobID, _ map[JobID]vclock.Time, _ vclock.Time) bool {
-				return len(members) == len(waiting) // everyone waiting when the pass ends
+			build: func(plan *dfs.SegmentPlan, _ *rand.Rand, _ int) (*core.S3, sealRule, error) {
+				return core.NewNoCircular(plan, nil), func(_ int, members, waiting []scheduler.JobID, _ map[scheduler.JobID]vclock.Time, _ vclock.Time) bool {
+					return len(members) == len(waiting) // everyone waiting when the pass ends
+				}, nil
 			},
 		},
 	}
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
 			prop := func(seed int64) bool {
-				if err := sealScenario(rand.New(rand.NewSource(seed)), sc.build, sc.tagged, sc.subJobs, sc.obeys); err != nil {
+				if err := sealScenario(rand.New(rand.NewSource(seed)), sc.build, sc.tagged, sc.subJobs, sc.name == "mrshare"); err != nil {
 					t.Logf("seed %d: %v", seed, err)
 					return false
 				}
@@ -167,8 +173,13 @@ func TestBatchSealRuleProperty(t *testing.T) {
 	}
 }
 
-func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) (*Batch, error), tagged, subJobs bool,
-	obeys func(b *Batch, idx int, members, waiting []JobID, at map[JobID]vclock.Time, now vclock.Time) bool) error {
+// sealRule checks the idx-th batch, starting at now with members, a
+// prefix of the jobs that were waiting then.
+type sealRule func(idx int, members, waiting []scheduler.JobID, at map[scheduler.JobID]vclock.Time, now vclock.Time) bool
+
+// sealScenario is one seeded run; only a queue that mayStall (MRShare's
+// predetermined sizes) can wait on arrivals alone.
+func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) (*core.S3, sealRule, error), tagged, subJobs, mayStall bool) error {
 	n, k := rng.Intn(10)+1, rng.Intn(4)+1
 	f, err := dfs.MustStore(2, 1).AddMetaFile("input", k, 64)
 	if err != nil {
@@ -178,14 +189,14 @@ func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) 
 	if err != nil {
 		return err
 	}
-	b, err := build(plan, rng, n)
+	b, obeys, err := build(plan, rng, n)
 	if err != nil {
 		return err
 	}
 
-	at := map[JobID]vclock.Time{}
-	done := map[JobID]int{}
-	var waiting, cur []JobID // submitted but not started; the running batch
+	at := map[scheduler.JobID]vclock.Time{}
+	done := map[scheduler.JobID]int{}
+	var waiting, cur []scheduler.JobID // submitted but not started; the running batch
 	now := vclock.Time(0)
 	submitted, batches, seg := 0, 0, 0
 	for steps := 0; submitted < n || b.PendingJobs() > 0; steps++ {
@@ -193,12 +204,12 @@ func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) 
 			return fmt.Errorf("no progress: %d of %d submitted, %d pending", submitted, n, b.PendingJobs())
 		}
 		if submitted < n && rng.Intn(2) == 0 {
-			id := JobID(submitted + 1)
-			if err := b.Submit(JobMeta{ID: id, File: "input"}, now); err != nil {
+			id := scheduler.JobID(submitted + 1)
+			if err := b.Submit(scheduler.JobMeta{ID: id, File: "input"}, now); err != nil {
 				return err
 			}
-			if b.Stalled() && b.sizes == nil {
-				return fmt.Errorf("stalled with %d filling; only a predetermined batch size waits on arrivals alone", len(b.filling))
+			if b.Stalled() && !mayStall {
+				return fmt.Errorf("stalled with %d pending; only a predetermined batch size waits on arrivals alone", b.PendingJobs())
 			}
 			at[id] = now
 			waiting = append(waiting, id)
@@ -227,7 +238,7 @@ func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) 
 			if len(members) == 0 || len(members) > len(waiting) || !slices.Equal(members, waiting[:len(members)]) {
 				return fmt.Errorf("batch %v starts, waiting %v", members, waiting)
 			}
-			if !obeys(b, batches, members, waiting, at, now) {
+			if !obeys(batches, members, waiting, at, now) {
 				return fmt.Errorf("batch %d %v at t=%v breaks its seal rule (arrivals %v)", batches, members, now, at)
 			}
 			cur, waiting, seg = members, waiting[len(members):], 0
@@ -250,7 +261,7 @@ func sealScenario(rng *rand.Rand, build func(*dfs.SegmentPlan, *rand.Rand, int) 
 			cur = nil
 		}
 	}
-	for id := JobID(1); id <= JobID(n); id++ {
+	for id := scheduler.JobID(1); id <= scheduler.JobID(n); id++ {
 		if done[id] != 1 {
 			return fmt.Errorf("job %d completed %d times", id, done[id])
 		}

@@ -1,7 +1,10 @@
-package scheduler
+package scheduler_test
 
 import (
 	"testing"
+
+	"s3sched/internal/core"
+	"s3sched/internal/scheduler"
 )
 
 // TestFIFORequeueRepeatsSegment: a lost FIFO round is re-formed over
@@ -34,7 +37,7 @@ func TestFIFORequeueRepeatsSegment(t *testing.T) {
 // with the whole merged batch over the same segment.
 func TestMRShareRequeueRepeatsBatchRound(t *testing.T) {
 	p := makePlan(t, 8, 2)
-	m, err := NewMRShare(p, []int{2}, nil)
+	m, err := core.NewMRShare(p, []int{2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestMRShareRequeueRepeatsBatchRound(t *testing.T) {
 // job over the same segment, and the rotation then goes on as if the
 // slice had run once.
 func TestFairRequeueKeepsTheSlice(t *testing.T) {
-	f := NewFair(makePlan(t, 4, 2), nil) // 2 segments
+	f := scheduler.NewFair(makePlan(t, 4, 2), nil) // 2 segments
 	for i := 1; i <= 2; i++ {
 		if err := f.Submit(job(i), 0); err != nil {
 			t.Fatal(err)

@@ -1,12 +1,14 @@
-package scheduler
+package scheduler_test
 
 import (
 	"testing"
+
+	"s3sched/internal/core"
 )
 
 func TestWindowSealsOnSizeCap(t *testing.T) {
 	p := makePlan(t, 2, 2) // 1 segment
-	w, err := NewWindowMRShare(p, 100, 2, nil)
+	w, err := core.NewWindowMRShare(p, 100, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestWindowSealsOnSizeCap(t *testing.T) {
 
 func TestWindowSealsOnExpiry(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	w, err := NewWindowMRShare(p, 50, 10, nil)
+	w, err := core.NewWindowMRShare(p, 50, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestWindowSealsOnExpiry(t *testing.T) {
 
 func TestWindowLateArrivalStartsNewBatch(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	w, err := NewWindowMRShare(p, 50, 10, nil)
+	w, err := core.NewWindowMRShare(p, 50, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +89,13 @@ func TestWindowLateArrivalStartsNewBatch(t *testing.T) {
 
 func TestWindowValidationAndErrors(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	if _, err := NewWindowMRShare(p, 0, 2, nil); err == nil {
+	if _, err := core.NewWindowMRShare(p, 0, 2, nil); err == nil {
 		t.Error("zero window should fail")
 	}
-	if _, err := NewWindowMRShare(p, 10, 0, nil); err == nil {
+	if _, err := core.NewWindowMRShare(p, 10, 0, nil); err == nil {
 		t.Error("zero maxBatch should fail")
 	}
-	w, err := NewWindowMRShare(p, 10, 2, nil)
+	w, err := core.NewWindowMRShare(p, 10, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestWindowValidationAndErrors(t *testing.T) {
 
 func TestWindowProtocolPanics(t *testing.T) {
 	p := makePlan(t, 2, 2)
-	w, err := NewWindowMRShare(p, 1, 1, nil)
+	w, err := core.NewWindowMRShare(p, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestWindowProtocolPanics(t *testing.T) {
 
 func TestWindowFreshJobsAndTagged(t *testing.T) {
 	p := makePlan(t, 4, 2) // 2 segments
-	w, err := NewWindowMRShare(p, 1, 1, nil)
+	w, err := core.NewWindowMRShare(p, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

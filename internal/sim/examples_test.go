@@ -65,9 +65,9 @@ func runScheme(t *testing.T, sched scheduler.Scheduler, exec runtime.Executor, o
 	return tetD.Seconds(), artD.Seconds()
 }
 
-func fifo(t *testing.T, plan *dfs.SegmentPlan) *scheduler.Arbiter[*scheduler.Batch] {
+func fifo(t *testing.T, plan *dfs.SegmentPlan) *scheduler.Arbiter[*core.S3] {
 	t.Helper()
-	f, err := scheduler.NewFIFO([]*dfs.SegmentPlan{plan}, nil)
+	f, err := core.NewFIFO([]*dfs.SegmentPlan{plan}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExample1FIFO(t *testing.T) {
 
 func TestExample1MRShare(t *testing.T) {
 	env := exampleSetup(t)
-	m, err := scheduler.NewMRShare(env.plan, []int{2}, nil)
+	m, err := core.NewMRShare(env.plan, []int{2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExample2FIFO(t *testing.T) {
 
 func TestExample2MRShare(t *testing.T) {
 	env := exampleSetup(t)
-	m, err := scheduler.NewMRShare(env.plan, []int{2}, nil)
+	m, err := core.NewMRShare(env.plan, []int{2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
