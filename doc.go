@@ -10,13 +10,14 @@
 //
 //	internal/core       S^3 itself: JQM (Algorithm 1), circular scan,
 //	                    sub-job alignment, slot checking, dynamic
-//	                    segment sizing, ablation variants
+//	                    segment sizing; the FIFO and MRShare baselines
+//	                    and the ablations as admission gates on the JQM
 //	internal/dfs        block store, placement, segment plans
 //	internal/mapreduce  the task code (map/combine/partition, reduce,
 //	                    shuffle frames) and its sequential reference
 //	internal/remote     the master and workers that run it over TCP,
 //	                    across processes or in one (StartLocal)
-//	internal/scheduler  Scheduler interface, multi-file Arbiter, Batch (FIFO, MRShare), Fair
+//	internal/scheduler  Scheduler interface, multi-file Arbiter, Fair
 //	internal/sim        discrete-event simulator + cost model
 //	internal/runtime    the round loop binding schedulers to executors
 //	internal/workload   text & TPC-H lineitem generators, job families

@@ -1,8 +1,9 @@
 // Package scheduler defines the job-scheduling abstraction shared by
-// every scheme in the paper's evaluation — FIFO (Hadoop default),
-// MRShare-style whole-file batching, and S^3 (internal/core) — plus
-// the baselines (Batch, the one linear-pass queue, and Fair) and the
-// multi-file Arbiter.
+// every scheme in the paper's evaluation, and what is independent of
+// the scheme: the snapshot types, the multi-file Arbiter, and the Fair
+// baseline, which interleaves passes. S^3 and every scheme that is its
+// queue behind an admission gate — FIFO (Hadoop default), MRShare-style
+// batching and the ablations — live in internal/core.
 //
 // A Scheduler turns submitted jobs into a serial stream of Rounds. A
 // Round is one unit of cluster work: scan the listed blocks once and
