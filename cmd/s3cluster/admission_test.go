@@ -6,6 +6,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,9 +33,7 @@ func testAdmission(t *testing.T, jnl *journal.Journal) (*clusterAdmission, *runt
 	t.Cleanup(func() { master.Close() })
 	src := runtime.NewLiveSource()
 	dag := pipeline.NewLiveDAG(src, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
-	adm := newClusterAdmission(src, dag, master)
-	adm.journal = jnl
-	return adm, src
+	return &clusterAdmission{src: src, dag: dag, master: master, journal: jnl}, src
 }
 
 func openJournal(t *testing.T, path string) (*journal.Journal, *journal.Replayed) {
@@ -65,9 +65,18 @@ func TestSubmitJobRefusesWhatWorkersRefuse(t *testing.T) {
 		{Factory: "topk", Param: "3", DependsOn: []scheduler.JobID{sel}},
 		{Factory: "topk", Param: "3"},
 		{Factory: "grep", Param: "t"},
+		{Factory: "aggregation", DependsOn: []scheduler.JobID{wc}},
+		{Factory: "wordcount", Param: "t", NumReduce: workload.MaxNumReduce + 1},
+		{Factory: "wordcount", Param: "t", NumReduce: -1},
+		{Factory: "wordcount", Param: "t", Weight: -1},
 	} {
-		if id, err := adm.SubmitJob(req); err == nil {
+		id, err := adm.SubmitJob(req)
+		var rangeErr *workload.RangeError
+		switch {
+		case err == nil:
 			t.Errorf("SubmitJob(%+v) admitted job %d, want an error", req, id)
+		case (req.NumReduce != 0 || req.Weight != 0) && !errors.As(err, &rangeErr):
+			t.Errorf("SubmitJob(%+v): %v, want a *workload.RangeError", req, err)
 		}
 	}
 	if _, err := adm.SubmitJob(status.JobRequest{Factory: "topk", Param: "3", DependsOn: []scheduler.JobID{wc}}); err != nil {
@@ -86,8 +95,9 @@ func TestSubmitJobRefusesWhatWorkersRefuse(t *testing.T) {
 }
 
 // A journal whose admissions include a selection with a non-integer
-// quantity and a topk over a selection — what a binary that admitted them
-// wrote before it died on the first — recovers with both failed, and the
+// quantity, a topk over a selection, an aggregation over a word count's
+// output and a reduce count past the bound — what a binary that admitted
+// them wrote before it died on one — recovers with those failed, and the
 // rest resubmitted.
 func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
@@ -98,9 +108,11 @@ func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 		{ID: 3, Factory: "selection", Param: "10", Meta: scheduler.JobMeta{File: "lineitem"}},
 		{ID: 4, Factory: "topk", Param: "3", Meta: scheduler.JobMeta{File: workload.DerivedFileName(3)}, DependsOn: []scheduler.JobID{3}},
 		{ID: 5, Factory: "topk", Param: "3", Meta: scheduler.JobMeta{File: workload.DerivedFileName(1)}, DependsOn: []scheduler.JobID{1}},
+		{ID: 6, Factory: "aggregation", Meta: scheduler.JobMeta{File: workload.DerivedFileName(1)}, DependsOn: []scheduler.JobID{1}},
+		{ID: 7, Factory: "wordcount", Param: "t", NumReduce: 1 << 30, Meta: scheduler.JobMeta{File: "corpus"}},
 	} {
 		rec.Name = fmt.Sprintf("%s-%s", rec.Factory, rec.Param)
-		rec.NumReduce = 2
+		rec.NumReduce = max(rec.NumReduce, 2)
 		rec.Meta.ID, rec.Meta.Name = rec.ID, rec.Name
 		if err := old.AppendRecord(journal.KindJobAdmitted, rec); err != nil {
 			t.Fatal(err)
@@ -141,7 +153,7 @@ func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 	}
 	want := map[scheduler.JobID]runtime.JobState{
 		1: runtime.JobQueued, 2: runtime.JobFailed, 3: runtime.JobQueued,
-		4: runtime.JobFailed, 5: runtime.JobWaiting,
+		4: runtime.JobFailed, 5: runtime.JobWaiting, 6: runtime.JobFailed, 7: runtime.JobFailed,
 	}
 	for id, state := range want {
 		if got, ok := src.Status(id); !ok || got.State != state {
@@ -150,5 +162,67 @@ func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 	}
 	if rep.restarted != 3 {
 		t.Errorf("%d jobs restarted, want 3", rep.restarted)
+	}
+}
+
+// The workload-file validator and POST /jobs admit a job through one
+// rule, so they agree on every catalog factory as a root job and as a
+// stage over each root factory's output: the root reads the daemon file
+// SubmitJob routes it to, the stage its producer's derived output.
+func TestFrontEndsAgree(t *testing.T) {
+	jobs := map[string]workload.FileJob{
+		workload.FactoryWordCount:      {Param: "t"},
+		workload.FactoryHeavyWordCount: {Param: "t", EmitFactor: 2},
+		workload.FactorySelection:      {Param: "10"},
+		workload.FactoryAggregation:    {},
+		workload.FactoryTopK:           {Param: "3"},
+	}
+	// verdicts returns whether the workload validator and SubmitJob each
+	// accept the last of chain, every job depending on the one before.
+	verdicts := func(chain ...string) (file, daemon error) {
+		var wf bytes.Buffer
+		wf.WriteString(`{"kind":"workload","version":3,"name":"agree","nodes":1,"slotsPerNode":1,"replicas":1}` + "\n")
+		for _, f := range daemonFiles {
+			fmt.Fprintf(&wf, `{"kind":"file","name":%q,"content":%q,"blocks":4,"blockBytes":64,"segmentBlocks":2}`+"\n", f.Name, f.Content)
+		}
+		adm, _ := testAdmission(t, nil)
+		var deps []scheduler.JobID
+		for i, factory := range chain {
+			j, ok := jobs[factory]
+			if !ok {
+				t.Fatalf("factory %q has no job in this test; add one", factory)
+			}
+			j.Kind, j.ID, j.Factory, j.File, j.DependsOn = workload.KindJob, scheduler.JobID(i+1), factory, rootFile(factory), deps
+			id, err := adm.SubmitJob(status.JobRequest{Factory: factory, Param: j.WireParam(), DependsOn: deps})
+			if i < len(chain)-1 && err != nil {
+				t.Fatalf("producer %s: %v", factory, err)
+			}
+			daemon = err
+			if len(deps) > 0 {
+				j.File = workload.DerivedFileName(deps[0])
+			}
+			rec, err := json.Marshal(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf.Write(append(rec, '\n'))
+			deps = []scheduler.JobID{id}
+		}
+		_, file = workload.ParseFile(&wf)
+		return file, daemon
+	}
+	for consumer := range workload.Catalog {
+		chains := [][]string{{consumer}}
+		for producer, f := range workload.Catalog {
+			if f.Scans(workload.ContentMeta) { // a root job
+				chains = append(chains, []string{producer, consumer})
+			}
+		}
+		for _, chain := range chains {
+			file, daemon := verdicts(chain...)
+			if (file == nil) != (daemon == nil) {
+				t.Errorf("%v: workload file says %v, POST /jobs says %v", chain, file, daemon)
+			}
+		}
 	}
 }

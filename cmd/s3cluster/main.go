@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -122,20 +123,30 @@ func main() {
 	}
 }
 
+// daemonFiles are the declared files every worker serves.
+var daemonFiles = []workload.FileSpec{{Name: "corpus", Content: workload.ContentText}, {Name: "lineitem", Content: workload.ContentLineitem}}
+
+// rootFile is the daemon file a job of factory without dependencies
+// scans: the first whose content the factory parses, else the first.
+func rootFile(factory string) string {
+	f, ok := workload.Catalog[factory]
+	i := slices.IndexFunc(daemonFiles, func(df workload.FileSpec) bool { return ok && f.Scans(df.Content) })
+	return daemonFiles[max(i, 0)].Name
+}
+
 func workerStore() (*dfs.Store, error) {
 	store, err := dfs.NewStore(1, 1)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := workload.AddTextFile(store, "corpus", *blocks, *blockSize, *seed); err != nil {
-		return nil, err
-	}
-	// The lineitem table backs the selection/aggregation factories. Both
-	// files derive from the shared seed, so every worker regenerates
-	// byte-identical blocks and any worker can serve any block after a
-	// failover.
-	if _, err := workload.AddLineitemFile(store, "lineitem", *blocks, *blockSize, *seed); err != nil {
-		return nil, err
+	// Every file derives from the shared seed, so every worker
+	// regenerates byte-identical blocks and any worker can serve any
+	// block after a failover.
+	for _, f := range daemonFiles {
+		f.Blocks, f.BlockBytes, f.Seed = *blocks, *blockSize, *seed
+		if _, err := f.AddTo(store); err != nil {
+			return nil, err
+		}
 	}
 	if *cacheMB > 0 {
 		// The cursor policy is plain LRU until the master's tasks bring hints.
@@ -223,85 +234,50 @@ type clusterAdmission struct {
 	// dependsOn are held until their producers finish and materialize.
 	dag    *pipeline.LiveDAG
 	master *remote.Master
-	// registry is the one every worker runs. A job's own error fails the
-	// whole run, so check builds each job with it before anything is
-	// journaled.
-	registry *remote.Registry
 	// journal, when set, gets a job-admitted record inside the same
 	// pre-admission hook — written (and fsynced, per policy) before the
 	// submission is acknowledged, so an acked job survives a crash.
 	journal *journal.Journal
 }
 
-// factoryFile routes a job factory to the file it scans: wordcount
-// reads the text corpus, the TPC-H-shaped factories read the lineitem
-// table. Unknown factories never get here (admission checks first).
-func factoryFile(factory string) string {
-	switch factory {
-	case "selection", "aggregation":
-		return "lineitem"
-	default:
-		return "corpus"
+// check returns why a worker would refuse the job, or nil: the job rule
+// (workload.Job.Check) over the content meta.File holds — a daemon file,
+// or the output of deps[0], whose factory the master knows.
+func (a *clusterAdmission) check(ref remote.JobRef, meta scheduler.JobMeta, deps []scheduler.JobID) error {
+	job := workload.Job{Factory: ref.Factory, Param: ref.Param, NumReduce: ref.NumReduce, Weight: meta.Weight, ReduceWeight: meta.ReduceWeight}
+	if i := slices.IndexFunc(daemonFiles, func(f workload.FileSpec) bool { return f.Name == meta.File }); i >= 0 {
+		job.Input = daemonFiles[i].Content
+	} else if len(deps) > 0 && meta.File == workload.DerivedFileName(deps[0]) {
+		p, _ := a.master.Job(deps[0]) // unknown: the DAG refuses the dependency
+		job.Input, job.Producer = workload.ContentDerived, p.Factory
 	}
-}
-
-func newClusterAdmission(src *runtime.LiveSource, dag *pipeline.LiveDAG, master *remote.Master) *clusterAdmission {
-	return &clusterAdmission{src: src, dag: dag, master: master, registry: remote.NewStandardRegistry()}
-}
-
-// check returns why a worker would refuse ref, or nil. Its factory must
-// build with its parameter, and a topk must read the key\tcount lines of
-// a counting producer: it scans the output of deps[0], and a selection's
-// output is map-only rows.
-func (a *clusterAdmission) check(ref remote.JobRef, deps []scheduler.JobID) error {
-	if _, _, _, err := a.registry.Build(ref.Factory, ref.Param); err != nil {
-		return err
-	}
-	if ref.Factory != "topk" {
-		return nil
-	}
-	if len(deps) == 0 {
-		return fmt.Errorf("factory %q scans another job's materialized output; submit it with dependsOn", ref.Factory)
-	}
-	if p, ok := a.master.Job(deps[0]); ok && p.Factory == "selection" {
-		return fmt.Errorf("topk counts its first dependency's output, and job %d is a selection: its values are rows, not counts", deps[0])
-	}
-	return nil
+	return job.Check()
 }
 
 // SubmitJob implements status.Admission.
 func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, error) {
-	factory := req.Factory
-	if factory == "" {
-		factory = "wordcount"
+	if req.Factory == "" {
+		req.Factory = workload.FactoryWordCount
 	}
-	deps := append([]scheduler.JobID(nil), req.DependsOn...)
-	name := req.Name
-	if name == "" {
+	if req.Name == "" {
+		req.Name = req.Factory
 		if req.Param != "" {
-			name = fmt.Sprintf("%s-%s", factory, req.Param)
-		} else {
-			name = factory
+			req.Name += "-" + req.Param
 		}
 	}
-	numReduce := req.NumReduce
-	if numReduce <= 0 {
-		numReduce = 2
+	if req.NumReduce == 0 {
+		req.NumReduce = 2
 	}
-	ref := remote.JobRef{Name: name, Factory: factory, Param: req.Param, NumReduce: numReduce}
-	if err := a.check(ref, deps); err != nil {
-		return 0, err
-	}
-	meta := scheduler.JobMeta{
-		Name:     name,
-		File:     factoryFile(factory),
-		Weight:   req.Weight,
-		Priority: req.Priority,
-	}
+	deps := append([]scheduler.JobID(nil), req.DependsOn...)
+	ref := remote.JobRef{Name: req.Name, Factory: req.Factory, Param: req.Param, NumReduce: req.NumReduce}
+	meta := scheduler.JobMeta{Name: req.Name, File: rootFile(req.Factory), Weight: req.Weight, Priority: req.Priority}
 	if len(deps) > 0 {
 		// A dependent stage scans its first producer's materialized
 		// output; the remaining dependencies are precedence-only.
 		meta.File = workload.DerivedFileName(deps[0])
+	}
+	if err := a.check(ref, meta, deps); err != nil {
+		return 0, err
 	}
 	return a.submitStage(meta, ref, deps)
 }
@@ -400,12 +376,12 @@ func drive(master *remote.Master) error {
 		return fmt.Errorf("planning store for %d workers: %w", workers, err)
 	}
 	var plans []*dfs.SegmentPlan
-	for _, name := range []string{"corpus", "lineitem"} {
-		f, err := planStore.AddMetaFile(name, *blocks, *blockSize)
+	for _, df := range daemonFiles {
+		f, err := planStore.AddMetaFile(df.Name, *blocks, *blockSize)
 		if err != nil {
 			return err
 		}
-		w, err := width(name, *blocks)
+		w, err := width(df.Name, *blocks)
 		if err != nil {
 			return err
 		}
@@ -455,8 +431,7 @@ func drive(master *remote.Master) error {
 		}
 		return 0, err
 	})
-	adm := newClusterAdmission(src, dag, master)
-	adm.journal = jnl
+	adm := &clusterAdmission{src: src, dag: dag, master: master, journal: jnl}
 	statusAddr := *statAddr
 	if *serve && statusAddr == "" {
 		// The daemon is pointless without its HTTP surface.

@@ -135,11 +135,9 @@ func recoverFromJournal(
 			rep.settled++
 			continue
 		}
-		if err := adm.check(ref, rec.DependsOn); err != nil {
+		if err := adm.check(ref, meta, rec.DependsOn); err != nil {
 			// The binary that wrote the journal admitted a job this one
-			// refuses: an unknown factory, a parameter its workers reject,
-			// a topk over a selection. Running it would fail the run, so
-			// surface the job as failed.
+			// refuses (workload.Job.Check): running it would fail the run.
 			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d: %v; marking failed\n", id, err)
 			if err := dag.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
 				return nil, err

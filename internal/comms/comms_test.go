@@ -46,7 +46,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		Blocks:   map[string]int{"corpus": 24},
 		Capabilities: Capabilities{
 			CacheBytes: 1 << 20,
-			Factories:  []string{"wordcount", "selection"},
 		},
 	}}
 	if err := a.Send(want); err != nil {

@@ -32,8 +32,6 @@ func (k FrameKind) String() string {
 type Capabilities struct {
 	// CacheBytes is the worker's block-cache budget (0 = caching off).
 	CacheBytes int64
-	// Factories lists the job factories the worker's registry can build.
-	Factories []string
 	// MapSlots is how many (block × job) map units the worker runs side by
 	// side: its GOMAXPROCS. The master sizes a segment by the sum over its
 	// workers; zero — an older worker — counts as one.

@@ -410,13 +410,9 @@ func cellCluster(wf *workload.File, cache bool) (*remote.Local, error) {
 }
 
 // jobRef names a workload job's program the way the master ships it to
-// the workers: heavy-wordcount's emit factor travels in its param.
+// the workers.
 func jobRef(j *workload.FileJob) remote.JobRef {
-	param := j.Param
-	if j.Factory == workload.FactoryHeavyWordCount {
-		param = fmt.Sprintf("%d:%s", max(j.EmitFactor, 1), j.Param)
-	}
-	return remote.JobRef{Name: j.Meta().Name, Factory: j.Factory, Param: param, NumReduce: j.NumReduce}
+	return remote.JobRef{Name: j.Meta().Name, Factory: j.Factory, Param: j.WireParam(), NumReduce: j.NumReduce}
 }
 
 // cellMaterializer builds the pipeline.Materializer for one cell.

@@ -156,7 +156,7 @@ func Fig4Workload(panel string, p Params) (*workload.File, error) {
 	for i, at := range times {
 		j := job
 		j.ID, j.At = scheduler.JobID(i+1), float64(at)
-		if j.Factory == workload.FactoryWordCount {
+		if j.Param == "" { // a word count's prefix; panel f's selections share one quantity
 			j.Param = prefixes[i]
 		}
 		wf.Jobs = append(wf.Jobs, j)

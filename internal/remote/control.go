@@ -138,13 +138,10 @@ func (w *Worker) controlSession(conn *comms.Conn, opts RegisterOptions, stop <-c
 	}()
 
 	reg := &comms.RegisterFrame{
-		ID:       opts.ID,
-		TaskAddr: opts.TaskAddr,
-		Blocks:   w.store.Inventory(),
-		Capabilities: comms.Capabilities{
-			Factories: w.registry.Names(),
-			MapSlots:  w.slots,
-		},
+		ID:           opts.ID,
+		TaskAddr:     opts.TaskAddr,
+		Blocks:       w.store.Inventory(),
+		Capabilities: comms.Capabilities{MapSlots: w.slots},
 	}
 	if c := w.store.Cache(); c != nil {
 		reg.Capabilities.CacheBytes = c.Budget()

@@ -20,8 +20,6 @@ package remote
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/workload"
@@ -50,8 +48,7 @@ func (r *Registry) Register(name string, f JobFactory) {
 	r.factories[name] = f
 }
 
-// Names returns the registered factory names, sorted. Admission layers
-// use it to validate submissions before they reach a worker.
+// Names returns the registered factory names, sorted.
 func (r *Registry) Names() []string {
 	out := make([]string, 0, len(r.factories))
 	for name := range r.factories {
@@ -70,50 +67,12 @@ func (r *Registry) Build(name, param string) (mapper mapreduce.Mapper, reducer, 
 	return f(param)
 }
 
-// NewStandardRegistry returns a registry with the repository's workload
-// families:
-//
-//	"wordcount"   param = prefix to count
-//	"heavy-wordcount"
-//	              param = <emitFactor>:<prefix>, a word count emitting
-//	              each match emitFactor (>= 1) times, with no combiner
-//	"selection"   param = max l_quantity (integer)
-//	"aggregation" param unused (Q1-style group-by sum)
-//	"topk"        param = k (integer); scans a materialized DAG-stage
-//	              output (key\tcount lines) and keeps the k largest
+// NewStandardRegistry returns a registry with every factory of the job
+// catalog (workload.Catalog).
 func NewStandardRegistry() *Registry {
 	r := NewRegistry()
-	r.Register("wordcount", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
-		return workload.PatternCountMapper{Prefix: param}, workload.SumReducer{}, workload.SumReducer{}, nil
-	})
-	r.Register("heavy-wordcount", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
-		factor, prefix, ok := strings.Cut(param, ":")
-		n, err := strconv.Atoi(factor)
-		if !ok || err != nil || n < 1 {
-			return nil, nil, nil, fmt.Errorf("remote: heavy-wordcount wants <emitFactor>:<prefix> with an integer factor of at least 1, got %q", param)
-		}
-		// No combiner: shuffle and reduce see the multiplied output, like
-		// the paper's heavy workload.
-		return workload.PatternCountMapper{Prefix: prefix, EmitFactor: n}, workload.SumReducer{}, nil, nil
-	})
-	r.Register("selection", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
-		max, err := strconv.Atoi(param)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("remote: selection wants an integer quantity, got %q", param)
-		}
-		return workload.SelectionMapper{MaxQuantity: max}, nil, nil, nil
-	})
-	r.Register("aggregation", func(string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
-		return workload.AggregationMapper{}, workload.SumReducer{}, workload.SumReducer{}, nil
-	})
-	r.Register("topk", func(param string) (mapreduce.Mapper, mapreduce.Reducer, mapreduce.Reducer, error) {
-		k, err := strconv.Atoi(param)
-		if err != nil || k < 1 {
-			return nil, nil, nil, fmt.Errorf("remote: topk wants a positive integer k, got %q", param)
-		}
-		// No combiner: the selection is global, so partial per-block
-		// top-k lists cannot be merged by re-running the reducer early.
-		return workload.TopKMapper{}, workload.TopKReducer{K: k}, nil, nil
-	})
+	for name, f := range workload.Catalog {
+		r.Register(name, f.Build)
+	}
 	return r
 }

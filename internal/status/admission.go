@@ -3,6 +3,7 @@ package status
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,16 +14,14 @@ import (
 
 // JobRequest is the wire form of a live job submission (POST /jobs).
 type JobRequest struct {
-	// Name labels the job in traces and status output. Defaults to the
-	// factory name when empty.
+	// Name labels the job in traces and status output.
 	Name string `json:"name"`
-	// Factory selects the job's map/reduce program by registry name
-	// (e.g. "wordcount"). The admission backend validates it.
+	// Factory names the job's program in the job catalog
+	// (workload.Catalog); Param configures it.
 	Factory string `json:"factory"`
-	// Param configures the factory (e.g. the selection predicate).
-	Param string `json:"param,omitempty"`
-	// NumReduce is the job's reduce-partition count; backends apply
-	// their default when zero.
+	Param   string `json:"param,omitempty"`
+	// NumReduce is the job's reduce-partition count, 0 for the
+	// backend's default.
 	NumReduce int `json:"numReduce,omitempty"`
 	// Weight and Priority feed the scheduler's JobMeta verbatim.
 	Weight   float64 `json:"weight,omitempty"`
@@ -77,8 +76,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPost:
+		// Strict, as workload files are: a typo'd field must not submit a
+		// different job.
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+			err = errors.New("trailing data after the job")
+		}
+		if err != nil {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

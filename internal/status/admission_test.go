@@ -151,6 +151,9 @@ func TestSubmitErrors(t *testing.T) {
 		want   int
 	}{
 		{"bad JSON", http.MethodPost, "/jobs", "{not json", "", http.StatusBadRequest},
+		{"unknown field", http.MethodPost, "/jobs", `{"factory":"topk","param":"3","depends_on":[1]}`, "", http.StatusBadRequest},
+		{"trailing data", http.MethodPost, "/jobs", `{"factory":"wordcount"}}`, "", http.StatusBadRequest},
+		{"second job", http.MethodPost, "/jobs", `{"factory":"wordcount"} {"factory":"wordcount"}`, "", http.StatusBadRequest},
 		{"backend rejects", http.MethodPost, "/jobs", `{"factory":"bogus"}`, "unknown job factory", http.StatusBadRequest},
 		{"unknown id", http.MethodGet, "/jobs/99", "", "", http.StatusNotFound},
 		{"garbage id", http.MethodGet, "/jobs/banana", "", "", http.StatusBadRequest},

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/pipeline"
@@ -69,15 +68,6 @@ const (
 	// It is never declared in a file record; jobs reach it by naming
 	// DerivedFileName(dep) as their input.
 	ContentDerived = "derived"
-)
-
-// Factory names jobs may reference: remote.NewStandardRegistry's.
-const (
-	FactoryWordCount      = "wordcount"       // param = prefix to count
-	FactoryHeavyWordCount = "heavy-wordcount" // param = prefix; the job's emitFactor multiplies map output
-	FactorySelection      = "selection"       // param = max l_quantity (integer); map-only
-	FactoryAggregation    = "aggregation"     // param unused (Q1-style group-by sum)
-	FactoryTopK           = "topk"            // param = k; selects the k highest counts from a derived file
 )
 
 // DerivedFileName is the dfs name under which job id's reduce output
@@ -228,7 +218,6 @@ func ParseFile(r io.Reader) (*File, error) {
 			if err := decode(&wf.Header); err != nil {
 				return nil, err
 			}
-			lines.header = line
 			sawHeader = true
 		case KindFile:
 			if !sawHeader {
@@ -268,37 +257,19 @@ func ParseFile(r io.Reader) (*File, error) {
 
 // lineIndex maps parsed records back to their 1-based source lines so
 // validation failures from ParseFile carry typed *LineError positions.
-type lineIndex struct {
-	header int
-	files  []int
-	jobs   []int
-}
-
-func (li *lineIndex) fileLine(i int) int {
-	if li == nil || i >= len(li.files) {
-		return 0
-	}
-	return li.files[i]
-}
-
-func (li *lineIndex) jobLine(i int) int {
-	if li == nil || i >= len(li.jobs) {
-		return 0
-	}
-	return li.jobs[i]
-}
+type lineIndex struct{ files, jobs []int }
 
 // Validate checks the workload's semantic invariants.
-func (wf *File) Validate() error { return wf.validate(nil) }
+func (wf *File) Validate() error { return wf.validate(&lineIndex{}) }
 
-// validate is Validate with an optional record→line map: with one, a
-// record-level violation is wrapped in a *LineError pointing at the
-// offending line (how ParseFile reports dangling or cyclic dependsOn,
-// duplicate ids, and the rest of the job/file checks).
+// validate is Validate with a record→line map: a record-level violation
+// is wrapped in a *LineError pointing at the offending line, when known
+// (how ParseFile reports dangling or cyclic dependsOn, duplicate ids,
+// and the rest of the job/file checks).
 func (wf *File) validate(lines *lineIndex) error {
-	at := func(line int, err error) error {
-		if line > 0 {
-			return &LineError{Line: line, Err: err}
+	at := func(recs []int, i int, err error) error {
+		if i < len(recs) {
+			return &LineError{Line: recs[i], Err: err}
 		}
 		return err
 	}
@@ -352,31 +323,30 @@ func (wf *File) validate(lines *lineIndex) error {
 	fileIdx := make(map[string]int, len(wf.Files))
 	for i := range wf.Files {
 		f := &wf.Files[i]
-		fl := lines.fileLine(i)
 		if f.Name == "" {
-			return at(fl, fmt.Errorf("workload %q: file has no name", h.Name))
+			return at(lines.files, i, fmt.Errorf("workload %q: file has no name", h.Name))
 		}
 		if _, dup := fileIdx[f.Name]; dup {
-			return at(fl, fmt.Errorf("workload %q: duplicate file %q", h.Name, f.Name))
+			return at(lines.files, i, fmt.Errorf("workload %q: duplicate file %q", h.Name, f.Name))
 		}
 		fileIdx[f.Name] = i
 		switch f.Content {
 		case ContentText, ContentLineitem, ContentMeta:
 		default:
-			return at(fl, fmt.Errorf("workload %q: file %q has unknown content %q (want %s|%s|%s)",
+			return at(lines.files, i, fmt.Errorf("workload %q: file %q has unknown content %q (want %s|%s|%s)",
 				h.Name, f.Name, f.Content, ContentText, ContentLineitem, ContentMeta))
 		}
 		if f.Blocks <= 0 || f.BlockBytes <= 0 {
-			return at(fl, fmt.Errorf("workload %q: file %q needs positive blocks (%d) and block bytes (%d)", h.Name, f.Name, f.Blocks, f.BlockBytes))
+			return at(lines.files, i, fmt.Errorf("workload %q: file %q needs positive blocks (%d) and block bytes (%d)", h.Name, f.Name, f.Blocks, f.BlockBytes))
 		}
 		if f.SegmentBlocks < 1 || f.SegmentBlocks > f.Blocks {
-			return at(fl, fmt.Errorf("workload %q: file %q segment size %d out of range [1, %d blocks]", h.Name, f.Name, f.SegmentBlocks, f.Blocks))
+			return at(lines.files, i, fmt.Errorf("workload %q: file %q segment size %d out of range [1, %d blocks]", h.Name, f.Name, f.SegmentBlocks, f.Blocks))
 		}
 		if f.Vocab < 0 {
-			return at(fl, fmt.Errorf("workload %q: file %q has negative vocabulary %d", h.Name, f.Name, f.Vocab))
+			return at(lines.files, i, fmt.Errorf("workload %q: file %q has negative vocabulary %d", h.Name, f.Name, f.Vocab))
 		}
 		if f.Vocab > 0 && f.Content != ContentText {
-			return at(fl, fmt.Errorf("workload %q: file %q sets vocab for %s content (text only)", h.Name, f.Name, f.Content))
+			return at(lines.files, i, fmt.Errorf("workload %q: file %q sets vocab for %s content (text only)", h.Name, f.Name, f.Content))
 		}
 	}
 	if len(wf.Jobs) == 0 {
@@ -386,12 +356,11 @@ func (wf *File) validate(lines *lineIndex) error {
 	hasDAG := false
 	for i := range wf.Jobs {
 		j := &wf.Jobs[i]
-		jl := lines.jobLine(i)
 		if j.ID <= 0 {
-			return at(jl, fmt.Errorf("workload %q: job %d has non-positive id %d", h.Name, i+1, j.ID))
+			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d has non-positive id %d", h.Name, i+1, j.ID))
 		}
 		if _, dup := jobIdx[j.ID]; dup {
-			return at(jl, fmt.Errorf("workload %q: duplicate job id %d", h.Name, j.ID))
+			return at(lines.jobs, i, fmt.Errorf("workload %q: duplicate job id %d", h.Name, j.ID))
 		}
 		jobIdx[j.ID] = i
 		if len(j.DependsOn) > 0 {
@@ -401,73 +370,32 @@ func (wf *File) validate(lines *lineIndex) error {
 	known := func(dep scheduler.JobID) bool { _, ok := jobIdx[dep]; return ok }
 	for i := range wf.Jobs {
 		j := &wf.Jobs[i]
-		jl := lines.jobLine(i)
 		if j.At < 0 {
-			return at(jl, fmt.Errorf("workload %q: job %d arrives at negative time %v", h.Name, j.ID, j.At))
+			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d arrives at negative time %v", h.Name, j.ID, j.At))
 		}
 		if len(j.DependsOn) > 0 && h.Version < 3 {
-			return at(jl, fmt.Errorf("workload %q: job %d: dependsOn needs schema v3, header says v%d", h.Name, j.ID, h.Version))
+			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d: dependsOn needs schema v3, header says v%d", h.Name, j.ID, h.Version))
 		}
 		if err := pipeline.CheckEdges(j.ID, j.DependsOn, known); err != nil {
-			return at(jl, fmt.Errorf("workload %q: job %d %w", h.Name, j.ID, err))
+			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d %w", h.Name, j.ID, err))
 		}
 		// Resolve the input: a declared file, or the derived output of
 		// one of this job's dependencies.
-		content := ""
-		var producer scheduler.JobID
+		rule := Job{Factory: j.Factory, Param: j.WireParam(), NumReduce: j.NumReduce, EmitFactor: j.EmitFactor, Weight: j.Weight, ReduceWeight: j.ReduceWeight}
 		if fi, ok := fileIdx[j.File]; ok {
-			content = wf.Files[fi].Content
+			rule.Input = wf.Files[fi].Content
 		} else {
-			var derived bool
-			producer, derived = wf.DerivedProducer(j.File)
+			producer, derived := wf.DerivedProducer(j.File)
 			switch {
 			case !derived:
-				return at(jl, fmt.Errorf("workload %q: job %d reads unknown file %q", h.Name, j.ID, j.File))
+				return at(lines.jobs, i, fmt.Errorf("workload %q: job %d reads unknown file %q", h.Name, j.ID, j.File))
 			case !slices.Contains(j.DependsOn, producer):
-				return at(jl, fmt.Errorf("workload %q: job %d reads derived file %q without depending on job %d", h.Name, j.ID, j.File, producer))
+				return at(lines.jobs, i, fmt.Errorf("workload %q: job %d reads derived file %q without depending on job %d", h.Name, j.ID, j.File, producer))
 			}
-			content = ContentDerived
+			rule.Input, rule.Producer = ContentDerived, wf.Jobs[jobIdx[producer]].Factory
 		}
-		if j.Weight < 0 || j.ReduceWeight < 0 {
-			return at(jl, fmt.Errorf("workload %q: job %d has negative weight (%v/%v)", h.Name, j.ID, j.Weight, j.ReduceWeight))
-		}
-		if j.NumReduce < 0 {
-			return at(jl, fmt.Errorf("workload %q: job %d has negative reduce count %d", h.Name, j.ID, j.NumReduce))
-		}
-		if j.EmitFactor < 0 {
-			return at(jl, fmt.Errorf("workload %q: job %d has negative emit factor %d", h.Name, j.ID, j.EmitFactor))
-		}
-		if j.EmitFactor > 0 && j.Factory != FactoryHeavyWordCount {
-			return at(jl, fmt.Errorf("workload %q: job %d sets emitFactor for factory %q (%s only)", h.Name, j.ID, j.Factory, FactoryHeavyWordCount))
-		}
-		switch j.Factory {
-		case FactoryWordCount, FactoryHeavyWordCount:
-			if content != ContentText && content != ContentMeta && content != ContentDerived {
-				return at(jl, fmt.Errorf("workload %q: job %d (%s) needs %s content, file %q is %s", h.Name, j.ID, j.Factory, ContentText, j.File, content))
-			}
-		case FactorySelection:
-			if content != ContentLineitem && content != ContentMeta {
-				return at(jl, fmt.Errorf("workload %q: job %d (%s) needs %s content, file %q is %s", h.Name, j.ID, j.Factory, ContentLineitem, j.File, content))
-			}
-			if _, err := strconv.Atoi(j.Param); err != nil {
-				return at(jl, fmt.Errorf("workload %q: job %d: selection param must be an integer quantity, got %q", h.Name, j.ID, j.Param))
-			}
-		case FactoryAggregation:
-			if content != ContentLineitem && content != ContentMeta {
-				return at(jl, fmt.Errorf("workload %q: job %d (%s) needs %s content, file %q is %s", h.Name, j.ID, j.Factory, ContentLineitem, j.File, content))
-			}
-		case FactoryTopK:
-			if content != ContentDerived {
-				return at(jl, fmt.Errorf("workload %q: job %d (%s) reads %q (%s); topk scans a dependency's derived output", h.Name, j.ID, j.Factory, j.File, content))
-			}
-			if k, err := strconv.Atoi(j.Param); err != nil || k < 1 {
-				return at(jl, fmt.Errorf("workload %q: job %d: topk param must be a positive integer k, got %q", h.Name, j.ID, j.Param))
-			}
-			if wf.Jobs[jobIdx[producer]].Factory == FactorySelection {
-				return at(jl, fmt.Errorf("workload %q: job %d (%s) reads job %d's output, and a selection's values are rows, not counts", h.Name, j.ID, j.Factory, producer))
-			}
-		default:
-			return at(jl, fmt.Errorf("workload %q: job %d has unknown factory %q", h.Name, j.ID, j.Factory))
+		if err := rule.Check(); err != nil {
+			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d (file %q): %w", h.Name, j.ID, j.File, err))
 		}
 	}
 	if hasDAG {
@@ -475,14 +403,14 @@ func (wf *File) validate(lines *lineIndex) error {
 		// producing stages, so a DAG workload cannot be metadata-only.
 		for i := range wf.Files {
 			if wf.Files[i].Content == ContentMeta {
-				return at(lines.fileLine(i), fmt.Errorf("workload %q: file %q is %s content; DAG workloads need real bytes to materialize stage outputs", h.Name, wf.Files[i].Name, ContentMeta))
+				return at(lines.files, i, fmt.Errorf("workload %q: file %q is %s content; DAG workloads need real bytes to materialize stage outputs", h.Name, wf.Files[i].Name, ContentMeta))
 			}
 		}
 		if _, err := pipeline.Order(wf.Stages()); err != nil {
 			err = fmt.Errorf("workload %q: %w", h.Name, err)
 			var cycle *pipeline.CycleError
 			if errors.As(err, &cycle) {
-				return at(lines.jobLine(jobIdx[cycle.Job]), err)
+				return at(lines.jobs, jobIdx[cycle.Job], err)
 			}
 			return err
 		}

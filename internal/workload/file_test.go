@@ -108,6 +108,7 @@ func TestParseFileErrors(t *testing.T) {
 		{"selection on text", header + file + `{"kind":"job","id":1,"at":0,"file":"f","factory":"selection","param":"5"}` + "\n", 0, "needs lineitem content"},
 		{"selection bad param", header + strings.Replace(file, `"content":"text"`, `"content":"lineitem"`, 1) + `{"kind":"job","id":1,"at":0,"file":"f","factory":"selection","param":"five"}` + "\n", 0, "integer quantity"},
 		{"emit factor on plain", header + file + strings.Replace(job, `"param":"t"`, `"param":"t","emitFactor":2`, 1), 0, "emitFactor"},
+		{"reduce count past the bound", header + file + strings.Replace(job, `"param":"t"`, `"param":"t","numReduce":1025`, 1), 0, "numReduce 1025 out of range [0, 1024]"},
 		{"bad replicas", strings.Replace(header, `"replicas":1`, `"replicas":3`, 1) + file + job, 0, "replicas"},
 		{"bad fault rate", strings.Replace(header, `"nodes":2`, `"nodes":2,"faultRate":1.5`, 1) + file + job, 0, "fault rate"},
 		{"negative fault rate", strings.Replace(header, `"nodes":2`, `"nodes":2,"faultRate":-0.1`, 1) + file + job, 0, "fault rate"},
