@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,6 +24,90 @@ func TestSortKVs(t *testing.T) {
 	if fmt.Sprint(kvs) != fmt.Sprint(want) {
 		t.Fatalf("sorted = %v, want %v", kvs, want)
 	}
+}
+
+// refSortKVs is the sort sortKVs replaced: pdqsort on compareKV.
+func refSortKVs(kvs []KV) { slices.SortFunc(kvs, compareKV) }
+
+// randomKVs draws n records whose keys are built to meet every case of
+// the head sort: shorter than, as long as and longer than the 8-byte
+// head; equal in their first 8 bytes; "a" beside "a\x00" (zero padding
+// ties them); empty; and repeated with different values.
+func randomKVs(rng *rand.Rand, n int) []KV {
+	stems := []string{"", "a", "a\x00", "a\x00\x00", "ab", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh\x00", "\xff\xff\xff\xff\xff\xff\xff\xff", "1600123."}
+	kvs := make([]KV, n)
+	for i := range kvs {
+		key := stems[rng.Intn(len(stems))]
+		if rng.Intn(2) == 0 { // a key of its own: heads that split into buckets on every byte
+			key = ""
+		}
+		for tail := rng.Intn(12); tail > 0; tail-- {
+			key += string("\x00a\xffz"[rng.Intn(4)])
+		}
+		kvs[i] = KV{Key: key, Value: fmt.Sprint(rng.Intn(3))}
+	}
+	return kvs
+}
+
+// sortKVs orders exactly as pdqsort on compareKV does, on both sides of
+// radixMin, and so does MergeSorted, which sorts its unsorted runs with
+// it.
+func TestSortKVsMatchesCompareKV(t *testing.T) {
+	check := func(name string, kvs []KV) {
+		t.Helper()
+		want := slices.Clone(kvs)
+		refSortKVs(want)
+		got := slices.Clone(kvs)
+		sortKVs(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: sortKVs gave %q, compareKV %q", name, got, want)
+		}
+	}
+	check("zero padding", []KV{{"a\x00", "1"}, {"a", "2"}, {"", "0"}, {"a\x00", "0"}, {"a", "1"}, {"", ""}})
+	check("first 8 bytes equal", []KV{{"abcdefghz", "1"}, {"abcdefgh", "1"}, {"abcdefgha", "2"}, {"abcdefgha", "1"}})
+	rng := rand.New(rand.NewSource(48))
+	for _, n := range []int{0, 1, 2, 3, 17, radixMin - 1, radixMin, radixMin + 1, 4 * radixMin, 40 * radixMin} {
+		for i := 0; i < 20; i++ {
+			check(fmt.Sprintf("%d records, draw %d", n, i), randomKVs(rng, n))
+		}
+	}
+	for i := 0; i < 50; i++ {
+		runs := make([][]KV, 1+rng.Intn(4))
+		var want []KV
+		for r := range runs {
+			runs[r] = randomKVs(rng, rng.Intn(2*radixMin))
+			want = append(want, runs[r]...)
+		}
+		refSortKVs(want)
+		if got := MergeSorted(runs); len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("MergeSorted of %d unsorted runs differs from concat + compareKV sort", len(runs))
+		}
+	}
+}
+
+// FuzzSortKVs: on any records sortKVs orders as pdqsort on compareKV.
+// The fuzzer's bytes are cut into keys at each '\n' (values at '\t'),
+// repeated to reach past radixMin when long is set.
+func FuzzSortKVs(f *testing.F) {
+	f.Add([]byte("a\na\x00\n\nabcdefgh\nabcdefghi\tx\nabcdefgh\x00"), false)
+	f.Add([]byte("b\t2\na\t9\nb\t1\na\t1"), true)
+	f.Add([]byte("1600123.4\t\xff\n1600123.1\n160012\n"), true)
+	f.Fuzz(func(t *testing.T, data []byte, long bool) {
+		var kvs []KV
+		for _, line := range strings.Split(string(data), "\n") {
+			key, value, _ := strings.Cut(line, "\t")
+			kvs = append(kvs, KV{Key: key, Value: value})
+		}
+		for long && len(kvs) < radixMin {
+			kvs = append(kvs, kvs...)
+		}
+		want := slices.Clone(kvs)
+		refSortKVs(want)
+		sortKVs(kvs)
+		if !reflect.DeepEqual(kvs, want) {
+			t.Fatalf("sortKVs gave %q, compareKV %q", kvs, want)
+		}
+	})
 }
 
 func TestGroupByKey(t *testing.T) {

@@ -693,16 +693,17 @@ func TestMapTaskAllocations(t *testing.T) {
 		t.Errorf("eight word counts sharing a pass over a 256 KB block: %.0f allocations of %.0f bytes, want <= 400 of <= 64 KB", n, b)
 	}
 
-	// Selection pays for the rows it selects — a key and a value each,
-	// plus the growth of the partition slices — and nothing per row.
+	// Selection pays for the rows it selects — one string each, holding
+	// its key and its value, plus the growth of the partition slices —
+	// and nothing per row.
 	lineitem := workload.NewLineitemGen(1).Block(0, 256<<10)
 	rows := len(refRows(lineitem))
 	selected, _ := collect(workload.SelectionMapper{MaxQuantity: 5}, lineitem)
 	if len(selected) == 0 || len(selected)*5 > rows {
 		t.Fatalf("selected %d of %d rows, want about a tenth", len(selected), rows)
 	}
-	if n, _ := task(lineitem, workload.SelectionMapper{MaxQuantity: 5}, nil); n > float64(2*len(selected)+40) {
-		t.Errorf("selection of %d rows out of %d: %.0f allocations, want <= %d", len(selected), rows, n, 2*len(selected)+40)
+	if n, _ := task(lineitem, workload.SelectionMapper{MaxQuantity: 5}, nil); n > float64(len(selected)+40) {
+		t.Errorf("selection of %d rows out of %d: %.0f allocations, want <= %d", len(selected), rows, n, len(selected)+40)
 	}
 	if n, _ := task(lineitem, workload.SelectionMapper{MaxQuantity: 0}, nil); n > 8 {
 		t.Errorf("selection rejecting all %d rows: %.0f allocations, want <= 8", rows, n)

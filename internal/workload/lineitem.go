@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -127,8 +128,9 @@ func (SelectionMapper) SharesPass(other mapreduce.Mapper) bool {
 
 // MapShared implements mapreduce.SharedMapper over SelectionMappers: a
 // row is cut and its l_quantity parsed once for all of them, and a row
-// any of them keeps is one record, its strings built once. A row no job
-// keeps costs a walk over its first five columns and no allocation.
+// any of them keeps is one record, its key and row one string built
+// once. A row no job keeps costs a walk over its first five columns and
+// no allocation.
 func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce.Mapper, emit func(job int, kv mapreduce.KV, n int)) error {
 	limits, widest := make([]int, len(mappers)), math.MinInt
 	for i, m := range mappers {
@@ -148,7 +150,8 @@ func (SelectionMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapreduce
 		if qty > widest {
 			continue
 		}
-		kv := mapreduce.KV{Key: string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]]), Value: string(line)}
+		s := string(line) + string(line[:sep[0]]) + "." + string(line[sep[2]+1:sep[3]])
+		kv := mapreduce.KV{Key: s[len(line):], Value: s[:len(line)]}
 		for j, limit := range limits {
 			if qty <= limit {
 				emit(j, kv, 1)
@@ -169,18 +172,19 @@ func (m SelectionMapper) CountInputRecords(data []byte) int64 {
 
 // fieldSeparators records the offsets of the row's first len(sep) '|'
 // separators, so column i spans line[sep[i-1]+1 : sep[i]]. It reports
-// false when the row has fewer.
+// false when the row has fewer. It reads the row eight bytes at a time:
+// zeroBytes marks the '|' bytes of each word.
 func fieldSeparators(line []byte, sep []int) bool {
-	at := 0
-	for i := range sep {
-		j := bytes.IndexByte(line[at:], '|')
-		if j < 0 {
-			return false
+	n := 0
+	for at := 0; at < len(line); at += 8 {
+		for bars := zeroBytes(load8(line, at) ^ '|'*lanes); bars != 0; bars &= bars - 1 {
+			sep[n] = at + bits.TrailingZeros64(bars)>>3
+			if n++; n == len(sep) {
+				return true
+			}
 		}
-		sep[i] = at + j
-		at += j + 1
 	}
-	return true
+	return false
 }
 
 // nextRow cuts the next non-blank line off data; the row is nil once

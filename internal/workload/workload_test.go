@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -288,6 +290,55 @@ func TestSelectionMapperMalformedRow(t *testing.T) {
 	err = m.Map(dfs.BlockID{}, []byte("1|2|3|4|notanumber|x\n"), func(mapreduce.KV) {})
 	if err == nil {
 		t.Error("non-numeric quantity should fail")
+	}
+}
+
+// fieldSeparators finds what one bytes.IndexByte walk per separator
+// finds, on rows with and without enough separators, separators in every
+// position of a word and at both ends.
+func TestFieldSeparatorsMatchIndexByte(t *testing.T) {
+	ref := func(line []byte, sep []int) bool {
+		at := 0
+		for i := range sep {
+			j := bytes.IndexByte(line[at:], '|')
+			if j < 0 {
+				return false
+			}
+			sep[i] = at + j
+			at += j + 1
+		}
+		return true
+	}
+	rows := [][]byte{nil, []byte("|"), []byte("||||||||||"), []byte("a|b"), []byte("|x|y|z|w|"), NewLineitemGen(1).Block(0, 200)}
+	rng := rand.New(rand.NewSource(48))
+	for i := 0; i < 500; i++ {
+		row := make([]byte, rng.Intn(40))
+		for j := range row {
+			row[j] = "|a|\x00\xfc|"[rng.Intn(6)] // '|' ^ 0x80 is 0xfc
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
+		for _, n := range []int{1, 5, 10} {
+			got, want := make([]int, n), make([]int, n)
+			gotOK, wantOK := fieldSeparators(row, got), ref(row, want)
+			if gotOK != wantOK || (wantOK && !slices.Equal(got, want)) {
+				t.Fatalf("row %q, %d separators: %v %v, reference %v %v", row, n, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// BenchmarkSelectionMapShared is the shared selection pass of sel-shuffle
+// (MaxQuantity 5) over one 512 KB lineitem block.
+func BenchmarkSelectionMapShared(b *testing.B) {
+	data := NewLineitemGen(1).Block(0, 512<<10)
+	mappers := []mapreduce.Mapper{SelectionMapper{MaxQuantity: 5}}
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		if err := (SelectionMapper{}).MapShared(dfs.BlockID{}, data, mappers, func(int, mapreduce.KV, int) {}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
