@@ -643,6 +643,17 @@ func TestMultiplicityMatchesPerOccurrence(t *testing.T) {
 // instrumentation allocates, which would fail the guards below.
 var raceEnabled bool
 
+// A text block costs its output slice and its rand source, nothing per word.
+func TestTextGenBlockAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	g := workload.NewTextGen(1)
+	if n := testing.AllocsPerRun(5, func() { g.Block(0, 256<<10) }); n > 2 {
+		t.Errorf("a 256 KB text block: %.0f allocations, want <= 2", n)
+	}
+}
+
 // The map task's allocations follow what it emits, not what it scans —
 // and with a combiner that folds, the distinct keys it emits, not the
 // records.

@@ -72,17 +72,46 @@ func FuzzKVLineMapper(f *testing.F) {
 	})
 }
 
+// FuzzTextGenSizes holds text blocks, over the built-in vocabulary or a
+// synthetic one of up to 70,000 words, to refTextBlock byte for byte.
 func FuzzTextGenSizes(f *testing.F) {
-	f.Add(int64(1), 0, int64(64))
-	f.Add(int64(42), 100, int64(1))
-	f.Fuzz(func(t *testing.T, seed int64, idx int, size int64) {
-		if size <= 0 || size > 1<<16 || idx < 0 {
+	f.Add(int64(1), 0, int64(64), uint32(0))
+	f.Add(int64(42), 100, int64(1), uint32(0))
+	f.Add(int64(-3), 7, int64(4096), uint32(70_000))
+	f.Fuzz(func(t *testing.T, seed int64, idx int, size int64, vocab uint32) {
+		if size < 0 || size > 1<<16 || idx < 0 {
 			t.Skip()
 		}
 		g := NewTextGen(seed)
+		if vocab %= 70_001; vocab > 0 {
+			g = NewTextGenVocab(seed, int(vocab))
+		}
 		b := g.Block(idx, size)
 		if int64(len(b)) != size {
 			t.Fatalf("block size %d, want %d", len(b), size)
+		}
+		if want := refTextBlock(g, idx, size); !bytes.Equal(b, want) {
+			t.Fatalf("vocab %d seed %d block %d size %d: %s", vocab, seed, idx, size, firstDiff(b, want))
+		}
+	})
+}
+
+// FuzzLineitemBlock holds lineitem blocks to refLineitemBlock byte for byte.
+func FuzzLineitemBlock(f *testing.F) {
+	f.Add(int64(1), 0, int64(100))
+	f.Add(int64(7), 1<<20, int64(4096))
+	f.Add(int64(-2), 3, int64(0))
+	f.Fuzz(func(t *testing.T, seed int64, idx int, size int64) {
+		if size < 0 || size > 1<<16 || idx < 0 || idx > 1<<40 {
+			t.Skip()
+		}
+		g := NewLineitemGen(seed)
+		b := g.Block(idx, size)
+		if int64(len(b)) != size {
+			t.Fatalf("block size %d, want %d", len(b), size)
+		}
+		if want := refLineitemBlock(g, idx, size); !bytes.Equal(b, want) {
+			t.Fatalf("seed %d block %d size %d: %s", seed, idx, size, firstDiff(b, want))
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
@@ -43,56 +42,55 @@ func NewLineitemGen(seed int64) *LineitemGen { return &LineitemGen{seed: seed} }
 // 1..50); selection predicates use it to target a selectivity.
 const QuantityMax = 50
 
-// Row generates one lineitem row (no trailing newline).
-func (g *LineitemGen) row(rng *rand.Rand, orderKey int64) string {
+// maxRowLen bounds one row and its newline: a 19-digit l_orderkey and
+// every other column at its widest come to 140 bytes.
+const maxRowLen = 160
+
+// appendRow appends one lineitem row and its newline to b. The quantity,
+// the price and the comment's two words are drawn first, then the other
+// columns left to right: the order the rows were first generated in.
+func appendRow(b []byte, rng *rand.Rand, orderKey int64) []byte {
 	qty := rng.Intn(QuantityMax) + 1
 	price := float64(qty) * (900 + rng.Float64()*9100) / 10
-	date := func() string {
-		return fmt.Sprintf("199%d-%02d-%02d", rng.Intn(8), rng.Intn(12)+1, rng.Intn(28)+1)
+	comment1, comment2 := commentWords[rng.Intn(len(commentWords))], commentWords[rng.Intn(len(commentWords))]
+	b = append(strconv.AppendInt(b, orderKey, 10), '|')
+	b = append(strconv.AppendInt(b, int64(rng.Intn(200000)+1), 10), '|')
+	b = append(strconv.AppendInt(b, int64(rng.Intn(10000)+1), 10), '|')
+	b = append(strconv.AppendInt(b, int64(rng.Intn(7)+1), 10), '|')
+	b = append(strconv.AppendInt(b, int64(qty), 10), '|')
+	b = append(strconv.AppendFloat(b, price, 'f', 2, 64), '|')
+	b = append(strconv.AppendFloat(b, float64(rng.Intn(11))/100, 'f', 2, 64), '|')
+	b = append(strconv.AppendFloat(b, float64(rng.Intn(9))/100, 'f', 2, 64), '|')
+	b = append(append(b, returnFlags[rng.Intn(len(returnFlags))]...), '|')
+	b = append(append(b, lineStatuses[rng.Intn(len(lineStatuses))]...), '|')
+	for range 3 { // l_shipdate, l_commitdate, l_receiptdate: 199Y-MM-DD
+		y, m, d := rng.Intn(8), rng.Intn(12)+1, rng.Intn(28)+1
+		b = append(b, '1', '9', '9', byte('0'+y), '-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10), '|')
 	}
-	comment := commentWords[rng.Intn(len(commentWords))] + " " + commentWords[rng.Intn(len(commentWords))]
-	cols := []string{
-		strconv.FormatInt(orderKey, 10),
-		strconv.Itoa(rng.Intn(200000) + 1),
-		strconv.Itoa(rng.Intn(10000) + 1),
-		strconv.Itoa(rng.Intn(7) + 1),
-		strconv.Itoa(qty),
-		fmt.Sprintf("%.2f", price),
-		fmt.Sprintf("%.2f", float64(rng.Intn(11))/100),
-		fmt.Sprintf("%.2f", float64(rng.Intn(9))/100),
-		returnFlags[rng.Intn(len(returnFlags))],
-		lineStatuses[rng.Intn(len(lineStatuses))],
-		date(), date(), date(),
-		shipInstructs[rng.Intn(len(shipInstructs))],
-		shipModes[rng.Intn(len(shipModes))],
-		comment,
-	}
-	return strings.Join(cols, "|")
+	b = append(append(b, shipInstructs[rng.Intn(len(shipInstructs))]...), '|')
+	b = append(append(b, shipModes[rng.Intn(len(shipModes))]...), '|')
+	b = append(append(b, comment1...), ' ')
+	return append(append(b, comment2...), '\n')
 }
 
-// Block produces block blockIdx: complete newline-terminated rows
-// filling at most size bytes (the last row is never truncated, so a
-// block may be slightly short of size; callers pad).
+// Block produces block blockIdx: complete newline-terminated rows, then
+// spaces up to exactly size bytes, keeping dfs block-size invariants (the
+// selection mapper skips blank lines). A row that would cross size is
+// drawn and dropped, and the block ends there.
 func (g *LineitemGen) Block(blockIdx int, size int64) []byte {
 	rng := rand.New(rand.NewSource(g.seed*2_000_003 + int64(blockIdx)))
-	var buf bytes.Buffer
-	buf.Grow(int(size))
-	orderKey := int64(blockIdx)*100000 + 1
-	for {
-		row := g.row(rng, orderKey)
-		if int64(buf.Len()+len(row)+1) > size {
+	buf := make([]byte, 0, size+maxRowLen)
+	for orderKey := int64(blockIdx)*100000 + 1; ; orderKey++ {
+		n := len(buf)
+		if buf = appendRow(buf, rng, orderKey); int64(len(buf)) > size {
+			buf = buf[:n]
 			break
 		}
-		buf.WriteString(row)
-		buf.WriteByte('\n')
-		orderKey++
 	}
-	// Pad with spaces so every block is exactly size bytes, keeping
-	// dfs block-size invariants; the selection mapper skips blanks.
-	for int64(buf.Len()) < size {
-		buf.WriteByte(' ')
+	for int64(len(buf)) < size {
+		buf = append(buf, ' ')
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // AddLineitemFile registers a generated lineitem table with the store.

@@ -12,8 +12,8 @@
 package workload
 
 import (
-	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 
@@ -41,10 +41,15 @@ var wordList = []string{
 
 // TextGen deterministically generates English-like text blocks.
 type TextGen struct {
-	seed  int64
-	vocab []string
-	zipf  []float64 // cumulative Zipf weights over vocab
+	seed    int64
+	vocab   []string
+	zipf    []float64 // cumulative Zipf weights over vocab
+	guide   []int32   // guide[b]: the first word whose zipf reaches b/len(guide)
+	longest int       // the longest word's length
 }
+
+// maxGuide caps a guide table at 2^16 buckets, 256 KB.
+const maxGuide = 1 << 16
 
 // NewTextGen returns a generator over the built-in ~110-word
 // vocabulary; the same seed always produces the same corpus.
@@ -72,7 +77,21 @@ func newTextGen(seed int64, vocab []string) *TextGen {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &TextGen{seed: seed, vocab: vocab, zipf: cum}
+	// About eight buckets a word, a power of two so that b/k and u·k
+	// are exact: a draw's walk from its bucket is a step or two.
+	k := min(1<<bits.Len(uint(8*len(vocab)-1)), maxGuide)
+	g := &TextGen{seed: seed, vocab: vocab, zipf: cum, guide: make([]int32, k)}
+	i := 0
+	for b := range g.guide {
+		for i < len(cum)-1 && cum[i] < float64(b)/float64(k) {
+			i++
+		}
+		g.guide[b] = int32(i)
+	}
+	for _, w := range vocab {
+		g.longest = max(g.longest, len(w))
+	}
+	return g
 }
 
 // SyntheticVocabulary deterministically builds size pronounceable
@@ -107,41 +126,47 @@ func SyntheticVocabulary(size int) []string {
 	return out
 }
 
-// word samples one word from the Zipf distribution.
-func (g *TextGen) word(rng *rand.Rand) string {
-	u := rng.Float64()
-	lo, hi := 0, len(g.zipf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.zipf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// pick returns the first word whose cumulative weight reaches u ∈ [0, 1),
+// the word a binary search over zipf finds. Its bucket floor(u·k) starts
+// no later than that word, since guide[b] reaches b/k ≤ u.
+func (g *TextGen) pick(u float64) int {
+	i, last := int(g.guide[int(u*float64(len(g.guide)))]), len(g.zipf)-1
+	for i < last && g.zipf[i] < u {
+		i++
+	}
+	return i
+}
+
+// uniform draws u ∈ [0, 1) from src as rand.Rand.Float64 does, so the
+// words are the ones a rand.Rand over src draws.
+func uniform(src rand.Source) float64 {
+	for {
+		if u := float64(src.Int63()) / (1 << 63); u < 1 {
+			return u
 		}
 	}
-	return g.vocab[lo]
 }
 
 // Block produces block blockIdx of the corpus, exactly size bytes of
 // space- and newline-separated words. Each block is generated from an
 // independent sub-seed so blocks can be produced in any order.
 func (g *TextGen) Block(blockIdx int, size int64) []byte {
-	rng := rand.New(rand.NewSource(g.seed*1_000_003 + int64(blockIdx)))
-	var buf bytes.Buffer
-	buf.Grow(int(size) + 16)
+	src := rand.NewSource(g.seed*1_000_003 + int64(blockIdx))
+	// The last word starts below size, so it ends within longest+1 past it.
+	buf := make([]byte, 0, size+int64(g.longest)+1)
 	col := 0
-	for int64(buf.Len()) < size {
-		w := g.word(rng)
-		buf.WriteString(w)
+	for int64(len(buf)) < size {
+		w := g.vocab[g.pick(uniform(src))]
+		buf = append(buf, w...)
 		col += len(w) + 1
 		if col >= 64 {
-			buf.WriteByte('\n')
+			buf = append(buf, '\n')
 			col = 0
 		} else {
-			buf.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
 	}
-	return buf.Bytes()[:size]
+	return buf[:size]
 }
 
 // AddTextFile registers a generated text corpus with the store: name,
