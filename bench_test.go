@@ -453,24 +453,5 @@ func BenchmarkSimExecutorRound(b *testing.B) {
 	}
 }
 
-// BenchmarkTextGeneration measures corpus block generation (the
-// synthetic stand-in for disk scan).
-func BenchmarkTextGeneration(b *testing.B) {
-	g := workload.NewTextGen(1)
-	b.SetBytes(64 << 10)
-	for i := 0; i < b.N; i++ {
-		g.Block(i, 64<<10)
-	}
-}
-
-// BenchmarkLineitemGeneration measures lineitem block generation.
-func BenchmarkLineitemGeneration(b *testing.B) {
-	g := workload.NewLineitemGen(1)
-	b.SetBytes(64 << 10)
-	for i := 0; i < b.N; i++ {
-		g.Block(i, 64<<10)
-	}
-}
-
 // Keep vclock referenced for the analytic benches' literal times.
 var _ vclock.Time

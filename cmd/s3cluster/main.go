@@ -68,7 +68,7 @@ var (
 	seed         = flag.Int64("seed", 7, "corpus generator seed (must match across the cluster)")
 	jobs         = flag.Int("jobs", 3, "master/demo: number of initial wordcount jobs")
 	demoN        = flag.Int("nodes", 3, "demo: in-process worker count")
-	statAddr     = flag.String("status", "", "master/demo: serve a live status dashboard, Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
+	statAddr     = flag.String("status", "", "master/demo: serve a live status dashboard, Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8080); worker: serve /debug/pprof there")
 	traceJSON    = flag.String("tracejson", "", "master/demo: write the run's span tree as Chrome trace-event JSON to this file")
 	cacheMB      = flag.Int64("cachemb", 0, "worker/demo: per-worker block-cache budget in MB (0 = caching off)")
 	serve        = flag.Bool("serve", false, "master/demo: stay up as a daemon accepting live job submissions via POST /jobs on the status address; SIGINT drains and exits")
@@ -161,6 +161,15 @@ func runWorker() error {
 	store, err := workerStore()
 	if err != nil {
 		return err
+	}
+	if *statAddr != "" {
+		srv := status.NewServer("worker")
+		addr, err := srv.Serve(*statAddr)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Printf("profiler: http://%s/debug/pprof/\n", addr)
 	}
 	w := remote.NewWorker(store, remote.NewStandardRegistry())
 	addr, err := w.Serve(*listen)

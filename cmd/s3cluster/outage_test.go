@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"syscall"
 	"testing"
@@ -9,10 +10,12 @@ import (
 )
 
 // helperWorker runs the real worker entry point against the crash-test
-// corpus, registering with the master named in the environment.
+// corpus, registering with the master named in the environment and
+// serving its profiler on the status address named there.
 func helperWorker() error {
 	*role = "worker"
 	*masterAddr = os.Getenv("S3CLUSTER_MASTER")
+	*statAddr = os.Getenv("S3CLUSTER_STATUS")
 	*workerID = os.Getenv("S3CLUSTER_ID")
 	*blocks = crashBlocks
 	*blockSize = crashBlockSize
@@ -24,6 +27,28 @@ func helperWorker() error {
 func spawnWorker(t *testing.T, name, ctrl, id string) *masterProc {
 	t.Helper()
 	return spawnHelper(t, name, "S3CLUSTER_HELPER=worker", "S3CLUSTER_MASTER="+ctrl, "S3CLUSTER_ID="+id)
+}
+
+// TestWorkerServesProfiler boots the worker entry point with -status:
+// its /debug/pprof/ is where a worker's CPU profile is read.
+func TestWorkerServesProfiler(t *testing.T) {
+	statusAddr := pickAddr(t)
+	spawnHelper(t, "worker", "S3CLUSTER_HELPER=worker", "S3CLUSTER_STATUS="+statusAddr)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get("http://" + statusAddr + "/debug/pprof/cmdline")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /debug/pprof/cmdline on a worker: %s", resp.Status)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker's status address never answered: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // TestFullOutageOnDeployedMaster is DESIGN.md §11's full-outage loop on

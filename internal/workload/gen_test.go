@@ -107,11 +107,16 @@ func firstDiff(got, want []byte) string {
 
 func TestTextGenMatchesReference(t *testing.T) {
 	sizes := []int64{0, 1, 63, 64, 4 << 10, 256 << 10}
-	for _, vocab := range []int{0, 1, 5_000, 70_000} { // 0: the built-in list
+	// 0: the built-in list; -1: words past eight bytes, which synthetic
+	// vocabularies of fewer than 24 million words do not have.
+	long := []string{"of", "the", "eightchr", "ninechars", "incomprehensibly", "counterrevolutionaries"}
+	for _, vocab := range []int{-1, 0, 1, 5_000, 70_000} {
 		for _, seed := range []int64{1, 2, -7, 1 << 40} {
 			g := NewTextGen(seed)
 			if vocab > 0 {
 				g = NewTextGenVocab(seed, vocab)
+			} else if vocab < 0 {
+				g = newTextGen(seed, long)
 			}
 			for _, idx := range []int{0, 3, 1000} {
 				for _, size := range sizes {

@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -43,8 +44,9 @@ var wordList = []string{
 type TextGen struct {
 	seed    int64
 	vocab   []string
+	packed  []uint64  // packed[i]: vocab[i]'s first eight bytes, little-endian, zero-padded
 	zipf    []float64 // cumulative Zipf weights over vocab
-	guide   []int32   // guide[b]: the first word whose zipf reaches b/len(guide)
+	guide   []int32   // guide[b]: the first word whose zipf reaches b/len(guide); ^word if every draw in b ends there
 	longest int       // the longest word's length
 }
 
@@ -77,19 +79,24 @@ func newTextGen(seed int64, vocab []string) *TextGen {
 	for i := range cum {
 		cum[i] /= total
 	}
-	// About eight buckets a word, a power of two so that b/k and u·k
-	// are exact: a draw's walk from its bucket is a step or two.
-	k := min(1<<bits.Len(uint(8*len(vocab)-1)), maxGuide)
-	g := &TextGen{seed: seed, vocab: vocab, zipf: cum, guide: make([]int32, k)}
+	// About 64 buckets a word, a power of two so that b/k and u·k are
+	// exact: most buckets hold no word's boundary, so most draws end at
+	// the bucket without a walk.
+	k := min(1<<bits.Len(uint(64*len(vocab)-1)), maxGuide)
+	g := &TextGen{seed: seed, vocab: vocab, packed: make([]uint64, len(vocab)), zipf: cum, guide: make([]int32, k)}
 	i := 0
 	for b := range g.guide {
 		for i < len(cum)-1 && cum[i] < float64(b)/float64(k) {
 			i++
 		}
 		g.guide[b] = int32(i)
+		if i == len(cum)-1 || cum[i] >= float64(b+1)/float64(k) {
+			g.guide[b] = ^int32(i) // the bucket's every u ends at i
+		}
 	}
-	for _, w := range vocab {
+	for i, w := range vocab {
 		g.longest = max(g.longest, len(w))
+		g.packed[i] = binary.LittleEndian.Uint64(append([]byte(w), make([]byte, 8)...))
 	}
 	return g
 }
@@ -128,9 +135,14 @@ func SyntheticVocabulary(size int) []string {
 
 // pick returns the first word whose cumulative weight reaches u ∈ [0, 1),
 // the word a binary search over zipf finds. Its bucket floor(u·k) starts
-// no later than that word, since guide[b] reaches b/k ≤ u.
+// no later than that word, since guide[b] reaches b/k ≤ u; a flagged
+// bucket is that word.
 func (g *TextGen) pick(u float64) int {
-	i, last := int(g.guide[int(u*float64(len(g.guide)))]), len(g.zipf)-1
+	gi := g.guide[int(u*float64(len(g.guide)))]
+	if gi < 0 {
+		return int(^gi)
+	}
+	i, last := int(gi), len(g.zipf)-1
 	for i < last && g.zipf[i] < u {
 		i++
 	}
@@ -150,21 +162,27 @@ func uniform(src rand.Source) float64 {
 // Block produces block blockIdx of the corpus, exactly size bytes of
 // space- and newline-separated words. Each block is generated from an
 // independent sub-seed so blocks can be produced in any order.
+// A word is one 8-byte store of its packed head (a longer word copies
+// the rest); its separator and the next word overwrite the padding.
 func (g *TextGen) Block(blockIdx int, size int64) []byte {
 	src := rand.NewSource(g.seed*1_000_003 + int64(blockIdx))
-	// The last word starts below size, so it ends within longest+1 past it.
-	buf := make([]byte, 0, size+int64(g.longest)+1)
-	col := 0
-	for int64(len(buf)) < size {
-		w := g.vocab[g.pick(uniform(src))]
-		buf = append(buf, w...)
-		col += len(w) + 1
-		if col >= 64 {
-			buf = append(buf, '\n')
-			col = 0
-		} else {
-			buf = append(buf, ' ')
+	// Room past size for the last word's store and separator.
+	buf := make([]byte, size+int64(max(g.longest, 8))+1)
+	pos, col := 0, 0
+	for int64(pos) < size {
+		i := g.pick(uniform(src))
+		binary.LittleEndian.PutUint64(buf[pos:], g.packed[i])
+		n := len(g.vocab[i])
+		if n > 8 {
+			copy(buf[pos+8:], g.vocab[i][8:])
 		}
+		pos += n
+		col += n + 1
+		buf[pos] = ' '
+		if col >= 64 {
+			buf[pos], col = '\n', 0
+		}
+		pos++
 	}
 	return buf[:size]
 }
