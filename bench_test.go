@@ -76,6 +76,10 @@ func BenchmarkFig3SimPaperScale(b *testing.B) {
 	b.ReportMetric(ratio, "n10/n1")
 }
 
+// fig4Schemes are the cells of every bench/fig4-<panel>-baseline.json:
+// the paper's five plus ablations X2 (s3-static) and X5 (s3-nocircular).
+var fig4Schemes = append(experiments.PaperSchemes(), "s3-static", "s3-nocircular")
+
 // benchPanel runs the committed bench/fig4-<panel>.jsonl through the
 // comparison matrix at the cells CI gates and reports each scheme's
 // S^3-normalized metrics.
@@ -85,7 +89,7 @@ func benchPanel(b *testing.B, panel string) {
 	var rep *benchfmt.Report
 	var err error
 	for i := 0; i < b.N; i++ {
-		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: experiments.Fig4Schemes()})
+		rep, err = experiments.RunCompare(wf, experiments.CompareOptions{Schedulers: fig4Schemes})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // X3 partial-output aggregation (§V-G).
 // X2 (dynamic sub-job adjustment, §IV-D2) and X5 (the circular scan,
 // §IV-B) vary only the scheme, so they are the s3-static and
-// s3-nocircular cells of bench/fig4-*.jsonl (Fig4Schemes). X4 (segment
+// s3-nocircular cells of bench/fig4-*-baseline.json. X4 (segment
 // size = concurrent map slots, §IV-B) varies only the file's
 // segmentBlocks: it is cmd/s3compare/testdata/seg-{20,80}.jsonl beside
 // fig4-a's 40.

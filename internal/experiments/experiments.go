@@ -70,11 +70,6 @@ func PaperSchemes() []string {
 	return []string{"s3", "fifo", "mrs1=mrshare", "mrs2=mrshare:6:4", "mrs3=mrshare:3:3:4"}
 }
 
-// Fig4Schemes are the cells of every bench/fig4-<panel>-baseline.json:
-// the paper's five plus ablations X2 (S^3 without dynamic sub-job
-// adjustment, §IV-D2) and X5 (without the circular scan, §IV-B).
-func Fig4Schemes() []string { return append(PaperSchemes(), "s3-static", "s3-nocircular") }
-
 // Fig4Panels names Figure 4's panels, (a) to (f).
 func Fig4Panels() []string { return []string{"a", "b", "c", "d", "e", "f"} }
 

@@ -24,10 +24,15 @@ var fig4Titles = map[string]string{
 	"f": "selection workload (TPC-H lineitem, 400 GB, 10 % selectivity), 64 MB blocks",
 }
 
+// fig4Schemes are the cells of every bench/fig4-<panel>-baseline.json:
+// the paper's five (PaperSchemes) plus ablations X2 (S^3 without dynamic
+// sub-job adjustment, §IV-D2) and X5 (without the circular scan, §IV-B).
+var fig4Schemes = []string{"s3", "fifo", "mrs1=mrshare", "mrs2=mrshare:6:4", "mrs3=mrshare:3:3:4", "s3-static", "s3-nocircular"}
+
 // fig4Options is the sub-matrix CI gates the fig4 files at: every
 // scheme of Figure 4 plus ablations X2 and X5, sim cells.
 func fig4Options() CompareOptions {
-	return CompareOptions{Schedulers: Fig4Schemes()}
+	return CompareOptions{Schedulers: fig4Schemes}
 }
 
 // fig4Reports runs the six committed Figure 4 files, keyed by panel.
@@ -61,7 +66,7 @@ func TestFig4FilesMatchGenerator(t *testing.T) {
 			buf.WriteString("# `go test ./internal/experiments -run TestFig4FilesMatchGenerator -update`\n")
 			buf.WriteString("# rewrites it and its baseline. Metadata-only content at paper scale\n")
 			buf.WriteString("# (40 nodes, one block per map slot): sim cells only. CI gates it with\n")
-			fmt.Fprintf(&buf, "#   s3compare -workload bench/fig4-%s.jsonl -schedulers %s\n", panel, strings.Join(Fig4Schemes(), ","))
+			fmt.Fprintf(&buf, "#   s3compare -workload bench/fig4-%s.jsonl -schedulers %s\n", panel, strings.Join(fig4Schemes, ","))
 			if err := wf.Serialize(&buf); err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +135,8 @@ func TestPaperClaimsNeverHoldVacuously(t *testing.T) {
 // rounds FIFO does for the same jobs.
 func TestPanelBasics(t *testing.T) {
 	rep := fig4Reports(t)["a"]
-	if len(rep.Cells) != len(Fig4Schemes()) {
-		t.Fatalf("fig4-a has %d cells, want %d", len(rep.Cells), len(Fig4Schemes()))
+	if len(rep.Cells) != len(fig4Schemes) {
+		t.Fatalf("fig4-a has %d cells, want %d", len(rep.Cells), len(fig4Schemes))
 	}
 	for _, c := range rep.Cells {
 		if c.TET <= 0 || c.ART <= 0 || c.Rounds <= 0 || len(c.Jobs) != NumJobs {

@@ -160,8 +160,7 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 // static topology. Workers joined this way never heartbeat and never
 // leave the membership table; per-task failover still skips the ones
 // whose connections break. Its one non-test caller is
-// bench/perf/replica.go, until the benchmark scrapes the deployed
-// processes instead (ROADMAP item 4).
+// bench/perf/replica.go, until the replica goes (ROADMAP item 26).
 func Dial(addrs []string, jobs map[scheduler.JobID]JobRef) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("remote: master needs at least one worker")

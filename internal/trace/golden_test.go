@@ -37,7 +37,6 @@ func goldenLog() *Log {
 	r1 := l.StartSpan(10, "round", SpanOpts{Cat: "driver", Parent: run, Job: -1, Segment: 1,
 		Args: []Arg{{"seq", "1"}, {"batch", "1"}}})
 	l.Addf(10, RoundLaunched, -1, 1, "s3 merged sub-job of 1 job(s)")
-	l.Addf(14, AttemptFailed, -1, 1, "node 3 read fault")
 	l.Addf(14, SubJobRequeued, 1, 1, "round lost")
 	l.Addf(30, RoundFinished, -1, 1, "")
 	l.EndSpan(r1, 30, Arg{"requeued", "true"})

@@ -35,8 +35,6 @@ const (
 	// BatchAdjusted records dynamic sub-job adjustment rewriting a
 	// waiting batch.
 	BatchAdjusted
-	// AttemptFailed records one failed block-read attempt.
-	AttemptFailed
 	// SubJobRequeued records a sub-job returned to the queue after its
 	// round was lost; the segment cursor does not advance past it.
 	SubJobRequeued
@@ -47,12 +45,6 @@ const (
 	// TaskServed records a worker completing a dispatched RPC task;
 	// Detail carries the same corr=<id> the master logged.
 	TaskServed
-	// CacheHit records a block read served from the node-local block
-	// cache instead of disk.
-	CacheHit
-	// CacheEvict records the block cache discarding a block to fit its
-	// byte budget.
-	CacheEvict
 	// WorkerRegistered records a worker joining the cluster through the
 	// control plane (or being installed by a static dial); Detail
 	// carries the worker id and its task address.
@@ -71,9 +63,6 @@ const (
 	// per-task deadline watchdog; the task fails over to the next live
 	// worker exactly like a transport error.
 	TaskDeadlineExceeded
-	// CachePrefetch records a speculatively read-ahead block landing in
-	// the node-local block cache before any job demanded it.
-	CachePrefetch
 )
 
 var kindNames = map[Kind]string{
@@ -86,19 +75,15 @@ var kindNames = map[Kind]string{
 	NodeExcluded:     "node-excluded",
 	NodeRestored:     "node-restored",
 	BatchAdjusted:    "batch-adjusted",
-	AttemptFailed:    "attempt-failed",
 	SubJobRequeued:   "subjob-requeued",
 	TaskDispatched:   "task-dispatched",
 	TaskServed:       "task-served",
-	CacheHit:         "cache-hit",
-	CacheEvict:       "cache-evict",
 	WorkerRegistered: "worker-registered",
 	WorkerLost:       "worker-lost",
 	WorkerRejoined:   "worker-rejoined",
 
 	JournalRecovered:     "journal-recovered",
 	TaskDeadlineExceeded: "task-deadline-exceeded",
-	CachePrefetch:        "cache-prefetch",
 }
 
 // String returns the stable lowercase name of the kind.

@@ -66,7 +66,8 @@ func (PatternCountMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapred
 // starts for with bytes.IndexByte. IndexByte skips a rare letter's block
 // in a fraction of one walk over every word start, but it stops at each
 // mid-word occurrence of its byte too: at two bytes it is still cheaper,
-// at three the one walk wins most letter sets (DESIGN.md has the numbers).
+// at three the one walk wins most letter sets (BenchmarkMapBlockWordcountMix
+// measures the cut-over).
 const indexByteFirsts = 2
 
 // wordPass is one pass of word counts over a block: what its jobs want,
