@@ -287,29 +287,39 @@ func BenchmarkMapBlockWordcount(b *testing.B) {
 	benchMapBlock(b, workload.NewTextGen(1).Block(0, 256<<10), workload.PatternCountMapper{Prefix: "t"}, workload.SumReducer{})
 }
 
-// BenchmarkMapBlockWordcountMix is the map work a wc-shared worker runs
-// for one round: one merged task per block of eight 256 KB text blocks,
-// for k word counts of distinct DistinctPrefixes, as in the benchmark's
-// cluster (a NumReduce of 2, the summing combiner). One and two first
-// bytes take the IndexByte walks, three and more the 8-byte walk.
+// BenchmarkMapBlockWordcountMix is the map work a wc-shared or scan-cold
+// worker runs for one round: one merged task per block of eight 256 KB
+// text blocks, for k word counts of distinct DistinctPrefixes, as in the
+// benchmark's cluster (a NumReduce of 2, the summing combiner). k=1 and
+// k=2, scan-cold's passes, map the blocks once for each letter of all 16
+// and once for each pair of them; k of 3 and more once for the first k.
+// One and two first bytes take the IndexByte walks, three and more the
+// word-at-a-time walk.
 func BenchmarkMapBlockWordcountMix(b *testing.B) {
 	gen := workload.NewTextGen(1)
 	blocks := make([][]byte, 8)
 	for i := range blocks {
 		blocks[i] = gen.Block(i, 256<<10)
 	}
+	letters := workload.DistinctPrefixes(16)
 	for _, k := range []int{1, 2, 3, 7, 16} {
-		jobs := make([]mapreduce.MapJob, k)
-		for j, prefix := range workload.DistinctPrefixes(k) {
-			jobs[j] = mapreduce.MapJob{Mapper: workload.PatternCountMapper{Prefix: prefix}, Combiner: workload.SumReducer{}, Width: 2}
+		var tasks [][]mapreduce.MapJob
+		for first := 0; first < len(letters) && (first == 0 || k <= 2); first += k {
+			jobs := make([]mapreduce.MapJob, k)
+			for j, prefix := range letters[first : first+k] {
+				jobs[j] = mapreduce.MapJob{Mapper: workload.PatternCountMapper{Prefix: prefix}, Combiner: workload.SumReducer{}, Width: 2}
+			}
+			tasks = append(tasks, jobs)
 		}
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(len(blocks) * 256 << 10))
+			b.SetBytes(int64(len(tasks) * len(blocks) * 256 << 10))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, data := range blocks {
-					if _, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs); errors.Join(errs...) != nil {
-						b.Fatal(errors.Join(errs...))
+				for _, jobs := range tasks {
+					for _, data := range blocks {
+						if _, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs); errors.Join(errs...) != nil {
+							b.Fatal(errors.Join(errs...))
+						}
 					}
 				}
 			}

@@ -2,10 +2,12 @@ package remote
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"net"
 	"net/rpc"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +83,11 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 // clears it. Call before Serve.
 func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 
+// readLayer and mapLayer label a map task's block reads and passes in the
+// worker's CPU profile (go tool pprof -tags): the read and map layers'
+// shares, whichever goroutine ran them.
+var readLayer, mapLayer = pprof.Labels("layer", "read"), pprof.Labels("layer", "map")
+
 // ExecMap implements the MapTask RPC: scan each block once, map it in one
 // pass for each group of mapreduce.MapGroups — jobs whose mappers share
 // one are served by one parse — combine and partition each job's output,
@@ -142,7 +149,9 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 		for k := int(next.Add(1)) - 1; k < passes; k = int(next.Add(1)) - 1 {
 			b, group := k%nb, groups[k/nb]
 			rd, id := &reads[b], dfs.BlockID{File: args.File, Index: args.Blocks[b]}
-			rd.once.Do(func() { rd.data, rd.err = w.store.ReadBlockAt(id, localNode) })
+			rd.once.Do(func() {
+				pprof.Do(context.TODO(), readLayer, func(context.Context) { rd.data, rd.err = w.store.ReadBlockAt(id, localNode) })
+			})
 			pass := make([]mapreduce.MapJob, len(group))
 			for i, j := range group {
 				pass[i], errs[b*nj+j] = units[b*nj+j], rd.err
@@ -150,14 +159,16 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 			if rd.err != nil {
 				continue
 			}
-			passed := time.Now()
-			got, failed := mapreduce.MapBlockForJobs(id, rd.data, pass)
-			passNs.Add(int64(time.Since(passed)))
-			for i, j := range group {
-				if parts[b*nj+j], errs[b*nj+j] = got[i], failed[i]; failed[i] != nil {
-					errs[b*nj+j] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[j].Name, id.Index, failed[i])
+			pprof.Do(context.TODO(), mapLayer, func(context.Context) {
+				passed := time.Now()
+				got, failed := mapreduce.MapBlockForJobs(id, rd.data, pass)
+				passNs.Add(int64(time.Since(passed)))
+				for i, j := range group {
+					if parts[b*nj+j], errs[b*nj+j] = got[i], failed[i]; failed[i] != nil {
+						errs[b*nj+j] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[j].Name, id.Index, failed[i])
+					}
 				}
-			}
+			})
 		}
 	}
 	var wg sync.WaitGroup

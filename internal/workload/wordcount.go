@@ -64,10 +64,10 @@ func (PatternCountMapper) MapShared(_ dfs.BlockID, data []byte, mappers []mapred
 
 // indexByteFirsts is the most distinct first bytes a pass finds word
 // starts for with bytes.IndexByte. IndexByte skips a rare letter's block
-// in a fraction of one walk over every word start, but it stops at each
-// mid-word occurrence of its byte too: at two bytes it is still cheaper,
-// at three the one walk wins most letter sets (BenchmarkMapBlockWordcountMix
-// measures the cut-over).
+// in a fraction of one walk over every word, but it stops at each mid-word
+// occurrence of its byte too: at two bytes it is still cheaper, at three
+// the word-at-a-time walk wins most letter sets
+// (BenchmarkMapBlockWordcountMix measures the cut-over).
 const indexByteFirsts = 2
 
 // wordPass is one pass of word counts over a block: what its jobs want,
@@ -80,24 +80,26 @@ type wordPass struct {
 	firsts []byte // the bytes c with want[c] > 0, ascending
 	words  []wordCount
 	table  []wordSlot // a power of two long, at most half full
+	shift  uint       // 64 − log2(len(table)): a head's hash keeps its top bits
 }
 
 // wordSlot is a slot of the open-addressing word table: a word's first
-// eight bytes or fewer packed little-endian, its length (0: a free slot)
-// and its position in words. "a\x00" and "a" pack to the same head.
+// eight bytes or fewer packed little-endian, its length (0: a free slot),
+// its position in words and its count so far. "a\x00" and "a" pack to the
+// same head.
 type wordSlot struct {
-	head    uint64
-	len, at uint32
+	head       uint64
+	len, at, n uint32
 }
 
 type wordCount struct {
 	kv    mapreduce.KV
-	n     int
+	n     int // its slot's count, once count is done
 	first int // where in the block the word first occurs
 }
 
 func newWordPass(mappers []mapreduce.Mapper) *wordPass {
-	p := &wordPass{jobs: make([]PatternCountMapper, len(mappers)), table: make([]wordSlot, 256)}
+	p := &wordPass{jobs: make([]PatternCountMapper, len(mappers)), table: make([]wordSlot, 256), shift: 64 - 8}
 	for j, m := range mappers {
 		p.jobs[j] = m.(PatternCountMapper)
 		switch prefix := p.jobs[j].Prefix; {
@@ -121,50 +123,66 @@ func newWordPass(mappers []mapreduce.Mapper) *wordPass {
 }
 
 // count counts the words of data some job matches, in order of first
-// occurrence. byFirst finds the candidate word starts with one
-// bytes.IndexByte walk per wanted first byte; otherwise one walk reads
-// data eight bytes at a time and visits every word start. Both count the
-// same table.
+// occurrence. One walk goes from word to word; byFirst makes it one
+// bytes.IndexByte walk per wanted first byte instead, from each word that
+// begins with it to the next. At a word's start one eight-byte load gives
+// its first byte, its length up to eight and its packed head: a shorter
+// word that every job with its first byte matches is looked up right
+// there by its head alone (slot), the others through find.
 func (p *wordPass) count(data []byte, byFirst bool) {
+	walks := 1
 	if byFirst {
-		for _, c := range p.firsts {
-			for i := 0; i < len(data); {
-				j := bytes.IndexByte(data[i:], c)
+		walks = len(p.firsts)
+	}
+	for w := 0; w < walks; w++ {
+		for at := 0; at < len(data); {
+			if byFirst {
+				j := bytes.IndexByte(data[at:], p.firsts[w])
 				if j < 0 {
 					break
 				}
-				if i += j; i > 0 && !isSpace(data[i-1]) { // mid-word
-					i++
+				if at += j; at > 0 && !isSpace(data[at-1]) { // mid-word
+					at++
 					continue
 				}
-				end := wordEnd(data, i+1)
-				p.add(data, i, end)
-				i = end
 			}
-		}
-		slices.SortFunc(p.words, func(a, b wordCount) int { return a.first - b.first }) // the walks met the words byte by byte
-		return
-	}
-	// 0x80 marks each separator byte of x; a word starts at each other
-	// byte whose predecessor is one. The block's start counts as a
-	// separator.
-	carry := uint64(0x80)
-	for at := 0; at < len(data); at += 8 {
-		x := load8(data, at)
-		sep := zeroBytes(x^' '*lanes) | zeroBytes(x^'\n'*lanes) | zeroBytes(x^'\t'*lanes) | zeroBytes(x^'\r'*lanes)
-		starts := (sep<<8 | carry) &^ sep
-		carry = sep >> 56
-		for ; starts != 0; starts &= starts - 1 {
-			k := bits.TrailingZeros64(starts) >> 3
-			if p.want[data[at+k]] == 0 {
+			x := load8(data, at)
+			n := firstSeparator(x)
+			if n == 0 { // a separator
+				at++
 				continue
 			}
-			end := at + k + 1 + bits.TrailingZeros64(sep>>(8*k+8))>>3 // the next separator of x, or past x
-			if end > at+8 {
-				end = wordEnd(data, at+8)
+			end := at + n // all of the word if n < 8
+			if n == 8 {
+				end = wordEnd(data, end)
 			}
-			p.add(data, at+k, end)
+			var slot *wordSlot
+			var head uint64
+			switch want := p.want[byte(x)]; {
+			case want == 2 && n < 8:
+				head = x & (1<<(8*n) - 1)
+				slot = p.slot(head, uint32(n))
+			case want == 2 || want == 1 && p.matched(data[at:end]):
+				slot, head = p.find(data, at, end)
+			default:
+				at = end + 1
+				continue
+			}
+			if slot.len != 0 {
+				slot.n++
+			} else {
+				p.insert(slot, data, at, end, head)
+			}
+			at = end + 1 // past the separator that ends the word
 		}
+	}
+	for _, s := range p.table { // each word's count, from its slot
+		if s.len != 0 {
+			p.words[s.at].n = int(s.n)
+		}
+	}
+	if byFirst {
+		slices.SortFunc(p.words, func(a, b wordCount) int { return a.first - b.first }) // the walks met the words first byte by first byte
 	}
 }
 
@@ -182,6 +200,18 @@ func load8(data []byte, at int) uint64 {
 // lanes has a one in each byte of a word.
 const lanes = 0x0101010101010101
 
+// firstSeparator is the position of the first separator byte in x, 8 if
+// it holds none.
+func firstSeparator(x uint64) int {
+	// Every separator is below '!', and the first byte of x below it is
+	// marked exactly; from a control byte there, look on byte by byte.
+	n := bits.TrailingZeros64((x-'!'*lanes)&^x&(0x80*lanes)) >> 3
+	for n < 8 && !isSpace(byte(x>>(8*n&63))) {
+		n++
+	}
+	return n
+}
+
 // zeroBytes marks with 0x80 each zero byte of x and nothing else: no carry
 // crosses from one byte into the next.
 func zeroBytes(x uint64) uint64 {
@@ -190,52 +220,64 @@ func zeroBytes(x uint64) uint64 {
 }
 
 // wordEnd is the position of the first separator in data at or after
-// from, or len(data).
+// from, or len(data), found eight bytes at a time.
 func wordEnd(data []byte, from int) int {
-	for from < len(data) && !isSpace(data[from]) {
-		from++
+	for {
+		if n := firstSeparator(load8(data, from)); n < 8 { // past data, load8's padding is one
+			return from + n
+		}
+		from += 8
 	}
-	return from
 }
 
-// add counts the word data[i:end] if some job matches it. The table
-// doubles when a new word makes it more than half full.
-func (p *wordPass) add(data []byte, i, end int) {
-	if p.want[data[i]] == 1 && !p.matched(data[i:end]) {
-		return
-	}
-	if slot, head := p.find(data, i, end); slot.len != 0 {
-		p.words[slot.at].n++
-	} else {
-		*slot = wordSlot{head, uint32(end - i), uint32(len(p.words))}
-		p.words = append(p.words, wordCount{mapreduce.KV{Key: string(data[i:end]), Value: "1"}, 1, i})
-		if 2*len(p.words) > len(p.table) {
-			p.table = make([]wordSlot, 2*len(p.table))
-			for k, w := range p.words {
-				slot, head := p.find(data, w.first, w.first+len(w.kv.Key))
-				*slot = wordSlot{head, uint32(len(w.kv.Key)), uint32(k)}
+// insert puts the word data[i:end], of head head, into the free slot
+// find or slot returned for it, counted once. The table doubles when the
+// word makes it more than half full.
+func (p *wordPass) insert(slot *wordSlot, data []byte, i, end int, head uint64) {
+	*slot = wordSlot{head, uint32(end - i), uint32(len(p.words)), 1}
+	p.words = append(p.words, wordCount{mapreduce.KV{Key: string(data[i:end]), Value: "1"}, 0, i})
+	if 2*len(p.words) > len(p.table) {
+		old := p.table
+		p.table, p.shift = make([]wordSlot, 2*len(p.table)), p.shift-1
+		for _, s := range old {
+			if s.len != 0 {
+				first := p.words[s.at].first
+				slot, _ := p.find(data, first, first+int(s.len))
+				*slot = s
 			}
 		}
 	}
 }
 
 // find returns the slot for the word data[i:end], holding it or free for
-// it, and the word's head. Up to eight bytes a word hashes by its head
-// alone ("a" and "a\x00" share a start slot); a longer one mixes in its
-// length and last eight bytes, and compares the bytes past its head too.
+// it, and the word's head. Up to eight bytes a word is looked up by slot;
+// a longer one hashes its head, length and last eight bytes, and compares
+// the bytes past its head too.
 func (p *wordPass) find(data []byte, i, end int) (*wordSlot, uint64) {
-	head, n, tail := load8(data, i), end-i, uint64(0)
-	if n < 8 {
-		head &= 1<<(8*n) - 1
-	} else if n > 8 {
-		tail = binary.LittleEndian.Uint64(data[end-8:]) ^ uint64(n)
+	head, n := load8(data, i), end-i
+	if n <= 8 {
+		head &= 1<<(8*n) - 1 // all of it at eight bytes: 1<<64 is 0
+		return p.slot(head, uint32(n)), head
 	}
+	tail := binary.LittleEndian.Uint64(data[end-8:]) ^ uint64(n)
 	hi, lo := bits.Mul64(head^0x9e3779b97f4a7c15, tail^0xbf58476d1ce4e5b9)
 	mask := uint64(len(p.table) - 1)
 	for s := (hi ^ lo) & mask; ; s = (s + 1) & mask {
 		slot := &p.table[s]
-		if slot.len == 0 || slot.head == head && int(slot.len) == n && (n <= 8 || p.words[slot.at].kv.Key[8:] == string(data[i+8:end])) {
+		if slot.len == 0 || slot.head == head && int(slot.len) == n && p.words[slot.at].kv.Key[8:] == string(data[i+8:end]) {
 			return slot, head
+		}
+	}
+}
+
+// slot returns the slot of the word of eight bytes or fewer packed in
+// head, n bytes long, holding it or free for it. Its hash is the head
+// alone ("a" and "a\x00" share a start slot): one multiply, the top bits.
+func (p *wordPass) slot(head uint64, n uint32) *wordSlot {
+	mask := uint64(len(p.table) - 1)
+	for s := head * 0x9e3779b97f4a7c15 >> p.shift; ; s = (s + 1) & mask {
+		if slot := &p.table[s]; slot.len == 0 || slot.head == head && slot.len == n {
+			return slot
 		}
 	}
 }

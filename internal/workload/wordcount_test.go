@@ -87,13 +87,18 @@ func checkSharedPass(t *testing.T, data []byte, mappers []mapreduce.Mapper) (slo
 	return slots
 }
 
-// wordTableEdges are blocks at the edges of the pass's word table: words
-// holding NULs beside their prefix (one packed head, several lengths),
-// words past eight bytes that share their first eight, words ending with
-// fewer than eight bytes of block left, and more distinct words than the
-// table's first 256 slots hold half full, so it grows twice, and each of
-// them again after that — short ones, and long ones of one head and one
-// length, whose probes cross each other.
+// wordTableEdges are blocks at the edges of the pass's word table and of
+// its word-at-a-time walk: words holding NULs beside their prefix (one
+// packed head, several lengths), words past eight bytes that share their
+// first eight, words ending with fewer than eight bytes of block left,
+// runs of separators and separators before the first word, words of
+// exactly eight and nine bytes at the block's end and before a separator
+// (an eight-byte word's load holds no separator), bytes >= 0x80 and
+// control bytes beside separators, '!' (the byte above the separators)
+// after one, and more distinct words than the table's first 256 slots
+// hold half full, so it grows twice, and each of them again after that —
+// short ones, and long ones of one head and one length, whose probes
+// cross each other.
 func wordTableEdges() [][]byte {
 	var short, long []byte
 	for i := 0; i < 600; i++ { // each word twice, the second time in the grown table
@@ -105,6 +110,11 @@ func wordTableEdges() [][]byte {
 		[]byte("thunderstorm thunderstruck thunderstorms\tthunderstorm thunderstruck"),
 		[]byte("the then\nthat th"),
 		[]byte("a thunderstruck"),
+		[]byte("\r\n  \tthe\r\nthat  \tthe\r\n\r\n"),
+		[]byte("thunders thunderst thunders\tthunderst\nthunders"),
+		[]byte("thunders thunderst"),
+		[]byte("t\x85 \xc2\x85\n\xfft\t\xff \x85\r\xc2"),
+		[]byte("t\x01 t\x1f\x0b\r\x00t \x0c !t\t!"),
 		short,
 		long,
 	}
@@ -124,7 +134,7 @@ func TestSharedWordCountMatchesAlone(t *testing.T) {
 		checkSharedPass(t, data, randomCounts(rng))
 	}
 	for _, data := range wordTableEdges() {
-		for _, prefixes := range [][]string{{""}, {"t", "a"}, {"th", "thunderstr", "a\x00"}} {
+		for _, prefixes := range [][]string{{""}, {"t", "a"}, {"th", "thunderstr", "a\x00"}, {"t", "thunders", "\xc2", "\x85"}} {
 			var mappers []mapreduce.Mapper
 			for _, prefix := range prefixes {
 				mappers = append(mappers, workload.PatternCountMapper{Prefix: prefix})
