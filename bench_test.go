@@ -234,37 +234,6 @@ func reportAblation(b *testing.B, res experiments.AblationResult) {
 
 // --- Beyond-paper studies ---
 
-// BenchmarkJitterStudy — S^3's advantage under ±15% arrival
-// perturbation.
-func BenchmarkJitterStudy(b *testing.B) {
-	var res []experiments.JitterSummary
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.JitterStudy(experiments.DefaultParams(), 10, 0.15, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range res {
-		b.ReportMetric(s.MeanART, s.Scheme+"-meanART/s3")
-	}
-}
-
-// BenchmarkPoissonSweep — queueing behaviour under Poisson arrivals.
-func BenchmarkPoissonSweep(b *testing.B) {
-	var points []experiments.PoissonPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		points, err = experiments.PoissonStudy(experiments.DefaultParams(), []float64{0.5, 1.0, 1.5}, 12, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range points {
-		b.ReportMetric(p.ARTRatio, fmt.Sprintf("rho%.1f-ARTratio", p.Rho))
-	}
-}
-
 // BenchmarkEstimatorStudy — §IV-D1 completion-prediction accuracy.
 func BenchmarkEstimatorStudy(b *testing.B) {
 	var res experiments.EstimatorResult

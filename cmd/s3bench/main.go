@@ -2,10 +2,11 @@
 // a comparison of schedulers over one workload file, and prints rows in
 // the paper's presentation: Table I workload profile, Figure 3
 // combined-job cost, the DESIGN.md ablations X1 and X3 and the
-// beyond-paper studies. Figure 4's six panels, §III's examples and
-// ablation X4, like every other scheduler comparison, are workload
-// files run by s3compare (bench/fig4-a.jsonl … fig4-f.jsonl,
-// cmd/s3compare/testdata/{examples,seg}-*.jsonl).
+// completion-time estimator study. Figure 4's six panels, §III's
+// examples, ablation X4 and the arrival-jitter and Poisson-load studies,
+// like every other scheduler comparison, are workload files run by
+// s3compare (bench/fig4-a.jsonl … fig4-f.jsonl,
+// cmd/s3compare/testdata/{examples,seg}-*.jsonl, jitter/, poisson/).
 //
 // Usage:
 //
@@ -60,7 +61,7 @@ func main() {
 	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
 		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
 	}
-	exp := flag.String("exp", "all", "experiment: table1|fig3|ablations|jitter|poisson|estimator|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig3|ablations|estimator|all")
 	traceJSON := flag.String("tracejson", "", "write a Chrome trace (chrome://tracing) of a fixed demo workload to this file and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -100,7 +101,7 @@ var experimentList = []struct {
 	run  func() error
 }{
 	{"table1", runTable1}, {"fig3", runFig3}, {"ablations", runAblations},
-	{"jitter", runJitter}, {"poisson", runPoisson}, {"estimator", runEstimator},
+	{"estimator", runEstimator},
 }
 
 func runTable1() error {
@@ -145,39 +146,6 @@ func runFig3() error {
 		fmt.Printf("%4d %12s %12s %12s %9.2fx\n", p.Jobs, p.Total, p.MapTime, p.Reduce, p.VsSingle)
 	}
 	fmt.Println("(paper: 1.255x at n=10)")
-	fmt.Println()
-	return nil
-}
-
-func runJitter() error {
-	fmt.Println("== Robustness: fig4a under ±15% arrival jitter (40 seeded trials) ==")
-	res, err := experiments.JitterStudy(experiments.DefaultParams(), 40, 0.15, 42)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %22s %22s %14s\n", "scheme", "TET/S3 mean [min,max]", "ART/S3 mean [min,max]", "S3 wins (T/A)")
-	for _, s := range res {
-		fmt.Printf("%-8s %8.2f [%.2f,%.2f]    %8.2f [%.2f,%.2f]    %d/%d of %d\n",
-			s.Scheme, s.MeanTET, s.MinTET, s.MaxTET, s.MeanART, s.MinART, s.MaxART,
-			s.S3WinsTET, s.S3WinsART, s.Trials)
-	}
-	fmt.Println("(S3's advantage survives arrival perturbation — not a calibration knife-edge)")
-	fmt.Println()
-	return nil
-}
-
-func runPoisson() error {
-	fmt.Println("== Queueing view: Poisson arrivals, load sweep (20 jobs per point) ==")
-	points, err := experiments.PoissonStudy(experiments.DefaultParams(),
-		[]float64{0.2, 0.5, 0.8, 1.0, 1.3, 1.8}, 20, 7)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%6s %12s %12s %12s %10s\n", "rho", "meanGap", "S3 ART", "FIFO ART", "ART ratio")
-	for _, pt := range points {
-		fmt.Printf("%6.1f %12s %12s %12s %9.2fx\n", pt.Rho, pt.MeanGap, pt.S3ART, pt.FIFOART, pt.ARTRatio)
-	}
-	fmt.Println("(FIFO queues blow up past rho=1; S3 absorbs load into bigger shared batches)")
 	fmt.Println()
 	return nil
 }

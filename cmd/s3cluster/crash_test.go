@@ -814,6 +814,44 @@ func TestSigtermCountsOnlyDoneJobs(t *testing.T) {
 	}
 }
 
+// TestSigtermStopsWorkerlessMaster: SIGTERM stops a master at the next
+// round boundary whether or not it journals, and a lost round is one.
+// Both worker processes are SIGKILLed with jobs in flight, so the
+// boundary comes when RejoinGrace (10 s) runs out; the master, which
+// has no journal to checkpoint into, then exits 0.
+func TestSigtermStopsWorkerlessMaster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process outage test")
+	}
+	t.Parallel()
+	ctrl, statusAddr := pickAddr(t), pickAddr(t)
+	base := "http://" + statusAddr
+	master := spawnMaster(t, "master", ctrl, statusAddr, "", "")
+	workers := []*masterProc{spawnWorker(t, "worker-a", ctrl, "worker-a"), spawnWorker(t, "worker-b", ctrl, "worker-b")}
+	waitStatus(t, base, 30*time.Second, "master up", func(statusSnapshot) bool { return true })
+	submitCrashJobs(t, base, 2)
+	waitStatus(t, base, 30*time.Second, "rounds to accumulate", func(st statusSnapshot) bool { return st.Rounds >= 2 })
+	for _, w := range workers {
+		if err := w.cmd.Process.Kill(); err != nil {
+			t.Fatalf("SIGKILL worker: %v", err)
+		}
+		_ = w.cmd.Wait()
+	}
+	if err := master.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM master: %v", err)
+	}
+	if err := master.wait(t, 20*time.Second); err != nil {
+		t.Fatalf("master exited uncleanly after SIGTERM: %v", err)
+	}
+	logOut, err := os.ReadFile(master.log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(logOut, []byte("checkpoint written")) {
+		t.Errorf("a master without a journal wrote a checkpoint; log:\n%s", logOut)
+	}
+}
+
 // recoveredOutputs is the durability contract of a done job's output: two
 // selections finish under a journaling master, which is SIGKILLed; a
 // second incarnation on the same journal — receipts restored, the stash

@@ -23,7 +23,10 @@
 //
 // Live jobs join the scheduler's current circular pass at the next
 // round boundary, sharing scans with whatever is already running.
-// Interrupt (SIGINT) closes admission and drains in-flight jobs. Every
+// Interrupt (SIGINT) closes admission and drains in-flight jobs. SIGTERM
+// stops at the next round boundary, a lost round included, with jobs
+// still pending; a master with -journal checkpoints its scheduler there,
+// and a restart on the same journal resumes the pass. Every
 // time the master reports — job stamps, metrics, spans, journal records —
 // is wall seconds since its journal's first master booted.
 //
@@ -71,7 +74,7 @@ var (
 	statAddr     = flag.String("status", "", "master/demo: serve a live status dashboard, Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8080); worker: serve /debug/pprof there")
 	traceJSON    = flag.String("tracejson", "", "master/demo: write the run's span tree as Chrome trace-event JSON to this file")
 	cacheMB      = flag.Int64("cachemb", 0, "worker/demo: per-worker block-cache budget in MB (0 = caching off)")
-	serve        = flag.Bool("serve", false, "master/demo: stay up as a daemon accepting live job submissions via POST /jobs on the status address; SIGINT drains and exits")
+	serve        = flag.Bool("serve", false, "master/demo: stay up as a daemon accepting live job submissions via POST /jobs on the status address; SIGINT drains and exits, SIGTERM stops at the next round boundary (checkpointing with -journal)")
 	journalPath  = flag.String("journal", "", "master/demo: write-ahead journal path; admissions and round commits are logged so a restart on the same path recovers in-flight jobs")
 	fsyncMode    = flag.String("fsync", "always", "master/demo: journal fsync policy: always (survives machine crashes) or never (survives process crashes only, faster)")
 	taskDeadline = flag.Duration("taskdeadline", 0, "master/demo: per-call worker task deadline; an expired call counts as a transport failure and fails over (0 = no deadline)")
@@ -511,29 +514,24 @@ func drive(master *remote.Master) error {
 		// drains what is queued and returns.
 		src.Close()
 	}
+	// SIGTERM stops the engine at the next round boundary, a lost round
+	// included, so a master whose workers are gone still exits within
+	// one RejoinGrace. A journaled master then checkpoints the scheduler
+	// and a later boot on the same journal resumes the pass. SIGINT
+	// closes admission and drains.
+	stop := make(chan struct{})
+	opts.Stop = stop
+	term := make(chan os.Signal, 1)
+	signal.Notify(term, syscall.SIGTERM)
+	go func() {
+		<-term
+		signal.Stop(term)
+		fmt.Println("sigterm: stopping at the next round boundary")
+		close(stop)
+		src.Close()
+	}()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	if jnl != nil {
-		// With a journal, SIGTERM means "checkpoint and yield": the
-		// engine stops at the next round boundary, the scheduler
-		// snapshot lands in a checkpoint record, and a later boot on
-		// the same journal resumes the pass. SIGINT still drains.
-		stop := make(chan struct{})
-		opts.Stop = stop
-		term := make(chan os.Signal, 1)
-		signal.Notify(term, syscall.SIGTERM)
-		go func() {
-			<-term
-			signal.Stop(term)
-			fmt.Println("sigterm: checkpointing at the next round boundary")
-			close(stop)
-			src.Close()
-		}()
-	} else {
-		// Without a journal a checkpoint would be lost anyway, so
-		// SIGTERM degrades to the SIGINT drain.
-		signal.Notify(sig, syscall.SIGTERM)
-	}
 	go func() {
 		<-sig
 		signal.Stop(sig)
@@ -548,7 +546,7 @@ func drive(master *remote.Master) error {
 	if err != nil {
 		return err
 	}
-	if res.Stopped {
+	if res.Stopped && jnl != nil {
 		// Graceful SIGTERM stop: persist the between-rounds scheduler
 		// state so the next boot resumes instead of re-running settled
 		// segments.

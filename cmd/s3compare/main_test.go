@@ -68,14 +68,29 @@ func TestCompareGoldenMarkdown(t *testing.T) {
 // scheduler taxonomy (B5), time-window MRShare (B1), the LRU cache at
 // 4 GB and at the 2 GB cliff, a recorded six-job submission log whose
 // JSON report carries the per-job audit, ablation X4's segments of 20
-// and 80 blocks (fig4-a's s3 cell is its 40), and §III's two-job
-// examples with the second job at +20 s and +80 s.
+// and 80 blocks (fig4-a's s3 cell is its 40), §III's two-job examples
+// with the second job at +20 s and +80 s, Figure 4(a)'s forty
+// arrival-jitter trials (B3) and the Poisson load sweep (B4).
 func TestCompareStudyGoldens(t *testing.T) {
 	fig4a := filepath.Join("..", "..", "bench", "fig4-a.jsonl")
-	for _, tc := range []struct {
+	type study struct {
 		name, format string // the golden is testdata/<name>.golden.<format>
 		args         []string
-	}{
+	}
+	// studies pins every testdata/<dir>/*.jsonl under schedulers.
+	studies := func(dir, schedulers string) []study {
+		paths, err := filepath.Glob(filepath.Join("testdata", dir, "*.jsonl"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no %s workloads: %v", dir, err)
+		}
+		var out []study
+		for _, path := range paths {
+			name := filepath.Join(dir, strings.TrimSuffix(filepath.Base(path), ".jsonl"))
+			out = append(out, study{name, "md", []string{"-workload", path, "-schedulers", schedulers}})
+		}
+		return out
+	}
+	cases := []study{
 		{"defaults", "md", []string{"-workload", fig4a, "-schedulers", "s3,fifo,mrs55=mrshare:5:5"}},
 		{"taxonomy", "md", []string{"-workload", fig4a, "-schedulers", "fifo,fair,s3"}},
 		{"window", "md", []string{"-workload", fig4a,
@@ -87,7 +102,10 @@ func TestCompareStudyGoldens(t *testing.T) {
 		{"seg-80", "md", []string{"-workload", "testdata/seg-80.jsonl", "-schedulers", "s3"}},
 		{"examples-20", "md", []string{"-workload", "testdata/examples-20.jsonl", "-schedulers", "fifo,mrshare,s3"}},
 		{"examples-80", "md", []string{"-workload", "testdata/examples-80.jsonl", "-schedulers", "fifo,mrshare,s3"}},
-	} {
+	}
+	cases = append(cases, studies("jitter", "s3,fifo,mrs3=mrshare:3:3:4")...)
+	cases = append(cases, studies("poisson", "s3,fifo")...)
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append(tc.args, "-engines", "sim")
 			if tc.format == "md" {

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"s3sched/internal/benchfmt"
@@ -11,6 +14,7 @@ import (
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
+	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
 
@@ -162,66 +166,92 @@ func TestWindowStudy(t *testing.T) {
 	}
 }
 
+// TestJitterStudyS3Robust: Figure 4(a) with every arrival moved by a
+// seeded ±15 % factor, forty times (cmd/s3compare/testdata/jitter/),
+// gives EXPERIMENTS.md's table to the digit. S³ wins ART in every trial
+// against both schemes, so its advantage is no calibration knife-edge;
+// its TET margin over MRS3 is thin and flips in about half of them.
 func TestJitterStudyS3Robust(t *testing.T) {
-	res, err := JitterStudy(DefaultParams(), 20, 0.15, 42)
-	if err != nil {
-		t.Fatal(err)
+	files := studyFiles(t, "jitter/trial-*.jsonl")
+	if len(files) != 40 {
+		t.Fatalf("%d jitter trials, want 40", len(files))
 	}
-	if len(res) != 2 {
-		t.Fatalf("summaries = %+v", res)
+	want := []struct{ scheme, tet, art, wins string }{
+		{"fifo", "2.94 [2.76, 3.18]", "3.77 [3.70, 3.82]", "40/40, 40/40"},
+		{"mrs3", "1.01 [0.98, 1.09]", "1.13 [1.07, 1.20]", "21/40, 40/40"},
 	}
-	for _, s := range res {
-		// S^3 keeps a mean advantage on ART across +-15% arrival
-		// perturbation — its win is not a calibration knife-edge.
-		if s.MeanART <= 1.0 {
-			t.Errorf("%s mean ART ratio = %.3f, want > 1 (S3 advantage)", s.Scheme, s.MeanART)
+	type ratios struct {
+		tet, art         []float64
+		winsTET, winsART int
+	}
+	got := make([]ratios, len(want))
+	for _, wf := range files {
+		cells, err := simCells(wf, "s3", "fifo", "mrs3=mrshare:3:3:4")
+		if err != nil {
+			t.Fatal(err)
 		}
-		// And S^3 wins ART in the large majority of trials.
-		if s.S3WinsART*10 < s.Trials*8 {
-			t.Errorf("%s: S3 won ART in only %d/%d trials", s.Scheme, s.S3WinsART, s.Trials)
-		}
-		if s.MinTET > s.MaxTET || s.MinART > s.MaxART {
-			t.Errorf("%s: inconsistent min/max %+v", s.Scheme, s)
+		s3 := cells[0]
+		for i, c := range cells[1:] {
+			r := &got[i]
+			r.tet = append(r.tet, c.TET/s3.TET)
+			r.art = append(r.art, c.ART/s3.ART)
+			if c.TET > s3.TET {
+				r.winsTET++
+			}
+			if c.ART > s3.ART {
+				r.winsART++
+			}
 		}
 	}
-	if _, err := JitterStudy(DefaultParams(), 0, 0.1, 1); err == nil {
-		t.Error("zero trials should fail")
+	summary := func(xs []float64) string {
+		total := 0.0
+		for _, x := range xs {
+			total += x
+		}
+		return fmt.Sprintf("%.2f [%.2f, %.2f]", total/float64(len(xs)), slices.Min(xs), slices.Max(xs))
 	}
-	if _, err := JitterStudy(DefaultParams(), 1, 1.5, 1); err == nil {
-		t.Error("spread >= 1 should fail")
+	for i, w := range want {
+		r := got[i]
+		wins := fmt.Sprintf("%d/%d, %d/%d", r.winsTET, len(files), r.winsART, len(files))
+		if summary(r.tet) != w.tet || summary(r.art) != w.art || wins != w.wins {
+			t.Errorf("%s: TET/S3 %s, ART/S3 %s, S3 wins %s; EXPERIMENTS.md says %s, %s, %s",
+				w.scheme, summary(r.tet), summary(r.art), wins, w.tet, w.art, w.wins)
+		}
 	}
 }
 
+// TestPoissonStudyQueueingShape: twenty jobs at Poisson arrivals, at
+// offered loads ρ from 0.2 to 1.8 (cmd/s3compare/testdata/poisson/).
+// FIFO's ART over S³'s rises with the load, while S³'s ART stays within
+// 4 % of one job alone (README's claim, to its whole percent: 4.04 % at
+// ρ = 1.8).
 func TestPoissonStudyQueueingShape(t *testing.T) {
-	points, err := PoissonStudy(DefaultParams(), []float64{0.3, 0.8, 1.5}, 12, 7)
+	solo, err := simCells(arrivingAt(committedWorkload(t, "fig4-a"), []vclock.Time{0}), "s3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+	files := studyFiles(t, "poisson/rho-*.jsonl")
+	if len(files) != 6 {
+		t.Fatalf("%d load points, want 6", len(files))
 	}
-	// FIFO's ART penalty grows with offered load; S3's stays bounded.
-	for i := 1; i < len(points); i++ {
-		if points[i].ARTRatio <= points[i-1].ARTRatio*0.9 {
-			t.Errorf("ART ratio should grow with load: %.2f -> %.2f at rho %.1f",
-				points[i-1].ARTRatio, points[i].ARTRatio, points[i].Rho)
+	prev := 0.0
+	for _, wf := range files {
+		cells, err := simCells(wf, "s3", "fifo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s3, fifo := cells[0], cells[1]
+		if ratio := fifo.ART / s3.ART; ratio <= prev {
+			t.Errorf("%s: FIFO/S3 ART %.2f, not above the lighter load's %.2f", wf.Header.Name, ratio, prev)
+		} else {
+			prev = ratio
+		}
+		if over := math.Round(100 * (s3.ART/solo[0].TET - 1)); over > 4 {
+			t.Errorf("%s: S3 ART %.3f s is %.0f %% over a solo job's %.3f s", wf.Header.Name, s3.ART, over, solo[0].TET)
 		}
 	}
-	// At overload (rho > 1) FIFO must be far worse.
-	last := points[len(points)-1]
-	if last.ARTRatio < 1.5 {
-		t.Errorf("at rho=%.1f FIFO/S3 ART = %.2f, want >= 1.5", last.Rho, last.ARTRatio)
-	}
-	// At light load both schemes approach one job time.
-	first := points[0]
-	if first.ARTRatio > 1.6 {
-		t.Errorf("at rho=%.1f FIFO/S3 ART = %.2f, want mild", first.Rho, first.ARTRatio)
-	}
-	if _, err := PoissonStudy(DefaultParams(), nil, 5, 1); err == nil {
-		t.Error("no load points should fail")
-	}
-	if _, err := PoissonStudy(DefaultParams(), []float64{-1}, 5, 1); err == nil {
-		t.Error("negative rho should fail")
+	if prev < 4 {
+		t.Errorf("at the heaviest load FIFO/S3 ART = %.2f, want FIFO's queue to have blown up", prev)
 	}
 }
 

@@ -229,6 +229,21 @@ func committedWorkload(t *testing.T, name string) *workload.File {
 	return parseWorkload(t, filepath.Join("..", "..", "bench", name+".jsonl"))
 }
 
+// studyFiles parses the cmd/s3compare/testdata workload files that
+// match pattern, in name order.
+func studyFiles(t *testing.T, pattern string) []*workload.File {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "cmd", "s3compare", "testdata", pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]*workload.File, len(paths))
+	for i, path := range paths {
+		files[i] = parseWorkload(t, path)
+	}
+	return files
+}
+
 // parseWorkload parses the workload file at path.
 func parseWorkload(t *testing.T, path string) *workload.File {
 	t.Helper()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"s3sched/internal/benchfmt"
+	"s3sched/internal/vclock"
 )
 
 var update = flag.Bool("update", false, "rewrite bench/fig4-*.jsonl and their baselines from Fig4Workload")
@@ -163,11 +164,11 @@ func TestSingleJobAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tet, err := singleJobTime(wf)
+	cells, err := simCells(arrivingAt(wf, []vclock.Time{0}), "s3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := tet.Seconds(); s < 200 || s > 290 {
+	if s := cells[0].TET; s < 200 || s > 290 {
 		t.Errorf("single job = %.0fs, want ~240s (paper Table I)", s)
 	}
 }

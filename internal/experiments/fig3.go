@@ -8,7 +8,6 @@ import (
 	"s3sched/internal/metrics"
 	"s3sched/internal/remote"
 	"s3sched/internal/scheduler"
-	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -91,7 +90,9 @@ type SimCombinedCost struct {
 }
 
 // Fig3Sim prices merged batches of 1..maxJobs wordcount jobs with the
-// cost model (paper: +25.5% total at n=10).
+// cost model (paper: +25.5% total at n=10): n of Figure 4(a)'s jobs
+// submitted together, which MRShare runs as one batch. The reduce share
+// is n jobs' reduce work in every segment's round.
 func Fig3Sim(p Params, maxJobs int) ([]SimCombinedCost, error) {
 	if maxJobs <= 0 {
 		return nil, fmt.Errorf("experiments: Fig3Sim needs positive maxJobs, got %d", maxJobs)
@@ -100,43 +101,17 @@ func Fig3Sim(p Params, maxJobs int) ([]SimCombinedCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := newCellEnv(wf)
-	if err != nil {
-		return nil, err
-	}
+	in := wf.Files[0]
+	segments := (in.Blocks + in.SegmentBlocks - 1) / in.SegmentBlocks
 	var out []SimCombinedCost
 	var base float64
 	for n := 1; n <= maxJobs; n++ {
-		exec := sim.NewExecutor(env.cluster, env.store, env.model)
-		// n of Figure 4(a)'s jobs, weights defaulted as a scheduler
-		// would on submission.
-		var metas []scheduler.JobMeta
-		for _, a := range arrivingAt(wf, make([]vclock.Time, n)).Entries() {
-			metas = append(metas, a.Job.Normalized())
+		cells, err := simCells(arrivingAt(wf, make([]vclock.Time, n)), "mrs1=mrshare")
+		if err != nil {
+			return nil, err
 		}
-		var total, reduce vclock.Duration
-		k := env.plans[0].NumSegments()
-		for seg := 0; seg < k; seg++ {
-			r := scheduler.Round{
-				Segment: seg,
-				Blocks:  env.plans[0].Blocks(seg),
-				Jobs:    metas,
-			}
-			if seg == 0 {
-				r.FreshJobs = 1
-			}
-			if seg == k-1 {
-				for _, m := range metas {
-					r.Completes = append(r.Completes, m.ID)
-				}
-			}
-			d, err := exec.ExecRound(r)
-			if err != nil {
-				return nil, err
-			}
-			total += d
-			reduce += vclock.Duration(float64(n) * env.model.ReducePerRound)
-		}
+		total := vclock.Duration(cells[0].TET)
+		reduce := vclock.Duration(float64(n*segments) * p.Model.ReducePerRound)
 		if n == 1 {
 			base = total.Seconds()
 		}

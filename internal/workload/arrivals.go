@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"s3sched/internal/vclock"
 )
@@ -50,27 +49,6 @@ func SparseGroups(groupSizes []int, intraGap, interGap vclock.Duration) []vclock
 			out = append(out, groupStart.Add(intraGap*vclock.Duration(j)))
 		}
 		groupStart = groupStart.Add(interGap)
-	}
-	return out
-}
-
-// PoissonPattern returns n arrival times with exponentially
-// distributed inter-arrival gaps of the given mean (a Poisson process
-// — the standard model for independent user submissions). The seeded
-// generator makes patterns reproducible.
-func PoissonPattern(n int, meanGap vclock.Duration, seed int64) []vclock.Time {
-	if n <= 0 {
-		panic(fmt.Sprintf("workload: PoissonPattern needs positive n, got %d", n))
-	}
-	if meanGap <= 0 {
-		panic(fmt.Sprintf("workload: PoissonPattern needs positive mean gap, got %v", meanGap))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]vclock.Time, n)
-	t := vclock.Time(0)
-	for i := range out {
-		out[i] = t
-		t = t.Add(vclock.Duration(rng.ExpFloat64() * float64(meanGap)))
 	}
 	return out
 }

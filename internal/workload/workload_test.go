@@ -460,43 +460,6 @@ func TestAggregationMapperMalformed(t *testing.T) {
 	}
 }
 
-func TestPoissonPattern(t *testing.T) {
-	times := PoissonPattern(200, 10, 3)
-	if len(times) != 200 || times[0] != 0 {
-		t.Fatalf("times = %d entries, first %v", len(times), times[0])
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatal("arrivals not monotone")
-		}
-	}
-	// Mean gap should be near 10 over 200 samples.
-	meanGap := float64(times[len(times)-1]) / float64(len(times)-1)
-	if meanGap < 7 || meanGap > 13 {
-		t.Errorf("mean gap = %.2f, want ~10", meanGap)
-	}
-	// Deterministic per seed.
-	again := PoissonPattern(200, 10, 3)
-	for i := range times {
-		if times[i] != again[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-	for _, fn := range []func(){
-		func() { PoissonPattern(0, 1, 1) },
-		func() { PoissonPattern(3, 0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSyntheticVocabulary(t *testing.T) {
 	v := SyntheticVocabulary(5000)
 	if len(v) != 5000 {
