@@ -601,7 +601,7 @@ func drive(master *remote.Master) error {
 		return err
 	}
 	var reads, fetched, stashed, held, evicted int64
-	var cache metrics.CacheStats
+	var cache dfs.CacheStats
 	for _, st := range stats {
 		fmt.Printf("worker %s: %d block reads, %d map tasks in %d passes, %d reduce tasks", st.Worker, st.BlockReads, st.MapTasks, st.MapPasses, st.ReduceTasks)
 		if st.CacheHits+st.CacheMisses > 0 {

@@ -14,7 +14,7 @@
 // client.
 package comms
 
-import "s3sched/internal/metrics"
+import "s3sched/internal/dfs"
 
 // MemberState is a worker's position in the membership lifecycle.
 type MemberState int
@@ -137,8 +137,8 @@ type WireStats struct {
 // Cache returns the ledger's block-cache counters in the form the
 // metrics fold: the master's end-of-run poll and the status server's
 // scrape-time view sum these over the workers.
-func (s WireStats) Cache() metrics.CacheStats {
-	return metrics.CacheStats{
+func (s WireStats) Cache() dfs.CacheStats {
+	return dfs.CacheStats{
 		Hits:           s.CacheHits,
 		Misses:         s.CacheMisses,
 		Evictions:      s.CacheEvictions,

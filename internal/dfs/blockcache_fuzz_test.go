@@ -37,11 +37,38 @@ func pinnedBlocks(c *BlockCache) map[shardBlock]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[shardBlock]bool)
-	for node, nc := range c.nodes {
-		for id := range nc.meta.sizes {
-			if nc.meta.policy.Pinned(id) {
+	for node, s := range c.meta.nodes {
+		for id := range s.sizes {
+			if s.policy.Pinned(id) {
 				out[shardBlock{node, id}] = true
 			}
+		}
+	}
+	return out
+}
+
+// residents is every block c holds now, on every node's shard.
+func residents(c *BlockCache) map[shardBlock]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[shardBlock]bool)
+	for node, s := range c.meta.nodes {
+		for id := range s.sizes {
+			out[shardBlock{node, id}] = true
+		}
+	}
+	return out
+}
+
+// evictedSince is what c evicted since it held before: every
+// (node, block) resident then and not now. Nothing else leaves a
+// shard, so over one op that is exactly the op's evictions.
+func evictedSince(c *BlockCache, before map[shardBlock]bool) []shardBlock {
+	now := residents(c)
+	var out []shardBlock
+	for sb := range before {
+		if !now[sb] {
+			out = append(out, sb)
 		}
 	}
 	return out
@@ -106,8 +133,8 @@ func (m *pinModel) pinned(node NodeID, id BlockID) bool {
 func shardBytes(c *BlockCache, node NodeID) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if nc := c.nodes[node]; nc != nil {
-		return nc.meta.bytes
+	if s := c.meta.nodes[node]; s != nil {
+		return s.bytes
 	}
 	return 0
 }
@@ -162,32 +189,19 @@ func FuzzBlockCache(f *testing.F) {
 		// before the next op, so the evictions an op caused are known
 		// when it returns. Under cursor, pinModel says what is pinned.
 		model := newPinModel(numBlocks)
-		var mu sync.Mutex
-		var evicted []shardBlock
-		c.SetObserver(func(ev CacheEvent) {
-			if ev.Kind == CacheEvict {
-				mu.Lock()
-				evicted = append(evicted, shardBlock{ev.Node, ev.Block})
-				mu.Unlock()
-			}
-		})
 		fault := errors.New("injected")
 		var reads int64
 		for _, op := range ops {
-			mu.Lock()
-			evicted = nil
-			mu.Unlock()
+			before := residents(c)
 			id := BlockID{File: "f", Index: int(op & 0x07)}
 			node := NodeID((op >> 3) & 0x03)
+			readahead := op&0xc0 == 0xc0
 			switch {
-			case op&0xc0 == 0xc0:
+			case readahead:
 				model.shard(node)
 				if c.PrefetchAsync(id, node, blockSize, func() ([]byte, error) { return content(id.Index), nil }) {
 					settleCache(c)
 					model.cached(node, id)
-				}
-				if len(evicted) != 0 {
-					t.Fatalf("readahead of %v evicted %v", id, evicted)
 				}
 			case op&0x40 != 0:
 				pins := []BlockID{id, {File: "f", Index: (id.Index + 1) % numBlocks}}
@@ -222,6 +236,10 @@ func FuzzBlockCache(f *testing.F) {
 				if st := c.Stats(); st.Hits+st.Misses != reads {
 					t.Fatalf("hits(%d)+misses(%d) != reads(%d)", st.Hits, st.Misses, reads)
 				}
+			}
+			evicted := evictedSince(c, before)
+			if readahead && len(evicted) != 0 {
+				t.Fatalf("readahead of %v evicted %v", id, evicted)
 			}
 			if policy != PolicyCursor {
 				model = newPinModel(numBlocks) // lru pins nothing

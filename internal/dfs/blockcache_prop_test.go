@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -47,21 +46,10 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 					return b
 				}
 				model := newPinModel(numBlocks)
-				var evicted []shardBlock // only Read evicts, and it reports before it returns
-				var mu sync.Mutex
-				c.SetObserver(func(ev CacheEvent) {
-					if ev.Kind == CacheEvict {
-						mu.Lock()
-						evicted = append(evicted, shardBlock{ev.Node, ev.Block})
-						mu.Unlock()
-					}
-				})
 				fault := errors.New("injected")
 				var reads, faulted int64
 				for op := 0; op < 20+int(ops); op++ {
-					mu.Lock()
-					evicted = nil
-					mu.Unlock()
+					before := residents(c)
 					id := BlockID{File: "f", Index: rng.Intn(numBlocks)}
 					node := NodeID(rng.Intn(numNodes))
 					switch rng.Intn(8) {
@@ -79,7 +67,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 							settleCache(c)
 							model.cached(node, id)
 						}
-						if len(evicted) != 0 {
+						if evicted := evictedSince(c, before); len(evicted) != 0 {
 							t.Logf("readahead of %v evicted %v", id, evicted)
 							return false
 						}
@@ -128,7 +116,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 					if policy != PolicyCursor {
 						model = newPinModel(numBlocks)
 					}
-					for _, ev := range evicted {
+					for _, ev := range evictedSince(c, before) {
 						if model.pinned(ev.node, ev.id) {
 							t.Logf("pinned block %v evicted from node %d", ev.id, ev.node)
 							return false
@@ -152,13 +140,13 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 				var sum int64
 				c.mu.Lock()
 				for node, nc := range c.nodes {
-					if nc.meta.bytes > budget {
-						t.Logf("node %d shard holds %d bytes > budget %d", node, nc.meta.bytes, budget)
+					if nc.shard.bytes > budget {
+						t.Logf("node %d shard holds %d bytes > budget %d", node, nc.shard.bytes, budget)
 						c.mu.Unlock()
 						return false
 					}
 					var shardSum int64
-					for id, size := range nc.meta.sizes {
+					for id, size := range nc.shard.sizes {
 						shardSum += size
 						if data, ok := nc.data[id]; !ok || int64(len(data)) != size {
 							t.Logf("node %d block %v: recorded size %d, stored %d bytes", node, id, size, len(data))
@@ -166,17 +154,17 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 							return false
 						}
 					}
-					if len(nc.data) != len(nc.meta.sizes) {
-						t.Logf("node %d holds %d data entries but %d size records", node, len(nc.data), len(nc.meta.sizes))
+					if len(nc.data) != len(nc.shard.sizes) {
+						t.Logf("node %d holds %d data entries but %d size records", node, len(nc.data), len(nc.shard.sizes))
 						c.mu.Unlock()
 						return false
 					}
-					if shardSum != nc.meta.bytes {
-						t.Logf("node %d shard bytes %d != live entries %d", node, nc.meta.bytes, shardSum)
+					if shardSum != nc.shard.bytes {
+						t.Logf("node %d shard bytes %d != live entries %d", node, nc.shard.bytes, shardSum)
 						c.mu.Unlock()
 						return false
 					}
-					sum += nc.meta.bytes
+					sum += nc.shard.bytes
 				}
 				c.mu.Unlock()
 				if st.Bytes != sum {
@@ -251,10 +239,11 @@ func TestBlockCacheTransparencyProperty(t *testing.T) {
 	}
 }
 
-// Property: MetaCache is a faithful stat twin of BlockCache — the same
-// access sequence (reads, readahead and hints) through both produces
-// identical hit/miss/eviction/prefetch counters and identical
-// residency, for every policy. This is the structural guarantee the
+// Property: a bare MetaCache, its readahead landing at once, decides
+// and counts as the BlockCache that wraps one — the same access
+// sequence (reads, readahead and hints) through both produces identical
+// hit/miss/eviction/prefetch counters and identical residency, for
+// every policy. This is the structural guarantee the
 // simulator's cache pricing rests on. Half the sequences are random;
 // the other half are a hinted circular scan — the cursor's hint, the
 // readahead of the next segment, then the cursor segment's reads on

@@ -1,30 +1,69 @@
-// MetaCache: the metadata-only twin of BlockCache.
+// MetaCache: the block cache's decision and accounting core.
 //
-// The simulator must price cache hits without holding block contents,
-// and differential tests must prove that pricing tracks the real cache
-// block-for-block. Both needs are served by running the *same*
-// policy/shard machinery (cacheShard, EvictionPolicy) over ids and
-// sizes only: a MetaCache configured like a BlockCache makes identical
-// hit/miss/evict decisions on the same access sequence by
-// construction, because the decisions come from the same code.
+// A MetaCache holds what every cache decision needs and no block
+// contents: one cacheShard per node (residency, byte accounting and the
+// eviction policy), the newest scan hint per file, replayed onto shards
+// created later, and the hit/miss/eviction/prefetch counters. Two
+// caches run on it. The simulator prices cache hits with a bare
+// MetaCache; BlockCache wraps one with the contents, a lock and the
+// in-flight loads. So the simulator and the engine admit, evict and
+// prefetch alike on the same access sequence because they run the same
+// code, not because a test compares them.
 //
-// MetaCache is single-threaded by contract (the sim executor and tests
-// drive it from one goroutine), so it has no lock and no in-flight
-// table — a Prefetch lands instantly, modelling the engine's ideal case
-// where the readahead completes during the overlapped reduce stage.
+// A bare MetaCache is single-threaded by contract (the sim executor and
+// tests drive it from one goroutine; BlockCache calls it under its
+// lock), so a Prefetch lands instantly, modelling the engine's ideal
+// case where the readahead completes during the overlapped reduce stage.
 package dfs
 
 import "fmt"
 
-// MetaCache mirrors BlockCache's admission, eviction and prefetch
-// decisions over block metadata alone. Not safe for concurrent use.
+// CacheStats is a snapshot of cumulative cache accounting. Hits,
+// Misses, Evictions, Prefetches and PrefetchFailed are monotonic
+// counters (zeroed by ResetStats); Bytes and PinnedBytes are gauges of
+// the current footprint. A run's totals, a worker's heartbeat ledger
+// and the cluster's sum over workers are all one CacheStats.
+type CacheStats struct {
+	Hits           int64 // reads served from cache (incl. prefetched blocks)
+	Misses         int64 // reads that went to the underlying source (incl. coalesced waiters)
+	Evictions      int64 // blocks discarded to fit the byte budget
+	Prefetches     int64 // prefetch loads issued
+	PrefetchFailed int64 // prefetch loads that failed (block not cached)
+	Bytes          int64 // bytes currently cached across all nodes
+	PinnedBytes    int64 // bytes currently pin-protected across all nodes
+}
+
+// HitRatio returns hits / (hits + misses), or 0 when no reads occurred.
+func (s CacheStats) HitRatio() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}
+
+// Add accumulates other into s. Bytes and PinnedBytes are
+// point-in-time footprints, so footprints sum across disjoint caches
+// (one per worker).
+func (s *CacheStats) Add(other CacheStats) {
+	s.Hits += other.Hits
+	s.Misses += other.Misses
+	s.Evictions += other.Evictions
+	s.Prefetches += other.Prefetches
+	s.PrefetchFailed += other.PrefetchFailed
+	s.Bytes += other.Bytes
+	s.PinnedBytes += other.PinnedBytes
+}
+
+// MetaCache makes a per-node, byte-budgeted cache's admission, eviction
+// and prefetch decisions over block metadata alone, and counts them.
+// Not safe for concurrent use.
 type MetaCache struct {
-	budget int64
-	policy string
+	budget int64  // per-node byte budget
+	policy string // eviction policy name (validated at construction)
 
 	nodes          map[NodeID]*cacheShard
-	lastHints      map[string]ScanHint
-	bytes          int64
+	lastHints      map[string]ScanHint // per file; replayed onto fresh shards
 	hits           int64
 	misses         int64
 	evictions      int64
@@ -32,8 +71,8 @@ type MetaCache struct {
 	prefetchFailed int64
 }
 
-// NewMetaCache creates a metadata-only cache with the same per-node
-// budget and policy semantics as NewBlockCachePolicy.
+// NewMetaCache creates a metadata-only cache giving every node shard
+// the same byte budget and the named eviction policy (see Policies).
 func NewMetaCache(bytesPerNode int64, policy string) (*MetaCache, error) {
 	if bytesPerNode <= 0 {
 		return nil, fmt.Errorf("dfs: cache budget must be positive, got %d bytes", bytesPerNode)
@@ -62,6 +101,9 @@ func (m *MetaCache) shard(node NodeID) *cacheShard {
 		if err != nil {
 			panic(err) // unreachable: name validated at construction
 		}
+		// Replay the newest hint per file so a shard created mid-pass
+		// starts with the current cursors. A fresh policy has no clock
+		// to advance, so replay order across files is irrelevant.
 		for _, h := range m.lastHints {
 			pol.Hint(h)
 		}
@@ -73,19 +115,31 @@ func (m *MetaCache) shard(node NodeID) *cacheShard {
 
 // Access records a read of the block on node's shard and reports
 // whether it hit. On a miss the block is admitted with the given size,
-// evicting victims exactly as BlockCache would.
+// evicting victims exactly as a BlockCache demand read does.
 func (m *MetaCache) Access(id BlockID, node NodeID, size int64) bool {
 	s := m.shard(node)
-	if s.access(id) {
-		m.hits++
+	if m.hit(s, id) {
 		return true
 	}
 	m.misses++
-	before := s.bytes
-	evicted, _ := s.admit(id, size, m.budget)
-	m.evictions += int64(len(evicted))
-	m.bytes += s.bytes - before
+	m.admit(s, id, size)
 	return false
+}
+
+// hit counts a read of id on s when it is resident there.
+func (m *MetaCache) hit(s *cacheShard, id BlockID) bool {
+	if !s.access(id) {
+		return false
+	}
+	m.hits++
+	return true
+}
+
+// admit caches a missed block on s, counting the victims it evicted.
+func (m *MetaCache) admit(s *cacheShard, id BlockID, size int64) (evicted []BlockID, kept bool) {
+	evicted, kept = s.admit(id, size, m.budget)
+	m.evictions += int64(len(evicted))
+	return evicted, kept
 }
 
 // Prefetch models PrefetchAsync: it admits the block speculatively
@@ -98,12 +152,13 @@ func (m *MetaCache) Prefetch(id BlockID, node NodeID, size int64) bool {
 		return false
 	}
 	m.prefetches++
-	m.bytes += size
 	return true
 }
 
-// Hint forwards scheduler guidance to every shard's policy, remembering
-// it for shards created later (same semantics as BlockCache.Hint).
+// Hint forwards scheduler guidance to every shard's policy and
+// remembers the newest hint per file for shards created later. Callers
+// outside the package go through Store.HandleScanHint, which sets the
+// hint's Cycle.
 func (m *MetaCache) Hint(h ScanHint) {
 	m.lastHints[h.File] = h
 	for _, s := range m.nodes {
@@ -111,46 +166,32 @@ func (m *MetaCache) Hint(h ScanHint) {
 	}
 }
 
-// Contains reports whether the block is resident on node's shard.
+// Contains reports whether the block is resident on node's shard
+// (without touching recency order).
 func (m *MetaCache) Contains(id BlockID, node NodeID) bool {
 	s, ok := m.nodes[node]
 	return ok && s.has(id)
 }
 
-// CachedBytes returns how many bytes of the given blocks are resident
-// anywhere, each block counted at most once.
-func (m *MetaCache) CachedBytes(blocks []BlockID) int64 {
-	var total int64
-	for _, b := range blocks {
-		for _, s := range m.nodes {
-			if sz, ok := s.sizes[b]; ok {
-				total += sz
-				break
-			}
-		}
-	}
-	return total
-}
-
-// Stats returns a snapshot of cumulative accounting, directly
-// comparable with BlockCache.Stats.
+// Stats returns a snapshot of cumulative accounting.
 func (m *MetaCache) Stats() CacheStats {
-	var pinned int64
-	for _, s := range m.nodes {
-		pinned += s.pinnedBytes()
-	}
-	return CacheStats{
+	st := CacheStats{
 		Hits:           m.hits,
 		Misses:         m.misses,
 		Evictions:      m.evictions,
 		Prefetches:     m.prefetches,
 		PrefetchFailed: m.prefetchFailed,
-		Bytes:          m.bytes,
-		PinnedBytes:    pinned,
 	}
+	for _, s := range m.nodes {
+		st.Bytes += s.bytes
+		st.PinnedBytes += s.pinnedBytes()
+	}
+	return st
 }
 
-// ResetStats zeroes every cumulative counter, keeping residency.
+// ResetStats zeroes every cumulative counter (between experiment runs):
+// hits, misses, evictions, prefetches and prefetch failures. Residency
+// — and thus the Bytes/PinnedBytes gauges — is kept.
 func (m *MetaCache) ResetStats() {
 	m.hits, m.misses, m.evictions = 0, 0, 0
 	m.prefetches, m.prefetchFailed = 0, 0

@@ -1,5 +1,5 @@
-// Eviction policies: the pluggable replacement layer under BlockCache
-// and MetaCache.
+// Eviction policies: the pluggable replacement layer under MetaCache,
+// the decision core every BlockCache runs.
 //
 // The S^3 access pattern — a circular scan that returns to every block
 // exactly one cycle later — is the textbook adversary for LRU: when the
@@ -20,9 +20,9 @@
 //	         cycle reads N−C blocks a cycle, the least any policy can.
 //
 // Policies are metadata-only — they see block ids and sizes, never
-// contents — so the identical implementations drive both the real
-// BlockCache and the simulator's MetaCache pricing twin. That sharing
-// is what keeps sim and engine cache cells comparable by construction.
+// contents — so they sit in MetaCache, which the simulator prices with
+// and every BlockCache wraps. That is what keeps sim and engine cache
+// cells comparable by construction.
 package dfs
 
 import (
@@ -310,11 +310,9 @@ func (s *cursorScan) ahead(id BlockID) int { return mod(id.Index-s.cursor, s.cyc
 
 func mod(a, n int) int { return (a%n + n) % n }
 
-// cacheShard is the metadata half of one cache shard: residency, byte
-// accounting and the eviction loop, shared verbatim between the real
-// BlockCache (which additionally holds contents) and the simulator's
-// MetaCache pricing twin — so the two cannot drift apart on *which*
-// blocks are warm.
+// cacheShard is one node's shard of a MetaCache: residency, byte
+// accounting and the eviction loop. A BlockCache keeps the contents of
+// exactly the blocks its shards hold.
 type cacheShard struct {
 	policy EvictionPolicy
 	sizes  map[BlockID]int64

@@ -616,4 +616,4 @@ func (p *pricedExec) ExecStages(r scheduler.Round) (mapDur, redDur vclock.Durati
 func (p *pricedExec) FaultStats() metrics.FaultStats { return p.inner.FaultStats() }
 
 // CacheStats implements runtime.CacheStatsSource.
-func (p *pricedExec) CacheStats() metrics.CacheStats { return p.inner.CacheStats() }
+func (p *pricedExec) CacheStats() dfs.CacheStats { return p.inner.CacheStats() }

@@ -37,47 +37,6 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.RequeuedSubJobs += other.RequeuedSubJobs
 }
 
-// CacheStats aggregates a run's block-cache counters. All zeros when
-// caching is off.
-type CacheStats struct {
-	// Hits counts block reads served from cache instead of disk.
-	Hits int64
-	// Misses counts block reads that went to disk.
-	Misses int64
-	// Evictions counts blocks discarded to fit the cache byte budget.
-	Evictions int64
-	// Prefetches counts speculative readahead loads issued.
-	Prefetches int64
-	// PrefetchFailed counts prefetch loads that failed (block dropped).
-	PrefetchFailed int64
-	// Bytes is the cached byte footprint at the end of the run.
-	Bytes int64
-	// PinnedBytes is the pin-protected footprint at the end of the run.
-	PinnedBytes int64
-}
-
-// HitRatio returns hits / (hits + misses), or 0 when no reads occurred.
-func (s CacheStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Add accumulates other into s. Bytes and PinnedBytes are
-// point-in-time footprints, so footprints sum across disjoint caches
-// (one per worker).
-func (s *CacheStats) Add(other CacheStats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Evictions += other.Evictions
-	s.Prefetches += other.Prefetches
-	s.PrefetchFailed += other.PrefetchFailed
-	s.Bytes += other.Bytes
-	s.PinnedBytes += other.PinnedBytes
-}
-
 // Job is what the paper's metrics read of one job; runtime.JobStatus,
 // the run's one per-job record, is one.
 type Job interface {

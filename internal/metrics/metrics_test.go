@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"s3sched/internal/dfs"
 	"s3sched/internal/vclock"
 )
 
@@ -141,12 +142,12 @@ func TestPercentilesAndMax(t *testing.T) {
 }
 
 func TestCacheStatsAccounting(t *testing.T) {
-	var cs CacheStats
+	var cs dfs.CacheStats
 	if cs.HitRatio() != 0 {
 		t.Errorf("empty hit ratio = %v, want 0", cs.HitRatio())
 	}
-	cs.Add(CacheStats{Hits: 3, Misses: 1, Evictions: 2, Bytes: 100})
-	cs.Add(CacheStats{Hits: 1, Misses: 3, Bytes: 28})
+	cs.Add(dfs.CacheStats{Hits: 3, Misses: 1, Evictions: 2, Bytes: 100})
+	cs.Add(dfs.CacheStats{Hits: 1, Misses: 3, Bytes: 28})
 	if cs.Hits != 4 || cs.Misses != 4 || cs.Evictions != 2 || cs.Bytes != 128 {
 		t.Errorf("after Add, cs = %+v", cs)
 	}

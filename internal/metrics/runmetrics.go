@@ -1,5 +1,7 @@
 package metrics
 
+import "s3sched/internal/dfs"
+
 // Standard bucket layouts. Durations run from what a real cluster does
 // inside one round (50 µs) to the sims' multi-thousand-second heavy
 // runs; counts cover batch widths and rounds-per-job on a 40-node
@@ -166,7 +168,7 @@ func NewRunMetrics(reg *Registry) *RunMetrics {
 // counters. Readings repeat and overlap — one per scrape from the workers'
 // heartbeat ledgers, one from the run loop's poll when it ends — so the
 // counters rise to a reading rather than grow by it; the gauges take it.
-func (m *RunMetrics) SetCacheStats(cs CacheStats) {
+func (m *RunMetrics) SetCacheStats(cs dfs.CacheStats) {
 	m.CacheHits.RaiseTo(float64(cs.Hits))
 	m.CacheMisses.RaiseTo(float64(cs.Misses))
 	m.CacheEvictions.RaiseTo(float64(cs.Evictions))

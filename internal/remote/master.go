@@ -381,8 +381,8 @@ func (m *Master) FaultStats() metrics.FaultStats {
 
 // CacheStats implements runtime.CacheStatsSource by summing every
 // reachable worker's block-cache counters.
-func (m *Master) CacheStats() metrics.CacheStats {
-	var cs metrics.CacheStats
+func (m *Master) CacheStats() dfs.CacheStats {
+	var cs dfs.CacheStats
 	stats, _ := m.pollStats(false)
 	for _, st := range stats {
 		cs.Add(st.Cache())

@@ -8,7 +8,6 @@ import (
 
 	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
-	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/workload"
 )
@@ -61,19 +60,10 @@ func TestMasterFoldsEveryCacheCounter(t *testing.T) {
 
 	// Prefetch loads land from goroutines; poll until the master's
 	// folded view matches the store and shows the expected activity.
-	var got, want metrics.CacheStats
+	var got, want dfs.CacheStats
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		cs := store.CacheStats()
-		want = metrics.CacheStats{
-			Hits:           cs.Hits,
-			Misses:         cs.Misses,
-			Evictions:      cs.Evictions,
-			Prefetches:     cs.Prefetches,
-			PrefetchFailed: cs.PrefetchFailed,
-			Bytes:          cs.Bytes,
-			PinnedBytes:    cs.PinnedBytes,
-		}
+		want = store.CacheStats()
 		got = m.CacheStats()
 		settled := got == want && got.Hits > 0 && got.Prefetches > 0 && got.PinnedBytes > 0
 		if settled || time.Now().After(deadline) {
@@ -100,11 +90,11 @@ func TestWireStatsMirrorsStatsReply(t *testing.T) {
 	}
 	// And every cache counter the store reports must cross the RPC at
 	// all: one StatsReply field per dfs-level cache stat.
-	cache := reflect.TypeOf(metrics.CacheStats{})
+	cache := reflect.TypeOf(dfs.CacheStats{})
 	for i := 0; i < cache.NumField(); i++ {
 		name := "Cache" + cache.Field(i).Name
 		if _, ok := reply.FieldByName(name); !ok {
-			t.Errorf("metrics.CacheStats.%s has no StatsReply.%s field", cache.Field(i).Name, name)
+			t.Errorf("dfs.CacheStats.%s has no StatsReply.%s field", cache.Field(i).Name, name)
 		}
 	}
 }

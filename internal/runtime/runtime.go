@@ -27,6 +27,7 @@ package runtime
 
 import (
 	"s3sched/internal/comms"
+	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
@@ -55,7 +56,7 @@ type FaultStatsSource interface {
 // a block cache (real or modeled); the engine folds the hit/miss/
 // eviction counters into the run's metrics at the end.
 type CacheStatsSource interface {
-	CacheStats() metrics.CacheStats
+	CacheStats() dfs.CacheStats
 }
 
 // MembershipSource is implemented by executors backed by a dynamic
@@ -133,7 +134,7 @@ type Result struct {
 	// and Summarize read.
 	Jobs   []JobStatus
 	Faults metrics.FaultStats
-	Cache  metrics.CacheStats
+	Cache  dfs.CacheStats
 	Rounds int
 	// End is the run's time when the last job completed.
 	End vclock.Time

@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/metrics"
 )
 
 // Cache model: the simulator's analogue of dfs.BlockCache. The real
 // engine caches block *contents* per node; the simulator only needs to
 // know, at pricing time, whether a block would have been warm — so it
-// keeps a dfs.MetaCache, the metadata-only twin that runs the *same*
-// shard and policy code as the real BlockCache (the differential tests
-// assert equality of the stat counters), and prices a warm block's scan
-// at a configurable fraction of its disk cost. Warm blocks are memory
+// keeps a bare dfs.MetaCache, the decision and accounting core every
+// dfs.BlockCache wraps, and prices a warm block's scan at a
+// configurable fraction of its disk cost. Warm blocks are memory
 // reads: they skip the remote penalty (nothing crosses the network)
 // and are not counted as physical scans, mirroring how the engine's
 // cache hits bypass dfs.Store's scan counters.
@@ -98,29 +96,31 @@ func (e *Executor) HandleScanHint(h dfs.ScanHint) {
 }
 
 // CacheStats implements runtime.CacheStatsSource.
-func (e *Executor) CacheStats() metrics.CacheStats {
+func (e *Executor) CacheStats() dfs.CacheStats {
 	if e.cache == nil {
-		return metrics.CacheStats{}
+		return dfs.CacheStats{}
 	}
-	return metrics.CacheStats(e.cache.meta.Stats()) // same fields, one per counter
+	return e.cache.meta.Stats()
+}
+
+// cacheNode is the shard every scan and prefetch of block b lands on:
+// its primary holder's, exactly where the engine's unreplicated demand
+// read is attributed, or the pseudo-node's when it has no holder.
+func (e *Executor) cacheNode(b dfs.BlockID) dfs.NodeID {
+	if locs := e.store.Locations(b); len(locs) > 0 {
+		return locs[0]
+	}
+	return -1
 }
 
 // cacheContains reports whether the block is warm without promoting it.
 func (e *Executor) cacheContains(b dfs.BlockID) bool {
-	return e.cache != nil && e.cache.meta.CachedBytes([]dfs.BlockID{b}) > 0
+	return e.cache != nil && e.cache.meta.Contains(b, e.cacheNode(b))
 }
 
 // cacheAccess records one scan of block b of the given size and reports
-// whether it was warm. The access lands on the shard of the block's
-// primary holder, exactly where the engine's unreplicated demand read
-// is attributed. Called only from price() on the driver's goroutine.
+// whether it was warm. Called only from price() on the driver's
+// goroutine.
 func (e *Executor) cacheAccess(b dfs.BlockID, size int64) bool {
-	if e.cache == nil {
-		return false
-	}
-	node := dfs.NodeID(-1)
-	if locs := e.store.Locations(b); len(locs) > 0 {
-		node = locs[0]
-	}
-	return e.cache.meta.Access(b, node, size)
+	return e.cache != nil && e.cache.meta.Access(b, e.cacheNode(b), size)
 }

@@ -6,7 +6,6 @@ import (
 
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
-	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
 	"s3sched/internal/vclock"
@@ -27,22 +26,12 @@ import (
 // readahead settle.
 // settleTwin polls until the real store's cache counters match the sim
 // twin's — i.e. until in-flight prefetch loads have landed — and
-// returns the real side's last snapshot in the sim's stat type. On
-// timeout it returns the (still diverged) snapshot for the caller to
-// report.
-func settleTwin(realStore *dfs.Store, exec *sim.Executor) metrics.CacheStats {
+// returns the real side's last snapshot. On timeout it returns the
+// (still diverged) snapshot for the caller to report.
+func settleTwin(realStore *dfs.Store, exec *sim.Executor) dfs.CacheStats {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		cs := realStore.CacheStats()
-		got := metrics.CacheStats{
-			Hits:           cs.Hits,
-			Misses:         cs.Misses,
-			Evictions:      cs.Evictions,
-			Prefetches:     cs.Prefetches,
-			PrefetchFailed: cs.PrefetchFailed,
-			Bytes:          cs.Bytes,
-			PinnedBytes:    cs.PinnedBytes,
-		}
+		got := realStore.CacheStats()
 		if got == exec.CacheStats() || time.Now().After(deadline) {
 			return got
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"s3sched/internal/comms"
+	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 )
 
@@ -147,11 +148,11 @@ func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	expect(scrape(), "s3_result_store_bytes 3100", "s3_result_evictions_total 5", "s3_result_fetched_bytes_total 1000")
 
 	// The run ends and folds its own poll of the same workers.
-	rm.SetCacheStats(metrics.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})
+	rm.SetCacheStats(dfs.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})
 	expect(scrape(), "s3_cache_hits_total 200", "s3_cache_misses_total 50", "s3_cache_prefetches_total 60")
 
 	// Without a cluster the run's own fold is all there is, untouched.
 	srv.SetCluster(nil)
-	rm.SetCacheStats(metrics.CacheStats{Hits: 300, Misses: 50})
+	rm.SetCacheStats(dfs.CacheStats{Hits: 300, Misses: 50})
 	expect(scrape(), "s3_cache_hits_total 300", "s3_cache_prefetches_total 60")
 }

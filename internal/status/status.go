@@ -17,6 +17,7 @@ import (
 	"net/http/pprof"
 	"sync"
 
+	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -57,7 +58,7 @@ type State struct {
 }
 
 // SetCache publishes block-cache counters (shown as a dashboard row).
-func (s *Server) SetCache(cs metrics.CacheStats) {
+func (s *Server) SetCache(cs dfs.CacheStats) {
 	s.Update(func(st *State) {
 		st.Cache = &CacheInfo{
 			Hits:      cs.Hits,
@@ -190,7 +191,7 @@ func (s *Server) Handler() http.Handler {
 		if src := s.cluster.get(); src != nil {
 			// A daemon's run never ends to fold its s3_cache_*: read them
 			// off the heartbeat ledgers, one heartbeat old at most.
-			var cache metrics.CacheStats
+			var cache dfs.CacheStats
 			var stashed, fetched, held, evicted, served, tasks, passes int64
 			for _, wi := range src.ClusterSnapshot() {
 				cache.Add(wi.Tasks.Cache())

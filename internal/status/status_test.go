@@ -200,7 +200,7 @@ func TestSetCacheRendersDashboardRow(t *testing.T) {
 		t.Fatal("cache row rendered before SetCache")
 	}
 
-	s.SetCache(metrics.CacheStats{Hits: 30, Misses: 10, Evictions: 2})
+	s.SetCache(dfs.CacheStats{Hits: 30, Misses: 10, Evictions: 2})
 	resp, err = http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)

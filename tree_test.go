@@ -137,9 +137,8 @@ var exportAllowlist = map[string]string{
 	"trace.Log.Dropped":      "trace log accounting of events dropped at capacity",
 	"trace.Log.DroppedSpans": "trace log accounting of spans refused when the store is full",
 
-	// Audited and kept, and a test seam.
-	"dfs.BlockCache.SetObserver": "cache observer the cache's property and fuzz tests count events with",
-	"dfs.Store.SetReadFault":     "test seam: the hook the cache's fault tests break reads through",
+	// Audited and kept: a test seam.
+	"dfs.Store.SetReadFault": "test seam: the hook the cache's fault tests break reads through",
 }
 
 // exportDecl is one exported top-level name or method of the module.
