@@ -8,8 +8,6 @@ package s3sched_test
 // EXPERIMENTS.md for paper-vs-measured commentary.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -21,7 +19,6 @@ import (
 	"s3sched/internal/experiments"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
-	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -332,51 +329,6 @@ func benchMapBlock(b *testing.B, data []byte, mapper mapreduce.Mapper, combiner 
 	for i := 0; i < b.N; i++ {
 		if _, err := mapreduce.MapBlockForJob(dfs.BlockID{}, data, mapper, combiner, 2); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShuffleWire moves one 512 KB lineitem block's 10% selection,
-// two partitions, the way a reduce on another worker gets it: out of the
-// stash of the worker that mapped it (Worker.FetchShuffle) and through a
-// long-lived gob encoder / decoder pair, as a net/rpc connection does,
-// back into records. Bytes are the key + value bytes carried.
-func BenchmarkShuffleWire(b *testing.B) {
-	store := dfs.MustStore(1, 1)
-	if _, err := workload.AddLineitemFile(store, "lineitem", 1, 512<<10, 1); err != nil {
-		b.Fatal(err)
-	}
-	w := remote.NewWorker(store, remote.NewStandardRegistry())
-	task := &remote.MapTaskArgs{File: "lineitem", Epoch: 1, IDs: []scheduler.JobID{1},
-		Jobs: []remote.JobRef{{Name: "sel", Factory: "selection", Param: "5", NumReduce: 2}}}
-	var receipt remote.MapTaskReply
-	if err := w.ExecMap(task, &receipt); err != nil {
-		b.Fatal(err)
-	}
-	var payload int64
-	for _, rc := range receipt.Receipts[0] {
-		payload += rc.Bytes
-	}
-	var pipe bytes.Buffer
-	enc, dec := gob.NewEncoder(&pipe), gob.NewDecoder(&pipe)
-	b.SetBytes(payload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p, rc := range receipt.Receipts[0] {
-			var held, got remote.FetchReply
-			if err := w.FetchShuffle(&remote.FetchArgs{Epoch: 1, ID: 1, Partition: p}, &held); err != nil {
-				b.Fatal(err)
-			}
-			if err := enc.Encode(&held); err != nil {
-				b.Fatal(err)
-			}
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-			if len(got.Runs) != 1 || int64(len(got.Runs[0])) != rc.Records {
-				b.Fatalf("partition %d: decoded %d runs, want one of %d records", p, len(got.Runs), rc.Records)
-			}
 		}
 	}
 }

@@ -7,11 +7,11 @@
 //
 // The control plane is deliberately separate from the task plane:
 // workers dial the master here to register and heartbeat, while task
-// RPCs keep flowing master→worker over net/rpc connections the master
-// opens against each registered worker's advertised task address. A
-// worker restart therefore needs no master-side configuration — the
-// worker re-dials, re-registers, and the master re-opens its task
-// client.
+// calls flow master→worker over internal/remote's framed task wire, on
+// connections the master opens against each registered worker's
+// advertised task address. A worker restart therefore needs no
+// master-side configuration — the worker re-dials, re-registers, and the
+// master re-opens its task client.
 package comms
 
 import "s3sched/internal/dfs"

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net/rpc"
 	"time"
 
 	"s3sched/internal/journal"
@@ -45,27 +44,8 @@ func (m *Master) SetTaskDeadline(d time.Duration) {
 	m.taskDeadline = d
 }
 
-// callWithin issues one RPC and, when d is positive, abandons it after
-// d with a *TaskDeadlineError naming who. net/rpc has no native call
-// timeout, so the asynchronous call races a timer; a reply that arrives
-// later is discarded by the rpc client.
-func callWithin(client *rpc.Client, who, method string, args, reply any, d time.Duration) error {
-	if d <= 0 {
-		return client.Call(method, args, reply)
-	}
-	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-timer.C:
-		return &TaskDeadlineError{Worker: who, Method: method, Deadline: d}
-	}
-}
-
-// callWorker issues one worker RPC under the task deadline.
-func (m *Master) callWorker(w liveWorker, method string, args, reply any) error {
+// callWorker issues one worker call under the task deadline.
+func (m *Master) callWorker(w liveWorker, method method, args, reply message) error {
 	err := callWithin(w.client, w.id, method, args, reply, m.taskDeadline)
 	if _, late := err.(*TaskDeadlineError); late {
 		m.log.Addf(m.clock.Now(), trace.TaskDeadlineExceeded, -1, -1, "%v", err)

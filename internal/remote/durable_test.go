@@ -15,7 +15,7 @@ import (
 	"s3sched/internal/workload"
 )
 
-// wedgedWorker is an RPC server that answers the Worker surface but
+// wedgedWorker is a task server that answers the Worker surface but
 // never returns from exec calls until released — a deadlocked worker,
 // as seen from the master.
 type wedgedWorker struct{ release chan struct{} }
@@ -36,6 +36,10 @@ func (w *wedgedWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
 }
 
 func (w *wedgedWorker) Stats(args *StatsArgs, reply *StatsReply) error { return nil }
+
+func (w *wedgedWorker) FetchResult(*FetchArgs, *[]byte) error { return nil }
+
+func (w *wedgedWorker) InstallFile(*InstallFileArgs, *InstallFileReply) error { return nil }
 
 // slowWorker delegates to a real worker after a fixed delay — slow but
 // healthy, the case the watchdog must NOT kill.
@@ -60,8 +64,16 @@ func (s *slowWorker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
 
 func (s *slowWorker) Stats(args *StatsArgs, reply *StatsReply) error { return nil }
 
-// serveStub exposes rcvr under the "Worker" RPC name on a loopback
-// listener, returning its address.
+func (s *slowWorker) FetchResult(args *FetchArgs, frame *[]byte) error {
+	return s.inner.FetchResult(args, frame)
+}
+
+func (s *slowWorker) InstallFile(args *InstallFileArgs, reply *InstallFileReply) error {
+	return s.inner.InstallFile(args, reply)
+}
+
+// serveStub serves rcvr (see dropServer) on a loopback task listener,
+// returning its address.
 func serveStub(t *testing.T, rcvr any) string {
 	t.Helper()
 	addr, _ := dropServer(t, rcvr)

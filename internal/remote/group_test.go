@@ -223,10 +223,13 @@ func TestFailingUnitReportsTheLowestError(t *testing.T) {
 	}
 }
 
-// FuzzMapTaskBlocks sends a worker map tasks over arbitrary block lists.
-// One that names a block twice, out of order or outside the file is a
-// task-level error that read nothing and stashed nothing; any other is
-// served, each block read once.
+// FuzzMapTaskBlocks sends a worker map tasks over arbitrary block lists,
+// encoded and served as a task connection serves them. One that names a
+// block twice, out of order or outside the file is a task-level error
+// that read nothing and stashed nothing; any other is served, each block
+// read once. The bytes themselves, as a request body, are decoded by the
+// map task's decoder: it does not panic, allocates a constant factor of
+// them, and accepts only the one encoding of what it decodes.
 func FuzzMapTaskBlocks(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 1, 2, 3})
@@ -242,8 +245,12 @@ func FuzzMapTaskBlocks(f *testing.F) {
 			blocks[i] = int(int8(b))
 			valid = valid && blocks[i] >= 0 && blocks[i] < testBlocks && (i == 0 || blocks[i] > blocks[i-1])
 		}
+		checkDecoder(t, raw, new(MapTaskArgs))
 		args := &MapTaskArgs{File: "corpus", Blocks: blocks, Epoch: 1, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t", NumReduce: 2}}}
-		err := w.ExecMap(args, new(MapTaskReply))
+		body, err := dispatchTo(w)(execMap, args.appendTo(nil), nil)
+		if err == nil {
+			err = decodeMessage(body, new(MapTaskReply))
+		}
 		st := w.wireStats()
 		if valid && (err != nil || st.BlockReads != int64(len(blocks)) || st.StashEntries != int64(len(blocks))) {
 			t.Fatalf("blocks %v: err = %v, %d reads, %d entries: want every block read and stashed once", blocks, err, st.BlockReads, st.StashEntries)

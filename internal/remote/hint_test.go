@@ -3,7 +3,6 @@ package remote
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"reflect"
 	"sync"
 	"testing"
@@ -214,14 +213,14 @@ func TestHintedCursorCacheDifferential(t *testing.T) {
 	}
 }
 
-// dropServer serves rcvr under the "Worker" RPC name on a loopback
-// listener and returns, with its address, a function that cuts every
-// connection accepted so far.
+// dropServer serves rcvr — a taskHandler, or a serveFunc that answers
+// requests itself — on a loopback task listener and returns, with its
+// address, a function that cuts every connection accepted so far.
 func dropServer(t *testing.T, rcvr any) (string, func()) {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", rcvr); err != nil {
-		t.Fatal(err)
+	serve, ok := rcvr.(serveFunc)
+	if !ok {
+		serve = dispatchTo(rcvr.(taskHandler))
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,7 +240,7 @@ func dropServer(t *testing.T, rcvr any) (string, func()) {
 			mu.Lock()
 			conns = append(conns, conn)
 			mu.Unlock()
-			go srv.ServeConn(conn)
+			go serveTasks(conn, serve)
 		}
 	}()
 	return ln.Addr().String(), func() {

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net/rpc"
 	"sync"
 	"testing"
 	"time"
@@ -28,21 +27,21 @@ func TestWorkerCloseRacesInflightRPCs(t *testing.T) {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for c := 0; c < clients; c++ {
-			cl, err := rpc.Dial("tcp", addr)
+			cl, err := dialTask(addr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wg.Add(1)
-			go func(cl *rpc.Client, c int) {
+			go func(cl *taskClient, c int) {
 				defer wg.Done()
 				defer cl.Close()
 				<-start
 				for i := 0; i < 50; i++ {
 					var mr MapTaskReply
-					err := cl.Call("Worker.ExecMap", &MapTaskArgs{
+					err := callWithin(cl, addr, execMap, &MapTaskArgs{
 						File: "corpus", Blocks: []int{i % testBlocks}, IDs: []scheduler.JobID{scheduler.JobID(c)},
 						Jobs: []JobRef{{Factory: "wordcount", Param: "t", NumReduce: 1}},
-					}, &mr)
+					}, &mr, 0)
 					if err != nil {
 						if !isTransportError(err) {
 							t.Errorf("client %d: non-transport error racing Close: %v", c, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,7 +49,7 @@ type Master struct {
 	// clock counts from epoch (Clock).
 	clock *vclock.Wall
 	// log, when non-nil, records one TaskDispatched event per issued
-	// RPC, tagged with a correlation id the worker echoes into its own
+	// call, tagged with a correlation id the worker echoes into its own
 	// trace. roundSeq numbers rounds for those ids.
 	log      *trace.Log
 	roundSeq int
@@ -65,7 +64,7 @@ type Master struct {
 	hasCtl atomic.Bool
 	ctlWG  sync.WaitGroup
 
-	// taskDeadline, when positive, bounds each worker exec RPC; expiry
+	// taskDeadline, when positive, bounds each worker exec call; expiry
 	// is classified as a transport failure (see SetTaskDeadline).
 	taskDeadline time.Duration
 
@@ -167,7 +166,7 @@ func Dial(addrs []string, jobs map[scheduler.JobID]JobRef) (*Master, error) {
 	}
 	m := NewMaster(jobs)
 	for i, addr := range addrs {
-		c, err := rpc.Dial("tcp", addr)
+		c, err := dialTask(addr, 0)
 		if err != nil {
 			m.Close()
 			return nil, fmt.Errorf("remote: dialing worker %s: %w", addr, err)
@@ -231,7 +230,7 @@ func (m *Master) HandleScanHint(h dfs.ScanHint) {
 
 // RegisterJob makes a live-submitted job runnable: subsequent rounds
 // including id ship ref to the workers with each task (workers need no
-// pre-registration — every RPC carries its JobRefs, so registering at
+// pre-registration — every task carries its JobRefs, so registering at
 // the master is what forwards the submission cluster-wide). Safe to
 // call from an admission goroutine while a round is in flight.
 // Re-registering an id is an error.
@@ -283,7 +282,7 @@ func (m *Master) InstallFile(name string, blockSize int64, blocks [][]byte) erro
 	_, live := m.members.live()
 	for _, w := range live {
 		var reply InstallFileReply
-		if err := m.callWorker(w, "Worker.InstallFile", args, &reply); err != nil {
+		if err := m.callWorker(w, installFile, args, &reply); err != nil {
 			if isTransportError(err) {
 				continue
 			}
@@ -320,7 +319,7 @@ func (m *Master) pushInstalled(w liveWorker) error {
 	m.mu.Unlock()
 	for _, args := range files {
 		var reply InstallFileReply
-		if err := m.callWorker(w, "Worker.InstallFile", args, &reply); err != nil {
+		if err := m.callWorker(w, installFile, args, &reply); err != nil {
 			return fmt.Errorf("remote: replaying %q to worker %s: %w", args.Name, w.id, err)
 		}
 	}
@@ -351,9 +350,9 @@ func (m *Master) pollStats(strict bool) ([]StatsReply, error) {
 	var out []StatsReply
 	_, live := m.members.live()
 	for _, w := range live {
-		st := &StatsReply{} // its own: an abandoned call may still write to it
+		st := new(StatsReply)
 		done, ack := m.releasesFor(w)
-		if err := m.callWorker(w, "Worker.Stats", &StatsArgs{Epoch: m.epoch, Done: done}, st); err == nil {
+		if err := m.callWorker(w, workerStats, &StatsArgs{Epoch: m.epoch, Done: done}, st); err == nil {
 			ack()
 			st.Worker = w.id
 			out = append(out, *st)
@@ -589,8 +588,7 @@ func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) erro
 // deaths), one fresh snapshot is tried before giving
 // up — with an *allWorkersError whose what the caller, who knows the task,
 // fills in. Retried tasks re-execute from the locally regenerated blocks.
-// call runs the task on live[pos] and fills a fresh reply each attempt: an
-// abandoned one may still write to its own.
+// call runs the task on live[pos], into a fresh reply each attempt.
 func (m *Master) withFailover(ver int, live []liveWorker, home int, call func(live []liveWorker, pos, attempt int) error) error {
 	var lastErr error
 	for pass := 0; pass < 2; pass++ {
@@ -660,7 +658,7 @@ func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, 
 		if hint != nil {
 			args.Hint = hintShare(*hint, pos, len(live))
 		}
-		err := m.callWorker(w, "Worker.ExecMap", args, reply)
+		err := m.callWorker(w, execMap, args, reply)
 		if err == nil {
 			ack()
 		}
@@ -711,7 +709,7 @@ func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.Job
 			}
 		}
 		called := m.clock.Now()
-		err := m.callWorker(w, "Worker.ExecReduce", args, reply)
+		err := m.callWorker(w, execReduce, args, reply)
 		call = float64(m.clock.Now() - called)
 		reply.Receipt.Holder = w.id
 		return err

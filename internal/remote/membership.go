@@ -3,7 +3,6 @@ package remote
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"time"
@@ -64,7 +63,7 @@ type member struct {
 	taskAddr string
 	static   bool
 	state    comms.MemberState
-	client   *rpc.Client
+	client   *taskClient
 	conn     *comms.Conn // control connection; nil for static members
 	// gen increments per registration; control handlers carry the gen
 	// they served so a stale handler (replaced by a re-registration)
@@ -86,7 +85,7 @@ type liveWorker struct {
 	id     string
 	gen    int
 	addr   string
-	client *rpc.Client
+	client *taskClient
 	slots  int
 }
 
@@ -112,7 +111,7 @@ func newMembership() *membership {
 // addStatic installs a boot-time worker that never heartbeats (the
 // Dial path). Static members are permanently non-dead:
 // failover still skips them per-call when their connection breaks.
-func (t *membership) addStatic(id, addr string, client *rpc.Client) {
+func (t *membership) addStatic(id, addr string, client *taskClient) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.members[id] = &member{
@@ -129,7 +128,7 @@ func (t *membership) addStatic(id, addr string, client *rpc.Client) {
 
 // register installs or replaces a dynamic worker. It returns the new
 // registration generation.
-func (t *membership) register(reg *comms.RegisterFrame, conn *comms.Conn, client *rpc.Client) int {
+func (t *membership) register(reg *comms.RegisterFrame, conn *comms.Conn, client *taskClient) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, known := t.members[reg.ID]
@@ -219,7 +218,7 @@ func (t *membership) markSuspect(id string, gen int) bool {
 }
 
 // markDead declares the worker's current incarnation dead and tears
-// down its connections, so in-flight task RPCs fail over immediately.
+// down its connections, so in-flight task calls fail over immediately.
 func (t *membership) markDead(id string, gen int, reason error) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -433,7 +432,7 @@ func (m *Master) serveControl(conn *comms.Conn, cfg ControlConfig) {
 	}
 	// Dial back the worker's task server before admitting it: a worker
 	// the master cannot reach is useless to the round loop.
-	client, err := rpc.Dial("tcp", reg.TaskAddr)
+	client, err := dialTask(reg.TaskAddr, cfg.RegisterTimeout)
 	if err != nil {
 		conn.Send(comms.Envelope{Kind: comms.FrameAck, Ack: &comms.AckFrame{
 			OK: false, Msg: fmt.Sprintf("dialing task address %s: %v", reg.TaskAddr, err),

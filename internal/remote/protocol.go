@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -14,9 +12,10 @@ import (
 	"s3sched/internal/scheduler"
 )
 
-// Wire types for the master↔worker and worker↔worker RPC protocol:
-// net/rpc, whose gob codec carries the control fields; every record
-// payload crosses as mapreduce frames (DESIGN.md, "Shuffle wire format").
+// Messages of the master → worker and worker → worker task calls. Each
+// crosses the task wire (transport.go) in a hand-written codec
+// (codec.go); every record payload crosses as mapreduce frames
+// (DESIGN.md, "Task wire" and "Shuffle wire format").
 
 // JobRef names one job's executable parts for a worker's registry.
 type JobRef struct {
@@ -55,8 +54,8 @@ type MapTaskArgs struct {
 	// dfs.ScanHint for File: two counted lists of block indices — pin and
 	// prefetch — end to end (hintShare writes it, scanHint reads
 	// it). Indices, because the file is already named and a []BlockID would
-	// cross gob as a struct per block on every task. Nil, and then absent
-	// from the wire, until the scheduler has emitted one.
+	// cross as a name and an index per block on every task. Nil, and then
+	// one byte on the wire, until the scheduler has emitted one.
 	Hint []int
 }
 
@@ -110,8 +109,9 @@ type PartReceipt struct {
 // stay on the worker. WallNs is how long the handler ran: what is left of
 // the master's wait is the hop. PassNs is the time its passes spent in
 // mapreduce.MapBlockForJobs, summed over them: the map function's share,
-// which the slots overlap. Nothing fills PerJob: it remains for
-// bench/perf's remote.gob_* probes.
+// which the slots overlap. Nothing fills PerJob, and it does not cross
+// the task wire: it remains for bench/perf's remote.gob_* probes, which
+// gob-encode it.
 type MapTaskReply struct {
 	PerJob       [][][]mapreduce.KV
 	BytesScanned int64
@@ -163,58 +163,12 @@ type FetchArgs struct {
 }
 
 // FetchReply is a holder's share of a partition: Runs[i] is what block
-// Blocks[i] of the job's file gave it, blocks ascending. It crosses gob
-// as one byte string — uvarint run count, then per run its block index
-// and a frame — so gob walks neither a record nor a run.
+// Blocks[i] of the job's file gave it, blocks ascending. It crosses as
+// one byte string — uvarint run count, then per run its block index and
+// a frame (codec.go) — whose records decode as substrings of the body.
 type FetchReply struct {
 	Blocks []int
 	Runs   [][]mapreduce.KV
-}
-
-// GobEncode implements gob.GobEncoder with a single allocation.
-func (r FetchReply) GobEncode() ([]byte, error) {
-	size := binary.MaxVarintLen64 * (1 + len(r.Runs))
-	for _, kvs := range r.Runs {
-		size += mapreduce.FrameSize(kvs)
-	}
-	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(r.Runs)))
-	for i, kvs := range r.Runs {
-		buf = mapreduce.AppendFrame(binary.AppendUvarint(buf, uint64(r.Blocks[i])), kvs)
-	}
-	return buf, nil
-}
-
-// GobDecode implements gob.GobDecoder. data is the decoder's to reuse,
-// so it is copied once, into the string every decoded key and value is
-// a substring of. A run count the bytes cannot hold is an error before
-// anything is allocated for it, and so is a block index that does not
-// ascend; an empty run comes back nil.
-func (r *FetchReply) GobDecode(data []byte) (err error) {
-	s := string(data)
-	next := func(limit int) (n int) { // 0 once anything has failed
-		if err == nil {
-			n, s, err = mapreduce.FrameUvarint(s, limit)
-		}
-		return n
-	}
-	n := next(len(s) / 2) // a run is two bytes at least
-	blocks, runs := make([]int, n), make([][]mapreduce.KV, n)
-	for i := 0; i < n && err == nil; i++ {
-		if blocks[i] = next(math.MaxInt32); err == nil {
-			runs[i], s, err = mapreduce.DecodeFrame(s)
-		}
-		if err == nil && i > 0 && blocks[i] <= blocks[i-1] {
-			err = fmt.Errorf("block %d after block %d", blocks[i], blocks[i-1])
-		}
-	}
-	if err == nil && s != "" {
-		err = fmt.Errorf("%d trailing bytes", len(s))
-	}
-	if err != nil {
-		return fmt.Errorf("remote: malformed fetch reply: %w", err)
-	}
-	r.Blocks, r.Runs = blocks, runs
-	return nil
 }
 
 // InstallFileArgs ships a derived file — a finished DAG stage's

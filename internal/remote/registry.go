@@ -1,5 +1,5 @@
 // Package remote is the execution substrate for real bytes: a master
-// drives map and reduce tasks on worker processes over TCP (net/rpc),
+// drives map and reduce tasks on worker processes over TCP (its task wire),
 // the way the paper's S^3 plugin drives Hadoop TaskTrackers. It is the
 // only one: s3cluster deploys it across processes, and StartLocal boots
 // the same master and workers inside one process for the benchmark's

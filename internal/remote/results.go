@@ -138,8 +138,8 @@ func (m *Master) fetchOutput(id scheduler.JobID, parts []journal.ResultPart) (ru
 		if i < 0 {
 			return nil, true, nil
 		}
-		frame := new([]byte) // its own: an abandoned call may still write to it
-		err := m.callWorker(live[i], "Worker.FetchResult", &FetchArgs{Epoch: m.epoch, ID: id, Partition: p}, frame)
+		frame := new(resultFrame)
+		err := m.callWorker(live[i], fetchResult, &FetchArgs{Epoch: m.epoch, ID: id, Partition: p}, frame)
 		if isTransportError(err) || err == nil && len(*frame) == 0 { // a frame is a byte at least
 			return nil, true, nil
 		}

@@ -2,13 +2,11 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"net/rpc"
 	"reflect"
 	"slices"
 	"strings"
@@ -86,22 +84,12 @@ func TestReduceReplyCarriesNoRecords(t *testing.T) {
 		t.Errorf("the result store holds %d bytes in %d entries, the receipt says %d", st.ResultBytes, st.ResultEntries, reply.Receipt.Bytes)
 	}
 
-	var stream bytes.Buffer
-	enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
-	if err := enc.Encode(&reply); err != nil { // the first message carries the type
-		t.Fatal(err)
-	}
-	if err := dec.Decode(new(ReduceTaskReply)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if size := stream.Len(); size > 64 {
+	body := reply.appendTo(nil)
+	if size := len(body); size > 64 {
 		t.Errorf("the reply for a %d-byte partition is %d wire bytes, want at most 64", reply.Receipt.Bytes, size)
 	}
 	var got ReduceTaskReply
-	if err := dec.Decode(&got); err != nil || !reflect.DeepEqual(got, reply) {
+	if err := decodeMessage(body, &got); err != nil || !reflect.DeepEqual(got, reply) {
 		t.Fatalf("reply arrived as %+v, %v", got, err)
 	}
 	var walk func(reflect.Type)
@@ -513,11 +501,12 @@ func TestStaleResultsOfAnEarlierMaster(t *testing.T) {
 	}
 }
 
-// FuzzResultReply holds arbitrary bytes to an arbitrary receipt. A frame
-// is accepted only when its length, its CRC-32C, its being one whole
-// frame and its record count all agree with the receipt; any disagreement
-// is an error and never a panic; and what is accepted re-encodes to the
-// very bytes.
+// FuzzResultReply holds arbitrary bytes, as FetchResult's reply decoder
+// hands them over — the whole body, untouched — to an arbitrary receipt.
+// A frame is accepted only when its length, its CRC-32C, its being one
+// whole frame and its record count all agree with the receipt; any
+// disagreement is an error and never a panic; and what is accepted
+// re-encodes to the very bytes.
 func FuzzResultReply(f *testing.F) {
 	frame := mapreduce.AppendFrame(nil, []mapreduce.KV{{Key: "k", Value: "v"}, {Key: "\xff", Value: strings.Repeat("x", 300)}})
 	sum := crc32.Checksum(frame, castagnoli)
@@ -530,8 +519,12 @@ func FuzzResultReply(f *testing.F) {
 	f.Add([]byte{}, int64(0), int64(0), uint32(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, int64(-1), int64(9), uint32(0))
 	f.Fuzz(func(t *testing.T, data []byte, records, size int64, sum uint32) {
+		var reply resultFrame
+		if err := decodeMessage(data, &reply); err != nil || !bytes.Equal(reply, data) || !bytes.Equal(reply.appendTo(nil), data) {
+			t.Fatalf("the result reply %x decoded as %x, %v", data, []byte(reply), err)
+		}
 		agrees := func(part journal.ResultPart) bool {
-			run, err := decodeResult(data, part)
+			run, err := decodeResult(reply, part)
 			if err != nil {
 				if run != nil {
 					t.Fatalf("error %v and %d records", err, len(run))
@@ -642,7 +635,7 @@ func TestReleasesSurviveTrim(t *testing.T) {
 	pending(31, 1) // the dead worker's ten do not count
 
 	// A late joiner, and the dead one back: neither is told of a trimmed id.
-	late, err := rpc.Dial("tcp", addrs[2])
+	late, err := dialTask(addrs[2], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"net"
-	"net/rpc"
 	"slices"
 	"sync"
 	"time"
@@ -119,7 +118,7 @@ func (s *stash) partition(job stashJob, p int) map[int][]mapreduce.KV {
 	return out
 }
 
-// FetchShuffle implements the worker → worker RPC: what this worker
+// FetchShuffle serves the worker → worker fetch: what this worker
 // holds of one partition, one run per block, ascending. An epoch or job
 // it knows nothing of is an empty answer: the reducer reports the gap.
 func (w *Worker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
@@ -176,78 +175,98 @@ func (w *Worker) gather(args *ReduceTaskArgs, blocks int) (*gathered, error) {
 	if g.left == 0 {
 		return g, nil
 	}
-	type answer struct {
-		addr  string
-		reply *FetchReply
-		err   error
-	}
-	answers := make(chan answer, len(args.Peers))
+	fa := &FetchArgs{Epoch: args.Epoch, ID: args.ID, Partition: args.Partition}
 	began := time.Now()
-	for _, addr := range args.Peers {
-		go func(addr string) {
-			reply := new(FetchReply) // its own: an abandoned call may still write to it
-			err := w.fetchFrom(addr, &FetchArgs{Epoch: args.Epoch, ID: args.ID, Partition: args.Partition}, reply, args.FetchDeadline)
-			answers <- answer{addr, reply, err}
-		}(addr)
+	expired, stop := expiry(args.FetchDeadline)
+	defer stop()
+	fetches := make([]peerFetch, len(args.Peers))
+	for i, addr := range args.Peers { // all asked at once, then all collected
+		fetches[i] = w.startFetch(addr, fa, args.FetchDeadline)
 	}
 	var first error
-	for range args.Peers {
-		a := <-answers
-		if isTransportError(a.err) {
+	for _, f := range fetches {
+		reply := new(FetchReply)
+		err := w.finishFetch(f, fa, reply, expired, args.FetchDeadline)
+		if isTransportError(err) {
 			continue
 		}
-		for i := 0; a.err == nil && i < len(a.reply.Blocks); i++ {
-			a.err = g.add(a.reply.Blocks[i], a.reply.Runs[i])
-			w.fetchedBytes.Add(receiptOf(a.reply.Runs[i]).Bytes)
+		for i := 0; err == nil && i < len(reply.Blocks); i++ {
+			err = g.add(reply.Blocks[i], reply.Runs[i])
+			w.fetchedBytes.Add(receiptOf(reply.Runs[i]).Bytes)
 		}
-		if a.err != nil && first == nil {
-			first = fail("worker at "+a.addr, a.err)
+		if err != nil && first == nil {
+			first = fail("worker at "+f.addr, err)
 		}
 	}
 	g.fetchNs = int64(time.Since(began))
 	return g, first
 }
 
-// fetchFrom calls one peer's FetchShuffle over a connection kept between
-// reduce tasks. A failed call's connection is dropped; if it was a kept
-// one, the peer may have restarted since, so the call is made once more
-// on a fresh one — unless it failed by the clock.
-func (w *Worker) fetchFrom(addr string, args *FetchArgs, reply *FetchReply, deadline time.Duration) error {
-	for {
+// peerFetch is one peer's FetchShuffle in flight: its call on the
+// connection kept for the peer, or why there is none.
+type peerFetch struct {
+	addr   string
+	client *taskClient
+	kept   bool // the connection was kept from an earlier fetch
+	call   *taskCall
+	err    error
+}
+
+// startFetch sends FetchShuffle to the peer at addr over the connection
+// kept for it, dialing one — within timeout, zero for the system's bound
+// — if there is none.
+func (w *Worker) startFetch(addr string, args *FetchArgs, timeout time.Duration) peerFetch {
+	f := peerFetch{addr: addr}
+	w.mu.Lock()
+	f.client = w.peers[addr]
+	w.mu.Unlock()
+	if f.kept = f.client != nil; !f.kept {
+		dialed, err := dialTask(addr, timeout)
+		if err != nil {
+			f.err = err
+			return f
+		}
 		w.mu.Lock()
-		client := w.peers[addr]
+		if f.client = w.peers[addr]; f.client == nil && !w.closed {
+			f.client, w.peers[addr] = dialed, dialed
+		}
 		w.mu.Unlock()
-		kept := client != nil
-		if !kept {
-			conn, err := net.DialTimeout("tcp", addr, deadline) // zero: the system's own bound
-			if err != nil {
-				return err
+		if f.client != dialed { // a concurrent reduce dialed first, or the worker closed
+			dialed.Close()
+		}
+		if f.client == nil {
+			f.err = fmt.Errorf("remote: worker closed: %w", net.ErrClosed)
+			return f
+		}
+	}
+	f.call = f.client.send(fetchShuffle, args)
+	return f
+}
+
+// finishFetch collects a started fetch. A failed call's connection is
+// dropped; if it was a kept one, the peer may have restarted since, so
+// the call is made once more on a fresh one — unless it failed by the
+// clock.
+func (w *Worker) finishFetch(f peerFetch, args *FetchArgs, reply *FetchReply, expired <-chan struct{}, timeout time.Duration) error {
+	for {
+		err := f.err
+		if err == nil {
+			if err = f.client.wait(f.call, reply, expired); err == nil {
+				return nil
 			}
-			dialed := rpc.NewClient(conn)
 			w.mu.Lock()
-			if client = w.peers[addr]; client == nil && !w.closed {
-				client, w.peers[addr] = dialed, dialed
+			if w.peers[f.addr] == f.client {
+				delete(w.peers, f.addr)
 			}
 			w.mu.Unlock()
-			if client != dialed { // a concurrent reduce dialed first, or the worker closed
-				dialed.Close()
-			}
-			if client == nil {
-				return rpc.ErrShutdown
-			}
+			f.client.Close()
 		}
-		err := callWithin(client, addr, "Worker.FetchShuffle", args, reply, deadline)
-		if err == nil {
-			return nil
+		if err == errExpired {
+			return &TaskDeadlineError{Worker: f.addr, Method: fetchShuffle.String(), Deadline: timeout}
 		}
-		client.Close()
-		w.mu.Lock()
-		if w.peers[addr] == client {
-			delete(w.peers, addr)
-		}
-		w.mu.Unlock()
-		if _, late := err.(*TaskDeadlineError); late || !kept || !isTransportError(err) {
+		if !f.kept || !isTransportError(err) {
 			return err
 		}
+		f = w.startFetch(f.addr, args, timeout)
 	}
 }

@@ -2,10 +2,9 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net/rpc"
+	"net"
 	"reflect"
 	"runtime"
 	"slices"
@@ -411,34 +410,25 @@ func TestWedgedPeerCostsOneDeadline(t *testing.T) {
 	}
 }
 
-// RawFetch crosses gob as whatever bytes it holds.
-type RawFetch struct{ wire []byte }
-
-func (r RawFetch) GobEncode() ([]byte, error) { return r.wire, nil }
-func (r *RawFetch) GobDecode([]byte) error    { return nil }
-
-// fetchMangler is a real worker whose fetch replies are rewritten on
-// their way out.
-type fetchMangler struct {
-	*Worker
-	mangle func([]byte) []byte
-}
-
-func (w *fetchMangler) FetchShuffle(args *FetchArgs, reply *RawFetch) error {
-	var real FetchReply
-	if err := w.Worker.FetchShuffle(args, &real); err != nil {
-		return err
+// fetchMangler serves a real worker whose fetch replies are rewritten
+// on their way out.
+func fetchMangler(w *Worker, mangle func([]byte) []byte) serveFunc {
+	serve := dispatchTo(w)
+	return func(m method, req, out []byte) ([]byte, error) {
+		start := len(out)
+		out, err := serve(m, req, out)
+		if m == fetchShuffle && err == nil {
+			out = append(out[:start], mangle(bytes.Clone(out[start:]))...)
+		}
+		return out, err
 	}
-	wire, err := real.GobEncode()
-	reply.wire = w.mangle(wire)
-	return err
 }
 
 // (e) A peer that answers a fetch with something that is not a partition
 // of the job's file fails the round with a task-level error naming it:
 // no panic, no repair, nothing committed.
 func TestMalformedFetchReplyFailsTheJob(t *testing.T) {
-	outOfFile, _ := FetchReply{Blocks: []int{testBlocks}, Runs: [][]mapreduce.KV{nil}}.GobEncode()
+	outOfFile := (&FetchReply{Blocks: []int{testBlocks}, Runs: [][]mapreduce.KV{nil}}).appendTo(nil)
 	mangles := map[string]struct {
 		mangle func([]byte) []byte
 		want   string
@@ -452,7 +442,7 @@ func TestMalformedFetchReplyFailsTheJob(t *testing.T) {
 		var bad string
 		_, addrs := serveWorkers(t, 2, func(i int, w *Worker) any {
 			if i == 0 {
-				return &fetchMangler{w, c.mangle}
+				return fetchMangler(w, c.mangle)
 			}
 			return nil
 		})
@@ -548,8 +538,8 @@ func TestStashHoldsInflightJobsOnly(t *testing.T) {
 	if len(workers[0].peers) != 0 {
 		t.Error("a closed worker still holds peer connections")
 	}
-	if err := workers[0].fetchFrom(addrs[1], &FetchArgs{}, new(FetchReply), 0); !errors.Is(err, rpc.ErrShutdown) {
-		t.Errorf("a closed worker dialed a peer: %v", err)
+	if f := workers[0].startFetch(addrs[1], &FetchArgs{}, 0); !errors.Is(f.err, net.ErrClosed) {
+		t.Errorf("a closed worker dialed a peer: %v", f.err)
 	}
 }
 
@@ -561,7 +551,7 @@ func TestStashHoldsInflightJobsOnly(t *testing.T) {
 // re-encodes to the very bytes.
 func FuzzFetchReply(f *testing.F) {
 	f.Add([]byte{0})
-	good, _ := FetchReply{Blocks: []int{0, 3, 200}, Runs: [][]mapreduce.KV{{{Key: "k", Value: "v"}}, nil, {{Key: "\xff", Value: strings.Repeat("x", 300)}}}}.GobEncode()
+	good := (&FetchReply{Blocks: []int{0, 3, 200}, Runs: [][]mapreduce.KV{{{Key: "k", Value: "v"}}, nil, {{Key: "\xff", Value: strings.Repeat("x", 300)}}}}).appendTo(nil)
 	f.Add(good)
 	f.Add(append(append([]byte(nil), good...), "trailing"...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -571,7 +561,7 @@ func FuzzFetchReply(f *testing.F) {
 		var before, after runtime.MemStats
 		var reply FetchReply
 		runtime.ReadMemStats(&before)
-		err := reply.GobDecode(data)
+		err := decodeMessage(data, &reply)
 		runtime.ReadMemStats(&after)
 		// The input as a string, per two input bytes at most one run (a
 		// block index and a slice header, 32 bytes) and at most one
@@ -585,7 +575,7 @@ func FuzzFetchReply(f *testing.F) {
 			}
 			return
 		}
-		if again, _ := reply.GobEncode(); !bytes.Equal(again, data) {
+		if again := reply.appendTo(nil); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding gives %x, decoded from %x", again, data)
 		}
 		const fileBlocks = 64
@@ -638,22 +628,12 @@ func TestMapReplyCarriesNoRecords(t *testing.T) {
 		t.Fatalf("receipts add up to %d bytes, the stash holds %d in %d entries", stashed, st.StashBytes, st.StashEntries)
 	}
 
-	var stream bytes.Buffer
-	enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
-	if err := enc.Encode(&reply); err != nil { // the first message carries the type
-		t.Fatal(err)
-	}
-	if err := dec.Decode(new(MapTaskReply)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if size := stream.Len(); size > 128*len(args.Jobs) {
+	body := reply.appendTo(nil)
+	if size := len(body); size > 128*len(args.Jobs) {
 		t.Errorf("the reply for %d jobs is %d wire bytes, want at most 128 a job", len(args.Jobs), size)
 	}
 	var got MapTaskReply
-	if err := dec.Decode(&got); err != nil || got.PerJob != nil || !reflect.DeepEqual(got, reply) {
+	if err := decodeMessage(body, &got); err != nil || got.PerJob != nil || !reflect.DeepEqual(got, reply) {
 		t.Fatalf("reply arrived as %+v, %v", got, err)
 	}
 }

@@ -126,7 +126,7 @@ func TestStatsPollsHonourTaskDeadline(t *testing.T) {
 	_, live := m.members.live()
 	var reply MapTaskReply
 	args := &MapTaskArgs{File: "text", Blocks: []int{1}, IDs: []scheduler.JobID{1}, Jobs: []JobRef{{Name: "wc", Factory: "wordcount", Param: "t"}}}
-	if err := m.callWorker(live[1], "Worker.ExecMap", args, &reply); err != nil {
+	if err := m.callWorker(live[1], execMap, args, &reply); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -40,14 +39,10 @@ var wireCases = map[string]struct{ param, file string }{
 	"topk":            {"3", "derived"},
 }
 
-// gobRoundTrip sends v through a fresh encoder / decoder pair.
-func gobRoundTrip(t *testing.T, v, into any) {
+// wireRoundTrip encodes v and decodes it into into, as a task call does.
+func wireRoundTrip(t *testing.T, v, into message) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(into); err != nil {
+	if err := decodeMessage(v.appendTo(nil), into); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,9 +58,9 @@ func fetchOf(runs ...[]mapreduce.KV) *FetchReply {
 
 // Every factory's real map output — over text, lineitem, derived and
 // empty blocks, wherever the mapper accepts them — survives the hop that
-// carries records, FetchReply → gob → FetchReply, record for record, and
+// carries records, FetchReply → wire → FetchReply, record for record, and
 // its receipts survive the map reply's.
-func TestMapReplySurvivesGob(t *testing.T) {
+func TestMapReplySurvivesTheWire(t *testing.T) {
 	blocks := wireFiles()
 	blocks["empty"] = [][]byte{nil}
 	reg := NewStandardRegistry()
@@ -98,14 +93,14 @@ func TestMapReplySurvivesGob(t *testing.T) {
 				continue
 			}
 			var got MapTaskReply
-			gobRoundTrip(t, &sent, &got)
+			wireRoundTrip(t, &sent, &got)
 			if !reflect.DeepEqual(got, sent) {
-				t.Errorf("%s over a %s block: receipts changed crossing gob", factory, kind)
+				t.Errorf("%s over a %s block: receipts changed crossing the wire", factory, kind)
 			}
 			var fetched FetchReply
-			gobRoundTrip(t, fetchOf(runs...), &fetched)
+			wireRoundTrip(t, fetchOf(runs...), &fetched)
 			if !reflect.DeepEqual(&fetched, fetchOf(runs...)) {
-				t.Errorf("%s over a %s block: fetch reply changed crossing gob", factory, kind)
+				t.Errorf("%s over a %s block: fetch reply changed crossing the wire", factory, kind)
 			}
 			survived++
 		}
@@ -114,22 +109,21 @@ func TestMapReplySurvivesGob(t *testing.T) {
 		}
 	}
 
-	// Pinned: an empty run comes back nil — what gob made of an empty
-	// []KV before frames — whether it left as nil or as empty, and a
-	// holder with nothing answers in one byte.
+	// Pinned: an empty run comes back nil, whether it left as nil or as
+	// empty, and a holder with nothing answers in one byte.
 	var got FetchReply
-	gobRoundTrip(t, fetchOf([]mapreduce.KV{}, nil, []mapreduce.KV{{Key: "k"}}), &got)
+	wireRoundTrip(t, fetchOf([]mapreduce.KV{}, nil, []mapreduce.KV{{Key: "k"}}), &got)
 	if len(got.Runs) != 3 || got.Runs[0] != nil || got.Runs[1] != nil || len(got.Runs[2]) != 1 {
 		t.Errorf("empty runs decoded as %#v", got.Runs)
 	}
-	if b, _ := (FetchReply{}).GobEncode(); len(b) != 1 {
+	if b := (&FetchReply{}).appendTo(nil); len(b) != 1 {
 		t.Errorf("an empty fetch reply is %d bytes", len(b))
 	}
 }
 
 // A malformed fetch reply is a decode error, not a panic and not a reply.
 func TestFetchReplyRejectsMalformed(t *testing.T) {
-	good, _ := FetchReply{Blocks: []int{2, 5}, Runs: [][]mapreduce.KV{{{Key: "k", Value: "v"}}, nil}}.GobEncode()
+	good := (&FetchReply{Blocks: []int{2, 5}, Runs: [][]mapreduce.KV{{{Key: "k", Value: "v"}}, nil}}).appendTo(nil)
 	cases := map[string][]byte{
 		"empty":             {},
 		"run count too big": {200, 1, 0},
@@ -141,14 +135,14 @@ func TestFetchReplyRejectsMalformed(t *testing.T) {
 	}
 	for name, data := range cases {
 		var r FetchReply
-		if err := r.GobDecode(data); err == nil {
+		if err := decodeMessage(data, &r); err == nil {
 			t.Errorf("%s: decoded %+v", name, r)
 		} else if r.Blocks != nil || r.Runs != nil {
 			t.Errorf("%s: error %v but the reply was filled in", name, err)
 		}
 	}
 	var r FetchReply
-	if err := r.GobDecode(good); err != nil || !reflect.DeepEqual(r.Blocks, []int{2, 5}) || r.Runs[0][0].Value != "v" || r.Runs[1] != nil {
+	if err := decodeMessage(good, &r); err != nil || !reflect.DeepEqual(r.Blocks, []int{2, 5}) || r.Runs[0][0].Value != "v" || r.Runs[1] != nil {
 		t.Fatalf("good reply: %+v, %v", r, err)
 	}
 }
@@ -325,9 +319,9 @@ func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
 var raceEnabled bool
 
 // Decoding a fetch reply costs a handful of allocations however many
-// records it carries — the message as one string, the slices around
-// the records — where gob's reflection made two strings per record
-// (about 20,000 for this reply).
+// records it carries — the slices around the records, whose keys and
+// values are views of the body — where gob's reflection made two strings
+// per record (about 20,000 for this reply).
 func TestFetchReplyDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -337,19 +331,11 @@ func TestFetchReplyDecodeAllocations(t *testing.T) {
 		kv := mapreduce.KV{Key: fmt.Sprintf("%d.%d", i, i%7), Value: strings.Repeat("lineitem|", 12)}
 		reply.Runs[i%2] = append(reply.Runs[i%2], kv)
 	}
-	const runs = 5
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
-		if err := enc.Encode(&reply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec := gob.NewDecoder(bytes.NewReader(stream.Bytes()))
+	body := reply.appendTo(nil)
 	var got FetchReply
-	allocs := testing.AllocsPerRun(runs, func() {
+	allocs := testing.AllocsPerRun(5, func() {
 		got = FetchReply{}
-		if err := dec.Decode(&got); err != nil {
+		if err := decodeMessage(body, &got); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -362,11 +348,11 @@ func TestFetchReplyDecodeAllocations(t *testing.T) {
 }
 
 // A scan hint rides every map task of a hinted file, ≈2,300 times a
-// second on the smallest workload: one gob encode and decode of a task
-// for seven jobs may cost only a handful of bytes and allocations more
-// with a worker's share of a hint than without one, and nothing at all
-// while the scheduler has emitted none. (Shipping the dfs.ScanHint
-// itself — a struct per block — cost 24 allocations and ×0.86 jobs/s.)
+// second on the smallest workload: one encode and decode of a task for
+// seven jobs may cost only a handful of bytes and allocations more with
+// a worker's share of a hint than without one, and one byte while the
+// scheduler has emitted none. (Shipping the dfs.ScanHint itself — a
+// struct per block — cost 24 allocations and ×0.86 jobs/s.)
 func TestMapTaskHintWireCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -375,23 +361,17 @@ func TestMapTaskHintWireCost(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		args.Jobs = append(args.Jobs, JobRef{Name: fmt.Sprintf("wordcount-%d", i), Factory: "wordcount", Param: "th", NumReduce: 2})
 	}
-	// cost is one message's wire bytes and its allocations, encode plus
-	// decode, on a stream that has already carried the type.
-	cost := func(msg, into any) (int, float64) {
-		var stream bytes.Buffer
-		enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
-		var size int
+	// cost is one message's wire bytes and its allocations, encode into a
+	// kept buffer plus decode.
+	var buf []byte
+	cost := func(msg, into message) ([]byte, float64) {
 		allocs := testing.AllocsPerRun(10, func() {
-			before := stream.Len()
-			if err := enc.Encode(msg); err != nil {
-				t.Fatal(err)
-			}
-			size = stream.Len() - before
-			if err := dec.Decode(into); err != nil {
+			buf = msg.appendTo(buf[:0])
+			if err := decodeMessage(buf, into); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return size, allocs
+		return bytes.Clone(buf), allocs
 	}
 	// One worker's share of a hint: two pins and a prefetch.
 	share := hintShare(dfs.ScanHint{
@@ -400,27 +380,68 @@ func TestMapTaskHintWireCost(t *testing.T) {
 		Prefetch: []dfs.BlockID{{File: "corpus", Index: 6}},
 	}, 0, 1)
 	var got MapTaskArgs
-	plainSize, plainAllocs := cost(&args, &got)
+	plain, plainAllocs := cost(&args, &got)
 	hinted := args
 	hinted.Hint = share
-	hintSize, hintAllocs := cost(&hinted, &got)
+	withHint, hintAllocs := cost(&hinted, &got)
 	if !reflect.DeepEqual(got, hinted) {
 		t.Fatalf("task arrived as %+v, want %+v", got, hinted)
 	}
-	t.Logf("task of 7 jobs: %d bytes, %.0f allocations; with the hint %v: %d bytes, %.0f allocations", plainSize, plainAllocs, share, hintSize, hintAllocs)
-	// Today 7 bytes and 2 allocations; three []int fields cost 12 and 13.
-	if hintSize-plainSize > 16 || hintAllocs-plainAllocs > 4 {
-		t.Errorf("the hint costs %d bytes and %.0f allocations per task, want at most 16 and 4", hintSize-plainSize, hintAllocs-plainAllocs)
+	t.Logf("task of 7 jobs: %d bytes, %.0f allocations; with the hint %v: %d bytes, %.0f allocations", len(plain), plainAllocs, share, len(withHint), hintAllocs)
+	// Today 5 bytes and 1 allocation.
+	if len(withHint)-len(plain) > 16 || hintAllocs-plainAllocs > 4 {
+		t.Errorf("the hint costs %d bytes and %.0f allocations per task, want at most 16 and 4", len(withHint)-len(plain), hintAllocs-plainAllocs)
 	}
-	// The task as it was before it could carry a hint.
-	type unhinted struct {
-		File   string
-		Blocks []int
-		Jobs   []JobRef
-		Corr   string
+	// The hint is the task's last field: without one, the task is what it
+	// is with one up to the hint, and a zero count.
+	head := len(withHint) - len(appendInts(nil, share))
+	if !bytes.Equal(plain, append(withHint[:head:head], 0)) {
+		t.Errorf("a task without a hint is %x, with one %x: an absent hint must cost one byte", plain, withHint)
 	}
-	old := unhinted{args.File, args.Blocks, args.Jobs, args.Corr}
-	if oldSize, _ := cost(&old, new(unhinted)); plainSize != oldSize {
-		t.Errorf("a task without a hint is %d bytes, %d before the field existed: an absent hint must cost nothing", plainSize, oldSize)
+}
+
+// BenchmarkShuffleWire moves one 512 KB lineitem block's 10% selection,
+// two partitions, the way a reduce on another worker gets it: out of the
+// stash of the worker that mapped it (Worker.FetchShuffle), encoded into
+// a frame, read off the wire into a body of its own and decoded back
+// into records. Bytes are the key + value bytes carried.
+func BenchmarkShuffleWire(b *testing.B) {
+	w := lineitemWorker(b, 1)
+	task := &MapTaskArgs{File: "lineitem", Blocks: []int{0}, Epoch: 1, IDs: []scheduler.JobID{1},
+		Jobs: []JobRef{{Name: "sel", Factory: "selection", Param: "5", NumReduce: 2}}}
+	var receipt MapTaskReply
+	if err := w.ExecMap(task, &receipt); err != nil {
+		b.Fatal(err)
+	}
+	var payload int64
+	for _, rc := range receipt.Receipts[0] {
+		payload += rc.Bytes
+	}
+	var frame []byte
+	hdr := make([]byte, frameHeader)
+	b.SetBytes(payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p, rc := range receipt.Receipts[0] {
+			var held, got FetchReply
+			if err := w.FetchShuffle(&FetchArgs{Epoch: 1, ID: 1, Partition: p}, &held); err != nil {
+				b.Fatal(err)
+			}
+			frame = held.appendTo(appendHeader(frame[:0], 1, statusOK))
+			if err := endFrame(frame, "peer"); err != nil {
+				b.Fatal(err)
+			}
+			_, _, body, err := readFrame(bytes.NewReader(frame), hdr, "peer")
+			if err == nil {
+				err = decodeMessage(body, &got)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got.Runs) != 1 || int64(len(got.Runs[0])) != rc.Records {
+				b.Fatalf("partition %d: decoded %d runs, want one of %d records", p, len(got.Runs), rc.Records)
+			}
+		}
 	}
 }

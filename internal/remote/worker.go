@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/rpc"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -26,7 +25,7 @@ type Worker struct {
 	store    *dfs.Store
 	registry *Registry
 	// log, when non-nil, records one TaskServed event per completed
-	// RPC, echoing the master's correlation id. Timestamps are on the
+	// task, echoing the master's correlation id. Timestamps are on the
 	// worker's own wall clock; the corr id — not the clock — is what
 	// joins the two traces.
 	log   *trace.Log
@@ -52,7 +51,7 @@ type Worker struct {
 	conns map[net.Conn]struct{}
 	// peers are connections to other workers' task servers, by address;
 	// closed refuses new ones.
-	peers  map[string]*rpc.Client
+	peers  map[string]*taskClient
 	closed bool
 
 	// Control-plane state (registration mode; see control.go).
@@ -73,7 +72,7 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
 		panic("remote: worker needs a store and a registry")
 	}
-	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*rpc.Client), slots: runtime.GOMAXPROCS(0)}
+	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*taskClient), slots: runtime.GOMAXPROCS(0)}
 	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
 	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
@@ -88,7 +87,7 @@ func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 // shares, whichever goroutine ran them.
 var readLayer, mapLayer = pprof.Labels("layer", "read"), pprof.Labels("layer", "map")
 
-// ExecMap implements the MapTask RPC: scan each block once, map it in one
+// ExecMap serves the map task call: scan each block once, map it in one
 // pass for each group of mapreduce.MapGroups — jobs whose mappers share
 // one are served by one parse — combine and partition each job's output,
 // and stash it: the reply is a receipt, the records leave only by a fetch.
@@ -210,7 +209,7 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	return nil
 }
 
-// ExecReduce implements the ReduceTask RPC: gather the partition from
+// ExecReduce serves the reduce task call: gather the partition from
 // the stashes and — only if exactly one run covers every block of the
 // job's file — sort, group, reduce, keep the frame; else reply the gaps.
 func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error {
@@ -252,7 +251,7 @@ func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error 
 	return nil
 }
 
-// InstallFile implements the InstallFile RPC: add a derived file's
+// InstallFile serves the install call: add a derived file's
 // blocks to the local store. Idempotent — re-installation of a file
 // the store already holds is acked if the geometry matches (a master
 // re-pushing after recovery, or a re-registration replay) and rejected
@@ -275,20 +274,16 @@ func (w *Worker) InstallFile(args *InstallFileArgs, reply *InstallFileReply) err
 	return nil
 }
 
-// Stats implements the Stats RPC.
+// Stats serves the ledger poll.
 func (w *Worker) Stats(args *StatsArgs, reply *StatsReply) error {
 	w.stash.admit(args.Epoch, args.Done)
 	reply.WireStats = w.wireStats()
 	return nil
 }
 
-// Serve starts the worker's RPC server on addr ("127.0.0.1:0" for an
+// Serve starts the worker's task server on addr ("127.0.0.1:0" for an
 // ephemeral port) and returns the bound address. It serves until Close.
 func (w *Worker) Serve(addr string) (string, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", w); err != nil {
-		return "", err
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -299,6 +294,7 @@ func (w *Worker) Serve(addr string) (string, error) {
 	w.conns = make(map[net.Conn]struct{})
 	w.closed = false // a closed worker may serve again
 	w.mu.Unlock()
+	serve := dispatchTo(w)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -314,7 +310,7 @@ func (w *Worker) Serve(addr string) (string, error) {
 			w.conns[conn] = struct{}{}
 			w.mu.Unlock()
 			go func() {
-				srv.ServeConn(conn)
+				serveTasks(conn, serve) // a connection that breaks the protocol is only closed
 				w.mu.Lock()
 				delete(w.conns, conn)
 				w.mu.Unlock()

@@ -109,18 +109,10 @@ func importNames(f *ast.File) map[string]string {
 // exportAllowlist names the exported names that have no identifier use
 // in a non-test file and stay, each with its reason.
 var exportAllowlist = map[string]string{
-	// net/rpc handlers: the master calls them by a "Worker.X" string.
-	"remote.Worker.ExecMap":      "net/rpc handler, called as \"Worker.ExecMap\"",
-	"remote.Worker.ExecReduce":   "net/rpc handler, called as \"Worker.ExecReduce\"",
-	"remote.Worker.FetchShuffle": "net/rpc handler, called as \"Worker.FetchShuffle\"",
-	"remote.Worker.FetchResult":  "net/rpc handler, called as \"Worker.FetchResult\"",
-
 	// Methods of a standard library interface, called by the library.
 	"remote.allWorkersError.Unwrap":      "errors.Is/As see the transport error under an outage",
 	"scheduler.RoundLostError.Unwrap":    "errors.Is/As unwrap it",
 	"workload.LineError.Unwrap":          "errors.Is/As unwrap it",
-	"remote.FetchReply.GobEncode":        "gob.GobEncoder: the fetch reply's one-buffer encoding",
-	"remote.FetchReply.GobDecode":        "gob.GobDecoder: the fetch reply's one-string decoding",
 	"remote.TaskDeadlineError.Temporary": "net.Error, which a task deadline implements to fail over",
 
 	// Audited and kept: the segment plan's circular-scan vocabulary
