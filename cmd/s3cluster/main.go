@@ -6,10 +6,11 @@
 //	s3cluster -role master -control 127.0.0.1:7000 -minworkers 2
 //	s3cluster -role worker -master 127.0.0.1:7000
 //
-// Workers dial the master's control address, register with their
-// identity and block inventory, and heartbeat; a worker killed and
-// restarted re-registers and rejoins the run in flight, while the
-// master requeues whatever rounds its death interrupted.
+// Workers dial the master's control address and register with their
+// identity and map slots; that one connection then carries the master's
+// task calls and its heartbeat calls. A worker killed and restarted
+// re-registers and rejoins the run in flight, while the master requeues
+// whatever rounds its death interrupted.
 //
 // Master and demo run their -jobs seed through the admission path HTTP
 // submissions take; without -serve admission then closes, and the run
@@ -62,10 +63,10 @@ var (
 	role         = flag.String("role", "demo", "demo | worker | master")
 	listen       = flag.String("listen", "127.0.0.1:0", "worker: address to serve tasks on")
 	masterAddr   = flag.String("master", "", "worker: master control address to register with (registration mode)")
-	workerID     = flag.String("id", "", "worker: stable identity for registration (default worker@<task address>)")
+	workerID     = flag.String("id", "", "worker: stable identity for registration (default worker@<host name>:<listen port>)")
 	ctrlAddr     = flag.String("control", "", "master: control-plane listen address for worker registration ")
 	minWorkers   = flag.Int("minworkers", 1, "master: registered workers to wait for before driving rounds")
-	hb           = flag.Duration("hb", remote.DefaultHeartbeat, "worker: heartbeat interval; master: expected worker heartbeat interval (suspect/dead deadlines scale from it)")
+	hb           = flag.Duration("hb", remote.DefaultHeartbeat, "master: interval between heartbeat calls to each worker (suspect/dead deadlines scale from it); worker: the master's interval, five of which without a call end the session")
 	blocks       = flag.Int("blocks", 24, "corpus blocks (must match across the cluster)")
 	blockSize    = flag.Int64("blocksize", 16<<10, "corpus block size in bytes")
 	seed         = flag.Int64("seed", 7, "corpus generator seed (must match across the cluster)")
@@ -200,7 +201,7 @@ func runMaster() error {
 	}
 	// Listen for worker registrations and gate round-driving on the
 	// expected cluster size. The control-plane deadlines scale from the
-	// heartbeat interval the workers were told to use.
+	// heartbeat interval.
 	master := remote.NewMaster(nil)
 	cfg := remote.ControlConfig{
 		SuspectAfter: *hb * 5 / 2,

@@ -291,18 +291,6 @@ func (s *Store) File(name string) (*File, error) {
 	return f, nil
 }
 
-// Inventory lists the store's files and their block counts — the block
-// inventory a worker advertises when registering with a master.
-func (s *Store) Inventory() map[string]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]int, len(s.files))
-	for name, f := range s.files {
-		out[name] = f.NumBlocks
-	}
-	return out
-}
-
 // Locations returns the nodes holding replicas of the block, or nil if
 // the block is unknown.
 func (s *Store) Locations(id BlockID) []NodeID {

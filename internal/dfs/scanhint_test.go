@@ -349,10 +349,6 @@ func TestStoreShapeAccessors(t *testing.T) {
 	if s.Nodes() != 3 || s.Replicas() != 2 {
 		t.Fatalf("Nodes/Replicas = %d/%d", s.Nodes(), s.Replicas())
 	}
-	inv := s.Inventory()
-	if inv[f.Name] != 4 {
-		t.Fatalf("Inventory = %v", inv)
-	}
 	if got := fmt.Sprint(f.Blocks()[1]); got != "input#1" {
 		t.Fatalf("BlockID.String() = %q", got)
 	}

@@ -336,6 +336,14 @@ func (a *StatsArgs) decodeFrom(d *decoder) {
 	a.Epoch, a.Done = d.varint(), decodeInts[scheduler.JobID](d)
 }
 
+func (r *registration) appendTo(b []byte) []byte {
+	return binary.AppendVarint(appendString(appendString(b, r.ID), r.Addr), int64(r.MapSlots))
+}
+
+func (r *registration) decodeFrom(d *decoder) {
+	r.ID, r.Addr, r.MapSlots = d.string(), d.string(), d.int()
+}
+
 // counters lists the ledger's fields in declaration order.
 func (r *StatsReply) counters() [21]*int64 {
 	s := &r.WireStats

@@ -46,10 +46,10 @@ func fill(v reflect.Value, next *int) {
 }
 
 // wireMessages is a zero message of each type a task call sends or
-// answers with, read off taskHandler: a new call's types join by
-// themselves.
+// answers with, read off taskHandler — a new call's types join by
+// themselves — and the worker's registration.
 func wireMessages() []message {
-	var out []message
+	out := []message{new(registration)}
 	handler := reflect.TypeOf((*taskHandler)(nil)).Elem()
 	for i := 0; i < handler.NumMethod(); i++ {
 		call := handler.Method(i).Type
@@ -68,8 +68,8 @@ func wireMessages() []message {
 // without codec support fails here.
 func TestEveryFieldCrossesTheWire(t *testing.T) {
 	msgs := wireMessages()
-	if len(msgs) != 12 {
-		t.Fatalf("%d messages for six calls, want 12", len(msgs))
+	if len(msgs) != 13 {
+		t.Fatalf("%d messages for six calls and a registration, want 13", len(msgs))
 	}
 	next := 0
 	for _, msg := range msgs {
@@ -136,3 +136,10 @@ func FuzzInstallFileArgs(f *testing.F)  { fuzzDecoder[InstallFileArgs](f) }
 func FuzzInstallFileReply(f *testing.F) { fuzzDecoder[InstallFileReply](f) }
 func FuzzStatsArgs(f *testing.F)        { fuzzDecoder[StatsArgs](f) }
 func FuzzStatsReply(f *testing.F)       { fuzzDecoder[StatsReply](f) }
+
+// FuzzRegistration fuzzes the master's decoder of a worker's first frame,
+// seeded also with the registration of a worker bound to every interface.
+func FuzzRegistration(f *testing.F) {
+	f.Add((&registration{ID: "worker@host-1:7001", Addr: "[::]:7001", MapSlots: 4}).appendTo(nil))
+	fuzzDecoder[registration](f)
+}

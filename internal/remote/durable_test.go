@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -72,12 +73,29 @@ func (s *slowWorker) InstallFile(args *InstallFileArgs, reply *InstallFileReply)
 	return s.inner.InstallFile(args, reply)
 }
 
-// serveStub serves rcvr (see dropServer) on a loopback task listener,
-// returning its address.
+// serveStub serves rcvr — a taskHandler, or a serveFunc that answers
+// requests itself — on a loopback task listener, returning its address.
 func serveStub(t *testing.T, rcvr any) string {
 	t.Helper()
-	addr, _ := dropServer(t, rcvr)
-	return addr
+	serve, ok := rcvr.(serveFunc)
+	if !ok {
+		serve = dispatchTo(rcvr.(taskHandler))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveTasks(conn, serve)
+		}
+	}()
+	return ln.Addr().String()
 }
 
 func realWorker(t *testing.T) *Worker {

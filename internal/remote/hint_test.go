@@ -213,37 +213,42 @@ func TestHintedCursorCacheDifferential(t *testing.T) {
 	}
 }
 
-// dropServer serves rcvr — a taskHandler, or a serveFunc that answers
-// requests itself — on a loopback task listener and returns, with its
-// address, a function that cuts every connection accepted so far.
-func dropServer(t *testing.T, rcvr any) (string, func()) {
-	t.Helper()
-	serve, ok := rcvr.(serveFunc)
-	if !ok {
-		serve = dispatchTo(rcvr.(taskHandler))
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
+// dropJoin stands in front of the master's control address for rcvr, a
+// double of w. rejoin serves w again, for the address it registers,
+// registers it as the cluster's one worker, w0, on a connection of its
+// own whose calls rcvr serves, and returns once the master lists this
+// incarnation, the registrations-th, as joined. drop cuts every
+// connection rejoin has made so far.
+func dropJoin(t *testing.T, m *Master, ctl string, w *Worker, rcvr taskHandler) (rejoin func(registrations int64), drop func()) {
 	var (
 		mu    sync.Mutex
 		conns []net.Conn
 	)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			go serveTasks(conn, serve)
+	rejoin = func(registrations int64) {
+		t.Helper()
+		addr, err := w.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	return ln.Addr().String(), func() {
+		conn, err := net.Dial("tcp", ctl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := join(conn, &registration{ID: "w0", Addr: addr, MapSlots: w.slots}, 5*time.Second)
+		if err != nil {
+			conn.Close()
+			t.Fatal(err)
+		}
+		mu.Lock()
+		conns = append(conns, conn)
+		mu.Unlock()
+		go serveConn(conn, br, dispatchTo(rcvr), 0)
+		waitFor(t, 5*time.Second, "the worker to join", func() bool {
+			snap := m.ClusterSnapshot()
+			return len(snap) == 1 && snap[0].State == comms.Joined.String() && snap[0].Reconnects == registrations-1
+		})
+	}
+	drop = func() {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, conn := range conns {
@@ -251,24 +256,7 @@ func dropServer(t *testing.T, rcvr any) (string, func()) {
 		}
 		conns = nil
 	}
-}
-
-// joinBehind (re)serves w and registers it as the cluster's one worker,
-// the master dialling taskAddr — a dropServer in front of w — not the
-// worker's own port. It returns once the master lists this incarnation,
-// w's registrations-th, as joined, not still the one before.
-func joinBehind(t *testing.T, m *Master, ctl string, w *Worker, taskAddr string, registrations int64) {
-	t.Helper()
-	if _, err := w.Serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Register(ctl, RegisterOptions{ID: "w0", TaskAddr: taskAddr, Heartbeat: testHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "the worker to join", func() bool {
-		snap := m.ClusterSnapshot()
-		return len(snap) == 1 && snap[0].State == comms.Joined.String() && snap[0].Reconnects == registrations-1
-	})
+	return rejoin, drop
 }
 
 // hintRecorder is a real worker that remembers the hint of every map
@@ -308,9 +296,8 @@ func TestRequeuedRoundResendsItsHint(t *testing.T) {
 
 	rec := &hintRecorder{Worker: NewWorker(hintStore(t, dfs.PolicyCursor), NewStandardRegistry()), seen: make(map[int][][]int)}
 	defer rec.Close()
-	taskAddr, drop := dropServer(t, rec)
+	join, drop := dropJoin(t, m, ctl, rec.Worker, rec)
 	rec.drop = drop
-	join := func(registrations int64) { joinBehind(t, m, ctl, rec.Worker, taskAddr, registrations) }
 	join(1)
 
 	attempts := 0

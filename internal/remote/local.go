@@ -9,10 +9,10 @@ import (
 	"s3sched/internal/scheduler"
 )
 
-// Local is a master and its workers in one process. The workers serve
-// tasks on loopback and register through the master's control plane as
-// s3cluster's do: they heartbeat, show in ClusterSnapshot and advertise
-// their map slots. It is how a scheduler runs over real bytes without
+// Local is a master and its workers in one process. The workers
+// register through the master's control plane on loopback as
+// s3cluster's do: they answer heartbeats, show in ClusterSnapshot and
+// advertise their map slots. It is how a scheduler runs over real bytes without
 // deploying processes — the benchmark's engine cells, Figure 3, the
 // examples and the demos.
 type Local struct {

@@ -24,11 +24,13 @@ import (
 //
 // Workers reach the master two ways:
 //
-//   - Dynamic membership (ListenControl): workers dial the master,
-//     register with identity + inventory + capabilities, heartbeat on
-//     a deadline, and survive restarts by re-registering. The master
-//     keeps a joined/suspect/dead membership table whose deltas feed
-//     the runtime engine (worker-lost/worker-rejoined events) and the
+//   - Dynamic membership (ListenControl): workers dial the master and
+//     register with identity, listen address and map slots; the master
+//     calls each over the connection it registered on — tasks, and a
+//     Stats call every heartbeat, on a deadline — and a worker survives
+//     restarts by re-registering. The master keeps a
+//     joined/suspect/dead membership table whose deltas feed the
+//     runtime engine (worker-lost/worker-rejoined events) and the
 //     status server's GET /cluster.
 //   - Static dial (Dial): a fixed worker list dialled at boot; members
 //     never leave the table.

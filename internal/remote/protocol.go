@@ -191,17 +191,27 @@ type InstallFileReply struct{}
 
 // StatsArgs asks for a worker's lifetime counters, and carries the
 // releases (Done, as in MapTaskArgs) a worker with no task coming awaits.
+// A heartbeat's is empty: it releases nothing and starts no epoch.
 type StatsArgs struct {
 	Epoch int64
 	Done  []scheduler.JobID
 }
 
-// StatsReply is one worker's physical-work ledger — the heartbeat's
-// counters, polled — so remote and local runs fold into identical
-// metrics. The cache fields stay zero on workers running without a
-// block cache.
+// StatsReply is one worker's physical-work ledger — what a heartbeat
+// reads, and what a poll folds so remote and local runs give identical
+// metrics. The cache fields stay zero on workers running without a block
+// cache.
 type StatsReply struct {
 	// Worker is the reporting worker's identity, filled master-side.
 	Worker string
 	comms.WireStats
+}
+
+// registration is a worker's register frame, the first it sends on its
+// connection to the master: who it is, the address its task listener is
+// bound to — where its peers fetch map output — and its map slots.
+type registration struct {
+	ID       string
+	Addr     string
+	MapSlots int
 }

@@ -74,9 +74,8 @@ func TestRequeuedRoundKeepsFinishedJobs(t *testing.T) {
 		}
 		t.Error("the first job never committed")
 	}
-	taskAddr, drop := dropServer(t, cutter)
+	join, drop := dropJoin(t, m, ctl, cutter.Worker, cutter)
 	cutter.drop = drop
-	join := func(registrations int64) { joinBehind(t, m, ctl, cutter.Worker, taskAddr, registrations) }
 	join(1)
 
 	together := []runtime.Arrival{

@@ -59,7 +59,6 @@ type Worker struct {
 	ctlStop       chan struct{}
 	ctlDone       chan struct{}
 	registrations atomic.Int64
-	heartbeats    atomic.Int64
 }
 
 // localNode is the one node of a worker's own store. Map tasks read

@@ -50,7 +50,7 @@ const (
 	// carries the worker id and its task address.
 	WorkerRegistered
 	// WorkerLost records the master declaring a worker dead — broken
-	// control connection or heartbeat silence past the dead deadline.
+	// connection or heartbeat silence past the dead deadline.
 	WorkerLost
 	// WorkerRejoined records a restarted worker re-registering under
 	// its old identity, replacing the dead incarnation mid-run.

@@ -114,6 +114,7 @@ var exportAllowlist = map[string]string{
 	"scheduler.RoundLostError.Unwrap":    "errors.Is/As unwrap it",
 	"workload.LineError.Unwrap":          "errors.Is/As unwrap it",
 	"remote.TaskDeadlineError.Temporary": "net.Error, which a task deadline implements to fail over",
+	"remote.TaskDeadlineError.Timeout":   "net.Error, which a task deadline implements to fail over",
 
 	// Audited and kept: the segment plan's circular-scan vocabulary
 	// (§IV-B), which the plan's property tests state their invariants in.
