@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
@@ -418,7 +419,7 @@ func BenchmarkShuffleWire(b *testing.B) {
 		payload += rc.Bytes
 	}
 	var frame []byte
-	hdr := make([]byte, frameHeader)
+	hdr := make([]byte, comms.FrameHeader)
 	b.SetBytes(payload)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -428,11 +429,11 @@ func BenchmarkShuffleWire(b *testing.B) {
 			if err := w.FetchShuffle(&FetchArgs{Epoch: 1, ID: 1, Partition: p}, &held); err != nil {
 				b.Fatal(err)
 			}
-			frame = held.appendTo(appendHeader(frame[:0], 1, statusOK))
-			if err := endFrame(frame, "peer"); err != nil {
+			frame = held.appendTo(comms.AppendHeader(frame[:0], 1, statusOK))
+			if err := comms.EndFrame(frame, "peer"); err != nil {
 				b.Fatal(err)
 			}
-			_, _, body, err := readFrame(bytes.NewReader(frame), hdr, "peer")
+			_, _, body, err := comms.ReadFrame(bytes.NewReader(frame), hdr, "peer")
 			if err == nil {
 				err = decodeMessage(body, &got)
 			}
