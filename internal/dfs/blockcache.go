@@ -1,5 +1,5 @@
 // Block cache: a per-node, byte-budgeted block-content cache with
-// pluggable eviction policies and scheduler-driven prefetch.
+// scan-aware eviction and scheduler-driven prefetch.
 //
 // The S^3 premise is that a segment scanned once serves every
 // co-scheduled job, but closely spaced arrivals that just miss a batch
@@ -12,15 +12,16 @@
 // A BlockCache is a MetaCache (metacache.go) plus the bytes: the
 // MetaCache decides what is admitted, evicted and read ahead and counts
 // it, and this file keeps the contents, the lock and the in-flight
-// loads. Replacement is delegated to an EvictionPolicy (policy.go): plain LRU
+// loads. Replacement is the shard's one rule (policy.go): plain LRU
 // collapses to zero hits when the circular scan's cycle exceeds the
-// budget, so the scan-aware cursor policy can be selected per cache. It
-// takes ScanHints from the JQM and keeps the blocks the cursor reaches
-// soonest; a full shard serves a scan's miss uncached rather than evict
-// one of them. PrefetchAsync reads the segment after the cursor ahead,
-// coalesced with demand reads through the same in-flight table, but
-// only into free room: every resident block is one the cursor comes
-// back to, so a readahead that evicted it would only move a read.
+// budget, so a cursor-policy cache takes ScanHints from the JQM and
+// keeps the blocks the cursor reaches soonest; a full shard serves a
+// scan's miss uncached rather than evict one of them. An lru-policy
+// cache drops the hints and stays plain LRU. PrefetchAsync reads the
+// segment after the cursor ahead, coalesced with demand reads through
+// the same in-flight table, but only into free room: every resident
+// block is one the cursor comes back to, so a readahead that evicted
+// it would only move a read.
 //
 // Fault interaction is deliberate: the ReadFault hook fires on cache
 // misses only (a cached block never touches the disk path, so it cannot
@@ -55,7 +56,7 @@ type nodeCache struct {
 }
 
 // BlockCache is a per-node, byte-budgeted block cache with
-// single-flight loading and a pluggable eviction policy. Each node gets
+// single-flight loading and scan-aware eviction. Each node gets
 // an independent shard with the same byte budget, mirroring node-local
 // page caches: a block cached on node 3 does not occupy budget on node
 // 5. Reads not attributed to a node (Store.ReadBlock) share one
@@ -87,9 +88,6 @@ func NewBlockCachePolicy(bytesPerNode int64, policy string) (*BlockCache, error)
 
 // Budget returns the per-node byte budget.
 func (c *BlockCache) Budget() int64 { return c.meta.Budget() }
-
-// Policy returns the eviction policy name the cache was built with.
-func (c *BlockCache) Policy() string { return c.meta.Policy() }
 
 func (c *BlockCache) shard(node NodeID) *nodeCache {
 	nc, ok := c.nodes[node]
@@ -202,13 +200,12 @@ func (c *BlockCache) PrefetchAsync(id BlockID, node NodeID, size int64, load fun
 	return true
 }
 
-// Hint forwards scheduler guidance to every shard's policy and
-// remembers the newest hint per file for shards created later (see
-// MetaCache.Hint).
-func (c *BlockCache) Hint(h ScanHint) {
+// Hint applies scheduler guidance to every shard and reports whether
+// the cache takes hints (see MetaCache.Hint).
+func (c *BlockCache) Hint(h ScanHint) bool {
 	c.mu.Lock()
-	c.meta.Hint(h)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.meta.Hint(h)
 }
 
 // Contains reports whether the block is currently cached on node's

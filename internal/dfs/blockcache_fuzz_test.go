@@ -32,14 +32,14 @@ type shardBlock struct {
 	id   BlockID
 }
 
-// pinnedBlocks is every resident block c's policies report pinned now.
+// pinnedBlocks is every resident block c's shards report pinned now.
 func pinnedBlocks(c *BlockCache) map[shardBlock]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[shardBlock]bool)
 	for node, s := range c.meta.nodes {
-		for id := range s.sizes {
-			if s.policy.Pinned(id) {
+		for id, el := range s.entries {
+			if s.pinned(el.Value.(*shardEntry)) {
 				out[shardBlock{node, id}] = true
 			}
 		}
@@ -53,7 +53,7 @@ func residents(c *BlockCache) map[shardBlock]bool {
 	defer c.mu.Unlock()
 	out := make(map[shardBlock]bool)
 	for node, s := range c.meta.nodes {
-		for id := range s.sizes {
+		for id := range s.entries {
 			out[shardBlock{node, id}] = true
 		}
 	}

@@ -146,16 +146,22 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 						return false
 					}
 					var shardSum int64
-					for id, size := range nc.shard.sizes {
-						shardSum += size
-						if data, ok := nc.data[id]; !ok || int64(len(data)) != size {
-							t.Logf("node %d block %v: recorded size %d, stored %d bytes", node, id, size, len(data))
+					for id, el := range nc.shard.entries {
+						e := el.Value.(*shardEntry)
+						shardSum += e.size
+						if e.id != id {
+							t.Logf("node %d block %v: entry records %v", node, id, e.id)
+							c.mu.Unlock()
+							return false
+						}
+						if data, ok := nc.data[id]; !ok || int64(len(data)) != e.size {
+							t.Logf("node %d block %v: recorded size %d, stored %d bytes", node, id, e.size, len(data))
 							c.mu.Unlock()
 							return false
 						}
 					}
-					if len(nc.data) != len(nc.shard.sizes) {
-						t.Logf("node %d holds %d data entries but %d size records", node, len(nc.data), len(nc.shard.sizes))
+					if len(nc.data) != len(nc.shard.entries) || nc.shard.order.Len() != len(nc.shard.entries) {
+						t.Logf("node %d holds %d data entries but %d residents on a %d-long recency list", node, len(nc.data), len(nc.shard.entries), nc.shard.order.Len())
 						c.mu.Unlock()
 						return false
 					}

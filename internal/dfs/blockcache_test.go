@@ -132,31 +132,48 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction: plain LRU is an lru cache, hinted or not (it
+// drops hints; under cursor this hint would keep block 1), and a
+// cursor cache that gets no hints.
 func TestCacheLRUEviction(t *testing.T) {
-	s, _ := cacheStore(t, 1, 4, 100)
-	c, err := s.EnableCachePolicy(250, PolicyLRU) // room for two 100-byte blocks
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func(i int) {
-		t.Helper()
-		if _, err := s.ReadBlockAt(BlockID{File: "f", Index: i}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read(0)
-	read(1)
-	read(0) // promote block 0: block 1 is now LRU
-	read(2) // over budget: evicts block 1
-	if c.Contains(BlockID{File: "f", Index: 1}, 0) {
-		t.Fatal("LRU block 1 still cached after eviction")
-	}
-	if !c.Contains(BlockID{File: "f", Index: 0}, 0) || !c.Contains(BlockID{File: "f", Index: 2}, 0) {
-		t.Fatal("recently used blocks were evicted")
-	}
-	cs := c.Stats()
-	if cs.Evictions != 1 || cs.Bytes != 200 {
-		t.Fatalf("stats = %+v, want 1 eviction / 200 bytes", cs)
+	for _, tc := range []struct {
+		name, policy string
+		hint         bool
+	}{
+		{"lru", PolicyLRU, false},
+		{"lru given a pin hint", PolicyLRU, true},
+		{"cursor without hints", PolicyCursor, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := cacheStore(t, 1, 4, 100)
+			c, err := s.EnableCachePolicy(250, tc.policy) // room for two 100-byte blocks
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func(i int) {
+				t.Helper()
+				if _, err := s.ReadBlockAt(BlockID{File: "f", Index: i}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read(0)
+			read(1)
+			read(0) // promote block 0: block 1 is now LRU
+			if tc.hint {
+				s.HandleScanHint(ScanHint{File: "f", Pin: [][]BlockID{{{File: "f", Index: 1}}}})
+			}
+			read(2) // over budget: evicts block 1
+			if c.Contains(BlockID{File: "f", Index: 1}, 0) {
+				t.Fatal("LRU block 1 still cached after eviction")
+			}
+			if !c.Contains(BlockID{File: "f", Index: 0}, 0) || !c.Contains(BlockID{File: "f", Index: 2}, 0) {
+				t.Fatal("recently used blocks were evicted")
+			}
+			cs := c.Stats()
+			if cs.Evictions != 1 || cs.Bytes != 200 || cs.PinnedBytes != 0 {
+				t.Fatalf("stats = %+v, want 1 eviction / 200 bytes / none pinned", cs)
+			}
+		})
 	}
 }
 

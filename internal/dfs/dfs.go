@@ -386,8 +386,7 @@ func (s *Store) HandleScanHint(h ScanHint) {
 	if f != nil {
 		h.Cycle = f.NumBlocks
 	}
-	cache.Hint(h)
-	if cache.Policy() != PolicyCursor || s.replicas != 1 || f == nil {
+	if !cache.Hint(h) || s.replicas != 1 || f == nil {
 		return
 	}
 	for _, id := range h.Prefetch {

@@ -2,7 +2,7 @@
 //
 // A MetaCache holds what every cache decision needs and no block
 // contents: one cacheShard per node (residency, byte accounting and the
-// eviction policy), the newest scan hint per file, replayed onto shards
+// eviction rule), the newest scan hint per file, replayed onto shards
 // created later, and the hit/miss/eviction/prefetch counters. Two
 // caches run on it. The simulator prices cache hits with a bare
 // MetaCache; BlockCache wraps one with the contents, a lock and the
@@ -16,7 +16,10 @@
 // case where the readahead completes during the overlapped reduce stage.
 package dfs
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // CacheStats is a snapshot of cumulative cache accounting. Hits,
 // Misses, Evictions, Prefetches and PrefetchFailed are monotonic
@@ -59,8 +62,8 @@ func (s *CacheStats) Add(other CacheStats) {
 // and prefetch decisions over block metadata alone, and counts them.
 // Not safe for concurrent use.
 type MetaCache struct {
-	budget int64  // per-node byte budget
-	policy string // eviction policy name (validated at construction)
+	budget int64 // per-node byte budget
+	hinted bool  // takes scan hints: the cursor policy (lru drops them)
 
 	nodes          map[NodeID]*cacheShard
 	lastHints      map[string]ScanHint // per file; replayed onto fresh shards
@@ -77,12 +80,12 @@ func NewMetaCache(bytesPerNode int64, policy string) (*MetaCache, error) {
 	if bytesPerNode <= 0 {
 		return nil, fmt.Errorf("dfs: cache budget must be positive, got %d bytes", bytesPerNode)
 	}
-	if _, err := NewPolicy(policy); err != nil {
-		return nil, err
+	if !ValidPolicy(policy) {
+		return nil, fmt.Errorf("dfs: unknown cache policy %q (want %s)", policy, strings.Join(Policies(), "|"))
 	}
 	return &MetaCache{
 		budget:    bytesPerNode,
-		policy:    policy,
+		hinted:    policy == PolicyCursor,
 		nodes:     make(map[NodeID]*cacheShard),
 		lastHints: make(map[string]ScanHint),
 	}, nil
@@ -91,23 +94,16 @@ func NewMetaCache(bytesPerNode int64, policy string) (*MetaCache, error) {
 // Budget returns the per-node byte budget.
 func (m *MetaCache) Budget() int64 { return m.budget }
 
-// Policy returns the eviction policy name.
-func (m *MetaCache) Policy() string { return m.policy }
-
 func (m *MetaCache) shard(node NodeID) *cacheShard {
 	s, ok := m.nodes[node]
 	if !ok {
-		pol, err := NewPolicy(m.policy)
-		if err != nil {
-			panic(err) // unreachable: name validated at construction
-		}
+		s = newCacheShard()
 		// Replay the newest hint per file so a shard created mid-pass
-		// starts with the current cursors. A fresh policy has no clock
+		// starts with the current cursors. A fresh shard has no clock
 		// to advance, so replay order across files is irrelevant.
 		for _, h := range m.lastHints {
-			pol.Hint(h)
+			s.hint(h)
 		}
-		s = newCacheShard(pol)
 		m.nodes[node] = s
 	}
 	return s
@@ -155,15 +151,20 @@ func (m *MetaCache) Prefetch(id BlockID, node NodeID, size int64) bool {
 	return true
 }
 
-// Hint forwards scheduler guidance to every shard's policy and
-// remembers the newest hint per file for shards created later. Callers
-// outside the package go through Store.HandleScanHint, which sets the
-// hint's Cycle.
-func (m *MetaCache) Hint(h ScanHint) {
+// Hint applies scheduler guidance to every shard, remembers the newest
+// hint per file for shards created later, and reports whether it did:
+// an lru cache drops every hint, so its shards stay plain LRU and it
+// reads nothing ahead. Callers outside the package go through
+// Store.HandleScanHint, which sets the hint's Cycle.
+func (m *MetaCache) Hint(h ScanHint) bool {
+	if !m.hinted {
+		return false
+	}
 	m.lastHints[h.File] = h
 	for _, s := range m.nodes {
-		s.policy.Hint(h)
+		s.hint(h)
 	}
+	return true
 }
 
 // Contains reports whether the block is resident on node's shard

@@ -1,35 +1,34 @@
-// Eviction policies: the pluggable replacement layer under MetaCache,
-// the decision core every BlockCache runs.
+// Eviction: the one replacement rule every cache shard runs, under
+// MetaCache, the decision core every BlockCache runs.
 //
 // The S^3 access pattern — a circular scan that returns to every block
 // exactly one cycle later — is the textbook adversary for LRU: when the
 // budget is smaller than the cycle, LRU evicts each block just before
 // the cursor comes back to it and the hit ratio collapses to zero
 // (bench/cache-cliff.jsonl's 2GB/node budget). The fix is not a bigger
-// cache but a scan-aware policy, so the replacement decision is factored
-// out behind EvictionPolicy and two implementations ship:
+// cache but a scan-aware rule: Belady's MIN for the circular scan,
+// driven by ScanHint from the JQM cursor. A hinted file's residents are
+// ranked by how soon the cursor reaches them, and the one it reaches
+// last — the block scanned most recently — goes first. A newcomer the
+// scan has just read is needed a whole cycle later, so a full shard
+// serves it uncached rather than displace a block the cursor reaches
+// sooner: a cache of C blocks over an N-block cycle reads N−C blocks a
+// cycle, the least any policy can. Residents of unhinted files go least
+// recently used first, so a shard that gets no hints is plain LRU, and
+// that is all the two policy names choose between:
 //
-//	lru    — the original behavior, kept as the baseline.
-//	cursor — Belady's MIN for the circular scan, driven by ScanHint from
-//	         the JQM cursor: a hinted file's residents are ranked by how
-//	         soon the cursor reaches them, and the one it reaches last —
-//	         the block scanned most recently — goes first. A newcomer the
-//	         scan has just read is needed a whole cycle later, so a full
-//	         shard serves it uncached rather than displace a block the
-//	         cursor reaches sooner: a cache of C blocks over an N-block
-//	         cycle reads N−C blocks a cycle, the least any policy can.
+//	lru    — the baseline: the cache drops every hint (MetaCache.Hint).
+//	cursor — the cache ranks by the hints and reads ahead.
 //
-// Policies are metadata-only — they see block ids and sizes, never
-// contents — so they sit in MetaCache, which the simulator prices with
+// A shard is metadata-only — it sees block ids and sizes, never
+// contents — so it sits in MetaCache, which the simulator prices with
 // and every BlockCache wraps. That is what keeps sim and engine cache
 // cells comparable by construction.
 package dfs
 
 import (
 	"container/list"
-	"fmt"
 	"slices"
-	"strings"
 )
 
 // Policy names accepted by NewBlockCachePolicy, Store.EnableCachePolicy
@@ -52,9 +51,9 @@ func ValidPolicy(name string) bool { return slices.Contains(Policies(), name) }
 //
 //   - Pin lists the blocks the cursor reaches next, in scan order (the
 //     cursor segment and the one after it): its first block is where
-//     the cursor stands. The cursor policy pins the run from the first
-//     to the last until the scan reads each block. A hint with no pins
-//     leaves the file unranked (plain LRU).
+//     the cursor stands. A cursor cache pins the run from the first to
+//     the last until the scan reads each block; an lru cache drops every
+//     hint. A hint with no pins leaves the file unranked (plain LRU).
 //   - Prefetch lists the blocks worth reading ahead (the segment after
 //     the cursor) — empty when the scheduler cannot guarantee the
 //     segment will actually be scanned. Readahead only fills free room.
@@ -69,111 +68,35 @@ type ScanHint struct {
 	Cycle    int
 }
 
-// EvictionPolicy decides which resident block a cache shard discards
-// next. Implementations track residency metadata only (ids and sizes);
-// the cache owns the bytes, the budget arithmetic and the locking —
-// every method is called with the owning cache's lock held.
+// cacheShard is one node's shard of a MetaCache: residency, byte
+// accounting and the eviction rule, every method called with the
+// owning cache's lock held. A BlockCache keeps the contents of exactly
+// the blocks its shards hold.
 //
-// The contract shared by all policies (fuzzed in FuzzBlockCache):
-//
-//   - Admit/Remove bracket residency: a block is resident from Admit
-//     until Remove, and Touch/Victim only ever see resident blocks. A
-//     demand read admits and then touches its block; readahead only
-//     admits it.
-//   - Victim returns a resident block, never one that Pinned reports
-//     true for; ok=false means every resident block is pinned. It may
-//     name the block just admitted: the shard then serves it uncached.
-//   - Hint is advisory: a policy may ignore it entirely (lru).
-type EvictionPolicy interface {
-	// Name returns the policy's registry name.
-	Name() string
-	// Touch records a read of a resident block.
-	Touch(id BlockID)
-	// Admit records a block becoming resident with the given size.
-	Admit(id BlockID, size int64)
-	// Victim returns the next block to evict, or ok=false when no
-	// resident block may be evicted (all pinned).
-	Victim() (BlockID, bool)
-	// Remove records a block leaving residency (eviction or purge).
-	Remove(id BlockID)
-	// Hint applies scheduler guidance (the cursor and its pins).
-	Hint(h ScanHint)
-	// Pinned reports whether the block is pin-protected right now.
-	Pinned(id BlockID) bool
-}
-
-// NewPolicy builds the named eviction policy.
-func NewPolicy(name string) (EvictionPolicy, error) {
-	switch name {
-	case PolicyLRU:
-		return newLRUPolicy(), nil
-	case PolicyCursor:
-		return newCursorPolicy(), nil
-	}
-	return nil, fmt.Errorf("dfs: unknown cache policy %q (want %s)", name, strings.Join(Policies(), "|"))
-}
-
-// lruPolicy is the baseline: strict least-recently-used.
-type lruPolicy struct {
-	entries map[BlockID]*list.Element
-	order   *list.List // front = most recently used
-}
-
-func newLRUPolicy() *lruPolicy {
-	return &lruPolicy{entries: make(map[BlockID]*list.Element), order: list.New()}
-}
-
-func (p *lruPolicy) Name() string { return PolicyLRU }
-
-func (p *lruPolicy) Touch(id BlockID) {
-	if el, ok := p.entries[id]; ok {
-		p.order.MoveToFront(el)
-	}
-}
-
-func (p *lruPolicy) Admit(id BlockID, size int64) {
-	p.entries[id] = p.order.PushFront(id)
-}
-
-func (p *lruPolicy) Victim() (BlockID, bool) {
-	back := p.order.Back()
-	if back == nil {
-		return BlockID{}, false
-	}
-	return back.Value.(BlockID), true
-}
-
-func (p *lruPolicy) Remove(id BlockID) {
-	if el, ok := p.entries[id]; ok {
-		p.order.Remove(el)
-		delete(p.entries, id)
-	}
-}
-
-func (p *lruPolicy) Hint(ScanHint)       {}
-func (p *lruPolicy) Pinned(BlockID) bool { return false }
-
-// cursorPolicy ranks each hinted file's residents by when the cursor
-// next reaches them and evicts the one it reaches last. A block read
-// since the cursor last moved is not needed again until the next cycle,
-// so it ranks a cycle further out than its position says.
+// A shard ranks each hinted file's residents by when the cursor next
+// reaches them and evicts the one it reaches last. A block read since
+// the cursor last moved is not needed again until the next cycle, so
+// it ranks a cycle further out than its position says.
 //
 // Some residents the cursor will not come back to, and they go first,
 // least recently used first: blocks of a file with no hint; blocks of a
 // drained file, which got no hint while the other hinted cursors
 // advanced a whole cycle of it; and blocks their own cursor passed a
 // whole cycle ago without reading them (another worker's share since a
-// membership change). Without hints the policy is plain LRU.
-type cursorPolicy struct {
-	entries map[BlockID]*list.Element // value: *cursorEntry
+// membership change). Without hints the shard is plain LRU.
+type cacheShard struct {
+	entries map[BlockID]*list.Element // value: *shardEntry
 	order   *list.List                // front = most recently used
+	bytes   int64
 	scans   map[string]*cursorScan
 	clock   int // blocks the hinted cursors have advanced, all files
 	moves   int // cursor moves so far: names each scan epoch
 }
 
-type cursorEntry struct {
+// shardEntry is one resident block.
+type shardEntry struct {
 	id   BlockID
+	size int64
 	read int // its file's scan epoch when it was last read
 	seen int // its file's progress when it was last read or admitted
 }
@@ -187,162 +110,55 @@ type cursorScan struct {
 	at, epoch, progress   int
 }
 
-func newCursorPolicy() *cursorPolicy {
-	return &cursorPolicy{
+func newCacheShard() *cacheShard {
+	return &cacheShard{
 		entries: make(map[BlockID]*list.Element),
 		order:   list.New(),
 		scans:   make(map[string]*cursorScan),
 	}
 }
 
-func (p *cursorPolicy) Name() string { return PolicyCursor }
-
-func (p *cursorPolicy) Touch(id BlockID) {
-	el, ok := p.entries[id]
-	if !ok {
-		return
-	}
-	p.order.MoveToFront(el)
-	if s := p.scans[id.File]; s != nil {
-		e := el.Value.(*cursorEntry)
-		e.read, e.seen = s.epoch, s.progress
-	}
-}
-
-func (p *cursorPolicy) Admit(id BlockID, size int64) {
-	e := &cursorEntry{id: id}
-	if s := p.scans[id.File]; s != nil {
-		e.seen = s.progress
-	}
-	p.entries[id] = p.order.PushFront(e)
-}
-
-// Victim returns the least recently used resident the cursor will not
-// come back to if there is one, else the unpinned block it reaches
-// last. The walk visits every resident, about 30 ns each on a 2-core
-// x86 host: cheap beside a block read at hundreds of residents; a shard
-// of thousands of small blocks would want them indexed by position.
-func (p *cursorPolicy) Victim() (BlockID, bool) {
-	var victim BlockID
-	found, latest := false, 0
-	for el := p.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cursorEntry)
-		s := p.scans[e.id.File]
-		if p.stale(s, e) {
-			return e.id, true
-		}
-		if s.pinned(e) {
-			continue
-		}
-		due := s.at + s.ahead(e.id) - p.clock
-		if e.read == s.epoch {
-			due += s.cycle
-		}
-		if !found || due > latest {
-			victim, found, latest = e.id, true, due
-		}
-	}
-	return victim, found
-}
-
-func (p *cursorPolicy) Remove(id BlockID) {
-	if el, ok := p.entries[id]; ok {
-		p.order.Remove(el)
-		delete(p.entries, id)
-	}
-}
-
-// Hint moves the file's cursor to its first pinned block, opening a
-// new epoch when the cursor moved. A hint with no pins or no Cycle
-// withdraws the file's. It allocates only for a file's first hint:
-// admission applies one per map task.
-func (p *cursorPolicy) Hint(h ScanHint) {
-	var first, last BlockID
-	pins := 0
-	for _, seg := range h.Pin {
-		if len(seg) > 0 {
-			if pins == 0 {
-				first = seg[0]
-			}
-			last, pins = seg[len(seg)-1], pins+len(seg)
-		}
-	}
-	s := p.scans[h.File]
-	if pins == 0 || h.Cycle <= 0 {
-		delete(p.scans, h.File)
-		return
-	}
-	if s == nil {
-		s = &cursorScan{cursor: first.Index, epoch: -1}
-		p.scans[h.File] = s
-	}
-	moved := mod(first.Index-s.cursor, h.Cycle)
-	if moved > 0 || s.epoch < 0 {
-		p.moves++
-		s.epoch, s.progress = p.moves, s.progress+moved
-	}
-	p.clock += moved
-	s.at, s.cursor, s.cycle = p.clock, first.Index, h.Cycle
-	s.window = mod(last.Index-first.Index, h.Cycle) + 1
-}
-
-func (p *cursorPolicy) Pinned(id BlockID) bool {
-	el, ok := p.entries[id]
-	if !ok {
-		return false
-	}
-	e, s := el.Value.(*cursorEntry), p.scans[id.File]
-	return !p.stale(s, e) && s.pinned(e)
-}
-
-// stale reports whether the cursor will not come back to e.
-func (p *cursorPolicy) stale(s *cursorScan, e *cursorEntry) bool {
-	return s == nil || p.clock-s.at >= s.cycle || s.progress-e.seen > s.cycle
-}
-
-// pinned: inside the window and not yet read by this pass.
-func (s *cursorScan) pinned(e *cursorEntry) bool {
-	return e.read != s.epoch && s.ahead(e.id) < s.window
-}
-
-// ahead is how many blocks the cursor moves before it reaches id.
-func (s *cursorScan) ahead(id BlockID) int { return mod(id.Index-s.cursor, s.cycle) }
-
-func mod(a, n int) int { return (a%n + n) % n }
-
-// cacheShard is one node's shard of a MetaCache: residency, byte
-// accounting and the eviction loop. A BlockCache keeps the contents of
-// exactly the blocks its shards hold.
-type cacheShard struct {
-	policy EvictionPolicy
-	sizes  map[BlockID]int64
-	bytes  int64
-}
-
-func newCacheShard(policy EvictionPolicy) *cacheShard {
-	return &cacheShard{policy: policy, sizes: make(map[BlockID]int64)}
-}
-
 // has reports residency without touching recency state.
 func (s *cacheShard) has(id BlockID) bool {
-	_, ok := s.sizes[id]
+	_, ok := s.entries[id]
 	return ok
 }
 
 // access records a read; it returns true (and updates recency) when the
 // block is resident.
 func (s *cacheShard) access(id BlockID) bool {
-	if !s.has(id) {
-		return false
+	el, ok := s.entries[id]
+	if ok {
+		s.touch(el)
 	}
-	s.policy.Touch(id)
-	return true
+	return ok
+}
+
+// touch records a read of a resident block.
+func (s *cacheShard) touch(el *list.Element) {
+	s.order.MoveToFront(el)
+	e := el.Value.(*shardEntry)
+	if sc := s.scans[e.id.File]; sc != nil {
+		e.read, e.seen = sc.epoch, sc.progress
+	}
+}
+
+// insert makes id resident, most recently used.
+func (s *cacheShard) insert(id BlockID, size int64) *list.Element {
+	e := &shardEntry{id: id, size: size}
+	if sc := s.scans[id.File]; sc != nil {
+		e.seen = sc.progress
+	}
+	el := s.order.PushFront(e)
+	s.entries[id] = el
+	s.bytes += size
+	return el
 }
 
 // admit caches a demand read's block and evicts victims until the
 // shard fits budget. kept=false means the newcomer itself was
 // discarded: it exceeds the whole budget, every other resident is
-// pinned, or the policy needs every other resident sooner than it.
+// pinned, or the cursor needs every other resident sooner than it.
 func (s *cacheShard) admit(id BlockID, size, budget int64) (evicted []BlockID, kept bool) {
 	if size > budget {
 		return nil, false
@@ -352,12 +168,9 @@ func (s *cacheShard) admit(id BlockID, size, budget int64) (evicted []BlockID, k
 		// an earlier load completes); keep the existing entry.
 		return nil, true
 	}
-	s.policy.Admit(id, size)
-	s.policy.Touch(id)
-	s.sizes[id] = size
-	s.bytes += size
+	s.touch(s.insert(id, size))
 	for s.bytes > budget {
-		v, ok := s.policy.Victim()
+		v, ok := s.victim()
 		if !ok || v == id {
 			s.remove(id)
 			return evicted, false
@@ -375,30 +188,113 @@ func (s *cacheShard) fill(id BlockID, size, budget int64) bool {
 	if s.has(id) || s.bytes+size > budget {
 		return false
 	}
-	s.policy.Admit(id, size)
-	s.sizes[id] = size
-	s.bytes += size
+	s.insert(id, size)
 	return true
 }
 
 // remove drops id from residency (no-op when absent).
 func (s *cacheShard) remove(id BlockID) {
-	size, ok := s.sizes[id]
+	el, ok := s.entries[id]
 	if !ok {
 		return
 	}
-	s.policy.Remove(id)
-	delete(s.sizes, id)
-	s.bytes -= size
+	s.order.Remove(el)
+	delete(s.entries, id)
+	s.bytes -= el.Value.(*shardEntry).size
+}
+
+// victim returns the least recently used resident the cursor will not
+// come back to if there is one, else the unpinned block it reaches
+// last; ok=false means every resident is pinned. It may name the block
+// just admitted: admit then serves it uncached. The walk visits every
+// resident, about 30 ns each on a 2-core x86 host: cheap beside a block
+// read at hundreds of residents; a shard of thousands of small blocks
+// would want them indexed by position.
+func (s *cacheShard) victim() (BlockID, bool) {
+	var victim BlockID
+	found, latest := false, 0
+	for el := s.order.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*shardEntry)
+		sc := s.scans[e.id.File]
+		if s.stale(sc, e) {
+			return e.id, true
+		}
+		if sc.pinned(e) {
+			continue
+		}
+		due := sc.at + sc.ahead(e.id) - s.clock
+		if e.read == sc.epoch {
+			due += sc.cycle
+		}
+		if !found || due > latest {
+			victim, found, latest = e.id, true, due
+		}
+	}
+	return victim, found
+}
+
+// hint moves the file's cursor to its first pinned block, opening a
+// new epoch when the cursor moved. A hint with no pins or no Cycle
+// withdraws the file's. It allocates only for a file's first hint:
+// admission applies one per map task.
+func (s *cacheShard) hint(h ScanHint) {
+	var first, last BlockID
+	pins := 0
+	for _, seg := range h.Pin {
+		if len(seg) > 0 {
+			if pins == 0 {
+				first = seg[0]
+			}
+			last, pins = seg[len(seg)-1], pins+len(seg)
+		}
+	}
+	sc := s.scans[h.File]
+	if pins == 0 || h.Cycle <= 0 {
+		delete(s.scans, h.File)
+		return
+	}
+	if sc == nil {
+		sc = &cursorScan{cursor: first.Index, epoch: -1}
+		s.scans[h.File] = sc
+	}
+	moved := mod(first.Index-sc.cursor, h.Cycle)
+	if moved > 0 || sc.epoch < 0 {
+		s.moves++
+		sc.epoch, sc.progress = s.moves, sc.progress+moved
+	}
+	s.clock += moved
+	sc.at, sc.cursor, sc.cycle = s.clock, first.Index, h.Cycle
+	sc.window = mod(last.Index-first.Index, h.Cycle) + 1
+}
+
+// pinned reports whether resident e is pin-protected right now.
+func (s *cacheShard) pinned(e *shardEntry) bool {
+	sc := s.scans[e.id.File]
+	return !s.stale(sc, e) && sc.pinned(e)
 }
 
 // pinnedBytes sums the sizes of pin-protected resident blocks.
 func (s *cacheShard) pinnedBytes() int64 {
 	var total int64
-	for id, size := range s.sizes {
-		if s.policy.Pinned(id) {
-			total += size
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*shardEntry); s.pinned(e) {
+			total += e.size
 		}
 	}
 	return total
 }
+
+// stale reports whether the cursor will not come back to e.
+func (s *cacheShard) stale(sc *cursorScan, e *shardEntry) bool {
+	return sc == nil || s.clock-sc.at >= sc.cycle || sc.progress-e.seen > sc.cycle
+}
+
+// pinned: inside the window and not yet read by this pass.
+func (s *cursorScan) pinned(e *shardEntry) bool {
+	return e.read != s.epoch && s.ahead(e.id) < s.window
+}
+
+// ahead is how many blocks the cursor moves before it reaches id.
+func (s *cursorScan) ahead(id BlockID) int { return mod(id.Index-s.cursor, s.cycle) }
+
+func mod(a, n int) int { return (a%n + n) % n }

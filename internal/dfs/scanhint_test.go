@@ -43,37 +43,35 @@ func TestPolicyRegistry(t *testing.T) {
 		if !ValidPolicy(name) {
 			t.Errorf("Policies() lists %q but ValidPolicy rejects it", name)
 		}
-		p, err := NewPolicy(name)
+		m, err := NewMetaCache(64, name)
 		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
+			t.Fatalf("NewMetaCache(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("NewPolicy(%q).Name() = %q", name, p.Name())
+		// A pin hint pins under cursor; lru drops it, so a newcomer of
+		// another file evicts the read block as plain LRU does.
+		id, other := BlockID{File: "f", Index: 0}, BlockID{File: "g", Index: 0}
+		cursor := name == PolicyCursor
+		m.Access(id, 0, 64)
+		if took := m.Hint(ScanHint{File: "f", Pin: [][]BlockID{{id}}, Cycle: 1}); took != cursor {
+			t.Errorf("%s: Hint took the hint = %v", name, took)
 		}
-		// Exercise the shared contract once through every
-		// implementation, including the no-op Hint of lru.
-		id := BlockID{File: "f", Index: 0}
-		p.Admit(id, 64)
-		p.Touch(id)
-		p.Hint(ScanHint{File: "f", Pin: [][]BlockID{{id}}, Cycle: 1})
-		if p.Name() == PolicyCursor != p.Pinned(id) {
-			t.Errorf("%s: Pinned(%v) = %v after pin hint", name, id, p.Pinned(id))
+		if pinned := m.Stats().PinnedBytes == 64; pinned != cursor {
+			t.Errorf("%s: %v pinned = %v after pin hint", name, id, pinned)
 		}
-		if v, ok := p.Victim(); ok {
-			p.Remove(v)
-		} else if p.Name() != PolicyCursor {
-			t.Errorf("%s: no victim with one unpinned resident block", name)
+		m.Access(other, 0, 64)
+		if m.Contains(id, 0) != cursor || m.Contains(other, 0) == cursor {
+			t.Errorf("%s: after a newcomer, %v resident = %v, %v resident = %v", name, id, m.Contains(id, 0), other, m.Contains(other, 0))
 		}
 	}
 	for _, bad := range []string{"", "clock", "LRU", "2q"} {
 		if ValidPolicy(bad) {
 			t.Errorf("ValidPolicy(%q) = true", bad)
 		}
-		if _, err := NewPolicy(bad); err == nil {
-			t.Errorf("NewPolicy(%q) did not fail", bad)
+		if _, err := NewMetaCache(1<<20, bad); err == nil {
+			t.Errorf("NewMetaCache(1MB, %q) did not fail", bad)
 		}
 	}
-	if c, err := NewBlockCachePolicy(1<<20, PolicyCursor); err != nil || c.Policy() != PolicyCursor {
+	if c, err := NewBlockCachePolicy(1<<20, PolicyCursor); err != nil || !c.Hint(ScanHint{File: "f"}) {
 		t.Fatalf("NewBlockCachePolicy: cache %v, err %v", c, err)
 	}
 }
@@ -295,8 +293,8 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Budget() != 2*blockSize || m.Policy() != PolicyCursor {
-		t.Fatalf("budget %d policy %q", m.Budget(), m.Policy())
+	if m.Budget() != 2*blockSize {
+		t.Fatalf("budget %d", m.Budget())
 	}
 	ids := make([]BlockID, 4)
 	for i := range ids {
@@ -354,5 +352,40 @@ func TestStoreShapeAccessors(t *testing.T) {
 	}
 	if f.Size() != 4*512 {
 		t.Fatalf("Size = %d", f.Size())
+	}
+}
+
+// BenchmarkCacheShardScan times one read of a hinted scan that misses
+// and evicts: a cursor cache holds the first C blocks of a long file,
+// and the scan reads on past them, each read a fresh hint and a miss
+// whose victim search walks all C residents before it discards the
+// newcomer, the block the cursor needs last. The cycle exceeds any b.N,
+// so the residents never go stale and every read walks them all.
+func BenchmarkCacheShardScan(b *testing.B) {
+	const blockSize, cycle = 1 << 10, 1 << 30
+	for _, c := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("residents=%d", c), func(b *testing.B) {
+			m, err := NewMetaCache(int64(c)*blockSize, PolicyCursor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scan := func(i int) {
+				id, next := BlockID{File: "f", Index: i}, BlockID{File: "f", Index: i + 1}
+				m.Hint(ScanHint{File: "f", Pin: [][]BlockID{{id, next}}, Cycle: cycle})
+				m.Access(id, 0, blockSize)
+			}
+			for i := 0; i < c; i++ {
+				scan(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan(c + i)
+			}
+			b.StopTimer()
+			if st := m.Stats(); st.Misses != int64(c+b.N) || st.Bytes != int64(c)*blockSize {
+				b.Fatalf("not a miss a read over a full shard: %+v", st)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c), "ns/resident")
+		})
 	}
 }

@@ -281,14 +281,12 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 	switch key.Engine {
 	case benchfmt.EngineSim:
 		if key.Cache {
-			// A v1 workload (no cachePolicy) prices under plain LRU; a v2
-			// policy is driven by the scheduler's scan hints.
+			// A v1 workload (no cachePolicy) prices under plain LRU,
+			// which drops the scheduler's scan hints.
 			if err := simExec.EnableCachePolicy(int64(h.CacheMBPerNode)<<20, h.CacheFrac, cellPolicy(h)); err != nil {
 				return benchfmt.Cell{}, err
 			}
-			if h.CachePolicy != "" {
-				wireScanHints(sched, simExec.HandleScanHint)
-			}
+			wireScanHints(sched, simExec.HandleScanHint)
 		}
 		if h.FaultRate > 0 {
 			if err := simExec.SetFaultModel(sim.FaultModel{
@@ -306,7 +304,7 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 			return benchfmt.Cell{}, err
 		}
 		defer cluster.Close()
-		if key.Cache && h.CachePolicy != "" {
+		if key.Cache {
 			wireScanHints(sched, cluster.HandleScanHint)
 		}
 		// The timer sibling prices the same rounds the workers execute,
@@ -494,7 +492,7 @@ func cellPolicy(h *workload.FileHeader) string {
 
 // wireScanHints connects the scheduler's circular-cursor hints to a
 // cache. Only S^3 emits hints; under the other schemes the cache runs
-// unhinted (lru needs none, and cursor degrades to plain LRU order).
+// unhinted, which is plain LRU whatever its policy.
 func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 	if s, ok := sched.(*core.MultiFile); ok {
 		s.SetScanHinter(h)

@@ -67,8 +67,7 @@ func (e *Executor) HandleScanHint(h dfs.ScanHint) {
 	if err == nil {
 		h.Cycle = f.NumBlocks
 	}
-	c.meta.Hint(h)
-	if c.meta.Policy() != dfs.PolicyCursor || e.store.Replicas() != 1 || err != nil {
+	if !c.meta.Hint(h) || e.store.Replicas() != 1 || err != nil {
 		return
 	}
 	// One node's readahead runs serially; different nodes prefetch in
