@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +18,6 @@ import (
 	"s3sched/internal/core"
 	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
-	"s3sched/internal/pipeline"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -31,9 +32,8 @@ func testAdmission(t *testing.T, jnl *journal.Journal) (*clusterAdmission, *runt
 	t.Helper()
 	master := remote.NewMaster(nil)
 	t.Cleanup(func() { master.Close() })
-	src := runtime.NewLiveSource()
-	dag := pipeline.NewLiveDAG(src, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
-	return &clusterAdmission{src: src, dag: dag, master: master, journal: jnl}, src
+	src := runtime.NewLiveSourceOn(nil, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
+	return &clusterAdmission{src: src, master: master, journal: jnl}, src
 }
 
 func openJournal(t *testing.T, path string) (*journal.Journal, *journal.Replayed) {
@@ -147,7 +147,7 @@ func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 	adm, src := testAdmission(t, jnl)
 	remat := func(id scheduler.JobID) error { return fmt.Errorf("job %d: nothing here is materialized", id) }
 	var opts runtime.Options
-	rep, err := recoverFromJournal(jnl, st, sched, adm.master, adm.dag, adm, remat, &opts)
+	rep, err := recoverFromJournal(jnl, st, sched, adm.master, adm, remat, &opts)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -160,8 +160,8 @@ func TestRecoveryFailsJobsThisBinaryRefuses(t *testing.T) {
 			t.Errorf("job %d is %q after recovery, want %q", id, got.State, state)
 		}
 	}
-	if rep.restarted != 3 {
-		t.Errorf("%d jobs restarted, want 3", rep.restarted)
+	if rep.restarted != 3 || rep.refused != 4 {
+		t.Errorf("%d jobs restarted and %d refused, want 3 and 4", rep.restarted, rep.refused)
 	}
 }
 
@@ -225,4 +225,57 @@ func TestFrontEndsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSubmitJob sends arbitrary POST /jobs bodies, one a line, through
+// the status server's handler into drive()'s admission stack: nothing
+// panics, every answer is 202, 400 or 413, every 202's id reads back
+// from GET /jobs/<id> as waiting, queued or failed, and the source holds
+// exactly the jobs that got a 202.
+func FuzzSubmitJob(f *testing.F) {
+	for _, seed := range []string{
+		`{"factory":"wordcount","param":"t"}`,
+		`{"factory":"wordcount","param":"t"}` + "\n" + `{"factory":"topk","param":"3","dependsOn":[1]}`,
+		`{"factory":"wordcount","param":"t"}` + "\n" + `{"factory":"topk","param":"3","dependsOn":[2]}` + "\n" + `{"factory":"topk","param":"3","dependsOn":[1,1]}`,
+		`{"factory":"wordcount",`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		adm, src := testAdmission(t, nil)
+		srv := status.NewServer("s3")
+		srv.SetAdmission(adm)
+		h := srv.Handler()
+		accepted := 0
+		for _, body := range bytes.SplitN(data, []byte("\n"), 8) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+				continue
+			case http.StatusAccepted:
+			default:
+				t.Fatalf("POST %q: status %d", body, rec.Code)
+			}
+			accepted++
+			var reply struct{ ID int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatalf("POST %q: 202 with %q: %v", body, rec.Body, err)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/jobs/%d", reply.ID), nil))
+			var st runtime.JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("GET /jobs/%d: %d %q", reply.ID, rec.Code, rec.Body)
+			}
+			switch st.State {
+			case runtime.JobWaiting, runtime.JobQueued, runtime.JobFailed:
+			default:
+				t.Fatalf("job %d accepted as %q", reply.ID, st.State)
+			}
+		}
+		if n := len(src.Jobs()); n != accepted {
+			t.Fatalf("the source holds %d jobs after %d 202s", n, accepted)
+		}
+	})
 }

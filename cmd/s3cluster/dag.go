@@ -32,8 +32,9 @@ import (
 //     blocks a segment of the file holds — so consumers can be submitted
 //     against the new file.
 //
-// It runs on the engine goroutine between rounds (LiveDAG calls it from
-// JobFinished or Pop): AddPlan is refused while a map is in flight.
+// It runs on the engine goroutine between rounds (the LiveSource calls
+// it from JobFinished or Pop): AddPlan is refused while a map is in
+// flight.
 func materializeStage(master *remote.Master, sched *core.MultiFile, planStore *dfs.Store, jnl *journal.Journal, width func(file string, blocks int) (int, error), id scheduler.JobID) error {
 	name := workload.DerivedFileName(id)
 	file, err := planStore.File(name)

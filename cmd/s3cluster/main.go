@@ -49,7 +49,6 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/journal"
 	"s3sched/internal/metrics"
-	"s3sched/internal/pipeline"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -242,10 +241,9 @@ func runDemo() error {
 // pre-admission hook (so the engine can never race ahead of
 // registration).
 type clusterAdmission struct {
-	src *runtime.LiveSource
-	// dag wraps src with dependency tracking: jobs submitted with
-	// dependsOn are held until their producers finish and materialize.
-	dag    *pipeline.LiveDAG
+	// src holds jobs submitted with dependsOn until their producers
+	// finish and materialize.
+	src    *runtime.LiveSource
 	master *remote.Master
 	// journal, when set, gets a job-admitted record inside the same
 	// pre-admission hook — written (and fsynced, per policy) before the
@@ -301,9 +299,9 @@ func (a *clusterAdmission) SubmitJob(req status.JobRequest) (scheduler.JobID, er
 // both inside the source's pre-admission hook so the engine can never
 // see a half-registered job. A journal append failure
 // rejects the submission. Jobs with unfinished dependencies are held by
-// the DAG layer and surface as "waiting" on the status API.
+// the source and surface as "waiting" on the status API.
 func (a *clusterAdmission) submitStage(meta scheduler.JobMeta, ref remote.JobRef, deps []scheduler.JobID) (scheduler.JobID, error) {
-	return a.dag.SubmitStage(runtime.Arrival{Job: meta}, deps, func(id scheduler.JobID) error {
+	return a.src.SubmitStage(runtime.Arrival{Job: meta}, deps, func(id scheduler.JobID) error {
 		if a.journal != nil {
 			m := meta
 			m.ID = id
@@ -429,22 +427,17 @@ func drive(master *remote.Master) error {
 	// before any recovery; RestoreState and AddPlan keep it.
 	sched.SetScanHinter(master.HandleScanHint)
 
-	// remat rebuilds one finished job's output as a scannable derived
-	// file; the DAG layer invokes it on the engine goroutine between
-	// rounds, and recovery invokes it directly to restore materialized
-	// stages before the engine starts.
-	remat := func(id scheduler.JobID) error {
-		return materializeStage(master, sched, planStore, jnl, width, id)
-	}
-	src := runtime.NewLiveSourceOn(clock)
-	dag := pipeline.NewLiveDAG(src, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
-		err := remat(id)
+	// The source materializes a finished job's output as a scannable
+	// derived file on the engine goroutine between rounds; recovery does
+	// it directly to restore materialized stages before the engine starts.
+	src := runtime.NewLiveSourceOn(clock, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
+		err := materializeStage(master, sched, planStore, jnl, width, id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "s3cluster: job %d's output cannot become a file, so the jobs that read it fail: %v\n", id, err)
 		}
 		return 0, err
 	})
-	adm := &clusterAdmission{src: src, dag: dag, master: master, journal: jnl}
+	adm := &clusterAdmission{src: src, master: master, journal: jnl}
 	statusAddr := *statAddr
 	if *serve && statusAddr == "" {
 		// The daemon is pointless without its HTTP surface.
@@ -472,13 +465,13 @@ func drive(master *remote.Master) error {
 	if recorded != nil {
 		// Without the journal: what re-materialising would write is what is being replayed.
 		quiet := func(id scheduler.JobID) error { return materializeStage(master, sched, planStore, nil, width, id) }
-		rep, err := recoverFromJournal(jnl, recorded, sched, master, dag, adm, quiet, &opts)
+		rep, err := recoverFromJournal(jnl, recorded, sched, master, adm, quiet, &opts)
 		if err != nil {
 			return fmt.Errorf("recovering from %s: %w", *journalPath, err)
 		}
 		nth := rep.state.Recoveries + 1
-		fmt.Printf("journal recovery #%d from %s: %d job(s) resumed mid-pass, %d resubmitted, %d already settled\n",
-			nth, *journalPath, rep.resumed, rep.restarted, rep.settled)
+		fmt.Printf("journal recovery #%d from %s: %d job(s) resumed mid-pass, %d resubmitted, %d already settled, %d refused\n",
+			nth, *journalPath, rep.resumed, rep.restarted, rep.settled, rep.refused)
 		rm.Recoveries.Add(float64(nth))
 		rm.JobsRecovered.Add(float64(rep.resumed + rep.restarted))
 		spans.Addf(clock.Now(), trace.JournalRecovered, -1, -1,
@@ -539,11 +532,7 @@ func drive(master *remote.Master) error {
 		fmt.Println("interrupt: closing admission, draining in-flight jobs")
 		src.Close()
 	}()
-	// The engine sees the DAG wrapper: arrivals flow through it so
-	// deferred materializations drain on the engine goroutine, and
-	// its JobFinished hook releases (or cascade-fails) dependents as
-	// producers settle.
-	res, err := runtime.Run(sched, master, dag, opts)
+	res, err := runtime.Run(sched, master, src, opts)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"s3sched/internal/journal"
-	"s3sched/internal/pipeline"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -53,9 +52,11 @@ func (c *journalCommits) append(kind string, payload any) {
 type recoveryReport struct {
 	// resumed jobs were restored mid-pass from the scheduler snapshot;
 	// restarted jobs were resubmitted from their admission records;
-	// settled jobs only had their terminal status re-published.
-	resumed, restarted, settled int
-	state                       *journal.MasterState
+	// settled jobs only had their terminal status re-published; refused
+	// jobs were admitted by the binary that wrote the journal, and this
+	// one fails them.
+	resumed, restarted, settled, refused int
+	state                                *journal.MasterState
 }
 
 // recoverFromJournal rebuilds daemon state from the folded journal st
@@ -69,7 +70,7 @@ type recoveryReport struct {
 // consumers hold again, and stage-materialized records re-install the
 // derived files before the engine starts (remat rebuilds one; it must
 // run before RestoreState, which needs every snapshot queue's file
-// registered). A resumed job is adopted into the DAG's source as running,
+// registered). A resumed job is adopted into the source as running,
 // which is how the engine learns to resume it. Sets
 // opts.InitialRequeues and appends a recovered record marking the
 // journal as once-more-recovered.
@@ -78,7 +79,6 @@ func recoverFromJournal(
 	st *journal.MasterState,
 	sched scheduler.Scheduler,
 	master *remote.Master,
-	dag *pipeline.LiveDAG,
 	adm *clusterAdmission,
 	remat func(scheduler.JobID) error,
 	opts *runtime.Options,
@@ -122,14 +122,14 @@ func recoverFromJournal(
 					return nil, fmt.Errorf("re-materializing job %d output: %w", id, err)
 				}
 			}
-			if err := dag.Adopt(meta, runtime.JobDone, 0, end.At, wasMat); err != nil {
+			if err := adm.src.Adopt(meta, runtime.JobDone, 0, end.At, wasMat); err != nil {
 				return nil, err
 			}
 			rep.settled++
 			continue
 		}
 		if end, failed := st.Failed[id]; failed {
-			if err := dag.Adopt(meta, runtime.JobFailed, 0, end.At, false); err != nil {
+			if err := adm.src.Adopt(meta, runtime.JobFailed, 0, end.At, false); err != nil {
 				return nil, err
 			}
 			rep.settled++
@@ -139,9 +139,10 @@ func recoverFromJournal(
 			// The binary that wrote the journal admitted a job this one
 			// refuses (workload.Job.Check): running it would fail the run.
 			fmt.Fprintf(os.Stderr, "s3cluster: recovery: job %d: %v; marking failed\n", id, err)
-			if err := dag.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
+			if err := adm.src.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
 				return nil, err
 			}
+			rep.refused++
 			continue
 		}
 		if js, snapped := st.InSnapshot(id); snapped {
@@ -159,7 +160,7 @@ func recoverFromJournal(
 			if err := master.RegisterJob(id, ref); err != nil {
 				return nil, err
 			}
-			if err := dag.Adopt(meta, runtime.JobRunning, at, 0, false); err != nil {
+			if err := adm.src.Adopt(meta, runtime.JobRunning, at, 0, false); err != nil {
 				return nil, err
 			}
 			resume[id] = true
@@ -177,8 +178,8 @@ func recoverFromJournal(
 		// not a round commit): the graph dooms it again, and it comes
 		// back failed.
 		_, err := adm.submitStage(meta, ref, rec.DependsOn)
-		if errors.Is(err, pipeline.ErrDoomed) {
-			if err := dag.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
+		if errors.Is(err, runtime.ErrDoomed) {
+			if err := adm.src.Adopt(meta, runtime.JobFailed, 0, 0, false); err != nil {
 				return nil, err
 			}
 			rep.settled++

@@ -19,7 +19,9 @@
 //	                    across processes or in one (StartLocal)
 //	internal/scheduler  Scheduler interface, multi-file Arbiter, Fair
 //	internal/sim        discrete-event simulator + cost model
-//	internal/runtime    the round loop binding schedulers to executors
+//	internal/runtime    the round loop binding schedulers to executors,
+//	                    and its one admission queue with the jobs'
+//	                    dependency graph (DAG stages)
 //	internal/workload   text & TPC-H lineitem generators, job families
 //	internal/metrics    TET / ART over the run's job table, live registry
 //	internal/experiments  every paper experiment + claim checks

@@ -14,7 +14,6 @@ import (
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
-	"s3sched/internal/pipeline"
 	"s3sched/internal/remote"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
@@ -315,30 +314,29 @@ func runCell(wf *workload.File, scheme SchemeSpec, key benchfmt.CellKey, refDige
 		return benchfmt.Cell{}, fmt.Errorf("unknown engine %q", key.Engine)
 	}
 
-	// Every cell admits as a daemon does, through a LiveDAG, here filled
-	// before the run: roots arrive at their time; a finished producer's
-	// output is materialized into the cell's store, its segment plan
-	// registered with the scheduler, and its dependents released into the
-	// same circular pass.
+	// Every cell admits as a daemon does, through a LiveSource, here
+	// filled before the run: roots arrive at their time; a finished
+	// producer's output is materialized into the cell's store, its segment
+	// plan registered with the scheduler, and its dependents released into
+	// the same circular pass.
 	stages := wf.Stages()
-	order, err := pipeline.Order(stages)
+	order, err := runtime.Order(stages)
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
 	clock := vclock.NewVirtual()
-	src := runtime.NewLiveSourceOn(clock)
-	dag := pipeline.NewLiveDAG(src, cellMaterializer(wf, key, env, sched, cluster, refBlocks))
+	src := runtime.NewLiveSourceOn(clock, cellMaterializer(wf, key, env, sched, cluster, refBlocks))
 	for _, i := range order {
-		if _, err := dag.SubmitStage(runtime.Arrival{Job: stages[i].Job, At: stages[i].At}, stages[i].DependsOn, nil); err != nil {
+		if _, err := src.SubmitStage(runtime.Arrival{Job: stages[i].Job, At: stages[i].At}, stages[i].DependsOn, nil); err != nil {
 			return benchfmt.Cell{}, err
 		}
 	}
 	src.Close()
-	res, err := runtime.Run(sched, exec, dag, runtime.Options{Clock: clock})
+	res, err := runtime.Run(sched, exec, src, runtime.Options{Clock: clock})
 	if err != nil {
 		return benchfmt.Cell{}, err
 	}
-	if err := dag.Err(); err != nil {
+	if err := src.Err(); err != nil {
 		return benchfmt.Cell{}, err
 	}
 	sum, err := metrics.Summarize(res.Jobs)
@@ -413,7 +411,7 @@ func jobRef(j *workload.FileJob) remote.JobRef {
 	return remote.JobRef{Name: j.Meta().Name, Factory: j.Factory, Param: j.WireParam(), NumReduce: j.NumReduce}
 }
 
-// cellMaterializer builds the pipeline.Materializer for one cell.
+// cellMaterializer builds the runtime.Materializer for one cell.
 // Engine cells materialize as s3cluster does: the producer's output,
 // read from the workers that hold it, is written into the planning
 // store via mapreduce.StoreResult (uniform padded blocks) and installed
@@ -429,7 +427,7 @@ func cellMaterializer(
 	sched scheduler.Scheduler,
 	cluster *remote.Local,
 	refBlocks map[scheduler.JobID]int,
-) pipeline.Materializer {
+) runtime.Materializer {
 	consumers := derivedConsumers(wf)
 	return func(id scheduler.JobID, at vclock.Time) (vclock.Duration, error) {
 		n := consumers[id]
@@ -508,7 +506,7 @@ func wireScanHints(sched scheduler.Scheduler, h core.ScanHinter) {
 // derived file's block count is recorded — the geometry sim cells
 // price materialized stage outputs under.
 func soloReference(wf *workload.File) (string, map[scheduler.JobID]int, error) {
-	order, err := pipeline.Order(wf.Stages())
+	order, err := runtime.Order(wf.Stages())
 	if err != nil {
 		return "", nil, err
 	}

@@ -153,7 +153,7 @@ func TestEngineRestoredJobs(t *testing.T) {
 		if err := sched.Submit(parityMeta(id), 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.Adopt(parityMeta(id), runtime.JobRunning, 0, 0); err != nil {
+		if err := src.Adopt(parityMeta(id), runtime.JobRunning, 0, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,13 +191,13 @@ func TestEngineInitialRequeues(t *testing.T) {
 func TestLiveSourceAdopt(t *testing.T) {
 	src := runtime.NewLiveSource()
 	meta := parityMeta(7)
-	if err := src.Adopt(meta, runtime.JobDone, 0, 42); err != nil {
+	if err := src.Adopt(meta, runtime.JobDone, 0, 42, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Adopt(meta, runtime.JobDone, 0, 42); err == nil {
+	if err := src.Adopt(meta, runtime.JobDone, 0, 42, false); err == nil {
 		t.Fatal("duplicate adopt succeeded")
 	}
-	if err := src.Adopt(scheduler.JobMeta{Name: "anon"}, runtime.JobRunning, 0, 0); err == nil {
+	if err := src.Adopt(scheduler.JobMeta{Name: "anon"}, runtime.JobRunning, 0, 0, false); err == nil {
 		t.Fatal("adopt without an id succeeded")
 	}
 	st, ok := src.Status(7)

@@ -14,7 +14,7 @@ import (
 type engine struct {
 	sched scheduler.Scheduler
 	exec  Executor
-	src   ArrivalSource
+	src   *LiveSource
 	// mem is exec's dynamic-membership side, when it has one; its
 	// deltas are drained every loop iteration.
 	mem         MembershipSource
@@ -32,7 +32,7 @@ type engine struct {
 	stop <-chan struct{}
 }
 
-func newEngine(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Options) *engine {
+func newEngine(sched scheduler.Scheduler, exec Executor, src *LiveSource, opts Options) *engine {
 	maxRequeues := opts.MaxRequeues
 	if maxRequeues <= 0 {
 		maxRequeues = DefaultMaxRequeues

@@ -19,7 +19,12 @@
 // thread-safe submissions from other goroutines *while a pass is in
 // flight* — the window S^3's sub-job alignment exploits — which makes
 // the loop a long-lived admission daemon, and a recorded trace is the
-// same queue filled before the run (RunTrace).
+// same queue filled before the run (RunTrace). A job may depend on
+// others (a DAG stage, after Fotakis et al.'s multi-round precedence):
+// the queue holds it until each producer's reduce output is materialized
+// as a file, then releases it into the live circular pass, where it
+// shares segment scans like any job; one Graph decides when a stage is
+// ready and which fail with a producer whose output cannot be made.
 //
 // The package holds the contracts only and imports no data plane: each
 // substrate's executor lives beside it (sim.Executor, remote.Master).
@@ -194,7 +199,7 @@ type Options struct {
 // Run drives arrivals from src through the scheduler, executing rounds
 // until every admitted job completes and the source reports no more
 // will ever come.
-func Run(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Options) (*Result, error) {
+func Run(sched scheduler.Scheduler, exec Executor, src *LiveSource, opts Options) (*Result, error) {
 	e := newEngine(sched, exec, src, opts)
 	return e.run()
 }
@@ -206,7 +211,7 @@ func Run(sched scheduler.Scheduler, exec Executor, src ArrivalSource, opts Optio
 func RunTrace(sched scheduler.Scheduler, exec Executor, arrivals []Arrival, opts Options) (*Result, error) {
 	src := NewLiveSource()
 	for _, a := range arrivals {
-		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+		if _, err := src.SubmitStage(a, nil, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -10,42 +10,6 @@ import (
 	"s3sched/internal/vclock"
 )
 
-// ArrivalSource feeds job submissions into the engine and hears back
-// from it. The engine is the only caller of these methods and calls
-// them from its single goroutine; an implementation that accepts jobs
-// from other goroutines (LiveSource) synchronizes internally.
-type ArrivalSource interface {
-	// Pop removes and returns every arrival due at or before now, each
-	// stamped with its admission time (<= now). A live queue without a
-	// clock stamps its jobs with now.
-	Pop(now vclock.Time) []Arrival
-	// Peek reports the time of the earliest queued arrival (ok=false
-	// when nothing is queued right now). The engine clamps a time
-	// already passed to now.
-	Peek() (at vclock.Time, ok bool)
-	// Pending reports how many accepted jobs await admission.
-	Pending() int
-	// Wait blocks until the source has a queued arrival or will never
-	// produce one again, returning false in the latter case. The
-	// engine calls it only when the scheduler is idle and no timer is
-	// pending, so a live daemon parks here between submissions.
-	Wait() bool
-	// JobAdmitted fires when a queued job enters the scheduler,
-	// JobsStarted when a round including ids launches, and JobFinished
-	// when a job completes; the engine calls each synchronously from the
-	// run loop, once per event. JobsStarted returns the waiting interval
-	// (admission to this launch) of each job no earlier round included,
-	// in ids order, and JobFinished the job's response time. Each fails
-	// on a job out of step: unknown, admitted or finished twice, or
-	// stamped before its admission.
-	JobAdmitted(id scheduler.JobID, at vclock.Time) error
-	JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vclock.Duration, error)
-	JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Duration, error)
-	// Jobs returns every job's record in submission order; the engine
-	// resumes those running when it starts and reports the ones it ran.
-	Jobs() []JobStatus
-}
-
 // JobState is a live-submitted job's lifecycle phase.
 type JobState string
 
@@ -61,7 +25,7 @@ const (
 	// JobDone: completed; results are available from the executor.
 	JobDone JobState = "done"
 	// JobFailed: retired without running, because a dependency failed
-	// or its output could not be made a file (Fail), or because
+	// or its output could not be made a file, or because
 	// recovery adopted a journaled job this binary cannot run.
 	JobFailed JobState = "failed"
 )
@@ -95,13 +59,22 @@ func (j JobStatus) Span() (admitted, completed vclock.Time, done bool) {
 	return j.AdmittedAt, j.DoneAt, j.State == JobDone
 }
 
-// LiveSource is the one arrival source: a thread-safe admission queue.
-// Any goroutine may Submit jobs while the engine runs a pass, and the
-// engine merges them into the current circular scan at the next round
-// boundary — the online behavior of the paper's Job Queue Manager (§IV,
-// Algorithm 1). A recorded trace is the same queue filled before the run
-// (RunTrace). It tracks each job's lifecycle for an admission API to
-// report.
+// LiveSource is the one arrival source: a thread-safe admission queue
+// with the dependency graph of its jobs. Any goroutine may Submit jobs
+// while the engine runs a pass, and the engine merges them into the
+// current circular scan at the next round boundary — the online behavior
+// of the paper's Job Queue Manager (§IV, Algorithm 1). A recorded trace
+// is the same queue filled before the run (RunTrace), and so is an
+// s3compare cell's workload, stages in Order. It tracks each job's
+// lifecycle for an admission API to report.
+//
+// The engine alone calls Pop, Peek, Pending, Wait and the Job* stamps,
+// from its one goroutine; JobFinished and Pop materialize a finished
+// producer's output once something reads it, with the lock released, so
+// submissions and status reads never wait on a materialization. Each
+// stage depends only on stages already accepted, so the graph is acyclic
+// by construction — and a producer may have finished, unread, before its
+// first reader arrives.
 type LiveSource struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -116,24 +89,37 @@ type LiveSource struct {
 	ran    int
 	closed bool
 	// held are accepted-but-waiting jobs (DAG stages with unsettled
-	// dependencies); Release moves one into queue, Fail retires it.
+	// dependencies); release moves one into queue, fail retires it.
 	held map[scheduler.JobID]Arrival
+
+	g   Graph
+	mat Materializer
+	// unread are the stages that finished well before any reader was
+	// added. Their output is no file yet, so they stay unsettled in the
+	// graph and a late reader is held on them like an early one.
+	unread map[scheduler.JobID]bool
+	due    []scheduler.JobID // unread producers a reader has since arrived for
+	err    error             // the first materialization failure
 }
 
-// NewLiveSource returns an open admission queue whose jobs arrive when
-// the engine pops them.
-func NewLiveSource() *LiveSource { return NewLiveSourceOn(nil) }
+// NewLiveSource returns an open admission queue, without a materializer,
+// whose jobs arrive when the engine pops them.
+func NewLiveSource() *LiveSource { return NewLiveSourceOn(nil, nil) }
 
 // NewLiveSourceOn returns an open admission queue that stamps each job
 // from clock when it is queued — submitted, or released from hold — so
 // its wait for the run loop counts toward its response time. clock must
-// be the run's Options.Clock; nil is NewLiveSource.
-func NewLiveSourceOn(clock vclock.Clock) *LiveSource {
+// be the run's Options.Clock; nil stamps each job when the engine pops
+// it. mat materializes a finished producer's output before its readers
+// are released; it may be nil only when no stage has dependencies.
+func NewLiveSourceOn(clock vclock.Clock, mat Materializer) *LiveSource {
 	s := &LiveSource{
 		clock:  clock,
 		status: make(map[scheduler.JobID]*JobStatus),
 		nextID: 1,
 		held:   make(map[scheduler.JobID]Arrival),
+		mat:    mat,
+		unread: make(map[scheduler.JobID]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -152,21 +138,27 @@ func (s *LiveSource) Submit(meta scheduler.JobMeta) (scheduler.JobID, error) {
 // state (e.g. a remote JobRef) without racing the scheduler: if pre
 // fails, the job is not enqueued and its id is not consumed.
 func (s *LiveSource) SubmitWith(meta scheduler.JobMeta, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
-	return s.SubmitStage(Arrival{Job: meta}, nil, false, pre)
+	return s.SubmitStage(Arrival{Job: meta}, nil, pre)
 }
 
 // SubmitStage is the one submit path. a.At is a lower bound: the job is
-// stamped at max(a.At, the clock's now) when it is queued. deps is
-// recorded on the status for the admission API; the source does not
-// interpret it. With hold the job is accepted without being queued: it
-// is parked in "waiting" state until Release hands it to the engine or
-// Fail retires it — which of the two, and when, the dependency graph of
-// pipeline.LiveDAG decides.
-func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, hold bool, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
+// stamped at max(a.At, the clock's now) when it is queued. deps must
+// name accepted jobs, once each. A stage with a failed dependency is
+// refused with ErrDoomed, before pre runs; one with an unfinished
+// dependency is held in "waiting" state until its last producer's
+// output is a file; any other is queued at once — and if a dependency
+// finished unread, the engine's next Pop materializes that before the
+// stage is delivered. pre behaves as in SubmitWith.
+func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	meta := &a.Job
+	if _, err := s.g.Check(meta.ID, deps); err != nil {
+		return 0, err
+	}
 	switch {
+	case len(deps) > 0 && s.mat == nil:
+		return 0, fmt.Errorf("runtime: stage %q has dependencies but the source has no materializer", meta.Name)
 	case s.closed:
 		return 0, fmt.Errorf("runtime: admission queue is closed")
 	case a.At < 0:
@@ -175,8 +167,6 @@ func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, hold bool, p
 		return 0, fmt.Errorf("runtime: negative job id %d", meta.ID)
 	case meta.ID == 0:
 		meta.ID = s.nextID
-	case s.status[meta.ID] != nil:
-		return 0, fmt.Errorf("runtime: job %d: %w", meta.ID, scheduler.ErrDuplicateJob)
 	}
 	if pre != nil {
 		if err := pre(meta.ID); err != nil {
@@ -185,6 +175,13 @@ func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, hold bool, p
 	}
 	if meta.ID >= s.nextID {
 		s.nextID = meta.ID + 1
+	}
+	hold := slices.ContainsFunc(deps, func(dep scheduler.JobID) bool { return !s.g.Settled(dep) && !s.unread[dep] })
+	s.g.insert(meta.ID, deps)
+	for _, dep := range deps {
+		if s.unread[dep] {
+			s.due = append(s.due, dep)
+		}
 	}
 	s.status[meta.ID] = &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting, DependsOn: slices.Clone(deps)}
 	s.order = append(s.order, meta.ID)
@@ -196,21 +193,19 @@ func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, hold bool, p
 	return meta.ID, nil
 }
 
-// Release moves a held job into the admission queue no earlier than at,
-// waking a parked engine. It works after Close — held jobs whose
-// dependencies complete during drain still run; only *new* submissions
-// are refused.
-func (s *LiveSource) Release(id scheduler.JobID, at vclock.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// release moves a held job into the admission queue no earlier than at,
+// waking a parked engine; a job the graph releases that is not held —
+// queued at once, because its producers had only to be materialized —
+// stays where it is. It works after Close: held jobs whose dependencies
+// complete during drain still run. The caller holds s.mu.
+func (s *LiveSource) release(id scheduler.JobID, at vclock.Time) {
 	a, ok := s.held[id]
 	if !ok {
-		return fmt.Errorf("runtime: job %d is not held", id)
+		return
 	}
 	delete(s.held, id)
 	a.At = max(a.At, at)
 	s.enqueue(a)
-	return nil
 }
 
 // enqueue queues a in its (stamp, id) place — stamped, when the source
@@ -231,21 +226,115 @@ func (s *LiveSource) enqueue(a Arrival) {
 	s.cond.Broadcast()
 }
 
-// Fail retires a job the engine has not seen yet, held or queued,
-// without admitting it — a dependency failed or its output could not
-// be made a file, so the job's input will never exist.
-func (s *LiveSource) Fail(id scheduler.JobID, at vclock.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// fail retires a job the engine has not seen yet, held or queued,
+// without admitting it — a dependency's output could not be made a
+// file, so the job's input will never exist. The caller holds s.mu.
+func (s *LiveSource) fail(id scheduler.JobID, at vclock.Time) {
 	if _, held := s.held[id]; held {
 		delete(s.held, id)
 	} else if i := slices.IndexFunc(s.queue, func(a Arrival) bool { return a.Job.ID == id }); i >= 0 {
 		s.queue = slices.Delete(s.queue, i, i+1)
 	} else {
-		return fmt.Errorf("runtime: job %d is neither held nor queued", id)
+		return
 	}
 	s.status[id].State = JobFailed
 	s.status[id].DoneAt = at
+}
+
+// settle settles a stage the engine reports finished at at, once: a
+// finished stage with readers is materialized — with s.mu released, so
+// submissions and status reads go on meanwhile — and its readers are
+// released no earlier than the finish plus the materialization delay,
+// or, when it cannot become a file, failed with their cone; one without
+// readers is left unread. Runs on the engine goroutine with s.mu held.
+func (s *LiveSource) settle(id scheduler.JobID, at vclock.Time) {
+	switch {
+	case s.g.Settled(id):
+		return
+	case !s.g.Waited(id):
+		s.unread[id] = true
+		return
+	}
+	// Neither settled nor unread: a stage submitted meanwhile is held
+	// on id, and released or failed below with the others.
+	delete(s.unread, id)
+	s.mu.Unlock()
+	delay, err := s.mat(id, at)
+	s.mu.Lock()
+	if err != nil {
+		if s.err == nil {
+			s.err = fmt.Errorf("runtime: materializing stage %d output: %w", id, err)
+		}
+		for _, cid := range s.g.Fail(id) {
+			s.fail(cid, at)
+		}
+		return
+	}
+	for _, cid := range s.g.Done(id) {
+		s.release(cid, at.Add(delay))
+	}
+}
+
+// Adopt installs a status entry for a journal-recovered job without
+// queueing it for admission, so that later stages may depend on it: a
+// running one is already inside the restored scheduler, admitted at
+// admittedAt, and the engine resumes it; a settled one only needs its
+// terminal state visible to the admission API. made says a done job's
+// output is a file already — recovery replays stage-materialized
+// records itself — so its readers need no second materialization. The
+// id is reserved so later Submits cannot collide with it.
+func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, doneAt vclock.Time, made bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("runtime: admission queue is closed")
+	}
+	if meta.ID == 0 {
+		return fmt.Errorf("runtime: cannot adopt a job without an id")
+	}
+	if _, err := s.g.Add(meta.ID, nil); err != nil {
+		return err
+	}
+	switch {
+	case state == JobFailed:
+		s.g.Fail(meta.ID)
+	case state == JobDone && made:
+		s.g.Done(meta.ID)
+	case state == JobDone:
+		s.unread[meta.ID] = true
+	}
+	if meta.ID >= s.nextID {
+		s.nextID = meta.ID + 1
+	}
+	s.status[meta.ID] = &JobStatus{
+		ID:         meta.ID,
+		Name:       meta.Name,
+		State:      state,
+		AdmittedAt: admittedAt,
+		DoneAt:     doneAt,
+	}
+	if state == JobRunning {
+		s.ran++
+		s.status[meta.ID].seq = s.ran
+	}
+	s.order = append(s.order, meta.ID)
+	return nil
+}
+
+// Err reports why the DAG did not run to its end, after a run: the first
+// materialization failure — the stages that failed with it were never
+// admitted, so run metrics do not include them — else the stages still
+// held, which takes a producer that never finished. nil after a clean
+// run.
+func (s *LiveSource) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	if len(s.held) > 0 {
+		return fmt.Errorf("runtime: %d DAG stages never became ready", len(s.held))
+	}
 	return nil
 }
 
@@ -259,11 +348,22 @@ func (s *LiveSource) Close() {
 	s.cond.Broadcast()
 }
 
-// Pop removes the jobs stamped at or before now. Without a clock each
-// is stamped now: it "arrives" the moment the loop admits it.
+// Pop removes and returns the jobs stamped at or before now, in (stamp,
+// id) order. Without a clock each is stamped now: it "arrives" the
+// moment the loop admits it. First it settles the unread producers a
+// reader has arrived for: the engine calls it with the scheduler idle
+// (no round in flight), so a late reader's derived input file is
+// registered by the time its Submit runs — or, when it cannot be, the
+// reader has failed with its cone and is not delivered.
 func (s *LiveSource) Pop(now vclock.Time) []Arrival {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for len(s.due) > 0 {
+		pid := s.due[0]
+		s.due = s.due[1:]
+		s.settle(pid, now)
+	}
+	s.due = nil
 	n := sort.Search(len(s.queue), func(i int) bool { return s.queue[i].At > now })
 	if n == 0 {
 		return nil
@@ -307,7 +407,13 @@ func (s *LiveSource) Wait() bool {
 	return len(s.queue) > 0
 }
 
-// JobAdmitted implements ArrivalSource.
+// JobAdmitted fires when a queued job enters the scheduler, JobsStarted
+// when a round including ids launches, and JobFinished when a job
+// completes; the engine calls each synchronously from the run loop, once
+// per event. JobsStarted returns the waiting interval (admission to this
+// launch) of each job no earlier round included, in ids order, and
+// JobFinished the job's response time. Each fails on a job out of step:
+// unknown, admitted or finished twice, or stamped before its admission.
 func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -322,7 +428,7 @@ func (s *LiveSource) JobAdmitted(id scheduler.JobID, at vclock.Time) error {
 	return nil
 }
 
-// JobsStarted implements ArrivalSource.
+// JobsStarted: see JobAdmitted.
 func (s *LiveSource) JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vclock.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,7 +447,11 @@ func (s *LiveSource) JobsStarted(ids []scheduler.JobID, at vclock.Time) ([]vcloc
 	return waits, nil
 }
 
-// JobFinished implements ArrivalSource.
+// JobFinished records the job done, then settles it: materializes its
+// output if a stage reads it and releases the readers, or fails them
+// when it cannot be materialized — before it returns, inside the
+// engine's round settlement, so releases are visible before the engine
+// looks for its next arrival. See JobAdmitted.
 func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,7 +461,9 @@ func (s *LiveSource) JobFinished(id scheduler.JobID, at vclock.Time) (vclock.Dur
 	}
 	st.State = JobDone
 	st.DoneAt = at
-	return at.Sub(st.AdmittedAt), nil
+	rt := at.Sub(st.AdmittedAt)
+	s.settle(id, at)
+	return rt, nil
 }
 
 // stamp returns id's record for an event at at, refusing an unknown id,
@@ -368,41 +480,6 @@ func (s *LiveSource) stamp(id scheduler.JobID, want JobState, at vclock.Time) (*
 		return nil, fmt.Errorf("runtime: job %d stamped at %v, before its admission at %v", id, at, st.AdmittedAt)
 	}
 	return st, nil
-}
-
-// Adopt installs a status entry for a journal-recovered job without
-// queueing it for admission: a running one is already inside the
-// restored scheduler, admitted at admittedAt, and the engine resumes it;
-// a settled one only needs its terminal state visible to the admission
-// API. The id is reserved so later Submits cannot collide with it.
-func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, doneAt vclock.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("runtime: admission queue is closed")
-	}
-	if meta.ID == 0 {
-		return fmt.Errorf("runtime: cannot adopt a job without an id")
-	}
-	if _, dup := s.status[meta.ID]; dup {
-		return fmt.Errorf("runtime: job %d: %w", meta.ID, scheduler.ErrDuplicateJob)
-	}
-	if meta.ID >= s.nextID {
-		s.nextID = meta.ID + 1
-	}
-	s.status[meta.ID] = &JobStatus{
-		ID:         meta.ID,
-		Name:       meta.Name,
-		State:      state,
-		AdmittedAt: admittedAt,
-		DoneAt:     doneAt,
-	}
-	if state == JobRunning {
-		s.ran++
-		s.status[meta.ID].seq = s.ran
-	}
-	s.order = append(s.order, meta.ID)
-	return nil
 }
 
 // Status reports one job's lifecycle state.

@@ -69,35 +69,38 @@ func TestLiveSourceSubmitRacesCloseDrain(t *testing.T) {
 	}
 }
 
-// Recovery's Adopt of settled producers racing held submissions of
-// their dependents: ids must stay collision-free and every held job
-// must stay waiting until explicitly released.
+// Recovery's Adopt of settled producers racing held submissions of the
+// dependents of resumed ones: ids must stay collision-free and every held
+// job must stay waiting until its producer finishes.
 func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 	const pairs = 24
-	src := NewLiveSource()
+	src := NewLiveSourceOn(nil, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
 
 	var wg sync.WaitGroup
 	heldIDs := make([]scheduler.JobID, pairs)
 	for i := 0; i < pairs; i++ {
 		wg.Add(2)
-		producer := scheduler.JobID(1000 + i)
 		go func(p scheduler.JobID) {
 			defer wg.Done()
-			if err := src.Adopt(scheduler.JobMeta{ID: p, Name: "recovered"}, JobDone, 0, 5); err != nil {
+			if err := src.Adopt(scheduler.JobMeta{ID: p, Name: "recovered"}, JobDone, 0, 5, true); err != nil {
 				t.Errorf("Adopt %d: %v", p, err)
 			}
-		}(producer)
+		}(scheduler.JobID(2000 + i))
 		go func(i int, p scheduler.JobID) {
 			defer wg.Done()
+			if err := src.Adopt(scheduler.JobMeta{ID: p, Name: "resumed"}, JobRunning, 0, 0, false); err != nil {
+				t.Errorf("Adopt %d: %v", p, err)
+				return
+			}
 			// Explicit ids in a disjoint range: auto-assignment could land
 			// on a producer id whose Adopt has not run yet.
-			id, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}}, []scheduler.JobID{p}, true, nil)
+			id, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{ID: scheduler.JobID(5000 + i), Name: "dependent"}}, []scheduler.JobID{p}, nil)
 			if err != nil {
 				t.Errorf("SubmitStage: %v", err)
 				return
 			}
 			heldIDs[i] = id
-		}(i, producer)
+		}(i, scheduler.JobID(1000+i))
 	}
 	wg.Wait()
 
@@ -118,15 +121,16 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 		t.Fatalf("Pop delivered held jobs: %+v", got)
 	}
 
-	// Concurrent releases: everything lands in the queue exactly once.
-	for _, id := range heldIDs {
+	// Producers finishing concurrently: every dependent lands in the
+	// queue exactly once.
+	for i := 0; i < pairs; i++ {
 		wg.Add(1)
-		go func(id scheduler.JobID) {
+		go func(p scheduler.JobID) {
 			defer wg.Done()
-			if err := src.Release(id, 0); err != nil {
-				t.Errorf("Release %d: %v", id, err)
+			if _, err := src.JobFinished(p, 1); err != nil {
+				t.Errorf("JobFinished %d: %v", p, err)
 			}
-		}(id)
+		}(scheduler.JobID(1000 + i))
 	}
 	wg.Wait()
 	if got := src.Pending(); got != pairs {
@@ -137,38 +141,59 @@ func TestLiveSourceAdoptRacesPendingDependents(t *testing.T) {
 	}
 }
 
+// A held stage's lifecycle: held on an unfinished producer; refused with
+// the id kept free when its pre-hook fails; failed, held or queued,
+// when its producer's output cannot become a file; released after
+// Close; and no new stage is accepted after it.
 func TestLiveSourceHeldLifecycle(t *testing.T) {
-	src := NewLiveSource()
-	pid, err := src.Submit(scheduler.JobMeta{Name: "producer", File: "corpus"})
-	if err != nil {
-		t.Fatal(err)
+	bad := map[scheduler.JobID]bool{}
+	src := NewLiveSourceOn(nil, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
+		if bad[id] {
+			return 0, errTest
+		}
+		return 0, nil
+	})
+	var producers [3]scheduler.JobID
+	for i := range producers {
+		id, err := src.Submit(scheduler.JobMeta{Name: "producer", File: "corpus"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		producers[i] = id
 	}
-	cid, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "consumer"}}, []scheduler.JobID{pid}, true, nil)
+	pid, lost, late := producers[0], producers[1], producers[2]
+	cid, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "consumer"}}, []scheduler.JobID{pid}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := heldJobs(src); got != 1 {
 		t.Fatalf("%d jobs held, want 1", got)
 	}
-	if err := src.Release(cid+99, 0); err == nil {
-		t.Fatal("Release of unknown id succeeded")
-	}
-	if err := src.Fail(cid+99, 0); err == nil {
-		t.Fatal("Fail of unknown id succeeded")
-	}
 
 	// A held job's pre-hook failure must not consume the id.
-	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "bad"}}, nil, true, func(scheduler.JobID) error {
+	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "bad"}}, []scheduler.JobID{pid}, func(scheduler.JobID) error {
 		return fmt.Errorf("refused")
 	}); err == nil {
 		t.Fatal("pre-hook failure not propagated")
 	}
 
-	victim, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "victim"}}, []scheduler.JobID{pid}, true, nil)
+	victim, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "victim"}}, []scheduler.JobID{lost}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Fail(victim, vclock.Time(7)); err != nil {
+	if victim != cid+1 {
+		t.Fatalf("victim got id %d, want %d: the refused stage consumed one", victim, cid+1)
+	}
+	if got := src.Pop(0); len(got) != 3 {
+		t.Fatalf("Pop = %+v, want the three producers", got)
+	}
+	for _, id := range producers {
+		if err := src.JobAdmitted(id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad[lost], bad[late] = true, true
+	if _, err := src.JobFinished(lost, 7); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := src.Status(victim); st.State != JobFailed || st.DoneAt != 7 {
@@ -176,47 +201,51 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	}
 
 	// A queued job the engine has not popped fails the same way, and is
-	// not delivered; one the engine has popped is out of the source's hands.
-	doomed, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "doomed"}}, []scheduler.JobID{pid}, false, nil)
+	// not delivered: a late reader of an unread producer; the producer,
+	// popped already, is out of the source's hands and stays done.
+	if _, err := src.JobFinished(late, 1); err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "doomed"}}, []scheduler.JobID{late}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Fail(doomed, vclock.Time(8)); err != nil {
-		t.Fatal(err)
+	if st, _ := src.Status(doomed); st.State != JobQueued {
+		t.Fatalf("late reader's status = %+v, want queued", st)
+	}
+	if got := src.Pop(8); len(got) != 0 {
+		t.Fatalf("Pop = %+v, want nothing", got)
 	}
 	if st, _ := src.Status(doomed); st.State != JobFailed || st.DoneAt != 8 || len(st.DependsOn) != 1 {
 		t.Fatalf("failed-queued status = %+v", st)
 	}
-	if got := src.Pop(9); len(got) != 1 || got[0].Job.ID != pid {
-		t.Fatalf("Pop = %+v, want the producer alone", got)
-	}
-	if err := src.Fail(pid, 9); err == nil {
-		t.Fatal("Fail of a delivered job succeeded")
+	if st, _ := src.Status(late); st.State != JobDone {
+		t.Fatalf("producer status = %+v, want done", st)
 	}
 
 	// Release works after Close: held jobs whose dependencies settle
 	// during drain still run.
 	src.Close()
-	if err := src.Release(cid, 0); err != nil {
-		t.Fatalf("Release after Close: %v", err)
+	if _, err := src.JobFinished(pid, 9); err != nil {
+		t.Fatal(err)
 	}
 	if st, _ := src.Status(cid); st.State != JobQueued {
 		t.Fatalf("released status = %+v", st)
 	}
-	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "late"}}, nil, true, nil); err == nil {
+	if _, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{Name: "late"}}, []scheduler.JobID{pid}, nil); err == nil {
 		t.Fatal("SubmitStage after Close succeeded")
 	}
 }
 
 func TestLiveSourceAdoptValidation(t *testing.T) {
 	src := NewLiveSource()
-	if err := src.Adopt(scheduler.JobMeta{Name: "anon"}, JobDone, 0, 0); err == nil {
+	if err := src.Adopt(scheduler.JobMeta{Name: "anon"}, JobDone, 0, 0, false); err == nil {
 		t.Fatal("Adopt without id succeeded")
 	}
-	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "done"}, JobDone, 1, 2); err != nil {
+	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "done"}, JobDone, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "dup"}, JobDone, 0, 0); err == nil {
+	if err := src.Adopt(scheduler.JobMeta{ID: 3, Name: "dup"}, JobDone, 0, 0, false); err == nil {
 		t.Fatal("duplicate Adopt succeeded")
 	}
 	// Adopted ids reserve the id space: the next auto-assigned id must

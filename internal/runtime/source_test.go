@@ -21,9 +21,9 @@ func meta(id int) scheduler.JobMeta {
 // Jobs due at one time are delivered in id order, whatever order they
 // were submitted in — the tie rule of a recorded trace.
 func TestLiveSourceOrdersEqualStampsByID(t *testing.T) {
-	src := NewLiveSourceOn(vclock.NewVirtual())
+	src := NewLiveSourceOn(vclock.NewVirtual(), nil)
 	for _, a := range []Arrival{{Job: meta(3), At: 5}, {Job: meta(1), At: 0}, {Job: meta(2), At: 5}} {
-		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+		if _, err := src.SubmitStage(a, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,31 +45,41 @@ func TestLiveSourceOrdersEqualStampsByID(t *testing.T) {
 
 // A held job released after Close is still queued, at the latest of its
 // own lower bound and the release's, in its (stamp, id) place — also
-// ahead of what is queued, and never rewriting what was delivered.
+// ahead of what is queued, and never rewriting what was delivered. Jobs
+// 5 and 2 are held on producer 1, 3 on 8 and 7 on 9, which finish at 0,
+// 2 and 12.
 func TestLiveSourceReleaseAfterClose(t *testing.T) {
-	src := NewLiveSourceOn(vclock.NewVirtual())
-	for _, a := range []Arrival{{Job: meta(1), At: 0}, {Job: meta(4), At: 5}, {Job: meta(6), At: 9}} {
-		if _, err := src.SubmitStage(a, nil, false, nil); err != nil {
+	src := NewLiveSourceOn(vclock.NewVirtual(), func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
+	for _, a := range []Arrival{{Job: meta(1), At: 0}, {Job: meta(4), At: 5}, {Job: meta(6), At: 9}, {Job: meta(8), At: 0}, {Job: meta(9), At: 0}} {
+		if _, err := src.SubmitStage(a, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, a := range []Arrival{{Job: meta(5), At: 5}, {Job: meta(3), At: 5}, {Job: meta(2), At: 1}, {Job: meta(7), At: 0}} {
-		if _, err := src.SubmitStage(a, []scheduler.JobID{1}, true, nil); err != nil {
+	for _, h := range []struct {
+		a   Arrival
+		dep scheduler.JobID
+	}{{Arrival{Job: meta(5), At: 5}, 1}, {Arrival{Job: meta(3), At: 5}, 8}, {Arrival{Job: meta(2), At: 1}, 1}, {Arrival{Job: meta(7), At: 0}, 9}} {
+		if _, err := src.SubmitStage(h.a, []scheduler.JobID{h.dep}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	popped := src.Pop(0)
-	src.Close()
-	for _, r := range []struct {
-		id scheduler.JobID
-		at vclock.Time
-	}{{5, 0}, {3, 2}, {2, 0}, {7, 12}} {
-		if err := src.Release(r.id, r.at); err != nil {
-			t.Fatalf("Release(%d) after Close: %v", r.id, err)
+	for _, a := range popped {
+		if err := src.JobAdmitted(a.Job.ID, a.At); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(popped) != 1 || popped[0].Job.ID != 1 {
-		t.Fatalf("a Release rewrote a delivered arrival: %v", popped)
+	src.Close()
+	for _, f := range []struct {
+		id scheduler.JobID
+		at vclock.Time
+	}{{1, 0}, {8, 2}, {9, 12}} {
+		if _, err := src.JobFinished(f.id, f.at); err != nil {
+			t.Fatalf("JobFinished(%d) after Close: %v", f.id, err)
+		}
+	}
+	if len(popped) != 3 || popped[0].Job.ID != 1 || popped[1].Job.ID != 8 || popped[2].Job.ID != 9 {
+		t.Fatalf("a release rewrote a delivered arrival: %v", popped)
 	}
 	if st, _ := src.Status(7); st.State != JobQueued || st.AdmittedAt != 12 {
 		t.Fatalf("job 7 released at 12 has status %+v", st)
@@ -90,7 +100,7 @@ func TestLiveSourceReleaseAfterClose(t *testing.T) {
 // returns the refusal before it runs anything.
 func TestLiveSourceRejectsNegativeTime(t *testing.T) {
 	src := NewLiveSource()
-	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: -1}, nil, false, nil); err == nil || !strings.Contains(err.Error(), "negative time") {
+	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: -1}, nil, nil); err == nil || !strings.Contains(err.Error(), "negative time") {
 		t.Fatalf("SubmitStage err = %v, want negative-time refusal", err)
 	}
 	exec := ExecutorFunc(func(scheduler.Round) (vclock.Duration, error) {
@@ -190,17 +200,25 @@ func TestLiveSourceLifecycle(t *testing.T) {
 // delivers only what is due.
 func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 	clock := vclock.NewVirtual()
-	src := NewLiveSourceOn(clock)
+	src := NewLiveSourceOn(clock, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
+	producer, err := src.Submit(meta(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Pop(0)
+	if err := src.JobAdmitted(producer, 0); err != nil {
+		t.Fatal(err)
+	}
 	first, err := src.Submit(meta(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := src.SubmitStage(Arrival{Job: meta(0)}, []scheduler.JobID{first}, true, nil)
+	held, err := src.SubmitStage(Arrival{Job: meta(0)}, []scheduler.JobID{producer}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock.AdvanceTo(5)
-	if err := src.Release(held, 0); err != nil {
+	if _, err := src.JobFinished(producer, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := src.Status(held); st.State != JobQueued || st.AdmittedAt != 5 {
@@ -224,7 +242,7 @@ func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 func running(t *testing.T) *LiveSource {
 	t.Helper()
 	src := NewLiveSource()
-	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: 10}, nil, false, nil); err != nil {
+	if _, err := src.SubmitStage(Arrival{Job: meta(1), At: 10}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	src.Pop(10)
@@ -306,9 +324,9 @@ func TestWaitingProcessingDecomposition(t *testing.T) {
 // processing == response exactly.
 func TestDecompositionIdentityProperty(t *testing.T) {
 	prop := func(subs, waits, procs [5]uint8) bool {
-		src := NewLiveSourceOn(vclock.NewVirtual())
+		src := NewLiveSourceOn(vclock.NewVirtual(), nil)
 		for i := range subs {
-			if _, err := src.SubmitStage(Arrival{Job: meta(i + 1), At: vclock.Time(subs[i] % 100)}, nil, false, nil); err != nil {
+			if _, err := src.SubmitStage(Arrival{Job: meta(i + 1), At: vclock.Time(subs[i] % 100)}, nil, nil); err != nil {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package status
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -61,6 +62,10 @@ func (s *Server) admission() Admission {
 	return s.adm
 }
 
+// maxJobBody bounds a POST /jobs body: a job request is a few hundred
+// bytes, and a larger body is refused (413) before it is buffered.
+const maxJobBody = 1 << 20
+
 // submitReply is the POST /jobs response body.
 type submitReply struct {
 	ID    int    `json:"id"`
@@ -79,13 +84,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// Strict, as workload files are: a typo'd field must not submit a
 		// different job.
 		var req JobRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 		dec.DisallowUnknownFields()
+		var tooBig *http.MaxBytesError
 		err := dec.Decode(&req)
-		if err == nil && dec.Decode(&struct{}{}) != io.EOF {
-			err = errors.New("trailing data after the job")
+		if err == nil {
+			if err = dec.Decode(&struct{}{}); err == io.EOF {
+				err = nil
+			} else if !errors.As(err, &tooBig) {
+				err = errors.New("trailing data after the job")
+			}
 		}
-		if err != nil {
+		switch {
+		case errors.As(err, &tooBig):
+			http.Error(w, fmt.Sprintf("request body over %d bytes", maxJobBody), http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

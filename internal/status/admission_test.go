@@ -177,6 +177,36 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// A body past maxJobBody is refused with 413 before it is decoded whole,
+// and admits nothing; one just under it is read to its end.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	adm := &fakeAdmission{}
+	ts := adminServer(t, adm)
+	post := func(body string) int {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"factory":"wordcount","name":"` + strings.Repeat("a", 2<<20) + `"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB name: status = %d, want 413", code)
+	}
+	padded := `{"factory":"wordcount"}` + strings.Repeat(" ", 2<<20)
+	if code := post(padded); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a job and 2 MiB of blanks: status = %d, want 413", code)
+	}
+	if len(adm.jobs) != 0 {
+		t.Fatalf("an oversized body admitted %d jobs", len(adm.jobs))
+	}
+	fits := `{"factory":"wordcount","name":"` + strings.Repeat("a", maxJobBody-64) + `"}`
+	if code := post(fits); code != http.StatusAccepted || len(adm.jobs) != 1 {
+		t.Errorf("a body under the bound: status = %d with %d jobs, want 202 and 1", code, len(adm.jobs))
+	}
+}
+
 // fakeResults answers JobOutput from a script.
 type fakeResults map[scheduler.JobID]error
 

@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"s3sched/internal/dfs"
-	"s3sched/internal/pipeline"
 	"s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/sim"
@@ -376,7 +375,7 @@ func (wf *File) validate(lines *lineIndex) error {
 		if len(j.DependsOn) > 0 && h.Version < 3 {
 			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d: dependsOn needs schema v3, header says v%d", h.Name, j.ID, h.Version))
 		}
-		if err := pipeline.CheckEdges(j.ID, j.DependsOn, known); err != nil {
+		if err := runtime.CheckEdges(j.ID, j.DependsOn, known); err != nil {
 			return at(lines.jobs, i, fmt.Errorf("workload %q: job %d %w", h.Name, j.ID, err))
 		}
 		// Resolve the input: a declared file, or the derived output of
@@ -406,9 +405,9 @@ func (wf *File) validate(lines *lineIndex) error {
 				return at(lines.files, i, fmt.Errorf("workload %q: file %q is %s content; DAG workloads need real bytes to materialize stage outputs", h.Name, wf.Files[i].Name, ContentMeta))
 			}
 		}
-		if _, err := pipeline.Order(wf.Stages()); err != nil {
+		if _, err := runtime.Order(wf.Stages()); err != nil {
 			err = fmt.Errorf("workload %q: %w", h.Name, err)
-			var cycle *pipeline.CycleError
+			var cycle *runtime.CycleError
 			if errors.As(err, &cycle) {
 				return at(lines.jobs, jobIdx[cycle.Job], err)
 			}
@@ -430,11 +429,11 @@ func (wf *File) DerivedProducer(name string) (scheduler.JobID, bool) {
 }
 
 // Stages returns the jobs as DAG stages, in file order: what the
-// dependency graph orders and a pipeline.LiveDAG admits.
-func (wf *File) Stages() []pipeline.Stage {
-	stages := make([]pipeline.Stage, len(wf.Jobs))
+// dependency graph orders and a runtime.LiveSource admits.
+func (wf *File) Stages() []runtime.Stage {
+	stages := make([]runtime.Stage, len(wf.Jobs))
 	for i := range wf.Jobs {
-		stages[i] = pipeline.Stage{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At), DependsOn: wf.Jobs[i].DependsOn}
+		stages[i] = runtime.Stage{Job: wf.Jobs[i].Meta(), At: vclock.Time(wf.Jobs[i].At), DependsOn: wf.Jobs[i].DependsOn}
 	}
 	return stages
 }
