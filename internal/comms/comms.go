@@ -1,7 +1,6 @@
 // Package comms is the cluster's membership vocabulary — member states,
-// membership events, a worker's self-reported ledger and its row of the
-// cluster view, shared by the master's membership table, the runtime
-// engine that consumes its deltas, and the status server that publishes
+// a worker's self-reported ledger and its row of the cluster view, shared
+// by the master's membership table and the status server that publishes
 // it — and the task wire's framing (wire.go).
 //
 // A worker holds one connection to the master, internal/remote's task
@@ -40,55 +39,6 @@ func (s MemberState) String() string {
 		return n
 	}
 	return "unknown"
-}
-
-// MemberEventKind classifies one membership delta.
-type MemberEventKind int
-
-const (
-	// MemberRegistered records a never-before-seen worker joining.
-	MemberRegistered MemberEventKind = iota
-	// MemberRejoined records a previously known worker re-registering
-	// after a restart or disconnect.
-	MemberRejoined
-	// MemberSuspect records a worker missing a heartbeat deadline.
-	MemberSuspect
-	// MemberRestored records a suspect worker answering a heartbeat
-	// again before being declared dead.
-	MemberRestored
-	// MemberLost records a worker being declared dead.
-	MemberLost
-)
-
-var eventNames = map[MemberEventKind]string{
-	MemberRegistered: "registered",
-	MemberRejoined:   "rejoined",
-	MemberSuspect:    "suspect",
-	MemberRestored:   "restored",
-	MemberLost:       "lost",
-}
-
-// String returns the stable lowercase event name.
-func (k MemberEventKind) String() string {
-	if n, ok := eventNames[k]; ok {
-		return n
-	}
-	return "unknown"
-}
-
-// MemberEvent is one membership delta, drained in order by whoever
-// watches the table (the runtime engine folds them into its trace and
-// metrics).
-type MemberEvent struct {
-	// Worker is the worker's self-chosen identity.
-	Worker string
-	Kind   MemberEventKind
-	// Misses is the worker's consecutive missed-heartbeat count at the
-	// time of the event (meaningful for MemberSuspect/MemberLost).
-	Misses int
-	// Detail is a free-form human-readable annotation (the transport
-	// error for losses, the advertised address for joins).
-	Detail string
 }
 
 // WireStats is a worker's self-reported task/scan ledger, the answer to
@@ -162,14 +112,11 @@ type WorkerInfo struct {
 	ID       string `json:"id"`
 	TaskAddr string `json:"taskAddr"`
 	State    string `json:"state"`
-	// Static marks members dialled at boot (remote.Dial) that never heartbeat.
-	Static bool `json:"static,omitempty"`
 	// MapSlots is the worker's share of a segment's width: what it
-	// advertised when it registered, one for a static member.
+	// advertised when it registered, one for a remote.Dial member.
 	MapSlots int `json:"mapSlots"`
-	// SinceHeartbeat is seconds since the last answered heartbeat (or
-	// since registration when none was answered yet); absent for static
-	// members.
+	// SinceHeartbeat is seconds since the last answered heartbeat, or
+	// since registration when none was answered yet.
 	SinceHeartbeat float64 `json:"sinceHeartbeat,omitempty"`
 	// HeartbeatMisses counts deadline misses over the worker's lifetime.
 	HeartbeatMisses int64 `json:"heartbeatMisses"`

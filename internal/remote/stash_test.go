@@ -328,9 +328,9 @@ func TestRestartedHolderIsRepaired(t *testing.T) {
 		}
 		lost = workers[1].wireStats().MapTasks
 		workers[1].Close()
-		waitFor(t, 5*time.Second, "loss detection", func() bool { return master.LiveWorkers() == 1 })
+		waitFor(t, 5*time.Second, "loss detection", func() bool { n, _ := master.MapSlots(); return n == 1 })
 		replacement = startRegisteredWorker(t, NewStandardRegistry(), ctlAddr, "w1")
-		waitFor(t, 5*time.Second, "replacement rejoin", func() bool { return master.LiveWorkers() == 2 })
+		waitFor(t, 5*time.Second, "replacement rejoin", func() bool { n, _ := master.MapSlots(); return n == 2 })
 	}}
 	res := dynamicRun(t, master, jobs, nil, hooks)
 	if replacement == nil {

@@ -21,6 +21,7 @@ import (
 
 	"s3sched/internal/comms"
 	"s3sched/internal/scheduler"
+	"s3sched/internal/trace"
 )
 
 // timeoutErr implements net.Error with Timeout() = true.
@@ -225,6 +226,8 @@ func TestHandshakeRefusesOtherServers(t *testing.T) {
 
 	m := NewMaster(nil)
 	defer m.Close()
+	spans := trace.MustNew(16)
+	m.SetTrace(spans)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +253,7 @@ func TestHandshakeRefusesOtherServers(t *testing.T) {
 	if err := <-refused; !errors.As(err, &wire) {
 		t.Errorf("a gob-framed registration was refused with %v (%T), want a *comms.WireError", err, err)
 	}
-	if snap, events := m.ClusterSnapshot(), m.TakeMemberEvents(); len(snap) != 0 || len(events) != 0 {
+	if snap, events := m.ClusterSnapshot(), spans.Events(); len(snap) != 0 || len(events) != 0 {
 		t.Errorf("after the refusal: members %+v, events %+v", snap, events)
 	}
 

@@ -302,7 +302,7 @@ func TestMalformedReduceOutputFailsTheJob(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out, err := m.JobOutput(1)
-		if err == nil || out != nil || !strings.Contains(err.Error(), "job 1 partition 0") || !strings.Contains(err.Error(), "worker static-0") || !strings.Contains(err.Error(), c.want) {
+		if err == nil || out != nil || !strings.Contains(err.Error(), "job 1 partition 0") || !strings.Contains(err.Error(), "worker dial-0") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: JobOutput = %d records, %v; want an error naming the job, the worker and %q", name, len(out), err, c.want)
 		}
 		var outage *allWorkersError

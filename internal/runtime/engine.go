@@ -12,12 +12,9 @@ import (
 
 // engine is one run of the round loop.
 type engine struct {
-	sched scheduler.Scheduler
-	exec  Executor
-	src   *LiveSource
-	// mem is exec's dynamic-membership side, when it has one; its
-	// deltas are drained every loop iteration.
-	mem         MembershipSource
+	sched       scheduler.Scheduler
+	exec        Executor
+	src         *LiveSource
 	hooks       Hooks
 	maxRequeues int
 
@@ -53,9 +50,6 @@ func newEngine(sched scheduler.Scheduler, exec Executor, src *LiveSource, opts O
 		stop:        opts.Stop,
 		requeues:    opts.InitialRequeues,
 	}
-	if mem, ok := exec.(MembershipSource); ok {
-		e.mem = mem
-	}
 	e.res = &Result{}
 	return e
 }
@@ -79,7 +73,6 @@ func (e *engine) run() (*Result, error) {
 			break
 		}
 		now := e.clock.Now()
-		e.drainMembership(now)
 		if err := e.deliverDue(now); err != nil {
 			return nil, err
 		}
@@ -133,7 +126,6 @@ func (e *engine) run() (*Result, error) {
 			// the re-formed round aligns them too.
 		}
 	}
-	e.drainMembership(e.clock.Now())
 	e.finishStats()
 	e.res.End = e.clock.Now()
 	e.res.Requeues = e.requeues
@@ -211,24 +203,6 @@ func (e *engine) stopRequested() bool {
 	default:
 		return false
 	}
-}
-
-// drainMembership pulls the executor's pending membership transitions
-// into the telemetry sinks. Events are stamped with the run's time at
-// which the loop observed them — the instant the information could
-// first influence a scheduling decision.
-func (e *engine) drainMembership(now vclock.Time) {
-	if e.mem == nil {
-		return
-	}
-	evs := e.mem.TakeMemberEvents()
-	if len(evs) == 0 {
-		return
-	}
-	for _, ev := range evs {
-		e.tele.memberEvent(now, ev)
-	}
-	e.tele.workersConnected(e.mem.LiveWorkers())
 }
 
 // deliverDue admits every arrival due at now into the scheduler. This

@@ -31,7 +31,6 @@
 package runtime
 
 import (
-	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
@@ -62,23 +61,6 @@ type FaultStatsSource interface {
 // eviction counters into the run's metrics at the end.
 type CacheStatsSource interface {
 	CacheStats() dfs.CacheStats
-}
-
-// MembershipSource is implemented by executors backed by a dynamic
-// cluster membership table (the remote master's control plane). The
-// engine drains the membership deltas every loop iteration and renders
-// them into the run's trace (worker-registered / worker-lost /
-// worker-rejoined events) and metrics (s3_workers_connected,
-// s3_heartbeat_misses_total, s3_worker_reconnects_total), so cluster
-// churn shows up in the same observability stream as scheduling
-// decisions.
-type MembershipSource interface {
-	// TakeMemberEvents returns and clears the membership transitions
-	// recorded since the previous call, in order.
-	TakeMemberEvents() []comms.MemberEvent
-	// LiveWorkers reports the current number of usable (non-dead)
-	// workers.
-	LiveWorkers() int
 }
 
 // StageTimer is implemented by executors that know how a round's

@@ -3,7 +3,6 @@ package runtime
 import (
 	"strconv"
 
-	"s3sched/internal/comms"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
 	"s3sched/internal/trace"
@@ -65,43 +64,6 @@ func (t *telemetry) admissionDepth(n int) {
 		return
 	}
 	t.rm.AdmissionQueue.Set(float64(n))
-}
-
-// memberEvent renders one cluster-membership transition. Join, loss
-// and rejoin land in the trace; heartbeat misses and reconnects bump
-// their counters (a suspect transition is a liveness hiccup, not a
-// scheduling decision, so it stays out of the event trace).
-func (t *telemetry) memberEvent(at vclock.Time, ev comms.MemberEvent) {
-	if t == nil {
-		return
-	}
-	if t.log != nil {
-		switch ev.Kind {
-		case comms.MemberRegistered:
-			t.log.Addf(at, trace.WorkerRegistered, -1, -1, "worker %s at %s", ev.Worker, ev.Detail)
-		case comms.MemberRejoined:
-			t.log.Addf(at, trace.WorkerRejoined, -1, -1, "worker %s at %s", ev.Worker, ev.Detail)
-		case comms.MemberLost:
-			t.log.Addf(at, trace.WorkerLost, -1, -1, "worker %s after %d missed heartbeat(s): %s", ev.Worker, ev.Misses, ev.Detail)
-		}
-	}
-	if t.rm != nil {
-		switch ev.Kind {
-		case comms.MemberSuspect:
-			t.rm.HeartbeatMisses.Inc()
-		case comms.MemberRejoined:
-			t.rm.WorkerReconnects.Inc()
-		}
-	}
-}
-
-// workersConnected publishes the live-worker gauge after a membership
-// change.
-func (t *telemetry) workersConnected(n int) {
-	if t == nil || t.rm == nil {
-		return
-	}
-	t.rm.WorkersConnected.Set(float64(n))
 }
 
 // jobsStarted records the waiting interval of each job a round was the

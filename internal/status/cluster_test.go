@@ -75,9 +75,10 @@ func TestClusterEndpoint(t *testing.T) {
 }
 
 // A daemon's run never ends, so /metrics takes its s3_cache_* from the
-// heartbeat ledgers at scrape time: live values while the daemon runs,
-// dead members' last ledgers included, and the same totals published
-// again by the run's end — or by a second scrape — are not added twice.
+// heartbeat ledgers at scrape time, and its membership metrics from the
+// table's rows: live values while the daemon runs, dead members' last
+// ledgers included, and the same totals published again by the run's
+// end — or by a second scrape — are not added twice.
 func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	srv := NewServer("s3")
 	reg := metrics.NewRegistry()
@@ -146,6 +147,14 @@ func TestMetricsFoldClusterCacheLedgers(t *testing.T) {
 	expect(scrape(), want...)
 	src.workers[0].Tasks.ResultBytes, src.workers[0].Tasks.ResultEvictions, src.workers[0].Tasks.ResultServedBytes = 100, 0, 0 // restarted
 	expect(scrape(), "s3_result_store_bytes 3100", "s3_result_evictions_total 5", "s3_result_fetched_bytes_total 1000")
+
+	// The membership metrics come off the table too: a dead member is
+	// not live, and every member's misses and reconnects count.
+	expect(scrape(), "s3_workers_connected 1", "s3_heartbeat_misses_total 0", "s3_worker_reconnects_total 0")
+	src.workers[0].HeartbeatMisses, src.workers[1].HeartbeatMisses, src.workers[1].Reconnects = 2, 3, 1
+	expect(scrape(), "s3_workers_connected 1", "s3_heartbeat_misses_total 5", "s3_worker_reconnects_total 1")
+	src.workers[1].State = comms.Suspect.String()
+	expect(scrape(), "s3_workers_connected 2", "s3_heartbeat_misses_total 5", "s3_worker_reconnects_total 1")
 
 	// The run ends and folds its own poll of the same workers.
 	rm.SetCacheStats(dfs.CacheStats{Hits: 200, Misses: 50, Evictions: 7, Prefetches: 60, PrefetchFailed: 1, Bytes: 2048, PinnedBytes: 512})

@@ -17,6 +17,7 @@ import (
 	"net/http/pprof"
 	"sync"
 
+	"s3sched/internal/comms"
 	"s3sched/internal/dfs"
 	"s3sched/internal/metrics"
 	"s3sched/internal/runtime"
@@ -50,7 +51,6 @@ type State struct {
 	DoneJobs    int           `json:"doneJobs"`
 	LastRound   *RoundInfo    `json:"lastRound,omitempty"`
 	RunComplete bool          `json:"runComplete"`
-	FailureNote string        `json:"failureNote,omitempty"`
 	TETSeconds  float64       `json:"tetSeconds,omitempty"`
 	ARTSeconds  float64       `json:"artSeconds,omitempty"`
 	Cache       *CacheInfo    `json:"cache,omitempty"`
@@ -75,8 +75,10 @@ type Server struct {
 	state State
 	ln    net.Listener
 	// reg, when set, is rendered at /metrics in Prometheus text
-	// exposition format.
+	// exposition format; rm holds its run instruments, which a scrape
+	// fills from the cluster's table.
 	reg *metrics.Registry
+	rm  *metrics.RunMetrics
 	// adm, when set, backs the live job-submission endpoints under
 	// /jobs (see admission.go).
 	adm Admission
@@ -96,7 +98,10 @@ func NewServer(scheme string) *Server {
 func (s *Server) SetRegistry(reg *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reg = reg
+	s.reg, s.rm = reg, nil
+	if reg != nil {
+		s.rm = metrics.NewRunMetrics(reg)
+	}
 }
 
 // Update applies f to the published state under the server's lock.
@@ -169,7 +174,6 @@ batch {{.LastRound.BatchSize}}, blocks {{.LastRound.Blocks}}</td></tr>{{end}}
 {{if .Recovery}}<tr><td>journal recovery</td><td>recovery #{{.Recovery.Recoveries}}:
 {{.Recovery.JobsResumed}} job(s) resumed, {{.Recovery.JobsRestarted}} restarted
 {{if .Recovery.JournalPath}}from {{.Recovery.JournalPath}}{{end}}</td></tr>{{end}}
-{{if .FailureNote}}<tr><td>failure</td><td>{{.FailureNote}}</td></tr>{{end}}
 </table>
 <p><a href="/status.json">status.json</a></p>
 </body></html>`))
@@ -182,7 +186,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.RLock()
-		reg := s.reg
+		reg, rm := s.reg, s.rm
 		s.mu.RUnlock()
 		if reg == nil {
 			http.Error(w, "no metrics registry configured", http.StatusNotFound)
@@ -190,16 +194,23 @@ func (s *Server) Handler() http.Handler {
 		}
 		if src := s.cluster.get(); src != nil {
 			// A daemon's run never ends to fold its s3_cache_*: read them
-			// off the heartbeat ledgers, one heartbeat old at most.
+			// off the heartbeat ledgers, one heartbeat old at most, and
+			// the membership metrics off the table that counts them.
 			var cache dfs.CacheStats
-			var stashed, fetched, held, evicted, served, tasks, passes int64
+			var stashed, fetched, held, evicted, served, tasks, passes, live, misses, reconnects int64
 			for _, wi := range src.ClusterSnapshot() {
 				cache.Add(wi.Tasks.Cache())
 				stashed, fetched = stashed+wi.Tasks.StashBytes, fetched+wi.Tasks.ShuffleFetchedBytes
 				held, evicted, served = held+wi.Tasks.ResultBytes, evicted+wi.Tasks.ResultEvictions, served+wi.Tasks.ResultServedBytes
 				tasks, passes = tasks+wi.Tasks.MapTasks, passes+wi.Tasks.MapPasses
+				if wi.State != comms.Dead.String() {
+					live++
+				}
+				misses, reconnects = misses+wi.HeartbeatMisses, reconnects+wi.Reconnects
 			}
-			rm := metrics.NewRunMetrics(reg)
+			rm.WorkersConnected.Set(float64(live))
+			rm.HeartbeatMisses.RaiseTo(float64(misses))
+			rm.WorkerReconnects.RaiseTo(float64(reconnects))
 			rm.SetCacheStats(cache)
 			rm.MapTasks.RaiseTo(float64(tasks))
 			rm.MapPasses.RaiseTo(float64(passes))

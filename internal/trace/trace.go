@@ -46,8 +46,9 @@ const (
 	// Detail carries the same corr=<id> the master logged.
 	TaskServed
 	// WorkerRegistered records a worker joining the cluster through the
-	// control plane (or being installed by a static dial); Detail
-	// carries the worker id and its task address.
+	// control plane (or dialled by the master), or a member the master's
+	// table held when its trace was set; Detail carries the worker id
+	// and its task address.
 	WorkerRegistered
 	// WorkerLost records the master declaring a worker dead — broken
 	// connection or heartbeat silence past the dead deadline.

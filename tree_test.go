@@ -1,8 +1,9 @@
 package s3sched_test
 
-// Tree tests: the docs name code that exists, and every exported name
-// has a caller. Both read the source with go/parser and go/ast only, so
-// they run in tier-1 and need no build of what they read.
+// Tree tests: the docs name code that exists, every exported name has a
+// caller, and the round loop depends on no cluster transport. All read
+// the source with go/parser and go/ast only, so they run in tier-1 and
+// need no build of what they read.
 
 import (
 	"go/ast"
@@ -531,4 +532,33 @@ func expandBraces(p string) []string {
 		out = append(out, expandBraces(p[:i]+a+p[j+1:])...)
 	}
 	return out
+}
+
+// TestRuntimeImportsNoCluster fails when internal/runtime's non-test
+// files, or those of any package they import transitively, import the
+// cluster's membership vocabulary or its transport: the round loop sees
+// no membership, which the master's table records and reports itself.
+func TestRuntimeImportsNoCluster(t *testing.T) {
+	imports := map[string][]string{} // package → what its non-test files import
+	for _, f := range parseTree(t) {
+		if !f.test {
+			for _, p := range importNames(f.ast) {
+				imports[f.pkg] = append(imports[f.pkg], p)
+			}
+		}
+	}
+	via := map[string]string{"s3sched/internal/runtime": ""} // package → who imports it
+	for queue := []string{"s3sched/internal/runtime"}; len(queue) > 0; queue = queue[1:] {
+		for _, p := range imports[queue[0]] {
+			if _, seen := via[p]; !seen {
+				via[p] = queue[0]
+				queue = append(queue, p)
+			}
+		}
+	}
+	for _, banned := range []string{"s3sched/internal/comms", "s3sched/internal/remote"} {
+		if by, ok := via[banned]; ok {
+			t.Errorf("internal/runtime depends on %s, imported by %s", banned, by)
+		}
+	}
 }
