@@ -70,9 +70,6 @@ func NewDynamic(file *dfs.File, nodes []dfs.NodeID, slotsPerNode int, checker *S
 // Name implements Scheduler.
 func (d *DynamicS3) Name() string { return "s3-dynamic" }
 
-// Cursor returns the next block index to be scheduled.
-func (d *DynamicS3) Cursor() int { return d.cursor }
-
 // Submit implements Scheduler.
 func (d *DynamicS3) Submit(job scheduler.JobMeta, at vclock.Time) error {
 	if d.seen[job.ID] {

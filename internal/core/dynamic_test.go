@@ -196,9 +196,6 @@ func TestDynamicErrors(t *testing.T) {
 	if d.Name() != "s3-dynamic" {
 		t.Errorf("Name = %q", d.Name())
 	}
-	if d.Cursor() != 0 {
-		t.Errorf("Cursor = %d", d.Cursor())
-	}
 }
 
 func TestDynamicProtocolPanics(t *testing.T) {

@@ -55,13 +55,6 @@ func (e *Estimator) Observe(batch, blocks int, d vclock.Duration) {
 	e.fitted = false
 }
 
-// Samples reports how many rounds have been observed.
-func (e *Estimator) Samples() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return int(e.n)
-}
-
 // fit solves the 3x3 normal equations by Gaussian elimination. When
 // the system is singular (e.g. every observed round had the same batch
 // and block count), degenerate coefficients fall back to the sample

@@ -86,9 +86,6 @@ func NewBlockCachePolicy(bytesPerNode int64, policy string) (*BlockCache, error)
 	return &BlockCache{meta: meta, nodes: make(map[NodeID]*nodeCache)}, nil
 }
 
-// Budget returns the per-node byte budget.
-func (c *BlockCache) Budget() int64 { return c.meta.Budget() }
-
 func (c *BlockCache) shard(node NodeID) *nodeCache {
 	nc, ok := c.nodes[node]
 	if !ok {
@@ -208,25 +205,9 @@ func (c *BlockCache) Hint(h ScanHint) bool {
 	return c.meta.Hint(h)
 }
 
-// Contains reports whether the block is currently cached on node's
-// shard (without touching recency order).
-func (c *BlockCache) Contains(id BlockID, node NodeID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.meta.Contains(id, node)
-}
-
 // Stats returns a snapshot of cumulative cache accounting.
 func (c *BlockCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.meta.Stats()
-}
-
-// ResetStats zeroes every cumulative counter, keeping the cached
-// contents (see MetaCache.ResetStats).
-func (c *BlockCache) ResetStats() {
-	c.mu.Lock()
-	c.meta.ResetStats()
-	c.mu.Unlock()
 }

@@ -130,6 +130,14 @@ func (m *pinModel) pinned(node NodeID, id BlockID) bool {
 }
 
 // shardBytes is what node's shard of c holds.
+// cached reports whether the block is resident on node's shard, without
+// touching recency order.
+func cached(c *BlockCache, id BlockID, node NodeID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.meta.Contains(id, node)
+}
+
 func shardBytes(c *BlockCache, node NodeID) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -210,7 +218,7 @@ func FuzzBlockCache(f *testing.F) {
 			default:
 				model.shard(node)
 				failThis := op&0x80 != 0
-				wasCached := c.Contains(id, node)
+				wasCached := cached(c, id, node)
 				data, err := c.Read(id, node, func() ([]byte, error) {
 					if failThis {
 						return nil, fault
@@ -222,14 +230,14 @@ func FuzzBlockCache(f *testing.F) {
 					if !errors.Is(err, fault) {
 						t.Fatalf("unexpected error: %v", err)
 					}
-					if c.Contains(id, node) {
+					if cached(c, id, node) {
 						t.Fatalf("faulted read of %v cached on node %d", id, node)
 					}
 				} else if !bytes.Equal(data, content(id.Index)) {
 					t.Fatalf("wrong bytes for %v", id)
 				} else {
 					model.readOK(node, id)
-					if !wasCached && !c.Contains(id, node) && shardBytes(c, node)+blockSize <= budget {
+					if !wasCached && !cached(c, id, node) && shardBytes(c, node)+blockSize <= budget {
 						t.Fatalf("miss of %v left uncached with room free on node %d", id, node)
 					}
 				}
@@ -257,7 +265,7 @@ func FuzzBlockCache(f *testing.F) {
 			}
 			for node, st := range model.nodes {
 				for _, id := range st.pins {
-					if model.pinned(node, id) && c.Contains(id, node) && !got[shardBlock{node, id}] {
+					if model.pinned(node, id) && cached(c, id, node) && !got[shardBlock{node, id}] {
 						t.Fatalf("%v on node %d is not pinned, the pin rule pins it", id, node)
 					}
 				}

@@ -75,7 +75,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 					}
 					model.shard(node)
 					failThis := faultEvery > 0 && rng.Intn(int(faultEvery)+1) == 0
-					wasCached := c.Contains(id, node)
+					wasCached := cached(c, id, node)
 					data, err := c.Read(id, node, func() ([]byte, error) {
 						if failThis {
 							return nil, fault
@@ -96,7 +96,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 							t.Logf("fault swallowed: err=%v", err)
 							return false
 						}
-						if c.Contains(id, node) {
+						if cached(c, id, node) {
 							t.Log("faulted read was cached")
 							return false
 						}
@@ -105,7 +105,7 @@ func TestBlockCacheInvariantsProperty(t *testing.T) {
 							t.Logf("miss returned err=%v", err)
 							return false
 						}
-						if !c.Contains(id, node) && shardBytes(c, node)+blockSize <= budget {
+						if !cached(c, id, node) && shardBytes(c, node)+blockSize <= budget {
 							t.Logf("miss of %v left uncached with room free on node %d", id, node)
 							return false
 						}
@@ -300,7 +300,7 @@ func TestMetaCacheTwinProperty(t *testing.T) {
 					if !hit && !meta.Contains(id, node) && seed%2 != 0 {
 						bypassed++
 					}
-					if real.Contains(id, node) != meta.Contains(id, node) {
+					if cached(real, id, node) != meta.Contains(id, node) {
 						t.Logf("residency divergence at %v node %d", id, node)
 						return false
 					}

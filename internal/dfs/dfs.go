@@ -74,14 +74,6 @@ type File struct {
 	source    BlockSource
 }
 
-// Size returns the total file size in bytes.
-func (f *File) Size() int64 {
-	if f.NumBlocks == 0 {
-		return 0
-	}
-	return int64(f.NumBlocks-1)*f.BlockSize + f.LastSize
-}
-
 // BlockLen returns the size in bytes of block i.
 func (f *File) BlockLen(i int) int64 {
 	if i == f.NumBlocks-1 {
@@ -203,9 +195,6 @@ func (s *Store) CacheStats() CacheStats {
 	}
 	return CacheStats{}
 }
-
-// Nodes returns the number of nodes the store spans.
-func (s *Store) Nodes() int { return s.nodes }
 
 // Replicas returns the store's replication factor.
 func (s *Store) Replicas() int { return s.replicas }
@@ -405,18 +394,5 @@ func (s *Store) Stats() Stats {
 		BlockReads:   s.blockReads.Load(),
 		BytesScanned: s.bytesScanned.Load(),
 		FailedReads:  s.failedReads.Load(),
-	}
-}
-
-// ResetStats zeroes all counters — scans, failed reads, and (when a
-// cache is installed) the cache's hit/miss/eviction counters — so
-// back-to-back experiment runs start from a clean slate. Cached block
-// contents are kept.
-func (s *Store) ResetStats() {
-	s.blockReads.Store(0)
-	s.bytesScanned.Store(0)
-	s.failedReads.Store(0)
-	if c := s.Cache(); c != nil {
-		c.ResetStats()
 	}
 }

@@ -29,9 +29,6 @@ func TestAddFileAndRead(t *testing.T) {
 	if f.NumBlocks != 6 || f.BlockSize != 64 || f.LastSize != 64 {
 		t.Fatalf("file metadata = %+v", f)
 	}
-	if got := f.Size(); got != 6*64 {
-		t.Fatalf("Size() = %d, want %d", got, 6*64)
-	}
 	for i := 0; i < 6; i++ {
 		data, err := s.ReadBlock(BlockID{File: "data", Index: i})
 		if err != nil {
@@ -57,9 +54,6 @@ func TestAddFileShortLastBlock(t *testing.T) {
 	}
 	if f.LastSize != 10 {
 		t.Fatalf("LastSize = %d, want 10", f.LastSize)
-	}
-	if got := f.Size(); got != 2*64+10 {
-		t.Fatalf("Size() = %d, want %d", got, 2*64+10)
 	}
 	if got := f.BlockLen(2); got != 10 {
 		t.Fatalf("BlockLen(2) = %d, want 10", got)
@@ -196,20 +190,5 @@ func TestStoreConstructorValidation(t *testing.T) {
 	}
 	if s, err := NewStore(3, 2); err != nil || s == nil {
 		t.Errorf("NewStore(3,2) = %v, %v; want a store", s, err)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	s := MustStore(2, 1)
-	_, err := s.AddFile("f", 8, mkBlocks(2, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadBlock(BlockID{File: "f", Index: 0}); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	if st := s.Stats(); st.BlockReads != 0 || st.BytesScanned != 0 {
-		t.Fatalf("stats after reset = %+v, want zero", st)
 	}
 }

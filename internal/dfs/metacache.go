@@ -23,7 +23,7 @@ import (
 
 // CacheStats is a snapshot of cumulative cache accounting. Hits,
 // Misses, Evictions, Prefetches and PrefetchFailed are monotonic
-// counters (zeroed by ResetStats); Bytes and PinnedBytes are gauges of
+// counters; Bytes and PinnedBytes are gauges of
 // the current footprint. A run's totals, a worker's heartbeat ledger
 // and the cluster's sum over workers are all one CacheStats.
 type CacheStats struct {
@@ -90,9 +90,6 @@ func NewMetaCache(bytesPerNode int64, policy string) (*MetaCache, error) {
 		lastHints: make(map[string]ScanHint),
 	}, nil
 }
-
-// Budget returns the per-node byte budget.
-func (m *MetaCache) Budget() int64 { return m.budget }
 
 func (m *MetaCache) shard(node NodeID) *cacheShard {
 	s, ok := m.nodes[node]
@@ -188,12 +185,4 @@ func (m *MetaCache) Stats() CacheStats {
 		st.PinnedBytes += s.pinnedBytes()
 	}
 	return st
-}
-
-// ResetStats zeroes every cumulative counter (between experiment runs):
-// hits, misses, evictions, prefetches and prefetch failures. Residency
-// — and thus the Bytes/PinnedBytes gauges — is kept.
-func (m *MetaCache) ResetStats() {
-	m.hits, m.misses, m.evictions = 0, 0, 0
-	m.prefetches, m.prefetchFailed = 0, 0
 }

@@ -200,7 +200,7 @@ func TestDrainedFileYieldsToLiveScan(t *testing.T) {
 	}
 	reads := cycleScan(t, s, "input", 2, 3)
 	for _, id := range window {
-		if s.Cache().Contains(id, 0) {
+		if cached(s.Cache(), id, 0) {
 			t.Errorf("drained %v still cached after %d live cycles", id, len(reads))
 		}
 	}
@@ -264,7 +264,7 @@ func TestHandleScanHintFaultedPrefetchNeverCached(t *testing.T) {
 	if cs.Prefetches != 1 || cs.PrefetchFailed != 1 || cs.Bytes != 0 {
 		t.Fatalf("faulted prefetch was cached or miscounted: %+v", cs)
 	}
-	if s.Cache().Contains(id, s.Locations(id)[0]) {
+	if cached(s.Cache(), id, s.Locations(id)[0]) {
 		t.Fatal("faulted prefetch left the block resident")
 	}
 	// The next demand read retries cold through the normal fault path
@@ -292,9 +292,6 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	m, err := NewMetaCache(2*blockSize, PolicyCursor)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Budget() != 2*blockSize {
-		t.Fatalf("budget %d", m.Budget())
 	}
 	ids := make([]BlockID, 4)
 	for i := range ids {
@@ -332,26 +329,18 @@ func TestMetaCacheMirrorsBlockCacheSemantics(t *testing.T) {
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	m.ResetStats()
-	st = m.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Prefetches != 0 {
-		t.Fatalf("ResetStats left counters: %+v", st)
-	}
-	if st.Bytes != 2*blockSize || st.PinnedBytes != blockSize {
-		t.Fatalf("ResetStats dropped residency gauges: %+v", st)
-	}
 }
 
 func TestStoreShapeAccessors(t *testing.T) {
 	s, f := hintStore(t, 3, 2, 4, 512)
-	if s.Nodes() != 3 || s.Replicas() != 2 {
-		t.Fatalf("Nodes/Replicas = %d/%d", s.Nodes(), s.Replicas())
+	if s.Replicas() != 2 {
+		t.Fatalf("Replicas = %d", s.Replicas())
 	}
 	if got := fmt.Sprint(f.Blocks()[1]); got != "input#1" {
 		t.Fatalf("BlockID.String() = %q", got)
 	}
-	if f.Size() != 4*512 {
-		t.Fatalf("Size = %d", f.Size())
+	if size := int64(f.NumBlocks) * f.BlockSize; size != 4*512 {
+		t.Fatalf("size = %d", size)
 	}
 }
 

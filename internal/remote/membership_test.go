@@ -411,8 +411,8 @@ func TestOneConnectionPerWorker(t *testing.T) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		out := make(map[string]bool)
-		for _, c := range w.peers {
-			out[c.conn.LocalAddr().String()] = true
+		for _, pc := range w.peers {
+			out[pc.client.conn.LocalAddr().String()] = true
 		}
 		return out
 	}

@@ -212,30 +212,47 @@ type peerFetch struct {
 	err    error
 }
 
+// peerConn is the connection a worker keeps for one peer, or its dial
+// in flight: client and err are set, under the worker's lock, before done
+// closes.
+type peerConn struct {
+	done   chan struct{}
+	client *taskClient
+	err    error
+}
+
 // startFetch sends FetchShuffle to the peer at addr over the connection
-// kept for it, dialing one — within timeout, zero for the system's bound
-// — if there is none.
+// kept for it. If there is none, the first fetch to find that dials one —
+// within timeout, zero for the system's bound — and every fetch that
+// comes while it does waits for it; a failed dial leaves no entry, so
+// the next fetch dials again.
 func (w *Worker) startFetch(addr string, args *FetchArgs, timeout time.Duration) peerFetch {
 	f := peerFetch{addr: addr}
 	w.mu.Lock()
-	f.client = w.peers[addr]
+	pc := w.peers[addr]
+	dial := pc == nil
+	if dial {
+		pc = &peerConn{done: make(chan struct{})}
+		w.peers[addr] = pc
+	}
+	f.client = pc.client
 	w.mu.Unlock()
 	if f.kept = f.client != nil; !f.kept {
-		dialed, err := dialTask(addr, timeout)
-		if err != nil {
-			f.err = err
-			return f
+		if dial {
+			client, err := dialTask(addr, timeout)
+			w.mu.Lock()
+			if err == nil && w.closed { // Close ran before or while it dialed
+				client.Close()
+				client, err = nil, fmt.Errorf("remote: worker closed: %w", net.ErrClosed)
+			}
+			if pc.client, pc.err = client, err; err != nil && w.peers[addr] == pc {
+				delete(w.peers, addr)
+			}
+			w.mu.Unlock()
+			close(pc.done)
 		}
-		w.mu.Lock()
-		if f.client = w.peers[addr]; f.client == nil && !w.closed {
-			f.client, w.peers[addr] = dialed, dialed
-		}
-		w.mu.Unlock()
-		if f.client != dialed { // a concurrent reduce dialed first, or the worker closed
-			dialed.Close()
-		}
-		if f.client == nil {
-			f.err = fmt.Errorf("remote: worker closed: %w", net.ErrClosed)
+		<-pc.done
+		if f.client, f.err = pc.client, pc.err; f.err != nil {
 			return f
 		}
 	}
@@ -255,7 +272,7 @@ func (w *Worker) finishFetch(f peerFetch, args *FetchArgs, reply *FetchReply, ex
 				return nil
 			}
 			w.mu.Lock()
-			if w.peers[f.addr] == f.client {
+			if pc := w.peers[f.addr]; pc != nil && pc.client == f.client {
 				delete(w.peers, f.addr)
 			}
 			w.mu.Unlock()

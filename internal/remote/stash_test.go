@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,6 +369,68 @@ func TestRestartedPeerIsRedialed(t *testing.T) {
 	checkOutputs(t, m, 1)
 	if ss := repairsOf(m); ss != (repairs{}) || restarted.wireStats().ShuffleServedBytes == 0 {
 		t.Errorf("%+v, %d bytes served by the restarted worker: want its runs fetched, not mapped again", ss, restarted.wireStats().ShuffleServedBytes)
+	}
+}
+
+// (d') Two reduces that start together with no connection kept to a
+// peer dial it once: the second waits on the first's dial. The peer sits
+// behind a listener that counts accepts and holds each hello 50 ms, so
+// both fetches start while that dial is in flight.
+func TestConcurrentFetchesDialAPeerOnce(t *testing.T) {
+	workers, addrs := serveWorkers(t, 2, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		accepts atomic.Int64
+		proxies sync.WaitGroup
+	)
+	defer proxies.Wait()
+	defer workers[0].Close() // its peer connections end the proxies' copies
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			proxies.Add(1)
+			go func() {
+				defer proxies.Done()
+				defer c.Close()
+				time.Sleep(50 * time.Millisecond)
+				up, err := net.Dial("tcp", addrs[1])
+				if err != nil {
+					return
+				}
+				go func() {
+					io.Copy(up, c)
+					up.Close()
+				}()
+				io.Copy(c, up)
+			}()
+		}
+	}()
+
+	args := &ReduceTaskArgs{Epoch: 1, ID: 1, Peers: []string{ln.Addr().String()}, FetchDeadline: 5 * time.Second}
+	start := make(chan struct{})
+	var reduces sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		reduces.Add(1)
+		go func() {
+			defer reduces.Done()
+			<-start
+			if _, err := workers[0].gather(args, testBlocks); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	reduces.Wait()
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("the peer accepted %d connections, want 1", n)
 	}
 }
 

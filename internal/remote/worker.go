@@ -49,9 +49,9 @@ type Worker struct {
 	ln    net.Listener
 	addr  string // bound task-serve address, set by Serve
 	conns map[net.Conn]struct{}
-	// peers are connections to other workers' task servers, by address;
-	// closed refuses new ones.
-	peers  map[string]*taskClient
+	// peers are connections to other workers' task servers, or their
+	// dials in flight, by address; closed refuses new ones.
+	peers  map[string]*peerConn
 	closed bool
 
 	// Control-plane state (registration mode; see control.go).
@@ -71,7 +71,7 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
 		panic("remote: worker needs a store and a registry")
 	}
-	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*taskClient), slots: runtime.GOMAXPROCS(0)}
+	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*peerConn), slots: runtime.GOMAXPROCS(0)}
 	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
 	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
@@ -328,8 +328,10 @@ func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.closed = true
-	for _, client := range w.peers {
-		client.Close()
+	for _, pc := range w.peers {
+		if pc.client != nil {
+			pc.client.Close()
+		}
 	}
 	clear(w.peers)
 	if w.ln == nil {

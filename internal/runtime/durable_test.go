@@ -108,7 +108,7 @@ func TestEngineGracefulStop(t *testing.T) {
 	sched := deployedOver(t, parityPlan(t, 4))
 	src := runtime.NewLiveSource()
 	for i := 0; i < 2; i++ {
-		if _, err := src.Submit(parityMeta(i + 1)); err != nil {
+		if _, err := src.SubmitWith(parityMeta(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestLiveSourceAdopt(t *testing.T) {
 		t.Fatalf("adopt queued %d jobs for admission", n)
 	}
 	// The adopted id is reserved: the next auto-assigned id skips past.
-	id, err := src.Submit(parityMeta(0))
+	id, err := src.SubmitWith(parityMeta(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 	t.Run("pipeline=false", func(t *testing.T) {
 		const lateJobs = 3
 		src := runtime.NewLiveSource()
-		if _, err := src.Submit(scheduler.JobMeta{Name: "initial", File: "input", Weight: 1, ReduceWeight: 1}); err != nil {
+		if _, err := src.SubmitWith(scheduler.JobMeta{Name: "initial", File: "input", Weight: 1, ReduceWeight: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Submit one more job after each of the first rounds
@@ -47,7 +47,7 @@ func TestLiveAdmissionJoinsCurrentPass(t *testing.T) {
 			for i := 0; i < lateJobs; i++ {
 				<-roundDone
 				name := fmt.Sprintf("late-%d", i)
-				if _, err := src.Submit(scheduler.JobMeta{Name: name, File: "input", Weight: 1, ReduceWeight: 1}); err != nil {
+				if _, err := src.SubmitWith(scheduler.JobMeta{Name: name, File: "input", Weight: 1, ReduceWeight: 1}, nil); err != nil {
 					t.Errorf("late submit %d: %v", i, err)
 				}
 			}
@@ -103,7 +103,7 @@ func TestLiveAdmissionConcurrentSubmitters(t *testing.T) {
 						Name: fmt.Sprintf("g%d-%d", g, i), File: "input",
 						Weight: 1, ReduceWeight: 1,
 					}
-					if _, err := src.Submit(meta); err != nil {
+					if _, err := src.SubmitWith(meta, nil); err != nil {
 						t.Errorf("submit g%d-%d: %v", g, i, err)
 					}
 				}

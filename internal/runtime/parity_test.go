@@ -67,7 +67,7 @@ func TestLiveSourceMatchesTraceAtTimeZero(t *testing.T) {
 		if live {
 			src := runtime.NewLiveSource()
 			for i := 0; i < jobs; i++ {
-				if _, err := src.Submit(parityMeta(i + 1)); err != nil {
+				if _, err := src.SubmitWith(parityMeta(i+1), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -60,7 +60,7 @@ func (j JobStatus) Span() (admitted, completed vclock.Time, done bool) {
 }
 
 // LiveSource is the one arrival source: a thread-safe admission queue
-// with the dependency graph of its jobs. Any goroutine may Submit jobs
+// with the dependency graph of its jobs. Any goroutine may submit jobs
 // while the engine runs a pass, and the engine merges them into the
 // current circular scan at the next round boundary — the online behavior
 // of the paper's Job Queue Manager (§IV, Algorithm 1). A recorded trace
@@ -125,18 +125,13 @@ func NewLiveSourceOn(clock vclock.Clock, mat Materializer) *LiveSource {
 	return s
 }
 
-// Submit enqueues a job for admission. A zero meta.ID is assigned the
-// next free id; a caller-chosen id must be unique across the source's
-// lifetime. Safe for concurrent use.
-func (s *LiveSource) Submit(meta scheduler.JobMeta) (scheduler.JobID, error) {
-	return s.SubmitWith(meta, nil)
-}
-
-// SubmitWith is Submit with a pre-admission callback invoked — under
-// the source's lock, before the job becomes visible to the engine —
-// with the assigned id. Callers use it to register per-id execution
-// state (e.g. a remote JobRef) without racing the scheduler: if pre
-// fails, the job is not enqueued and its id is not consumed.
+// SubmitWith enqueues a job for admission. A zero meta.ID is assigned
+// the next free id; a caller-chosen id must be unique across the
+// source's lifetime. Safe for concurrent use. pre, if not nil, is
+// invoked — under the source's lock, before the job becomes visible to
+// the engine — with the assigned id. Callers use it to register per-id
+// execution state (e.g. a remote JobRef) without racing the scheduler:
+// if pre fails, the job is not enqueued and its id is not consumed.
 func (s *LiveSource) SubmitWith(meta scheduler.JobMeta, pre func(scheduler.JobID) error) (scheduler.JobID, error) {
 	return s.SubmitStage(Arrival{Job: meta}, nil, pre)
 }

@@ -28,7 +28,7 @@ func TestLiveSourceSubmitRacesCloseDrain(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
-				id, err := src.Submit(scheduler.JobMeta{Name: fmt.Sprintf("s%d-%d", i, j), File: "corpus"})
+				id, err := src.SubmitWith(scheduler.JobMeta{Name: fmt.Sprintf("s%d-%d", i, j), File: "corpus"}, nil)
 				if err != nil {
 					return // closed underneath us: everything later fails too
 				}
@@ -57,8 +57,8 @@ func TestLiveSourceSubmitRacesCloseDrain(t *testing.T) {
 	wg.Wait()
 	close(accepted)
 	// Post-close submissions must fail fast.
-	if _, err := src.Submit(scheduler.JobMeta{Name: "late"}); err == nil {
-		t.Fatal("Submit after Close succeeded")
+	if _, err := src.SubmitWith(scheduler.JobMeta{Name: "late"}, nil); err == nil {
+		t.Fatal("SubmitWith after Close succeeded")
 	}
 	drainWG.Wait()
 
@@ -155,7 +155,7 @@ func TestLiveSourceHeldLifecycle(t *testing.T) {
 	})
 	var producers [3]scheduler.JobID
 	for i := range producers {
-		id, err := src.Submit(scheduler.JobMeta{Name: "producer", File: "corpus"})
+		id, err := src.SubmitWith(scheduler.JobMeta{Name: "producer", File: "corpus"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestLiveSourceAdoptValidation(t *testing.T) {
 	}
 	// Adopted ids reserve the id space: the next auto-assigned id must
 	// not collide.
-	id, err := src.Submit(scheduler.JobMeta{Name: "next"})
+	id, err := src.SubmitWith(scheduler.JobMeta{Name: "next"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

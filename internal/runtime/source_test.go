@@ -115,21 +115,21 @@ func TestLiveSourceRejectsNegativeTime(t *testing.T) {
 
 func TestLiveSourceAssignsAndTracksIDs(t *testing.T) {
 	src := NewLiveSource()
-	id1, err := src.Submit(scheduler.JobMeta{Name: "a", File: "input"})
+	id1, err := src.SubmitWith(scheduler.JobMeta{Name: "a", File: "input"}, nil)
 	if err != nil || id1 != 1 {
-		t.Fatalf("first Submit = %v,%v, want 1,nil", id1, err)
+		t.Fatalf("first SubmitWith = %v,%v, want 1,nil", id1, err)
 	}
 	// A caller-chosen id advances the allocator past itself.
-	id7, err := src.Submit(scheduler.JobMeta{ID: 7, Name: "b", File: "input"})
+	id7, err := src.SubmitWith(scheduler.JobMeta{ID: 7, Name: "b", File: "input"}, nil)
 	if err != nil || id7 != 7 {
-		t.Fatalf("explicit Submit = %v,%v, want 7,nil", id7, err)
+		t.Fatalf("explicit SubmitWith = %v,%v, want 7,nil", id7, err)
 	}
-	if _, err := src.Submit(scheduler.JobMeta{ID: 7, File: "input"}); err == nil {
+	if _, err := src.SubmitWith(scheduler.JobMeta{ID: 7, File: "input"}, nil); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	id8, err := src.Submit(scheduler.JobMeta{Name: "c", File: "input"})
+	id8, err := src.SubmitWith(scheduler.JobMeta{Name: "c", File: "input"}, nil)
 	if err != nil || id8 != 8 {
-		t.Fatalf("post-explicit Submit = %v,%v, want 8,nil", id8, err)
+		t.Fatalf("post-explicit SubmitWith = %v,%v, want 8,nil", id8, err)
 	}
 	jobs := src.Jobs()
 	if len(jobs) != 3 || jobs[0].ID != 1 || jobs[1].ID != 7 || jobs[2].ID != 8 {
@@ -152,15 +152,15 @@ func TestLiveSourcePreHookFailureKeepsIDFree(t *testing.T) {
 		t.Fatalf("failed submission enqueued: pending = %d", src.Pending())
 	}
 	// The rejected submission's id is reused by the next success.
-	id, err := src.Submit(scheduler.JobMeta{File: "input"})
+	id, err := src.SubmitWith(scheduler.JobMeta{File: "input"}, nil)
 	if err != nil || id != 1 {
-		t.Fatalf("Submit after failed pre = %v,%v, want 1,nil", id, err)
+		t.Fatalf("SubmitWith after failed pre = %v,%v, want 1,nil", id, err)
 	}
 }
 
 func TestLiveSourceLifecycle(t *testing.T) {
 	src := NewLiveSource()
-	id, err := src.Submit(scheduler.JobMeta{Name: "wc", File: "input"})
+	id, err := src.SubmitWith(scheduler.JobMeta{Name: "wc", File: "input"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ func TestLiveSourceLifecycle(t *testing.T) {
 		t.Error("Status(99) found a job that was never submitted")
 	}
 	src.Close()
-	if _, err := src.Submit(scheduler.JobMeta{File: "input"}); err == nil {
-		t.Fatal("Submit after Close succeeded")
+	if _, err := src.SubmitWith(scheduler.JobMeta{File: "input"}, nil); err == nil {
+		t.Fatal("SubmitWith after Close succeeded")
 	}
 	if src.Wait() {
 		t.Error("Wait() = true on closed, drained source")
@@ -201,7 +201,7 @@ func TestLiveSourceLifecycle(t *testing.T) {
 func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 	clock := vclock.NewVirtual()
 	src := NewLiveSourceOn(clock, func(scheduler.JobID, vclock.Time) (vclock.Duration, error) { return 0, nil })
-	producer, err := src.Submit(meta(0))
+	producer, err := src.SubmitWith(meta(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestLiveSourceOnClockStampsWhenQueued(t *testing.T) {
 	if err := src.JobAdmitted(producer, 0); err != nil {
 		t.Fatal(err)
 	}
-	first, err := src.Submit(meta(0))
+	first, err := src.SubmitWith(meta(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

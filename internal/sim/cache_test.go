@@ -167,31 +167,3 @@ func TestCachedBlocksSkipTransientFaults(t *testing.T) {
 		t.Fatalf("warm round rolled a transient fault: %v", err)
 	}
 }
-
-func TestCacheResetStats(t *testing.T) {
-	cluster, store, plan := setup(t, 4, 8, 64*mb)
-	ex := NewExecutor(cluster, store, CostModel{ScanMBps: 64})
-	if err := ex.EnableCachePolicy(2*64*mb, 0.1, dfs.PolicyLRU); err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range []int{0, 0} {
-		if _, err := ex.ExecRound(round(plan, seg, meta(1, 1, 1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cs := ex.CacheStats(); cs.Hits == 0 || cs.Misses == 0 {
-		t.Fatalf("setup did not exercise the cache: %+v", cs)
-	}
-	ex.ResetStats()
-	cs := ex.CacheStats()
-	if cs.Hits != 0 || cs.Misses != 0 || cs.Evictions != 0 {
-		t.Fatalf("after ResetStats, cache stats = %+v", cs)
-	}
-	// Warm set survives: the next pass over segment 0 is all hits.
-	if _, err := ex.ExecRound(round(plan, 0, meta(2, 1, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if cs := ex.CacheStats(); cs.Hits != 4 || cs.Misses != 0 {
-		t.Fatalf("post-reset pass = %+v, want 4 hits / 0 misses", cs)
-	}
-}

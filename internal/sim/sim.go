@@ -188,15 +188,6 @@ func NewExecutor(cluster *Cluster, store *dfs.Store, model CostModel) *Executor 
 // Stats returns the accumulated work counters.
 func (e *Executor) Stats() Stats { return e.stats }
 
-// ResetStats zeroes the work counters between runs, including the
-// cache-model counters (the warm set itself is kept).
-func (e *Executor) ResetStats() {
-	e.stats = Stats{}
-	if e.cache != nil {
-		e.cache.meta.ResetStats()
-	}
-}
-
 // ExecRound implements runtime.Executor.
 func (e *Executor) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	mapSec, redSec, retrySec, err := e.price(r)

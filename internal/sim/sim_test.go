@@ -173,10 +173,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.SimTime <= 0 {
 		t.Error("SimTime should accumulate")
 	}
-	ex.ResetStats()
-	if ex.Stats().Rounds != 0 {
-		t.Error("ResetStats failed")
-	}
 }
 
 func TestExecRoundErrors(t *testing.T) {

@@ -83,7 +83,7 @@ func TestWallMovesForward(t *testing.T) {
 	t0 := w.Now()
 	time.Sleep(5 * time.Millisecond)
 	t1 := w.Now()
-	if !t0.Before(t1) {
+	if !(t0 < t1) {
 		t.Fatalf("wall clock did not advance: %v -> %v", t0, t1)
 	}
 }
@@ -121,8 +121,8 @@ func TestTimeArithmetic(t *testing.T) {
 	if d := t1.Sub(t0); d != 5 {
 		t.Fatalf("Sub = %v, want 5", d)
 	}
-	if !t0.Before(t1) || t1.Before(t0) {
-		t.Fatal("Before is inconsistent")
+	if !(t0 < t1) || t1 < t0 {
+		t.Fatal("< is inconsistent")
 	}
 	if Duration(2.5).Seconds() != 2.5 {
 		t.Fatal("Seconds() mismatch")

@@ -1,21 +1,32 @@
 package s3sched_test
 
 // Tree tests: the docs name code that exists, every exported name has a
-// caller, and the round loop depends on no cluster transport. All read
-// the source with go/parser and go/ast only, so they run in tier-1 and
-// need no build of what they read.
+// caller, and the round loop depends on no cluster transport. The docs
+// and import tests read the source with go/parser and go/ast only; the
+// export audit type-checks it with go/types, importing the standard
+// library from the export data `go list -export` builds.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,16 +118,9 @@ func importNames(f *ast.File) map[string]string {
 	return m
 }
 
-// exportAllowlist names the exported names that have no identifier use
-// in a non-test file and stay, each with its reason.
+// exportAllowlist names the exported names nothing resolves to outside
+// tests that stay, each with its reason.
 var exportAllowlist = map[string]string{
-	// Methods of a standard library interface, called by the library.
-	"remote.allWorkersError.Unwrap":      "errors.Is/As see the transport error under an outage",
-	"scheduler.RoundLostError.Unwrap":    "errors.Is/As unwrap it",
-	"workload.LineError.Unwrap":          "errors.Is/As unwrap it",
-	"remote.TaskDeadlineError.Temporary": "net.Error, which a task deadline implements to fail over",
-	"remote.TaskDeadlineError.Timeout":   "net.Error, which a task deadline implements to fail over",
-
 	// Audited and kept: the segment plan's circular-scan vocabulary
 	// (§IV-B), which the plan's property tests state their invariants in.
 	"dfs.SegmentPlan.SegmentOf":     "segment-plan API: the partition property test's block → segment map",
@@ -131,114 +135,343 @@ var exportAllowlist = map[string]string{
 	"trace.Log.Dropped":      "trace log accounting of events dropped at capacity",
 	"trace.Log.DroppedSpans": "trace log accounting of spans refused when the store is full",
 
-	// Audited and kept: a test seam.
+	// Audited and kept: test seams.
 	"dfs.Store.SetReadFault": "test seam: the hook the cache's fault tests break reads through",
-}
-
-// exportDecl is one exported top-level name or method of the module.
-type exportDecl struct {
-	key    string // pkg.Name or pkg.Type.Method, pkg the last path element
-	pkg    string // import path
-	name   string
-	method bool
+	"remote.Worker.SetTrace": "test seam: the worker tests read the tasks a worker served off its task-served events",
 }
 
 // TestExportsHaveCallers fails on every exported top-level name or
-// method of the module that no non-test .go file uses: a top-level name
-// is used by a bare identifier in its own package or by pkg.Name
-// elsewhere, a method by any selector of its name. bench/perf counts as
-// a caller. What has no caller is deleted, or allowlisted with a reason.
+// method of the module that nothing outside tests resolves to (see
+// uncalledExports). bench/perf counts as a caller. What has no caller is
+// deleted, or allowlisted with a reason.
 func TestExportsHaveCallers(t *testing.T) {
-	files := parseTree(t)
-	var decls []exportDecl
-	declIdents := map[*ast.Ident]bool{}
-	for _, f := range files {
-		if f.test || strings.HasPrefix(f.pkg, "s3sched/bench/perf") {
+	fset := token.NewFileSet()
+	listed := listModules(t)
+	var pkgs []auditPkg
+	for _, p := range listed {
+		if p.Standard {
 			continue
 		}
-		short := path.Base(f.pkg)
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				e := exportDecl{key: short + "." + d.Name.Name, pkg: f.pkg, name: d.Name.Name}
-				if d.Recv != nil {
-					e.key = short + "." + recvName(d) + "." + d.Name.Name
-					e.method = true
-				}
-				decls = append(decls, e)
-				declIdents[d.Name] = true
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					var names []*ast.Ident
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, n := range names {
-						if n.IsExported() {
-							decls = append(decls, exportDecl{key: short + "." + n.Name, pkg: f.pkg, name: n.Name})
-							declIdents[n] = true
-						}
-					}
-				}
+		a := auditPkg{path: p.ImportPath, callerOnly: strings.HasPrefix(p.ImportPath, "s3sched/bench/perf")}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
 			}
+			a.files = append(a.files, f)
 		}
+		pkgs = append(pkgs, a)
 	}
-
-	// Count uses: bare identifiers per package, pkg.Name per import path,
-	// selectors per name.
-	bare := map[string]int{}      // pkg + " " + name
-	qualified := map[string]int{} // import path + " " + name
-	selectors := map[string]int{} // name
-	for _, f := range files {
-		if f.test {
-			continue
-		}
-		imports := importNames(f.ast)
-		sels := map[*ast.Ident]bool{}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				sels[n.Sel] = true
-				selectors[n.Sel.Name]++
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						qualified[p+" "+n.Sel.Name]++
-					}
-				}
-			case *ast.Ident:
-				if !sels[n] && !declIdents[n] {
-					bare[f.pkg+" "+n.Name]++
-				}
-			}
-			return true
-		})
+	uncalled, err := uncalledExports(fset, pkgs, stdImporter(fset, listed))
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	seen := map[string]bool{}
-	for _, e := range decls {
-		used := selectors[e.name] > 0
-		if !e.method {
-			used = bare[e.pkg+" "+e.name]+qualified[e.pkg+" "+e.name] > 0
-		}
-		if used {
-			continue
-		}
-		seen[e.key] = true
-		if _, ok := exportAllowlist[e.key]; !ok {
-			t.Errorf("%s has no caller outside tests: delete it, or allowlist it with a reason", e.key)
+	for _, key := range uncalled {
+		seen[key] = true
+		if _, ok := exportAllowlist[key]; !ok {
+			t.Errorf("%s has no caller outside tests: delete it, or allowlist it with a reason", key)
 		}
 	}
-	for k := range exportAllowlist {
+	for k, why := range exportAllowlist {
 		if !seen[k] {
 			t.Errorf("allowlist entry %s names no export without callers: drop the entry", k)
 		}
+		if why == "" {
+			t.Errorf("allowlist entry %s gives no reason", k)
+		}
 	}
+}
+
+// TestExportAuditResolvesTypes holds the audit to its three rules on a
+// package of its own: a method sharing its name with a called method of
+// another type is reported, and a method reached only through an
+// interface it implements, or only through fmt's %v, is not.
+func TestExportAuditResolvesTypes(t *testing.T) {
+	const src = `package main
+
+import "fmt"
+
+type A struct{}
+
+func (A) Name() string { return "a" }
+
+type B struct{}
+
+func (B) Name() string { return "b" }
+
+type Shape interface{ Area() int }
+
+type Square struct{ Side int }
+
+func (s Square) Area() int { return s.Side * s.Side }
+
+type Label struct{}
+
+func (Label) String() string { return "label" }
+
+func main() {
+	var s Shape = Square{2}
+	fmt.Printf("%s %v %d %v\n", A{}.Name(), B{}, s.Area(), Label{})
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := uncalledExports(fset, []auditPkg{{path: "p", files: []*ast.File{f}}}, stdImporter(fset, listModules(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"p.B.Name"}; !slices.Equal(got, want) {
+		t.Errorf("uncalled exports %v, want %v", got, want)
+	}
+}
+
+// listPkg is what the audit reads of one `go list -json` package.
+type listPkg struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+}
+
+var goList struct {
+	once sync.Once
+	pkgs []listPkg
+	err  error
+}
+
+// listModules returns the packages of both modules (the root's and
+// bench/perf's) and everything they import, each once and after what it
+// imports, as `go list -export -json -deps ./...` prints them; -export
+// builds the export data the standard library is imported from.
+func listModules(t *testing.T) []listPkg {
+	t.Helper()
+	goList.once.Do(func() {
+		seen := map[string]bool{}
+		for _, dir := range []string{".", "bench/perf"} {
+			cmd := exec.Command("go", "list", "-export", "-json", "-deps", "./...")
+			cmd.Dir = dir
+			out, err := cmd.Output()
+			if err != nil {
+				if ee, ok := err.(*exec.ExitError); ok {
+					err = fmt.Errorf("%v: %s", err, ee.Stderr)
+				}
+				goList.err = fmt.Errorf("go list in %s: %v", dir, err)
+				return
+			}
+			for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+				var p listPkg
+				if err := dec.Decode(&p); err != nil {
+					goList.err = err
+					return
+				}
+				if !seen[p.ImportPath] {
+					seen[p.ImportPath] = true
+					goList.pkgs = append(goList.pkgs, p)
+				}
+			}
+		}
+	})
+	if goList.err != nil {
+		t.Fatal(goList.err)
+	}
+	return goList.pkgs
+}
+
+// stdImporter imports the standard library packages of pkgs from their
+// export data.
+func stdImporter(fset *token.FileSet, pkgs []listPkg) types.Importer {
+	export := map[string]string{}
+	for _, p := range pkgs {
+		if p.Standard {
+			export[p.ImportPath] = p.Export
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	})
+}
+
+// auditPkg is one package the audit type-checks from source.
+type auditPkg struct {
+	path       string
+	files      []*ast.File // its non-test files
+	callerOnly bool        // its uses count, its own exports are not audited
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// uncalledExports type-checks pkgs in order, each importing those before
+// it and the standard library from std, and returns, sorted, the keys
+// (pkg.Name or pkg.Type.Method, pkg the last path element) of the audited
+// exports nothing resolves to. A top-level name is used by an identifier
+// that resolves to it. A method is used by a selection that resolves to
+// it, promoted through embedding or not, or when it is what a type's
+// method set supplies to an interface the type implements: an interface
+// the checked code spells or meets in the signature of a function it
+// uses, or one of the standard library's contracts the runtime calls
+// without the code naming them (error, fmt.Stringer, net.Error and
+// errors.Unwrap's).
+func uncalledExports(fset *token.FileSet, pkgs []auditPkg, std types.Importer) ([]string, error) {
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	used := map[types.Object]bool{}
+	ifaces := map[string]*types.Interface{} // by type string
+	seen := map[types.Type]bool{}
+	var instances []*types.Named // of generic types, as the code uses them
+	var collect func(types.Type)
+	collect = func(t types.Type) {
+		t = types.Unalias(t)
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.(type) {
+		case *types.Named:
+			if u.TypeArgs().Len() > 0 {
+				instances = append(instances, u)
+			}
+			if it, ok := u.Underlying().(*types.Interface); ok && (u.TypeParams().Len() == 0 || u.TypeArgs().Len() > 0) {
+				ifaces[types.TypeString(u, nil)] = it
+			}
+		case *types.Interface:
+			ifaces[types.TypeString(u, nil)] = u
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					collect(tup.At(i).Type())
+				}
+			}
+		case *types.Pointer:
+			collect(u.Elem())
+		case *types.Slice:
+			collect(u.Elem())
+		case *types.Array:
+			collect(u.Elem())
+		case *types.Chan:
+			collect(u.Elem())
+		case *types.Map:
+			collect(u.Key())
+			collect(u.Elem())
+		}
+	}
+	for _, p := range pkgs {
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		tp, err := conf.Check(p.path, fset, p.files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.path] = tp
+		for _, obj := range info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			used[obj] = true
+			collect(obj.Type())
+		}
+		for _, tv := range info.Types {
+			collect(tv.Type)
+		}
+	}
+
+	// The contracts the standard library calls through values the code
+	// hands it as any (fmt's verbs, errors.Is and As, net's callers).
+	errType := types.Universe.Lookup("error").Type()
+	ifaces["error"] = errType.Underlying().(*types.Interface)
+	for _, c := range [][2]string{{"fmt", "Stringer"}, {"net", "Error"}} {
+		p, err := std.Import(c[0])
+		if err != nil {
+			return nil, err
+		}
+		ifaces[c[0]+"."+c[1]] = p.Scope().Lookup(c[1]).Type().Underlying().(*types.Interface)
+	}
+	unwrap := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false)
+	ifaces["errors.Unwrap"] = types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Unwrap", unwrap)}, nil).Complete()
+
+	// Mark what each type's method set supplies to the interfaces it
+	// implements: bench/perf's types too (theirs may promote a module
+	// type's methods), and a generic type's in each instance the code uses.
+	named := instances
+	for _, p := range pkgs {
+		scope := checked[p.path].Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n := tn.Type().(*types.Named); n.TypeParams().Len() == 0 {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for _, n := range named {
+		if types.IsInterface(n) {
+			continue
+		}
+		for _, recv := range []types.Type{n, types.NewPointer(n)} {
+			mset := types.NewMethodSet(recv)
+			if mset.Len() == 0 {
+				continue
+			}
+			for _, it := range ifaces {
+				if it.NumMethods() == 0 || !types.Implements(recv, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+						used[sel.Obj().(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
+
+	var uncalled []string
+	for _, p := range pkgs {
+		if p.callerOnly {
+			continue
+		}
+		short := path.Base(p.path)
+		scope := checked[p.path].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
+				uncalled = append(uncalled, short+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !used[m] {
+					uncalled = append(uncalled, short+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(uncalled)
+	return uncalled, nil
 }
 
 // What the doc test reads: inline code spans outside fenced blocks, the
