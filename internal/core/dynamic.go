@@ -31,7 +31,7 @@ type DynamicS3 struct {
 
 	cursor int // next block index to schedule
 	active []*dynJob
-	seen   map[scheduler.JobID]bool
+	seen   map[scheduler.JobID]bool // live jobs
 
 	inFlight    bool
 	inFlightLen int // blocks in the in-flight round
@@ -173,6 +173,7 @@ func (d *DynamicS3) RoundDone(r scheduler.Round, now vclock.Time) []scheduler.Jo
 		if j.remaining == 0 {
 			done = append(done, j.meta.ID)
 			d.log.Addf(now, trace.JobCompleted, int(j.meta.ID), -1, "s3-dynamic started at block %d", j.startBlock)
+			delete(d.seen, j.meta.ID)
 			continue
 		}
 		remaining = append(remaining, j)

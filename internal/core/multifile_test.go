@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/scheduler"
+	"s3sched/internal/vclock"
 )
 
 // multiPlans builds two files ("alpha": 2 segments, "beta": 3
@@ -237,6 +240,80 @@ func TestMultiFileScanHinterCarriesFileNames(t *testing.T) {
 	for f := range hinted {
 		if f != "alpha" && f != "beta" {
 			t.Fatalf("hint for unknown file %q", f)
+		}
+	}
+}
+
+// A drained run leaves no per-job entry in the arbiter or in any file's
+// queue, whichever scheme admits: each forgets a job when RoundDone
+// reports it done. A live id is still refused; an ended one is the
+// admission queue's to refuse (runtime.LiveSource), so the scheduler
+// takes it as new.
+func TestDrainedRunForgets(t *testing.T) {
+	const jobs = 100
+	for _, c := range []struct {
+		name  string
+		build func([]*dfs.SegmentPlan) (*scheduler.Arbiter[*S3], error)
+	}{
+		{"s3", func(p []*dfs.SegmentPlan) (*scheduler.Arbiter[*S3], error) {
+			m, err := NewMultiFile(p, nil)
+			if err != nil {
+				return nil, err
+			}
+			return m.Arbiter, nil
+		}},
+		{"fifo", func(p []*dfs.SegmentPlan) (*scheduler.Arbiter[*S3], error) { return NewFIFO(p, nil) }},
+		{"mrshare", func(p []*dfs.SegmentPlan) (*scheduler.Arbiter[*S3], error) {
+			return NewMultiMRShare(p, func(string) []int { return []int{10, 10, 10, 10, 10, 2} }, nil)
+		}},
+	} {
+		plans := multiPlans(t)
+		s, err := c.build(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := func(id int) scheduler.JobMeta { return fileJob(id, plans[id%2].File().Name, 0) }
+		var now vclock.Time
+		for id := 1; id <= jobs || s.PendingJobs() > 0; {
+			if id <= jobs {
+				if err := s.Submit(job(id), now); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if id++; id%3 != 0 {
+					continue // a few arrivals between two rounds
+				}
+			}
+			r, ok := s.NextRound(now)
+			if !ok && id > jobs {
+				t.Fatalf("%s: idle with %d jobs pending", c.name, s.PendingJobs())
+			}
+			if ok {
+				now++
+				s.RoundDone(r, now)
+			}
+		}
+		if n := reflect.ValueOf(s).Elem().FieldByName("seen").Len(); n != 0 {
+			t.Errorf("%s: the drained arbiter holds %d jobs", c.name, n)
+		}
+		for _, file := range s.Files() {
+			q, _ := s.Queue(file)
+			if n := len(q.seen) + len(q.active) + len(q.jobSpans) + len(q.launchedFor); n != 0 || q.gate != nil && len(q.gate.waiting) != 0 {
+				t.Errorf("%s: the drained queue of %s holds %d job entries, gate %+v", c.name, file, n, q.gate)
+			}
+		}
+		live := job(jobs + 1)
+		if err := s.Submit(live, now); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		q, _ := s.Queue(live.File)
+		if err := s.Submit(live, now); !errors.Is(err, scheduler.ErrDuplicateJob) {
+			t.Errorf("%s: a live id resubmitted: %v, want ErrDuplicateJob", c.name, err)
+		}
+		if err := q.Submit(live, now); !errors.Is(err, scheduler.ErrDuplicateJob) {
+			t.Errorf("%s: a live id resubmitted to its queue: %v, want ErrDuplicateJob", c.name, err)
+		}
+		if err := s.Submit(job(1), now); err != nil {
+			t.Errorf("%s: an ended id resubmitted: %v, want it taken as new", c.name, err)
 		}
 	}
 }

@@ -58,7 +58,7 @@ type S3 struct {
 	log    *trace.Log
 	cursor int // next segment to be scheduled
 	active []*JobState
-	seen   map[scheduler.JobID]bool
+	seen   map[scheduler.JobID]bool // live jobs: held by the gate or active
 	// gate, when set, holds arrivals back until it admits them; nil
 	// admits every job on arrival, as S^3 does. shape is how a round
 	// reaches the cluster.
@@ -252,6 +252,7 @@ func (s *S3) RoundDone(r scheduler.Round, now vclock.Time) []scheduler.JobID {
 			s.log.Addf(now, trace.JobCompleted, int(js.Meta.ID), r.Segment, "s3 started at segment %d", js.StartSegment)
 			s.log.EndSpan(s.jobSpans[js.Meta.ID], now, trace.Arg{Key: "result", Value: "completed"})
 			delete(s.jobSpans, js.Meta.ID)
+			delete(s.seen, js.Meta.ID)
 			continue
 		}
 		remaining = append(remaining, js)

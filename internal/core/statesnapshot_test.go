@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"s3sched/internal/dfs"
@@ -139,6 +140,11 @@ func TestMultiFileStateSnapshotRoundtrip(t *testing.T) {
 	if err := rest.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
+	// A restored job id is registered while the job is live:
+	// resubmitting it is a dup.
+	if err := rest.Submit(fileJob(1, "corpus", 0), 0); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Fatalf("restored job id resubmitted: %v, want ErrDuplicateJob", err)
+	}
 	// Both finish the workload with identical round/completion order.
 	var refSeq, restSeq []scheduler.JobID
 	for ref.PendingJobs() > 0 {
@@ -154,10 +160,6 @@ func TestMultiFileStateSnapshotRoundtrip(t *testing.T) {
 		if refSeq[i] != restSeq[i] {
 			t.Fatalf("ref %v restored %v", refSeq, restSeq)
 		}
-	}
-	// A restored job id is still registered: resubmitting is a dup.
-	if err := rest.Submit(fileJob(1, "corpus", 0), 0); err == nil {
-		t.Fatal("restored job id resubmitted without error")
 	}
 }
 

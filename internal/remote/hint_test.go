@@ -98,7 +98,13 @@ func staggeredArrivals(n int) []runtime.Arrival {
 func committed(m *Master) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.results)
+	n := 0
+	for _, j := range m.jobs {
+		if j.result != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // outputsOf reads every committed job's output through JobOutput — from
@@ -107,9 +113,11 @@ func committed(m *Master) int {
 func outputsOf(m *Master) map[scheduler.JobID]string {
 	out := make(map[scheduler.JobID]string)
 	m.mu.Lock()
-	ids := make([]scheduler.JobID, 0, len(m.results))
-	for id := range m.results {
-		ids = append(ids, id)
+	var ids []scheduler.JobID
+	for id, j := range m.jobs {
+		if j.result != nil {
+			ids = append(ids, id)
+		}
 	}
 	m.mu.Unlock()
 	for _, id := range ids {

@@ -70,23 +70,20 @@ type Master struct {
 	// ctl is the control-plane listener, nil before ListenControl.
 	ctl    net.Listener
 	ctlCfg ControlConfig
-	jobs   map[scheduler.JobID]JobRef
+	// jobs is the master's one record of each job, kept after it ends.
+	jobs map[scheduler.JobID]*masterJob
 	// epoch is this master's boot time and the first part of every stash
 	// key its tasks write on the workers (stash.go); RestoreEpoch keeps a
 	// recovered master on the one its resumed jobs were mapped under.
 	epoch int64
-	// shuffle[job]: what the master knows of a mapped, unreduced job's output.
-	shuffle map[scheduler.JobID]*jobShuffle
 	// finished lists, in order, the jobs whose stash entries the workers may
 	// drop, from the finishedBase-th on (commitResult trims it); released[w]
 	// is how many w got with calls it answered.
 	finished     []scheduler.JobID
 	finishedBase int
 	released     map[string]int
-	// results[job] is what the master keeps of a finished job's output:
-	// receipts and holders, not bytes (results.go). recomputing is the job
-	// whose lost output is being reduced again, if any: one at a time.
-	results                map[scheduler.JobID]*jobResult
+	// recomputing is the job whose lost output is being reduced again, if
+	// any: one at a time (results.go).
 	recomputing            scheduler.JobID
 	recomputes, mismatches int64
 	failovers              int
@@ -104,6 +101,16 @@ type Master struct {
 	// journal, when non-nil, receives a job-result record when a job's
 	// output commits (see durable.go).
 	journal *journal.Journal
+}
+
+// masterJob is what the master keeps of a job: its JobRef; its map
+// output while mapped and unreduced; once committed, its result
+// (results.go). A result restored for a job never registered makes its
+// record, with a zero JobRef.
+type masterJob struct {
+	ref     JobRef
+	shuffle *jobShuffle
+	result  *jobResult
 }
 
 // jobShuffle is the master's side of one job's map output: the file it
@@ -135,16 +142,14 @@ func newEpoch() int64 {
 func NewMaster(jobs map[scheduler.JobID]JobRef) *Master {
 	m := &Master{
 		members:   newMembership(),
-		jobs:      make(map[scheduler.JobID]JobRef, len(jobs)),
+		jobs:      make(map[scheduler.JobID]*masterJob, len(jobs)),
 		timeScale: 1,
-		shuffle:   make(map[scheduler.JobID]*jobShuffle),
 		released:  make(map[string]int),
-		results:   make(map[scheduler.JobID]*jobResult),
 		hints:     make(map[string]dfs.ScanHint),
 		installed: make(map[string]*InstallFileArgs),
 	}
 	for id, ref := range jobs {
-		m.jobs[id] = ref
+		m.jobs[id] = &masterJob{ref: ref}
 	}
 	m.RestoreEpoch(newEpoch())
 	return m
@@ -240,7 +245,7 @@ func (m *Master) RegisterJob(id scheduler.JobID, ref JobRef) error {
 	if _, dup := m.jobs[id]; dup {
 		return fmt.Errorf("remote: job %d already registered", id)
 	}
-	m.jobs[id] = ref
+	m.jobs[id] = &masterJob{ref: ref}
 	return nil
 }
 
@@ -248,8 +253,11 @@ func (m *Master) RegisterJob(id scheduler.JobID, ref JobRef) error {
 func (m *Master) Job(id scheduler.JobID) (JobRef, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ref, ok := m.jobs[id]
-	return ref, ok
+	j, ok := m.jobs[id]
+	if !ok {
+		return JobRef{}, false
+	}
+	return j.ref, true
 }
 
 // InstallFile publishes a derived file cluster-wide: it is recorded
@@ -483,17 +491,17 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 		hint = &h
 	}
 	for _, j := range r.Jobs {
-		ref, ok := m.jobs[j.ID]
+		job, ok := m.jobs[j.ID]
 		if !ok {
 			m.mu.Unlock()
 			return 0, fmt.Errorf("remote: no JobRef registered for job %d", j.ID)
 		}
-		if _, done := m.results[j.ID]; done {
+		if job.result != nil {
 			continue
 		}
-		refs, ids = append(refs, ref), append(ids, j.ID)
-		if m.shuffle[j.ID] == nil && file != "" {
-			m.shuffle[j.ID] = &jobShuffle{file: file, receipts: make([]PartReceipt, ref.width())}
+		refs, ids = append(refs, job.ref), append(ids, j.ID)
+		if job.shuffle == nil && file != "" {
+			job.shuffle = &jobShuffle{file: file, receipts: make([]PartReceipt, job.ref.width())}
 		}
 	}
 	m.mu.Unlock()
@@ -667,7 +675,7 @@ func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 0; i < len(ids) && i < len(reply.Receipts); i++ {
-		if sh := m.shuffle[ids[i]]; sh != nil {
+		if sh := m.jobs[ids[i]].shuffle; sh != nil {
 			for p, rc := range reply.Receipts[i][:min(len(reply.Receipts[i]), len(sh.receipts))] {
 				sh.receipts[p].Records += rc.Records
 				sh.receipts[p].Bytes += rc.Bytes
@@ -729,12 +737,16 @@ const reduceRepairs = 2
 // result a lost attempt of the round committed stays as it is.
 func (m *Master) finishJob(ver int, live []liveWorker, id scheduler.JobID) error {
 	m.mu.Lock()
-	ref, sh := m.jobs[id], m.shuffle[id]
-	_, done := m.results[id]
-	m.mu.Unlock()
-	if done {
-		return nil
+	var ref JobRef
+	var sh *jobShuffle
+	if j := m.jobs[id]; j != nil {
+		if j.result != nil {
+			m.mu.Unlock()
+			return nil
+		}
+		ref, sh = j.ref, j.shuffle
 	}
+	m.mu.Unlock()
 	if sh == nil {
 		return fmt.Errorf("remote: round completes unknown job %d", id)
 	}
@@ -821,8 +833,12 @@ func (m *Master) reduceJob(ver int, live []liveWorker, id scheduler.JobID, ref J
 // stashed for those jobs stays until the next epoch, W jobs' worth at
 // most (m.mu held).
 func (m *Master) commitResult(rec journal.JobResultRecord) {
-	m.results[rec.Job] = &jobResult{JobResultRecord: rec}
-	delete(m.shuffle, rec.Job)
+	j := m.jobs[rec.Job]
+	if j == nil {
+		j = &masterJob{}
+		m.jobs[rec.Job] = j
+	}
+	j.result, j.shuffle = &jobResult{JobResultRecord: rec}, nil
 	low := m.finishedBase + len(m.finished)
 	_, live := m.members.live()
 	for _, w := range live {

@@ -100,7 +100,10 @@ func (m *Master) ResultRecomputes() (recomputes, mismatches int64) {
 func (m *Master) JobOutput(id scheduler.JobID) ([]mapreduce.KV, error) {
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
-		res := m.results[id]
+		var res *jobResult
+		if j := m.jobs[id]; j != nil {
+			res = j.result
+		}
 		if res == nil {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("%w: job %d", status.ErrNoOutput, id)
@@ -179,7 +182,7 @@ func (m *Master) recompute(id scheduler.JobID, seen int) error {
 	m.recomputeMu.Lock()
 	defer m.recomputeMu.Unlock()
 	m.mu.Lock()
-	res, ref := m.results[id], m.jobs[id]
+	res, ref := m.jobs[id].result, m.jobs[id].ref
 	if res.gen != seen {
 		m.mu.Unlock()
 		return nil

@@ -136,7 +136,7 @@ func TestHeldResultIsServedUnchanged(t *testing.T) {
 			}
 		}
 		m.mu.Lock()
-		if res := m.results[id]; res.Output != nil || len(res.Parts) != ref.width() || res.File != file {
+		if res := m.jobs[id].result; res.Output != nil || len(res.Parts) != ref.width() || res.File != file {
 			t.Errorf("%s: the master keeps %+v", ref.Name, res)
 		}
 		m.mu.Unlock()
@@ -700,13 +700,19 @@ func TestFinishedJobsCostTheMasterReceiptsOnly(t *testing.T) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	total := 0
-	for name, table := range map[string]any{"jobs": m.jobs, "results": m.results, "finished": m.finished, "released": m.released, "shuffle": m.shuffle} {
+	for name, table := range map[string]any{"jobs": m.jobs, "finished": m.finished, "released": m.released} {
 		n := reachable(reflect.ValueOf(table))
 		t.Logf("%-12s %7d bytes", name, n)
 		total += n
 	}
-	if len(m.results) != jobs || total > 1<<20 {
-		t.Errorf("%d finished jobs hold %d bytes on the master, want under %d", len(m.results), total, 1<<20)
+	results := 0
+	for _, j := range m.jobs {
+		if j.result != nil && j.shuffle == nil {
+			results++
+		}
+	}
+	if results != jobs || total > 1<<20 {
+		t.Errorf("%d finished jobs hold %d bytes on the master, want under %d", results, total, 1<<20)
 	}
 	if len(m.finished) > 4 || cap(m.finished) > 64 {
 		t.Errorf("the release list is %d ids long, in room for %d, after %d jobs", len(m.finished), cap(m.finished), jobs)

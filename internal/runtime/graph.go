@@ -30,28 +30,9 @@ type Stage struct {
 // (pure ordering edges) returns (0, nil) without ingesting.
 type Materializer func(id scheduler.JobID, at vclock.Time) (vclock.Duration, error)
 
-// ErrDoomed is the graph's refusal of a stage with a failed producer:
-// its input will never exist.
+// ErrDoomed is the refusal of a stage with a failed producer: its input
+// will never exist.
 var ErrDoomed = errors.New("runtime: a dependency failed, so the stage's input will never exist")
-
-// node is one stage as the graph sees it. It is unsettled until Done or
-// Fail is called for it; waits counts its unsettled producers and users
-// lists the stages that were held on it when they were added.
-type node struct {
-	settled, failed bool
-	waits           int
-	users           []scheduler.JobID
-}
-
-// Graph is the one dependency state machine: which stages are ready,
-// which are held, and which fail with a producer. Every caller that has
-// to decide any of that — workload validation, the solo reference's run
-// order, the admission queue (LiveSource), journal recovery — asks here.
-// It holds no lock; LiveSource guards its own with the queue's. The zero
-// value is an empty graph.
-type Graph struct {
-	nodes map[scheduler.JobID]*node
-}
 
 // CheckEdges is the edge rule, the same for a workload file and a POST
 // /jobs: a stage may not depend on itself, on a stage known does not
@@ -72,101 +53,6 @@ func CheckEdges(id scheduler.JobID, deps []scheduler.JobID, known func(scheduler
 		}
 	}
 	return nil
-}
-
-// Check reports what Add would say of a stage with these producers, and
-// changes nothing. id may be zero for a stage that has no id yet.
-func (g *Graph) Check(id scheduler.JobID, deps []scheduler.JobID) (held bool, err error) {
-	if g.nodes[id] != nil {
-		return false, fmt.Errorf("runtime: duplicate stage id %d: %w", id, scheduler.ErrDuplicateJob)
-	}
-	if err := CheckEdges(id, deps, func(dep scheduler.JobID) bool { return g.nodes[dep] != nil }); err != nil {
-		return false, fmt.Errorf("runtime: new stage %w", err)
-	}
-	for _, dep := range deps {
-		switch p := g.nodes[dep]; {
-		case p.failed:
-			return false, fmt.Errorf("%w (job %d)", ErrDoomed, dep)
-		case !p.settled:
-			held = true
-		}
-	}
-	return held, nil
-}
-
-// Add records a stage whose producers are all in the graph already and
-// reports whether it is held: one of them has not settled yet, and the
-// stage is released by the Done of the last that does or failed by the
-// Fail of any. A bad edge is an error and so is a failed producer
-// (ErrDoomed); neither leaves a trace.
-func (g *Graph) Add(id scheduler.JobID, deps []scheduler.JobID) (held bool, err error) {
-	if held, err = g.Check(id, deps); err == nil {
-		g.insert(id, deps)
-	}
-	return held, err
-}
-
-// insert is Add without the Check: the caller has checked the edges
-// already, under an id the graph does not have.
-func (g *Graph) insert(id scheduler.JobID, deps []scheduler.JobID) {
-	if g.nodes == nil {
-		g.nodes = make(map[scheduler.JobID]*node)
-	}
-	n := &node{}
-	g.nodes[id] = n
-	for _, dep := range deps {
-		if p := g.nodes[dep]; !p.settled {
-			n.waits++
-			p.users = append(p.users, id)
-		}
-	}
-}
-
-// Done settles a stage whose output exists and returns the stages this
-// releases: those held on it whose other producers are all done. Calling
-// it again, or for a stage that failed, releases nothing.
-func (g *Graph) Done(id scheduler.JobID) (released []scheduler.JobID) {
-	n := g.nodes[id]
-	if n == nil || n.settled {
-		return nil
-	}
-	n.settled = true
-	for _, uid := range n.users {
-		if u := g.nodes[uid]; !u.settled {
-			if u.waits--; u.waits == 0 {
-				released = append(released, uid)
-			}
-		}
-	}
-	n.users = nil
-	return released
-}
-
-// Fail settles a stage whose output will never exist and returns the
-// cone that fails with it: every unsettled stage held on it, and on
-// those, depth first. The stages of the cone are settled as failed too.
-func (g *Graph) Fail(id scheduler.JobID) (cone []scheduler.JobID) {
-	n := g.nodes[id]
-	if n == nil || n.settled {
-		return nil
-	}
-	n.settled, n.failed = true, true
-	for _, uid := range n.users {
-		if !g.nodes[uid].settled {
-			cone = append(append(cone, uid), g.Fail(uid)...)
-		}
-	}
-	n.users = nil
-	return cone
-}
-
-// Settled reports whether Done or Fail has been called for the stage.
-func (g *Graph) Settled(id scheduler.JobID) bool { return g.nodes[id] != nil && g.nodes[id].settled }
-
-// Waited reports whether a stage was held on id: whether its output has
-// a reader that cannot start without it.
-func (g *Graph) Waited(id scheduler.JobID) bool {
-	return g.nodes[id] != nil && len(g.nodes[id].users) > 0
 }
 
 // CycleError names a stage on a dependency cycle and the producer

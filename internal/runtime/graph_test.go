@@ -267,53 +267,3 @@ func checkOrder(t *testing.T, seed int64, rng *rand.Rand) {
 		}
 	}
 }
-
-// TestGraphRules pins the core by hand: the edge rule's three refusals,
-// held and doomed, release on the last producer, and the cone in the
-// order recovery and the status API see it fail.
-func TestGraphRules(t *testing.T) {
-	var g runtime.Graph
-	ids := func(v ...scheduler.JobID) []scheduler.JobID { return v }
-	for _, id := range ids(1, 2) {
-		if held, err := g.Add(id, nil); held || err != nil {
-			t.Fatalf("Add(%d) = %v, %v", id, held, err)
-		}
-	}
-	for _, tc := range []struct {
-		id   scheduler.JobID
-		deps []scheduler.JobID
-		want string
-	}{
-		{3, ids(1, 3), "stage depends on itself"},
-		{3, ids(9), "depends on unknown job 9"},
-		{3, ids(2, 1, 2), "lists dependency 2 twice"},
-		{0, ids(8), "new stage depends on unknown job 8"}, // not numbered by the source yet
-		{2, nil, "duplicate stage id 2"},
-	} {
-		if _, err := g.Check(tc.id, tc.deps); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Check(%d, %v) = %v, want %q", tc.id, tc.deps, err, tc.want)
-		}
-	}
-	// 3 waits for 1 and 2; 4 and 5 stack on 3, 6 on 4 and 2.
-	for _, st := range []runtime.Stage{{Job: scheduler.JobMeta{ID: 3}, DependsOn: ids(1, 2)}, {Job: scheduler.JobMeta{ID: 4}, DependsOn: ids(3)},
-		{Job: scheduler.JobMeta{ID: 5}, DependsOn: ids(3)}, {Job: scheduler.JobMeta{ID: 6}, DependsOn: ids(4, 2)}} {
-		if held, err := g.Add(st.Job.ID, st.DependsOn); !held || err != nil {
-			t.Fatalf("Add(%d, %v) = %v, %v, want held", st.Job.ID, st.DependsOn, held, err)
-		}
-	}
-	if got := g.Done(1); got != nil || !g.Waited(2) || g.Settled(3) {
-		t.Fatalf("Done(1) released %v with producer 2 open", got)
-	}
-	if got := g.Done(2); !slices.Equal(got, ids(3)) || g.Done(2) != nil {
-		t.Fatalf("Done(2) released %v, want [3] once", got)
-	}
-	if cone := g.Fail(3); !slices.Equal(cone, ids(4, 6, 5)) || g.Fail(3) != nil {
-		t.Fatalf("Fail(3) = %v, want [4 6 5], depth first, once", cone)
-	}
-	if _, err := g.Add(7, ids(1, 6)); !errors.Is(err, runtime.ErrDoomed) || g.Settled(7) {
-		t.Fatalf("Add on a failed producer = %v, want ErrDoomed and no trace", err)
-	}
-	if held, err := g.Add(7, ids(1, 2)); held || err != nil {
-		t.Fatalf("Add on done producers = %v, %v, want ready", held, err)
-	}
-}

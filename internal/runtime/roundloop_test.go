@@ -206,6 +206,33 @@ func TestRunSubmitErrorPropagates(t *testing.T) {
 	}
 }
 
+// The schedulers forget a job once it is done, so after a drained run
+// the admission queue, which keeps every job's record, is the layer
+// that refuses an ended id.
+func TestDrainedSourceRefusesEndedIDs(t *testing.T) {
+	s, err := core.NewMultiFile([]*dfs.SegmentPlan{makePlan(t, 4, 2)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewLiveSource()
+	for i := 1; i <= 10; i++ {
+		if _, err := src.SubmitWith(job(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Close()
+	res, err := Run(s, fixed(1), src, Options{})
+	if err != nil || len(res.Jobs) != 10 || s.PendingJobs() != 0 {
+		t.Fatalf("Run = %d jobs, %d pending, %v", len(res.Jobs), s.PendingJobs(), err)
+	}
+	if _, err := src.SubmitWith(job(3), nil); !errors.Is(err, scheduler.ErrDuplicateJob) {
+		t.Errorf("an ended id resubmitted to the source: %v, want ErrDuplicateJob", err)
+	}
+	if err := s.Submit(job(3), res.End); err != nil {
+		t.Errorf("the drained scheduler refused an ended id: %v", err)
+	}
+}
+
 func TestRunEmptyArrivals(t *testing.T) {
 	p := makePlan(t, 2, 1)
 	s := core.New(p, nil)

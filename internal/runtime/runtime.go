@@ -23,8 +23,9 @@
 // others (a DAG stage, after Fotakis et al.'s multi-round precedence):
 // the queue holds it until each producer's reduce output is materialized
 // as a file, then releases it into the live circular pass, where it
-// shares segment scans like any job; one Graph decides when a stage is
-// ready and which fail with a producer whose output cannot be made.
+// shares segment scans like any job; the queue's one record of each job
+// decides when a stage is ready and which fail with a producer whose
+// output cannot be made.
 //
 // The package holds the contracts only and imports no data plane: each
 // substrate's executor lives beside it (sim.Executor, remote.Master).

@@ -59,9 +59,35 @@ func (j JobStatus) Span() (admitted, completed vclock.Time, done bool) {
 	return j.AdmittedAt, j.DoneAt, j.State == JobDone
 }
 
+// outcome is where a job stands in the dependency graph: whether its
+// output is, or will be, a file its readers can scan.
+type outcome uint8
+
+const (
+	open   outcome = iota // unsettled: a stage added on it is held
+	unread                // done with no reader: unsettled, but a reader is queued and Pop makes the file
+	made                  // settled: the output is a file
+	lost                  // settled: the job failed, or its output cannot be made a file
+)
+
+// record is the source's one record of a job, kept for its lifetime:
+// the status it reports and its place in the dependency graph. held is
+// its arrival while it waits on an open producer (JobWaiting); waits
+// counts its unsettled producers; users are the stages added while it
+// was unsettled, released or failed as it settles.
+type record struct {
+	JobStatus
+	out   outcome
+	held  *Arrival
+	waits int
+	users []scheduler.JobID
+}
+
+func (r *record) settled() bool { return r.out >= made }
+
 // LiveSource is the one arrival source: a thread-safe admission queue
-// with the dependency graph of its jobs. Any goroutine may submit jobs
-// while the engine runs a pass, and the engine merges them into the
+// with the dependency graph of its jobs, one record a job. Any goroutine
+// may submit jobs while the engine runs a pass, and the engine merges them into the
 // current circular scan at the next round boundary — the online behavior
 // of the paper's Job Queue Manager (§IV, Algorithm 1). A recorded trace
 // is the same queue filled before the run (RunTrace), and so is an
@@ -74,7 +100,9 @@ func (j JobStatus) Span() (admitted, completed vclock.Time, done bool) {
 // submissions and status reads never wait on a materialization. Each
 // stage depends only on stages already accepted, so the graph is acyclic
 // by construction — and a producer may have finished, unread, before its
-// first reader arrives.
+// first reader arrives. A producer settles once, made or lost, and its
+// readers are released or fail with it, a failure cascading depth
+// first.
 type LiveSource struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -82,24 +110,16 @@ type LiveSource struct {
 	// job is stamped when the engine pops it.
 	clock  vclock.Clock
 	queue  []Arrival // in (stamp, id) order
-	status map[scheduler.JobID]*JobStatus
+	status map[scheduler.JobID]*record
 	order  []scheduler.JobID
 	nextID scheduler.JobID
 	// ran counts the jobs admitted or resumed, numbering their seq.
 	ran    int
 	closed bool
-	// held are accepted-but-waiting jobs (DAG stages with unsettled
-	// dependencies); release moves one into queue, fail retires it.
-	held map[scheduler.JobID]Arrival
 
-	g   Graph
 	mat Materializer
-	// unread are the stages that finished well before any reader was
-	// added. Their output is no file yet, so they stay unsettled in the
-	// graph and a late reader is held on them like an early one.
-	unread map[scheduler.JobID]bool
-	due    []scheduler.JobID // unread producers a reader has since arrived for
-	err    error             // the first materialization failure
+	due []scheduler.JobID // unread producers a reader has since arrived for
+	err error             // the first materialization failure
 }
 
 // NewLiveSource returns an open admission queue, without a materializer,
@@ -115,11 +135,9 @@ func NewLiveSource() *LiveSource { return NewLiveSourceOn(nil, nil) }
 func NewLiveSourceOn(clock vclock.Clock, mat Materializer) *LiveSource {
 	s := &LiveSource{
 		clock:  clock,
-		status: make(map[scheduler.JobID]*JobStatus),
+		status: make(map[scheduler.JobID]*record),
 		nextID: 1,
-		held:   make(map[scheduler.JobID]Arrival),
 		mat:    mat,
-		unread: make(map[scheduler.JobID]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -127,7 +145,9 @@ func NewLiveSourceOn(clock vclock.Clock, mat Materializer) *LiveSource {
 
 // SubmitWith enqueues a job for admission. A zero meta.ID is assigned
 // the next free id; a caller-chosen id must be unique across the
-// source's lifetime. Safe for concurrent use. pre, if not nil, is
+// source's lifetime: the source refuses a reused one, an ended job's
+// included (scheduler.ErrDuplicateJob; schedulers forget ended jobs).
+// Safe for concurrent use. pre, if not nil, is
 // invoked — under the source's lock, before the job becomes visible to
 // the engine — with the assigned id. Callers use it to register per-id
 // execution state (e.g. a remote JobRef) without racing the scheduler:
@@ -148,7 +168,7 @@ func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, pre func(sch
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	meta := &a.Job
-	if _, err := s.g.Check(meta.ID, deps); err != nil {
+	if err := s.check(meta.ID, deps); err != nil {
 		return 0, err
 	}
 	switch {
@@ -171,36 +191,45 @@ func (s *LiveSource) SubmitStage(a Arrival, deps []scheduler.JobID, pre func(sch
 	if meta.ID >= s.nextID {
 		s.nextID = meta.ID + 1
 	}
-	hold := slices.ContainsFunc(deps, func(dep scheduler.JobID) bool { return !s.g.Settled(dep) && !s.unread[dep] })
-	s.g.insert(meta.ID, deps)
+	r := &record{JobStatus: JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting, DependsOn: slices.Clone(deps)}}
+	s.status[meta.ID] = r
+	s.order = append(s.order, meta.ID)
+	hold := false
 	for _, dep := range deps {
-		if s.unread[dep] {
-			s.due = append(s.due, dep)
+		if p := s.status[dep]; !p.settled() {
+			hold = hold || p.out == open
+			if p.out == unread {
+				s.due = append(s.due, dep)
+			}
+			r.waits++
+			p.users = append(p.users, meta.ID)
 		}
 	}
-	s.status[meta.ID] = &JobStatus{ID: meta.ID, Name: meta.Name, State: JobWaiting, DependsOn: slices.Clone(deps)}
-	s.order = append(s.order, meta.ID)
 	if hold {
-		s.held[meta.ID] = a
+		held := a
+		r.held = &held
 	} else {
 		s.enqueue(a)
 	}
 	return meta.ID, nil
 }
 
-// release moves a held job into the admission queue no earlier than at,
-// waking a parked engine; a job the graph releases that is not held —
-// queued at once, because its producers had only to be materialized —
-// stays where it is. It works after Close: held jobs whose dependencies
-// complete during drain still run. The caller holds s.mu.
-func (s *LiveSource) release(id scheduler.JobID, at vclock.Time) {
-	a, ok := s.held[id]
-	if !ok {
-		return
+// check refuses a new stage: a reused id, a bad edge (CheckEdges) or a
+// failed producer (ErrDoomed). id may be zero for a stage that has no id
+// yet. The caller holds s.mu.
+func (s *LiveSource) check(id scheduler.JobID, deps []scheduler.JobID) error {
+	if s.status[id] != nil {
+		return fmt.Errorf("runtime: duplicate stage id %d: %w", id, scheduler.ErrDuplicateJob)
 	}
-	delete(s.held, id)
-	a.At = max(a.At, at)
-	s.enqueue(a)
+	if err := CheckEdges(id, deps, func(dep scheduler.JobID) bool { return s.status[dep] != nil }); err != nil {
+		return fmt.Errorf("runtime: new stage %w", err)
+	}
+	for _, dep := range deps {
+		if s.status[dep].out == lost {
+			return fmt.Errorf("%w (job %d)", ErrDoomed, dep)
+		}
+	}
+	return nil
 }
 
 // enqueue queues a in its (stamp, id) place — stamped, when the source
@@ -225,15 +254,34 @@ func (s *LiveSource) enqueue(a Arrival) {
 // without admitting it — a dependency's output could not be made a
 // file, so the job's input will never exist. The caller holds s.mu.
 func (s *LiveSource) fail(id scheduler.JobID, at vclock.Time) {
-	if _, held := s.held[id]; held {
-		delete(s.held, id)
+	r := s.status[id]
+	if r.held != nil {
+		r.held = nil
 	} else if i := slices.IndexFunc(s.queue, func(a Arrival) bool { return a.Job.ID == id }); i >= 0 {
 		s.queue = slices.Delete(s.queue, i, i+1)
 	} else {
 		return
 	}
-	s.status[id].State = JobFailed
-	s.status[id].DoneAt = at
+	r.State = JobFailed
+	r.DoneAt = at
+}
+
+// doom settles r as lost and returns the cone that fails with it: every
+// unsettled stage held on it, and on those, depth first. The stages of
+// the cone are settled as lost too; doom of a settled job returns
+// nothing. The caller holds s.mu.
+func (s *LiveSource) doom(r *record) (cone []scheduler.JobID) {
+	if r.settled() {
+		return nil
+	}
+	r.out = lost
+	for _, uid := range r.users {
+		if u := s.status[uid]; !u.settled() {
+			cone = append(append(cone, uid), s.doom(u)...)
+		}
+	}
+	r.users = nil
+	return cone
 }
 
 // settle settles a stage the engine reports finished at at, once: a
@@ -243,16 +291,17 @@ func (s *LiveSource) fail(id scheduler.JobID, at vclock.Time) {
 // or, when it cannot become a file, failed with their cone; one without
 // readers is left unread. Runs on the engine goroutine with s.mu held.
 func (s *LiveSource) settle(id scheduler.JobID, at vclock.Time) {
+	r := s.status[id]
 	switch {
-	case s.g.Settled(id):
+	case r.settled():
 		return
-	case !s.g.Waited(id):
-		s.unread[id] = true
+	case len(r.users) == 0:
+		r.out = unread
 		return
 	}
-	// Neither settled nor unread: a stage submitted meanwhile is held
-	// on id, and released or failed below with the others.
-	delete(s.unread, id)
+	// Open again while it materializes: a stage submitted meanwhile is
+	// held on id, and released or failed below with the others.
+	r.out = open
 	s.mu.Unlock()
 	delay, err := s.mat(id, at)
 	s.mu.Lock()
@@ -260,25 +309,36 @@ func (s *LiveSource) settle(id scheduler.JobID, at vclock.Time) {
 		if s.err == nil {
 			s.err = fmt.Errorf("runtime: materializing stage %d output: %w", id, err)
 		}
-		for _, cid := range s.g.Fail(id) {
+		for _, cid := range s.doom(r) {
 			s.fail(cid, at)
 		}
 		return
 	}
-	for _, cid := range s.g.Done(id) {
-		s.release(cid, at.Add(delay))
+	// Release the held readers it was the last producer of, even after
+	// Close; one queued at once, its producers only to be made, stays.
+	r.out = made
+	for _, uid := range r.users {
+		if u := s.status[uid]; !u.settled() {
+			if u.waits--; u.waits == 0 && u.held != nil {
+				a := *u.held
+				u.held = nil
+				a.At = max(a.At, at.Add(delay))
+				s.enqueue(a)
+			}
+		}
 	}
+	r.users = nil
 }
 
 // Adopt installs a status entry for a journal-recovered job without
 // queueing it for admission, so that later stages may depend on it: a
 // running one is already inside the restored scheduler, admitted at
 // admittedAt, and the engine resumes it; a settled one only needs its
-// terminal state visible to the admission API. made says a done job's
+// terminal state visible to the admission API. isFile says a done job's
 // output is a file already — recovery replays stage-materialized
 // records itself — so its readers need no second materialization. The
 // id is reserved so later Submits cannot collide with it.
-func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, doneAt vclock.Time, made bool) error {
+func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, doneAt vclock.Time, isFile bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -287,30 +347,31 @@ func (s *LiveSource) Adopt(meta scheduler.JobMeta, state JobState, admittedAt, d
 	if meta.ID == 0 {
 		return fmt.Errorf("runtime: cannot adopt a job without an id")
 	}
-	if _, err := s.g.Add(meta.ID, nil); err != nil {
+	if err := s.check(meta.ID, nil); err != nil {
 		return err
 	}
-	switch {
-	case state == JobFailed:
-		s.g.Fail(meta.ID)
-	case state == JobDone && made:
-		s.g.Done(meta.ID)
-	case state == JobDone:
-		s.unread[meta.ID] = true
-	}
-	if meta.ID >= s.nextID {
-		s.nextID = meta.ID + 1
-	}
-	s.status[meta.ID] = &JobStatus{
+	r := &record{JobStatus: JobStatus{
 		ID:         meta.ID,
 		Name:       meta.Name,
 		State:      state,
 		AdmittedAt: admittedAt,
 		DoneAt:     doneAt,
+	}}
+	switch {
+	case state == JobFailed:
+		r.out = lost
+	case state == JobDone && isFile:
+		r.out = made
+	case state == JobDone:
+		r.out = unread
 	}
+	if meta.ID >= s.nextID {
+		s.nextID = meta.ID + 1
+	}
+	s.status[meta.ID] = r
 	if state == JobRunning {
 		s.ran++
-		s.status[meta.ID].seq = s.ran
+		r.seq = s.ran
 	}
 	s.order = append(s.order, meta.ID)
 	return nil
@@ -327,8 +388,14 @@ func (s *LiveSource) Err() error {
 	if s.err != nil {
 		return s.err
 	}
-	if len(s.held) > 0 {
-		return fmt.Errorf("runtime: %d DAG stages never became ready", len(s.held))
+	held := 0
+	for _, r := range s.status {
+		if r.held != nil {
+			held++
+		}
+	}
+	if held > 0 {
+		return fmt.Errorf("runtime: %d DAG stages never became ready", held)
 	}
 	return nil
 }
@@ -474,7 +541,7 @@ func (s *LiveSource) stamp(id scheduler.JobID, want JobState, at vclock.Time) (*
 	case at < st.AdmittedAt:
 		return nil, fmt.Errorf("runtime: job %d stamped at %v, before its admission at %v", id, at, st.AdmittedAt)
 	}
-	return st, nil
+	return &st.JobStatus, nil
 }
 
 // Status reports one job's lifecycle state.
@@ -485,7 +552,7 @@ func (s *LiveSource) Status(id scheduler.JobID) (JobStatus, bool) {
 	if !ok {
 		return JobStatus{}, false
 	}
-	return *st, true
+	return st.JobStatus, true
 }
 
 // Jobs returns every submitted job's status in submission order.
@@ -494,7 +561,7 @@ func (s *LiveSource) Jobs() []JobStatus {
 	defer s.mu.Unlock()
 	out := make([]JobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, *s.status[id])
+		out = append(out, s.status[id].JobStatus)
 	}
 	return out
 }

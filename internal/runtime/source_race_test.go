@@ -266,5 +266,11 @@ func TestLiveSourceAdoptValidation(t *testing.T) {
 func heldJobs(s *LiveSource) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.held)
+	held := 0
+	for _, r := range s.status {
+		if r.held != nil {
+			held++
+		}
+	}
+	return held
 }

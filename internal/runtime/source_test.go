@@ -357,3 +357,79 @@ func TestDecompositionIdentityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGraphRules pins the dependency rules by hand, through a
+// LiveSource: the edge rule's three refusals, held and doomed, release
+// on the last producer, and the failure cone in the order it fails.
+func TestGraphRules(t *testing.T) {
+	var made []scheduler.JobID
+	src := NewLiveSourceOn(nil, func(id scheduler.JobID, _ vclock.Time) (vclock.Duration, error) {
+		made = append(made, id)
+		return 0, nil
+	})
+	ids := func(v ...scheduler.JobID) []scheduler.JobID { return v }
+	submit := func(id scheduler.JobID, deps []scheduler.JobID) (JobState, error) {
+		_, err := src.SubmitStage(Arrival{Job: scheduler.JobMeta{ID: id}}, deps, nil)
+		st, _ := src.Status(id)
+		return st.State, err
+	}
+	for _, id := range ids(1, 2) {
+		if state, err := submit(id, nil); state != JobQueued || err != nil {
+			t.Fatalf("SubmitStage(%d) = %s, %v", id, state, err)
+		}
+	}
+	for _, tc := range []struct {
+		id   scheduler.JobID
+		deps []scheduler.JobID
+		want string
+	}{
+		{3, ids(1, 3), "stage depends on itself"},
+		{3, ids(9), "depends on unknown job 9"},
+		{3, ids(2, 1, 2), "lists dependency 2 twice"},
+		{0, ids(8), "new stage depends on unknown job 8"}, // not numbered by the source yet
+		{2, nil, "duplicate stage id 2"},
+	} {
+		if _, err := submit(tc.id, tc.deps); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("SubmitStage(%d, %v) = %v, want %q", tc.id, tc.deps, err, tc.want)
+		}
+	}
+	if n := len(src.Jobs()); n != 2 {
+		t.Fatalf("the refusals left %d jobs, want the 2 roots", n)
+	}
+	// 3 waits for 1 and 2; 4 and 5 stack on 3, 6 on 4 and 2.
+	for _, st := range []Stage{{Job: scheduler.JobMeta{ID: 3}, DependsOn: ids(1, 2)}, {Job: scheduler.JobMeta{ID: 4}, DependsOn: ids(3)},
+		{Job: scheduler.JobMeta{ID: 5}, DependsOn: ids(3)}, {Job: scheduler.JobMeta{ID: 6}, DependsOn: ids(4, 2)}} {
+		if state, err := submit(st.Job.ID, st.DependsOn); state != JobWaiting || err != nil {
+			t.Fatalf("SubmitStage(%d, %v) = %s, %v, want held", st.Job.ID, st.DependsOn, state, err)
+		}
+	}
+	for _, a := range src.Pop(0) {
+		if err := src.JobAdmitted(a.Job.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.JobFinished(1, 1); err != nil || src.Pending() != 0 || !slices.Equal(made, ids(1)) {
+		t.Fatalf("finishing 1 (%v) made %v and queued %d with producer 2 open", err, made, src.Pending())
+	}
+	if _, err := src.JobFinished(2, 2); err != nil || !slices.Equal(made, ids(1, 2)) {
+		t.Fatalf("finishing 2 (%v) made %v, want [1 2]: 2 has readers", err, made)
+	}
+	if _, err := src.JobFinished(2, 3); err == nil || !slices.Equal(made, ids(1, 2)) {
+		t.Fatalf("a second finish of 2 (%v) made %v", err, made)
+	}
+	if got := src.Pop(3); len(got) != 1 || got[0].Job.ID != 3 || src.Pending() != 0 {
+		t.Fatalf("Pop = %+v, want 3 once, released by its last producer", got)
+	}
+	src.mu.Lock()
+	cone, again := src.doom(src.status[3]), src.doom(src.status[3])
+	src.mu.Unlock()
+	if !slices.Equal(cone, ids(4, 6, 5)) || again != nil {
+		t.Fatalf("doom(3) = %v then %v, want [4 6 5], depth first, once", cone, again)
+	}
+	if _, err := submit(7, ids(1, 6)); !errors.Is(err, ErrDoomed) || len(src.Jobs()) != 6 {
+		t.Fatalf("SubmitStage on a failed producer = %v, want ErrDoomed and no trace", err)
+	}
+	if state, err := submit(7, ids(1, 2)); state != JobQueued || err != nil {
+		t.Fatalf("SubmitStage on made producers = %s, %v, want queued", state, err)
+	}
+}

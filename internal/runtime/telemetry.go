@@ -23,8 +23,8 @@ type telemetry struct {
 	log *trace.Log
 	rm  *metrics.RunMetrics
 	run trace.SpanID
-	// roundsOf counts rounds each job rode, observed into JobRounds at
-	// completion.
+	// roundsOf counts the rounds each running job has ridden, observed
+	// into JobRounds and forgotten at its completion; kept only with rm.
 	roundsOf map[scheduler.JobID]int
 }
 
@@ -88,8 +88,10 @@ func (t *telemetry) recordRound(r scheduler.Round, seq int,
 	if t == nil {
 		return
 	}
-	for _, id := range r.JobIDs() {
-		t.roundsOf[id]++
+	if t.rm != nil {
+		for _, j := range r.Jobs {
+			t.roundsOf[j.ID]++
+		}
 	}
 	if t.log != nil {
 		round := t.log.StartSpan(start, "round", trace.SpanOpts{
@@ -141,6 +143,7 @@ func (t *telemetry) jobCompleted(id scheduler.JobID, rt vclock.Duration) {
 	t.rm.JobsCompleted.Inc()
 	t.rm.JobResponse.Observe(rt.Seconds())
 	t.rm.JobRounds.Observe(float64(t.roundsOf[id]))
+	delete(t.roundsOf, id)
 }
 
 func (t *telemetry) queueDepth(n int) {

@@ -47,7 +47,8 @@ type Arbiter[Q Queue] struct {
 	queues map[string]Q
 	order  []string // file names as registered; next walks it round-robin
 	next   int
-	seen   map[JobID]int // every job ever routed: its submission order
+	seen   map[JobID]int // each live job's submission order: routed, not yet done
+	routed int           // jobs ever routed
 
 	inFlight     bool
 	inFlightFile string
@@ -103,7 +104,7 @@ func (a *Arbiter[Q]) Queue(file string) (Q, bool) {
 }
 
 // SubmissionOrder returns how many jobs the arbiter had routed before
-// job id.
+// job id, which must be live.
 func (a *Arbiter[Q]) SubmissionOrder(id JobID) int { return a.seen[id] }
 
 // SnapshotQueues assembles a Snapshot: the rotation pointer plus each
@@ -127,7 +128,7 @@ func (a *Arbiter[Q]) RestoreQueues(snap Snapshot, load func(Q, QueueSnapshot) er
 	switch {
 	case snap.Scheme != a.name:
 		return fmt.Errorf("scheduler: snapshot from scheme %q, scheduler is %q", snap.Scheme, a.name)
-	case a.inFlight || len(a.seen) > 0:
+	case a.inFlight || a.routed > 0:
 		return fmt.Errorf("scheduler: %s restored into a used scheduler", a.name)
 	case snap.Rotation < 0 || snap.Rotation >= len(a.order):
 		return fmt.Errorf("scheduler: snapshot rotation %d out of range [0,%d)", snap.Rotation, len(a.order))
@@ -146,7 +147,8 @@ func (a *Arbiter[Q]) RestoreQueues(snap Snapshot, load func(Q, QueueSnapshot) er
 			if _, dup := a.seen[js.Meta.ID]; dup {
 				return fmt.Errorf("scheduler: snapshot repeats job %d across files", js.Meta.ID)
 			}
-			a.seen[js.Meta.ID] = len(a.seen)
+			a.seen[js.Meta.ID] = a.routed
+			a.routed++
 		}
 	}
 	a.next = snap.Rotation
@@ -165,7 +167,8 @@ func (a *Arbiter[Q]) Submit(job JobMeta, at vclock.Time) error {
 	if err := q.Submit(job, at); err != nil {
 		return err
 	}
-	a.seen[job.ID] = len(a.seen)
+	a.seen[job.ID] = a.routed
+	a.routed++
 	return nil
 }
 
@@ -207,9 +210,13 @@ func (a *Arbiter[Q]) launched(what string) Q {
 	return a.queues[a.inFlightFile]
 }
 
-// RoundDone implements Scheduler.
+// RoundDone implements Scheduler. The arbiter forgets the jobs done.
 func (a *Arbiter[Q]) RoundDone(r Round, now vclock.Time) []JobID {
-	return a.launched("RoundDone").RoundDone(r, now)
+	done := a.launched("RoundDone").RoundDone(r, now)
+	for _, id := range done {
+		delete(a.seen, id)
+	}
+	return done
 }
 
 // RequeueRound implements Recoverable. A lost round did not use up its

@@ -394,10 +394,16 @@ func TestArbiterSnapshotAndRestoreQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := src.NextRound(0)
-	src.RoundDone(r, 1) // the pointer now rests on b
+	if done := src.RoundDone(r, 1); len(done) != 1 { // the pointer now rests on b
+		t.Fatalf("RoundDone = %v, want job 1 done", done)
+	}
 	snap, err := src.SnapshotQueues(save)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every job src routed has ended, and it forgot them; it is still used.
+	if err := src.RestoreQueues(snap, load); err == nil {
+		t.Error("restore into an arbiter whose every job has ended accepted")
 	}
 	if snap.Scheme != "fair-per-file" || snap.Rotation != 1 || len(snap.Queues) != 2 || snap.Queues[1].File != "b" {
 		t.Fatalf("snapshot = %+v", snap)

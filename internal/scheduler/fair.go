@@ -25,14 +25,13 @@ type Fair struct {
 	plan *dfs.SegmentPlan
 	log  *trace.Log
 
-	seen map[JobID]bool
+	seen map[JobID]bool // live jobs
 	// active jobs in round-robin order; next segment index per job.
 	active []*fairJob
 	rr     int // round-robin pointer into active
 
 	inFlight    bool
 	inFlightJob *fairJob
-	pending     int
 }
 
 type fairJob struct {
@@ -59,7 +58,6 @@ func (f *Fair) Submit(job JobMeta, at vclock.Time) error {
 		return fmt.Errorf("%w: job %d reads %q, plan is for %q", ErrWrongFile, job.ID, job.File, f.plan.File().Name)
 	}
 	f.seen[job.ID] = true
-	f.pending++
 	f.active = append(f.active, &fairJob{meta: job.Normalized()})
 	f.log.Addf(at, trace.JobSubmitted, int(job.ID), 0, "fair pool of %d", len(f.active))
 	return nil
@@ -116,7 +114,7 @@ func (f *Fair) RoundDone(r Round, now vclock.Time) []JobID {
 				break
 			}
 		}
-		f.pending--
+		delete(f.seen, j.meta.ID)
 		f.log.Addf(now, trace.JobCompleted, int(j.meta.ID), -1, "fair")
 		return []JobID{j.meta.ID}
 	}
@@ -137,4 +135,4 @@ func (f *Fair) RequeueRound(r Round, now vclock.Time) {
 }
 
 // PendingJobs implements Scheduler.
-func (f *Fair) PendingJobs() int { return f.pending }
+func (f *Fair) PendingJobs() int { return len(f.active) }

@@ -125,7 +125,11 @@ type Scheduler interface {
 	PendingJobs() int
 }
 
-// ErrDuplicateJob is wrapped by Submit when a job id is reused.
+// ErrDuplicateJob is wrapped by Submit when a job id is reused. A
+// scheduler refuses the id of a live job — submitted, held back or
+// active — and forgets a job once RoundDone reports it done; the id of a
+// job that has ended is refused by the admission queue
+// (runtime.LiveSource), which keeps every job's record.
 var ErrDuplicateJob = fmt.Errorf("scheduler: duplicate job id")
 
 // ErrWrongFile is wrapped by Submit when a job's input file does not
