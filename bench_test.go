@@ -278,12 +278,13 @@ func BenchmarkMapBlockWordcountMix(b *testing.B) {
 			tasks = append(tasks, jobs)
 		}
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			parts, errs := make([][][]mapreduce.KV, k), make([]error, k)
 			b.SetBytes(int64(len(tasks) * len(blocks) * 256 << 10))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, jobs := range tasks {
 					for _, data := range blocks {
-						if _, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs); errors.Join(errs...) != nil {
+						if mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs, parts, errs); errors.Join(errs...) != nil {
 							b.Fatal(errors.Join(errs...))
 						}
 					}
@@ -311,10 +312,11 @@ func BenchmarkMapBlockSelectionShared(b *testing.B) {
 			jobs[j] = mapreduce.MapJob{Mapper: workload.SelectionMapper{MaxQuantity: 5 + step*j}, Width: 2}
 		}
 		b.Run(name, func(b *testing.B) {
+			parts, errs := make([][][]mapreduce.KV, len(jobs)), make([]error, len(jobs))
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs)
+				mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs, parts, errs)
 				if err := errors.Join(errs...); err != nil {
 					b.Fatal(err)
 				}

@@ -44,7 +44,8 @@ func TestFoldOncePerDistinctWord(t *testing.T) {
 			}
 		}
 	}
-	parts, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs)
+	parts, errs := make([][][]mapreduce.KV, len(jobs)), make([]error, len(jobs))
+	mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs, parts, errs)
 	if folds != distinct || 10*distinct > occurrences {
 		t.Fatalf("%d folds for %d distinct (word, job) pairs of %d occurrences", folds, distinct, occurrences)
 	}

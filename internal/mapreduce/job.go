@@ -170,25 +170,30 @@ func (r *Running) MapBlock(block dfs.BlockID, data []byte) error {
 	if r.finished {
 		return fmt.Errorf("mapreduce: job %q received map output after Finish", r.Spec.Name)
 	}
-	t := mapTask(block, data, []MapJob{{r.Spec.Mapper, r.Spec.Combiner, r.Spec.reduceWidth()}})[0]
-	if t.err != nil {
-		return fmt.Errorf("job %q block %v: %w", r.Spec.Name, block, t.err)
-	}
-	c := r.Counters
-	c.Add(CounterMapTasks, 1)
-	c.Add(CounterMapInputBytes, t.counts.inputBytes)
-	if rc, ok := r.Spec.Mapper.(InputRecordCounter); ok {
-		if n := rc.CountInputRecords(data); n > 0 {
-			c.Add(CounterMapInputRecords, n)
+	var err error
+	mapTask(block, data, []MapJob{{r.Spec.Mapper, r.Spec.Combiner, r.Spec.reduceWidth()}}, func(_ int, t *jobTask) {
+		if err = t.err; err != nil {
+			return
 		}
-	}
-	c.Add(CounterMapOutputRecords, t.counts.outputRecords)
-	c.Add(CounterMapOutputBytes, t.counts.outputBytes)
-	if t.counts.combinerApplied {
-		c.Add(CounterCombineOutRecords, t.counts.combineRecords)
-	}
-	for p, kvs := range t.parts {
-		r.partitions[p] = append(r.partitions[p], kvs...)
+		c := r.Counters
+		c.Add(CounterMapTasks, 1)
+		c.Add(CounterMapInputBytes, t.counts.inputBytes)
+		if rc, ok := r.Spec.Mapper.(InputRecordCounter); ok {
+			if n := rc.CountInputRecords(data); n > 0 {
+				c.Add(CounterMapInputRecords, n)
+			}
+		}
+		c.Add(CounterMapOutputRecords, t.counts.outputRecords)
+		c.Add(CounterMapOutputBytes, t.counts.outputBytes)
+		if t.counts.combinerApplied {
+			c.Add(CounterCombineOutRecords, t.counts.combineRecords)
+		}
+		for p, kvs := range t.parts {
+			r.partitions[p] = append(r.partitions[p], kvs...)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("job %q block %v: %w", r.Spec.Name, block, err)
 	}
 	return nil
 }
@@ -216,12 +221,11 @@ func (r *Running) Compact(combiner Reducer) error {
 		for _, kv := range records {
 			table.add(kv, 1)
 		}
-		compacted := make([]KV, 0, len(table.groups))
-		err := table.fold(func(kv KV) { compacted = append(compacted, kv) })
-		if err != nil {
+		compacted := make([][]KV, 1)
+		if err := table.fold(compacted); err != nil {
 			return fmt.Errorf("mapreduce: compacting job %q partition %d: %w", r.Spec.Name, p, err)
 		}
-		r.partitions[p] = compacted
+		r.partitions[p] = compacted[0]
 	}
 	return nil
 }

@@ -177,7 +177,7 @@ func TestMergedJobsShareScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, errs := MapBlockForJobs(b, data, jobs)
+		parts, errs := mergedTask(b, data, jobs)
 		for j := range jobs {
 			if errs[j] != nil {
 				t.Fatalf("job %d: %v", j, errs[j])

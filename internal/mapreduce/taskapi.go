@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"s3sched/internal/dfs"
 )
@@ -21,21 +22,18 @@ type MapJob struct {
 // MapBlockForJob executes one map task: run mapper over the block's
 // data, apply the optional combiner, and split the output into width
 // reduce partitions.
-func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) ([][]KV, error) {
-	t := mapTask(block, data, []MapJob{{mapper, combiner, width}})[0]
-	return t.parts, t.err
+func MapBlockForJob(block dfs.BlockID, data []byte, mapper Mapper, combiner Reducer, width int) (parts [][]KV, err error) {
+	mapTask(block, data, []MapJob{{mapper, combiner, width}}, func(_ int, t *jobTask) { parts, err = t.parts, t.err })
+	return parts, err
 }
 
-// MapBlockForJobs executes a merged map task over one block: one pass
-// for each group of MapGroups, every job's output combined and
-// partitioned as MapBlockForJob does it. parts[j] and errs[j] are job
-// j's; a job that failed has no partitions.
-func MapBlockForJobs(block dfs.BlockID, data []byte, jobs []MapJob) (parts [][][]KV, errs []error) {
-	parts, errs = make([][][]KV, len(jobs)), make([]error, len(jobs))
-	for j, t := range mapTask(block, data, jobs) {
-		parts[j], errs[j] = t.parts, t.err
-	}
-	return parts, errs
+// MapBlockForJobs executes one pass of a merged map task over one block
+// for jobs that share it — one group of MapGroups — every job's output
+// combined and partitioned as MapBlockForJob does it, into parts[j] and
+// errs[j]. A job that failed has no partitions; jobs that are no one
+// group all fail.
+func MapBlockForJobs(block dfs.BlockID, data []byte, jobs []MapJob, parts [][][]KV, errs []error) {
+	mapTask(block, data, jobs, func(j int, t *jobTask) { parts[j], errs[j] = t.parts, t.err })
 }
 
 // MapGroups splits positions 0..len(jobs)-1 into the groups one pass over
@@ -46,17 +44,22 @@ func MapGroups(jobs []MapJob) [][]int {
 	groups := make([][]int, 0, len(jobs))
 next:
 	for j, job := range jobs {
-		if _, ok := job.Mapper.(SharedMapper); ok && job.Width > 0 {
-			for g, group := range groups {
-				if head, ok := jobs[group[0]].Mapper.(SharedMapper); ok && jobs[group[0]].Width > 0 && head.SharesPass(job.Mapper) {
-					groups[g] = append(group, j)
-					continue next
-				}
+		for g, group := range groups {
+			if joins(jobs[group[0]], job) {
+				groups[g] = append(group, j)
+				continue next
 			}
 		}
 		groups = append(groups, []int{j})
 	}
 	return groups
+}
+
+// joins reports whether job may join the pass head leads.
+func joins(head, job MapJob) bool {
+	shared, ok := head.Mapper.(SharedMapper)
+	_, sharing := job.Mapper.(SharedMapper)
+	return ok && sharing && head.Width > 0 && job.Width > 0 && shared.SharesPass(job.Mapper)
 }
 
 // taskCounts carries one map task's counter deltas for one job.
@@ -78,11 +81,6 @@ type jobTask struct {
 	err    error
 }
 
-func (t *jobTask) shuffle(kv KV) {
-	p := partitionOf(kv.Key, t.Width)
-	t.parts[p] = append(t.parts[p], kv)
-}
-
 // add takes n emits of kv, charged and kept as n separate emits would
 // be: n values for the combine table, or n copies in the partition.
 func (t *jobTask) add(kv KV, n int) {
@@ -98,52 +96,84 @@ func (t *jobTask) add(kv KV, n int) {
 	}
 }
 
-// mapTask is the one map-task body, run by Running.MapBlock and (through
-// MapBlockForJobs) the remote workers: tasks[j] is job j's part.
-func mapTask(block dfs.BlockID, data []byte, jobs []MapJob) []jobTask {
-	tasks := make([]jobTask, len(jobs))
-	for _, group := range MapGroups(jobs) {
-		mapPass(block, data, jobs, group, tasks)
-	}
-	return tasks
+// passScratch is what a map pass keeps for the next: a task for each
+// job, its combine table emptied, and the mappers a SharedMapper is
+// handed. A pass over a small block makes little else.
+type passScratch struct {
+	tasks   []jobTask
+	mappers []Mapper
 }
 
-// mapPass is one pass over the block for the jobs of one group of
-// MapGroups: MapShared for a SharedMapper's group, Map for any other job.
-// A job's records go straight into its partition slices, or with a
-// combiner into its combine table — folding as they come when the
-// combiner is a Folder — whose groups are partitioned at the end, record
-// for record what sorting, grouping and combining the raw output produces.
-// A mapper error fails every job of the pass, a combiner's only its own.
-func mapPass(block dfs.BlockID, data []byte, jobs []MapJob, group []int, tasks []jobTask) {
-	head := jobs[group[0]]
-	if head.Mapper == nil || head.Width <= 0 { // MapGroups leaves such a job alone
-		tasks[group[0]].err = fmt.Errorf("mapreduce: a map task needs a mapper and a positive partition width, got %T and %d", head.Mapper, head.Width)
+var passScratches = sync.Pool{New: func() any { return new(passScratch) }}
+
+// mapTask is the one map-task body, run by Running.MapBlock and the
+// remote workers (through MapBlockForJobs): one pass over the block for
+// jobs that share it, job j's part handed to done(j, t) before its
+// scratch goes back to passScratches.
+func mapTask(block dfs.BlockID, data []byte, jobs []MapJob, done func(j int, t *jobTask)) {
+	if len(jobs) == 0 {
 		return
 	}
-	for _, j := range group {
-		tasks[j] = jobTask{MapJob: jobs[j], parts: make([][]KV, jobs[j].Width), table: newCombineTable(jobs[j].Combiner), counts: taskCounts{inputBytes: int64(len(data))}}
+	s := passScratches.Get().(*passScratch)
+	if len(s.tasks) < len(jobs) {
+		s.tasks = append(s.tasks, make([]jobTask, len(jobs)-len(s.tasks))...)
 	}
+	tasks := s.tasks[:len(jobs)]
+	s.mapPass(block, data, jobs, tasks)
+	for j := range tasks {
+		done(j, &tasks[j])
+		tasks[j].table.empty(tasks[j].err != nil)
+		tasks[j] = jobTask{table: tasks[j].table}
+	}
+	clear(s.mappers)
+	s.mappers = s.mappers[:0]
+	passScratches.Put(s)
+}
+
+// mapPass is one pass over the block for jobs: MapShared for a group of
+// SharedMappers, Map for a job alone. A job's records go straight into
+// its partition slices, or with a combiner into its combine table —
+// folding as they come when the combiner is a Folder — whose groups are
+// partitioned at the end, record for record what sorting, grouping and
+// combining the raw output produces. A mapper error fails every job of
+// the pass, a combiner's only its own.
+func (s *passScratch) mapPass(block dfs.BlockID, data []byte, jobs []MapJob, tasks []jobTask) {
+	head := jobs[0]
 	var err error
-	if shared, ok := head.Mapper.(SharedMapper); ok {
-		mappers := make([]Mapper, len(group))
-		for i, j := range group {
-			mappers[i] = jobs[j].Mapper
+	if head.Mapper == nil || head.Width <= 0 {
+		err = fmt.Errorf("mapreduce: a map task needs a mapper and a positive partition width, got %T and %d", head.Mapper, head.Width)
+	} else if i := slices.IndexFunc(jobs[1:], func(job MapJob) bool { return !joins(head, job) }); i >= 0 {
+		err = fmt.Errorf("mapreduce: job %d (%T) cannot share the pass of job 0 (%T)", i+1, jobs[i+1].Mapper, head.Mapper)
+	}
+	if err != nil {
+		for j := range tasks {
+			tasks[j].err = err
 		}
-		err = shared.MapShared(block, data, mappers, func(i int, kv KV, n int) { tasks[group[i]].add(kv, n) })
+		return
+	}
+	for j, job := range jobs {
+		t := &tasks[j]
+		t.MapJob, t.parts, t.counts = job, make([][]KV, job.Width), taskCounts{inputBytes: int64(len(data))}
+		t.table.reset(job.Combiner)
+	}
+	if shared, ok := head.Mapper.(SharedMapper); ok {
+		for _, job := range jobs {
+			s.mappers = append(s.mappers, job.Mapper)
+		}
+		err = shared.MapShared(block, data, s.mappers, func(j int, kv KV, n int) { tasks[j].add(kv, n) })
 	} else {
-		t := &tasks[group[0]]
+		t := &tasks[0]
 		err = head.Mapper.Map(block, data, func(kv KV) { t.add(kv, 1) })
 	}
-	for _, j := range group {
+	for j := range tasks {
 		t := &tasks[j]
 		if t.err = err; err == nil && len(t.table.groups) > 0 { // a combiner, and something for it to combine
 			t.counts.combinerApplied = true
-			if err := t.table.fold(func(kv KV) {
-				t.counts.combineRecords++
-				t.shuffle(kv)
-			}); err != nil {
+			if err := t.table.fold(t.parts); err != nil {
 				t.err = fmt.Errorf("combiner: %w", err)
+			}
+			for _, run := range t.parts {
+				t.counts.combineRecords += int64(len(run))
 			}
 		}
 		if t.err != nil {

@@ -36,6 +36,7 @@ type stashJob struct {
 // stashEntry is one map task's output for one job: parts[p] is the
 // block's run for partition p, immutable once stashed.
 type stashEntry struct {
+	block int
 	parts [][]mapreduce.KV
 	bytes int64
 }
@@ -46,7 +47,7 @@ type stash struct {
 	// while their master still sends tasks (two masters may share workers)
 	// and dropped the moment a newer one appears.
 	newest      int64
-	jobs        map[stashJob]map[int]stashEntry // by block index
+	jobs        map[stashJob][]stashEntry // block-ascending
 	bytes       int64
 	entries     int64
 	resultStore // results.go: under the same lock and the same epoch rule
@@ -58,7 +59,7 @@ func (s *stash) admit(epoch int64, done []scheduler.JobID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if epoch > s.newest {
-		s.newest, s.jobs, s.bytes, s.entries = epoch, make(map[stashJob]map[int]stashEntry), 0, 0
+		s.newest, s.jobs, s.bytes, s.entries = epoch, make(map[stashJob][]stashEntry), 0, 0
 		s.results, s.resultBytes = make(map[resultKey]*list.Element), 0
 		s.order.Init()
 	}
@@ -83,39 +84,44 @@ func receiptOf(kvs []mapreduce.KV) PartReceipt {
 // put stashes one task's output for one job, over whatever an earlier
 // run of the same task left, and returns its receipts.
 func (s *stash) put(job stashJob, block int, parts [][]mapreduce.KV) []PartReceipt {
-	e, receipts := stashEntry{parts: parts}, make([]PartReceipt, len(parts))
+	e, receipts := stashEntry{block: block, parts: parts}, make([]PartReceipt, len(parts))
 	for p, kvs := range parts {
 		receipts[p] = receiptOf(kvs)
 		e.bytes += receipts[p].Bytes
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jobs[job] == nil {
-		s.jobs[job] = make(map[int]stashEntry)
+	held := s.jobs[job]
+	i, ok := slices.BinarySearchFunc(held, block, func(e stashEntry, block int) int { return e.block - block })
+	if ok {
+		s.bytes -= held[i].bytes
+		held[i] = e
+	} else {
+		s.jobs[job] = slices.Insert(held, i, e)
+		s.entries++
 	}
-	if old, ok := s.jobs[job][block]; ok {
-		s.bytes -= old.bytes
-		s.entries--
-	}
-	s.jobs[job][block] = e
 	s.bytes += e.bytes
-	s.entries++
 	return receipts
 }
 
-// partition returns the run of every block held for one partition of
-// job. The lock is held to walk the entries only — the runs are immutable
-// — so two workers reducing for each other never wait on each other.
-func (s *stash) partition(job stashJob, p int) map[int][]mapreduce.KV {
+// partition returns the blocks held for one partition of job, ascending,
+// and each one's run. The lock is held to walk the entries only — the
+// runs are immutable — so two workers reducing for each other never wait
+// on each other.
+func (s *stash) partition(job stashJob, p int) (blocks []int, runs [][]mapreduce.KV) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[int][]mapreduce.KV, len(s.jobs[job]))
-	for block, e := range s.jobs[job] {
+	held := s.jobs[job]
+	if len(held) == 0 {
+		return nil, nil
+	}
+	blocks, runs = make([]int, 0, len(held)), make([][]mapreduce.KV, 0, len(held))
+	for _, e := range held {
 		if p >= 0 && p < len(e.parts) {
-			out[block] = e.parts[p]
+			blocks, runs = append(blocks, e.block), append(runs, e.parts[p])
 		}
 	}
-	return out
+	return blocks, runs
 }
 
 // FetchShuffle serves the worker → worker fetch: what this worker
@@ -123,14 +129,9 @@ func (s *stash) partition(job stashJob, p int) map[int][]mapreduce.KV {
 // it knows nothing of is an empty answer: the reducer reports the gap.
 func (w *Worker) FetchShuffle(args *FetchArgs, reply *FetchReply) error {
 	w.stash.admit(args.Epoch, nil)
-	held := w.stash.partition(stashJob{args.Epoch, args.ID}, args.Partition)
-	for block := range held {
-		reply.Blocks = append(reply.Blocks, block)
-	}
-	slices.Sort(reply.Blocks)
-	for _, block := range reply.Blocks {
-		reply.Runs = append(reply.Runs, held[block])
-		w.servedBytes.Add(receiptOf(held[block]).Bytes)
+	reply.Blocks, reply.Runs = w.stash.partition(stashJob{args.Epoch, args.ID}, args.Partition)
+	for _, run := range reply.Runs {
+		w.servedBytes.Add(receiptOf(run).Bytes)
 	}
 	return nil
 }
@@ -167,8 +168,9 @@ func (w *Worker) gather(args *ReduceTaskArgs, blocks int) (*gathered, error) {
 	fail := func(who string, err error) error {
 		return fmt.Errorf("remote: job %q partition %d: %s: %w", args.Job.Name, args.Partition, who, err)
 	}
-	for block, run := range w.stash.partition(stashJob{args.Epoch, args.ID}, args.Partition) {
-		if err := g.add(block, run); err != nil {
+	held, runs := w.stash.partition(stashJob{args.Epoch, args.ID}, args.Partition)
+	for i, block := range held {
+		if err := g.add(block, runs[i]); err != nil {
 			return nil, fail("this worker's stash", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +73,7 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 		panic("remote: worker needs a store and a registry")
 	}
 	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*peerConn), slots: runtime.GOMAXPROCS(0)}
-	w.stash.jobs = make(map[stashJob]map[int]stashEntry)
+	w.stash.jobs = make(map[stashJob][]stashEntry)
 	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
 }
@@ -113,15 +114,29 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	// one job over one block — has a mapper and combiner of its own: a
 	// factory may hand out instances that keep state.
 	nb, nj := len(args.Blocks), len(args.Jobs)
-	units := make([]mapreduce.MapJob, nb*nj) // block-major: the first error is the lowest unit's
-	for i := range units {
-		u, ref := &units[i], args.Jobs[i%nj]
+	built := make([]mapreduce.MapJob, nb*nj) // block-major, jobs in task order
+	for i := range built {
+		u, ref := &built[i], args.Jobs[i%nj]
 		if u.Mapper, _, u.Combiner, err = w.registry.Build(ref.Factory, ref.Param); err != nil {
 			return err
 		}
 		u.Width = ref.width()
 	}
-	groups := mapreduce.MapGroups(units[:nj])
+	// A block's units go group by group (order[k] is the job at position k
+	// of a block's run, at[j] job j's position), so a pass's jobs, their
+	// partitions and their errors are each one run of units, parts and errs.
+	groups := mapreduce.MapGroups(built[:nj])
+	order, at, starts := slices.Concat(groups...), make([]int, nj), make([]int, len(groups)+1)
+	for k, j := range order {
+		at[j] = k
+	}
+	for g, group := range groups {
+		starts[g+1] = starts[g] + len(group)
+	}
+	units := make([]mapreduce.MapJob, nb*nj)
+	for i := range units {
+		units[i] = built[i-i%nj+order[i%nj]]
+	}
 	if args.Hint != nil {
 		// Before the reads: the demotion frees room for these blocks, and the
 		// readahead of the segment after them overlaps this task's map work.
@@ -145,25 +160,25 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	var next, passNs atomic.Int64
 	run := func() {
 		for k := int(next.Add(1)) - 1; k < passes; k = int(next.Add(1)) - 1 {
-			b, group := k%nb, groups[k/nb]
+			b, g := k%nb, k/nb
+			lo, hi := b*nj+starts[g], b*nj+starts[g+1]
 			rd, id := &reads[b], dfs.BlockID{File: args.File, Index: args.Blocks[b]}
 			rd.once.Do(func() {
 				pprof.Do(context.TODO(), readLayer, func(context.Context) { rd.data, rd.err = w.store.ReadBlockAt(id, localNode) })
 			})
-			pass := make([]mapreduce.MapJob, len(group))
-			for i, j := range group {
-				pass[i], errs[b*nj+j] = units[b*nj+j], rd.err
-			}
 			if rd.err != nil {
+				for i := lo; i < hi; i++ {
+					errs[i] = rd.err
+				}
 				continue
 			}
 			pprof.Do(context.TODO(), mapLayer, func(context.Context) {
 				passed := time.Now()
-				got, failed := mapreduce.MapBlockForJobs(id, rd.data, pass)
+				mapreduce.MapBlockForJobs(id, rd.data, units[lo:hi], parts[lo:hi], errs[lo:hi])
 				passNs.Add(int64(time.Since(passed)))
-				for i, j := range group {
-					if parts[b*nj+j], errs[b*nj+j] = got[i], failed[i]; failed[i] != nil {
-						errs[b*nj+j] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[j].Name, id.Index, failed[i])
+				for i := lo; i < hi; i++ {
+					if errs[i] != nil {
+						errs[i] = fmt.Errorf("remote: job %q block %d: %w", args.Jobs[order[i-b*nj]].Name, id.Index, errs[i])
 					}
 				}
 			})
@@ -180,8 +195,8 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	run()
 	wg.Wait()
 
-	for _, err := range errs {
-		if err != nil {
+	for i := range units { // the lowest (block, job) unit's error
+		if err := errs[i-i%nj+at[i%nj]]; err != nil {
 			return err
 		}
 	}
@@ -190,7 +205,7 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 		reply.Receipts[j] = make([]PartReceipt, ref.width())
 	}
 	for i := range units {
-		j := i % nj
+		j := order[i%nj]
 		for p, rc := range w.stash.put(stashJob{args.Epoch, args.IDs[j]}, args.Blocks[i/nj], parts[i]) {
 			reply.Receipts[j][p].Records += rc.Records
 			reply.Receipts[j][p].Bytes += rc.Bytes

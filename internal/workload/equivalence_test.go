@@ -470,7 +470,7 @@ func FuzzMappers(f *testing.F) {
 		for j, q := range limits {
 			jobs[j] = mapreduce.MapJob{Mapper: workload.SelectionMapper{MaxQuantity: q}, Width: 1}
 		}
-		parts, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, data, jobs)
+		parts, errs := mapPass(data, jobs)
 		for j, q := range limits {
 			want, wantFailed := collect(refSelection(q), data)
 			if (errs[j] != nil) != wantFailed || (errs[j] == nil && !reflect.DeepEqual(parts[j][0], want)) ||
@@ -639,10 +639,6 @@ func TestMultiplicityMatchesPerOccurrence(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go: the race detector's
-// instrumentation allocates, which would fail the guards below.
-var raceEnabled bool
-
 // A text block costs its output slice and its rand source, nothing per word.
 func TestTextGenBlockAllocations(t *testing.T) {
 	if raceEnabled {
@@ -698,7 +694,7 @@ func TestMapTaskAllocations(t *testing.T) {
 		jobs = append(jobs, mapreduce.MapJob{Mapper: workload.PatternCountMapper{Prefix: prefix}, Combiner: workload.SumReducer{}, Width: 2})
 	}
 	if n, b := measure(func() error {
-		_, errs := mapreduce.MapBlockForJobs(dfs.BlockID{}, text, jobs)
+		_, errs := mapPass(text, jobs)
 		return errors.Join(errs...)
 	}); n > 400 || b > 64<<10 {
 		t.Errorf("eight word counts sharing a pass over a 256 KB block: %.0f allocations of %.0f bytes, want <= 400 of <= 64 KB", n, b)
