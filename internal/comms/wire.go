@@ -1,6 +1,7 @@
 package comms
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,7 +16,7 @@ const (
 	// (byte 7), a newline. No gob stream starts with its first byte, and
 	// its newline ends an HTTP request line, so a net/rpc or HTTP peer
 	// fails at once instead of waiting for more.
-	Hello = "\xf1s3task\x01\n"
+	Hello = "\xf1s3task\x02\n"
 	// FrameHeader is a frame's header length: the body's length (uint32)
 	// and a call id (uint64), both little-endian, and a kind byte (a
 	// request's method, a reply's status). MaxFrame bounds the body.
@@ -90,10 +91,10 @@ func ReadFrame(r io.Reader, hdr []byte, peer string) (id uint64, kind byte, body
 	return binary.LittleEndian.Uint64(hdr[4:]), hdr[12], body, err
 }
 
-// Redial runs session until it returns nil or stop closes, waiting
+// Redial runs session until it returns nil or ctx ends, waiting
 // delay(n) after its n-th failure in a row (0-based); a session that
 // reports it got through starts the count again.
-func Redial(session func() (through bool, err error), delay func(n int) time.Duration, stop <-chan struct{}) {
+func Redial(ctx context.Context, session func() (through bool, err error), delay func(n int) time.Duration) {
 	for failures := 0; ; failures++ {
 		through, err := session()
 		if err == nil {
@@ -103,7 +104,7 @@ func Redial(session func() (through bool, err error), delay func(n int) time.Dur
 			failures = 0
 		}
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-time.After(delay(failures)):
 		}

@@ -2,6 +2,7 @@ package comms
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -116,7 +117,7 @@ func TestRecvCleanCloseIsEOF(t *testing.T) {
 
 // A session that dials an address no one listens on yet fails, and
 // Redial tries again on its schedule until a listener comes up; then the
-// session runs until stop closes and Redial returns.
+// session runs until ctx ends and Redial returns.
 func TestDialBackoffWaitsForListener(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -125,7 +126,8 @@ func TestDialBackoffWaitsForListener(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	failed, connected := make(chan struct{}, 1), make(chan struct{})
 	var dials atomic.Int64
 	session := func() (bool, error) {
@@ -140,12 +142,12 @@ func TestDialBackoffWaitsForListener(t *testing.T) {
 		}
 		defer c.Close()
 		close(connected)
-		<-stop
+		<-ctx.Done()
 		return true, nil
 	}
 	returned := make(chan struct{})
 	go func() {
-		Redial(session, func(n int) time.Duration { return min(5*time.Millisecond<<n, 20*time.Millisecond) }, stop)
+		Redial(ctx, session, func(n int) time.Duration { return min(5*time.Millisecond<<n, 20*time.Millisecond) })
 		close(returned)
 	}()
 	select {
@@ -155,7 +157,6 @@ func TestDialBackoffWaitsForListener(t *testing.T) {
 	}
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
-		close(stop)
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer ln2.Close()
@@ -167,10 +168,34 @@ func TestDialBackoffWaitsForListener(t *testing.T) {
 	if n := dials.Load(); n < 2 {
 		t.Errorf("connected on dial %d, want a failed dial first", n)
 	}
-	close(stop)
+	cancel()
 	select {
 	case <-returned:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Redial did not return once stop closed")
+		t.Fatal("Redial did not return once ctx ended")
+	}
+}
+
+// Redial waiting out a long delay after a failed session returns as soon
+// as its context ends.
+func TestRedialEndsItsWaitWithTheContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var sessions atomic.Int64
+	returned := make(chan struct{})
+	go func() {
+		Redial(ctx, func() (bool, error) { sessions.Add(1); return false, errors.New("refused") }, func(int) time.Duration { return time.Hour })
+		close(returned)
+	}()
+	for sessions.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Redial kept waiting after its context ended")
+	}
+	if n := sessions.Load(); n != 1 {
+		t.Errorf("%d sessions, want the one before the wait", n)
 	}
 }

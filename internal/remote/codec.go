@@ -159,7 +159,7 @@ func (a *MapTaskArgs) appendTo(b []byte) []byte {
 		b = a.Jobs[i].appendTo(b)
 	}
 	b = appendInts(appendInts(binary.AppendVarint(b, a.Epoch), a.IDs), a.Done)
-	return appendInts(appendString(b, a.Corr), a.Hint)
+	return appendInts(b, a.Hint)
 }
 
 func (a *MapTaskArgs) decodeFrom(d *decoder) {
@@ -171,7 +171,7 @@ func (a *MapTaskArgs) decodeFrom(d *decoder) {
 		}
 	}
 	a.Epoch, a.IDs, a.Done = d.varint(), decodeInts[scheduler.JobID](d), decodeInts[scheduler.JobID](d)
-	a.Corr, a.Hint = d.string(), decodeInts[int](d)
+	a.Hint = decodeInts[int](d)
 }
 
 // MapTaskReply.PerJob does not cross: nothing fills it.
@@ -208,7 +208,7 @@ func (a *ReduceTaskArgs) appendTo(b []byte) []byte {
 	for _, peer := range a.Peers {
 		b = appendString(b, peer)
 	}
-	return appendString(binary.AppendVarint(b, int64(a.FetchDeadline)), a.Corr)
+	return binary.AppendVarint(b, int64(a.FetchDeadline))
 }
 
 func (a *ReduceTaskArgs) decodeFrom(d *decoder) {
@@ -220,7 +220,7 @@ func (a *ReduceTaskArgs) decodeFrom(d *decoder) {
 			a.Peers[i] = d.string()
 		}
 	}
-	a.FetchDeadline, a.Corr = time.Duration(d.varint()), d.string()
+	a.FetchDeadline = time.Duration(d.varint())
 }
 
 func (r *ReduceTaskReply) appendTo(b []byte) []byte {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -64,29 +65,26 @@ func (w *Worker) Register(master string, opts RegisterOptions) error {
 	if w.ctlStop != nil {
 		return fmt.Errorf("remote: worker already registered with a master")
 	}
-	// The loop holds the channels itself: stopControl nils the struct
-	// fields under ctlMu, so the loop must never read them through w.
-	stop, done, hb := make(chan struct{}), make(chan struct{}), opts.Heartbeat
-	w.ctlStop, w.ctlDone = stop, done
+	ctx, cancel := context.WithCancel(context.Background())
+	done, hb := make(chan struct{}), opts.Heartbeat
+	w.ctlStop = func() { cancel(); <-done }
 	go func() {
 		defer close(done)
-		comms.Redial(func() (bool, error) { return w.session(master, reg, hb, stop) },
-			func(n int) time.Duration { return redialDelay(hb, n) }, stop)
+		comms.Redial(ctx, func() (bool, error) { return w.session(ctx, master, reg, hb) },
+			func(n int) time.Duration { return redialDelay(hb, n) })
 	}()
 	return nil
 }
 
-// stopControl terminates the control loop, if one is running.
+// stopControl ends the control loop, if one is running, and waits for it.
 func (w *Worker) stopControl() {
 	w.ctlMu.Lock()
-	stop, done := w.ctlStop, w.ctlDone
-	w.ctlStop, w.ctlDone = nil, nil
+	stop := w.ctlStop
+	w.ctlStop = nil
 	w.ctlMu.Unlock()
-	if stop == nil {
-		return
+	if stop != nil {
+		stop()
 	}
-	close(stop)
-	<-done
 }
 
 // redialDelay is the wait before a worker heartbeating every hb re-dials
@@ -101,31 +99,16 @@ func redialDelay(hb time.Duration, attempt int) time.Duration {
 }
 
 // session runs one connection to the master: the registration, then the
-// master's calls until the connection breaks or the master has been
-// silent for five heartbeats. It returns whether the master took the
-// registration, and nil only when stop closes.
-func (w *Worker) session(master string, reg *registration, hb time.Duration, stop <-chan struct{}) (registered bool, err error) {
-	defer func() {
-		select {
-		case <-stop:
-			err = nil // ended by Close
-		default:
-		}
-	}()
-	conn, err := net.DialTimeout("tcp", master, 5*hb)
+// master's calls until the connection breaks, the master has been silent
+// for five heartbeats or ctx ends. It returns whether the master took
+// the registration, and why the session ended.
+func (w *Worker) session(ctx context.Context, master string, reg *registration, hb time.Duration) (registered bool, err error) {
+	conn, err := (&net.Dialer{Timeout: 5 * hb}).DialContext(ctx, "tcp", master)
 	if err != nil {
 		return false, err
 	}
 	defer conn.Close()
-	over := make(chan struct{})
-	defer close(over)
-	go func() {
-		select {
-		case <-stop:
-			conn.Close()
-		case <-over:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	br, err := join(conn, reg, 5*hb)
 	if err != nil {
 		return false, err

@@ -12,7 +12,6 @@ import (
 	"s3sched/internal/mapreduce"
 	"s3sched/internal/metrics"
 	"s3sched/internal/scheduler"
-	"s3sched/internal/trace"
 )
 
 // A round is one message per worker, and a worker maps its share of it on
@@ -35,13 +34,10 @@ func widePlan(t *testing.T, width int) *dfs.SegmentPlan {
 	return plan
 }
 
-// mapsServed lists, in order, the blocks of every map task w served.
-func mapsServed(w *Worker) (tasks []string) {
-	for _, ev := range w.log.OfKind(trace.TaskServed) {
-		if _, rest, ok := strings.Cut(ev.Detail, " map corpus#"); ok {
-			blocks, _, _ := strings.Cut(rest, " jobs ")
-			tasks = append(tasks, blocks)
-		}
+// mapsServed lists, in order, the blocks of every map task l served.
+func mapsServed(l *taskLog) (tasks []string) {
+	for _, task := range l.served() {
+		tasks = append(tasks, fmt.Sprint(task.blocks))
 	}
 	return tasks
 }
@@ -52,7 +48,8 @@ func mapsServed(w *Worker) (tasks []string) {
 // outputs are the reference's.
 func TestRoundIsOneMessagePerWorker(t *testing.T) {
 	const jobs = 2
-	workers, addrs := serveWorkers(t, 2, nil)
+	logs := make([]*taskLog, 2)
+	workers, addrs := serveWorkers(t, 2, recordInto(logs, 0, 1))
 	m := dialT(t, addrs, wordcountRefs(jobs))
 	reg := metrics.NewRegistry()
 	m.SetRegistry(reg)
@@ -71,7 +68,7 @@ func TestRoundIsOneMessagePerWorker(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			want = append(want, fmt.Sprint([]int{4*r + i, 4*r + i + 2}))
 		}
-		if got := mapsServed(w); !reflect.DeepEqual(got, want) {
+		if got := mapsServed(logs[i]); !reflect.DeepEqual(got, want) {
 			t.Errorf("worker %d served map tasks over %v, want one a round over %v", i, got, want)
 		}
 		// Word counts of distinct prefixes share a block's one pass.

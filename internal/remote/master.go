@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -215,9 +216,8 @@ func (m *Master) SetRegistry(reg *metrics.Registry) {
 
 // SetTrace installs a trace log recording every dispatched task with
 // its correlation id, and the membership table's joins (the members it
-// already holds first), rejoins and losses. nil clears it (and stops
-// sending Corr to workers). Call before the first round, after
-// RestoreEpoch.
+// already holds first), rejoins and losses. nil clears it. Call before
+// the first round, after RestoreEpoch.
 func (m *Master) SetTrace(log *trace.Log) {
 	m.log = log
 	m.members.setTrace(log, m.clock)
@@ -511,7 +511,9 @@ func (m *Master) ExecRound(r scheduler.Round) (vclock.Duration, error) {
 	// requeues it (and re-enters this wait).
 	ver, live := m.members.live()
 	if len(live) == 0 {
-		ver, live = m.members.waitLive(1, grace)
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
+		ver, live = m.members.waitLive(ctx, 1)
+		cancel()
 	}
 	if len(live) == 0 {
 		return 0, m.roundLost(r, start, &allWorkersError{
@@ -653,7 +655,7 @@ func (m *Master) mapWithFailover(ver int, live []liveWorker, corr, file string, 
 		}
 		reply = new(MapTaskReply)
 		done, ack := m.releasesFor(w)
-		args := &MapTaskArgs{File: file, Blocks: blocks, Jobs: refs, Epoch: m.epoch, IDs: ids, Done: done, Corr: corr}
+		args := &MapTaskArgs{File: file, Blocks: blocks, Jobs: refs, Epoch: m.epoch, IDs: ids, Done: done}
 		if hint != nil {
 			args.Hint = hintShare(*hint, pos, len(live))
 		}
@@ -701,7 +703,7 @@ func (m *Master) reduceWithFailover(ver int, live []liveWorker, id scheduler.Job
 			m.log.Addf(m.clock.Now(), trace.TaskDispatched, -1, -1, "corr=%s reduce %q partition %d (%d records, %d bytes stashed) worker %s attempt %d", corr, ref.Name, p, want.Records, want.Bytes, w.id, attempt)
 		}
 		reply = new(ReduceTaskReply)
-		args := &ReduceTaskArgs{Job: ref, Epoch: m.epoch, ID: id, File: sh.file, Partition: p, FetchDeadline: m.taskDeadline / 2, Corr: corr}
+		args := &ReduceTaskArgs{Job: ref, Epoch: m.epoch, ID: id, File: sh.file, Partition: p, FetchDeadline: m.taskDeadline / 2}
 		for i, peer := range live {
 			if i != pos {
 				args.Peers = append(args.Peers, peer.addr)

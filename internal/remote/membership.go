@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -95,7 +96,7 @@ type membership struct {
 	cond    *sync.Cond
 	members map[string]*member
 	order   []string // registration order, for stable task placement
-	version int      // bumped on any change affecting the live set
+	version int      // bumped when the live set changes
 	closed  bool     // by closeAll: registrations are refused
 	log     *trace.Log
 	clock   *vclock.Wall // stamps log's events
@@ -166,8 +167,6 @@ func (t *membership) beat(id string, gen int, tasks comms.WireStats, control com
 	m.tasks, m.control = tasks, control
 	if m.state == comms.Suspect {
 		m.state = comms.Joined
-		t.version++
-		t.cond.Broadcast()
 	}
 	return true
 }
@@ -175,6 +174,7 @@ func (t *membership) beat(id string, gen int, tasks comms.WireStats, control com
 // markSuspect records a missed heartbeat deadline, and the control
 // frames so far. Every miss counts (s3_heartbeat_misses_total sums the
 // counts); the joined → suspect state transition happens on the first.
+// A suspect member stays live, so the version stands.
 func (t *membership) markSuspect(id string, gen int, control comms.ConnStats) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,7 +186,6 @@ func (t *membership) markSuspect(id string, gen int, control comms.ConnStats) bo
 	m.hbMisses++
 	if m.state == comms.Joined {
 		m.state = comms.Suspect
-		t.version++
 	}
 	return true
 }
@@ -233,22 +232,22 @@ func (t *membership) liveLocked() []liveWorker {
 	return out
 }
 
-// waitLive blocks until at least n workers are live or the grace
-// period lapses, returning the live snapshot either way.
-func (t *membership) waitLive(n int, grace time.Duration) (int, []liveWorker) {
-	deadline := time.Now().Add(grace)
+// waitLive blocks until at least n workers are live or ctx ends,
+// returning the live snapshot either way.
+func (t *membership) waitLive(ctx context.Context, n int) (int, []liveWorker) {
+	// Broadcast under mu, so the end cannot fall between a check and the Wait.
+	defer context.AfterFunc(ctx, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.cond.Broadcast()
+	})()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		lw, remain := t.liveLocked(), time.Until(deadline)
-		if len(lw) >= n || remain <= 0 {
+		if lw := t.liveLocked(); len(lw) >= n || ctx.Err() != nil {
 			return t.version, lw
 		}
-		// sync.Cond has no timed wait; poll on a short timer while
-		// broadcasts short-circuit the common (registration) case.
-		waker := time.AfterFunc(min(remain, 20*time.Millisecond), t.cond.Broadcast)
 		t.cond.Wait()
-		waker.Stop()
 	}
 }
 
@@ -357,7 +356,9 @@ func (m *Master) ListenControl(addr string, cfg ControlConfig) (string, error) {
 // after timeout. Masters call it between ListenControl and the first
 // round so the segment plan sees a populated cluster.
 func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
-	if _, live := m.members.waitLive(n, timeout); len(live) < n {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if _, live := m.members.waitLive(ctx, n); len(live) < n {
 		return fmt.Errorf("remote: %d of %d workers registered within %v", len(live), n, timeout)
 	}
 	return nil

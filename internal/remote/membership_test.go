@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -499,7 +500,7 @@ func TestWorkerLeavesASilentMaster(t *testing.T) {
 	defer w.Close()
 	const hb = 20 * time.Millisecond
 	began := time.Now()
-	registered, err := w.session(ln.Addr().String(), &registration{ID: "w0", Addr: addr, MapSlots: 1}, hb, nil)
+	registered, err := w.session(context.Background(), ln.Addr().String(), &registration{ID: "w0", Addr: addr, MapSlots: 1}, hb)
 	took := time.Since(began)
 	if conn := <-admitted; conn != nil {
 		conn.Close()
@@ -538,6 +539,98 @@ func TestCloseStopsRedialing(t *testing.T) {
 	}
 	if n := w.registrations.Load(); n != 0 {
 		t.Errorf("%d registrations with no master", n)
+	}
+}
+
+// Close ends a registered worker's live session at once, not after the
+// five heartbeats of silence that would end it otherwise (the master
+// calls every 2/5 of a second, so that silence never comes).
+func TestCloseStopsALiveSession(t *testing.T) {
+	m := NewMaster(nil)
+	defer m.Close()
+	ctl, err := m.ListenControl("127.0.0.1:0", ControlConfig{SuspectAfter: time.Second, DeadAfter: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(testStore(t), NewStandardRegistry())
+	if _, err := w.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Register(ctl, RegisterOptions{ID: "w0", Heartbeat: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still waits on the session after a second")
+	}
+}
+
+// A joined → suspect → joined round trip leaves the live set as it was,
+// so it leaves the version too: failover re-walks the workers only when
+// the set changed.
+func TestSuspectRoundTripKeepsTheVersion(t *testing.T) {
+	tbl := newMembership()
+	gen := tbl.register("w0", "127.0.0.1:1", 1, &taskClient{}, comms.ConnStats{})
+	ver, _ := tbl.live()
+	if !tbl.markSuspect("w0", gen, comms.ConnStats{}) {
+		t.Fatal("markSuspect refused the current registration")
+	}
+	if now, live := tbl.live(); now != ver || len(live) != 1 {
+		t.Errorf("suspect: version %d with %d live, want %d with 1", now, len(live), ver)
+	}
+	if !tbl.beat("w0", gen, comms.WireStats{}, comms.ConnStats{}) {
+		t.Fatal("beat refused the current registration")
+	}
+	if now, _ := tbl.live(); now != ver {
+		t.Errorf("joined again: version %d, want %d", now, ver)
+	}
+	if got := tbl.snapshot()[0]; got.State != "joined" || got.HeartbeatMisses != 1 {
+		t.Errorf("member %+v, want joined with one miss", got)
+	}
+}
+
+// waitLive ends at its context's deadline when no worker comes, and at
+// a registration when one does, however far off the deadline is.
+func TestWaitLiveEndsAtItsDeadlineOrAJoin(t *testing.T) {
+	tbl := newMembership()
+	wait := func(ctx context.Context) (ver int, live []liveWorker) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ver, live = tbl.waitLive(ctx, 1)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("waitLive still waits after 5s")
+		}
+		return ver, live
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	began := time.Now()
+	if _, live := wait(ctx); len(live) != 0 {
+		t.Fatalf("%d live in an empty table", len(live))
+	}
+	if took := time.Since(began); took < 30*time.Millisecond {
+		t.Errorf("an empty table's wait took %v, want its 30ms deadline", took)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, func() { tbl.register("w0", "127.0.0.1:1", 1, &taskClient{}, comms.ConnStats{}) })
+	ver, live := wait(ctx)
+	if len(live) != 1 || live[0].id != "w0" || ver == 0 || ctx.Err() != nil {
+		t.Errorf("waiting for a join: version %d, live %+v, context %v", ver, live, ctx.Err())
 	}
 }
 

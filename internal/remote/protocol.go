@@ -46,10 +46,6 @@ type MapTaskArgs struct {
 	// Done lists jobs of this epoch that finished since the worker last
 	// answered a task: it drops what it stashed for them.
 	Done []scheduler.JobID
-	// Corr is the master-assigned correlation id ("r<round>.m<first
-	// block>"), echoed into the worker's trace so both sides of the RPC can be
-	// stitched together. Empty when the master traces nothing.
-	Corr string
 	// Hint is the receiving worker's share of the scheduler's newest
 	// dfs.ScanHint for File: two counted lists of block indices — pin and
 	// prefetch — end to end (hintShare writes it, scanHint reads
@@ -138,8 +134,6 @@ type ReduceTaskArgs struct {
 	// master's task deadline, so a reduce that waited out a wedged peer
 	// still answers inside its own.
 	FetchDeadline time.Duration
-	// Corr is the master-assigned correlation id ("j<job>.p<part>").
-	Corr string
 }
 
 // ReduceTaskReply answers a reduce task with a receipt for the output

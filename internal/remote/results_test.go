@@ -163,7 +163,8 @@ func TestHeldResultIsServedUnchanged(t *testing.T) {
 // partitions reduced on the survivor — which is not a shuffle repair, and
 // the survivor is the holder from then on.
 func TestLostHolderIsRecomputed(t *testing.T) {
-	workers, addrs := serveWorkers(t, 2, nil)
+	logs := make([]*taskLog, 2)
+	workers, addrs := serveWorkers(t, 2, recordInto(logs, 0))
 	m := dialT(t, addrs, wordcountRefs(1))
 	m.SetTrace(trace.MustNew(1 << 10))
 	driveRounds(t, submitAll(t, 1), m, -1)
@@ -171,7 +172,7 @@ func TestLostHolderIsRecomputed(t *testing.T) {
 	if got := mustOutput(t, m, 1); got != want || recomputesOf(m) != 0 {
 		t.Fatalf("before the loss: output differs from the reference, or %d recomputes", recomputesOf(m))
 	}
-	before := singleJobMaps(t, workers[0])
+	before := singleJobMaps(logs[0])
 	workers[1].Close()
 	for read := 0; read < 2; read++ {
 		if got := mustOutput(t, m, 1); got != want {
@@ -181,7 +182,7 @@ func TestLostHolderIsRecomputed(t *testing.T) {
 	if n := recomputesOf(m); n != 1 {
 		t.Errorf("%d recomputes, want one: the second read finds the new holder", n)
 	}
-	if maps := singleJobMaps(t, workers[0]) - before; maps < testBlocks/2 || maps > testBlocks {
+	if maps := singleJobMaps(logs[0]) - before; maps < testBlocks/2 || maps > testBlocks {
 		t.Errorf("the recompute mapped %d blocks on the survivor, want the dead worker's %d at least and %d at most", maps, testBlocks/2, testBlocks)
 	}
 	if ss := repairsOf(m); ss != (repairs{}) {

@@ -21,7 +21,6 @@ import (
 	"s3sched/internal/metrics"
 	s3runtime "s3sched/internal/runtime"
 	"s3sched/internal/scheduler"
-	"s3sched/internal/trace"
 	"s3sched/internal/vclock"
 	"s3sched/internal/workload"
 )
@@ -31,9 +30,9 @@ import (
 // referenceResults) and, where a test disturbs a run, with the same jobs
 // through an undisturbed cluster.
 
-// serveWorkers serves n fresh, traced workers over the test corpus and
-// returns them with their task addresses. Where wrap returns a double
-// for worker i, that is what the address serves.
+// serveWorkers serves n fresh workers over the test corpus and returns
+// them with their task addresses. Where wrap returns a double for worker
+// i, that is what the address serves.
 func serveWorkers(t *testing.T, n int, wrap func(i int, w *Worker) any) ([]*Worker, []string) {
 	t.Helper()
 	var (
@@ -42,7 +41,6 @@ func serveWorkers(t *testing.T, n int, wrap func(i int, w *Worker) any) ([]*Work
 	)
 	for i := 0; i < n; i++ {
 		w := NewWorker(testStore(t), NewStandardRegistry())
-		w.SetTrace(trace.MustNew(1 << 12))
 		t.Cleanup(func() { w.Close() })
 		workers = append(workers, w)
 		if wrap != nil {
@@ -58,6 +56,49 @@ func serveWorkers(t *testing.T, n int, wrap func(i int, w *Worker) any) ([]*Work
 		addrs = append(addrs, addr)
 	}
 	return workers, addrs
+}
+
+// taskLog is a real worker that records the map tasks it served: each
+// one's blocks and how many jobs it named.
+type taskLog struct {
+	*Worker
+	mu   sync.Mutex
+	maps []servedMap
+}
+
+type servedMap struct {
+	blocks []int
+	jobs   int
+}
+
+func (l *taskLog) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
+	err := l.Worker.ExecMap(args, reply)
+	if err == nil {
+		l.mu.Lock()
+		l.maps = append(l.maps, servedMap{args.Blocks, len(args.Jobs)})
+		l.mu.Unlock()
+	}
+	return err
+}
+
+// served is a copy of what l recorded.
+func (l *taskLog) served() []servedMap {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.maps)
+}
+
+// recordInto is a serveWorkers wrap that serves each worker in which
+// through a taskLog, kept in logs; the others serve themselves, so
+// Close stops them.
+func recordInto(logs []*taskLog, which ...int) func(int, *Worker) any {
+	return func(i int, w *Worker) any {
+		if !slices.Contains(which, i) {
+			return nil
+		}
+		logs[i] = &taskLog{Worker: w}
+		return logs[i]
+	}
 }
 
 // dialT dials a master that the test's cleanup closes.
@@ -274,11 +315,10 @@ func TestLateDuplicateMapIsKeptOnce(t *testing.T) {
 	}
 }
 
-// singleJobMaps counts the map tasks w served for one job alone.
-func singleJobMaps(t *testing.T, w *Worker) (n int64) {
-	t.Helper()
-	for _, ev := range w.log.OfKind(trace.TaskServed) {
-		if strings.Contains(ev.Detail, " map ") && strings.Contains(ev.Detail, " jobs 1 ") {
+// singleJobMaps counts the map tasks l served for one job alone.
+func singleJobMaps(l *taskLog) (n int64) {
+	for _, task := range l.served() {
+		if task.jobs == 1 {
 			n++
 		}
 	}
@@ -291,7 +331,8 @@ func singleJobMaps(t *testing.T, w *Worker) (n int64) {
 // that finishes first and never for both together.
 func TestLostHolderIsRepaired(t *testing.T) {
 	const jobs, before = 2, 2 // segments mapped before the loss
-	workers, addrs := serveWorkers(t, 3, nil)
+	logs := make([]*taskLog, 3)
+	workers, addrs := serveWorkers(t, 3, recordInto(logs, 0, 2))
 	m := dialT(t, addrs, wordcountRefs(jobs))
 	sched := submitAll(t, jobs)
 	driveRounds(t, sched, m, before)
@@ -308,7 +349,7 @@ func TestLostHolderIsRepaired(t *testing.T) {
 		t.Errorf("%+v, want between 1 and %d repair maps", ss, lost)
 	}
 	// Every round served both jobs, so a task for one job is a repair.
-	if single := singleJobMaps(t, workers[0]) + singleJobMaps(t, workers[2]); single != ss.RepairMaps {
+	if single := singleJobMaps(logs[0]) + singleJobMaps(logs[2]); single != ss.RepairMaps {
 		t.Errorf("%d map tasks named a single job, %d repair maps counted: a repair re-reads a block for its one job", single, ss.RepairMaps)
 	}
 }

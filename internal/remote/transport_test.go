@@ -3,6 +3,7 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -264,7 +265,7 @@ func TestHandshakeRefusesOtherServers(t *testing.T) {
 	}
 	defer w.Close()
 	began := time.Now()
-	registered, err := w.session(gobMaster(t), &registration{ID: "w0", Addr: addr, MapSlots: 1}, time.Second, nil)
+	registered, err := w.session(context.Background(), gobMaster(t), &registration{ID: "w0", Addr: addr, MapSlots: 1}, time.Second)
 	if !errors.As(err, &wire) || registered {
 		t.Errorf("registering with a gob master: registered %v, %v (%T); want a *comms.WireError", registered, err, err)
 	} else if took := time.Since(began); took > time.Second {
@@ -388,7 +389,7 @@ func TestBlockedCallDoesNotDelayTheNext(t *testing.T) {
 		t.Fatalf("a call beside a blocked one: %+v, %v", reply, err)
 	}
 	close(h.gate)
-	if err := c.wait(blocked, new(MapTaskReply), nil); err != nil {
+	if err := c.wait(context.Background(), blocked, new(MapTaskReply)); err != nil {
 		t.Errorf("the released call: %v", err)
 	}
 }

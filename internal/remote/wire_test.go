@@ -358,7 +358,7 @@ func TestMapTaskHintWireCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	args := MapTaskArgs{File: "corpus", Blocks: []int{5, 7}, Corr: "r12.m5"}
+	args := MapTaskArgs{File: "corpus", Blocks: []int{5, 7}}
 	for i := 0; i < 7; i++ {
 		args.Jobs = append(args.Jobs, JobRef{Name: fmt.Sprintf("wordcount-%d", i), Factory: "wordcount", Param: "th", NumReduce: 2})
 	}

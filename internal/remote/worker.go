@@ -14,8 +14,6 @@ import (
 
 	"s3sched/internal/dfs"
 	"s3sched/internal/mapreduce"
-	"s3sched/internal/trace"
-	"s3sched/internal/vclock"
 )
 
 // Worker executes map and reduce tasks against its own local block
@@ -25,12 +23,6 @@ import (
 type Worker struct {
 	store    *dfs.Store
 	registry *Registry
-	// log, when non-nil, records one TaskServed event per completed
-	// task, echoing the master's correlation id. Timestamps are on the
-	// worker's own wall clock; the corr id — not the clock — is what
-	// joins the two traces.
-	log   *trace.Log
-	clock *vclock.Wall
 
 	mapTasks    atomic.Int64 // (block, job) units served
 	mapPasses   atomic.Int64 // (block, group) passes they took
@@ -57,8 +49,7 @@ type Worker struct {
 
 	// Control-plane state (registration mode; see control.go).
 	ctlMu         sync.Mutex
-	ctlStop       chan struct{}
-	ctlDone       chan struct{}
+	ctlStop       func() // ends the loop and waits for it
 	registrations atomic.Int64
 }
 
@@ -72,15 +63,11 @@ func NewWorker(store *dfs.Store, registry *Registry) *Worker {
 	if store == nil || registry == nil {
 		panic("remote: worker needs a store and a registry")
 	}
-	w := &Worker{store: store, registry: registry, clock: vclock.NewWall(), peers: make(map[string]*peerConn), slots: runtime.GOMAXPROCS(0)}
+	w := &Worker{store: store, registry: registry, peers: make(map[string]*peerConn), slots: runtime.GOMAXPROCS(0)}
 	w.stash.jobs = make(map[stashJob][]stashEntry)
 	w.stash.results, w.stash.budget = make(map[resultKey]*list.Element), resultBudget
 	return w
 }
-
-// SetTrace installs a trace log recording every served task. nil
-// clears it. Call before Serve.
-func (w *Worker) SetTrace(log *trace.Log) { w.log = log }
 
 // readLayer and mapLayer label a map task's block reads and passes in the
 // worker's CPU profile (go tool pprof -tags): the read and map layers'
@@ -216,9 +203,6 @@ func (w *Worker) ExecMap(args *MapTaskArgs, reply *MapTaskReply) error {
 	}
 	w.mapTasks.Add(int64(len(units)))
 	w.mapPasses.Add(int64(passes))
-	if w.log != nil {
-		w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s map %s#%v jobs %d bytes %d", args.Corr, args.File, args.Blocks, len(args.Jobs), reply.BytesScanned)
-	}
 	reply.WallNs, reply.PassNs = int64(time.Since(began)), passNs.Load()
 	return nil
 }
@@ -261,7 +245,6 @@ func (w *Worker) ExecReduce(args *ReduceTaskArgs, reply *ReduceTaskReply) error 
 	}
 	reply.Receipt = w.stash.putResult(resultKey{stashJob{args.Epoch, args.ID}, args.Partition}, mapreduce.AppendFrame(nil, out), int64(len(out)))
 	w.reduceTasks.Add(1)
-	w.log.Addf(w.clock.Now(), trace.TaskServed, -1, -1, "corr=%s reduce %q partition %d records %d", args.Corr, args.Job.Name, args.Partition, len(records))
 	return nil
 }
 

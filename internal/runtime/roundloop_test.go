@@ -75,7 +75,7 @@ func TestRunTraceOnWallClock(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		arrivals = append(arrivals, Arrival{Job: job(i + 1), At: vclock.Time(0.02 * float64(i))})
 	}
-	clock := vclock.NewWall()
+	clock := vclock.NewWallSince(time.Now())
 	res, err := RunTrace(core.New(makePlan(t, 4, 1), nil), exec, arrivals, Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)

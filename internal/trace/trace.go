@@ -38,13 +38,9 @@ const (
 	// SubJobRequeued records a sub-job returned to the queue after its
 	// round was lost; the segment cursor does not advance past it.
 	SubJobRequeued
-	// TaskDispatched records a master issuing an RPC task; its Detail
-	// starts with "corr=<id>", matching the serving worker's TaskServed
-	// event so distributed task lifetimes can be stitched together.
+	// TaskDispatched records a master issuing a task call; its Detail
+	// starts with "corr=<id>", which names the call and its attempts.
 	TaskDispatched
-	// TaskServed records a worker completing a dispatched RPC task;
-	// Detail carries the same corr=<id> the master logged.
-	TaskServed
 	// WorkerRegistered records a worker joining the cluster through the
 	// control plane (or dialled by the master), or a member the master's
 	// table held when its trace was set; Detail carries the worker id
@@ -78,7 +74,6 @@ var kindNames = map[Kind]string{
 	BatchAdjusted:    "batch-adjusted",
 	SubJobRequeued:   "subjob-requeued",
 	TaskDispatched:   "task-dispatched",
-	TaskServed:       "task-served",
 	WorkerRegistered: "worker-registered",
 	WorkerLost:       "worker-lost",
 	WorkerRejoined:   "worker-rejoined",

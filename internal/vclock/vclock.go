@@ -48,9 +48,6 @@ type Wall struct {
 	start time.Time
 }
 
-// NewWall returns a wall clock whose epoch is now.
-func NewWall() *Wall { return &Wall{start: time.Now()} }
-
 // NewWallSince returns a wall clock whose epoch is the given instant,
 // which may be in an earlier process's lifetime. The clock still runs
 // on this process's monotonic reading.

@@ -79,7 +79,7 @@ func TestVirtualConcurrentAdvance(t *testing.T) {
 }
 
 func TestWallMovesForward(t *testing.T) {
-	w := NewWall()
+	w := NewWallSince(time.Now())
 	t0 := w.Now()
 	time.Sleep(5 * time.Millisecond)
 	t1 := w.Now()
@@ -102,7 +102,7 @@ func TestWallAdvanceToPastReturnsAtOnce(t *testing.T) {
 }
 
 func TestWallAdvanceToFutureWaitsForIt(t *testing.T) {
-	w := NewWall()
+	w := NewWallSince(time.Now())
 	for _, d := range []Duration{0.001, 0.02, 1e-9} {
 		target := w.Now().Add(d)
 		w.AdvanceTo(target)

@@ -137,7 +137,6 @@ var exportAllowlist = map[string]string{
 
 	// Audited and kept: test seams.
 	"dfs.Store.SetReadFault": "test seam: the hook the cache's fault tests break reads through",
-	"remote.Worker.SetTrace": "test seam: the worker tests read the tasks a worker served off its task-served events",
 }
 
 // TestExportsHaveCallers fails on every exported top-level name or
